@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check chaos chaos-mc chaos-scale partition-race metrics-smoke transport-race bench bench-update docs-lint
+.PHONY: all build vet test race check chaos chaos-mc chaos-scale partition-race metrics-smoke transport-race bench bench-update ledger docs-lint
 
 all: check
 
@@ -116,6 +116,16 @@ bench-update:
 	$(GO) build -o bin/dfibench ./cmd/dfibench
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -count=1 . | tee $(BENCH_DIR)/bench.out
 	./bin/dfibench benchjson -update $(BENCH_FILE) < $(BENCH_DIR)/bench.out
+
+# The performance ledger (benchmark/README.md): every workload of
+# BENCHMARK.json, traced, seed 1 — the per-layer numbers a CHANGES.md
+# performance claim must cite. Writes bench/ledger/ledger.json and one
+# <workload>.layers.json / .trace.json each, all under the ignored bench/;
+# run it on the parent commit too and compare. About 20 s per workload.
+# For the end-to-end metrics (setup_s, host_*, virt_*) run the same
+# script with --trace 0.
+ledger:
+	bash benchmark/run.sh --seed 1 --trace 1
 
 # Documentation hygiene: every package has a godoc package comment,
 # every relative Markdown link/anchor resolves (GitHub slug rules;

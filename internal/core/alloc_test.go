@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -22,45 +23,77 @@ import (
 // runtime-internal allocations; it is far below one allocation per segment,
 // let alone per tuple.
 func TestSteadyStatePushConsumeZeroAlloc(t *testing.T) {
+	e := newEnv(t, 2)
+	steadyStateAllocs(t, e, []FlowSpec{{
+		Name:    "steady",
+		Sources: []Endpoint{{Node: e.c.Node(0)}},
+		Targets: []Endpoint{{Node: e.c.Node(1)}},
+		Schema:  kvSchema,
+	}})
+}
+
+// TestSharedRingSteadyStateZeroAlloc is the same gate on the shared-ring
+// path: four flows multiplexed over one link, payload bytes copied, so
+// the demultiplexer's staging buffers and queues, the per-tag wake-ups
+// and the follower queue are all in play. Staging buffers recycle
+// through the link and staging queues are fixed rings, so once every
+// stream has been through its high-water mark a delivery allocates
+// nothing. The window is bracketed by the first flow's consumer; the
+// flows push equal amounts under equal credit shares, so the others are
+// in steady state throughout it.
+func TestSharedRingSteadyStateZeroAlloc(t *testing.T) {
+	e := newEnv(t, 2)
+	specs := make([]FlowSpec, 4)
+	for f := range specs {
+		specs[f] = sharedSpec(e, fmt.Sprintf("steady-shared%d", f), []int{0}, []int{1}, Options{SegmentSize: 256})
+	}
+	steadyStateAllocs(t, e, specs)
+}
+
+// steadyStateAllocs runs one source and one target per spec and fails
+// when the window between tuple W and tuple W+N of the first flow's
+// consumer allocates more than a fixed slack.
+func steadyStateAllocs(t *testing.T, e *env, specs []FlowSpec) {
+	t.Helper()
 	const (
 		warmup  = 30_000
 		window  = 30_000
 		total   = warmup + 2*window
 		maxSlop = 8 // allocations tolerated across the whole window
 	)
-	e := newEnv(t, 2)
-	spec := FlowSpec{
-		Name:    "steady",
-		Sources: []Endpoint{{Node: e.c.Node(0)}},
-		Targets: []Endpoint{{Node: e.c.Node(1)}},
-		Schema:  kvSchema,
-	}
 	tup := mkTuple(7, 11) // reused: Push copies, it must not retain src
 	var before, after runtime.MemStats
-	e.k.Spawn("init", func(p *sim.Proc) { _ = FlowInit(p, e.reg, e.c, spec) })
-	e.k.Spawn("src", func(p *sim.Proc) {
-		src, _ := SourceOpen(p, e.reg, "steady", 0)
-		for i := 0; i < total; i++ {
-			_ = src.Push(p, tup)
-		}
-		src.Close(p)
-	})
-	e.k.Spawn("tgt", func(p *sim.Proc) {
-		tgt, _ := TargetOpen(p, e.reg, "steady", 0)
-		consumed := 0
-		for {
-			if consumed == warmup {
-				runtime.ReadMemStats(&before)
-			}
-			if consumed == warmup+window {
-				runtime.ReadMemStats(&after)
-			}
-			if _, ok := tgt.Consume(p); !ok {
-				return
-			}
-			consumed++
+	e.k.Spawn("init", func(p *sim.Proc) {
+		for _, spec := range specs {
+			_ = FlowInit(p, e.reg, e.c, spec)
 		}
 	})
+	for f, spec := range specs {
+		f, name := f, spec.Name
+		e.k.Spawn("src", func(p *sim.Proc) {
+			src, _ := SourceOpen(p, e.reg, name, 0)
+			for i := 0; i < total; i++ {
+				_ = src.Push(p, tup)
+			}
+			src.Close(p)
+		})
+		e.k.Spawn("tgt", func(p *sim.Proc) {
+			tgt, _ := TargetOpen(p, e.reg, name, 0)
+			consumed := 0
+			for {
+				if f == 0 && consumed == warmup {
+					runtime.ReadMemStats(&before)
+				}
+				if f == 0 && consumed == warmup+window {
+					runtime.ReadMemStats(&after)
+				}
+				if _, ok := tgt.Consume(p); !ok {
+					return
+				}
+				consumed++
+			}
+		})
+	}
 	e.run(t)
 	allocs := after.Mallocs - before.Mallocs
 	if allocs > maxSlop {

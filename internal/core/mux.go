@@ -408,10 +408,13 @@ func (m *muxTarget) dropAll() {
 	}
 }
 
-// load makes seg the active segment. Backends that model payloads
-// without moving bytes deliver Data nil; the tuples handed out are then
-// zero-filled with correct counts, matching the private-ring path on
-// the same backend.
+// load makes seg the active segment. seg.Data belongs to the link and
+// is recycled by the next Recv on its tag, which nextSegment issues only
+// after the segment is drained — the same lifetime Consume documents for
+// a private ring's slot. Backends that model payloads without moving
+// bytes deliver Data nil; the tuples handed out are then zero-filled
+// with correct counts, matching the private-ring path on the same
+// backend.
 func (m *muxTarget) load(p transport.Ctx, seg sharedring.Segment) {
 	count := seg.Fill / m.t.tupleSize
 	data := seg.Data

@@ -261,9 +261,9 @@ func (mr *MemoryRegion) Load(off int, dst []byte) {
 }
 
 // CommitSeq returns the region's commit counter, incremented on every
-// remote commit. Pollers snapshot it before scanning and pass the
-// snapshot to WaitCommit, which makes the scan-then-wait sequence free of
-// lost wake-ups.
+// remote commit and every Notify. Pollers snapshot it before scanning and
+// pass the snapshot to WaitCommit, which makes the scan-then-wait
+// sequence free of lost wake-ups.
 func (mr *MemoryRegion) CommitSeq() uint64 { return mr.commitSeq }
 
 // WaitCommit parks p until the commit counter passes `since` or until d
@@ -293,8 +293,10 @@ func (mr *MemoryRegion) WaitChange(p transport.Ctx, d time.Duration) bool {
 	return mr.WaitCommit(p, mr.commitSeq, d)
 }
 
-// notify records a commit and wakes pollers.
-func (mr *MemoryRegion) notify() {
+// Notify records a commit and wakes pollers: called by the verbs when a
+// remote write lands, and by the owning node's processes for a local
+// store that pollers of this region must notice.
+func (mr *MemoryRegion) Notify() {
 	mr.commitSeq++
 	mr.cond.Broadcast()
 }

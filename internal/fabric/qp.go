@@ -423,7 +423,7 @@ func (q *QP) writeOne(p transport.Ctx, src []byte, dst Addr, opts WriteOptions, 
 				if tail > 0 {
 					copy(mr.buf[dstOff+body:dstOff+n], st.buf.b[off+body:off+n])
 				}
-				mr.notify()
+				mr.Notify()
 				st.release(q.c)
 			})
 		}
@@ -473,7 +473,7 @@ type writeOp struct {
 const (
 	wopStage  uint8 = iota // snapshot src into the staging buffer (txEnd)
 	wopBody                // commit the payload body (bodyAt, CopyPayload only)
-	wopCommit              // commit tail/body, notify, release staging (deliverAt)
+	wopCommit              // commit tail/body, Notify, release staging (deliverAt)
 	wopAck                 // push the signaled completion (ackAt)
 )
 
@@ -492,7 +492,7 @@ func (w *writeOp) RunOp(step uint8) {
 		if w.tail > 0 {
 			copy(w.mr.buf[w.dstOff+w.body:w.dstOff+w.n], b[w.off+w.body:w.off+w.n])
 		}
-		w.mr.notify()
+		w.mr.Notify()
 		w.st.release(w.q.c)
 		if w.freeAtCommit {
 			putWriteOp(w)
@@ -704,7 +704,7 @@ func (q *QP) FetchAddChecked(p transport.Ctx, dst Addr, delta uint64) (uint64, b
 	k.At(execEnd, func() {
 		old = le64(b)
 		putLE64(b, old+delta)
-		mr.notify()
+		mr.Notify()
 	})
 	done := sim.NewCond(k)
 	k.At(arriveResp, done.Broadcast)
@@ -758,7 +758,7 @@ func (q *QP) CompareSwap(p transport.Ctx, dst Addr, expect, swap uint64) uint64 
 		if old == expect {
 			putLE64(b, swap)
 		}
-		mr.notify()
+		mr.Notify()
 	})
 	done := sim.NewCond(k)
 	k.At(arriveResp, done.Broadcast)

@@ -56,7 +56,7 @@ func (c *Cluster) Multicast(members ...transport.Endpoint) transport.Group {
 
 // NewCond returns a condition variable parked on the sim kernel.
 func (c *Cluster) NewCond() transport.Cond {
-	return simCond{c: sim.NewCond(c.K)}
+	return &simCond{c: sim.NewCond(c.K)}
 }
 
 // Spawn starts fn as a new sim process named name.
@@ -71,15 +71,33 @@ func (c *Cluster) CopiesPayload() bool { return c.cfg.CopyPayload }
 // SwitchEndpoint returns a fresh in-network-processing endpoint.
 func (c *Cluster) SwitchEndpoint() transport.Endpoint { return c.NewSwitchNode() }
 
-// simCond adapts *sim.Cond to transport.Cond.
-type simCond struct{ c *sim.Cond }
-
-func (s simCond) Wait(p transport.Ctx) { s.c.Wait(proc(p)) }
-func (s simCond) WaitTimeout(p transport.Ctx, d time.Duration) bool {
-	return s.c.WaitTimeout(proc(p), d)
+// simCond adapts *sim.Cond to transport.Cond by pairing it with a
+// broadcast counter (the kernel runs one process at a time, so the
+// counter needs no lock).
+type simCond struct {
+	c   *sim.Cond
+	seq uint64
 }
-func (s simCond) Signal()    { s.c.Signal() }
-func (s simCond) Broadcast() { s.c.Broadcast() }
+
+func (s *simCond) Seq() uint64 { return s.seq }
+
+func (s *simCond) Wait(p transport.Ctx, since uint64, d time.Duration) bool {
+	sp := proc(p)
+	deadline := sp.Now() + d
+	for s.seq == since {
+		remain := deadline - sp.Now()
+		if remain <= 0 {
+			return false
+		}
+		s.c.WaitTimeout(sp, remain)
+	}
+	return true
+}
+
+func (s *simCond) Broadcast() {
+	s.seq++
+	s.c.Broadcast()
+}
 
 // mcGroup adapts *MulticastGroup to transport.Group.
 type mcGroup struct{ g *MulticastGroup }

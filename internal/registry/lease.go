@@ -186,7 +186,7 @@ func (m *Membership) expire(k epKey, gen uint64) {
 	m.r.cond.Broadcast()
 	m.r.emit(metrics.Event{Type: metrics.EvLease, Flow: m.flow, Epoch: m.epoch,
 		Role: k.role.String(), Slot: k.idx, Detail: "lease expired: active -> suspect"})
-	m.r.statusChanged()
+	m.r.statusChanged(m.flow)
 	m.r.k.After(l.grace, func() { m.evictExpired(k, gen) })
 }
 
@@ -210,7 +210,7 @@ func (m *Membership) evict(k epKey, l *lease) {
 		Role: k.role.String(), Slot: k.idx, Detail: "evicted from membership"})
 	m.r.emit(metrics.Event{Type: metrics.EvEpoch, Flow: m.flow, Epoch: m.epoch,
 		Detail: "epoch bumped by eviction"})
-	m.r.statusChanged()
+	m.r.statusChanged(m.flow)
 }
 
 // membership returns the record for a published flow.
@@ -248,7 +248,7 @@ func (r *Registry) AcquireLease(p transport.Ctx, flow string, role Role, idx int
 	if grace <= 0 {
 		grace = ttl
 	}
-	return r.invoke(p, func() error {
+	return r.invoke(p, flow, func() error {
 		m, ok := r.membership(flow)
 		if !ok {
 			return fmt.Errorf("registry: flow %q not published", flow)
@@ -294,10 +294,19 @@ func (r *Registry) RenewLease(p transport.Ctx, flow string, role Role, idx int) 
 		if l.state == StateEvicted {
 			return fmt.Errorf("registry: %s %d of flow %q was evicted (epoch %d)", role, idx, flow, m.epoch)
 		}
-		l.state = StateActive
-		m.arm(k, l)
+		m.renew(k, l)
 		return nil
 	})
+}
+
+// renew re-arms a live lease, rescuing a Suspect slot back to Active.
+// Only the rescue shows in the status snapshot.
+func (m *Membership) renew(k epKey, l *lease) {
+	if l.state != StateActive {
+		l.state = StateActive
+		m.r.flowChanged(m.flow)
+	}
+	m.arm(k, l)
 }
 
 // invokeRenew routes a renewal through the log, or — under the
@@ -308,13 +317,15 @@ func (r *Registry) RenewLease(p transport.Ctx, flow string, role Role, idx int) 
 // heartbeat path costs one per slot per tick.
 func (r *Registry) invokeRenew(p transport.Ctx, op func() error) error {
 	r.renewRPCs.Add(1)
+	var err error
 	if r.repl != nil && r.repl.cfg.UnloggedRenew {
 		r.rpc(p)
-		err := op()
-		r.statusChanged()
-		return err
+		err = op()
+	} else {
+		err = r.run(p, op)
 	}
-	return r.invoke(p, op)
+	r.publishStatus()
+	return err
 }
 
 // LeaseRef names one leased endpoint slot for batched renewal.
@@ -346,8 +357,7 @@ func (r *Registry) RenewLeaseBatch(p transport.Ctx, refs []LeaseRef) []LeaseRef 
 				failed = append(failed, ref)
 				continue
 			}
-			l.state = StateActive
-			m.arm(k, l)
+			m.renew(k, l)
 		}
 		return nil
 	})
@@ -360,7 +370,7 @@ func (r *Registry) RenewLeaseBatch(p transport.Ctx, refs []LeaseRef) []LeaseRef 
 // replicated registry (a Left slot that flipped back to Active on
 // failover would stall target re-attach, which closes Left readers).
 func (r *Registry) ReleaseLease(p transport.Ctx, flow string, role Role, idx int) {
-	_ = r.invoke(p, func() error {
+	_ = r.invoke(p, flow, func() error {
 		m, ok := r.membership(flow)
 		if !ok {
 			return nil
@@ -382,7 +392,7 @@ func (r *Registry) ReleaseLease(p transport.Ctx, flow string, role Role, idx int
 // with out-of-band failure evidence). Idempotent. Replicated registries
 // commit the eviction through the consensus log like any mutation.
 func (r *Registry) Evict(p transport.Ctx, flow string, role Role, idx int) error {
-	return r.invoke(p, func() error {
+	return r.invoke(p, flow, func() error {
 		m, ok := r.membership(flow)
 		if !ok {
 			return fmt.Errorf("registry: flow %q not published", flow)
@@ -423,7 +433,7 @@ type Rejoined struct {
 // it as a rejected rejoin.
 func (r *Registry) Rejoin(p transport.Ctx, flow string, role Role, idx, newIdx int) (Rejoined, error) {
 	var out Rejoined
-	err := r.invoke(p, func() error {
+	err := r.invoke(p, flow, func() error {
 		m, ok := r.membership(flow)
 		if !ok {
 			return fmt.Errorf("registry: flow %q not published", flow)
@@ -480,7 +490,7 @@ func (r *Registry) Rejoin(p transport.Ctx, flow string, role Role, idx, newIdx i
 // refused: the fence also protects the watermark from a wedged
 // endpoint's late writes.
 func (r *Registry) SetWatermark(p transport.Ctx, flow string, role Role, idx int, watermark uint64) error {
-	return r.invoke(p, func() error {
+	return r.invoke(p, flow, func() error {
 		m, ok := r.membership(flow)
 		if !ok {
 			return fmt.Errorf("registry: flow %q not published", flow)

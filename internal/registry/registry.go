@@ -54,10 +54,13 @@ type Registry struct {
 
 	// events receives structured protocol events (nil when tracing is
 	// off); endpoints pick the sink up via EventSink() at open. status
-	// holds the latest immutable introspection snapshot, republished
-	// after every mutation (see status.go).
-	events metrics.EventSink
-	status atomic.Pointer[ClusterStatus]
+	// holds the latest immutable introspection snapshot; flowStatus is
+	// its name-sorted flow slice, edited copy-on-write by flowChanged,
+	// and statusDirty says an edit awaits publication (see status.go).
+	events      metrics.EventSink
+	status      atomic.Pointer[ClusterStatus]
+	flowStatus  []FlowStatus
+	statusDirty bool
 
 	// renewRPCs counts lease-renewal round trips (batched renewals count
 	// once) — the lease-traffic measure the connection-scaling tests
@@ -131,28 +134,31 @@ func (r *Registry) rpc(p transport.Ctx) {
 	}
 }
 
-// invoke runs one mutating registry command. Standalone it is a plain
-// RPC against the in-memory map; replicated, the command is first
-// committed to the Multi-Paxos log by the current master (electing a new
-// one when the master crashed), and retried idempotently when a reply is
-// lost.
-func (r *Registry) invoke(p transport.Ctx, op func() error) error {
-	var err error
+// invoke runs one mutating registry command on the named flow and
+// folds its effect into the status snapshot.
+func (r *Registry) invoke(p transport.Ctx, flow string, op func() error) error {
+	err := r.run(p, op)
+	r.statusChanged(flow)
+	return err
+}
+
+// run executes one command. Standalone it is a plain RPC against the
+// in-memory map; replicated, the command is first committed to the
+// Multi-Paxos log by the current master (electing a new one when the
+// master crashed), and retried idempotently when a reply is lost.
+func (r *Registry) run(p transport.Ctx, op func() error) error {
 	if r.repl == nil {
 		r.rpc(p)
-		err = op()
-	} else {
-		err = r.repl.invoke(p, op)
+		return op()
 	}
-	r.statusChanged()
-	return err
+	return r.repl.invoke(p, op)
 }
 
 // Publish registers flow metadata under a unique name. Publishing a name
 // twice is an error (flow names identify flows cluster-wide). The flow's
 // membership record (see lease.go) is created here, at epoch 0.
 func (r *Registry) Publish(p transport.Ctx, name string, meta any) error {
-	return r.invoke(p, func() error {
+	return r.invoke(p, name, func() error {
 		if _, dup := r.flows[name]; dup {
 			return fmt.Errorf("registry: flow %q already published", name)
 		}
@@ -188,7 +194,7 @@ func (r *Registry) WaitFlow(p transport.Ctx, name string) any {
 // PublishTarget registers per-target connection info (e.g. ring-buffer
 // addresses) for target idx of the named flow. The flow must exist.
 func (r *Registry) PublishTarget(p transport.Ctx, name string, idx int, info any) error {
-	return r.invoke(p, func() error {
+	return r.invoke(p, name, func() error {
 		e, ok := r.flows[name]
 		if !ok {
 			return fmt.Errorf("registry: flow %q not published", name)
@@ -209,7 +215,7 @@ func (r *Registry) PublishTarget(p transport.Ctx, name string, idx int, info any
 // republish: live info must never be clobbered from under connected
 // sources.
 func (r *Registry) RepublishTarget(p transport.Ctx, name string, idx int, info any) error {
-	return r.invoke(p, func() error {
+	return r.invoke(p, name, func() error {
 		e, ok := r.flows[name]
 		if !ok {
 			return fmt.Errorf("registry: flow %q not published", name)
@@ -268,7 +274,7 @@ func (r *Registry) WaitTargetLive(p transport.Ctx, name string, idx int) (info a
 // the RPC cost and wakes waiters, so a WaitFlow racing a remove-then-
 // republish observes the republished flow rather than blocking forever.
 func (r *Registry) Remove(p transport.Ctx, name string) {
-	_ = r.invoke(p, func() error {
+	_ = r.invoke(p, name, func() error {
 		delete(r.flows, name)
 		r.cond.Broadcast()
 		return nil

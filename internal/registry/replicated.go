@@ -490,7 +490,7 @@ func (g *replGroup) elect(p transport.Ctx) {
 			g.elections++
 			g.r.emit(metrics.Event{Type: metrics.EvElection, Seq: b,
 				Detail: fmt.Sprintf("replica %d elected master at ballot %d", cand, b)})
-			g.r.statusChanged()
+			g.r.publishStatus()
 			return
 		}
 		if g.crashed[cand] { // crashed mid-election (fault plan time passed)

@@ -125,6 +125,12 @@ func (r *Registry) restoreState(s *stateSnapshot) {
 		}
 		r.flows[name] = e
 	}
+	r.flowStatus = nil
+	for name := range r.flows {
+		r.flowChanged(name)
+	}
+	r.statusDirty = true // an emptied registry is a change too
+	r.publishStatus()
 	r.cond.Broadcast()
 }
 

@@ -12,9 +12,16 @@ import (
 // watermarks, and the replication group. Because every mutation funnels
 // through invoke()/invokeRenew() or a lease timer callback (all on the
 // simulation's single logical thread), the registry republishes an
-// immutable ClusterStatus snapshot after each mutation; a concurrent
-// HTTP scraper only ever loads the latest pointer. A missed publish
-// would mean staleness, never a torn read.
+// immutable ClusterStatus snapshot after each mutation that shows in
+// it; a concurrent HTTP scraper only ever loads the latest pointer. A
+// missed publish would mean staleness, never a torn read.
+//
+// The snapshot is maintained incrementally: a command names the flow it
+// touched, only that flow's FlowStatus is rebuilt, and a new snapshot —
+// one copy of the name-sorted flow slice with that element replaced,
+// inserted or removed — is published only when the rebuilt element
+// differs from the published one. Renewing an Active lease, the
+// steady-state command of a leased fleet, therefore costs nothing here.
 
 // EndpointStatus is one endpoint slot's lease view.
 type EndpointStatus struct {
@@ -46,8 +53,8 @@ type ReplStatus struct {
 }
 
 // ClusterStatus is one immutable point-in-time view of the registry:
-// every flow with its membership, plus the replication group. T is
-// virtual time at capture.
+// every flow with its membership, plus the replication group. T is the
+// virtual time of the last change visible in it.
 type ClusterStatus struct {
 	T           time.Duration `json:"t"`
 	Flows       []FlowStatus  `json:"flows"`
@@ -86,41 +93,95 @@ func (r *Registry) Status() *ClusterStatus {
 	return &ClusterStatus{}
 }
 
-// statusChanged rebuilds and republishes the snapshot; called on the
-// simulation's logical thread after every mutation.
-func (r *Registry) statusChanged() {
-	st := &ClusterStatus{T: r.k.Now()}
-	names := make([]string, 0, len(r.flows))
-	for n := range r.flows {
-		names = append(names, n)
+// buildFlowStatus renders one flow's control-plane view, endpoints in
+// (role, slot) order.
+func buildFlowStatus(name string, e *entry) FlowStatus {
+	fs := FlowStatus{Name: name, TargetsPublished: len(e.targets)}
+	m := e.mem
+	if m == nil {
+		return fs
 	}
-	sort.Strings(names)
-	for _, n := range names {
-		e := r.flows[n]
-		fs := FlowStatus{Name: n, TargetsPublished: len(e.targets)}
-		if m := e.mem; m != nil {
-			fs.Epoch = m.epoch
-			for k, l := range m.eps {
-				fs.Endpoints = append(fs.Endpoints, EndpointStatus{
-					Role:        k.role.String(),
-					Slot:        k.idx,
-					State:       l.state.String(),
-					Incarnation: l.inc,
-					Watermark:   l.watermark,
-				})
-			}
-			sort.Slice(fs.Endpoints, func(i, j int) bool {
-				a, b := fs.Endpoints[i], fs.Endpoints[j]
-				if a.Role != b.Role {
-					return a.Role < b.Role
-				}
-				return a.Slot < b.Slot
-			})
+	fs.Epoch = m.epoch
+	if len(m.eps) == 0 {
+		return fs // Endpoints stays nil and out of the JSON
+	}
+	eps := make([]EndpointStatus, 0, len(m.eps))
+	for k, l := range m.eps {
+		ep := EndpointStatus{
+			Role:        k.role.String(),
+			Slot:        k.idx,
+			State:       l.state.String(),
+			Incarnation: l.inc,
+			Watermark:   l.watermark,
 		}
-		st.Flows = append(st.Flows, fs)
+		// Insertion sort: a flow has a handful of endpoints, and this
+		// runs once per registry command.
+		i := len(eps)
+		eps = append(eps, ep)
+		for ; i > 0 && (eps[i-1].Role > ep.Role || eps[i-1].Role == ep.Role && eps[i-1].Slot > ep.Slot); i-- {
+			eps[i] = eps[i-1]
+		}
+		eps[i] = ep
 	}
+	fs.Endpoints = eps
+	return fs
+}
+
+func sameFlowStatus(a, b FlowStatus) bool {
+	if a.Name != b.Name || a.Epoch != b.Epoch || a.TargetsPublished != b.TargetsPublished ||
+		len(a.Endpoints) != len(b.Endpoints) {
+		return false
+	}
+	for i := range a.Endpoints {
+		if a.Endpoints[i] != b.Endpoints[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// flowChanged brings name's element of the name-sorted flow slice up to
+// date after a mutation that may have touched it. Published snapshots
+// share the slice, so an edit replaces it with a copy; publishStatus
+// then makes the copy visible. Called on the simulation's logical
+// thread.
+func (r *Registry) flowChanged(name string) {
+	cur := r.flowStatus
+	i := sort.Search(len(cur), func(i int) bool { return cur[i].Name >= name })
+	present := i < len(cur) && cur[i].Name == name
+	e, ok := r.flows[name]
+	if !ok {
+		if present {
+			r.flowStatus = append(append([]FlowStatus(nil), cur[:i]...), cur[i+1:]...)
+			r.statusDirty = true
+		}
+		return
+	}
+	fs := buildFlowStatus(name, e)
+	if present && sameFlowStatus(cur[i], fs) {
+		return
+	}
+	next := make([]FlowStatus, 0, len(cur)+1)
+	next = append(append(next, cur[:i]...), fs)
+	if present {
+		i++
+	}
+	r.flowStatus = append(next, cur[i:]...)
+	r.statusDirty = true
+}
+
+// statusChanged folds a mutation of the named flow into the snapshot.
+func (r *Registry) statusChanged(flow string) {
+	r.flowChanged(flow)
+	r.publishStatus()
+}
+
+// publishStatus publishes a new snapshot if a flow or the replication
+// group changed since the last one.
+func (r *Registry) publishStatus() {
+	var repl *ReplStatus
 	if g := r.repl; g != nil {
-		st.Replication = &ReplStatus{
+		cur := ReplStatus{
 			Replicas:      len(g.acceptors),
 			Master:        g.master,
 			Ballot:        g.ballot,
@@ -130,8 +191,15 @@ func (r *Registry) statusChanged() {
 			LogLen:        r.LogLen(),
 			AppliedSize:   len(g.applied),
 		}
+		if old := r.status.Load(); !r.statusDirty && old != nil && *old.Replication == cur {
+			return
+		}
+		repl = &cur
+	} else if !r.statusDirty {
+		return
 	}
-	r.status.Store(st)
+	r.statusDirty = false
+	r.status.Store(&ClusterStatus{T: r.k.Now(), Flows: r.flowStatus, Replication: repl})
 }
 
 // leaseCount sums endpoints in the given state across the snapshot.

@@ -117,9 +117,7 @@ func (n *Net) SwitchEndpoint() transport.Endpoint { return n.NewEndpoint() }
 
 // NewCond returns a condition variable for goroutine contexts.
 func (n *Net) NewCond() transport.Cond {
-	c := &cond{}
-	c.ch = make(chan struct{})
-	return c
+	return &cond{seqWait{change: make(chan struct{})}}
 }
 
 // ctx is a wall-clock execution context owned by one goroutine.
@@ -161,22 +159,68 @@ func asEndpoint(ep transport.Endpoint) *Endpoint {
 	return e
 }
 
-// Region is a registered memory region. The mutex orders remote verb
-// commits against local Store/Load and the commit counter: a consumer
-// that observed a commit under the lock may then read the committed
-// payload through Bytes without further synchronization.
+// seqWait is a mutex-guarded event counter with a broadcast channel: the
+// wait primitive behind both Region commits and cond. A waiter passes
+// the count it last saw; wait reads the counter and the channel in one
+// critical section, so a bump between the caller's snapshot and the
+// wait cannot be missed.
+type seqWait struct {
+	mu  sync.Mutex
+	seq uint64
+	// change is closed and replaced on every bump (broadcast).
+	change chan struct{}
+}
+
+func (s *seqWait) load() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.seq
+}
+
+// bumpLocked counts one event and wakes every waiter. Caller holds mu.
+func (s *seqWait) bumpLocked() {
+	s.seq++
+	close(s.change)
+	s.change = make(chan struct{})
+}
+
+// wait blocks until the counter differs from since or d elapses.
+func (s *seqWait) wait(since uint64, d time.Duration) bool {
+	deadline := time.Now().Add(d)
+	for {
+		s.mu.Lock()
+		if s.seq != since {
+			s.mu.Unlock()
+			return true
+		}
+		ch := s.change
+		s.mu.Unlock()
+		remain := time.Until(deadline)
+		if remain <= 0 {
+			return false
+		}
+		t := time.NewTimer(remain)
+		select {
+		case <-ch:
+			t.Stop()
+		case <-t.C:
+		}
+	}
+}
+
+// Region is a registered memory region. The embedded mutex orders
+// remote verb commits against local Store/Load and the commit counter:
+// a consumer that observed a commit under the lock may then read the
+// committed payload through Bytes without further synchronization.
 type Region struct {
 	owner *Endpoint
-	mu    sync.Mutex
-	buf   []byte
-	seq   uint64
-	// change is closed and replaced on every commit (broadcast).
-	change chan struct{}
+	seqWait
+	buf []byte
 }
 
 // OpenRegion registers a memory region of the given size on ep.
 func (n *Net) OpenRegion(ep transport.Endpoint, size int) transport.Region {
-	return &Region{owner: asEndpoint(ep), buf: make([]byte, size), change: make(chan struct{})}
+	return &Region{owner: asEndpoint(ep), buf: make([]byte, size), seqWait: seqWait{change: make(chan struct{})}}
 }
 
 // Bytes exposes the backing buffer (see the type comment for the rules).
@@ -208,50 +252,28 @@ func (r *Region) Load(off int, dst []byte) {
 }
 
 // CommitSeq returns the count of remote commits applied so far.
-func (r *Region) CommitSeq() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.seq
-}
+func (r *Region) CommitSeq() uint64 { return r.load() }
 
 // commit applies fn to the buffer under the lock, bumps the commit
 // counter and wakes waiters.
 func (r *Region) commit(fn func(buf []byte)) {
 	r.mu.Lock()
 	fn(r.buf)
-	r.seq++
-	close(r.change)
-	r.change = make(chan struct{})
+	r.bumpLocked()
 	r.mu.Unlock()
 }
 
+// Notify counts a commit that moves no bytes (see transport.Region).
+func (r *Region) Notify() { r.commit(func([]byte) {}) }
+
 // WaitCommit blocks until the commit counter passes since or d elapses.
 func (r *Region) WaitCommit(p transport.Ctx, since uint64, d time.Duration) bool {
-	deadline := time.Now().Add(d)
-	for {
-		r.mu.Lock()
-		if r.seq != since {
-			r.mu.Unlock()
-			return true
-		}
-		ch := r.change
-		r.mu.Unlock()
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			return false
-		}
-		t := time.NewTimer(remain)
-		select {
-		case <-ch:
-			t.Stop()
-		case <-t.C:
-		}
-	}
+	return r.wait(since, d)
 }
 
 // WaitChange blocks until the next commit or d elapses.
 func (r *Region) WaitChange(p transport.Ctx, d time.Duration) bool {
-	return r.WaitCommit(p, r.CommitSeq(), d)
+	return r.wait(r.load(), d)
 }
 
 func asRegion(a transport.Addr) *Region {
@@ -262,39 +284,19 @@ func asRegion(a transport.Addr) *Region {
 	return r
 }
 
-// cond is a broadcast-channel condition variable. Signal degrades to
-// Broadcast; every transport waiter re-checks its predicate in a loop,
-// so spurious wake-ups are harmless.
-type cond struct {
-	mu sync.Mutex
-	ch chan struct{}
+// cond is a bare seqWait: the same sequence pattern as a Region's
+// commit counter, with no memory behind it.
+type cond struct{ seqWait }
+
+func (c *cond) Seq() uint64 { return c.load() }
+
+func (c *cond) Wait(p transport.Ctx, since uint64, d time.Duration) bool {
+	return c.wait(since, d)
 }
-
-func (c *cond) current() chan struct{} {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ch
-}
-
-func (c *cond) Wait(p transport.Ctx) { <-c.current() }
-
-func (c *cond) WaitTimeout(p transport.Ctx, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-c.current():
-		return true
-	case <-t.C:
-		return false
-	}
-}
-
-func (c *cond) Signal() { c.Broadcast() }
 
 func (c *cond) Broadcast() {
 	c.mu.Lock()
-	close(c.ch)
-	c.ch = make(chan struct{})
+	c.bumpLocked()
 	c.mu.Unlock()
 }
 

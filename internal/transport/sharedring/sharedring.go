@@ -16,13 +16,34 @@
 // with an RDMA READ — exactly the paper's credit loop, amortized over
 // all flows sharing the node pair.
 //
+// Receiving is leader/followers. The paper's target polls the footers
+// of its own ring, so a landed segment wakes exactly one thread; a ring
+// shared by many consumers keeps that property by letting only one of
+// them poll it. Any consumer entering Recv pumps what is already
+// committed (plain local loads) and looks at its own staging queue. If
+// it has to wait, the first to do so on a link becomes the leader: it
+// waits on the ring region's commit sequence, pays the backend's
+// polling delay (DetectDelay on the DES) when a commit lands, pumps,
+// and wakes only the consumers whose tag received a segment, an end
+// marker or a drop. Everyone else is a follower parked on its own tag's
+// wake-up, a hand-off through local memory that costs no polling delay;
+// a segment for a follower is therefore seen exactly as late as on a
+// private ring — one DetectDelay after its footer lands. A leader that
+// leaves Recv for any reason (its own segment, end, drop, timeout)
+// promotes the longest-waiting follower, first in first out, which
+// re-snapshots the commit sequence before it pumps so that nothing
+// committed in between is slept through. Slots still release in ring
+// order, so the head-of-line blocking of a stalled consumer is what it
+// was; the consumer that makes room in a full staging queue restarts
+// the pump itself.
+//
 // The package is written purely against the transport verb interfaces,
 // so both backends (DES fabric and chanloop) run it unmodified.
 //
 // Concurrency contract: all exported methods are goroutine-safe AND
 // sim-safe. Internally a short-hold mutex guards ring state; it is never
-// held across a parking verb (WaitCommit, ReadSync, Sleep), which is the
-// rule that keeps the DES kernel — one process runs at a time — free of
+// held across a parking verb (WaitCommit, Cond.Wait, ReadSync, Sleep),
+// which is the rule that keeps the DES kernel — one process runs at a time — free of
 // lock-ownership deadlocks.
 package sharedring
 
@@ -381,19 +402,31 @@ type Link struct {
 	// source buffers must stay stable until delivery (the transport's
 	// selective-signaling contract), and a mirror slot is reused only
 	// after the receiver released it — which implies the write landed.
-	head       uint64 // next absolute slot to grant
-	released   uint64 // sender's mirror of the receiver's release counter
-	creditRead bool   // a credit READ is in flight (single-flight)
-	stage      []byte
-	slotOwner  []int32 // stream index per slot (refund walk), -1 free
-	streams    []*Stream
-	byTag      map[uint32]int
+	head        uint64  // next absolute slot to grant
+	released    uint64  // sender's mirror of the receiver's release counter
+	creditRead  bool    // a credit READ is in flight (single-flight)
+	creditBuf   [8]byte // its landing buffer
+	stage       []byte
+	slotOwner   []int32 // stream index per slot (refund walk), -1 free
+	streams     []*Stream
+	byTag       map[uint32]int
 	totalWeight int
-	condemned  bool
+	condemned   bool
 
-	// Receiver state.
-	tail     uint64 // next absolute slot to demultiplex
-	rstreams map[uint32]*rstream
+	// Receiver state. leader is the stream whose consumer waits on the
+	// ring region's commit sequence and pumps for everyone (nil while no
+	// consumer waits); the other parked consumers queue as followers,
+	// longest-waiting first.
+	tail                        uint64 // next absolute slot to demultiplex
+	rstreams                    map[uint32]*rstream
+	leader                      *rstream
+	firstFollower, lastFollower *rstream
+	free                        [][]byte // staging buffers awaiting reuse
+	wakeups                     uint64   // returns from a wait inside Recv
+	// pumpBuf is the pump's footer and release-counter scratch: locals
+	// would escape through the Region interface and cost an allocation
+	// per pump.
+	pumpBuf [footerBytes + 8]byte
 }
 
 // Src returns the source-node endpoint of the directed link.
@@ -453,9 +486,9 @@ func (l *Link) refreshCredits(p transport.Ctx) {
 	l.creditRead = true
 	l.mu.Unlock()
 
-	var buf [8]byte
-	l.q.ReadSync(p, buf[:], transport.Addr{MR: l.mr, Off: 0})
-	v := binary.LittleEndian.Uint64(buf[:])
+	// creditRead makes this context the only user of creditBuf.
+	l.q.ReadSync(p, l.creditBuf[:], transport.Addr{MR: l.mr, Off: 0})
+	v := binary.LittleEndian.Uint64(l.creditBuf[:])
 
 	l.mu.Lock()
 	if v > l.released {
@@ -469,11 +502,18 @@ func (l *Link) refreshCredits(p transport.Ctx) {
 // future sends fail with ErrLinkDown and slots already in flight are
 // never released: co-resident flows lose their in-flight window, the
 // documented blast radius of sharing a ring (docs/PROTOCOL.md
-// "Connection scaling"). Goroutine-safe.
+// "Connection scaling"). Consumers parked in Recv wake, drain what is
+// staged and then get RecvDropped. Goroutine-safe.
 func (l *Link) Condemn() {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	l.condemned = true
-	l.mu.Unlock()
+	if l.leader != nil {
+		l.mr.Notify()
+	}
+	for st := l.firstFollower; st != nil; st = st.next {
+		st.wake.Broadcast()
+	}
 }
 
 // Settle pumps any still-committed slots out of the ring (consumers may
@@ -488,7 +528,7 @@ func (l *Link) Settle(p transport.Ctx) {
 	stale := 0
 	for stale < 1000 {
 		l.mu.Lock()
-		l.pumpLocked(copies)
+		l.pumpLocked(copies, nil)
 		occ := l.head - l.released
 		l.mu.Unlock()
 		if occ == 0 {
@@ -519,6 +559,17 @@ func (l *Link) Occupancy() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return int(l.head - l.released)
+}
+
+// Wakeups returns how many times a consumer came back from a wait
+// inside Recv on this link — woken or timed out. Per released slot it
+// is the demultiplexer's efficiency: about one for the owner, plus one
+// for the leader when the owner is a follower, however many streams
+// share the link. Goroutine-safe.
+func (l *Link) Wakeups() uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.wakeups
 }
 
 // CheckConservation verifies the credit invariants: per stream,
@@ -699,7 +750,9 @@ const (
 	RecvEnd
 	// RecvIdle reports the wait budget elapsed with nothing staged.
 	RecvIdle
-	// RecvDropped reports the tag was dropped via Receiver.Drop.
+	// RecvDropped reports that nothing more will be delivered for the
+	// tag: it was dropped via Receiver.Drop, or its link was condemned
+	// and staging drained.
 	RecvDropped
 )
 
@@ -710,24 +763,46 @@ type Segment struct {
 	// End marks the sender's final segment for the stream.
 	End bool
 	// Data holds the payload bytes, copied out of the ring slot before
-	// release. Nil when the backend models payloads without moving them
-	// (Transport.CopiesPayload false) or when Fill is 0.
+	// release into a buffer the link recycles: it is valid until the
+	// next Recv on the same tag. Nil when the backend models payloads
+	// without moving them (Transport.CopiesPayload false) or when Fill
+	// is 0.
 	Data []byte
 }
 
-// rstream is one tag's receiver-side staging state.
+// rstream is one tag's receiver-side state: a fixed staging ring of
+// StagingCap segments, the consumer's wake-up, and its place in the
+// link's follower queue. Guarded by Link.mu.
 type rstream struct {
-	q       []Segment
+	q       []Segment // staging ring; q[(head+i)%len(q)] for i < n
+	head, n int
+	// held backs the Segment.Data handed out by the last Recv; the next
+	// Recv on the tag returns it to the link's free list.
+	held    []byte
 	ended   bool
 	dropped bool
+
+	// wake is signalled when the demultiplexer stages something for the
+	// tag, ends or drops it, or promotes its consumer to leader.
+	wake transport.Cond
+	// queued marks membership of the link's follower queue; prev and
+	// next are its links.
+	queued     bool
+	prev, next *rstream
 }
 
 // Receiver is the receive half of a link, shared by every consumer on
-// the target node. Pumping is consumer-driven: whichever consumer calls
-// Recv advances the ring tail, demultiplexes committed slots into
-// per-tag staging queues, and publishes releases — no dedicated pump
-// process exists, which keeps the DES kernel quiescent when flows are
-// idle. All methods are goroutine-safe.
+// the target node. Demultiplexing is consumer-driven — a consumer
+// entering Recv pumps the slots already committed at the ring tail into
+// the per-tag staging queues and publishes their release — but waiting
+// is done in one place: at most one consumer per link, the leader,
+// waits on the ring region's commit sequence, pumps what lands, and
+// wakes exactly the consumers whose tag received something. Every
+// other waiting consumer, a follower, parks on its own tag's wake-up. A
+// leader that leaves Recv for any reason promotes the longest-waiting
+// follower. No dedicated pump process exists, which keeps the DES
+// kernel quiescent when flows are idle. One consumer at a time may call
+// Recv for a given tag; across tags all methods are goroutine-safe.
 type Receiver struct {
 	l *Link
 }
@@ -738,23 +813,106 @@ func (r *Receiver) Link() *Link { return r.l }
 func (l *Link) rstreamLocked(tag uint32) *rstream {
 	st, ok := l.rstreams[tag]
 	if !ok {
-		st = &rstream{}
+		st = &rstream{q: make([]Segment, l.cfg.StagingCap), wake: l.pool.tr.NewCond()}
 		l.rstreams[tag] = st
 	}
 	return st
 }
 
+// enqueueLocked appends st to the follower queue.
+func (l *Link) enqueueLocked(st *rstream) {
+	st.queued = true
+	st.prev, st.next = l.lastFollower, nil
+	if st.prev != nil {
+		st.prev.next = st
+	} else {
+		l.firstFollower = st
+	}
+	l.lastFollower = st
+}
+
+// dequeueLocked unlinks st from the follower queue.
+func (l *Link) dequeueLocked(st *rstream) {
+	if st.prev != nil {
+		st.prev.next = st.next
+	} else {
+		l.firstFollower = st.next
+	}
+	if st.next != nil {
+		st.next.prev = st.prev
+	} else {
+		l.lastFollower = st.prev
+	}
+	st.queued = false
+	st.prev, st.next = nil, nil
+}
+
+// leaveLocked takes st's consumer out of the wait structures on its way
+// out of Recv. A departing leader hands the ring to the longest-waiting
+// follower, which wakes, re-snapshots the commit sequence and pumps.
+func (l *Link) leaveLocked(st *rstream) {
+	if st.queued {
+		l.dequeueLocked(st)
+	}
+	if l.leader != st {
+		return
+	}
+	l.leader = l.firstFollower
+	if l.leader != nil {
+		l.dequeueLocked(l.leader)
+		l.leader.wake.Broadcast()
+	}
+}
+
+// wakeLocked wakes st's consumer if it is parked in Recv: a follower
+// through its own wake-up, the leader through the ring region (it
+// polls that memory, so it pays the polling delay like any commit).
+func (l *Link) wakeLocked(st *rstream) {
+	switch {
+	case l.leader == st:
+		l.mr.Notify()
+	case st.queued:
+		st.wake.Broadcast()
+	}
+}
+
+// stageBufLocked returns a recycled buffer of fill bytes.
+func (l *Link) stageBufLocked(fill int) []byte {
+	if n := len(l.free); n > 0 {
+		b := l.free[n-1]
+		l.free[n-1] = nil
+		l.free = l.free[:n-1]
+		if cap(b) >= fill {
+			return b[:fill]
+		}
+	}
+	return make([]byte, fill)
+}
+
+// discardLocked empties st's staging ring, recycling its buffers.
+func (l *Link) discardLocked(st *rstream) {
+	for ; st.n > 0; st.n-- {
+		seg := &st.q[st.head]
+		if seg.Data != nil {
+			l.free = append(l.free, seg.Data)
+		}
+		*seg = Segment{}
+		st.head = (st.head + 1) % len(st.q)
+	}
+}
+
 // pumpLocked demultiplexes every committed slot at the ring tail into
-// staging and releases it. Stops at the first uncommitted slot or when
-// a destination staging queue is full (head-of-line block). Caller
-// holds l.mu; Load/Store are non-parking local ops, so holding the
-// mutex across them is safe on both backends.
-func (l *Link) pumpLocked(copies bool) {
-	var ftr [footerBytes]byte
-	var rel [8]byte
+// staging and releases it, waking the consumer of each tag that gained
+// something — except self, the caller's own stream, which looks at its
+// staging next anyway. Stops at the first uncommitted slot or when a
+// destination staging queue is full (head-of-line block; whoever makes
+// room in a full queue pumps again). Caller holds l.mu; Load/Store/Notify/Broadcast are non-parking local
+// ops, so holding the mutex across them is safe on both backends.
+func (l *Link) pumpLocked(copies bool, self *rstream) {
+	ftr, rel := l.pumpBuf[:footerBytes], l.pumpBuf[footerBytes:]
 	for {
 		i := int(l.tail % uint64(l.cfg.Slots))
-		l.mr.Load(l.footerOff(i), ftr[:])
+		l.mr.Load(l.footerOff(i), ftr)
 		if ftr[4]&flagSegment == 0 {
 			return
 		}
@@ -775,73 +933,125 @@ func (l *Link) pumpLocked(copies bool) {
 		case fill == 0 && end:
 			st.ended = true
 		default:
-			if len(st.q) >= l.cfg.StagingCap {
+			if st.n == len(st.q) {
 				return // consumer stalled; ring blocks for everyone
 			}
 			seg := Segment{Fill: fill, End: end}
 			if fill > 0 && copies {
-				seg.Data = make([]byte, fill)
+				seg.Data = l.stageBufLocked(fill)
 				copy(seg.Data, l.mr.Bytes()[l.slotOff(i):l.slotOff(i)+fill])
 			}
 			if end {
 				st.ended = true
 			}
-			st.q = append(st.q, seg)
+			st.q[(st.head+st.n)%len(st.q)] = seg
+			st.n++
+		}
+		if st != self {
+			l.wakeLocked(st)
 		}
 		l.tail++
-		binary.LittleEndian.PutUint64(rel[:], l.tail)
-		l.mr.Store(0, rel[:])
+		binary.LittleEndian.PutUint64(rel, l.tail)
+		l.mr.Store(0, rel)
 	}
 }
 
-// Recv returns the next staged segment for tag, pumping the ring as
-// needed and waiting up to wait for a commit when nothing is staged.
-// RecvEnd is terminal: the sender closed the stream and staging is
-// drained.
+// takeLocked resolves st's Recv if it can be resolved now: the oldest
+// staged segment, else the terminal status of a dropped, ended or
+// condemned stream.
+func (l *Link) takeLocked(st *rstream, copies bool) (Segment, RecvStatus, bool) {
+	switch {
+	case st.n > 0:
+		wasFull := st.n == len(st.q)
+		seg := st.q[st.head]
+		st.q[st.head] = Segment{}
+		st.head = (st.head + 1) % len(st.q)
+		st.n--
+		st.held = seg.Data
+		if wasFull {
+			l.pumpLocked(copies, st) // the ring may have stalled on this queue
+		}
+		return seg, RecvSeg, true
+	case st.dropped:
+		return Segment{}, RecvDropped, true
+	case st.ended:
+		return Segment{}, RecvEnd, true
+	case l.condemned:
+		return Segment{}, RecvDropped, true
+	}
+	return Segment{}, RecvIdle, false
+}
+
+// Recv returns the next staged segment for tag, waiting up to wait when
+// nothing is staged. The first consumer to wait on an unled link
+// becomes its leader and waits on the ring's commit sequence, pumping
+// for every tag; the others wait on their own tag's wake-up, which the
+// leader's pump, Drop and Condemn signal — a hand-off through local
+// memory that costs no polling delay. RecvEnd is terminal: the sender
+// closed the stream and staging is drained.
 func (r *Receiver) Recv(p transport.Ctx, tag uint32, wait time.Duration) (Segment, RecvStatus) {
 	l := r.l
 	copies := l.pool.tr.CopiesPayload()
 	deadline := p.Now() + wait
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	st := l.rstreamLocked(tag)
+	if st.held != nil {
+		l.free = append(l.free, st.held)
+		st.held = nil
+	}
 	for {
-		// Snapshot the commit count before pumping: a commit landing
-		// during the pump wakes the WaitCommit below immediately instead
-		// of stalling a full poll interval.
-		since := l.mr.CommitSeq()
-		l.mu.Lock()
-		l.pumpLocked(copies)
-		st := l.rstreamLocked(tag)
-		if len(st.q) > 0 {
-			seg := st.q[0]
-			st.q = st.q[1:]
-			l.mu.Unlock()
-			return seg, RecvSeg
+		if l.leader == nil {
+			l.leader = st
 		}
-		if st.dropped {
-			l.mu.Unlock()
-			return Segment{}, RecvDropped
+		leading := l.leader == st
+		// Snapshot the sequence to wait on before looking: a commit (or
+		// wake-up) landing after the look then ends the wait at once. A
+		// follower just promoted passes through here too, so commits
+		// that landed while the ring had no leader are pumped now.
+		var since uint64
+		if leading {
+			since = l.mr.CommitSeq()
+		} else {
+			since = st.wake.Seq()
 		}
-		if st.ended {
-			l.mu.Unlock()
-			return Segment{}, RecvEnd
+		l.pumpLocked(copies, st)
+		seg, status, ok := l.takeLocked(st, copies)
+		remain := deadline - p.Now()
+		if ok || remain <= 0 {
+			l.leaveLocked(st)
+			return seg, status
+		}
+		if !leading && !st.queued {
+			l.enqueueLocked(st)
 		}
 		l.mu.Unlock()
-		remain := deadline - p.Now()
-		if remain <= 0 {
-			return Segment{}, RecvIdle
+		if leading {
+			l.mr.WaitCommit(p, since, remain)
+		} else {
+			st.wake.Wait(p, since, remain)
 		}
-		l.mr.WaitCommit(p, since, remain)
+		l.mu.Lock()
+		l.wakeups++
 	}
 }
 
 // Drop marks tag evicted: staged segments are discarded and future
 // deliveries for it are released without staging, so an evicted flow's
-// in-flight slots still refund the sender's credits. Goroutine-safe.
+// in-flight slots still refund the sender's credits. A consumer parked
+// in Recv for the tag wakes and returns RecvDropped. Goroutine-safe.
 func (r *Receiver) Drop(tag uint32) {
-	r.l.mu.Lock()
-	st := r.l.rstreamLocked(tag)
+	l := r.l
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	st := l.rstreamLocked(tag)
 	st.dropped = true
-	st.q = nil
-	r.l.mu.Unlock()
+	wasFull := st.n == len(st.q)
+	l.discardLocked(st)
+	l.wakeLocked(st)
+	if wasFull {
+		l.pumpLocked(l.pool.tr.CopiesPayload(), nil) // the ring may have stalled on this queue
+	}
 }
 
 func max(a, b int) int {

@@ -84,6 +84,11 @@ type Region interface {
 	WaitCommit(p Ctx, since uint64, d time.Duration) bool
 	// WaitChange blocks until any remote commit lands or d elapses.
 	WaitChange(p Ctx, d time.Duration) bool
+	// Notify counts one commit made by the owning endpoint itself — a
+	// plain store into memory a local poller watches — so contexts
+	// parked in WaitCommit wake and re-scan. It is how a poller is told
+	// about state that no remote verb wrote (an eviction, a hand-off).
+	Notify()
 }
 
 // Addr names a byte offset inside a registered region.
@@ -254,14 +259,21 @@ type Group interface {
 	Reattach(i int, ep Endpoint) GroupEndpoint
 }
 
-// Cond is a condition variable usable from transport contexts.
+// Cond is a sequence-counted wake-up between contexts on one endpoint:
+// the local-memory counterpart of Region.CommitSeq/WaitCommit. A waiter
+// snapshots Seq, checks its predicate and hands the snapshot to Wait; a
+// Broadcast landing in between makes Wait return at once, so the
+// check-then-wait sequence loses no wake-up even on backends whose
+// contexts run concurrently and whose Cond has no mutex of its own.
+// Waking models a hand-off through local memory and charges no polling
+// delay.
 type Cond interface {
-	// Wait parks the caller until Signal/Broadcast.
-	Wait(p Ctx)
-	// WaitTimeout is Wait bounded by d, reporting whether it was woken
-	// (true) or timed out (false).
-	WaitTimeout(p Ctx, d time.Duration) bool
-	Signal()
+	// Seq returns the count of Broadcasts so far.
+	Seq() uint64
+	// Wait blocks until the count exceeds since or d elapses, reporting
+	// whether it advanced.
+	Wait(p Ctx, since uint64, d time.Duration) bool
+	// Broadcast bumps the count and wakes every waiter.
 	Broadcast()
 }
 

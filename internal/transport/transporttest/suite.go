@@ -2,8 +2,9 @@
 // must pass: one table of semantic tests — per-queue write ordering with
 // commit-tail visibility, fetch-add serialization returning unique old
 // values, reliable two-sided send/recv, CQ signaled-only completions,
-// and multicast drop-without-posted-recv — executed against a
-// backend-supplied environment. The DES fabric and chanloop both run it
+// multicast drop-without-posted-recv, and the sequence-counted waits
+// (Cond, Region.Notify) — executed against a backend-supplied
+// environment. The DES fabric and chanloop both run it
 // (internal/fabric/conformance_test.go,
 // internal/transport/chanloop/conformance_test.go); a future socket
 // backend passes by wiring up NewEnv.
@@ -52,6 +53,8 @@ func Run(t *testing.T, newEnv NewEnv) {
 		{"BurstPollOrdering", testBurstPoll},
 		{"ReadBack", testReadBack},
 		{"MulticastDropWithoutRecv", testMulticastDrop},
+		{"CondSequenceWait", testCondSeq},
+		{"RegionNotifyWakesPoller", testRegionNotify},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -386,4 +389,55 @@ func testMulticastDrop(t *testing.T, env Env) {
 	if got := g.Member(1).RecvCQ().Len(); got != 0 {
 		t.Errorf("member 1 has %d completions, want 0", got)
 	}
+}
+
+// testCondSeq pins the sequence-counted Cond: a Broadcast that lands
+// between a waiter's Seq snapshot and its Wait is not lost, a Wait with
+// no Broadcast times out, and a parked waiter is woken by Broadcast.
+func testCondSeq(t *testing.T, env Env) {
+	c := env.T.NewCond()
+	ready := env.T.NewCond()
+	env.Go("waiter", func(p transport.Ctx) {
+		since := c.Seq()
+		c.Broadcast()
+		start := p.Now()
+		if !c.Wait(p, since, waitFor) || p.Now()-start >= waitFor {
+			t.Errorf("Wait slept through a Broadcast made after the Seq snapshot")
+		}
+		if c.Wait(p, c.Seq(), time.Millisecond) {
+			t.Errorf("Wait reported a wake-up nobody sent")
+		}
+		since = c.Seq()
+		ready.Broadcast()
+		if !c.Wait(p, since, waitFor) || c.Seq() != since+1 {
+			t.Errorf("parked waiter not woken by Broadcast (seq %d, snapshot %d)", c.Seq(), since)
+		}
+	})
+	env.Go("waker", func(p transport.Ctx) {
+		ready.Wait(p, 0, waitFor)
+		p.Sleep(time.Millisecond)
+		c.Broadcast()
+	})
+	env.Run()
+}
+
+// testRegionNotify pins Region.Notify: it counts as a commit, so a
+// poller parked in WaitCommit wakes without any remote verb.
+func testRegionNotify(t *testing.T, env Env) {
+	mr := env.T.OpenRegion(env.EP[1], 8)
+	env.Go("poller", func(p transport.Ctx) {
+		since := mr.CommitSeq()
+		start := p.Now()
+		if !mr.WaitCommit(p, since, waitFor) || p.Now()-start >= waitFor {
+			t.Errorf("WaitCommit slept through Notify")
+		}
+		if mr.CommitSeq() != since+1 {
+			t.Errorf("Notify moved the commit count by %d, want 1", mr.CommitSeq()-since)
+		}
+	})
+	env.Go("owner", func(p transport.Ctx) {
+		p.Sleep(time.Millisecond)
+		mr.Notify()
+	})
+	env.Run()
 }
