@@ -135,4 +135,4 @@ ledger:
 docs-lint:
 	$(GO) run ./cmd/docslint
 
-check: build vet race chaos-mc chaos-scale metrics-smoke transport-race docs-lint
+check: build vet race chaos chaos-mc chaos-scale metrics-smoke transport-race docs-lint

@@ -89,7 +89,6 @@ var sharedIncompatible = map[string]string{
 	"ordered":    "global ordering sequences a private multicast group",
 	"gap-nacks":  "gap recovery belongs to the ordered multicast path",
 	"retransmit": "loss recovery tracks private per-(source,target) rings",
-	"srctimeout": "per-source silence detection reads private ring footers",
 	"rejoin":     "evicted endpoints cannot re-attach to a shared ring (no private window to replay)",
 }
 
@@ -336,10 +335,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		spec.Options.Multicast = *multicast || *ordered
 		spec.Options.GlobalOrdering = *ordered
 	case "combiner":
-		if *shared {
-			fmt.Fprintln(stderr, "dfiflow: -shared does not support -type combiner: in-network aggregation rides private combiner trees")
-			return 2
-		}
 		spec.Type = core.CombinerFlow
 		spec.Options.Aggregation = core.AggSum
 	default:

@@ -66,6 +66,30 @@ func TestBadConfigExitsTwo(t *testing.T) {
 	}
 }
 
+// TestSharedFlagAdmission pins what -shared composes with: the flags whose
+// machinery needs a private ring per pair are config errors naming the
+// flag, while combiner flows and -srctimeout run on the common engine.
+func TestSharedFlagAdmission(t *testing.T) {
+	for _, flag := range []string{"-latency", "-multicast", "-retransmit=50us", "-rejoin=1@300us"} {
+		out, code := runToString(t, "-shared", flag)
+		if name := strings.SplitN(flag, "=", 2)[0]; code != 2 || !strings.Contains(out, "-shared does not support "+name) {
+			t.Errorf("-shared %s: exit %d, want 2 naming the flag:\n%s", flag, code, out)
+		}
+	}
+	for _, args := range [][]string{
+		{"-shared", "-type", "combiner", "-sources", "3", "-mb", "1"},
+		{"-shared", "-srctimeout", "300us", "-copy", "-mb", "1"},
+	} {
+		out, code := runToString(t, args...)
+		if code != 0 {
+			t.Errorf("args %v: exit %d, want 0:\n%s", args, code, out)
+		}
+		if !strings.Contains(out, "credits conserved") {
+			t.Errorf("args %v: no shared-ring accounting in the summary:\n%s", args, out)
+		}
+	}
+}
+
 // TestChanTransportRunsFlow drives the goroutine/channel backend through
 // the CLI: every pushed tuple must be consumed, with the trace recorder
 // attached through the transport-neutral AttachRecorder path.

@@ -11,12 +11,12 @@ import (
 
 // This file is the batched data path: PushBatch routes many tuples per
 // call with one vectorized partition pass and per-target grouped copies;
-// Reserve hands the caller a zero-copy writable view into the ring
-// writer's local segment; ConsumeBatch amortizes the receive side. All
-// three are semantics-preserving: the rings they produce or drain are
-// byte-identical to the equivalent sequence of Push/Consume calls (see
-// batch_test.go), and the virtual-time CPU cost is charged through the
-// same chargeBatch accounting.
+// Reserve hands the caller a zero-copy writable view into a leg's local
+// segment; ConsumeBatch amortizes the receive side. All three are
+// semantics-preserving on either ring kind: the segments they produce or
+// drain are byte-identical to the equivalent sequence of Push/Consume
+// calls (see batch_test.go), and the virtual-time CPU cost is charged
+// through the same chargeBatch accounting.
 
 // chargePushN accounts n tuples' CPU cost. The charge sequence is
 // identical to n single chargePush calls: latency mode charges every
@@ -58,7 +58,7 @@ func adjacent(a, b []byte) bool {
 // live leg. The rings produced are byte-identical to pushing the same
 // tuples with sequential Push calls.
 //
-// On error, tuples already grouped into writers stay pushed (the same
+// On error, tuples already grouped into legs stay pushed (the same
 // at-least-once posture every data-path error path has); the caller
 // re-pushes the batch only on a flow-level retry protocol of its own.
 func (s *Source) PushBatch(p transport.Ctx, tuples []schema.Tuple) error {
@@ -74,11 +74,10 @@ func (s *Source) PushBatch(p transport.Ctx, tuples []schema.Tuple) error {
 	if len(tuples) == 0 {
 		return nil
 	}
-	// Latency mode transfers per tuple by design, the multicast transport
-	// sequences per tuple, and the shared-ring path stages per tuple —
-	// those paths keep their per-tuple semantics and gain only the
-	// amortized entry point.
-	if s.spec.Options.Optimization == OptimizeLatency || s.mc != nil || s.mux != nil {
+	// Latency mode transfers per tuple by design and the multicast
+	// transport sequences per tuple — those paths keep their per-tuple
+	// semantics and gain only the amortized entry point.
+	if s.spec.Options.Optimization == OptimizeLatency || s.mc != nil {
 		for _, t := range tuples {
 			if err := s.Push(p, t); err != nil {
 				return err
@@ -88,7 +87,7 @@ func (s *Source) PushBatch(p transport.Ctx, tuples []schema.Tuple) error {
 	}
 	n := len(tuples)
 	// Membership changes fold in once per batch rather than once per
-	// tuple; a writer dying mid-batch surfaces as errEvicted from its
+	// tuple; a leg dying mid-batch surfaces as errEvicted from its
 	// append and is handled below.
 	if err := s.syncEpoch(p); err != nil {
 		return err
@@ -96,11 +95,11 @@ func (s *Source) PushBatch(p transport.Ctx, tuples []schema.Tuple) error {
 	if s.spec.FlowType() == ReplicateFlow {
 		s.pushed.Add(uint64(n))
 		s.chargePushN(p, n)
-		for i, w := range s.writers {
-			if w == nil || w.dead || !s.view.Live(i) {
+		for i, l := range s.legs {
+			if l == nil || l.dead || !s.view.Live(i) {
 				continue
 			}
-			err := s.pushGrouped(p, w, tuples, nil, i, ts)
+			err := s.pushGrouped(p, l, tuples, nil, i, ts)
 			if errors.Is(err, errEvicted) {
 				// As in pushReplicate: drop the dead leg — every survivor
 				// carries its own complete copy of the stream.
@@ -134,7 +133,7 @@ func (s *Source) PushBatch(p transport.Ctx, tuples []schema.Tuple) error {
 			routes[i] = int32(tbl.Home(k))
 		}
 	}
-	if s.view.LiveCount() != len(s.writers) {
+	if s.view.LiveCount() != len(s.legs) {
 		// Some declared owner is down: remap onto survivors exactly as
 		// sequential PushTo would, counting the rebalance traffic.
 		for i := range routes {
@@ -149,11 +148,11 @@ func (s *Source) PushBatch(p transport.Ctx, tuples []schema.Tuple) error {
 	s.chargePushN(p, n)
 	// Grouped append: per target, in input order, coalescing runs of
 	// consecutive memory-adjacent tuples into single copies.
-	for ti, w := range s.writers {
-		if w == nil || w.dead {
+	for ti, l := range s.legs {
+		if l == nil || l.dead {
 			// The slot can be latched dead mid-batch: an earlier group's
 			// eviction fallback folds the membership change in via
-			// syncEpoch, which abandons *every* newly evicted writer, not
+			// syncEpoch, which abandons *every* newly evicted leg, not
 			// just the one that errored. This slot's share of the batch
 			// re-routes per tuple over the survivors, exactly as the
 			// sequential PushTo path would — skipping it would drop tuples.
@@ -162,7 +161,7 @@ func (s *Source) PushBatch(p transport.Ctx, tuples []schema.Tuple) error {
 			}
 			continue
 		}
-		if err := s.pushGrouped(p, w, tuples, routes, ti, ts); err != nil {
+		if err := s.pushGrouped(p, l, tuples, routes, ti, ts); err != nil {
 			return err
 		}
 	}
@@ -186,10 +185,10 @@ func (s *Source) pushRouteAround(p transport.Ctx, tuples []schema.Tuple, routes 
 }
 
 // pushGrouped appends, in input order, every tuple routed to target ti
-// (or all tuples when routes is nil — the replicate case) to writer w.
+// (or all tuples when routes is nil — the replicate case) to leg l.
 // Runs of consecutive selected tuples that abut in memory collapse into
 // one pushRun copy.
-func (s *Source) pushGrouped(p transport.Ctx, w *ringWriter, tuples []schema.Tuple, routes []int32, ti, ts int) error {
+func (s *Source) pushGrouped(p transport.Ctx, l *leg, tuples []schema.Tuple, routes []int32, ti, ts int) error {
 	n := len(tuples)
 	i := 0
 	for i < n {
@@ -201,9 +200,9 @@ func (s *Source) pushGrouped(p transport.Ctx, w *ringWriter, tuples []schema.Tup
 		for j < n && (routes == nil || int(routes[j]) == ti) && adjacent(tuples[j-1], tuples[j]) {
 			j++
 		}
-		if err := w.pushRun(p, tuples[i][:ts*(j-i)], ts); err != nil {
+		if err := l.pushRun(p, tuples[i][:ts*(j-i)], ts); err != nil {
 			if routes != nil && errors.Is(err, errEvicted) {
-				// The target died mid-batch. Its unconsumed window —
+				// The target died mid-batch. What the leg still holds —
 				// including any prefix of this run already appended — is
 				// harvested and re-pushed by syncEpoch inside PushTo; the
 				// rest of this target's share re-routes per tuple over the
@@ -217,14 +216,14 @@ func (s *Source) pushGrouped(p transport.Ctx, w *ringWriter, tuples []schema.Tup
 	return nil
 }
 
-// Batch is a writable, zero-copy view into a ring writer's current local
-// segment, obtained from Reserve/ReserveTo. Lifetime rules: the view is
-// valid until Commit, the source's Flush/Close, or an eviction of the
-// writer's target — whichever comes first — and a writer must not be
-// pushed to between Reserve and Commit (Commit detects and rejects it).
+// Batch is a writable, zero-copy view into the segment a leg is filling,
+// obtained from Reserve/ReserveTo. Lifetime rules: the view is valid
+// until Commit, the source's Flush/Close, or an eviction of the leg's
+// target — whichever comes first — and a leg must not be pushed to
+// between Reserve and Commit (Commit detects and rejects it).
 type Batch struct {
 	s      *Source
-	w      *ringWriter
+	l      *leg
 	buf    []byte
 	n      int
 	ts     int
@@ -244,9 +243,10 @@ func (b *Batch) Tuple(i int) schema.Tuple {
 // Bytes returns the whole reserved region.
 func (b *Batch) Bytes() []byte { return b.buf }
 
-// Reserve hands out up to n writable tuple slots directly inside the ring
-// writer's current local segment: the caller fills them in place (no copy
-// into the flow) and makes them visible with Commit. Reservations never
+// Reserve hands out up to n writable tuple slots directly inside the
+// segment the leg is filling (a private ring's registered local segment,
+// a shared ring's staging segment): the caller fills them in place (no
+// copy into the flow) and makes them visible with Commit. Reservations never
 // span a segment boundary, so fewer than n slots may be returned — loop
 // until done, as with partial writes. Only valid on single-target
 // bandwidth flows; multi-target flows reserve per target with ReserveTo.
@@ -254,11 +254,8 @@ func (s *Source) Reserve(p transport.Ctx, n int) (*Batch, error) {
 	if s.mc != nil {
 		return nil, fmt.Errorf("%w: Reserve (the multicast transport owns its segment buffers)", ErrUnsupportedOnMulticast)
 	}
-	if s.mux != nil {
-		return nil, fmt.Errorf("%w: Reserve (shared-ring segments are staged locally, not reserved in a remote ring)", ErrUnsupportedOnShared)
-	}
-	if len(s.writers) != 1 {
-		return nil, fmt.Errorf("dfi: Reserve on a %d-target flow; use ReserveTo", len(s.writers))
+	if len(s.legs) != 1 {
+		return nil, fmt.Errorf("dfi: Reserve on a %d-target flow; use ReserveTo", len(s.legs))
 	}
 	return s.ReserveTo(p, 0, n)
 }
@@ -272,38 +269,34 @@ func (s *Source) ReserveTo(p transport.Ctx, target, n int) (*Batch, error) {
 	if s.mc != nil {
 		return nil, fmt.Errorf("%w: Reserve (the multicast transport owns its segment buffers)", ErrUnsupportedOnMulticast)
 	}
-	if s.mux != nil {
-		return nil, fmt.Errorf("%w: Reserve (shared-ring segments are staged locally, not reserved in a remote ring)", ErrUnsupportedOnShared)
-	}
 	if s.spec.Options.Optimization != OptimizeBandwidth {
 		return nil, errors.New("dfi: Reserve requires a bandwidth-optimized flow (latency mode transfers per tuple)")
 	}
-	if target < 0 || target >= len(s.writers) {
-		return nil, fmt.Errorf("dfi: target %d out of range (%d targets)", target, len(s.writers))
+	if target < 0 || target >= len(s.legs) {
+		return nil, fmt.Errorf("dfi: target %d out of range (%d targets)", target, len(s.legs))
 	}
 	if n <= 0 {
 		return nil, errors.New("dfi: reserve of zero tuples")
 	}
-	w := s.writers[target]
-	if w == nil || w.dead {
+	l := s.legs[target]
+	if l == nil || l.dead {
 		return nil, fmt.Errorf("dfi: target %d evicted; route around it with Push", target)
 	}
-	if err := w.checkAbort(); err != nil {
+	if err := l.checkAbort(); err != nil {
 		return nil, err
 	}
 	ts := s.spec.Schema.TupleSize()
 	// Same boundary rule as push: flush only when not even one tuple fits,
 	// so Reserve+Commit segments the stream exactly like sequential Push.
-	if (w.geom.segSize-w.fill)/ts == 0 {
-		if err := w.flush(p, false); err != nil {
+	if l.room(ts) == 0 {
+		if err := l.tx.flush(p); err != nil {
 			return nil, err
 		}
 	}
-	if avail := (w.geom.segSize - w.fill) / ts; n > avail {
+	if avail := l.room(ts); n > avail {
 		n = avail
 	}
-	buf := w.localSeg()[w.fill : w.fill+n*ts]
-	return &Batch{s: s, w: w, buf: buf, n: n, ts: ts, fillAt: w.fill}, nil
+	return &Batch{s: s, l: l, buf: l.buf[l.fill : l.fill+n*ts], n: n, ts: ts, fillAt: l.fill}, nil
 }
 
 // Commit publishes the first used reserved tuples into the flow (they
@@ -317,17 +310,16 @@ func (b *Batch) Commit(p transport.Ctx, used int) error {
 	if used < 0 || used > b.n {
 		return fmt.Errorf("dfi: commit of %d tuples from a %d-tuple batch", used, b.n)
 	}
-	if b.w.dead || b.w.closed {
+	if b.l.dead || b.l.closed {
 		return errors.New("dfi: batch invalidated (target evicted or source closed)")
 	}
-	if b.w.fill != b.fillAt {
+	if b.l.fill != b.fillAt {
 		return errors.New("dfi: batch invalidated by an interleaved push or flush")
 	}
 	if used == 0 {
 		return nil
 	}
-	b.w.fill += used * b.ts
-	b.w.count += used
+	b.l.fill += used * b.ts
 	b.s.pushed.Add(uint64(used))
 	b.s.chargePushN(p, used)
 	return nil
@@ -345,15 +337,6 @@ func (t *Target) ConsumeBatch(p transport.Ctx, dst []schema.Tuple) (int, bool) {
 	}
 	if len(dst) == 0 {
 		return 0, true
-	}
-	if t.mc != nil {
-		// The multicast transport sequences tuples one at a time.
-		tup, ok := t.Consume(p)
-		if !ok {
-			return 0, false
-		}
-		dst[0] = tup
-		return 1, true
 	}
 	for t.remaining == 0 {
 		if !t.nextSegment(p) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"dfi/internal/registry"
 	"dfi/internal/schema"
 	"dfi/internal/sim"
+	"dfi/internal/transport/sharedring"
 )
 
 // The batched data path must be invisible on the wire: for every flow
@@ -50,10 +52,12 @@ func genStream(seed int64, si, perSource int) ([]byte, []schema.Tuple) {
 }
 
 // runBatchEquiv runs one flow to completion with targets that attach but
-// never consume, and returns a snapshot of every target's raw ring
-// memory. Volumes are sized so even a worst-case routing skew fits the
-// rings without needing a consumer.
-func runBatchEquiv(t *testing.T, seed int64, ftype FlowType, opt Optimization, mode pushMode, nSrc, nTgt, perSource int) [][]byte {
+// never consume, and returns a snapshot of what every target's rings
+// received: the raw ring memory of a private ring; on shared rings, per
+// source stream, the sequence of segment fills and payloads the stream
+// delivered. Volumes are sized so even a worst-case routing skew fits
+// the rings without needing a consumer.
+func runBatchEquiv(t *testing.T, seed int64, ftype FlowType, opt Optimization, mode pushMode, shared bool, nSrc, nTgt, perSource int) [][]byte {
 	t.Helper()
 	k := sim.New(seed)
 	k.Deadline = 30 * time.Second
@@ -68,6 +72,7 @@ func runBatchEquiv(t *testing.T, seed int64, ftype FlowType, opt Optimization, m
 			Optimization:    opt,
 			SegmentsPerRing: 34,
 			SegmentSize:     4 * kvSchema.TupleSize(),
+			SharedRings:     shared,
 		},
 	}
 	if opt == OptimizeLatency {
@@ -93,6 +98,7 @@ func runBatchEquiv(t *testing.T, seed int64, ftype FlowType, opt Optimization, m
 		}
 	})
 	targets := make([]*Target, nTgt)
+	snaps := make([][]byte, nTgt)
 	for ti := 0; ti < nTgt; ti++ {
 		ti := ti
 		k.Spawn(fmt.Sprintf("t%d", ti), func(p *sim.Proc) {
@@ -101,6 +107,24 @@ func runBatchEquiv(t *testing.T, seed int64, ftype FlowType, opt Optimization, m
 				panic(err)
 			}
 			targets[ti] = tgt // attach only; the rings keep the full stream
+			if !shared {
+				return
+			}
+			// A shared ring is not this target's memory to snapshot: drain
+			// each source's stream below the engine, recording segment
+			// boundaries.
+			f := tgt.feed.(*sharedFeed)
+			for i := range f.rcv {
+				for {
+					seg, st := f.rcv[i].Recv(p, f.tags[i], time.Second)
+					if st != sharedring.RecvSeg {
+						break
+					}
+					snaps[ti] = binary.LittleEndian.AppendUint32(snaps[ti], uint32(seg.Fill))
+					snaps[ti] = append(snaps[ti], seg.Data...)
+				}
+				snaps[ti] = append(snaps[ti], 0xff) // stream boundary
+			}
 		})
 	}
 	for si := 0; si < nSrc; si++ {
@@ -154,15 +178,18 @@ func runBatchEquiv(t *testing.T, seed int64, ftype FlowType, opt Optimization, m
 	if err := k.Run(); err != nil {
 		t.Fatalf("%s/%s/%s seed %d: %v", ftype, opt, mode, seed, err)
 	}
-	snaps := make([][]byte, nTgt)
-	for ti, tgt := range targets {
-		snaps[ti] = append([]byte(nil), tgt.mr.Bytes()...)
+	if !shared {
+		for ti, tgt := range targets {
+			snaps[ti] = append([]byte(nil), tgt.feed.(*privateFeed).mr.Bytes()...)
+		}
 	}
 	return snaps
 }
 
-// TestBatchPushRingEquivalence: PushBatch leaves byte-identical rings for
-// every flow type and both optimization modes, across a seed sweep.
+// TestBatchPushRingEquivalence: PushBatch leaves byte-identical rings —
+// on shared rings, identical per-stream segment sequences — for every
+// flow type, both ring kinds and both optimization modes, across a seed
+// sweep.
 func TestBatchPushRingEquivalence(t *testing.T) {
 	opts := []Optimization{OptimizeBandwidth, OptimizeLatency}
 	flows := []FlowType{ShuffleFlow, ReplicateFlow, CombinerFlow}
@@ -172,17 +199,22 @@ func TestBatchPushRingEquivalence(t *testing.T) {
 	}
 	for _, ftype := range flows {
 		for _, opt := range opts {
-			for _, seed := range seeds {
-				perSource := 40
-				if opt == OptimizeLatency {
-					perSource = 12 // tuple-sized segments: keep worst-case skew under one ring
+			for _, kind := range ringKinds {
+				if kind.shared && opt == OptimizeLatency {
+					continue // latency mode is a private-ring capability
 				}
-				want := runBatchEquiv(t, seed, ftype, opt, seqPush, 2, 3, perSource)
-				got := runBatchEquiv(t, seed, ftype, opt, batchPush, 2, 3, perSource)
-				for ti := range want {
-					if !bytes.Equal(want[ti], got[ti]) {
-						t.Fatalf("%s/%s seed %d: target %d ring diverges between Push and PushBatch",
-							ftype, opt, seed, ti)
+				for _, seed := range seeds {
+					perSource := 40
+					if opt == OptimizeLatency {
+						perSource = 12 // tuple-sized segments: keep worst-case skew under one ring
+					}
+					want := runBatchEquiv(t, seed, ftype, opt, seqPush, kind.shared, 2, 3, perSource)
+					got := runBatchEquiv(t, seed, ftype, opt, batchPush, kind.shared, 2, 3, perSource)
+					for ti := range want {
+						if len(want[ti]) == 0 || !bytes.Equal(want[ti], got[ti]) {
+							t.Fatalf("%s/%s/%s seed %d: target %d ring diverges between Push and PushBatch",
+								ftype, opt, kind.name, seed, ti)
+						}
 					}
 				}
 			}
@@ -191,14 +223,17 @@ func TestBatchPushRingEquivalence(t *testing.T) {
 }
 
 // TestReserveRingEquivalence: filling reserved segments in place and
-// committing them leaves rings byte-identical to pushing the same tuples.
+// committing them leaves rings byte-identical to pushing the same tuples,
+// on either ring kind.
 func TestReserveRingEquivalence(t *testing.T) {
-	for _, seed := range []int64{3, 11, 27} {
-		want := runBatchEquiv(t, seed, ShuffleFlow, OptimizeBandwidth, seqPush, 2, 1, 40)
-		got := runBatchEquiv(t, seed, ShuffleFlow, OptimizeBandwidth, reservePush, 2, 1, 40)
-		for ti := range want {
-			if !bytes.Equal(want[ti], got[ti]) {
-				t.Fatalf("seed %d: target %d ring diverges between Push and Reserve/Commit", seed, ti)
+	for _, kind := range ringKinds {
+		for _, seed := range []int64{3, 11, 27} {
+			want := runBatchEquiv(t, seed, ShuffleFlow, OptimizeBandwidth, seqPush, kind.shared, 2, 1, 40)
+			got := runBatchEquiv(t, seed, ShuffleFlow, OptimizeBandwidth, reservePush, kind.shared, 2, 1, 40)
+			for ti := range want {
+				if len(want[ti]) == 0 || !bytes.Equal(want[ti], got[ti]) {
+					t.Fatalf("%s seed %d: target %d ring diverges between Push and Reserve/Commit", kind.name, seed, ti)
+				}
 			}
 		}
 	}
@@ -332,14 +367,22 @@ func testBatchDoubleEviction(t *testing.T, seed int64) {
 }
 
 // TestConsumeBatchDelivery: draining a shuffle flow through ConsumeBatch
-// observes exactly the tuples pushed, each exactly once.
+// observes exactly the tuples pushed, each exactly once, on either ring
+// kind.
 func TestConsumeBatchDelivery(t *testing.T) {
+	for _, kind := range ringKinds {
+		kind := kind
+		t.Run(kind.name, func(t *testing.T) { testConsumeBatchDelivery(t, kind.shared) })
+	}
+}
+
+func testConsumeBatchDelivery(t *testing.T, shared bool) {
 	const nSrc, nTgt, perSource = 2, 2, 500
 	k := sim.New(5)
 	k.Deadline = 30 * time.Second
 	c := fabric.NewCluster(k, nSrc+nTgt, fabric.DefaultConfig())
 	reg := newTestRegistry(k)
-	spec := FlowSpec{Name: "cb", Schema: kvSchema}
+	spec := FlowSpec{Name: "cb", Schema: kvSchema, Options: Options{SharedRings: shared}}
 	for i := 0; i < nSrc; i++ {
 		spec.Sources = append(spec.Sources, Endpoint{Node: c.Node(i)})
 	}

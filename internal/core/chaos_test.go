@@ -546,7 +546,7 @@ func TestChaosWriterAckNeverPassesConsumption(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		w = src.writers[0]
+		w = src.legs[0].tx.(*ringWriter)
 		for i := 0; i < n; i++ {
 			key := int64(i)
 			if err := src.Push(p, mkTuple(key, 2*key)); err != nil {
@@ -854,6 +854,7 @@ func TestFailureDetectionActivityAtTimeZero(t *testing.T) {
 	e.k.Spawn("probe", func(p *sim.Proc) {
 		tgt := &Target{
 			spec: &FlowSpec{Options: Options{SourceTimeout: 100 * time.Microsecond}},
+			feed: &privateFeed{},
 			readers: []*ringReader{
 				{hasActivity: true, lastActivity: 0}, // heard exactly at t=0
 				{},                                   // never heard

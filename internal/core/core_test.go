@@ -24,6 +24,13 @@ type env struct {
 	reg *registry.Registry
 }
 
+// ringKinds names the two ring kinds for tests that take the kind as an
+// input: the engine above them is one, so its contracts hold on both.
+var ringKinds = []struct {
+	name   string
+	shared bool
+}{{"private", false}, {"shared", true}}
+
 // newTestRegistry builds a registry for property tests that construct
 // their own kernels.
 func newTestRegistry(k *sim.Kernel) *registry.Registry { return registry.New(k) }

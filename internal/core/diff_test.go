@@ -1,0 +1,302 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sync"
+	"testing"
+	"time"
+
+	"dfi/internal/fabric"
+	"dfi/internal/registry"
+	"dfi/internal/schema"
+	"dfi/internal/sim"
+	"dfi/internal/transport"
+	"dfi/internal/transport/chanloop"
+)
+
+// The differential check between ring kinds: one engine runs over both,
+// so the same seeded workload must leave the same trace on a private
+// ring and on a shared ring — identical tuple sequences per (source,
+// target) pair and equal endpoint counters. The check shares no
+// assumption with the engine beyond the public API: it does not know how
+// either kind segments, schedules or acknowledges.
+
+// diffBackend is one transport to run the workload on: a cluster, a
+// registry, and a way to run a set of endpoint bodies to completion.
+type diffBackend struct {
+	name string
+	tpt  transport.Transport
+	reg  Registry
+	node func(i int) transport.Endpoint
+	run  func(t *testing.T, bodies []func(transport.Ctx))
+}
+
+func newDiffDES(nodes int) *diffBackend {
+	k := sim.New(testSeed())
+	k.Deadline = 30 * time.Second
+	cfg := fabric.DefaultConfig()
+	cfg.CopyPayload = true
+	c := fabric.NewCluster(k, nodes, cfg)
+	return &diffBackend{
+		name: "des", tpt: c, reg: registry.New(k),
+		node: func(i int) transport.Endpoint { return c.Node(i) },
+		run: func(t *testing.T, bodies []func(transport.Ctx)) {
+			for i, body := range bodies {
+				body := body
+				k.Spawn(fmt.Sprintf("ep%d", i), func(p *sim.Proc) { body(p) })
+			}
+			if err := k.Run(); err != nil {
+				t.Fatal(err)
+			}
+		},
+	}
+}
+
+func newDiffChan(nodes int) *diffBackend {
+	net := chanloop.New()
+	eps := make([]transport.Endpoint, nodes)
+	for i := range eps {
+		eps[i] = net.NewEndpoint()
+	}
+	return &diffBackend{
+		name: "chanloop", tpt: net, reg: registry.NewLocal(),
+		node: func(i int) transport.Endpoint { return eps[i] },
+		run: func(t *testing.T, bodies []func(transport.Ctx)) {
+			var wg sync.WaitGroup
+			for _, body := range bodies {
+				body := body
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					body(net.NewCtx())
+				}()
+			}
+			wg.Wait()
+		},
+	}
+}
+
+// diffShape is one flow geometry.
+type diffShape struct {
+	name       string
+	ftype      FlowType
+	nSrc, nTgt int
+}
+
+// diffAPI is one pairing of push-side and consume-side API.
+type diffAPI int
+
+const (
+	apiPushConsume diffAPI = iota
+	apiBatch
+	apiReserveSegment
+)
+
+func (a diffAPI) String() string {
+	return [...]string{"Push+Consume", "PushBatch+ConsumeBatch", "ReserveTo+ConsumeSegment"}[a]
+}
+
+// diffTrace is what one run leaves behind: seqs[target][source] is the
+// order in which the target consumed that source's tuples (by their
+// per-source sequence number), plus the endpoint counters.
+type diffTrace struct {
+	seqs [][][]int64
+	src  []SourceStats
+	tgt  []TargetStats
+}
+
+const diffPerSource = 600
+
+// diffPush drives one source's stream through the API under test.
+func diffPush(p transport.Ctx, src *Source, api diffAPI, tuples []schema.Tuple) error {
+	spec := src.spec
+	switch api {
+	case apiPushConsume:
+		for _, tup := range tuples {
+			if err := src.Push(p, tup); err != nil {
+				return err
+			}
+		}
+	case apiBatch:
+		for len(tuples) > 0 {
+			n := min(13, len(tuples))
+			if err := src.PushBatch(p, tuples[:n]); err != nil {
+				return err
+			}
+			tuples = tuples[n:]
+		}
+	case apiReserveSegment:
+		for _, tup := range tuples {
+			// The caller does the routing Push would: the key's home, or
+			// every target of a replicate flow.
+			lo, hi := 0, len(spec.Targets)
+			if spec.Type != ReplicateFlow {
+				lo = routeIndex(spec, tup)
+				hi = lo + 1
+			}
+			for target := lo; target < hi; target++ {
+				b, err := src.ReserveTo(p, target, 1)
+				if err != nil {
+					return err
+				}
+				copy(b.Tuple(0), tup)
+				if err := b.Commit(p, 1); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return src.Close(p)
+}
+
+// diffConsume drains one target through the API under test, handing every
+// tuple to visit in consumption order.
+func diffConsume(p transport.Ctx, tgt *Target, api diffAPI, visit func(schema.Tuple)) {
+	ts := kvSchema.TupleSize()
+	views := make([]schema.Tuple, 13)
+	for {
+		switch api {
+		case apiPushConsume:
+			tup, ok := tgt.Consume(p)
+			if !ok {
+				return
+			}
+			visit(tup)
+		case apiBatch:
+			n, ok := tgt.ConsumeBatch(p, views)
+			if !ok {
+				return
+			}
+			for _, tup := range views[:n] {
+				visit(tup)
+			}
+		case apiReserveSegment:
+			data, count, ok := tgt.ConsumeSegment(p)
+			if !ok {
+				return
+			}
+			for i := 0; i < count; i++ {
+				visit(schema.Tuple(data[i*ts : (i+1)*ts]))
+			}
+		}
+	}
+}
+
+// runDiff runs the seeded workload once and returns its trace.
+func runDiff(t *testing.T, b *diffBackend, shape diffShape, api diffAPI, shared bool) diffTrace {
+	t.Helper()
+	spec := FlowSpec{
+		Name:    "diff",
+		Type:    shape.ftype,
+		Schema:  kvSchema,
+		Options: Options{SegmentSize: 16 * kvSchema.TupleSize(), ValueCol: 1, SharedRings: shared},
+	}
+	for i := 0; i < shape.nSrc; i++ {
+		spec.Sources = append(spec.Sources, Endpoint{Node: b.node(i)})
+	}
+	for i := 0; i < shape.nTgt; i++ {
+		spec.Targets = append(spec.Targets, Endpoint{Node: b.node(shape.nSrc + i)})
+	}
+	tr := diffTrace{
+		seqs: make([][][]int64, shape.nTgt),
+		src:  make([]SourceStats, shape.nSrc),
+		tgt:  make([]TargetStats, shape.nTgt),
+	}
+	bodies := []func(transport.Ctx){func(p transport.Ctx) {
+		if err := FlowInit(p, b.reg, b.tpt, spec); err != nil {
+			t.Error(err)
+		}
+	}}
+	for si := 0; si < shape.nSrc; si++ {
+		si := si
+		bodies = append(bodies, func(p transport.Ctx) {
+			src, err := SourceOpen(p, b.reg, spec.Name, si)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			rng := rand.New(rand.NewSource(testSeed() + int64(si)*7919))
+			tuples := make([]schema.Tuple, diffPerSource)
+			for i := range tuples {
+				tuples[i] = mkTuple(rng.Int63(), int64(si*diffPerSource+i))
+			}
+			if err := diffPush(p, src, api, tuples); err != nil {
+				t.Errorf("source %d: %v", si, err)
+			}
+			tr.src[si] = src.Stats()
+		})
+	}
+	for ti := 0; ti < shape.nTgt; ti++ {
+		ti := ti
+		tr.seqs[ti] = make([][]int64, shape.nSrc)
+		bodies = append(bodies, func(p transport.Ctx) {
+			tgt, err := TargetOpen(p, b.reg, spec.Name, ti)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			diffConsume(p, tgt, api, func(tup schema.Tuple) {
+				id := kvSchema.Int64(tup, 1)
+				si := id / diffPerSource
+				tr.seqs[ti][si] = append(tr.seqs[ti][si], id%diffPerSource)
+			})
+			tr.tgt[ti] = tgt.Stats()
+		})
+	}
+	b.run(t, bodies)
+	return tr
+}
+
+func TestSharedRingMatchesPrivate(t *testing.T) {
+	shapes := []diffShape{
+		{"1:1", ShuffleFlow, 1, 1},
+		{"2:4 shuffle", ShuffleFlow, 2, 4},
+		{"1:3 replicate", ReplicateFlow, 1, 3},
+		{"3:1 combiner", CombinerFlow, 3, 1},
+	}
+	backends := []func(int) *diffBackend{newDiffDES, newDiffChan}
+	for _, shape := range shapes {
+		for _, api := range []diffAPI{apiPushConsume, apiBatch, apiReserveSegment} {
+			for _, mk := range backends {
+				nodes := shape.nSrc + shape.nTgt
+				private := runDiff(t, mk(nodes), shape, api, false)
+				b := mk(nodes)
+				shared := runDiff(t, b, shape, api, true)
+				name := fmt.Sprintf("%s/%s/%s", shape.name, api, b.name)
+				if t.Failed() {
+					t.Fatalf("%s: run failed", name)
+				}
+				if !reflect.DeepEqual(private.seqs, shared.seqs) {
+					t.Errorf("%s: per-(source,target) tuple sequences differ between ring kinds", name)
+				}
+				delivered := 0
+				for _, perSrc := range shared.seqs {
+					for _, seq := range perSrc {
+						delivered += len(seq)
+					}
+				}
+				want := shape.nSrc * diffPerSource
+				if shape.ftype == ReplicateFlow {
+					want *= shape.nTgt
+				}
+				if delivered != want {
+					t.Errorf("%s: delivered %d tuples, want %d", name, delivered, want)
+				}
+				for si := range private.src {
+					p, s := private.src[si], shared.src[si]
+					if p.TuplesPushed != s.TuplesPushed || p.PayloadBytes != s.PayloadBytes ||
+						p.Moved != s.Moved || p.Rerouted != s.Rerouted {
+						t.Errorf("%s: source %d stats differ: private %v, shared %v", name, si, p, s)
+					}
+				}
+				for ti := range private.tgt {
+					if p, s := private.tgt[ti], shared.tgt[ti]; p.TuplesConsumed != s.TuplesConsumed {
+						t.Errorf("%s: target %d consumed %d on private rings, %d on shared", name, ti, p.TuplesConsumed, s.TuplesConsumed)
+					}
+				}
+			}
+		}
+	}
+}

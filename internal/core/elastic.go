@@ -97,48 +97,3 @@ func Attached(p transport.Ctx, reg Registry, name string) (int, error) {
 	}
 	return meta.elastic.attached, nil
 }
-
-// elasticDone reports whether the flow can end at a target: sealed with
-// every attached slot's ring closed.
-func (t *Target) elasticDone() bool {
-	es := t.meta.elastic
-	if !es.sealed {
-		return false
-	}
-	for i := 0; i < es.attached; i++ {
-		if !t.readers[i].closed {
-			return false
-		}
-	}
-	return true
-}
-
-// elasticScan scans the currently attached slots for a consumable
-// segment, mirroring nextSegment's inner loop with a membership-aware
-// bound.
-func (t *Target) elasticScan(p transport.Ctx) (loaded, done bool) {
-	es := t.meta.elastic
-	n := es.attached
-	if n == 0 {
-		if es.sealed {
-			return false, true
-		}
-		return false, false
-	}
-	for range t.readers[:n] {
-		if t.cur >= n {
-			t.cur = 0
-		}
-		r := t.readers[t.cur]
-		t.cur = (t.cur + 1) % n
-		if r.closed {
-			continue
-		}
-		if t.loadSegment(p, r) {
-			return true, false
-		}
-	}
-	t.detectFailures(p, n)
-	t.closeLeftRings(n)
-	return false, t.elasticDone()
-}

@@ -198,8 +198,9 @@ type Options struct {
 	// SourceTimeout enables failure detection at targets (extension
 	// beyond the paper, which names fault tolerance as future work): a
 	// source whose ring shows no new segments for this long while other
-	// rings make progress is declared failed and its ring closed; failed
-	// slots are reported by Target.FailedSources. Zero disables detection.
+	// rings make progress is declared failed and its ring closed (on a
+	// shared ring, its tag dropped); failed slots are reported by
+	// Target.FailedSources. Zero disables detection.
 	SourceTimeout time.Duration
 
 	// RetransmitTimeout enables source-side loss recovery (extension
@@ -256,16 +257,14 @@ type Options struct {
 	// flow-tagged segments demultiplexed at the target. Memory and queue
 	// pairs then scale with node pairs, not with flows — the knob for
 	// O(1000) concurrent flows (docs/ARCHITECTURE.md, "Flow multiplexing
-	// and QoS"). Shared flows are bandwidth-optimized shuffle or
-	// replicate flows; latency optimization, multicast, global ordering,
-	// elastic membership, combiner aggregation, SourceTimeout detection
-	// and per-flow retransmission are per-ring machinery and are
-	// rejected by FlowInit. With LeaseTTL set, evictions re-route staged
-	// tuples over the survivors, but the in-flight shared-ring window is
-	// lost (at-most-once across an eviction — see docs/PROTOCOL.md,
-	// "Connection scaling"). Lease heartbeats of shared flows are
-	// batched per node (one renewal RPC per tick per node, not per
-	// flow).
+	// and QoS"). Shared flows are bandwidth-optimized shuffle, replicate
+	// or combiner flows and run the same endpoint engine as private
+	// rings; latency optimization, multicast, global ordering, elastic
+	// membership and per-flow retransmission need a private ring per pair
+	// and are rejected by FlowInit. With LeaseTTL set, evictions re-route
+	// staged tuples over the survivors, but the in-flight shared-ring
+	// window is lost (at-most-once across an eviction — see
+	// docs/PROTOCOL.md, "Connection scaling").
 	SharedRings bool
 
 	// Tenant attributes the flow's shared-ring credit usage to a named
@@ -294,11 +293,11 @@ var ErrFlowBroken = errors.New("dfi: flow broken")
 var ErrUnsupportedOnMulticast = errors.New("dfi: operation not supported on multicast replicate flows")
 
 // ErrUnsupportedOnShared reports an operation that has no meaning on a
-// shared-ring flow (Options.SharedRings): Reserve/ReserveTo (segments
-// are staged locally, not reserved in a remote ring), Checkpoint and
-// Reattach (shared mode has no per-flow retransmit window to resume
-// from — an evicted endpoint's in-flight segments are gone). Returned
-// wrapped, so test with errors.Is.
+// shared-ring flow (Options.SharedRings): Checkpoint (a shared ring
+// carries no delivery confirmation to certify a watermark with),
+// Source.Reattach and Target.Reattach (no per-flow window to replay —
+// an evicted endpoint's in-flight segments are gone). Returned wrapped,
+// so test with errors.Is.
 var ErrUnsupportedOnShared = errors.New("dfi: operation not supported on shared-ring flows")
 
 // footerBytes is the per-segment footer: 4B fill count, 1B flags,
@@ -467,11 +466,10 @@ func (s *FlowSpec) normalize() error {
 			return errors.New("dfi: Tenant/TenantWeight require Options.SharedRings")
 		}
 	} else {
-		// Shared-ring admission: everything that depends on private
-		// per-pair rings — tuple-granular credit loops, multicast groups,
-		// per-slot ring provisioning, per-ring silence detection, and the
-		// per-flow retransmit window — is rejected up front rather than
-		// silently degraded.
+		// Shared-ring admission: only what genuinely needs a private ring
+		// per pair — tuple-granular credit loops, multicast groups,
+		// per-slot ring provisioning, and the per-flow retransmit window —
+		// is rejected up front rather than silently degraded.
 		if o.Optimization == OptimizeLatency {
 			return errors.New("dfi: SharedRings requires a bandwidth-optimized flow (latency mode needs a private ring per pair)")
 		}
@@ -480,12 +478,6 @@ func (s *FlowSpec) normalize() error {
 		}
 		if o.Elastic {
 			return errors.New("dfi: SharedRings cannot combine with Elastic membership")
-		}
-		if s.Type == CombinerFlow {
-			return errors.New("dfi: SharedRings does not support combiner flows")
-		}
-		if o.SourceTimeout > 0 {
-			return errors.New("dfi: SharedRings has no per-ring silence detection; use LeaseTTL for failure handling")
 		}
 		if o.RetransmitTimeout > 0 {
 			return errors.New("dfi: SharedRings has no per-flow retransmit window")

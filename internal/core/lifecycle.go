@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sort"
+	"sync"
 	"time"
 
 	"dfi/internal/metrics"
@@ -17,19 +19,19 @@ import (
 // this file wires the record into sources and targets:
 //
 //   - endpoints of a flow with Options.LeaseTTL hold registry leases,
-//     renewed by a per-endpoint heartbeat process that exits with the
-//     endpoint (or with its node's crash, letting the lease expire);
+//     renewed in batches by their node's lease agent until the endpoint
+//     finishes (or its node crashes, letting the lease expire);
 //   - sources cache the membership epoch and, whenever it moves, fold
-//     the new membership in: writers to evicted targets are abandoned,
-//     their unconsumed window harvested from the local ring and
-//     re-pushed over the survivors — routed by the flow's partitioner
-//     view (dfi/internal/core/partition): Route for key-routed tuples,
-//     Fold otherwise;
+//     the new membership in: legs to evicted targets are abandoned, what
+//     they still hold locally harvested and re-pushed over the
+//     survivors — routed by the flow's partitioner view
+//     (dfi/internal/core/partition): Route for key-routed tuples, Fold
+//     otherwise;
 //   - sources also reconnect to targets that rejoined the flow
 //     (registry Rejoin bumps the slot's incarnation along with the
-//     epoch): the old writer is harvested like a dead one — anything in
+//     epoch): the old leg is harvested like a dead one — anything in
 //     flight to the previous incarnation's rings is gone — and a fresh
-//     writer attaches to the republished rings;
+//     leg attaches to the republished rings;
 //   - targets close the rings of evicted sources (so flow end does not
 //     wait on a corpse), reset the ring of a source that rejoined, and
 //     stop consuming when evicted themselves.
@@ -42,68 +44,194 @@ import (
 // losses in a row still keep the lease alive.
 const heartbeatDivisor = 3
 
-// spawnLeaseHeartbeat renews the endpoint's registry lease on a
-// background tick until the endpoint finishes (closed reports true; the
-// lease is then released), its node crashes (the renewals stop and the
-// lease expires toward eviction), the registry fences the renewal (the
-// endpoint was already evicted), or the slot's incarnation moves on (a
-// rejoined successor owns the slot now; a stale heartbeat must neither
-// renew nor release its lease). The process self-terminates in every
-// case — the discrete-event kernel only ends its run when no events
+// At O(1000) flows, per-endpoint heartbeat processes would put O(flows)
+// renewal RPCs per tick on the registry. Every leased endpoint — private
+// ring, shared ring or multicast — instead enrolls with a lease agent:
+// one background process per (transport, registry, node, renewal
+// interval) that renews every enrolled lease in one RenewLeaseBatch per
+// tick — against a sharded registry, one RPC per shard touched. Renewal
+// traffic then scales with nodes and shards, not with flows. Agents are
+// per interval so no lease ever waits on a longer tick than its own.
+
+// leaseAgentKey identifies one agent: same simulated node, same
+// registry, same transport instance (so concurrent simulations in one
+// test binary never share an agent), same renewal interval.
+type leaseAgentKey struct {
+	reg      Registry
+	tpt      transport.Transport
+	node     int
+	interval time.Duration
+}
+
+var (
+	leaseAgentsMu sync.Mutex
+	leaseAgents   = map[leaseAgentKey]*leaseAgent{}
+)
+
+// leaseAgent batches lease renewals for the endpoints on one node.
+// Enrollments add refs; the agent process prunes refs whose endpoint
+// closed (releasing the lease), whose renewal was fenced, or whose slot
+// a rejoined successor took over, and self-terminates once no refs
+// remain — the discrete-event kernel only ends its run when no events
 // remain, so an immortal ticker would hang every simulation.
-func spawnLeaseHeartbeat(p transport.Ctx, tpt transport.Transport, reg Registry, node transport.Endpoint, flow string, role registry.Role, idx int, ttl time.Duration, inc uint64, closed func() bool) {
-	iv := ttl / heartbeatDivisor
-	if iv <= 0 {
-		iv = ttl
+type leaseAgent struct {
+	key  leaseAgentKey
+	node transport.Endpoint
+
+	mu      sync.Mutex
+	refs    map[registry.LeaseRef]leaseEnrollment
+	running bool
+}
+
+// leaseEnrollment is one endpoint's entry: the flow's membership record
+// (nil when the registry keeps none), the slot incarnation the endpoint
+// holds the lease under, and the probe that reports the endpoint is done
+// with the flow (the lease is then released).
+type leaseEnrollment struct {
+	mem  *registry.Membership
+	inc  uint64
+	done func() bool
+}
+
+// enrollLease acquires the endpoint's lease and registers it with its
+// node's agent, spawning the agent process on first use. A
+// re-enrollment of the same slot (a rejoined successor) replaces the
+// predecessor's entry.
+func enrollLease(p transport.Ctx, tpt transport.Transport, reg Registry, node transport.Endpoint, flow string, role registry.Role, idx int, o *Options, done func() bool) error {
+	if o.LeaseTTL <= 0 {
+		return nil
 	}
-	tpt.Spawn(p, fmt.Sprintf("lease:%s:%s%d", flow, role, idx), func(hp transport.Ctx) {
-		for {
-			hp.Sleep(iv)
-			if node.Crashed(hp.Now()) {
-				return
-			}
-			if m := reg.MembershipOf(flow); m != nil && m.Incarnation(role, idx) != inc {
-				return
-			}
-			if closed() {
-				reg.ReleaseLease(hp, flow, role, idx)
-				return
-			}
-			if err := reg.RenewLease(hp, flow, role, idx); err != nil {
-				return
-			}
+	if err := reg.AcquireLease(p, flow, role, idx, o.LeaseTTL, o.SuspectGrace); err != nil {
+		return err
+	}
+	iv := o.LeaseTTL / heartbeatDivisor
+	if iv <= 0 {
+		iv = o.LeaseTTL
+	}
+	key := leaseAgentKey{reg: reg, tpt: tpt, node: node.ID(), interval: iv}
+	leaseAgentsMu.Lock()
+	a := leaseAgents[key]
+	if a == nil {
+		a = &leaseAgent{key: key, node: node, refs: map[registry.LeaseRef]leaseEnrollment{}}
+		leaseAgents[key] = a
+	}
+	leaseAgentsMu.Unlock()
+
+	e := leaseEnrollment{mem: reg.MembershipOf(flow), done: done}
+	if e.mem != nil {
+		e.inc = e.mem.Incarnation(role, idx)
+	}
+	a.mu.Lock()
+	a.refs[registry.LeaseRef{Flow: flow, Role: role, Idx: idx}] = e
+	start := !a.running
+	a.running = true
+	a.mu.Unlock()
+	if start {
+		tpt.Spawn(p, fmt.Sprintf("lease-agent:node%d", node.ID()), a.run)
+	}
+	return nil
+}
+
+// collect splits the enrolled refs into renewals and releases (closed
+// endpoints), in deterministic order — simulation timing must not
+// depend on map iteration. An entry whose slot incarnation has moved on
+// is dropped without renewing or releasing: a rejoined successor owns
+// the slot's lease now.
+func (a *leaseAgent) collect() (renew, release []registry.LeaseRef) {
+	a.mu.Lock()
+	for ref, e := range a.refs {
+		if e.mem != nil && e.mem.Incarnation(ref.Role, ref.Idx) != e.inc {
+			delete(a.refs, ref)
+			continue
 		}
+		if e.done() {
+			release = append(release, ref)
+			delete(a.refs, ref)
+			continue
+		}
+		renew = append(renew, ref)
+	}
+	a.mu.Unlock()
+	sortRefs(renew)
+	sortRefs(release)
+	return renew, release
+}
+
+func sortRefs(refs []registry.LeaseRef) {
+	sort.Slice(refs, func(i, j int) bool {
+		a, b := refs[i], refs[j]
+		if a.Flow != b.Flow {
+			return a.Flow < b.Flow
+		}
+		if a.Role != b.Role {
+			return a.Role < b.Role
+		}
+		return a.Idx < b.Idx
 	})
+}
+
+// prune drops refs the registry fenced (already evicted, or the flow is
+// gone): a stale heartbeat must not keep retrying them.
+func (a *leaseAgent) prune(failed []registry.LeaseRef) {
+	a.mu.Lock()
+	for _, ref := range failed {
+		delete(a.refs, ref)
+	}
+	a.mu.Unlock()
+}
+
+// stop tears the agent down if no refs remain; it reports false when an
+// enrollment is (or just arrived) in place and the process must keep
+// running.
+func (a *leaseAgent) stop() bool {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if len(a.refs) > 0 {
+		return false
+	}
+	a.running = false
+	leaseAgentsMu.Lock()
+	if leaseAgents[a.key] == a {
+		delete(leaseAgents, a.key)
+	}
+	leaseAgentsMu.Unlock()
+	return true
+}
+
+// run is the agent process: one batched renewal per tick until the node
+// crashes (leases expire toward eviction) or no refs remain.
+func (a *leaseAgent) run(hp transport.Ctx) {
+	for {
+		hp.Sleep(a.key.interval)
+		if a.node.Crashed(hp.Now()) {
+			a.mu.Lock()
+			a.refs = map[registry.LeaseRef]leaseEnrollment{}
+			a.mu.Unlock()
+			a.stop()
+			return
+		}
+		renew, release := a.collect()
+		for _, ref := range release {
+			a.key.reg.ReleaseLease(hp, ref.Flow, ref.Role, ref.Idx)
+		}
+		if len(renew) > 0 {
+			a.prune(a.key.reg.RenewLeaseBatch(hp, renew))
+		}
+		if a.stop() {
+			return
+		}
+	}
 }
 
 // acquireSourceLease sets up the lease + heartbeat for a source slot.
 func (s *Source) acquireSourceLease(p transport.Ctx, reg Registry, name string) error {
-	o := &s.spec.Options
-	if o.LeaseTTL <= 0 {
-		return nil
-	}
-	if err := reg.AcquireLease(p, name, registry.RoleSource, s.idx, o.LeaseTTL, o.SuspectGrace); err != nil {
-		return err
-	}
-	if o.SharedRings {
-		// Shared flows have no rejoin (no incarnation fencing needed) and
-		// batch their heartbeats per node — see the lease agent in mux.go.
-		enrollLease(p, s.meta.cluster, reg, s.node, name, registry.RoleSource, s.idx, o.LeaseTTL,
-			func() bool { return s.closed })
-		return nil
-	}
-	inc := uint64(0)
-	if m := reg.MembershipOf(name); m != nil {
-		inc = m.Incarnation(registry.RoleSource, s.idx)
-	}
-	spawnLeaseHeartbeat(p, s.meta.cluster, reg, s.node, name, registry.RoleSource, s.idx, o.LeaseTTL, inc,
+	return enrollLease(p, s.meta.cluster, reg, s.node, name, registry.RoleSource, s.idx, &s.spec.Options,
 		func() bool { return s.closed })
-	return nil
 }
 
 // initMembership builds the partitioner view over the flow's membership
-// record; called once the writers are connected. Targets already
-// evicted at open (nil writers) start out routed around.
+// record; called once the legs are connected. Targets already evicted
+// at open (nil legs) start out routed around.
 func (s *Source) initMembership(name string) error {
 	s.view = s.spec.table().NewView()
 	if s.mem == nil {
@@ -116,12 +244,12 @@ func (s *Source) initMembership(name string) error {
 	return nil
 }
 
-// refreshView rebuilds the view's liveness from the current writers and
+// refreshView rebuilds the view's liveness from the current legs and
 // membership record. Errors when no target remains live.
 func (s *Source) refreshView() error {
-	live := make([]bool, len(s.writers))
-	for i, w := range s.writers {
-		live[i] = w != nil && !w.dead && !s.mem.TargetEvicted(i)
+	live := make([]bool, len(s.legs))
+	for i, l := range s.legs {
+		live[i] = l != nil && !l.dead && !s.mem.TargetEvicted(i)
 	}
 	s.view.SetLive(live)
 	if s.view.LiveCount() == 0 {
@@ -130,7 +258,7 @@ func (s *Source) refreshView() error {
 	return nil
 }
 
-// remap maps a tuple's declared route onto a live writer through the
+// remap maps a tuple's declared route onto a live leg through the
 // partitioner view: the declared index when its target survives;
 // otherwise the live owner of the tuple's key (key-routed flows) or the
 // view's deterministic fold (custom routing and PushTo). Every source
@@ -150,7 +278,7 @@ func (s *Source) remap(t schema.Tuple, idx int) int {
 }
 
 // pendingTuple is one harvested tuple awaiting re-push: the payload (a
-// view into the dead writer's local ring, stable until Free) and the
+// view into the dead leg's local segments, stable until Free) and the
 // slot it was originally routed to.
 type pendingTuple struct {
 	data []byte
@@ -158,10 +286,12 @@ type pendingTuple struct {
 }
 
 // syncEpoch folds control-plane membership changes into the source:
-// it abandons writers whose targets were evicted *or* rejoined under a
-// new incarnation (harvesting their unconsumed windows), reconnects to
-// rejoined targets' republished rings, refreshes the partitioner view,
-// and re-pushes the harvest over the live owners. A no-op (one integer
+// it abandons legs whose targets were evicted *or* rejoined under a new
+// incarnation (harvesting what they still hold locally — a private
+// ring's unconsumed window and partial segment, a shared ring's staged
+// segment only), reconnects to rejoined targets' republished rings,
+// refreshes the partitioner view, and re-pushes the harvest over the
+// live owners. A no-op (one integer
 // compare) while the epoch is unchanged. Returns ErrFlowBroken when no
 // target survives, or when this source was itself evicted (epoch
 // fencing: its peers have moved on).
@@ -190,22 +320,24 @@ func (s *Source) syncEpoch(p transport.Ctx) error {
 			return fmt.Errorf("%w: source %d was evicted from flow %q (epoch %d)",
 				ErrFlowBroken, s.idx, s.spec.Name, s.epoch)
 		}
-		// Harvest writers whose rings are gone: targets evicted this
-		// epoch, and targets that rejoined with fresh rings (incarnation
-		// bump) — anything in flight to the previous incarnation will
-		// never be consumed.
-		for i, w := range s.writers {
-			if w == nil || w.dead {
+		// Harvest legs whose rings are gone: targets evicted this epoch,
+		// and targets that rejoined with fresh rings (incarnation bump) —
+		// anything in flight to the previous incarnation will never be
+		// consumed.
+		for i, l := range s.legs {
+			if l == nil || l.dead {
 				continue
 			}
-			if !s.mem.TargetEvicted(i) && s.targetInc(i) == s.winc[i] {
+			if !s.mem.TargetEvicted(i) && s.targetInc(i) == s.linc[i] {
 				continue
 			}
-			for _, data := range w.abandon(s.spec.Schema.TupleSize()) {
+			for _, data := range l.abandon(s.spec.Schema.TupleSize()) {
 				pending = append(pending, pendingTuple{data: data, from: i})
 			}
 		}
-		s.reconnectRejoined(p)
+		if err := s.reconnectRejoined(p); err != nil {
+			return err
+		}
 		// View after reconnect: harvested tuples re-route over the
 		// post-change membership — a rejoined target's own harvest
 		// lands back on its fresh rings.
@@ -235,54 +367,59 @@ func (s *Source) syncEpoch(p transport.Ctx) error {
 	}
 }
 
-// reconnectRejoined replaces writers whose target slot rejoined the
-// flow under a fresh incarnation (and fills slots that were evicted at
-// open time and have since come back): the retired writer's local ring
-// stays registered until Free — its harvest is still being re-pushed —
-// and a new writer attaches to the rings the target republished before
-// its Rejoin bumped the epoch.
-func (s *Source) reconnectRejoined(p transport.Ctx) {
-	for i := range s.writers {
+// reconnectRejoined replaces legs whose target slot rejoined the flow
+// under a fresh incarnation (and fills slots that were evicted at open
+// time and have since come back): the retired leg's local segments stay
+// registered until Free — its harvest is still being re-pushed — and a
+// new leg attaches to the rings the target republished before its
+// Rejoin bumped the epoch.
+func (s *Source) reconnectRejoined(p transport.Ctx) error {
+	for i := range s.legs {
 		if s.mem.TargetEvicted(i) {
 			continue
 		}
 		inc := s.targetInc(i)
-		if w := s.writers[i]; w != nil && !w.dead && inc == s.winc[i] {
+		if l := s.legs[i]; l != nil && !l.dead && inc == s.linc[i] {
 			continue
 		}
 		info, ok := s.reg.TargetInfo(p, s.spec.Name, i)
 		if !ok {
 			continue // never published; WaitTargetLive said evicted at open
 		}
+		l, err := s.connectLeg(info, i, inc)
+		if err != nil {
+			return err
+		}
 		s.statsMu.Lock()
-		if old := s.writers[i]; old != nil {
+		if old := s.legs[i]; old != nil {
 			s.retired = append(s.retired, old)
 		}
-		s.writers[i] = s.connectWriter(info.(*targetInfo), i, inc)
-		s.winc[i] = inc
+		s.legs[i] = l
+		s.linc[i] = inc
 		s.statsMu.Unlock()
 	}
+	return nil
 }
 
-// repush routes one harvested tuple to a surviving writer. During Close,
+// repush routes one harvested tuple to a surviving leg. During Close,
 // survivors that already sent FLOW_END cannot take tuples anymore; the
 // re-push then folds onto any still-open survivor (phase ordering makes
-// this rare: end markers only go out once every live writer drained).
+// this rare: end markers only go out once every live leg drained).
 func (s *Source) repush(p transport.Ctx, t schema.Tuple, from int) error {
-	w := s.writers[s.remap(t, from)]
-	if w.closed || w.dead {
-		w = nil
+	l := s.legs[s.remap(t, from)]
+	if l.closed || l.dead {
+		l = nil
 		for _, i := range s.view.LiveSlots() {
-			if cw := s.writers[i]; !cw.closed && !cw.dead {
-				w = cw
+			if cl := s.legs[i]; !cl.closed && !cl.dead {
+				l = cl
 				break
 			}
 		}
-		if w == nil {
+		if l == nil {
 			return fmt.Errorf("%w: no open target left for rerouted tuples of flow %q", ErrFlowBroken, s.spec.Name)
 		}
 	}
-	return s.pushWriter(p, w, t)
+	return s.pushLeg(p, l, t)
 }
 
 // Rerouted returns the number of tuples re-pushed to surviving targets
@@ -301,25 +438,8 @@ func (s *Source) Epoch() uint64 { return s.epoch }
 
 // acquireTargetLease sets up the lease + heartbeat for a target slot.
 func (t *Target) acquireTargetLease(p transport.Ctx, reg Registry, name string) error {
-	o := &t.spec.Options
-	if o.LeaseTTL <= 0 {
-		return nil
-	}
-	if err := reg.AcquireLease(p, name, registry.RoleTarget, t.idx, o.LeaseTTL, o.SuspectGrace); err != nil {
-		return err
-	}
-	if o.SharedRings {
-		enrollLease(p, t.meta.cluster, reg, t.node, name, registry.RoleTarget, t.idx, o.LeaseTTL,
-			func() bool { return t.done.Load() || t.evicted })
-		return nil
-	}
-	inc := uint64(0)
-	if m := reg.MembershipOf(name); m != nil {
-		inc = m.Incarnation(registry.RoleTarget, t.idx)
-	}
-	spawnLeaseHeartbeat(p, t.meta.cluster, reg, t.node, name, registry.RoleTarget, t.idx, o.LeaseTTL, inc,
+	return enrollLease(p, t.meta.cluster, reg, t.node, name, registry.RoleTarget, t.idx, &t.spec.Options,
 		func() bool { return t.done.Load() || t.evicted })
-	return nil
 }
 
 // syncMembership folds membership changes into the target's ring state:
@@ -345,15 +465,18 @@ func (t *Target) syncMembership() bool {
 	for i, r := range t.readers {
 		if inc := t.mem.Incarnation(registry.RoleSource, i); inc != r.inc {
 			// The source rejoined: its new writer streams from sequence 0
-			// into this ring. Clear the corpse's state so the new stream
-			// is consumable and its stale footers cannot replay.
-			t.resetRing(r)
+			// into this ring. Clear the corpse's state — failure detection
+			// starts over — so the new stream is consumable and its stale
+			// footers cannot replay. Only private rings admit a rejoin.
+			r.closed = false
+			r.failed.Store(false)
+			r.hasActivity = false
+			t.feed.(*privateFeed).reset(r)
 			r.inc = inc
 			continue
 		}
 		if !r.closed && t.mem.SourceEvicted(i) {
-			r.closed = true
-			r.failed.Store(true)
+			t.failSource(i)
 		}
 	}
 	return false

@@ -332,6 +332,66 @@ func TestLifecycleSourceCrashLeaseEviction(t *testing.T) {
 	}
 }
 
+func TestLeaseAgentFencesStaleIncarnation(t *testing.T) {
+	// An evicted source closes, and before the node's lease agent ticks
+	// again its slot is rejoined by a successor the agent knows nothing
+	// about (it renews elsewhere). The predecessor's enrollment — closed,
+	// so due for release — is still in the agent: on the incarnation bump
+	// the agent must drop it without renewing or, what would show,
+	// releasing the successor's lease.
+	e := newEnv(t, 2)
+	const ttl = 90 * time.Microsecond
+	spec := FlowSpec{
+		Name:    "lease-fence",
+		Sources: []Endpoint{{Node: e.c.Node(0)}},
+		Targets: []Endpoint{{Node: e.c.Node(1)}},
+		Schema:  kvSchema,
+		Options: Options{SegmentSize: 256, LeaseTTL: ttl},
+	}
+	e.k.Spawn("init", func(p *sim.Proc) {
+		if err := FlowInit(p, e.reg, e.c, spec); err != nil {
+			t.Error(err)
+		}
+	})
+	e.k.Spawn("tgt", func(p *sim.Proc) {
+		tgt, err := TargetOpen(p, e.reg, spec.Name, 0)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for {
+			if _, ok := tgt.Consume(p); !ok {
+				return
+			}
+		}
+	})
+	e.k.Spawn("src", func(p *sim.Proc) {
+		src, err := SourceOpen(p, e.reg, spec.Name, 0)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		_ = src.Push(p, mkTuple(1, 2))
+		if err := e.reg.Evict(p, spec.Name, registry.RoleSource, 0); err != nil {
+			t.Error(err)
+		}
+		if err := src.Close(p); !errors.Is(err, ErrFlowBroken) {
+			t.Errorf("evicted predecessor's close returned %v, want ErrFlowBroken", err)
+		}
+		rj, err := e.reg.Rejoin(p, spec.Name, registry.RoleSource, 0, 0)
+		if err != nil || rj.Incarnation == 0 {
+			t.Errorf("rejoin: incarnation %d, err %v", rj.Incarnation, err)
+		}
+		// One agent tick later the stale entry has been visited.
+		p.Sleep(ttl/heartbeatDivisor + time.Microsecond)
+		if st := src.mem.State(registry.RoleSource, 0); st != registry.StateActive {
+			t.Errorf("successor's slot is %v after the predecessor closed, want active (stale enrollment released it)", st)
+		}
+		e.reg.ReleaseLease(p, spec.Name, registry.RoleSource, 0)
+	})
+	e.run(t)
+}
+
 func TestLifecycleRegistryFailoverMidSetup(t *testing.T) {
 	// The registry master crashes while the flow is still rendezvousing:
 	// clients retry idempotently, the standby is promoted, and every

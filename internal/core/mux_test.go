@@ -11,9 +11,9 @@ import (
 	"dfi/internal/transport/sharedring"
 )
 
-// Shared-ring flow tests (Options.SharedRings): the connection-scaling
-// data path of mux.go over the pool in transport/sharedring. The
-// O(1000)-flow sweep lives in chaos_scale_test.go; these cover the
+// Shared-ring flow tests (Options.SharedRings): the endpoint engine over
+// the shared ring kind of mux.go and the pool in transport/sharedring.
+// The O(1000)-flow sweep lives in chaos_scale_test.go; these cover the
 // basic semantics one flow at a time.
 
 func sharedSpec(e *env, name string, srcNodes, tgtNodes []int, opt Options) FlowSpec {
@@ -288,8 +288,9 @@ func TestSharedRingsLeaseAgentKeepsFlowsAlive(t *testing.T) {
 }
 
 func TestSharedRingsAdmission(t *testing.T) {
-	// normalize rejects every private-ring feature up front, and tenant
-	// attribution requires shared mode.
+	// normalize rejects what genuinely needs a private ring per pair, and
+	// tenant attribution requires shared mode. Combiner flows and
+	// SourceTimeout run on the common engine and are admitted.
 	base := func() FlowSpec {
 		return FlowSpec{
 			Name:    "adm",
@@ -301,30 +302,31 @@ func TestSharedRingsAdmission(t *testing.T) {
 	cases := []struct {
 		name string
 		mut  func(*FlowSpec)
+		ok   bool
 	}{
-		{"tenant without shared", func(s *FlowSpec) { s.Options.Tenant = "x" }},
-		{"weight without shared", func(s *FlowSpec) { s.Options.TenantWeight = 2 }},
-		{"latency mode", func(s *FlowSpec) { s.Options.SharedRings = true; s.Options.Optimization = OptimizeLatency }},
-		{"multicast", func(s *FlowSpec) {
+		{name: "tenant without shared", mut: func(s *FlowSpec) { s.Options.Tenant = "x" }},
+		{name: "weight without shared", mut: func(s *FlowSpec) { s.Options.TenantWeight = 2 }},
+		{name: "latency mode", mut: func(s *FlowSpec) { s.Options.SharedRings = true; s.Options.Optimization = OptimizeLatency }},
+		{name: "multicast", mut: func(s *FlowSpec) {
 			s.Options.SharedRings = true
 			s.Type = ReplicateFlow
 			s.Options.Multicast = true
 		}},
-		{"elastic", func(s *FlowSpec) { s.Options.SharedRings = true; s.Options.Elastic = true }},
-		{"combiner", func(s *FlowSpec) {
+		{name: "elastic", mut: func(s *FlowSpec) { s.Options.SharedRings = true; s.Options.Elastic = true }},
+		{name: "retransmit window", mut: func(s *FlowSpec) { s.Options.SharedRings = true; s.Options.RetransmitTimeout = time.Millisecond }},
+		{name: "negative weight", mut: func(s *FlowSpec) { s.Options.SharedRings = true; s.Options.TenantWeight = -1 }},
+		{name: "combiner", ok: true, mut: func(s *FlowSpec) {
 			s.Options.SharedRings = true
 			s.Type = CombinerFlow
 			s.ShuffleKey = 0
 		}},
-		{"source timeout", func(s *FlowSpec) { s.Options.SharedRings = true; s.Options.SourceTimeout = time.Millisecond }},
-		{"retransmit window", func(s *FlowSpec) { s.Options.SharedRings = true; s.Options.RetransmitTimeout = time.Millisecond }},
-		{"negative weight", func(s *FlowSpec) { s.Options.SharedRings = true; s.Options.TenantWeight = -1 }},
+		{name: "source timeout", ok: true, mut: func(s *FlowSpec) { s.Options.SharedRings = true; s.Options.SourceTimeout = time.Millisecond }},
 	}
 	for _, tc := range cases {
 		spec := base()
 		tc.mut(&spec)
-		if err := spec.normalize(); err == nil {
-			t.Errorf("%s: normalize accepted an invalid shared-ring spec", tc.name)
+		if err := spec.normalize(); (err == nil) != tc.ok {
+			t.Errorf("%s: normalize returned %v, want admitted=%v", tc.name, err, tc.ok)
 		}
 	}
 	// The happy path defaults tenant attribution.
@@ -339,8 +341,10 @@ func TestSharedRingsAdmission(t *testing.T) {
 }
 
 func TestSharedRingsUnsupportedOps(t *testing.T) {
-	// Reserve/Checkpoint/Reattach have no meaning without a private ring
-	// or a retransmit window; they must fail fast with the typed sentinel.
+	// Checkpoint and Reattach have no meaning without delivery
+	// confirmation or a retransmit window; they must fail fast with the
+	// typed sentinel. Reserve is a view into the leg's staging segment and
+	// works like on a private ring.
 	e := newEnv(t, 2)
 	spec := sharedSpec(e, "shared-unsup", []int{0}, []int{1}, Options{SegmentSize: 256})
 	const n = 100
@@ -355,23 +359,26 @@ func TestSharedRingsUnsupportedOps(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if _, err := src.Reserve(p, 4); !errors.Is(err, ErrUnsupportedOnShared) {
-			t.Errorf("Reserve error %v, want ErrUnsupportedOnShared", err)
-		}
-		if _, err := src.ReserveTo(p, 0, 4); !errors.Is(err, ErrUnsupportedOnShared) {
-			t.Errorf("ReserveTo error %v, want ErrUnsupportedOnShared", err)
-		}
 		if _, err := src.Checkpoint(p); !errors.Is(err, ErrUnsupportedOnShared) {
 			t.Errorf("Checkpoint error %v, want ErrUnsupportedOnShared", err)
 		}
 		if _, _, err := src.Reattach(p); !errors.Is(err, ErrUnsupportedOnShared) {
 			t.Errorf("Source.Reattach error %v, want ErrUnsupportedOnShared", err)
 		}
-		for i := 0; i < n; i++ {
-			if err := src.Push(p, mkTuple(int64(i), int64(2*i))); err != nil {
-				t.Error(err)
+		for i := 0; i < n; {
+			b, err := src.Reserve(p, n-i)
+			if err != nil {
+				t.Errorf("Reserve: %v", err)
 				return
 			}
+			for j := 0; j < b.Len(); j++ {
+				copy(b.Tuple(j), mkTuple(int64(i+j), int64(2*(i+j))))
+			}
+			if err := b.Commit(p, b.Len()); err != nil {
+				t.Errorf("Commit: %v", err)
+				return
+			}
+			i += b.Len()
 		}
 		if err := src.Close(p); err != nil {
 			t.Error(err)
@@ -397,5 +404,106 @@ func TestSharedRingsUnsupportedOps(t *testing.T) {
 	e.run(t)
 	if got != n {
 		t.Fatalf("delivered %d tuples, want %d", got, n)
+	}
+}
+
+func TestSharedRingsSourceTimeout(t *testing.T) {
+	// A source that goes silent without closing is declared failed by the
+	// common SourceTimeout detector, and its tag is dropped: when the
+	// zombie later floods the link, its segments are discarded at the
+	// receiver instead of piling up in staging, so a co-resident flow on
+	// the same node-pair ring keeps making progress.
+	e := newEnv(t, 2)
+	victim := sharedSpec(e, "shared-silent", []int{0, 0}, []int{1}, Options{
+		SegmentSize:   128,
+		SourceTimeout: 200 * time.Microsecond,
+	})
+	neighbor := sharedSpec(e, "shared-neighbor", []int{0}, []int{1}, Options{SegmentSize: 128})
+	const n = 400
+	cfg := sharedring.PoolOf(e.c, sharedring.Config{}).Config()
+	flood := 2 * (cfg.Slots + cfg.StagingCap) * victim.Options.SegmentSize / kvSchema.TupleSize()
+	e.k.Spawn("init", func(p *sim.Proc) {
+		for _, spec := range []FlowSpec{victim, neighbor} {
+			if err := FlowInit(p, e.reg, e.c, spec); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	push := func(p *sim.Proc, src *Source, key int64) {
+		if err := src.Push(p, mkTuple(key, 0)); err != nil {
+			t.Errorf("%s push: %v", src.spec.Name, err)
+		}
+	}
+	e.k.Spawn("healthy", func(p *sim.Proc) {
+		src, _ := SourceOpen(p, e.reg, victim.Name, 0)
+		for i := 0; i < n; i++ {
+			push(p, src, int64(i))
+		}
+		if err := src.Close(p); err != nil {
+			t.Error(err)
+		}
+	})
+	var failed []int
+	victimDone, floodDone := false, false
+	e.k.Spawn("zombie", func(p *sim.Proc) {
+		src, _ := SourceOpen(p, e.reg, victim.Name, 1)
+		for i := 0; i < 10; i++ {
+			push(p, src, int64(n+i))
+		}
+		_ = src.Flush(p)
+		for !victimDone { // silent until the target has given up on it
+			p.Sleep(10 * time.Microsecond)
+		}
+		for i := 0; i < flood; i++ { // nobody drains this tag anymore
+			push(p, src, int64(2*n+i))
+		}
+		_ = src.Close(p)
+		floodDone = true
+	})
+	got := 0
+	e.k.Spawn("tgt", func(p *sim.Proc) {
+		tgt, _ := TargetOpen(p, e.reg, victim.Name, 0)
+		for {
+			if _, ok := tgt.Consume(p); !ok {
+				break
+			}
+			got++
+		}
+		failed = tgt.FailedSources()
+		if !tgt.Done() {
+			t.Error("target did not reach flow end after failing the silent source")
+		}
+		victimDone = true
+	})
+	neighborPushed, neighborGot := 0, 0
+	e.k.Spawn("neighbor-src", func(p *sim.Proc) {
+		src, _ := SourceOpen(p, e.reg, neighbor.Name, 0)
+		for !floodDone { // spans the silence and the flood
+			push(p, src, int64(neighborPushed))
+			neighborPushed++
+			p.Sleep(time.Microsecond)
+		}
+		if err := src.Close(p); err != nil {
+			t.Error(err)
+		}
+	})
+	e.k.Spawn("neighbor-tgt", func(p *sim.Proc) {
+		tgt, _ := TargetOpen(p, e.reg, neighbor.Name, 0)
+		for {
+			if _, ok := tgt.Consume(p); !ok {
+				return
+			}
+			neighborGot++
+		}
+	})
+	e.run(t)
+	if len(failed) != 1 || failed[0] != 1 {
+		t.Fatalf("failed sources = %v, want [1]", failed)
+	}
+	if got != n+10 {
+		t.Errorf("victim flow delivered %d tuples, want the healthy source's %d plus the zombie's flushed 10", got, n)
+	}
+	if neighborGot != neighborPushed || neighborGot == 0 {
+		t.Errorf("co-resident flow delivered %d of %d tuples", neighborGot, neighborPushed)
 	}
 }

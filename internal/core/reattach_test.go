@@ -433,6 +433,114 @@ func TestChaosSourceEvictReattachResume(t *testing.T) {
 	}
 }
 
+func TestChaosSourceRejoinWhileSegmentHeld(t *testing.T) {
+	// The held-segment case of TestChaosSourceEvictReattachResume: the
+	// target still holds the slot of the evicted incarnation's last
+	// segment when the source rejoins. Folding the rejoin resets the ring to slot 0 /
+	// sequence 0; recycling the held slot after that reset would release
+	// the new stream's first segment unread — one segment lost with no
+	// error at either end.
+	const (
+		oldKeys = 8
+		newBase = 1000
+		newKeys = 64
+		evictAt = 50 * time.Microsecond
+		holdFor = 150 * time.Microsecond
+	)
+	e := newEnv(t, 2)
+	spec := FlowSpec{
+		Name:    "reattach-held",
+		Sources: []Endpoint{{Node: e.c.Node(0)}},
+		Targets: []Endpoint{{Node: e.c.Node(1)}},
+		Schema:  kvSchema,
+		Options: Options{
+			SegmentSize:       256,
+			SegmentsPerRing:   8,
+			RetransmitTimeout: 40 * time.Microsecond,
+		},
+	}
+	got := make(map[int64]int)
+	var rejoinedAt, resumedAt sim.Time
+	e.k.Spawn("init", func(p *sim.Proc) {
+		if err := FlowInit(p, e.reg, e.c, spec); err != nil {
+			t.Error(err)
+		}
+	})
+	e.k.Spawn("src", func(p *sim.Proc) {
+		src, err := SourceOpen(p, e.reg, spec.Name, 0)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for i := int64(0); i < oldKeys; i++ {
+			if err := src.Push(p, mkTuple(i, 2*i)); err != nil {
+				t.Errorf("push %d: %v", i, err)
+				return
+			}
+		}
+		if err := src.Flush(p); err != nil {
+			t.Errorf("flush: %v", err)
+			return
+		}
+		p.Sleep(evictAt - p.Now())
+		if err := e.reg.Evict(p, spec.Name, registry.RoleSource, 0); err != nil {
+			t.Errorf("evict: %v", err)
+			return
+		}
+		ns, _, err := src.Reattach(p)
+		if err != nil {
+			t.Errorf("reattach: %v", err)
+			return
+		}
+		rejoinedAt = p.Now()
+		for i := int64(newBase); i < newBase+newKeys; i++ {
+			if err := ns.Push(p, mkTuple(i, 2*i)); err != nil {
+				t.Errorf("re-push %d: %v", i, err)
+				return
+			}
+		}
+		if err := ns.Close(p); err != nil {
+			t.Errorf("close after reattach: %v", err)
+		}
+	})
+	e.k.Spawn("tgt", func(p *sim.Proc) {
+		tgt, err := TargetOpen(p, e.reg, spec.Name, 0)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		// Drain the old incarnation's one segment; its slot stays held —
+		// recycled only by the next segment load — across the rejoin.
+		for i := 0; i < oldKeys; i++ {
+			tup, ok := tgt.Consume(p)
+			if !ok {
+				t.Errorf("flow ended after %d tuples, want %d before the eviction", i, oldKeys)
+				return
+			}
+			got[kvSchema.Int64(tup, 0)]++
+		}
+		p.Sleep(holdFor)
+		resumedAt = p.Now()
+		reattachCollect(t, p, tgt, got)
+	})
+	e.run(t)
+
+	if rejoinedAt == 0 || rejoinedAt >= resumedAt {
+		t.Fatalf("source rejoined at %v, target resumed at %v: the rejoin must land while the segment is held; retune the test timings",
+			rejoinedAt, resumedAt)
+	}
+	for i := int64(newBase); i < newBase+newKeys; i++ {
+		if got[i] != 1 {
+			t.Fatalf("key %d of the rejoined stream delivered %d times, want exactly once", i, got[i])
+		}
+	}
+	for i := int64(0); i < oldKeys; i++ {
+		if got[i] != 1 {
+			t.Fatalf("key %d delivered %d times, want once (consumed before the rejoin)", i, got[i])
+		}
+	}
+}
+
 func TestElasticSourceReattachFreshSlot(t *testing.T) {
 	// On an elastic flow a rejoining source cannot reclaim its slot
 	// (slots are never recycled); Reattach transfers its identity — and

@@ -812,9 +812,7 @@ type mcTarget struct {
 	nacksSent   atomic.Uint64
 	gapsSkipped atomic.Uint64
 
-	active    []byte
-	segOff    int
-	remaining int
+	active    []byte // buffer backing the segment handed out last
 	tupleSize int
 	done      bool
 }
@@ -1368,8 +1366,9 @@ func (t *mcTarget) seqSpaceSize(p transport.Ctx) (uint64, bool) {
 	return t.seqQP.FetchAddChecked(p, transport.Addr{MR: t.meta.seqMR}, 0)
 }
 
-// deliver activates a pending segment for consumption.
-func (t *mcTarget) deliver(p transport.Ctx, buf []byte, src int) {
+// deliver activates a pending segment for consumption and returns its
+// tuple payload.
+func (t *mcTarget) deliver(p transport.Ctx, buf []byte, src int) []byte {
 	seq := binary.LittleEndian.Uint64(buf[8:16])
 	delete(t.pending, t.key(src, seq))
 	if t.spec.Options.GlobalOrdering {
@@ -1390,13 +1389,12 @@ func (t *mcTarget) deliver(p transport.Ctx, buf []byte, src int) {
 	count := fill / t.tupleSize
 	t.node.Compute(p, time.Duration(count)*t.spec.Options.ConsumeCost)
 	t.active = buf
-	t.segOff = mcHeaderBytes
-	t.remaining = count
 
 	t.sendCredit(p, src, false)
 	if t.ended[src] && t.delivered[src].Load() >= t.endCount[src] {
 		t.sendFinalCredit(p, src) // termination handshake
 	}
+	return buf[mcHeaderBytes : mcHeaderBytes+count*t.tupleSize]
 }
 
 // retainDelivered keeps a copy of a delivered segment for gap probes.
@@ -1555,9 +1553,10 @@ func (t *mcTarget) advanceSkips(p transport.Ctx) {
 	t.broadcastProgress(p)
 }
 
-// nextSegment obtains the next in-order segment, handling gap timeouts.
-// It returns false at flow end, when a gap is surfaced (NotifyGaps), or
-// when the control plane evicted this target.
+// nextSegment obtains the next in-order segment's payload, recycling the
+// one handed out before and handling gap timeouts. It returns false at
+// flow end, when a gap is surfaced (NotifyGaps) and until it is resolved,
+// or when the control plane evicted this target.
 //
 // Gap handling depends on the flow's failure model. Without leases the
 // legacy heuristics apply: NACK rounds, immediate NotifyGaps surfacing,
@@ -1569,7 +1568,10 @@ func (t *mcTarget) advanceSkips(p transport.Ctx) {
 // agreed are unfillable — the same verdict every peer applies, which is
 // what keeps the global order identical across targets. NotifyGaps then
 // surfaces only agreed-unfillable sequences.
-func (t *mcTarget) nextSegment(p transport.Ctx) bool {
+func (t *mcTarget) nextSegment(p transport.Ctx) ([]byte, bool) {
+	if t.done || t.evicted || t.gapPending {
+		return nil, false
+	}
 	if t.active != nil {
 		t.recycle(t.active)
 		t.active = nil
@@ -1584,7 +1586,7 @@ func (t *mcTarget) nextSegment(p transport.Ctx) bool {
 		t.detectFailures(p)
 		t.syncMcMembership()
 		if t.evicted {
-			return false
+			return nil, false
 		}
 		if agree && !t.seqSpaceKnown && t.anyFailed() && t.allEnded() {
 			// A source died without an end marker and nothing more can be
@@ -1603,14 +1605,13 @@ func (t *mcTarget) nextSegment(p transport.Ctx) bool {
 				t.gap = Gap{Seq: t.nextGlobal}
 				t.gapSince = 0
 				t.gapNacks = 0
-				return false
+				return nil, false
 			}
 			t.advanceSkips(p)
 			continue
 		}
 		if buf, src, ok := t.headDeliverable(); ok {
-			t.deliver(p, buf, src)
-			return true
+			return t.deliver(p, buf, src), true
 		}
 		if t.finished() {
 			t.done = true
@@ -1620,7 +1621,7 @@ func (t *mcTarget) nextSegment(p transport.Ctx) bool {
 			if agree {
 				t.spawnGapResponder(p)
 			}
-			return false
+			return nil, false
 		}
 		// Head segment missing: a gap if anything newer already arrived or
 		// the owning source has ended.
@@ -1665,7 +1666,7 @@ func (t *mcTarget) nextSegment(p transport.Ctx) bool {
 					t.gapPending = true
 					t.gap = Gap{Seq: seq}
 					t.gapSince = 0
-					return false
+					return nil, false
 				case !agree && t.spec.Options.GlobalOrdering && t.gapNacks >= limit && t.anyFailed():
 					// The gap's owner crashed: no NACK will ever be
 					// answered. Skip the sequence number and record the
@@ -1790,42 +1791,6 @@ func (t *mcTarget) waitArrival(p transport.Ctx) {
 		d = 5 * time.Microsecond
 	}
 	t.ep.RecvCQ().WaitNonEmpty(p, d)
-}
-
-// consume returns the next tuple in flow order.
-func (t *mcTarget) consume(p transport.Ctx) (schema.Tuple, bool) {
-	if t.done || t.evicted || t.gapPending {
-		return nil, false
-	}
-	for t.remaining == 0 {
-		if !t.nextSegment(p) {
-			return nil, false
-		}
-	}
-	tup := schema.Tuple(t.active[t.segOff : t.segOff+t.tupleSize])
-	t.segOff += t.tupleSize
-	t.remaining--
-	return tup, true
-}
-
-// consumeSegment returns the next whole segment as a raw batch.
-func (t *mcTarget) consumeSegment(p transport.Ctx) ([]byte, int, bool) {
-	if t.done || t.evicted || t.gapPending {
-		return nil, 0, false
-	}
-	if t.remaining > 0 {
-		data, count := t.active[t.segOff:], t.remaining
-		t.segOff += count * t.tupleSize
-		t.remaining = 0
-		return data[:count*t.tupleSize], count, true
-	}
-	if !t.nextSegment(p) {
-		return nil, 0, false
-	}
-	data, count := t.active[t.segOff:t.segOff+t.remaining*t.tupleSize], t.remaining
-	t.segOff += t.remaining * t.tupleSize
-	t.remaining = 0
-	return data, count, true
 }
 
 // pendingGap exposes a surfaced gap (NotifyGaps flows).

@@ -338,89 +338,94 @@ func TestReplicateMulticastAggregateBandwidthExceedsSenderLink(t *testing.T) {
 
 func TestCombinerFlowAggregations(t *testing.T) {
 	for _, agg := range []AggFunc{AggSum, AggCount, AggMin, AggMax} {
-		agg := agg
-		t.Run(agg.String(), func(t *testing.T) {
-			e := newEnv(t, 3)
-			spec := FlowSpec{
-				Name:    "comb-" + agg.String(),
-				Type:    CombinerFlow,
-				Sources: []Endpoint{{Node: e.c.Node(0)}, {Node: e.c.Node(1)}},
-				Targets: []Endpoint{{Node: e.c.Node(2)}},
-				Schema:  kvSchema,
-				Options: Options{Aggregation: agg, GroupCol: 0, ValueCol: 1},
-			}
-			const n = 900
-			const groups = 10
-			var results []AggResult
-			e.k.Spawn("init", func(p *sim.Proc) {
-				if err := FlowInit(p, e.reg, e.c, spec); err != nil {
-					t.Error(err)
-				}
-			})
-			for si := 0; si < 2; si++ {
-				si := si
-				e.k.Spawn("src", func(p *sim.Proc) {
-					src, _ := SourceOpen(p, e.reg, spec.Name, si)
-					for i := 0; i < n; i++ {
-						key := int64(i % groups)
-						val := int64(si*n + i)
-						_ = src.Push(p, mkTuple(key, val))
-					}
-					src.Close(p)
-				})
-			}
-			e.k.Spawn("tgt", func(p *sim.Proc) {
-				ct, err := CombinerTargetOpen(p, e.reg, spec.Name, 0)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				ct.Run(p)
-				results = ct.Results()
-			})
-			e.run(t)
-			if len(results) != groups {
-				t.Fatalf("%d groups, want %d", len(results), groups)
-			}
-			// Recompute expectations directly.
-			want := make(map[uint64]*aggState)
-			for si := 0; si < 2; si++ {
-				for i := 0; i < n; i++ {
-					key := uint64(i % groups)
-					val := int64(si*n + i)
-					g := want[key]
-					if g == nil {
-						g = &aggState{}
-						want[key] = g
-					}
-					g.count++
-					switch agg {
-					case AggSum, AggCount:
-						g.value += val
-					case AggMin:
-						if !g.init || val < g.value {
-							g.value = val
-						}
-					case AggMax:
-						if !g.init || val > g.value {
-							g.value = val
-						}
-					}
-					g.init = true
-				}
-			}
-			for _, r := range results {
-				w := want[r.Key]
-				wantVal := w.value
-				if agg == AggCount {
-					wantVal = w.count
-				}
-				if r.Value != wantVal || r.Count != w.count {
-					t.Fatalf("group %d: got (%d,%d), want (%d,%d)", r.Key, r.Value, r.Count, wantVal, w.count)
-				}
+		for _, kind := range ringKinds {
+			testCombinerAggregation(t, agg, kind.name, kind.shared)
+		}
+	}
+}
+
+func testCombinerAggregation(t *testing.T, agg AggFunc, kind string, shared bool) {
+	t.Run(agg.String()+"/"+kind, func(t *testing.T) {
+		e := newEnv(t, 3)
+		spec := FlowSpec{
+			Name:    "comb-" + agg.String(),
+			Type:    CombinerFlow,
+			Sources: []Endpoint{{Node: e.c.Node(0)}, {Node: e.c.Node(1)}},
+			Targets: []Endpoint{{Node: e.c.Node(2)}},
+			Schema:  kvSchema,
+			Options: Options{Aggregation: agg, GroupCol: 0, ValueCol: 1, SharedRings: shared},
+		}
+		const n = 900
+		const groups = 10
+		var results []AggResult
+		e.k.Spawn("init", func(p *sim.Proc) {
+			if err := FlowInit(p, e.reg, e.c, spec); err != nil {
+				t.Error(err)
 			}
 		})
-	}
+		for si := 0; si < 2; si++ {
+			si := si
+			e.k.Spawn("src", func(p *sim.Proc) {
+				src, _ := SourceOpen(p, e.reg, spec.Name, si)
+				for i := 0; i < n; i++ {
+					key := int64(i % groups)
+					val := int64(si*n + i)
+					_ = src.Push(p, mkTuple(key, val))
+				}
+				src.Close(p)
+			})
+		}
+		e.k.Spawn("tgt", func(p *sim.Proc) {
+			ct, err := CombinerTargetOpen(p, e.reg, spec.Name, 0)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			ct.Run(p)
+			results = ct.Results()
+		})
+		e.run(t)
+		if len(results) != groups {
+			t.Fatalf("%d groups, want %d", len(results), groups)
+		}
+		// Recompute expectations directly.
+		want := make(map[uint64]*aggState)
+		for si := 0; si < 2; si++ {
+			for i := 0; i < n; i++ {
+				key := uint64(i % groups)
+				val := int64(si*n + i)
+				g := want[key]
+				if g == nil {
+					g = &aggState{}
+					want[key] = g
+				}
+				g.count++
+				switch agg {
+				case AggSum, AggCount:
+					g.value += val
+				case AggMin:
+					if !g.init || val < g.value {
+						g.value = val
+					}
+				case AggMax:
+					if !g.init || val > g.value {
+						g.value = val
+					}
+				}
+				g.init = true
+			}
+		}
+		for _, r := range results {
+			w := want[r.Key]
+			wantVal := w.value
+			if agg == AggCount {
+				wantVal = w.count
+			}
+			if r.Value != wantVal || r.Count != w.count {
+				t.Fatalf("group %d: got (%d,%d), want (%d,%d)", r.Key, r.Value, r.Count, wantVal, w.count)
+			}
+		}
+	})
 }
 
 func TestCombinerTargetOpenRejectsOtherFlowTypes(t *testing.T) {

@@ -29,26 +29,24 @@ type Source struct {
 	node transport.Endpoint
 	reg  Registry
 
-	// writers holds one ring writer per target. An entry is nil only
+	// legs holds one leg per target — a private ring writer or a shared-
+	// ring stream, whichever the target published. An entry is nil only
 	// when its target was already evicted from the flow membership at
-	// open time; such slots are routed around from the start. winc is
-	// the target incarnation each writer connected under: a bump means
-	// the target rejoined with fresh rings and the writer must be
-	// harvested and replaced (see lifecycle.go). retired keeps replaced
-	// writers alive until Free — harvested tuples view their local
-	// rings.
-	writers []*ringWriter
-	winc    []uint64
-	retired []*ringWriter
-	mc      *mcSource  // multicast replicate transport, if enabled
-	mux     *muxSource // shared-ring transport (Options.SharedRings), if enabled
+	// open time; such slots are routed around from the start. linc is
+	// the target incarnation each leg connected under: a bump means the
+	// target rejoined with fresh rings and the leg must be harvested and
+	// replaced (see lifecycle.go). retired keeps replaced legs alive
+	// until Free — harvested tuples view their local segments.
+	legs    []*leg
+	linc    []uint64
+	retired []*leg
+	mc      *mcSource // multicast replicate transport, if enabled
 
-	// statsMu guards the writers/retired slice headers against a
-	// concurrent scraper walking Stats()/Stalls()/ProbeStats() while the
-	// simulation appends (connectAll) or swaps (reconnectRejoined)
-	// entries. It is only held around the non-blocking slice mutations
-	// and the stats walks — never across a simulation park, which would
-	// deadlock the baton-passing scheduler.
+	// statsMu guards the legs/retired slice headers against a concurrent
+	// scraper walking Stats() while the simulation appends (connectAll)
+	// or swaps (reconnectRejoined) entries. It is only held around the
+	// non-blocking slice mutations and the stats walks — never across a
+	// simulation park, which would deadlock the baton-passing scheduler.
 	statsMu sync.Mutex
 
 	// Control-plane membership (see lifecycle.go). mem is the flow's
@@ -76,8 +74,8 @@ type Source struct {
 }
 
 // SourceOpen attaches to source slot sourceIdx of the named flow,
-// retrieving the flow metadata from the registry and connecting to every
-// target's ring buffers. It blocks until the flow and all targets are
+// retrieving the flow metadata from the registry and connecting one leg
+// to every target. It blocks until the flow and all targets are
 // available.
 func SourceOpen(p transport.Ctx, reg Registry, name string, sourceIdx int) (*Source, error) {
 	meta := lookupFlow(p, reg, name)
@@ -97,46 +95,38 @@ func SourceOpen(p transport.Ctx, reg Registry, name string, sourceIdx int) (*Sou
 		}
 		return s, nil
 	}
-	if spec.Options.SharedRings {
-		mux, err := newMuxSource(p, reg, meta, s)
-		if err != nil {
-			return nil, err
-		}
-		s.mux = mux
-		if err := s.acquireSourceLease(p, reg, name); err != nil {
-			return nil, err
-		}
-		return s, nil
-	}
 	if err := s.acquireSourceLease(p, reg, name); err != nil {
 		return nil, err
 	}
 	return s, s.connectAll(p, name)
 }
 
-// connectAll connects one writer per target ring and initializes the
-// membership view — the shared tail of SourceOpen, AttachSource, and
-// Reattach.
+// connectAll connects one leg per target and initializes the membership
+// view — the shared tail of SourceOpen, AttachSource, and Reattach.
 func (s *Source) connectAll(p transport.Ctx, name string) error {
 	s.mem = s.reg.MembershipOf(name)
 	for t := range s.spec.Targets {
 		inc := s.targetInc(t)
 		info, evicted := s.reg.WaitTargetLive(p, name, t)
 		if evicted {
-			s.appendWriter(nil, s.targetInc(t))
+			s.appendLeg(nil, s.targetInc(t))
 			continue
 		}
-		s.appendWriter(s.connectWriter(info.(*targetInfo), t, inc), inc)
+		l, err := s.connectLeg(info, t, inc)
+		if err != nil {
+			return err
+		}
+		s.appendLeg(l, inc)
 	}
 	return s.initMembership(name)
 }
 
-// appendWriter grows the writer set under statsMu (WaitTargetLive above
+// appendLeg grows the leg set under statsMu (WaitTargetLive above
 // blocks, so the lock cannot wrap the whole connect loop).
-func (s *Source) appendWriter(w *ringWriter, inc uint64) {
+func (s *Source) appendLeg(l *leg, inc uint64) {
 	s.statsMu.Lock()
-	s.writers = append(s.writers, w)
-	s.winc = append(s.winc, inc)
+	s.legs = append(s.legs, l)
+	s.linc = append(s.linc, inc)
 	s.statsMu.Unlock()
 }
 
@@ -149,25 +139,35 @@ func (s *Source) targetInc(i int) uint64 {
 	return s.mem.Incarnation(registry.RoleTarget, i)
 }
 
-// connectWriter builds the ring writer for target slot i under
-// incarnation inc. The eviction probe also fires on an incarnation
-// bump: a writer connected to a rejoined target's *previous* rings can
-// never be drained and must be harvested like one whose target died.
-func (s *Source) connectWriter(ti *targetInfo, i int, inc uint64) *ringWriter {
-	w := newRingWriter(s.meta.cluster, s.node, ti, ti.ringOffs[s.idx], &s.spec.Options)
-	w.evicted = func() bool {
-		return s.mem != nil && (s.mem.TargetEvicted(i) || s.mem.Incarnation(registry.RoleTarget, i) != inc)
-	}
-	if sink := s.reg.EventSink(); sink != nil {
-		w.events = sink
-		w.evNode = fmt.Sprintf("node%d", s.node.ID())
-		w.evFlow = s.spec.Name
-		w.evSlot = i
-		if s.mem != nil {
-			w.evEpoch = s.mem.Epoch
+// connectLeg builds the leg to target slot i under incarnation inc, of
+// the ring kind the target published. The eviction probe also fires on
+// an incarnation bump: a leg connected to a rejoined target's *previous*
+// rings can never be drained and must be harvested like one whose target
+// died.
+func (s *Source) connectLeg(info any, i int, inc uint64) (*leg, error) {
+	var l *leg
+	switch ti := info.(type) {
+	case *targetInfo:
+		w := newRingWriter(s.meta.cluster, s.node, ti, ti.ringOffs[s.idx], &s.spec.Options)
+		if sink := s.reg.EventSink(); sink != nil {
+			w.events = sink
+			w.evNode = fmt.Sprintf("node%d", s.node.ID())
+			w.evFlow = s.spec.Name
+			w.evSlot = i
+			if s.mem != nil {
+				w.evEpoch = s.mem.Epoch
+			}
 		}
+		l = &w.leg
+	case *sharedTargetInfo:
+		x, err := newSharedTx(s, i)
+		if err != nil {
+			return nil, err
+		}
+		l = &x.leg
 	}
-	return w
+	l.mem, l.slot, l.inc = s.mem, i, inc
+	return l, nil
 }
 
 // Schema returns the flow's tuple schema.
@@ -208,9 +208,6 @@ func (s *Source) Push(p transport.Ctx, t schema.Tuple) error {
 		if s.mc != nil {
 			return s.mc.push(p, t)
 		}
-		if s.mux != nil {
-			return s.mux.pushReplicate(p, t)
-		}
 		return s.pushReplicate(p, t)
 	default:
 		if s.spec.Routing == nil && s.spec.ShuffleKey < 0 {
@@ -225,17 +222,17 @@ func (s *Source) Push(p transport.Ctx, t schema.Tuple) error {
 // pushReplicate copies one tuple to every live ring-replicate leg —
 // liveness comes from the same partitioner view the routed flows use. A
 // leg whose target gets evicted mid-push is dropped: the survivors
-// carry their own complete copies, and the dead writer's buffered
-// window is discarded by syncEpoch rather than drained.
+// carry their own complete copies, and the dead leg's harvest is
+// discarded by syncEpoch rather than drained.
 func (s *Source) pushReplicate(p transport.Ctx, t schema.Tuple) error {
 	if err := s.syncEpoch(p); err != nil {
 		return err
 	}
-	for i, w := range s.writers {
-		if w == nil || w.dead || !s.view.Live(i) {
+	for i, l := range s.legs {
+		if l == nil || l.dead || !s.view.Live(i) {
 			continue
 		}
-		err := s.pushWriter(p, w, t)
+		err := s.pushLeg(p, l, t)
 		if errors.Is(err, errEvicted) {
 			if err := s.syncEpoch(p); err != nil {
 				return err
@@ -254,21 +251,18 @@ func (s *Source) pushReplicate(p transport.Ctx, t schema.Tuple) error {
 // target has been evicted from the flow membership the tuple is remapped
 // onto a survivor (see lifecycle.go).
 func (s *Source) PushTo(p transport.Ctx, t schema.Tuple, target int) error {
-	if s.mux != nil {
-		return s.mux.pushTo(p, t, target)
-	}
-	if target < 0 || target >= len(s.writers) {
-		return fmt.Errorf("dfi: target %d out of range (%d targets)", target, len(s.writers))
+	if target < 0 || target >= len(s.legs) {
+		return fmt.Errorf("dfi: target %d out of range (%d targets)", target, len(s.legs))
 	}
 	if s.mem == nil {
-		return s.pushWriter(p, s.writers[target], t)
+		return s.pushLeg(p, s.legs[target], t)
 	}
 	for {
 		if err := s.syncEpoch(p); err != nil {
 			return err
 		}
 		slot := s.remap(t, target)
-		err := s.pushWriter(p, s.writers[slot], t)
+		err := s.pushLeg(p, s.legs[slot], t)
 		if !errors.Is(err, errEvicted) {
 			if err == nil && slot != target {
 				// The declared owner is down: the tuple landed on the live
@@ -283,11 +277,14 @@ func (s *Source) PushTo(p transport.Ctx, t schema.Tuple, target int) error {
 	}
 }
 
-func (s *Source) pushWriter(p transport.Ctx, w *ringWriter, t schema.Tuple) error {
+// pushLeg appends one tuple to a leg. Latency mode is a private-ring
+// capability (normalize rejects it on shared rings), so its legs are
+// ring writers.
+func (s *Source) pushLeg(p transport.Ctx, l *leg, t schema.Tuple) error {
 	if s.spec.Options.Optimization == OptimizeLatency {
-		return w.pushImmediate(p, t)
+		return l.tx.(*ringWriter).pushImmediate(p, t)
 	}
-	return w.push(p, t)
+	return l.push(p, t)
 }
 
 // Flush pushes out all partially filled segments (bandwidth mode). Tuples
@@ -299,19 +296,16 @@ func (s *Source) Flush(p transport.Ctx) error {
 	if s.mc != nil {
 		return s.mc.flush(p)
 	}
-	if s.mux != nil {
-		return s.mux.flush(p)
-	}
 	for {
 		if err := s.syncEpoch(p); err != nil {
 			return err
 		}
 		again := false
-		for _, w := range s.writers {
-			if w == nil || w.dead {
+		for _, l := range s.legs {
+			if l == nil || l.dead {
 				continue
 			}
-			err := w.flush(p, false)
+			err := l.tx.flush(p)
 			if errors.Is(err, errEvicted) {
 				again = true
 				break
@@ -347,24 +341,19 @@ func (s *Source) Close(p transport.Ctx) error {
 		s.closed = true
 		return firstErr
 	}
-	if s.mux != nil {
-		record(s.mux.close(p))
-		s.closed = true
-		return firstErr
-	}
 	if s.mem == nil || (s.epoch == 0 && s.mem.Epoch() == 0 && s.spec.Options.LeaseTTL == 0) {
-		// Quiescent control plane: the original per-writer close order,
+		// Quiescent control plane: the original per-leg close order,
 		// kept so flows without leases or evictions time exactly as
 		// before. An administrative eviction racing this close drops to
 		// the phased path below.
 		evictedMid := false
-		for _, w := range s.writers {
-			err := w.close(p)
+		for _, l := range s.legs {
+			err := l.tx.close(p)
 			if errors.Is(err, errEvicted) {
 				evictedMid = true
 				break
 			}
-			// Close every writer even after an error: surviving targets
+			// Close every leg even after an error: surviving targets
 			// still deserve their end-of-flow marker.
 			record(err)
 		}
@@ -374,10 +363,10 @@ func (s *Source) Close(p transport.Ctx) error {
 		}
 	}
 	// Phased close under a live membership. Phase 1 drains and confirms
-	// every live writer, folding in evictions (and re-routing their
+	// every live leg, folding in evictions (and re-routing their
 	// harvest) until a round completes with the membership unchanged —
 	// only then is no tuple left that an eviction could strand.
-	maxRounds := len(s.writers) + 2
+	maxRounds := len(s.legs) + 2
 	for round := 0; ; round++ {
 		if err := s.syncEpoch(p); err != nil {
 			record(err)
@@ -385,11 +374,11 @@ func (s *Source) Close(p transport.Ctx) error {
 			return firstErr
 		}
 		again := false
-		for _, w := range s.writers {
-			if w == nil || w.dead || w.closed {
+		for _, l := range s.legs {
+			if l == nil || l.dead || l.closed {
 				continue
 			}
-			err := w.finish(p)
+			err := l.tx.finish(p)
 			if errors.Is(err, errEvicted) {
 				again = true
 				break
@@ -398,7 +387,7 @@ func (s *Source) Close(p transport.Ctx) error {
 				// This leg is broken beyond recovery; do not stall on it
 				// again in phase 2.
 				record(err)
-				w.dead = true
+				l.dead = true
 			}
 		}
 		if !again {
@@ -416,11 +405,11 @@ func (s *Source) Close(p transport.Ctx) error {
 			break
 		}
 		again := false
-		for _, w := range s.writers {
-			if w == nil || w.dead || w.closed {
+		for _, l := range s.legs {
+			if l == nil || l.dead || l.closed {
 				continue
 			}
-			err := w.end(p)
+			err := l.tx.end(p)
 			if errors.Is(err, errEvicted) {
 				again = true // fold in on the next round; nothing to drain here
 				continue
@@ -445,51 +434,30 @@ func (s *Source) Pushed() uint64 { return s.pushed.Load() }
 // Stalls reports total virtual time the source spent blocked on remote
 // ring space and on local segment reuse (diagnostics).
 func (s *Source) Stalls() (remote, local time.Duration) {
-	s.statsMu.Lock()
-	defer s.statsMu.Unlock()
-	for _, w := range s.writers {
-		if w == nil {
-			continue
-		}
-		remote += time.Duration(w.StallRemote.Load())
-		local += time.Duration(w.StallLocal.Load())
-	}
-	return remote, local
+	st := s.Stats()
+	return st.StallRemote, st.StallLocal
 }
 
 // ProbeStats reports footer-read diagnostics: reads issued, reads that
 // found the probed slot unconsumed, and total randomized backoff time.
 func (s *Source) ProbeStats() (probes, misses int, backoff time.Duration) {
-	s.statsMu.Lock()
-	defer s.statsMu.Unlock()
-	for _, w := range s.writers {
-		if w == nil {
-			continue
-		}
-		probes += int(w.Probes.Load())
-		misses += int(w.ProbeMisses.Load())
-		backoff += time.Duration(w.BackoffTime.Load())
-	}
-	return
+	st := s.Stats()
+	return st.FooterProbes, st.ProbeMisses, st.Backoff
 }
 
-// Free deregisters the source's buffers (after Close), including
-// writers retired when their target rejoined under fresh rings.
+// Free releases what the source's legs hold (after Close), including
+// legs retired when their target rejoined under fresh rings.
 func (s *Source) Free() {
-	for _, w := range s.writers {
-		if w == nil {
-			continue
+	for _, l := range s.legs {
+		if l != nil {
+			l.tx.free()
 		}
-		w.free()
 	}
-	for _, w := range s.retired {
-		w.free()
+	for _, l := range s.retired {
+		l.tx.free()
 	}
 	if s.mc != nil {
 		s.mc.free()
-	}
-	if s.mux != nil {
-		s.mux.free()
 	}
 }
 
@@ -505,7 +473,7 @@ func (s *Source) Checkpoint(p transport.Ctx) (uint64, error) {
 	if s.mc != nil {
 		return 0, fmt.Errorf("%w: Checkpoint (multicast targets recover from sequencer snapshots instead)", ErrUnsupportedOnMulticast)
 	}
-	if s.mux != nil {
+	if s.spec.Options.SharedRings {
 		return 0, fmt.Errorf("%w: Checkpoint (shared rings carry no delivery confirmation)", ErrUnsupportedOnShared)
 	}
 	if s.spec.Options.RetransmitTimeout <= 0 {
@@ -517,11 +485,11 @@ func (s *Source) Checkpoint(p transport.Ctx) (uint64, error) {
 			return 0, err
 		}
 		again := false
-		for _, w := range s.writers {
-			if w == nil || w.dead || w.closed {
+		for _, l := range s.legs {
+			if l == nil || l.dead || l.closed {
 				continue
 			}
-			err := w.finish(p)
+			err := l.tx.finish(p)
 			if errors.Is(err, errEvicted) {
 				again = true
 				break
@@ -565,7 +533,7 @@ func (s *Source) Reattach(p transport.Ctx) (*Source, uint64, error) {
 	if s.mc != nil {
 		return nil, 0, fmt.Errorf("%w: Source.Reattach (an evicted multicast source's history dies with it; gap agreement reconciles the survivors)", ErrUnsupportedOnMulticast)
 	}
-	if s.mux != nil {
+	if s.spec.Options.SharedRings {
 		return nil, 0, fmt.Errorf("%w: Source.Reattach (an evicted shared-ring source's in-flight window dies with it)", ErrUnsupportedOnShared)
 	}
 	if s.spec.Options.RetransmitTimeout <= 0 {
@@ -599,8 +567,5 @@ func (s *Source) Reattach(p transport.Ctx) (*Source, uint64, error) {
 	return ns, rj.Watermark, nil
 }
 
-// FlowType returns the type declared in the spec. The spec stores it
-// implicitly: combiner flows have an Aggregation target column set via
-// Options and are opened with CombinerTargetOpen; replicate flows are
-// those whose spec was marked by FlowInitReplicate or Options.Multicast.
+// FlowType returns the flow type declared in the spec's Type field.
 func (s *FlowSpec) FlowType() FlowType { return s.Type }

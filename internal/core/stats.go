@@ -10,7 +10,7 @@ import (
 // (the experiments harness and the dfiflow tool build on these).
 
 // SourceStats aggregates a source's counters across its per-target
-// writers.
+// legs.
 type SourceStats struct {
 	// TuplesPushed is the number of tuples accepted by Push.
 	TuplesPushed uint64
@@ -33,8 +33,7 @@ type SourceStats struct {
 	// Retransmits counts segments rewritten by loss recovery.
 	Retransmits int
 	// Rerouted counts tuples re-pushed to surviving targets after a
-	// membership eviction — the harvest of a dead writer's unconsumed
-	// window (see lifecycle.go).
+	// membership eviction — the harvest of a dead leg (see lifecycle.go).
 	Rerouted uint64
 	// Moved counts tuples whose declared owner was down at push time and
 	// that the partitioner routed to the live owner instead — the
@@ -79,18 +78,22 @@ func (s SourceStats) String() string {
 // Stats returns the source's counters. Multicast replicate sources report
 // segment counts from their multicast transport. Safe to call from a
 // scraper goroutine while the flow runs: every field it reads is atomic,
-// and the writer slices are walked under statsMu.
+// and the leg slices are walked under statsMu.
 func (s *Source) Stats() SourceStats {
 	st := SourceStats{TuplesPushed: s.pushed.Load(), Rerouted: s.rerouted.Load(), Moved: s.moved.Load()}
 	s.statsMu.Lock()
-	writers := s.writers
-	writers = append(writers[:len(writers):len(writers)], s.retired...)
-	for _, w := range writers {
-		if w == nil {
+	legs := s.legs
+	legs = append(legs[:len(legs):len(legs)], s.retired...)
+	for _, l := range legs {
+		if l == nil {
 			continue
 		}
-		st.SegmentsWritten += w.pubWritten.Load()
-		st.PayloadBytes += w.payloadBytes.Load()
+		st.SegmentsWritten += l.segsWritten.Load()
+		st.PayloadBytes += l.payloadBytes.Load()
+		w, ok := l.tx.(*ringWriter)
+		if !ok {
+			continue // stalls, probes and retransmits are private-ring diagnostics
+		}
 		st.StallRemote += time.Duration(w.StallRemote.Load())
 		st.StallLocal += time.Duration(w.StallLocal.Load())
 		st.FooterProbes += int(w.Probes.Load())
@@ -105,10 +108,6 @@ func (s *Source) Stats() SourceStats {
 		st.McRetransmits = s.mc.retransmits.Load()
 		st.McGapRounds = s.mc.gapRoundsRun.Load()
 		st.McCreditStalls = s.mc.creditStalls.Load()
-	}
-	if s.mux != nil {
-		st.SegmentsWritten += s.mux.segsWritten.Load()
-		st.PayloadBytes += s.mux.payloadBytes.Load()
 	}
 	return st
 }
@@ -158,9 +157,6 @@ func (t *Target) Stats() TargetStats {
 		}
 		st.McNacksSent = t.mc.nacksSent.Load()
 		st.McGapsSkipped = t.mc.gapsSkipped.Load()
-	}
-	if t.mux != nil {
-		st.SegmentsConsumed += t.mux.segsConsumed.Load()
 	}
 	return st
 }

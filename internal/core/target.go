@@ -22,10 +22,13 @@ const pollTimeout = 100 * time.Microsecond
 // release stays allocation-free (Region.Store only reads it).
 var zeroFlag [1]byte
 
-// Target is a thread-level exit point of a flow. Each target owns one
-// private ring per source inside a single registered memory region; it
-// consumes segments in ring order per source and round-robins across
-// sources (the nextRing() of paper Figure 4).
+// Target is a thread-level exit point of a flow. It owns the tuple
+// iterator and the per-source state (one ringReader per source slot);
+// the ring kind underneath — private rings, shared rings — is a
+// segmentFeed that only supplies the next consumable segment, and the
+// multicast transport supplies its in-order segments the same way. The
+// target consumes segments in ring order per source and round-robins
+// across sources (the nextRing() of paper Figure 4).
 type Target struct {
 	meta *flowMeta
 	spec *FlowSpec
@@ -33,20 +36,17 @@ type Target struct {
 	node transport.Endpoint
 	reg  Registry
 
-	mr      transport.Region
-	geom    ringGeom
+	feed    segmentFeed // ring kind; nil on multicast flows
 	readers []*ringReader
 	cur     int
 
 	// Iteration state over the currently loaded segment.
-	active    *ringReader
 	segData   []byte
 	segOff    int
 	remaining int
 	tupleSize int
 
-	mc  *mcTarget  // multicast replicate transport, if enabled
-	mux *muxTarget // shared-ring transport (Options.SharedRings), if enabled
+	mc *mcTarget // multicast replicate transport, if enabled
 
 	// Control-plane membership (see lifecycle.go): the flow's record,
 	// the last epoch folded in, and whether this target was evicted.
@@ -67,23 +67,19 @@ type Target struct {
 	// registry).
 	events metrics.EventSink
 	evNode string
-
-	// Scratch buffers for Region.Load/Store of footer and header bytes
-	// (kept on the struct so the hot consume path does not allocate).
-	footerScratch [footerBytes]byte
-	hdrScratch    [8]byte
 }
 
-// ringReader tracks consumption of one source's ring.
+// ringReader is the target's state for one source slot, common to every
+// ring kind, plus the private-ring cursor (ringOff, rslot).
 type ringReader struct {
 	ringOff  int
 	rslot    int
-	consumed atomic.Uint64 // segments consumed, mirrored into the ring header
+	consumed atomic.Uint64 // segments consumed (private rings mirror it into the ring header)
 	closed   bool
 
-	// inc is the source incarnation this ring's state belongs to; a
-	// membership bump means the source rejoined and the ring is reset
-	// for its new stream (see Target.resetRing).
+	// inc is the source incarnation this state belongs to; a membership
+	// bump means the source rejoined and the ring is reset for its new
+	// stream (see privateFeed.reset).
 	inc uint64
 
 	// Failure detection (Options.SourceTimeout). hasActivity
@@ -93,6 +89,46 @@ type ringReader struct {
 	hasActivity  bool
 	lastActivity time.Duration
 	failed       atomic.Bool
+}
+
+// heard stamps source activity for the SourceTimeout detector.
+func (r *ringReader) heard(now time.Duration) {
+	r.hasActivity = true
+	r.lastActivity = now
+}
+
+// segmentFeed is the seam between the consuming engine and a ring kind:
+// it finds consumable segments; the Target iterates them and keeps the
+// per-source state.
+type segmentFeed interface {
+	// scan recycles the segment handed out last, then makes one
+	// round-robin pass over the open sources among readers[:n] and
+	// returns the first consumable segment's payload. It closes a reader
+	// on its end marker and stamps activity on everything it receives. A
+	// pass that finds nothing parks until something may have arrived, at
+	// most pollTimeout, before it reports ok=false — unless it closed a
+	// reader, which the engine gets to see at once.
+	scan(p transport.Ctx, n int) (data []byte, ok bool)
+	// drop tells the kind source i will not be consumed from again
+	// (evicted, declared failed, or this target is going away).
+	drop(i int)
+	// free releases the kind's receive buffers.
+	free()
+}
+
+// privateFeed is the private-ring kind: one ring per source inside a
+// single registered memory region — the coordinates in the embedded
+// targetInfo, which is also what the target publishes for sources to
+// connect to.
+type privateFeed struct {
+	targetInfo
+	t      *Target
+	active *ringReader // reader whose slot backs the segment handed out last
+
+	// Scratch buffers for Region.Load/Store of footer and header bytes
+	// (kept on the struct so the hot consume path does not allocate).
+	footerScratch [footerBytes]byte
+	hdrScratch    [8]byte
 }
 
 // TargetOpen attaches to target slot targetIdx of the named flow. It
@@ -128,22 +164,12 @@ func TargetOpen(p transport.Ctx, reg Registry, name string, targetIdx int) (*Tar
 		t.events = sink
 		t.evNode = fmt.Sprintf("node%d", t.node.ID())
 	}
+	var info any
 	if spec.Options.SharedRings {
-		mux, err := newMuxTarget(p, reg, meta, t)
-		if err != nil {
-			return nil, err
-		}
-		t.mux = mux
-		if err := t.acquireTargetLease(p, reg, name); err != nil {
-			return nil, err
-		}
-		if err := reg.PublishTarget(p, name, targetIdx, &muxTargetInfo{}); err != nil {
-			return nil, err
-		}
-		return t, nil
+		info = t.openSharedFeed()
+	} else {
+		info = t.allocRings()
 	}
-	t.geom = spec.Options.ringGeometry()
-	info := t.allocRings()
 	t.initTargetMembership(reg.MembershipOf(name))
 	if err := t.acquireTargetLease(p, reg, name); err != nil {
 		return nil, err
@@ -154,7 +180,7 @@ func TargetOpen(p transport.Ctx, reg Registry, name string, targetIdx int) (*Tar
 	return t, nil
 }
 
-// allocRings allocates the target's receive memory — one ring per
+// allocRings allocates the target's private receive memory — one ring per
 // source slot (every possible slot on elastic flows) — and returns the
 // connection info to publish.
 func (t *Target) allocRings() *targetInfo {
@@ -162,14 +188,26 @@ func (t *Target) allocRings() *targetInfo {
 	if t.spec.Options.Elastic {
 		nSources = t.spec.Options.MaxSources
 	}
-	t.mr = t.meta.cluster.OpenRegion(t.node, nSources*t.geom.ringLen())
-	info := &targetInfo{mr: t.mr, geom: t.geom}
+	f := &privateFeed{t: t}
+	f.geom = t.spec.Options.ringGeometry()
+	f.mr = t.meta.cluster.OpenRegion(t.node, nSources*f.geom.ringLen())
+	t.feed = f
 	for i := 0; i < nSources; i++ {
-		off := i * t.geom.ringLen()
-		info.ringOffs = append(info.ringOffs, off)
+		off := i * f.geom.ringLen()
+		f.ringOffs = append(f.ringOffs, off)
 		t.readers = append(t.readers, &ringReader{ringOff: off})
 	}
-	return info
+	return &f.targetInfo
+}
+
+// failSource closes source i's slot for good and reports it through
+// FailedSources: the membership evicted it, or SourceTimeout declared it
+// silent. The ring kind is told so a shared ring stops staging its tag.
+func (t *Target) failSource(i int) {
+	r := t.readers[i]
+	r.closed = true
+	r.failed.Store(true)
+	t.feed.drop(i)
 }
 
 // initTargetMembership snapshots the membership the fresh rings attach
@@ -185,8 +223,7 @@ func (t *Target) initTargetMembership(mem *registry.Membership) {
 	for i, r := range t.readers {
 		r.inc = mem.Incarnation(registry.RoleSource, i)
 		if mem.SourceEvicted(i) {
-			r.closed = true
-			r.failed.Store(true)
+			t.failSource(i)
 		} else if mem.State(registry.RoleSource, i) == registry.StateLeft {
 			// The source finished and released its lease while this target
 			// was down; its end-of-flow marker went to the previous
@@ -200,11 +237,15 @@ func (t *Target) initTargetMembership(mem *registry.Membership) {
 // (released their leases after Close). A first attachment sees the
 // end-of-flow marker in the ring itself; a re-attached target may have
 // missed it — the marker went to the previous incarnation's rings — and
-// would otherwise wait forever on a source that no longer exists. A Left
-// source has confirmed every data segment consumed (Close confirms
-// before the marker goes out), so only the marker can be skipped here.
+// would otherwise wait forever on a source that no longer exists. Only
+// sound where Close confirms delivery before the marker goes out
+// (RetransmitTimeout, which every leased private-ring flow has): a Left
+// source has then had every data segment consumed, so only the marker
+// can be skipped here. A shared ring confirms nothing — its Left sources
+// may still have segments in flight — and never needs this: its targets
+// cannot re-attach.
 func (t *Target) closeLeftRings(n int) {
-	if t.mem == nil {
+	if t.mem == nil || t.spec.Options.RetransmitTimeout <= 0 {
 		return
 	}
 	for i, r := range t.readers[:n] {
@@ -218,82 +259,73 @@ func (t *Target) closeLeftRings(n int) {
 func (t *Target) Schema() *schema.Schema { return t.spec.Schema }
 
 // footerOff returns the region offset of reader r's current slot footer.
-func (t *Target) footerOff(r *ringReader) int {
-	return r.ringOff + t.geom.segOff(r.rslot) + t.geom.segSize
+func (f *privateFeed) footerOff(r *ringReader) int {
+	return r.ringOff + f.geom.segOff(r.rslot) + f.geom.segSize
 }
 
-// loadFooter snapshots the footer bytes of reader r's current slot into
-// the target's scratch buffer. Footer bytes are written by remote WRITEs
-// while the target polls them, so the read goes through Region.Load,
-// which synchronizes with in-flight commits on concurrent backends (and
-// is a plain copy on the DES fabric).
-func (t *Target) loadFooter(r *ringReader) []byte {
-	t.mr.Load(t.footerOff(r), t.footerScratch[:])
-	return t.footerScratch[:]
-}
-
-// payload returns the payload bytes of reader r's current slot.
-func (t *Target) payload(r *ringReader, fill int) []byte {
-	off := r.ringOff + t.geom.segOff(r.rslot)
-	return t.mr.Bytes()[off : off+fill]
-}
-
-// resetRing restarts reader r for a rejoined source's new incarnation:
-// consumption state returns to slot 0 / sequence 0, failure detection
-// starts over, and every footer plus the header counter is zeroed with
-// local stores (free on the owning node) so stale segments from the
-// previous incarnation can never satisfy the consumable check. A WRITE
-// from the new writer racing the reset is healed by the writer's
-// retransmission machinery (Reattach requires RetransmitTimeout).
-func (t *Target) resetRing(r *ringReader) {
-	r.closed = false
-	r.failed.Store(false)
+// reset restarts reader r for a rejoined source's new incarnation: the
+// ring cursor returns to slot 0 / sequence 0 and every footer plus the
+// header counter is zeroed with local stores (free on the owning node)
+// so stale segments from the previous incarnation can never satisfy the
+// consumable check. A WRITE from the new writer racing the reset is
+// healed by the writer's retransmission machinery (Reattach requires
+// RetransmitTimeout). A segment of the previous incarnation still held
+// from r is let go unreleased: its slot is wiped with the rest, and a
+// release after the reset would recycle the new stream's slot 0.
+func (f *privateFeed) reset(r *ringReader) {
+	if f.active == r {
+		f.active = nil
+	}
 	r.consumed.Store(0)
 	r.rslot = 0
-	r.hasActivity = false
 	var zero [footerBytes]byte
-	for i := 0; i < t.geom.nSegs; i++ {
-		off := r.ringOff + t.geom.segOff(i) + t.geom.segSize
-		t.mr.Store(off, zero[:])
+	for i := 0; i < f.geom.nSegs; i++ {
+		off := r.ringOff + f.geom.segOff(i) + f.geom.segSize
+		f.mr.Store(off, zero[:])
 	}
-	t.mr.Store(r.ringOff, zero[:8])
+	f.mr.Store(r.ringOff, zero[:8])
 }
 
 // release marks reader r's current slot writable again and advances the
 // ring: the footer flag is cleared (sources verify it with RDMA READs) and
 // the ring-header consumed counter is bumped (latency-mode credit
 // back-channel). Local stores by the owning node are free.
-func (t *Target) release(r *ringReader) {
+func (f *privateFeed) release(r *ringReader) {
 	// The footer flag is remotely READ by writer probes and the header
 	// counter by credit reads, so both stores go through Region.Store.
-	t.mr.Store(t.footerOff(r)+4, zeroFlag[:])
-	binary.LittleEndian.PutUint64(t.hdrScratch[:], r.consumed.Add(1))
-	t.mr.Store(r.ringOff, t.hdrScratch[:])
-	r.rslot = (r.rslot + 1) % t.geom.nSegs
+	f.mr.Store(f.footerOff(r)+4, zeroFlag[:])
+	binary.LittleEndian.PutUint64(f.hdrScratch[:], r.consumed.Add(1))
+	f.mr.Store(r.ringOff, f.hdrScratch[:])
+	r.rslot = (r.rslot + 1) % f.geom.nSegs
 }
 
-// loadSegment makes reader r's current slot the active segment if it is
+// loadSegment returns the payload of reader r's current slot if it is
 // consumable, releasing handled end-markers. It reports whether tuples
 // became available.
-func (t *Target) loadSegment(p transport.Ctx, r *ringReader) bool {
-	f := t.loadFooter(r)
-	if f[4]&flagConsumable == 0 {
-		return false
+func (f *privateFeed) loadSegment(p transport.Ctx, r *ringReader) ([]byte, bool) {
+	// Footer bytes are written by remote WRITEs while the target polls
+	// them, so the read goes through Region.Load, which synchronizes with
+	// in-flight commits on concurrent backends (and is a plain copy on
+	// the DES fabric).
+	ftr := f.footerScratch[:]
+	f.mr.Load(f.footerOff(r), ftr)
+	if ftr[4]&flagConsumable == 0 {
+		return nil, false
 	}
 	// The footer sequence number must match this lap's expected segment.
 	// A mismatch means the slot holds stale data from a previous lap —
 	// typically a retransmission or fault-injected duplicate of a segment
 	// already consumed — which must not be consumed twice. The slot stays
 	// blocked until the writer's current-lap WRITE overwrites it.
-	seq := binary.LittleEndian.Uint64(f[8:16])
+	seq := binary.LittleEndian.Uint64(ftr[8:16])
 	if seq != r.consumed.Load() {
-		return false
+		return nil, false
 	}
-	fill := int(binary.LittleEndian.Uint32(f[0:4]))
-	end := f[4]&flagEndOfFlow != 0
-	if end {
+	fill := int(binary.LittleEndian.Uint32(ftr[0:4]))
+	if ftr[4]&flagEndOfFlow != 0 {
 		r.closed = true
 	}
+	t := f.t
 	if t.events != nil {
 		t.events.Emit(metrics.Event{
 			T: p.Now(), Node: t.evNode, Type: metrics.EvFooterCommit,
@@ -301,80 +333,119 @@ func (t *Target) loadSegment(p transport.Ctx, r *ringReader) bool {
 			Slot: t.idx, Seq: seq, Bytes: uint64(fill),
 		})
 	}
+	r.heard(p.Now())
 	if fill == 0 {
-		r.hasActivity = true
-		r.lastActivity = p.Now()
-		t.release(r)
-		return false
+		f.release(r)
+		return nil, false
 	}
-	count := fill / t.tupleSize
-	r.hasActivity = true
-	r.lastActivity = p.Now()
-	t.node.Compute(p, time.Duration(count)*t.spec.Options.ConsumeCost)
-	t.active = r
-	t.segData = t.payload(r, fill)
-	t.segOff = 0
-	t.remaining = count
-	return true
+	f.active = r
+	off := r.ringOff + f.geom.segOff(r.rslot)
+	return f.mr.Bytes()[off : off+fill], true
 }
 
-// nextSegment scans rings round-robin for a consumable segment, blocking
-// on the memory region while none is available. It returns false when all
-// sources have closed (flow end).
+// scan releases the slot handed out last and looks once at every open
+// ring among readers[:n], round-robin; an empty pass that closed no ring
+// waits for the region's next commit.
+func (f *privateFeed) scan(p transport.Ctx, n int) ([]byte, bool) {
+	if f.active != nil {
+		f.release(f.active)
+		f.active = nil
+	}
+	// Snapshot before looking: commits that land while the pass runs bump
+	// the sequence number, so the wait returns immediately — no lost
+	// wake-ups.
+	seq := f.mr.CommitSeq()
+	t := f.t
+	ended := false
+	for range t.readers[:n] {
+		if t.cur >= n {
+			t.cur = 0
+		}
+		r := t.readers[t.cur]
+		t.cur = (t.cur + 1) % n
+		if r.closed {
+			continue
+		}
+		if data, ok := f.loadSegment(p, r); ok {
+			return data, true
+		}
+		ended = ended || r.closed
+	}
+	if !ended {
+		f.mr.WaitCommit(p, seq, pollTimeout)
+	}
+	return nil, false
+}
+
+func (f *privateFeed) drop(int) {}
+
+func (f *privateFeed) free() { f.mr.Deregister() }
+
+// nextSegment loads the next consumable segment into the iterator,
+// blocking while none is available. It returns false when all sources
+// have closed (flow end), when this target was evicted, or when a
+// multicast flow surfaces a gap.
 func (t *Target) nextSegment(p transport.Ctx) bool {
-	if t.active != nil {
-		t.release(t.active)
-		t.active = nil
+	if t.mc != nil {
+		data, ok := t.mc.nextSegment(p)
+		if ok {
+			t.segData, t.segOff, t.remaining = data, 0, len(data)/t.tupleSize
+		} else if t.mc.evicted {
+			t.evicted = true
+		} else if t.mc.done {
+			t.done.Store(true)
+		}
+		return ok
 	}
 	for {
 		if t.syncMembership() {
 			// Evicted from the membership: the survivors have taken over
-			// this target's key range; stop consuming.
+			// this target's key range; stop consuming, and let go of every
+			// source so a shared ring is not head-of-line-blocked by tags
+			// nobody will drain.
+			for i := range t.readers {
+				t.feed.drop(i)
+			}
 			t.done.Store(true)
 			return false
 		}
-		seq := t.mr.CommitSeq()
+		// On an elastic flow only the attached slots are live; membership
+		// changes there (attach/seal) are detected within one poll timeout
+		// at most.
+		n := len(t.readers)
 		if t.spec.Options.Elastic {
-			loaded, done := t.elasticScan(p)
-			if loaded {
-				return true
-			}
-			if done {
-				t.done.Store(true)
-				return false
-			}
-			// Membership changes (attach/seal) are detected within one
-			// poll timeout at most.
-			t.mr.WaitCommit(p, seq, pollTimeout)
-			continue
+			n = t.meta.elastic.attached
 		}
-		open := 0
-		for range t.readers {
-			r := t.readers[t.cur]
-			t.cur = (t.cur + 1) % len(t.readers)
-			if r.closed {
-				continue
-			}
-			open++
-			if t.loadSegment(p, r) {
-				return true
-			}
-			// loadSegment may have just closed this ring via an end marker.
-			if r.closed {
-				open--
-			}
+		if data, ok := t.feed.scan(p, n); ok {
+			count := len(data) / t.tupleSize
+			t.node.Compute(p, time.Duration(count)*t.spec.Options.ConsumeCost)
+			t.segData, t.segOff, t.remaining = data, 0, count
+			return true
 		}
-		if open == 0 {
+		// Nothing consumable, and the scan has parked for it: look for
+		// sources that will never send again before scanning once more.
+		t.detectFailures(p, n)
+		t.closeLeftRings(n)
+		if t.flowEnded(n) {
 			t.done.Store(true)
 			return false
 		}
-		t.detectFailures(p, len(t.readers))
-		t.closeLeftRings(len(t.readers))
-		// Commits that landed while this scan charged CPU bump the
-		// sequence number, so the wait returns immediately — no lost
-		// wake-ups.
-		t.mr.WaitCommit(p, seq, pollTimeout)
 	}
+}
+
+// flowEnded reports whether nothing more can arrive: every slot among
+// readers[:n] is closed and, on an elastic flow, no further source can
+// attach.
+func (t *Target) flowEnded(n int) bool {
+	if t.spec.Options.Elastic && !t.meta.elastic.sealed {
+		return false
+	}
+	for _, r := range t.readers[:n] {
+		if !r.closed {
+			return false
+		}
+	}
+	return true
 }
 
 // Consume returns the next tuple from the flow, or ok=false once every
@@ -382,28 +453,6 @@ func (t *Target) nextSegment(p transport.Ctx) bool {
 // into the receive ring, valid until the segment is recycled on a later
 // Consume call — process or copy it before draining past the segment.
 func (t *Target) Consume(p transport.Ctx) (schema.Tuple, bool) {
-	if t.mc != nil {
-		tup, ok := t.mc.consume(p)
-		if ok {
-			t.consumed.Add(1)
-		} else if t.mc.evicted {
-			t.evicted = true
-		} else if t.mc.done {
-			t.done.Store(true)
-		}
-		return tup, ok
-	}
-	if t.mux != nil {
-		tup, ok := t.mux.consume(p)
-		if ok {
-			t.consumed.Add(1)
-		} else if t.mux.evicted {
-			t.evicted = true
-		} else if t.mux.done {
-			t.done.Store(true)
-		}
-		return tup, ok
-	}
 	if t.done.Load() {
 		return nil, false
 	}
@@ -421,45 +470,16 @@ func (t *Target) Consume(p transport.Ctx) (schema.Tuple, bool) {
 
 // ConsumeSegment returns the next whole consumable segment as a raw tuple
 // batch (zero-copy), the higher-throughput interface used by the join
-// implementations. The previous segment is recycled.
+// implementations. The previous segment is recycled. A partially
+// iterated segment hands out its rest as a batch.
 func (t *Target) ConsumeSegment(p transport.Ctx) (data []byte, count int, ok bool) {
-	if t.mc != nil {
-		data, count, ok := t.mc.consumeSegment(p)
-		if ok {
-			t.consumed.Add(uint64(count))
-		} else if t.mc.evicted {
-			t.evicted = true
-		} else if t.mc.done {
-			t.done.Store(true)
-		}
-		return data, count, ok
-	}
-	if t.mux != nil {
-		data, count, ok := t.mux.consumeSegment(p)
-		if ok {
-			t.consumed.Add(uint64(count))
-		} else if t.mux.evicted {
-			t.evicted = true
-		} else if t.mux.done {
-			t.done.Store(true)
-		}
-		return data, count, ok
-	}
 	if t.done.Load() {
 		return nil, 0, false
 	}
-	if t.remaining > 0 {
-		// A partially iterated segment: hand out the rest as a batch.
-		data, count = t.segData[t.segOff:], t.remaining
-		t.segOff = len(t.segData)
-		t.remaining = 0
-		t.consumed.Add(uint64(count))
-		return data, count, true
-	}
-	if !t.nextSegment(p) {
+	if t.remaining == 0 && !t.nextSegment(p) {
 		return nil, 0, false
 	}
-	data, count = t.segData, t.remaining
+	data, count = t.segData[t.segOff:], t.remaining
 	t.segOff = len(t.segData)
 	t.remaining = 0
 	t.consumed.Add(uint64(count))
@@ -476,14 +496,15 @@ func (t *Target) PendingGap() (Gap, bool) {
 	return t.mc.pendingGap()
 }
 
-// detectFailures closes rings whose sources have been silent beyond the
-// configured SourceTimeout (failure detection; see Options.SourceTimeout).
+// detectFailures closes the slots of sources that have been silent
+// beyond the configured SourceTimeout (failure detection; see
+// Options.SourceTimeout).
 func (t *Target) detectFailures(p transport.Ctx, n int) {
 	timeout := t.spec.Options.SourceTimeout
 	if timeout <= 0 {
 		return
 	}
-	for _, r := range t.readers[:n] {
+	for i, r := range t.readers[:n] {
 		if r.closed {
 			continue
 		}
@@ -492,26 +513,20 @@ func (t *Target) detectFailures(p transport.Ctx, n int) {
 			// explicit flag: virtual time starts at 0, so a ring that was
 			// genuinely active at t=0 would otherwise restart its grace
 			// period here and escape detection.)
-			r.hasActivity = true
-			r.lastActivity = p.Now()
+			r.heard(p.Now())
 			continue
 		}
 		if p.Now()-r.lastActivity > timeout {
-			r.closed = true
-			r.failed.Store(true)
+			t.failSource(i)
 		}
 	}
 }
 
-// FailedSources returns the source slots the target declared failed via
-// SourceTimeout, in slot order. Covers both transports: ring readers and
-// the multicast replicate path.
+// FailedSources returns the source slots the target declared failed
+// (SourceTimeout or eviction), in slot order.
 func (t *Target) FailedSources() []int {
 	if t.mc != nil {
 		return t.mc.failedSources()
-	}
-	if t.mux != nil {
-		return t.mux.failedSources()
 	}
 	var out []int
 	for i, r := range t.readers {
@@ -548,7 +563,7 @@ func (t *Target) Reattach(p transport.Ctx) (*Target, error) {
 	if t.mc != nil {
 		return t.reattachMulticast(p)
 	}
-	if t.mux != nil {
+	if t.spec.Options.SharedRings {
 		return nil, fmt.Errorf("%w: Target.Reattach (shared-ring evictions re-route over the survivors instead)", ErrUnsupportedOnShared)
 	}
 	if t.spec.Options.RetransmitTimeout <= 0 {
@@ -565,7 +580,6 @@ func (t *Target) Reattach(p transport.Ctx) (*Target, error) {
 		node:        t.node,
 		reg:         t.reg,
 		tupleSize:   t.tupleSize,
-		geom:        t.geom,
 		resumedFrom: t.consumed.Load(),
 	}
 	info := nt.allocRings()
@@ -574,7 +588,7 @@ func (t *Target) Reattach(p transport.Ctx) (*Target, error) {
 	// evicted slots, so a rejoin of a live slot is rejected here before
 	// any membership change.
 	if err := t.reg.RepublishTarget(p, name, t.idx, info); err != nil {
-		nt.mr.Deregister()
+		nt.feed.free()
 		return nil, fmt.Errorf("dfi: rejoin of target %d rejected: %w", t.idx, err)
 	}
 	if _, err := t.reg.Rejoin(p, name, registry.RoleTarget, t.idx, t.idx); err != nil {
@@ -624,19 +638,13 @@ func (t *Target) reattachMulticast(p transport.Ctx) (*Target, error) {
 // Done reports whether the flow has ended at this target.
 func (t *Target) Done() bool { return t.done.Load() }
 
-// Free deregisters the target's receive buffers (after flow end).
+// Free releases the target's receive buffers (after flow end).
 func (t *Target) Free() {
-	if t.mr != nil {
-		t.mr.Deregister()
-	}
 	if t.mc != nil {
 		t.mc.free()
+		return
 	}
-	if t.mux != nil {
-		// The pool owns the ring regions; just ensure this target's tags
-		// can never head-of-line-block co-resident flows after it is gone.
-		t.mux.dropAll()
-	}
+	t.feed.free()
 }
 
 // ResolveGap skips a surfaced gap (the application agreed to treat the

@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -10,13 +9,6 @@ import (
 	"dfi/internal/metrics"
 	"dfi/internal/transport"
 )
-
-// errEvicted reports that the writer's target was evicted from the flow
-// membership while the writer was working or blocked. It is an internal
-// control signal — the source catches it, re-routes the writer's
-// unconsumed window over the survivors, and continues — and is never
-// returned to applications.
-var errEvicted = errors.New("dfi: target evicted")
 
 // Completion-ID tag bits distinguishing the writer's work requests on its
 // send CQ.
@@ -26,8 +18,10 @@ const (
 	idCreditRead = 1 << 61
 )
 
-// ringWriter moves one source's tuples into one target's private ring
-// (paper Figure 4). It implements both optimization modes:
+// ringWriter is the private-ring leg: it moves one source's tuples into
+// one target's private ring (paper Figure 4). The embedded leg holds the
+// segment being filled; this file is what happens to a filled segment. It
+// implements both optimization modes:
 //
 //   - Bandwidth: tuples batch into 8 KiB segments; each full segment is one
 //     RDMA WRITE whose 16-byte footer (fill count + consumable flag +
@@ -43,6 +37,8 @@ const (
 //     target's consumed counter when the local copy drops below the
 //     threshold.
 type ringWriter struct {
+	leg
+
 	tpt     transport.Transport
 	node    transport.Endpoint
 	qp      transport.Queue
@@ -54,18 +50,12 @@ type ringWriter struct {
 	local   transport.Region
 	srcSegs int
 	sslot   int
-	fill    int
-	count   int
 
+	// written is mirrored into leg.segsWritten for concurrent scrape: the
+	// ring arithmetic needs the plain field, so writeSegment republishes
+	// it atomically at its single mutation site.
 	written uint64 // segments written to the remote ring
 	acked   uint64 // remote segments known to be consumed
-
-	// pubWritten mirrors written for concurrent scrape: the ring
-	// arithmetic above needs the plain field, so writeSegment republishes
-	// it atomically at its single mutation site. payloadBytes is pure
-	// accounting (never read by control flow) and is atomic outright.
-	pubWritten   atomic.Uint64
-	payloadBytes atomic.Uint64 // tuple payload volume transferred
 
 	footerBuf     []byte
 	cqBurst       [16]transport.Completion // drainCQ burst scratch
@@ -80,16 +70,6 @@ type ringWriter struct {
 	sent          uint64
 	creditBuf     []byte
 	creditPending bool
-
-	closed bool
-
-	// Control plane. evicted (set by the source when the flow has a
-	// membership record) reports whether this writer's target has been
-	// evicted; every bounded wait polls it so eviction wins over the
-	// slower ErrFlowBroken give-up. dead latches the eviction once the
-	// source has harvested the writer's unconsumed window.
-	evicted func() bool
-	dead    bool
 
 	// Diagnostics: virtual time spent blocked (nanoseconds), by cause.
 	// Atomic so a scraper goroutine can read Stats() while the flow runs;
@@ -116,6 +96,7 @@ type ringWriter struct {
 func newRingWriter(cluster transport.Transport, node transport.Endpoint, ti *targetInfo, ringOff int, opts *Options) *ringWriter {
 	qp, _ := cluster.Dial(node, ti.mr.Owner())
 	w := &ringWriter{
+		leg:       leg{segSize: ti.geom.segSize, copies: cluster.CopiesPayload()},
 		tpt:       cluster,
 		node:      node,
 		qp:        qp,
@@ -130,6 +111,8 @@ func newRingWriter(cluster transport.Transport, node transport.Endpoint, ti *tar
 		creditBuf: make([]byte, 8),
 	}
 	w.local = cluster.OpenRegion(node, w.srcSegs*w.geom.stride())
+	w.tx = w
+	w.buf = w.localSeg()
 	return w
 }
 
@@ -138,29 +121,13 @@ func (w *ringWriter) free() {
 	w.local.Deregister()
 }
 
-// checkAbort lets a blocked writer escape when the control plane evicted
-// its target: the wait can never be satisfied, and the source will
-// re-route the unconsumed window instead of waiting out ErrFlowBroken.
-func (w *ringWriter) checkAbort() error {
-	if w.dead {
-		return errEvicted
-	}
-	if w.evicted != nil && w.evicted() {
-		return errEvicted
-	}
-	return nil
-}
-
-// abandon latches the writer dead (its target was evicted) and harvests
-// every tuple not yet known consumed: the written-but-unacked window
-// still resident in the local ring, plus the partial segment being
-// filled. The source re-pushes the harvest to surviving targets. The
-// harvest errs toward duplication — tuples the dead target consumed
-// between its last acknowledgment and its eviction are re-delivered to
-// a survivor (the cross-boundary at-least-once documented in
-// docs/PROTOCOL.md) — while delivery among survivors stays exactly-once.
-func (w *ringWriter) abandon(tupleSize int) [][]byte {
-	w.dead = true
+// harvest returns the written-but-unacked window still resident in the
+// local ring (the leg adds the partial segment being filled). The harvest
+// errs toward duplication — tuples the dead target consumed between its
+// last acknowledgment and its eviction are re-delivered to a survivor
+// (the cross-boundary at-least-once documented in docs/PROTOCOL.md) —
+// while delivery among survivors stays exactly-once.
+func (w *ringWriter) harvest(tupleSize int) [][]byte {
 	var out [][]byte
 	lo := w.acked
 	if w.written-lo > uint64(w.srcSegs) {
@@ -178,11 +145,6 @@ func (w *ringWriter) abandon(tupleSize int) [][]byte {
 			out = append(out, seg[off:off+tupleSize])
 		}
 	}
-	seg := w.localSeg()
-	for off := 0; off+tupleSize <= w.fill; off += tupleSize {
-		out = append(out, seg[off:off+tupleSize])
-	}
-	w.fill, w.count = 0, 0
 	return out
 }
 
@@ -202,56 +164,6 @@ func (w *ringWriter) remoteHeaderAddr() transport.Addr {
 	return transport.Addr{MR: w.remote, Off: w.ringOff}
 }
 
-// push appends one tuple to the current segment, flushing when full.
-// Bandwidth mode only; per-tuple CPU cost is charged in bulk at flush.
-func (w *ringWriter) push(p transport.Ctx, tuple []byte) error {
-	if err := w.checkAbort(); err != nil {
-		return err
-	}
-	if w.fill+len(tuple) > w.geom.segSize {
-		if err := w.flush(p, false); err != nil {
-			return err
-		}
-	}
-	if w.tpt.CopiesPayload() {
-		copy(w.localSeg()[w.fill:], tuple)
-	}
-	w.fill += len(tuple)
-	w.count++
-	return nil
-}
-
-// pushRun appends a contiguous run of fixed-size tuples (len(data) is a
-// multiple of tupleSize), copying whole segment-fills at a time. Segment
-// boundaries fall exactly where len(data)/tupleSize sequential push calls
-// would put them, so the resulting ring is byte-identical. Bandwidth mode
-// only; CPU cost is charged by the caller.
-func (w *ringWriter) pushRun(p transport.Ctx, data []byte, tupleSize int) error {
-	copyPayload := w.tpt.CopiesPayload()
-	for len(data) > 0 {
-		if err := w.checkAbort(); err != nil {
-			return err
-		}
-		fit := (w.geom.segSize - w.fill) / tupleSize * tupleSize
-		if fit == 0 {
-			if err := w.flush(p, false); err != nil {
-				return err
-			}
-			continue
-		}
-		if fit > len(data) {
-			fit = len(data)
-		}
-		if copyPayload {
-			copy(w.localSeg()[w.fill:], data[:fit])
-		}
-		w.fill += fit
-		w.count += fit / tupleSize
-		data = data[fit:]
-	}
-	return nil
-}
-
 // pushImmediate transfers one tuple right away (latency mode): a full
 // segment write under credit flow control.
 func (w *ringWriter) pushImmediate(p transport.Ctx, tuple []byte) error {
@@ -266,9 +178,8 @@ func (w *ringWriter) pushImmediate(p transport.Ctx, tuple []byte) error {
 		return err
 	}
 
-	seg := w.localSeg()
-	if w.tpt.CopiesPayload() {
-		copy(seg, tuple)
+	if w.copies {
+		copy(w.buf, tuple)
 	}
 	w.writeSegment(p, len(tuple), flagConsumable)
 	w.credits--
@@ -340,10 +251,9 @@ func (w *ringWriter) ensureCredit(p transport.Ctx) error {
 	return nil
 }
 
-// flush transfers the current (possibly partial) segment; end marks the
-// flow-end segment. Bandwidth mode.
-func (w *ringWriter) flush(p transport.Ctx, end bool) error {
-	if w.fill == 0 && !end {
+// flush transfers the current (possibly partial) segment. Bandwidth mode.
+func (w *ringWriter) flush(p transport.Ctx) error {
+	if w.fill == 0 {
 		return nil
 	}
 	w.drainCQ(p)
@@ -353,12 +263,7 @@ func (w *ringWriter) flush(p transport.Ctx, end bool) error {
 	if err := w.waitLocalSlot(p); err != nil {
 		return err
 	}
-
-	flags := byte(flagConsumable)
-	if end {
-		flags |= flagEndOfFlow
-	}
-	w.writeSegment(p, w.fill, flags)
+	w.writeSegment(p, w.fill, flagConsumable)
 
 	// Pipeline: while the segment is in flight, learn about the oldest
 	// outstanding remote slot so the next flush need not wait.
@@ -413,10 +318,10 @@ func (w *ringWriter) writeSegment(p transport.Ctx, fill int, flags byte) {
 		})
 	}
 	w.written++
-	w.pubWritten.Store(w.written)
+	w.segsWritten.Store(w.written)
 	w.payloadBytes.Add(uint64(fill))
 	w.sslot = (w.sslot + 1) % w.srcSegs
-	w.fill, w.count = 0, 0
+	w.buf, w.fill = w.localSeg(), 0
 	if w.events != nil {
 		w.events.Emit(metrics.Event{
 			T: p.Now(), Node: w.evNode, Type: metrics.EvSegmentWrite,
@@ -741,56 +646,28 @@ func (w *ringWriter) close(p transport.Ctx) error {
 		return nil
 	}
 	w.closed = true
-	if w.opts.Optimization == OptimizeLatency {
-		if err := w.ensureCredit(p); err != nil {
+	if w.opts.Optimization == OptimizeBandwidth {
+		if err := w.flush(p); err != nil { // remaining tuples
 			return err
 		}
-		if err := w.waitLocalSlot(p); err != nil {
-			return err
-		}
-		w.writeSegment(p, 0, flagConsumable|flagEndOfFlow)
-		w.credits--
-		w.sent++
-		if w.opts.RetransmitTimeout > 0 {
-			return w.confirmDelivered(p)
-		}
-		return nil
 	}
-	if err := w.flush(p, false); err != nil { // remaining tuples
-		return err
-	}
-	w.drainCQ(p)
-	if err := w.ensureRemoteWritable(p); err != nil {
-		return err
-	}
-	if err := w.waitLocalSlot(p); err != nil {
-		return err
-	}
-	w.writeSegment(p, 0, flagConsumable|flagEndOfFlow)
-	if w.opts.RetransmitTimeout > 0 {
-		return w.confirmDelivered(p)
-	}
-	return nil
+	return w.writeEnd(p)
 }
 
 // finish is the first half of a phased close (sources with a live
-// membership record use finish-all-then-end-all instead of per-writer
+// membership record use finish-all-then-end-all instead of per-leg
 // close): flush the remaining tuples and confirm delivery, but do not
 // write the end marker yet. Splitting matters under eviction — the
-// harvest of a writer that dies during phase 1 is re-pushed to
-// survivors, which must therefore not have sent FLOW_END yet.
+// harvest of a leg that dies during phase 1 is re-pushed to survivors,
+// which must therefore not have sent FLOW_END yet.
 func (w *ringWriter) finish(p transport.Ctx) error {
 	if err := w.checkAbort(); err != nil {
 		return err
 	}
-	if w.opts.Optimization == OptimizeLatency {
-		if w.opts.RetransmitTimeout > 0 {
-			return w.confirmDelivered(p)
+	if w.opts.Optimization == OptimizeBandwidth {
+		if err := w.flush(p); err != nil {
+			return err
 		}
-		return nil
-	}
-	if err := w.flush(p, false); err != nil {
-		return err
 	}
 	if w.opts.RetransmitTimeout > 0 {
 		return w.confirmDelivered(p)
@@ -799,9 +676,9 @@ func (w *ringWriter) finish(p transport.Ctx) error {
 }
 
 // end is the second half of a phased close: write the end-of-flow
-// marker and confirm it. Only called once no live writer has anything
-// left to drain (finish reached quiescence), so a late eviction here
-// can no longer lose tuples.
+// marker and confirm it. Only called once no live leg has anything left
+// to drain (finish reached quiescence), so a late eviction here can no
+// longer lose tuples.
 func (w *ringWriter) end(p transport.Ctx) error {
 	if w.closed {
 		return nil
@@ -810,25 +687,29 @@ func (w *ringWriter) end(p transport.Ctx) error {
 		return err
 	}
 	w.closed = true
+	return w.writeEnd(p)
+}
+
+// writeEnd writes the end-of-flow marker segment and, with
+// RetransmitTimeout set, confirms the whole stream including the marker.
+func (w *ringWriter) writeEnd(p transport.Ctx) error {
 	if w.opts.Optimization == OptimizeLatency {
 		if err := w.ensureCredit(p); err != nil {
 			return err
 		}
-		if err := w.waitLocalSlot(p); err != nil {
-			return err
-		}
-		w.writeSegment(p, 0, flagConsumable|flagEndOfFlow)
-		w.credits--
-		w.sent++
 	} else {
 		w.drainCQ(p)
 		if err := w.ensureRemoteWritable(p); err != nil {
 			return err
 		}
-		if err := w.waitLocalSlot(p); err != nil {
-			return err
-		}
-		w.writeSegment(p, 0, flagConsumable|flagEndOfFlow)
+	}
+	if err := w.waitLocalSlot(p); err != nil {
+		return err
+	}
+	w.writeSegment(p, 0, flagConsumable|flagEndOfFlow)
+	if w.opts.Optimization == OptimizeLatency {
+		w.credits--
+		w.sent++
 	}
 	if w.opts.RetransmitTimeout > 0 {
 		return w.confirmDelivered(p)

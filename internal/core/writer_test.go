@@ -104,7 +104,8 @@ func TestWriterSelectiveSignalingAmortization(t *testing.T) {
 			_ = src.Push(p, mkTuple(int64(i), 0))
 		}
 		src.Close(p)
-		for _, w := range src.writers {
+		for _, l := range src.legs {
+			w := l.tx.(*ringWriter)
 			// completedW advances only through signaled completions; the
 			// signal cadence is sigEvery.
 			if w.sigEvery < 2 {
@@ -151,7 +152,8 @@ func TestWriterProbeAmortization(t *testing.T) {
 		src.Close(p)
 		pr, _, _ := src.ProbeStats()
 		probes = pr
-		for _, w := range src.writers {
+		for _, l := range src.legs {
+			w := l.tx.(*ringWriter)
 			segments = int(w.written)
 		}
 	})
@@ -193,7 +195,8 @@ func TestLatencyModeCreditBound(t *testing.T) {
 		src, _ := SourceOpen(p, e.reg, "credit", 0)
 		for i := 0; i < n; i++ {
 			_ = src.Push(p, mkTuple(int64(i), 0))
-			for _, w := range src.writers {
+			for _, l := range src.legs {
+				w := l.tx.(*ringWriter)
 				if out := int(w.sent) - int(w.credits); out > 2*8 {
 					// sent - credits is a loose proxy; the hard invariant
 					// is credits never below zero.
