@@ -1,17 +1,25 @@
 // Package sim implements a deterministic discrete-event simulation (DES)
 // kernel with cooperatively scheduled processes.
 //
-// The kernel maintains a virtual clock and an event heap. Exactly one
-// goroutine — either the scheduler or a single simulated process — runs at
-// any moment, handing control back and forth over unbuffered channels
-// ("baton passing"). This makes the simulation deterministic for a given
-// seed and spawn order, and lets event callbacks mutate shared simulation
+// The kernel maintains a virtual clock and an event heap, and exactly one
+// goroutine at a time holds the baton: it runs either process code or the
+// event loop (Kernel.drive). There is no scheduler goroutine. A process that
+// parks runs the loop on its own stack — event callbacks inline, in (at,
+// seq) order — until it pops a wake-up: its own, and it simply returns, or
+// another process's, and it hands the baton over with one send on that
+// process's resume channel and blocks on its own. A simulated process
+// switch is therefore one goroutine switch. The goroutine that called Run
+// only starts the loop and then waits to be told it has stopped. Because
+// one goroutine runs at a time, the simulation is deterministic for a given
+// seed and spawn order, and event callbacks can mutate shared simulation
 // state (e.g. simulated RDMA memory regions) without locks.
 //
 // Processes are ordinary functions of the form func(*Proc). Inside a
-// process, blocking operations (Sleep, channel operations, resource
-// acquisition, condition waits) advance virtual time; plain Go code runs
-// instantaneously in virtual time.
+// process, blocking operations (Sleep, resource acquisition, condition
+// waits) advance virtual time; plain Go code runs instantaneously in
+// virtual time. Event callbacks (After, At, AtOp) run "in scheduler
+// context": on whichever stack hosts the loop at that moment, with no
+// process identity, and must not block.
 //
 // The kernel is the substrate for the simulated RDMA fabric
 // (dfi/internal/fabric) on which the DFI flow implementation runs.
@@ -91,13 +99,13 @@ type Kernel struct {
 	events  []event   // value-based binary min-heap ordered by (at, seq)
 	tmos    []timeout // indexed min-heap of pending WaitTimeout deadlines
 	seq     uint64
-	yield   chan struct{} // process -> scheduler handoff
-	running *Proc
+	yield   chan error // the loop stopped, with this result: runUntil may return
+	running *Proc      // the process running its own code; nil while the loop runs
 	rng     *rand.Rand
 
-	parked  map[*Proc]struct{} // processes blocked on a primitive
-	nlive   int                // spawned minus exited
-	failure error              // first process panic, surfaced by Run
+	procs      []*Proc // live (spawned, not exited) processes; Proc.idx indexes it
+	failure    error   // first panic, surfaced by Run
+	inCallback bool    // an event callback is on the stack (labels a panic)
 
 	// MaxEvents aborts Run with an error after this many events, guarding
 	// against livelocks (e.g. an unbounded poll loop). Zero means no limit.
@@ -125,9 +133,8 @@ type Kernel struct {
 // identically.
 func New(seed int64) *Kernel {
 	return &Kernel{
-		yield:     make(chan struct{}),
+		yield:     make(chan error),
 		rng:       rand.New(rand.NewSource(seed)),
-		parked:    make(map[*Proc]struct{}),
 		MaxEvents: 2_000_000_000,
 	}
 }
@@ -298,35 +305,45 @@ func (k *Kernel) AtOp(t Time, op Op, step uint8) {
 // current virtual time. It may be called before Run or from a running
 // process or event callback.
 func (k *Kernel) Spawn(name string, fn func(*Proc)) {
-	p := &Proc{k: k, name: name, resume: make(chan struct{}), tmoIdx: -1}
-	k.nlive++
+	p := &Proc{k: k, name: name, resume: make(chan struct{}), tmoIdx: -1, idx: len(k.procs)}
+	k.procs = append(k.procs, p)
 	go func() {
 		<-p.resume // wait for first scheduling
 		defer func() {
 			if r := recover(); r != nil {
-				if k.failure == nil {
-					k.failure = fmt.Errorf("sim: process %q panicked: %v", p.name, r)
-				}
+				k.fail(p, r)
 			}
 			p.exited = true
-			k.nlive--
-			k.yield <- struct{}{}
+			last := len(k.procs) - 1
+			k.procs[p.idx] = k.procs[last]
+			k.procs[p.idx].idx = p.idx
+			k.procs[last] = nil
+			k.procs = k.procs[:last]
+			k.running = nil
+			// The exiting process still holds the baton: run the loop until
+			// it is handed on or stops, then let the goroutine end.
+			k.drive(p)
 		}()
 		fn(p)
 	}()
 	k.push(event{at: k.now, kind: evStart, p: p})
 }
 
-// switchTo transfers control to p and blocks until p parks or exits. Must be
-// called from scheduler context.
-func (k *Kernel) switchTo(p *Proc) {
-	if p.exited {
-		return
+// fail records r, a recovered panic, as the run's failure unless one is
+// already recorded. A panic inside an event callback is reported as such
+// whichever stack hosted the callback; on a process stack anything else is
+// that process's panic; on the stack of Run's caller it is a kernel bug and
+// panics on.
+func (k *Kernel) fail(p *Proc, r any) {
+	switch {
+	case k.failure != nil:
+	case k.inCallback:
+		k.failure = fmt.Errorf("sim: event callback panicked at t=%v: %v", k.now, r)
+	case p != nil:
+		k.failure = fmt.Errorf("sim: process %q panicked: %v", p.name, r)
+	default:
+		panic(r)
 	}
-	k.running = p
-	p.resume <- struct{}{}
-	<-k.yield
-	k.running = nil
 }
 
 // ready schedules p to resume at the current virtual time. gen guards
@@ -336,110 +353,159 @@ func (k *Kernel) ready(p *Proc, gen uint64) {
 	k.push(event{at: k.now, kind: evWake, p: p, gen: gen})
 }
 
-// next pops whichever of the event heap and the timeout heap holds the
-// earlier (at, seq) entry, returning it as an event. A popped timeout
-// becomes an evTimeout, exactly as if it had lived in the main heap.
-func (k *Kernel) next() event {
-	if len(k.tmos) > 0 {
-		t := &k.tmos[0]
-		if len(k.events) == 0 || t.at < k.events[0].at ||
-			(t.at == k.events[0].at && t.seq < k.events[0].seq) {
-			e := event{at: t.at, seq: t.seq, gen: t.gen, p: t.p, kind: evTimeout}
-			k.tmoRemove(0)
-			return e
-		}
-	}
-	return k.pop()
-}
-
-// dispatch fires one event in scheduler context.
-func (k *Kernel) dispatch(e *event) {
-	switch e.kind {
-	case evFn:
+// callback fires a popped evFn/evOp event in scheduler context. inCallback
+// is a plain flag rather than a deferred recover per event: a panic leaves
+// it set, and the recover that catches it (drive's, or Spawn's when Sleep
+// dispatched inline) reads it to report a callback panic.
+func (k *Kernel) callback(e *event) {
+	k.inCallback = true
+	if e.kind == evFn {
 		e.fn()
-	case evStart:
-		k.switchTo(e.p)
-	case evTimer:
-		// Double-hop on purpose: the timer requests a wake, and the wake
-		// event (with a fresh sequence number) performs the switch after
-		// everything already scheduled for this instant.
-		k.ready(e.p, e.gen)
-	case evWake:
-		p := e.p
-		if p.exited || !p.parkedFlag || p.parkGen != e.gen {
-			return
-		}
-		p.parkedFlag = false
-		delete(k.parked, p)
-		k.switchTo(p)
-	case evTimeout:
-		p := e.p
-		if p.parkedFlag && p.parkGen == e.gen {
-			p.timedOut = true
-			k.ready(p, e.gen)
-		}
-	case evOp:
+	} else {
 		e.op.RunOp(uint8(e.gen))
 	}
+	k.inCallback = false
 }
 
-// nextAt peeks the earliest pending instant across the event and timeout
-// heaps without popping. ok is false when both are empty.
-func (k *Kernel) nextAt() (Time, bool) {
-	switch {
-	case len(k.events) == 0 && len(k.tmos) == 0:
-		return 0, false
-	case len(k.events) == 0:
-		return k.tmos[0].at, true
-	case len(k.tmos) == 0:
-		return k.events[0].at, true
-	case k.tmos[0].at < k.events[0].at:
-		return k.tmos[0].at, true
-	default:
-		return k.events[0].at, true
+// peek finds the earliest pending (at, seq) entry across the event and
+// timeout heaps without popping it: its instant, and whether it is the
+// timeout heap's top. ok is false when both heaps are empty.
+func (k *Kernel) peek() (at Time, tmo, ok bool) {
+	switch ne, nt := len(k.events), len(k.tmos); {
+	case nt > 0 && (ne == 0 || k.tmos[0].at < k.events[0].at ||
+		(k.tmos[0].at == k.events[0].at && k.tmos[0].seq < k.events[0].seq)):
+		return k.tmos[0].at, true, true
+	case ne > 0:
+		return k.events[0].at, false, true
 	}
+	return 0, false, false
+}
+
+// drive is the event loop. Whoever holds the baton runs it on its own
+// stack: runUntil (self == nil), a parking process, or an exiting one. It
+// pops events in (at, seq) order and fires callbacks, timers and timeouts
+// inline until one of three things happens:
+//
+//   - a valid start/wake for self pops: return, self runs on (no switch);
+//   - a valid start/wake for another process pops: resume it with one
+//     channel send, then await the baton (one switch);
+//   - a stop condition holds (failure, heaps drained or at the horizon,
+//     MaxEvents, Deadline): runUntil's own drive returns the result, any
+//     other sends it on k.yield and awaits the baton.
+//
+// Awaiting the baton: runUntil blocks on k.yield and returns what the
+// stopping goroutine sent; a live process blocks on its resume channel,
+// which only a popped start/wake for it sends on — in this run or a later
+// one (the next ShardGroup window) — and returns into the process; an
+// exited process has nothing to wait for and its goroutine ends. The error
+// result is meaningful to runUntil only.
+func (k *Kernel) drive(self *Proc) (err error) {
+	defer func() {
+		// Only a callback can panic in here; the stack that hosted it is not
+		// at fault, so it is not unwound any further: the loop just stops.
+		if r := recover(); r != nil {
+			k.fail(nil, r)
+			err = k.stopped(self, k.failure)
+		}
+	}()
+	for {
+		at, tmo, pending := k.peek()
+		switch {
+		case k.failure != nil:
+			return k.stopped(self, k.failure)
+		case !pending || (k.horizon > 0 && at >= k.horizon):
+			return k.stopped(self, nil)
+		case k.MaxEvents > 0 && k.nevents >= k.MaxEvents:
+			return k.stopped(self, fmt.Errorf("sim: exceeded MaxEvents=%d at t=%v (possible livelock)", k.MaxEvents, k.now))
+		case k.Deadline > 0 && at > k.Deadline:
+			return k.stopped(self, fmt.Errorf("sim: deadline %v exceeded (t=%v)", k.Deadline, at))
+		}
+		// Pop it. A timeout becomes an evTimeout event, exactly as if it had
+		// lived in the main heap.
+		var e event
+		if tmo {
+			t := &k.tmos[0]
+			e = event{at: t.at, seq: t.seq, gen: t.gen, p: t.p, kind: evTimeout}
+			k.tmoRemove(0)
+		} else {
+			e = k.pop()
+		}
+		k.now = e.at
+		k.nevents++
+		switch e.kind {
+		case evFn, evOp:
+			k.callback(&e)
+		case evTimer:
+			// Double-hop on purpose: the timer requests a wake, and the wake
+			// event (with a fresh sequence number) performs the switch after
+			// everything already scheduled for this instant.
+			k.ready(e.p, e.gen)
+		case evTimeout:
+			if p := e.p; p.parkedFlag && p.parkGen == e.gen {
+				p.timedOut = true
+				k.ready(p, e.gen)
+			}
+		case evStart, evWake:
+			p := e.p
+			if e.kind == evWake {
+				if p.exited || !p.parkedFlag || p.parkGen != e.gen {
+					continue // stale: p was woken (or exited) since this was scheduled
+				}
+				p.parkedFlag = false
+			}
+			k.running = p
+			if p == self {
+				return nil
+			}
+			p.resume <- struct{}{}
+			return k.await(self)
+		}
+	}
+}
+
+// stopped ends a drive whose loop met a stop condition with result err.
+func (k *Kernel) stopped(self *Proc, err error) error {
+	if self == nil {
+		return err
+	}
+	k.yield <- err
+	return k.await(self)
+}
+
+// await blocks a goroutine that has given the baton away until it returns.
+func (k *Kernel) await(self *Proc) error {
+	if self == nil {
+		return <-k.yield
+	}
+	if !self.exited {
+		<-self.resume
+	}
+	return nil
 }
 
 // runUntil processes events strictly before horizon w (0 means unbounded)
 // and returns nil when the heaps drain or every remaining entry is at or
-// past w. The horizon is also installed for the Sleep fast path, so a
-// shard's clock can never overrun its window.
+// past w. The loop starts on the caller's goroutine and moves from stack to
+// stack (see drive); runUntil returns once it has stopped, wherever that
+// was. Parked processes stay blocked on their resume channels, so the next
+// call — from any goroutine — picks them up again. The horizon is also
+// installed for the Sleep fast path, so a shard's clock can never overrun
+// its window.
 func (k *Kernel) runUntil(w Time) error {
 	k.horizon = w
 	defer func() { k.horizon = 0 }()
-	for {
-		if k.failure != nil {
-			return k.failure
-		}
-		at, ok := k.nextAt()
-		if !ok || (w > 0 && at >= w) {
-			return nil
-		}
-		if k.MaxEvents > 0 && k.nevents >= k.MaxEvents {
-			return fmt.Errorf("sim: exceeded MaxEvents=%d at t=%v (possible livelock)", k.MaxEvents, k.now)
-		}
-		e := k.next()
-		if k.Deadline > 0 && e.at > k.Deadline {
-			return fmt.Errorf("sim: deadline %v exceeded (t=%v)", k.Deadline, e.at)
-		}
-		k.now = e.at
-		k.nevents++
-		k.dispatch(&e)
-	}
+	return k.drive(nil)
 }
 
-// Run processes events until none remain, a process panics, MaxEvents is
-// exceeded, or the Deadline passes. It returns an error describing abnormal
-// termination; a deadlock (live processes parked with no pending events) is
-// reported with the parked process names.
+// Run processes events until none remain, a process or event callback
+// panics, MaxEvents is exceeded, or the Deadline passes. It returns an error
+// describing abnormal termination; a deadlock (live processes parked with no
+// pending events) is reported with the parked process names.
 func (k *Kernel) Run() error {
 	if err := k.runUntil(0); err != nil {
 		return err
 	}
-	if k.failure != nil {
-		return k.failure
-	}
-	if k.nlive > 0 {
+	if len(k.procs) > 0 {
 		return k.deadlockErr()
 	}
 	return nil
@@ -447,12 +513,14 @@ func (k *Kernel) Run() error {
 
 // deadlockErr describes live-but-parked processes once the heaps drained.
 func (k *Kernel) deadlockErr() error {
-	names := make([]string, 0, len(k.parked))
-	for p := range k.parked {
-		names = append(names, p.name)
+	names := make([]string, 0, len(k.procs))
+	for _, p := range k.procs {
+		if p.parkedFlag {
+			names = append(names, p.name)
+		}
 	}
 	sort.Strings(names)
-	return fmt.Errorf("sim: deadlock at t=%v: %d live processes, parked: %v", k.now, k.nlive, names)
+	return fmt.Errorf("sim: deadlock at t=%v: %d live processes, parked: %v", k.now, len(k.procs), names)
 }
 
 // Proc is a simulated process (the unit of thread-centric execution). All
@@ -468,6 +536,7 @@ type Proc struct {
 	exited     bool
 	timedOut   bool // set by an evTimeout event matching the current park
 	tmoIdx     int  // index of the pending timeout in Kernel.tmos, -1 if none
+	idx        int  // index in Kernel.procs while live
 }
 
 // Name returns the process name given at Spawn.
@@ -495,13 +564,13 @@ func (p *Proc) checkRunning() {
 
 // park blocks the process until woken via Kernel.ready with the returned
 // generation. Callers must have registered themselves with a waker first.
+// The parking process runs the event loop itself until that wake pops.
 func (p *Proc) park() {
 	p.checkRunning()
 	p.parkedFlag = true
 	p.parkGen++
-	p.k.parked[p] = struct{}{}
-	p.k.yield <- struct{}{}
-	<-p.resume
+	p.k.running = nil
+	p.k.drive(p)
 }
 
 // nextGen returns the park generation the upcoming park will use; wakers
@@ -517,8 +586,8 @@ func (p *Proc) Sleep(d Time) {
 	}
 	k := p.k
 	t := k.now + d
-	// Run-to-completion fast paths. Parking costs two events and four
-	// channel handoffs, so avoid it whenever doing so is observably
+	// Run-to-completion fast paths. Parking costs two events and usually a
+	// goroutine switch, so avoid it whenever doing so is observably
 	// identical to the park/dispatch/resume dance:
 	//
 	//  1. If nothing can run before the wake-up time, advance the clock in
@@ -532,8 +601,8 @@ func (p *Proc) Sleep(d Time) {
 	//
 	// Anything else — a process transition (start/timer/wake/timeout), a
 	// tie at exactly t, the deadline, the event budget, a shard horizon —
-	// parks, so Run (or the shard window loop) keeps control of
-	// termination and (at, seq) dispatch order stays byte-identical.
+	// parks, so drive keeps control of termination and (at, seq) dispatch
+	// order stays byte-identical.
 	for {
 		if (len(k.events) == 0 || t < k.events[0].at) &&
 			(len(k.tmos) == 0 || t < k.tmos[0].at) &&
@@ -544,32 +613,22 @@ func (p *Proc) Sleep(d Time) {
 			k.nevents += 2 // the timer+wake pair this replaces
 			return
 		}
-		if len(k.events) == 0 {
+		at, tmo, ok := k.peek()
+		if !ok || tmo || at > t {
 			break
 		}
-		e := &k.events[0]
-		if (e.kind != evFn && e.kind != evOp) || e.at > t {
+		if e := &k.events[0]; e.kind != evFn && e.kind != evOp {
 			break
 		}
-		if len(k.tmos) > 0 {
-			tm := &k.tmos[0]
-			if tm.at < e.at || (tm.at == e.at && tm.seq < e.seq) {
-				break
-			}
-		}
-		if (k.Deadline > 0 && e.at > k.Deadline) ||
+		if (k.Deadline > 0 && at > k.Deadline) ||
 			(k.MaxEvents > 0 && k.nevents >= k.MaxEvents) ||
-			(k.horizon > 0 && e.at >= k.horizon) {
+			(k.horizon > 0 && at >= k.horizon) {
 			break
 		}
 		ev := k.pop()
 		k.now = ev.at
 		k.nevents++
-		if ev.kind == evFn {
-			ev.fn()
-		} else {
-			ev.op.RunOp(uint8(ev.gen))
-		}
+		k.callback(&ev)
 	}
 	k.push(event{at: t, kind: evTimer, p: p, gen: p.nextGen()})
 	p.park()

@@ -35,7 +35,7 @@ import (
 // What sharding does NOT give: a total order of events ACROSS shards at
 // equal timestamps (each shard has its own seq counter), and it must not be
 // combined with cross-shard use of the single-kernel primitives (Cond,
-// Chan, Spawn onto another shard). Workloads needing a global total order —
+// Resource, Spawn onto another shard). Workloads needing a global total order —
 // fault-injection schedules keyed to one rng stream, multicast sequencers
 // spanning shards — run in single-shard mode, which is the determinism
 // baseline. See docs/ARCHITECTURE.md.
@@ -141,7 +141,7 @@ func (g *ShardGroup) nextInstant() (Time, bool) {
 	t := Time(math.MaxInt64)
 	found := false
 	for _, k := range g.shards {
-		if at, ok := k.nextAt(); ok && (!found || at < t) {
+		if at, _, ok := k.peek(); ok && (!found || at < t) {
 			t, found = at, true
 		}
 	}
@@ -217,7 +217,7 @@ func (g *ShardGroup) Run() error {
 		// inline on this goroutine.
 		active := g.shards[:0:0]
 		for _, k := range g.shards {
-			if at, ok := k.nextAt(); ok && at < w {
+			if at, _, ok := k.peek(); ok && at < w {
 				active = append(active, k)
 			}
 		}
@@ -246,12 +246,12 @@ func (g *ShardGroup) Run() error {
 		if k.failure != nil {
 			return k.failure
 		}
-		live += k.nlive
+		live += len(k.procs)
 	}
 	if live > 0 {
 		var parts []string
 		for i, k := range g.shards {
-			if k.nlive > 0 {
+			if len(k.procs) > 0 {
 				parts = append(parts, fmt.Sprintf("shard %d: %v", i, k.deadlockErr()))
 			}
 		}

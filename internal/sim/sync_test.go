@@ -79,100 +79,6 @@ func TestCondTimeoutRemovesWaiter(t *testing.T) {
 	}
 }
 
-func TestChanBufferedSendRecv(t *testing.T) {
-	k := New(1)
-	ch := NewChan[int](k, 2)
-	var got []int
-	k.Spawn("producer", func(p *Proc) {
-		for i := 1; i <= 5; i++ {
-			ch.Send(p, i)
-			p.Sleep(time.Microsecond)
-		}
-		ch.Close()
-	})
-	k.Spawn("consumer", func(p *Proc) {
-		for {
-			v, ok := ch.Recv(p)
-			if !ok {
-				return
-			}
-			got = append(got, v)
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 5 {
-		t.Fatalf("got %v", got)
-	}
-	for i, v := range got {
-		if v != i+1 {
-			t.Fatalf("out of order: %v", got)
-		}
-	}
-}
-
-func TestChanBlocksWhenFull(t *testing.T) {
-	k := New(1)
-	ch := NewChan[int](k, 1)
-	var sentSecondAt Time
-	k.Spawn("producer", func(p *Proc) {
-		ch.Send(p, 1)
-		ch.Send(p, 2) // blocks until consumer drains at t=5ms
-		sentSecondAt = p.Now()
-	})
-	k.Spawn("consumer", func(p *Proc) {
-		p.Sleep(5 * time.Millisecond)
-		ch.Recv(p)
-		ch.Recv(p)
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if sentSecondAt != 5*time.Millisecond {
-		t.Fatalf("second send completed at %v, want 5ms", sentSecondAt)
-	}
-}
-
-func TestChanRecvOnClosedDrained(t *testing.T) {
-	k := New(1)
-	ch := NewChan[string](k, 4)
-	k.Spawn("p", func(p *Proc) {
-		ch.Send(p, "x")
-		ch.Close()
-		if v, ok := ch.Recv(p); !ok || v != "x" {
-			t.Errorf("Recv = %q, %v", v, ok)
-		}
-		if _, ok := ch.Recv(p); ok {
-			t.Error("Recv on drained closed chan reported ok")
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestChanTryRecv(t *testing.T) {
-	k := New(1)
-	ch := NewChan[int](k, 1)
-	k.Spawn("p", func(p *Proc) {
-		if _, ok, closed := ch.TryRecv(); ok || closed {
-			t.Error("TryRecv on empty open chan should be !ok, !closed")
-		}
-		ch.Send(p, 7)
-		if v, ok, _ := ch.TryRecv(); !ok || v != 7 {
-			t.Errorf("TryRecv = %d, %v", v, ok)
-		}
-		ch.Close()
-		if _, ok, closed := ch.TryRecv(); ok || !closed {
-			t.Error("TryRecv on closed drained chan should report closed")
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestResourceSerializes(t *testing.T) {
 	k := New(1)
 	r := NewResource(k, "link", 1)
