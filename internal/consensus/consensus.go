@@ -23,10 +23,10 @@ import (
 	"time"
 
 	"dfi/internal/fabric"
-	"dfi/internal/transport"
 	"dfi/internal/schema"
 	"dfi/internal/sim"
 	"dfi/internal/stats"
+	"dfi/internal/transport"
 	"dfi/internal/ycsb"
 )
 

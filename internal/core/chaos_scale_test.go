@@ -56,12 +56,12 @@ func runScaleFleet(t *testing.T, flows, perFlow, shards int) scaleRun {
 			Sources: []Endpoint{{Node: c.Node(f % 2)}},
 			Targets: []Endpoint{{Node: c.Node(2 + f%2)}},
 			Options: Options{
-				SharedRings:  true,
-				SegmentSize:  256,
+				SharedRings: true,
+				SegmentSize: 256,
 				// Tight enough that the fleet's drain spans several renewal
 				// ticks (flat-out pushes finish in tens of microseconds of
 				// virtual time).
-				LeaseTTL: 30 * time.Microsecond,
+				LeaseTTL:     30 * time.Microsecond,
 				Tenant:       fmt.Sprintf("tenant%d", f%4),
 				TenantWeight: 1 + f%3,
 			},

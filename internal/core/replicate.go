@@ -102,7 +102,7 @@ type mcSource struct {
 
 	group    transport.Group
 	fqps     []transport.Queue // reliable QP to each target (source end)
-	ctrlBufs [][]byte     // posted control-recv buffers, recycled by index
+	ctrlBufs [][]byte          // posted control-recv buffers, recycled by index
 
 	segBuf []byte // current segment: header + payload
 	fill   int

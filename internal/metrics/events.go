@@ -39,16 +39,16 @@ const (
 // start of the simulation. Zero-valued optional fields are omitted from
 // the JSONL encoding.
 type Event struct {
-	T     time.Duration `json:"t"`
-	Node  string        `json:"node"`
-	Type  EventType     `json:"type"`
-	Flow  string        `json:"flow,omitempty"`
-	Epoch uint64        `json:"epoch,omitempty"`
-	Role  string        `json:"role,omitempty"`
-	Slot  int           `json:"slot,omitempty"`
-	Seq   uint64        `json:"seq,omitempty"`
-	Bytes uint64        `json:"bytes,omitempty"`
-	Detail string       `json:"detail,omitempty"`
+	T      time.Duration `json:"t"`
+	Node   string        `json:"node"`
+	Type   EventType     `json:"type"`
+	Flow   string        `json:"flow,omitempty"`
+	Epoch  uint64        `json:"epoch,omitempty"`
+	Role   string        `json:"role,omitempty"`
+	Slot   int           `json:"slot,omitempty"`
+	Seq    uint64        `json:"seq,omitempty"`
+	Bytes  uint64        `json:"bytes,omitempty"`
+	Detail string        `json:"detail,omitempty"`
 
 	ord uint64 // global insertion order, for stable cross-node sorting
 }
