@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check chaos chaos-mc chaos-scale partition-race metrics-smoke transport-race bench bench-update ledger docs-lint
+.PHONY: all build vet fmt-check test race check chaos chaos-mc chaos-scale partition-race metrics-smoke transport-race ledger docs-lint
 
 all: check
 
@@ -9,6 +9,10 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Every Go file is gofmt-clean.
+fmt-check:
+	@test -z "$$(gofmt -l .)" || { echo "gofmt -l reports:"; gofmt -l .; exit 1; }
 
 # Fast feedback: skip the long experiment sweeps.
 test:
@@ -80,42 +84,20 @@ metrics-smoke:
 
 # Transport layer under the race detector: the conformance suite on
 # both backends (DES fabric + chanloop), the chanloop quickstart-shaped
-# e2e flow on real goroutines moving real bytes, and the dfiflow
-# -transport=chan CLI coverage. This is the backend-agnosticism gate:
-# the same core data path must deliver identical payloads without the
-# sim kernel serializing anything.
+# e2e flow on real goroutines moving real bytes, the control plane on
+# both backends (lease keep-alive, silent-target and mid-push eviction,
+# the private-vs-shared differential with an evicted leg), the registry
+# monitor hammered from nine goroutines plus its status oracle on the
+# wall clock, and the dfiflow -transport=chan CLI coverage. This is the
+# backend-agnosticism gate: the same core data path and the same control
+# plane must behave identically without the sim kernel serializing
+# anything.
 transport-race:
 	$(GO) test -race -count=1 ./internal/transport/...
 	$(GO) test -race -count=1 -run 'TestTransportConformance' ./internal/fabric/
+	$(GO) test -race -count=1 -run 'Chan.*(Lease|Evict)|TestSharedRingMatchesPrivate' ./internal/core/
+	$(GO) test -race -count=1 -run 'TestLocalRegistryHammer|TestStatusSnapshotMatchesRebuild|TestRemoveRepublishWakesWaiters' ./internal/registry/
 	$(GO) test -race -count=1 -run 'TestChanTransport' ./cmd/dfiflow/
-
-# Figure benchmarks behind the bench-regression harness. `bench` fails
-# when wall-clock ns/op regresses >10% against the committed baseline
-# (override with BENCH_TOLERANCE=0.25; BENCH_WALLCLOCK=advisory demotes
-# wall-clock regressions to warnings for cross-host runs like CI), when
-# any virtual-time metric (GiB/s, mpi-over-dfi, ...) drifts at all —
-# virtual drift means the change altered simulated behavior — or when a
-# baseline benchmark is missing from the run (so a rename or pattern typo
-# cannot pass the gate vacuously), or when allocs/op grows against the
-# recorded baseline (allocation regressions are how the zero-alloc data
-# path decays). `bench-update` re-records the current section of the
-# baseline file (history stays frozen). All outputs land under the
-# ignored bench/ directory so a run can never dirty the tree.
-BENCH_PATTERN ?= Fig7aShuffleBandwidth|Fig8aReplicateNaive|Fig8bReplicateMulticast|Fig11CollectiveShuffle|ChanloopShuffle
-BENCH_FILE ?= BENCH_PR9.json
-BENCH_DIR ?= bench
-
-bench:
-	@mkdir -p $(BENCH_DIR)
-	$(GO) build -o bin/dfibench ./cmd/dfibench
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -count=1 . | tee $(BENCH_DIR)/bench.out
-	./bin/dfibench benchjson -compare $(BENCH_FILE) < $(BENCH_DIR)/bench.out
-
-bench-update:
-	@mkdir -p $(BENCH_DIR)
-	$(GO) build -o bin/dfibench ./cmd/dfibench
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -count=1 . | tee $(BENCH_DIR)/bench.out
-	./bin/dfibench benchjson -update $(BENCH_FILE) < $(BENCH_DIR)/bench.out
 
 # The performance ledger (benchmark/README.md): every workload of
 # BENCHMARK.json, traced, seed 1 — the per-layer numbers a CHANGES.md
@@ -135,4 +117,4 @@ ledger:
 docs-lint:
 	$(GO) run ./cmd/docslint
 
-check: build vet race chaos chaos-mc chaos-scale metrics-smoke transport-race docs-lint
+check: build vet fmt-check race chaos chaos-mc chaos-scale metrics-smoke transport-race docs-lint

@@ -280,10 +280,10 @@ func BenchmarkSharpCombiner(b *testing.B) {
 // BenchmarkChanloopShuffle: the same shuffle data path (rings, footers,
 // credits) on the chanloop backend — real goroutines moving real bytes
 // under wall-clock time, no sim kernel. It reports no custom metrics on
-// purpose: chanloop has no virtual time, so the bench gate for this
-// benchmark is allocs/op (hard — allocation creep on the concurrent
-// backend) and ns/op (advisory cross-host), keeping both backends under
-// the regression harness.
+// purpose: chanloop has no virtual time. Its allocs/op include building
+// the transport, registry and flow inside the loop, so it is a number to
+// read, not a gate: the wall-clock backend's regression gate is the
+// ledger's chan_batch_64 workload (benchmark/).
 func BenchmarkChanloopShuffle(b *testing.B) {
 	sch := schema.MustNew(
 		schema.Column{Name: "key", Type: schema.Int64},

@@ -6,7 +6,6 @@
 //	dfibench list                 # show available experiment IDs
 //	dfibench fig7a [fig13 ...]    # run selected experiments
 //	dfibench all                  # run the full suite
-//	dfibench benchjson ...        # record/compare go-test bench output (see benchjson.go)
 //
 // Flags:
 //
@@ -15,11 +14,8 @@
 //	-cpuprofile F    write a pprof CPU profile of the experiment run to F
 //	-memprofile F    write a pprof heap profile (after the run) to F
 //
-// The profile flags exist so a CI bench job can attach profiles as build
-// artifacts: a wall-clock or allocation regression flagged by the gate can
-// then be diagnosed offline from the artifact instead of rerunning the
-// workload locally. Profiles are flushed even when an experiment fails —
-// the failing runs are the ones worth profiling.
+// Profiles are flushed even when an experiment fails — the failing runs
+// are the ones worth profiling.
 //
 // All results are virtual-time measurements; see EXPERIMENTS.md for the
 // paper-vs-measured comparison.
@@ -48,10 +44,6 @@ func main() {
 	if len(args) == 0 {
 		usage()
 		os.Exit(2)
-	}
-	if args[0] == "benchjson" {
-		benchjsonMain(args[1:])
-		return
 	}
 	if args[0] == "list" {
 		for _, e := range experiments.All {
@@ -136,7 +128,6 @@ func usage() {
 	fmt.Fprintf(os.Stderr, `dfibench — regenerate the DFI paper's evaluation (SIGMOD 2021)
 
 usage: dfibench [-quick] [-seed N] [-cpuprofile F] [-memprofile F] <experiment-id>... | all | list
-       dfibench benchjson [-update FILE] [-compare FILE] [-tolerance F]   (go test -bench output on stdin)
 `)
 	flag.PrintDefaults()
 }

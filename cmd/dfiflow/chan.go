@@ -14,23 +14,23 @@ import (
 	"dfi/internal/transport/sharedring"
 )
 
-// desOnlyFlags maps the dfiflow flags whose machinery lives in the DES
-// to the reason each needs it: virtual time (seeds, fault plans,
-// timeouts calibrated in simulated microseconds), the sim-backed
-// registry (leases, eviction, rejoin, consensus replication, sharding)
-// and the ops plane wired to it. -transport=chan rejects each one by
-// name instead of silently ignoring it.
+// desOnlyFlags maps the dfiflow flags -transport=chan cannot honour to
+// the reason: what is being simulated (the seed, the payload-copy
+// switch, multicast and its loss model, fault plans against the
+// simulated fabric), what this command only wires up on the kernel
+// (registry constructors that take one, fleets, rejoin schedules), and
+// knobs not yet exposed on the wall clock. Leases, evictions and the
+// ops plane are not here: the registry runs on either clock. Each flag
+// is rejected by name instead of being silently ignored.
 var desOnlyFlags = map[string]string{
 	"faults":         "fault injection hooks into the simulated fabric",
-	"retransmit":     "loss recovery timeouts are calibrated in virtual time",
-	"srctimeout":     "failure detection timeouts are calibrated in virtual time",
-	"lease":          "lease TTLs tick on the simulated clock",
-	"evict":          "eviction schedules run on the simulated clock",
-	"rejoin":         "rejoin schedules run on the simulated clock",
-	"replicas":       "consensus replicas are simulated registry processes",
-	"snapshot-every": "log snapshots belong to the replicated registry",
-	"unlogged-renew": "heartbeat relaxation belongs to the replicated registry",
-	"reg-shards":     "registry shards are simulated registry processes",
+	"retransmit":     "a lease sets the recovery timeout (TTL/2); a separate wall-clock knob is not exposed",
+	"srctimeout":     "target-side silence detection is not exposed on the wall clock; use -lease",
+	"rejoin":         "this command only schedules re-attachment on the simulated kernel",
+	"replicas":       "the replicated registry is built on the sim-backed registry constructors",
+	"snapshot-every": "log snapshots belong to the replicated registry (sim-backed registry constructors)",
+	"unlogged-renew": "heartbeat relaxation belongs to the replicated registry (sim-backed registry constructors)",
+	"reg-shards":     "registry shards are built on the sim-backed registry constructors",
 	"flows":          "concurrent-fleet orchestration runs on the simulated kernel",
 	"loss":           "multicast loss is injected by the simulated switch",
 	"multicast":      "switch multicast is a fabric primitive",
@@ -38,11 +38,19 @@ var desOnlyFlags = map[string]string{
 	"gap-nacks":      "gap recovery rides the simulated multicast group",
 	"seed":           "the chan backend runs on wall clock, not a seeded DES",
 	"copy":           "the chan backend always moves real bytes",
-	"partition":      "rebalance schemes are exercised via simulated evictions",
-	"metrics-addr":   "the ops plane scrapes sim-backed registries",
-	"linger":         "the ops plane scrapes sim-backed registries",
-	"events":         "the event trace is emitted by sim-backed registries",
-	"events-out":     "the event trace is emitted by sim-backed registries",
+	"partition":      "this command only exposes rebalance schemes on the simulated kernel",
+}
+
+// lockedWriter serializes writes from concurrent goroutines.
+type lockedWriter struct {
+	mu sync.Mutex
+	w  io.Writer
+}
+
+func (l *lockedWriter) Write(b []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.w.Write(b)
 }
 
 // chanConfig is the flag subset -transport=chan supports.
@@ -59,16 +67,34 @@ type chanConfig struct {
 	shared       bool
 	tenant       string
 	tenantWeight int
+	lease        time.Duration
+	evictSpec    string
+	ops          opsFlags
 }
 
 // runChan runs the flow over the chanloop backend: real goroutines and
-// real bytes under wall-clock time, same core data path as the DES run.
+// real bytes under wall-clock time, same core data path, registry and
+// ops plane as the DES run. -lease and -evict times are wall-clock.
 func runChan(cfg chanConfig, stdout, stderr io.Writer) int {
 	net := chanloop.New()
 	reg := registry.NewLocal()
 	var rec *transport.Recorder
 	if cfg.traceOps > 0 {
 		rec = transport.AttachRecorder(net, cfg.traceOps)
+	}
+	evictions, err := parseEvictions(cfg.evictSpec)
+	if err != nil {
+		fmt.Fprintf(stderr, "dfiflow: -evict: %v\n", err)
+		return 2
+	}
+	var pool *sharedring.Pool
+	if cfg.shared {
+		pool = sharedring.PoolOf(net, sharedring.Config{})
+	}
+	plane, err := startOps(cfg.ops, reg, rec, pool, stdout)
+	if err != nil {
+		fmt.Fprintf(stderr, "dfiflow: -metrics-addr: %v\n", err)
+		return 2
 	}
 
 	sch := schema.MustNew(
@@ -78,6 +104,7 @@ func runChan(cfg chanConfig, stdout, stderr io.Writer) int {
 	spec := core.FlowSpec{Name: "dfiflow", Schema: sch, Options: core.Options{
 		SegmentsPerRing: cfg.segments,
 		SegmentSize:     cfg.segSize,
+		LeaseTTL:        cfg.lease,
 		SharedRings:     cfg.shared,
 		Tenant:          cfg.tenant,
 		TenantWeight:    cfg.tenantWeight,
@@ -112,8 +139,18 @@ func runChan(cfg chanConfig, stdout, stderr io.Writer) int {
 		errs = append(errs, err)
 		emu.Unlock()
 	}
+	// live is stdout for the lines goroutines print while the flow runs.
+	live := &lockedWriter{w: stdout}
 
 	start := time.Now()
+	for _, ev := range evictions {
+		ev := ev
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			strike(net.NewCtx(), reg, ev, []string{"dfiflow"}, live)
+		}()
+	}
 	for si := 0; si < cfg.nSources; si++ {
 		si := si
 		wg.Add(1)
@@ -125,6 +162,7 @@ func runChan(cfg chanConfig, stdout, stderr io.Writer) int {
 				fail(fmt.Errorf("source %d: %w", si, err))
 				return
 			}
+			plane.publish(src)
 			tup := sch.NewTuple()
 			rng := p.Rand()
 			for i := 0; i < perSource; i++ {
@@ -152,10 +190,14 @@ func runChan(cfg chanConfig, stdout, stderr io.Writer) int {
 				fail(fmt.Errorf("target %d: %w", ti, err))
 				return
 			}
+			plane.publish(tgt)
 			for {
 				if _, _, ok := tgt.ConsumeSegment(p); !ok {
 					break
 				}
+			}
+			if tgt.Evicted() {
+				fmt.Fprintf(live, "target %d: evicted from the flow membership\n", ti)
 			}
 			tgtStats[ti] = tgt.Stats()
 		}()
@@ -163,11 +205,10 @@ func runChan(cfg chanConfig, stdout, stderr io.Writer) int {
 	wg.Wait()
 	wall := time.Since(start)
 
+	// An endpoint error ends that endpoint, not the summary: what the
+	// others did and the event trace are what explain it. Exit 1.
 	for _, err := range errs {
 		fmt.Fprintf(stderr, "dfiflow: %v\n", err)
-	}
-	if len(errs) > 0 {
-		return 1
 	}
 
 	var pushed, consumed, payload uint64
@@ -195,7 +236,6 @@ func runChan(cfg chanConfig, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "  target %d: %s\n", ti, s)
 	}
 	if cfg.shared {
-		pool := sharedring.PoolOf(net, sharedring.Config{})
 		links := pool.Links()
 		fmt.Fprintf(stdout, "shared rings: %d links, %d slots × %s payload each\n",
 			len(links), pool.Config().Slots, fmtBytes(pool.Config().SlotPayload))
@@ -207,10 +247,17 @@ func runChan(cfg chanConfig, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "tenant %q: credits acquired=%d refunded=%d\n",
 			tname, tc.Acquired.Load(), tc.Refunded.Load())
 	}
+	if cfg.lease > 0 {
+		fmt.Fprintf(stdout, "lease renewals: %d registry round trips\n", reg.LeaseRenewRPCs())
+	}
 	if rec != nil {
 		fmt.Fprintln(stdout)
 		rec.Log(stdout)
 		rec.Summary(stdout, 5)
 	}
-	return 0
+	code := plane.finish(stdout, stderr)
+	if len(errs) > 0 {
+		code = 1
+	}
+	return code
 }

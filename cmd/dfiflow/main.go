@@ -24,6 +24,7 @@
 //	dfiflow -shared -flows 500 -lease 100us -reg-shards 4 -mb 8
 //	dfiflow -shared -tenant batch -tenant-weight 4 -mb 4
 //	dfiflow -transport chan -shared -targets 4 -mb 16
+//	dfiflow -transport chan -lease 200ms -evict 1@50ms -events-out events.jsonl -mb 64
 //
 // With -metrics-addr the process serves live introspection over HTTP
 // while the flow runs: /metrics (Prometheus text exposition of the
@@ -58,26 +59,12 @@ import (
 	"dfi/internal/core"
 	"dfi/internal/core/partition"
 	"dfi/internal/fabric"
-	"dfi/internal/metrics"
 	"dfi/internal/registry"
 	"dfi/internal/schema"
 	"dfi/internal/sim"
 	"dfi/internal/transport"
 	"dfi/internal/transport/sharedring"
 )
-
-// simRegistry is the slice of the registry surface dfiflow drives beyond
-// core.Registry: administrative eviction, ops-plane wiring, and the
-// lease-traffic counter. Satisfied by *registry.Registry (standalone or
-// replicated) and *registry.Sharded.
-type simRegistry interface {
-	core.Registry
-	Evict(p transport.Ctx, flow string, role registry.Role, idx int) error
-	SetEventSink(metrics.EventSink)
-	PublishMetrics(*metrics.Registry)
-	Status() *registry.ClusterStatus
-	LeaseRenewRPCs() uint64
-}
 
 // sharedIncompatible lists flags that configure per-flow machinery the
 // shared-ring data path does not provide; the reasons mirror the core
@@ -174,6 +161,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "dfiflow: %v\n", err)
 		return 2
 	}
+	ops := opsFlags{metricsAddr: *metricsAddr, linger: *linger, eventsCap: *eventsCap, eventsOut: *eventsOut}
 	switch *transportF {
 	case "fabric":
 	case "chan":
@@ -196,6 +184,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			tupleSize: *tupleSize, megabytes: *megabytes, latency: *latency,
 			segments: *segments, segSize: *segSize, traceOps: *traceOps,
 			shared: *shared, tenant: *tenant, tenantWeight: *tenWeight,
+			lease: *lease, evictSpec: *evictSpec, ops: ops,
 		}, stdout, stderr)
 	default:
 		fmt.Fprintf(stderr, "dfiflow: unknown transport %q (want fabric or chan)\n", *transportF)
@@ -207,13 +196,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fcfg := fabric.DefaultConfig()
 	fcfg.CopyPayload = *copyData
 	fcfg.MulticastLoss = *loss
+	var regFaults *registry.Faults
 	if *faults != "" {
-		fp, err := parseFaults(*faults)
+		fp, rf, err := parseFaults(*faults)
 		if err != nil {
 			fmt.Fprintf(stderr, "dfiflow: -faults: %v\n", err)
 			return 2
 		}
-		fcfg.Faults = fp
+		fcfg.Faults, regFaults = fp, rf
 	}
 	cluster := fabric.NewCluster(k, *nSources+*nTargets, fcfg)
 	var rec *transport.Recorder
@@ -224,14 +214,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// the "wire bytes" line.
 		rec.WireOverheadBytes = fcfg.WireOverheadBytes
 	}
-	// The registry behind simRegistry: standalone, replicated, sharded,
+	// The registry behind flowRegistry: standalone, replicated, sharded,
 	// or sharded-over-replicated-groups. regRepl keeps the concrete
 	// replicated handle for the consensus summary line.
-	var reg simRegistry
+	var reg flowRegistry
 	var regRepl *registry.Registry
 	rcfg := registry.ReplicaConfig{
 		Replicas:      *replicas,
-		Faults:        fcfg.Faults,
+		Faults:        regFaults,
 		SnapshotEvery: *snapEvery,
 		UnloggedRenew: *unlogRen,
 	}
@@ -245,7 +235,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		reg = sharded
 	case *regShards > 1:
 		sharded := registry.NewSharded(k, *regShards)
-		sharded.UseFaults(fcfg.Faults)
+		sharded.UseFaults(regFaults)
 		reg = sharded
 	case *replicas > 0:
 		var err error
@@ -257,35 +247,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		reg = regRepl
 	default:
 		r := registry.New(k)
-		r.UseFaults(fcfg.Faults)
+		r.UseFaults(regFaults)
 		reg = r
 	}
 
-	// Ops plane: the metrics registry collects every layer's counters;
-	// the event log receives structured protocol events (installed on
-	// the registry before any endpoint opens, so endpoints inherit it).
-	observing := *metricsAddr != "" || *eventsOut != ""
-	var m *metrics.Registry
-	var events *metrics.EventLog
-	if observing {
-		m = metrics.NewRegistry()
-		events = metrics.NewEventLog(*eventsCap)
-		reg.SetEventSink(events)
-		reg.PublishMetrics(m)
-		if rec != nil {
-			rec.PublishMetrics(m)
-		}
+	var pool *sharedring.Pool
+	if *shared {
+		pool = sharedring.PoolOf(cluster, sharedring.Config{})
 	}
-	var srv *metrics.Server
-	if *metricsAddr != "" {
-		var err error
-		srv, err = metrics.Serve(*metricsAddr, m, func() any { return reg.Status() }, events)
-		if err != nil {
-			fmt.Fprintf(stderr, "dfiflow: -metrics-addr: %v\n", err)
-			return 2
-		}
-		defer srv.Close()
-		fmt.Fprintf(stdout, "metrics: serving on http://%s (/metrics /status /events)\n", srv.Addr())
+	plane, err := startOps(ops, reg, rec, pool, stdout)
+	if err != nil {
+		fmt.Fprintf(stderr, "dfiflow: -metrics-addr: %v\n", err)
+		return 2
 	}
 
 	evictions, err := parseEvictions(*evictSpec)
@@ -397,17 +370,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 	})
+	// With -flows an eviction strikes the slot in every flow.
+	flowNames := make([]string, *nFlows)
+	for f := range flowNames {
+		flowNames[f] = flowName(f)
+	}
 	for _, ev := range evictions {
 		ev := ev
-		k.Spawn(fmt.Sprintf("evict%d", ev.target), func(p *sim.Proc) {
-			p.Sleep(ev.at)
-			// With -flows the strike hits the slot in every flow.
-			for f := 0; f < *nFlows; f++ {
-				if err := reg.Evict(p, flowName(f), registry.RoleTarget, ev.target); err != nil {
-					fmt.Fprintf(stdout, "evict target %d: %v\n", ev.target, err)
-				}
-			}
-		})
+		k.Spawn(fmt.Sprintf("evict%d", ev.target), func(p *sim.Proc) { strike(p, reg, ev, flowNames, stdout) })
 	}
 	for fi := 0; fi < *nFlows; fi++ {
 		fi := fi
@@ -418,14 +388,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				if err != nil {
 					log.Fatal(err)
 				}
-				if m != nil {
-					src.PublishMetrics(m)
-					if *shared {
-						// Idempotent: registers ring/tenant series as links
-						// come into existence.
-						sharedring.PoolOf(cluster, sharedring.Config{}).PublishMetrics(m)
-					}
-				}
+				plane.publish(src)
 				tup := sch.NewTuple()
 				rng := p.Rand()
 				for i := 0; i < perSource; i++ {
@@ -456,9 +419,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 					if err != nil {
 						log.Fatal(err)
 					}
-					if m != nil {
-						tgt.PublishMetrics(m)
-					}
+					plane.publish(tgt)
 					consume := func(tgt *core.Target) {
 						for {
 							if _, _, ok := tgt.ConsumeSegment(p); !ok {
@@ -542,7 +503,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// normal: the sender's release mirror refreshes lazily on Send, so
 		// the last consumed slots still count as held; CheckConservation
 		// proves every held slot is attributed to a live stream.
-		pool := sharedring.PoolOf(cluster, sharedring.Config{})
 		pcfg := pool.Config()
 		links := pool.Links()
 		fmt.Fprintf(stdout, "shared rings: %d links, %d slots × %s payload each\n",
@@ -571,31 +531,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 			regRepl.Replicas(), regRepl.Master(), regRepl.Ballot(), regRepl.Elections(),
 			regRepl.Snapshots(), regRepl.SnapshotIndex(), regRepl.LogLen(), regRepl.AppliedSize())
 	}
-	if events != nil {
-		fmt.Fprintf(stdout, "events: %d emitted\n", events.Total())
-	}
 	if rec != nil {
 		fmt.Fprintln(stdout)
 		rec.Log(stdout)
 		rec.Summary(stdout, 5)
 	}
-	if *eventsOut != "" {
-		f, err := os.Create(*eventsOut)
-		if err != nil {
-			fmt.Fprintf(stderr, "dfiflow: -events-out: %v\n", err)
-			return 1
-		}
-		written, droppedEv, err := events.WriteJSONL(f)
-		cerr := f.Close()
-		if err != nil || cerr != nil {
-			fmt.Fprintf(stderr, "dfiflow: -events-out: write: %v\n", errors.Join(err, cerr))
-			return 1
-		}
-		fmt.Fprintf(stdout, "events: wrote %d to %s (%d dropped by ring eviction)\n", written, *eventsOut, droppedEv)
-	}
-	if srv != nil && *linger > 0 {
-		fmt.Fprintf(stdout, "metrics: lingering %v for scrapes\n", *linger)
-		time.Sleep(*linger)
+	if code := plane.finish(stdout, stderr); code != 0 {
+		return code
 	}
 	if brokenFlow || rejoinFailed {
 		return 1
@@ -634,16 +576,17 @@ func parseEvictions(spec string) ([]eviction, error) {
 	return out, nil
 }
 
-// parseFaults builds a fabric.FaultPlan from a comma-separated key=value
-// spec. Probabilities: drop-write, drop-read, drop-send, drop-atomic, dup,
+// parseFaults builds the fabric's fault plan and the registry's fault
+// knobs (the reg-* keys) from a comma-separated key=value spec.
+// Probabilities: drop-write, drop-read, drop-send, drop-atomic, dup,
 // reorder, reg-drop. Durations: delay, jitter, reg-delay, reg-jitter,
 // reg-crash-master. Crashes: crash=NODE@TIME (repeatable).
-func parseFaults(spec string) (*fabric.FaultPlan, error) {
-	fp := &fabric.FaultPlan{}
+func parseFaults(spec string) (*fabric.FaultPlan, *registry.Faults, error) {
+	fp, rf := &fabric.FaultPlan{}, &registry.Faults{}
 	for _, field := range strings.Split(spec, ",") {
 		key, val, ok := strings.Cut(strings.TrimSpace(field), "=")
 		if !ok {
-			return nil, fmt.Errorf("%q: want key=value", field)
+			return nil, nil, fmt.Errorf("%q: want key=value", field)
 		}
 		prob := func() (float64, error) { return strconv.ParseFloat(val, 64) }
 		var err error
@@ -665,17 +608,17 @@ func parseFaults(spec string) (*fabric.FaultPlan, error) {
 		case "jitter":
 			fp.DelayJitter, err = time.ParseDuration(val)
 		case "reg-drop":
-			fp.RegistryDrop, err = prob()
+			rf.Drop, err = prob()
 		case "reg-delay":
-			fp.RegistryDelay, err = time.ParseDuration(val)
+			rf.Delay, err = time.ParseDuration(val)
 		case "reg-jitter":
-			fp.RegistryJitter, err = time.ParseDuration(val)
+			rf.Jitter, err = time.ParseDuration(val)
 		case "reg-crash-master":
-			fp.RegistryCrashMaster, err = time.ParseDuration(val)
+			rf.CrashMaster, err = time.ParseDuration(val)
 		case "crash":
 			node, at, ok := strings.Cut(val, "@")
 			if !ok {
-				return nil, fmt.Errorf("%q: want crash=NODE@TIME", field)
+				return nil, nil, fmt.Errorf("%q: want crash=NODE@TIME", field)
 			}
 			var id int
 			if id, err = strconv.Atoi(node); err != nil {
@@ -687,13 +630,13 @@ func parseFaults(spec string) (*fabric.FaultPlan, error) {
 			}
 			fp.CrashNode(id, t)
 		default:
-			return nil, fmt.Errorf("unknown fault key %q", key)
+			return nil, nil, fmt.Errorf("unknown fault key %q", key)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("%q: %v", field, err)
+			return nil, nil, fmt.Errorf("%q: %v", field, err)
 		}
 	}
-	return fp, nil
+	return fp, rf, nil
 }
 
 func fmtBytes(n int) string {

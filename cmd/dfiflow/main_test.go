@@ -120,17 +120,26 @@ func TestChanTransportRunsFlow(t *testing.T) {
 }
 
 // TestChanTransportRejectsDESOnlyFlags pins the guard rail: flags whose
-// machinery needs virtual time or the sim registry fail fast with a
-// config error instead of being silently ignored.
+// machinery is the simulation itself, or that this command only wires up
+// on the kernel, fail fast with a config error instead of being silently
+// ignored — and the flags the one registry made work are not among them.
 func TestChanTransportRejectsDESOnlyFlags(t *testing.T) {
+	if len(desOnlyFlags) > 16 {
+		t.Errorf("desOnlyFlags has %d entries, want at most 16", len(desOnlyFlags))
+	}
+	for _, name := range []string{"lease", "evict", "metrics-addr", "linger", "events", "events-out"} {
+		if why, ok := desOnlyFlags[name]; ok {
+			t.Errorf("-%s is still rejected on -transport=chan: %s", name, why)
+		}
+	}
 	for _, args := range [][]string{
 		{"-transport", "chan", "-faults", "drop-write=0.01"},
-		{"-transport", "chan", "-lease", "100us"},
-		{"-transport", "chan", "-evict", "1@300us"},
+		{"-transport", "chan", "-retransmit", "50us"},
+		{"-transport", "chan", "-rejoin", "1@300us"},
 		{"-transport", "chan", "-replicas", "3"},
+		{"-transport", "chan", "-reg-shards", "2"},
 		{"-transport", "chan", "-multicast"},
 		{"-transport", "chan", "-seed", "7"},
-		{"-transport", "chan", "-metrics-addr", "127.0.0.1:0"},
 		{"-transport", "chan", "-type", "combiner"},
 	} {
 		out, code := runToString(t, args...)
@@ -139,6 +148,40 @@ func TestChanTransportRejectsDESOnlyFlags(t *testing.T) {
 		}
 		if !strings.Contains(out, "-transport=chan") {
 			t.Errorf("args %v: error does not name the transport flag:\n%s", args, out)
+		}
+	}
+}
+
+// TestChanTransportLeaseEvictEvents runs a leased flow on the wall clock
+// with one scheduled eviction. The strike may land mid-flow (the source
+// re-routes, exit 0) or after a fast run already finished (still exit 0;
+// exit 1 only if the flow broke), and either way the event trace must
+// show the control plane at work: leases, the eviction, the epoch bump.
+func TestChanTransportLeaseEvictEvents(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "events.jsonl")
+	out, code := runToString(t, "-transport", "chan", "-lease", "200ms", "-evict", "1@5ms",
+		"-targets", "3", "-mb", "8", "-events-out", path)
+	if code != 0 && !(code == 1 && strings.Contains(out, "flow broken")) {
+		t.Fatalf("exit %d:\n%s", code, out)
+	}
+	if !strings.Contains(out, "lease renewals:") {
+		t.Errorf("no lease summary line:\n%s", out)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[metrics.EventType]bool{}
+	for _, ln := range strings.Split(strings.TrimRight(string(data), "\n"), "\n") {
+		var ev metrics.Event
+		if err := json.Unmarshal([]byte(ln), &ev); err != nil {
+			t.Fatalf("not valid JSON: %v\n%s", err, ln)
+		}
+		seen[ev.Type] = true
+	}
+	for _, typ := range []metrics.EventType{metrics.EvLease, metrics.EvEviction, metrics.EvEpoch} {
+		if !seen[typ] {
+			t.Errorf("event trace has no %q event (saw %v)", typ, seen)
 		}
 	}
 }
@@ -171,8 +214,13 @@ func TestEventsOutWritesJSONL(t *testing.T) {
 // TestMetricsSmoke drives the full ops plane end to end: run a flow with
 // a live metrics endpoint, scrape /metrics, /status and /events once the
 // run finishes (during -linger), and assert the scraped counters agree
-// exactly with the printed end-of-run summary.
+// exactly with the printed end-of-run summary — on both transports.
 func TestMetricsSmoke(t *testing.T) {
+	t.Run("fabric", func(t *testing.T) { metricsSmoke(t, "-seed", "42") })
+	t.Run("chan", func(t *testing.T) { metricsSmoke(t, "-transport", "chan") })
+}
+
+func metricsSmoke(t *testing.T, transportArgs ...string) {
 	pr, pw := io.Pipe()
 	transcript := &bytes.Buffer{}
 	lines := make(chan string, 256)
@@ -187,8 +235,8 @@ func TestMetricsSmoke(t *testing.T) {
 	go func() {
 		// The run lingers far longer than the test needs; the goroutine is
 		// abandoned once the test has scraped (test binary exit unwinds it).
-		run([]string{"-seed", "42", "-mb", "1", "-sources", "2", "-targets", "2",
-			"-metrics-addr", "127.0.0.1:0", "-linger", "120s"}, pw, io.Discard)
+		run(append(transportArgs, "-mb", "1", "-sources", "2", "-targets", "2",
+			"-metrics-addr", "127.0.0.1:0", "-linger", "120s"), pw, io.Discard)
 		pw.Close()
 	}()
 

@@ -62,7 +62,7 @@ func adjacent(a, b []byte) bool {
 // at-least-once posture every data-path error path has); the caller
 // re-pushes the batch only on a flow-level retry protocol of its own.
 func (s *Source) PushBatch(p transport.Ctx, tuples []schema.Tuple) error {
-	if s.closed {
+	if s.closed.Load() {
 		return fmt.Errorf("dfi: push on closed source of flow %q", s.spec.Name)
 	}
 	ts := s.spec.Schema.TupleSize()
@@ -263,7 +263,7 @@ func (s *Source) Reserve(p transport.Ctx, n int) (*Batch, error) {
 // ReserveTo is Reserve against an explicit target index (paper §4.2.1
 // routing option 3, zero-copy form).
 func (s *Source) ReserveTo(p transport.Ctx, target, n int) (*Batch, error) {
-	if s.closed {
+	if s.closed.Load() {
 		return nil, fmt.Errorf("dfi: reserve on closed source of flow %q", s.spec.Name)
 	}
 	if s.mc != nil {

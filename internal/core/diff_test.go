@@ -24,11 +24,13 @@ import (
 // either kind segments, schedules or acknowledges.
 
 // diffBackend is one transport to run the workload on: a cluster, a
-// registry, and a way to run a set of endpoint bodies to completion.
+// registry on the same clock, a lease TTL that suits that clock, and a
+// way to run a set of endpoint bodies to completion.
 type diffBackend struct {
 	name string
 	tpt  transport.Transport
-	reg  Registry
+	reg  *registry.Registry
+	ttl  time.Duration
 	node func(i int) transport.Endpoint
 	run  func(t *testing.T, bodies []func(transport.Ctx))
 }
@@ -40,7 +42,7 @@ func newDiffDES(nodes int) *diffBackend {
 	cfg.CopyPayload = true
 	c := fabric.NewCluster(k, nodes, cfg)
 	return &diffBackend{
-		name: "des", tpt: c, reg: registry.New(k),
+		name: "des", tpt: c, reg: registry.New(k), ttl: 100 * time.Microsecond,
 		node: func(i int) transport.Endpoint { return c.Node(i) },
 		run: func(t *testing.T, bodies []func(transport.Ctx)) {
 			for i, body := range bodies {
@@ -61,7 +63,7 @@ func newDiffChan(nodes int) *diffBackend {
 		eps[i] = net.NewEndpoint()
 	}
 	return &diffBackend{
-		name: "chanloop", tpt: net, reg: registry.NewLocal(),
+		name: "chanloop", tpt: net, reg: registry.NewLocal(), ttl: 60 * time.Millisecond,
 		node: func(i int) transport.Endpoint { return eps[i] },
 		run: func(t *testing.T, bodies []func(transport.Ctx)) {
 			var wg sync.WaitGroup
@@ -78,11 +80,14 @@ func newDiffChan(nodes int) *diffBackend {
 	}
 }
 
-// diffShape is one flow geometry.
+// diffShape is one flow geometry. With evict set, target slot evict-1 is
+// evicted before any source connects and never opens: its share of the
+// stream re-routes over the survivors, identically on either ring kind.
 type diffShape struct {
 	name       string
 	ftype      FlowType
 	nSrc, nTgt int
+	evict      int
 }
 
 // diffAPI is one pairing of push-side and consume-side API.
@@ -109,8 +114,9 @@ type diffTrace struct {
 
 const diffPerSource = 600
 
-// diffPush drives one source's stream through the API under test.
-func diffPush(p transport.Ctx, src *Source, api diffAPI, tuples []schema.Tuple) error {
+// diffPush drives one source's stream through the API under test. dead
+// is the target slot evicted before the run (-1: none).
+func diffPush(p transport.Ctx, src *Source, api diffAPI, tuples []schema.Tuple, dead int) error {
 	spec := src.spec
 	switch api {
 	case apiPushConsume:
@@ -137,6 +143,14 @@ func diffPush(p transport.Ctx, src *Source, api diffAPI, tuples []schema.Tuple) 
 				hi = lo + 1
 			}
 			for target := lo; target < hi; target++ {
+				if target == dead {
+					// No ring to reserve in: ReserveTo says to route around
+					// an evicted target with Push.
+					if err := src.Push(p, tup); err != nil {
+						return err
+					}
+					continue
+				}
 				b, err := src.ReserveTo(p, target, 1)
 				if err != nil {
 					return err
@@ -208,6 +222,13 @@ func runDiff(t *testing.T, b *diffBackend, shape diffShape, api diffAPI, shared 
 		if err := FlowInit(p, b.reg, b.tpt, spec); err != nil {
 			t.Error(err)
 		}
+		if shape.evict > 0 {
+			// Sources are blocked in WaitTargetLive on the slot (it never
+			// publishes), so every one of them connects after this.
+			if err := b.reg.Evict(p, spec.Name, registry.RoleTarget, shape.evict-1); err != nil {
+				t.Error(err)
+			}
+		}
 	}}
 	for si := 0; si < shape.nSrc; si++ {
 		si := si
@@ -222,7 +243,7 @@ func runDiff(t *testing.T, b *diffBackend, shape diffShape, api diffAPI, shared 
 			for i := range tuples {
 				tuples[i] = mkTuple(rng.Int63(), int64(si*diffPerSource+i))
 			}
-			if err := diffPush(p, src, api, tuples); err != nil {
+			if err := diffPush(p, src, api, tuples, shape.evict-1); err != nil {
 				t.Errorf("source %d: %v", si, err)
 			}
 			tr.src[si] = src.Stats()
@@ -231,6 +252,9 @@ func runDiff(t *testing.T, b *diffBackend, shape diffShape, api diffAPI, shared 
 	for ti := 0; ti < shape.nTgt; ti++ {
 		ti := ti
 		tr.seqs[ti] = make([][]int64, shape.nSrc)
+		if ti == shape.evict-1 {
+			continue
+		}
 		bodies = append(bodies, func(p transport.Ctx) {
 			tgt, err := TargetOpen(p, b.reg, spec.Name, ti)
 			if err != nil {
@@ -251,10 +275,11 @@ func runDiff(t *testing.T, b *diffBackend, shape diffShape, api diffAPI, shared 
 
 func TestSharedRingMatchesPrivate(t *testing.T) {
 	shapes := []diffShape{
-		{"1:1", ShuffleFlow, 1, 1},
-		{"2:4 shuffle", ShuffleFlow, 2, 4},
-		{"1:3 replicate", ReplicateFlow, 1, 3},
-		{"3:1 combiner", CombinerFlow, 3, 1},
+		{"1:1", ShuffleFlow, 1, 1, 0},
+		{"2:4 shuffle", ShuffleFlow, 2, 4, 0},
+		{"2:4 shuffle, target 3 evicted", ShuffleFlow, 2, 4, 4},
+		{"1:3 replicate", ReplicateFlow, 1, 3, 0},
+		{"3:1 combiner", CombinerFlow, 3, 1, 0},
 	}
 	backends := []func(int) *diffBackend{newDiffDES, newDiffChan}
 	for _, shape := range shapes {

@@ -37,10 +37,10 @@ type leg struct {
 	// closed latches once the end-of-flow marker is out.
 	closed bool
 
-	// Control plane. mem is the flow's membership record (nil when the
-	// registry keeps none), slot the target slot this leg feeds and inc
-	// the incarnation it connected under; every bounded wait polls
-	// checkAbort so eviction wins over the slower ErrFlowBroken give-up.
+	// Control plane. mem is the flow's membership record, slot the
+	// target slot this leg feeds and inc the incarnation it connected
+	// under; every bounded wait polls checkAbort so eviction wins over
+	// the slower ErrFlowBroken give-up.
 	// seen is the flow epoch at which the target was last found live.
 	// dead latches the eviction once the source has harvested the leg.
 	mem  *registry.Membership
@@ -92,9 +92,6 @@ func (l *leg) checkAbort() error {
 // once per pushed tuple — looks the slot up only when the epoch has
 // moved since it last found the target live.
 func (l *leg) evicted() bool {
-	if l.mem == nil {
-		return false
-	}
 	e := l.mem.Epoch()
 	if e == l.seen {
 		return false

@@ -36,9 +36,10 @@ import (
 //     wait on a corpse), reset the ring of a source that rejoined, and
 //     stop consuming when evicted themselves.
 //
-// Epoch checks are plain pointer reads on paths the endpoints poll
-// anyway, so a flow whose membership never changes behaves — event for
-// event — like one with no membership at all.
+// Epoch checks are one atomic load on paths the endpoints poll anyway,
+// so a flow whose membership never changes behaves — event for event —
+// like one with no membership at all. None of this knows the backend:
+// leases tick on whatever clock the registry was built on.
 
 // heartbeatDivisor sets the lease renewal interval to TTL/3: two renewal
 // losses in a row still keep the lease alive.
@@ -83,10 +84,10 @@ type leaseAgent struct {
 	running bool
 }
 
-// leaseEnrollment is one endpoint's entry: the flow's membership record
-// (nil when the registry keeps none), the slot incarnation the endpoint
-// holds the lease under, and the probe that reports the endpoint is done
-// with the flow (the lease is then released).
+// leaseEnrollment is one endpoint's entry: the flow's membership record,
+// the slot incarnation the endpoint holds the lease under, and the probe
+// that reports the endpoint is done with the flow (the lease is then
+// released).
 type leaseEnrollment struct {
 	mem  *registry.Membership
 	inc  uint64
@@ -104,6 +105,10 @@ func enrollLease(p transport.Ctx, tpt transport.Transport, reg Registry, node tr
 	if err := reg.AcquireLease(p, flow, role, idx, o.LeaseTTL, o.SuspectGrace); err != nil {
 		return err
 	}
+	mem, err := membershipOf(reg, flow)
+	if err != nil {
+		return err
+	}
 	iv := o.LeaseTTL / heartbeatDivisor
 	if iv <= 0 {
 		iv = o.LeaseTTL
@@ -117,10 +122,7 @@ func enrollLease(p transport.Ctx, tpt transport.Transport, reg Registry, node tr
 	}
 	leaseAgentsMu.Unlock()
 
-	e := leaseEnrollment{mem: reg.MembershipOf(flow), done: done}
-	if e.mem != nil {
-		e.inc = e.mem.Incarnation(role, idx)
-	}
+	e := leaseEnrollment{mem: mem, inc: mem.Incarnation(role, idx), done: done}
 	a.mu.Lock()
 	a.refs[registry.LeaseRef{Flow: flow, Role: role, Idx: idx}] = e
 	start := !a.running
@@ -140,7 +142,7 @@ func enrollLease(p transport.Ctx, tpt transport.Transport, reg Registry, node tr
 func (a *leaseAgent) collect() (renew, release []registry.LeaseRef) {
 	a.mu.Lock()
 	for ref, e := range a.refs {
-		if e.mem != nil && e.mem.Incarnation(ref.Role, ref.Idx) != e.inc {
+		if e.mem.Incarnation(ref.Role, ref.Idx) != e.inc {
 			delete(a.refs, ref)
 			continue
 		}
@@ -226,7 +228,7 @@ func (a *leaseAgent) run(hp transport.Ctx) {
 // acquireSourceLease sets up the lease + heartbeat for a source slot.
 func (s *Source) acquireSourceLease(p transport.Ctx, reg Registry, name string) error {
 	return enrollLease(p, s.meta.cluster, reg, s.node, name, registry.RoleSource, s.idx, &s.spec.Options,
-		func() bool { return s.closed })
+		s.closed.Load)
 }
 
 // initMembership builds the partitioner view over the flow's membership
@@ -234,9 +236,6 @@ func (s *Source) acquireSourceLease(p transport.Ctx, reg Registry, name string) 
 // at open (nil legs) start out routed around.
 func (s *Source) initMembership(name string) error {
 	s.view = s.spec.table().NewView()
-	if s.mem == nil {
-		return nil
-	}
 	s.epoch = s.mem.Epoch()
 	if err := s.refreshView(); err != nil {
 		return fmt.Errorf("%w: every target of flow %q is evicted", ErrFlowBroken, name)
@@ -296,7 +295,7 @@ type pendingTuple struct {
 // target survives, or when this source was itself evicted (epoch
 // fencing: its peers have moved on).
 func (s *Source) syncEpoch(p transport.Ctx) error {
-	if s.mem == nil || s.mem.Epoch() == s.epoch {
+	if s.mem.Epoch() == s.epoch {
 		return nil
 	}
 	var pending []pendingTuple
@@ -439,7 +438,7 @@ func (s *Source) Epoch() uint64 { return s.epoch }
 // acquireTargetLease sets up the lease + heartbeat for a target slot.
 func (t *Target) acquireTargetLease(p transport.Ctx, reg Registry, name string) error {
 	return enrollLease(p, t.meta.cluster, reg, t.node, name, registry.RoleTarget, t.idx, &t.spec.Options,
-		func() bool { return t.done.Load() || t.evicted })
+		func() bool { return t.done.Load() || t.evicted.Load() })
 }
 
 // syncMembership folds membership changes into the target's ring state:
@@ -450,16 +449,13 @@ func (t *Target) acquireTargetLease(p transport.Ctx, reg Registry, name string) 
 // the target is evicted. A no-op (one integer compare) while the epoch
 // is unchanged.
 func (t *Target) syncMembership() bool {
-	if t.mem == nil {
-		return false
-	}
 	e := t.mem.Epoch()
 	if e == t.epoch {
-		return t.evicted
+		return t.evicted.Load()
 	}
 	t.epoch = e
 	if t.mem.TargetEvicted(t.idx) {
-		t.evicted = true
+		t.evicted.Store(true)
 		return true
 	}
 	for i, r := range t.readers {
@@ -484,4 +480,4 @@ func (t *Target) syncMembership() bool {
 
 // Evicted reports whether the control plane evicted this target from the
 // flow membership (its key range has been rehashed over the survivors).
-func (t *Target) Evicted() bool { return t.evicted }
+func (t *Target) Evicted() bool { return t.evicted.Load() }

@@ -399,7 +399,7 @@ func TestLifecycleRegistryFailoverMidSetup(t *testing.T) {
 	e := newEnv(t, 3)
 	rr, err := registry.NewReplicated(e.k, registry.ReplicaConfig{
 		RPCDelay: 500 * time.Nanosecond,
-		Faults:   &fabric.FaultPlan{RegistryCrashMaster: 5 * time.Microsecond},
+		Faults:   &registry.Faults{CrashMaster: 5 * time.Microsecond},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"time"
 
 	"dfi/internal/metrics"
@@ -10,11 +11,10 @@ import (
 
 // Registry is the flow-metadata surface core needs from a registry
 // implementation: publish/wait for flow and target metadata, the
-// lease/membership control plane, and sequencer recovery state. The
-// DES-backed *registry.Registry (standalone or replicated) implements
-// all of it; registry.Local implements the metadata surface for sim-free
-// transports and degrades the failure-handling methods (nil membership,
-// no-op leases, rejoin errors).
+// lease/membership control plane, and sequencer recovery state.
+// *registry.Registry implements all of it on either backend — on the
+// simulation kernel's clock (registry.New, NewReplicated) or the host's
+// (registry.NewLocal) — and *registry.Sharded routes it by flow name.
 type Registry interface {
 	// Flow metadata.
 	Publish(p transport.Ctx, name string, meta any) error
@@ -25,7 +25,8 @@ type Registry interface {
 	TargetInfo(p transport.Ctx, name string, idx int) (any, bool)
 	WaitTargetLive(p transport.Ctx, name string, idx int) (info any, evicted bool)
 
-	// Lease-based membership (nil membership = failure handling off).
+	// Lease-based membership. MembershipOf is nil only for a name that
+	// is not published.
 	MembershipOf(name string) *registry.Membership
 	AcquireLease(p transport.Ctx, flow string, role registry.Role, idx int, ttl, grace time.Duration) error
 	RenewLease(p transport.Ctx, flow string, role registry.Role, idx int) error
@@ -47,6 +48,15 @@ type Registry interface {
 
 var (
 	_ Registry = (*registry.Registry)(nil)
-	_ Registry = (*registry.Local)(nil)
 	_ Registry = (*registry.Sharded)(nil)
 )
+
+// membershipOf returns the membership record of a flow the caller has
+// already looked up. Every published flow has one; none means the flow
+// was Removed between that lookup and now, and the open fails.
+func membershipOf(reg Registry, name string) (*registry.Membership, error) {
+	if mem := reg.MembershipOf(name); mem != nil {
+		return mem, nil
+	}
+	return nil, fmt.Errorf("dfi: flow %q was removed from the registry during open", name)
+}

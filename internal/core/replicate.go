@@ -183,13 +183,14 @@ func newMcSource(p transport.Ctx, reg Registry, meta *flowMeta, idx int) (*mcSou
 		gating:      make([]bool, len(spec.Targets)),
 		tinc:        make([]uint64, len(spec.Targets)),
 	}
+	var err error
+	if s.mem, err = membershipOf(reg, spec.Name); err != nil {
+		return nil, err
+	}
 	if spec.Options.LeaseTTL > 0 {
-		s.mem = reg.MembershipOf(spec.Name)
-		if s.mem != nil {
-			s.epoch = s.mem.Epoch()
-			for j := range s.tinc {
-				s.tinc[j] = s.mem.Incarnation(registry.RoleTarget, j)
-			}
+		s.epoch = s.mem.Epoch()
+		for j := range s.tinc {
+			s.tinc[j] = s.mem.Incarnation(registry.RoleTarget, j)
 		}
 	}
 	if s.agreementEnabled() {
@@ -267,9 +268,10 @@ func (s *mcSource) allTargetsFailed() bool {
 // an incarnation bump on a live target slot means the target rejoined —
 // the source reconnects to the fresh reliable QP the rejoiner published
 // and restarts the slot's credit accounting from the sequencer snapshot
-// it installed.
+// it installed. A lease-free multicast flow does not follow its
+// membership record at all (its legacy timing is pinned).
 func (s *mcSource) syncMcEpoch(p transport.Ctx) error {
-	if s.mem == nil || s.mem.Epoch() == s.epoch {
+	if s.spec.Options.LeaseTTL <= 0 || s.mem.Epoch() == s.epoch {
 		return nil
 	}
 	s.epoch = s.mem.Epoch()
@@ -819,12 +821,12 @@ type mcTarget struct {
 
 // agreementEnabled mirrors mcSource.agreementEnabled for the target side.
 func (t *mcTarget) agreementEnabled() bool {
-	return t.spec.Options.GlobalOrdering && t.spec.Options.LeaseTTL > 0 && t.mem != nil
+	return t.spec.Options.GlobalOrdering && t.spec.Options.LeaseTTL > 0
 }
 
 // newMcTargetState builds the transport-independent part of an mcTarget:
 // buffers, per-source state, membership wiring.
-func newMcTargetState(reg Registry, meta *flowMeta, idx int, node transport.Endpoint) *mcTarget {
+func newMcTargetState(reg Registry, meta *flowMeta, idx int, node transport.Endpoint) (*mcTarget, error) {
 	spec := &meta.spec
 	nSrc := len(spec.Sources)
 	R := spec.Options.SegmentsPerRing
@@ -845,11 +847,12 @@ func newMcTargetState(reg Registry, meta *flowMeta, idx int, node transport.Endp
 		lastHeard: make([]time.Duration, nSrc),
 		failedSrc: make([]atomic.Bool, nSrc),
 	}
+	var err error
+	if t.mem, err = membershipOf(reg, spec.Name); err != nil {
+		return nil, err
+	}
 	if spec.Options.LeaseTTL > 0 {
-		t.mem = reg.MembershipOf(spec.Name)
-		if t.mem != nil {
-			t.epoch = t.mem.Epoch()
-		}
+		t.epoch = t.mem.Epoch()
 	}
 	if t.agreementEnabled() {
 		t.dhist = make(map[uint64][]byte)
@@ -868,12 +871,15 @@ func newMcTargetState(reg Registry, meta *flowMeta, idx int, node transport.Endp
 	for i := 0; i < nBufs; i++ {
 		t.pool = append(t.pool, slab[i*stride:(i+1)*stride])
 	}
-	return t
+	return t, nil
 }
 
 func newMcTarget(p transport.Ctx, reg Registry, meta *flowMeta, idx int) (*mcTarget, error) {
 	spec := &meta.spec
-	t := newMcTargetState(reg, meta, idx, spec.Targets[idx].Node)
+	t, err := newMcTargetState(reg, meta, idx, spec.Targets[idx].Node)
+	if err != nil {
+		return nil, err
+	}
 	t.ep = meta.group.Member(idx)
 	nSrc := len(spec.Sources)
 	R := spec.Options.SegmentsPerRing
@@ -908,9 +914,12 @@ func newMcTarget(p transport.Ctx, reg Registry, meta *flowMeta, idx int) (*mcTar
 func newMcTargetRejoin(p transport.Ctx, reg Registry, meta *flowMeta, idx int, node transport.Endpoint) (*mcTarget, error) {
 	spec := &meta.spec
 	name := spec.Name
-	t := newMcTargetState(reg, meta, idx, node)
-	if t.mem == nil {
-		return nil, fmt.Errorf("dfi: flow %q has no membership record", name)
+	if spec.Options.LeaseTTL <= 0 {
+		return nil, fmt.Errorf("dfi: flow %q is lease-free; a multicast target rejoins through its lease", name)
+	}
+	t, err := newMcTargetState(reg, meta, idx, node)
+	if err != nil {
+		return nil, err
 	}
 	nSrc := len(spec.Sources)
 	R := spec.Options.SegmentsPerRing
@@ -1482,7 +1491,7 @@ func (t *mcTarget) failSource(s int) {
 // meaning a successor took the slot — stops consumption, surfaced
 // through Target.Evicted. A no-op while the epoch is unchanged.
 func (t *mcTarget) syncMcMembership() {
-	if t.mem == nil || t.mem.Epoch() == t.epoch {
+	if t.spec.Options.LeaseTTL <= 0 || t.mem.Epoch() == t.epoch {
 		return
 	}
 	t.epoch = t.mem.Epoch()
@@ -1504,9 +1513,6 @@ func (t *mcTarget) syncMcMembership() {
 // close lingers until all targets drain — queries must go to it instead
 // of skipping unilaterally.
 func (t *mcTarget) noLiveArbiter() bool {
-	if t.mem == nil {
-		return true
-	}
 	for s := range t.failedSrc {
 		if t.failedSrc[s].Load() {
 			continue
@@ -1706,7 +1712,7 @@ func (t *mcTarget) frozenSeq(seq uint64) bool {
 // lingering, the responder serves the round, the requester finishes,
 // close returns, the sources release their leases, the responder exits.
 func (t *mcTarget) spawnGapResponder(p transport.Ctx) {
-	if t.responderUp || t.mem == nil {
+	if t.responderUp {
 		return
 	}
 	t.responderUp = true

@@ -66,7 +66,9 @@ type Source struct {
 	watermark atomic.Uint64
 
 	pendingCharge int
-	closed        bool
+	// closed is read by the node's lease agent (another goroutine on a
+	// wall-clock backend) to release the lease.
+	closed atomic.Bool
 
 	// Reusable scratch for PushBatch's vectorized route pass.
 	routeScratch []int32
@@ -104,7 +106,10 @@ func SourceOpen(p transport.Ctx, reg Registry, name string, sourceIdx int) (*Sou
 // connectAll connects one leg per target and initializes the membership
 // view — the shared tail of SourceOpen, AttachSource, and Reattach.
 func (s *Source) connectAll(p transport.Ctx, name string) error {
-	s.mem = s.reg.MembershipOf(name)
+	var err error
+	if s.mem, err = membershipOf(s.reg, name); err != nil {
+		return err
+	}
 	for t := range s.spec.Targets {
 		inc := s.targetInc(t)
 		info, evicted := s.reg.WaitTargetLive(p, name, t)
@@ -131,11 +136,8 @@ func (s *Source) appendLeg(l *leg, inc uint64) {
 }
 
 // targetInc reads a target slot's current incarnation from the
-// membership record (0 without one).
+// membership record.
 func (s *Source) targetInc(i int) uint64 {
-	if s.mem == nil {
-		return 0
-	}
 	return s.mem.Incarnation(registry.RoleTarget, i)
 }
 
@@ -154,9 +156,6 @@ func (s *Source) connectLeg(info any, i int, inc uint64) (*leg, error) {
 			w.evNode = fmt.Sprintf("node%d", s.node.ID())
 			w.evFlow = s.spec.Name
 			w.evSlot = i
-			if s.mem != nil {
-				w.evEpoch = s.mem.Epoch
-			}
 		}
 		l = &w.leg
 	case *sharedTargetInfo:
@@ -195,7 +194,7 @@ func (s *Source) settleCharge(p transport.Ctx) {
 // replicate flows the tuple goes to every target. Push is non-blocking
 // except for flow control (a saturated ring or exhausted credit).
 func (s *Source) Push(p transport.Ctx, t schema.Tuple) error {
-	if s.closed {
+	if s.closed.Load() {
 		return fmt.Errorf("dfi: push on closed source of flow %q", s.spec.Name)
 	}
 	if len(t) != s.spec.Schema.TupleSize() {
@@ -253,9 +252,6 @@ func (s *Source) pushReplicate(p transport.Ctx, t schema.Tuple) error {
 func (s *Source) PushTo(p transport.Ctx, t schema.Tuple, target int) error {
 	if target < 0 || target >= len(s.legs) {
 		return fmt.Errorf("dfi: target %d out of range (%d targets)", target, len(s.legs))
-	}
-	if s.mem == nil {
-		return s.pushLeg(p, s.legs[target], t)
 	}
 	for {
 		if err := s.syncEpoch(p); err != nil {
@@ -326,7 +322,7 @@ func (s *Source) Flush(p transport.Ctx) error {
 // certifies that every target consumed the full stream; ErrFlowBroken
 // reports an unreachable or stuck target.
 func (s *Source) Close(p transport.Ctx) error {
-	if s.closed {
+	if s.closed.Load() {
 		return nil
 	}
 	s.settleCharge(p)
@@ -338,10 +334,10 @@ func (s *Source) Close(p transport.Ctx) error {
 	}
 	if s.mc != nil {
 		record(s.mc.close(p))
-		s.closed = true
+		s.closed.Store(true)
 		return firstErr
 	}
-	if s.mem == nil || (s.epoch == 0 && s.mem.Epoch() == 0 && s.spec.Options.LeaseTTL == 0) {
+	if s.epoch == 0 && s.mem.Epoch() == 0 && s.spec.Options.LeaseTTL == 0 {
 		// Quiescent control plane: the original per-leg close order,
 		// kept so flows without leases or evictions time exactly as
 		// before. An administrative eviction racing this close drops to
@@ -358,7 +354,7 @@ func (s *Source) Close(p transport.Ctx) error {
 			record(err)
 		}
 		if !evictedMid {
-			s.closed = true
+			s.closed.Store(true)
 			return firstErr
 		}
 	}
@@ -370,7 +366,7 @@ func (s *Source) Close(p transport.Ctx) error {
 	for round := 0; ; round++ {
 		if err := s.syncEpoch(p); err != nil {
 			record(err)
-			s.closed = true
+			s.closed.Store(true)
 			return firstErr
 		}
 		again := false
@@ -424,7 +420,7 @@ func (s *Source) Close(p transport.Ctx) error {
 			break
 		}
 	}
-	s.closed = true
+	s.closed.Store(true)
 	return firstErr
 }
 
@@ -498,14 +494,12 @@ func (s *Source) Checkpoint(p transport.Ctx) (uint64, error) {
 				return 0, err
 			}
 		}
-		if !again && (s.mem == nil || s.mem.Epoch() == s.epoch) {
+		if !again && s.mem.Epoch() == s.epoch {
 			break
 		}
 	}
-	if s.mem != nil {
-		if err := s.reg.SetWatermark(p, s.spec.Name, registry.RoleSource, s.idx, s.pushed.Load()); err != nil {
-			return 0, err
-		}
+	if err := s.reg.SetWatermark(p, s.spec.Name, registry.RoleSource, s.idx, s.pushed.Load()); err != nil {
+		return 0, err
 	}
 	s.watermark.Store(s.pushed.Load())
 	return s.pushed.Load(), nil

@@ -49,10 +49,11 @@ type Target struct {
 	mc *mcTarget // multicast replicate transport, if enabled
 
 	// Control-plane membership (see lifecycle.go): the flow's record,
-	// the last epoch folded in, and whether this target was evicted.
+	// the last epoch folded in, and whether this target was evicted
+	// (atomic: the node's lease agent reads it to release the lease).
 	mem     *registry.Membership
 	epoch   uint64
-	evicted bool
+	evicted atomic.Bool
 
 	// Scrape-visible counters (atomic so a metrics endpoint can read
 	// them while the flow runs).
@@ -170,7 +171,11 @@ func TargetOpen(p transport.Ctx, reg Registry, name string, targetIdx int) (*Tar
 	} else {
 		info = t.allocRings()
 	}
-	t.initTargetMembership(reg.MembershipOf(name))
+	mem, err := membershipOf(reg, name)
+	if err != nil {
+		return nil, err
+	}
+	t.initTargetMembership(mem)
 	if err := t.acquireTargetLease(p, reg, name); err != nil {
 		return nil, err
 	}
@@ -216,9 +221,6 @@ func (t *Target) failSource(i int) {
 // missed those epochs while it was down).
 func (t *Target) initTargetMembership(mem *registry.Membership) {
 	t.mem = mem
-	if mem == nil {
-		return
-	}
 	t.epoch = mem.Epoch()
 	for i, r := range t.readers {
 		r.inc = mem.Incarnation(registry.RoleSource, i)
@@ -245,7 +247,7 @@ func (t *Target) initTargetMembership(mem *registry.Membership) {
 // may still have segments in flight — and never needs this: its targets
 // cannot re-attach.
 func (t *Target) closeLeftRings(n int) {
-	if t.mem == nil || t.spec.Options.RetransmitTimeout <= 0 {
+	if t.spec.Options.RetransmitTimeout <= 0 {
 		return
 	}
 	for i, r := range t.readers[:n] {
@@ -391,7 +393,7 @@ func (t *Target) nextSegment(p transport.Ctx) bool {
 		if ok {
 			t.segData, t.segOff, t.remaining = data, 0, len(data)/t.tupleSize
 		} else if t.mc.evicted {
-			t.evicted = true
+			t.evicted.Store(true)
 		} else if t.mc.done {
 			t.done.Store(true)
 		}
@@ -594,7 +596,7 @@ func (t *Target) Reattach(p transport.Ctx) (*Target, error) {
 	if _, err := t.reg.Rejoin(p, name, registry.RoleTarget, t.idx, t.idx); err != nil {
 		return nil, fmt.Errorf("dfi: rejoin of target %d rejected: %w", t.idx, err)
 	}
-	nt.initTargetMembership(t.reg.MembershipOf(name))
+	nt.initTargetMembership(t.mem)
 	if err := nt.acquireTargetLease(p, t.reg, name); err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"dfi/internal/metrics"
+	"dfi/internal/registry"
 	"dfi/internal/transport"
 )
 
@@ -57,6 +58,12 @@ type ringWriter struct {
 	written uint64 // segments written to the remote ring
 	acked   uint64 // remote segments known to be consumed
 
+	// slow counts consecutive no-progress recovery rounds against a
+	// target whose lease is live, slowAt is the acked watermark they
+	// started at (see stalled).
+	slow   int
+	slowAt uint64
+
 	footerBuf     []byte
 	cqBurst       [16]transport.Completion // drainCQ burst scratch
 	footerPending bool
@@ -84,11 +91,10 @@ type ringWriter struct {
 
 	// Event tracing context, set by the source at connect time. events
 	// is nil unless the application installed a sink.
-	events  metrics.EventSink
-	evNode  string
-	evFlow  string
-	evEpoch func() uint64
-	evSlot  int // target slot this writer feeds
+	events metrics.EventSink
+	evNode string
+	evFlow string
+	evSlot int // target slot this writer feeds
 }
 
 // newRingWriter connects a source thread on node to the ring at ringOff
@@ -240,8 +246,7 @@ func (w *ringWriter) ensureCredit(p transport.Ctx) error {
 		}
 		lastProgress = p.Now()
 		if w.credits <= before {
-			rounds++
-			if rounds > w.opts.MaxRetransmits {
+			if w.stalled(p, &rounds) {
 				return fmt.Errorf("%w: no credit after %d recovery rounds", ErrFlowBroken, rounds-1)
 			}
 		} else {
@@ -325,19 +330,10 @@ func (w *ringWriter) writeSegment(p transport.Ctx, fill int, flags byte) {
 	if w.events != nil {
 		w.events.Emit(metrics.Event{
 			T: p.Now(), Node: w.evNode, Type: metrics.EvSegmentWrite,
-			Flow: w.evFlow, Epoch: w.epochLabel(), Role: "source",
+			Flow: w.evFlow, Epoch: w.mem.Epoch(), Role: "source",
 			Slot: w.evSlot, Seq: w.seq - 1, Bytes: uint64(fill),
 		})
 	}
-}
-
-// epochLabel reads the flow epoch for event labels (0 without a
-// membership record).
-func (w *ringWriter) epochLabel() uint64 {
-	if w.evEpoch == nil {
-		return 0
-	}
-	return w.evEpoch()
 }
 
 // ensureRemoteWritable blocks until the next remote slot is reusable,
@@ -384,8 +380,7 @@ func (w *ringWriter) ensureRemoteWritable(p transport.Ctx) error {
 		}
 		lastProgress = p.Now()
 		if w.acked == before {
-			rounds++
-			if rounds > w.opts.MaxRetransmits {
+			if w.stalled(p, &rounds) {
 				return fmt.Errorf("%w: remote ring full, no progress after %d recovery rounds", ErrFlowBroken, rounds-1)
 			}
 		} else {
@@ -450,7 +445,11 @@ func (w *ringWriter) waitLocalSlot(p transport.Ctx) error {
 			continue
 		}
 		// Completions only vanish when an endpoint crashed; retrying
-		// cannot help, but give the fabric MaxRetransmits grace rounds.
+		// cannot help, but give the fabric MaxRetransmits grace rounds
+		// (and a target whose lease is live, as long as it takes).
+		if w.targetLeaseLive() {
+			continue
+		}
 		rounds++
 		if rounds > w.opts.MaxRetransmits {
 			return fmt.Errorf("%w: write completion overdue after %d rounds (peer crashed?)", ErrFlowBroken, rounds-1)
@@ -518,6 +517,43 @@ func (w *ringWriter) handleCompletion(p transport.Ctx, c transport.Completion) {
 		}
 	}
 }
+
+// stalled counts one recovery round that made no progress and reports
+// whether MaxRetransmits in a row have gone by, which breaks the flow.
+// A round does not count while the target's lease is live: it is slow —
+// a dense fleet takes longer than MaxRetransmits × LeaseTTL/2 to get
+// round to one ring — not failed, and saying otherwise is the control
+// plane's call (every wait that counts rounds polls checkAbort, so an
+// eviction ends it). Not giving up must not mean retransmitting the
+// window every timeout for as long as the target is slow — a fleet of
+// writers doing that is what keeps targets slow — so past MaxRetransmits
+// uncounted rounds with the watermark still, each round first sits out
+// a doubling number of timeouts (2^slowBackoffMax at most).
+func (w *ringWriter) stalled(p transport.Ctx, rounds *int) bool {
+	if !w.targetLeaseLive() {
+		*rounds++
+		return *rounds > w.opts.MaxRetransmits
+	}
+	if w.acked != w.slowAt {
+		w.slowAt, w.slow = w.acked, 0
+	}
+	w.slow++
+	if over := w.slow - w.opts.MaxRetransmits; over > 0 {
+		for n := 1 << min(over, slowBackoffMax); n > 0 && w.checkAbort() == nil; n-- {
+			p.Sleep(w.opts.RetransmitTimeout)
+		}
+	}
+	return false
+}
+
+// targetLeaseLive reports whether the flow is leased and the target's
+// slot is Active under the incarnation this leg connected to.
+func (w *ringWriter) targetLeaseLive() bool {
+	return w.opts.LeaseTTL > 0 && w.mem.State(registry.RoleTarget, w.slot) == registry.StateActive &&
+		w.mem.Incarnation(registry.RoleTarget, w.slot) == w.inc
+}
+
+const slowBackoffMax = 6
 
 // backoff sleeps a small randomized interval (0.5µs–2µs).
 func (w *ringWriter) backoff(p transport.Ctx) {
@@ -626,8 +662,7 @@ func (w *ringWriter) confirmDelivered(p transport.Ctx) error {
 		}
 		lastProgress = p.Now()
 		if w.acked == before {
-			rounds++
-			if rounds > w.opts.MaxRetransmits {
+			if w.stalled(p, &rounds) {
 				return fmt.Errorf("%w: %d segments unconfirmed after %d recovery rounds",
 					ErrFlowBroken, w.written-w.acked, rounds-1)
 			}

@@ -76,21 +76,6 @@ type FaultPlan struct {
 	// Crashes maps a node id to its crash time: from that instant the node
 	// neither transmits nor receives, and produces no completions.
 	Crashes map[int]time.Duration
-
-	// Control-plane faults, consumed by dfi/internal/registry (the
-	// registry models its RPCs analytically rather than as fabric
-	// messages, so its faults live here beside the data-plane knobs and
-	// share the plan's reproducible randomness). RegistryDrop is the
-	// probability that one registry RPC leg is lost — the client retries
-	// after its retry timeout. RegistryDelay/RegistryJitter stretch every
-	// leg. RegistryCrashMaster crashes the current master of a
-	// *replicated* registry at the given virtual time, forcing a standby
-	// promotion (ignored by standalone registries, which have no standby
-	// to fail over to).
-	RegistryDrop        float64
-	RegistryDelay       time.Duration
-	RegistryJitter      time.Duration
-	RegistryCrashMaster time.Duration
 }
 
 // LinkFault scopes extra faults to one directed link. From/To are node

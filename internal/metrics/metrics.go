@@ -151,8 +151,10 @@ func NewRegistry() *Registry {
 }
 
 // lookup returns (creating as needed) the family and the series slot
-// for (name, labels), enforcing name validity and type consistency.
-func (r *Registry) lookup(name, help string, typ Type, labels Labels) *series {
+// for (name, labels), enforcing name validity and type consistency. fill
+// installs the slot's instrument under the registry lock, which is what
+// orders it against a concurrent scrape or a second registration.
+func (r *Registry) lookup(name, help string, typ Type, labels Labels, fill func(*series)) *series {
 	if err := checkMetricName(name); err != nil {
 		panic(err)
 	}
@@ -171,6 +173,7 @@ func (r *Registry) lookup(name, help string, typ Type, labels Labels) *series {
 		s = &series{labels: key}
 		f.series[key] = s
 	}
+	fill(s)
 	return s
 }
 
@@ -178,40 +181,40 @@ func (r *Registry) lookup(name, help string, typ Type, labels Labels) *series {
 // first use. Registering the same series twice returns the same
 // counter; registering a name under two instrument types panics.
 func (r *Registry) Counter(name, help string, labels Labels) *Counter {
-	s := r.lookup(name, help, TypeCounter, labels)
-	if s.fn != nil {
-		panic(fmt.Sprintf("metrics: %s%s is func-backed", name, s.labels))
-	}
-	if s.counter == nil {
-		s.counter = &Counter{}
-	}
-	return s.counter
+	return r.lookup(name, help, TypeCounter, labels, func(s *series) {
+		if s.fn != nil {
+			panic(fmt.Sprintf("metrics: %s%s is func-backed", name, s.labels))
+		}
+		if s.counter == nil {
+			s.counter = &Counter{}
+		}
+	}).counter
 }
 
 // Gauge returns the gauge for (name, labels), registering it on first
 // use.
 func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
-	s := r.lookup(name, help, TypeGauge, labels)
-	if s.fn != nil {
-		panic(fmt.Sprintf("metrics: %s%s is func-backed", name, s.labels))
-	}
-	if s.gauge == nil {
-		s.gauge = &Gauge{}
-	}
-	return s.gauge
+	return r.lookup(name, help, TypeGauge, labels, func(s *series) {
+		if s.fn != nil {
+			panic(fmt.Sprintf("metrics: %s%s is func-backed", name, s.labels))
+		}
+		if s.gauge == nil {
+			s.gauge = &Gauge{}
+		}
+	}).gauge
 }
 
 // Histogram returns the histogram for (name, labels) with the given
 // bucket upper bounds (ascending; +Inf is implicit), registering it on
 // first use. Bounds are fixed by the first registration.
 func (r *Registry) Histogram(name, help string, bounds []float64, labels Labels) *Histogram {
-	s := r.lookup(name, help, TypeHistogram, labels)
-	if s.hist == nil {
-		b := append([]float64(nil), bounds...)
-		sort.Float64s(b)
-		s.hist = &Histogram{bounds: b, counts: make([]atomic.Uint64, len(b)+1)}
-	}
-	return s.hist
+	return r.lookup(name, help, TypeHistogram, labels, func(s *series) {
+		if s.hist == nil {
+			b := append([]float64(nil), bounds...)
+			sort.Float64s(b)
+			s.hist = &Histogram{bounds: b, counts: make([]atomic.Uint64, len(b)+1)}
+		}
+	}).hist
 }
 
 // RegisterCounterFunc registers a counter whose value is produced by fn
@@ -231,11 +234,12 @@ func (r *Registry) RegisterGaugeFunc(name, help string, labels Labels, fn func()
 }
 
 func (r *Registry) registerFunc(name, help string, typ Type, labels Labels, fn func() float64) {
-	s := r.lookup(name, help, typ, labels)
-	if s.fn != nil || s.counter != nil || s.gauge != nil {
-		panic(fmt.Sprintf("metrics: %s%s already registered", name, s.labels))
-	}
-	s.fn = fn
+	r.lookup(name, help, typ, labels, func(s *series) {
+		if s.fn != nil || s.counter != nil || s.gauge != nil {
+			panic(fmt.Sprintf("metrics: %s%s already registered", name, s.labels))
+		}
+		s.fn = fn
+	})
 }
 
 // WritePrometheus renders every registered family in the Prometheus

@@ -1,0 +1,58 @@
+package registry
+
+import (
+	"sync"
+	"time"
+
+	"dfi/internal/sim"
+	"dfi/internal/transport"
+)
+
+// desClock is the clock of a registry on the discrete-event kernel:
+// virtual time, kernel callbacks for timers, a sim.Cond for waiters —
+// the kernel sees exactly the events it would see without the seam.
+type desClock struct {
+	k    *sim.Kernel
+	cond *sim.Cond
+	mu   *sync.Mutex // the monitor, released around a park
+}
+
+func (c *desClock) now() time.Duration               { return c.k.Now() }
+func (c *desClock) after(d time.Duration, fn func()) { c.k.After(d, fn) }
+func (c *desClock) broadcast()                       { c.cond.Broadcast() }
+
+// wait parks the calling sim process. A process parked holding the
+// monitor would hang the kernel on the next registry call, so it is let
+// go first; nothing else can run between the unlock and the park.
+func (c *desClock) wait(p transport.Ctx) {
+	c.mu.Unlock()
+	defer c.mu.Lock()
+	c.cond.Wait(p.(*sim.Proc))
+}
+
+// New creates an empty standalone registry bound to k; its callers'
+// contexts must be k's processes.
+func New(k *sim.Kernel) *Registry {
+	r := newRegistry()
+	r.clk = &desClock{k: k, cond: sim.NewCond(k), mu: &r.mu}
+	return r
+}
+
+// NewReplicated creates a registry on k whose mutations commit through a
+// Multi-Paxos log across cfg.Replicas acceptors (see replicated.go).
+func NewReplicated(k *sim.Kernel, cfg ReplicaConfig) (*Registry, error) {
+	return New(k).replicate(cfg)
+}
+
+// NewSharded builds n standalone shards on k (n clamps to at least 1).
+func NewSharded(k *sim.Kernel, n int) *Sharded {
+	s, _ := newSharded(n, func() (*Registry, error) { return New(k), nil })
+	return s
+}
+
+// NewShardedReplicated builds n shards on k, each its own replication
+// group with cfg (disjoint Multi-Paxos logs — a master failover in one
+// shard leaves the others untouched).
+func NewShardedReplicated(k *sim.Kernel, n int, cfg ReplicaConfig) (*Sharded, error) {
+	return newSharded(n, func() (*Registry, error) { return NewReplicated(k, cfg) })
+}

@@ -2,6 +2,8 @@ package registry
 
 import (
 	"fmt"
+	"sort"
+	"sync/atomic"
 	"time"
 
 	"dfi/internal/metrics"
@@ -21,11 +23,12 @@ import (
 // evicted sources). Endpoints may also be evicted administratively with
 // Evict, which takes effect at the next epoch immediately.
 //
-// Timers are kernel callbacks, not processes: each (re)arm bumps a
-// generation counter and schedules one expiry check that no-ops when the
-// generation moved on. A quiescent flow therefore leaves no pending
-// events behind once its endpoints release their leases, which is what
-// keeps the discrete-event kernel's run loop terminating.
+// Timers are clock callbacks (kernel events on the DES, time.AfterFunc
+// on the wall clock), not processes: each (re)arm bumps a generation
+// counter and schedules one expiry check that no-ops when the generation
+// moved on. A quiescent flow therefore leaves no pending events behind
+// once its endpoints release their leases, which is what keeps the
+// discrete-event kernel's run loop terminating.
 
 // Role distinguishes the two endpoint kinds in a membership record.
 type Role uint8
@@ -93,15 +96,17 @@ type lease struct {
 
 // Membership is the epoch-versioned membership record of one flow. The
 // pointer handed out by MembershipOf stays valid for the flow's lifetime
-// (client-side cache semantics); reading it is free, like reading any
-// local cache — endpoints learn of changes by comparing Epoch against
-// the value they acted on last.
+// (client-side cache semantics); reading it is free of RPC cost, like
+// reading any local cache — endpoints learn of changes by comparing
+// Epoch against the value they acted on last. It is safe to read from
+// any goroutine: Epoch, probed once per pushed tuple, is an atomic load;
+// the slot accessors take the registry's monitor.
 type Membership struct {
 	r    *Registry
 	flow string
 
-	epoch uint64
-	eps   map[epKey]*lease
+	epoch atomic.Uint64
+	eps   map[epKey]*lease // under r.mu
 }
 
 func newMembership(r *Registry, flow string) *Membership {
@@ -110,16 +115,27 @@ func newMembership(r *Registry, flow string) *Membership {
 
 // Epoch returns the record's current epoch. It starts at 0 and is bumped
 // by every eviction.
-func (m *Membership) Epoch() uint64 { return m.epoch }
+func (m *Membership) Epoch() uint64 { return m.epoch.Load() }
+
+// slot copies one endpoint slot out of the record: the zero lease —
+// Active, incarnation 0 — when the slot never acquired one.
+func (m *Membership) slot(role Role, idx int) lease {
+	m.r.mu.Lock()
+	defer m.r.mu.Unlock()
+	return m.peek(role, idx)
+}
+
+// peek is slot for callers inside the monitor.
+func (m *Membership) peek(role Role, idx int) lease {
+	if l, ok := m.eps[epKey{role, idx}]; ok {
+		return *l
+	}
+	return lease{}
+}
 
 // State returns the lease state of an endpoint slot (Active when the
 // slot never acquired a lease).
-func (m *Membership) State(role Role, idx int) EndpointState {
-	if l, ok := m.eps[epKey{role, idx}]; ok {
-		return l.state
-	}
-	return StateActive
-}
+func (m *Membership) State(role Role, idx int) EndpointState { return m.slot(role, idx).state }
 
 // Evicted reports whether the endpoint slot has been evicted.
 func (m *Membership) Evicted(role Role, idx int) bool {
@@ -135,35 +151,23 @@ func (m *Membership) SourceEvicted(idx int) bool { return m.Evicted(RoleSource, 
 // Incarnation returns the endpoint slot's incarnation: 0 until the slot
 // first rejoins after an eviction, bumped by every Rejoin. Like Epoch it
 // is a local cache read.
-func (m *Membership) Incarnation(role Role, idx int) uint64 {
-	if l, ok := m.eps[epKey{role, idx}]; ok {
-		return l.inc
-	}
-	return 0
-}
+func (m *Membership) Incarnation(role Role, idx int) uint64 { return m.slot(role, idx).inc }
 
 // Watermark returns the endpoint slot's last recorded confirmed
 // watermark (see Registry.SetWatermark).
-func (m *Membership) Watermark(role Role, idx int) uint64 {
-	if l, ok := m.eps[epKey{role, idx}]; ok {
-		return l.watermark
-	}
-	return 0
-}
+func (m *Membership) Watermark(role Role, idx int) uint64 { return m.slot(role, idx).watermark }
 
 // EvictedTargets returns the evicted target slots in ascending order.
 func (m *Membership) EvictedTargets() []int {
 	var out []int
+	m.r.mu.Lock()
 	for k, l := range m.eps {
 		if k.role == RoleTarget && l.state == StateEvicted {
 			out = append(out, k.idx)
 		}
 	}
-	for i := 1; i < len(out); i++ { // insertion sort; the set is tiny
-		for j := i; j > 0 && out[j-1] > out[j]; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
+	m.r.mu.Unlock()
+	sort.Ints(out)
 	return out
 }
 
@@ -172,26 +176,36 @@ func (m *Membership) EvictedTargets() []int {
 func (m *Membership) arm(k epKey, l *lease) {
 	l.gen++
 	gen := l.gen
-	m.r.k.After(l.ttl, func() { m.expire(k, gen) })
+	m.r.clk.after(l.ttl, func() { m.expire(k, gen) })
 }
 
 // expire moves an unrenewed Active lease to Suspect and starts the grace
-// timer toward eviction.
+// timer toward eviction. A timer callback: it takes the monitor.
 func (m *Membership) expire(k epKey, gen uint64) {
+	m.r.mu.Lock()
+	defer m.r.mu.Unlock()
 	l := m.eps[k]
 	if l == nil || l.gen != gen || l.state != StateActive {
 		return
 	}
 	l.state = StateSuspect
-	m.r.cond.Broadcast()
-	m.r.emit(metrics.Event{Type: metrics.EvLease, Flow: m.flow, Epoch: m.epoch,
+	m.r.clk.broadcast()
+	m.r.emit(metrics.Event{Type: metrics.EvLease, Flow: m.flow, Epoch: m.epoch.Load(),
 		Role: k.role.String(), Slot: k.idx, Detail: "lease expired: active -> suspect"})
 	m.r.statusChanged(m.flow)
-	m.r.k.After(l.grace, func() { m.evictExpired(k, gen) })
+	m.armGrace(k, l, gen)
+}
+
+// armGrace schedules the eviction check of a Suspect lease.
+func (m *Membership) armGrace(k epKey, l *lease, gen uint64) {
+	m.r.clk.after(l.grace, func() { m.evictExpired(k, gen) })
 }
 
 // evictExpired evicts a lease still Suspect when its grace period ends.
+// A timer callback: it takes the monitor.
 func (m *Membership) evictExpired(k epKey, gen uint64) {
+	m.r.mu.Lock()
+	defer m.r.mu.Unlock()
 	l := m.eps[k]
 	if l == nil || l.gen != gen || l.state != StateSuspect {
 		return
@@ -204,11 +218,11 @@ func (m *Membership) evictExpired(k epKey, gen uint64) {
 // broadcast-coupled conds) observe the new epoch.
 func (m *Membership) evict(k epKey, l *lease) {
 	l.state = StateEvicted
-	m.epoch++
-	m.r.cond.Broadcast()
-	m.r.emit(metrics.Event{Type: metrics.EvEviction, Flow: m.flow, Epoch: m.epoch,
+	epoch := m.epoch.Add(1)
+	m.r.clk.broadcast()
+	m.r.emit(metrics.Event{Type: metrics.EvEviction, Flow: m.flow, Epoch: epoch,
 		Role: k.role.String(), Slot: k.idx, Detail: "evicted from membership"})
-	m.r.emit(metrics.Event{Type: metrics.EvEpoch, Flow: m.flow, Epoch: m.epoch,
+	m.r.emit(metrics.Event{Type: metrics.EvEpoch, Flow: m.flow, Epoch: epoch,
 		Detail: "epoch bumped by eviction"})
 	m.r.statusChanged(m.flow)
 }
@@ -224,9 +238,11 @@ func (r *Registry) membership(flow string) (*Membership, bool) {
 
 // MembershipOf returns the flow's membership record, or nil if the flow
 // is not published. The record is the client-side cached view: reading
-// it costs nothing (endpoints poll Epoch on their normal wait paths),
+// it costs no RPC (endpoints poll Epoch on their normal wait paths),
 // while the mutating lease calls below are real RPCs.
 func (r *Registry) MembershipOf(name string) *Membership {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	m, _ := r.membership(name)
 	return m
 }
@@ -260,12 +276,12 @@ func (r *Registry) AcquireLease(p transport.Ctx, flow string, role Role, idx int
 			m.eps[k] = l
 		}
 		if l.state == StateEvicted {
-			return fmt.Errorf("registry: %s %d of flow %q was evicted (epoch %d)", role, idx, flow, m.epoch)
+			return fmt.Errorf("registry: %s %d of flow %q was evicted (epoch %d)", role, idx, flow, m.epoch.Load())
 		}
 		l.state = StateActive
 		l.ttl, l.grace = ttl, grace
 		m.arm(k, l)
-		r.emit(metrics.Event{Type: metrics.EvLease, Flow: flow, Epoch: m.epoch,
+		r.emit(metrics.Event{Type: metrics.EvLease, Flow: flow, Epoch: m.epoch.Load(),
 			Role: role.String(), Slot: idx, Detail: "lease acquired"})
 		return nil
 	})
@@ -292,7 +308,7 @@ func (r *Registry) RenewLease(p transport.Ctx, flow string, role Role, idx int) 
 			return fmt.Errorf("registry: %s %d of flow %q holds no lease", role, idx, flow)
 		}
 		if l.state == StateEvicted {
-			return fmt.Errorf("registry: %s %d of flow %q was evicted (epoch %d)", role, idx, flow, m.epoch)
+			return fmt.Errorf("registry: %s %d of flow %q was evicted (epoch %d)", role, idx, flow, m.epoch.Load())
 		}
 		m.renew(k, l)
 		return nil
@@ -317,6 +333,8 @@ func (m *Membership) renew(k epKey, l *lease) {
 // heartbeat path costs one per slot per tick.
 func (r *Registry) invokeRenew(p transport.Ctx, op func() error) error {
 	r.renewRPCs.Add(1)
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	var err error
 	if r.repl != nil && r.repl.cfg.UnloggedRenew {
 		r.rpc(p)
@@ -381,7 +399,7 @@ func (r *Registry) ReleaseLease(p transport.Ctx, flow string, role Role, idx int
 		}
 		l.gen++ // orphan any pending expiry check
 		l.state = StateLeft
-		r.emit(metrics.Event{Type: metrics.EvLease, Flow: flow, Epoch: m.epoch,
+		r.emit(metrics.Event{Type: metrics.EvLease, Flow: flow, Epoch: m.epoch.Load(),
 			Role: role.String(), Slot: idx, Detail: "lease released: -> left"})
 		return nil
 	})
@@ -442,7 +460,7 @@ func (r *Registry) Rejoin(p transport.Ctx, flow string, role Role, idx, newIdx i
 		l := m.eps[k]
 		if l == nil || l.state != StateEvicted {
 			return fmt.Errorf("registry: %s %d of flow %q is not evicted (state %v); rejoin rejected",
-				role, idx, flow, m.State(role, idx))
+				role, idx, flow, m.peek(role, idx).state)
 		}
 		if newIdx == idx {
 			l.gen++ // orphan pre-eviction timers
@@ -451,11 +469,11 @@ func (r *Registry) Rejoin(p transport.Ctx, flow string, role Role, idx, newIdx i
 			if l.ttl > 0 {
 				m.arm(k, l)
 			}
-			m.epoch++
-			m.r.cond.Broadcast()
-			r.emit(metrics.Event{Type: metrics.EvLease, Flow: flow, Epoch: m.epoch,
+			m.epoch.Add(1)
+			r.clk.broadcast()
+			r.emit(metrics.Event{Type: metrics.EvLease, Flow: flow, Epoch: m.epoch.Load(),
 				Role: role.String(), Slot: idx, Seq: l.inc, Detail: "rejoined own slot"})
-			r.emit(metrics.Event{Type: metrics.EvEpoch, Flow: flow, Epoch: m.epoch,
+			r.emit(metrics.Event{Type: metrics.EvEpoch, Flow: flow, Epoch: m.epoch.Load(),
 				Detail: "epoch bumped by rejoin"})
 			out = Rejoined{Incarnation: l.inc, Watermark: l.watermark}
 			return nil
@@ -474,7 +492,7 @@ func (r *Registry) Rejoin(p transport.Ctx, flow string, role Role, idx, newIdx i
 		// normal attach path; the old slot's eviction epoch already
 		// rerouted its work.
 		nl.watermark = l.watermark
-		r.emit(metrics.Event{Type: metrics.EvLease, Flow: flow, Epoch: m.epoch,
+		r.emit(metrics.Event{Type: metrics.EvLease, Flow: flow, Epoch: m.epoch.Load(),
 			Role: role.String(), Slot: newIdx, Seq: nl.inc,
 			Detail: fmt.Sprintf("identity transferred from slot %d", idx)})
 		out = Rejoined{Incarnation: nl.inc, Watermark: nl.watermark}

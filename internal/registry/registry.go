@@ -9,38 +9,46 @@
 // (see lease.go): every flow has an epoch-versioned membership record
 // whose leases detect crashed endpoints, and the registry itself can run
 // replicated over a Multi-Paxos log with master failover (replicated.go).
-// Registry RPCs can be delayed or dropped via fabric.FaultPlan's
-// Registry* knobs; a dropped RPC costs the client a retry timeout.
+// Registry RPCs can be delayed or dropped via Faults; a dropped RPC costs
+// the client a retry timeout.
+//
+// There is one registry type, Registry, and it does not know which
+// backend it runs on: it is a monitor over a small clock seam (clock.go)
+// — the time, a one-shot timer, a wait/broadcast pair. The constructors
+// that take a *sim.Kernel (des.go, the only file importing sim) give it
+// the discrete-event kernel's clock; NewLocal gives it the host's, for
+// transports whose contexts are goroutines. Leases, eviction, rejoin,
+// sequencer state, status and events are the same code on both.
+//
+// The monitor invariant: Registry.mu is held by every exported method and
+// every timer callback while it runs, and released in exactly two places
+// — Registry.sleep (the modelled RPC latency) and the clock's wait — so
+// nothing parks holding it. On the kernel, processes only ever
+// interleaved at those two points: the mutex is uncontended and the
+// schedule unchanged (a process parked with the monitor held would hang
+// the kernel, not race). On the wall clock the same rule gives goroutines
+// the same atomic-between-sleeps semantics, which is all the replicated
+// log relies on. Status, LeaseRenewRPCs and Membership.Epoch are atomic
+// loads and take nothing.
 package registry
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
-	"dfi/internal/fabric"
 	"dfi/internal/metrics"
-	"dfi/internal/sim"
 	"dfi/internal/transport"
 )
 
-// simProc asserts a transport context to the sim kernel's process type.
-// Registry waits park on sim conds, so the DES-backed registry only runs
-// under the sim kernel; sim-free backends use Local instead.
-func simProc(p transport.Ctx) *sim.Proc {
-	sp, ok := p.(*sim.Proc)
-	if !ok {
-		panic("registry: context is not a *sim.Proc (use registry.Local on sim-free transports)")
-	}
-	return sp
-}
-
 // Registry is the client handle to the metadata store. One instance
-// serves a cluster; New builds a standalone (single-master, non-fault-
-// tolerant) registry, NewReplicated one backed by a replicated log.
+// serves a cluster; New and NewLocal build a standalone (single-master,
+// non-fault-tolerant) registry, NewReplicated one backed by a replicated
+// log.
 type Registry struct {
-	k        *sim.Kernel
-	cond     *sim.Cond
+	mu       sync.Mutex // the monitor (see the package comment)
+	clk      clock
 	flows    map[string]*entry
 	RPCDelay time.Duration // charged to every remote lookup/publish
 
@@ -49,7 +57,7 @@ type Registry struct {
 	// Defaults to max(4·RPCDelay, 2µs).
 	RetryTimeout time.Duration
 
-	faults *fabric.FaultPlan
+	faults *Faults
 	repl   *replGroup // nil for a standalone registry
 
 	// events receives structured protocol events (nil when tracing is
@@ -68,6 +76,38 @@ type Registry struct {
 	renewRPCs atomic.Uint64
 }
 
+// Faults are the registry's RPC fault knobs. Drop is the probability
+// that a client↔registry (or master↔replica) message leg is lost, costing
+// the sender its retry timeout; Delay and Jitter stretch every leg (the
+// jitter drawn from the caller's Ctx.Rand, so a seeded run reproduces).
+// CrashMaster crashes the current master of a replicated registry once
+// the run is that old (0 = never).
+type Faults struct {
+	Drop        float64
+	Delay       time.Duration
+	Jitter      time.Duration
+	CrashMaster time.Duration
+}
+
+// legDelay is one message leg's latency under the fault knobs.
+func (f *Faults) legDelay(p transport.Ctx, base time.Duration) time.Duration {
+	if f == nil {
+		return base
+	}
+	base += f.Delay
+	if f.Jitter > 0 {
+		base += time.Duration(p.Rand().Int63n(int64(f.Jitter)))
+	}
+	return base
+}
+
+// dropLeg draws whether one message leg is lost.
+func (f *Faults) dropLeg(p transport.Ctx) bool {
+	return f != nil && f.Drop > 0 && p.Rand().Float64() < f.Drop
+}
+
+func newRegistry() *Registry { return &Registry{flows: make(map[string]*entry)} }
+
 // LeaseRenewRPCs returns the number of lease-renewal round trips served
 // so far (a RenewLeaseBatch counts one whatever it carries).
 func (r *Registry) LeaseRenewRPCs() uint64 { return r.renewRPCs.Load() }
@@ -84,15 +124,14 @@ type entry struct {
 	seq *seqState
 }
 
-// New creates an empty standalone registry bound to k.
-func New(k *sim.Kernel) *Registry {
-	return &Registry{k: k, cond: sim.NewCond(k), flows: make(map[string]*entry)}
+// UseFaults subjects the registry's RPCs to the fault knobs (nil clears
+// them). Replicated registries take them through their ReplicaConfig
+// instead.
+func (r *Registry) UseFaults(f *Faults) {
+	r.mu.Lock()
+	r.faults = f
+	r.mu.Unlock()
 }
-
-// UseFaults subjects the registry's RPCs to the plan's Registry* fault
-// knobs (nil clears them). Replicated registries take the plan through
-// their ReplicaConfig instead.
-func (r *Registry) UseFaults(fp *fabric.FaultPlan) { r.faults = fp }
 
 func (r *Registry) retryTimeout() time.Duration {
 	if r.RetryTimeout > 0 {
@@ -104,9 +143,9 @@ func (r *Registry) retryTimeout() time.Duration {
 	return 2 * time.Microsecond
 }
 
-// rpc charges one client↔registry round trip, honoring the registry
-// fault plan: extra delay and jitter stretch the trip, and a dropped
-// leg costs the client a retry timeout before it tries again.
+// rpc charges one client↔registry round trip, honoring the fault knobs:
+// extra delay and jitter stretch the trip, and a dropped leg costs the
+// client a retry timeout before it tries again.
 func (r *Registry) rpc(p transport.Ctx) {
 	if r.repl != nil {
 		r.repl.maybeCrashMaster(p)
@@ -118,25 +157,19 @@ func (r *Registry) rpc(p transport.Ctx) {
 		}
 	}
 	for {
-		d := r.RPCDelay
-		if fp := r.faults; fp != nil {
-			d += fp.RegistryDelay
-			if fp.RegistryJitter > 0 {
-				d += time.Duration(p.Rand().Int63n(int64(fp.RegistryJitter)))
-			}
+		r.sleep(p, r.faults.legDelay(p, r.RPCDelay))
+		if !r.faults.dropLeg(p) {
+			return
 		}
-		p.Sleep(d)
-		if fp := r.faults; fp != nil && fp.RegistryDrop > 0 && p.Rand().Float64() < fp.RegistryDrop {
-			p.Sleep(r.retryTimeout())
-			continue
-		}
-		return
+		r.sleep(p, r.retryTimeout())
 	}
 }
 
 // invoke runs one mutating registry command on the named flow and
 // folds its effect into the status snapshot.
 func (r *Registry) invoke(p transport.Ctx, flow string, op func() error) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	err := r.run(p, op)
 	r.statusChanged(flow)
 	return err
@@ -163,13 +196,15 @@ func (r *Registry) Publish(p transport.Ctx, name string, meta any) error {
 			return fmt.Errorf("registry: flow %q already published", name)
 		}
 		r.flows[name] = &entry{meta: meta, targets: make(map[int]any), mem: newMembership(r, name)}
-		r.cond.Broadcast()
+		r.clk.broadcast()
 		return nil
 	})
 }
 
 // Lookup returns the metadata for name without blocking.
 func (r *Registry) Lookup(p transport.Ctx, name string) (any, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.rpc(p)
 	e, ok := r.flows[name]
 	if !ok {
@@ -181,13 +216,14 @@ func (r *Registry) Lookup(p transport.Ctx, name string) (any, bool) {
 // WaitFlow blocks until the named flow has been published and returns its
 // metadata.
 func (r *Registry) WaitFlow(p transport.Ctx, name string) any {
-	sp := simProc(p)
-	r.rpc(sp)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.rpc(p)
 	for {
 		if e, ok := r.flows[name]; ok {
 			return e.meta
 		}
-		r.cond.Wait(sp)
+		r.clk.wait(p)
 	}
 }
 
@@ -203,7 +239,7 @@ func (r *Registry) PublishTarget(p transport.Ctx, name string, idx int, info any
 			return fmt.Errorf("registry: flow %q target %d already published", name, idx)
 		}
 		e.targets[idx] = info
-		r.cond.Broadcast()
+		r.clk.broadcast()
 		return nil
 	})
 }
@@ -220,11 +256,11 @@ func (r *Registry) RepublishTarget(p transport.Ctx, name string, idx int, info a
 		if !ok {
 			return fmt.Errorf("registry: flow %q not published", name)
 		}
-		if e.mem == nil || !e.mem.TargetEvicted(idx) {
+		if e.mem.peek(RoleTarget, idx).state != StateEvicted {
 			return fmt.Errorf("registry: flow %q target %d is not evicted; republish refused", name, idx)
 		}
 		e.targets[idx] = info
-		r.cond.Broadcast()
+		r.clk.broadcast()
 		return nil
 	})
 }
@@ -233,6 +269,8 @@ func (r *Registry) RepublishTarget(p transport.Ctx, name string, idx int, info a
 // blocking — sources use it to reconnect to a rejoined target whose
 // info was republished.
 func (r *Registry) TargetInfo(p transport.Ctx, name string, idx int) (any, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.rpc(p)
 	e, ok := r.flows[name]
 	if !ok {
@@ -254,18 +292,19 @@ func (r *Registry) WaitTarget(p transport.Ctx, name string, idx int) any {
 // (nil, true) — a source must not wait forever on a target that will
 // never come up.
 func (r *Registry) WaitTargetLive(p transport.Ctx, name string, idx int) (info any, evicted bool) {
-	sp := simProc(p)
-	r.rpc(sp)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.rpc(p)
 	for {
 		if e, ok := r.flows[name]; ok {
-			if e.mem != nil && e.mem.TargetEvicted(idx) {
+			if e.mem.peek(RoleTarget, idx).state == StateEvicted {
 				return nil, true
 			}
 			if info, ok := e.targets[idx]; ok {
 				return info, false
 			}
 		}
-		r.cond.Wait(sp)
+		r.clk.wait(p)
 	}
 }
 
@@ -276,10 +315,14 @@ func (r *Registry) WaitTargetLive(p transport.Ctx, name string, idx int) (info a
 func (r *Registry) Remove(p transport.Ctx, name string) {
 	_ = r.invoke(p, name, func() error {
 		delete(r.flows, name)
-		r.cond.Broadcast()
+		r.clk.broadcast()
 		return nil
 	})
 }
 
 // Flows returns the number of published flows.
-func (r *Registry) Flows() int { return len(r.flows) }
+func (r *Registry) Flows() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.flows)
+}

@@ -5,9 +5,7 @@ import (
 	"time"
 
 	"dfi/internal/consensus/log"
-	"dfi/internal/fabric"
 	"dfi/internal/metrics"
-	"dfi/internal/sim"
 	"dfi/internal/transport"
 )
 
@@ -47,12 +45,18 @@ import (
 //     retained log suffix — the install-snapshot path.
 //
 // The acceptors are plain state machines (consensus/log); the message
-// legs between client, master and replicas are charged as simulated
-// RPC delays subject to the plan's Registry* faults, not as fabric
-// messages — consistent with how the registry has always modelled its
-// RPCs (see the package comment). Snapshot installs and catch-up
-// transfers additionally charge a size-proportional serialization cost
-// (snapshotByteCost per encoded byte).
+// legs between client, master and replicas are charged as RPC delays
+// subject to Faults, not as fabric messages — consistent with how the
+// registry has always modelled its RPCs (see the package comment).
+// Snapshot installs and catch-up transfers additionally charge a
+// size-proportional serialization cost (snapshotByteCost per encoded
+// byte).
+//
+// Clients interleave only where a leg is charged (Registry.sleep lets
+// the monitor go), so every decision between two legs — an Accept
+// round's vote count, an election's promise count, applying a command
+// and recording its outcome — is atomic, on the kernel and on the wall
+// clock alike.
 
 // ReplicaConfig configures NewReplicated.
 type ReplicaConfig struct {
@@ -67,9 +71,9 @@ type ReplicaConfig struct {
 	// Registry.RetryTimeout).
 	RetryTimeout time.Duration
 
-	// Faults subjects registry RPCs to the plan's Registry* knobs,
-	// including RegistryCrashMaster.
-	Faults *fabric.FaultPlan
+	// Faults subjects registry RPCs to the fault knobs, including
+	// CrashMaster.
+	Faults *Faults
 
 	// SnapshotEvery is the applied-index cadence of state-machine
 	// snapshots: after this many committed commands the master
@@ -122,21 +126,21 @@ type replGroup struct {
 	snap      log.Snapshot // group's latest snapshot
 	snapCount int
 
-	crashDone bool // RegistryCrashMaster already applied
+	crashDone bool // Faults.CrashMaster already applied
 	elections int
 }
 
-// NewReplicated creates a registry whose mutations commit through a
-// Multi-Paxos log across cfg.Replicas acceptors. The first replica
-// starts as master at ballot 1 (promised by all, the usual bootstrap).
-func NewReplicated(k *sim.Kernel, cfg ReplicaConfig) (*Registry, error) {
+// replicate turns a fresh standalone registry into one whose mutations
+// commit through a Multi-Paxos log across cfg.Replicas acceptors. The
+// first replica starts as master at ballot 1 (promised by all, the usual
+// bootstrap).
+func (r *Registry) replicate(cfg ReplicaConfig) (*Registry, error) {
 	if cfg.Replicas == 0 {
 		cfg.Replicas = 3
 	}
 	if cfg.Replicas < 3 || cfg.Replicas%2 == 0 {
 		return nil, fmt.Errorf("registry: replica count %d must be odd and ≥ 3", cfg.Replicas)
 	}
-	r := New(k)
 	r.RPCDelay = cfg.RPCDelay
 	r.RetryTimeout = cfg.RetryTimeout
 	r.faults = cfg.Faults
@@ -163,68 +167,56 @@ func NewReplicated(k *sim.Kernel, cfg ReplicaConfig) (*Registry, error) {
 	return r, nil
 }
 
+// group reads the replica group inside the monitor (zero standalone).
+func group[T any](r *Registry, zero T, read func(*replGroup) T) T {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.repl == nil {
+		return zero
+	}
+	return read(r.repl)
+}
+
 // Master returns the current master replica index (-1 standalone).
 func (r *Registry) Master() int {
-	if r.repl == nil {
-		return -1
-	}
-	return r.repl.master
+	return group(r, -1, func(g *replGroup) int { return g.master })
 }
 
 // Ballot returns the current master's ballot (0 standalone).
 func (r *Registry) Ballot() uint64 {
-	if r.repl == nil {
-		return 0
-	}
-	return r.repl.ballot
+	return group(r, 0, func(g *replGroup) uint64 { return g.ballot })
 }
 
 // Elections returns how many failovers the group has performed.
 func (r *Registry) Elections() int {
-	if r.repl == nil {
-		return 0
-	}
-	return r.repl.elections
+	return group(r, 0, func(g *replGroup) int { return g.elections })
 }
 
 // Replicas returns the group size (0 standalone).
 func (r *Registry) Replicas() int {
-	if r.repl == nil {
-		return 0
-	}
-	return len(r.repl.acceptors)
+	return group(r, 0, func(g *replGroup) int { return len(g.acceptors) })
 }
 
 // SnapshotIndex returns the applied index covered by the group's latest
 // snapshot (0: never snapshotted, or standalone).
 func (r *Registry) SnapshotIndex() int {
-	if r.repl == nil {
-		return 0
-	}
-	return r.repl.snap.Index
+	return group(r, 0, func(g *replGroup) int { return g.snap.Index })
 }
 
 // Snapshots returns how many snapshots the group has taken.
 func (r *Registry) Snapshots() int {
-	if r.repl == nil {
-		return 0
-	}
-	return r.repl.snapCount
+	return group(r, 0, func(g *replGroup) int { return g.snapCount })
 }
 
 // LogLen returns the largest retained acceptor log across the live
 // replicas — the quantity compaction bounds (≤ cadence + in-flight
 // slack once snapshotting is enabled). 0 standalone.
-func (r *Registry) LogLen() int {
-	if r.repl == nil {
-		return 0
-	}
+func (r *Registry) LogLen() int { return group(r, 0, (*replGroup).logLen) }
+
+func (g *replGroup) logLen() int {
 	max := 0
-	for i, a := range r.repl.acceptors {
-		if r.repl.crashed[i] {
-			continue
-		}
-		if a.Len() > max {
+	for i, a := range g.acceptors {
+		if !g.crashed[i] && a.Len() > max {
 			max = a.Len()
 		}
 	}
@@ -235,16 +227,15 @@ func (r *Registry) LogLen() int {
 // (command outcomes kept for idempotent retry); compaction prunes the
 // entries whose slots the snapshot covers. 0 standalone.
 func (r *Registry) AppliedSize() int {
-	if r.repl == nil {
-		return 0
-	}
-	return len(r.repl.applied)
+	return group(r, 0, func(g *replGroup) int { return len(g.applied) })
 }
 
 // CrashReplica crashes replica i at the current instant: it stops
 // answering promises, accepts and client RPCs. Crashing the master
 // leaves clients to trigger the failover on their next command.
 func (r *Registry) CrashReplica(i int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	if r.repl != nil && i >= 0 && i < len(r.repl.crashed) {
 		r.repl.crashed[i] = true
 	}
@@ -259,6 +250,8 @@ func (r *Registry) CrashReplica(i int) {
 // the recovered replica takes part in the next election like any live
 // one (elections stay lazy — the next command triggers them).
 func (r *Registry) RecoverReplica(p transport.Ctx, i int) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	g := r.repl
 	if g == nil {
 		return fmt.Errorf("registry: standalone registry has no replicas")
@@ -294,53 +287,42 @@ func (r *Registry) RecoverReplica(p transport.Ctx, i int) error {
 			rec.Accept(g.ballot, slot, e.Cmd)
 		}
 	}
-	p.Sleep(2*g.legDelay(p) + time.Duration(transferred)*snapshotByteCost)
+	r.sleep(p, 2*g.legDelay(p)+time.Duration(transferred)*snapshotByteCost)
 	return nil
 }
 
-// maybeCrashMaster applies the fault plan's RegistryCrashMaster once its
-// virtual time has passed. Applied lazily on the next RPC — the effect
+// maybeCrashMaster applies Faults.CrashMaster once its time has passed. Applied lazily on the next RPC — the effect
 // is indistinguishable from an asynchronous crash, and it leaves no
 // standing timer to keep an otherwise-finished simulation alive.
 func (g *replGroup) maybeCrashMaster(p transport.Ctx) {
 	fp := g.cfg.Faults
-	if fp == nil || g.crashDone || fp.RegistryCrashMaster <= 0 {
+	if fp == nil || g.crashDone || fp.CrashMaster <= 0 {
 		return
 	}
-	if p.Now() >= fp.RegistryCrashMaster {
+	if p.Now() >= fp.CrashMaster {
 		g.crashed[g.master] = true
 		g.crashDone = true
 	}
 }
 
 // legDelay is the one-way client↔replica / master↔replica latency under
-// the current fault plan (jitter drawn per call).
+// the fault knobs (jitter drawn per call).
 func (g *replGroup) legDelay(p transport.Ctx) time.Duration {
-	d := g.cfg.RPCDelay
-	if fp := g.cfg.Faults; fp != nil {
-		d += fp.RegistryDelay
-		if fp.RegistryJitter > 0 {
-			d += time.Duration(p.Rand().Int63n(int64(fp.RegistryJitter)))
-		}
-	}
-	return d
+	return g.cfg.Faults.legDelay(p, g.cfg.RPCDelay)
 }
 
 // dropLeg draws whether one message leg is lost.
-func (g *replGroup) dropLeg(p transport.Ctx) bool {
-	fp := g.cfg.Faults
-	return fp != nil && fp.RegistryDrop > 0 && p.Rand().Float64() < fp.RegistryDrop
-}
+func (g *replGroup) dropLeg(p transport.Ctx) bool { return g.cfg.Faults.dropLeg(p) }
 
 // leg charges one round trip to replica i and reports whether it got
 // through; a failed leg costs the retry timeout.
 func (g *replGroup) leg(p transport.Ctx, i int) bool {
-	p.Sleep(g.legDelay(p))
+	g.r.sleep(p, g.legDelay(p))
 	if g.crashed[i] || g.dropLeg(p) {
-		p.Sleep(g.r.retryTimeout())
+		g.r.sleep(p, g.r.retryTimeout())
 		return false
 	}
-	p.Sleep(g.legDelay(p))
+	g.r.sleep(p, g.legDelay(p))
 	return true
 }
 
@@ -408,7 +390,7 @@ func (g *replGroup) maybeSnapshot(p transport.Ctx) {
 		}
 		a.CompactTo(g.snap)
 	}
-	p.Sleep(2*g.legDelay(p) + time.Duration(len(state))*snapshotByteCost)
+	g.r.sleep(p, 2*g.legDelay(p)+time.Duration(len(state))*snapshotByteCost)
 	for id, slot := range g.appliedSlot {
 		if slot < g.snap.Index {
 			delete(g.appliedSlot, id)
@@ -435,7 +417,7 @@ func (g *replGroup) commit(p transport.Ctx, cmd uint64) bool {
 			acks++
 		}
 	}
-	p.Sleep(2 * g.legDelay(p))
+	g.r.sleep(p, 2*g.legDelay(p))
 	if 2*acks <= len(g.acceptors) {
 		return false
 	}
@@ -482,7 +464,7 @@ func (g *replGroup) elect(p transport.Ctx) {
 				}
 			}
 		}
-		p.Sleep(2 * g.legDelay(p))
+		g.r.sleep(p, 2*g.legDelay(p))
 		g.ballot = b
 		if 2*promises > len(g.acceptors) {
 			g.master = cand

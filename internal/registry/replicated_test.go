@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"dfi/internal/fabric"
 	"dfi/internal/sim"
 )
 
@@ -113,7 +112,7 @@ func TestReplicatedIdempotentRetryUnderDrop(t *testing.T) {
 	k := sim.New(7)
 	r, err := NewReplicated(k, ReplicaConfig{
 		RPCDelay: time.Microsecond,
-		Faults:   &fabric.FaultPlan{RegistryDrop: 0.3},
+		Faults:   &Faults{Drop: 0.3},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -139,12 +138,12 @@ func TestReplicatedIdempotentRetryUnderDrop(t *testing.T) {
 }
 
 func TestReplicatedCrashMasterFault(t *testing.T) {
-	// The fault plan's RegistryCrashMaster knob kills the master at a
+	// The fault plan's CrashMaster knob kills the master at a
 	// virtual time; a command arriving after it must fail over.
 	k := sim.New(1)
 	r, err := NewReplicated(k, ReplicaConfig{
 		RPCDelay: time.Microsecond,
-		Faults:   &fabric.FaultPlan{RegistryCrashMaster: 10 * time.Microsecond},
+		Faults:   &Faults{CrashMaster: 10 * time.Microsecond},
 	})
 	if err != nil {
 		t.Fatal(err)

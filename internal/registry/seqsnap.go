@@ -45,7 +45,7 @@ func (r *Registry) RecordSeqProgress(p transport.Ctx, flow string, tgt int, high
 		if !ok {
 			return fmt.Errorf("registry: flow %q not published", flow)
 		}
-		if e.mem != nil && e.mem.TargetEvicted(tgt) {
+		if e.mem.peek(RoleTarget, tgt).state == StateEvicted {
 			return fmt.Errorf("registry: target %d of flow %q was evicted; progress refused", tgt, flow)
 		}
 		s := e.seqEnsure()
@@ -83,6 +83,8 @@ func (r *Registry) RecordSeqSkips(p transport.Ctx, flow string, epoch uint64, se
 // SeqSnapshot returns a copy of the flow's current sequencer record. A
 // flow that never recorded progress returns the zero snapshot.
 func (r *Registry) SeqSnapshot(p transport.Ctx, flow string) (SeqSnapshot, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.rpc(p)
 	e, ok := r.flows[flow]
 	if !ok || e.seq == nil {

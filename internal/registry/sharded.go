@@ -6,9 +6,7 @@ import (
 	"sort"
 	"time"
 
-	"dfi/internal/fabric"
 	"dfi/internal/metrics"
-	"dfi/internal/sim"
 	"dfi/internal/transport"
 )
 
@@ -30,28 +28,14 @@ type Sharded struct {
 	shards []*Registry
 }
 
-// NewSharded builds n standalone shards on k (n clamps to at least 1).
-func NewSharded(k *sim.Kernel, n int) *Sharded {
+// newSharded builds n shards with mk (n clamps to at least 1).
+func newSharded(n int, mk func() (*Registry, error)) (*Sharded, error) {
 	if n < 1 {
 		n = 1
 	}
 	s := &Sharded{shards: make([]*Registry, n)}
 	for i := range s.shards {
-		s.shards[i] = New(k)
-	}
-	return s
-}
-
-// NewShardedReplicated builds n shards, each its own replication group
-// with cfg (disjoint Multi-Paxos logs — a master failover in one shard
-// leaves the others untouched).
-func NewShardedReplicated(k *sim.Kernel, n int, cfg ReplicaConfig) (*Sharded, error) {
-	if n < 1 {
-		n = 1
-	}
-	s := &Sharded{shards: make([]*Registry, n)}
-	for i := range s.shards {
-		r, err := NewReplicated(k, cfg)
+		r, err := mk()
 		if err != nil {
 			return nil, fmt.Errorf("registry shard %d: %w", i, err)
 		}
@@ -76,9 +60,9 @@ func (s *Sharded) index(flow string) int {
 	return int(h.Sum32() % uint32(len(s.shards)))
 }
 
-// UseFaults installs the plan's Registry* fault knobs on every
-// standalone shard (replicated shards take faults via ReplicaConfig).
-func (s *Sharded) UseFaults(fp *fabric.FaultPlan) {
+// UseFaults installs the fault knobs on every standalone shard
+// (replicated shards take faults via ReplicaConfig).
+func (s *Sharded) UseFaults(fp *Faults) {
 	for _, r := range s.shards {
 		r.UseFaults(fp)
 	}

@@ -57,13 +57,11 @@ func (r *Registry) captureState() *stateSnapshot {
 		for idx, info := range e.targets {
 			fs.targets[idx] = info
 		}
-		if e.mem != nil {
-			fs.epoch = e.mem.epoch
-			for k, l := range e.mem.eps {
-				cp := *l
-				cp.gen = 0 // timer bookkeeping, not state
-				fs.leases[k] = cp
-			}
+		fs.epoch = e.mem.epoch.Load()
+		for k, l := range e.mem.eps {
+			cp := *l
+			cp.gen = 0 // timer bookkeeping, not state
+			fs.leases[k] = cp
 		}
 		if e.seq != nil {
 			cp := &seqState{
@@ -95,7 +93,7 @@ func (r *Registry) restoreState(s *stateSnapshot) {
 			e.targets[idx] = info
 		}
 		m := newMembership(r, name)
-		m.epoch = fs.epoch
+		m.epoch.Store(fs.epoch)
 		for k, cp := range fs.leases {
 			l := cp // fresh copy per slot
 			m.eps[k] = &l
@@ -107,8 +105,7 @@ func (r *Registry) restoreState(s *stateSnapshot) {
 			case StateSuspect:
 				if l.grace > 0 {
 					l.gen++
-					gen := l.gen
-					r.k.After(l.grace, func() { m.evictExpired(k, gen) })
+					m.armGrace(k, &l, l.gen)
 				}
 			}
 		}
@@ -131,7 +128,7 @@ func (r *Registry) restoreState(s *stateSnapshot) {
 	}
 	r.statusDirty = true // an emptied registry is a change too
 	r.publishStatus()
-	r.cond.Broadcast()
+	r.clk.broadcast()
 }
 
 // flowNames returns the snapshot's flow names in sorted order.

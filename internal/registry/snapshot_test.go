@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"dfi/internal/fabric"
 	"dfi/internal/sim"
 )
 
@@ -105,8 +104,8 @@ func TestSnapshotRoundTripByteForByte(t *testing.T) {
 				if e2.meta != e.meta {
 					t.Fatalf("flow %q: meta reference changed across restore", name)
 				}
-				if e.mem.epoch != e2.mem.epoch {
-					t.Fatalf("flow %q: epoch %d restored as %d", name, e.mem.epoch, e2.mem.epoch)
+				if e.mem.Epoch() != e2.mem.Epoch() {
+					t.Fatalf("flow %q: epoch %d restored as %d", name, e.mem.Epoch(), e2.mem.Epoch())
 				}
 				for key, l := range e.mem.eps {
 					l2 := e2.mem.eps[key]
@@ -213,7 +212,7 @@ func TestReplicatedLeaseSurvivesPostCompactionFailover(t *testing.T) {
 	r, err := NewReplicated(k, ReplicaConfig{
 		RPCDelay:      time.Microsecond,
 		SnapshotEvery: 4,
-		Faults:        &fabric.FaultPlan{RegistryDrop: 0.15, RegistryJitter: 2 * time.Microsecond},
+		Faults:        &Faults{Drop: 0.15, Jitter: 2 * time.Microsecond},
 	})
 	if err != nil {
 		t.Fatal(err)

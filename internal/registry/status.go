@@ -10,10 +10,9 @@ import (
 // Live introspection: the registry is the control-plane hub, so it is
 // where a scraper can see the whole cluster — flows, leases, epochs,
 // watermarks, and the replication group. Because every mutation funnels
-// through invoke()/invokeRenew() or a lease timer callback (all on the
-// simulation's single logical thread), the registry republishes an
-// immutable ClusterStatus snapshot after each mutation that shows in
-// it; a concurrent HTTP scraper only ever loads the latest pointer. A
+// through invoke()/invokeRenew() or a lease timer callback (all inside
+// the monitor), the registry republishes an immutable ClusterStatus
+// snapshot after each mutation that shows in it; a concurrent HTTP scraper only ever loads the latest pointer. A
 // missed publish would mean staleness, never a torn read.
 //
 // The snapshot is maintained incrementally: a command names the flow it
@@ -54,7 +53,7 @@ type ReplStatus struct {
 
 // ClusterStatus is one immutable point-in-time view of the registry:
 // every flow with its membership, plus the replication group. T is the
-// virtual time of the last change visible in it.
+// registry clock's time of the last change visible in it.
 type ClusterStatus struct {
 	T           time.Duration `json:"t"`
 	Flows       []FlowStatus  `json:"flows"`
@@ -64,20 +63,29 @@ type ClusterStatus struct {
 // SetEventSink installs the structured-event sink that the registry —
 // and, through it, the flow endpoints that connect via this registry —
 // emit protocol events into. Install before opening flows; nil disables
-// tracing.
-func (r *Registry) SetEventSink(s metrics.EventSink) { r.events = s }
+// tracing. The registry emits inside its monitor, so a sink must not
+// call back into the registry.
+func (r *Registry) SetEventSink(s metrics.EventSink) {
+	r.mu.Lock()
+	r.events = s
+	r.mu.Unlock()
+}
 
 // EventSink returns the installed sink (nil when tracing is off).
-func (r *Registry) EventSink() metrics.EventSink { return r.events }
+func (r *Registry) EventSink() metrics.EventSink {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.events
+}
 
 // emit sends one event to the installed sink, stamping registry events
-// with the virtual clock (usable from scheduler context, where no Proc
+// with the registry's clock (usable from a timer callback, where no Ctx
 // is available).
 func (r *Registry) emit(e metrics.Event) {
 	if r.events == nil {
 		return
 	}
-	e.T = r.k.Now()
+	e.T = r.clk.now()
 	if e.Node == "" {
 		e.Node = "registry"
 	}
@@ -98,10 +106,7 @@ func (r *Registry) Status() *ClusterStatus {
 func buildFlowStatus(name string, e *entry) FlowStatus {
 	fs := FlowStatus{Name: name, TargetsPublished: len(e.targets)}
 	m := e.mem
-	if m == nil {
-		return fs
-	}
-	fs.Epoch = m.epoch
+	fs.Epoch = m.epoch.Load()
 	if len(m.eps) == 0 {
 		return fs // Endpoints stays nil and out of the JSON
 	}
@@ -143,8 +148,7 @@ func sameFlowStatus(a, b FlowStatus) bool {
 // flowChanged brings name's element of the name-sorted flow slice up to
 // date after a mutation that may have touched it. Published snapshots
 // share the slice, so an edit replaces it with a copy; publishStatus
-// then makes the copy visible. Called on the simulation's logical
-// thread.
+// then makes the copy visible. Called inside the monitor.
 func (r *Registry) flowChanged(name string) {
 	cur := r.flowStatus
 	i := sort.Search(len(cur), func(i int) bool { return cur[i].Name >= name })
@@ -188,7 +192,7 @@ func (r *Registry) publishStatus() {
 			Elections:     g.elections,
 			Snapshots:     g.snapCount,
 			SnapshotIndex: g.snap.Index,
-			LogLen:        r.LogLen(),
+			LogLen:        g.logLen(),
 			AppliedSize:   len(g.applied),
 		}
 		if old := r.status.Load(); !r.statusDirty && old != nil && *old.Replication == cur {
@@ -199,7 +203,7 @@ func (r *Registry) publishStatus() {
 		return
 	}
 	r.statusDirty = false
-	r.status.Store(&ClusterStatus{T: r.k.Now(), Flows: r.flowStatus, Replication: repl})
+	r.status.Store(&ClusterStatus{T: r.clk.now(), Flows: r.flowStatus, Replication: repl})
 }
 
 // leaseCount sums endpoints in the given state across the snapshot.

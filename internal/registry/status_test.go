@@ -10,12 +10,13 @@ import (
 
 	"dfi/internal/sim"
 	"dfi/internal/transport"
+	"dfi/internal/transport/chanloop"
 )
 
 // rebuildStatus is the from-scratch snapshot builder the registry used
 // before the snapshot became incremental, kept as the oracle: it reads
 // nothing but the state machine, so it cannot share a bookkeeping bug
-// with flowChanged/publishStatus.
+// with flowChanged/publishStatus. Called inside the monitor.
 func (r *Registry) rebuildStatus() *ClusterStatus {
 	st := &ClusterStatus{}
 	names := make([]string, 0, len(r.flows))
@@ -27,7 +28,7 @@ func (r *Registry) rebuildStatus() *ClusterStatus {
 		e := r.flows[n]
 		fs := FlowStatus{Name: n, TargetsPublished: len(e.targets)}
 		if m := e.mem; m != nil {
-			fs.Epoch = m.epoch
+			fs.Epoch = m.epoch.Load()
 			for k, l := range m.eps {
 				fs.Endpoints = append(fs.Endpoints, EndpointStatus{
 					Role:        k.role.String(),
@@ -55,7 +56,7 @@ func (r *Registry) rebuildStatus() *ClusterStatus {
 			Elections:     g.elections,
 			Snapshots:     g.snapCount,
 			SnapshotIndex: g.snap.Index,
-			LogLen:        r.LogLen(),
+			LogLen:        g.logLen(),
 			AppliedSize:   len(g.applied),
 		}
 	}
@@ -82,18 +83,25 @@ type statusControl interface {
 
 // TestStatusSnapshotMatchesRebuild drives a seeded random command
 // sequence — publishes, target rendezvous, lease acquire / renew /
-// batched renew / release, expiry by letting virtual time pass,
-// eviction, rejoin, watermarks, removal, and commands on flows that do
-// not exist — through a plain, a sharded and a replicated registry, and
+// batched renew / release, expiry by letting time pass, eviction,
+// rejoin, watermarks, removal, and commands on flows that do not exist —
+// through a plain, a sharded, a replicated and a wall-clock registry, and
 // after every command requires the incrementally maintained snapshot to
 // deep-equal a from-scratch rebuild. T is excluded: it is the time of
 // the last visible change, which a rebuild cannot know.
 func TestStatusSnapshotMatchesRebuild(t *testing.T) {
 	type variant struct {
-		name  string
+		name string
+		// build is handed a kernel; a variant that ignores it (and sets
+		// wall) is driven by the test goroutine on the host clock.
 		build func(k *sim.Kernel) (statusControl, []*Registry)
+		wall  bool
 	}
 	variants := []variant{
+		{name: "local", wall: true, build: func(*sim.Kernel) (statusControl, []*Registry) {
+			r := NewLocal()
+			return r, []*Registry{r}
+		}},
 		{name: "plain", build: func(k *sim.Kernel) (statusControl, []*Registry) {
 			r := New(k)
 			return r, []*Registry{r}
@@ -127,10 +135,20 @@ func TestStatusSnapshotMatchesRebuild(t *testing.T) {
 				const nFlows, nSlots, nOps = 9, 3, 600
 				flow := func() string { return fmt.Sprintf("flow%02d", rnd.Intn(nFlows)) }
 				role := func() Role { return Role(rnd.Intn(2)) }
-				const ttl = 20 * time.Microsecond
+				ttl := 20 * time.Microsecond
+				if v.wall {
+					ttl = 2 * time.Millisecond
+				}
 
+				// The comparison runs inside every shard's monitor: on the
+				// wall clock a lease timer may fire at any moment, and it
+				// publishes under the same lock.
 				check := func(op string) {
 					t.Helper()
+					for _, r := range shards {
+						r.mu.Lock()
+						defer r.mu.Unlock()
+					}
 					var want []FlowStatus
 					for i, r := range shards {
 						got, oracle := r.Status(), r.rebuildStatus()
@@ -148,7 +166,7 @@ func TestStatusSnapshotMatchesRebuild(t *testing.T) {
 					}
 				}
 
-				k.Spawn("driver", func(p *sim.Proc) {
+				driver := func(p transport.Ctx) {
 					for i := 0; i < nOps; i++ {
 						var op string
 						switch rnd.Intn(15) {
@@ -176,7 +194,7 @@ func TestStatusSnapshotMatchesRebuild(t *testing.T) {
 							reg.ReleaseLease(p, flow(), role(), rnd.Intn(nSlots))
 						case 10:
 							// Let leases run out: expiry and eviction fire from
-							// kernel timers, not from a command.
+							// clock timers, not from a command.
 							op = "expire"
 							p.Sleep(time.Duration(rnd.Intn(3)) * ttl / 2)
 						case 11:
@@ -201,7 +219,12 @@ func TestStatusSnapshotMatchesRebuild(t *testing.T) {
 					// Drain: every remaining lease expires and evicts.
 					p.Sleep(4 * ttl)
 					check("drain")
-				})
+				}
+				if v.wall {
+					driver(chanloop.New().NewCtx())
+					return
+				}
+				k.Spawn("driver", func(p *sim.Proc) { driver(p) })
 				if err := k.Run(); err != nil {
 					t.Fatal(err)
 				}
