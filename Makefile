@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check test race check chaos chaos-mc chaos-scale partition-race metrics-smoke transport-race ledger docs-lint
+.PHONY: all build vet fmt-check test race check chaos chaos-mc chaos-scale partition-race metrics-smoke transport-race bench-smoke ledger docs-lint
 
 all: check
 
@@ -91,13 +91,22 @@ metrics-smoke:
 # wall clock, and the dfiflow -transport=chan CLI coverage. This is the
 # backend-agnosticism gate: the same core data path and the same control
 # plane must behave identically without the sim kernel serializing
-# anything.
+# anything. The -count=20 line is the retransmit-into-a-slot-being-read
+# race (a chanloop WRITE that changes nothing must move nothing), which
+# shows in a few runs of ten, not in one.
 transport-race:
 	$(GO) test -race -count=1 ./internal/transport/...
 	$(GO) test -race -count=1 -run 'TestTransportConformance' ./internal/fabric/
 	$(GO) test -race -count=1 -run 'Chan.*(Lease|Evict)|TestSharedRingMatchesPrivate' ./internal/core/
+	$(GO) test -race -count=20 -run 'TestDESAndChanEvictSilentTarget' ./internal/core/
 	$(GO) test -race -count=1 -run 'TestLocalRegistryHammer|TestStatusSnapshotMatchesRebuild|TestRemoveRepublishWakesWaiters' ./internal/registry/
 	$(GO) test -race -count=1 -run 'TestChanTransport' ./cmd/dfiflow/
+
+# Per-layer benchmarks cannot rot: every benchmark of the sim kernel, the
+# core data path and the transport backends compiles and runs one
+# iteration on one and on two Ps. Asserts no timings.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x -cpu 1,2 ./internal/sim ./internal/core ./internal/transport/...
 
 # The performance ledger (benchmark/README.md): every workload of
 # BENCHMARK.json, traced, seed 1 — the per-layer numbers a CHANGES.md
@@ -117,4 +126,4 @@ ledger:
 docs-lint:
 	$(GO) run ./cmd/docslint
 
-check: build vet fmt-check race chaos chaos-mc chaos-scale metrics-smoke transport-race docs-lint
+check: build vet fmt-check race chaos chaos-mc chaos-scale metrics-smoke transport-race bench-smoke docs-lint

@@ -566,8 +566,12 @@ func (w *ringWriter) backoff(p transport.Ctx) {
 // consumed counter and retransmits every written-but-unconsumed segment
 // still resident in the local ring. Retransmission is idempotent: the
 // target's footer sequence check ignores segments it already consumed, so
-// rewriting a merely-slow (rather than lost) segment is harmless. Only
-// called with RetransmitTimeout > 0.
+// rewriting a merely-slow (rather than lost) segment is harmless — on RDMA
+// and on the DES as it stands; under the Go memory model rewriting bytes
+// the target is reading is a data race even when they do not change, so
+// the backend that runs on real goroutines (chanloop) moves no bytes for a
+// WRITE that already matches its destination. Only called with
+// RetransmitTimeout > 0.
 func (w *ringWriter) recover(p transport.Ctx) error {
 	// 1. Resync: read the consumed counter, bounded, retrying lost READs.
 	for attempt := 0; ; attempt++ {

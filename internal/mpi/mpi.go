@@ -219,7 +219,10 @@ func (r *Rank) Recv(p *sim.Proc, src int, tag uint64) []byte {
 		}
 		got := binary.LittleEndian.Uint64(c.Buf[0:8])
 		size := binary.LittleEndian.Uint64(c.Buf[8:16])
-		payload := c.Buf[msgHeader : msgHeader+size]
+		// Copy the payload out and re-post the MaxMessage-sized buffer: a
+		// fresh one per message is a zeroed megabyte of host work each.
+		payload := append([]byte(nil), c.Buf[msgHeader:msgHeader+size]...)
+		qp.PostRecv(c.Buf, 0)
 		if got == tag {
 			return payload
 		}

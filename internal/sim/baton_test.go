@@ -144,39 +144,55 @@ func TestDeadlockReportListsSortedParkedNames(t *testing.T) {
 // boundaries are resumed by whichever worker goroutine runs a later window.
 // Each shard's state is written by its waker and read by its waiter on
 // different host goroutines in different windows, so -race checks that the
-// hand-offs order them.
+// hand-offs order them. With every shard on the same period all are active
+// in every window and each window has fresh workers; with shard s on period
+// (s+1)·3·la a window has one active shard (it runs inline on Run's
+// goroutine) or two (each on a fresh worker), so one kernel's coroutines
+// are resumed now from Run's goroutine, now from a worker.
 func TestParkedAcrossShardWindows(t *testing.T) {
-	const shards, rounds = 3, 50
-	g := NewShardGroup(shards, 5, la)
-	got := make([]int, shards)
-	for s := 0; s < shards; s++ {
-		s := s
-		k := g.Shard(s)
-		c := NewCond(k)
-		token := 0
-		k.Spawn(fmt.Sprint("waiter", s), func(p *Proc) {
-			for r := 1; r <= rounds; r++ {
-				for token < r {
-					c.Wait(p) // parked for about three windows
+	const rounds = 50
+	cases := []struct {
+		name   string
+		shards int
+		period func(s int) Time
+	}{
+		{"all-active", 3, func(s int) Time { return 3*la + Time(s) }},
+		{"two-active", 2, func(s int) Time { return Time(s+1) * 3 * la }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g := NewShardGroup(tc.shards, 5, la)
+			got := make([]int, tc.shards)
+			for s := 0; s < tc.shards; s++ {
+				s := s
+				k := g.Shard(s)
+				c := NewCond(k)
+				token := 0
+				k.Spawn(fmt.Sprint("waiter", s), func(p *Proc) {
+					for r := 1; r <= rounds; r++ {
+						for token < r {
+							c.Wait(p) // parked across window boundaries
+						}
+						got[s]++
+					}
+				})
+				k.Spawn(fmt.Sprint("waker", s), func(p *Proc) {
+					for r := 1; r <= rounds; r++ {
+						p.Sleep(tc.period(s))
+						token = r
+						c.Signal()
+					}
+				})
+			}
+			if err := g.Run(); err != nil {
+				t.Fatal(err)
+			}
+			for s, n := range got {
+				if n != rounds {
+					t.Errorf("shard %d: waiter completed %d of %d rounds", s, n, rounds)
 				}
-				got[s]++
 			}
 		})
-		k.Spawn(fmt.Sprint("waker", s), func(p *Proc) {
-			for r := 1; r <= rounds; r++ {
-				p.Sleep(3*la + Time(s)) // crosses window boundaries, all shards active
-				token = r
-				c.Signal()
-			}
-		})
-	}
-	if err := g.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for s, n := range got {
-		if n != rounds {
-			t.Errorf("shard %d: waiter completed %d of %d rounds", s, n, rounds)
-		}
 	}
 }
 
@@ -204,12 +220,8 @@ func TestNoGoroutineLeftAfterCleanRun(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	// Run returns when the stopping goroutine signals it, a moment before
-	// that goroutine itself returns; nothing else to wait on, so poll.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	// Nothing to wait for: an ended coroutine's goroutine is destroyed in the
+	// very switch that returns to the trampoline.
 	if after := runtime.NumGoroutine(); after > before {
 		buf := make([]byte, 1<<16)
 		t.Fatalf("%d goroutines before Run, %d after:\n%s", before, after, buf[:runtime.Stack(buf, true)])

@@ -9,8 +9,10 @@ import (
 // The sim line of the performance ledger (ROADMAP open item 1): what one
 // process switch, one parked sleep, one timed wait and one shard window
 // cost on the host. One op is one of those, so ns/op compares directly
-// across commits; run with -cpu 1,2 because a hand-off between goroutines
-// costs more when an idle core has to be woken for it.
+// across commits. Run with -cpu 1,2: a coroutine switch never wakes an idle
+// core, so the two readings agreeing is the check (the channel hand-off
+// this replaced cost more on two Ps than on one). `make bench-smoke` keeps
+// these running; TestSwitchesAllocateNothing gates their allocations.
 
 // BenchmarkProcSwitch: two processes ping-pong through one Cond. Every
 // Signal+Wait is one wake event and one process switch, nothing else.

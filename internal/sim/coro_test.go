@@ -1,0 +1,161 @@
+package sim
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+	"time"
+)
+
+// Tests for what the coroutine hand-off has to keep true: a switch
+// allocates nothing, runtime.Goexit in a process ends Run's caller, and an
+// exited process hosting the loop can hand on to a process it never met.
+
+// switchLoad spawns three independent groups on k, each doing n blocking
+// operations: a Cond ping-pong (n process switches), a pair of sleepers
+// whose timers interleave so every Sleep parks, and a waiter whose timed
+// waits end alternately by a scheduled Signal and by the deadline.
+func switchLoad(k *Kernel, n int) {
+	pp := NewCond(k)
+	for _, name := range []string{"ping", "pong"} {
+		k.Spawn(name, func(p *Proc) {
+			for i := 0; i < n/2; i++ {
+				pp.Signal()
+				pp.Wait(p)
+			}
+			pp.Signal() // release the peer's last Wait
+		})
+	}
+	for j, name := range []string{"even", "odd"} {
+		d := Time(100+j) * time.Nanosecond
+		k.Spawn(name, func(p *Proc) {
+			for i := 0; i < n/2; i++ {
+				p.Sleep(d)
+			}
+		})
+	}
+	tc := NewCond(k)
+	signal := tc.Signal
+	k.Spawn("timed", func(p *Proc) {
+		for i := 0; i < n; i++ {
+			if i%2 == 0 {
+				k.After(50*time.Nanosecond, signal)
+			}
+			tc.WaitTimeout(p, 70*time.Nanosecond)
+		}
+	})
+}
+
+// TestSwitchesAllocateNothing is the allocation gate for what
+// BenchmarkProcSwitch, SleepPark and WaitTimeoutWake time: once the heaps
+// and waiter lists have grown, a Run of 30 000 blocking operations mallocs
+// no more than a Run of 300 — a constant that does not depend on the count.
+func TestSwitchesAllocateNothing(t *testing.T) {
+	k := New(1)
+	mallocs := func(n int) uint64 {
+		switchLoad(k, n) // spawning allocates (the coroutines); outside the measurement
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	mallocs(100) // warm-up
+	small, large := mallocs(100), mallocs(10_000)
+	t.Logf("mallocs during Run: %d for 3×100 operations, %d for 3×10 000", small, large)
+	const slack = 32 // the test binary's other goroutines
+	if large > small+slack {
+		t.Errorf("Run of 3×10 000 blocking operations did %d mallocs (3×100: %d): a switch allocates", large, small)
+	}
+}
+
+// TestGoexitInProcessEndsRunsCaller pins the Goexit rule documented on
+// Spawn: the process's deferred calls run, the kernel's failure names it,
+// and the goroutine that called Run ends without Run returning. A
+// ShardGroup whose worker goroutine ended that way reports the failure.
+func TestGoexitInProcessEndsRunsCaller(t *testing.T) {
+	const want = `sim: process "quitter" called runtime.Goexit`
+	quitter := func(deferred *bool) func(*Proc) {
+		return func(p *Proc) {
+			defer func() { *deferred = true }()
+			p.Sleep(us) // parks: the Goexit happens after a switch, not on first start
+			runtime.Goexit()
+		}
+	}
+	t.Run("kernel", func(t *testing.T) {
+		k := New(1)
+		deferred, returned := false, false
+		k.Spawn("quitter", quitter(&deferred))
+		k.Spawn("bystander", func(p *Proc) { p.Sleep(10 * us) })
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			_ = k.Run() // never returns
+			returned = true
+		}()
+		<-done
+		if returned {
+			t.Error("Run returned to a goroutine whose process called runtime.Goexit")
+		}
+		if !deferred {
+			t.Error("the process's deferred call did not run")
+		}
+		if k.failure == nil || k.failure.Error() != want {
+			t.Errorf("kernel failure = %v, want %q", k.failure, want)
+		}
+	})
+	t.Run("shard-group", func(t *testing.T) {
+		g := NewShardGroup(2, 1, la)
+		deferred := false
+		g.Shard(0).Spawn("ticker", func(p *Proc) {
+			for i := 0; i < 10; i++ {
+				p.Sleep(us) // active in the quitter's window, so that one runs on a worker
+			}
+		})
+		g.Shard(1).Spawn("quitter", quitter(&deferred))
+		g.Shard(1).Spawn("bystander", func(p *Proc) { p.Sleep(10 * us) })
+		if err := g.Run(); err == nil || err.Error() != want {
+			t.Fatalf("Run() = %v, want %q", err, want)
+		}
+		if !deferred {
+			t.Error("the process's deferred call did not run")
+		}
+	})
+}
+
+// TestExitedHostHandsOnToThirdProcess: a process returns while others are
+// parked, so its exit path hosts the loop; the next wake-ups it pops belong
+// to processes it did not start and that Run's goroutine last resumed long
+// ago. Each hand-off goes exit path → k.to → trampoline, and each of those
+// processes in turn exits as host and hands on to the next.
+func TestExitedHostHandsOnToThirdProcess(t *testing.T) {
+	k := New(1)
+	c := NewCond(k)
+	var log []string
+	note := func(p *Proc, what string) { log = append(log, fmt.Sprintf("%v %s %s", p.Now(), p.Name(), what)) }
+	for i, name := range []string{"b", "c", "d"} {
+		turn := i + 1
+		k.Spawn(name, func(p *Proc) {
+			for len(log) < turn {
+				c.Wait(p)
+			}
+			p.Sleep(us)
+			note(p, "woke and returns")
+			c.Broadcast()
+		})
+	}
+	k.Spawn("a", func(p *Proc) {
+		p.Sleep(us)
+		note(p, "returns")
+		c.Broadcast() // b, c and d are parked; a's exit path pops their wakes
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"1µs a returns", "2µs b woke and returns", "3µs c woke and returns", "4µs d woke and returns"}
+	if fmt.Sprint(log) != fmt.Sprint(want) {
+		t.Fatalf("got  %q\nwant %q", log, want)
+	}
+}

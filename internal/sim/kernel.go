@@ -1,18 +1,20 @@
 // Package sim implements a deterministic discrete-event simulation (DES)
 // kernel with cooperatively scheduled processes.
 //
-// The kernel maintains a virtual clock and an event heap, and exactly one
-// goroutine at a time holds the baton: it runs either process code or the
-// event loop (Kernel.drive). There is no scheduler goroutine. A process that
-// parks runs the loop on its own stack — event callbacks inline, in (at,
-// seq) order — until it pops a wake-up: its own, and it simply returns, or
-// another process's, and it hands the baton over with one send on that
-// process's resume channel and blocks on its own. A simulated process
-// switch is therefore one goroutine switch. The goroutine that called Run
-// only starts the loop and then waits to be told it has stopped. Because
-// one goroutine runs at a time, the simulation is deterministic for a given
-// seed and spawn order, and event callbacks can mutate shared simulation
-// state (e.g. simulated RDMA memory regions) without locks.
+// The kernel maintains a virtual clock and an event heap. Every process is
+// a coroutine (iter.Pull) of the goroutine that called Run, so exactly one
+// stack at a time holds the baton: it runs either process code or the event
+// loop (Kernel.drive). There is no scheduler goroutine. A process that parks
+// runs the loop on its own stack — event callbacks inline, in (at, seq)
+// order — until it pops a wake-up: its own, and it simply returns, or
+// another process's, and it names that process and yields to Run's
+// goroutine, whose trampoline (Kernel.await) resumes it. A simulated process
+// switch is therefore two coroutine switches — the thread is handed over
+// directly, the Go scheduler is never entered — and costs the same whether
+// the host has one core or many. Because one stack runs at a time, the
+// simulation is deterministic for a given seed and spawn order, and event
+// callbacks can mutate shared simulation state (e.g. simulated RDMA memory
+// regions) without locks.
 //
 // Processes are ordinary functions of the form func(*Proc). Inside a
 // process, blocking operations (Sleep, resource acquisition, condition
@@ -27,6 +29,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
 	"sort"
 	"time"
@@ -99,8 +102,9 @@ type Kernel struct {
 	events  []event   // value-based binary min-heap ordered by (at, seq)
 	tmos    []timeout // indexed min-heap of pending WaitTimeout deadlines
 	seq     uint64
-	yield   chan error // the loop stopped, with this result: runUntil may return
-	running *Proc      // the process running its own code; nil while the loop runs
+	to      *Proc // the process await's trampoline resumes next; nil: the loop stopped
+	result  error // what a loop that stopped on a process stack leaves for runUntil
+	running *Proc // the process running its own code; nil while the loop runs
 	rng     *rand.Rand
 
 	procs      []*Proc // live (spawned, not exited) processes; Proc.idx indexes it
@@ -133,7 +137,6 @@ type Kernel struct {
 // identically.
 func New(seed int64) *Kernel {
 	return &Kernel{
-		yield:     make(chan error),
 		rng:       rand.New(rand.NewSource(seed)),
 		MaxEvents: 2_000_000_000,
 	}
@@ -303,15 +306,22 @@ func (k *Kernel) AtOp(t Time, op Op, step uint8) {
 
 // Spawn creates a new process executing fn and schedules it to start at the
 // current virtual time. It may be called before Run or from a running
-// process or event callback.
+// process or event callback. The process is a coroutine; its body does not
+// run until its start event pops. If fn calls runtime.Goexit (t.FailNow,
+// t.Fatal, t.Skip), the process's deferred calls run, the kernel fails with
+// "process %q called runtime.Goexit", and the Goexit is re-raised on the
+// goroutine that called Run, which therefore never returns.
 func (k *Kernel) Spawn(name string, fn func(*Proc)) {
-	p := &Proc{k: k, name: name, resume: make(chan struct{}), tmoIdx: -1, idx: len(k.procs)}
+	p := &Proc{k: k, name: name, tmoIdx: -1, idx: len(k.procs)}
 	k.procs = append(k.procs, p)
-	go func() {
-		<-p.resume // wait for first scheduling
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		returned := false
 		defer func() {
 			if r := recover(); r != nil {
 				k.fail(p, r)
+			} else if !returned && k.failure == nil {
+				k.failure = fmt.Errorf("sim: process %q called runtime.Goexit", p.name)
 			}
 			p.exited = true
 			last := len(k.procs) - 1
@@ -321,11 +331,12 @@ func (k *Kernel) Spawn(name string, fn func(*Proc)) {
 			k.procs = k.procs[:last]
 			k.running = nil
 			// The exiting process still holds the baton: run the loop until
-			// it is handed on or stops, then let the goroutine end.
+			// it is handed on or stops, then let the coroutine end.
 			k.drive(p)
 		}()
 		fn(p)
-	}()
+		returned = true
+	})
 	k.push(event{at: k.now, kind: evStart, p: p})
 }
 
@@ -387,18 +398,14 @@ func (k *Kernel) peek() (at Time, tmo, ok bool) {
 // inline until one of three things happens:
 //
 //   - a valid start/wake for self pops: return, self runs on (no switch);
-//   - a valid start/wake for another process pops: resume it with one
-//     channel send, then await the baton (one switch);
+//   - a valid start/wake for another process pops: name it in k.to and
+//     await the baton — the trampoline resumes it (two coroutine switches,
+//     one when the host is runUntil itself);
 //   - a stop condition holds (failure, heaps drained or at the horizon,
 //     MaxEvents, Deadline): runUntil's own drive returns the result, any
-//     other sends it on k.yield and awaits the baton.
+//     other leaves it in k.result and awaits the baton with k.to nil.
 //
-// Awaiting the baton: runUntil blocks on k.yield and returns what the
-// stopping goroutine sent; a live process blocks on its resume channel,
-// which only a popped start/wake for it sends on — in this run or a later
-// one (the next ShardGroup window) — and returns into the process; an
-// exited process has nothing to wait for and its goroutine ends. The error
-// result is meaningful to runUntil only.
+// The error result is meaningful to runUntil only.
 func (k *Kernel) drive(self *Proc) (err error) {
 	defer func() {
 		// Only a callback can panic in here; the stack that hosted it is not
@@ -457,40 +464,53 @@ func (k *Kernel) drive(self *Proc) (err error) {
 			if p == self {
 				return nil
 			}
-			p.resume <- struct{}{}
+			k.to = p
 			return k.await(self)
 		}
 	}
 }
 
-// stopped ends a drive whose loop met a stop condition with result err.
+// stopped ends a drive whose loop met a stop condition with result err: on a
+// process stack the result is left for the trampoline to return.
 func (k *Kernel) stopped(self *Proc, err error) error {
 	if self == nil {
 		return err
 	}
-	k.yield <- err
+	k.result = err
 	return k.await(self)
 }
 
-// await blocks a goroutine that has given the baton away until it returns.
+// await gives the baton away. A live process yields to the trampoline and
+// returns into its own code when a start/wake for it pops — in this run or
+// a later one (the next ShardGroup window, on any goroutine); an exited
+// process just returns and its coroutine ends. runUntil (self == nil) is
+// the trampoline: it resumes whichever process drive named until the loop
+// stops, and returns the stored result. It is the only caller of next: on a
+// process's stack next would nest the coroutines, and a park would return
+// to that process instead of to Run's goroutine.
 func (k *Kernel) await(self *Proc) error {
-	if self == nil {
-		return <-k.yield
+	if self != nil {
+		if !self.exited {
+			self.yield(struct{}{})
+		}
+		return nil
 	}
-	if !self.exited {
-		<-self.resume
+	for k.to != nil {
+		p := k.to
+		k.to = nil
+		p.next()
 	}
-	return nil
+	return k.result
 }
 
 // runUntil processes events strictly before horizon w (0 means unbounded)
 // and returns nil when the heaps drain or every remaining entry is at or
-// past w. The loop starts on the caller's goroutine and moves from stack to
-// stack (see drive); runUntil returns once it has stopped, wherever that
-// was. Parked processes stay blocked on their resume channels, so the next
-// call — from any goroutine — picks them up again. The horizon is also
-// installed for the Sleep fast path, so a shard's clock can never overrun
-// its window.
+// past w. The loop starts on the caller's stack and moves from coroutine to
+// coroutine (see drive); runUntil returns once it has stopped, wherever that
+// was. Parked processes stay suspended in their yield, so the next call —
+// from any goroutine, one at a time — picks them up again. The horizon is
+// also installed for the Sleep fast path, so a shard's clock can never
+// overrun its window.
 func (k *Kernel) runUntil(w Time) error {
 	k.horizon = w
 	defer func() { k.horizon = 0 }()
@@ -524,12 +544,13 @@ func (k *Kernel) deadlockErr() error {
 }
 
 // Proc is a simulated process (the unit of thread-centric execution). All
-// methods must be called from the process's own goroutine while it is the
+// methods must be called from the process's own stack while it is the
 // running process.
 type Proc struct {
-	k      *Kernel
-	name   string
-	resume chan struct{}
+	k     *Kernel
+	name  string
+	next  func() (struct{}, bool) // resumes the coroutine; called by await's trampoline only
+	yield func(struct{}) bool     // suspends it, returning into that next call
 
 	parkedFlag bool
 	parkGen    uint64
@@ -587,7 +608,7 @@ func (p *Proc) Sleep(d Time) {
 	k := p.k
 	t := k.now + d
 	// Run-to-completion fast paths. Parking costs two events and usually a
-	// goroutine switch, so avoid it whenever doing so is observably
+	// process switch, so avoid it whenever doing so is observably
 	// identical to the park/dispatch/resume dance:
 	//
 	//  1. If nothing can run before the wake-up time, advance the clock in
@@ -597,7 +618,7 @@ func (p *Proc) Sleep(d Time) {
 	//     or evOp — code that never blocks and has no process identity),
 	//     dispatch it inline on this process's stack and loop. This is
 	//     what lets a writer's flush absorb the commit/ack pipeline of
-	//     prior segments without a single goroutine switch.
+	//     prior segments without a single process switch.
 	//
 	// Anything else — a process transition (start/timer/wake/timeout), a
 	// tie at exactly t, the deadline, the event budget, a shard horizon —

@@ -211,7 +211,12 @@ func (s *seqWait) wait(since uint64, d time.Duration) bool {
 // Region is a registered memory region. The embedded mutex orders
 // remote verb commits against local Store/Load and the commit counter:
 // a consumer that observed a commit under the lock may then read the
-// committed payload through Bytes without further synchronization.
+// committed payload through Bytes without further synchronization. A
+// later WRITE over bytes such a consumer still reads would race with it
+// under the Go memory model even if it changed nothing, so a WRITE whose
+// bytes already equal its destination moves none (Queue.postWrite): a
+// writer may retransmit a segment its consumer has not released yet, and
+// may put different bytes in a slot only after the consumer released it.
 type Region struct {
 	owner *Endpoint
 	seqWait

@@ -1,6 +1,7 @@
 package chanloop
 
 import (
+	"bytes"
 	"encoding/binary"
 	"sync"
 	"time"
@@ -93,6 +94,14 @@ func (q *Queue) postWrite(staged []byte, dst transport.Addr, opts transport.Writ
 		}
 		body := n - tail
 		r.commit(func(buf []byte) {
+			// A WRITE whose bytes are already there — the retransmission of
+			// a segment its consumer has not released — moves none: that
+			// consumer may be reading the slot without the lock (see
+			// Region), and reads do not race with this compare. On fresh
+			// data the compare stops at the first differing word.
+			if bytes.Equal(buf[off:off+n], staged) {
+				return
+			}
 			// One lock hold applies body then tail: a consumer can never
 			// observe the tail (footer) without the body it covers.
 			copy(buf[off:off+body], staged[:body])
