@@ -103,10 +103,11 @@ transport-race:
 	$(GO) test -race -count=1 -run 'TestChanTransport' ./cmd/dfiflow/
 
 # Per-layer benchmarks cannot rot: every benchmark of the sim kernel, the
-# core data path and the transport backends compiles and runs one
-# iteration on one and on two Ps. Asserts no timings.
+# core data path and the transport backends (the per-verb benchmark,
+# transporttest.Bench, on the DES fabric and on chanloop) compiles and
+# runs one iteration on one and on two Ps. Asserts no timings.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x -cpu 1,2 ./internal/sim ./internal/core ./internal/transport/...
+	$(GO) test -run '^$$' -bench . -benchtime 1x -cpu 1,2 ./internal/sim ./internal/fabric ./internal/core ./internal/transport/...
 
 # The performance ledger (benchmark/README.md): every workload of
 # BENCHMARK.json, traced, seed 1 — the per-layer numbers a CHANGES.md

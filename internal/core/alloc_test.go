@@ -5,7 +5,9 @@ import (
 	"runtime"
 	"testing"
 
+	"dfi/internal/schema"
 	"dfi/internal/sim"
+	"dfi/internal/transport"
 )
 
 // TestSteadyStatePushConsumeZeroAlloc is the allocation gate for the data
@@ -99,5 +101,101 @@ func steadyStateAllocs(t *testing.T, e *env, specs []FlowSpec) {
 	if allocs > maxSlop {
 		t.Fatalf("steady-state push/consume allocated %d times over %d tuples (want 0, slack %d)",
 			allocs, window, maxSlop)
+	}
+}
+
+// TestChanloopSteadyStateAllocs is the same gate on the wall-clock
+// backend, in the shape of the ledger's chan_batch_64 workload: one
+// source and one target on real goroutines, PushBatch and ConsumeBatch
+// of 64 tuples of 64 bytes. A chanloop verb runs on the goroutine that
+// posts it and allocates nothing, and neither does a wait once its
+// context has parked before, so the window should read zero whatever the
+// scheduler does. The bound is a rate all the same — 3 allocations per
+// 1000 tuples — so that runtime-internal allocations of a longer or
+// slower run (-race) cannot trip it, while one allocation per 8 KiB
+// segment (7.8 per 1000) or per park cannot hide under it. The window is
+// bracketed by the consumer, as in steadyStateAllocs.
+func TestChanloopSteadyStateAllocs(t *testing.T) {
+	const (
+		batch      = 64
+		warmup     = 2_000 * batch
+		window     = 10_000 * batch
+		total      = warmup + window + warmup
+		perKTuples = 3
+	)
+	sch := schema.MustNew(
+		schema.Column{Name: "key", Type: schema.Int64},
+		schema.Column{Name: "pad", Type: schema.Char(56)},
+	)
+	b := newDiffChan(2)
+	spec := FlowSpec{
+		Name:    "steady-chan",
+		Sources: []Endpoint{{Node: b.node(0)}},
+		Targets: []Endpoint{{Node: b.node(1)}},
+		Schema:  sch,
+	}
+	var before, after runtime.MemStats
+	b.run(t, []func(transport.Ctx){func(p transport.Ctx) {
+		if err := FlowInit(p, b.reg, b.tpt, spec); err != nil {
+			t.Error(err)
+		}
+	}})
+	b.run(t, []func(transport.Ctx){
+		func(p transport.Ctx) {
+			src, err := SourceOpen(p, b.reg, spec.Name, 0)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			size := sch.TupleSize()
+			buf := make([]byte, batch*size)
+			tuples := make([]schema.Tuple, batch)
+			for i := range tuples {
+				tuples[i] = buf[i*size : (i+1)*size]
+			}
+			for i := 0; i < total; i += batch {
+				for j, tup := range tuples {
+					sch.PutInt64(tup, 0, int64(i+j)) // fresh bytes in every segment
+				}
+				if err := src.PushBatch(p, tuples); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			src.Close(p)
+		},
+		func(p transport.Ctx) {
+			tgt, err := TargetOpen(p, b.reg, spec.Name, 0)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			views := make([]schema.Tuple, batch)
+			consumed := 0
+			for {
+				n, ok := tgt.ConsumeBatch(p, views)
+				if !ok {
+					break
+				}
+				// A mark falls on the batch that crosses it, up to batch-1
+				// tuples late.
+				if consumed < warmup && consumed+n >= warmup {
+					runtime.ReadMemStats(&before)
+				}
+				if consumed < warmup+window && consumed+n >= warmup+window {
+					runtime.ReadMemStats(&after)
+				}
+				consumed += n
+			}
+			if consumed != total {
+				t.Errorf("consumed %d tuples, want %d", consumed, total)
+			}
+		},
+	})
+	allocs := after.Mallocs - before.Mallocs
+	t.Logf("%d allocations over %d tuples: %.2f per 1000", allocs, window, float64(allocs)*1000/window)
+	if allocs*1000 > perKTuples*window {
+		t.Fatalf("steady-state PushBatch/ConsumeBatch on chanloop allocated %d times over %d tuples (bound %d per 1000)",
+			allocs, window, perKTuples)
 	}
 }

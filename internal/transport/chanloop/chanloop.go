@@ -1,5 +1,5 @@
 // Package chanloop is an in-process transport backend: goroutines,
-// channels and real []byte movement under wall-clock time, with no
+// mutexes and real []byte movement under wall-clock time, with no
 // discrete-event kernel. It implements dfi/internal/transport so the DFI
 // data path (core.Source/core.Target) runs on it unmodified — proving
 // the flow API is backend-agnostic and rehearsing the concurrency a
@@ -9,18 +9,23 @@
 // (dfi/internal/transport/transporttest) pins them:
 //
 //   - Work requests on one queue execute in posting order (RC ordering):
-//     each queue owns a worker goroutine draining an op channel.
+//     the posting goroutine executes each verb itself, start to finish,
+//     under the queue's mutex, so that mutex is the posting order. No
+//     goroutine, channel or buffer stands between a poster and the memory
+//     it writes; a work request has completed when the posting call
+//     returns.
 //   - WRITE bodies commit strictly before their CommitTail bytes, the
 //     whole segment applied under one region-lock hold; the region's
 //     commit counter advances under the same lock, so a consumer that
 //     observed a commit (WaitCommit/Load) reads the payload race-free
 //     without copying.
-//   - Source buffers are snapshotted synchronously at post time. That is
-//     valid under the selective-signaling contract (callers must keep a
-//     WR's buffer stable until a covering completion) and means local
-//     ring reuse needs no extra synchronization.
-//   - Atomics execute on the target region under its lock and block the
-//     poster for the reply, serializing concurrent fetch-adds.
+//   - Source buffers are snapshotted synchronously at post time — copied
+//     straight into their destination. That is valid under the
+//     selective-signaling contract (callers must keep a WR's buffer
+//     stable until a covering completion) and means local ring reuse
+//     needs no extra synchronization.
+//   - Atomics are a read-modify-write under the target region's lock,
+//     which serializes concurrent fetch-adds from any number of queues.
 //   - Multicast is unreliable: a send finding no posted receive at a
 //     member is dropped and counted, exactly like UD multicast.
 //
@@ -31,7 +36,9 @@ package chanloop
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,12 +46,8 @@ import (
 	"dfi/internal/transport"
 )
 
-// opsBuffer is the per-queue op-channel depth. Posting blocks when the
-// worker falls this far behind, a crude but safe form of backpressure.
-const opsBuffer = 1024
-
 // Net is the chanloop backend: a factory for endpoints, queues, regions
-// and multicast groups wired through in-process channels.
+// and multicast groups that share the process's memory.
 type Net struct {
 	start    time.Time
 	mu       sync.Mutex
@@ -76,7 +79,7 @@ func (n *Net) NewCtx() transport.Ctx {
 	seed := n.nextSeed
 	n.nextSeed++
 	n.mu.Unlock()
-	return &ctx{net: n, rnd: rand.New(rand.NewSource(seed))}
+	return &ctx{net: n, seed: seed}
 }
 
 // SetTracer installs t to observe every verb (nil disables).
@@ -88,20 +91,30 @@ func (n *Net) SetTracer(t transport.Tracer) {
 	n.tracer.Store(&tracerBox{t: t})
 }
 
-// trace reports an executed verb to the installed tracer. Workers call
-// it concurrently; the bundled Recorder is mutex-guarded.
-func (n *Net) trace(kind transport.OpKind, from, to int, bytes int, posted, arrived time.Duration) {
+// trace reports a verb posted at posted and executed by now to the
+// installed tracer. Posting goroutines call it concurrently; the bundled
+// Recorder is mutex-guarded.
+func (n *Net) trace(kind transport.OpKind, from, to int, bytes int, posted time.Duration) {
 	box := n.tracer.Load()
 	if box == nil || box.t == nil {
 		return
 	}
 	box.t.Trace(transport.TraceOp{
 		Kind: kind, From: from, To: to, Bytes: bytes,
-		Posted: posted, Arrived: arrived, Disposition: transport.Delivered,
+		Posted: posted, Arrived: n.now(), Disposition: transport.Delivered,
 	})
 }
 
 func (n *Net) now() time.Duration { return time.Since(n.start) }
+
+// stamp is the posting time a verb hands to trace: the clock when
+// somebody traces, zero — and no clock read — when nobody does.
+func (n *Net) stamp() time.Duration {
+	if n.tracer.Load() == nil {
+		return 0
+	}
+	return n.now()
+}
 
 // Spawn starts fn on a new goroutine with its own context.
 func (n *Net) Spawn(parent transport.Ctx, name string, fn func(transport.Ctx)) {
@@ -116,14 +129,16 @@ func (n *Net) CopiesPayload() bool { return true }
 func (n *Net) SwitchEndpoint() transport.Endpoint { return n.NewEndpoint() }
 
 // NewCond returns a condition variable for goroutine contexts.
-func (n *Net) NewCond() transport.Cond {
-	return &cond{seqWait{change: make(chan struct{})}}
-}
+func (n *Net) NewCond() transport.Cond { return &cond{} }
 
-// ctx is a wall-clock execution context owned by one goroutine.
+// ctx is a wall-clock execution context owned by one goroutine, which is
+// why its lazily built parts need no lock.
 type ctx struct {
-	net *Net
-	rnd *rand.Rand
+	net   *Net
+	seed  int64
+	rnd   *rand.Rand    // built on the first Rand: seeding costs ~10µs and 5 KB
+	wake  chan struct{} // what a parked wait sleeps on: one token wakes it
+	timer *time.Timer   // bounds this context's parked waits, one at a time
 }
 
 func (c *ctx) Sleep(d time.Duration) {
@@ -134,7 +149,22 @@ func (c *ctx) Sleep(d time.Duration) {
 
 func (c *ctx) Now() time.Duration { return c.net.now() }
 
-func (c *ctx) Rand() *rand.Rand { return c.rnd }
+func (c *ctx) Rand() *rand.Rand {
+	if c.rnd == nil {
+		c.rnd = rand.New(rand.NewSource(c.seed))
+	}
+	return c.rnd
+}
+
+// arm returns the context's timer set to fire in d.
+func (c *ctx) arm(d time.Duration) *time.Timer {
+	if c.timer == nil {
+		c.timer = time.NewTimer(d)
+	} else {
+		c.timer.Reset(d)
+	}
+	return c.timer
+}
 
 // Endpoint is one chanloop attachment point.
 type Endpoint struct {
@@ -159,16 +189,17 @@ func asEndpoint(ep transport.Endpoint) *Endpoint {
 	return e
 }
 
-// seqWait is a mutex-guarded event counter with a broadcast channel: the
-// wait primitive behind both Region commits and cond. A waiter passes
-// the count it last saw; wait reads the counter and the channel in one
-// critical section, so a bump between the caller's snapshot and the
-// wait cannot be missed.
+// seqWait is a mutex-guarded event counter that wakes whoever waits for
+// its next event: the wait primitive behind Region commits, cond and CQ.
+// A waiter's predicate runs in the critical section that enlists it, so a
+// bump between the caller's snapshot and the wait cannot be missed.
 type seqWait struct {
 	mu  sync.Mutex
 	seq uint64
-	// change is closed and replaced on every bump (broadcast).
-	change chan struct{}
+	// parked holds the wake channel (ctx.wake) of every context to wake at
+	// the next bump. A context that timed out stays listed until then, and
+	// the token it gets costs its next wait one extra look at its predicate.
+	parked []chan struct{}
 }
 
 func (s *seqWait) load() uint64 {
@@ -180,32 +211,68 @@ func (s *seqWait) load() uint64 {
 // bumpLocked counts one event and wakes every waiter. Caller holds mu.
 func (s *seqWait) bumpLocked() {
 	s.seq++
-	close(s.change)
-	s.change = make(chan struct{})
+	for _, wake := range s.parked {
+		select {
+		case wake <- struct{}{}:
+		default: // holds a token already: its context is waking up anyway
+		}
+	}
+	s.parked = s.parked[:0]
 }
 
-// wait blocks until the counter differs from since or d elapses.
-func (s *seqWait) wait(since uint64, d time.Duration) bool {
-	deadline := time.Now().Add(d)
+func (s *seqWait) bump() {
+	s.mu.Lock()
+	s.bumpLocked()
+	s.mu.Unlock()
+}
+
+// forever is the bound of a wait that has none.
+const forever = time.Duration(math.MaxInt64)
+
+// park blocks until ready, called with mu held, reports true or d
+// elapses (forever: no bound and no timer). It is the one wait loop of
+// the backend, and once p has parked a first time it allocates nothing:
+// neither does a bump, whether or not it finds somebody parked.
+func (s *seqWait) park(p transport.Ctx, d time.Duration, ready func() bool) bool {
+	c := p.(*ctx)
+	var deadline time.Time // set on the first miss: a hit reads no clock
 	for {
 		s.mu.Lock()
-		if s.seq != since {
+		if ready() {
 			s.mu.Unlock()
 			return true
 		}
-		ch := s.change
+		if c.wake == nil {
+			c.wake = make(chan struct{}, 1)
+		}
+		if !slices.Contains(s.parked, c.wake) {
+			s.parked = append(s.parked, c.wake)
+		}
 		s.mu.Unlock()
-		remain := time.Until(deadline)
-		if remain <= 0 {
+		if d == forever {
+			<-c.wake
+			continue
+		}
+		if deadline.IsZero() {
+			deadline = time.Now().Add(d)
+		} else {
+			d = time.Until(deadline)
+		}
+		if d <= 0 {
 			return false
 		}
-		t := time.NewTimer(remain)
+		t := c.arm(d)
 		select {
-		case <-ch:
+		case <-c.wake:
 			t.Stop()
 		case <-t.C:
 		}
 	}
+}
+
+// wait blocks until the counter differs from since or d elapses.
+func (s *seqWait) wait(p transport.Ctx, since uint64, d time.Duration) bool {
+	return s.park(p, d, func() bool { return s.seq != since })
 }
 
 // Region is a registered memory region. The embedded mutex orders
@@ -214,7 +281,7 @@ func (s *seqWait) wait(since uint64, d time.Duration) bool {
 // committed payload through Bytes without further synchronization. A
 // later WRITE over bytes such a consumer still reads would race with it
 // under the Go memory model even if it changed nothing, so a WRITE whose
-// bytes already equal its destination moves none (Queue.postWrite): a
+// bytes already equal its destination moves none (Queue.write): a
 // writer may retransmit a segment its consumer has not released yet, and
 // may put different bytes in a slot only after the consumer released it.
 type Region struct {
@@ -225,7 +292,7 @@ type Region struct {
 
 // OpenRegion registers a memory region of the given size on ep.
 func (n *Net) OpenRegion(ep transport.Endpoint, size int) transport.Region {
-	return &Region{owner: asEndpoint(ep), buf: make([]byte, size), seqWait: seqWait{change: make(chan struct{})}}
+	return &Region{owner: asEndpoint(ep), buf: make([]byte, size)}
 }
 
 // Bytes exposes the backing buffer (see the type comment for the rules).
@@ -259,26 +326,17 @@ func (r *Region) Load(off int, dst []byte) {
 // CommitSeq returns the count of remote commits applied so far.
 func (r *Region) CommitSeq() uint64 { return r.load() }
 
-// commit applies fn to the buffer under the lock, bumps the commit
-// counter and wakes waiters.
-func (r *Region) commit(fn func(buf []byte)) {
-	r.mu.Lock()
-	fn(r.buf)
-	r.bumpLocked()
-	r.mu.Unlock()
-}
-
 // Notify counts a commit that moves no bytes (see transport.Region).
-func (r *Region) Notify() { r.commit(func([]byte) {}) }
+func (r *Region) Notify() { r.bump() }
 
 // WaitCommit blocks until the commit counter passes since or d elapses.
 func (r *Region) WaitCommit(p transport.Ctx, since uint64, d time.Duration) bool {
-	return r.wait(since, d)
+	return r.wait(p, since, d)
 }
 
 // WaitChange blocks until the next commit or d elapses.
 func (r *Region) WaitChange(p transport.Ctx, d time.Duration) bool {
-	return r.wait(r.load(), d)
+	return r.wait(p, r.load(), d)
 }
 
 func asRegion(a transport.Addr) *Region {
@@ -296,47 +354,52 @@ type cond struct{ seqWait }
 func (c *cond) Seq() uint64 { return c.load() }
 
 func (c *cond) Wait(p transport.Ctx, since uint64, d time.Duration) bool {
-	return c.wait(since, d)
+	return c.wait(p, since, d)
 }
 
-func (c *cond) Broadcast() {
-	c.mu.Lock()
-	c.bumpLocked()
-	c.mu.Unlock()
-}
+func (c *cond) Broadcast() { c.bump() }
 
-// CQ is a completion queue: mutex-guarded entries plus a broadcast
-// channel for blocking waits.
+// CQ is a completion queue: entries[head:] are pending, a push is a
+// sequence bump, and every blocking call is a seqWait.park on "an entry
+// is pending".
 type CQ struct {
-	mu      sync.Mutex
+	seqWait
 	entries []transport.Completion
-	change  chan struct{}
+	head    int
 }
 
-func newCQ() *CQ { return &CQ{change: make(chan struct{})} }
+func newCQ() *CQ { return &CQ{} }
 
 func (cq *CQ) push(e transport.Completion) {
 	cq.mu.Lock()
+	if cq.head > 0 && len(cq.entries) == cap(cq.entries) {
+		// Reuse the consumed prefix before append would grow past it.
+		n := copy(cq.entries, cq.entries[cq.head:])
+		clear(cq.entries[n:])
+		cq.entries, cq.head = cq.entries[:n], 0
+	}
 	cq.entries = append(cq.entries, e)
-	close(cq.change)
-	cq.change = make(chan struct{})
+	cq.bumpLocked()
 	cq.mu.Unlock()
 }
 
-// requeue re-appends a drained completion (ReadSync's unrelated-entry
-// preservation).
-func (cq *CQ) requeue(e transport.Completion) { cq.push(e) }
+// takeLocked moves up to len(out) pending completions into out, clearing
+// their slots so no Completion.Buf stays reachable, and rewinds a drained
+// queue to the front of its backing array. Caller holds mu.
+func (cq *CQ) takeLocked(out []transport.Completion) int {
+	n := copy(out, cq.entries[cq.head:])
+	clear(cq.entries[cq.head : cq.head+n])
+	if cq.head += n; cq.head == len(cq.entries) {
+		cq.entries, cq.head = cq.entries[:0], 0
+	}
+	return n
+}
 
 // Poll removes one completion without blocking.
 func (cq *CQ) Poll(p transport.Ctx) (transport.Completion, bool) {
-	cq.mu.Lock()
-	defer cq.mu.Unlock()
-	if len(cq.entries) == 0 {
-		return transport.Completion{}, false
-	}
-	e := cq.entries[0]
-	cq.entries = cq.entries[1:]
-	return e, true
+	var e [1]transport.Completion
+	n := cq.PollBatch(p, e[:])
+	return e[0], n > 0
 }
 
 // PollBatch drains up to len(out) completions in one lock hold — the
@@ -344,84 +407,31 @@ func (cq *CQ) Poll(p transport.Ctx) (transport.Completion, bool) {
 // per entry, with completion order preserved.
 func (cq *CQ) PollBatch(p transport.Ctx, out []transport.Completion) int {
 	cq.mu.Lock()
-	n := copy(out, cq.entries)
-	if n > 0 {
-		rest := copy(cq.entries, cq.entries[n:])
-		cq.entries = cq.entries[:rest]
-	}
-	cq.mu.Unlock()
-	return n
+	defer cq.mu.Unlock()
+	return cq.takeLocked(out)
 }
 
 // Wait blocks until a completion is available and removes it.
 func (cq *CQ) Wait(p transport.Ctx) transport.Completion {
-	for {
-		cq.mu.Lock()
-		if len(cq.entries) > 0 {
-			e := cq.entries[0]
-			cq.entries = cq.entries[1:]
-			cq.mu.Unlock()
-			return e
-		}
-		ch := cq.change
-		cq.mu.Unlock()
-		<-ch
-	}
+	e, _ := cq.WaitTimeout(p, forever)
+	return e
 }
 
 // WaitTimeout is Wait bounded by d.
 func (cq *CQ) WaitTimeout(p transport.Ctx, d time.Duration) (transport.Completion, bool) {
-	deadline := time.Now().Add(d)
-	for {
-		cq.mu.Lock()
-		if len(cq.entries) > 0 {
-			e := cq.entries[0]
-			cq.entries = cq.entries[1:]
-			cq.mu.Unlock()
-			return e, true
-		}
-		ch := cq.change
-		cq.mu.Unlock()
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			return transport.Completion{}, false
-		}
-		t := time.NewTimer(remain)
-		select {
-		case <-ch:
-			t.Stop()
-		case <-t.C:
-		}
-	}
+	var e [1]transport.Completion
+	ok := cq.park(p, d, func() bool { return cq.takeLocked(e[:]) > 0 })
+	return e[0], ok
 }
 
 // WaitNonEmpty blocks until the queue is non-empty or d elapses.
 func (cq *CQ) WaitNonEmpty(p transport.Ctx, d time.Duration) bool {
-	deadline := time.Now().Add(d)
-	for {
-		cq.mu.Lock()
-		n := len(cq.entries)
-		ch := cq.change
-		cq.mu.Unlock()
-		if n > 0 {
-			return true
-		}
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			return false
-		}
-		t := time.NewTimer(remain)
-		select {
-		case <-ch:
-			t.Stop()
-		case <-t.C:
-		}
-	}
+	return cq.park(p, d, func() bool { return cq.head < len(cq.entries) })
 }
 
 // Len returns the number of pending completions.
 func (cq *CQ) Len() int {
 	cq.mu.Lock()
 	defer cq.mu.Unlock()
-	return len(cq.entries)
+	return len(cq.entries) - cq.head
 }

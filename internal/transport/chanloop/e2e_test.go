@@ -1,8 +1,10 @@
 package chanloop_test
 
 import (
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"dfi/internal/core"
 	"dfi/internal/registry"
@@ -14,8 +16,10 @@ import (
 // one source pushing ten tuples to two targets — over chanloop: real
 // goroutines, real bytes, no sim kernel. The core data path is the same
 // code the DES runs; only the backend and registry differ. Run with
-// -race.
+// -race. The backend starts no goroutine of its own, so once the flow's
+// three have returned the count is back where it started.
 func TestQuickstartFlow(t *testing.T) {
+	goroutines := runtime.NumGoroutine()
 	net := chanloop.New()
 	eps := make([]*chanloop.Endpoint, 3)
 	for i := range eps {
@@ -90,6 +94,14 @@ func TestQuickstartFlow(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	// Done is not a goroutine's last instruction: give the flow's own three
+	// the moment they need to return. Nothing of the backend's winds down.
+	for end := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines && time.Now().Before(end); {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > goroutines {
+		t.Errorf("%d goroutines after the flow, %d before it: the backend left some behind", n, goroutines)
+	}
 
 	// Exactly the pushed payloads, each key at the target its shuffle
 	// picked, no loss, no duplication, no corruption.

@@ -40,24 +40,19 @@ func (n *Net) Multicast(members ...transport.Endpoint) transport.Group {
 	return g
 }
 
-// Send multicasts src to every attached member with a posted receive.
+// Send multicasts src to every attached member with a posted receive. It
+// walks the membership under mu: a member's lock, its CQ and the tracer
+// are leaves below it.
 func (g *Group) Send(p transport.Ctx, from transport.Endpoint, src []byte, excludeSelf bool) {
 	sender := asEndpoint(from)
+	posted := g.net.stamp()
 	g.mu.Lock()
-	members := make([]*GroupEndpoint, len(g.members))
-	copy(members, g.members)
-	detached := make([]bool, len(g.detached))
-	copy(detached, g.detached)
-	g.mu.Unlock()
-	posted := g.net.now()
-	for i, ep := range members {
-		if detached[i] {
+	defer g.mu.Unlock()
+	for i, ep := range g.members {
+		if g.detached[i] || excludeSelf && ep.owner == sender {
 			continue
 		}
-		if excludeSelf && ep.owner == sender {
-			continue
-		}
-		g.net.trace(transport.OpSend, sender.id, ep.owner.id, len(src), posted, g.net.now())
+		g.net.trace(transport.OpSend, sender.id, ep.owner.id, len(src), posted)
 		ep.deliver(src)
 	}
 }

@@ -9,9 +9,15 @@ import (
 	"dfi/internal/transport"
 )
 
-// Queue is one end of a reliable in-process queue pair. A worker
-// goroutine drains posted ops in order, giving the RC guarantee: work
-// requests on one queue execute in posting order, whatever they are.
+// Queue is one end of a reliable in-process queue pair. The goroutine
+// that posts a verb executes it, under mu, giving the RC guarantee: work
+// requests on one queue execute in posting order, whatever they are, and
+// their completions reach the CQ in that order.
+//
+// Lock order is mu, then one of the destination region's lock or the
+// peer's rmu, then nothing: the CQs, the tracer and the drop counters are
+// leaves, no verb waits for anything while it holds a lock, and neither
+// inner lock is ever held while a mu is taken, so nothing nests both ways.
 type Queue struct {
 	net   *Net
 	owner *Endpoint
@@ -20,15 +26,15 @@ type Queue struct {
 	scq *CQ
 	rcq *CQ
 
-	ops chan func()
+	// mu is the posting order when several goroutines share the queue (a
+	// sharedring link does).
+	mu sync.Mutex
 
 	// Two-sided receive state, locked because the owner posts receives
-	// while the peer's worker delivers sends.
+	// while the peer's posters deliver sends.
 	rmu     sync.Mutex
 	recvq   []transport.RecvWR
 	arrived []arrival
-
-	nextID uint64
 }
 
 type arrival struct {
@@ -36,23 +42,13 @@ type arrival struct {
 	id   uint64
 }
 
-// Dial connects endpoints a and b with a queue pair, starting one worker
-// goroutine per end. Workers live for the lifetime of the process (the
-// backend is built for in-process tests and tools; a Close lifecycle can
-// ride along with the socket backend).
+// Dial connects endpoints a and b with a queue pair. It starts nothing:
+// a queue is two CQs and two locks, and is garbage once dropped.
 func (n *Net) Dial(a, b transport.Endpoint) (transport.Queue, transport.Queue) {
-	qa := &Queue{net: n, owner: asEndpoint(a), scq: newCQ(), rcq: newCQ(), ops: make(chan func(), opsBuffer)}
-	qb := &Queue{net: n, owner: asEndpoint(b), scq: newCQ(), rcq: newCQ(), ops: make(chan func(), opsBuffer)}
+	qa := &Queue{net: n, owner: asEndpoint(a), scq: newCQ(), rcq: newCQ()}
+	qb := &Queue{net: n, owner: asEndpoint(b), scq: newCQ(), rcq: newCQ()}
 	qa.peer, qb.peer = qb, qa
-	go qa.run()
-	go qb.run()
 	return qa, qb
-}
-
-func (q *Queue) run() {
-	for op := range q.ops {
-		op()
-	}
 }
 
 // SendCQ returns the queue's send-side completion queue.
@@ -61,166 +57,140 @@ func (q *Queue) SendCQ() transport.CompletionQueue { return q.scq }
 // RecvCQ returns the queue's receive-side completion queue.
 func (q *Queue) RecvCQ() transport.CompletionQueue { return q.rcq }
 
-// Write posts a one-sided WRITE of src into dst on the peer's region.
-// The source buffer is snapshotted synchronously (valid under the
-// selective-signaling contract); the commit happens on the worker, body
+// remote returns the region a names, which must be on the peer endpoint.
+func (q *Queue) remote(a transport.Addr, verb string) *Region {
+	r := asRegion(a)
+	if r.owner != q.peer.owner {
+		panic("chanloop: " + verb + " region not on peer endpoint")
+	}
+	return r
+}
+
+// done traces one executed verb and, when signaled, completes it. Caller
+// holds mu, so completions appear in execution order.
+func (q *Queue) done(op transport.OpKind, n int, posted time.Duration, signaled bool, id uint64) {
+	q.net.trace(op, q.owner.id, q.peer.owner.id, n, posted)
+	if signaled {
+		q.scq.push(transport.Completion{ID: id, Op: op, Bytes: n})
+	}
+}
+
+// Write executes a one-sided WRITE of src into dst on the peer's region:
+// src is copied straight into its destination before Write returns (the
+// synchronous snapshot the selective-signaling contract allows), body
 // strictly before the CommitTail bytes, in one region-lock hold.
 func (q *Queue) Write(p transport.Ctx, src []byte, dst transport.Addr, opts transport.WriteOptions) {
-	staged := make([]byte, len(src))
-	copy(staged, src)
-	q.postWrite(staged, dst, opts)
+	q.mu.Lock()
+	q.write(src, dst, opts)
+	q.mu.Unlock()
 }
 
-// WriteBatch posts the given WRITEs back-to-back; one snapshot covers
-// the batch.
+// WriteBatch executes the given WRITEs back-to-back in one hold of the
+// queue lock, so no other poster's verb lands between them.
 func (q *Queue) WriteBatch(p transport.Ctx, wrs []transport.WriteWR) {
+	q.mu.Lock()
 	for i := range wrs {
-		q.Write(p, wrs[i].Src, wrs[i].Dst, wrs[i].Opts)
+		q.write(wrs[i].Src, wrs[i].Dst, wrs[i].Opts)
 	}
+	q.mu.Unlock()
 }
 
-func (q *Queue) postWrite(staged []byte, dst transport.Addr, opts transport.WriteOptions) {
-	r := asRegion(dst)
-	if r.owner != q.peer.owner {
-		panic("chanloop: WRITE destination region not on peer endpoint")
+func (q *Queue) write(src []byte, dst transport.Addr, opts transport.WriteOptions) {
+	r := q.remote(dst, "WRITE destination")
+	posted := q.net.stamp()
+	n := len(src)
+	body := n - min(opts.CommitTail, n)
+	r.mu.Lock()
+	// A WRITE whose bytes are already there — the retransmission of a
+	// segment its consumer has not released — moves none: that consumer
+	// may be reading the slot without the lock (see Region), and reads do
+	// not race with this compare. On fresh data the compare stops at the
+	// first differing word.
+	if to := r.buf[dst.Off : dst.Off+n]; !bytes.Equal(to, src) {
+		// One lock hold applies body then tail: a consumer can never
+		// observe the tail (footer) without the body it covers.
+		copy(to[:body], src[:body])
+		copy(to[body:], src[body:])
 	}
-	posted := q.net.now()
-	q.ops <- func() {
-		off := dst.Off
-		n := len(staged)
-		tail := opts.CommitTail
-		if tail > n {
-			tail = n
-		}
-		body := n - tail
-		r.commit(func(buf []byte) {
-			// A WRITE whose bytes are already there — the retransmission of
-			// a segment its consumer has not released — moves none: that
-			// consumer may be reading the slot without the lock (see
-			// Region), and reads do not race with this compare. On fresh
-			// data the compare stops at the first differing word.
-			if bytes.Equal(buf[off:off+n], staged) {
-				return
-			}
-			// One lock hold applies body then tail: a consumer can never
-			// observe the tail (footer) without the body it covers.
-			copy(buf[off:off+body], staged[:body])
-			if tail > 0 {
-				copy(buf[off+body:off+n], staged[body:])
-			}
-		})
-		q.net.trace(transport.OpWrite, q.owner.id, q.peer.owner.id, n, posted, q.net.now())
-		if opts.Signaled {
-			q.scq.push(transport.Completion{ID: opts.ID, Op: transport.OpWrite, Bytes: n})
-		}
-	}
+	r.bumpLocked()
+	r.mu.Unlock()
+	q.done(transport.OpWrite, n, posted, opts.Signaled, opts.ID)
 }
 
-// Read posts a one-sided READ of len(dst) bytes from src into dst. The
-// caller must not touch dst until the completion arrives (the CQ push
-// provides the happens-before edge).
+// Read executes a one-sided READ of len(dst) bytes from src into dst;
+// dst holds them when Read returns.
 func (q *Queue) Read(p transport.Ctx, dst []byte, src transport.Addr, signaled bool, id uint64) {
-	r := asRegion(src)
-	if r.owner != q.peer.owner {
-		panic("chanloop: READ source region not on peer endpoint")
-	}
-	posted := q.net.now()
-	q.ops <- func() {
-		r.Load(src.Off, dst)
-		q.net.trace(transport.OpRead, q.owner.id, q.peer.owner.id, len(dst), posted, q.net.now())
-		if signaled {
-			q.scq.push(transport.Completion{ID: id, Op: transport.OpRead, Bytes: len(dst)})
-		}
-	}
+	r := q.remote(src, "READ source")
+	q.mu.Lock()
+	posted := q.net.stamp()
+	r.Load(src.Off, dst)
+	q.done(transport.OpRead, len(dst), posted, signaled, id)
+	q.mu.Unlock()
 }
 
-// ReadSync performs a signaled READ and blocks until it completes,
-// returning the elapsed wall-clock time.
+// ReadSync performs a READ that produces no completion, so the send CQ is
+// left exactly as it was, and returns the elapsed wall-clock time.
 func (q *Queue) ReadSync(p transport.Ctx, dst []byte, src transport.Addr) time.Duration {
 	start := p.Now()
-	q.nextID++
-	id := q.nextID | 1<<63
-	q.Read(p, dst, src, true, id)
-	for {
-		c := q.scq.Wait(p)
-		if c.ID == id {
-			break
-		}
-		q.scq.requeue(c)
-	}
+	q.Read(p, dst, src, false, 0)
 	return p.Now() - start
 }
 
+// atomic replaces the 8-byte counter at dst with next(old) in one hold of
+// the region lock — which serializes atomics across queues — and returns
+// old. Ordering with earlier WRITEs on this queue comes from mu.
+func (q *Queue) atomic(op transport.OpKind, dst transport.Addr, next func(old uint64) uint64) uint64 {
+	r := q.remote(dst, "atomic destination")
+	q.mu.Lock()
+	posted := q.net.stamp()
+	r.mu.Lock()
+	word := r.buf[dst.Off : dst.Off+8]
+	old := binary.LittleEndian.Uint64(word)
+	binary.LittleEndian.PutUint64(word, next(old))
+	r.bumpLocked()
+	r.mu.Unlock()
+	q.done(op, 8, posted, false, 0)
+	q.mu.Unlock()
+	return old
+}
+
 // FetchAdd atomically adds delta to the 8-byte counter at dst and
-// returns the previous value, blocking for the reply. Ordering with
-// earlier WRITEs on the same queue holds because the op runs on the
-// same worker; serialization across queues comes from the region lock.
+// returns the previous value.
 func (q *Queue) FetchAdd(p transport.Ctx, dst transport.Addr, delta uint64) uint64 {
-	v, _ := q.FetchAddChecked(p, dst, delta)
-	return v
+	return q.atomic(transport.OpFetchAdd, dst, func(old uint64) uint64 { return old + delta })
 }
 
 // FetchAddChecked is FetchAdd with an explicit success indicator; on
 // chanloop endpoints never crash, so ok is always true.
 func (q *Queue) FetchAddChecked(p transport.Ctx, dst transport.Addr, delta uint64) (uint64, bool) {
-	r := asRegion(dst)
-	if r.owner != q.peer.owner {
-		panic("chanloop: atomic destination region not on peer endpoint")
-	}
-	posted := q.net.now()
-	reply := make(chan uint64, 1)
-	q.ops <- func() {
-		var old uint64
-		r.commit(func(buf []byte) {
-			old = binary.LittleEndian.Uint64(buf[dst.Off : dst.Off+8])
-			binary.LittleEndian.PutUint64(buf[dst.Off:dst.Off+8], old+delta)
-		})
-		q.net.trace(transport.OpFetchAdd, q.owner.id, q.peer.owner.id, 8, posted, q.net.now())
-		reply <- old
-	}
-	return <-reply, true
+	return q.FetchAdd(p, dst, delta), true
 }
 
 // CompareSwap atomically replaces the counter at dst with swap when it
 // equals expect, returning the previous value.
 func (q *Queue) CompareSwap(p transport.Ctx, dst transport.Addr, expect, swap uint64) uint64 {
-	r := asRegion(dst)
-	if r.owner != q.peer.owner {
-		panic("chanloop: atomic destination region not on peer endpoint")
-	}
-	posted := q.net.now()
-	reply := make(chan uint64, 1)
-	q.ops <- func() {
-		var old uint64
-		r.commit(func(buf []byte) {
-			old = binary.LittleEndian.Uint64(buf[dst.Off : dst.Off+8])
-			if old == expect {
-				binary.LittleEndian.PutUint64(buf[dst.Off:dst.Off+8], swap)
-			}
-		})
-		q.net.trace(transport.OpCompareSwap, q.owner.id, q.peer.owner.id, 8, posted, q.net.now())
-		reply <- old
-	}
-	return <-reply
-}
-
-// Send posts a two-sided SEND of src to the peer. Reliable semantics: a
-// message arriving before a receive is posted waits in the peer's
-// arrival queue.
-func (q *Queue) Send(p transport.Ctx, src []byte, signaled bool, id uint64) {
-	staged := make([]byte, len(src))
-	copy(staged, src)
-	posted := q.net.now()
-	q.ops <- func() {
-		q.peer.deliver(staged, id)
-		q.net.trace(transport.OpSend, q.owner.id, q.peer.owner.id, len(staged), posted, q.net.now())
-		if signaled {
-			q.scq.push(transport.Completion{ID: id, Op: transport.OpSend, Bytes: len(staged)})
+	return q.atomic(transport.OpCompareSwap, dst, func(old uint64) uint64 {
+		if old == expect {
+			return swap
 		}
-	}
+		return old
+	})
 }
 
-// deliver hands an arrived message to a posted receive, or queues it.
+// Send executes a two-sided SEND of src to the peer: the bytes are in a
+// posted receive buffer, or copied into the peer's arrival queue to wait
+// for one (reliable semantics), when Send returns.
+func (q *Queue) Send(p transport.Ctx, src []byte, signaled bool, id uint64) {
+	q.mu.Lock()
+	posted := q.net.stamp()
+	q.peer.deliver(src, id)
+	q.done(transport.OpSend, len(src), posted, signaled, id)
+	q.mu.Unlock()
+}
+
+// deliver hands an arrived message to a posted receive, or queues a copy
+// of it: data is the sender's buffer, the sender's again once Send has
+// returned.
 func (q *Queue) deliver(data []byte, sendID uint64) {
 	q.rmu.Lock()
 	if len(q.recvq) > 0 {
@@ -231,7 +201,7 @@ func (q *Queue) deliver(data []byte, sendID uint64) {
 		q.rcq.push(transport.Completion{ID: wr.ID, Op: transport.OpRecv, Bytes: n, Value: sendID, Buf: wr.Buf})
 		return
 	}
-	q.arrived = append(q.arrived, arrival{data: data, id: sendID})
+	q.arrived = append(q.arrived, arrival{data: bytes.Clone(data), id: sendID})
 	q.rmu.Unlock()
 }
 

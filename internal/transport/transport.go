@@ -190,7 +190,9 @@ type CompletionQueue interface {
 
 // Queue is one end of a reliable connected queue pair. Work requests on
 // one queue execute in posting order (RC ordering); completions appear
-// on the owning CQ in execution order.
+// on the owning CQ in execution order. A backend may execute a work
+// request, and push its completion, before the posting call returns:
+// nothing may depend on a posted WR still being in flight.
 type Queue interface {
 	// Write posts a one-sided WRITE of src into dst.
 	Write(p Ctx, src []byte, dst Addr, opts WriteOptions)

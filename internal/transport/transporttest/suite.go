@@ -2,12 +2,14 @@
 // must pass: one table of semantic tests — per-queue write ordering with
 // commit-tail visibility, fetch-add serialization returning unique old
 // values, reliable two-sided send/recv, CQ signaled-only completions,
-// multicast drop-without-posted-recv, and the sequence-counted waits
-// (Cond, Region.Notify) — executed against a backend-supplied
-// environment. The DES fabric and chanloop both run it
+// source buffers that are the caller's again after a completion, RC order
+// per poster on a shared queue end, multicast drop-without-posted-recv,
+// and the sequence-counted waits (Cond, Region.Notify) — executed against
+// a backend-supplied environment. The DES fabric and chanloop both run it
 // (internal/fabric/conformance_test.go,
 // internal/transport/chanloop/conformance_test.go); a future socket
-// backend passes by wiring up NewEnv.
+// backend passes by wiring up NewEnv. Bench (bench.go) is the per-verb
+// benchmark over the same environment.
 package transporttest
 
 import (
@@ -49,6 +51,9 @@ func Run(t *testing.T, newEnv NewEnv) {
 		{"FetchAddSerialization", testFetchAdd},
 		{"CompareSwap", testCompareSwap},
 		{"SendRecvReliable", testSendRecv},
+		{"EarlySendKeepsItsBytes", testEarlySend},
+		{"WriteSourceReusableAfterCompletion", testWriteSourceReuse},
+		{"TwoPostersOneQueue", testTwoPosters},
 		{"SignaledOnlyCompletions", testSignaledOnly},
 		{"BurstPollOrdering", testBurstPoll},
 		{"ReadBack", testReadBack},
@@ -251,6 +256,114 @@ func testSendRecv(t *testing.T, env Env) {
 		}
 		if c.ID != 5 || string(c.Buf[:c.Bytes]) != "early-bird" {
 			t.Errorf("recv completion: id=%d payload=%q", c.ID, c.Buf[:c.Bytes])
+		}
+	})
+	env.Run()
+}
+
+// testEarlySend pins who owns a SEND's bytes: once the signaled
+// completion is out the source buffer is the sender's again, so a message
+// still waiting for its receive must not alias it. The sender overwrites
+// the buffer after the completion and only then lets the receiver post.
+func testEarlySend(t *testing.T, env Env) {
+	qa, qb := env.T.Dial(env.EP[0], env.EP[1])
+	overwritten := env.T.NewCond()
+
+	env.Go("sender", func(p transport.Ctx) {
+		msg := []byte("early-bird")
+		qa.Send(p, msg, true, 1)
+		if _, ok := qa.SendCQ().WaitTimeout(p, waitFor); !ok {
+			t.Errorf("send completion lost")
+		}
+		copy(msg, "XXXXXXXXXX")
+		overwritten.Broadcast()
+	})
+	env.Go("receiver", func(p transport.Ctx) {
+		overwritten.Wait(p, 0, waitFor)
+		buf := make([]byte, 16)
+		qb.PostRecv(buf, 5)
+		c, ok := qb.RecvCQ().WaitTimeout(p, waitFor)
+		if !ok {
+			t.Errorf("early send was lost")
+			return
+		}
+		if got := string(c.Buf[:c.Bytes]); got != "early-bird" {
+			t.Errorf("queued send delivered %q, want the bytes it was posted with", got)
+		}
+	})
+	env.Run()
+}
+
+// testWriteSourceReuse is the same rule for a WRITE: rewriting the source
+// after the signaled completion must not change what landed.
+func testWriteSourceReuse(t *testing.T, env Env) {
+	mr := env.T.OpenRegion(env.EP[1], 16)
+	qa, _ := env.T.Dial(env.EP[0], env.EP[1])
+	overwritten := env.T.NewCond()
+
+	env.Go("writer", func(p transport.Ctx) {
+		src := []byte("first-generation")
+		qa.Write(p, src, transport.Addr{MR: mr, Off: 0}, transport.WriteOptions{Signaled: true, ID: 1})
+		if _, ok := qa.SendCQ().WaitTimeout(p, waitFor); !ok {
+			t.Errorf("write completion lost")
+		}
+		copy(src, "second-generatio")
+		overwritten.Broadcast()
+	})
+	env.Go("reader", func(p transport.Ctx) {
+		overwritten.Wait(p, 0, waitFor)
+		got := make([]byte, 16)
+		mr.Load(0, got)
+		if string(got) != "first-generation" {
+			t.Errorf("region holds %q after the source was rewritten, want the bytes the WRITE was posted with", got)
+		}
+	})
+	env.Run()
+}
+
+// testTwoPosters pins RC order per poster on a queue end that two actors
+// share (sharedring posts on one link queue from many contexts): each
+// posts N unsignaled writes to its own half of a region, then its marker.
+// A reader that sees a marker must see every write of that actor.
+func testTwoPosters(t *testing.T, env Env) {
+	const n, stride = 64, (64 + 1) * 8
+	mr := env.T.OpenRegion(env.EP[1], 2*stride)
+	qa, _ := env.T.Dial(env.EP[0], env.EP[1])
+
+	for a := 0; a < 2; a++ {
+		base := a * stride
+		env.Go("poster", func(p transport.Ctx) {
+			src := make([]byte, stride)
+			for i := 0; i <= n; i++ {
+				binary.LittleEndian.PutUint64(src[i*8:], uint64(base+i)+1)
+				qa.Write(p, src[i*8:(i+1)*8], transport.Addr{MR: mr, Off: base + i*8}, transport.WriteOptions{})
+			}
+		})
+	}
+	env.Go("reader", func(p transport.Ctx) {
+		buf := make([]byte, 8)
+		load := func(off int) uint64 {
+			mr.Load(off, buf)
+			return binary.LittleEndian.Uint64(buf)
+		}
+		deadline := p.Now() + waitFor
+		for checked := [2]bool{}; !checked[0] || !checked[1]; {
+			for a, base := range [2]int{0, stride} {
+				if checked[a] || load(base+n*8) == 0 {
+					continue
+				}
+				checked[a] = true
+				for i := 0; i < n; i++ {
+					if got := load(base + i*8); got != uint64(base+i)+1 {
+						t.Errorf("poster %d slot %d: got %d under its marker, want %d", a, i, got, base+i+1)
+					}
+				}
+			}
+			if p.Now() > deadline {
+				t.Errorf("markers never became visible: %v", checked)
+				return
+			}
+			mr.WaitChange(p, time.Millisecond)
 		}
 	})
 	env.Run()
