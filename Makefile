@@ -88,7 +88,8 @@ metrics-smoke:
 # both backends (lease keep-alive, silent-target and mid-push eviction,
 # the private-vs-shared differential with an evicted leg), the registry
 # monitor hammered from nine goroutines plus its status oracle on the
-# wall clock, and the dfiflow -transport=chan CLI coverage. This is the
+# wall clock, and the dfiflow -transport=chan CLI coverage including the
+# same argument lists run on both backends. This is the
 # backend-agnosticism gate: the same core data path and the same control
 # plane must behave identically without the sim kernel serializing
 # anything. The -count=20 line is the retransmit-into-a-slot-being-read
@@ -100,7 +101,7 @@ transport-race:
 	$(GO) test -race -count=1 -run 'Chan.*(Lease|Evict)|TestSharedRingMatchesPrivate' ./internal/core/
 	$(GO) test -race -count=20 -run 'TestDESAndChanEvictSilentTarget' ./internal/core/
 	$(GO) test -race -count=1 -run 'TestLocalRegistryHammer|TestStatusSnapshotMatchesRebuild|TestRemoveRepublishWakesWaiters' ./internal/registry/
-	$(GO) test -race -count=1 -run 'TestChanTransport' ./cmd/dfiflow/
+	$(GO) test -race -count=1 -run 'TestChanTransport|TestSameArgsOnBothTransports' ./cmd/dfiflow/
 
 # Per-layer benchmarks cannot rot: every benchmark of the sim kernel, the
 # core data path and the transport backends (the per-verb benchmark,
@@ -123,7 +124,8 @@ ledger:
 # every relative Markdown link/anchor resolves (GitHub slug rules;
 # external URLs are not fetched, so the check is offline-deterministic),
 # the transport packages document every exported symbol, and
-# docs/OPERATIONS.md covers every dfiflow/dfibench flag.
+# docs/OPERATIONS.md covers every dfiflow/dfibench flag and documents
+# none that no longer exists.
 docs-lint:
 	$(GO) run ./cmd/docslint
 

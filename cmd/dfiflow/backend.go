@@ -1,0 +1,156 @@
+package main
+
+import (
+	"fmt"
+	"strconv"
+	"strings"
+	"time"
+
+	"dfi/internal/fabric"
+	"dfi/internal/registry"
+	"dfi/internal/sim"
+	"dfi/internal/transport"
+)
+
+// backend is everything run needs to know about the transport under the
+// flow: a cluster, a registry on the same clock, and a way to run a set
+// of named bodies to completion. Nothing above it knows which one it is.
+type backend struct {
+	tpt  transport.Transport
+	reg  flowRegistry
+	node func(i int) transport.Endpoint
+
+	// spawn starts body on a context of its own; wait runs every spawned
+	// body to completion and returns the kernel's error when the
+	// simulation cannot go on (deadlock, deadline). abort ends wait
+	// although bodies are still blocked — on a flow that will never be
+	// published.
+	spawn func(name string, body func(transport.Ctx))
+	wait  func() error
+	abort func()
+
+	// clock, via and rate word the summary.
+	clock string // "virtual" | "wall"
+	via   string // "" | " over chan transport"
+	rate  string // what the sender bandwidth is measured against
+
+	wireOverhead int // per-message framing bytes for the recorder's wire estimate
+}
+
+// newFabricBackend builds the deterministic simulation from the flags
+// only it can honour (desOnlyFlags says why for each): a seeded kernel,
+// the calibrated fabric with its loss model and fault plan, and the
+// registry — standalone, replicated, sharded, or sharded over replicated
+// groups.
+func newFabricBackend(nodes int, seed int64, loss float64, faults string, shards int, rcfg registry.ReplicaConfig) (*backend, error) {
+	k := sim.New(seed)
+	k.Deadline = time.Hour
+	fcfg := fabric.DefaultConfig()
+	fcfg.MulticastLoss = loss
+	if faults != "" {
+		var err error
+		if fcfg.Faults, rcfg.Faults, err = parseFaults(faults); err != nil {
+			return nil, fmt.Errorf("-faults: %v", err)
+		}
+	}
+	cluster := fabric.NewCluster(k, nodes, fcfg)
+	b := &backend{
+		tpt:  cluster,
+		node: func(i int) transport.Endpoint { return cluster.Node(i) },
+		spawn: func(name string, body func(transport.Ctx)) {
+			k.Spawn(name, func(p *sim.Proc) { body(p) })
+		},
+		wait:  k.Run,
+		abort: func() {}, // the kernel sees for itself that what is left is stuck
+		clock: "virtual",
+		rate:  fmt.Sprintf("link speed %.2f GiB/s", fcfg.LinkBandwidth/(1<<30)),
+
+		wireOverhead: fcfg.WireOverheadBytes,
+	}
+	switch {
+	case shards > 1 && rcfg.Replicas > 0:
+		sharded, err := registry.NewShardedReplicated(k, shards, rcfg)
+		if err != nil {
+			return nil, fmt.Errorf("-reg-shards/-replicas: %v", err)
+		}
+		b.reg = sharded
+	case shards > 1:
+		sharded := registry.NewSharded(k, shards)
+		sharded.UseFaults(rcfg.Faults)
+		b.reg = sharded
+	case rcfg.Replicas > 0:
+		repl, err := registry.NewReplicated(k, rcfg)
+		if err != nil {
+			return nil, fmt.Errorf("-replicas: %v", err)
+		}
+		b.reg = repl
+	default:
+		r := registry.New(k)
+		r.UseFaults(rcfg.Faults)
+		b.reg = r
+	}
+	return b, nil
+}
+
+// parseFaults builds the fabric's fault plan and the registry's fault
+// knobs (the reg-* keys) from a comma-separated key=value spec.
+// Probabilities: drop-write, drop-read, drop-send, drop-atomic, dup,
+// reorder, reg-drop. Durations: delay, jitter, reg-delay, reg-jitter,
+// reg-crash-master. Crashes: crash=NODE@TIME (repeatable).
+func parseFaults(spec string) (*fabric.FaultPlan, *registry.Faults, error) {
+	fp, rf := &fabric.FaultPlan{}, &registry.Faults{}
+	for _, field := range strings.Split(spec, ",") {
+		key, val, ok := strings.Cut(strings.TrimSpace(field), "=")
+		if !ok {
+			return nil, nil, fmt.Errorf("%q: want key=value", field)
+		}
+		prob := func() (float64, error) { return strconv.ParseFloat(val, 64) }
+		var err error
+		switch key {
+		case "drop-write":
+			fp.DropWrite, err = prob()
+		case "drop-read":
+			fp.DropRead, err = prob()
+		case "drop-send":
+			fp.DropSend, err = prob()
+		case "drop-atomic":
+			fp.DropAtomic, err = prob()
+		case "dup":
+			fp.Duplicate, err = prob()
+		case "reorder":
+			fp.Reorder, err = prob()
+		case "delay":
+			fp.Delay, err = time.ParseDuration(val)
+		case "jitter":
+			fp.DelayJitter, err = time.ParseDuration(val)
+		case "reg-drop":
+			rf.Drop, err = prob()
+		case "reg-delay":
+			rf.Delay, err = time.ParseDuration(val)
+		case "reg-jitter":
+			rf.Jitter, err = time.ParseDuration(val)
+		case "reg-crash-master":
+			rf.CrashMaster, err = time.ParseDuration(val)
+		case "crash":
+			node, at, ok := strings.Cut(val, "@")
+			if !ok {
+				return nil, nil, fmt.Errorf("%q: want crash=NODE@TIME", field)
+			}
+			var id int
+			if id, err = strconv.Atoi(node); err != nil {
+				break
+			}
+			var t time.Duration
+			if t, err = time.ParseDuration(at); err != nil {
+				break
+			}
+			fp.CrashNode(id, t)
+		default:
+			return nil, nil, fmt.Errorf("unknown fault key %q", key)
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("%q: %v", field, err)
+		}
+	}
+	return fp, rf, nil
+}

@@ -50,18 +50,16 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"os"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"dfi/internal/core"
 	"dfi/internal/core/partition"
-	"dfi/internal/fabric"
 	"dfi/internal/registry"
 	"dfi/internal/schema"
-	"dfi/internal/sim"
 	"dfi/internal/transport"
 	"dfi/internal/transport/sharedring"
 )
@@ -80,36 +78,37 @@ var sharedIncompatible = map[string]string{
 }
 
 // sharedOnly lists flags meaningless without -shared.
-var sharedOnly = map[string]bool{"flows": true, "tenant": true, "tenant-weight": true}
+var sharedOnly = map[string]string{
+	"flows":         "fleets multiplex over the shared rings",
+	"tenant":        "it names a tenant of the shared-ring credit scheduler",
+	"tenant-weight": "it weighs a tenant in the shared-ring credit scheduler",
+}
 
-// validateShared cross-checks the -shared flag family before any
-// machinery spins up, naming each offending flag.
-func validateShared(fs *flag.FlagSet, shared bool, flows int) error {
+// rejected cross-checks the flags set on the command line against a
+// table of flags the chosen mode cannot honour, before any machinery
+// spins up: one line per offender, naming it and the table's reason
+// (format takes the two).
+func rejected(fs *flag.FlagSet, table map[string]string, format string) error {
 	var bad []string
 	fs.Visit(func(f *flag.Flag) {
-		if shared {
-			if why, ok := sharedIncompatible[f.Name]; ok {
-				bad = append(bad, fmt.Sprintf("-shared does not support -%s: %s", f.Name, why))
-			}
-		} else if sharedOnly[f.Name] {
-			bad = append(bad, fmt.Sprintf("-%s requires -shared (it configures the shared-ring credit scheduler)", f.Name))
+		if why, ok := table[f.Name]; ok {
+			bad = append(bad, fmt.Sprintf(format, f.Name, why))
 		}
 	})
-	if len(bad) > 0 {
-		return errors.New(strings.Join(bad, "\n\t"))
+	if len(bad) == 0 {
+		return nil
 	}
-	if flows < 1 {
-		return fmt.Errorf("-flows %d: want at least 1", flows)
-	}
-	return nil
+	return errors.New(strings.Join(bad, "\n\t"))
 }
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// run is main's testable body: flags in, exit code out. Config errors
-// return 2; a broken flow or rejected rejoin returns 1. Internal
-// errors that cannot occur with a valid config still exit the process
-// via log.Fatal.
+// run is main's testable body: flags in, exit code out. Flag errors and a
+// spec the library rejects return 2. An endpoint error ends that endpoint,
+// not the run: the summary and the event trace still come out — they are
+// what explains it — and the exit code is 1 when a flow broke, a rejoin
+// was rejected, the simulation could not finish, or an endpoint failed
+// although nothing was injected.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("dfiflow", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -129,7 +128,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		segments  = fs.Int("segments", 32, "segments per ring")
 		segSize   = fs.Int("segsize", 0, "segment payload size (0 = default)")
 		seed      = fs.Int64("seed", 1, "deterministic seed")
-		copyData  = fs.Bool("copy", false, "copy payload bytes (slower, validates content paths)")
 		traceOps  = fs.Int("trace", 0, "record fabric operations; print the first N and a summary")
 		faults    = fs.String("faults", "", "fault plan, e.g. drop-write=0.01,delay=1us,jitter=3us,dup=0.05,reorder=0.1,crash=1@500us")
 		retrans   = fs.Duration("retransmit", 0, "enable source-side loss recovery with this stall timeout")
@@ -156,120 +154,32 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-
-	if err := validateShared(fs, *shared, *nFlows); err != nil {
-		fmt.Fprintf(stderr, "dfiflow: %v\n", err)
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "dfiflow: "+format+"\n", a...)
 		return 2
 	}
-	ops := opsFlags{metricsAddr: *metricsAddr, linger: *linger, eventsCap: *eventsCap, eventsOut: *eventsOut}
-	switch *transportF {
-	case "fabric":
-	case "chan":
-		rejected := false
-		fs.Visit(func(f *flag.Flag) {
-			if why, ok := desOnlyFlags[f.Name]; ok {
-				fmt.Fprintf(stderr, "dfiflow: -transport=chan does not support -%s: %s (see docs/ARCHITECTURE.md, transport backend matrix)\n", f.Name, why)
-				rejected = true
-			}
-		})
-		if rejected {
-			return 2
-		}
-		if *flowType != "shuffle" && *flowType != "replicate" {
-			fmt.Fprintf(stderr, "dfiflow: -transport=chan supports -type shuffle|replicate (combiner aggregation is fabric-only)\n")
-			return 2
-		}
-		return runChan(chanConfig{
-			flowType: *flowType, nSources: *nSources, nTargets: *nTargets,
-			tupleSize: *tupleSize, megabytes: *megabytes, latency: *latency,
-			segments: *segments, segSize: *segSize, traceOps: *traceOps,
-			shared: *shared, tenant: *tenant, tenantWeight: *tenWeight,
-			lease: *lease, evictSpec: *evictSpec, ops: ops,
-		}, stdout, stderr)
-	default:
-		fmt.Fprintf(stderr, "dfiflow: unknown transport %q (want fabric or chan)\n", *transportF)
-		return 2
-	}
+	// Bodies print while the flow runs, concurrently on the wall clock.
+	stdout = &lockedWriter{w: stdout}
+	var err error
 
-	k := sim.New(*seed)
-	k.Deadline = time.Hour
-	fcfg := fabric.DefaultConfig()
-	fcfg.CopyPayload = *copyData
-	fcfg.MulticastLoss = *loss
-	var regFaults *registry.Faults
-	if *faults != "" {
-		fp, rf, err := parseFaults(*faults)
-		if err != nil {
-			fmt.Fprintf(stderr, "dfiflow: -faults: %v\n", err)
-			return 2
-		}
-		fcfg.Faults, regFaults = fp, rf
-	}
-	cluster := fabric.NewCluster(k, *nSources+*nTargets, fcfg)
-	var rec *transport.Recorder
-	if *traceOps > 0 {
-		rec = transport.AttachRecorder(cluster, *traceOps)
-		// The fabric's per-message framing overhead feeds the recorder's
-		// wire-volume estimate; without it the Summary silently omitted
-		// the "wire bytes" line.
-		rec.WireOverheadBytes = fcfg.WireOverheadBytes
-	}
-	// The registry behind flowRegistry: standalone, replicated, sharded,
-	// or sharded-over-replicated-groups. regRepl keeps the concrete
-	// replicated handle for the consensus summary line.
-	var reg flowRegistry
-	var regRepl *registry.Registry
-	rcfg := registry.ReplicaConfig{
-		Replicas:      *replicas,
-		Faults:        regFaults,
-		SnapshotEvery: *snapEvery,
-		UnloggedRenew: *unlogRen,
-	}
-	switch {
-	case *regShards > 1 && *replicas > 0:
-		sharded, err := registry.NewShardedReplicated(k, *regShards, rcfg)
-		if err != nil {
-			fmt.Fprintf(stderr, "dfiflow: -reg-shards/-replicas: %v\n", err)
-			return 2
-		}
-		reg = sharded
-	case *regShards > 1:
-		sharded := registry.NewSharded(k, *regShards)
-		sharded.UseFaults(regFaults)
-		reg = sharded
-	case *replicas > 0:
-		var err error
-		regRepl, err = registry.NewReplicated(k, rcfg)
-		if err != nil {
-			fmt.Fprintf(stderr, "dfiflow: -replicas: %v\n", err)
-			return 2
-		}
-		reg = regRepl
-	default:
-		r := registry.New(k)
-		r.UseFaults(regFaults)
-		reg = r
-	}
-
-	var pool *sharedring.Pool
 	if *shared {
-		pool = sharedring.PoolOf(cluster, sharedring.Config{})
+		err = rejected(fs, sharedIncompatible, "-shared does not support -%s: %s")
+	} else {
+		err = rejected(fs, sharedOnly, "-%s requires -shared (%s)")
 	}
-	plane, err := startOps(ops, reg, rec, pool, stdout)
 	if err != nil {
-		fmt.Fprintf(stderr, "dfiflow: -metrics-addr: %v\n", err)
-		return 2
+		return usage("%v", err)
 	}
-
+	if *nFlows < 1 {
+		return usage("-flows %d: want at least 1", *nFlows)
+	}
 	evictions, err := parseEvictions(*evictSpec)
 	if err != nil {
-		fmt.Fprintf(stderr, "dfiflow: -evict: %v\n", err)
-		return 2
+		return usage("-evict: %v", err)
 	}
 	rejoins, err := parseEvictions(*rejoin) // same TARGET@TIME grammar
 	if err != nil {
-		fmt.Fprintf(stderr, "dfiflow: -rejoin: %v\n", err)
-		return 2
+		return usage("-rejoin: %v", err)
 	}
 	rejoinAt := make(map[int]time.Duration)
 	for _, rj := range rejoins {
@@ -277,15 +187,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	scheme, err := partition.ParseScheme(*partMode)
 	if err != nil {
-		fmt.Fprintf(stderr, "dfiflow: -partition: %v\n", err)
-		return 2
+		return usage("-partition: %v", err)
 	}
 
 	sch := schema.MustNew(
 		schema.Column{Name: "key", Type: schema.Int64},
 		schema.Column{Name: "pad", Type: schema.Char(max(8, *tupleSize-8))},
 	)
-
 	spec := core.FlowSpec{Name: "dfiflow", Schema: sch, Options: core.Options{
 		SegmentsPerRing:   *segments,
 		SegmentSize:       *segSize,
@@ -311,20 +219,53 @@ func run(args []string, stdout, stderr io.Writer) int {
 		spec.Type = core.CombinerFlow
 		spec.Options.Aggregation = core.AggSum
 	default:
-		fmt.Fprintf(stderr, "dfiflow: unknown flow type %q\n", *flowType)
-		return 2
+		return usage("unknown flow type %q", *flowType)
 	}
 	if len(rejoinAt) > 0 && spec.Type == core.CombinerFlow {
-		fmt.Fprintln(stderr, "dfiflow: -rejoin is not supported for combiner flows")
-		return 2
+		return usage("-rejoin is not supported for combiner flows")
 	}
+
+	// The one per-backend step: a cluster and a registry on its clock.
+	var b *backend
+	switch *transportF {
+	case "fabric":
+		b, err = newFabricBackend(*nSources+*nTargets, *seed, *loss, *faults, *regShards,
+			registry.ReplicaConfig{Replicas: *replicas, SnapshotEvery: *snapEvery, UnloggedRenew: *unlogRen})
+		if err != nil {
+			return usage("%v", err)
+		}
+	case "chan":
+		if err := rejected(fs, desOnlyFlags, "-transport=chan does not support -%s: %s (see docs/ARCHITECTURE.md, DES-only knobs)"); err != nil {
+			return usage("%v", err)
+		}
+		b = newChanBackend(*nSources + *nTargets)
+	default:
+		return usage("unknown transport %q (want fabric or chan)", *transportF)
+	}
+	var rec *transport.Recorder
+	if *traceOps > 0 {
+		rec = transport.AttachRecorder(b.tpt, *traceOps)
+		// The per-message framing overhead feeds the recorder's
+		// wire-volume estimate (its "wire bytes" line).
+		rec.WireOverheadBytes = b.wireOverhead
+	}
+	var pool *sharedring.Pool
+	if *shared {
+		pool = sharedring.PoolOf(b.tpt, sharedring.Config{})
+	}
+	plane, err := startOps(opsFlags{metricsAddr: *metricsAddr, linger: *linger, eventsCap: *eventsCap, eventsOut: *eventsOut},
+		b.reg, rec, pool, stdout)
+	if err != nil {
+		return usage("-metrics-addr: %v", err)
+	}
+
 	for i := 0; i < *nSources; i++ {
-		spec.Sources = append(spec.Sources, core.Endpoint{Node: cluster.Node(i)})
+		spec.Sources = append(spec.Sources, core.Endpoint{Node: b.node(i)})
 	}
 	for i := 0; i < *nTargets; i++ {
-		node := cluster.Node(*nSources + i)
+		node := b.node(*nSources + i)
 		if spec.Type == core.CombinerFlow {
-			node = cluster.Node(*nSources) // combiner: one target node
+			node = b.node(*nSources) // combiner: one target node
 		}
 		spec.Targets = append(spec.Targets, core.Endpoint{Node: node, Thread: i})
 	}
@@ -332,61 +273,60 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// With -flows N the same topology runs N times concurrently (the
 	// shared rings multiplex all of them over one link per node pair);
 	// the -mb volume splits across the fleet so totals stay comparable.
-	flowName := func(f int) string {
-		if *nFlows == 1 {
-			return "dfiflow"
+	flowNames := make([]string, *nFlows)
+	for f := range flowNames {
+		flowNames[f] = "dfiflow"
+		if *nFlows > 1 {
+			flowNames[f] = fmt.Sprintf("dfiflow-%d", f)
 		}
-		return fmt.Sprintf("dfiflow-%d", f)
-	}
-	specs := make([]core.FlowSpec, *nFlows)
-	for f := range specs {
-		specs[f] = spec
-		specs[f].Name = flowName(f)
 	}
 
 	perSource := (*megabytes << 20) / sch.TupleSize() / *nFlows
 	srcStats := make([]core.SourceStats, *nFlows**nSources)
 	tgtStats := make([]core.TargetStats, *nFlows**nTargets)
-	var end sim.Time
-	// Endpoint errors stop the endpoint but not the run when faults or
-	// evictions were injected; ErrFlowBroken turns into a non-zero exit.
+	// What the bodies report back; mu orders them on the wall clock.
+	var (
+		mu     sync.Mutex
+		end    time.Duration // when the last target finished
+		failed bool
+	)
+	// Endpoint errors are expected when faults or evictions were injected
+	// and fail the run only if they broke a flow; otherwise any does.
 	injected := *faults != "" || *evictSpec != ""
-	brokenFlow := false
-	rejoinFailed := false
+	fail := func() {
+		mu.Lock()
+		failed = true
+		mu.Unlock()
+	}
 	epDied := func(kind string, idx int, err error) {
-		if !injected {
-			log.Fatal(err)
-		}
-		if errors.Is(err, core.ErrFlowBroken) {
-			brokenFlow = true
-		}
 		fmt.Fprintf(stdout, "%s %d: %v\n", kind, idx, err)
+		if !injected || errors.Is(err, core.ErrFlowBroken) {
+			fail()
+		}
 	}
 
-	k.Spawn("init", func(p *sim.Proc) {
-		for f := range specs {
-			if err := core.FlowInit(p, reg, cluster, specs[f]); err != nil {
-				log.Fatal(err)
+	var initErr error // the library rejected the spec: nothing will run
+	b.spawn("init", func(p transport.Ctx) {
+		for _, name := range flowNames {
+			spec := spec
+			spec.Name = name
+			if initErr = core.FlowInit(p, b.reg, b.tpt, spec); initErr != nil {
+				b.abort()
+				return
 			}
 		}
 	})
 	// With -flows an eviction strikes the slot in every flow.
-	flowNames := make([]string, *nFlows)
-	for f := range flowNames {
-		flowNames[f] = flowName(f)
-	}
 	for _, ev := range evictions {
-		ev := ev
-		k.Spawn(fmt.Sprintf("evict%d", ev.target), func(p *sim.Proc) { strike(p, reg, ev, flowNames, stdout) })
+		b.spawn(fmt.Sprintf("evict%d", ev.target), func(p transport.Ctx) { strike(p, b.reg, ev, flowNames, stdout) })
 	}
-	for fi := 0; fi < *nFlows; fi++ {
-		fi := fi
+	for fi, flow := range flowNames {
 		for si := 0; si < *nSources; si++ {
-			si := si
-			k.Spawn(fmt.Sprintf("src%d.%d", fi, si), func(p *sim.Proc) {
-				src, err := core.SourceOpen(p, reg, flowName(fi), si)
+			b.spawn(fmt.Sprintf("src%d.%d", fi, si), func(p transport.Ctx) {
+				src, err := core.SourceOpen(p, b.reg, flow, si)
 				if err != nil {
-					log.Fatal(err)
+					epDied("source", si, fmt.Errorf("open: %w", err))
+					return
 				}
 				plane.publish(src)
 				tup := sch.NewTuple()
@@ -406,62 +346,70 @@ func run(args []string, stdout, stderr io.Writer) int {
 			})
 		}
 		for ti := 0; ti < *nTargets; ti++ {
-			ti := ti
-			k.Spawn(fmt.Sprintf("tgt%d.%d", fi, ti), func(p *sim.Proc) {
+			b.spawn(fmt.Sprintf("tgt%d.%d", fi, ti), func(p transport.Ctx) {
+				defer func() {
+					mu.Lock()
+					end = max(end, p.Now())
+					mu.Unlock()
+				}()
 				if spec.Type == core.CombinerFlow {
-					ct, err := core.CombinerTargetOpen(p, reg, flowName(fi), ti)
+					ct, err := core.CombinerTargetOpen(p, b.reg, flow, ti)
 					if err != nil {
-						log.Fatal(err)
+						epDied("target", ti, fmt.Errorf("open: %w", err))
+						return
 					}
 					ct.Run(p)
-				} else {
-					tgt, err := core.TargetOpen(p, reg, flowName(fi), ti)
+					return
+				}
+				tgt, err := core.TargetOpen(p, b.reg, flow, ti)
+				if err != nil {
+					epDied("target", ti, fmt.Errorf("open: %w", err))
+					return
+				}
+				plane.publish(tgt)
+				consume := func(tgt *core.Target) {
+					for {
+						if _, _, ok := tgt.ConsumeSegment(p); !ok {
+							break
+						}
+					}
+				}
+				consume(tgt)
+				if tgt.Evicted() {
+					if *nFlows == 1 {
+						fmt.Fprintf(stdout, "target %d: evicted from the flow membership\n", ti)
+					} else {
+						fmt.Fprintf(stdout, "target %d (%s): evicted from the flow membership\n", ti, flow)
+					}
+				}
+				if at, ok := rejoinAt[ti]; ok {
+					if at > p.Now() {
+						p.Sleep(at - p.Now())
+					}
+					nt, err := tgt.Reattach(p)
 					if err != nil {
-						log.Fatal(err)
+						fmt.Fprintf(stdout, "target %d: rejoin rejected: %v\n", ti, err)
+						fail()
+					} else {
+						fmt.Fprintf(stdout, "target %d: rejoined at %v, resumed from %d consumed tuples\n", ti, p.Now(), nt.ResumedFrom())
+						consume(nt)
+						tgt = nt
 					}
-					plane.publish(tgt)
-					consume := func(tgt *core.Target) {
-						for {
-							if _, _, ok := tgt.ConsumeSegment(p); !ok {
-								break
-							}
-						}
-					}
-					consume(tgt)
-					if tgt.Evicted() {
-						if *nFlows == 1 {
-							fmt.Fprintf(stdout, "target %d: evicted from the flow membership\n", ti)
-						} else {
-							fmt.Fprintf(stdout, "target %d (%s): evicted from the flow membership\n", ti, flowName(fi))
-						}
-					}
-					if at, ok := rejoinAt[ti]; ok {
-						if at > p.Now() {
-							p.Sleep(at - p.Now())
-						}
-						nt, err := tgt.Reattach(p)
-						if err != nil {
-							fmt.Fprintf(stdout, "target %d: rejoin rejected: %v\n", ti, err)
-							rejoinFailed = true
-						} else {
-							fmt.Fprintf(stdout, "target %d: rejoined at %v, resumed from %d consumed tuples\n", ti, p.Now(), nt.ResumedFrom())
-							consume(nt)
-							tgt = nt
-						}
-					}
-					if failed := tgt.FailedSources(); len(failed) > 0 {
-						fmt.Fprintf(stdout, "target %d: sources declared failed: %v\n", ti, failed)
-					}
-					tgtStats[fi**nTargets+ti] = tgt.Stats()
 				}
-				if p.Now() > end {
-					end = p.Now()
+				if dead := tgt.FailedSources(); len(dead) > 0 {
+					fmt.Fprintf(stdout, "target %d: sources declared failed: %v\n", ti, dead)
 				}
+				tgtStats[fi**nTargets+ti] = tgt.Stats()
 			})
 		}
 	}
-	if err := k.Run(); err != nil {
-		log.Fatal(err)
+	err = b.wait()
+	if initErr != nil {
+		return usage("%v", initErr)
+	}
+	if err != nil {
+		fmt.Fprintf(stderr, "dfiflow: %v\n", err)
+		failed = true
 	}
 
 	var pushed, consumed, payload uint64
@@ -476,6 +424,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *shared {
 		mode = " over shared rings"
 	}
+	mode += b.via
 	if *nFlows == 1 {
 		fmt.Fprintf(stdout, "flow: %s %s%s, %s partitioning, %d sources → %d targets, %s tuples, %d MiB/source\n",
 			*flowType, spec.Options.Optimization, mode, scheme, *nSources, *nTargets, fmtBytes(sch.TupleSize()), *megabytes)
@@ -483,11 +432,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "fleet: %d %s flows%s, %d sources → %d targets each, %s tuples, %d MiB total\n",
 			*nFlows, *flowType, mode, *nSources, *nTargets, fmtBytes(sch.TupleSize()), *megabytes)
 	}
-	fmt.Fprintf(stdout, "virtual runtime: %v\n", end)
+	fmt.Fprintf(stdout, "%s runtime: %v\n", b.clock, end)
 	fmt.Fprintf(stdout, "tuples pushed:   %d  (consumed: %d)\n", pushed, consumed)
-	bw := float64(payload) / end.Seconds() / (1 << 30)
-	fmt.Fprintf(stdout, "aggregate sender bandwidth: %.2f GiB/s (link speed %.2f GiB/s)\n",
-		bw, fcfg.LinkBandwidth/(1<<30))
+	fmt.Fprintf(stdout, "aggregate sender bandwidth: %.2f GiB/s (%s)\n",
+		float64(payload)/end.Seconds()/(1<<30), b.rate)
 	if *nFlows == 1 {
 		for si, s := range srcStats {
 			fmt.Fprintf(stdout, "  source %d: %s\n", si, s)
@@ -524,12 +472,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			tname, tc.Acquired.Load(), tc.Refunded.Load())
 	}
 	if *lease > 0 {
-		fmt.Fprintf(stdout, "lease renewals: %d registry round trips\n", reg.LeaseRenewRPCs())
+		fmt.Fprintf(stdout, "lease renewals: %d registry round trips\n", b.reg.LeaseRenewRPCs())
 	}
-	if regRepl != nil {
+	if r, ok := b.reg.(*registry.Registry); ok && r.Replicas() > 0 {
 		fmt.Fprintf(stdout, "registry: %d replicas, master=%d ballot=%d elections=%d snapshots=%d snap-index=%d log-len=%d applied=%d\n",
-			regRepl.Replicas(), regRepl.Master(), regRepl.Ballot(), regRepl.Elections(),
-			regRepl.Snapshots(), regRepl.SnapshotIndex(), regRepl.LogLen(), regRepl.AppliedSize())
+			r.Replicas(), r.Master(), r.Ballot(), r.Elections(),
+			r.Snapshots(), r.SnapshotIndex(), r.LogLen(), r.AppliedSize())
 	}
 	if rec != nil {
 		fmt.Fprintln(stdout)
@@ -539,7 +487,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if code := plane.finish(stdout, stderr); code != 0 {
 		return code
 	}
-	if brokenFlow || rejoinFailed {
+	if failed {
 		return 1
 	}
 	return 0
@@ -576,79 +524,9 @@ func parseEvictions(spec string) ([]eviction, error) {
 	return out, nil
 }
 
-// parseFaults builds the fabric's fault plan and the registry's fault
-// knobs (the reg-* keys) from a comma-separated key=value spec.
-// Probabilities: drop-write, drop-read, drop-send, drop-atomic, dup,
-// reorder, reg-drop. Durations: delay, jitter, reg-delay, reg-jitter,
-// reg-crash-master. Crashes: crash=NODE@TIME (repeatable).
-func parseFaults(spec string) (*fabric.FaultPlan, *registry.Faults, error) {
-	fp, rf := &fabric.FaultPlan{}, &registry.Faults{}
-	for _, field := range strings.Split(spec, ",") {
-		key, val, ok := strings.Cut(strings.TrimSpace(field), "=")
-		if !ok {
-			return nil, nil, fmt.Errorf("%q: want key=value", field)
-		}
-		prob := func() (float64, error) { return strconv.ParseFloat(val, 64) }
-		var err error
-		switch key {
-		case "drop-write":
-			fp.DropWrite, err = prob()
-		case "drop-read":
-			fp.DropRead, err = prob()
-		case "drop-send":
-			fp.DropSend, err = prob()
-		case "drop-atomic":
-			fp.DropAtomic, err = prob()
-		case "dup":
-			fp.Duplicate, err = prob()
-		case "reorder":
-			fp.Reorder, err = prob()
-		case "delay":
-			fp.Delay, err = time.ParseDuration(val)
-		case "jitter":
-			fp.DelayJitter, err = time.ParseDuration(val)
-		case "reg-drop":
-			rf.Drop, err = prob()
-		case "reg-delay":
-			rf.Delay, err = time.ParseDuration(val)
-		case "reg-jitter":
-			rf.Jitter, err = time.ParseDuration(val)
-		case "reg-crash-master":
-			rf.CrashMaster, err = time.ParseDuration(val)
-		case "crash":
-			node, at, ok := strings.Cut(val, "@")
-			if !ok {
-				return nil, nil, fmt.Errorf("%q: want crash=NODE@TIME", field)
-			}
-			var id int
-			if id, err = strconv.Atoi(node); err != nil {
-				break
-			}
-			var t time.Duration
-			if t, err = time.ParseDuration(at); err != nil {
-				break
-			}
-			fp.CrashNode(id, t)
-		default:
-			return nil, nil, fmt.Errorf("unknown fault key %q", key)
-		}
-		if err != nil {
-			return nil, nil, fmt.Errorf("%q: %v", field, err)
-		}
-	}
-	return fp, rf, nil
-}
-
 func fmtBytes(n int) string {
 	if n >= 1<<10 {
 		return fmt.Sprintf("%d KiB", n>>10)
 	}
 	return fmt.Sprintf("%d B", n)
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

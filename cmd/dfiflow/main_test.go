@@ -78,7 +78,7 @@ func TestSharedFlagAdmission(t *testing.T) {
 	}
 	for _, args := range [][]string{
 		{"-shared", "-type", "combiner", "-sources", "3", "-mb", "1"},
-		{"-shared", "-srctimeout", "300us", "-copy", "-mb", "1"},
+		{"-shared", "-srctimeout", "300us", "-mb", "1"},
 	} {
 		out, code := runToString(t, args...)
 		if code != 0 {
@@ -100,7 +100,7 @@ func TestChanTransportRunsFlow(t *testing.T) {
 		if code != 0 {
 			t.Fatalf("%s: exit %d:\n%s", typ, code, out)
 		}
-		pushed := regexp.MustCompile(`tuples pushed:\s+(\d+)\s+\(consumed: (\d+)\)`).FindStringSubmatch(out)
+		pushed := totalsRE.FindStringSubmatch(out)
 		if pushed == nil {
 			t.Fatalf("%s: no totals line:\n%s", typ, out)
 		}
@@ -120,27 +120,26 @@ func TestChanTransportRunsFlow(t *testing.T) {
 }
 
 // TestChanTransportRejectsDESOnlyFlags pins the guard rail: flags whose
-// machinery is the simulation itself, or that this command only wires up
-// on the kernel, fail fast with a config error instead of being silently
-// ignored — and the flags the one registry made work are not among them.
+// machinery is the simulation itself, or a registry variant built on the
+// kernel, fail fast with a config error instead of being silently
+// ignored — and the flags the one registry and the one run made work are
+// not among them.
 func TestChanTransportRejectsDESOnlyFlags(t *testing.T) {
-	if len(desOnlyFlags) > 16 {
-		t.Errorf("desOnlyFlags has %d entries, want at most 16", len(desOnlyFlags))
+	if len(desOnlyFlags) > 10 {
+		t.Errorf("desOnlyFlags has %d entries, want at most 10", len(desOnlyFlags))
 	}
-	for _, name := range []string{"lease", "evict", "metrics-addr", "linger", "events", "events-out"} {
+	for _, name := range []string{"lease", "evict", "metrics-addr", "linger", "events", "events-out",
+		"type", "flows", "partition", "retransmit", "srctimeout", "rejoin"} {
 		if why, ok := desOnlyFlags[name]; ok {
 			t.Errorf("-%s is still rejected on -transport=chan: %s", name, why)
 		}
 	}
 	for _, args := range [][]string{
 		{"-transport", "chan", "-faults", "drop-write=0.01"},
-		{"-transport", "chan", "-retransmit", "50us"},
-		{"-transport", "chan", "-rejoin", "1@300us"},
 		{"-transport", "chan", "-replicas", "3"},
 		{"-transport", "chan", "-reg-shards", "2"},
 		{"-transport", "chan", "-multicast"},
 		{"-transport", "chan", "-seed", "7"},
-		{"-transport", "chan", "-type", "combiner"},
 	} {
 		out, code := runToString(t, args...)
 		if code != 2 {
@@ -149,6 +148,72 @@ func TestChanTransportRejectsDESOnlyFlags(t *testing.T) {
 		if !strings.Contains(out, "-transport=chan") {
 			t.Errorf("args %v: error does not name the transport flag:\n%s", args, out)
 		}
+	}
+	if out, code := runToString(t, "-copy"); code != 2 || !strings.Contains(out, "flag provided but not defined") {
+		t.Errorf("-copy: exit %d, want 2 as an unknown flag (bytes always move):\n%s", code, out)
+	}
+}
+
+var totalsRE = regexp.MustCompile(`tuples pushed:\s+(\d+)\s+\(consumed: (\d+)\)`)
+
+// TestSameArgsOnBothTransports runs one argument list per flag the
+// merged run admitted on -transport=chan, on the simulated fabric and on
+// the wall clock: both exit 0 and push the same number of tuples, and
+// where nothing is evicted and tuples are counted they consume them all.
+// Times are chosen to suit both clocks: leases far longer than either
+// run, and 8 MiB per source where a target is evicted, so that 500µs is
+// mid-flow on the fabric and open-to-early-flow on the wall clock.
+func TestSameArgsOnBothTransports(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		args     []string
+		allCount bool // pushed == consumed
+	}{
+		{"fleet", []string{"-shared", "-flows", "4"}, true},
+		{"ring-evict", []string{"-partition", "ring", "-lease", "1s", "-evict", "1@500us", "-targets", "3", "-mb", "8"}, false},
+		{"retransmit", []string{"-retransmit", "100ms"}, true},
+		{"srctimeout", []string{"-srctimeout", "1s"}, true},
+		{"combiner", []string{"-type", "combiner", "-sources", "3"}, false},
+		{"rejoin", []string{"-lease", "1s", "-evict", "1@500us", "-rejoin", "1@1ms", "-targets", "3", "-mb", "8"}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var pushed [2]string
+			for i, tr := range []string{"fabric", "chan"} {
+				out, code := runToString(t, append([]string{"-transport", tr, "-mb", "1"}, tc.args...)...)
+				if code != 0 {
+					t.Fatalf("%s: exit %d:\n%s", tr, code, out)
+				}
+				m := totalsRE.FindStringSubmatch(out)
+				if m == nil {
+					t.Fatalf("%s: no totals line:\n%s", tr, out)
+				}
+				pushed[i] = m[1]
+				if tc.allCount && m[2] != m[1] {
+					t.Errorf("%s: pushed %s, consumed %s", tr, m[1], m[2])
+				}
+			}
+			if pushed[0] != pushed[1] {
+				t.Errorf("fabric pushed %s tuples, chan %s", pushed[0], pushed[1])
+			}
+		})
+	}
+}
+
+// TestBrokenFlowLeavesEvidence: a flow that breaks with nothing injected
+// (a recovery timeout no round trip can meet) still prints the summary
+// and writes the event trace before exiting 1 — the run an operator
+// wants the trace of.
+func TestBrokenFlowLeavesEvidence(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "events.jsonl")
+	out, code := runToString(t, "-mb", "1", "-retransmit", "1ns", "-events-out", path)
+	if code != 1 || !strings.Contains(out, "flow broken") {
+		t.Fatalf("exit %d, want 1 from a broken flow:\n%s", code, out)
+	}
+	if !totalsRE.MatchString(out) {
+		t.Errorf("no summary after the broken flow:\n%s", out)
+	}
+	if data, err := os.ReadFile(path); err != nil || len(data) == 0 {
+		t.Errorf("event trace not written (%d bytes, err %v)", len(data), err)
 	}
 }
 

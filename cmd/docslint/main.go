@@ -12,8 +12,10 @@
 //     the surface a future verbs backend must implement against)
 //     carry a doc comment on every exported top-level declaration;
 //  4. docs/OPERATIONS.md mentions every flag the CLIs register
-//     (`cmd/dfiflow`, `cmd/dfibench`), so the operator's handbook
-//     cannot silently fall behind a new flag.
+//     (`cmd/dfiflow`, `cmd/dfibench`), and the flag tables under its
+//     "## dfiflow" and "## dfibench" headings name only flags that
+//     command registers, so the operator's handbook can neither fall
+//     behind a new flag nor keep a deleted one.
 //
 // External links (http/https/mailto) are not fetched — the checker is
 // offline and deterministic, suitable for CI (`make docs-lint`).
@@ -196,12 +198,16 @@ func isExportedMethodOfUnexported(d *ast.FuncDecl) bool {
 var flagRe = regexp.MustCompile(`\b\w+\.(?:Bool|Int|Int64|Uint|Uint64|Float64|String|Duration)\(\s*"([^"]+)"`)
 
 // flagCLIs are the commands whose registered flags docs/OPERATIONS.md
-// must document.
-var flagCLIs = []string{"cmd/dfiflow", "cmd/dfibench"}
+// must document, each under a "## <name>" heading.
+var flagCLIs = []string{"dfiflow", "dfibench"}
+
+// flagRowRe matches a flag-table row: | `-name` | default | meaning |.
+var flagRowRe = regexp.MustCompile("^\\|\\s*`-([^`]+)`\\s*\\|")
 
 // checkFlagManifest extracts every flag name registered by the CLI
 // sources and requires a literal `-name` mention in
-// docs/OPERATIONS.md.
+// docs/OPERATIONS.md; in the other direction, every row of the flag
+// tables in a CLI's section must name a flag that CLI registers.
 func checkFlagManifest(root string) []string {
 	opsPath := filepath.Join(root, "docs", "OPERATIONS.md")
 	ops, err := os.ReadFile(opsPath)
@@ -210,11 +216,13 @@ func checkFlagManifest(root string) []string {
 	}
 	text := string(ops)
 	var problems []string
+	registered := make(map[string]map[string]bool) // CLI → flag names
 	for _, cli := range flagCLIs {
-		dir := filepath.Join(root, cli)
+		registered[cli] = make(map[string]bool)
+		dir := filepath.Join(root, "cmd", cli)
 		entries, err := os.ReadDir(dir)
 		if err != nil {
-			problems = append(problems, fmt.Sprintf("%s: %v", cli, err))
+			problems = append(problems, fmt.Sprintf("%s: %v", dir, err))
 			continue
 		}
 		for _, e := range entries {
@@ -229,12 +237,29 @@ func checkFlagManifest(root string) []string {
 			}
 			for _, m := range flagRe.FindAllStringSubmatch(string(data), -1) {
 				name := m[1]
+				registered[cli][name] = true
 				if !strings.Contains(text, "`-"+name+"`") {
 					problems = append(problems, fmt.Sprintf(
 						"%s: flag -%s registered in %s is not documented in %s (mention `-%s`)",
 						opsPath, name, path, opsPath, name))
 				}
 			}
+		}
+	}
+	section := "" // the "## " heading the line is under
+	for i, line := range strings.Split(text, "\n") {
+		if h, ok := strings.CutPrefix(line, "## "); ok {
+			section = strings.TrimSpace(h)
+			continue
+		}
+		flags, ok := registered[section]
+		if !ok {
+			continue
+		}
+		if m := flagRowRe.FindStringSubmatch(line); m != nil && !flags[m[1]] {
+			problems = append(problems, fmt.Sprintf(
+				"%s:%d: the %s flag table documents -%s, which cmd/%s does not register",
+				opsPath, i+1, section, m[1], section))
 		}
 	}
 	return problems

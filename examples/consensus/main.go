@@ -41,8 +41,10 @@ func main() {
 	}
 	fmt.Printf("DARE (hand-crafted RDMA, closed loop): %v\n", dare)
 
-	fmt.Println("\nNOPaxos latency distribution:")
-	nopaxos.Latencies.Fprint(os.Stdout, 10)
+	fmt.Println("\nNOPaxos latency quantiles:")
+	for _, q := range []float64{0.5, 0.9, 0.95, 0.99, 1} {
+		fmt.Printf("  p%-3.0f %v\n", q*100, nopaxos.Quantile(q))
+	}
 
 	// The same results in Prometheus text exposition — what a scraper
 	// would ingest from a metrics endpoint.

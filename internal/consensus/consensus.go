@@ -25,7 +25,6 @@ import (
 	"dfi/internal/fabric"
 	"dfi/internal/schema"
 	"dfi/internal/sim"
-	"dfi/internal/stats"
 	"dfi/internal/transport"
 	"dfi/internal/ycsb"
 )
@@ -101,9 +100,19 @@ type Result struct {
 	Completed  int
 	Gaps       int // OUM gaps handled (NOPaxos)
 
-	// Latencies carries the full measured distribution (warmup excluded)
-	// for richer reporting than the two percentiles above.
-	Latencies *stats.Histogram
+	// Latencies is every measured latency (warmup excluded), ascending:
+	// the distribution behind the two percentiles above.
+	Latencies []time.Duration
+}
+
+// Quantile returns the q-quantile (0 ≤ q ≤ 1) of the measured latencies,
+// zero when nothing was measured.
+func (r Result) Quantile(q float64) time.Duration {
+	n := len(r.Latencies)
+	if n == 0 {
+		return 0
+	}
+	return r.Latencies[min(int(float64(n)*q), n-1)]
 }
 
 // String formats the headline metrics one line, as the experiment
@@ -201,17 +210,11 @@ func (lr *latencyRecorder) result(warmupFraction float64) Result {
 	window := lr.last - lr.first
 	meas := append([]time.Duration(nil), lr.latencies[skip:]...)
 	sort.Slice(meas, func(i, j int) bool { return meas[i] < meas[j] })
-	res := Result{Completed: n, Latencies: stats.NewHistogram()}
-	for _, d := range meas {
-		res.Latencies.Record(d)
-	}
+	res := Result{Completed: n, Latencies: meas}
 	if window > 0 {
 		res.Throughput = float64(n) / window.Seconds()
 	}
-	if len(meas) > 0 {
-		res.Median = meas[len(meas)/2]
-		res.P95 = meas[int(float64(len(meas))*0.95)]
-	}
+	res.Median, res.P95 = res.Quantile(0.5), res.Quantile(0.95)
 	return res
 }
 

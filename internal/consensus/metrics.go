@@ -1,10 +1,6 @@
 package consensus
 
-import (
-	"time"
-
-	"dfi/internal/metrics"
-)
+import "dfi/internal/metrics"
 
 // latencyBounds are exponential histogram bounds from 1µs to ~8.4s
 // (seconds, ×2 per step) — wide enough for every system the harness
@@ -20,9 +16,8 @@ func latencyBounds() []float64 {
 // PublishMetrics records the run's results on m under the
 // dfi_consensus_* namespace, labeled by system ("multipaxos",
 // "nopaxos", "dare"). A Result is final — the run has completed — so
-// the values are written once rather than collected live; the latency
-// distribution is folded from the run histogram into Prometheus
-// le-buckets.
+// the values are written once rather than collected live; every
+// measured latency is observed into Prometheus le-buckets.
 func (r Result) PublishMetrics(m *metrics.Registry, system string) {
 	lbl := metrics.Labels{"system": system}
 	m.Gauge("dfi_consensus_throughput_rps", "Completed requests per second.", lbl).Set(r.Throughput)
@@ -34,11 +29,9 @@ func (r Result) PublishMetrics(m *metrics.Registry, system string) {
 		Add(uint64(r.Completed))
 	m.Counter("dfi_consensus_oum_gaps_total", "OUM sequence gaps handled (NOPaxos gap agreement).", lbl).
 		Add(uint64(r.Gaps))
-	if r.Latencies != nil {
-		h := m.Histogram("dfi_consensus_request_latency_seconds",
-			"Measured request latency distribution (warmup excluded).", latencyBounds(), lbl)
-		r.Latencies.Each(func(upper time.Duration, count uint64) {
-			h.ObserveN(upper.Seconds(), count)
-		})
+	h := m.Histogram("dfi_consensus_request_latency_seconds",
+		"Measured request latency distribution (warmup excluded).", latencyBounds(), lbl)
+	for _, d := range r.Latencies {
+		h.Observe(d.Seconds())
 	}
 }

@@ -36,9 +36,7 @@ func BenchmarkCoreDataPath(b *testing.B) {
 func benchDataPath(b *testing.B, shared bool, push, consume string) {
 	const batch = 64
 	k := sim.New(1)
-	cfg := fabric.DefaultConfig()
-	cfg.CopyPayload = false
-	c := fabric.NewCluster(k, 2, cfg)
+	c := fabric.NewCluster(k, 2, fabric.DefaultConfig())
 	defer sharedring.DropPool(c)
 	reg := registry.New(k)
 	spec := FlowSpec{

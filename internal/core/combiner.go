@@ -21,7 +21,7 @@ type CombinerTarget struct {
 	gcol int
 	vcol int
 
-	groups map[uint64]*aggState
+	groups aggGroups
 	node   computeNode
 }
 
@@ -34,6 +34,49 @@ type aggState struct {
 	value int64
 	count int64
 	init  bool
+}
+
+// aggGroups is the aggregation state every combiner stage keeps: the
+// end-host target, the in-network engine and the target merging the
+// engine's partial aggregates.
+type aggGroups map[uint64]*aggState
+
+// fold aggregates val, standing for cnt tuples, into key's group.
+func (gs aggGroups) fold(agg AggFunc, key uint64, val, cnt int64) {
+	g := gs[key]
+	if g == nil {
+		g = &aggState{key: key}
+		gs[key] = g
+	}
+	g.count += cnt
+	switch agg {
+	case AggSum, AggCount:
+		g.value += val
+	case AggMin:
+		if !g.init || val < g.value {
+			g.value = val
+		}
+	case AggMax:
+		if !g.init || val > g.value {
+			g.value = val
+		}
+	}
+	g.init = true
+}
+
+// results returns the groups in ascending key order. For AggCount the
+// Value field carries the group cardinality.
+func (gs aggGroups) results(agg AggFunc) []AggResult {
+	out := make([]AggResult, 0, len(gs))
+	for _, g := range gs {
+		v := g.value
+		if agg == AggCount {
+			v = g.count
+		}
+		out = append(out, AggResult{Key: g.key, Value: v, Count: g.count})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	return out
 }
 
 // AggResult is one aggregated group.
@@ -59,7 +102,7 @@ func CombinerTargetOpen(p transport.Ctx, reg Registry, name string, idx int) (*C
 		agg:    o.Aggregation,
 		gcol:   o.GroupCol,
 		vcol:   o.ValueCol,
-		groups: make(map[uint64]*aggState),
+		groups: make(aggGroups),
 		node:   meta.spec.Targets[idx].Node,
 	}, nil
 }
@@ -77,10 +120,6 @@ func (c *CombinerTarget) Run(p transport.Ctx) {
 			return
 		}
 		c.node.Compute(p, time.Duration(count)*aggCost)
-		if !c.t.meta.cluster.CopiesPayload() {
-			// Payload bytes are not simulated; account the work only.
-			continue
-		}
 		for i := 0; i < count; i++ {
 			tup := schema.Tuple(data[i*ts : (i+1)*ts])
 			c.ingest(sch, tup)
@@ -89,48 +128,12 @@ func (c *CombinerTarget) Run(p transport.Ctx) {
 }
 
 func (c *CombinerTarget) ingest(sch *schema.Schema, tup schema.Tuple) {
-	key := sch.KeyUint64(tup, c.gcol)
-	val := sch.Int64(tup, c.vcol)
-	g := c.groups[key]
-	if g == nil {
-		g = &aggState{key: key}
-		c.groups[key] = g
-	}
-	g.count++
-	switch c.agg {
-	case AggSum, AggCount:
-		g.value += val
-	case AggMin:
-		if !g.init || val < g.value {
-			g.value = val
-		}
-	case AggMax:
-		if !g.init || val > g.value {
-			g.value = val
-		}
-	}
-	g.init = true
+	c.groups.fold(c.agg, sch.KeyUint64(tup, c.gcol), sch.Int64(tup, c.vcol), 1)
 }
 
 // Results returns the aggregated groups in ascending key order. For
 // AggCount the Value field carries the group cardinality.
-func (c *CombinerTarget) Results() []AggResult {
-	out := make([]AggResult, 0, len(c.groups))
-	for _, g := range c.groups {
-		v := g.value
-		if c.agg == AggCount {
-			v = g.count
-		}
-		out = append(out, AggResult{Key: g.key, Value: v, Count: g.count})
-	}
-	sortAggResults(out)
-	return out
-}
-
-// sortAggResults orders aggregates by ascending key.
-func sortAggResults(rs []AggResult) {
-	sort.Slice(rs, func(i, j int) bool { return rs[i].Key < rs[j].Key })
-}
+func (c *CombinerTarget) Results() []AggResult { return c.groups.results(c.agg) }
 
 // Consumed returns the number of tuples aggregated.
 func (c *CombinerTarget) Consumed() uint64 { return c.t.Consumed() }

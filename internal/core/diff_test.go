@@ -38,9 +38,7 @@ type diffBackend struct {
 func newDiffDES(nodes int) *diffBackend {
 	k := sim.New(testSeed())
 	k.Deadline = 30 * time.Second
-	cfg := fabric.DefaultConfig()
-	cfg.CopyPayload = true
-	c := fabric.NewCluster(k, nodes, cfg)
+	c := fabric.NewCluster(k, nodes, fabric.DefaultConfig())
 	return &diffBackend{
 		name: "des", tpt: c, reg: registry.New(k), ttl: 100 * time.Microsecond,
 		node: func(i int) transport.Endpoint { return c.Node(i) },

@@ -26,13 +26,10 @@ type leg struct {
 
 	// buf is the segment being filled, fill the bytes staged in it so
 	// far, segSize its payload capacity. tx.flush ships buf[:fill] and
-	// leaves buf/fill describing the next segment to fill. copies caches
-	// Transport.CopiesPayload: backends that only model payload sizes
-	// skip the per-tuple copy.
+	// leaves buf/fill describing the next segment to fill.
 	buf     []byte
 	fill    int
 	segSize int
-	copies  bool
 
 	// closed latches once the end-of-flow marker is out.
 	closed bool
@@ -115,9 +112,7 @@ func (l *leg) push(p transport.Ctx, tuple []byte) error {
 			return err
 		}
 	}
-	if l.copies {
-		copy(l.buf[l.fill:], tuple)
-	}
+	copy(l.buf[l.fill:], tuple)
 	l.fill += len(tuple)
 	return nil
 }
@@ -142,9 +137,7 @@ func (l *leg) pushRun(p transport.Ctx, data []byte, tupleSize int) error {
 		if fit > len(data) {
 			fit = len(data)
 		}
-		if l.copies {
-			copy(l.buf[l.fill:], data[:fit])
-		}
+		copy(l.buf[l.fill:], data[:fit])
 		l.fill += fit
 		data = data[fit:]
 	}

@@ -236,7 +236,6 @@ func (s *Source) acquireSourceLease(p transport.Ctx, reg Registry, name string) 
 // at open (nil legs) start out routed around.
 func (s *Source) initMembership(name string) error {
 	s.view = s.spec.table().NewView()
-	s.epoch = s.mem.Epoch()
 	if err := s.refreshView(); err != nil {
 		return fmt.Errorf("%w: every target of flow %q is evicted", ErrFlowBroken, name)
 	}

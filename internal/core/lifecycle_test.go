@@ -463,3 +463,73 @@ func TestLifecycleRegistryFailoverMidSetup(t *testing.T) {
 	}
 	checkAllDelivered(t, got, n)
 }
+
+// TestLifecycleEvictionWhileSourceConnects: a target is evicted after the
+// source connected its leg but while the source still waits for another
+// target to come up. The source must fold that eviction in on its first
+// push — abandon the leg, route around it — and close cleanly; it used to
+// adopt the post-eviction epoch with the leg still attached, and Close
+// then gave up with "close did not stabilize".
+func TestLifecycleEvictionWhileSourceConnects(t *testing.T) {
+	const perSource = 500
+	e := newEnv(t, 3)
+	spec := FlowSpec{
+		Name:    "evict-during-connect",
+		Sources: []Endpoint{{Node: e.c.Node(0)}},
+		Targets: []Endpoint{{Node: e.c.Node(1)}, {Node: e.c.Node(2)}},
+		Schema:  kvSchema,
+		Options: Options{SegmentSize: 256, SegmentsPerRing: 8, LeaseTTL: 500 * time.Microsecond},
+	}
+	consumed := make([]int, len(spec.Targets))
+	e.k.Spawn("init", func(p *sim.Proc) {
+		if err := FlowInit(p, e.reg, e.c, spec); err != nil {
+			t.Error(err)
+		}
+	})
+	e.k.Spawn("evict", func(p *sim.Proc) {
+		p.Sleep(25 * time.Microsecond) // leg 0 is connected, target 1 not yet up
+		if err := e.reg.Evict(p, spec.Name, registry.RoleTarget, 0); err != nil {
+			t.Error(err)
+		}
+	})
+	e.k.Spawn("src", func(p *sim.Proc) {
+		src, err := SourceOpen(p, e.reg, spec.Name, 0)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if p.Now() < 50*time.Microsecond {
+			t.Errorf("source opened at %v, before the late target: the eviction did not land mid-connect", p.Now())
+		}
+		for i := int64(0); i < perSource; i++ {
+			if err := src.Push(p, mkTuple(i, 2*i)); err != nil {
+				t.Errorf("push %d: %v", i, err)
+				return
+			}
+		}
+		if err := src.Close(p); err != nil {
+			t.Errorf("close: %v", err)
+		}
+	})
+	for ti := range spec.Targets {
+		ti := ti
+		e.k.Spawn(fmt.Sprintf("tgt%d", ti), func(p *sim.Proc) {
+			p.Sleep(time.Duration(ti) * 50 * time.Microsecond)
+			tgt, err := TargetOpen(p, e.reg, spec.Name, ti)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for {
+				if _, ok := tgt.Consume(p); !ok {
+					break
+				}
+				consumed[ti]++
+			}
+		})
+	}
+	e.run(t)
+	if consumed[0] != 0 || consumed[1] != perSource {
+		t.Errorf("consumed %v, want everything on the surviving target: [0 %d]", consumed, perSource)
+	}
+}

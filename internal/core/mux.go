@@ -61,7 +61,7 @@ func newSharedTx(s *Source, i int) (*sharedTx, error) {
 		return nil, err
 	}
 	x := &sharedTx{
-		leg:  leg{buf: make([]byte, o.SegmentSize), segSize: o.SegmentSize, copies: s.meta.cluster.CopiesPayload()},
+		leg:  leg{buf: make([]byte, o.SegmentSize), segSize: o.SegmentSize},
 		st:   st,
 		flow: s.spec.Name,
 	}

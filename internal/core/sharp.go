@@ -117,7 +117,7 @@ func NewSharpCombiner(p transport.Ctx, reg Registry, cluster transport.Transport
 	for port := 0; port < opt.Ports; port++ {
 		port := port
 		cluster.Spawn(p, fmt.Sprintf("sharp-engine-%s-%d", name, port), func(ep transport.Ctx) {
-			sc.runEngine(ep, reg, cluster, port)
+			sc.runEngine(ep, reg, port)
 		})
 	}
 	return sc, nil
@@ -131,7 +131,7 @@ func (sc *SharpCombiner) flushFlow() string { return sc.name + "/flush" }
 // runEngine is one per-port reduction engine: it consumes its share of
 // the ingest flow, reduces tuples at the configured line rate, and
 // flushes partial aggregates to the target.
-func (sc *SharpCombiner) runEngine(p transport.Ctx, reg Registry, cluster transport.Transport, port int) {
+func (sc *SharpCombiner) runEngine(p transport.Ctx, reg Registry, port int) {
 	in, err := TargetOpen(p, reg, sc.IngestFlow(), port)
 	if err != nil {
 		panic(err)
@@ -140,8 +140,7 @@ func (sc *SharpCombiner) runEngine(p transport.Ctx, reg Registry, cluster transp
 	if err != nil {
 		panic(err)
 	}
-	groups := make(map[uint64]*aggState, sc.spec.FlushGroups)
-	copyData := cluster.CopiesPayload()
+	groups := make(aggGroups, sc.spec.FlushGroups)
 	ts := sc.sch.TupleSize()
 
 	flushAll := func() {
@@ -162,31 +161,9 @@ func (sc *SharpCombiner) runEngine(p transport.Ctx, reg Registry, cluster transp
 			break
 		}
 		sc.engine.Compute(p, time.Duration(count)*sc.spec.SwitchTupleCost)
-		if copyData {
-			for i := 0; i < count; i++ {
-				tup := schema.Tuple(data[i*ts : (i+1)*ts])
-				key := sc.sch.KeyUint64(tup, sc.spec.GroupCol)
-				val := sc.sch.Int64(tup, sc.spec.ValueCol)
-				g := groups[key]
-				if g == nil {
-					g = &aggState{key: key}
-					groups[key] = g
-				}
-				g.count++
-				switch sc.spec.Aggregation {
-				case AggSum, AggCount:
-					g.value += val
-				case AggMin:
-					if !g.init || val < g.value {
-						g.value = val
-					}
-				case AggMax:
-					if !g.init || val > g.value {
-						g.value = val
-					}
-				}
-				g.init = true
-			}
+		for i := 0; i < count; i++ {
+			tup := schema.Tuple(data[i*ts : (i+1)*ts])
+			groups.fold(sc.spec.Aggregation, sc.sch.KeyUint64(tup, sc.spec.GroupCol), sc.sch.Int64(tup, sc.spec.ValueCol), 1)
 		}
 		if len(groups) >= sc.spec.FlushGroups {
 			flushAll()
@@ -210,55 +187,23 @@ func (sc *SharpCombiner) TargetOpenSharp(p transport.Ctx, reg Registry) (*SharpT
 type SharpTarget struct {
 	t      *Target
 	agg    AggFunc
-	groups map[uint64]*aggState
+	groups aggGroups
 }
 
 // Run drains the flush flow, merging partials until flow end.
 func (st *SharpTarget) Run(p transport.Ctx) {
-	st.groups = make(map[uint64]*aggState)
+	st.groups = make(aggGroups)
 	for {
 		tup, ok := st.t.Consume(p)
 		if !ok {
 			return
 		}
-		key := aggTupleSchema.Uint64(tup, 0)
-		val := aggTupleSchema.Int64(tup, 1)
-		cnt := aggTupleSchema.Int64(tup, 2)
-		g := st.groups[key]
-		if g == nil {
-			g = &aggState{key: key}
-			st.groups[key] = g
-		}
-		g.count += cnt
-		switch st.agg {
-		case AggSum, AggCount:
-			g.value += val
-		case AggMin:
-			if !g.init || val < g.value {
-				g.value = val
-			}
-		case AggMax:
-			if !g.init || val > g.value {
-				g.value = val
-			}
-		}
-		g.init = true
+		st.groups.fold(st.agg, aggTupleSchema.Uint64(tup, 0), aggTupleSchema.Int64(tup, 1), aggTupleSchema.Int64(tup, 2))
 	}
 }
 
 // Results returns the merged aggregates (see CombinerTarget.Results).
-func (st *SharpTarget) Results() []AggResult {
-	out := make([]AggResult, 0, len(st.groups))
-	for _, g := range st.groups {
-		v := g.value
-		if st.agg == AggCount {
-			v = g.count
-		}
-		out = append(out, AggResult{Key: g.key, Value: v, Count: g.count})
-	}
-	sortAggResults(out)
-	return out
-}
+func (st *SharpTarget) Results() []AggResult { return st.groups.results(st.agg) }
 
 // Consumed reports the number of partial-aggregate tuples received — the
 // target-ingress traffic the in-network reduction saved is the difference

@@ -110,6 +110,11 @@ func (s *Source) connectAll(p transport.Ctx, name string) error {
 	if s.mem, err = membershipOf(s.reg, name); err != nil {
 		return err
 	}
+	// The epoch this source starts from is the one before any leg
+	// connects: a target evicted while the others are still connecting
+	// then shows as an epoch to fold in (syncEpoch abandons its leg),
+	// not as a live leg nobody will ever harvest.
+	s.epoch = s.mem.Epoch()
 	for t := range s.spec.Targets {
 		inc := s.targetInc(t)
 		info, evicted := s.reg.WaitTargetLive(p, name, t)

@@ -102,7 +102,7 @@ type ringWriter struct {
 func newRingWriter(cluster transport.Transport, node transport.Endpoint, ti *targetInfo, ringOff int, opts *Options) *ringWriter {
 	qp, _ := cluster.Dial(node, ti.mr.Owner())
 	w := &ringWriter{
-		leg:       leg{segSize: ti.geom.segSize, copies: cluster.CopiesPayload()},
+		leg:       leg{segSize: ti.geom.segSize},
 		tpt:       cluster,
 		node:      node,
 		qp:        qp,
@@ -184,9 +184,7 @@ func (w *ringWriter) pushImmediate(p transport.Ctx, tuple []byte) error {
 		return err
 	}
 
-	if w.copies {
-		copy(w.buf, tuple)
-	}
+	copy(w.buf, tuple)
 	w.writeSegment(p, len(tuple), flagConsumable)
 	w.credits--
 	w.sent++

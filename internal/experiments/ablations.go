@@ -305,6 +305,8 @@ func sharpSenderBW(seed int64, tupleSize int, volumePerSource int64) (float64, e
 	perSource := int(volumePerSource) / sch.TupleSize()
 	var end sim.Time
 	var sc *core.SharpCombiner
+	var oracle aggOracle
+	var merged []core.AggResult
 	k.Spawn("init", func(p *sim.Proc) {
 		var err error
 		sc, err = core.NewSharpCombiner(p, reg, c, "abl-sharp", sources, target, sch, core.SharpOptions{
@@ -327,7 +329,9 @@ func sharpSenderBW(seed int64, tupleSize int, volumePerSource int64) (float64, e
 			tup := sch.NewTuple()
 			rng := p.Rand()
 			for i := 0; i < perSource; i++ {
-				sch.PutInt64(tup, 0, rng.Int63n(4096))
+				key := rng.Int63n(4096)
+				sch.PutInt64(tup, 0, key)
+				oracle.pushed(key)
 				if err := src.Push(p, tup); err != nil {
 					panic(err)
 				}
@@ -344,9 +348,13 @@ func sharpSenderBW(seed int64, tupleSize int, volumePerSource int64) (float64, e
 			panic(err)
 		}
 		st.Run(p)
+		merged = st.Results()
 		end = p.Now()
 	})
 	if err := k.Run(); err != nil {
+		return 0, err
+	}
+	if err := oracle.check("abl-sharp", merged); err != nil {
 		return 0, err
 	}
 	total := int64(len(sources)) * int64(perSource) * int64(sch.TupleSize())

@@ -178,9 +178,7 @@ func dfiP2PRuntime(seed int64, size, threads int, volume int64, mode core.Optimi
 func mpiP2PRuntime(seed int64, size, threads int, volume int64, multiProcess bool) (time.Duration, error) {
 	k := sim.New(seed)
 	k.Deadline = 10 * time.Minute
-	fcfg := fabric.DefaultConfig()
-	fcfg.CopyPayload = false
-	c := fabric.NewCluster(k, 2, fcfg)
+	c := fabric.NewCluster(k, 2, fabric.DefaultConfig())
 
 	perThread := int(volume) / size / threads
 	var end sim.Time

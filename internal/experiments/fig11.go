@@ -131,9 +131,7 @@ func dfiStreamShuffle(seed int64, nodes, size int, volume int64, stragglerScale 
 func mpiMiniBatchShuffle(seed int64, nodes, size int, volume int64) (time.Duration, error) {
 	k := sim.New(seed)
 	k.Deadline = 30 * time.Minute
-	fcfg := fabric.DefaultConfig()
-	fcfg.CopyPayload = false
-	c := fabric.NewCluster(k, nodes, fcfg)
+	c := fabric.NewCluster(k, nodes, fabric.DefaultConfig())
 	ns := make([]*fabric.Node, nodes)
 	for i := range ns {
 		ns[i] = c.Node(i)

@@ -66,9 +66,7 @@ func RunFig12(opt Options) ([]Table, error) {
 func mpiBatchedShuffle(seed int64, nodes, size int, perNode int64, s float64) (time.Duration, error) {
 	k := sim.New(seed)
 	k.Deadline = 30 * time.Minute
-	fcfg := fabric.DefaultConfig()
-	fcfg.CopyPayload = false
-	c := fabric.NewCluster(k, nodes, fcfg)
+	c := fabric.NewCluster(k, nodes, fabric.DefaultConfig())
 	if s < 1 {
 		c.Node(0).CPUScale = s
 	}

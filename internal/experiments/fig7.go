@@ -32,14 +32,12 @@ func segFor(tupleSize int) int {
 	return 8 << 10
 }
 
-// newBWEnv builds a kernel+cluster tuned for bandwidth sweeps: payload
-// copying off (timing only), generous guards.
+// newBWEnv builds a kernel+cluster for bandwidth sweeps: the calibrated
+// cost model under a generous virtual deadline.
 func newBWEnv(seed int64, nodes int) (*sim.Kernel, *fabric.Cluster, *registry.Registry) {
 	k := sim.New(seed)
 	k.Deadline = 10 * time.Minute
-	cfg := fabric.DefaultConfig()
-	cfg.CopyPayload = false
-	c := fabric.NewCluster(k, nodes, cfg)
+	c := fabric.NewCluster(k, nodes, fabric.DefaultConfig())
 	return k, c, registry.New(k)
 }
 

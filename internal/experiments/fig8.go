@@ -269,6 +269,42 @@ func RunFig9(opt Options) ([]Table, error) {
 	return []Table{t}, nil
 }
 
+// aggOracle is the answer an aggregation experiment must arrive at,
+// computed directly from what its sources push (the value column is the
+// key column): a per-key SUM and the tuple count.
+type aggOracle struct {
+	sum map[uint64]int64
+	n   int64
+}
+
+func (o *aggOracle) pushed(key int64) {
+	if o.sum == nil {
+		o.sum = make(map[uint64]int64)
+	}
+	o.sum[uint64(key)] += key
+	o.n++
+}
+
+// check compares the targets' merged groups with the oracle: every pushed
+// tuple counted exactly once, every key's SUM exact.
+func (o *aggOracle) check(name string, results ...[]core.AggResult) error {
+	var n int64
+	groups := 0
+	for _, rs := range results {
+		for _, r := range rs {
+			n += r.Count
+			groups++
+			if want, ok := o.sum[r.Key]; !ok || r.Value != want {
+				return fmt.Errorf("%s: key %d sums to %d, want %d", name, r.Key, r.Value, want)
+			}
+		}
+	}
+	if n != o.n || groups != len(o.sum) {
+		return fmt.Errorf("%s: targets hold %d tuples in %d groups, sources pushed %d in %d", name, n, groups, o.n, len(o.sum))
+	}
+	return nil
+}
+
 // combinerSenderBW drives 8 sender nodes into a combiner flow with the
 // given number of target threads and returns aggregated sender bandwidth.
 func combinerSenderBW(seed int64, tupleSize, targetThreads int, volumePerSource int64) (float64, error) {
@@ -288,6 +324,8 @@ func combinerSenderBW(seed int64, tupleSize, targetThreads int, volumePerSource 
 	}
 	perSource := int(volumePerSource) / sch.TupleSize()
 	var drainEnd sim.Time
+	var oracle aggOracle
+	results := make([][]core.AggResult, targetThreads)
 	k.Spawn("init", func(p *sim.Proc) {
 		if err := core.FlowInit(p, reg, c, spec); err != nil {
 			panic(err)
@@ -303,7 +341,9 @@ func combinerSenderBW(seed int64, tupleSize, targetThreads int, volumePerSource 
 			tup := sch.NewTuple()
 			rng := p.Rand()
 			for i := 0; i < perSource; i++ {
-				sch.PutInt64(tup, 0, rng.Int63n(4096))
+				key := rng.Int63n(4096)
+				sch.PutInt64(tup, 0, key)
+				oracle.pushed(key)
 				if err := src.Push(p, tup); err != nil {
 					panic(err)
 				}
@@ -319,12 +359,16 @@ func combinerSenderBW(seed int64, tupleSize, targetThreads int, volumePerSource 
 				panic(err)
 			}
 			ct.Run(p)
+			results[ti] = ct.Results()
 			if p.Now() > drainEnd {
 				drainEnd = p.Now()
 			}
 		})
 	}
 	if err := k.Run(); err != nil {
+		return 0, err
+	}
+	if err := oracle.check("comb-bw", results...); err != nil {
 		return 0, err
 	}
 	total := int64(len(sources)) * int64(perSource) * int64(sch.TupleSize())

@@ -8,5 +8,5 @@ import (
 
 // BenchmarkVerbs is the per-verb benchmark (transporttest.Bench) on the
 // DES fabric: host ns per verb including the kernel events it schedules
-// and the process switches of its waits, with CopyPayload on.
+// and the process switches of its waits.
 func BenchmarkVerbs(b *testing.B) { transporttest.Bench(b, newEnv) }

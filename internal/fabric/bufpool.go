@@ -93,16 +93,3 @@ func (c *Cluster) stagedRefGet(refs int) *stagedRef {
 	r.pooled = true
 	return r
 }
-
-// stageInto snapshots the bytes the NIC would DMA-read into dst. With
-// payload copying disabled only the trailing tail bytes (protocol metadata)
-// starting at body are retained; the body region of a recycled buffer then
-// holds stale bytes, which is safe because commit copies the body back out
-// only when CopyPayload is set.
-func stageInto(dst, src []byte, body int, copyPayload bool) {
-	if copyPayload {
-		copy(dst, src)
-		return
-	}
-	copy(dst[body:], src[body:])
-}

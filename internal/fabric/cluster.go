@@ -72,9 +72,6 @@ func NewCluster(k *sim.Kernel, n int, cfg Config) *Cluster {
 // Config returns the cluster's cost model.
 func (c *Cluster) Config() Config { return c.cfg }
 
-// SetCopyPayload toggles payload copying at runtime (see Config.CopyPayload).
-func (c *Cluster) SetCopyPayload(v bool) { c.cfg.CopyPayload = v }
-
 // Nodes returns the number of nodes.
 func (c *Cluster) Nodes() int { return len(c.nodes) }
 

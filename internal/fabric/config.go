@@ -53,12 +53,6 @@ type Config struct {
 	// and serialization of concurrent atomics to the same NIC.
 	AtomicRemoteCost time.Duration
 
-	// CopyPayload controls whether WRITE/SEND/READ payload bytes are
-	// actually copied. Tests run with true (end-to-end data integrity);
-	// large bandwidth sweeps may disable it — footers (the CommitTail of a
-	// write) are always copied so protocol metadata stays exact.
-	CopyPayload bool
-
 	// MulticastLoss is the probability that a multicast delivery to one
 	// member is dropped (unreliable transport).
 	MulticastLoss float64
@@ -88,7 +82,6 @@ func DefaultConfig() Config {
 		PollCost:          40 * time.Nanosecond,
 		DetectDelay:       80 * time.Nanosecond,
 		AtomicRemoteCost:  150 * time.Nanosecond,
-		CopyPayload:       true,
 		MulticastLoss:     0,
 		Seed:              1,
 	}

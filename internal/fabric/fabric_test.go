@@ -478,28 +478,3 @@ func TestComputeScalesWithCPU(t *testing.T) {
 		t.Fatalf("elapsed = %v, want 2ms at half speed", elapsed)
 	}
 }
-
-func TestNoCopyModeStillCommitsTail(t *testing.T) {
-	k := sim.New(7)
-	cfg := DefaultConfig()
-	cfg.CopyPayload = false
-	c := NewCluster(k, 2, cfg)
-	qp, _ := c.CreateQPPair(c.Node(0), c.Node(1))
-	mr := c.RegisterMemory(c.Node(1), 8192)
-	seg := make([]byte, 4096)
-	seg[0] = 0x77
-	seg[4095] = 0x99
-	k.Spawn("w", func(p *sim.Proc) {
-		qp.Write(p, seg, Addr{MR: mr}, WriteOptions{CommitTail: 8})
-		mr.WaitChange(p, time.Second)
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if mr.Bytes()[0] == 0x77 {
-		t.Fatal("payload copied despite CopyPayload=false")
-	}
-	if mr.Bytes()[4095] != 0x99 {
-		t.Fatal("tail (footer) not committed in no-copy mode")
-	}
-}

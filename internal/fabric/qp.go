@@ -48,10 +48,10 @@ func (c *Cluster) NewCQ() *CQ {
 	return &CQ{cfg: &c.cfg, cond: sim.NewCond(c.K)}
 }
 
-// append adds an entry without waking waiters, reusing the slice's front
-// whenever the queue is empty (and compacting before a growing append
-// would otherwise abandon the popped prefix).
-func (cq *CQ) append(e Completion) {
+// push appends an entry and wakes waiters. Called from event context. It
+// reuses the slice's front whenever the queue is empty (and compacts
+// before a growing append would otherwise abandon the popped prefix).
+func (cq *CQ) push(e Completion) {
 	if cq.head == len(cq.entries) {
 		cq.head = 0
 		cq.entries = cq.entries[:0]
@@ -62,18 +62,13 @@ func (cq *CQ) append(e Completion) {
 		cq.head = 0
 	}
 	cq.entries = append(cq.entries, e)
+	cq.cond.Broadcast()
 }
 
 func clearCompletions(cs []Completion) {
 	for i := range cs {
 		cs[i] = Completion{}
 	}
-}
-
-// push appends an entry and wakes waiters. Called from event context.
-func (cq *CQ) push(e Completion) {
-	cq.append(e)
-	cq.cond.Broadcast()
 }
 
 // pop removes the head entry; the caller must have checked Len() > 0.
@@ -183,7 +178,6 @@ type QP struct {
 
 	recvq   []RecvWR
 	arrived []arrival
-	nextID  uint64
 
 	// RC connections never reorder: fault-injected delay and jitter shift
 	// deliveries but must preserve this QP's wire order. lastCommit is the
@@ -259,16 +253,9 @@ func (q *QP) WriteBatch(p transport.Ctx, wrs []WriteWR) {
 	}
 	st := q.c.stagedRefGet(len(wrs))
 	st.buf = q.c.stagedGet(total)
-	copyPayload := q.c.cfg.CopyPayload
 	off := 0
 	for i := range wrs {
-		src := wrs[i].Src
-		tail := wrs[i].Opts.CommitTail
-		if tail > len(src) {
-			tail = len(src)
-		}
-		stageInto(st.buf.b[off:off+len(src)], src, len(src)-tail, copyPayload)
-		off += len(src)
+		off += copy(st.buf.b[off:], wrs[i].Src)
 	}
 	off = 0
 	for i := range wrs {
@@ -346,7 +333,6 @@ func (q *QP) writeOne(p transport.Ctx, src []byte, dst Addr, opts WriteOptions, 
 		w.q, w.mr = q, mr
 		w.off, w.dstOff = off, dstOff
 		w.n, w.body, w.tail = n, body, tail
-		w.copyPayload = cfg.CopyPayload
 		w.id = opts.ID
 		if batch == nil {
 			// The NIC finishes DMA-reading the source at txEnd: snapshot
@@ -362,7 +348,7 @@ func (q *QP) writeOne(p transport.Ctx, src []byte, dst Addr, opts WriteOptions, 
 		} else {
 			w.st = batch
 		}
-		if tail > 0 && body > 0 && cfg.CopyPayload {
+		if tail > 0 && body > 0 {
 			// Body commits just before the tail, after staging completed.
 			bodyAt := deliverAt - cfg.serialization(tail)
 			if bodyAt <= txEnd {
@@ -393,10 +379,9 @@ func (q *QP) writeOne(p transport.Ctx, src []byte, dst Addr, opts WriteOptions, 
 			st = &stagedRef{refs: 1}
 			// The NIC finishes DMA-reading the source at txEnd: snapshot
 			// then, into a pooled staging buffer.
-			copyPayload := cfg.CopyPayload
 			k.At(txEnd, func() {
 				st.buf = q.c.stagedGet(n)
-				stageInto(st.buf.b, src, body, copyPayload)
+				copy(st.buf.b, src)
 			})
 		}
 		// commit schedules the remote memory commit of the staged bytes with
@@ -411,18 +396,15 @@ func (q *QP) writeOne(p transport.Ctx, src []byte, dst Addr, opts WriteOptions, 
 					bodyAt = txEnd + 1
 				}
 				k.At(bodyAt, func() {
-					if q.c.cfg.CopyPayload {
-						copy(mr.buf[dstOff:dstOff+body], st.buf.b[off:off+body])
-					}
+					copy(mr.buf[dstOff:dstOff+body], st.buf.b[off:off+body])
 				})
 			}
 			k.At(at, func() {
-				if q.c.cfg.CopyPayload && body > 0 && tail == 0 {
-					copy(mr.buf[dstOff:dstOff+body], st.buf.b[off:off+body])
-				}
+				from := 0
 				if tail > 0 {
-					copy(mr.buf[dstOff+body:dstOff+n], st.buf.b[off+body:off+n])
+					from = body // committed at bodyAt
 				}
+				copy(mr.buf[dstOff+from:dstOff+n], st.buf.b[off+from:off+n])
 				mr.Notify()
 				st.release(q.c)
 			})
@@ -465,14 +447,13 @@ type writeOp struct {
 	off, dstOff   int
 	n, body, tail int
 	id            uint64
-	copyPayload   bool
 	freeAtCommit  bool // unsignaled: commit is the last step
 }
 
 // writeOp pipeline steps (scheduled through Kernel.AtOp).
 const (
 	wopStage  uint8 = iota // snapshot src into the staging buffer (txEnd)
-	wopBody                // commit the payload body (bodyAt, CopyPayload only)
+	wopBody                // commit the payload body (bodyAt, when a tail follows)
 	wopCommit              // commit tail/body, Notify, release staging (deliverAt)
 	wopAck                 // push the signaled completion (ackAt)
 )
@@ -481,17 +462,15 @@ func (w *writeOp) RunOp(step uint8) {
 	switch step {
 	case wopStage:
 		w.st.buf = w.q.c.stagedGet(w.n)
-		stageInto(w.st.buf.b, w.src, w.body, w.copyPayload)
+		copy(w.st.buf.b, w.src)
 	case wopBody:
 		copy(w.mr.buf[w.dstOff:w.dstOff+w.body], w.st.buf.b[w.off:w.off+w.body])
 	case wopCommit:
-		b := w.st.buf.b
-		if w.copyPayload && w.body > 0 && w.tail == 0 {
-			copy(w.mr.buf[w.dstOff:w.dstOff+w.body], b[w.off:w.off+w.body])
-		}
+		from := 0
 		if w.tail > 0 {
-			copy(w.mr.buf[w.dstOff+w.body:w.dstOff+w.n], b[w.off+w.body:w.off+w.n])
+			from = w.body // committed by wopBody
 		}
+		copy(w.mr.buf[w.dstOff+from:w.dstOff+w.n], w.st.buf.b[w.off+from:w.off+w.n])
 		w.mr.Notify()
 		w.st.release(w.q.c)
 		if w.freeAtCommit {
@@ -528,6 +507,13 @@ func putWriteOp(w *writeOp) {
 // probe or credit refresh is not queued behind megabytes of in-flight
 // segments. Their (negligible) bytes still count toward the statistics.
 func (q *QP) Read(p transport.Ctx, dst []byte, src Addr, signaled bool, id uint64) {
+	q.read(p, dst, src, signaled, id, false)
+}
+
+// read implements Read. With sync set the response produces no completion:
+// it marks the returned op done and wakes the send CQ's waiters instead,
+// and the caller (ReadSync) recycles the op.
+func (q *QP) read(p transport.Ctx, dst []byte, src Addr, signaled bool, id uint64, sync bool) *readOp {
 	cfg := &q.c.cfg
 	if mrOf(src).node != q.peer.owner {
 		panic("fabric: READ source MR not on peer node")
@@ -564,16 +550,20 @@ func (q *QP) Read(p transport.Ctx, dst []byte, src Addr, signaled bool, id uint6
 	}
 	q.c.trace(OpRead, q.owner, q.peer.owner, len(dst), k.Now(), deliverAt, disp)
 
+	r := q.c.getReadOp()
+	r.q, r.dst, r.src = q, dst, sliceOf(src, len(dst))
+	r.id, r.signaled, r.sync = id, signaled, sync
 	// A dropped READ loses the response, and with it the completion: the
 	// caller must recover with a timed wait and reissue.
 	if fv.drop {
-		return
+		if !sync {
+			putReadOp(r)
+		}
+		return r
 	}
-	r := q.c.getReadOp()
-	r.q, r.dst, r.src = q, dst, sliceOf(src, len(dst))
-	r.id, r.signaled = id, signaled
 	k.AtOp(respStart, r, ropStage)
 	k.AtOp(deliverAt, r, ropDeliver)
+	return r
 }
 
 // readOp is the pooled event payload driving the READ response pipeline:
@@ -585,6 +575,8 @@ type readOp struct {
 	staged   *stagedBuf
 	id       uint64
 	signaled bool
+	sync     bool // ReadSync: no completion, set done and wake its waiter
+	done     bool
 }
 
 const (
@@ -600,6 +592,11 @@ func (r *readOp) RunOp(step uint8) {
 	}
 	copy(r.dst, r.staged.b)
 	r.q.c.stagedPut(r.staged)
+	if r.sync {
+		r.done = true
+		r.q.scq.cond.Broadcast()
+		return
+	}
 	if r.signaled {
 		r.q.scq.push(Completion{ID: r.id, Op: OpRead, Bytes: len(r.dst)})
 	}
@@ -622,25 +619,22 @@ func putReadOp(r *readOp) {
 	c.ropFree = append(c.ropFree, r)
 }
 
-// ReadSync performs a signaled READ and blocks until it completes,
-// returning the round-trip time. Any completions already pending on the
-// send CQ are drained to the caller via the discard list semantics; callers
-// that interleave ReadSync with other signaled WRs should use Read+Wait
-// directly.
+// ReadSync performs a READ and blocks until the response has landed in
+// dst, returning the round-trip time. It produces no completion of its own
+// and takes none off the send CQ, so signaled WRs posted around it drain in
+// posting order. A fault-dropped response never arrives: like any lost
+// READ it needs a timeout, which this form does not have.
 func (q *QP) ReadSync(p transport.Ctx, dst []byte, src Addr) time.Duration {
-	start := p.Now()
-	q.nextID++
-	id := q.nextID | 1<<63
-	q.Read(p, dst, src, true, id)
-	for {
-		c := q.scq.Wait(p)
-		if c.ID == id {
-			break
-		}
-		// Preserve unrelated completions (e.g. signaled writes).
-		q.scq.append(c)
+	sp := proc(p)
+	start := sp.Now()
+	r := q.read(p, dst, src, false, 0, true)
+	sp.Sleep(q.c.cfg.PollCost)
+	for !r.done {
+		q.scq.cond.Wait(sp)
+		sp.Sleep(q.c.cfg.PollCost)
 	}
-	return p.Now() - start
+	putReadOp(r)
+	return sp.Now() - start
 }
 
 // FetchAdd atomically adds delta to the 8-byte counter at dst on the peer
@@ -821,18 +815,7 @@ func (q *QP) Send(p transport.Ctx, src []byte, signaled bool, id uint64) {
 
 	var staged []byte
 	k.At(txEnd, func() {
-		staged = make([]byte, len(src))
-		if q.c.cfg.CopyPayload {
-			copy(staged, src)
-		} else {
-			// Timing-only mode: keep the leading bytes (message headers)
-			// so protocol metadata survives, drop the payload copy.
-			n := len(src)
-			if n > 64 {
-				n = 64
-			}
-			copy(staged[:n], src[:n])
-		}
+		staged = append([]byte(nil), src...)
 	})
 	deliver := func() {
 		peer := q.peer

@@ -64,10 +64,6 @@ func (c *Cluster) Spawn(parent transport.Ctx, name string, fn func(transport.Ctx
 	proc(parent).Spawn(name, func(sp *sim.Proc) { fn(sp) })
 }
 
-// CopiesPayload reports whether verbs move payload bytes (see
-// Config.CopyPayload; the bench profile models timing only).
-func (c *Cluster) CopiesPayload() bool { return c.cfg.CopyPayload }
-
 // SwitchEndpoint returns a fresh in-network-processing endpoint.
 func (c *Cluster) SwitchEndpoint() transport.Endpoint { return c.NewSwitchNode() }
 

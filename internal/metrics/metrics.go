@@ -99,20 +99,13 @@ type Histogram struct {
 }
 
 // Observe records one observation.
-func (h *Histogram) Observe(v float64) { h.ObserveN(v, 1) }
-
-// ObserveN records n identical observations in one step (bulk import
-// from a pre-aggregated histogram).
-func (h *Histogram) ObserveN(v float64, n uint64) {
-	if n == 0 {
-		return
-	}
+func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i].Add(n)
-	h.count.Add(n)
+	h.counts[i].Add(1)
+	h.count.Add(1)
 	for {
 		old := h.sumBits.Load()
-		if h.sumBits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v*float64(n))) {
+		if h.sumBits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
 			return
 		}
 	}

@@ -88,7 +88,8 @@ func TestHistogramRender(t *testing.T) {
 	h := r.Histogram("dfi_latency_seconds", "", []float64{0.001, 0.01, 0.1}, nil)
 	h.Observe(0.0005)
 	h.Observe(0.005)
-	h.ObserveN(0.05, 2)
+	h.Observe(0.05)
+	h.Observe(0.05)
 	h.Observe(5)
 	var b bytes.Buffer
 	if err := r.WritePrometheus(&b); err != nil {

@@ -30,8 +30,9 @@
 //     member is dropped and counted, exactly like UD multicast.
 //
 // What chanloop does not model: virtual time, fault injection, crashes,
-// leases/eviction, link bandwidth or CPU cost (Compute is a no-op).
-// Those stay DES-only; see docs/ARCHITECTURE.md for the backend matrix.
+// link bandwidth or CPU cost (Compute is a no-op). Those stay DES-only;
+// leases and eviction are the registry's and run on either clock. See
+// docs/ARCHITECTURE.md for the backend matrix.
 package chanloop
 
 import (
@@ -121,9 +122,6 @@ func (n *Net) Spawn(parent transport.Ctx, name string, fn func(transport.Ctx)) {
 	c := n.NewCtx()
 	go fn(c)
 }
-
-// CopiesPayload reports true: chanloop always moves real bytes.
-func (n *Net) CopiesPayload() bool { return true }
 
 // SwitchEndpoint returns an auxiliary endpoint for in-network compute.
 func (n *Net) SwitchEndpoint() transport.Endpoint { return n.NewEndpoint() }

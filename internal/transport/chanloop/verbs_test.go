@@ -53,38 +53,6 @@ func TestDialStartsNoGoroutine(t *testing.T) {
 	}
 }
 
-// TestReadSyncLeavesCQAlone pins completion order around ReadSync: it
-// produces no completion and touches none, so the signaled WRITEs around
-// it drain in posting order. A ReadSync that waits for a completion of
-// its own has to take the others off the CQ and put them back, and an
-// entry that lands meanwhile then overtakes them.
-func TestReadSyncLeavesCQAlone(t *testing.T) {
-	f := newPair(64)
-	src, dst := make([]byte, 8), make([]byte, 8)
-	write := func(id uint64) {
-		binary.LittleEndian.PutUint64(src, id)
-		f.qa.Write(f.p, src, transport.Addr{MR: f.mr}, transport.WriteOptions{Signaled: true, ID: id})
-	}
-	write(1)
-	write(2)
-	write(3)
-	f.qa.ReadSync(f.p, dst, transport.Addr{MR: f.mr})
-	if got := binary.LittleEndian.Uint64(dst); got != 3 {
-		t.Errorf("ReadSync read %d, want 3 (the last WRITE posted before it)", got)
-	}
-	write(4)
-	out := make([]transport.Completion, 8)
-	n := f.qa.SendCQ().PollBatch(f.p, out)
-	if n != 4 {
-		t.Fatalf("%d completions %+v, want the 4 WRITEs and nothing else", n, out[:n])
-	}
-	for i, c := range out[:n] {
-		if c.ID != uint64(i)+1 || c.Op != transport.OpWrite {
-			t.Errorf("completion %d is %+v, want WRITE %d", i, c, i+1)
-		}
-	}
-}
-
 // TestVerbsAllocateNothing is the allocation gate of the backend: once
 // the CQs have their backing arrays, a verb and the poll that takes its
 // completion allocate nothing, and neither does a commit, a store or a

@@ -524,11 +524,10 @@ func (l *Link) Condemn() {
 // Settle is for shutdown paths and tests that assert conservation after
 // a drain.
 func (l *Link) Settle(p transport.Ctx) {
-	copies := l.pool.tr.CopiesPayload()
 	stale := 0
 	for stale < 1000 {
 		l.mu.Lock()
-		l.pumpLocked(copies, nil)
+		l.pumpLocked(nil)
 		occ := l.head - l.released
 		l.mu.Unlock()
 		if occ == 0 {
@@ -764,9 +763,7 @@ type Segment struct {
 	End bool
 	// Data holds the payload bytes, copied out of the ring slot before
 	// release into a buffer the link recycles: it is valid until the
-	// next Recv on the same tag. Nil when the backend models payloads
-	// without moving them (Transport.CopiesPayload false) or when Fill
-	// is 0.
+	// next Recv on the same tag. Nil when Fill is 0.
 	Data []byte
 }
 
@@ -908,7 +905,7 @@ func (l *Link) discardLocked(st *rstream) {
 // destination staging queue is full (head-of-line block; whoever makes
 // room in a full queue pumps again). Caller holds l.mu; Load/Store/Notify/Broadcast are non-parking local
 // ops, so holding the mutex across them is safe on both backends.
-func (l *Link) pumpLocked(copies bool, self *rstream) {
+func (l *Link) pumpLocked(self *rstream) {
 	ftr, rel := l.pumpBuf[:footerBytes], l.pumpBuf[footerBytes:]
 	for {
 		i := int(l.tail % uint64(l.cfg.Slots))
@@ -937,7 +934,7 @@ func (l *Link) pumpLocked(copies bool, self *rstream) {
 				return // consumer stalled; ring blocks for everyone
 			}
 			seg := Segment{Fill: fill, End: end}
-			if fill > 0 && copies {
+			if fill > 0 {
 				seg.Data = l.stageBufLocked(fill)
 				copy(seg.Data, l.mr.Bytes()[l.slotOff(i):l.slotOff(i)+fill])
 			}
@@ -959,7 +956,7 @@ func (l *Link) pumpLocked(copies bool, self *rstream) {
 // takeLocked resolves st's Recv if it can be resolved now: the oldest
 // staged segment, else the terminal status of a dropped, ended or
 // condemned stream.
-func (l *Link) takeLocked(st *rstream, copies bool) (Segment, RecvStatus, bool) {
+func (l *Link) takeLocked(st *rstream) (Segment, RecvStatus, bool) {
 	switch {
 	case st.n > 0:
 		wasFull := st.n == len(st.q)
@@ -969,7 +966,7 @@ func (l *Link) takeLocked(st *rstream, copies bool) (Segment, RecvStatus, bool) 
 		st.n--
 		st.held = seg.Data
 		if wasFull {
-			l.pumpLocked(copies, st) // the ring may have stalled on this queue
+			l.pumpLocked(st) // the ring may have stalled on this queue
 		}
 		return seg, RecvSeg, true
 	case st.dropped:
@@ -991,7 +988,6 @@ func (l *Link) takeLocked(st *rstream, copies bool) (Segment, RecvStatus, bool) 
 // closed the stream and staging is drained.
 func (r *Receiver) Recv(p transport.Ctx, tag uint32, wait time.Duration) (Segment, RecvStatus) {
 	l := r.l
-	copies := l.pool.tr.CopiesPayload()
 	deadline := p.Now() + wait
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -1015,8 +1011,8 @@ func (r *Receiver) Recv(p transport.Ctx, tag uint32, wait time.Duration) (Segmen
 		} else {
 			since = st.wake.Seq()
 		}
-		l.pumpLocked(copies, st)
-		seg, status, ok := l.takeLocked(st, copies)
+		l.pumpLocked(st)
+		seg, status, ok := l.takeLocked(st)
 		remain := deadline - p.Now()
 		if ok || remain <= 0 {
 			l.leaveLocked(st)
@@ -1050,7 +1046,7 @@ func (r *Receiver) Drop(tag uint32) {
 	l.discardLocked(st)
 	l.wakeLocked(st)
 	if wasFull {
-		l.pumpLocked(l.pool.tr.CopiesPayload(), nil) // the ring may have stalled on this queue
+		l.pumpLocked(nil) // the ring may have stalled on this queue
 	}
 }
 

@@ -85,8 +85,8 @@ func segByte(s, k int) byte { return byte(s*31 + k*7 + 1) }
 
 // TestSharedRingDelivery drives several flows from one source node over
 // a single shared ring and checks each consumer gets exactly its own
-// stream back, in order, with intact payload bytes (on the byte-moving
-// backend) — the demultiplexing contract.
+// stream back, in order, with intact payload bytes — the demultiplexing
+// contract.
 func TestSharedRingDelivery(t *testing.T) {
 	for name, mk := range backends(2) {
 		t.Run(name, func(t *testing.T) {
@@ -96,7 +96,6 @@ func TestSharedRingDelivery(t *testing.T) {
 
 			const nStreams = 6
 			const nSegs = 20
-			copies := e.t.CopiesPayload()
 
 			type result struct {
 				segs    int
@@ -144,12 +143,10 @@ func TestSharedRingDelivery(t *testing.T) {
 								results[s].recvErr = fmt.Sprintf("seg %d fill=%d want %d", k, seg.Fill, wantFill)
 								return
 							}
-							if copies {
-								for i, b := range seg.Data {
-									if b != segByte(s, k) {
-										results[s].recvErr = fmt.Sprintf("seg %d byte %d = %d want %d", k, i, b, segByte(s, k))
-										return
-									}
+							for i, b := range seg.Data {
+								if b != segByte(s, k) {
+									results[s].recvErr = fmt.Sprintf("seg %d byte %d = %d want %d", k, i, b, segByte(s, k))
+									return
 								}
 							}
 							results[s].segs++

@@ -294,9 +294,6 @@ type Transport interface {
 	// Spawn starts fn on a new execution context named name (a sim
 	// process or a goroutine). parent is the spawning context.
 	Spawn(parent Ctx, name string, fn func(Ctx))
-	// CopiesPayload reports whether verbs move payload bytes (true) or
-	// only model their timing (the DES backend's metadata-only mode).
-	CopiesPayload() bool
 	// SwitchEndpoint returns an auxiliary endpoint representing
 	// in-network compute (a switch); it sinks traffic without the
 	// receive-bandwidth limits of a normal endpoint.

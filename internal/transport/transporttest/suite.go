@@ -1,7 +1,8 @@
 // Package transporttest is the conformance suite every transport backend
 // must pass: one table of semantic tests — per-queue write ordering with
 // commit-tail visibility, fetch-add serialization returning unique old
-// values, reliable two-sided send/recv, CQ signaled-only completions,
+// values, reliable two-sided send/recv, payloads that arrive byte for
+// byte, CQ signaled-only completions, a ReadSync that leaves the CQ alone,
 // source buffers that are the caller's again after a completion, RC order
 // per poster on a shared queue end, multicast drop-without-posted-recv,
 // and the sequence-counted waits (Cond, Region.Notify) — executed against
@@ -13,6 +14,7 @@
 package transporttest
 
 import (
+	"bytes"
 	"encoding/binary"
 	"testing"
 	"time"
@@ -48,6 +50,7 @@ func Run(t *testing.T, newEnv NewEnv) {
 	}{
 		{"WriteOrderingPerQueue", testWriteOrdering},
 		{"WriteCommitTailLast", testCommitTail},
+		{"PayloadArrivesWhole", testPayloadWhole},
 		{"FetchAddSerialization", testFetchAdd},
 		{"CompareSwap", testCompareSwap},
 		{"SendRecvReliable", testSendRecv},
@@ -57,6 +60,7 @@ func Run(t *testing.T, newEnv NewEnv) {
 		{"SignaledOnlyCompletions", testSignaledOnly},
 		{"BurstPollOrdering", testBurstPoll},
 		{"ReadBack", testReadBack},
+		{"ReadSyncLeavesCQAlone", testReadSyncLeavesCQ},
 		{"MulticastDropWithoutRecv", testMulticastDrop},
 		{"CondSequenceWait", testCondSeq},
 		{"RegionNotifyWakesPoller", testRegionNotify},
@@ -160,6 +164,45 @@ func testCommitTail(t *testing.T, env Env) {
 		}
 		if seen < rounds {
 			t.Errorf("saw only %d/%d rounds", seen, rounds)
+		}
+	})
+	env.Run()
+}
+
+// testPayloadWhole pins that verbs move their bytes, all of them: a
+// 4 KiB WRITE with a CommitTail lands body and tail, and a 4 KiB SEND
+// arrives whole — no backend models a payload by its size alone.
+func testPayloadWhole(t *testing.T, env Env) {
+	const n, tail = 4096, 16
+	pattern := func(salt byte) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(i*7) ^ salt
+		}
+		return b
+	}
+	mr := env.T.OpenRegion(env.EP[1], n)
+	qa, qb := env.T.Dial(env.EP[0], env.EP[1])
+	qb.PostRecv(make([]byte, n), 9)
+
+	env.Go("sender", func(p transport.Ctx) {
+		qa.Write(p, pattern(0x5a), transport.Addr{MR: mr}, transport.WriteOptions{CommitTail: tail})
+		qa.Send(p, pattern(0xa5), true, 2)
+		if c, ok := qa.SendCQ().WaitTimeout(p, waitFor); !ok || c.Op != transport.OpSend {
+			t.Errorf("send completion: got (%+v,%v)", c, ok)
+		}
+	})
+	env.Go("receiver", func(p transport.Ctx) {
+		c, ok := qb.RecvCQ().WaitTimeout(p, waitFor)
+		if !ok || c.Bytes != n || !bytes.Equal(c.Buf[:c.Bytes], pattern(0xa5)) {
+			t.Errorf("4 KiB SEND did not arrive whole: ok=%v bytes=%d", ok, c.Bytes)
+		}
+		// RC order: the WRITE posted before the SEND has committed.
+		got := make([]byte, n)
+		mr.Load(0, got)
+		if want := pattern(0x5a); !bytes.Equal(got, want) {
+			t.Errorf("WRITE with CommitTail: body intact=%v tail intact=%v",
+				bytes.Equal(got[:n-tail], want[:n-tail]), bytes.Equal(got[n-tail:], want[n-tail:]))
 		}
 	})
 	env.Run()
@@ -473,6 +516,45 @@ func testReadBack(t *testing.T, env Env) {
 		}
 		if string(dst2) != "remote" {
 			t.Errorf("async read got %q", dst2)
+		}
+	})
+	env.Run()
+}
+
+// testReadSyncLeavesCQ pins completion order around ReadSync: it produces
+// no completion and takes none off the send CQ, so the signaled WRITEs
+// around it drain in posting order. A ReadSync that waits for a
+// completion of its own has to take the others off the CQ and put them
+// back, and an entry that lands meanwhile then overtakes them.
+func testReadSyncLeavesCQ(t *testing.T, env Env) {
+	mr := env.T.OpenRegion(env.EP[1], 8)
+	qa, _ := env.T.Dial(env.EP[0], env.EP[1])
+
+	env.Go("poster", func(p transport.Ctx) {
+		src := make([]byte, 4*8) // one slot per WR, stable until its completion
+		write := func(id uint64) {
+			slot := src[(id-1)*8 : id*8]
+			binary.LittleEndian.PutUint64(slot, id)
+			qa.Write(p, slot, transport.Addr{MR: mr}, transport.WriteOptions{Signaled: true, ID: id})
+		}
+		write(1)
+		write(2)
+		write(3)
+		dst := make([]byte, 8)
+		qa.ReadSync(p, dst, transport.Addr{MR: mr})
+		if got := binary.LittleEndian.Uint64(dst); got != 3 {
+			t.Errorf("ReadSync read %d, want 3 (the last WRITE posted before it)", got)
+		}
+		write(4)
+		for id := uint64(1); id <= 4; id++ {
+			c, ok := qa.SendCQ().WaitTimeout(p, waitFor)
+			if !ok || c.ID != id || c.Op != transport.OpWrite {
+				t.Errorf("completion %d is (%+v,%v), want WRITE %d", id, c, ok, id)
+				return
+			}
+		}
+		if c, ok := qa.SendCQ().Poll(p); ok {
+			t.Errorf("extra completion %+v: want the 4 WRITEs and nothing else", c)
 		}
 	})
 	env.Run()
