@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check test race check chaos chaos-mc chaos-scale partition-race metrics-smoke transport-race bench-smoke ledger docs-lint
+.PHONY: all build vet fmt-check test race check chaos chaos-mc chaos-scale partition-race metrics-smoke transport-race core-path bench-smoke ledger docs-lint
 
 all: check
 
@@ -94,14 +94,27 @@ metrics-smoke:
 # plane must behave identically without the sim kernel serializing
 # anything. The -count=20 line is the retransmit-into-a-slot-being-read
 # race (a chanloop WRITE that changes nothing must move nothing), which
-# shows in a few runs of ten, not in one.
+# shows in a few runs of ten, not in one. The steady-vs-general Push
+# differential rides along once: its eviction leg is the one place the
+# per-tuple path hands a half-filled segment to the harvest.
 transport-race:
 	$(GO) test -race -count=1 ./internal/transport/...
 	$(GO) test -race -count=1 -run 'TestTransportConformance' ./internal/fabric/
-	$(GO) test -race -count=1 -run 'Chan.*(Lease|Evict)|TestSharedRingMatchesPrivate' ./internal/core/
+	$(GO) test -race -count=1 -run 'Chan.*(Lease|Evict)|TestSharedRingMatchesPrivate|TestPushSteadyMatchesGeneral' ./internal/core/
 	$(GO) test -race -count=20 -run 'TestDESAndChanEvictSilentTarget' ./internal/core/
 	$(GO) test -race -count=1 -run 'TestLocalRegistryHammer|TestStatusSnapshotMatchesRebuild|TestRemoveRepublishWakesWaiters' ./internal/registry/
 	$(GO) test -race -count=1 -run 'TestChanTransport|TestSameArgsOnBothTransports' ./cmd/dfiflow/
+
+# Push and Consume pay per tuple only for the tuple, and a count says
+# so, not a timing: the steady path against the general path on one
+# workload (bytes, segments, probes, kernel events, final instant), the
+# number of general-path entries of a fault-free 1 M-tuple run (at most
+# segments + charge batches), the allocation gates of both backends,
+# Home against Hash % n, and the two ledger rows the path moves, run
+# once.
+core-path:
+	$(GO) test -count=1 -run 'TestPushSteadyMatchesGeneral|TestSteadyPushShape|Alloc|TestHomeMatchesModulo' ./internal/core/...
+	$(GO) test -run '^$$' -bench 'CoreDataPath/(private|shared)/^Push$$/^Consume$$' -benchtime 1x ./internal/core/
 
 # Per-layer benchmarks cannot rot: every benchmark of the sim kernel, the
 # core data path and the transport backends (the per-verb benchmark,
@@ -129,4 +142,4 @@ ledger:
 docs-lint:
 	$(GO) run ./cmd/docslint
 
-check: build vet fmt-check race chaos chaos-mc chaos-scale metrics-smoke transport-race bench-smoke docs-lint
+check: build vet fmt-check race chaos chaos-mc chaos-scale metrics-smoke transport-race core-path bench-smoke docs-lint

@@ -93,7 +93,7 @@ func (s *Source) PushBatch(p transport.Ctx, tuples []schema.Tuple) error {
 		return err
 	}
 	if s.spec.FlowType() == ReplicateFlow {
-		s.pushed.Add(uint64(n))
+		s.countPushed(n)
 		s.chargePushN(p, n)
 		for i, l := range s.legs {
 			if l == nil || l.dead || !s.view.Live(i) {
@@ -144,7 +144,7 @@ func (s *Source) PushBatch(p transport.Ctx, tuples []schema.Tuple) error {
 			routes[i] = int32(slot)
 		}
 	}
-	s.pushed.Add(uint64(n))
+	s.countPushed(n)
 	s.chargePushN(p, n)
 	// Grouped append: per target, in input order, coalescing runs of
 	// consecutive memory-adjacent tuples into single copies.
@@ -320,7 +320,7 @@ func (b *Batch) Commit(p transport.Ctx, used int) error {
 		return nil
 	}
 	b.l.fill += used * b.ts
-	b.s.pushed.Add(uint64(used))
+	b.s.countPushed(used)
 	b.s.chargePushN(p, used)
 	return nil
 }
@@ -350,6 +350,6 @@ func (t *Target) ConsumeBatch(p transport.Ctx, dst []schema.Tuple) (int, bool) {
 		t.remaining--
 		n++
 	}
-	t.consumed.Add(uint64(n))
+	t.nconsumed += uint64(n)
 	return n, true
 }

@@ -14,10 +14,12 @@ import (
 // BenchmarkCoreDataPath is the core layer of the performance ledger: host
 // nanoseconds and allocations per tuple for every push API against every
 // consume API, on both ring kinds. One 1:1 bandwidth-optimized flow moves
-// b.N 16-byte tuples on the DES with the bench profile (payload bytes are
-// modelled, not moved), so what is timed is the endpoint engine plus the
-// kernel events one segment per 512 tuples costs. One loop body serves
-// both kinds because one API surface does.
+// b.N 16-byte tuples on the DES fabric, payload bytes and all (every
+// WRITE stages, commits body then footer), so what is timed is the
+// endpoint engine, one 8 KiB segment copy per 512 tuples and the kernel
+// events that segment costs. The Push rows run Push's per-tuple path
+// (one target, so Home is a mask), the Consume rows Consume's. One loop
+// body serves both kinds because one API surface does.
 //
 //	go test -run '^$' -bench CoreDataPath -benchtime 2000000x ./internal/core/
 func BenchmarkCoreDataPath(b *testing.B) {

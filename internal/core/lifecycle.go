@@ -297,6 +297,10 @@ func (s *Source) syncEpoch(p transport.Ctx) error {
 	if s.mem.Epoch() == s.epoch {
 		return nil
 	}
+	// The fold below abandons legs and rebuilds the view; an error exit
+	// leaves the per-tuple path off for good.
+	s.steady = false
+	s.publish()
 	var pending []pendingTuple
 	var drained uint64
 	defer func() {
@@ -360,6 +364,7 @@ func (s *Source) syncEpoch(p transport.Ctx) error {
 			drained++
 		}
 		if len(pending) == 0 && s.mem.Epoch() == s.epoch {
+			s.setSteady()
 			return nil
 		}
 	}

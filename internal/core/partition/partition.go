@@ -160,9 +160,20 @@ func (t *Table) successor(h uint64) int {
 func (t *Table) Home(key uint64) int {
 	h := schema.Hash(key)
 	if t.scheme == Modulo {
-		return int(h % uint64(t.n))
+		return t.modulo(h)
 	}
 	return t.points[t.successor(h)].slot
+}
+
+// modulo is h % n, taken with a mask when n is a power of two: the
+// 64-bit divide was the larger part of a Push's route, and one target —
+// every flow of a fleet — needs no arithmetic at all.
+func (t *Table) modulo(h uint64) int {
+	n := uint64(t.n)
+	if n&(n-1) == 0 {
+		return int(h & (n - 1))
+	}
+	return int(h % n)
 }
 
 // NewView derives a per-endpoint live view of the table with every slot
@@ -229,7 +240,7 @@ func (v *View) Route(key uint64) (slot int, moved bool) {
 	}
 	h := schema.Hash(key)
 	if v.t.scheme == Modulo {
-		home := int(h % uint64(v.t.n))
+		home := v.t.modulo(h)
 		if v.live[home] {
 			return home, false
 		}

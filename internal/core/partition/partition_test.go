@@ -321,3 +321,30 @@ func TestRouteWithNoLiveSlots(t *testing.T) {
 		}
 	}
 }
+
+// TestHomeMatchesModulo pins the Modulo reduction against its definition
+// for every slot count the mask does and does not apply to, and that an
+// all-live view routes every key to its home.
+func TestHomeMatchesModulo(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	keys := make([]uint64, 4096)
+	for i := range keys {
+		keys[i] = rng.Uint64()
+	}
+	for n := 1; n <= 65; n++ {
+		tbl, err := NewTable(Modulo, n, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		view := tbl.NewView()
+		for _, k := range keys {
+			want := int(schema.Hash(k) % uint64(n))
+			if got := tbl.Home(k); got != want {
+				t.Fatalf("n=%d: Home(%#x) = %d, Hash %% n = %d", n, k, got, want)
+			}
+			if got, moved := view.Route(k); got != want || moved {
+				t.Fatalf("n=%d: all-live Route(%#x) = %d (moved %v), Home = %d", n, k, got, moved, want)
+			}
+		}
+	}
+}

@@ -10,7 +10,9 @@ import (
 
 	"dfi/internal/fabric"
 	"dfi/internal/metrics"
+	"dfi/internal/schema"
 	"dfi/internal/sim"
+	"dfi/internal/transport"
 )
 
 // Scrape suite (run under -race): a real OS goroutine hammers the
@@ -104,6 +106,7 @@ func TestScrapeRaceWhileShuffleRuns(t *testing.T) {
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
+	pushedSeen, consumedSeen := map[*Source]*trail{}, map[*Target]*trail{}
 	go func() {
 		defer wg.Done()
 		for {
@@ -117,10 +120,16 @@ func TestScrapeRaceWhileShuffleRuns(t *testing.T) {
 			ts := append([]*Target(nil), tgts...)
 			mu.Unlock()
 			for _, s := range ss {
-				_ = s.Stats()
+				if pushedSeen[s] == nil {
+					pushedSeen[s] = &trail{what: fmt.Sprintf("source %d TuplesPushed", s.Slot())}
+				}
+				pushedSeen[s].see(t, s.Stats().TuplesPushed)
 			}
 			for _, tg := range ts {
-				_ = tg.Stats()
+				if consumedSeen[tg] == nil {
+					consumedSeen[tg] = &trail{what: fmt.Sprintf("target %d TuplesConsumed", tg.Slot())}
+				}
+				consumedSeen[tg].see(t, tg.Stats().TuplesConsumed)
 				_ = tg.FailedSources()
 			}
 			rec.Summary(io.Discard, 3)
@@ -136,6 +145,15 @@ func TestScrapeRaceWhileShuffleRuns(t *testing.T) {
 	e.run(t)
 	close(stop)
 	wg.Wait()
+
+	// Counter contract: what a scraper saw mid-run never went back and
+	// never ran ahead of the final totals.
+	for s, tr := range pushedSeen {
+		tr.settle(t, s.Stats().TuplesPushed)
+	}
+	for tg, tr := range consumedSeen {
+		tr.settle(t, tg.Stats().TuplesConsumed)
+	}
 
 	// Accuracy contract: the scraped exposition agrees with the final
 	// Stats() summaries, counter for counter.
@@ -168,6 +186,149 @@ func TestScrapeRaceWhileShuffleRuns(t *testing.T) {
 	}
 	if events.Total() == 0 {
 		t.Fatal("no events were emitted")
+	}
+}
+
+// trail follows one counter through a scraper's eyes. Sources and
+// targets count on their own side and publish at segment boundaries, so
+// a mid-run reading may lag — but it is a count that was true a moment
+// ago: readings never go back, and none exceeds the final total.
+type trail struct {
+	what     string
+	last     uint64
+	readings int
+}
+
+func (tr *trail) see(t *testing.T, v uint64) {
+	if v < tr.last {
+		t.Errorf("%s went back from %d to %d", tr.what, tr.last, v)
+	}
+	tr.last = v
+	tr.readings++
+}
+
+func (tr *trail) settle(t *testing.T, final uint64) {
+	if tr.last > final {
+		t.Errorf("%s read %d mid-run, more than the final %d", tr.what, tr.last, final)
+	}
+	t.Logf("%s: %d readings, last %d of %d", tr.what, tr.readings, tr.last, final)
+}
+
+// TestScrapeCountersOnChanloop holds the same counter contract on the
+// wall-clock backend, where source, target and scraper really are three
+// goroutines: the flow of TestChanloopSteadyStateAllocs (PushBatch and
+// ConsumeBatch of 64 tuples of 64 bytes) runs while a scraper follows
+// both endpoints' Stats, and once the flow has ended Stats and the
+// exposition are exact.
+func TestScrapeCountersOnChanloop(t *testing.T) {
+	const batch, total = 64, 4_000 * 64
+	sch := wideSchema
+	b := newDiffChan(2)
+	spec := FlowSpec{
+		Name:    "scrape-chan",
+		Sources: []Endpoint{{Node: b.node(0)}},
+		Targets: []Endpoint{{Node: b.node(1)}},
+		Schema:  sch,
+	}
+	b.run(t, []func(transport.Ctx){func(p transport.Ctx) {
+		if err := FlowInit(p, b.reg, b.tpt, spec); err != nil {
+			t.Error(err)
+		}
+	}})
+	m := metrics.NewRegistry()
+	var src *Source
+	var tgt *Target
+	// Open first, so the scraper has both handles for the whole run.
+	b.run(t, []func(transport.Ctx){
+		func(p transport.Ctx) {
+			var err error
+			if src, err = SourceOpen(p, b.reg, spec.Name, 0); err != nil {
+				t.Error(err)
+			}
+		},
+		func(p transport.Ctx) {
+			var err error
+			if tgt, err = TargetOpen(p, b.reg, spec.Name, 0); err != nil {
+				t.Error(err)
+			}
+		},
+	})
+	if t.Failed() {
+		t.FailNow()
+	}
+	src.PublishMetrics(m)
+	tgt.PublishMetrics(m)
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	pushedSeen := &trail{what: "TuplesPushed"}
+	consumedSeen := &trail{what: "TuplesConsumed"}
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			pushedSeen.see(t, src.Stats().TuplesPushed)
+			consumedSeen.see(t, tgt.Stats().TuplesConsumed)
+			time.Sleep(20 * time.Microsecond)
+		}
+	}()
+	b.run(t, []func(transport.Ctx){
+		func(p transport.Ctx) {
+			size := sch.TupleSize()
+			buf := make([]byte, batch*size)
+			tuples := make([]schema.Tuple, batch)
+			for i := range tuples {
+				tuples[i] = buf[i*size : (i+1)*size]
+			}
+			for i := 0; i < total; i += batch {
+				for j, tup := range tuples {
+					sch.PutInt64(tup, 0, int64(i+j))
+				}
+				if err := src.PushBatch(p, tuples); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			if err := src.Close(p); err != nil {
+				t.Error(err)
+			}
+		},
+		func(p transport.Ctx) {
+			views := make([]schema.Tuple, batch)
+			for ok := true; ok; {
+				_, ok = tgt.ConsumeBatch(p, views)
+			}
+		},
+	})
+	close(stop)
+	wg.Wait()
+
+	pushedSeen.settle(t, src.Stats().TuplesPushed)
+	consumedSeen.settle(t, tgt.Stats().TuplesConsumed)
+	if got := src.Stats().TuplesPushed; got != total {
+		t.Errorf("Stats().TuplesPushed = %d after Close, want %d", got, total)
+	}
+	if got := tgt.Stats().TuplesConsumed; got != total {
+		t.Errorf("Stats().TuplesConsumed = %d after flow end, want %d", got, total)
+	}
+	var buf bytes.Buffer
+	if err := m.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	parsed, err := metrics.ParseText(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := metrics.SumSeries(parsed, "dfi_source_tuples_pushed_total"); got != total {
+		t.Errorf("scraped pushed = %v, want %d", got, total)
+	}
+	if got := metrics.SumSeries(parsed, "dfi_target_tuples_consumed_total"); got != total {
+		t.Errorf("scraped consumed = %v, want %d", got, total)
 	}
 }
 

@@ -55,6 +55,13 @@ type Target struct {
 	epoch   uint64
 	evicted atomic.Bool
 
+	// nconsumed is the consume count, owned by the consuming process.
+	// consumed is its scrape-visible copy, stored whenever the iterator
+	// needs a new segment or reports flow end (publish): exact whenever
+	// a Consume call returned false, at most the segment being iterated
+	// behind otherwise.
+	nconsumed uint64
+
 	// Scrape-visible counters (atomic so a metrics endpoint can read
 	// them while the flow runs).
 	consumed atomic.Uint64
@@ -296,7 +303,9 @@ func (f *privateFeed) release(r *ringReader) {
 	// The footer flag is remotely READ by writer probes and the header
 	// counter by credit reads, so both stores go through Region.Store.
 	f.mr.Store(f.footerOff(r)+4, zeroFlag[:])
-	binary.LittleEndian.PutUint64(f.hdrScratch[:], r.consumed.Add(1))
+	n := r.consumed.Load() + 1 // this process is the counter's only writer
+	r.consumed.Store(n)
+	binary.LittleEndian.PutUint64(f.hdrScratch[:], n)
 	f.mr.Store(r.ringOff, f.hdrScratch[:])
 	r.rslot = (r.rslot + 1) % f.geom.nSegs
 }
@@ -388,6 +397,7 @@ func (f *privateFeed) free() { f.mr.Deregister() }
 // have closed (flow end), when this target was evicted, or when a
 // multicast flow surfaces a gap.
 func (t *Target) nextSegment(p transport.Ctx) bool {
+	t.publish()
 	if t.mc != nil {
 		data, ok := t.mc.nextSegment(p)
 		if ok {
@@ -466,7 +476,7 @@ func (t *Target) Consume(p transport.Ctx) (schema.Tuple, bool) {
 	tup := schema.Tuple(t.segData[t.segOff : t.segOff+t.tupleSize])
 	t.segOff += t.tupleSize
 	t.remaining--
-	t.consumed.Add(1)
+	t.nconsumed++
 	return tup, true
 }
 
@@ -484,7 +494,7 @@ func (t *Target) ConsumeSegment(p transport.Ctx) (data []byte, count int, ok boo
 	data, count = t.segData[t.segOff:], t.remaining
 	t.segOff = len(t.segData)
 	t.remaining = 0
-	t.consumed.Add(uint64(count))
+	t.nconsumed += uint64(count)
 	return data, count, true
 }
 
@@ -539,8 +549,14 @@ func (t *Target) FailedSources() []int {
 	return out
 }
 
-// Consumed returns the number of tuples consumed so far.
-func (t *Target) Consumed() uint64 { return t.consumed.Load() }
+// Consumed returns the number of tuples consumed so far. It reads the
+// consuming process's own count, so it is exact there and must not be
+// called from any other goroutine while the target consumes — Stats is
+// the accessor a concurrent observer uses.
+func (t *Target) Consumed() uint64 { return t.nconsumed }
+
+// publish makes the consume count visible to scrapers.
+func (t *Target) publish() { t.consumed.Store(t.nconsumed) }
 
 // ResumedFrom returns the consumption watermark the target carried over
 // from its previous incarnation via Reattach (0 for a first
@@ -582,7 +598,7 @@ func (t *Target) Reattach(p transport.Ctx) (*Target, error) {
 		node:        t.node,
 		reg:         t.reg,
 		tupleSize:   t.tupleSize,
-		resumedFrom: t.consumed.Load(),
+		resumedFrom: t.nconsumed,
 	}
 	info := nt.allocRings()
 	// Fresh rings first, then the epoch bump: sources folding the rejoin
@@ -624,7 +640,7 @@ func (t *Target) reattachMulticast(p transport.Ctx) (*Target, error) {
 		node:        t.node,
 		reg:         t.reg,
 		tupleSize:   t.tupleSize,
-		resumedFrom: t.consumed.Load(),
+		resumedFrom: t.nconsumed,
 	}
 	mc, err := newMcTargetRejoin(p, t.reg, t.meta, t.idx, t.node)
 	if err != nil {

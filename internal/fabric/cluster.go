@@ -52,6 +52,7 @@ type Cluster struct {
 	// empty them, which would silently reintroduce a per-WRITE allocation.
 	wopFree    []*writeOp
 	ropFree    []*readOp
+	aopFree    []*atomicOp
 	srefFree   []*stagedRef
 	stagedFree [28][]*stagedBuf // staging buffers of capacity 1<<class
 }

@@ -652,12 +652,28 @@ func (q *QP) FetchAdd(p transport.Ctx, dst Addr, delta uint64) uint64 {
 // distinguish "previous value was 0" from "sequencer node is dead" — the
 // ordered-multicast source fetching sequence numbers — use this form.
 func (q *QP) FetchAddChecked(p transport.Ctx, dst Addr, delta uint64) (uint64, bool) {
+	return q.atomic(p, OpFetchAdd, dst, delta, 0)
+}
+
+// CompareSwap atomically replaces the 8-byte value at dst with swap if it
+// equals expect, returning the previous value (zero when an endpoint is
+// crashed, see FetchAddChecked).
+func (q *QP) CompareSwap(p transport.Ctx, dst Addr, expect, swap uint64) uint64 {
+	old, _ := q.atomic(p, OpCompareSwap, dst, expect, swap)
+	return old
+}
+
+// atomic is the round trip both remote atomics make: the request rides
+// the control lane to the responder NIC, which executes atomics one at a
+// time, and the response wakes the caller. a and b are the operands —
+// the delta of a fetch-add, expect and swap of a compare-and-swap.
+func (q *QP) atomic(p transport.Ctx, op OpKind, dst Addr, a, b uint64) (uint64, bool) {
 	cfg := &q.c.cfg
 	mr := mrOf(dst)
 	if mr.node != q.peer.owner {
 		panic("fabric: atomic destination MR not on peer node")
 	}
-	b := sliceOf(dst, 8)
+	word := sliceOf(dst, 8)
 	q.owner.Compute(p, cfg.PostOverhead)
 
 	k := q.c.K
@@ -666,11 +682,11 @@ func (q *QP) FetchAddChecked(p transport.Ctx, dst Addr, delta uint64) (uint64, b
 	hop := cfg.Propagation + cfg.SwitchDelay
 	arrive := k.Now() + cfg.NICStartup + ser + hop // control lane
 
-	fv := q.c.fault(OpFetchAdd, q.owner, q.peer.owner, arrive)
+	fv := q.c.fault(op, q.owner, q.peer.owner, arrive)
 	if fv.dropCompletion {
 		// One endpoint is crashed: the atomic never executes. Model the
 		// QP error completion as a fixed stall returning zero.
-		q.c.trace(OpFetchAdd, q.owner, q.peer.owner, 8, k.Now(), k.Now()+crashAtomicPenalty, Dropped)
+		q.c.trace(op, q.owner, q.peer.owner, 8, k.Now(), k.Now()+crashAtomicPenalty, Dropped)
 		p.Sleep(crashAtomicPenalty)
 		return 0, false
 	}
@@ -693,71 +709,61 @@ func (q *QP) FetchAddChecked(p transport.Ctx, dst Addr, delta uint64) (uint64, b
 	}
 	q.owner.msgsTx++
 
-	q.c.trace(OpFetchAdd, q.owner, q.peer.owner, 8, k.Now(), execEnd, Delivered)
-	var old uint64
-	k.At(execEnd, func() {
-		old = le64(b)
-		putLE64(b, old+delta)
-		mr.Notify()
-	})
-	done := sim.NewCond(k)
-	k.At(arriveResp, done.Broadcast)
-	done.Wait(proc(p))
+	q.c.trace(op, q.owner, q.peer.owner, 8, k.Now(), execEnd, Delivered)
+	ao := q.c.getAtomicOp()
+	ao.mr, ao.word, ao.cas, ao.a, ao.b = mr, word, op == OpCompareSwap, a, b
+	k.AtOp(execEnd, ao, aopExec)
+	k.AtOp(arriveResp, ao, aopWake)
+	ao.done.Wait(proc(p))
+	old := ao.old
+	q.c.putAtomicOp(ao)
 	return old, true
 }
 
-// CompareSwap atomically replaces the 8-byte value at dst with swap if it
-// equals expect, returning the previous value.
-func (q *QP) CompareSwap(p transport.Ctx, dst Addr, expect, swap uint64) uint64 {
-	cfg := &q.c.cfg
-	mr := mrOf(dst)
-	if mr.node != q.peer.owner {
-		panic("fabric: atomic destination MR not on peer node")
-	}
-	b := sliceOf(dst, 8)
-	q.owner.Compute(p, cfg.PostOverhead)
+// atomicOp is the pooled event payload of one remote atomic: the
+// responder executes it at execEnd, the response wakes the caller — the
+// only waiter done ever has — at arriveResp.
+type atomicOp struct {
+	mr   *MemoryRegion
+	word []byte
+	cas  bool
+	a, b uint64
+	old  uint64
+	done *sim.Cond
+}
 
-	k := q.c.K
-	const atomicBytes = 16
-	ser := cfg.serialization(atomicBytes)
-	hop := cfg.Propagation + cfg.SwitchDelay
-	arrive := k.Now() + cfg.NICStartup + ser + hop // control lane
+const (
+	aopExec uint8 = iota // read-modify-write at the responder (execEnd)
+	aopWake              // the response is back (arriveResp)
+)
 
-	fv := q.c.fault(OpCompareSwap, q.owner, q.peer.owner, arrive)
-	if fv.dropCompletion {
-		// Crashed endpoint: see FetchAdd.
-		q.c.trace(OpCompareSwap, q.owner, q.peer.owner, 8, k.Now(), k.Now()+crashAtomicPenalty, Dropped)
-		p.Sleep(crashAtomicPenalty)
-		return 0
+func (ao *atomicOp) RunOp(step uint8) {
+	if step == aopWake {
+		ao.done.Broadcast()
+		return
 	}
-	arrive += fv.delay
+	ao.old = le64(ao.word)
+	if !ao.cas {
+		putLE64(ao.word, ao.old+ao.a)
+	} else if ao.old == ao.a {
+		putLE64(ao.word, ao.b)
+	}
+	ao.mr.Notify()
+}
 
-	execStart := arrive
-	if q.peer.owner.atomicFreeAt > execStart {
-		execStart = q.peer.owner.atomicFreeAt
+func (c *Cluster) getAtomicOp() *atomicOp {
+	if n := len(c.aopFree); n > 0 {
+		ao := c.aopFree[n-1]
+		c.aopFree[n-1] = nil
+		c.aopFree = c.aopFree[:n-1]
+		return ao
 	}
-	execEnd := execStart + cfg.AtomicRemoteCost
-	q.peer.owner.atomicFreeAt = execEnd
-	q.peer.owner.atomicsRx++
-	arriveResp := execEnd + ser + hop // control lane
-	if fv.drop {
-		arriveResp += ser + hop + ser + hop // transport retry, see FetchAdd
-	}
-	q.owner.msgsTx++
+	return &atomicOp{done: sim.NewCond(c.K)}
+}
 
-	q.c.trace(OpCompareSwap, q.owner, q.peer.owner, 8, k.Now(), execEnd, Delivered)
-	var old uint64
-	k.At(execEnd, func() {
-		old = le64(b)
-		if old == expect {
-			putLE64(b, swap)
-		}
-		mr.Notify()
-	})
-	done := sim.NewCond(k)
-	k.At(arriveResp, done.Broadcast)
-	done.Wait(proc(p))
-	return old
+func (c *Cluster) putAtomicOp(ao *atomicOp) {
+	ao.mr, ao.word = nil, nil
+	c.aopFree = append(c.aopFree, ao)
 }
 
 // PostRecv posts a receive buffer for two-sided communication. If a
