@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check test race check chaos chaos-mc chaos-scale partition-race metrics-smoke transport-race core-path bench-smoke ledger docs-lint
+.PHONY: all build vet fmt-check test race check chaos chaos-mc chaos-scale partition-race metrics-smoke transport-race core-path bench-smoke fuzz-smoke ledger docs-lint
 
 all: check
 
@@ -110,10 +110,12 @@ transport-race:
 # workload (bytes, segments, probes, kernel events, final instant), the
 # number of general-path entries of a fault-free 1 M-tuple run (at most
 # segments + charge batches), the allocation gates of both backends,
-# Home against Hash % n, and the two ledger rows the path moves, run
-# once.
+# Home against Hash % n, the private ring's one window (a latency writer
+# never has more than a ring outstanding, and confirms its Close in
+# round trips, not in a timeout), and the two ledger rows the path
+# moves, run once.
 core-path:
-	$(GO) test -count=1 -run 'TestPushSteadyMatchesGeneral|TestSteadyPushShape|Alloc|TestHomeMatchesModulo' ./internal/core/...
+	$(GO) test -count=1 -run 'TestPushSteadyMatchesGeneral|TestSteadyPushShape|Alloc|TestHomeMatchesModulo|TestLatencyCloseConfirmsWithoutWaitingOutTimeout|TestLatencyModeCreditBound' ./internal/core/...
 	$(GO) test -run '^$$' -bench 'CoreDataPath/(private|shared)/^Push$$/^Consume$$' -benchtime 1x ./internal/core/
 
 # Per-layer benchmarks cannot rot: every benchmark of the sim kernel, the
@@ -122,6 +124,13 @@ core-path:
 # runs one iteration on one and on two Ps. Asserts no timings.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -cpu 1,2 ./internal/sim ./internal/fabric ./internal/core ./internal/transport/...
+
+# Every native fuzz target, five seconds each (go test -fuzz takes one
+# target and one package at a time): enough to replay the checked-in
+# corpus under testdata/fuzz and shake the decoder a little on every
+# change; a long budget belongs to a scheduled job.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzSegFooter$$' -fuzztime 5s ./internal/transport
 
 # The performance ledger (benchmark/README.md): every workload of
 # BENCHMARK.json, traced, seed 1 — the per-layer numbers a CHANGES.md
@@ -142,4 +151,4 @@ ledger:
 docs-lint:
 	$(GO) run ./cmd/docslint
 
-check: build vet fmt-check race chaos chaos-mc chaos-scale metrics-smoke transport-race core-path bench-smoke docs-lint
+check: build vet fmt-check race chaos chaos-mc chaos-scale metrics-smoke transport-race core-path bench-smoke fuzz-smoke docs-lint

@@ -37,11 +37,34 @@ type backend struct {
 	wireOverhead int // per-message framing bytes for the recorder's wire estimate
 }
 
+// newRegistry builds the registry the flags ask for — standalone,
+// replicated, sharded, or sharded over replicated groups — out of mk,
+// the backend's maker of a standalone registry on its clock.
+func newRegistry(mk func() *registry.Registry, shards int, rcfg registry.ReplicaConfig) (flowRegistry, error) {
+	one := func() (*registry.Registry, error) {
+		r := mk()
+		if rcfg.Replicas > 0 {
+			return r.Replicate(rcfg)
+		}
+		r.UseFaults(rcfg.Faults)
+		return r, nil
+	}
+	var reg flowRegistry
+	var err error
+	if shards > 1 {
+		reg, err = registry.ShardedOf(shards, one)
+	} else {
+		reg, err = one()
+	}
+	if err != nil { // only Replicate can fail, on the replica count
+		return nil, fmt.Errorf("-replicas: %v", err)
+	}
+	return reg, nil
+}
+
 // newFabricBackend builds the deterministic simulation from the flags
-// only it can honour (desOnlyFlags says why for each): a seeded kernel,
-// the calibrated fabric with its loss model and fault plan, and the
-// registry — standalone, replicated, sharded, or sharded over replicated
-// groups.
+// only it can honour (desOnlyFlags says why for each): a seeded kernel
+// and the calibrated fabric with its loss model and fault plan.
 func newFabricBackend(nodes int, seed int64, loss float64, faults string, shards int, rcfg registry.ReplicaConfig) (*backend, error) {
 	k := sim.New(seed)
 	k.Deadline = time.Hour
@@ -67,29 +90,9 @@ func newFabricBackend(nodes int, seed int64, loss float64, faults string, shards
 
 		wireOverhead: fcfg.WireOverheadBytes,
 	}
-	switch {
-	case shards > 1 && rcfg.Replicas > 0:
-		sharded, err := registry.NewShardedReplicated(k, shards, rcfg)
-		if err != nil {
-			return nil, fmt.Errorf("-reg-shards/-replicas: %v", err)
-		}
-		b.reg = sharded
-	case shards > 1:
-		sharded := registry.NewSharded(k, shards)
-		sharded.UseFaults(rcfg.Faults)
-		b.reg = sharded
-	case rcfg.Replicas > 0:
-		repl, err := registry.NewReplicated(k, rcfg)
-		if err != nil {
-			return nil, fmt.Errorf("-replicas: %v", err)
-		}
-		b.reg = repl
-	default:
-		r := registry.New(k)
-		r.UseFaults(rcfg.Faults)
-		b.reg = r
-	}
-	return b, nil
+	var err error
+	b.reg, err = newRegistry(func() *registry.Registry { return registry.New(k) }, shards, rcfg)
+	return b, err
 }
 
 // parseFaults builds the fabric's fault plan and the registry's fault

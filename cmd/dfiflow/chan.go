@@ -11,23 +11,19 @@ import (
 
 // desOnlyFlags maps the dfiflow flags -transport=chan cannot honour to
 // the reason: what is being simulated (the seed, fault plans against the
-// simulated fabric, switch multicast and its loss model) and the
-// registry variants whose constructors take a sim kernel. Everything
+// simulated fabric, switch multicast and its loss model). Everything
 // else — fleets, partitioning schemes, leases, evictions, rejoin
-// schedules, recovery timeouts, combiner flows, the ops plane — is the
-// same program on either clock. Each flag is rejected by name instead
-// of being silently ignored.
+// schedules, recovery timeouts, combiner flows, the replicated and the
+// sharded registry, the ops plane — is the same program on either
+// clock. Each flag is rejected by name instead of being silently
+// ignored.
 var desOnlyFlags = map[string]string{
-	"faults":         "fault injection hooks into the simulated fabric",
-	"seed":           "the chan backend runs on wall clock, not a seeded DES",
-	"loss":           "multicast loss is injected by the simulated switch",
-	"multicast":      "core has not been driven over chanloop's multicast group yet",
-	"ordered":        "global ordering rides the multicast group",
-	"gap-nacks":      "gap recovery rides the multicast group",
-	"replicas":       "the replicated registry is built on the sim-backed registry constructors",
-	"snapshot-every": "log snapshots belong to the replicated registry (sim-backed registry constructors)",
-	"unlogged-renew": "heartbeat relaxation belongs to the replicated registry (sim-backed registry constructors)",
-	"reg-shards":     "registry shards are built on the sim-backed registry constructors",
+	"faults":    "fault injection hooks into the simulated fabric",
+	"seed":      "the chan backend runs on wall clock, not a seeded DES",
+	"loss":      "multicast loss is injected by the simulated switch",
+	"multicast": "core has not been driven over chanloop's multicast group yet",
+	"ordered":   "global ordering rides the multicast group",
+	"gap-nacks": "gap recovery rides the multicast group",
 }
 
 // lockedWriter serializes writes from concurrent goroutines.
@@ -45,7 +41,11 @@ func (l *lockedWriter) Write(b []byte) (int, error) {
 // newChanBackend builds the wall-clock backend: chanloop endpoints, real
 // goroutines and real bytes, the registry on the wall clock. -lease,
 // -evict and -rejoin times are wall-clock there.
-func newChanBackend(nodes int) *backend {
+func newChanBackend(nodes, shards int, rcfg registry.ReplicaConfig) (*backend, error) {
+	reg, err := newRegistry(registry.NewLocal, shards, rcfg)
+	if err != nil {
+		return nil, err
+	}
 	net := chanloop.New()
 	eps := make([]transport.Endpoint, nodes)
 	for i := range eps {
@@ -55,7 +55,7 @@ func newChanBackend(nodes int) *backend {
 	aborted := make(chan struct{})
 	return &backend{
 		tpt:  net,
-		reg:  registry.NewLocal(),
+		reg:  reg,
 		node: func(i int) transport.Endpoint { return eps[i] },
 		spawn: func(name string, body func(transport.Ctx)) {
 			wg.Add(1)
@@ -82,5 +82,5 @@ func newChanBackend(nodes int) *backend {
 		clock: "wall",
 		via:   " over chan transport",
 		rate:  "in-process memory copies",
-	}
+	}, nil
 }

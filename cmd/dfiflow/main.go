@@ -227,20 +227,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// The one per-backend step: a cluster and a registry on its clock.
 	var b *backend
+	rcfg := registry.ReplicaConfig{Replicas: *replicas, SnapshotEvery: *snapEvery, UnloggedRenew: *unlogRen}
 	switch *transportF {
 	case "fabric":
-		b, err = newFabricBackend(*nSources+*nTargets, *seed, *loss, *faults, *regShards,
-			registry.ReplicaConfig{Replicas: *replicas, SnapshotEvery: *snapEvery, UnloggedRenew: *unlogRen})
-		if err != nil {
-			return usage("%v", err)
-		}
+		b, err = newFabricBackend(*nSources+*nTargets, *seed, *loss, *faults, *regShards, rcfg)
 	case "chan":
-		if err := rejected(fs, desOnlyFlags, "-transport=chan does not support -%s: %s (see docs/ARCHITECTURE.md, DES-only knobs)"); err != nil {
-			return usage("%v", err)
+		if err = rejected(fs, desOnlyFlags, "-transport=chan does not support -%s: %s (see docs/ARCHITECTURE.md, DES-only knobs)"); err == nil {
+			b, err = newChanBackend(*nSources+*nTargets, *regShards, rcfg)
 		}
-		b = newChanBackend(*nSources + *nTargets)
 	default:
 		return usage("unknown transport %q (want fabric or chan)", *transportF)
+	}
+	if err != nil {
+		return usage("%v", err)
 	}
 	var rec *transport.Recorder
 	if *traceOps > 0 {

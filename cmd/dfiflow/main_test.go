@@ -120,24 +120,23 @@ func TestChanTransportRunsFlow(t *testing.T) {
 }
 
 // TestChanTransportRejectsDESOnlyFlags pins the guard rail: flags whose
-// machinery is the simulation itself, or a registry variant built on the
-// kernel, fail fast with a config error instead of being silently
-// ignored — and the flags the one registry and the one run made work are
+// machinery is the simulation itself fail fast with a config error
+// instead of being silently ignored — and the flags the one registry,
+// the one run and the kernel-free registry constructors made work are
 // not among them.
 func TestChanTransportRejectsDESOnlyFlags(t *testing.T) {
-	if len(desOnlyFlags) > 10 {
-		t.Errorf("desOnlyFlags has %d entries, want at most 10", len(desOnlyFlags))
+	if len(desOnlyFlags) > 6 {
+		t.Errorf("desOnlyFlags has %d entries, want at most 6", len(desOnlyFlags))
 	}
 	for _, name := range []string{"lease", "evict", "metrics-addr", "linger", "events", "events-out",
-		"type", "flows", "partition", "retransmit", "srctimeout", "rejoin"} {
+		"type", "flows", "partition", "retransmit", "srctimeout", "rejoin",
+		"replicas", "snapshot-every", "unlogged-renew", "reg-shards"} {
 		if why, ok := desOnlyFlags[name]; ok {
 			t.Errorf("-%s is still rejected on -transport=chan: %s", name, why)
 		}
 	}
 	for _, args := range [][]string{
 		{"-transport", "chan", "-faults", "drop-write=0.01"},
-		{"-transport", "chan", "-replicas", "3"},
-		{"-transport", "chan", "-reg-shards", "2"},
 		{"-transport", "chan", "-multicast"},
 		{"-transport", "chan", "-seed", "7"},
 	} {
@@ -175,6 +174,10 @@ func TestSameArgsOnBothTransports(t *testing.T) {
 		{"srctimeout", []string{"-srctimeout", "1s"}, true},
 		{"combiner", []string{"-type", "combiner", "-sources", "3"}, false},
 		{"rejoin", []string{"-lease", "1s", "-evict", "1@500us", "-rejoin", "1@1ms", "-targets", "3", "-mb", "8"}, false},
+		{"replicas", []string{"-replicas", "3", "-lease", "1s"}, true},
+		{"snapshot-every", []string{"-replicas", "3", "-lease", "1s", "-snapshot-every", "4"}, true},
+		{"unlogged-renew", []string{"-replicas", "3", "-lease", "1s", "-unlogged-renew"}, true},
+		{"reg-shards", []string{"-shared", "-flows", "4", "-lease", "1s", "-reg-shards", "2"}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var pushed [2]string

@@ -28,12 +28,12 @@ func (s *Source) chargePushN(p transport.Ctx, n int) {
 		return
 	}
 	if s.spec.Options.Optimization == OptimizeLatency {
-		s.node.Compute(p, time.Duration(n)*s.spec.Options.PushCost)
+		s.node.Compute(p, time.Duration(n)*pushCost)
 		return
 	}
 	s.pendingCharge += n
 	for s.pendingCharge >= chargeBatch {
-		s.node.Compute(p, chargeBatch*s.spec.Options.PushCost)
+		s.node.Compute(p, chargeBatch*pushCost)
 		s.pendingCharge -= chargeBatch
 	}
 }

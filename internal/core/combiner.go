@@ -113,7 +113,6 @@ func CombinerTargetOpen(p transport.Ctx, reg Registry, name string, idx int) (*C
 func (c *CombinerTarget) Run(p transport.Ctx) {
 	sch := c.t.Schema()
 	ts := sch.TupleSize()
-	aggCost := c.t.spec.Options.AggCost
 	for {
 		data, count, ok := c.t.ConsumeSegment(p)
 		if !ok {

@@ -170,9 +170,10 @@ type Options struct {
 	GroupCol    int
 	ValueCol    int
 
-	// CreditThreshold is the remaining-credit level at which a
-	// latency-optimized source refreshes its credit from the target
-	// (default SegmentsPerRing/4).
+	// CreditThreshold is the remaining window — ring slots not yet
+	// written into, as far as the source knows — at which a
+	// latency-optimized source reads the target's consumed counter ahead
+	// of need (default SegmentsPerRing/4).
 	CreditThreshold int
 
 	// Elastic allows sources to join a running flow with AttachSource and
@@ -205,7 +206,7 @@ type Options struct {
 
 	// RetransmitTimeout enables source-side loss recovery (extension
 	// beyond the paper): a writer blocked for this long on remote ring
-	// space, credit, or delivery confirmation resynchronizes against the
+	// space or delivery confirmation resynchronizes against the
 	// ring-header consumed counter and retransmits every written but
 	// unconsumed segment still resident in its local ring. Zero (the
 	// default) keeps the writer's waits unbounded, which is correct on a
@@ -224,7 +225,7 @@ type Options struct {
 	// model, see docs/PROTOCOL.md): every endpoint acquires a registry
 	// lease at open and renews it on a background tick (TTL/3). A lease
 	// unrenewed for LeaseTTL moves the endpoint to Suspect, and after a
-	// further SuspectGrace to Evicted, bumping the flow epoch. Sources
+	// further LeaseTTL to Evicted, bumping the flow epoch. Sources
 	// re-route an evicted target's key range over the survivors (shuffle/
 	// combiner) or drop the dead leg (replicate); targets close the rings
 	// of evicted sources. On multicast replicate flows, leases
@@ -239,16 +240,9 @@ type Options struct {
 	// local ring, so the resident retransmit window is required.
 	LeaseTTL time.Duration
 
-	// SuspectGrace is how long a Suspect endpoint may stay unrenewed
-	// before eviction (default LeaseTTL).
-	SuspectGrace time.Duration
-
-	// PushCost and ConsumeCost are the per-tuple CPU costs charged at the
-	// source and target (defaults 12ns / 10ns; see DESIGN.md §6). AggCost
-	// is the additional per-tuple aggregation cost of combiner flows.
-	PushCost    time.Duration
+	// ConsumeCost is the per-tuple CPU cost charged at the target
+	// (default 10ns; see DESIGN.md §6).
 	ConsumeCost time.Duration
-	AggCost     time.Duration
 
 	// SharedRings multiplexes the flow over the cluster's shared
 	// per-node-pair rings (dfi/internal/transport/sharedring) instead of
@@ -278,6 +272,16 @@ type Options struct {
 	TenantWeight int
 }
 
+// Settings no caller has ever set differently, hence not Options: the
+// per-tuple CPU cost charged at the source, the additional per-tuple
+// aggregation cost at a combiner target (DESIGN.md §6), and — in
+// enrollLease — a Suspect endpoint's grace before eviction, one more
+// LeaseTTL.
+const (
+	pushCost = 12 * time.Nanosecond
+	aggCost  = 10 * time.Nanosecond
+)
+
 // ErrFlowBroken reports that a flow endpoint gave up after bounded
 // recovery: the peer is unreachable (e.g. crashed) or made no progress
 // through MaxRetransmits consecutive recovery rounds. Returned wrapped,
@@ -299,23 +303,6 @@ var ErrUnsupportedOnMulticast = errors.New("dfi: operation not supported on mult
 // an evicted endpoint's in-flight segments are gone). Returned wrapped,
 // so test with errors.Is.
 var ErrUnsupportedOnShared = errors.New("dfi: operation not supported on shared-ring flows")
-
-// footerBytes is the per-segment footer: 4B fill count, 1B flags,
-// 3B reserved, 8B sequence number. The footer lies after the payload so the
-// NIC's increasing-address DMA order makes "footer visible" imply "payload
-// complete" (paper §5.2).
-const footerBytes = 16
-
-// ringHeaderBytes precedes each ring: an 8-byte consumed counter (read
-// remotely by latency-optimized sources for credit refresh), padded to a
-// cache line.
-const ringHeaderBytes = 64
-
-// Footer flag bits.
-const (
-	flagConsumable = 1 << 0
-	flagEndOfFlow  = 1 << 1
-)
 
 // FlowSpec declares a flow: its unique name, participating source and
 // target threads, tuple schema, routing, and options.
@@ -390,10 +377,10 @@ type ringGeom struct {
 	nSegs   int
 }
 
-func (g ringGeom) stride() int  { return g.segSize + footerBytes }
-func (g ringGeom) ringLen() int { return ringHeaderBytes + g.nSegs*g.stride() }
+func (g ringGeom) stride() int  { return g.segSize + transport.SegDescBytes }
+func (g ringGeom) ringLen() int { return transport.RingHeaderBytes + g.nSegs*g.stride() }
 func (g ringGeom) segOff(i int) int {
-	return ringHeaderBytes + i*g.stride()
+	return transport.RingHeaderBytes + i*g.stride()
 }
 
 // ringGeometry derives the target-ring layout from the normalized options.
@@ -493,9 +480,6 @@ func (s *FlowSpec) normalize() error {
 		}
 	}
 	if o.LeaseTTL > 0 {
-		if o.SuspectGrace <= 0 {
-			o.SuspectGrace = o.LeaseTTL
-		}
 		if o.RetransmitTimeout <= 0 && !o.SharedRings {
 			// Rerouting rides on the recovery machinery: bounded waits to
 			// escape a dead target, and a resident local window to drain
@@ -523,14 +507,8 @@ func (s *FlowSpec) normalize() error {
 	if o.GapTimeout == 0 {
 		o.GapTimeout = 20 * time.Microsecond
 	}
-	if o.PushCost == 0 {
-		o.PushCost = 12 * time.Nanosecond
-	}
 	if o.ConsumeCost == 0 {
 		o.ConsumeCost = 10 * time.Nanosecond
-	}
-	if o.AggCost == 0 {
-		o.AggCost = 10 * time.Nanosecond
 	}
 	switch s.Options.Optimization {
 	case OptimizeBandwidth, OptimizeLatency:

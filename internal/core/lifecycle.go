@@ -102,7 +102,8 @@ func enrollLease(p transport.Ctx, tpt transport.Transport, reg Registry, node tr
 	if o.LeaseTTL <= 0 {
 		return nil
 	}
-	if err := reg.AcquireLease(p, flow, role, idx, o.LeaseTTL, o.SuspectGrace); err != nil {
+	// A Suspect slot's grace before eviction is one more TTL.
+	if err := reg.AcquireLease(p, flow, role, idx, o.LeaseTTL, o.LeaseTTL); err != nil {
 		return err
 	}
 	mem, err := membershipOf(reg, flow)

@@ -397,7 +397,7 @@ func TestLifecycleRegistryFailoverMidSetup(t *testing.T) {
 	// clients retry idempotently, the standby is promoted, and every
 	// endpoint still opens the flow — the data plane never notices.
 	e := newEnv(t, 3)
-	rr, err := registry.NewReplicated(e.k, registry.ReplicaConfig{
+	rr, err := registry.New(e.k).Replicate(registry.ReplicaConfig{
 		RPCDelay: 500 * time.Nanosecond,
 		Faults:   &registry.Faults{CrashMaster: 5 * time.Microsecond},
 	})

@@ -13,8 +13,9 @@ import (
 // implementation: publish/wait for flow and target metadata, the
 // lease/membership control plane, and sequencer recovery state.
 // *registry.Registry implements all of it on either backend — on the
-// simulation kernel's clock (registry.New, NewReplicated) or the host's
-// (registry.NewLocal) — and *registry.Sharded routes it by flow name.
+// simulation kernel's clock (registry.New) or the host's
+// (registry.NewLocal), standalone or replicated — and *registry.Sharded
+// routes it by flow name.
 type Registry interface {
 	// Flow metadata.
 	Publish(p transport.Ctx, name string, meta any) error

@@ -38,10 +38,14 @@ import (
 // target is detached from the group and the credit accounting, and a
 // rejoining target resumes from an installable sequencer snapshot.
 
-// Multicast message header: fill(4) flags(1) srcIdx(1) epoch(2) seq(8).
-// The epoch field is the low 16 bits of the membership epoch the sender
-// had folded in (0 on flows without leases).
-const mcHeaderBytes = 16
+// A multicast message leads with the segment descriptor every ring kind
+// uses (transport.SegDesc); its tag is mcTag: the source index and the
+// low 16 bits of the membership epoch the sender had folded in (0 on
+// flows without leases).
+func mcTag(src int, epoch uint64) uint32 { return uint32(byte(src)) | uint32(uint16(epoch))<<8 }
+
+// mcSrc is the source index in a received segment's tag.
+func mcSrc(tag uint32) int { return int(byte(tag)) }
 
 // Control message (16 bytes): kind(1) srcIdx(1) rsvd(6) value(8).
 // ctrlGapHave appends a full segment copy after the fixed header.
@@ -175,7 +179,7 @@ func newMcSource(p transport.Ctx, reg Registry, meta *flowMeta, idx int) (*mcSou
 		credit:      spec.Options.SegmentsPerRing,
 		consumedBy:  make([]uint64, len(spec.Targets)),
 		history:     make(map[uint64][]byte),
-		segBuf:      make([]byte, mcHeaderBytes+spec.Options.SegmentSize),
+		segBuf:      make([]byte, transport.SegDescBytes+spec.Options.SegmentSize),
 		ownIdx:      make([]int, len(spec.Targets)),
 		failedTgt:   make([]bool, len(spec.Targets)),
 		evictedTgt:  make([]bool, len(spec.Targets)),
@@ -226,7 +230,7 @@ func (s *mcSource) agreementEnabled() bool {
 // a ctrlGapHave answer carrying a full segment copy.
 func (s *mcSource) ctrlBufSize() int {
 	if s.agreementEnabled() {
-		return ctrlBytes + mcHeaderBytes + s.spec.Options.SegmentSize
+		return ctrlBytes + transport.SegDescBytes + s.spec.Options.SegmentSize
 	}
 	return ctrlBytes
 }
@@ -338,12 +342,12 @@ func (s *mcSource) reconnectTarget(p transport.Ctx, j int, inc uint64) {
 // endMarker builds the reliable end-of-flow message: a header-only
 // segment whose seq field carries the per-source segment count.
 func (s *mcSource) endMarker() []byte {
-	end := make([]byte, mcHeaderBytes)
-	binary.LittleEndian.PutUint32(end[0:4], 0)
-	end[4] = flagConsumable | flagEndOfFlow
-	end[5] = byte(s.idx)
-	binary.LittleEndian.PutUint16(end[6:8], uint16(s.epoch))
-	binary.LittleEndian.PutUint64(end[8:16], s.sentSegs.Load()) // segment count
+	end := make([]byte, transport.SegDescBytes)
+	transport.SegDesc{
+		Flags: transport.SegCommitted | transport.SegEnd,
+		Tag:   mcTag(s.idx, s.epoch),
+		Seq:   s.sentSegs.Load(), // segment count
+	}.Put(end)
 	return end
 }
 
@@ -355,7 +359,7 @@ func (s *mcSource) push(p transport.Ctx, t schema.Tuple) error {
 			return err
 		}
 	}
-	copy(s.segBuf[mcHeaderBytes+s.fill:], t)
+	copy(s.segBuf[transport.SegDescBytes+s.fill:], t)
 	s.fill += len(t)
 	if s.spec.Options.Optimization == OptimizeLatency {
 		return s.sendSegment(p, false)
@@ -400,19 +404,14 @@ func (s *mcSource) sendSegment(p transport.Ctx, end bool) error {
 	} else {
 		seq = s.sentSegs.Load()
 	}
-	flags := byte(flagConsumable)
+	flags := byte(transport.SegCommitted)
 	if end {
-		flags |= flagEndOfFlow
+		flags |= transport.SegEnd
 	}
-	h := s.segBuf
-	binary.LittleEndian.PutUint32(h[0:4], uint32(s.fill))
-	h[4] = flags
-	h[5] = byte(s.idx)
-	binary.LittleEndian.PutUint16(h[6:8], uint16(s.epoch))
-	binary.LittleEndian.PutUint64(h[8:16], seq)
+	transport.SegDesc{Fill: uint32(s.fill), Flags: flags, Tag: mcTag(s.idx, s.epoch), Seq: seq}.Put(s.segBuf)
 
-	msg := make([]byte, mcHeaderBytes+s.fill)
-	copy(msg, s.segBuf[:mcHeaderBytes+s.fill])
+	msg := make([]byte, transport.SegDescBytes+s.fill)
+	copy(msg, s.segBuf[:transport.SegDescBytes+s.fill])
 	s.history[seq] = msg
 	s.histOrder = append(s.histOrder, seq)
 	if len(s.histOrder) > 4*s.credit {
@@ -860,7 +859,7 @@ func newMcTargetState(reg Registry, meta *flowMeta, idx int, node transport.Endp
 		t.frozen = make(map[uint64]int)
 		t.seqQP, _ = meta.cluster.Dial(node, meta.seqMR.Owner())
 	}
-	stride := mcHeaderBytes + spec.Options.SegmentSize
+	stride := transport.SegDescBytes + spec.Options.SegmentSize
 	// One slab backs all receive buffers (registered for accounting). The
 	// posted queues hold nSrc*R (multicast) + nSrc*(R+2) (reliable path)
 	// buffers at all times; pending reordering and the active segment hold
@@ -1042,16 +1041,13 @@ func (t *mcTarget) ingest(p transport.Ctx, buf []byte, bytes int, origin recvOri
 		t.recycle(buf)
 		return
 	}
-	h := buf[:mcHeaderBytes]
-	fill := int(binary.LittleEndian.Uint32(h[0:4]))
-	flags := h[4]
-	src := int(h[5])
-	seq := binary.LittleEndian.Uint64(h[8:16])
+	d := transport.ParseSegDesc(buf)
+	fill, flags, src, seq := int(d.Fill), d.Flags, mcSrc(d.Tag), d.Seq
 	if src >= 0 && src < len(t.heard) {
 		t.heard[src] = true
 		t.lastHeard[src] = p.Now()
 	}
-	if flags&flagEndOfFlow != 0 && fill == 0 {
+	if flags&transport.SegEnd != 0 && fill == 0 {
 		// End marker: seq carries the source's total segment count.
 		if !t.ended[src] {
 			t.ended[src] = true
@@ -1297,7 +1293,7 @@ func (t *mcTarget) headDeliverable() (buf []byte, src int, ok bool) {
 			}
 		}
 		if b, exists := t.pending[t.nextGlobal]; exists {
-			return b, int(b[5]), true
+			return b, mcSrc(transport.ParseSegDesc(b).Tag), true
 		}
 		return nil, 0, false
 	}
@@ -1378,7 +1374,8 @@ func (t *mcTarget) seqSpaceSize(p transport.Ctx) (uint64, bool) {
 // deliver activates a pending segment for consumption and returns its
 // tuple payload.
 func (t *mcTarget) deliver(p transport.Ctx, buf []byte, src int) []byte {
-	seq := binary.LittleEndian.Uint64(buf[8:16])
+	d := transport.ParseSegDesc(buf)
+	seq, fill := d.Seq, int(d.Fill)
 	delete(t.pending, t.key(src, seq))
 	if t.spec.Options.GlobalOrdering {
 		t.nextGlobal = seq + 1
@@ -1390,9 +1387,8 @@ func (t *mcTarget) deliver(p transport.Ctx, buf []byte, src int) []byte {
 	t.gapSince = 0
 	t.gapNacks = 0
 
-	fill := int(binary.LittleEndian.Uint32(buf[0:4]))
 	if t.agreementEnabled() {
-		t.retainDelivered(seq, buf[:mcHeaderBytes+fill])
+		t.retainDelivered(seq, buf[:transport.SegDescBytes+fill])
 		t.reportProgress(p)
 	}
 	count := fill / t.tupleSize
@@ -1403,7 +1399,7 @@ func (t *mcTarget) deliver(p transport.Ctx, buf []byte, src int) []byte {
 	if t.ended[src] && t.delivered[src].Load() >= t.endCount[src] {
 		t.sendFinalCredit(p, src) // termination handshake
 	}
-	return buf[mcHeaderBytes : mcHeaderBytes+count*t.tupleSize]
+	return buf[transport.SegDescBytes : transport.SegDescBytes+count*t.tupleSize]
 }
 
 // retainDelivered keeps a copy of a delivered segment for gap probes.

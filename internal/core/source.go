@@ -219,7 +219,7 @@ func (s *Source) chargePush(p transport.Ctx) {
 // settleCharge flushes any accumulated per-tuple CPU cost.
 func (s *Source) settleCharge(p transport.Ctx) {
 	if s.pendingCharge > 0 {
-		s.node.Compute(p, time.Duration(s.pendingCharge)*s.spec.Options.PushCost)
+		s.node.Compute(p, time.Duration(s.pendingCharge)*pushCost)
 		s.pendingCharge = 0
 	}
 }

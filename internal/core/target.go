@@ -135,7 +135,7 @@ type privateFeed struct {
 
 	// Scratch buffers for Region.Load/Store of footer and header bytes
 	// (kept on the struct so the hot consume path does not allocate).
-	footerScratch [footerBytes]byte
+	footerScratch [transport.SegDescBytes]byte
 	hdrScratch    [8]byte
 }
 
@@ -287,7 +287,7 @@ func (f *privateFeed) reset(r *ringReader) {
 	}
 	r.consumed.Store(0)
 	r.rslot = 0
-	var zero [footerBytes]byte
+	var zero [transport.SegDescBytes]byte
 	for i := 0; i < f.geom.nSegs; i++ {
 		off := r.ringOff + f.geom.segOff(i) + f.geom.segSize
 		f.mr.Store(off, zero[:])
@@ -302,7 +302,7 @@ func (f *privateFeed) reset(r *ringReader) {
 func (f *privateFeed) release(r *ringReader) {
 	// The footer flag is remotely READ by writer probes and the header
 	// counter by credit reads, so both stores go through Region.Store.
-	f.mr.Store(f.footerOff(r)+4, zeroFlag[:])
+	f.mr.Store(f.footerOff(r)+transport.SegDescFlagsOff, zeroFlag[:])
 	n := r.consumed.Load() + 1 // this process is the counter's only writer
 	r.consumed.Store(n)
 	binary.LittleEndian.PutUint64(f.hdrScratch[:], n)
@@ -320,7 +320,8 @@ func (f *privateFeed) loadSegment(p transport.Ctx, r *ringReader) ([]byte, bool)
 	// the DES fabric).
 	ftr := f.footerScratch[:]
 	f.mr.Load(f.footerOff(r), ftr)
-	if ftr[4]&flagConsumable == 0 {
+	d := transport.ParseSegDesc(ftr)
+	if d.Flags&transport.SegCommitted == 0 {
 		return nil, false
 	}
 	// The footer sequence number must match this lap's expected segment.
@@ -328,12 +329,11 @@ func (f *privateFeed) loadSegment(p transport.Ctx, r *ringReader) ([]byte, bool)
 	// typically a retransmission or fault-injected duplicate of a segment
 	// already consumed — which must not be consumed twice. The slot stays
 	// blocked until the writer's current-lap WRITE overwrites it.
-	seq := binary.LittleEndian.Uint64(ftr[8:16])
+	seq, fill := d.Seq, int(d.Fill)
 	if seq != r.consumed.Load() {
 		return nil, false
 	}
-	fill := int(binary.LittleEndian.Uint32(ftr[0:4]))
-	if ftr[4]&flagEndOfFlow != 0 {
+	if d.Flags&transport.SegEnd != 0 {
 		r.closed = true
 	}
 	t := f.t

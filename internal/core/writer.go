@@ -14,43 +14,44 @@ import (
 // Completion-ID tag bits distinguishing the writer's work requests on its
 // send CQ.
 const (
-	idFooterRead = 1 << 63
-	idWrapWrite  = 1 << 62
-	idCreditRead = 1 << 61
+	idFooterRead  = 1 << 63
+	idWrapWrite   = 1 << 62
+	idCounterRead = 1 << 61
 )
 
 // ringWriter is the private-ring leg: it moves one source's tuples into
 // one target's private ring (paper Figure 4). The embedded leg holds the
-// segment being filled; this file is what happens to a filled segment. It
-// implements both optimization modes:
+// segment being filled; this file is what happens to a filled segment:
+// one RDMA WRITE whose 16-byte footer (transport.SegDesc) trails the
+// payload, so the target detects complete segments without checksums,
+// signaled only every sigEvery-th time (selective signaling).
 //
-//   - Bandwidth: tuples batch into 8 KiB segments; each full segment is one
-//     RDMA WRITE whose 16-byte footer (fill count + consumable flag +
-//     sequence number) trails the payload, so the target detects complete
-//     segments without checksums. Writes are signaled only when the local
-//     source ring wraps (selective signaling); remote-slot reuse is
-//     verified with RDMA READs of the next footer, pipelined with writes,
-//     falling back to randomized-backoff polling when the target lags.
-//
-//   - Latency: each tuple is written immediately into a tuple-sized
-//     segment. A credit counter (initialized to the ring size) avoids the
-//     per-write footer check; the source refreshes credit by reading the
-//     target's consumed counter when the local copy drops below the
-//     threshold.
+// Flow control is one window in both optimization modes: written − acked
+// segments are outstanding and may not exceed the ring size. The modes —
+// bandwidth batches tuples into 8 KiB segments, latency writes each tuple
+// at once into a tuple-sized segment — differ in how acked is learnt
+// (postProbe): bandwidth mode READs the footer of an outstanding slot
+// half a window ahead, latency mode READs the ring header's consumed
+// counter. Either probe is posted ahead of need, when the window left
+// drops to lowWater, and again by await when the writer is blocked.
+// Where a missed probe backs off (await) and when the CQ is polled
+// (awaitSlot) follow the probe's mode too: both cost virtual time.
 type ringWriter struct {
 	leg
 
-	tpt     transport.Transport
-	node    transport.Endpoint
 	qp      transport.Queue
 	remote  transport.Region
 	ringOff int
 	geom    ringGeom
 	opts    *Options
+	latency bool // Optimization == OptimizeLatency
+	// lowWater is the remaining window at which a write posts the next
+	// probe ahead of need: CreditThreshold in latency mode, 2 slots in
+	// bandwidth mode.
+	lowWater int
 
 	local   transport.Region
 	srcSegs int
-	sslot   int
 
 	// written is mirrored into leg.segsWritten for concurrent scrape: the
 	// ring arithmetic needs the plain field, so writeSegment republishes
@@ -70,13 +71,11 @@ type ringWriter struct {
 	probeWrite    uint64 // ring-write number the in-flight footer read probes
 	completedW    uint64 // writes known complete (from signaled completions)
 	sigEvery      int    // signal every sigEvery-th write
-	seq           uint64
 
-	// Latency mode.
-	credits       int
-	sent          uint64
-	creditBuf     []byte
-	creditPending bool
+	// READs of the ring header's consumed counter: latency mode's probe
+	// and, in both modes, recovery's resync.
+	counterBuf     []byte
+	counterPending bool
 
 	// Diagnostics: virtual time spent blocked (nanoseconds), by cause.
 	// Atomic so a scraper goroutine can read Stats() while the flow runs;
@@ -102,23 +101,25 @@ type ringWriter struct {
 func newRingWriter(cluster transport.Transport, node transport.Endpoint, ti *targetInfo, ringOff int, opts *Options) *ringWriter {
 	qp, _ := cluster.Dial(node, ti.mr.Owner())
 	w := &ringWriter{
-		leg:       leg{segSize: ti.geom.segSize},
-		tpt:       cluster,
-		node:      node,
-		qp:        qp,
-		remote:    ti.mr,
-		ringOff:   ringOff,
-		geom:      ti.geom,
-		opts:      opts,
-		srcSegs:   opts.SourceSegments,
-		sigEvery:  signalCadence(opts.SourceSegments),
-		credits:   ti.geom.nSegs,
-		footerBuf: make([]byte, footerBytes),
-		creditBuf: make([]byte, 8),
+		leg:        leg{segSize: ti.geom.segSize},
+		qp:         qp,
+		remote:     ti.mr,
+		ringOff:    ringOff,
+		geom:       ti.geom,
+		opts:       opts,
+		latency:    opts.Optimization == OptimizeLatency,
+		lowWater:   2,
+		srcSegs:    opts.SourceSegments,
+		sigEvery:   signalCadence(opts.SourceSegments),
+		footerBuf:  make([]byte, transport.SegDescBytes),
+		counterBuf: make([]byte, 8),
+	}
+	if w.latency {
+		w.lowWater = opts.CreditThreshold
 	}
 	w.local = cluster.OpenRegion(node, w.srcSegs*w.geom.stride())
 	w.tx = w
-	w.buf = w.localSeg()
+	w.buf = w.localSeg(0)
 	return w
 }
 
@@ -143,10 +144,8 @@ func (w *ringWriter) harvest(tupleSize int) [][]byte {
 		lo = w.written - uint64(w.srcSegs)
 	}
 	for n := lo; n < w.written; n++ {
-		lbase := int(n%uint64(w.srcSegs)) * w.geom.stride()
-		seg := w.local.Bytes()[lbase : lbase+w.geom.stride()]
-		footer := seg[w.geom.segSize:]
-		fill := int(binary.LittleEndian.Uint32(footer[0:4]))
+		seg := w.localSeg(n)
+		fill := int(transport.ParseSegDesc(seg[w.geom.segSize:]).Fill)
 		for off := 0; off+tupleSize <= fill; off += tupleSize {
 			out = append(out, seg[off:off+tupleSize])
 		}
@@ -154,9 +153,10 @@ func (w *ringWriter) harvest(tupleSize int) [][]byte {
 	return out
 }
 
-// localSeg returns the current local segment's full-stride buffer.
-func (w *ringWriter) localSeg() []byte {
-	base := w.sslot * w.geom.stride()
+// localSeg returns the full-stride local buffer of write number n (the
+// segment being filled is that of write number written).
+func (w *ringWriter) localSeg(n uint64) []byte {
+	base := int(n%uint64(w.srcSegs)) * w.geom.stride()
 	return w.local.Bytes()[base : base+w.geom.stride()]
 }
 
@@ -171,122 +171,56 @@ func (w *ringWriter) remoteHeaderAddr() transport.Addr {
 }
 
 // pushImmediate transfers one tuple right away (latency mode): a full
-// segment write under credit flow control.
+// segment write under the window.
 func (w *ringWriter) pushImmediate(p transport.Ctx, tuple []byte) error {
 	if err := w.checkAbort(); err != nil {
 		return err
 	}
-	if err := w.ensureCredit(p); err != nil {
+	if err := w.awaitSlot(p); err != nil {
 		return err
 	}
 	w.drainCQ(p)
 	if err := w.waitLocalSlot(p); err != nil {
 		return err
 	}
-
 	copy(w.buf, tuple)
-	w.writeSegment(p, len(tuple), flagConsumable)
-	w.credits--
-	w.sent++
-	if w.credits <= w.opts.CreditThreshold && !w.creditPending {
-		w.qp.Read(p, w.creditBuf, w.remoteHeaderAddr(), true, idCreditRead)
-		w.creditPending = true
-	}
+	w.writeSegment(p, len(tuple), transport.SegCommitted)
+	w.probeAhead(p)
 	return nil
 }
 
-// ensureCredit blocks until at least one credit is available, reading the
-// target's consumed counter as needed. With RetransmitTimeout set, a stall
-// triggers resync-and-retransmit (the credit counter stalls exactly when a
-// segment the target needs next was lost).
-func (w *ringWriter) ensureCredit(p transport.Ctx) error {
-	rounds := 0
-	lastProgress := p.Now()
-	for w.credits <= 0 {
-		if err := w.checkAbort(); err != nil {
-			return err
-		}
-		if !w.creditPending {
-			w.qp.Read(p, w.creditBuf, w.remoteHeaderAddr(), true, idCreditRead)
-			w.creditPending = true
-		}
-		if w.opts.RetransmitTimeout <= 0 {
-			w.handleCompletion(p, w.qp.SendCQ().Wait(p))
-			if w.credits <= 0 && !w.creditPending {
-				w.backoff(p)
-			}
-			continue
-		}
-		c, ok := w.qp.SendCQ().WaitTimeout(p, w.opts.RetransmitTimeout)
-		if ok {
-			before := w.credits
-			w.handleCompletion(p, c)
-			if w.credits > before {
-				lastProgress = p.Now()
-				rounds = 0
-			}
-			if w.credits > 0 {
-				break
-			}
-			if p.Now()-lastProgress <= w.opts.RetransmitTimeout {
-				if !w.creditPending {
-					w.backoff(p)
-				}
-				continue
-			}
-			// Credit READs answer but the counter is stuck: the target is
-			// blocked on a segment that was lost. Fall through to recovery.
-		}
-		w.creditPending = false
-		before := w.credits
-		if err := w.recover(p); err != nil {
-			return err
-		}
-		lastProgress = p.Now()
-		if w.credits <= before {
-			if w.stalled(p, &rounds) {
-				return fmt.Errorf("%w: no credit after %d recovery rounds", ErrFlowBroken, rounds-1)
-			}
-		} else {
-			rounds = 0
-		}
-	}
-	return nil
-}
-
-// flush transfers the current (possibly partial) segment. Bandwidth mode.
+// flush transfers the current (possibly partial) segment; there is none
+// in latency mode.
 func (w *ringWriter) flush(p transport.Ctx) error {
 	if w.fill == 0 {
 		return nil
 	}
-	w.drainCQ(p)
-	if err := w.ensureRemoteWritable(p); err != nil {
+	if err := w.awaitSlot(p); err != nil {
 		return err
 	}
 	if err := w.waitLocalSlot(p); err != nil {
 		return err
 	}
-	w.writeSegment(p, w.fill, flagConsumable)
-
-	// Pipeline: while the segment is in flight, learn about the oldest
-	// outstanding remote slot so the next flush need not wait.
-	if int(w.written-w.acked) >= w.geom.nSegs-2 && !w.footerPending {
-		w.postFooterRead(p)
-	}
+	w.writeSegment(p, w.fill, transport.SegCommitted)
+	w.probeAhead(p)
 	return nil
+}
+
+// probeAhead pipelines the next probe with the segment just written, so
+// that by the time the window is used up the answer is already here.
+func (w *ringWriter) probeAhead(p transport.Ctx) {
+	if w.geom.nSegs-int(w.written-w.acked) <= w.lowWater && !w.probePending() {
+		w.postProbe(p)
+	}
 }
 
 // writeSegment stamps the footer of the current local segment and issues
 // the RDMA WRITE(s) to the next remote slot, advancing ring positions.
 // fill is the valid payload size.
 func (w *ringWriter) writeSegment(p transport.Ctx, fill int, flags byte) {
-	seg := w.localSeg()
+	seg := w.localSeg(w.written)
 	footer := seg[w.geom.segSize:]
-	binary.LittleEndian.PutUint32(footer[0:4], uint32(fill))
-	footer[4] = flags
-	footer[5], footer[6], footer[7] = 0, 0, 0
-	binary.LittleEndian.PutUint64(footer[8:16], w.seq)
-	w.seq++
+	transport.SegDesc{Fill: uint32(fill), Flags: flags, Seq: w.written}.Put(footer)
 
 	slot := int(w.written % uint64(w.geom.nSegs))
 	// Selective signaling: every sigEvery-th write carries a completion so
@@ -304,7 +238,7 @@ func (w *ringWriter) writeSegment(p transport.Ctx, fill int, flags byte) {
 		// write could lose the payload yet land the footer, exposing a
 		// stale segment body as valid.
 		w.qp.Write(p, seg, w.remoteSlotAddr(slot), transport.WriteOptions{
-			Signaled: signaled, ID: id, CommitTail: footerBytes,
+			Signaled: signaled, ID: id, CommitTail: transport.SegDescBytes,
 		})
 	} else {
 		// Sparse final segment: write the payload, then the footer as a
@@ -316,85 +250,120 @@ func (w *ringWriter) writeSegment(p transport.Ctx, fill int, flags byte) {
 		w.qp.WriteBatch(p, []transport.WriteWR{
 			{Src: seg[:fill], Dst: w.remoteSlotAddr(slot)},
 			{Src: footer, Dst: fAddr, Opts: transport.WriteOptions{
-				Signaled: signaled, ID: id, CommitTail: footerBytes,
+				Signaled: signaled, ID: id, CommitTail: transport.SegDescBytes,
 			}},
 		})
 	}
 	w.written++
 	w.segsWritten.Store(w.written)
 	w.payloadBytes.Add(uint64(fill))
-	w.sslot = (w.sslot + 1) % w.srcSegs
-	w.buf, w.fill = w.localSeg(), 0
+	w.buf, w.fill = w.localSeg(w.written), 0
 	if w.events != nil {
 		w.events.Emit(metrics.Event{
 			T: p.Now(), Node: w.evNode, Type: metrics.EvSegmentWrite,
 			Flow: w.evFlow, Epoch: w.mem.Epoch(), Role: "source",
-			Slot: w.evSlot, Seq: w.seq - 1, Bytes: uint64(fill),
+			Slot: w.evSlot, Seq: w.written - 1, Bytes: uint64(fill),
 		})
 	}
 }
 
-// ensureRemoteWritable blocks until the next remote slot is reusable,
-// reading its footer and polling with a small random backoff while the
-// target lags (paper §5.2). With RetransmitTimeout set, a stalled probe
-// pipeline (lost probe, lost probe response, or a lost WRITE the target is
-// stuck waiting for) triggers resync-and-retransmit instead of a hang.
-func (w *ringWriter) ensureRemoteWritable(p transport.Ctx) error {
+// awaitSlot blocks until the target's ring has room for one more
+// segment. Bandwidth mode first folds in what its pipelined probes have
+// brought back, and charges the wait to StallRemote. Latency mode polls
+// only what it waits for — a poll costs time, and pushImmediate's drain
+// follows its wait — and does not report the wait.
+func (w *ringWriter) awaitSlot(p transport.Ctx) error {
+	free := uint64(w.geom.nSegs) - 1
+	if w.latency {
+		return w.await(p, free)
+	}
+	w.drainCQ(p)
+	if w.written-w.acked <= free {
+		return nil
+	}
 	start := p.Now()
-	defer func() { w.StallRemote.Add(int64(p.Now() - start)) }()
+	err := w.await(p, free)
+	w.StallRemote.Add(int64(p.Now() - start))
+	return err
+}
+
+// await blocks until at most limit written segments are unacknowledged:
+// nSegs−1 is "one slot is free", 0 is "everything was consumed". It is
+// the writer's one bounded wait. Each turn posts a probe unless one is in
+// flight and takes the next completion. Without RetransmitTimeout that is
+// all, for as long as it takes (paper §5.2: poll with a small random
+// backoff while the target lags). With it, a wait that times out, or
+// whose completions keep arriving while acked has stood still for a whole
+// timeout — the target is blocked on a segment that was lost, which no
+// probe reveals — gives the probe up for lost and resynchronizes and
+// retransmits (recover); rounds of that which move nothing are counted
+// by stalled, and MaxRetransmits of them in a row break the flow. Every
+// turn polls checkAbort, so an eviction ends the wait first.
+func (w *ringWriter) await(p transport.Ctx, limit uint64) error {
+	timeout := w.opts.RetransmitTimeout
 	rounds := 0
 	lastProgress := p.Now()
-	for int(w.written-w.acked) >= w.geom.nSegs {
+	for w.written-w.acked > limit {
 		if err := w.checkAbort(); err != nil {
 			return err
 		}
-		if !w.footerPending {
-			w.postFooterRead(p)
-			continue
+		if !w.probePending() {
+			w.postProbe(p)
 		}
-		if w.opts.RetransmitTimeout <= 0 {
-			w.handleCompletion(p, w.qp.SendCQ().Wait(p))
-			continue
-		}
-		c, ok := w.qp.SendCQ().WaitTimeout(p, w.opts.RetransmitTimeout)
-		if ok {
+		if c, ok := w.next(p); ok {
 			before := w.acked
 			w.handleCompletion(p, c)
 			if w.acked > before {
 				lastProgress = p.Now()
 				rounds = 0
 			}
-			if p.Now()-lastProgress <= w.opts.RetransmitTimeout {
+			if w.written-w.acked <= limit {
+				break
+			}
+			if timeout <= 0 || p.Now()-lastProgress <= timeout {
+				// A footer probe that found its slot unconsumed backed
+				// off and went out again inside handleCompletion; the
+				// counter READ's turn to back off is here, so that a
+				// counter resync (recover) is never delayed by it.
+				if w.latency && !w.counterPending {
+					w.backoff(p)
+				}
 				continue
 			}
-			// Probes keep answering but the watermark is stuck: the
-			// target is blocked on a lost segment, which no amount of
-			// probing reveals. Fall through to recovery.
 		}
-		w.footerPending = false // abandon the (presumed lost) probe
+		w.footerPending, w.counterPending = false, false
 		before := w.acked
 		if err := w.recover(p); err != nil {
 			return err
 		}
 		lastProgress = p.Now()
-		if w.acked == before {
-			if w.stalled(p, &rounds) {
-				return fmt.Errorf("%w: remote ring full, no progress after %d recovery rounds", ErrFlowBroken, rounds-1)
-			}
-		} else {
+		if w.acked > before {
 			rounds = 0
+		} else if w.stalled(p, &rounds) {
+			return fmt.Errorf("%w: %d segments unconfirmed after %d recovery rounds",
+				ErrFlowBroken, w.written-w.acked, rounds-1)
 		}
 	}
 	return nil
 }
 
-// postFooterRead issues an asynchronous READ of an outstanding remote
-// slot's footer. Because the target consumes its ring in order, a cleared
-// consumable flag at read-ahead distance d proves the d+1 oldest
-// outstanding segments were all consumed — so probing half a window ahead
-// reclaims many slots per round trip instead of one, keeping the source
-// pipelined even when the ring runs full.
-func (w *ringWriter) postFooterRead(p transport.Ctx) {
+// probePending reports whether a probe is in flight: outside recover a
+// counter READ is pending only in latency mode, a footer READ never is.
+func (w *ringWriter) probePending() bool { return w.footerPending || w.counterPending }
+
+// postProbe issues the asynchronous READ that advances acked. Latency
+// mode reads the ring header's consumed counter. Bandwidth mode reads the
+// footer of an outstanding slot: because the target consumes its ring in
+// order, a cleared committed flag at read-ahead distance d proves the
+// d+1 oldest outstanding segments were all consumed — so probing half a
+// window ahead reclaims many slots per round trip instead of one,
+// keeping the source pipelined even when the ring runs full.
+func (w *ringWriter) postProbe(p transport.Ctx) {
+	if w.latency {
+		w.qp.Read(p, w.counterBuf, w.remoteHeaderAddr(), true, idCounterRead)
+		w.counterPending = true
+		return
+	}
 	outstanding := w.written - w.acked
 	ahead := uint64(w.geom.nSegs / 2)
 	if outstanding == 0 {
@@ -433,12 +402,7 @@ func (w *ringWriter) waitLocalSlot(p transport.Ctx) error {
 		if err := w.checkAbort(); err != nil {
 			return err
 		}
-		if w.opts.RetransmitTimeout <= 0 {
-			w.handleCompletion(p, w.qp.SendCQ().Wait(p))
-			continue
-		}
-		c, ok := w.qp.SendCQ().WaitTimeout(p, w.opts.RetransmitTimeout)
-		if ok {
+		if c, ok := w.next(p); ok {
 			w.handleCompletion(p, c)
 			continue
 		}
@@ -454,6 +418,16 @@ func (w *ringWriter) waitLocalSlot(p transport.Ctx) error {
 		}
 	}
 	return nil
+}
+
+// next takes the next completion off the send CQ, however long that
+// takes without RetransmitTimeout, and reporting false once it has run
+// out with it.
+func (w *ringWriter) next(p transport.Ctx) (transport.Completion, bool) {
+	if w.opts.RetransmitTimeout <= 0 {
+		return w.qp.SendCQ().Wait(p), true
+	}
+	return w.qp.SendCQ().WaitTimeout(p, w.opts.RetransmitTimeout)
 }
 
 // drainCQ consumes available completions without blocking, in bursts:
@@ -479,14 +453,14 @@ func (w *ringWriter) handleCompletion(p transport.Ctx, c transport.Completion) {
 	switch {
 	case c.ID&idFooterRead != 0:
 		w.footerPending = false
-		// A cleared consumable flag alone is ambiguous: the probe travels
+		// A cleared committed flag alone is ambiguous: the probe travels
 		// on the fast control lane and can overtake the (bulk-lane) WRITE
 		// it is probing, observing the stale footer of the previous lap.
 		// The footer's sequence number pins the observation to the probed
 		// write: flags clear AND seq matching means the target really
 		// consumed it — and, consuming in ring order, everything older.
-		seq := binary.LittleEndian.Uint64(w.footerBuf[8:16])
-		if w.footerBuf[4]&flagConsumable == 0 && seq == w.probeWrite {
+		d := transport.ParseSegDesc(w.footerBuf)
+		if d.Flags&transport.SegCommitted == 0 && d.Seq == w.probeWrite {
 			// Never regress: a stale probe completing after a recover()
 			// resync may report an older watermark.
 			if w.probeWrite+1 > w.acked {
@@ -497,19 +471,18 @@ func (w *ringWriter) handleCompletion(p transport.Ctx, c transport.Completion) {
 			// re-reading so a slow target is not flooded with READs.
 			w.ProbeMisses.Add(1)
 			w.backoff(p)
-			w.postFooterRead(p)
+			w.postProbe(p)
 		}
-	case c.ID&idCreditRead != 0:
-		w.creditPending = false
-		consumed := binary.LittleEndian.Uint64(w.creditBuf)
-		w.credits = w.geom.nSegs - int(w.sent-consumed)
+	case c.ID&idCounterRead != 0:
+		w.counterPending = false
 		// The ring-header consumed counter is authoritative in both
 		// modes; fold it into the acked watermark (never regressing).
+		consumed := binary.LittleEndian.Uint64(w.counterBuf)
 		if consumed > w.acked && consumed <= w.written {
 			w.acked = consumed
 		}
 	case c.ID&idWrapWrite != 0:
-		done := c.ID &^ (idWrapWrite | idFooterRead | idCreditRead)
+		done := c.ID &^ (idWrapWrite | idFooterRead | idCounterRead)
 		if done+1 > w.completedW {
 			w.completedW = done + 1
 		}
@@ -576,29 +549,27 @@ func (w *ringWriter) recover(p transport.Ctx) error {
 		if err := w.checkAbort(); err != nil {
 			return err
 		}
-		w.qp.Read(p, w.creditBuf, w.remoteHeaderAddr(), true, idCreditRead)
-		w.creditPending = true
-		for w.creditPending {
-			c, ok := w.qp.SendCQ().WaitTimeout(p, w.opts.RetransmitTimeout)
+		w.qp.Read(p, w.counterBuf, w.remoteHeaderAddr(), true, idCounterRead)
+		w.counterPending = true
+		for w.counterPending {
+			c, ok := w.next(p)
 			if !ok {
 				break
 			}
 			w.handleCompletion(p, c)
 		}
-		if !w.creditPending {
+		if !w.counterPending {
 			break
 		}
-		w.creditPending = false
+		w.counterPending = false
 		if attempt >= w.opts.MaxRetransmits {
 			return fmt.Errorf("%w: target unreachable (%d consumed-counter reads unanswered)", ErrFlowBroken, attempt+1)
 		}
 	}
-	consumed := binary.LittleEndian.Uint64(w.creditBuf)
+	// handleCompletion folded the answer into acked, unless it is absurd.
+	consumed := binary.LittleEndian.Uint64(w.counterBuf)
 	if consumed > w.written {
 		return fmt.Errorf("%w: target consumed %d of %d written segments (ring corrupt)", ErrFlowBroken, consumed, w.written)
-	}
-	if consumed > w.acked {
-		w.acked = consumed
 	}
 	// 2. Retransmit the unconsumed window. normalize guarantees
 	// srcSegs ≥ nSegs, so written − acked ≤ nSegs keeps it resident.
@@ -610,67 +581,19 @@ func (w *ringWriter) recover(p transport.Ctx) error {
 	// own CommitTail so every footer still lands after its payload.
 	var wrs []transport.WriteWR
 	for n := w.acked; n < w.written; n++ {
-		lbase := int(n%uint64(w.srcSegs)) * w.geom.stride()
-		seg := w.local.Bytes()[lbase : lbase+w.geom.stride()]
 		rslot := int(n % uint64(w.geom.nSegs))
 		if rslot == 0 && len(wrs) > 0 {
 			w.qp.WriteBatch(p, wrs)
 			wrs = wrs[:0]
 		}
 		wrs = append(wrs, transport.WriteWR{
-			Src: seg, Dst: w.remoteSlotAddr(rslot),
-			Opts: transport.WriteOptions{CommitTail: footerBytes},
+			Src: w.localSeg(n), Dst: w.remoteSlotAddr(rslot),
+			Opts: transport.WriteOptions{CommitTail: transport.SegDescBytes},
 		})
 		w.Retransmits.Add(1)
 	}
 	if len(wrs) > 0 {
 		w.qp.WriteBatch(p, wrs)
-	}
-	return nil
-}
-
-// confirmDelivered blocks until the target consumed everything written
-// (acked == written), recovering lost segments on the way. Called from
-// close when RetransmitTimeout is set, so a successful Close certifies
-// delivery of the whole stream including the end-of-flow marker.
-func (w *ringWriter) confirmDelivered(p transport.Ctx) error {
-	rounds := 0
-	lastProgress := p.Now()
-	for w.acked < w.written {
-		if err := w.checkAbort(); err != nil {
-			return err
-		}
-		if !w.footerPending && w.opts.Optimization == OptimizeBandwidth {
-			w.postFooterRead(p)
-		}
-		c, ok := w.qp.SendCQ().WaitTimeout(p, w.opts.RetransmitTimeout)
-		if ok {
-			before := w.acked
-			w.handleCompletion(p, c)
-			if w.acked > before {
-				lastProgress = p.Now()
-				rounds = 0
-			}
-			if p.Now()-lastProgress <= w.opts.RetransmitTimeout {
-				continue
-			}
-			// Completions flow but the watermark is stuck (lost segment
-			// blocking the target): fall through to recovery.
-		}
-		w.footerPending = false
-		before := w.acked
-		if err := w.recover(p); err != nil {
-			return err
-		}
-		lastProgress = p.Now()
-		if w.acked == before {
-			if w.stalled(p, &rounds) {
-				return fmt.Errorf("%w: %d segments unconfirmed after %d recovery rounds",
-					ErrFlowBroken, w.written-w.acked, rounds-1)
-			}
-		} else {
-			rounds = 0
-		}
 	}
 	return nil
 }
@@ -683,10 +606,8 @@ func (w *ringWriter) close(p transport.Ctx) error {
 		return nil
 	}
 	w.closed = true
-	if w.opts.Optimization == OptimizeBandwidth {
-		if err := w.flush(p); err != nil { // remaining tuples
-			return err
-		}
+	if err := w.flush(p); err != nil { // remaining tuples
+		return err
 	}
 	return w.writeEnd(p)
 }
@@ -701,15 +622,10 @@ func (w *ringWriter) finish(p transport.Ctx) error {
 	if err := w.checkAbort(); err != nil {
 		return err
 	}
-	if w.opts.Optimization == OptimizeBandwidth {
-		if err := w.flush(p); err != nil {
-			return err
-		}
+	if err := w.flush(p); err != nil {
+		return err
 	}
-	if w.opts.RetransmitTimeout > 0 {
-		return w.confirmDelivered(p)
-	}
-	return nil
+	return w.confirmDelivered(p)
 }
 
 // end is the second half of a phased close: write the end-of-flow
@@ -727,29 +643,27 @@ func (w *ringWriter) end(p transport.Ctx) error {
 	return w.writeEnd(p)
 }
 
-// writeEnd writes the end-of-flow marker segment and, with
-// RetransmitTimeout set, confirms the whole stream including the marker.
+// writeEnd writes the end-of-flow marker segment and confirms the whole
+// stream including the marker.
 func (w *ringWriter) writeEnd(p transport.Ctx) error {
-	if w.opts.Optimization == OptimizeLatency {
-		if err := w.ensureCredit(p); err != nil {
-			return err
-		}
-	} else {
-		w.drainCQ(p)
-		if err := w.ensureRemoteWritable(p); err != nil {
-			return err
-		}
+	if err := w.awaitSlot(p); err != nil {
+		return err
 	}
 	if err := w.waitLocalSlot(p); err != nil {
 		return err
 	}
-	w.writeSegment(p, 0, flagConsumable|flagEndOfFlow)
-	if w.opts.Optimization == OptimizeLatency {
-		w.credits--
-		w.sent++
+	w.writeSegment(p, 0, transport.SegCommitted|transport.SegEnd)
+	return w.confirmDelivered(p)
+}
+
+// confirmDelivered, with RetransmitTimeout set, blocks until the target
+// consumed everything written, recovering lost segments on the way, so
+// that a successful Close certifies delivery of the whole stream
+// including the end-of-flow marker. Without it there is nothing that
+// would retransmit, and nothing is waited for.
+func (w *ringWriter) confirmDelivered(p transport.Ctx) error {
+	if w.opts.RetransmitTimeout <= 0 {
+		return nil
 	}
-	if w.opts.RetransmitTimeout > 0 {
-		return w.confirmDelivered(p)
-	}
-	return nil
+	return w.await(p, 0)
 }

@@ -176,9 +176,10 @@ func TestWriterProbeAmortization(t *testing.T) {
 	}
 }
 
-// TestLatencyModeCreditRefresh verifies that latency-optimized writers
-// stay under the ring budget: sent minus the target's consumed counter
-// never exceeds the ring size.
+// TestLatencyModeCreditBound verifies that latency-optimized writers
+// stay under the ring budget: written minus the target's consumed counter
+// never exceeds the ring size, and the writer's own window (written −
+// acked, the one flow-control count of both modes) never does either.
 func TestLatencyModeCreditBound(t *testing.T) {
 	e := newEnv(t, 2)
 	spec := FlowSpec{
@@ -190,6 +191,7 @@ func TestLatencyModeCreditBound(t *testing.T) {
 	}
 	const n = 400
 	delivered := 0
+	var tgt *Target
 	e.k.Spawn("init", func(p *sim.Proc) { _ = FlowInit(p, e.reg, e.c, spec) })
 	e.k.Spawn("src", func(p *sim.Proc) {
 		src, _ := SourceOpen(p, e.reg, "credit", 0)
@@ -197,19 +199,19 @@ func TestLatencyModeCreditBound(t *testing.T) {
 			_ = src.Push(p, mkTuple(int64(i), 0))
 			for _, l := range src.legs {
 				w := l.tx.(*ringWriter)
-				if out := int(w.sent) - int(w.credits); out > 2*8 {
-					// sent - credits is a loose proxy; the hard invariant
-					// is credits never below zero.
+				if out := w.written - w.acked; out > 8 {
+					t.Errorf("window %d exceeds the 8-segment ring", out)
 				}
-				if w.credits < 0 {
-					t.Errorf("credits went negative: %d", w.credits)
+				if tgt != nil && w.written-tgt.readers[0].consumed.Load() > 8 {
+					t.Errorf("written %d, consumed %d: a slot was overwritten before it was consumed",
+						w.written, tgt.readers[0].consumed.Load())
 				}
 			}
 		}
 		src.Close(p)
 	})
 	e.k.Spawn("tgt", func(p *sim.Proc) {
-		tgt, _ := TargetOpen(p, e.reg, "credit", 0)
+		tgt, _ = TargetOpen(p, e.reg, "credit", 0)
 		for {
 			if _, ok := tgt.Consume(p); !ok {
 				return
@@ -221,5 +223,83 @@ func TestLatencyModeCreditBound(t *testing.T) {
 	e.run(t)
 	if delivered != n {
 		t.Fatalf("delivered %d of %d", delivered, n)
+	}
+}
+
+// TestLatencyCloseConfirmsWithoutWaitingOutTimeout pins what a latency
+// flow with RetransmitTimeout pays for a certified Close on a healthy
+// fabric: round trips on the ring header's consumed counter, not a
+// timeout. The confirm wait used to post a probe in bandwidth mode only,
+// so a latency flow — every leased one, LeaseTTL defaults the timeout to
+// TTL/2 — slept out one full RetransmitTimeout in every Close before
+// recovery's resync read the counter for it.
+func TestLatencyCloseConfirmsWithoutWaitingOutTimeout(t *testing.T) {
+	run := func(timeout time.Duration) (end time.Duration, retransmits int) {
+		e := newEnv(t, 4)
+		spec := FlowSpec{
+			Name:    "confirm",
+			Sources: []Endpoint{{Node: e.c.Node(0)}, {Node: e.c.Node(1)}},
+			Targets: []Endpoint{{Node: e.c.Node(2)}, {Node: e.c.Node(3)}},
+			Schema:  kvSchema,
+			Options: Options{Optimization: OptimizeLatency, RetransmitTimeout: timeout},
+		}
+		const perSource = 500
+		consumed := 0
+		e.k.Spawn("init", func(p *sim.Proc) {
+			if err := FlowInit(p, e.reg, e.c, spec); err != nil {
+				t.Error(err)
+			}
+		})
+		for si := range spec.Sources {
+			si := si
+			e.k.Spawn(fmt.Sprintf("src%d", si), func(p *sim.Proc) {
+				src, err := SourceOpen(p, e.reg, spec.Name, si)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for i := 0; i < perSource; i++ {
+					if err := src.Push(p, mkTuple(int64(si*perSource+i), 0)); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				if err := src.Close(p); err != nil {
+					t.Error(err)
+				}
+				end = max(end, p.Now())
+				retransmits += src.Stats().Retransmits
+			})
+		}
+		for ti := range spec.Targets {
+			ti := ti
+			e.k.Spawn(fmt.Sprintf("tgt%d", ti), func(p *sim.Proc) {
+				tgt, err := TargetOpen(p, e.reg, spec.Name, ti)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for {
+					if _, ok := tgt.Consume(p); !ok {
+						return
+					}
+					consumed++
+				}
+			})
+		}
+		e.run(t)
+		if consumed != 2*perSource {
+			t.Fatalf("timeout %v: consumed %d of %d", timeout, consumed, 2*perSource)
+		}
+		return end, retransmits
+	}
+	plain, _ := run(0)
+	confirmed, retransmits := run(time.Millisecond)
+	if retransmits != 0 {
+		t.Errorf("%d segments retransmitted on a fault-free fabric", retransmits)
+	}
+	if extra := confirmed - plain; extra < 0 || extra > 10*time.Microsecond {
+		t.Errorf("Close with RetransmitTimeout 1ms ended at %v, without at %v: confirming delivery cost %v, want under 10µs",
+			confirmed, plain, extra)
 	}
 }

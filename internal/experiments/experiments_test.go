@@ -1,15 +1,27 @@
 package experiments
 
 import (
+	"bytes"
+	"flag"
 	"os"
 	"strings"
 	"testing"
 )
 
-// TestAllExperimentsQuick smoke-runs every figure/table regenerator at
-// reduced scale and sanity-checks the outputs.
+var update = flag.Bool("update", false, "rewrite testdata/quick_seed1.golden from this run")
+
+const goldenPath = "testdata/quick_seed1.golden"
+
+// TestAllExperimentsQuick runs every figure/table regenerator at reduced
+// scale and compares what `dfibench -quick -seed 1 all` would print —
+// every table as Table.Fprint renders it — against the checked-in
+// golden file. The DES is deterministic, so a difference is a change in
+// simulated behaviour and the PR that makes it must say why; `go test
+// ./internal/experiments -run TestAllExperimentsQuick -update` rewrites
+// the file.
 func TestAllExperimentsQuick(t *testing.T) {
 	opt := Options{Quick: true, Seed: 1}
+	var got bytes.Buffer
 	for _, e := range All {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
@@ -21,20 +33,39 @@ func TestAllExperimentsQuick(t *testing.T) {
 				t.Fatal("no tables produced")
 			}
 			for _, tb := range tabs {
-				if len(tb.Rows) == 0 {
-					t.Errorf("table %s has no rows", tb.ID)
-				}
 				for _, r := range tb.Rows {
 					if len(r) != len(tb.Columns) {
 						t.Errorf("table %s: row %v has %d cells, want %d", tb.ID, r, len(r), len(tb.Columns))
 					}
 				}
-				if testing.Verbose() {
-					tb.Fprint(os.Stderr)
-				}
+				tb.Fprint(&got)
 			}
 		})
 	}
+	if t.Failed() {
+		return
+	}
+	if *update {
+		if err := os.WriteFile(goldenPath, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(got.Bytes(), want) {
+		return
+	}
+	gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	for i := range gl {
+		if i >= len(wl) || gl[i] != wl[i] {
+			t.Fatalf("%s:%d is the first line that differs\n got: %s\nwant: %s",
+				goldenPath, i+1, gl[i], append(wl, "(end of file)")[min(i, len(wl))])
+		}
+	}
+	t.Fatalf("%s has %d lines, this run printed %d", goldenPath, len(wl), len(gl))
 }
 
 func TestByID(t *testing.T) {

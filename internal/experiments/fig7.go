@@ -45,15 +45,6 @@ func newBWEnv(seed int64, nodes int) (*sim.Kernel, *fabric.Cluster, *registry.Re
 // flow with the given sources/targets pushing volumePerSource bytes each.
 func shuffleSenderBW(seed int64, c *fabric.Cluster, k *sim.Kernel, reg *registry.Registry,
 	sources, targets []core.Endpoint, tupleSize int, volumePerSource int64, segs int) (float64, error) {
-	return shuffleSenderBWBatch(seed, c, k, reg, sources, targets, tupleSize, volumePerSource, segs, 1)
-}
-
-// shuffleSenderBWBatch is shuffleSenderBW with the sender loop pushing
-// batch tuples per PushBatch call (batch <= 1 is the per-tuple Push
-// path). The generated key stream is identical either way, so the two
-// paths move the same bytes to the same rings.
-func shuffleSenderBWBatch(seed int64, c *fabric.Cluster, k *sim.Kernel, reg *registry.Registry,
-	sources, targets []core.Endpoint, tupleSize int, volumePerSource int64, segs, batch int) (float64, error) {
 
 	sch := padSchema(tupleSize)
 	spec := core.FlowSpec{
@@ -79,33 +70,11 @@ func shuffleSenderBWBatch(seed int64, c *fabric.Cluster, k *sim.Kernel, reg *reg
 				panic(err)
 			}
 			rng := p.Rand()
-			if batch <= 1 {
-				tup := sch.NewTuple()
-				for i := 0; i < perSource; i++ {
-					sch.PutInt64(tup, 0, rng.Int63())
-					if err := src.Push(p, tup); err != nil {
-						panic(err)
-					}
-				}
-			} else {
-				ts := sch.TupleSize()
-				buf := make([]byte, batch*ts)
-				tuples := make([]schema.Tuple, batch)
-				for i := range tuples {
-					tuples[i] = schema.Tuple(buf[i*ts : (i+1)*ts])
-				}
-				for pushed := 0; pushed < perSource; {
-					n := batch
-					if n > perSource-pushed {
-						n = perSource - pushed
-					}
-					for i := 0; i < n; i++ {
-						sch.PutInt64(tuples[i], 0, rng.Int63())
-					}
-					if err := src.PushBatch(p, tuples[:n]); err != nil {
-						panic(err)
-					}
-					pushed += n
+			tup := sch.NewTuple()
+			for i := 0; i < perSource; i++ {
+				sch.PutInt64(tup, 0, rng.Int63())
+				if err := src.Push(p, tup); err != nil {
+					panic(err)
 				}
 			}
 			src.Close(p)

@@ -38,21 +38,8 @@ func New(k *sim.Kernel) *Registry {
 	return r
 }
 
-// NewReplicated creates a registry on k whose mutations commit through a
-// Multi-Paxos log across cfg.Replicas acceptors (see replicated.go).
-func NewReplicated(k *sim.Kernel, cfg ReplicaConfig) (*Registry, error) {
-	return New(k).replicate(cfg)
-}
-
 // NewSharded builds n standalone shards on k (n clamps to at least 1).
 func NewSharded(k *sim.Kernel, n int) *Sharded {
-	s, _ := newSharded(n, func() (*Registry, error) { return New(k), nil })
+	s, _ := ShardedOf(n, func() (*Registry, error) { return New(k), nil })
 	return s
-}
-
-// NewShardedReplicated builds n shards on k, each its own replication
-// group with cfg (disjoint Multi-Paxos logs — a master failover in one
-// shard leaves the others untouched).
-func NewShardedReplicated(k *sim.Kernel, n int, cfg ReplicaConfig) (*Sharded, error) {
-	return newSharded(n, func() (*Registry, error) { return NewReplicated(k, cfg) })
 }

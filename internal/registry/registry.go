@@ -44,8 +44,8 @@ import (
 
 // Registry is the client handle to the metadata store. One instance
 // serves a cluster; New and NewLocal build a standalone (single-master,
-// non-fault-tolerant) registry, NewReplicated one backed by a replicated
-// log.
+// non-fault-tolerant) registry, Replicate puts a replicated log behind
+// one.
 type Registry struct {
 	mu       sync.Mutex // the monitor (see the package comment)
 	clk      clock

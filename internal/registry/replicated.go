@@ -58,7 +58,7 @@ import (
 // and recording its outcome — is atomic, on the kernel and on the wall
 // clock alike.
 
-// ReplicaConfig configures NewReplicated.
+// ReplicaConfig configures Registry.Replicate.
 type ReplicaConfig struct {
 	// Replicas is the group size; odd, at least 3 (default 3).
 	Replicas int
@@ -130,11 +130,12 @@ type replGroup struct {
 	elections int
 }
 
-// replicate turns a fresh standalone registry into one whose mutations
-// commit through a Multi-Paxos log across cfg.Replicas acceptors. The
-// first replica starts as master at ballot 1 (promised by all, the usual
-// bootstrap).
-func (r *Registry) replicate(cfg ReplicaConfig) (*Registry, error) {
+// Replicate turns a fresh standalone registry — on either clock:
+// New(k).Replicate(cfg), NewLocal().Replicate(cfg) — into one whose
+// mutations commit through a Multi-Paxos log across cfg.Replicas
+// acceptors, and returns it. The first replica starts as master at
+// ballot 1 (promised by all, the usual bootstrap).
+func (r *Registry) Replicate(cfg ReplicaConfig) (*Registry, error) {
 	if cfg.Replicas == 0 {
 		cfg.Replicas = 3
 	}

@@ -11,11 +11,11 @@ import (
 func TestReplicatedValidation(t *testing.T) {
 	k := sim.New(1)
 	for _, n := range []int{1, 2, 4} {
-		if _, err := NewReplicated(k, ReplicaConfig{Replicas: n}); err == nil {
+		if _, err := New(k).Replicate(ReplicaConfig{Replicas: n}); err == nil {
 			t.Errorf("replica count %d accepted", n)
 		}
 	}
-	r, err := NewReplicated(k, ReplicaConfig{})
+	r, err := New(k).Replicate(ReplicaConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func TestReplicatedValidation(t *testing.T) {
 
 func TestReplicatedPublishLookup(t *testing.T) {
 	k := sim.New(1)
-	r, err := NewReplicated(k, ReplicaConfig{RPCDelay: time.Microsecond})
+	r, err := New(k).Replicate(ReplicaConfig{RPCDelay: time.Microsecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestReplicatedPublishLookup(t *testing.T) {
 
 func TestReplicatedMasterFailover(t *testing.T) {
 	k := sim.New(1)
-	r, err := NewReplicated(k, ReplicaConfig{RPCDelay: time.Microsecond})
+	r, err := New(k).Replicate(ReplicaConfig{RPCDelay: time.Microsecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestReplicatedMasterFailover(t *testing.T) {
 
 func TestReplicatedMajorityLossUnavailable(t *testing.T) {
 	k := sim.New(1)
-	r, err := NewReplicated(k, ReplicaConfig{RPCDelay: time.Microsecond})
+	r, err := New(k).Replicate(ReplicaConfig{RPCDelay: time.Microsecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestReplicatedIdempotentRetryUnderDrop(t *testing.T) {
 	// table must deduplicate so a Publish whose reply was dropped does not
 	// come back as "already published".
 	k := sim.New(7)
-	r, err := NewReplicated(k, ReplicaConfig{
+	r, err := New(k).Replicate(ReplicaConfig{
 		RPCDelay: time.Microsecond,
 		Faults:   &Faults{Drop: 0.3},
 	})
@@ -141,7 +141,7 @@ func TestReplicatedCrashMasterFault(t *testing.T) {
 	// The fault plan's CrashMaster knob kills the master at a
 	// virtual time; a command arriving after it must fail over.
 	k := sim.New(1)
-	r, err := NewReplicated(k, ReplicaConfig{
+	r, err := New(k).Replicate(ReplicaConfig{
 		RPCDelay: time.Microsecond,
 		Faults:   &Faults{CrashMaster: 10 * time.Microsecond},
 	})

@@ -28,8 +28,11 @@ type Sharded struct {
 	shards []*Registry
 }
 
-// newSharded builds n shards with mk (n clamps to at least 1).
-func newSharded(n int, mk func() (*Registry, error)) (*Sharded, error) {
+// ShardedOf builds n shards with mk (n clamps to at least 1), on
+// whatever clock mk's registries run on. With a maker that Replicates,
+// every shard is its own replication group: disjoint Multi-Paxos logs,
+// so a master failover in one shard leaves the others untouched.
+func ShardedOf(n int, mk func() (*Registry, error)) (*Sharded, error) {
 	if n < 1 {
 		n = 1
 	}

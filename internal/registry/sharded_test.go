@@ -134,7 +134,7 @@ func TestShardedStatusMerge(t *testing.T) {
 	}
 	// Replicated shards: the merge carries a replication block.
 	k2 := sim.New(1)
-	sr, err := NewShardedReplicated(k2, 2, ReplicaConfig{Replicas: 3})
+	sr, err := ShardedOf(2, func() (*Registry, error) { return New(k2).Replicate(ReplicaConfig{Replicas: 3}) })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -128,7 +128,7 @@ func TestSnapshotRoundTripByteForByte(t *testing.T) {
 func TestReplicatedLogCompactionBounded(t *testing.T) {
 	const cadence = 8
 	k := sim.New(testSeed())
-	r, err := NewReplicated(k, ReplicaConfig{RPCDelay: time.Microsecond, SnapshotEvery: cadence})
+	r, err := New(k).Replicate(ReplicaConfig{RPCDelay: time.Microsecond, SnapshotEvery: cadence})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestReplicatedLogCompactionBounded(t *testing.T) {
 // cadence keeps the PR-2 append-only behavior.
 func TestReplicatedCompactionDisabled(t *testing.T) {
 	k := sim.New(1)
-	r, err := NewReplicated(k, ReplicaConfig{RPCDelay: time.Microsecond, SnapshotEvery: -1})
+	r, err := New(k).Replicate(ReplicaConfig{RPCDelay: time.Microsecond, SnapshotEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestReplicatedCompactionDisabled(t *testing.T) {
 // must commit above the snapshot index.
 func TestReplicatedLeaseSurvivesPostCompactionFailover(t *testing.T) {
 	k := sim.New(testSeed())
-	r, err := NewReplicated(k, ReplicaConfig{
+	r, err := New(k).Replicate(ReplicaConfig{
 		RPCDelay:      time.Microsecond,
 		SnapshotEvery: 4,
 		Faults:        &Faults{Drop: 0.15, Jitter: 2 * time.Microsecond},
@@ -294,7 +294,7 @@ func TestReplicatedLeaseSurvivesPostCompactionFailover(t *testing.T) {
 // after which it tracks new commands like any follower.
 func TestRecoverReplicaCatchesUp(t *testing.T) {
 	k := sim.New(testSeed())
-	r, err := NewReplicated(k, ReplicaConfig{RPCDelay: time.Microsecond, SnapshotEvery: 4})
+	r, err := New(k).Replicate(ReplicaConfig{RPCDelay: time.Microsecond, SnapshotEvery: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +362,7 @@ func TestRecoverReplicaCatchesUp(t *testing.T) {
 // renewals keep working across a master failover.
 func TestUnloggedRenewRelaxation(t *testing.T) {
 	k := sim.New(1)
-	r, err := NewReplicated(k, ReplicaConfig{
+	r, err := New(k).Replicate(ReplicaConfig{
 		RPCDelay:      time.Microsecond,
 		SnapshotEvery: -1, // keep slots countable
 		UnloggedRenew: true,

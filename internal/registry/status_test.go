@@ -111,14 +111,14 @@ func TestStatusSnapshotMatchesRebuild(t *testing.T) {
 			return s, s.shards
 		}},
 		{name: "replicated", build: func(k *sim.Kernel) (statusControl, []*Registry) {
-			r, err := NewReplicated(k, ReplicaConfig{RPCDelay: 100 * time.Nanosecond, SnapshotEvery: 8})
+			r, err := New(k).Replicate(ReplicaConfig{RPCDelay: 100 * time.Nanosecond, SnapshotEvery: 8})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return r, []*Registry{r}
 		}},
 		{name: "replicated-unlogged-renew", build: func(k *sim.Kernel) (statusControl, []*Registry) {
-			r, err := NewReplicated(k, ReplicaConfig{RPCDelay: 100 * time.Nanosecond, UnloggedRenew: true})
+			r, err := New(k).Replicate(ReplicaConfig{RPCDelay: 100 * time.Nanosecond, UnloggedRenew: true})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -5,8 +5,10 @@
 //
 // One Link owns a receiver-side memory Region laid out as a 64-byte
 // header (the receiver-advanced release counter) followed by fixed-size
-// slots, each a payload area plus a 16-byte footer carrying the segment
-// fill, flags, a 24-bit flow tag and the absolute ring sequence. Senders
+// slots, each a payload area plus the 16-byte descriptor every ring kind
+// uses (transport.SegDesc) as its footer: segment fill, flags, the 24-bit
+// flow tag, and as seq the absolute ring index + 1, so neither a previous
+// lap nor zeroed memory matches the expected slot. Senders
 // on the source node share the ring under a weighted credit scheduler:
 // every stream (one flow's traffic to one target slot) holds at most
 // bound(weight) slots in flight, so a hot flow saturates the ring only
@@ -60,27 +62,9 @@ import (
 	"dfi/internal/transport"
 )
 
-const (
-	// headerBytes is the receiver-owned ring header: the released-slot
-	// counter (8 bytes little-endian at offset 0) padded to a cache line.
-	headerBytes = 64
-	// footerBytes is the per-slot trailer written with CommitTail so it
-	// becomes visible strictly after the payload:
-	// [0:4) fill LE32 | [4] flags | [5:8) flow tag LE24 | [8:16) seq LE64.
-	// seq is the absolute ring index + 1, so a stale footer from a
-	// previous lap (or zeroed memory) never matches the expected slot.
-	footerBytes = 16
-
-	flagSegment = 1 << 0 // slot carries a committed segment
-	flagEnd     = 1 << 1 // sender finished this stream
-
-	// creditPoll paces senders waiting for another context's in-flight
-	// credit READ to land.
-	creditPoll = 2 * time.Microsecond
-
-	// maxTag bounds the 24-bit flow-tag namespace.
-	maxTag = 1<<24 - 1
-)
+// creditPoll paces senders waiting for another context's in-flight
+// credit READ to land.
+const creditPoll = 2 * time.Microsecond
 
 // Errors returned by the sender side.
 var (
@@ -211,7 +195,7 @@ func (p *Pool) Tag(key string) uint32 {
 		return t
 	}
 	p.nextTag++
-	if p.nextTag > maxTag {
+	if p.nextTag > transport.SegDescMaxTag {
 		panic("sharedring: flow-tag namespace exhausted")
 	}
 	p.tags[key] = p.nextTag
@@ -240,8 +224,8 @@ func (p *Pool) link(src, dst transport.Endpoint) *Link {
 	if l, ok := p.links[k]; ok {
 		return l
 	}
-	slotBytes := p.cfg.SlotPayload + footerBytes
-	mr := p.tr.OpenRegion(dst, headerBytes+p.cfg.Slots*slotBytes)
+	slotBytes := p.cfg.SlotPayload + transport.SegDescBytes
+	mr := p.tr.OpenRegion(dst, transport.RingHeaderBytes+p.cfg.Slots*slotBytes)
 	q, _ := p.tr.Dial(src, dst)
 	l := &Link{
 		pool:      p,
@@ -426,7 +410,7 @@ type Link struct {
 	// pumpBuf is the pump's footer and release-counter scratch: locals
 	// would escape through the Region interface and cost an allocation
 	// per pump.
-	pumpBuf [footerBytes + 8]byte
+	pumpBuf [transport.SegDescBytes + 8]byte
 }
 
 // Src returns the source-node endpoint of the directed link.
@@ -435,7 +419,9 @@ func (l *Link) Src() transport.Endpoint { return l.src }
 // Dst returns the target-node endpoint of the directed link.
 func (l *Link) Dst() transport.Endpoint { return l.dst }
 
-func (l *Link) slotOff(i int) int   { return headerBytes + i*(l.cfg.SlotPayload+footerBytes) }
+func (l *Link) slotOff(i int) int {
+	return transport.RingHeaderBytes + i*(l.cfg.SlotPayload+transport.SegDescBytes)
+}
 func (l *Link) footerOff(i int) int { return l.slotOff(i) + l.cfg.SlotPayload }
 
 // recomputeBounds refreshes every open stream's credit bound from the
@@ -679,20 +665,15 @@ func (st *Stream) Send(p transport.Ctx, payload []byte, end bool) error {
 	}
 
 	i := int(slot % uint64(l.cfg.Slots))
-	slotBytes := l.cfg.SlotPayload + footerBytes
+	slotBytes := l.cfg.SlotPayload + transport.SegDescBytes
 	mirror := l.stage[i*slotBytes : (i+1)*slotBytes]
 	n := copy(mirror, payload)
 	ftr := mirror[l.cfg.SlotPayload:]
-	binary.LittleEndian.PutUint32(ftr[0:4], uint32(n))
-	flags := byte(flagSegment)
+	flags := byte(transport.SegCommitted)
 	if end {
-		flags |= flagEnd
+		flags |= transport.SegEnd
 	}
-	ftr[4] = flags
-	ftr[5] = byte(st.tag)
-	ftr[6] = byte(st.tag >> 8)
-	ftr[7] = byte(st.tag >> 16)
-	binary.LittleEndian.PutUint64(ftr[8:16], slot+1)
+	transport.SegDesc{Fill: uint32(n), Flags: flags, Tag: st.tag, Seq: slot + 1}.Put(ftr)
 
 	// Payload body first, then the footer with CommitTail: RC ordering
 	// plus the commit-tail contract make the footer visible strictly
@@ -701,7 +682,7 @@ func (st *Stream) Send(p transport.Ctx, payload []byte, end bool) error {
 	if n > 0 {
 		l.q.Write(p, mirror[:n], transport.Addr{MR: l.mr, Off: l.slotOff(i)}, transport.WriteOptions{})
 	}
-	l.q.Write(p, ftr, transport.Addr{MR: l.mr, Off: l.footerOff(i)}, transport.WriteOptions{CommitTail: footerBytes})
+	l.q.Write(p, ftr, transport.Addr{MR: l.mr, Off: l.footerOff(i)}, transport.WriteOptions{CommitTail: transport.SegDescBytes})
 	return nil
 }
 
@@ -906,20 +887,20 @@ func (l *Link) discardLocked(st *rstream) {
 // room in a full queue pumps again). Caller holds l.mu; Load/Store/Notify/Broadcast are non-parking local
 // ops, so holding the mutex across them is safe on both backends.
 func (l *Link) pumpLocked(self *rstream) {
-	ftr, rel := l.pumpBuf[:footerBytes], l.pumpBuf[footerBytes:]
+	ftr, rel := l.pumpBuf[:transport.SegDescBytes], l.pumpBuf[transport.SegDescBytes:]
 	for {
 		i := int(l.tail % uint64(l.cfg.Slots))
 		l.mr.Load(l.footerOff(i), ftr)
-		if ftr[4]&flagSegment == 0 {
+		d := transport.ParseSegDesc(ftr)
+		if d.Flags&transport.SegCommitted == 0 {
 			return
 		}
-		if binary.LittleEndian.Uint64(ftr[8:16]) != l.tail+1 {
+		if d.Seq != l.tail+1 {
 			return // stale footer from a previous lap
 		}
-		tag := uint32(ftr[5]) | uint32(ftr[6])<<8 | uint32(ftr[7])<<16
-		fill := int(binary.LittleEndian.Uint32(ftr[0:4]))
-		end := ftr[4]&flagEnd != 0
-		st := l.rstreamLocked(tag)
+		fill := int(d.Fill)
+		end := d.Flags&transport.SegEnd != 0
+		st := l.rstreamLocked(d.Tag)
 		switch {
 		case st.dropped:
 			// Evicted consumer: discard the payload but still release the
