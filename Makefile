@@ -37,14 +37,15 @@ chaos:
 
 # Ordered-multicast fault matrix: source crash under leases, gap
 # agreement between survivors, target eviction + sequencer-snapshot
-# rejoin, and the unsupported-operation surface, swept over the chaos
+# rejoin, forged messages, the source that is pending but not silent,
+# and the unsupported-operation surface, swept over the chaos
 # seeds (each seed changes which UD sends are lost and therefore which
 # sequences need agreement).
 chaos-mc:
 	@for seed in $(CHAOS_SEEDS); do \
 		echo "== chaos-mc seed $$seed =="; \
 		DFI_CHAOS_SEED=$$seed $(GO) test -race -count=1 \
-			-run 'TestChaosOrderedMulticast|TestOrderedReplicate|TestReplicateMulticast|TestMulticastUnsupportedOps|TestGapNackLimitValidation' \
+			-run 'TestChaosOrderedMulticast|TestOrderedReplicate|TestReplicateMulticast|TestMulticast|TestGapNackLimitValidation' \
 			./internal/core/ || exit 1; \
 	done
 
@@ -94,14 +95,16 @@ metrics-smoke:
 # plane must behave identically without the sim kernel serializing
 # anything. The -count=20 line is the retransmit-into-a-slot-being-read
 # race (a chanloop WRITE that changes nothing must move nothing), which
-# shows in a few runs of ten, not in one. The steady-vs-general Push
+# shows in a few runs of ten, not in one, and beside it the replicate
+# differential — private, shared, multicast and ordered multicast legs,
+# the only place core drives chanloop's Group. The steady-vs-general Push
 # differential rides along once: its eviction leg is the one place the
 # per-tuple path hands a half-filled segment to the harvest.
 transport-race:
 	$(GO) test -race -count=1 ./internal/transport/...
 	$(GO) test -race -count=1 -run 'TestTransportConformance' ./internal/fabric/
 	$(GO) test -race -count=1 -run 'Chan.*(Lease|Evict)|TestSharedRingMatchesPrivate|TestPushSteadyMatchesGeneral' ./internal/core/
-	$(GO) test -race -count=20 -run 'TestDESAndChanEvictSilentTarget' ./internal/core/
+	$(GO) test -race -count=20 -run 'TestDESAndChanEvictSilentTarget|TestReplicateKindsMatch' ./internal/core/
 	$(GO) test -race -count=1 -run 'TestLocalRegistryHammer|TestStatusSnapshotMatchesRebuild|TestRemoveRepublishWakesWaiters' ./internal/registry/
 	$(GO) test -race -count=1 -run 'TestChanTransport|TestSameArgsOnBothTransports' ./cmd/dfiflow/
 
@@ -131,6 +134,7 @@ bench-smoke:
 # change; a long budget belongs to a scheduled job.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSegFooter$$' -fuzztime 5s ./internal/transport
+	$(GO) test -run '^$$' -fuzz '^FuzzMcIngest$$' -fuzztime 5s ./internal/core
 
 # The performance ledger (benchmark/README.md): every workload of
 # BENCHMARK.json, traced, seed 1 — the per-layer numbers a CHANGES.md

@@ -13,7 +13,7 @@ import (
 // call with one vectorized partition pass and per-target grouped copies;
 // Reserve hands the caller a zero-copy writable view into a leg's local
 // segment; ConsumeBatch amortizes the receive side. All three are
-// semantics-preserving on either ring kind: the segments they produce or
+// semantics-preserving on every leg kind: the segments they produce or
 // drain are byte-identical to the equivalent sequence of Push/Consume
 // calls (see batch_test.go), and the virtual-time CPU cost is charged
 // through the same chargeBatch accounting.
@@ -74,10 +74,9 @@ func (s *Source) PushBatch(p transport.Ctx, tuples []schema.Tuple) error {
 	if len(tuples) == 0 {
 		return nil
 	}
-	// Latency mode transfers per tuple by design and the multicast
-	// transport sequences per tuple — those paths keep their per-tuple
-	// semantics and gain only the amortized entry point.
-	if s.spec.Options.Optimization == OptimizeLatency || s.mc != nil {
+	// Latency mode transfers per tuple by design: it keeps its per-tuple
+	// semantics and gains only the amortized entry point.
+	if s.spec.Options.Optimization == OptimizeLatency {
 		for _, t := range tuples {
 			if err := s.Push(p, t); err != nil {
 				return err
@@ -245,29 +244,34 @@ func (b *Batch) Bytes() []byte { return b.buf }
 
 // Reserve hands out up to n writable tuple slots directly inside the
 // segment the leg is filling (a private ring's registered local segment,
-// a shared ring's staging segment): the caller fills them in place (no
-// copy into the flow) and makes them visible with Commit. Reservations never
-// span a segment boundary, so fewer than n slots may be returned — loop
-// until done, as with partial writes. Only valid on single-target
-// bandwidth flows; multi-target flows reserve per target with ReserveTo.
+// a shared ring's or a multicast group's staging segment): the caller
+// fills them in place (no copy into the flow) and makes them visible with
+// Commit. Reservations never span a segment boundary, so fewer than n
+// slots may be returned — loop until done, as with partial writes. Only
+// valid on bandwidth flows whose source has one leg — a single target, or
+// the group of a multicast flow; multi-target flows reserve per target
+// with ReserveTo.
 func (s *Source) Reserve(p transport.Ctx, n int) (*Batch, error) {
-	if s.mc != nil {
-		return nil, fmt.Errorf("%w: Reserve (the multicast transport owns its segment buffers)", ErrUnsupportedOnMulticast)
-	}
 	if len(s.legs) != 1 {
 		return nil, fmt.Errorf("dfi: Reserve on a %d-target flow; use ReserveTo", len(s.legs))
 	}
-	return s.ReserveTo(p, 0, n)
+	return s.reserve(p, 0, n)
 }
 
 // ReserveTo is Reserve against an explicit target index (paper §4.2.1
-// routing option 3, zero-copy form).
+// routing option 3, zero-copy form). A multicast group cannot address
+// one target.
 func (s *Source) ReserveTo(p transport.Ctx, target, n int) (*Batch, error) {
+	if s.spec.Options.Multicast {
+		return nil, fmt.Errorf("%w: ReserveTo (a multicast segment reaches every target; use Reserve)", ErrUnsupportedOnMulticast)
+	}
+	return s.reserve(p, target, n)
+}
+
+// reserve is Reserve against leg number target.
+func (s *Source) reserve(p transport.Ctx, target, n int) (*Batch, error) {
 	if s.closed.Load() {
 		return nil, fmt.Errorf("dfi: reserve on closed source of flow %q", s.spec.Name)
-	}
-	if s.mc != nil {
-		return nil, fmt.Errorf("%w: Reserve (the multicast transport owns its segment buffers)", ErrUnsupportedOnMulticast)
 	}
 	if s.spec.Options.Optimization != OptimizeBandwidth {
 		return nil, errors.New("dfi: Reserve requires a bandwidth-optimized flow (latency mode transfers per tuple)")

@@ -51,13 +51,22 @@ func genStream(seed int64, si, perSource int) ([]byte, []schema.Tuple) {
 	return buf, tuples
 }
 
-// runBatchEquiv runs one flow to completion with targets that attach but
-// never consume, and returns a snapshot of what every target's rings
-// received: the raw ring memory of a private ring; on shared rings, per
-// source stream, the sequence of segment fills and payloads the stream
-// delivered. Volumes are sized so even a worst-case routing skew fits
-// the rings without needing a consumer.
-func runBatchEquiv(t *testing.T, seed int64, ftype FlowType, opt Optimization, mode pushMode, shared bool, nSrc, nTgt, perSource int) [][]byte {
+// ringKind maps a ringKinds entry onto the differential tests' kind.
+func ringKind(shared bool) diffKind {
+	if shared {
+		return diffShared
+	}
+	return diffPrivate
+}
+
+// runBatchEquiv runs one flow to completion and returns a snapshot of what
+// every target received: the raw ring memory of a private ring, whose
+// targets attach but never consume; on shared rings and on a multicast
+// group, per source stream, the sequence of segment fills and payloads the
+// stream delivered (a multicast target has to consume them: its sources'
+// Close waits for that). Volumes are sized so even a worst-case routing
+// skew fits the rings without needing a consumer.
+func runBatchEquiv(t *testing.T, seed int64, ftype FlowType, opt Optimization, mode pushMode, kind diffKind, nSrc, nTgt, perSource int) [][]byte {
 	t.Helper()
 	k := sim.New(seed)
 	k.Deadline = 30 * time.Second
@@ -72,9 +81,10 @@ func runBatchEquiv(t *testing.T, seed int64, ftype FlowType, opt Optimization, m
 			Optimization:    opt,
 			SegmentsPerRing: 34,
 			SegmentSize:     4 * kvSchema.TupleSize(),
-			SharedRings:     shared,
 		},
 	}
+	kind.set(&spec.Options)
+	shared := spec.Options.SharedRings
 	if opt == OptimizeLatency {
 		spec.Options.SegmentSize = 0 // latency mode defaults to tuple-sized segments
 	}
@@ -107,6 +117,24 @@ func runBatchEquiv(t *testing.T, seed int64, ftype FlowType, opt Optimization, m
 				panic(err)
 			}
 			targets[ti] = tgt // attach only; the rings keep the full stream
+			if spec.Options.Multicast {
+				// Segment boundaries are what ConsumeSegment hands out; the
+				// second column names the source.
+				streams := make([][]byte, nSrc)
+				for {
+					data, count, ok := tgt.ConsumeSegment(p)
+					if !ok {
+						break
+					}
+					si := kvSchema.Int64(data, 1) / int64(perSource)
+					streams[si] = binary.LittleEndian.AppendUint32(streams[si], uint32(count))
+					streams[si] = append(streams[si], data...)
+				}
+				for _, stream := range streams {
+					snaps[ti] = append(append(snaps[ti], stream...), 0xff) // stream boundary
+				}
+				return
+			}
 			if !shared {
 				return
 			}
@@ -178,7 +206,7 @@ func runBatchEquiv(t *testing.T, seed int64, ftype FlowType, opt Optimization, m
 	if err := k.Run(); err != nil {
 		t.Fatalf("%s/%s/%s seed %d: %v", ftype, opt, mode, seed, err)
 	}
-	if !shared {
+	if !shared && !spec.Options.Multicast {
 		for ti, tgt := range targets {
 			snaps[ti] = append([]byte(nil), tgt.feed.(*privateFeed).mr.Bytes()...)
 		}
@@ -208,14 +236,26 @@ func TestBatchPushRingEquivalence(t *testing.T) {
 					if opt == OptimizeLatency {
 						perSource = 12 // tuple-sized segments: keep worst-case skew under one ring
 					}
-					want := runBatchEquiv(t, seed, ftype, opt, seqPush, kind.shared, 2, 3, perSource)
-					got := runBatchEquiv(t, seed, ftype, opt, batchPush, kind.shared, 2, 3, perSource)
+					want := runBatchEquiv(t, seed, ftype, opt, seqPush, ringKind(kind.shared), 2, 3, perSource)
+					got := runBatchEquiv(t, seed, ftype, opt, batchPush, ringKind(kind.shared), 2, 3, perSource)
 					for ti := range want {
 						if len(want[ti]) == 0 || !bytes.Equal(want[ti], got[ti]) {
 							t.Fatalf("%s/%s/%s seed %d: target %d ring diverges between Push and PushBatch",
 								ftype, opt, kind.name, seed, ti)
 						}
 					}
+				}
+			}
+		}
+	}
+	// The multicast group is a replicate flow's third kind of leg.
+	for _, opt := range opts {
+		for _, seed := range seeds {
+			want := runBatchEquiv(t, seed, ReplicateFlow, opt, seqPush, diffMulticast, 2, 3, 40)
+			got := runBatchEquiv(t, seed, ReplicateFlow, opt, batchPush, diffMulticast, 2, 3, 40)
+			for ti := range want {
+				if len(want[ti]) <= 2 || !bytes.Equal(want[ti], got[ti]) {
+					t.Fatalf("replicate/%s/multicast seed %d: target %d's segments diverge between Push and PushBatch", opt, seed, ti)
 				}
 			}
 		}
@@ -228,12 +268,22 @@ func TestBatchPushRingEquivalence(t *testing.T) {
 func TestReserveRingEquivalence(t *testing.T) {
 	for _, kind := range ringKinds {
 		for _, seed := range []int64{3, 11, 27} {
-			want := runBatchEquiv(t, seed, ShuffleFlow, OptimizeBandwidth, seqPush, kind.shared, 2, 1, 40)
-			got := runBatchEquiv(t, seed, ShuffleFlow, OptimizeBandwidth, reservePush, kind.shared, 2, 1, 40)
+			want := runBatchEquiv(t, seed, ShuffleFlow, OptimizeBandwidth, seqPush, ringKind(kind.shared), 2, 1, 40)
+			got := runBatchEquiv(t, seed, ShuffleFlow, OptimizeBandwidth, reservePush, ringKind(kind.shared), 2, 1, 40)
 			for ti := range want {
 				if len(want[ti]) == 0 || !bytes.Equal(want[ti], got[ti]) {
 					t.Fatalf("%s seed %d: target %d ring diverges between Push and Reserve/Commit", kind.name, seed, ti)
 				}
+			}
+		}
+	}
+	// A multicast source's one leg is the group, whatever the target count.
+	for _, seed := range []int64{3, 11, 27} {
+		want := runBatchEquiv(t, seed, ReplicateFlow, OptimizeBandwidth, seqPush, diffMulticast, 2, 3, 40)
+		got := runBatchEquiv(t, seed, ReplicateFlow, OptimizeBandwidth, reservePush, diffMulticast, 2, 3, 40)
+		for ti := range want {
+			if len(want[ti]) <= 2 || !bytes.Equal(want[ti], got[ti]) {
+				t.Fatalf("multicast seed %d: target %d's segments diverge between Push and Reserve/Commit", seed, ti)
 			}
 		}
 	}

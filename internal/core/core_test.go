@@ -468,11 +468,24 @@ func TestFlowInitValidation(t *testing.T) {
 		{Name: "x", Type: ReplicateFlow, Sources: []Endpoint{{Node: n0}}, Targets: []Endpoint{{Node: n1}}, Schema: kvSchema,
 			Options: Options{GlobalOrdering: true}}, // ordering without multicast
 		{Name: "x", Type: CombinerFlow, Sources: []Endpoint{{Node: n0}}, Targets: []Endpoint{{Node: n1}, {Node: n0}}, Schema: kvSchema},
+		{Name: "x", Type: ReplicateFlow, Sources: make([]Endpoint, 257), Targets: []Endpoint{{Node: n1}}, Schema: kvSchema,
+			Options: Options{Multicast: true}}, // a multicast segment's tag carries the source index in one byte
 	}
 	e.k.Spawn("p", func(p *sim.Proc) {
 		for i, spec := range cases {
 			if err := FlowInit(p, e.reg, e.c, spec); err == nil {
 				t.Errorf("case %d: invalid spec accepted", i)
+			}
+		}
+		// 256 multicast sources still fit the byte, and 257 sources are no
+		// trouble on rings.
+		for _, ok := range []FlowSpec{
+			{Name: "mc256", Type: ReplicateFlow, Sources: make([]Endpoint, 256), Targets: []Endpoint{{Node: n1}}, Schema: kvSchema,
+				Options: Options{Multicast: true}},
+			{Name: "ring257", Type: ReplicateFlow, Sources: make([]Endpoint, 257), Targets: []Endpoint{{Node: n1}}, Schema: kvSchema},
+		} {
+			if err := FlowInit(p, e.reg, e.c, ok); err != nil {
+				t.Errorf("%s rejected: %v", ok.Name, err)
 			}
 		}
 	})

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,12 +17,13 @@ import (
 	"dfi/internal/transport/chanloop"
 )
 
-// The differential check between ring kinds: one engine runs over both,
-// so the same seeded workload must leave the same trace on a private
-// ring and on a shared ring — identical tuple sequences per (source,
-// target) pair and equal endpoint counters. The check shares no
-// assumption with the engine beyond the public API: it does not know how
-// either kind segments, schedules or acknowledges.
+// The differential check between leg kinds: one engine runs over all of
+// them, so the same seeded workload must leave the same trace on private
+// rings, on shared rings and — a replicate flow — on a multicast group,
+// ordered or not: identical tuple sequences per (source, target) pair and
+// equal endpoint counters. The check shares no assumption with the engine
+// beyond the public API: it does not know how any kind segments,
+// schedules or acknowledges.
 
 // diffBackend is one transport to run the workload on: a cluster, a
 // registry on the same clock, a lease TTL that suits that clock, and a
@@ -88,6 +90,19 @@ type diffShape struct {
 	evict      int
 }
 
+// diffKind is the kind of leg the flow runs over.
+type diffKind struct {
+	name string
+	set  func(*Options)
+}
+
+var (
+	diffPrivate   = diffKind{"private", func(*Options) {}}
+	diffShared    = diffKind{"shared", func(o *Options) { o.SharedRings = true }}
+	diffMulticast = diffKind{"multicast", func(o *Options) { o.Multicast = true }}
+	diffOrdered   = diffKind{"ordered multicast", func(o *Options) { o.Multicast, o.GlobalOrdering = true, true }}
+)
+
 // diffAPI is one pairing of push-side and consume-side API.
 type diffAPI int
 
@@ -98,16 +113,18 @@ const (
 )
 
 func (a diffAPI) String() string {
-	return [...]string{"Push+Consume", "PushBatch+ConsumeBatch", "ReserveTo+ConsumeSegment"}[a]
+	return [...]string{"Push+Consume", "PushBatch+ConsumeBatch", "Reserve+ConsumeSegment"}[a]
 }
 
 // diffTrace is what one run leaves behind: seqs[target][source] is the
 // order in which the target consumed that source's tuples (by their
-// per-source sequence number), plus the endpoint counters.
+// per-source sequence number), order[target] the order in which it
+// consumed them all (by tuple id), plus the endpoint counters.
 type diffTrace struct {
-	seqs [][][]int64
-	src  []SourceStats
-	tgt  []TargetStats
+	seqs  [][][]int64
+	order [][]int64
+	src   []SourceStats
+	tgt   []TargetStats
 }
 
 const diffPerSource = 600
@@ -134,11 +151,16 @@ func diffPush(p transport.Ctx, src *Source, api diffAPI, tuples []schema.Tuple, 
 	case apiReserveSegment:
 		for _, tup := range tuples {
 			// The caller does the routing Push would: the key's home, or
-			// every target of a replicate flow.
-			lo, hi := 0, len(spec.Targets)
+			// every leg of a replicate flow (a multicast group is one,
+			// which is what Reserve asks for).
+			lo, hi := 0, len(src.legs)
 			if spec.Type != ReplicateFlow {
 				lo = routeIndex(spec, tup)
 				hi = lo + 1
+			}
+			reserve := src.ReserveTo
+			if spec.Options.Multicast {
+				reserve = func(p transport.Ctx, _, n int) (*Batch, error) { return src.Reserve(p, n) }
 			}
 			for target := lo; target < hi; target++ {
 				if target == dead {
@@ -149,7 +171,7 @@ func diffPush(p transport.Ctx, src *Source, api diffAPI, tuples []schema.Tuple, 
 					}
 					continue
 				}
-				b, err := src.ReserveTo(p, target, 1)
+				b, err := reserve(p, target, 1)
 				if err != nil {
 					return err
 				}
@@ -197,14 +219,15 @@ func diffConsume(p transport.Ctx, tgt *Target, api diffAPI, visit func(schema.Tu
 }
 
 // runDiff runs the seeded workload once and returns its trace.
-func runDiff(t *testing.T, b *diffBackend, shape diffShape, api diffAPI, shared bool) diffTrace {
+func runDiff(t *testing.T, b *diffBackend, shape diffShape, api diffAPI, kind diffKind) diffTrace {
 	t.Helper()
 	spec := FlowSpec{
 		Name:    "diff",
 		Type:    shape.ftype,
 		Schema:  kvSchema,
-		Options: Options{SegmentSize: 16 * kvSchema.TupleSize(), ValueCol: 1, SharedRings: shared},
+		Options: Options{SegmentSize: 16 * kvSchema.TupleSize(), ValueCol: 1},
 	}
+	kind.set(&spec.Options)
 	for i := 0; i < shape.nSrc; i++ {
 		spec.Sources = append(spec.Sources, Endpoint{Node: b.node(i)})
 	}
@@ -212,9 +235,10 @@ func runDiff(t *testing.T, b *diffBackend, shape diffShape, api diffAPI, shared 
 		spec.Targets = append(spec.Targets, Endpoint{Node: b.node(shape.nSrc + i)})
 	}
 	tr := diffTrace{
-		seqs: make([][][]int64, shape.nTgt),
-		src:  make([]SourceStats, shape.nSrc),
-		tgt:  make([]TargetStats, shape.nTgt),
+		seqs:  make([][][]int64, shape.nTgt),
+		order: make([][]int64, shape.nTgt),
+		src:   make([]SourceStats, shape.nSrc),
+		tgt:   make([]TargetStats, shape.nTgt),
 	}
 	bodies := []func(transport.Ctx){func(p transport.Ctx) {
 		if err := FlowInit(p, b.reg, b.tpt, spec); err != nil {
@@ -228,6 +252,13 @@ func runDiff(t *testing.T, b *diffBackend, shape diffShape, api diffAPI, shared 
 			}
 		}
 	}}
+	// A multicast source does not wait for its targets, and a segment
+	// multicast before a target posted its receives is dropped there. On
+	// the simulated fabric targets open within the first segment's fill
+	// time; goroutines give no such order, and a whole credit window lost
+	// to a target that was not there yet is a gap nothing reveals. So the
+	// multicast sources of this workload start once every target has opened.
+	var opened atomic.Int32
 	for si := 0; si < shape.nSrc; si++ {
 		si := si
 		bodies = append(bodies, func(p transport.Ctx) {
@@ -235,6 +266,9 @@ func runDiff(t *testing.T, b *diffBackend, shape diffShape, api diffAPI, shared 
 			if err != nil {
 				t.Error(err)
 				return
+			}
+			for spec.Options.Multicast && int(opened.Load()) < shape.nTgt {
+				p.Sleep(time.Microsecond)
 			}
 			rng := rand.New(rand.NewSource(testSeed() + int64(si)*7919))
 			tuples := make([]schema.Tuple, diffPerSource)
@@ -255,6 +289,7 @@ func runDiff(t *testing.T, b *diffBackend, shape diffShape, api diffAPI, shared 
 		}
 		bodies = append(bodies, func(p transport.Ctx) {
 			tgt, err := TargetOpen(p, b.reg, spec.Name, ti)
+			opened.Add(1)
 			if err != nil {
 				t.Error(err)
 				return
@@ -263,6 +298,7 @@ func runDiff(t *testing.T, b *diffBackend, shape diffShape, api diffAPI, shared 
 				id := kvSchema.Int64(tup, 1)
 				si := id / diffPerSource
 				tr.seqs[ti][si] = append(tr.seqs[ti][si], id%diffPerSource)
+				tr.order[ti] = append(tr.order[ti], id)
 			})
 			tr.tgt[ti] = tgt.Stats()
 		})
@@ -284,9 +320,9 @@ func TestSharedRingMatchesPrivate(t *testing.T) {
 		for _, api := range []diffAPI{apiPushConsume, apiBatch, apiReserveSegment} {
 			for _, mk := range backends {
 				nodes := shape.nSrc + shape.nTgt
-				private := runDiff(t, mk(nodes), shape, api, false)
+				private := runDiff(t, mk(nodes), shape, api, diffPrivate)
 				b := mk(nodes)
-				shared := runDiff(t, b, shape, api, true)
+				shared := runDiff(t, b, shape, api, diffShared)
 				name := fmt.Sprintf("%s/%s/%s", shape.name, api, b.name)
 				if t.Failed() {
 					t.Fatalf("%s: run failed", name)
@@ -317,6 +353,58 @@ func TestSharedRingMatchesPrivate(t *testing.T) {
 				for ti := range private.tgt {
 					if p, s := private.tgt[ti], shared.tgt[ti]; p.TuplesConsumed != s.TuplesConsumed {
 						t.Errorf("%s: target %d consumed %d on private rings, %d on shared", name, ti, p.TuplesConsumed, s.TuplesConsumed)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestReplicateKindsMatch: a replicate flow delivers every source's
+// stream to every target whatever carries it — one private ring per pair,
+// the shared rings, or one multicast group — so the per-(source, target)
+// tuple sequences and the tuple counters of the four kinds are those of
+// private rings, through each API pairing, on the simulated fabric and on
+// chanloop's goroutines (the only place core drives chanloop's Group). An
+// ordered group additionally shows every target one global order.
+func TestReplicateKindsMatch(t *testing.T) {
+	shapes := []diffShape{
+		{"1:3", ReplicateFlow, 1, 3, 0},
+		{"2:3", ReplicateFlow, 2, 3, 0},
+	}
+	for _, shape := range shapes {
+		for _, api := range []diffAPI{apiPushConsume, apiBatch, apiReserveSegment} {
+			for _, mk := range []func(int) *diffBackend{newDiffDES, newDiffChan} {
+				nodes := shape.nSrc + shape.nTgt
+				private := runDiff(t, mk(nodes), shape, api, diffPrivate)
+				for _, kind := range []diffKind{diffShared, diffMulticast, diffOrdered} {
+					b := mk(nodes)
+					got := runDiff(t, b, shape, api, kind)
+					name := fmt.Sprintf("%s/%s/%s/%s", shape.name, api, kind.name, b.name)
+					if t.Failed() {
+						t.Fatalf("%s: run failed", name)
+					}
+					if !reflect.DeepEqual(private.seqs, got.seqs) {
+						t.Errorf("%s: per-(source,target) tuple sequences differ from private rings", name)
+					}
+					// Push and PushBatch count a tuple once; a caller that
+					// reserves does the replication, one commit per leg.
+					pushed := uint64(diffPerSource)
+					if api == apiReserveSegment && kind.name == diffShared.name {
+						pushed *= uint64(shape.nTgt)
+					}
+					for si, st := range got.src {
+						if st.TuplesPushed != pushed {
+							t.Errorf("%s: source %d pushed %d tuples, want %d", name, si, st.TuplesPushed, pushed)
+						}
+					}
+					for ti := range private.tgt {
+						if p, g := private.tgt[ti].TuplesConsumed, got.tgt[ti].TuplesConsumed; p != g || g != uint64(shape.nSrc*diffPerSource) {
+							t.Errorf("%s: target %d consumed %d tuples, %d on private rings", name, ti, g, p)
+						}
+						if kind.name == diffOrdered.name && !reflect.DeepEqual(got.order[ti], got.order[0]) {
+							t.Errorf("%s: target %d consumed in another order than target 0", name, ti)
+						}
 					}
 				}
 			}

@@ -140,7 +140,12 @@ type Options struct {
 	// accounting).
 	SourceSegments int
 
-	// Multicast enables switch-side replication for replicate flows.
+	// Multicast enables switch-side replication for replicate flows: a
+	// source's legs, one ring per target, become one leg to a multicast
+	// group, and a target consumes in sequence order instead of ring by
+	// ring. It is a kind of leg, not another endpoint: every Source and
+	// Target operation runs on it except the per-target ones (see
+	// ErrUnsupportedOnMulticast). At most 256 sources.
 	Multicast bool
 
 	// GlobalOrdering makes all targets of a replicate flow consume tuples
@@ -291,9 +296,10 @@ var ErrFlowBroken = errors.New("dfi: flow broken")
 // ErrUnsupportedOnMulticast reports an operation that has no meaning on
 // a multicast replicate flow: Checkpoint and Source.Reattach (a
 // multicast source has no per-target resume cursor — recovery is the
-// gap/agreement protocol) and Reserve/ReserveTo (segments are filled
-// through the multicast staging buffer, not reserved in a remote ring).
-// Returned wrapped, so test with errors.Is.
+// gap/agreement protocol), ReserveTo (a multicast segment reaches every
+// target; Reserve reserves in the group's one leg), and Target.Reattach
+// on a flow that is not both ordered and leased (no sequencer snapshot
+// to resume from). Returned wrapped, so test with errors.Is.
 var ErrUnsupportedOnMulticast = errors.New("dfi: operation not supported on multicast replicate flows")
 
 // ErrUnsupportedOnShared reports an operation that has no meaning on a
@@ -334,11 +340,21 @@ type FlowSpec struct {
 	part *partition.Table
 }
 
+// legCount is the number of legs a source routes over, which is what the
+// routing table spans: one per target, or the one group leg of a
+// multicast flow.
+func (s *FlowSpec) legCount() int {
+	if s.Options.Multicast {
+		return 1
+	}
+	return len(s.Targets)
+}
+
 // table returns the flow's routing table, building the declared one
 // lazily for specs that never went through normalize (direct test use).
 func (s *FlowSpec) table() *partition.Table {
 	if s.part == nil {
-		s.part, _ = partition.NewTable(s.Options.Partitioning, len(s.Targets), 0)
+		s.part, _ = partition.NewTable(s.Options.Partitioning, s.legCount(), 0)
 	}
 	return s.part
 }
@@ -551,7 +567,10 @@ func (s *FlowSpec) normalize() error {
 	if o.Multicast && s.Type != ReplicateFlow {
 		return errors.New("dfi: multicast requires a replicate flow")
 	}
-	part, err := partition.NewTable(o.Partitioning, len(s.Targets), 0)
+	if o.Multicast && len(s.Sources) > maxMcSources {
+		return fmt.Errorf("dfi: a multicast flow carries its source index in one byte: %d sources exceed the limit of %d", len(s.Sources), maxMcSources)
+	}
+	part, err := partition.NewTable(o.Partitioning, s.legCount(), 0)
 	if err != nil {
 		return err
 	}

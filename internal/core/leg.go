@@ -15,12 +15,13 @@ import (
 // applications.
 var errEvicted = errors.New("dfi: target evicted")
 
-// leg is one source's path to one target: the local segment being
-// filled plus, behind the segmentTx seam, the ring kind that ships
-// filled segments. Everything the endpoint engine does per tuple — push,
-// pushRun, the Reserve boundary rule — is written once against this
-// struct; a private ring (ringWriter) and a shared ring (sharedTx) embed
-// it and differ only in what happens once per segment.
+// leg is one source's path to one target — or, on a multicast flow, to
+// the whole group: the local segment being filled plus, behind the
+// segmentTx seam, the kind that ships filled segments. Everything the
+// endpoint engine does per tuple — push, pushRun, the Reserve boundary
+// rule — is written once against this struct; a private ring
+// (ringWriter), a shared ring (sharedTx) and a multicast group (mcTx)
+// embed it and differ only in what happens once per segment.
 type leg struct {
 	tx segmentTx
 
@@ -37,7 +38,10 @@ type leg struct {
 	// Control plane. mem is the flow's membership record, slot the
 	// target slot this leg feeds and inc the incarnation it connected
 	// under; every bounded wait polls checkAbort so eviction wins over
-	// the slower ErrFlowBroken give-up.
+	// the slower ErrFlowBroken give-up. The group leg of a multicast flow
+	// feeds every target and has slot -1, which no membership change ever
+	// makes gone: the kind folds its members' evictions and rejoins
+	// itself (mcTx.foldTargets).
 	// seen is the flow epoch at which the target was last found live.
 	// dead latches the eviction once the source has harvested the leg.
 	mem  *registry.Membership
@@ -93,11 +97,17 @@ func (l *leg) evicted() bool {
 	if e == l.seen {
 		return false
 	}
-	if l.mem.TargetEvicted(l.slot) || l.mem.Incarnation(registry.RoleTarget, l.slot) != l.inc {
+	if l.gone() {
 		return true
 	}
 	l.seen = e
 	return false
+}
+
+// gone is the membership lookup behind evicted, and what the source's
+// epoch fold asks of every leg.
+func (l *leg) gone() bool {
+	return l.mem.TargetEvicted(l.slot) || l.mem.Incarnation(registry.RoleTarget, l.slot) != l.inc
 }
 
 // push appends one tuple to the segment being filled, shipping it first

@@ -248,7 +248,7 @@ func (s *Source) initMembership(name string) error {
 func (s *Source) refreshView() error {
 	live := make([]bool, len(s.legs))
 	for i, l := range s.legs {
-		live[i] = l != nil && !l.dead && !s.mem.TargetEvicted(i)
+		live[i] = l != nil && !l.dead && !l.gone()
 	}
 	s.view.SetLive(live)
 	if s.view.LiveCount() == 0 {
@@ -328,10 +328,7 @@ func (s *Source) syncEpoch(p transport.Ctx) error {
 		// anything in flight to the previous incarnation will never be
 		// consumed.
 		for i, l := range s.legs {
-			if l == nil || l.dead {
-				continue
-			}
-			if !s.mem.TargetEvicted(i) && s.targetInc(i) == s.linc[i] {
+			if l == nil || l.dead || !l.gone() {
 				continue
 			}
 			for _, data := range l.abandon(s.spec.Schema.TupleSize()) {
@@ -378,28 +375,24 @@ func (s *Source) syncEpoch(p transport.Ctx) error {
 // new leg attaches to the rings the target republished before its
 // Rejoin bumped the epoch.
 func (s *Source) reconnectRejoined(p transport.Ctx) error {
-	for i := range s.legs {
-		if s.mem.TargetEvicted(i) {
+	for i, l := range s.legs {
+		if s.mem.TargetEvicted(i) || l != nil && !l.dead && !l.gone() {
 			continue
 		}
 		inc := s.targetInc(i)
-		if l := s.legs[i]; l != nil && !l.dead && inc == s.linc[i] {
-			continue
-		}
 		info, ok := s.reg.TargetInfo(p, s.spec.Name, i)
 		if !ok {
 			continue // never published; WaitTargetLive said evicted at open
 		}
-		l, err := s.connectLeg(info, i, inc)
+		fresh, err := s.connectLeg(info, i, inc)
 		if err != nil {
 			return err
 		}
 		s.statsMu.Lock()
-		if old := s.legs[i]; old != nil {
-			s.retired = append(s.retired, old)
+		if l != nil {
+			s.retired = append(s.retired, l)
 		}
-		s.legs[i] = l
-		s.linc[i] = inc
+		s.legs[i] = fresh
 		s.statsMu.Unlock()
 	}
 	return nil
@@ -450,16 +443,18 @@ func (t *Target) acquireTargetLease(p transport.Ctx, reg Registry, name string) 
 // rings of evicted sources are closed (reported like SourceTimeout
 // failures, so FailedSources covers both detectors), rings of sources
 // that rejoined under a fresh incarnation are reset for the new stream,
-// and a target that was itself evicted stops consuming. Reports whether
-// the target is evicted. A no-op (one integer compare) while the epoch
-// is unchanged.
+// and a target that was itself evicted — or whose slot a successor took
+// under a fresh incarnation while it was not looking — stops consuming.
+// Reports whether the target is evicted. A no-op (one integer compare)
+// while the epoch is unchanged. Every feed's scan calls it once per pass
+// (see segmentFeed).
 func (t *Target) syncMembership() bool {
 	e := t.mem.Epoch()
 	if e == t.epoch {
 		return t.evicted.Load()
 	}
 	t.epoch = e
-	if t.mem.TargetEvicted(t.idx) {
+	if t.mem.TargetEvicted(t.idx) || t.mem.Incarnation(registry.RoleTarget, t.idx) != t.inc {
 		t.evicted.Store(true)
 		return true
 	}

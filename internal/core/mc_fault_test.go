@@ -9,6 +9,7 @@ import (
 	"dfi/internal/fabric"
 	"dfi/internal/registry"
 	"dfi/internal/sim"
+	"dfi/internal/transport"
 )
 
 // Fault-tolerance tests for ordered multicast under the lease/epoch
@@ -400,9 +401,12 @@ func TestChaosOrderedMulticastNotifyGapsAgreement(t *testing.T) {
 }
 
 func TestMulticastUnsupportedOps(t *testing.T) {
-	// The operations that cannot work on the multicast transport fail
-	// with the typed sentinel so applications can branch on errors.Is
-	// instead of string-matching.
+	// What cannot work on a multicast flow — a per-target cursor
+	// (Checkpoint, Source.Reattach) or a per-target segment (ReserveTo) —
+	// fails with the typed sentinel so applications can branch on
+	// errors.Is instead of string-matching. Reserve is not among them: the
+	// group is the source's one leg, and Reserve+Commit delivers what Push
+	// delivers, in the same order and the same segments.
 	e := newEnv(t, 2)
 	spec := FlowSpec{
 		Name:    "mc-unsupported",
@@ -410,7 +414,7 @@ func TestMulticastUnsupportedOps(t *testing.T) {
 		Sources: []Endpoint{{Node: e.c.Node(0)}},
 		Targets: []Endpoint{{Node: e.c.Node(1)}},
 		Schema:  kvSchema,
-		Options: Options{Multicast: true, GlobalOrdering: true}, // ordered, but no lease
+		Options: Options{Multicast: true, GlobalOrdering: true, SegmentSize: 4 * 16}, // ordered, but no lease; four tuples a segment
 	}
 	const n = 50
 	e.k.Spawn("init", func(p *sim.Proc) {
@@ -427,23 +431,41 @@ func TestMulticastUnsupportedOps(t *testing.T) {
 		if _, err := src.Checkpoint(p); !errors.Is(err, ErrUnsupportedOnMulticast) {
 			t.Errorf("Checkpoint error %v, want ErrUnsupportedOnMulticast", err)
 		}
-		if _, err := src.Reserve(p, 4); !errors.Is(err, ErrUnsupportedOnMulticast) {
-			t.Errorf("Reserve error %v, want ErrUnsupportedOnMulticast", err)
-		}
 		if _, err := src.ReserveTo(p, 0, 4); !errors.Is(err, ErrUnsupportedOnMulticast) {
 			t.Errorf("ReserveTo error %v, want ErrUnsupportedOnMulticast", err)
 		}
 		if _, _, err := src.Reattach(p); !errors.Is(err, ErrUnsupportedOnMulticast) {
 			t.Errorf("Source.Reattach error %v, want ErrUnsupportedOnMulticast", err)
 		}
-		for i := 0; i < n; i++ {
+		// First half pushed, second half reserved in place: three tuples
+		// at a time against four-tuple segments, so reservations come back
+		// short at every segment boundary.
+		for i := 0; i < n/2; i++ {
 			if err := src.Push(p, mkTuple(int64(i), int64(2*i))); err != nil {
 				t.Error(err)
 				return
 			}
 		}
+		for i := n / 2; i < n; {
+			b, err := src.Reserve(p, min(3, n-i))
+			if err != nil {
+				t.Errorf("Reserve: %v", err)
+				return
+			}
+			for k := 0; k < b.Len(); k++ {
+				copy(b.Tuple(k), mkTuple(int64(i+k), int64(2*(i+k))))
+			}
+			if err := b.Commit(p, b.Len()); err != nil {
+				t.Errorf("Commit: %v", err)
+				return
+			}
+			i += b.Len()
+		}
 		if err := src.Close(p); err != nil {
 			t.Error(err)
+		}
+		if st := src.Stats(); st.TuplesPushed != n || st.SegmentsWritten != (n+3)/4 {
+			t.Errorf("source stats %+v, want %d tuples in %d segments", st, n, (n+3)/4)
 		}
 	})
 	e.k.Spawn("tgt", func(p *sim.Proc) {
@@ -454,8 +476,12 @@ func TestMulticastUnsupportedOps(t *testing.T) {
 		}
 		got := 0
 		for {
-			if _, ok := tgt.Consume(p); !ok {
+			tup, ok := tgt.Consume(p)
+			if !ok {
 				break
+			}
+			if k, v := kvSchema.Int64(tup, 0), kvSchema.Int64(tup, 1); k != int64(got) || v != 2*k {
+				t.Errorf("tuple %d is (%d, %d), want (%d, %d)", got, k, v, got, 2*got)
 			}
 			got++
 		}
@@ -495,4 +521,201 @@ func TestGapNackLimitValidation(t *testing.T) {
 		}
 	})
 	e.run(t)
+}
+
+// TestMulticastForgedMessagesAreDropped: what a peer wrote into a
+// multicast message is not trusted. A source index that is no declared
+// slot used to index the per-source state unchecked (index out of range
+// [7] with length 1, on an end marker as on a data segment), and a
+// descriptor whose Fill exceeds the bytes that followed it handed the
+// application the neighbouring pool buffer's bytes. Each forged message
+// is multicast into a one-source flow ahead of the real stream, which
+// must arrive complete and alone.
+func TestMulticastForgedMessagesAreDropped(t *testing.T) {
+	const tuple, segSize = 16, 4 * 16
+	forge := func(d transport.SegDesc, payload int) []byte {
+		msg := make([]byte, transport.SegDescBytes+payload)
+		d.Put(msg)
+		for i := transport.SegDescBytes; i < len(msg); i++ {
+			msg[i] = 0xee
+		}
+		return msg
+	}
+	data := byte(transport.SegCommitted)
+	for _, tc := range []struct {
+		name    string
+		ordered bool
+		msg     []byte
+	}{
+		{"end marker from an undeclared source", false,
+			forge(transport.SegDesc{Flags: data | transport.SegEnd, Tag: mcTag(7, 0)}, 0)},
+		{"ordered end marker from an undeclared source", true,
+			forge(transport.SegDesc{Flags: data | transport.SegEnd, Tag: mcTag(7, 0)}, 0)},
+		{"segment from an undeclared source", false,
+			forge(transport.SegDesc{Fill: tuple, Flags: data, Tag: mcTag(7, 0)}, tuple)},
+		{"fill beyond the bytes received", false,
+			forge(transport.SegDesc{Fill: 3 * tuple, Flags: data, Tag: mcTag(0, 0)}, tuple)},
+		{"ordered fill beyond the bytes received", true,
+			forge(transport.SegDesc{Fill: 3 * tuple, Flags: data, Tag: mcTag(0, 0)}, tuple)},
+		{"fill beyond a segment", false,
+			forge(transport.SegDesc{Fill: segSize + 2*tuple, Flags: data, Tag: mcTag(0, 0)}, segSize)},
+		{"fill short of the bytes received", false,
+			forge(transport.SegDesc{Fill: tuple, Flags: data, Tag: mcTag(0, 0)}, 2*tuple)},
+		{"shorter than a descriptor", false, []byte{1, 2, 3, 4, 5, 6, 7, 8}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newEnv(t, 3)
+			spec := FlowSpec{
+				Name:    "mc-forged",
+				Type:    ReplicateFlow,
+				Sources: []Endpoint{{Node: e.c.Node(0)}},
+				Targets: []Endpoint{{Node: e.c.Node(1)}},
+				Schema:  kvSchema,
+				Options: Options{Multicast: true, GlobalOrdering: tc.ordered, SegmentSize: segSize},
+			}
+			const n = 40
+			e.k.Spawn("init", func(p *sim.Proc) {
+				if err := FlowInit(p, e.reg, e.c, spec); err != nil {
+					t.Error(err)
+				}
+			})
+			e.k.Spawn("forger", func(p *sim.Proc) {
+				p.Sleep(20 * time.Microsecond)
+				lookupFlow(p, e.reg, spec.Name).group.Send(p, e.c.Node(2), tc.msg, false)
+			})
+			e.k.Spawn("src", func(p *sim.Proc) {
+				src, err := SourceOpen(p, e.reg, spec.Name, 0)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				p.Sleep(50 * time.Microsecond) // the forged message lands first
+				for i := 0; i < n; i++ {
+					if err := src.Push(p, mkTuple(int64(i), int64(2*i))); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				if err := src.Close(p); err != nil {
+					t.Error(err)
+				}
+			})
+			e.k.Spawn("tgt", func(p *sim.Proc) {
+				tgt, err := TargetOpen(p, e.reg, spec.Name, 0)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got := 0
+				for {
+					tup, ok := tgt.Consume(p)
+					if !ok {
+						break
+					}
+					if k, v := kvSchema.Int64(tup, 0), kvSchema.Int64(tup, 1); k != int64(got) || v != 2*k {
+						t.Errorf("tuple %d is (%d, %d), want (%d, %d)", got, k, v, got, 2*got)
+					}
+					got++
+				}
+				if got != n {
+					t.Errorf("consumed %d tuples, want %d", got, n)
+				}
+			})
+			e.run(t)
+		})
+	}
+}
+
+// TestMulticastSourceHeldBehindGapFails is the other side of
+// TestMulticastPendingSourceIsNotSilent: a source that crashed with its
+// head segment lost and a later one already here is held behind a gap
+// nobody will refill — its NACKs go unanswered. Holding its segment must
+// not keep it looking alive: SourceTimeout has to declare it failed, so
+// that the target lets go of what it held (the source's extent ends at
+// what was delivered from it: nothing) and the flow ends for the
+// surviving source too. Source 1 opens and never sends; the segment after
+// its lost first one is multicast in its name.
+func TestMulticastSourceHeldBehindGapFails(t *testing.T) {
+	const tuple, segSize, n = 16, 4 * 16, 40 // source 0 sends 10 segments
+	for _, tc := range []struct {
+		name    string
+		ordered bool
+		seq     uint64 // of the segment that arrives
+	}{
+		{"unordered", false, 1}, // per-source sequence 0 is lost
+		{"ordered", true, 11},   // global sequence 10 is lost
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newEnv(t, 5)
+			e.k.MaxEvents = 5_000_000
+			spec := FlowSpec{
+				Name:    "mc-held",
+				Type:    ReplicateFlow,
+				Sources: []Endpoint{{Node: e.c.Node(0)}, {Node: e.c.Node(1)}},
+				Targets: []Endpoint{{Node: e.c.Node(2)}, {Node: e.c.Node(3)}},
+				Schema:  kvSchema,
+				Options: Options{Multicast: true, GlobalOrdering: tc.ordered, SegmentSize: segSize, SourceTimeout: 300 * time.Microsecond},
+			}
+			e.k.Spawn("init", func(p *sim.Proc) {
+				if err := FlowInit(p, e.reg, e.c, spec); err != nil {
+					t.Error(err)
+				}
+			})
+			e.k.Spawn("src0", func(p *sim.Proc) {
+				src, err := SourceOpen(p, e.reg, spec.Name, 0)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for i := 0; i < n; i++ {
+					if err := src.Push(p, mkTuple(int64(i), int64(2*i))); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				if err := src.Close(p); err != nil {
+					t.Errorf("surviving source close: %v", err)
+				}
+			})
+			e.k.Spawn("src1", func(p *sim.Proc) {
+				if _, err := SourceOpen(p, e.reg, spec.Name, 1); err != nil {
+					t.Error(err)
+				}
+				// Crash: no push, no close, no end marker, no NACK answered.
+			})
+			e.k.Spawn("src1-last-words", func(p *sim.Proc) {
+				p.Sleep(100 * time.Microsecond)
+				msg := make([]byte, transport.SegDescBytes+tuple)
+				transport.SegDesc{Fill: tuple, Flags: transport.SegCommitted, Tag: mcTag(1, 0), Seq: tc.seq}.Put(msg)
+				copy(msg[transport.SegDescBytes:], mkTuple(-1, -2))
+				lookupFlow(p, e.reg, spec.Name).group.Send(p, e.c.Node(4), msg, false)
+			})
+			for ti := range spec.Targets {
+				e.k.Spawn(fmt.Sprintf("tgt%d", ti), func(p *sim.Proc) {
+					tgt, err := TargetOpen(p, e.reg, spec.Name, ti)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					got := 0
+					for {
+						if _, ok := tgt.Consume(p); !ok {
+							break
+						}
+						got++
+					}
+					if got != n {
+						t.Errorf("target %d consumed %d tuples, want source 0's %d", ti, got, n)
+					}
+					if failed := tgt.FailedSources(); len(failed) != 1 || failed[0] != 1 {
+						t.Errorf("target %d failed sources %v, want [1]", ti, failed)
+					}
+					if !tgt.Done() {
+						t.Errorf("target %d stopped without reaching flow end", ti)
+					}
+				})
+			}
+			e.run(t)
+		})
+	}
 }

@@ -44,9 +44,9 @@ func (s *Source) PublishMetrics(m *metrics.Registry) {
 		func(st SourceStats) float64 { return float64(st.Rerouted) })
 	counter("dfi_source_moved_tuples_total", "Tuples routed to a live owner because the declared owner was down.",
 		func(st SourceStats) float64 { return float64(st.Moved) })
-	if s.mc != nil {
-		// Multicast-only series, registered only for the multicast
-		// transport so ring-flow scrapes stay unchanged.
+	if s.spec.Options.Multicast {
+		// Multicast-only series, registered only for multicast flows so
+		// ring-flow scrapes stay unchanged.
 		counter("dfi_source_mc_retransmits_total", "Multicast segments re-sent on the reliable QPs (NACK answers, gap refills).",
 			func(st SourceStats) float64 { return float64(st.McRetransmits) })
 		counter("dfi_source_mc_gap_rounds_total", "Gap-agreement rounds arbitrated by this source.",
@@ -73,7 +73,7 @@ func (t *Target) PublishMetrics(m *metrics.Registry) {
 			}
 			return 0
 		})
-	if t.mc != nil {
+	if t.spec.Options.Multicast {
 		m.RegisterCounterFunc("dfi_target_mc_nacks_total", "Retransmission requests sent for multicast sequence gaps.", lbl,
 			func() float64 { return float64(t.Stats().McNacksSent) })
 		m.RegisterCounterFunc("dfi_target_mc_gaps_skipped_total", "Sequence numbers skipped (agreed unfillable, app-resolved, or heuristic).", lbl,

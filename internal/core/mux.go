@@ -141,7 +141,6 @@ type sharedFeed struct {
 	t    *Target
 	rcv  []*sharedring.Receiver
 	tags []uint32
-	zero []byte
 }
 
 // openSharedFeed wires one receiver+tag per source and returns the
@@ -164,6 +163,9 @@ func (t *Target) openSharedFeed() *sharedTargetInfo {
 // lifetime Consume documents for a private ring's slot.
 func (f *sharedFeed) scan(p transport.Ctx, n int) ([]byte, bool) {
 	t := f.t
+	if t.syncMembership() {
+		return nil, false
+	}
 	open := 0
 	for _, r := range t.readers[:n] {
 		if !r.closed {
@@ -189,16 +191,8 @@ func (f *sharedFeed) scan(p transport.Ctx, n int) ([]byte, bool) {
 				continue // bare end marker rides a zero-fill segment
 			}
 			r.consumed.Add(1)
-			if seg.Data != nil {
-				return seg.Data, true
-			}
-			// The backend models payloads without moving bytes: hand out
-			// zero-filled tuples with correct counts, matching a private
-			// ring on the same backend.
-			if cap(f.zero) < seg.Fill {
-				f.zero = make([]byte, seg.Fill)
-			}
-			return f.zero[:seg.Fill], true
+			t.charge(p, seg.Data)
+			return seg.Data, true
 		case sharedring.RecvEnd, sharedring.RecvDropped:
 			r.closed = true
 		}

@@ -750,3 +750,108 @@ func TestReattachRejectedWhileLive(t *testing.T) {
 		t.Fatalf("delivered %d keys, want 100 (the rejected rejoins must not disturb the flow)", len(got))
 	}
 }
+
+// TestTargetSupersededWhileAway: a consumer that spends the whole
+// evict → rejoin interval in application code never sees its slot
+// evicted — on its next pass the epoch has moved by two and the slot is
+// live again, under a successor's incarnation. It must still stop and
+// report Evicted(), on every kind, rather than keep scanning rings (or a
+// detached group endpoint) beside its successor.
+func TestTargetSupersededWhileAway(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		typ  FlowType
+		opts Options
+	}{
+		{"private rings", ShuffleFlow, Options{SegmentSize: 256, RetransmitTimeout: 40 * time.Microsecond}},
+		{"ordered multicast", ReplicateFlow, Options{SegmentSize: 256, Multicast: true, GlobalOrdering: true, LeaseTTL: 100 * time.Microsecond}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newEnv(t, 3)
+			e.k.MaxEvents = 5_000_000
+			spec := FlowSpec{
+				Name:    "superseded",
+				Type:    tc.typ,
+				Sources: []Endpoint{{Node: e.c.Node(0)}},
+				Targets: []Endpoint{{Node: e.c.Node(1)}, {Node: e.c.Node(2)}},
+				Schema:  kvSchema,
+				Options: tc.opts,
+			}
+			const n = 3000
+			e.k.Spawn("init", func(p *sim.Proc) {
+				if err := FlowInit(p, e.reg, e.c, spec); err != nil {
+					t.Error(err)
+				}
+			})
+			e.k.Spawn("src", func(p *sim.Proc) {
+				src, err := SourceOpen(p, e.reg, spec.Name, 0)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for i := int64(0); i < n; i++ {
+					if err := src.Push(p, mkTuple(i, 2*i)); err != nil {
+						t.Errorf("push %d: %v", i, err)
+						return
+					}
+					p.Sleep(200 * time.Nanosecond)
+				}
+				if err := src.Close(p); err != nil {
+					t.Errorf("close: %v", err)
+				}
+			})
+			e.k.Spawn("tgt0", func(p *sim.Proc) {
+				tgt, err := TargetOpen(p, e.reg, spec.Name, 0)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				reattachCollect(t, p, tgt, make(map[int64]int))
+			})
+			var old *Target
+			e.k.Spawn("tgt1", func(p *sim.Proc) {
+				tgt, err := TargetOpen(p, e.reg, spec.Name, 1)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				old = tgt
+				for i := 0; i < 20; i++ {
+					if _, ok := tgt.Consume(p); !ok {
+						t.Errorf("target 1 stopped after %d tuples, before the eviction", i)
+						return
+					}
+				}
+				p.Sleep(300 * time.Microsecond) // away: evicted at 100 µs, superseded at 150 µs
+				reattachCollect(t, p, tgt, make(map[int64]int))
+				if !tgt.Evicted() {
+					t.Error("superseded target stopped consuming without reporting Evicted()")
+				}
+			})
+			successorDone := false
+			e.k.Spawn("successor", func(p *sim.Proc) {
+				p.Sleep(100 * time.Microsecond)
+				if err := e.reg.Evict(p, spec.Name, registry.RoleTarget, 1); err != nil {
+					t.Errorf("evict: %v", err)
+					return
+				}
+				p.Sleep(50 * time.Microsecond)
+				if old == nil || old.Evicted() {
+					t.Error("target 1 was not away over the eviction; retune the test timings")
+					return
+				}
+				nt, err := old.Reattach(p)
+				if err != nil {
+					t.Errorf("rejoin: %v", err)
+					return
+				}
+				reattachCollect(t, p, nt, make(map[int64]int))
+				successorDone = nt.Done()
+			})
+			e.run(t)
+			if !successorDone {
+				t.Error("the successor did not reach flow end")
+			}
+		})
+	}
+}

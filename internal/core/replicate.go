@@ -8,12 +8,16 @@ import (
 
 	"dfi/internal/metrics"
 	"dfi/internal/registry"
-	"dfi/internal/schema"
 	"dfi/internal/transport"
 )
 
-// Multicast replicate flows (paper §5.4) ride on two-sided unreliable
-// multicast instead of one-sided ring writes:
+// Multicast replicate flows (paper §5.4) are the third kind of leg and
+// feed behind the endpoint engine's seams (leg.go, target.go): a source
+// has one leg, the group (mcTx), and a target's feed (mcFeed) hands out
+// segments in sequence order. Push, Flush, Close, the tuple iterator, the
+// SourceTimeout detector, the membership fold and Stats are the engine's;
+// this file is what rides on two-sided unreliable multicast instead of
+// one-sided ring writes:
 //
 //   - Targets pre-populate their receive queues with as many buffers as
 //     the credit score allows; sources track per-target credit from a
@@ -30,24 +34,27 @@ import (
 // End-of-flow markers and retransmissions travel on the reliable per-pair
 // queue pairs so termination does not depend on lossy multicast.
 //
-// With Options.LeaseTTL set, multicast endpoints are first-class members
-// of the flow's lease/epoch control plane (see docs/PROTOCOL.md,
-// "Ordered replicate failure model"): segment headers carry the
-// membership epoch, an evicted source triggers a bounded gap-agreement
-// round over the survivors instead of a heuristic skip, an evicted
-// target is detached from the group and the credit accounting, and a
-// rejoining target resumes from an installable sequencer snapshot.
+// With Options.LeaseTTL set, the members of the group follow the flow's
+// lease/epoch control plane (see docs/PROTOCOL.md, "Ordered replicate
+// failure model"): segment headers carry the membership epoch, an
+// evicted source triggers a bounded gap-agreement round over the
+// survivors instead of a heuristic skip, an evicted target is detached
+// from the group and the credit accounting, and a rejoining target
+// resumes from an installable sequencer snapshot.
 
 // A multicast message leads with the segment descriptor every ring kind
 // uses (transport.SegDesc); its tag is mcTag: the source index and the
-// low 16 bits of the membership epoch the sender had folded in (0 on
-// flows without leases).
+// low 16 bits of the membership epoch the sender had folded in.
 func mcTag(src int, epoch uint64) uint32 { return uint32(byte(src)) | uint32(uint16(epoch))<<8 }
 
 // mcSrc is the source index in a received segment's tag.
 func mcSrc(tag uint32) int { return int(byte(tag)) }
 
-// Control message (16 bytes): kind(1) srcIdx(1) rsvd(6) value(8).
+// maxMcSources is how many sources a multicast flow may declare: mcTag
+// carries the source index in one byte.
+const maxMcSources = 256
+
+// Control message (16 bytes): kind(1) slot(1) rsvd(6) value(8).
 // ctrlGapHave appends a full segment copy after the fixed header.
 // Control messages travel only on the reliable per-pair QPs, so none of
 // them can be lost — the gap-agreement protocol needs no retries beyond
@@ -71,11 +78,47 @@ const (
 	ctrlGapFill   = 8 // source -> target: <value> was refilled (data precedes)
 )
 
+// ctrlMsg is a control message's fixed header. slot is the sender's slot
+// in agreement traffic and 0 in credits and NACKs, whose receiver knows
+// the sender from the queue.
+type ctrlMsg struct {
+	kind, slot byte
+	value      uint64
+}
+
+// Put writes the header into b[:ctrlBytes].
+func (c ctrlMsg) Put(b []byte) {
+	b[0], b[1] = c.kind, c.slot
+	clear(b[2:8])
+	binary.LittleEndian.PutUint64(b[8:ctrlBytes], c.value)
+}
+
+// parseCtrl reads the header of a received control message, which must be
+// at least ctrlBytes long.
+func parseCtrl(b []byte) ctrlMsg {
+	return ctrlMsg{kind: b[0], slot: b[1], value: binary.LittleEndian.Uint64(b[8:ctrlBytes])}
+}
+
+// encode returns the message as a fresh buffer, payload (the segment copy
+// of a ctrlGapHave) appended: a posted SEND owns its bytes.
+func (c ctrlMsg) encode(payload []byte) []byte {
+	msg := make([]byte, ctrlBytes+len(payload))
+	c.Put(msg)
+	copy(msg[ctrlBytes:], payload)
+	return msg
+}
+
 // Gap describes a missing global sequence number surfaced to the
 // application of an ordered replicate flow with NotifyGaps.
 type Gap struct {
 	Seq uint64
 }
+
+// gapAgreement reports whether the flow runs the gap-agreement protocol:
+// global ordering plus the lease/epoch control plane. Without leases the
+// legacy heuristic paths (unilateral skip, immediate NotifyGaps
+// surfacing) are kept timing-identical.
+func (o *Options) gapAgreement() bool { return o.GlobalOrdering && o.LeaseTTL > 0 }
 
 // mcQPName returns the registry rendezvous key for the reliable QP between
 // source i and target j of a flow. inc is the target's incarnation: a
@@ -96,40 +139,33 @@ type gapRound struct {
 	answered []bool
 }
 
-// mcSource is the sending half of a multicast replicate flow.
-type mcSource struct {
-	meta *flowMeta
-	spec *FlowSpec
-	idx  int
-	node transport.Endpoint
-	reg  Registry
+// mcTx is the multicast leg: one source's path to the whole group. The
+// embedded leg's buf is the payload area of the staging message msg;
+// flush draws the segment's sequence number and multicasts it, and the
+// phased close is flush, then reliable end markers and a bounded linger.
+// segsWritten is the count of segments sent — the per-source sequence
+// number of an unordered flow.
+type mcTx struct {
+	leg
+	s *Source
 
 	group    transport.Group
 	fqps     []transport.Queue // reliable QP to each target (source end)
 	ctrlBufs [][]byte          // posted control-recv buffers, recycled by index
+	msg      []byte            // staging message: descriptor + payload
 
-	segBuf []byte // current segment: header + payload
-	fill   int
+	credit     int      // ring size R
+	consumedBy []uint64 // cumulative segments consumed, per target
 
-	credit int // ring size R
-	// sentSegs and payloadBytes are atomic so Source.Stats can be read
-	// from a scraper goroutine mid-run; the simulation side is the only
-	// writer.
-	sentSegs     atomic.Uint64
-	payloadBytes atomic.Uint64
-	consumedBy   []uint64 // cumulative segments consumed, per target
+	history   map[uint64][]byte
+	histOrder []uint64
+	seqQP     transport.Queue // to the sequencer node (ordered flows)
 
-	history    map[uint64][]byte
-	histOrder  []uint64
-	seqQP      transport.Queue // to the sequencer node (ordered flows)
-	closedFlag bool
-
-	// Control-plane membership (Options.LeaseTTL): the flow's record,
-	// the last epoch folded in (stamped on outgoing segment headers),
-	// and the target incarnation each reliable QP connected under.
-	mem   *registry.Membership
-	epoch uint64
-	tinc  []uint64
+	// folded is the membership epoch at which the group's targets were
+	// last folded (stamped on outgoing segment headers), tinc the target
+	// incarnation each reliable QP connected under.
+	folded uint64
+	tinc   []uint64
 
 	// Gap-agreement state with this source as arbiter: open rounds by
 	// sequence number and the verdicts already reached (also recorded in
@@ -148,10 +184,10 @@ type mcSource struct {
 	lastAdvance []time.Duration
 	gating      []bool
 	// evictedTgt marks slots whose failedTgt entry came from a lease
-	// eviction rather than the staleness detector: the leg was detached
+	// eviction rather than the staleness detector: the member was detached
 	// cleanly by the control plane, so close excludes it from the
-	// "stopped responding" error — the point-to-point replicate path
-	// likewise drops an evicted leg without failing the source.
+	// "stopped responding" error — a ring replicate flow likewise drops
+	// an evicted leg without failing the source.
 	evictedTgt []bool
 
 	// Ordered flows: globally drawn sequence numbers owned by this source
@@ -167,97 +203,79 @@ type mcSource struct {
 	creditStalls atomic.Uint64
 }
 
-func newMcSource(p transport.Ctx, reg Registry, meta *flowMeta, idx int) (*mcSource, error) {
-	spec := &meta.spec
-	s := &mcSource{
-		meta:        meta,
-		spec:        spec,
-		idx:         idx,
-		node:        spec.Sources[idx].Node,
-		reg:         reg,
-		group:       meta.group,
-		credit:      spec.Options.SegmentsPerRing,
-		consumedBy:  make([]uint64, len(spec.Targets)),
+// newMcTx builds source s's group leg: it creates the reliable queue pair
+// to every target and publishes the target's end for TargetOpen to
+// collect.
+func newMcTx(p transport.Ctx, s *Source) (*mcTx, error) {
+	spec, o := s.spec, &s.spec.Options
+	nTgt := len(spec.Targets)
+	x := &mcTx{
+		s:           s,
+		group:       s.meta.group,
+		msg:         make([]byte, transport.SegDescBytes+o.SegmentSize),
+		credit:      o.SegmentsPerRing,
+		consumedBy:  make([]uint64, nTgt),
 		history:     make(map[uint64][]byte),
-		segBuf:      make([]byte, transport.SegDescBytes+spec.Options.SegmentSize),
-		ownIdx:      make([]int, len(spec.Targets)),
-		failedTgt:   make([]bool, len(spec.Targets)),
-		evictedTgt:  make([]bool, len(spec.Targets)),
-		lastAdvance: make([]time.Duration, len(spec.Targets)),
-		gating:      make([]bool, len(spec.Targets)),
-		tinc:        make([]uint64, len(spec.Targets)),
+		folded:      s.epoch,
+		tinc:        make([]uint64, nTgt),
+		failedTgt:   make([]bool, nTgt),
+		lastAdvance: make([]time.Duration, nTgt),
+		gating:      make([]bool, nTgt),
+		evictedTgt:  make([]bool, nTgt),
+		ownIdx:      make([]int, nTgt),
 	}
-	var err error
-	if s.mem, err = membershipOf(reg, spec.Name); err != nil {
-		return nil, err
+	x.leg = leg{tx: x, buf: x.msg[transport.SegDescBytes:], segSize: o.SegmentSize, mem: s.mem, slot: -1}
+	for j := range x.tinc {
+		x.tinc[j] = s.mem.Incarnation(registry.RoleTarget, j)
 	}
-	if spec.Options.LeaseTTL > 0 {
-		s.epoch = s.mem.Epoch()
-		for j := range s.tinc {
-			s.tinc[j] = s.mem.Incarnation(registry.RoleTarget, j)
-		}
+	if o.gapAgreement() {
+		x.rounds = make(map[uint64]*gapRound)
+		x.agreedSkips = make(map[uint64]bool)
 	}
-	if s.agreementEnabled() {
-		s.rounds = make(map[uint64]*gapRound)
-		s.agreedSkips = make(map[uint64]bool)
-	}
-	// Reliable per-target QPs: the source creates the pair and publishes
-	// the target's end for TargetOpen to collect.
 	for j, tgt := range spec.Targets {
-		sq, tq := meta.cluster.Dial(s.node, tgt.Node)
-		if err := reg.Publish(p, mcQPName(spec.Name, idx, j, 0), tq); err != nil {
+		sq, tq := s.meta.cluster.Dial(s.node, tgt.Node)
+		if err := s.reg.Publish(p, mcQPName(spec.Name, s.idx, j, 0), tq); err != nil {
 			return nil, err
 		}
-		s.fqps = append(s.fqps, sq)
+		x.fqps = append(x.fqps, sq)
 		// Post receives for control messages (credits / NACKs / agreement).
-		s.postCtrlRecvs(sq)
+		x.postCtrlRecvs(sq)
 	}
-	if spec.Options.GlobalOrdering {
-		s.seqQP, _ = meta.cluster.Dial(s.node, meta.seqMR.Owner())
+	if o.GlobalOrdering {
+		x.seqQP, _ = s.meta.cluster.Dial(s.node, s.meta.seqMR.Owner())
 	}
-	return s, nil
+	return x, nil
 }
 
-// agreementEnabled reports whether the flow runs the gap-agreement
-// protocol: global ordering plus the lease/epoch control plane. Without
-// leases the legacy heuristic paths (unilateral skip, immediate
-// NotifyGaps surfacing) are kept timing-identical.
-func (s *mcSource) agreementEnabled() bool {
-	return s.spec.Options.GlobalOrdering && s.spec.Options.LeaseTTL > 0
-}
-
-// ctrlBufSize is the control-recv buffer size: agreement flows must fit
-// a ctrlGapHave answer carrying a full segment copy.
-func (s *mcSource) ctrlBufSize() int {
-	if s.agreementEnabled() {
-		return ctrlBytes + transport.SegDescBytes + s.spec.Options.SegmentSize
+// postCtrlRecvs posts the control-message receive window on one reliable
+// QP. Agreement flows must fit a ctrlGapHave answer carrying a full
+// segment copy.
+func (x *mcTx) postCtrlRecvs(qp transport.Queue) {
+	size := ctrlBytes
+	if x.s.spec.Options.gapAgreement() {
+		size += len(x.msg)
 	}
-	return ctrlBytes
-}
-
-// postCtrlRecvs posts the control-message receive window on one
-// reliable QP.
-func (s *mcSource) postCtrlRecvs(qp transport.Queue) {
 	for r := 0; r < 4; r++ {
-		buf := make([]byte, s.ctrlBufSize())
-		s.ctrlBufs = append(s.ctrlBufs, buf)
-		qp.PostRecv(buf, uint64(len(s.ctrlBufs)-1))
+		buf := make([]byte, size)
+		x.ctrlBufs = append(x.ctrlBufs, buf)
+		qp.PostRecv(buf, uint64(len(x.ctrlBufs)-1))
 	}
 }
 
 // failAfter returns how long a target's credit stream may gate the source
 // before the target is declared failed (0 disables, keeping the legacy
 // unbounded waits).
-func (s *mcSource) failAfter() time.Duration {
-	if s.spec.Options.RetransmitTimeout <= 0 {
+func (x *mcTx) failAfter() time.Duration {
+	o := &x.s.spec.Options
+	if o.RetransmitTimeout <= 0 {
 		return 0
 	}
-	return s.spec.Options.RetransmitTimeout * time.Duration(s.spec.Options.MaxRetransmits+1)
+	return o.RetransmitTimeout * time.Duration(o.MaxRetransmits+1)
 }
 
 // allTargetsFailed reports whether no live target remains.
-func (s *mcSource) allTargetsFailed() bool {
-	for _, f := range s.failedTgt {
+func (x *mcTx) allTargetsFailed() bool {
+	for _, f := range x.failedTgt {
 		if !f {
 			return false
 		}
@@ -265,35 +283,36 @@ func (s *mcSource) allTargetsFailed() bool {
 	return true
 }
 
-// syncMcEpoch folds control-plane membership changes into the multicast
-// transport. A no-op (one integer compare) while the epoch is unchanged.
-// This source's own eviction breaks the flow (epoch fencing); an evicted
-// target is detached from the multicast group and excluded from credit;
-// an incarnation bump on a live target slot means the target rejoined —
-// the source reconnects to the fresh reliable QP the rejoiner published
-// and restarts the slot's credit accounting from the sequencer snapshot
-// it installed. A lease-free multicast flow does not follow its
-// membership record at all (its legacy timing is pinned).
-func (s *mcSource) syncMcEpoch(p transport.Ctx) error {
-	if s.spec.Options.LeaseTTL <= 0 || s.mem.Epoch() == s.epoch {
+// foldTargets folds membership changes among the group's members — the
+// part of the source's epoch fold the engine leaves to this kind, run
+// wherever the leg sends or waits. A no-op (one integer compare) while
+// the epoch is unchanged. An evicted target is detached from the
+// multicast group and excluded from credit; an incarnation bump on a live
+// target slot means the target rejoined — the source reconnects to the
+// fresh reliable QP the rejoiner published and restarts the slot's credit
+// accounting from the sequencer snapshot it installed. This source's own
+// eviction comes back as errEvicted, which sends the engine to syncEpoch,
+// where it breaks the flow (epoch fencing).
+func (x *mcTx) foldTargets(p transport.Ctx) error {
+	e := x.mem.Epoch()
+	if e == x.folded {
 		return nil
 	}
-	s.epoch = s.mem.Epoch()
-	if s.mem.SourceEvicted(s.idx) {
-		return fmt.Errorf("%w: source %d was evicted from flow %q (epoch %d)",
-			ErrFlowBroken, s.idx, s.spec.Name, s.epoch)
+	x.folded = e
+	if x.mem.SourceEvicted(x.s.idx) {
+		return errEvicted
 	}
-	for j := range s.fqps {
-		if s.mem.TargetEvicted(j) {
-			if !s.failedTgt[j] {
-				s.failedTgt[j] = true
-				s.group.Detach(j)
+	for j := range x.fqps {
+		if x.mem.TargetEvicted(j) {
+			if !x.failedTgt[j] {
+				x.failedTgt[j] = true
+				x.group.Detach(j)
 			}
-			s.evictedTgt[j] = true
+			x.evictedTgt[j] = true
 			continue
 		}
-		if inc := s.mem.Incarnation(registry.RoleTarget, j); inc != s.tinc[j] {
-			s.reconnectTarget(p, j, inc)
+		if inc := x.mem.Incarnation(registry.RoleTarget, j); inc != x.tinc[j] {
+			x.reconnectTarget(p, j, inc)
 		}
 	}
 	return nil
@@ -304,146 +323,118 @@ func (s *mcSource) syncMcEpoch(p transport.Ctx) error {
 // rendezvous name *before* its Rejoin bumped the epoch, so the lookup
 // cannot miss. The slot's credit restarts from the sequencer snapshot
 // the rejoiner installed.
-func (s *mcSource) reconnectTarget(p transport.Ctx, j int, inc uint64) {
+func (x *mcTx) reconnectTarget(p transport.Ctx, j int, inc uint64) {
+	s := x.s
 	v, ok := s.reg.Lookup(p, mcQPName(s.spec.Name, s.idx, j, inc))
 	if !ok {
 		// Epoch bumped before publication — rejoin publishes first, so
 		// this means a foreign bump raced in. Keep the slot failed; the
 		// next epoch fold retries.
-		s.failedTgt[j] = true
+		x.failedTgt[j] = true
 		return
 	}
 	qp := v.(transport.Queue)
-	s.fqps[j] = qp
-	s.postCtrlRecvs(qp)
+	x.fqps[j] = qp
+	x.postCtrlRecvs(qp)
 	if s.spec.Options.GlobalOrdering {
 		snap, _ := s.reg.SeqSnapshot(p, s.spec.Name)
 		i := 0
-		for i < len(s.ownSeqs) && s.ownSeqs[i] < snap.HighWater {
+		for i < len(x.ownSeqs) && x.ownSeqs[i] < snap.HighWater {
 			i++
 		}
-		s.ownIdx[j] = i
-		s.consumedBy[j] = uint64(i)
+		x.ownIdx[j] = i
+		x.consumedBy[j] = uint64(i)
 	} else {
-		s.consumedBy[j] = s.sentSegs.Load()
+		x.consumedBy[j] = x.segsWritten.Load()
 	}
-	s.failedTgt[j] = false
-	s.evictedTgt[j] = false
-	s.tinc[j] = inc
-	s.gating[j] = false
-	s.lastAdvance[j] = p.Now()
-	if s.closedFlag {
+	x.failedTgt[j] = false
+	x.evictedTgt[j] = false
+	x.tinc[j] = inc
+	x.gating[j] = false
+	x.lastAdvance[j] = p.Now()
+	if x.closed {
 		// The stream already closed: the end marker went to the previous
 		// incarnation. Resend it on the fresh QP.
-		qp.Send(p, s.endMarker(), false, 0)
+		qp.Send(p, x.endMarker(), false, 0)
 	}
 }
 
 // endMarker builds the reliable end-of-flow message: a header-only
 // segment whose seq field carries the per-source segment count.
-func (s *mcSource) endMarker() []byte {
+func (x *mcTx) endMarker() []byte {
 	end := make([]byte, transport.SegDescBytes)
 	transport.SegDesc{
 		Flags: transport.SegCommitted | transport.SegEnd,
-		Tag:   mcTag(s.idx, s.epoch),
-		Seq:   s.sentSegs.Load(), // segment count
+		Tag:   mcTag(x.s.idx, x.folded),
+		Seq:   x.segsWritten.Load(), // segment count
 	}.Put(end)
 	return end
 }
 
-// push appends a tuple, transmitting the segment when full (bandwidth
-// mode) or immediately (latency mode).
-func (s *mcSource) push(p transport.Ctx, t schema.Tuple) error {
-	if s.fill+len(t) > s.spec.Options.SegmentSize {
-		if err := s.sendSegment(p, false); err != nil {
-			return err
-		}
+// flush stamps the staged segment's header, draws its sequence number
+// (global for ordered flows, per-source otherwise), retains the segment
+// for retransmission, and multicasts it.
+func (x *mcTx) flush(p transport.Ctx) error {
+	if x.fill == 0 {
+		return nil
 	}
-	copy(s.segBuf[transport.SegDescBytes+s.fill:], t)
-	s.fill += len(t)
-	if s.spec.Options.Optimization == OptimizeLatency {
-		return s.sendSegment(p, false)
-	}
-	return nil
-}
-
-func (s *mcSource) flush(p transport.Ctx) error {
-	if s.fill > 0 {
-		return s.sendSegment(p, false)
-	}
-	return nil
-}
-
-// sendSegment stamps the header, draws a sequence number (global for
-// ordered flows, per-source otherwise), retains the segment for
-// retransmission, and multicasts it.
-func (s *mcSource) sendSegment(p transport.Ctx, end bool) error {
-	if err := s.syncMcEpoch(p); err != nil {
+	if err := x.awaitCredit(p); err != nil {
 		return err
 	}
-	if err := s.ensureCredit(p); err != nil {
-		return err
-	}
-	s.drainControl(p)
-	if s.allTargetsFailed() {
+	x.drainControl(p)
+	if x.allTargetsFailed() {
 		return fmt.Errorf("%w: every replicate target stopped responding", ErrFlowBroken)
 	}
 
-	var seq uint64
+	s := x.s
+	seq := x.segsWritten.Load()
 	if s.spec.Options.GlobalOrdering {
 		// Tuple sequencer: one fetch-and-add round trip per segment
 		// (paper §5.4); with programmable switches this could move into
 		// the network. A crashed sequencer node surfaces as a broken
 		// flow, not as a silently repeated sequence number.
-		v, ok := s.seqQP.FetchAddChecked(p, transport.Addr{MR: s.meta.seqMR}, 1)
+		v, ok := x.seqQP.FetchAddChecked(p, transport.Addr{MR: s.meta.seqMR}, 1)
 		if !ok {
 			return fmt.Errorf("%w: sequencer node for flow %q is unreachable", ErrFlowBroken, s.spec.Name)
 		}
 		seq = v
-		s.ownSeqs = append(s.ownSeqs, seq)
-	} else {
-		seq = s.sentSegs.Load()
+		x.ownSeqs = append(x.ownSeqs, seq)
 	}
-	flags := byte(transport.SegCommitted)
-	if end {
-		flags |= transport.SegEnd
-	}
-	transport.SegDesc{Fill: uint32(s.fill), Flags: flags, Tag: mcTag(s.idx, s.epoch), Seq: seq}.Put(s.segBuf)
+	transport.SegDesc{Fill: uint32(x.fill), Flags: transport.SegCommitted, Tag: mcTag(s.idx, x.folded), Seq: seq}.Put(x.msg)
 
-	msg := make([]byte, transport.SegDescBytes+s.fill)
-	copy(msg, s.segBuf[:transport.SegDescBytes+s.fill])
-	s.history[seq] = msg
-	s.histOrder = append(s.histOrder, seq)
-	if len(s.histOrder) > 4*s.credit {
-		old := s.histOrder[0]
-		s.histOrder = s.histOrder[1:]
-		delete(s.history, old)
+	msg := append([]byte(nil), x.msg[:transport.SegDescBytes+x.fill]...)
+	x.history[seq] = msg
+	x.histOrder = append(x.histOrder, seq)
+	if len(x.histOrder) > 4*x.credit {
+		old := x.histOrder[0]
+		x.histOrder = x.histOrder[1:]
+		delete(x.history, old)
 	}
 
-	s.group.Send(p, s.node, msg, false)
-	s.sentSegs.Add(1)
-	s.payloadBytes.Add(uint64(s.fill))
-	s.fill = 0
+	x.group.Send(p, s.node, msg, false)
+	x.segsWritten.Add(1)
+	x.payloadBytes.Add(uint64(x.fill))
+	x.fill = 0
 	return nil
 }
 
-// ensureCredit blocks while any live target's outstanding window is full.
+// awaitCredit blocks while any live target's outstanding window is full.
 // With RetransmitTimeout set, a target whose credit gates the source past
 // failAfter is declared failed and excluded — a crashed target must not
 // wedge the surviving replicas. Membership changes are folded while
 // gated, so a lease eviction releases the gate ahead of the timeout.
-func (s *mcSource) ensureCredit(p transport.Ctx) error {
-	failAfter := s.failAfter()
+func (x *mcTx) awaitCredit(p transport.Ctx) error {
+	failAfter := x.failAfter()
 	for {
-		if err := s.syncMcEpoch(p); err != nil {
+		if err := x.foldTargets(p); err != nil {
 			return err
 		}
 		lag := -1
-		for j := range s.consumedBy {
-			if s.failedTgt[j] {
+		for j := range x.consumedBy {
+			if x.failedTgt[j] {
 				continue
 			}
-			if int(s.sentSegs.Load()-s.consumedBy[j]) >= s.credit {
+			if int(x.segsWritten.Load()-x.consumedBy[j]) >= x.credit {
 				lag = j
 				break
 			}
@@ -452,70 +443,75 @@ func (s *mcSource) ensureCredit(p transport.Ctx) error {
 			return nil
 		}
 		now := p.Now()
-		if !s.gating[lag] {
-			s.gating[lag] = true
-			s.lastAdvance[lag] = now
-			s.creditStalls.Add(1)
+		if !x.gating[lag] {
+			x.gating[lag] = true
+			x.lastAdvance[lag] = now
+			x.creditStalls.Add(1)
 		}
-		if failAfter > 0 && now-s.lastAdvance[lag] > failAfter {
-			s.failedTgt[lag] = true
+		if failAfter > 0 && now-x.lastAdvance[lag] > failAfter {
+			x.failedTgt[lag] = true
 			continue
 		}
-		if c, ok := s.fqps[lag].RecvCQ().WaitTimeout(p, 5*time.Microsecond); ok {
-			s.handleControl(p, lag, c)
+		if c, ok := x.fqps[lag].RecvCQ().WaitTimeout(p, 5*time.Microsecond); ok {
+			x.handleControl(p, lag, c)
 		}
-		s.drainControl(p)
+		x.drainControl(p)
 	}
+}
+
+// arrived takes the next completion off a receive queue that has one,
+// without blocking (an empty queue is not polled: a poll costs time).
+func arrived(p transport.Ctx, cq transport.CompletionQueue) (transport.Completion, bool) {
+	if cq.Len() == 0 {
+		return transport.Completion{}, false
+	}
+	return cq.Poll(p)
 }
 
 // drainControl processes pending credit and NACK messages from all
 // targets without blocking.
-func (s *mcSource) drainControl(p transport.Ctx) {
-	for j, qp := range s.fqps {
-		for qp.RecvCQ().Len() > 0 {
-			c, ok := qp.RecvCQ().Poll(p)
-			if !ok {
-				break
-			}
-			s.handleControl(p, j, c)
+func (x *mcTx) drainControl(p transport.Ctx) {
+	for j, qp := range x.fqps {
+		for c, ok := arrived(p, qp.RecvCQ()); ok; c, ok = arrived(p, qp.RecvCQ()) {
+			x.handleControl(p, j, c)
 		}
 	}
 }
 
-func (s *mcSource) handleControl(p transport.Ctx, target int, c transport.Completion) {
-	buf := s.ctrlBufs[c.ID]
-	kind := buf[0]
-	value := binary.LittleEndian.Uint64(buf[8:16])
+func (x *mcTx) handleControl(p transport.Ctx, target int, c transport.Completion) {
+	buf := x.ctrlBufs[c.ID]
+	var m ctrlMsg
 	var payload []byte
-	if c.Bytes > ctrlBytes {
+	if c.Bytes >= ctrlBytes {
+		m = parseCtrl(buf)
 		// ctrlGapHave carries a segment copy after the fixed header; copy
 		// it out before the buffer is recycled.
-		payload = append([]byte(nil), buf[ctrlBytes:c.Bytes]...)
+		payload = append(payload, buf[ctrlBytes:c.Bytes]...)
 	}
-	s.fqps[target].PostRecv(buf, c.ID) // recycle the buffer
-	switch kind {
+	x.fqps[target].PostRecv(buf, c.ID) // recycle the buffer
+	switch m.kind {
 	case ctrlCredit:
-		if s.spec.Options.GlobalOrdering {
+		if x.s.spec.Options.GlobalOrdering {
 			// value is the target's global progress (next undelivered
 			// sequence); count how many of our own segments lie below it.
-			i := s.ownIdx[target]
-			for i < len(s.ownSeqs) && s.ownSeqs[i] < value {
+			i := x.ownIdx[target]
+			for i < len(x.ownSeqs) && x.ownSeqs[i] < m.value {
 				i++
 			}
-			s.ownIdx[target] = i
-			if uint64(i) > s.consumedBy[target] {
-				s.consumedBy[target] = uint64(i)
-				s.noteAdvance(p, target)
+			x.ownIdx[target] = i
+			if uint64(i) > x.consumedBy[target] {
+				x.consumedBy[target] = uint64(i)
+				x.noteAdvance(p, target)
 			}
-		} else if value > s.consumedBy[target] {
-			s.consumedBy[target] = value
-			s.noteAdvance(p, target)
+		} else if m.value > x.consumedBy[target] {
+			x.consumedBy[target] = m.value
+			x.noteAdvance(p, target)
 		}
 	case ctrlNack:
-		if msg, ok := s.history[value]; ok {
+		if msg, ok := x.history[m.value]; ok {
 			// Reliable unicast retransmission to the requesting target.
-			s.fqps[target].Send(p, msg, false, 0)
-			s.retransmits.Add(1)
+			x.fqps[target].Send(p, msg, false, 0)
+			x.retransmits.Add(1)
 		}
 	case ctrlGapQuery:
 		// Agreement traffic is proof of life: a target stuck behind a
@@ -523,24 +519,20 @@ func (s *mcSource) handleControl(p transport.Ctx, target int, c transport.Comple
 		// sequence at a time, and that backlog must not read as a dead
 		// target to the staleness detector. Only the clock resets — the
 		// target keeps gating until real credit advances it.
-		s.lastAdvance[target] = p.Now()
-		s.handleGapQuery(p, target, value)
+		x.lastAdvance[target] = p.Now()
+		x.handleGapQuery(p, target, m.value)
 	case ctrlGapHave:
-		s.lastAdvance[target] = p.Now()
-		s.handleGapHave(p, value, payload)
+		x.lastAdvance[target] = p.Now()
+		x.handleGapHave(p, m.value, payload)
 	case ctrlGapNoHave:
-		s.lastAdvance[target] = p.Now()
-		s.handleGapNoHave(p, target, value)
+		x.lastAdvance[target] = p.Now()
+		x.handleGapNoHave(p, target, m.value)
 	}
 }
 
 // sendGapCtrl sends one fixed-size agreement control message to target j.
-func (s *mcSource) sendGapCtrl(p transport.Ctx, j int, kind byte, seq uint64) {
-	msg := make([]byte, ctrlBytes)
-	msg[0] = kind
-	msg[1] = byte(s.idx)
-	binary.LittleEndian.PutUint64(msg[8:16], seq)
-	s.fqps[j].Send(p, msg, false, 0)
+func (x *mcTx) sendGapCtrl(p transport.Ctx, j int, kind byte, seq uint64) {
+	x.fqps[j].Send(p, ctrlMsg{kind, byte(x.s.idx), seq}.encode(nil), false, 0)
 }
 
 // handleGapQuery arbitrates a head gap a target reported stuck: a
@@ -549,39 +541,39 @@ func (s *mcSource) sendGapCtrl(p transport.Ctx, j int, kind byte, seq uint64) {
 // — an agreement round over the live targets. Requesters re-query while
 // stuck, so a probe outstanding toward a target that dies mid-round is
 // retried against the post-eviction membership.
-func (s *mcSource) handleGapQuery(p transport.Ctx, from int, seq uint64) {
-	if !s.agreementEnabled() {
+func (x *mcTx) handleGapQuery(p transport.Ctx, from int, seq uint64) {
+	if !x.s.spec.Options.gapAgreement() {
 		return
 	}
-	if msg, ok := s.history[seq]; ok {
-		s.fqps[from].Send(p, msg, false, 0)
-		s.retransmits.Add(1)
+	if msg, ok := x.history[seq]; ok {
+		x.fqps[from].Send(p, msg, false, 0)
+		x.retransmits.Add(1)
 		return
 	}
-	if s.agreedSkips[seq] {
-		s.sendGapCtrl(p, from, ctrlGapSkip, seq)
+	if x.agreedSkips[seq] {
+		x.sendGapCtrl(p, from, ctrlGapSkip, seq)
 		return
 	}
-	r := s.rounds[seq]
+	r := x.rounds[seq]
 	if r == nil {
-		r = &gapRound{answered: make([]bool, len(s.fqps))}
-		s.rounds[seq] = r
-		s.gapRoundsRun.Add(1)
+		r = &gapRound{answered: make([]bool, len(x.fqps))}
+		x.rounds[seq] = r
+		x.gapRoundsRun.Add(1)
 	}
 	open := false
 	for j := range r.answered {
-		if s.failedTgt[j] {
+		if x.failedTgt[j] {
 			r.answered[j] = true
 			continue
 		}
 		if !r.answered[j] {
-			s.sendGapCtrl(p, j, ctrlGapProbe, seq)
+			x.sendGapCtrl(p, j, ctrlGapProbe, seq)
 			open = true
 		}
 	}
 	if !open {
 		// Every remaining voter is dead; the round degenerates to a skip.
-		s.closeRound(p, seq, r)
+		x.closeRound(p, seq)
 	}
 }
 
@@ -589,47 +581,46 @@ func (s *mcSource) handleGapQuery(p transport.Ctx, from int, seq uint64) {
 // the sequence. The copy is re-broadcast on the reliable QPs — data
 // first, then the Fill verdict, which RC in-order delivery keeps behind
 // the data — unfreezing every target that answered NoHave.
-func (s *mcSource) handleGapHave(p transport.Ctx, seq uint64, payload []byte) {
-	r := s.rounds[seq]
-	if r == nil {
+func (x *mcTx) handleGapHave(p transport.Ctx, seq uint64, payload []byte) {
+	if x.rounds[seq] == nil {
 		return // round already closed (late or duplicate answer)
 	}
-	delete(s.rounds, seq)
+	delete(x.rounds, seq)
 	if len(payload) > 0 {
-		s.history[seq] = payload
-		s.histOrder = append(s.histOrder, seq)
+		x.history[seq] = payload
+		x.histOrder = append(x.histOrder, seq)
 	}
-	msg, ok := s.history[seq]
+	msg, ok := x.history[seq]
 	if !ok {
 		return
 	}
-	for j := range s.fqps {
-		if s.failedTgt[j] {
+	for j := range x.fqps {
+		if x.failedTgt[j] {
 			continue
 		}
-		s.fqps[j].Send(p, msg, false, 0)
-		s.sendGapCtrl(p, j, ctrlGapFill, seq)
+		x.fqps[j].Send(p, msg, false, 0)
+		x.sendGapCtrl(p, j, ctrlGapFill, seq)
 	}
-	s.retransmits.Add(1)
+	x.retransmits.Add(1)
 }
 
 // handleGapNoHave records one negative vote; a unanimous round closes as
 // an agreed skip.
-func (s *mcSource) handleGapNoHave(p transport.Ctx, from int, seq uint64) {
-	r := s.rounds[seq]
+func (x *mcTx) handleGapNoHave(p transport.Ctx, from int, seq uint64) {
+	r := x.rounds[seq]
 	if r == nil {
 		return
 	}
 	r.answered[from] = true
 	for j := range r.answered {
-		if s.failedTgt[j] {
+		if x.failedTgt[j] {
 			r.answered[j] = true
 		}
 		if !r.answered[j] {
 			return
 		}
 	}
-	s.closeRound(p, seq, r)
+	x.closeRound(p, seq)
 }
 
 // closeRound finalizes an agreed skip: the verdict is recorded durably
@@ -637,68 +628,69 @@ func (s *mcSource) handleGapNoHave(p transport.Ctx, from int, seq uint64) {
 // the skip into future rejoin snapshots), then announced to the live
 // targets. Registering before announcing means a target that acts on the
 // verdict can never observe the registry without it.
-func (s *mcSource) closeRound(p transport.Ctx, seq uint64, r *gapRound) {
-	delete(s.rounds, seq)
-	s.agreedSkips[seq] = true
-	_ = s.reg.RecordSeqSkips(p, s.spec.Name, s.epoch, seq)
-	for j := range s.fqps {
-		if s.failedTgt[j] {
+func (x *mcTx) closeRound(p transport.Ctx, seq uint64) {
+	delete(x.rounds, seq)
+	x.agreedSkips[seq] = true
+	_ = x.s.reg.RecordSeqSkips(p, x.s.spec.Name, x.folded, seq)
+	for j := range x.fqps {
+		if x.failedTgt[j] {
 			continue
 		}
-		s.sendGapCtrl(p, j, ctrlGapSkip, seq)
+		x.sendGapCtrl(p, j, ctrlGapSkip, seq)
 	}
 }
 
 // noteAdvance records consumption progress by a target (failure-detection
 // bookkeeping): the staleness clock resets and any future gate episode
 // restarts its grace period.
-func (s *mcSource) noteAdvance(p transport.Ctx, target int) {
-	s.gating[target] = false
-	s.lastAdvance[target] = p.Now()
+func (x *mcTx) noteAdvance(p transport.Ctx, target int) {
+	x.gating[target] = false
+	x.lastAdvance[target] = p.Now()
 }
 
-// close flushes, sends reliable end markers carrying the per-source
-// segment count, and lingers until every live target has consumed
-// everything — serving retransmission requests and arbitrating gap
-// rounds meanwhile. With RetransmitTimeout set the linger is bounded per
-// target: one that stops acknowledging is declared failed, and close
-// reports it with an ErrFlowBroken-wrapped error instead of hanging.
-// Lease evictions folded mid-linger release their targets immediately.
-func (s *mcSource) close(p transport.Ctx) error {
-	if s.closedFlag {
+// finish is flush: delivery is confirmed by the linger that follows the
+// end markers.
+func (x *mcTx) finish(p transport.Ctx) error { return x.flush(p) }
+
+// end sends reliable end markers carrying the per-source segment count
+// and lingers until every live target has consumed everything — serving
+// retransmission requests and arbitrating gap rounds meanwhile. With
+// RetransmitTimeout set the linger is bounded per target: one that stops
+// acknowledging is declared failed, and end reports it with an
+// ErrFlowBroken-wrapped error instead of hanging. Lease evictions folded
+// mid-linger release their targets immediately.
+func (x *mcTx) end(p transport.Ctx) error {
+	if x.closed {
 		return nil
 	}
-	s.closedFlag = true
-	if err := s.flush(p); err != nil {
+	x.closed = true
+	if err := x.foldTargets(p); err != nil {
 		return err
 	}
-	if err := s.syncMcEpoch(p); err != nil {
-		return err
-	}
-	end := s.endMarker()
-	for j, qp := range s.fqps {
-		if s.failedTgt[j] {
+	end := x.endMarker()
+	for j, qp := range x.fqps {
+		if x.failedTgt[j] {
 			continue
 		}
 		qp.Send(p, end, false, 0)
 	}
-	failAfter := s.failAfter()
-	for j := range s.lastAdvance {
-		s.gating[j] = true
-		s.lastAdvance[j] = p.Now() // grace restarts at close
+	failAfter := x.failAfter()
+	for j := range x.lastAdvance {
+		x.gating[j] = true
+		x.lastAdvance[j] = p.Now() // grace restarts at close
 	}
 	for {
-		if err := s.syncMcEpoch(p); err != nil {
+		if err := x.foldTargets(p); err != nil {
 			return err
 		}
 		pending := false
-		for j, v := range s.consumedBy {
-			if s.failedTgt[j] {
+		for j, v := range x.consumedBy {
+			if x.failedTgt[j] {
 				continue
 			}
-			if v < s.sentSegs.Load() {
-				if failAfter > 0 && p.Now()-s.lastAdvance[j] > failAfter {
-					s.failedTgt[j] = true
+			if v < x.segsWritten.Load() {
+				if failAfter > 0 && p.Now()-x.lastAdvance[j] > failAfter {
+					x.failedTgt[j] = true
 					continue
 				}
 				pending = true
@@ -707,19 +699,19 @@ func (s *mcSource) close(p transport.Ctx) error {
 		if !pending {
 			break
 		}
-		for j, qp := range s.fqps {
-			if s.failedTgt[j] {
+		for j, qp := range x.fqps {
+			if x.failedTgt[j] {
 				continue
 			}
-			if c, ok := qp.RecvCQ().WaitTimeout(p, s.spec.Options.GapTimeout); ok {
-				s.handleControl(p, j, c)
+			if c, ok := qp.RecvCQ().WaitTimeout(p, x.s.spec.Options.GapTimeout); ok {
+				x.handleControl(p, j, c)
 			}
 		}
-		s.drainControl(p)
+		x.drainControl(p)
 	}
 	var failed []int
-	for j, f := range s.failedTgt {
-		if f && !s.evictedTgt[j] {
+	for j, f := range x.failedTgt {
+		if f && !x.evictedTgt[j] {
 			failed = append(failed, j)
 		}
 	}
@@ -729,15 +721,31 @@ func (s *mcSource) close(p transport.Ctx) error {
 	return nil
 }
 
-func (s *mcSource) free() {}
+func (x *mcTx) close(p transport.Ctx) error {
+	if err := x.flush(p); err != nil {
+		return err
+	}
+	return x.end(p)
+}
 
-// mcTarget is the receiving half of a multicast replicate flow.
-type mcTarget struct {
-	meta *flowMeta
-	spec *FlowSpec
-	idx  int
-	node transport.Endpoint
-	reg  Registry
+// harvest keeps nothing: the engine never finds the group gone, and what
+// one evicted member missed every survivor received.
+func (x *mcTx) harvest(int) [][]byte { return nil }
+
+func (x *mcTx) free() {}
+
+// noEnd marks a source whose segment count is not known yet.
+const noEnd = ^uint64(0)
+
+// mcFeed is the multicast kind on the consuming side: it receives off
+// the group endpoint and the reliable queues, reorders, recovers losses,
+// and hands out segments in sequence order. The per-source state the
+// engine keeps in Target.readers serves it too — consumed is the count
+// of segments delivered from the source, and a source is heard whenever
+// anything of its arrives or sits in pending; the readers close together,
+// when the whole flow is delivered.
+type mcFeed struct {
+	t *Target
 
 	ep   transport.GroupEndpoint
 	tqps []transport.Queue // reliable QP from each source (target end)
@@ -745,13 +753,11 @@ type mcTarget struct {
 	pool   [][]byte // recycled receive buffers
 	poolMR transport.Region
 
-	// Per-source protocol state (per-source sequences when unordered).
-	nextSeq []uint64 // next expected per-source seq (unordered)
-	// delivered is atomic per slot so Target.Stats can sum it from a
-	// scraper goroutine mid-run.
-	delivered []atomic.Uint64 // segments delivered per source
-	endCount  []uint64        // expected per-source count (from end marker)
-	ended     []bool
+	// Per-source protocol state. end is the source's segment count, from
+	// its end marker or — for a source that failed without one — what was
+	// delivered from it (noEnd until either).
+	nextSeq   []uint64 // next expected per-source seq (unordered)
+	end       []uint64
 	creditAcc []uint64 // segments consumed since last credit msg
 
 	// Ordered-flow state: the "next list" of Figure 6 is the pending map
@@ -759,28 +765,8 @@ type mcTarget struct {
 	nextGlobal uint64
 	pending    map[uint64][]byte
 
-	gapSince   time.Duration // when the current head gap was first observed
-	gapPending bool
-	gap        Gap
-	gapNacks   int // unanswered NACK rounds for the current head gap
-
-	// Source-failure detection (Options.SourceTimeout), mirroring the
-	// ring-transport detectFailures: a source that goes silent past the
-	// timeout is declared failed and treated as ended at its delivered
-	// count; ordered flows additionally escalate its unanswerable gaps
-	// to the agreement protocol (or, without leases, skip heuristically
-	// once NACK rounds go unanswered).
-	heard     []bool
-	lastHeard []time.Duration
-	failedSrc []atomic.Bool // atomic: read by Target.FailedSources under scrape
-
-	// Control-plane membership (Options.LeaseTTL): the flow's record,
-	// the last epoch folded in, this target's incarnation, and whether
-	// the control plane evicted this slot.
-	mem     *registry.Membership
-	epoch   uint64
-	inc     uint64
-	evicted bool
+	gapSince time.Duration // when the current head gap was first observed
+	gapNacks int           // unanswered NACK rounds for the current head gap
 
 	// Gap-agreement state (agreement flows only): copies of recently
 	// delivered segments so probes for a live head can be answered after
@@ -813,198 +799,164 @@ type mcTarget struct {
 	nacksSent   atomic.Uint64
 	gapsSkipped atomic.Uint64
 
-	active    []byte // buffer backing the segment handed out last
-	tupleSize int
-	done      bool
+	active []byte // buffer backing the segment handed out last
 }
 
-// agreementEnabled mirrors mcSource.agreementEnabled for the target side.
-func (t *mcTarget) agreementEnabled() bool {
-	return t.spec.Options.GlobalOrdering && t.spec.Options.LeaseTTL > 0
-}
-
-// newMcTargetState builds the transport-independent part of an mcTarget:
-// buffers, per-source state, membership wiring.
-func newMcTargetState(reg Registry, meta *flowMeta, idx int, node transport.Endpoint) (*mcTarget, error) {
-	spec := &meta.spec
-	nSrc := len(spec.Sources)
-	R := spec.Options.SegmentsPerRing
-	t := &mcTarget{
-		meta:      meta,
-		spec:      spec,
-		idx:       idx,
-		node:      node,
-		reg:       reg,
+// newMcFeed builds the feed and the target's readers: buffers and
+// per-source state, everything short of the queues.
+func (t *Target) newMcFeed() *mcFeed {
+	o := &t.spec.Options
+	nSrc, R := len(t.spec.Sources), o.SegmentsPerRing
+	f := &mcFeed{
+		t:         t,
 		nextSeq:   make([]uint64, nSrc),
-		delivered: make([]atomic.Uint64, nSrc),
-		endCount:  make([]uint64, nSrc),
-		ended:     make([]bool, nSrc),
+		end:       make([]uint64, nSrc),
 		creditAcc: make([]uint64, nSrc),
 		pending:   make(map[uint64][]byte),
-		tupleSize: spec.Schema.TupleSize(),
-		heard:     make([]bool, nSrc),
-		lastHeard: make([]time.Duration, nSrc),
-		failedSrc: make([]atomic.Bool, nSrc),
 	}
-	var err error
-	if t.mem, err = membershipOf(reg, spec.Name); err != nil {
-		return nil, err
+	for i := range f.end {
+		f.end[i] = noEnd
+		t.readers = append(t.readers, &ringReader{})
 	}
-	if spec.Options.LeaseTTL > 0 {
-		t.epoch = t.mem.Epoch()
+	if o.gapAgreement() {
+		f.dhist = make(map[uint64][]byte)
+		f.skips = make(map[uint64]bool)
+		f.frozen = make(map[uint64]int)
+		f.seqQP, _ = t.meta.cluster.Dial(t.node, t.meta.seqMR.Owner())
 	}
-	if t.agreementEnabled() {
-		t.dhist = make(map[uint64][]byte)
-		t.skips = make(map[uint64]bool)
-		t.frozen = make(map[uint64]int)
-		t.seqQP, _ = meta.cluster.Dial(node, meta.seqMR.Owner())
-	}
-	stride := transport.SegDescBytes + spec.Options.SegmentSize
+	stride := transport.SegDescBytes + o.SegmentSize
 	// One slab backs all receive buffers (registered for accounting). The
 	// posted queues hold nSrc*R (multicast) + nSrc*(R+2) (reliable path)
 	// buffers at all times; pending reordering and the active segment hold
 	// at most as many again.
 	nBufs := 2*(nSrc*R+nSrc*(R+2)) + 8
-	t.poolMR = meta.cluster.OpenRegion(t.node, nBufs*stride)
-	slab := t.poolMR.Bytes()
+	f.poolMR = t.meta.cluster.OpenRegion(t.node, nBufs*stride)
+	slab := f.poolMR.Bytes()
 	for i := 0; i < nBufs; i++ {
-		t.pool = append(t.pool, slab[i*stride:(i+1)*stride])
+		f.pool = append(f.pool, slab[i*stride:(i+1)*stride:(i+1)*stride])
 	}
-	return t, nil
+	t.feed = f
+	return f
 }
 
-func newMcTarget(p transport.Ctx, reg Registry, meta *flowMeta, idx int) (*mcTarget, error) {
-	spec := &meta.spec
-	t, err := newMcTargetState(reg, meta, idx, spec.Targets[idx].Node)
-	if err != nil {
-		return nil, err
+// join takes the member's place in the group — pre-populating the
+// multicast receive queue with the credit score, R buffers per source —
+// and attach adds the reliable QP from the next source (retransmissions
+// and end markers).
+func (f *mcFeed) join(ep transport.GroupEndpoint) {
+	f.ep = ep
+	for i := len(f.t.readers) * f.t.spec.Options.SegmentsPerRing; i > 0; i-- {
+		ep.PostRecv(f.takeBuf(), 0)
 	}
-	t.ep = meta.group.Member(idx)
-	nSrc := len(spec.Sources)
-	R := spec.Options.SegmentsPerRing
-	// Pre-populate the multicast receive queue with the credit score (R
-	// buffers per source).
-	for i := 0; i < nSrc*R; i++ {
-		t.ep.PostRecv(t.takeBuf(), 0)
-	}
-	// Reliable QPs from each source (retransmissions + end markers).
-	for i := 0; i < nSrc; i++ {
-		qp := reg.WaitFlow(p, mcQPName(spec.Name, i, idx, 0)).(transport.Queue)
-		t.tqps = append(t.tqps, qp)
-		for r := 0; r < R+2; r++ {
-			qp.PostRecv(t.takeBuf(), 0)
-		}
-	}
-	return t, nil
 }
 
-// newMcTargetRejoin rebuilds the receiving half of an ordered multicast
-// flow for a target re-attaching after eviction. The rejoiner cannot
-// replay the stream (multicast history is bounded); instead it installs
-// the registry's sequencer snapshot — high-water, per-source delivered
-// counts, agreed skips — and resumes delivery at the high-water, filling
-// the short tail between the last progress report and the live stream
-// through the ordinary NACK/agreement machinery. Fresh reliable QPs are
-// published under incarnation-keyed rendezvous names *before* Rejoin
-// bumps the epoch, so a source folding the bump finds them immediately.
-// Sources that already left the flow are folded as ended at their
-// snapshot counts: their tail segments have no retransmission history
-// and are not replayed (rejoin is meant for flows still streaming).
-func newMcTargetRejoin(p transport.Ctx, reg Registry, meta *flowMeta, idx int, node transport.Endpoint) (*mcTarget, error) {
-	spec := &meta.spec
-	name := spec.Name
-	if spec.Options.LeaseTTL <= 0 {
-		return nil, fmt.Errorf("dfi: flow %q is lease-free; a multicast target rejoins through its lease", name)
+func (f *mcFeed) attach(qp transport.Queue) {
+	f.tqps = append(f.tqps, qp)
+	for r := f.t.spec.Options.SegmentsPerRing + 2; r > 0; r-- {
+		qp.PostRecv(f.takeBuf(), 0)
 	}
-	t, err := newMcTargetState(reg, meta, idx, node)
-	if err != nil {
-		return nil, err
+}
+
+// openMcFeed wires target t into the group and collects the reliable
+// queues its sources published.
+func (t *Target) openMcFeed(p transport.Ctx) {
+	f := t.newMcFeed()
+	f.join(t.meta.group.Member(t.idx))
+	for i := range t.spec.Sources {
+		f.attach(t.reg.WaitFlow(p, mcQPName(t.spec.Name, i, t.idx, 0)).(transport.Queue))
 	}
-	nSrc := len(spec.Sources)
-	R := spec.Options.SegmentsPerRing
+}
+
+// rejoinGroup rebuilds the receiving half of an ordered multicast flow
+// for a target re-attaching after eviction (see Target.Reattach). The
+// rejoiner cannot replay the stream (multicast history is bounded);
+// instead it installs the registry's sequencer snapshot — high-water,
+// per-source delivered counts, agreed skips — and resumes delivery at the
+// high-water, filling the short tail between the last progress report and
+// the live stream through the ordinary NACK/agreement machinery. Fresh
+// reliable QPs are published under incarnation-keyed rendezvous names
+// *before* Rejoin bumps the epoch, so a source folding the bump finds
+// them immediately. Sources that were evicted or already left the flow
+// are folded as ended at their snapshot counts: their tail segments have
+// no retransmission history and are not replayed (rejoin is meant for
+// flows still streaming).
+func (t *Target) rejoinGroup(p transport.Ctx, mem *registry.Membership) error {
+	name := t.spec.Name
+	f := t.newMcFeed()
 	// Re-attach to the multicast group: the eviction detached this slot's
 	// endpoint; a fresh one takes its place.
-	t.ep = meta.group.Reattach(idx, node)
-	for i := 0; i < nSrc*R; i++ {
-		t.ep.PostRecv(t.takeBuf(), 0)
-	}
-	inc := t.mem.Incarnation(registry.RoleTarget, idx) + 1
-	for i, src := range spec.Sources {
-		sq, tq := meta.cluster.Dial(src.Node, node)
-		if err := reg.Publish(p, mcQPName(name, i, idx, inc), sq); err != nil {
-			return nil, err
+	f.join(t.meta.group.Reattach(t.idx, t.node))
+	inc := mem.Incarnation(registry.RoleTarget, t.idx) + 1
+	for i, src := range t.spec.Sources {
+		sq, tq := t.meta.cluster.Dial(src.Node, t.node)
+		if err := t.reg.Publish(p, mcQPName(name, i, t.idx, inc), sq); err != nil {
+			return err
 		}
-		t.tqps = append(t.tqps, tq)
-		for r := 0; r < R+2; r++ {
-			tq.PostRecv(t.takeBuf(), 0)
-		}
+		f.attach(tq)
 	}
 	// Install the sequencer snapshot.
-	snap, _ := reg.SeqSnapshot(p, name)
-	t.nextGlobal = snap.HighWater
+	snap, _ := t.reg.SeqSnapshot(p, name)
+	f.nextGlobal = snap.HighWater
 	for _, seq := range snap.Skips {
 		if seq >= snap.HighWater {
-			t.skips[seq] = true
+			f.skips[seq] = true
 		}
 	}
-	for i := 0; i < nSrc; i++ {
+	for i, r := range t.readers {
 		if i < len(snap.PerSource) {
-			t.delivered[i].Store(snap.PerSource[i])
-		}
-		if t.mem.SourceEvicted(i) {
-			t.failedSrc[i].Store(true)
-		}
-		if t.mem.SourceEvicted(i) || t.mem.State(registry.RoleSource, i) == registry.StateLeft {
-			t.ended[i] = true
-			t.endCount[i] = t.delivered[i].Load()
+			r.consumed.Store(snap.PerSource[i])
 		}
 	}
-	t.totalDelivered = t.nextGlobal
-	t.progressAt = t.totalDelivered + uint64(R)
-	rj, err := reg.Rejoin(p, name, registry.RoleTarget, idx, idx)
+	f.totalDelivered = f.nextGlobal
+	f.progressAt = f.totalDelivered + uint64(t.spec.Options.SegmentsPerRing)
+	rj, err := t.reg.Rejoin(p, name, registry.RoleTarget, t.idx, t.idx)
 	if err != nil {
-		return nil, fmt.Errorf("dfi: rejoin of multicast target %d rejected: %w", idx, err)
+		return fmt.Errorf("dfi: rejoin of multicast target %d rejected: %w", t.idx, err)
 	}
 	if rj.Incarnation != inc {
-		return nil, fmt.Errorf("dfi: rejoin of multicast target %d raced another incarnation (%d != %d)",
-			idx, rj.Incarnation, inc)
+		return fmt.Errorf("dfi: rejoin of multicast target %d raced another incarnation (%d != %d)",
+			t.idx, rj.Incarnation, inc)
 	}
-	t.inc = inc
-	t.epoch = t.mem.Epoch()
+	t.initTargetMembership(mem)
+	for i, r := range t.readers {
+		if r.closed {
+			f.drop(i)
+		}
+	}
 	// Announce the resumed progress so reconnecting sources restart their
 	// credit from the high-water (RC queues the message until the source
 	// posts its receives).
-	t.broadcastProgress(p)
-	if sink := reg.EventSink(); sink != nil {
+	f.broadcastProgress(p)
+	if sink := t.reg.EventSink(); sink != nil {
 		sink.Emit(metrics.Event{
-			T: p.Now(), Node: fmt.Sprintf("node%d", node.ID()),
+			T: p.Now(), Node: fmt.Sprintf("node%d", t.node.ID()),
 			Type: metrics.EvSeqSnapshotInstall, Flow: name, Epoch: t.epoch,
-			Role: "target", Slot: idx, Seq: snap.HighWater,
+			Role: "target", Slot: t.idx, Seq: snap.HighWater,
 			Detail: fmt.Sprintf("resumed at high-water %d with %d agreed skips", snap.HighWater, len(snap.Skips)),
 		})
 	}
-	return t, nil
+	return nil
 }
 
-func (t *mcTarget) takeBuf() []byte {
-	if len(t.pool) == 0 {
+func (f *mcFeed) takeBuf() []byte {
+	if len(f.pool) == 0 {
 		// Pool exhaustion cannot happen within the credit window; guard
 		// against protocol bugs.
 		panic("dfi: multicast receive buffer pool exhausted")
 	}
-	b := t.pool[len(t.pool)-1]
-	t.pool = t.pool[:len(t.pool)-1]
+	b := f.pool[len(f.pool)-1]
+	f.pool = f.pool[:len(f.pool)-1]
 	return b
 }
 
-func (t *mcTarget) recycle(buf []byte) {
-	t.pool = append(t.pool, buf[:cap(buf)])
+func (f *mcFeed) recycle(buf []byte) {
+	f.pool = append(f.pool, buf[:cap(buf)])
 }
 
 // key computes the pending-map key for a segment: the global sequence for
 // ordered flows, or (source, per-source seq) packed otherwise.
-func (t *mcTarget) key(src int, seq uint64) uint64 {
-	if t.spec.Options.GlobalOrdering {
+func (f *mcFeed) key(src int, seq uint64) uint64 {
+	if f.t.spec.Options.GlobalOrdering {
 		return seq
 	}
 	return uint64(src)<<48 | seq
@@ -1034,74 +986,68 @@ func isGapCtrl(buf []byte, bytes int) bool {
 // ingest processes one received message. The posted-buffer the message
 // arrived in is immediately replaced on its origin queue so the receive
 // windows never shrink (losing posted receives would starve the flow).
-func (t *mcTarget) ingest(p transport.Ctx, buf []byte, bytes int, origin recvOrigin) {
-	origin.PostRecv(t.takeBuf(), 0)
-	if t.agreementEnabled() && isGapCtrl(buf, bytes) {
-		t.handleGapCtrl(p, buf)
-		t.recycle(buf)
+// What a peer wrote is not trusted: a message whose source index is not a
+// declared slot, or whose descriptor claims a fill other than the bytes
+// that followed it (so never more than a segment), is dropped.
+func (f *mcFeed) ingest(p transport.Ctx, buf []byte, bytes int, origin recvOrigin) {
+	origin.PostRecv(f.takeBuf(), 0)
+	t := f.t
+	ordered := t.spec.Options.GlobalOrdering
+	if f.frozen != nil && isGapCtrl(buf, bytes) {
+		f.handleGapCtrl(p, parseCtrl(buf))
+		f.recycle(buf)
 		return
 	}
 	d := transport.ParseSegDesc(buf)
-	fill, flags, src, seq := int(d.Fill), d.Flags, mcSrc(d.Tag), d.Seq
-	if src >= 0 && src < len(t.heard) {
-		t.heard[src] = true
-		t.lastHeard[src] = p.Now()
+	src, seq := mcSrc(d.Tag), d.Seq
+	if bytes < transport.SegDescBytes || src >= len(t.readers) || int(d.Fill) != bytes-transport.SegDescBytes {
+		f.recycle(buf)
+		return
 	}
-	if flags&transport.SegEnd != 0 && fill == 0 {
+	t.readers[src].heard(p.Now())
+	if d.Flags&transport.SegEnd != 0 && d.Fill == 0 {
 		// End marker: seq carries the source's total segment count.
-		if !t.ended[src] {
-			t.ended[src] = true
-			t.endCount[src] = seq
+		if f.end[src] == noEnd {
+			f.end[src] = seq
 		}
-		t.recycle(buf)
+		f.recycle(buf)
 		return
 	}
 	// Duplicate filtering: already delivered, already pending, or agreed
 	// skipped (a late copy of a sequence the flow has moved past).
-	dup := false
-	if t.spec.Options.GlobalOrdering {
-		dup = seq < t.nextGlobal || (t.skips != nil && t.skips[seq])
-	} else {
-		dup = seq < t.nextSeq[src]
+	dup := seq < f.nextSeq[src]
+	if ordered {
+		dup = seq < f.nextGlobal || f.skips[seq]
 	}
-	k := t.key(src, seq)
-	if dup {
-		t.recycle(buf)
+	k := f.key(src, seq)
+	if _, held := f.pending[k]; dup || held {
+		f.recycle(buf)
 		return
 	}
-	if _, exists := t.pending[k]; exists {
-		t.recycle(buf)
-		return
-	}
-	t.pending[k] = buf[:bytes]
-	if t.frozen != nil && t.spec.Options.GlobalOrdering {
-		if prober, fr := t.frozen[seq]; fr {
-			// A copy arrived after this target answered NoHave: hand it to
-			// the arbiter proactively so the round resolves as a fill. The
-			// sequence stays frozen until the verdict arrives.
-			t.sendGapAnswer(p, prober, ctrlGapHave, seq, t.pending[k])
-		}
+	f.pending[k] = buf[:bytes]
+	if prober, fr := f.frozen[seq]; fr && ordered {
+		// A copy arrived after this target answered NoHave: hand it to
+		// the arbiter proactively so the round resolves as a fill. The
+		// sequence stays frozen until the verdict arrives.
+		f.sendGapAnswer(p, prober, ctrlGapHave, seq, f.pending[k])
 	}
 }
 
 // handleGapCtrl processes one agreement control message from a source.
-func (t *mcTarget) handleGapCtrl(p transport.Ctx, buf []byte) {
-	kind := buf[0]
-	src := int(buf[1])
-	seq := binary.LittleEndian.Uint64(buf[8:16])
-	if src >= 0 && src < len(t.heard) {
-		t.heard[src] = true
-		t.lastHeard[src] = p.Now()
+func (f *mcFeed) handleGapCtrl(p transport.Ctx, m ctrlMsg) {
+	src, seq := int(m.slot), m.value
+	if src < len(f.t.readers) {
+		f.t.readers[src].heard(p.Now())
 	}
-	switch kind {
+	switch m.kind {
 	case ctrlGapProbe:
-		t.answerProbe(p, src, seq)
+		f.answerProbe(p, src, seq)
 	case ctrlGapSkip:
-		t.applySkip(seq)
+		f.applySkip(seq)
 	case ctrlGapFill:
 		// The refilled copy preceded this verdict on the same QP (RC
 		// in-order delivery); the sequence is deliverable again.
-		delete(t.frozen, seq)
+		delete(f.frozen, seq)
 	}
 }
 
@@ -1111,37 +1057,32 @@ func (t *mcTarget) handleGapCtrl(p transport.Ctx, buf []byte) {
 // NoHave freezes the sequence — a late multicast arrival must not be
 // delivered past the round's verdict, or this target would keep a
 // segment its peers agreed to skip.
-func (t *mcTarget) answerProbe(p transport.Ctx, src int, seq uint64) {
-	if src < 0 || src >= len(t.tqps) {
+func (f *mcFeed) answerProbe(p transport.Ctx, src int, seq uint64) {
+	if src >= len(f.tqps) {
 		return
 	}
-	if t.skips[seq] || seq < t.nextGlobal {
-		if b, ok := t.dhist[seq]; ok {
-			t.sendGapAnswer(p, src, ctrlGapHave, seq, b)
+	if f.skips[seq] || seq < f.nextGlobal {
+		if b, ok := f.dhist[seq]; ok {
+			f.sendGapAnswer(p, src, ctrlGapHave, seq, b)
 			return
 		}
 		// Already skipped here (or delivered beyond the history window,
 		// which credit gating makes unreachable for live heads).
-		t.sendGapAnswer(p, src, ctrlGapNoHave, seq, nil)
+		f.sendGapAnswer(p, src, ctrlGapNoHave, seq, nil)
 		return
 	}
-	if b, ok := t.pending[seq]; ok {
-		t.sendGapAnswer(p, src, ctrlGapHave, seq, b)
+	if b, ok := f.pending[seq]; ok {
+		f.sendGapAnswer(p, src, ctrlGapHave, seq, b)
 		return
 	}
-	t.frozen[seq] = src
-	t.sendGapAnswer(p, src, ctrlGapNoHave, seq, nil)
+	f.frozen[seq] = src
+	f.sendGapAnswer(p, src, ctrlGapNoHave, seq, nil)
 }
 
 // sendGapAnswer sends one agreement answer, with the segment copy
 // appended for Have.
-func (t *mcTarget) sendGapAnswer(p transport.Ctx, src int, kind byte, seq uint64, payload []byte) {
-	msg := make([]byte, ctrlBytes+len(payload))
-	msg[0] = kind
-	msg[1] = byte(t.idx)
-	binary.LittleEndian.PutUint64(msg[8:16], seq)
-	copy(msg[ctrlBytes:], payload)
-	t.tqps[src].Send(p, msg, false, 0)
+func (f *mcFeed) sendGapAnswer(p transport.Ctx, src int, kind byte, seq uint64, payload []byte) {
+	f.tqps[src].Send(p, ctrlMsg{kind, byte(f.t.idx), seq}.encode(payload), false, 0)
 }
 
 // applySkip records an agreed-unfillable sequence. A pending copy is
@@ -1149,92 +1090,70 @@ func (t *mcTarget) sendGapAnswer(p transport.Ctx, src int, kind byte, seq uint64
 // skipped would break the identical-order guarantee. The head loop
 // advances past the skip (or surfaces it under NotifyGaps) on its next
 // pass.
-func (t *mcTarget) applySkip(seq uint64) {
-	delete(t.frozen, seq)
-	if seq < t.nextGlobal {
+func (f *mcFeed) applySkip(seq uint64) {
+	delete(f.frozen, seq)
+	if seq < f.nextGlobal {
 		return
 	}
-	if b, ok := t.pending[seq]; ok {
-		delete(t.pending, seq)
-		t.recycle(b)
+	if b, ok := f.pending[seq]; ok {
+		delete(f.pending, seq)
+		f.recycle(b)
 	}
-	t.skips[seq] = true
+	f.skips[seq] = true
 }
 
 // sendGapQuery escalates a stuck head gap to the arbiter — the lowest
 // live source slot — which runs the agreement round.
-func (t *mcTarget) sendGapQuery(p transport.Ctx, seq uint64) {
-	leader := -1
-	for s := range t.failedSrc {
-		if !t.failedSrc[s].Load() {
-			leader = s
-			break
+func (f *mcFeed) sendGapQuery(p transport.Ctx, seq uint64) {
+	for s, r := range f.t.readers {
+		if !r.failed.Load() {
+			f.tqps[s].Send(p, ctrlMsg{ctrlGapQuery, byte(f.t.idx), seq}.encode(nil), false, 0)
+			return
 		}
 	}
-	if leader < 0 {
-		return
-	}
-	msg := make([]byte, ctrlBytes)
-	msg[0] = ctrlGapQuery
-	msg[1] = byte(t.idx)
-	binary.LittleEndian.PutUint64(msg[8:16], seq)
-	t.tqps[leader].Send(p, msg, false, 0)
 }
 
 // poll drains all receive CQs without blocking, ingesting arrivals.
-func (t *mcTarget) poll(p transport.Ctx) bool {
-	got := false
-	for t.ep.RecvCQ().Len() > 0 {
-		c, ok := t.ep.RecvCQ().Poll(p)
-		if !ok {
-			break
-		}
-		t.ingest(p, c.Buf, c.Bytes, t.ep)
-		got = true
+func (f *mcFeed) poll(p transport.Ctx) {
+	for c, ok := arrived(p, f.ep.RecvCQ()); ok; c, ok = arrived(p, f.ep.RecvCQ()) {
+		f.ingest(p, c.Buf, c.Bytes, f.ep)
 	}
-	for _, qp := range t.tqps {
-		for qp.RecvCQ().Len() > 0 {
-			c, ok := qp.RecvCQ().Poll(p)
-			if !ok {
-				break
-			}
-			t.ingest(p, c.Buf, c.Bytes, qp)
-			got = true
+	f.pollReliable(p)
+}
+
+// pollReliable drains the reliable queues.
+func (f *mcFeed) pollReliable(p transport.Ctx) {
+	for _, qp := range f.tqps {
+		for c, ok := arrived(p, qp.RecvCQ()); ok; c, ok = arrived(p, qp.RecvCQ()) {
+			f.ingest(p, c.Buf, c.Bytes, qp)
 		}
 	}
-	return got
 }
 
 // sendCredit reports cumulative consumption from src back to it, both as
 // flow-control credit and as the termination handshake.
-func (t *mcTarget) sendCredit(p transport.Ctx, src int, force bool) {
-	batch := uint64(t.spec.Options.SegmentsPerRing / 4)
+func (f *mcFeed) sendCredit(p transport.Ctx, src int, force bool) {
+	batch := uint64(f.t.spec.Options.SegmentsPerRing / 4)
 	if batch == 0 {
 		batch = 1
 	}
-	if !force && t.creditAcc[src] < batch {
+	if !force && f.creditAcc[src] < batch {
 		return
 	}
-	t.creditAcc[src] = 0
-	if t.spec.Options.GlobalOrdering {
-		t.broadcastProgress(p)
+	f.creditAcc[src] = 0
+	if f.t.spec.Options.GlobalOrdering {
+		f.broadcastProgress(p)
 		return
 	}
-	msg := make([]byte, ctrlBytes)
-	msg[0] = ctrlCredit
-	binary.LittleEndian.PutUint64(msg[8:16], t.delivered[src].Load())
-	t.tqps[src].Send(p, msg, false, 0)
+	f.tqps[src].Send(p, ctrlMsg{kind: ctrlCredit, value: f.t.readers[src].consumed.Load()}.encode(nil), false, 0)
 }
 
 // broadcastProgress tells every source how far the target's global
 // sequence progressed (ordered flows): sources translate this into their
 // own credit, and skipped gaps count as progress.
-func (t *mcTarget) broadcastProgress(p transport.Ctx) {
-	for _, qp := range t.tqps {
-		msg := make([]byte, ctrlBytes)
-		msg[0] = ctrlCredit
-		binary.LittleEndian.PutUint64(msg[8:16], t.nextGlobal)
-		qp.Send(p, msg, false, 0)
+func (f *mcFeed) broadcastProgress(p transport.Ctx) {
+	for _, qp := range f.tqps {
+		qp.Send(p, ctrlMsg{kind: ctrlCredit, value: f.nextGlobal}.encode(nil), false, 0)
 	}
 }
 
@@ -1242,117 +1161,140 @@ func (t *mcTarget) broadcastProgress(p transport.Ctx) {
 // flows with application-level gap handling, skipped sequence numbers are
 // acknowledged as consumed so the source's termination handshake
 // completes.
-func (t *mcTarget) sendFinalCredit(p transport.Ctx, src int) {
-	if t.spec.Options.GlobalOrdering {
+func (f *mcFeed) sendFinalCredit(p transport.Ctx, src int) {
+	if f.t.spec.Options.GlobalOrdering {
 		// Global progress (including ResolveGap skips) already covers the
 		// whole sequence space by the time the flow finishes; just
 		// broadcast it. Forcing nextGlobal forward here would silently
 		// drop other sources' undelivered segments.
-		t.broadcastProgress(p)
+		f.broadcastProgress(p)
 		return
 	}
-	msg := make([]byte, ctrlBytes)
-	msg[0] = ctrlCredit
-	v := t.delivered[src].Load()
-	if t.ended[src] && t.endCount[src] > v {
-		v = t.endCount[src]
+	v := f.t.readers[src].consumed.Load()
+	if f.end[src] != noEnd && f.end[src] > v {
+		v = f.end[src]
 	}
-	binary.LittleEndian.PutUint64(msg[8:16], v)
-	t.tqps[src].Send(p, msg, false, 0)
+	f.tqps[src].Send(p, ctrlMsg{kind: ctrlCredit, value: v}.encode(nil), false, 0)
 }
 
 // sendNack requests retransmission of a missing sequence number. Ordered
 // flows cannot tell which source owns a global sequence number, so the
 // NACK goes to every source; only the owner finds it in its history.
-func (t *mcTarget) sendNack(p transport.Ctx, seq uint64, src int) {
-	t.nacksSent.Add(1)
-	msg := make([]byte, ctrlBytes)
-	msg[0] = ctrlNack
-	binary.LittleEndian.PutUint64(msg[8:16], seq)
-	if t.spec.Options.GlobalOrdering {
-		for _, qp := range t.tqps {
-			nack := make([]byte, ctrlBytes)
-			copy(nack, msg)
-			qp.Send(p, nack, false, 0)
+func (f *mcFeed) sendNack(p transport.Ctx, seq uint64, src int) {
+	f.nacksSent.Add(1)
+	nack := ctrlMsg{kind: ctrlNack, value: seq}
+	if f.t.spec.Options.GlobalOrdering {
+		for _, qp := range f.tqps {
+			qp.Send(p, nack.encode(nil), false, 0)
 		}
 		return
 	}
-	t.tqps[src].Send(p, msg, false, 0)
+	f.tqps[src].Send(p, nack.encode(nil), false, 0)
 }
+
+// delivered reports whether every segment of source s was delivered:
+// never before its count is known (noEnd is the largest count).
+func (f *mcFeed) delivered(s int) bool { return f.t.readers[s].consumed.Load() >= f.end[s] }
 
 // headDeliverable returns the pending segment that must be delivered next:
 // the next global sequence number for ordered flows, or the next
-// per-source sequence scanning sources round-robin otherwise. A frozen
-// head (this target answered NoHave for it) is withheld until the
+// per-source sequence of the lowest source slot that has one otherwise. A
+// frozen head (this target answered NoHave for it) is withheld until the
 // agreement verdict resolves it as a fill or a skip.
-func (t *mcTarget) headDeliverable() (buf []byte, src int, ok bool) {
-	if t.spec.Options.GlobalOrdering {
-		if t.frozen != nil {
-			if _, fr := t.frozen[t.nextGlobal]; fr {
-				return nil, 0, false
-			}
+func (f *mcFeed) headDeliverable() (buf []byte, src int, ok bool) {
+	if f.t.spec.Options.GlobalOrdering {
+		if f.frozenSeq(f.nextGlobal) {
+			return nil, 0, false
 		}
-		if b, exists := t.pending[t.nextGlobal]; exists {
+		if b, exists := f.pending[f.nextGlobal]; exists {
 			return b, mcSrc(transport.ParseSegDesc(b).Tag), true
 		}
 		return nil, 0, false
 	}
-	for s := range t.nextSeq {
-		if t.ended[s] && t.delivered[s].Load() >= t.endCount[s] {
+	for s := range f.nextSeq {
+		if f.delivered(s) {
 			continue
 		}
-		if b, exists := t.pending[t.key(s, t.nextSeq[s])]; exists {
+		if b, exists := f.pending[f.key(s, f.nextSeq[s])]; exists {
 			return b, s, true
 		}
 	}
 	return nil, 0, false
 }
 
-// finished reports whether every source has ended and all segments were
-// delivered. Ordered flows track progress in global sequence space, so
-// sequence numbers skipped via agreement or ResolveGap count as handled.
-func (t *mcTarget) finished() bool {
-	for s := range t.ended {
-		if !t.ended[s] {
-			return false
-		}
+// keptWaiting reports whether it is this target, not source s, that the
+// rest of s's stream waits on: its whole extent is known, or — unordered,
+// where the lowest slot with a head pending is served first — its next
+// segment is here. A source with segments held behind a gap is not kept
+// waiting: if nobody refills the gap (the source died with its
+// retransmission history) it has to go silent, so that SourceTimeout can
+// declare it failed and the gap ladder let go of what it held.
+func (f *mcFeed) keptWaiting(s int) bool {
+	if f.end[s] != noEnd {
+		return true
 	}
-	if t.spec.Options.GlobalOrdering {
-		return t.nextGlobal >= t.totalExpected()
+	if f.t.spec.Options.GlobalOrdering {
+		return false
 	}
-	for s := range t.ended {
-		if t.delivered[s].Load() < t.endCount[s] {
+	_, here := f.pending[f.key(s, f.nextSeq[s])]
+	return here
+}
+
+// countsKnown reports whether every source's segment count is known: its
+// end marker arrived, or it was declared failed and ends at what was
+// delivered.
+func (f *mcFeed) countsKnown() bool {
+	for _, e := range f.end {
+		if e == noEnd {
 			return false
 		}
 	}
 	return true
 }
 
-// allEnded reports whether every source has ended (or been declared
-// failed/evicted, which also ends its slot).
-func (t *mcTarget) allEnded() bool {
-	for s := range t.ended {
-		if !t.ended[s] {
+// finished reports whether every source's count is known and all of it
+// was delivered. Ordered flows track progress in global sequence space,
+// so sequence numbers skipped via agreement or ResolveGap count as
+// handled.
+func (f *mcFeed) finished() bool {
+	if !f.countsKnown() {
+		return false
+	}
+	if f.t.spec.Options.GlobalOrdering {
+		return f.nextGlobal >= f.totalExpected()
+	}
+	for s := range f.end {
+		if !f.delivered(s) {
 			return false
 		}
 	}
 	return true
+}
+
+// sourceFailed reports whether any source was declared failed.
+func (f *mcFeed) sourceFailed() bool {
+	for _, r := range f.t.readers {
+		if r.failed.Load() {
+			return true
+		}
+	}
+	return false
 }
 
 // totalExpected is the global sequence-space size; valid once every
-// source has ended. The sum of per-source end counts is only a floor
-// when a source failed without an end marker — its fold used this
-// target's local delivered count, which can differ between targets. On
-// agreement flows the sequencer read (seqSpace) replaces that
-// target-local guess with the authoritative draw count, so all
-// survivors reconcile the same extent.
-func (t *mcTarget) totalExpected() uint64 {
+// source's count is known. The sum of the counts is only a floor when a
+// source failed without an end marker — its fold used this target's
+// local delivered count, which can differ between targets. On agreement
+// flows the sequencer read (seqSpace) replaces that target-local guess
+// with the authoritative draw count, so all survivors reconcile the same
+// extent.
+func (f *mcFeed) totalExpected() uint64 {
 	var sum uint64
-	for _, c := range t.endCount {
+	for _, c := range f.end {
 		sum += c
 	}
-	if t.seqSpaceKnown && t.seqSpace > sum {
-		return t.seqSpace
+	if f.seqSpaceKnown && f.seqSpace > sum {
+		return f.seqSpace
 	}
 	return sum
 }
@@ -1364,142 +1306,102 @@ func (t *mcTarget) totalExpected() uint64 {
 // never multicast, which the agreement rounds then resolve to skips.
 // Returns false when the sequencer node itself is unreachable; callers
 // fall back to the folded per-source counts.
-func (t *mcTarget) seqSpaceSize(p transport.Ctx) (uint64, bool) {
-	if t.seqQP == nil {
+func (f *mcFeed) seqSpaceSize(p transport.Ctx) (uint64, bool) {
+	if f.seqQP == nil {
 		return 0, false
 	}
-	return t.seqQP.FetchAddChecked(p, transport.Addr{MR: t.meta.seqMR}, 0)
+	return f.seqQP.FetchAddChecked(p, transport.Addr{MR: f.t.meta.seqMR}, 0)
 }
 
 // deliver activates a pending segment for consumption and returns its
-// tuple payload.
-func (t *mcTarget) deliver(p transport.Ctx, buf []byte, src int) []byte {
-	d := transport.ParseSegDesc(buf)
-	seq, fill := d.Seq, int(d.Fill)
-	delete(t.pending, t.key(src, seq))
+// tuple payload. The tuples' ConsumeCost is charged before the credit
+// goes back: a source is told of room only once the target has paid for
+// what took it.
+func (f *mcFeed) deliver(p transport.Ctx, buf []byte, src int) []byte {
+	t := f.t
+	seq := transport.ParseSegDesc(buf).Seq
+	delete(f.pending, f.key(src, seq))
 	if t.spec.Options.GlobalOrdering {
-		t.nextGlobal = seq + 1
+		f.nextGlobal = seq + 1
 	} else {
-		t.nextSeq[src] = seq + 1
+		f.nextSeq[src] = seq + 1
 	}
-	t.delivered[src].Add(1)
-	t.creditAcc[src]++
-	t.gapSince = 0
-	t.gapNacks = 0
+	t.readers[src].consumed.Add(1)
+	f.creditAcc[src]++
+	f.gapSince = 0
+	f.gapNacks = 0
 
-	if t.agreementEnabled() {
-		t.retainDelivered(seq, buf[:transport.SegDescBytes+fill])
-		t.reportProgress(p)
+	if t.spec.Options.gapAgreement() {
+		f.retainDelivered(seq, buf)
+		f.reportProgress(p)
 	}
-	count := fill / t.tupleSize
-	t.node.Compute(p, time.Duration(count)*t.spec.Options.ConsumeCost)
-	t.active = buf
+	data := buf[transport.SegDescBytes:]
+	data = data[:len(data)/t.tupleSize*t.tupleSize]
+	t.charge(p, data)
+	f.active = buf
 
-	t.sendCredit(p, src, false)
-	if t.ended[src] && t.delivered[src].Load() >= t.endCount[src] {
-		t.sendFinalCredit(p, src) // termination handshake
+	f.sendCredit(p, src, false)
+	if f.delivered(src) {
+		f.sendFinalCredit(p, src) // termination handshake
 	}
-	return buf[transport.SegDescBytes : transport.SegDescBytes+count*t.tupleSize]
+	return data
 }
 
 // retainDelivered keeps a copy of a delivered segment for gap probes.
 // The window is bounded by credit gating: a peer stuck at sequence S
 // stalls every source within one credit window of S, so any sequence a
 // live round can probe lies within ~nSrc·R of this target's head.
-func (t *mcTarget) retainDelivered(seq uint64, seg []byte) {
-	cp := append([]byte(nil), seg...)
-	t.dhist[seq] = cp
-	t.dhistOrder = append(t.dhistOrder, seq)
-	if max := 2*len(t.ended)*t.spec.Options.SegmentsPerRing + 16; len(t.dhistOrder) > max {
-		old := t.dhistOrder[0]
-		t.dhistOrder = t.dhistOrder[1:]
-		delete(t.dhist, old)
+func (f *mcFeed) retainDelivered(seq uint64, seg []byte) {
+	f.dhist[seq] = append([]byte(nil), seg...)
+	f.dhistOrder = append(f.dhistOrder, seq)
+	if max := 2*len(f.end)*f.t.spec.Options.SegmentsPerRing + 16; len(f.dhistOrder) > max {
+		old := f.dhistOrder[0]
+		f.dhistOrder = f.dhistOrder[1:]
+		delete(f.dhist, old)
 	}
 }
 
 // reportProgress periodically merges this target's delivery progress
 // into the registry's sequencer record (every R segments): the raw
 // material of the snapshot a rejoining target installs.
-func (t *mcTarget) reportProgress(p transport.Ctx) {
-	t.totalDelivered++
-	if t.totalDelivered < t.progressAt {
+func (f *mcFeed) reportProgress(p transport.Ctx) {
+	t := f.t
+	f.totalDelivered++
+	if f.totalDelivered < f.progressAt {
 		return
 	}
-	t.progressAt = t.totalDelivered + uint64(t.spec.Options.SegmentsPerRing)
-	per := make([]uint64, len(t.delivered))
-	for i := range t.delivered {
-		per[i] = t.delivered[i].Load()
+	f.progressAt = f.totalDelivered + uint64(t.spec.Options.SegmentsPerRing)
+	per := make([]uint64, len(t.readers))
+	for i, r := range t.readers {
+		per[i] = r.consumed.Load()
 	}
-	_ = t.reg.RecordSeqProgress(p, t.spec.Name, t.idx, t.nextGlobal, per)
+	_ = t.reg.RecordSeqProgress(p, t.spec.Name, t.idx, f.nextGlobal, per)
 }
 
-// detectFailures declares silent sources failed (Options.SourceTimeout),
-// treating them as ended at their delivered count. Undeliverable pending
-// segments of a failed unordered source are discarded (their predecessors
-// died with the source's retransmission history).
-func (t *mcTarget) detectFailures(p transport.Ctx) {
-	timeout := t.spec.Options.SourceTimeout
-	if timeout <= 0 {
-		return
+// drop ends source s's slot — the engine declared it failed (evicted, or
+// silent past SourceTimeout), or this target is going away: the slot
+// ends at its delivered count, and undeliverable unordered pendings are
+// discarded (their predecessors died with the source's retransmission
+// history). A source that died after its end marker arrived keeps its
+// true stream length: overwriting it with this target's delivered count
+// would shrink totalExpected by a target-local amount and make the
+// survivors finish at divergent points. The reader the engine closed is
+// opened again: an ordered flow may still hold segments of the source
+// that are due, and scan closes every reader together once the flow's
+// extent is delivered — so that the engine's flow end is finished().
+func (f *mcFeed) drop(s int) {
+	if f.end[s] == noEnd {
+		f.end[s] = f.t.readers[s].consumed.Load()
 	}
-	for s := range t.ended {
-		if t.ended[s] || t.failedSrc[s].Load() {
-			continue
-		}
-		if !t.heard[s] {
-			t.heard[s] = true
-			t.lastHeard[s] = p.Now() // grace period starts at first check
-			continue
-		}
-		if p.Now()-t.lastHeard[s] <= timeout {
-			continue
-		}
-		t.failSource(s)
-	}
-}
-
-// failSource folds one source failure: the slot ends at its delivered
-// count, and undeliverable unordered pendings are discarded.
-func (t *mcTarget) failSource(s int) {
-	t.failedSrc[s].Store(true)
-	// A source that died after its end marker arrived keeps its true
-	// stream length: overwriting it with this target's delivered count
-	// would shrink totalExpected by a target-local amount and make the
-	// survivors finish at divergent points.
-	if !t.ended[s] {
-		t.ended[s] = true
-		t.endCount[s] = t.delivered[s].Load()
-	}
-	if !t.spec.Options.GlobalOrdering {
-		for k, b := range t.pending {
+	if !f.t.spec.Options.GlobalOrdering {
+		for k, b := range f.pending {
 			if int(k>>48) == s {
-				delete(t.pending, k)
-				t.recycle(b)
+				delete(f.pending, k)
+				f.recycle(b)
 			}
 		}
 	}
-}
-
-// syncMcMembership folds lease-driven membership changes into the
-// receive path: an evicted source is folded exactly like a SourceTimeout
-// failure (so the agreement escalation and FailedSources cover both
-// detectors), and this target's own eviction — or an incarnation bump,
-// meaning a successor took the slot — stops consumption, surfaced
-// through Target.Evicted. A no-op while the epoch is unchanged.
-func (t *mcTarget) syncMcMembership() {
-	if t.spec.Options.LeaseTTL <= 0 || t.mem.Epoch() == t.epoch {
-		return
-	}
-	t.epoch = t.mem.Epoch()
-	if t.mem.TargetEvicted(t.idx) || t.mem.Incarnation(registry.RoleTarget, t.idx) != t.inc {
-		t.evicted = true
-		return
-	}
-	for s := range t.ended {
-		if !t.failedSrc[s].Load() && t.mem.SourceEvicted(s) {
-			t.failSource(s)
-		}
-	}
+	f.t.readers[s].closed = false
 }
 
 // noLiveArbiter reports whether no source remains to arbitrate a gap
@@ -1508,12 +1410,12 @@ func (t *mcTarget) syncMcMembership() {
 // While any source is Active — even one whose stream has ended, since
 // close lingers until all targets drain — queries must go to it instead
 // of skipping unilaterally.
-func (t *mcTarget) noLiveArbiter() bool {
-	for s := range t.failedSrc {
-		if t.failedSrc[s].Load() {
+func (f *mcFeed) noLiveArbiter() bool {
+	for s, r := range f.t.readers {
+		if r.failed.Load() {
 			continue
 		}
-		if st := t.mem.State(registry.RoleSource, s); st == registry.StateLeft || st == registry.StateEvicted {
+		if st := f.t.mem.State(registry.RoleSource, s); st == registry.StateLeft || st == registry.StateEvicted {
 			continue
 		}
 		return false
@@ -1521,44 +1423,28 @@ func (t *mcTarget) noLiveArbiter() bool {
 	return true
 }
 
-// anyFailed reports whether any source was declared failed.
-func (t *mcTarget) anyFailed() bool {
-	for s := range t.failedSrc {
-		if t.failedSrc[s].Load() {
-			return true
-		}
-	}
-	return false
-}
-
-// failedSources lists failed source slots in slot order.
-func (t *mcTarget) failedSources() []int {
-	var out []int
-	for s := range t.failedSrc {
-		if t.failedSrc[s].Load() {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// advanceSkips moves the head past consecutive agreed skips, counting
+// skipTo moves the head past the sequence numbers below next, counting
 // them as progress so source credit keeps flowing.
-func (t *mcTarget) advanceSkips(p transport.Ctx) {
-	for t.skips[t.nextGlobal] {
-		t.nextGlobal++
-		t.totalDelivered++
-		t.gapsSkipped.Add(1)
-	}
-	t.gapNacks = 0
-	t.gapSince = 0
-	t.broadcastProgress(p)
+func (f *mcFeed) skipTo(p transport.Ctx, next uint64) {
+	n := next - f.nextGlobal
+	f.nextGlobal = next
+	f.totalDelivered += n
+	f.gapsSkipped.Add(n)
+	f.gapNacks = 0
+	f.gapSince = 0
+	f.broadcastProgress(p)
 }
 
-// nextSegment obtains the next in-order segment's payload, recycling the
-// one handed out before and handling gap timeouts. It returns false at
-// flow end, when a gap is surfaced (NotifyGaps) and until it is resolved,
-// or when the control plane evicted this target.
+// surface hands a gap to the application (NotifyGaps): consumption stops
+// until ResolveGap or RequestGapRetransmit.
+func (f *mcFeed) surface(seq uint64) {
+	f.t.gap, f.t.gapPending = Gap{Seq: seq}, true
+	f.gapSince = 0
+}
+
+// scan obtains the next in-order segment's payload, recycling the one
+// handed out before and handling gap timeouts: poll, deliver the head if
+// it is here, otherwise climb the gap ladder and wait for an arrival.
 //
 // Gap handling depends on the flow's failure model. Without leases the
 // legacy heuristics apply: NACK rounds, immediate NotifyGaps surfacing,
@@ -1570,132 +1456,128 @@ func (t *mcTarget) advanceSkips(p transport.Ctx) {
 // agreed are unfillable — the same verdict every peer applies, which is
 // what keeps the global order identical across targets. NotifyGaps then
 // surfaces only agreed-unfillable sequences.
-func (t *mcTarget) nextSegment(p transport.Ctx) ([]byte, bool) {
-	if t.done || t.evicted || t.gapPending {
+func (f *mcFeed) scan(p transport.Ctx, _ int) ([]byte, bool) {
+	t := f.t
+	o := &t.spec.Options
+	if f.active != nil {
+		f.recycle(f.active)
+		f.active = nil
+	}
+	agree := o.gapAgreement()
+	f.poll(p)
+	if t.syncMembership() {
 		return nil, false
 	}
-	if t.active != nil {
-		t.recycle(t.active)
-		t.active = nil
+	// A source this target keeps waiting is not silent, however long its
+	// turn takes to come.
+	now := p.Now()
+	for s, r := range t.readers {
+		if !r.closed && f.keptWaiting(s) {
+			r.heard(now)
+		}
 	}
-	agree := t.agreementEnabled()
-	limit := t.spec.Options.GapNackLimit
-	if limit <= 0 {
-		limit = 3 // normalize default; belt-and-suspenders for raw specs
+	if agree && !f.seqSpaceKnown && f.sourceFailed() && f.countsKnown() {
+		// A source died without an end marker and nothing more can be
+		// drawn: consult the sequencer for the true stream extent so
+		// every survivor reconciles the same sequence space instead of
+		// its own delivered count. Marked known even on failure — an
+		// unreachable sequencer leaves the folded floor in place.
+		if v, ok := f.seqSpaceSize(p); ok {
+			f.seqSpace = v
+		}
+		f.seqSpaceKnown = true
 	}
-	for {
-		t.poll(p)
-		t.detectFailures(p)
-		t.syncMcMembership()
-		if t.evicted {
+	if agree && f.skips[f.nextGlobal] {
+		if o.NotifyGaps {
+			f.surface(f.nextGlobal)
+			f.gapNacks = 0
 			return nil, false
 		}
-		if agree && !t.seqSpaceKnown && t.anyFailed() && t.allEnded() {
-			// A source died without an end marker and nothing more can be
-			// drawn: consult the sequencer for the true stream extent so
-			// every survivor reconciles the same sequence space instead of
-			// its own delivered count. Marked known even on failure — an
-			// unreachable sequencer leaves the folded floor in place.
-			if v, ok := t.seqSpaceSize(p); ok {
-				t.seqSpace = v
-			}
-			t.seqSpaceKnown = true
+		next := f.nextGlobal
+		for f.skips[next] {
+			next++
 		}
-		if agree && t.skips[t.nextGlobal] {
-			if t.spec.Options.NotifyGaps {
-				t.gapPending = true
-				t.gap = Gap{Seq: t.nextGlobal}
-				t.gapSince = 0
-				t.gapNacks = 0
-				return nil, false
-			}
-			t.advanceSkips(p)
-			continue
+		f.skipTo(p, next)
+		return nil, false
+	}
+	if buf, src, ok := f.headDeliverable(); ok {
+		return f.deliver(p, buf, src), true
+	}
+	if f.finished() {
+		for s, r := range t.readers {
+			f.sendFinalCredit(p, s)
+			r.closed = true
 		}
-		if buf, src, ok := t.headDeliverable(); ok {
-			return t.deliver(p, buf, src), true
+		if agree {
+			f.spawnGapResponder(p)
 		}
-		if t.finished() {
-			t.done = true
-			for s := range t.ended {
-				t.sendFinalCredit(p, s)
-			}
-			if agree {
-				t.spawnGapResponder(p)
-			}
+		return nil, false
+	}
+	// Head segment missing: a gap if anything newer already arrived or
+	// the owning source has ended.
+	if len(f.pending) > 0 || f.anyEndedWithMissing() {
+		if f.gapSince == 0 {
+			f.gapSince = p.Now()
+		} else if p.Now()-f.gapSince >= o.GapTimeout && f.gapTimedOut(p) {
 			return nil, false
 		}
-		// Head segment missing: a gap if anything newer already arrived or
-		// the owning source has ended.
-		blocked := len(t.pending) > 0 || t.anyEndedWithMissing()
-		if blocked {
-			if t.gapSince == 0 {
-				t.gapSince = p.Now()
-			} else if p.Now()-t.gapSince >= t.spec.Options.GapTimeout {
-				seq, src := t.headMissing()
-				switch {
-				case agree && t.frozenSeq(seq):
-					// A round's verdict is pending for the head; the
-					// arbiter will fill or skip it. Keep waiting — unless
-					// the arbiter died mid-round, taking the verdict with
-					// it: thaw and let the ladder decide next timeout.
-					if t.noLiveArbiter() {
-						delete(t.frozen, seq)
-					}
-					t.gapSince = p.Now()
-				case agree && t.gapNacks >= 2*limit && t.allEnded() && t.anyFailed() && t.noLiveArbiter():
-					// Tail fallback: every source has ended, queries go
-					// unanswered, and NO live arbiter remains (each slot
-					// failed or released its lease after close). Only then
-					// may a target skip unilaterally, as the lease-less
-					// path would; nobody is left to disagree.
-					t.nextGlobal = seq + 1
-					t.totalDelivered++
-					t.gapNacks = 0
-					t.gapSince = 0
-					t.gapsSkipped.Add(1)
-					t.broadcastProgress(p)
-					continue
-				case agree && t.gapNacks >= limit && t.anyFailed():
-					// NACKs went unanswered and a source is gone: its
-					// retransmission history died with it. Escalate to the
-					// agreement round (re-queried every timeout while
-					// stuck; the arbiter resends probes idempotently).
-					t.sendGapQuery(p, seq)
-					t.gapNacks++
-					t.gapSince = p.Now()
-				case !agree && t.spec.Options.NotifyGaps:
-					t.gapPending = true
-					t.gap = Gap{Seq: seq}
-					t.gapSince = 0
-					return nil, false
-				case !agree && t.spec.Options.GlobalOrdering && t.gapNacks >= limit && t.anyFailed():
-					// The gap's owner crashed: no NACK will ever be
-					// answered. Skip the sequence number and record the
-					// skip as progress so credit keeps flowing.
-					t.nextGlobal = seq + 1
-					t.gapNacks = 0
-					t.gapSince = 0
-					t.gapsSkipped.Add(1)
-					t.broadcastProgress(p)
-					continue
-				default:
-					t.sendNack(p, seq, src)
-					t.gapNacks++
-					t.gapSince = p.Now() // restart the timeout for the NACK
-				}
-			}
-		}
-		t.waitArrival(p)
 	}
+	f.waitArrival(p)
+	return nil, false
+}
+
+// gapTimedOut takes the next step up the gap ladder for the head gap,
+// which has stood for a GapTimeout. It reports whether the head moved or
+// the gap was surfaced, so that the pass ends without waiting.
+func (f *mcFeed) gapTimedOut(p transport.Ctx) bool {
+	o := &f.t.spec.Options
+	agree, limit := o.gapAgreement(), o.GapNackLimit
+	seq, src := f.headMissing()
+	switch {
+	case agree && f.frozenSeq(seq):
+		// A round's verdict is pending for the head; the arbiter will
+		// fill or skip it. Keep waiting — unless the arbiter died
+		// mid-round, taking the verdict with it: thaw and let the ladder
+		// decide next timeout.
+		if f.noLiveArbiter() {
+			delete(f.frozen, seq)
+		}
+		f.gapSince = p.Now()
+	case agree && f.gapNacks >= 2*limit && f.countsKnown() && f.sourceFailed() && f.noLiveArbiter():
+		// Tail fallback: every source has ended, queries go unanswered,
+		// and NO live arbiter remains (each slot failed or released its
+		// lease after close). Only then may a target skip unilaterally,
+		// as the lease-less path would; nobody is left to disagree.
+		f.skipTo(p, seq+1)
+		return true
+	case agree && f.gapNacks >= limit && f.sourceFailed():
+		// NACKs went unanswered and a source is gone: its retransmission
+		// history died with it. Escalate to the agreement round
+		// (re-queried every timeout while stuck; the arbiter resends
+		// probes idempotently).
+		f.sendGapQuery(p, seq)
+		f.gapNacks++
+		f.gapSince = p.Now()
+	case !agree && o.NotifyGaps:
+		f.surface(seq)
+		return true
+	case !agree && o.GlobalOrdering && f.gapNacks >= limit && f.sourceFailed():
+		// The gap's owner crashed: no NACK will ever be answered. Skip
+		// the sequence number and record the skip as progress so credit
+		// keeps flowing.
+		f.skipTo(p, seq+1)
+		return true
+	default:
+		f.sendNack(p, seq, src)
+		f.gapNacks++
+		f.gapSince = p.Now() // restart the timeout for the NACK
+	}
+	return false
 }
 
 // frozenSeq reports whether seq awaits an agreement verdict here.
-func (t *mcTarget) frozenSeq(seq uint64) bool {
-	if t.frozen == nil {
-		return false
-	}
-	_, fr := t.frozen[seq]
+func (f *mcFeed) frozenSeq(seq uint64) bool {
+	_, fr := f.frozen[seq]
 	return fr
 }
 
@@ -1707,22 +1589,23 @@ func (t *mcTarget) frozenSeq(seq uint64) bool {
 // termination chain is: stuck requester keeps its arbiter's close
 // lingering, the responder serves the round, the requester finishes,
 // close returns, the sources release their leases, the responder exits.
-func (t *mcTarget) spawnGapResponder(p transport.Ctx) {
-	if t.responderUp {
+func (f *mcFeed) spawnGapResponder(p transport.Ctx) {
+	if f.responderUp {
 		return
 	}
-	t.responderUp = true
+	f.responderUp = true
+	t := f.t
 	t.meta.cluster.Spawn(p, fmt.Sprintf("mc-gap-responder:%s:%d", t.spec.Name, t.idx), func(rp transport.Ctx) {
 		iv := t.spec.Options.GapTimeout
 		if iv <= 0 {
 			iv = 5 * time.Microsecond
 		}
 		for {
-			if t.node.Crashed(rp.Now()) || t.evicted {
+			if t.node.Crashed(rp.Now()) || t.evicted.Load() {
 				return
 			}
 			alive := false
-			for s := range t.ended {
+			for s := range t.readers {
 				st := t.mem.State(registry.RoleSource, s)
 				if st != registry.StateLeft && st != registry.StateEvicted {
 					alive = true
@@ -1732,15 +1615,7 @@ func (t *mcTarget) spawnGapResponder(p transport.Ctx) {
 			if !alive {
 				return
 			}
-			for _, qp := range t.tqps {
-				for qp.RecvCQ().Len() > 0 {
-					c, ok := qp.RecvCQ().Poll(rp)
-					if !ok {
-						break
-					}
-					t.ingest(rp, c.Buf, c.Bytes, qp)
-				}
-			}
+			f.pollReliable(rp)
 			rp.Sleep(iv)
 		}
 	})
@@ -1749,17 +1624,12 @@ func (t *mcTarget) spawnGapResponder(p transport.Ctx) {
 // anyEndedWithMissing reports whether ended sources leave undelivered
 // segments (a tail loss that produces no newer arrivals). For ordered
 // flows the check runs in global sequence space once all sources ended.
-func (t *mcTarget) anyEndedWithMissing() bool {
-	if t.spec.Options.GlobalOrdering {
-		for s := range t.ended {
-			if !t.ended[s] {
-				return false
-			}
-		}
-		return t.nextGlobal < t.totalExpected()
+func (f *mcFeed) anyEndedWithMissing() bool {
+	if f.t.spec.Options.GlobalOrdering {
+		return f.countsKnown() && f.nextGlobal < f.totalExpected()
 	}
-	for s := range t.ended {
-		if t.ended[s] && t.delivered[s].Load() < t.endCount[s] {
+	for s, e := range f.end {
+		if e != noEnd && !f.delivered(s) {
 			return true
 		}
 	}
@@ -1767,19 +1637,19 @@ func (t *mcTarget) anyEndedWithMissing() bool {
 }
 
 // headMissing identifies the missing sequence number blocking delivery.
-func (t *mcTarget) headMissing() (seq uint64, src int) {
-	if t.spec.Options.GlobalOrdering {
-		return t.nextGlobal, 0
+func (f *mcFeed) headMissing() (seq uint64, src int) {
+	if f.t.spec.Options.GlobalOrdering {
+		return f.nextGlobal, 0
 	}
-	for s := range t.nextSeq {
-		if t.ended[s] && t.delivered[s].Load() < t.endCount[s] {
-			return t.nextSeq[s], s
+	for s, e := range f.end {
+		if e != noEnd && !f.delivered(s) {
+			return f.nextSeq[s], s
 		}
 	}
-	for s := range t.nextSeq {
-		if !t.ended[s] {
-			if _, ok := t.pending[t.key(s, t.nextSeq[s])]; !ok {
-				return t.nextSeq[s], s
+	for s, e := range f.end {
+		if e == noEnd {
+			if _, ok := f.pending[f.key(s, f.nextSeq[s])]; !ok {
+				return f.nextSeq[s], s
 			}
 		}
 	}
@@ -1787,50 +1657,41 @@ func (t *mcTarget) headMissing() (seq uint64, src int) {
 }
 
 // waitArrival blocks briefly for the next message on any receive queue.
-func (t *mcTarget) waitArrival(p transport.Ctx) {
-	d := t.spec.Options.GapTimeout / 4
+func (f *mcFeed) waitArrival(p transport.Ctx) {
+	d := f.t.spec.Options.GapTimeout / 4
 	if d <= 0 {
 		d = 5 * time.Microsecond
 	}
-	t.ep.RecvCQ().WaitNonEmpty(p, d)
-}
-
-// pendingGap exposes a surfaced gap (NotifyGaps flows).
-func (t *mcTarget) pendingGap() (Gap, bool) {
-	if !t.gapPending {
-		return Gap{}, false
-	}
-	return t.gap, true
+	f.ep.RecvCQ().WaitNonEmpty(p, d)
 }
 
 // resolveGap skips past a surfaced gap: the application has agreed (e.g.
 // via NOPaxos gap agreement) to treat the sequence number as a no-op. The
 // skip counts as global progress so source credit keeps flowing.
-func (t *mcTarget) resolveGap(p transport.Ctx) {
+func (f *mcFeed) resolveGap(p transport.Ctx) {
+	t := f.t
 	if !t.gapPending {
 		return
 	}
 	if t.spec.Options.GlobalOrdering {
-		t.nextGlobal = t.gap.Seq + 1
-		t.totalDelivered++
-		t.gapsSkipped.Add(1)
-		t.creditAcc[0]++
-		t.sendCredit(p, 0, true)
+		f.nextGlobal = t.gap.Seq + 1
+		f.totalDelivered++
+		f.gapsSkipped.Add(1)
+		f.creditAcc[0]++
+		f.sendCredit(p, 0, true)
 	}
 	t.gapPending = false
 }
 
 // requestGapRetransmit asks the sources to resend a surfaced gap instead
 // of skipping it.
-func (t *mcTarget) requestGapRetransmit(p transport.Ctx) {
-	if !t.gapPending {
+func (f *mcFeed) requestGapRetransmit(p transport.Ctx) {
+	if !f.t.gapPending {
 		return
 	}
-	t.sendNack(p, t.gap.Seq, 0)
-	t.gapPending = false
-	t.gapSince = p.Now()
+	f.sendNack(p, f.t.gap.Seq, 0)
+	f.t.gapPending = false
+	f.gapSince = p.Now()
 }
 
-func (t *mcTarget) free() {
-	t.poolMR.Deregister()
-}
+func (f *mcFeed) free() { f.poolMR.Deregister() }

@@ -23,9 +23,41 @@ import (
 // safe.
 
 func TestScrapeRaceWhileShuffleRuns(t *testing.T) {
+	scrapeWhileFlowRuns(t, chaosPlan(), FlowSpec{
+		Name: "scrape",
+		Options: Options{
+			SegmentSize:       512,
+			SegmentsPerRing:   8,
+			RetransmitTimeout: 50 * time.Microsecond,
+		},
+	})
+}
+
+// TestScrapeRaceWhileMulticastRuns is the same scrape over a leased,
+// ordered multicast flow, whose segment counters are the group leg's and
+// the readers' like any other kind's, and whose recovery counters (NACKs,
+// retransmissions: the fault plan drops sends) are the kind's own.
+func TestScrapeRaceWhileMulticastRuns(t *testing.T) {
+	plan := &fabric.FaultPlan{DropSend: 0.03, Delay: time.Microsecond, DelayJitter: 3 * time.Microsecond}
+	scrapeWhileFlowRuns(t, plan, FlowSpec{
+		Name: "scrape-mc",
+		Type: ReplicateFlow,
+		Options: Options{
+			Multicast:       true,
+			GlobalOrdering:  true,
+			SegmentSize:     512,
+			SegmentsPerRing: 8,
+			LeaseTTL:        100 * time.Microsecond,
+		},
+	})
+}
+
+// scrapeWhileFlowRuns runs spec as a 2:2 flow of key/value tuples under
+// the fault plan with the scraper beside it.
+func scrapeWhileFlowRuns(t *testing.T, plan *fabric.FaultPlan, spec FlowSpec) {
 	rec := fabric.NewRecorder(128)
 	rec.WireOverheadBytes = 42
-	e := newEnv(t, 4, withFaults(chaosPlan()))
+	e := newEnv(t, 4, withFaults(plan))
 	e.c.SetTracer(rec)
 
 	m := metrics.NewRegistry()
@@ -34,18 +66,14 @@ func TestScrapeRaceWhileShuffleRuns(t *testing.T) {
 	events := metrics.NewEventLog(256)
 	e.reg.SetEventSink(events)
 
-	spec := FlowSpec{
-		Name:    "scrape",
-		Sources: []Endpoint{{Node: e.c.Node(0)}, {Node: e.c.Node(1)}},
-		Targets: []Endpoint{{Node: e.c.Node(2)}, {Node: e.c.Node(3)}},
-		Schema:  kvSchema,
-		Options: Options{
-			SegmentSize:       512,
-			SegmentsPerRing:   8,
-			RetransmitTimeout: 50 * time.Microsecond,
-		},
-	}
+	spec.Sources = []Endpoint{{Node: e.c.Node(0)}, {Node: e.c.Node(1)}}
+	spec.Targets = []Endpoint{{Node: e.c.Node(2)}, {Node: e.c.Node(3)}}
+	spec.Schema = kvSchema
 	const n = 1500
+	delivered := 2 * n // a replicate flow delivers every tuple to both targets
+	if spec.Type == ReplicateFlow {
+		delivered *= 2
+	}
 
 	// Endpoint handles cross from sim processes to the scraper through
 	// this mutex; everything behind the handles is what's under test.
@@ -181,8 +209,14 @@ func TestScrapeRaceWhileShuffleRuns(t *testing.T) {
 	if got := metrics.SumSeries(parsed, "dfi_target_tuples_consumed_total"); got != float64(tuplesConsumed) {
 		t.Fatalf("scraped consumed = %v, stats say %d", got, tuplesConsumed)
 	}
-	if consumed[0]+consumed[1] != 2*n {
-		t.Fatalf("delivered %d tuples, want %d", consumed[0]+consumed[1], 2*n)
+	if consumed[0]+consumed[1] != delivered {
+		t.Fatalf("delivered %d tuples, want %d", consumed[0]+consumed[1], delivered)
+	}
+	if got := metrics.SumSeries(parsed, "dfi_source_segments_written_total"); got == 0 {
+		t.Fatal("scraped no segments written")
+	}
+	if got := metrics.SumSeries(parsed, "dfi_target_segments_consumed_total"); got == 0 {
+		t.Fatal("scraped no segments consumed")
 	}
 	if events.Total() == 0 {
 		t.Fatal("no events were emitted")

@@ -30,17 +30,15 @@ type Source struct {
 	reg  Registry
 
 	// legs holds one leg per target — a private ring writer or a shared-
-	// ring stream, whichever the target published. An entry is nil only
+	// ring stream, whichever the target published — or, on a multicast
+	// flow, the one group leg that reaches them all. An entry is nil only
 	// when its target was already evicted from the flow membership at
-	// open time; such slots are routed around from the start. linc is
-	// the target incarnation each leg connected under: a bump means the
-	// target rejoined with fresh rings and the leg must be harvested and
-	// replaced (see lifecycle.go). retired keeps replaced legs alive
+	// open time; such slots are routed around from the start. A leg whose
+	// target rejoined with fresh rings (an incarnation bump) is harvested
+	// and replaced (see lifecycle.go). retired keeps replaced legs alive
 	// until Free — harvested tuples view their local segments.
 	legs    []*leg
-	linc    []uint64
 	retired []*leg
-	mc      *mcSource // multicast replicate transport, if enabled
 
 	// statsMu guards the legs/retired slice headers against a concurrent
 	// scraper walking Stats() while the simulation appends (connectAll)
@@ -50,9 +48,8 @@ type Source struct {
 	statsMu sync.Mutex
 
 	// Control-plane membership (see lifecycle.go). mem is the flow's
-	// epoch-versioned record (the multicast transport keeps its own copy
-	// on mcSource); epoch is the last value folded in; view is the
-	// partitioner joined with that epoch's liveness — the survivor
+	// epoch-versioned record; epoch is the last value folded in; view is
+	// the partitioner joined with that epoch's liveness — the survivor
 	// routing state.
 	mem   *registry.Membership
 	epoch uint64
@@ -93,8 +90,8 @@ type Source struct {
 
 // SourceOpen attaches to source slot sourceIdx of the named flow,
 // retrieving the flow metadata from the registry and connecting one leg
-// to every target. It blocks until the flow and all targets are
-// available.
+// to every target (one to the group on a multicast flow). It blocks
+// until the flow and all targets are available.
 func SourceOpen(p transport.Ctx, reg Registry, name string, sourceIdx int) (*Source, error) {
 	meta := lookupFlow(p, reg, name)
 	spec := &meta.spec
@@ -103,15 +100,12 @@ func SourceOpen(p transport.Ctx, reg Registry, name string, sourceIdx int) (*Sou
 	}
 	s := &Source{meta: meta, spec: spec, idx: sourceIdx, node: spec.Sources[sourceIdx].Node, reg: reg}
 	if spec.Options.Multicast {
-		mc, err := newMcSource(p, reg, meta, sourceIdx)
-		if err != nil {
+		// A multicast source publishes its reliable queues before it takes
+		// its lease: targets open against them.
+		if err := s.connectAll(p, name); err != nil {
 			return nil, err
 		}
-		s.mc = mc
-		if err := s.acquireSourceLease(p, reg, name); err != nil {
-			return nil, err
-		}
-		return s, nil
+		return s, s.acquireSourceLease(p, reg, name)
 	}
 	if err := s.acquireSourceLease(p, reg, name); err != nil {
 		return nil, err
@@ -119,8 +113,9 @@ func SourceOpen(p transport.Ctx, reg Registry, name string, sourceIdx int) (*Sou
 	return s, s.connectAll(p, name)
 }
 
-// connectAll connects one leg per target and initializes the membership
-// view — the shared tail of SourceOpen, AttachSource, and Reattach.
+// connectAll connects one leg per target — the one group leg on a
+// multicast flow — and initializes the membership view: the shared tail
+// of SourceOpen, AttachSource, and Reattach.
 func (s *Source) connectAll(p transport.Ctx, name string) error {
 	var err error
 	if s.mem, err = membershipOf(s.reg, name); err != nil {
@@ -131,18 +126,26 @@ func (s *Source) connectAll(p transport.Ctx, name string) error {
 	// then shows as an epoch to fold in (syncEpoch abandons its leg),
 	// not as a live leg nobody will ever harvest.
 	s.epoch = s.mem.Epoch()
-	for t := range s.spec.Targets {
-		inc := s.targetInc(t)
-		info, evicted := s.reg.WaitTargetLive(p, name, t)
-		if evicted {
-			s.appendLeg(nil, s.targetInc(t))
-			continue
-		}
-		l, err := s.connectLeg(info, t, inc)
+	if s.spec.Options.Multicast {
+		x, err := newMcTx(p, s)
 		if err != nil {
 			return err
 		}
-		s.appendLeg(l, inc)
+		s.appendLeg(&x.leg)
+	} else {
+		for t := range s.spec.Targets {
+			inc := s.targetInc(t)
+			info, evicted := s.reg.WaitTargetLive(p, name, t)
+			if evicted {
+				s.appendLeg(nil)
+				continue
+			}
+			l, err := s.connectLeg(info, t, inc)
+			if err != nil {
+				return err
+			}
+			s.appendLeg(l)
+		}
 	}
 	if err := s.initMembership(name); err != nil {
 		return err
@@ -163,10 +166,9 @@ func (s *Source) setSteady() {
 
 // appendLeg grows the leg set under statsMu (WaitTargetLive above
 // blocks, so the lock cannot wrap the whole connect loop).
-func (s *Source) appendLeg(l *leg, inc uint64) {
+func (s *Source) appendLeg(l *leg) {
 	s.statsMu.Lock()
 	s.legs = append(s.legs, l)
-	s.linc = append(s.linc, inc)
 	s.statsMu.Unlock()
 }
 
@@ -264,9 +266,6 @@ func (s *Source) Push(p transport.Ctx, t schema.Tuple) error {
 	s.chargePush(p)
 	switch s.spec.FlowType() {
 	case ReplicateFlow:
-		if s.mc != nil {
-			return s.mc.push(p, t)
-		}
 		return s.pushReplicate(p, t)
 	default:
 		if s.spec.Routing == nil && s.spec.ShuffleKey < 0 {
@@ -287,11 +286,12 @@ func (s *Source) countPushed(n int) {
 // publish makes the push count visible to scrapers.
 func (s *Source) publish() { s.pushed.Store(s.npushed) }
 
-// pushReplicate copies one tuple to every live ring-replicate leg —
-// liveness comes from the same partitioner view the routed flows use. A
-// leg whose target gets evicted mid-push is dropped: the survivors
-// carry their own complete copies, and the dead leg's harvest is
-// discarded by syncEpoch rather than drained.
+// pushReplicate copies one tuple to every live leg of a replicate flow
+// (a multicast flow has one, the group) — liveness comes from the same
+// partitioner view the routed flows use. A leg whose target gets evicted
+// mid-push is dropped: the survivors carry their own complete copies,
+// and the dead leg's harvest is discarded by syncEpoch rather than
+// drained.
 func (s *Source) pushReplicate(p transport.Ctx, t schema.Tuple) error {
 	if err := s.syncEpoch(p); err != nil {
 		return err
@@ -342,12 +342,19 @@ func (s *Source) PushTo(p transport.Ctx, t schema.Tuple, target int) error {
 	}
 }
 
-// pushLeg appends one tuple to a leg. Latency mode is a private-ring
-// capability (normalize rejects it on shared rings), so its legs are
-// ring writers.
+// pushLeg appends one tuple to a leg. In latency mode the tuple is its
+// own segment and ships at once: a ring writer has a path of its own for
+// that (its window is tuple-granular), a multicast group flushes what was
+// just staged, and normalize rejects the mode on shared rings.
 func (s *Source) pushLeg(p transport.Ctx, l *leg, t schema.Tuple) error {
 	if s.spec.Options.Optimization == OptimizeLatency {
-		return l.tx.(*ringWriter).pushImmediate(p, t)
+		if w, ok := l.tx.(*ringWriter); ok {
+			return w.pushImmediate(p, t)
+		}
+		if err := l.push(p, t); err != nil {
+			return err
+		}
+		return l.tx.flush(p)
 	}
 	return l.push(p, t)
 }
@@ -359,9 +366,6 @@ func (s *Source) pushLeg(p transport.Ctx, l *leg, t schema.Tuple) error {
 func (s *Source) Flush(p transport.Ctx) error {
 	s.publish()
 	s.settleCharge(p)
-	if s.mc != nil {
-		return s.mc.flush(p)
-	}
 	for {
 		if err := s.syncEpoch(p); err != nil {
 			return err
@@ -403,11 +407,6 @@ func (s *Source) Close(p transport.Ctx) error {
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
-	}
-	if s.mc != nil {
-		record(s.mc.close(p))
-		s.closed.Store(true)
-		return firstErr
 	}
 	if s.epoch == 0 && s.mem.Epoch() == 0 && s.spec.Options.LeaseTTL == 0 {
 		// Quiescent control plane: the original per-leg close order,
@@ -527,9 +526,6 @@ func (s *Source) Free() {
 	for _, l := range s.retired {
 		l.tx.free()
 	}
-	if s.mc != nil {
-		s.mc.free()
-	}
 }
 
 // Checkpoint flushes the source, waits until every tuple pushed so far
@@ -541,7 +537,7 @@ func (s *Source) Free() {
 // exactly-once for everything behind it. Requires delivery confirmation
 // (Options.RetransmitTimeout; set implicitly by LeaseTTL).
 func (s *Source) Checkpoint(p transport.Ctx) (uint64, error) {
-	if s.mc != nil {
+	if s.spec.Options.Multicast {
 		return 0, fmt.Errorf("%w: Checkpoint (multicast targets recover from sequencer snapshots instead)", ErrUnsupportedOnMulticast)
 	}
 	if s.spec.Options.SharedRings {
@@ -600,7 +596,7 @@ func (s *Source) Slot() int { return s.idx }
 // (slots are never recycled there). Requires Options.RetransmitTimeout:
 // a ring reset racing the new stream is healed by retransmission.
 func (s *Source) Reattach(p transport.Ctx) (*Source, uint64, error) {
-	if s.mc != nil {
+	if s.spec.Options.Multicast {
 		return nil, 0, fmt.Errorf("%w: Source.Reattach (an evicted multicast source's history dies with it; gap agreement reconciles the survivors)", ErrUnsupportedOnMulticast)
 	}
 	if s.spec.Options.SharedRings {

@@ -75,10 +75,9 @@ func (s SourceStats) String() string {
 	return out
 }
 
-// Stats returns the source's counters. Multicast replicate sources report
-// segment counts from their multicast transport. Safe to call from a
-// scraper goroutine while the flow runs: every field it reads is atomic,
-// and the leg slices are walked under statsMu.
+// Stats returns the source's counters. Safe to call from a scraper
+// goroutine while the flow runs: every field it reads is atomic, and the
+// leg slices are walked under statsMu.
 func (s *Source) Stats() SourceStats {
 	st := SourceStats{TuplesPushed: s.pushed.Load(), Rerouted: s.rerouted.Load(), Moved: s.moved.Load()}
 	s.statsMu.Lock()
@@ -90,25 +89,23 @@ func (s *Source) Stats() SourceStats {
 		}
 		st.SegmentsWritten += l.segsWritten.Load()
 		st.PayloadBytes += l.payloadBytes.Load()
-		w, ok := l.tx.(*ringWriter)
-		if !ok {
-			continue // stalls, probes and retransmits are private-ring diagnostics
+		// The rest are one kind's diagnostics: a private ring's stalls,
+		// probes and retransmits, a multicast group's recovery counters.
+		switch x := l.tx.(type) {
+		case *ringWriter:
+			st.StallRemote += time.Duration(x.StallRemote.Load())
+			st.StallLocal += time.Duration(x.StallLocal.Load())
+			st.FooterProbes += int(x.Probes.Load())
+			st.ProbeMisses += int(x.ProbeMisses.Load())
+			st.Backoff += time.Duration(x.BackoffTime.Load())
+			st.Retransmits += int(x.Retransmits.Load())
+		case *mcTx:
+			st.McRetransmits = x.retransmits.Load()
+			st.McGapRounds = x.gapRoundsRun.Load()
+			st.McCreditStalls = x.creditStalls.Load()
 		}
-		st.StallRemote += time.Duration(w.StallRemote.Load())
-		st.StallLocal += time.Duration(w.StallLocal.Load())
-		st.FooterProbes += int(w.Probes.Load())
-		st.ProbeMisses += int(w.ProbeMisses.Load())
-		st.Backoff += time.Duration(w.BackoffTime.Load())
-		st.Retransmits += int(w.Retransmits.Load())
 	}
 	s.statsMu.Unlock()
-	if s.mc != nil {
-		st.SegmentsWritten += s.mc.sentSegs.Load()
-		st.PayloadBytes += s.mc.payloadBytes.Load()
-		st.McRetransmits = s.mc.retransmits.Load()
-		st.McGapRounds = s.mc.gapRoundsRun.Load()
-		st.McCreditStalls = s.mc.creditStalls.Load()
-	}
 	return st
 }
 
@@ -151,12 +148,9 @@ func (t *Target) Stats() TargetStats {
 	for _, r := range t.readers {
 		st.SegmentsConsumed += r.consumed.Load()
 	}
-	if t.mc != nil {
-		for i := range t.mc.delivered {
-			st.SegmentsConsumed += t.mc.delivered[i].Load()
-		}
-		st.McNacksSent = t.mc.nacksSent.Load()
-		st.McGapsSkipped = t.mc.gapsSkipped.Load()
+	if f, ok := t.feed.(*mcFeed); ok {
+		st.McNacksSent = f.nacksSent.Load()
+		st.McGapsSkipped = f.gapsSkipped.Load()
 	}
 	return st
 }

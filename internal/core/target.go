@@ -24,11 +24,11 @@ var zeroFlag [1]byte
 
 // Target is a thread-level exit point of a flow. It owns the tuple
 // iterator and the per-source state (one ringReader per source slot);
-// the ring kind underneath — private rings, shared rings — is a
-// segmentFeed that only supplies the next consumable segment, and the
-// multicast transport supplies its in-order segments the same way. The
-// target consumes segments in ring order per source and round-robins
-// across sources (the nextRing() of paper Figure 4).
+// the kind underneath — private rings, shared rings, a multicast group —
+// is a segmentFeed that only supplies the next consumable segment. A
+// ring target consumes segments in ring order per source and
+// round-robins across sources (the nextRing() of paper Figure 4); a
+// multicast target consumes them in sequence order.
 type Target struct {
 	meta *flowMeta
 	spec *FlowSpec
@@ -36,7 +36,7 @@ type Target struct {
 	node transport.Endpoint
 	reg  Registry
 
-	feed    segmentFeed // ring kind; nil on multicast flows
+	feed    segmentFeed
 	readers []*ringReader
 	cur     int
 
@@ -46,13 +46,19 @@ type Target struct {
 	remaining int
 	tupleSize int
 
-	mc *mcTarget // multicast replicate transport, if enabled
+	// gap is the sequence gap an ordered multicast feed surfaced to the
+	// application (Options.NotifyGaps); while gapPending, consume calls
+	// report ok=false until ResolveGap or RequestGapRetransmit.
+	gap        Gap
+	gapPending bool
 
 	// Control-plane membership (see lifecycle.go): the flow's record,
-	// the last epoch folded in, and whether this target was evicted
-	// (atomic: the node's lease agent reads it to release the lease).
+	// the last epoch folded in, the incarnation of the slot this target
+	// attached under, and whether it was evicted (atomic: the node's
+	// lease agent reads it to release the lease).
 	mem     *registry.Membership
 	epoch   uint64
+	inc     uint64
 	evicted atomic.Bool
 
 	// nconsumed is the consume count, owned by the consuming process.
@@ -78,7 +84,9 @@ type Target struct {
 }
 
 // ringReader is the target's state for one source slot, common to every
-// ring kind, plus the private-ring cursor (ringOff, rslot).
+// kind, plus the private-ring cursor (ringOff, rslot). closed means the
+// slot will yield nothing more: its end marker was consumed, or the
+// source was declared failed.
 type ringReader struct {
 	ringOff  int
 	rslot    int
@@ -105,20 +113,29 @@ func (r *ringReader) heard(now time.Duration) {
 	r.lastActivity = now
 }
 
-// segmentFeed is the seam between the consuming engine and a ring kind:
-// it finds consumable segments; the Target iterates them and keeps the
+// segmentFeed is the seam between the consuming engine and a kind: it
+// finds consumable segments; the Target iterates them and keeps the
 // per-source state.
 type segmentFeed interface {
-	// scan recycles the segment handed out last, then makes one
-	// round-robin pass over the open sources among readers[:n] and
-	// returns the first consumable segment's payload. It closes a reader
-	// on its end marker and stamps activity on everything it receives. A
-	// pass that finds nothing parks until something may have arrived, at
-	// most pollTimeout, before it reports ok=false — unless it closed a
-	// reader, which the engine gets to see at once.
+	// scan folds membership changes in (Target.syncMembership: before it
+	// looks at a ring; after a multicast feed has taken in what arrived,
+	// so that an end marker already here counts before its source is
+	// folded as gone) and reports ok=false at once when that finds this
+	// target evicted. Otherwise it recycles the segment handed out last,
+	// makes one pass over the open sources among readers[:n] — round-robin
+	// over rings, in sequence order over a multicast group — and returns
+	// the first consumable segment's payload, its tuples' ConsumeCost
+	// charged. It closes a reader on its end marker and stamps activity on
+	// everything it receives, and on a source whose next segment it holds
+	// but has not got to yet. A pass that finds nothing parks until
+	// something may have arrived, at most pollTimeout, before it reports
+	// ok=false — unless it closed a reader, skipped a gap or surfaced one,
+	// which the engine gets to see at once.
 	scan(p transport.Ctx, n int) (data []byte, ok bool)
 	// drop tells the kind source i will not be consumed from again
-	// (evicted, declared failed, or this target is going away).
+	// (evicted, declared failed, or this target is going away): a shared
+	// ring stops staging its tag, a multicast feed ends the slot at what
+	// it delivered.
 	drop(i int)
 	// free releases the kind's receive buffers.
 	free()
@@ -154,28 +171,23 @@ func TargetOpen(p transport.Ctx, reg Registry, name string, targetIdx int) (*Tar
 		spec:      spec,
 		idx:       targetIdx,
 		node:      spec.Targets[targetIdx].Node,
+		reg:       reg,
 		tupleSize: spec.Schema.TupleSize(),
-	}
-	t.reg = reg
-	if spec.Options.Multicast {
-		mc, err := newMcTarget(p, reg, meta, targetIdx)
-		if err != nil {
-			return nil, err
-		}
-		t.mc = mc
-		if err := t.acquireTargetLease(p, reg, name); err != nil {
-			return nil, err
-		}
-		return t, nil
 	}
 	if sink := reg.EventSink(); sink != nil {
 		t.events = sink
 		t.evNode = fmt.Sprintf("node%d", t.node.ID())
 	}
+	// info is what sources connect to. A multicast target publishes none:
+	// its sources find it through the group and the reliable queues they
+	// published themselves.
 	var info any
-	if spec.Options.SharedRings {
+	switch {
+	case spec.Options.Multicast:
+		t.openMcFeed(p)
+	case spec.Options.SharedRings:
 		info = t.openSharedFeed()
-	} else {
+	default:
 		info = t.allocRings()
 	}
 	mem, err := membershipOf(reg, name)
@@ -186,8 +198,10 @@ func TargetOpen(p transport.Ctx, reg Registry, name string, targetIdx int) (*Tar
 	if err := t.acquireTargetLease(p, reg, name); err != nil {
 		return nil, err
 	}
-	if err := reg.PublishTarget(p, name, targetIdx, info); err != nil {
-		return nil, err
+	if info != nil {
+		if err := reg.PublishTarget(p, name, targetIdx, info); err != nil {
+			return nil, err
+		}
 	}
 	return t, nil
 }
@@ -214,7 +228,7 @@ func (t *Target) allocRings() *targetInfo {
 
 // failSource closes source i's slot for good and reports it through
 // FailedSources: the membership evicted it, or SourceTimeout declared it
-// silent. The ring kind is told so a shared ring stops staging its tag.
+// silent. The kind is told (see segmentFeed.drop).
 func (t *Target) failSource(i int) {
 	r := t.readers[i]
 	r.closed = true
@@ -223,12 +237,13 @@ func (t *Target) failSource(i int) {
 }
 
 // initTargetMembership snapshots the membership the fresh rings attach
-// under: the current epoch, per-reader source incarnations, and rings
-// of already-evicted sources closed up front (a re-attaching target
-// missed those epochs while it was down).
+// under: the current epoch, the slot's own incarnation, per-reader
+// source incarnations, and rings of already-evicted sources closed up
+// front (a re-attaching target missed those epochs while it was down).
 func (t *Target) initTargetMembership(mem *registry.Membership) {
 	t.mem = mem
 	t.epoch = mem.Epoch()
+	t.inc = mem.Incarnation(registry.RoleTarget, t.idx)
 	for i, r := range t.readers {
 		r.inc = mem.Incarnation(registry.RoleSource, i)
 		if mem.SourceEvicted(i) {
@@ -252,9 +267,12 @@ func (t *Target) initTargetMembership(mem *registry.Membership) {
 // source has then had every data segment consumed, so only the marker
 // can be skipped here. A shared ring confirms nothing — its Left sources
 // may still have segments in flight — and never needs this: its targets
-// cannot re-attach.
+// cannot re-attach. Nor does a multicast source's Close confirm every
+// target: it gives up on one it found stale and leaves, and that target
+// still delivers what it holds, gaps settled by its ladder (NACK, then a
+// skip once no arbiter is left), instead of being cut off here.
 func (t *Target) closeLeftRings(n int) {
-	if t.spec.Options.RetransmitTimeout <= 0 {
+	if o := &t.spec.Options; o.RetransmitTimeout <= 0 || o.Multicast {
 		return
 	}
 	for i, r := range t.readers[:n] {
@@ -358,6 +376,9 @@ func (f *privateFeed) loadSegment(p transport.Ctx, r *ringReader) ([]byte, bool)
 // ring among readers[:n], round-robin; an empty pass that closed no ring
 // waits for the region's next commit.
 func (f *privateFeed) scan(p transport.Ctx, n int) ([]byte, bool) {
+	if f.t.syncMembership() {
+		return nil, false
+	}
 	if f.active != nil {
 		f.release(f.active)
 		f.active = nil
@@ -378,6 +399,7 @@ func (f *privateFeed) scan(p transport.Ctx, n int) ([]byte, bool) {
 			continue
 		}
 		if data, ok := f.loadSegment(p, r); ok {
+			t.charge(p, data)
 			return data, true
 		}
 		ended = ended || r.closed
@@ -392,25 +414,31 @@ func (f *privateFeed) drop(int) {}
 
 func (f *privateFeed) free() { f.mr.Deregister() }
 
+// charge accounts the ConsumeCost of a segment's tuples as a feed hands
+// the segment out.
+func (t *Target) charge(p transport.Ctx, data []byte) {
+	t.node.Compute(p, time.Duration(len(data)/t.tupleSize)*t.spec.Options.ConsumeCost)
+}
+
 // nextSegment loads the next consumable segment into the iterator,
 // blocking while none is available. It returns false when all sources
-// have closed (flow end), when this target was evicted, or when a
-// multicast flow surfaces a gap.
+// have closed (flow end), when this target was evicted, or while a gap
+// an ordered multicast flow surfaced awaits the application.
 func (t *Target) nextSegment(p transport.Ctx) bool {
 	t.publish()
-	if t.mc != nil {
-		data, ok := t.mc.nextSegment(p)
-		if ok {
-			t.segData, t.segOff, t.remaining = data, 0, len(data)/t.tupleSize
-		} else if t.mc.evicted {
-			t.evicted.Store(true)
-		} else if t.mc.done {
-			t.done.Store(true)
+	for !t.gapPending {
+		// On an elastic flow only the attached slots are live; membership
+		// changes there (attach/seal) are detected within one poll timeout
+		// at most.
+		n := len(t.readers)
+		if t.spec.Options.Elastic {
+			n = t.meta.elastic.attached
 		}
-		return ok
-	}
-	for {
-		if t.syncMembership() {
+		if data, ok := t.feed.scan(p, n); ok {
+			t.segData, t.segOff, t.remaining = data, 0, len(data)/t.tupleSize
+			return true
+		}
+		if t.evicted.Load() {
 			// Evicted from the membership: the survivors have taken over
 			// this target's key range; stop consuming, and let go of every
 			// source so a shared ring is not head-of-line-blocked by tags
@@ -421,19 +449,6 @@ func (t *Target) nextSegment(p transport.Ctx) bool {
 			t.done.Store(true)
 			return false
 		}
-		// On an elastic flow only the attached slots are live; membership
-		// changes there (attach/seal) are detected within one poll timeout
-		// at most.
-		n := len(t.readers)
-		if t.spec.Options.Elastic {
-			n = t.meta.elastic.attached
-		}
-		if data, ok := t.feed.scan(p, n); ok {
-			count := len(data) / t.tupleSize
-			t.node.Compute(p, time.Duration(count)*t.spec.Options.ConsumeCost)
-			t.segData, t.segOff, t.remaining = data, 0, count
-			return true
-		}
 		// Nothing consumable, and the scan has parked for it: look for
 		// sources that will never send again before scanning once more.
 		t.detectFailures(p, n)
@@ -443,6 +458,7 @@ func (t *Target) nextSegment(p transport.Ctx) bool {
 			return false
 		}
 	}
+	return false
 }
 
 // flowEnded reports whether nothing more can arrive: every slot among
@@ -502,10 +518,10 @@ func (t *Target) ConsumeSegment(p transport.Ctx) (data []byte, count int, ok boo
 // with NotifyGaps set; Consume returns ok=false and the application checks
 // PendingGap.
 func (t *Target) PendingGap() (Gap, bool) {
-	if t.mc == nil {
+	if !t.gapPending {
 		return Gap{}, false
 	}
-	return t.mc.pendingGap()
+	return t.gap, true
 }
 
 // detectFailures closes the slots of sources that have been silent
@@ -537,9 +553,6 @@ func (t *Target) detectFailures(p transport.Ctx, n int) {
 // FailedSources returns the source slots the target declared failed
 // (SourceTimeout or eviction), in slot order.
 func (t *Target) FailedSources() []int {
-	if t.mc != nil {
-		return t.mc.failedSources()
-	}
 	var out []int
 	for i, r := range t.readers {
 		if r.failed.Load() {
@@ -567,24 +580,30 @@ func (t *Target) ResumedFrom() uint64 { return t.resumedFrom }
 func (t *Target) Slot() int { return t.idx }
 
 // Reattach rejoins the flow after this target was evicted, reclaiming
-// its old slot under a fresh incarnation: new rings are allocated and
-// republished, then the registry Rejoin bumps the flow epoch so every
-// source reconnects — under ring partitioning the slot takes back
-// exactly the arcs it lost, under modulo its keys rehash home. The
-// returned Target resumes consumption; ResumedFrom reports the previous
-// incarnation's consumed count. Tuples in flight to the dead
-// incarnation were harvested and re-pushed by the sources, so the
-// stream is complete across the gap at least-once (exactly-once behind
-// the sources' checkpointed watermarks). Rejoining a slot that was
-// never evicted is refused, as is re-attaching from a crashed node.
+// its old slot under a fresh incarnation. On private rings, new rings
+// are allocated and republished, then the registry Rejoin bumps the flow
+// epoch so every source reconnects — under ring partitioning the slot
+// takes back exactly the arcs it lost, under modulo its keys rehash
+// home; tuples in flight to the dead incarnation were harvested and
+// re-pushed by the sources, so the stream is complete across the gap at
+// least-once (exactly-once behind the sources' checkpointed watermarks).
+// An ordered multicast stream cannot be replayed: the fresh incarnation
+// installs the registry's sequencer snapshot (high-water, per-source
+// counts, agreed skips) and resumes delivery from the high-water (see
+// rejoinGroup), which takes the lease/epoch control plane — without
+// GlobalOrdering there is no global resume point, and without leases no
+// snapshot was ever recorded. The returned Target resumes consumption;
+// ResumedFrom reports the previous incarnation's consumed count.
+// Rejoining a slot that was never evicted is refused, as is re-attaching
+// from a crashed node.
 func (t *Target) Reattach(p transport.Ctx) (*Target, error) {
-	if t.mc != nil {
-		return t.reattachMulticast(p)
-	}
-	if t.spec.Options.SharedRings {
+	o := &t.spec.Options
+	switch {
+	case o.Multicast && (!o.GlobalOrdering || o.LeaseTTL <= 0):
+		return nil, fmt.Errorf("%w: Reattach requires GlobalOrdering and LeaseTTL (no sequencer snapshot to rejoin from)", ErrUnsupportedOnMulticast)
+	case o.SharedRings:
 		return nil, fmt.Errorf("%w: Target.Reattach (shared-ring evictions re-route over the survivors instead)", ErrUnsupportedOnShared)
-	}
-	if t.spec.Options.RetransmitTimeout <= 0 {
+	case !o.Multicast && o.RetransmitTimeout <= 0:
 		return nil, errors.New("dfi: Reattach requires Options.RetransmitTimeout")
 	}
 	if t.node.Crashed(p.Now()) {
@@ -600,54 +619,26 @@ func (t *Target) Reattach(p transport.Ctx) (*Target, error) {
 		tupleSize:   t.tupleSize,
 		resumedFrom: t.nconsumed,
 	}
-	info := nt.allocRings()
-	// Fresh rings first, then the epoch bump: sources folding the rejoin
-	// epoch must find the republished rings. RepublishTarget is fenced to
-	// evicted slots, so a rejoin of a live slot is rejected here before
-	// any membership change.
-	if err := t.reg.RepublishTarget(p, name, t.idx, info); err != nil {
-		nt.feed.free()
-		return nil, fmt.Errorf("dfi: rejoin of target %d rejected: %w", t.idx, err)
+	if o.Multicast {
+		if err := nt.rejoinGroup(p, t.mem); err != nil {
+			return nil, err
+		}
+	} else {
+		info := nt.allocRings()
+		// Fresh rings first, then the epoch bump: sources folding the rejoin
+		// epoch must find the republished rings. RepublishTarget is fenced to
+		// evicted slots, so a rejoin of a live slot is rejected here before
+		// any membership change.
+		if err := t.reg.RepublishTarget(p, name, t.idx, info); err != nil {
+			nt.feed.free()
+			return nil, fmt.Errorf("dfi: rejoin of target %d rejected: %w", t.idx, err)
+		}
+		if _, err := t.reg.Rejoin(p, name, registry.RoleTarget, t.idx, t.idx); err != nil {
+			return nil, fmt.Errorf("dfi: rejoin of target %d rejected: %w", t.idx, err)
+		}
+		nt.initTargetMembership(t.mem)
 	}
-	if _, err := t.reg.Rejoin(p, name, registry.RoleTarget, t.idx, t.idx); err != nil {
-		return nil, fmt.Errorf("dfi: rejoin of target %d rejected: %w", t.idx, err)
-	}
-	nt.initTargetMembership(t.mem)
 	if err := nt.acquireTargetLease(p, t.reg, name); err != nil {
-		return nil, err
-	}
-	return nt, nil
-}
-
-// reattachMulticast rejoins an ordered multicast replicate flow after
-// this target was evicted. The multicast stream cannot be replayed —
-// instead the fresh incarnation installs the registry's sequencer
-// snapshot (high-water, per-source counts, agreed skips) and resumes
-// delivery from the high-water; see newMcTargetRejoin. Requires the
-// lease/epoch control plane: without GlobalOrdering there is no global
-// resume point, and without leases no snapshot was ever recorded.
-func (t *Target) reattachMulticast(p transport.Ctx) (*Target, error) {
-	if !t.spec.Options.GlobalOrdering || t.spec.Options.LeaseTTL <= 0 {
-		return nil, fmt.Errorf("%w: Reattach requires GlobalOrdering and LeaseTTL (no sequencer snapshot to rejoin from)", ErrUnsupportedOnMulticast)
-	}
-	if t.node.Crashed(p.Now()) {
-		return nil, fmt.Errorf("dfi: target %d of flow %q cannot re-attach from crashed node %d", t.idx, t.spec.Name, t.node.ID())
-	}
-	nt := &Target{
-		meta:        t.meta,
-		spec:        t.spec,
-		idx:         t.idx,
-		node:        t.node,
-		reg:         t.reg,
-		tupleSize:   t.tupleSize,
-		resumedFrom: t.nconsumed,
-	}
-	mc, err := newMcTargetRejoin(p, t.reg, t.meta, t.idx, t.node)
-	if err != nil {
-		return nil, err
-	}
-	nt.mc = mc
-	if err := nt.acquireTargetLease(p, t.reg, t.spec.Name); err != nil {
 		return nil, err
 	}
 	return nt, nil
@@ -657,26 +648,20 @@ func (t *Target) reattachMulticast(p transport.Ctx) (*Target, error) {
 func (t *Target) Done() bool { return t.done.Load() }
 
 // Free releases the target's receive buffers (after flow end).
-func (t *Target) Free() {
-	if t.mc != nil {
-		t.mc.free()
-		return
-	}
-	t.feed.free()
-}
+func (t *Target) Free() { t.feed.free() }
 
 // ResolveGap skips a surfaced gap (the application agreed to treat the
 // missing sequence number as a no-op, e.g. after NOPaxos gap agreement).
 func (t *Target) ResolveGap(p transport.Ctx) {
-	if t.mc != nil {
-		t.mc.resolveGap(p)
+	if f, ok := t.feed.(*mcFeed); ok {
+		f.resolveGap(p)
 	}
 }
 
 // RequestGapRetransmit asks the sources to resend a surfaced gap instead
 // of skipping it; consumption resumes once the segment arrives.
 func (t *Target) RequestGapRetransmit(p transport.Ctx) {
-	if t.mc != nil {
-		t.mc.requestGapRetransmit(p)
+	if f, ok := t.feed.(*mcFeed); ok {
+		f.requestGapRetransmit(p)
 	}
 }
