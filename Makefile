@@ -97,14 +97,19 @@ metrics-smoke:
 # race (a chanloop WRITE that changes nothing must move nothing), which
 # shows in a few runs of ten, not in one, and beside it the replicate
 # differential — private, shared, multicast and ordered multicast legs,
-# the only place core drives chanloop's Group. The steady-vs-general Push
-# differential rides along once: its eviction leg is the one place the
-# per-tuple path hands a half-filled segment to the harvest.
+# whose sources start when the protocol lets them, not when a test does.
+# A multicast target evicted before it opened runs once on both backends,
+# and the elastic attach-mid-flow differential ten times: attach and seal
+# reach goroutine targets through the membership record. The
+# steady-vs-general Push differential rides along once: its eviction leg
+# is the one place the per-tuple path hands a half-filled segment to the
+# harvest.
 transport-race:
 	$(GO) test -race -count=1 ./internal/transport/...
 	$(GO) test -race -count=1 -run 'TestTransportConformance' ./internal/fabric/
-	$(GO) test -race -count=1 -run 'Chan.*(Lease|Evict)|TestSharedRingMatchesPrivate|TestPushSteadyMatchesGeneral' ./internal/core/
+	$(GO) test -race -count=1 -run 'Chan.*(Lease|Evict)|TestSharedRingMatchesPrivate|TestPushSteadyMatchesGeneral|TestMulticastTargetEvictedBeforeOpen' ./internal/core/
 	$(GO) test -race -count=20 -run 'TestDESAndChanEvictSilentTarget|TestReplicateKindsMatch' ./internal/core/
+	$(GO) test -race -count=10 -run 'TestElasticAttachMidFlow' ./internal/core/
 	$(GO) test -race -count=1 -run 'TestLocalRegistryHammer|TestStatusSnapshotMatchesRebuild|TestRemoveRepublishWakesWaiters' ./internal/registry/
 	$(GO) test -race -count=1 -run 'TestChanTransport|TestSameArgsOnBothTransports' ./cmd/dfiflow/
 

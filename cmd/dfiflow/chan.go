@@ -9,24 +9,16 @@ import (
 	"dfi/internal/transport/chanloop"
 )
 
-// desOnlyFlags maps the dfiflow flags -transport=chan cannot honour to
-// the reason. Three are what is being simulated: the seed, fault plans
-// against the simulated fabric, the switch's loss model. Three are the
-// multicast group: core runs over chanloop's (TestReplicateKindsMatch,
-// whose sources start once every target has opened), but a multicast
-// source does not wait for its targets and this program starts its
-// goroutines in no order — four runs in six hang. Everything else —
-// fleets, partitioning schemes, leases, evictions, rejoin schedules,
-// recovery timeouts, combiner flows, the replicated and the sharded
-// registry, the ops plane — is the same program on either clock. Each
-// flag is rejected by name instead of being silently ignored.
+// desOnlyFlags maps the dfiflow flags -transport=chan cannot honour —
+// each is what is being simulated — to the reason. Everything else —
+// fleets, partitioning, leases, evictions, rejoins, recovery timeouts,
+// combiner, multicast and ordered flows, the registry variants, the ops
+// plane — is the same program on either clock. Each flag is rejected by
+// name instead of being silently ignored.
 var desOnlyFlags = map[string]string{
-	"faults":    "fault injection hooks into the simulated fabric",
-	"seed":      "the chan backend runs on wall clock, not a seeded DES",
-	"loss":      "multicast loss is injected by the simulated switch",
-	"multicast": "a credit window multicast before a target's goroutine has posted its receives is a loss nothing reveals",
-	"ordered":   "global ordering rides the multicast group",
-	"gap-nacks": "gap recovery rides the multicast group",
+	"faults": "fault injection hooks into the simulated fabric",
+	"seed":   "the chan backend runs on wall clock, not a seeded DES",
+	"loss":   "multicast loss is injected by the simulated switch",
 }
 
 // lockedWriter serializes writes from concurrent goroutines.

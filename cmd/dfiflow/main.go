@@ -25,6 +25,7 @@
 //	dfiflow -shared -tenant batch -tenant-weight 4 -mb 4
 //	dfiflow -transport chan -shared -targets 4 -mb 16
 //	dfiflow -transport chan -lease 200ms -evict 1@50ms -events-out events.jsonl -mb 64
+//	dfiflow -transport chan -type replicate -ordered -sources 2 -targets 4 -mb 4
 //
 // With -metrics-addr the process serves live introspection over HTTP
 // while the flow runs: /metrics (Prometheus text exposition of the

@@ -125,19 +125,20 @@ func TestChanTransportRunsFlow(t *testing.T) {
 // the one run and the kernel-free registry constructors made work are
 // not among them.
 func TestChanTransportRejectsDESOnlyFlags(t *testing.T) {
-	if len(desOnlyFlags) > 6 {
-		t.Errorf("desOnlyFlags has %d entries, want at most 6", len(desOnlyFlags))
+	if len(desOnlyFlags) > 3 {
+		t.Errorf("desOnlyFlags has %d entries, want at most 3", len(desOnlyFlags))
 	}
 	for _, name := range []string{"lease", "evict", "metrics-addr", "linger", "events", "events-out",
 		"type", "flows", "partition", "retransmit", "srctimeout", "rejoin",
-		"replicas", "snapshot-every", "unlogged-renew", "reg-shards"} {
+		"replicas", "snapshot-every", "unlogged-renew", "reg-shards",
+		"multicast", "ordered", "gap-nacks"} {
 		if why, ok := desOnlyFlags[name]; ok {
 			t.Errorf("-%s is still rejected on -transport=chan: %s", name, why)
 		}
 	}
 	for _, args := range [][]string{
 		{"-transport", "chan", "-faults", "drop-write=0.01"},
-		{"-transport", "chan", "-multicast"},
+		{"-transport", "chan", "-type", "replicate", "-multicast", "-loss", "0.01"},
 		{"-transport", "chan", "-seed", "7"},
 	} {
 		out, code := runToString(t, args...)
@@ -158,26 +159,30 @@ var totalsRE = regexp.MustCompile(`tuples pushed:\s+(\d+)\s+\(consumed: (\d+)\)`
 // TestSameArgsOnBothTransports runs one argument list per flag the
 // merged run admitted on -transport=chan, on the simulated fabric and on
 // the wall clock: both exit 0 and push the same number of tuples, and
-// where nothing is evicted and tuples are counted they consume them all.
+// where nothing is evicted and tuples are counted every target consumes
+// them all.
 // Times are chosen to suit both clocks: leases far longer than either
 // run, and 8 MiB per source where a target is evicted, so that 500µs is
 // mid-flow on the fabric and open-to-early-flow on the wall clock.
 func TestSameArgsOnBothTransports(t *testing.T) {
 	for _, tc := range []struct {
-		name     string
-		args     []string
-		allCount bool // pushed == consumed
+		name   string
+		args   []string
+		copies int // consumed == copies × pushed (0: not counted)
 	}{
-		{"fleet", []string{"-shared", "-flows", "4"}, true},
-		{"ring-evict", []string{"-partition", "ring", "-lease", "1s", "-evict", "1@500us", "-targets", "3", "-mb", "8"}, false},
-		{"retransmit", []string{"-retransmit", "100ms"}, true},
-		{"srctimeout", []string{"-srctimeout", "1s"}, true},
-		{"combiner", []string{"-type", "combiner", "-sources", "3"}, false},
-		{"rejoin", []string{"-lease", "1s", "-evict", "1@500us", "-rejoin", "1@1ms", "-targets", "3", "-mb", "8"}, false},
-		{"replicas", []string{"-replicas", "3", "-lease", "1s"}, true},
-		{"snapshot-every", []string{"-replicas", "3", "-lease", "1s", "-snapshot-every", "4"}, true},
-		{"unlogged-renew", []string{"-replicas", "3", "-lease", "1s", "-unlogged-renew"}, true},
-		{"reg-shards", []string{"-shared", "-flows", "4", "-lease", "1s", "-reg-shards", "2"}, true},
+		{"fleet", []string{"-shared", "-flows", "4"}, 1},
+		{"ring-evict", []string{"-partition", "ring", "-lease", "1s", "-evict", "1@500us", "-targets", "3", "-mb", "8"}, 0},
+		{"retransmit", []string{"-retransmit", "100ms"}, 1},
+		{"srctimeout", []string{"-srctimeout", "1s"}, 1},
+		{"combiner", []string{"-type", "combiner", "-sources", "3"}, 0},
+		{"rejoin", []string{"-lease", "1s", "-evict", "1@500us", "-rejoin", "1@1ms", "-targets", "3", "-mb", "8"}, 0},
+		{"replicas", []string{"-replicas", "3", "-lease", "1s"}, 1},
+		{"snapshot-every", []string{"-replicas", "3", "-lease", "1s", "-snapshot-every", "4"}, 1},
+		{"unlogged-renew", []string{"-replicas", "3", "-lease", "1s", "-unlogged-renew"}, 1},
+		{"reg-shards", []string{"-shared", "-flows", "4", "-lease", "1s", "-reg-shards", "2"}, 1},
+		{"multicast", []string{"-type", "replicate", "-multicast", "-sources", "2", "-targets", "4"}, 4},
+		{"ordered", []string{"-type", "replicate", "-ordered"}, 2},
+		{"gap-nacks", []string{"-type", "replicate", "-ordered", "-gap-nacks", "1"}, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var pushed [2]string
@@ -191,8 +196,8 @@ func TestSameArgsOnBothTransports(t *testing.T) {
 					t.Fatalf("%s: no totals line:\n%s", tr, out)
 				}
 				pushed[i] = m[1]
-				if tc.allCount && m[2] != m[1] {
-					t.Errorf("%s: pushed %s, consumed %s", tr, m[1], m[2])
+				if n, _ := strconv.Atoi(m[1]); tc.copies > 0 && m[2] != strconv.Itoa(tc.copies*n) {
+					t.Errorf("%s: pushed %s, consumed %s, want %d copies", tr, m[1], m[2], tc.copies)
 				}
 			}
 			if pushed[0] != pushed[1] {

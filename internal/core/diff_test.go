@@ -252,13 +252,6 @@ func runDiff(t *testing.T, b *diffBackend, shape diffShape, api diffAPI, kind di
 			}
 		}
 	}}
-	// A multicast source does not wait for its targets, and a segment
-	// multicast before a target posted its receives is dropped there. On
-	// the simulated fabric targets open within the first segment's fill
-	// time; goroutines give no such order, and a whole credit window lost
-	// to a target that was not there yet is a gap nothing reveals. So the
-	// multicast sources of this workload start once every target has opened.
-	var opened atomic.Int32
 	for si := 0; si < shape.nSrc; si++ {
 		si := si
 		bodies = append(bodies, func(p transport.Ctx) {
@@ -266,9 +259,6 @@ func runDiff(t *testing.T, b *diffBackend, shape diffShape, api diffAPI, kind di
 			if err != nil {
 				t.Error(err)
 				return
-			}
-			for spec.Options.Multicast && int(opened.Load()) < shape.nTgt {
-				p.Sleep(time.Microsecond)
 			}
 			rng := rand.New(rand.NewSource(testSeed() + int64(si)*7919))
 			tuples := make([]schema.Tuple, diffPerSource)
@@ -289,7 +279,6 @@ func runDiff(t *testing.T, b *diffBackend, shape diffShape, api diffAPI, kind di
 		}
 		bodies = append(bodies, func(p transport.Ctx) {
 			tgt, err := TargetOpen(p, b.reg, spec.Name, ti)
-			opened.Add(1)
 			if err != nil {
 				t.Error(err)
 				return
@@ -410,4 +399,125 @@ func TestReplicateKindsMatch(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestElasticAttachMidFlow: a source that attaches to a running elastic
+// flow on private rings — once the declared source has pushed and flushed
+// half its stream, which then waits for the attach — is folded in by
+// every target through the membership record, and the seal ends the
+// flow, on the simulated fabric and on chanloop's goroutines alike: each
+// delivers every tuple exactly once, and every target consumes the same
+// multiset of tuples on both backends.
+func TestElasticAttachMidFlow(t *testing.T) {
+	var runs [][]map[int64]int
+	for _, mk := range []func(int) *diffBackend{newDiffDES, newDiffChan} {
+		b := mk(4)
+		got := runElasticAttach(t, b)
+		if t.Failed() {
+			t.Fatalf("%s: run failed", b.name)
+		}
+		for id := int64(0); id < 2*diffPerSource; id++ {
+			if n := got[0][id] + got[1][id]; n != 1 {
+				t.Errorf("%s: tuple %d delivered %d times", b.name, id, n)
+			}
+		}
+		runs = append(runs, got)
+	}
+	if !reflect.DeepEqual(runs[0], runs[1]) {
+		t.Error("the targets consumed other tuples on chanloop than on the simulated fabric")
+	}
+}
+
+// runElasticAttach runs the mid-flow attach workload once and returns,
+// per target, how often it consumed each tuple id.
+func runElasticAttach(t *testing.T, b *diffBackend) []map[int64]int {
+	t.Helper()
+	spec := FlowSpec{
+		Name:    "elastic",
+		Sources: []Endpoint{{Node: b.node(0)}},
+		Targets: []Endpoint{{Node: b.node(2)}, {Node: b.node(3)}},
+		Schema:  kvSchema,
+		Options: Options{Elastic: true, MaxSources: 2, SegmentSize: 16 * kvSchema.TupleSize()},
+	}
+	got := []map[int64]int{{}, {}}
+	var half, attached atomic.Bool
+	wait := func(p transport.Ctx, flag *atomic.Bool) {
+		for !flag.Load() {
+			p.Sleep(time.Microsecond)
+		}
+	}
+	// push sends slot si's stream: ids si*diffPerSource on, seeded keys.
+	push := func(p transport.Ctx, src *Source, si int, from, to int) error {
+		rng := rand.New(rand.NewSource(testSeed() + int64(si)*7919))
+		for i := 0; i < to; i++ {
+			key := rng.Int63()
+			if i < from {
+				continue
+			}
+			if err := src.Push(p, mkTuple(key, int64(si*diffPerSource+i))); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	bodies := []func(transport.Ctx){
+		func(p transport.Ctx) {
+			if err := FlowInit(p, b.reg, b.tpt, spec); err != nil {
+				t.Error(err)
+			}
+		},
+		func(p transport.Ctx) {
+			src, err := SourceOpen(p, b.reg, spec.Name, 0)
+			if err == nil {
+				err = push(p, src, 0, 0, diffPerSource/2)
+			}
+			if err == nil {
+				err = src.Flush(p)
+			}
+			half.Store(true)
+			wait(p, &attached)
+			if err == nil {
+				err = push(p, src, 0, diffPerSource/2, diffPerSource)
+			}
+			if err == nil {
+				err = src.Close(p)
+			}
+			if err != nil {
+				t.Errorf("declared source: %v", err)
+			}
+		},
+		func(p transport.Ctx) {
+			wait(p, &half)
+			src, err := AttachSource(p, b.reg, spec.Name, Endpoint{Node: b.node(1)})
+			attached.Store(true)
+			if err == nil && src.Slot() != 1 {
+				err = fmt.Errorf("attached as slot %d, want 1", src.Slot())
+			}
+			if err == nil {
+				err = push(p, src, 1, 0, diffPerSource)
+			}
+			if err == nil {
+				err = src.Close(p)
+			}
+			if err == nil {
+				err = Seal(p, b.reg, spec.Name)
+			}
+			if err != nil {
+				t.Errorf("attached source: %v", err)
+			}
+		},
+	}
+	for ti := range spec.Targets {
+		ti := ti
+		bodies = append(bodies, func(p transport.Ctx) {
+			tgt, err := TargetOpen(p, b.reg, spec.Name, ti)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			diffConsume(p, tgt, apiPushConsume, func(tup schema.Tuple) { got[ti][kvSchema.Int64(tup, 1)]++ })
+		})
+	}
+	b.run(t, bodies)
+	return got
 }

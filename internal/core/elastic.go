@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"dfi/internal/transport"
@@ -12,39 +11,22 @@ import (
 //
 // A flow initialized with Options.Elastic pre-provisions ring buffers for
 // up to Options.MaxSources source threads; sources then join a *running*
-// flow with AttachSource and leave it with the ordinary Close. Targets
-// keep consuming across membership changes: a closed slot stops
-// contributing, a newly attached slot starts being polled, and the flow
-// only ends once it has been Sealed (no further attaches) and every
-// attached source has closed.
+// flow with AttachSource and leave it with the ordinary Close. As on every
+// flow, membership is the registry record: an attach claims its next
+// source slot, Seal sets its flag, each bumps the epoch, and targets fold
+// both in (Target.syncMembership) — a claimed slot starts being polled,
+// and the flow ends once sealed and every claimed slot has closed.
 //
 // Like the SHARP combiner, this is an extension beyond the paper's
 // implementation; none of the figure reproductions use it.
 
-// elasticState is the registry-shared mutable membership of an elastic
-// flow. The simulation is single-threaded, so plain fields suffice; the
-// condition wakes targets waiting for membership changes.
-type elasticState struct {
-	attached int
-	sealed   bool
-	cond     transport.Cond
-}
-
-// validateElastic finishes spec validation for elastic flows.
-func (s *FlowSpec) validateElastic() error {
-	if !s.Options.Elastic {
-		return nil
+// elasticFlow looks the named flow up and checks that it is elastic.
+func elasticFlow(p transport.Ctx, reg Registry, name string) (*flowMeta, error) {
+	meta := lookupFlow(p, reg, name)
+	if !meta.spec.Options.Elastic {
+		return nil, fmt.Errorf("dfi: flow %q is not elastic", name)
 	}
-	if s.Options.Multicast {
-		return errors.New("dfi: elastic flows do not support multicast replicate transport")
-	}
-	if s.Options.MaxSources == 0 {
-		s.Options.MaxSources = 2 * len(s.Sources)
-	}
-	if s.Options.MaxSources < len(s.Sources) {
-		return fmt.Errorf("dfi: MaxSources %d below initial source count %d", s.Options.MaxSources, len(s.Sources))
-	}
-	return nil
+	return meta, nil
 }
 
 // AttachSource joins a running elastic flow from the given endpoint and
@@ -52,23 +34,15 @@ func (s *FlowSpec) validateElastic() error {
 // total number of attachments over the flow's lifetime (initial sources
 // included) is bounded by Options.MaxSources.
 func AttachSource(p transport.Ctx, reg Registry, name string, ep Endpoint) (*Source, error) {
-	meta := lookupFlow(p, reg, name)
+	meta, err := elasticFlow(p, reg, name)
+	if err != nil {
+		return nil, err
+	}
 	spec := &meta.spec
-	if !spec.Options.Elastic {
-		return nil, fmt.Errorf("dfi: flow %q is not elastic", name)
+	idx, err := reg.AttachSource(p, name, len(spec.Sources), spec.Options.MaxSources)
+	if err != nil {
+		return nil, err
 	}
-	es := meta.elastic
-	if es.sealed {
-		return nil, fmt.Errorf("dfi: flow %q is sealed", name)
-	}
-	if es.attached >= spec.Options.MaxSources {
-		return nil, fmt.Errorf("dfi: flow %q at MaxSources=%d", name, spec.Options.MaxSources)
-	}
-	idx := es.attached
-	es.attached++
-	spec.Sources = append(spec.Sources, ep)
-	es.cond.Broadcast() // wake targets polling membership
-
 	s := &Source{meta: meta, spec: spec, idx: idx, node: ep.Node, reg: reg}
 	if err := s.acquireSourceLease(p, reg, name); err != nil {
 		return nil, err
@@ -79,21 +53,22 @@ func AttachSource(p transport.Ctx, reg Registry, name string, ep Endpoint) (*Sou
 // Seal forbids further attaches; targets reach FLOW_END once every
 // attached source has closed. Sealing an already sealed flow is a no-op.
 func Seal(p transport.Ctx, reg Registry, name string) error {
-	meta := lookupFlow(p, reg, name)
-	if !meta.spec.Options.Elastic {
-		return fmt.Errorf("dfi: flow %q is not elastic", name)
+	if _, err := elasticFlow(p, reg, name); err != nil {
+		return err
 	}
-	meta.elastic.sealed = true
-	meta.elastic.cond.Broadcast()
-	return nil
+	return reg.Seal(p, name)
 }
 
 // Attached returns the number of sources that have joined the elastic
 // flow so far (including initial sources).
 func Attached(p transport.Ctx, reg Registry, name string) (int, error) {
-	meta := lookupFlow(p, reg, name)
-	if !meta.spec.Options.Elastic {
-		return 0, fmt.Errorf("dfi: flow %q is not elastic", name)
+	meta, err := elasticFlow(p, reg, name)
+	if err != nil {
+		return 0, err
 	}
-	return meta.elastic.attached, nil
+	mem, err := membershipOf(reg, name)
+	if err != nil {
+		return 0, err
+	}
+	return len(meta.spec.Sources) + mem.Attached(), nil
 }

@@ -364,9 +364,6 @@ type flowMeta struct {
 	spec    FlowSpec
 	cluster transport.Transport
 
-	// elastic is the mutable membership of an elastic flow.
-	elastic *elasticState
-
 	// group is the multicast group of a multicast replicate flow, with one
 	// endpoint per target.
 	group transport.Group
@@ -570,12 +567,23 @@ func (s *FlowSpec) normalize() error {
 	if o.Multicast && len(s.Sources) > maxMcSources {
 		return fmt.Errorf("dfi: a multicast flow carries its source index in one byte: %d sources exceed the limit of %d", len(s.Sources), maxMcSources)
 	}
+	if o.Elastic {
+		if o.Multicast {
+			return errors.New("dfi: elastic flows do not support multicast replicate transport")
+		}
+		if o.MaxSources == 0 {
+			o.MaxSources = 2 * len(s.Sources)
+		}
+		if o.MaxSources < len(s.Sources) {
+			return fmt.Errorf("dfi: MaxSources %d below initial source count %d", o.MaxSources, len(s.Sources))
+		}
+	}
 	part, err := partition.NewTable(o.Partitioning, s.legCount(), 0)
 	if err != nil {
 		return err
 	}
 	s.part = part
-	return s.validateElastic()
+	return nil
 }
 
 // FlowInit validates the spec and publishes the flow in the registry,
@@ -592,9 +600,6 @@ func FlowInit(p transport.Ctx, reg Registry, cluster transport.Transport, spec F
 		if sp := meta.pool.Config().SlotPayload; spec.Options.SegmentSize > sp {
 			return fmt.Errorf("dfi: segment size %d exceeds the shared-ring slot payload %d", spec.Options.SegmentSize, sp)
 		}
-	}
-	if spec.Options.Elastic {
-		meta.elastic = &elasticState{attached: len(spec.Sources), cond: cluster.NewCond()}
 	}
 	if spec.Options.Multicast {
 		nodes := make([]transport.Endpoint, len(spec.Targets))

@@ -445,6 +445,7 @@ func (t *Target) acquireTargetLease(p transport.Ctx, reg Registry, name string) 
 // that rejoined under a fresh incarnation are reset for the new stream,
 // and a target that was itself evicted — or whose slot a successor took
 // under a fresh incarnation while it was not looking — stops consuming.
+// On an elastic flow it also picks up attached sources and the seal.
 // Reports whether the target is evicted. A no-op (one integer compare)
 // while the epoch is unchanged. Every feed's scan calls it once per pass
 // (see segmentFeed).
@@ -458,6 +459,7 @@ func (t *Target) syncMembership() bool {
 		t.evicted.Store(true)
 		return true
 	}
+	t.foldSources()
 	for i, r := range t.readers {
 		if inc := t.mem.Incarnation(registry.RoleSource, i); inc != r.inc {
 			// The source rejoined: its new writer streams from sequence 0
@@ -476,6 +478,18 @@ func (t *Target) syncMembership() bool {
 		}
 	}
 	return false
+}
+
+// foldSources reads the source slots in play off the record: every
+// reader's, for good — or on an elastic flow the declared sources plus
+// the attached ones, for good once sealed. The seal is read first: no
+// attach follows it, so a count read after a seal is final.
+func (t *Target) foldSources() {
+	t.live, t.sealed = len(t.readers), true
+	if t.spec.Options.Elastic {
+		t.sealed = t.mem.Sealed()
+		t.live = len(t.spec.Sources) + t.mem.Attached()
+	}
 }
 
 // Evicted reports whether the control plane evicted this target from the

@@ -8,6 +8,7 @@ import (
 
 	"dfi/internal/fabric"
 	"dfi/internal/registry"
+	"dfi/internal/schema"
 	"dfi/internal/sim"
 	"dfi/internal/transport"
 )
@@ -717,5 +718,187 @@ func TestMulticastSourceHeldBehindGapFails(t *testing.T) {
 			}
 			e.run(t)
 		})
+	}
+}
+
+// TestMulticastFlowIsOneRegistryEntry: a multicast flow's endpoints meet
+// through the flow's own registry entry — each target publishes its info
+// there like a ring target — so the registry holds one flow with every
+// target published, not a rendezvous flow per (source, target) pair; and
+// a target that was evicted and rejoined republishes in place instead of
+// leaving entries behind.
+func TestMulticastFlowIsOneRegistryEntry(t *testing.T) {
+	oneEntry := func(t *testing.T, e *env) {
+		t.Helper()
+		if n := e.reg.Flows(); n != 1 {
+			t.Errorf("registry holds %d flows, want 1", n)
+		}
+		if st := e.reg.Status().Flows; len(st) != 1 || st[0].TargetsPublished != 3 {
+			t.Errorf("status lists %+v, want one flow with 3 targets published", st)
+		}
+	}
+	mcSpec := func(e *env, o Options) FlowSpec {
+		o.Multicast = true
+		return FlowSpec{
+			Name:    "mc",
+			Type:    ReplicateFlow,
+			Sources: []Endpoint{{Node: e.c.Node(0)}, {Node: e.c.Node(1)}},
+			Targets: []Endpoint{{Node: e.c.Node(2)}, {Node: e.c.Node(3)}, {Node: e.c.Node(4)}},
+			Schema:  kvSchema,
+			Options: o,
+		}
+	}
+	t.Run("2:3", func(t *testing.T) {
+		e := newEnv(t, 5)
+		for ti, ord := range runReplicate(t, e, mcSpec(e, Options{}), 1000) {
+			if len(ord) != 2000 {
+				t.Errorf("target %d consumed %d tuples, want 2000", ti, len(ord))
+			}
+		}
+		oneEntry(t, e)
+	})
+	t.Run("ordered 2:3, target 1 evicted and rejoined", func(t *testing.T) {
+		e := newEnv(t, 5)
+		spec := mcSpec(e, Options{GlobalOrdering: true, SegmentSize: 256, LeaseTTL: 100 * time.Microsecond})
+		const n = 2000
+		rejoined := false
+		e.k.Spawn("init", func(p *sim.Proc) {
+			if err := FlowInit(p, e.reg, e.c, spec); err != nil {
+				t.Error(err)
+			}
+		})
+		for si := range spec.Sources {
+			si := si
+			e.k.Spawn(fmt.Sprintf("src%d", si), func(p *sim.Proc) {
+				src, err := SourceOpen(p, e.reg, spec.Name, si)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for i := 0; i < n; i++ {
+					if err := src.Push(p, mkTuple(int64(si*n+i), 0)); err != nil {
+						t.Errorf("source %d push: %v", si, err)
+						return
+					}
+					p.Sleep(200 * time.Nanosecond)
+				}
+				if err := src.Close(p); err != nil {
+					t.Errorf("source %d close: %v", si, err)
+				}
+			})
+		}
+		e.k.Spawn("evictor", func(p *sim.Proc) {
+			p.Sleep(150 * time.Microsecond)
+			if err := e.reg.Evict(p, spec.Name, registry.RoleTarget, 1); err != nil {
+				t.Errorf("evict: %v", err)
+			}
+		})
+		for ti := range spec.Targets {
+			ti := ti
+			e.k.Spawn(fmt.Sprintf("tgt%d", ti), func(p *sim.Proc) {
+				tgt, err := TargetOpen(p, e.reg, spec.Name, ti)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for {
+					if _, ok := tgt.Consume(p); !ok {
+						break
+					}
+				}
+				if ti != 1 {
+					return
+				}
+				nt, err := tgt.Reattach(p)
+				if err != nil {
+					t.Errorf("rejoin: %v", err)
+					return
+				}
+				for {
+					if _, ok := nt.Consume(p); !ok {
+						break
+					}
+				}
+				rejoined = nt.Done()
+			})
+		}
+		e.run(t)
+		if !rejoined {
+			t.Fatal("target 1 did not rejoin and reach flow end")
+		}
+		if inc := e.reg.MembershipOf(spec.Name).Incarnation(registry.RoleTarget, 1); inc != 1 {
+			t.Errorf("target 1 incarnation %d, want 1", inc)
+		}
+		oneEntry(t, e)
+	})
+}
+
+// TestMulticastTargetEvictedBeforeOpen: a target evicted before it ever
+// opened publishes nothing, and its sources, which wait for every target
+// to publish or be evicted, exclude its slot from the start — a lease
+// eviction, not a target that stopped responding. The source opens,
+// pushes and closes cleanly and the other targets consume everything, on
+// both backends and for either multicast kind.
+func TestMulticastTargetEvictedBeforeOpen(t *testing.T) {
+	const n = 3000
+	for _, kind := range []diffKind{diffMulticast, diffOrdered} {
+		for _, mk := range []func(int) *diffBackend{newDiffDES, newDiffChan} {
+			b := mk(4)
+			spec := FlowSpec{
+				Name:    "mc-evicted",
+				Type:    ReplicateFlow,
+				Sources: []Endpoint{{Node: b.node(0)}},
+				Targets: []Endpoint{{Node: b.node(1)}, {Node: b.node(2)}, {Node: b.node(3)}},
+				Schema:  kvSchema,
+				Options: Options{LeaseTTL: b.ttl},
+			}
+			kind.set(&spec.Options)
+			var consumed [2]int
+			bodies := []func(transport.Ctx){
+				func(p transport.Ctx) {
+					if err := FlowInit(p, b.reg, b.tpt, spec); err != nil {
+						t.Error(err)
+						return
+					}
+					if err := b.reg.Evict(p, spec.Name, registry.RoleTarget, 2); err != nil {
+						t.Error(err)
+					}
+					if _, err := TargetOpen(p, b.reg, spec.Name, 2); err == nil {
+						t.Error("an evicted target opened")
+					}
+				},
+				func(p transport.Ctx) {
+					src, err := SourceOpen(p, b.reg, spec.Name, 0)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					for i := 0; i < n; i++ {
+						if err := src.Push(p, mkTuple(int64(i), 0)); err != nil {
+							t.Errorf("push: %v", err)
+							return
+						}
+					}
+					if err := src.Close(p); err != nil {
+						t.Errorf("close: %v", err)
+					}
+				},
+			}
+			for ti := range consumed {
+				ti := ti
+				bodies = append(bodies, func(p transport.Ctx) {
+					tgt, err := TargetOpen(p, b.reg, spec.Name, ti)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					diffConsume(p, tgt, apiPushConsume, func(schema.Tuple) { consumed[ti]++ })
+				})
+			}
+			b.run(t, bodies)
+			if consumed != [2]int{n, n} {
+				t.Errorf("%s/%s: targets 0 and 1 consumed %v tuples, want %d each", kind.name, b.name, consumed, n)
+			}
+		}
 	}
 }

@@ -43,12 +43,13 @@ func FuzzMcIngest(f *testing.F) {
 				t.Error(err)
 				return
 			}
-			src, err := SourceOpen(p, reg, spec.Name, 0)
+			// The target first: a source waits for it to publish.
+			tgt, err := TargetOpen(p, reg, spec.Name, 0)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			tgt, err := TargetOpen(p, reg, spec.Name, 0)
+			src, err := SourceOpen(p, reg, spec.Name, 0)
 			if err != nil {
 				t.Error(err)
 				return
@@ -69,7 +70,7 @@ func FuzzMcIngest(f *testing.F) {
 					t.Errorf("a %d-byte message is held as %d bytes", bytes, len(held))
 				}
 			}
-			if data, ok := feed.scan(p, 1); ok && len(data) > 0 {
+			if data, ok := feed.scan(p); ok && len(data) > 0 {
 				if len(data) > bytes-transport.SegDescBytes || &data[0] != &buf[transport.SegDescBytes] {
 					t.Errorf("a %d-byte message handed out a %d-byte payload outside it", bytes, len(data))
 				}

@@ -161,11 +161,12 @@ func (t *Target) openSharedFeed() *sharedTargetInfo {
 // Data belongs to the link and is recycled by the next Recv on its tag,
 // which the engine issues only after the segment is drained — the same
 // lifetime Consume documents for a private ring's slot.
-func (f *sharedFeed) scan(p transport.Ctx, n int) ([]byte, bool) {
+func (f *sharedFeed) scan(p transport.Ctx) ([]byte, bool) {
 	t := f.t
 	if t.syncMembership() {
 		return nil, false
 	}
+	n := t.live
 	open := 0
 	for _, r := range t.readers[:n] {
 		if !r.closed {

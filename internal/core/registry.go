@@ -37,6 +37,9 @@ type Registry interface {
 	ReleaseLease(p transport.Ctx, flow string, role registry.Role, idx int)
 	Rejoin(p transport.Ctx, flow string, role registry.Role, idx, newIdx int) (registry.Rejoined, error)
 	SetWatermark(p transport.Ctx, flow string, role registry.Role, idx int, watermark uint64) error
+	// Elastic membership (see elastic.go).
+	AttachSource(p transport.Ctx, flow string, first, max int) (int, error)
+	Seal(p transport.Ctx, flow string) error
 
 	// Sequencer recovery state (ordered multicast).
 	RecordSeqProgress(p transport.Ctx, flow string, tgt int, highWater uint64, perSource []uint64) error

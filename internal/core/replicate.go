@@ -32,7 +32,10 @@ import (
 //     the target with a receive list / next list (paper Figure 6).
 //
 // End-of-flow markers and retransmissions travel on the reliable per-pair
-// queue pairs so termination does not depend on lossy multicast.
+// queue pairs so termination does not depend on lossy multicast. Each
+// target dials them and publishes their source ends (mcTargetInfo) once
+// its receives are posted, and a source multicasts only after every target
+// published or was evicted: no member misses a segment by not listening.
 //
 // With Options.LeaseTTL set, the members of the group follow the flow's
 // lease/epoch control plane (see docs/PROTOCOL.md, "Ordered replicate
@@ -120,16 +123,10 @@ type Gap struct {
 // surfacing) are kept timing-identical.
 func (o *Options) gapAgreement() bool { return o.GlobalOrdering && o.LeaseTTL > 0 }
 
-// mcQPName returns the registry rendezvous key for the reliable QP between
-// source i and target j of a flow. inc is the target's incarnation: a
-// rejoined target publishes fresh QPs under incarnation-keyed names so
-// sources folding the rejoin epoch find them without colliding with the
-// previous incarnation's entries.
-func mcQPName(flow string, i, j int, inc uint64) string {
-	if inc == 0 {
-		return fmt.Sprintf("%s/mcqp/%d/%d", flow, i, j)
-	}
-	return fmt.Sprintf("%s/mcqp/%d/%d/i%d", flow, i, j, inc)
+// mcTargetInfo is what a multicast target publishes: the source end of
+// the reliable queue pair it dialed to each source, by source slot.
+type mcTargetInfo struct {
+	qps []transport.Queue
 }
 
 // gapRound is one gap-agreement round this source arbitrates: which
@@ -150,7 +147,7 @@ type mcTx struct {
 	s *Source
 
 	group    transport.Group
-	fqps     []transport.Queue // reliable QP to each target (source end)
+	fqps     []transport.Queue // reliable QP to each target (source end; nil for one evicted before it opened)
 	ctrlBufs [][]byte          // posted control-recv buffers, recycled by index
 	msg      []byte            // staging message: descriptor + payload
 
@@ -203,10 +200,8 @@ type mcTx struct {
 	creditStalls atomic.Uint64
 }
 
-// newMcTx builds source s's group leg: it creates the reliable queue pair
-// to every target and publishes the target's end for TargetOpen to
-// collect.
-func newMcTx(p transport.Ctx, s *Source) (*mcTx, error) {
+// newMcTx builds source s's group leg; connect adds each target's queue.
+func newMcTx(s *Source) *mcTx {
 	spec, o := s.spec, &s.spec.Options
 	nTgt := len(spec.Targets)
 	x := &mcTx{
@@ -217,6 +212,7 @@ func newMcTx(p transport.Ctx, s *Source) (*mcTx, error) {
 		consumedBy:  make([]uint64, nTgt),
 		history:     make(map[uint64][]byte),
 		folded:      s.epoch,
+		fqps:        make([]transport.Queue, nTgt),
 		tinc:        make([]uint64, nTgt),
 		failedTgt:   make([]bool, nTgt),
 		lastAdvance: make([]time.Duration, nTgt),
@@ -225,26 +221,29 @@ func newMcTx(p transport.Ctx, s *Source) (*mcTx, error) {
 		ownIdx:      make([]int, nTgt),
 	}
 	x.leg = leg{tx: x, buf: x.msg[transport.SegDescBytes:], segSize: o.SegmentSize, mem: s.mem, slot: -1}
-	for j := range x.tinc {
-		x.tinc[j] = s.mem.Incarnation(registry.RoleTarget, j)
-	}
 	if o.gapAgreement() {
 		x.rounds = make(map[uint64]*gapRound)
 		x.agreedSkips = make(map[uint64]bool)
 	}
-	for j, tgt := range spec.Targets {
-		sq, tq := s.meta.cluster.Dial(s.node, tgt.Node)
-		if err := s.reg.Publish(p, mcQPName(spec.Name, s.idx, j, 0), tq); err != nil {
-			return nil, err
-		}
-		x.fqps = append(x.fqps, sq)
-		// Post receives for control messages (credits / NACKs / agreement).
-		x.postCtrlRecvs(sq)
-	}
 	if o.GlobalOrdering {
 		x.seqQP, _ = s.meta.cluster.Dial(s.node, s.meta.seqMR.Owner())
 	}
-	return x, nil
+	return x
+}
+
+// connect takes this source's queue to target j (incarnation inc) from
+// the info it published and posts the control-message receives on it. A
+// target evicted before it opened published none: its slot is excluded
+// from the start, as foldTargets excludes one evicted later.
+func (x *mcTx) connect(j int, info any, inc uint64) {
+	if info == nil {
+		x.failedTgt[j], x.evictedTgt[j] = true, true
+		x.group.Detach(j)
+		return
+	}
+	qp := info.(*mcTargetInfo).qps[x.s.idx]
+	x.fqps[j], x.tinc[j] = qp, inc
+	x.postCtrlRecvs(qp)
 }
 
 // postCtrlRecvs posts the control-message receive window on one reliable
@@ -318,24 +317,18 @@ func (x *mcTx) foldTargets(p transport.Ctx) error {
 	return nil
 }
 
-// reconnectTarget folds a target rejoin: the rejoiner created fresh QP
-// pairs and published this source's end under the incarnation-keyed
-// rendezvous name *before* its Rejoin bumped the epoch, so the lookup
-// cannot miss. The slot's credit restarts from the sequencer snapshot
-// the rejoiner installed.
+// reconnectTarget folds a target rejoin: the rejoiner dialed fresh queue
+// pairs and republished their source ends as its info *before* its
+// Rejoin bumped the epoch, so the info read here is the new incarnation's.
+// The slot's credit restarts from the sequencer snapshot the rejoiner
+// installed.
 func (x *mcTx) reconnectTarget(p transport.Ctx, j int, inc uint64) {
 	s := x.s
-	v, ok := s.reg.Lookup(p, mcQPName(s.spec.Name, s.idx, j, inc))
+	info, ok := s.reg.TargetInfo(p, s.spec.Name, j)
 	if !ok {
-		// Epoch bumped before publication — rejoin publishes first, so
-		// this means a foreign bump raced in. Keep the slot failed; the
-		// next epoch fold retries.
-		x.failedTgt[j] = true
-		return
+		return // never published: evicted before it opened, and stays excluded
 	}
-	qp := v.(transport.Queue)
-	x.fqps[j] = qp
-	x.postCtrlRecvs(qp)
+	x.connect(j, info, inc)
 	if s.spec.Options.GlobalOrdering {
 		snap, _ := s.reg.SeqSnapshot(p, s.spec.Name)
 		i := 0
@@ -349,13 +342,12 @@ func (x *mcTx) reconnectTarget(p transport.Ctx, j int, inc uint64) {
 	}
 	x.failedTgt[j] = false
 	x.evictedTgt[j] = false
-	x.tinc[j] = inc
 	x.gating[j] = false
 	x.lastAdvance[j] = p.Now()
 	if x.closed {
 		// The stream already closed: the end marker went to the previous
 		// incarnation. Resend it on the fresh QP.
-		qp.Send(p, x.endMarker(), false, 0)
+		x.fqps[j].Send(p, x.endMarker(), false, 0)
 	}
 }
 
@@ -472,6 +464,9 @@ func arrived(p transport.Ctx, cq transport.CompletionQueue) (transport.Completio
 // targets without blocking.
 func (x *mcTx) drainControl(p transport.Ctx) {
 	for j, qp := range x.fqps {
+		if qp == nil {
+			continue // evicted before it opened: nothing ever arrives
+		}
 		for c, ok := arrived(p, qp.RecvCQ()); ok; c, ok = arrived(p, qp.RecvCQ()) {
 			x.handleControl(p, j, c)
 		}
@@ -802,9 +797,12 @@ type mcFeed struct {
 	active []byte // buffer backing the segment handed out last
 }
 
-// newMcFeed builds the feed and the target's readers: buffers and
-// per-source state, everything short of the queues.
-func (t *Target) newMcFeed() *mcFeed {
+// newMcFeed builds the feed and the target's readers — buffers and
+// per-source state — and dials a reliable queue pair to every source
+// (retransmissions, end markers, control messages), receives posted on
+// the target's ends. It returns the sources' ends: the info to publish,
+// once the feed has joined the group.
+func (t *Target) newMcFeed() *mcTargetInfo {
 	o := &t.spec.Options
 	nSrc, R := len(t.spec.Sources), o.SegmentsPerRing
 	f := &mcFeed{
@@ -836,13 +834,20 @@ func (t *Target) newMcFeed() *mcFeed {
 		f.pool = append(f.pool, slab[i*stride:(i+1)*stride:(i+1)*stride])
 	}
 	t.feed = f
-	return f
+	info := &mcTargetInfo{}
+	for _, src := range t.spec.Sources {
+		sq, tq := t.meta.cluster.Dial(src.Node, t.node)
+		f.tqps = append(f.tqps, tq)
+		for r := R + 2; r > 0; r-- {
+			tq.PostRecv(f.takeBuf(), 0)
+		}
+		info.qps = append(info.qps, sq)
+	}
+	return info
 }
 
-// join takes the member's place in the group — pre-populating the
-// multicast receive queue with the credit score, R buffers per source —
-// and attach adds the reliable QP from the next source (retransmissions
-// and end markers).
+// join takes the member's place in the group, pre-populating the
+// multicast receive queue with the credit score, R buffers per source.
 func (f *mcFeed) join(ep transport.GroupEndpoint) {
 	f.ep = ep
 	for i := len(f.t.readers) * f.t.spec.Options.SegmentsPerRing; i > 0; i-- {
@@ -850,51 +855,24 @@ func (f *mcFeed) join(ep transport.GroupEndpoint) {
 	}
 }
 
-func (f *mcFeed) attach(qp transport.Queue) {
-	f.tqps = append(f.tqps, qp)
-	for r := f.t.spec.Options.SegmentsPerRing + 2; r > 0; r-- {
-		qp.PostRecv(f.takeBuf(), 0)
-	}
-}
-
-// openMcFeed wires target t into the group and collects the reliable
-// queues its sources published.
-func (t *Target) openMcFeed(p transport.Ctx) {
-	f := t.newMcFeed()
-	f.join(t.meta.group.Member(t.idx))
-	for i := range t.spec.Sources {
-		f.attach(t.reg.WaitFlow(p, mcQPName(t.spec.Name, i, t.idx, 0)).(transport.Queue))
-	}
-}
-
 // rejoinGroup rebuilds the receiving half of an ordered multicast flow
-// for a target re-attaching after eviction (see Target.Reattach). The
-// rejoiner cannot replay the stream (multicast history is bounded);
-// instead it installs the registry's sequencer snapshot — high-water,
-// per-source delivered counts, agreed skips — and resumes delivery at the
+// for a target re-attaching after eviction, once Target.Reattach has
+// republished the fresh queues' source ends (newMcFeed). The rejoiner
+// cannot replay the stream (multicast history is bounded); instead it
+// installs the registry's sequencer snapshot — high-water, per-source
+// delivered counts, agreed skips — and resumes delivery at the
 // high-water, filling the short tail between the last progress report and
-// the live stream through the ordinary NACK/agreement machinery. Fresh
-// reliable QPs are published under incarnation-keyed rendezvous names
-// *before* Rejoin bumps the epoch, so a source folding the bump finds
-// them immediately. Sources that were evicted or already left the flow
-// are folded as ended at their snapshot counts: their tail segments have
-// no retransmission history and are not replayed (rejoin is meant for
-// flows still streaming).
+// the live stream through the ordinary NACK/agreement machinery. Sources
+// that were evicted or already left the flow are folded as ended at
+// their snapshot counts: their tail segments have no retransmission
+// history and are not replayed (rejoin is meant for flows still
+// streaming).
 func (t *Target) rejoinGroup(p transport.Ctx, mem *registry.Membership) error {
 	name := t.spec.Name
-	f := t.newMcFeed()
+	f := t.feed.(*mcFeed)
 	// Re-attach to the multicast group: the eviction detached this slot's
 	// endpoint; a fresh one takes its place.
 	f.join(t.meta.group.Reattach(t.idx, t.node))
-	inc := mem.Incarnation(registry.RoleTarget, t.idx) + 1
-	for i, src := range t.spec.Sources {
-		sq, tq := t.meta.cluster.Dial(src.Node, t.node)
-		if err := t.reg.Publish(p, mcQPName(name, i, t.idx, inc), sq); err != nil {
-			return err
-		}
-		f.attach(tq)
-	}
-	// Install the sequencer snapshot.
 	snap, _ := t.reg.SeqSnapshot(p, name)
 	f.nextGlobal = snap.HighWater
 	for _, seq := range snap.Skips {
@@ -909,20 +887,10 @@ func (t *Target) rejoinGroup(p transport.Ctx, mem *registry.Membership) error {
 	}
 	f.totalDelivered = f.nextGlobal
 	f.progressAt = f.totalDelivered + uint64(t.spec.Options.SegmentsPerRing)
-	rj, err := t.reg.Rejoin(p, name, registry.RoleTarget, t.idx, t.idx)
-	if err != nil {
-		return fmt.Errorf("dfi: rejoin of multicast target %d rejected: %w", t.idx, err)
-	}
-	if rj.Incarnation != inc {
-		return fmt.Errorf("dfi: rejoin of multicast target %d raced another incarnation (%d != %d)",
-			t.idx, rj.Incarnation, inc)
+	if _, err := t.reg.Rejoin(p, name, registry.RoleTarget, t.idx, t.idx); err != nil {
+		return fmt.Errorf("dfi: rejoin of target %d rejected: %w", t.idx, err)
 	}
 	t.initTargetMembership(mem)
-	for i, r := range t.readers {
-		if r.closed {
-			f.drop(i)
-		}
-	}
 	// Announce the resumed progress so reconnecting sources restart their
 	// credit from the high-water (RC queues the message until the source
 	// posts its receives).
@@ -1456,7 +1424,7 @@ func (f *mcFeed) surface(seq uint64) {
 // agreed are unfillable — the same verdict every peer applies, which is
 // what keeps the global order identical across targets. NotifyGaps then
 // surfaces only agreed-unfillable sequences.
-func (f *mcFeed) scan(p transport.Ctx, _ int) ([]byte, bool) {
+func (f *mcFeed) scan(p transport.Ctx) ([]byte, bool) {
 	t := f.t
 	o := &t.spec.Options
 	if f.active != nil {

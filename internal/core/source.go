@@ -99,23 +99,16 @@ func SourceOpen(p transport.Ctx, reg Registry, name string, sourceIdx int) (*Sou
 		return nil, fmt.Errorf("dfi: source index %d out of range for flow %q", sourceIdx, name)
 	}
 	s := &Source{meta: meta, spec: spec, idx: sourceIdx, node: spec.Sources[sourceIdx].Node, reg: reg}
-	if spec.Options.Multicast {
-		// A multicast source publishes its reliable queues before it takes
-		// its lease: targets open against them.
-		if err := s.connectAll(p, name); err != nil {
-			return nil, err
-		}
-		return s, s.acquireSourceLease(p, reg, name)
-	}
 	if err := s.acquireSourceLease(p, reg, name); err != nil {
 		return nil, err
 	}
 	return s, s.connectAll(p, name)
 }
 
-// connectAll connects one leg per target — the one group leg on a
-// multicast flow — and initializes the membership view: the shared tail
-// of SourceOpen, AttachSource, and Reattach.
+// connectAll waits for every target to publish its info or be evicted
+// and connects to it — a leg per target, or its queue on a multicast
+// flow's one group leg — then initializes the membership view: the shared
+// tail of SourceOpen, AttachSource, and Reattach.
 func (s *Source) connectAll(p transport.Ctx, name string) error {
 	var err error
 	if s.mem, err = membershipOf(s.reg, name); err != nil {
@@ -126,20 +119,20 @@ func (s *Source) connectAll(p transport.Ctx, name string) error {
 	// then shows as an epoch to fold in (syncEpoch abandons its leg),
 	// not as a live leg nobody will ever harvest.
 	s.epoch = s.mem.Epoch()
+	var group *mcTx
 	if s.spec.Options.Multicast {
-		x, err := newMcTx(p, s)
-		if err != nil {
-			return err
-		}
-		s.appendLeg(&x.leg)
-	} else {
-		for t := range s.spec.Targets {
-			inc := s.targetInc(t)
-			info, evicted := s.reg.WaitTargetLive(p, name, t)
-			if evicted {
-				s.appendLeg(nil)
-				continue
-			}
+		group = newMcTx(s)
+		s.appendLeg(&group.leg)
+	}
+	for t := range s.spec.Targets {
+		inc := s.targetInc(t)
+		info, evicted := s.reg.WaitTargetLive(p, name, t)
+		switch {
+		case group != nil:
+			group.connect(t, info, inc)
+		case evicted:
+			s.appendLeg(nil)
+		default:
 			l, err := s.connectLeg(info, t, inc)
 			if err != nil {
 				return err
@@ -607,7 +600,7 @@ func (s *Source) Reattach(p transport.Ctx) (*Source, uint64, error) {
 	}
 	name := s.spec.Name
 	if s.spec.Options.Elastic {
-		ns, err := AttachSource(p, s.reg, name, s.spec.Sources[s.idx])
+		ns, err := AttachSource(p, s.reg, name, Endpoint{Node: s.node})
 		if err != nil {
 			return nil, 0, err
 		}

@@ -61,6 +61,12 @@ type Target struct {
 	inc     uint64
 	evicted atomic.Bool
 
+	// live is how many source slots are in play — readers[:live] — and
+	// sealed whether no more can join: every reader's, and final, unless
+	// the flow is elastic (see foldSources).
+	live   int
+	sealed bool
+
 	// nconsumed is the consume count, owned by the consuming process.
 	// consumed is its scrape-visible copy, stored whenever the iterator
 	// needs a new segment or reports flow end (publish): exact whenever
@@ -122,7 +128,7 @@ type segmentFeed interface {
 	// so that an end marker already here counts before its source is
 	// folded as gone) and reports ok=false at once when that finds this
 	// target evicted. Otherwise it recycles the segment handed out last,
-	// makes one pass over the open sources among readers[:n] — round-robin
+	// makes one pass over the open sources among readers[:live] — round-robin
 	// over rings, in sequence order over a multicast group — and returns
 	// the first consumable segment's payload, its tuples' ConsumeCost
 	// charged. It closes a reader on its end marker and stamps activity on
@@ -131,7 +137,7 @@ type segmentFeed interface {
 	// something may have arrived, at most pollTimeout, before it reports
 	// ok=false — unless it closed a reader, skipped a gap or surfaced one,
 	// which the engine gets to see at once.
-	scan(p transport.Ctx, n int) (data []byte, ok bool)
+	scan(p transport.Ctx) (data []byte, ok bool)
 	// drop tells the kind source i will not be consumed from again
 	// (evicted, declared failed, or this target is going away): a shared
 	// ring stops staging its tag, a multicast feed ends the slot at what
@@ -178,13 +184,13 @@ func TargetOpen(p transport.Ctx, reg Registry, name string, targetIdx int) (*Tar
 		t.events = sink
 		t.evNode = fmt.Sprintf("node%d", t.node.ID())
 	}
-	// info is what sources connect to. A multicast target publishes none:
-	// its sources find it through the group and the reliable queues they
-	// published themselves.
+	// info is what sources connect to, published once everything it
+	// names is ready to receive.
 	var info any
 	switch {
 	case spec.Options.Multicast:
-		t.openMcFeed(p)
+		info = t.newMcFeed()
+		t.feed.(*mcFeed).join(t.meta.group.Member(t.idx))
 	case spec.Options.SharedRings:
 		info = t.openSharedFeed()
 	default:
@@ -198,10 +204,8 @@ func TargetOpen(p transport.Ctx, reg Registry, name string, targetIdx int) (*Tar
 	if err := t.acquireTargetLease(p, reg, name); err != nil {
 		return nil, err
 	}
-	if info != nil {
-		if err := reg.PublishTarget(p, name, targetIdx, info); err != nil {
-			return nil, err
-		}
+	if err := reg.PublishTarget(p, name, targetIdx, info); err != nil {
+		return nil, err
 	}
 	return t, nil
 }
@@ -237,13 +241,15 @@ func (t *Target) failSource(i int) {
 }
 
 // initTargetMembership snapshots the membership the fresh rings attach
-// under: the current epoch, the slot's own incarnation, per-reader
-// source incarnations, and rings of already-evicted sources closed up
-// front (a re-attaching target missed those epochs while it was down).
+// under: the current epoch, the slot's own incarnation, the source slots
+// in play, per-reader source incarnations, and the slots of sources
+// already evicted or gone closed up front, the kind told (a re-attaching
+// target missed those epochs while it was down).
 func (t *Target) initTargetMembership(mem *registry.Membership) {
 	t.mem = mem
 	t.epoch = mem.Epoch()
 	t.inc = mem.Incarnation(registry.RoleTarget, t.idx)
+	t.foldSources()
 	for i, r := range t.readers {
 		r.inc = mem.Incarnation(registry.RoleSource, i)
 		if mem.SourceEvicted(i) {
@@ -253,6 +259,7 @@ func (t *Target) initTargetMembership(mem *registry.Membership) {
 			// was down; its end-of-flow marker went to the previous
 			// incarnation's rings.
 			r.closed = true
+			t.feed.drop(i)
 		}
 	}
 }
@@ -373,9 +380,9 @@ func (f *privateFeed) loadSegment(p transport.Ctx, r *ringReader) ([]byte, bool)
 }
 
 // scan releases the slot handed out last and looks once at every open
-// ring among readers[:n], round-robin; an empty pass that closed no ring
-// waits for the region's next commit.
-func (f *privateFeed) scan(p transport.Ctx, n int) ([]byte, bool) {
+// ring among readers[:live], round-robin; an empty pass that closed no
+// ring waits for the region's next commit.
+func (f *privateFeed) scan(p transport.Ctx) ([]byte, bool) {
 	if f.t.syncMembership() {
 		return nil, false
 	}
@@ -387,7 +394,7 @@ func (f *privateFeed) scan(p transport.Ctx, n int) ([]byte, bool) {
 	// the sequence number, so the wait returns immediately — no lost
 	// wake-ups.
 	seq := f.mr.CommitSeq()
-	t := f.t
+	t, n := f.t, f.t.live
 	ended := false
 	for range t.readers[:n] {
 		if t.cur >= n {
@@ -427,14 +434,7 @@ func (t *Target) charge(p transport.Ctx, data []byte) {
 func (t *Target) nextSegment(p transport.Ctx) bool {
 	t.publish()
 	for !t.gapPending {
-		// On an elastic flow only the attached slots are live; membership
-		// changes there (attach/seal) are detected within one poll timeout
-		// at most.
-		n := len(t.readers)
-		if t.spec.Options.Elastic {
-			n = t.meta.elastic.attached
-		}
-		if data, ok := t.feed.scan(p, n); ok {
+		if data, ok := t.feed.scan(p); ok {
 			t.segData, t.segOff, t.remaining = data, 0, len(data)/t.tupleSize
 			return true
 		}
@@ -450,10 +450,11 @@ func (t *Target) nextSegment(p transport.Ctx) bool {
 			return false
 		}
 		// Nothing consumable, and the scan has parked for it: look for
-		// sources that will never send again before scanning once more.
-		t.detectFailures(p, n)
-		t.closeLeftRings(n)
-		if t.flowEnded(n) {
+		// sources that will never send again before scanning once more —
+		// among the slots of the membership the scan folded in.
+		t.detectFailures(p, t.live)
+		t.closeLeftRings(t.live)
+		if t.flowEnded(t.live) {
 			t.done.Store(true)
 			return false
 		}
@@ -461,11 +462,10 @@ func (t *Target) nextSegment(p transport.Ctx) bool {
 	return false
 }
 
-// flowEnded reports whether nothing more can arrive: every slot among
-// readers[:n] is closed and, on an elastic flow, no further source can
-// attach.
+// flowEnded reports whether nothing more can arrive: no further source
+// can join, and every slot among readers[:n] is closed.
 func (t *Target) flowEnded(n int) bool {
-	if t.spec.Options.Elastic && !t.meta.elastic.sealed {
+	if !t.sealed {
 		return false
 	}
 	for _, r := range t.readers[:n] {
@@ -619,20 +619,25 @@ func (t *Target) Reattach(p transport.Ctx) (*Target, error) {
 		tupleSize:   t.tupleSize,
 		resumedFrom: t.nconsumed,
 	}
+	// Fresh rings or queues first, then the epoch bump: sources folding the
+	// rejoin epoch must find the republished info. RepublishTarget is fenced
+	// to evicted slots, so a rejoin of a live slot is rejected here before
+	// any membership change.
+	var info any
+	if o.Multicast {
+		info = nt.newMcFeed()
+	} else {
+		info = nt.allocRings()
+	}
+	if err := t.reg.RepublishTarget(p, name, t.idx, info); err != nil {
+		nt.feed.free()
+		return nil, fmt.Errorf("dfi: rejoin of target %d rejected: %w", t.idx, err)
+	}
 	if o.Multicast {
 		if err := nt.rejoinGroup(p, t.mem); err != nil {
 			return nil, err
 		}
 	} else {
-		info := nt.allocRings()
-		// Fresh rings first, then the epoch bump: sources folding the rejoin
-		// epoch must find the republished rings. RepublishTarget is fenced to
-		// evicted slots, so a rejoin of a live slot is rejected here before
-		// any membership change.
-		if err := t.reg.RepublishTarget(p, name, t.idx, info); err != nil {
-			nt.feed.free()
-			return nil, fmt.Errorf("dfi: rejoin of target %d rejected: %w", t.idx, err)
-		}
 		if _, err := t.reg.Rejoin(p, name, registry.RoleTarget, t.idx, t.idx); err != nil {
 			return nil, fmt.Errorf("dfi: rejoin of target %d rejected: %w", t.idx, err)
 		}

@@ -107,6 +107,11 @@ type Membership struct {
 
 	epoch atomic.Uint64
 	eps   map[epKey]*lease // under r.mu
+
+	// The source slots AttachSource claimed and whether Seal closed the
+	// flow to more: each change bumps the epoch.
+	attached atomic.Int64
+	sealed   atomic.Bool
 }
 
 func newMembership(r *Registry, flow string) *Membership {
@@ -114,8 +119,14 @@ func newMembership(r *Registry, flow string) *Membership {
 }
 
 // Epoch returns the record's current epoch. It starts at 0 and is bumped
-// by every eviction.
+// by every eviction, rejoin, attach and seal.
 func (m *Membership) Epoch() uint64 { return m.epoch.Load() }
+
+// Attached returns how many source slots AttachSource has claimed.
+func (m *Membership) Attached() int { return int(m.attached.Load()) }
+
+// Sealed reports whether Seal closed the flow to further attaches.
+func (m *Membership) Sealed() bool { return m.sealed.Load() }
 
 // slot copies one endpoint slot out of the record: the zero lease —
 // Active, incarnation 0 — when the slot never acquired one.
@@ -218,13 +229,17 @@ func (m *Membership) evictExpired(k epKey, gen uint64) {
 // broadcast-coupled conds) observe the new epoch.
 func (m *Membership) evict(k epKey, l *lease) {
 	l.state = StateEvicted
-	epoch := m.epoch.Add(1)
-	m.r.clk.broadcast()
-	m.r.emit(metrics.Event{Type: metrics.EvEviction, Flow: m.flow, Epoch: epoch,
+	m.r.emit(metrics.Event{Type: metrics.EvEviction, Flow: m.flow, Epoch: m.epoch.Load() + 1,
 		Role: k.role.String(), Slot: k.idx, Detail: "evicted from membership"})
-	m.r.emit(metrics.Event{Type: metrics.EvEpoch, Flow: m.flow, Epoch: epoch,
-		Detail: "epoch bumped by eviction"})
+	m.bump("epoch bumped by eviction")
 	m.r.statusChanged(m.flow)
+}
+
+// bump moves the record to its next epoch — the one signal every
+// membership change sends — and wakes waiters.
+func (m *Membership) bump(detail string) {
+	m.r.emit(metrics.Event{Type: metrics.EvEpoch, Flow: m.flow, Epoch: m.epoch.Add(1), Detail: detail})
+	m.r.clk.broadcast()
 }
 
 // membership returns the record for a published flow.
@@ -264,11 +279,8 @@ func (r *Registry) AcquireLease(p transport.Ctx, flow string, role Role, idx int
 	if grace <= 0 {
 		grace = ttl
 	}
-	return r.invoke(p, flow, func() error {
-		m, ok := r.membership(flow)
-		if !ok {
-			return fmt.Errorf("registry: flow %q not published", flow)
-		}
+	return r.update(p, flow, func(e *entry) error {
+		m := e.mem
 		k := epKey{role, idx}
 		l := m.eps[k]
 		if l == nil {
@@ -410,11 +422,8 @@ func (r *Registry) ReleaseLease(p transport.Ctx, flow string, role Role, idx int
 // with out-of-band failure evidence). Idempotent. Replicated registries
 // commit the eviction through the consensus log like any mutation.
 func (r *Registry) Evict(p transport.Ctx, flow string, role Role, idx int) error {
-	return r.invoke(p, flow, func() error {
-		m, ok := r.membership(flow)
-		if !ok {
-			return fmt.Errorf("registry: flow %q not published", flow)
-		}
+	return r.update(p, flow, func(e *entry) error {
+		m := e.mem
 		k := epKey{role, idx}
 		l := m.eps[k]
 		if l == nil {
@@ -451,11 +460,8 @@ type Rejoined struct {
 // it as a rejected rejoin.
 func (r *Registry) Rejoin(p transport.Ctx, flow string, role Role, idx, newIdx int) (Rejoined, error) {
 	var out Rejoined
-	err := r.invoke(p, flow, func() error {
-		m, ok := r.membership(flow)
-		if !ok {
-			return fmt.Errorf("registry: flow %q not published", flow)
-		}
+	err := r.update(p, flow, func(e *entry) error {
+		m := e.mem
 		k := epKey{role, idx}
 		l := m.eps[k]
 		if l == nil || l.state != StateEvicted {
@@ -469,12 +475,9 @@ func (r *Registry) Rejoin(p transport.Ctx, flow string, role Role, idx, newIdx i
 			if l.ttl > 0 {
 				m.arm(k, l)
 			}
-			m.epoch.Add(1)
-			r.clk.broadcast()
-			r.emit(metrics.Event{Type: metrics.EvLease, Flow: flow, Epoch: m.epoch.Load(),
+			r.emit(metrics.Event{Type: metrics.EvLease, Flow: flow, Epoch: m.epoch.Load() + 1,
 				Role: role.String(), Slot: idx, Seq: l.inc, Detail: "rejoined own slot"})
-			r.emit(metrics.Event{Type: metrics.EvEpoch, Flow: flow, Epoch: m.epoch.Load(),
-				Detail: "epoch bumped by rejoin"})
+			m.bump("epoch bumped by rejoin")
 			out = Rejoined{Incarnation: l.inc, Watermark: l.watermark}
 			return nil
 		}
@@ -508,11 +511,8 @@ func (r *Registry) Rejoin(p transport.Ctx, flow string, role Role, idx, newIdx i
 // refused: the fence also protects the watermark from a wedged
 // endpoint's late writes.
 func (r *Registry) SetWatermark(p transport.Ctx, flow string, role Role, idx int, watermark uint64) error {
-	return r.invoke(p, flow, func() error {
-		m, ok := r.membership(flow)
-		if !ok {
-			return fmt.Errorf("registry: flow %q not published", flow)
-		}
+	return r.update(p, flow, func(e *entry) error {
+		m := e.mem
 		k := epKey{role, idx}
 		l := m.eps[k]
 		if l == nil {
@@ -523,6 +523,39 @@ func (r *Registry) SetWatermark(p transport.Ctx, flow string, role Role, idx int
 			return fmt.Errorf("registry: %s %d of flow %q was evicted; watermark refused", role, idx, flow)
 		}
 		l.watermark = watermark
+		return nil
+	})
+}
+
+// AttachSource claims the flow's next source slot — first, then one
+// higher per claim — below max, unless the flow is sealed, and bumps the
+// epoch: targets learn of one more slot to poll. One command, so a retry
+// after a lost reply never claims a second slot.
+func (r *Registry) AttachSource(p transport.Ctx, flow string, first, max int) (int, error) {
+	slot := first
+	err := r.update(p, flow, func(e *entry) error {
+		m := e.mem
+		if m.sealed.Load() {
+			return fmt.Errorf("registry: flow %q is sealed", flow)
+		}
+		if slot += m.Attached(); slot >= max {
+			return fmt.Errorf("registry: flow %q has no source slot left below %d", flow, max)
+		}
+		m.attached.Add(1)
+		m.bump(fmt.Sprintf("epoch bumped by attach of source %d", slot))
+		return nil
+	})
+	return slot, err
+}
+
+// Seal closes the flow to further attaches and bumps the epoch: targets
+// learn that the sources they poll are all there will be. Sealing a
+// sealed flow changes nothing.
+func (r *Registry) Seal(p transport.Ctx, flow string) error {
+	return r.update(p, flow, func(e *entry) error {
+		if !e.mem.sealed.Swap(true) {
+			e.mem.bump("epoch bumped by seal")
+		}
 		return nil
 	})
 }

@@ -187,6 +187,17 @@ func (r *Registry) run(p transport.Ctx, op func() error) error {
 	return r.repl.invoke(p, op)
 }
 
+// update runs one mutating command against the named flow's entry.
+func (r *Registry) update(p transport.Ctx, flow string, op func(e *entry) error) error {
+	return r.invoke(p, flow, func() error {
+		e, ok := r.flows[flow]
+		if !ok {
+			return fmt.Errorf("registry: flow %q not published", flow)
+		}
+		return op(e)
+	})
+}
+
 // Publish registers flow metadata under a unique name. Publishing a name
 // twice is an error (flow names identify flows cluster-wide). The flow's
 // membership record (see lease.go) is created here, at epoch 0.
@@ -230,11 +241,7 @@ func (r *Registry) WaitFlow(p transport.Ctx, name string) any {
 // PublishTarget registers per-target connection info (e.g. ring-buffer
 // addresses) for target idx of the named flow. The flow must exist.
 func (r *Registry) PublishTarget(p transport.Ctx, name string, idx int, info any) error {
-	return r.invoke(p, name, func() error {
-		e, ok := r.flows[name]
-		if !ok {
-			return fmt.Errorf("registry: flow %q not published", name)
-		}
+	return r.update(p, name, func(e *entry) error {
 		if _, dup := e.targets[idx]; dup {
 			return fmt.Errorf("registry: flow %q target %d already published", name, idx)
 		}
@@ -251,11 +258,7 @@ func (r *Registry) PublishTarget(p transport.Ctx, name string, idx int, info any
 // republish: live info must never be clobbered from under connected
 // sources.
 func (r *Registry) RepublishTarget(p transport.Ctx, name string, idx int, info any) error {
-	return r.invoke(p, name, func() error {
-		e, ok := r.flows[name]
-		if !ok {
-			return fmt.Errorf("registry: flow %q not published", name)
-		}
+	return r.update(p, name, func(e *entry) error {
 		if e.mem.peek(RoleTarget, idx).state != StateEvicted {
 			return fmt.Errorf("registry: flow %q target %d is not evicted; republish refused", name, idx)
 		}
@@ -278,13 +281,6 @@ func (r *Registry) TargetInfo(p transport.Ctx, name string, idx int) (any, bool)
 	}
 	info, ok := e.targets[idx]
 	return info, ok
-}
-
-// WaitTarget blocks until target idx of the named flow has published its
-// info and returns it.
-func (r *Registry) WaitTarget(p transport.Ctx, name string, idx int) any {
-	info, _ := r.WaitTargetLive(p, name, idx)
-	return info
 }
 
 // WaitTargetLive blocks until target idx of the named flow has published

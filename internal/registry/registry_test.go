@@ -71,9 +71,9 @@ func TestTargetRendezvous(t *testing.T) {
 		}
 	})
 	k.Spawn("source", func(p *sim.Proc) {
-		info := r.WaitTarget(p, "flow", 0)
-		if info.(string) != "ring-addr" {
-			t.Errorf("info = %v", info)
+		info, evicted := r.WaitTargetLive(p, "flow", 0)
+		if evicted || info.(string) != "ring-addr" {
+			t.Errorf("info = %v, evicted = %v", info, evicted)
 		}
 	})
 	if err := k.Run(); err != nil {

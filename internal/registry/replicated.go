@@ -14,10 +14,11 @@ import (
 // for DFI's own control plane). The Registry handle stays the client
 // API; what changes is how mutations commit:
 //
-//   - every mutating call (Publish, PublishTarget, Remove, Evict) is a
-//     numbered command the current master appends to the log with one
-//     Accept round — a majority of acceptors must accept under the
-//     master's ballot before the command applies;
+//   - every mutating call (Publish, PublishTarget, Remove, Evict,
+//     AttachSource, Seal, the lease operations) is a numbered command
+//     the current master appends to the log with one Accept round — a
+//     majority of acceptors must accept under the master's ballot
+//     before the command applies;
 //   - a client whose RPC leg or reply is lost retries the same command
 //     id; the applied-table (replicated alongside the state machine)
 //     deduplicates, so retries are idempotent — a Publish whose reply
@@ -28,8 +29,8 @@ import (
 //     consensus/log) makes any in-flight Accept of the deposed master
 //     fail at the same majority, so the old and new master cannot both
 //     commit in the same slot;
-//   - reads (Lookup, WaitFlow, WaitTarget) are served by any replica and
-//     need no log round — the standard lease-free read relaxation,
+//   - reads (Lookup, WaitFlow, WaitTargetLive) are served by any replica
+//     and need no log round — the standard lease-free read relaxation,
 //     acceptable here because flow setup rendezvous is idempotent and
 //     level-triggered (waiters just keep waiting until the entry shows).
 //     Lease operations (Acquire/Renew/Release, see lease.go) are logged

@@ -164,3 +164,90 @@ func TestReplicatedCrashMasterFault(t *testing.T) {
 		t.Fatalf("master = %d elections = %d; crash fault did not fail over", r.Master(), r.Elections())
 	}
 }
+
+// TestReplicatedAttachAndSealSurvive: elastic attaches and the seal are
+// logged commands and snapshot state like every other membership change.
+// Across a master failover and a snapshot install the next attach claims
+// the next slot, and the attach count and the seal read back.
+func TestReplicatedAttachAndSealSurvive(t *testing.T) {
+	k := sim.New(testSeed())
+	r, err := New(k).Replicate(ReplicaConfig{RPCDelay: time.Microsecond, SnapshotEvery: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.Spawn("p", func(p *sim.Proc) {
+		attach := func(r *Registry, want int) {
+			t.Helper()
+			if slot, err := r.AttachSource(p, "f", 2, 6); err != nil || slot != want {
+				t.Fatalf("attach = slot %d, %v; want slot %d", slot, err, want)
+			}
+		}
+		if err := r.Publish(p, "f", "meta"); err != nil {
+			t.Fatal(err)
+		}
+		attach(r, 2)
+		attach(r, 3)
+		attach(r, 4)
+		r.CrashReplica(r.Master())
+		attach(r, 5)
+		if r.Elections() == 0 || r.Snapshots() == 0 {
+			t.Fatalf("elections = %d snapshots = %d; test is vacuous", r.Elections(), r.Snapshots())
+		}
+		if _, err := r.AttachSource(p, "f", 2, 6); err == nil {
+			t.Error("attach beyond the bound accepted")
+		}
+		if err := r.Seal(p, "f"); err != nil {
+			t.Fatal(err)
+		}
+		// Install the state machine on a fresh registry, as a replica
+		// catching up from a snapshot does.
+		r2 := New(k)
+		r2.restoreState(r.captureState())
+		m := r2.MembershipOf("f")
+		if m.Attached() != 4 || !m.Sealed() || m.Epoch() != 5 {
+			t.Fatalf("restored attached = %d sealed = %v epoch = %d, want 4, true, 5", m.Attached(), m.Sealed(), m.Epoch())
+		}
+		if _, err := r2.AttachSource(p, "f", 2, 10); err == nil {
+			t.Error("attach to a sealed flow accepted after the install")
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAttachRetryClaimsOneSlot: an attach whose RPC leg or reply is lost
+// is retried as the same command, so slots stay consecutive — on a
+// standalone registry and on a replicated one.
+func TestAttachRetryClaimsOneSlot(t *testing.T) {
+	faults := &Faults{Drop: 0.3}
+	for _, replicas := range []int{0, 3} {
+		k := sim.New(7)
+		r := New(k)
+		if replicas > 0 {
+			var err error
+			if r, err = r.Replicate(ReplicaConfig{Replicas: replicas, RPCDelay: time.Microsecond, Faults: faults}); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			r.UseFaults(faults)
+		}
+		const attaches = 30
+		k.Spawn("p", func(p *sim.Proc) {
+			if err := r.Publish(p, "f", nil); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < attaches; i++ {
+				if slot, err := r.AttachSource(p, "f", 0, attaches); err != nil || slot != i {
+					t.Fatalf("%d replicas: attach %d = slot %d, %v", replicas, i, slot, err)
+				}
+			}
+		})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if n := r.MembershipOf("f").Attached(); n != attaches {
+			t.Errorf("%d replicas: attached = %d, want %d", replicas, n, attaches)
+		}
+	}
+}

@@ -40,11 +40,7 @@ type SeqSnapshot struct {
 // Reports from an evicted target slot are refused — the same fence that
 // protects watermarks from a wedged endpoint's late writes.
 func (r *Registry) RecordSeqProgress(p transport.Ctx, flow string, tgt int, highWater uint64, perSource []uint64) error {
-	return r.invoke(p, flow, func() error {
-		e, ok := r.flows[flow]
-		if !ok {
-			return fmt.Errorf("registry: flow %q not published", flow)
-		}
+	return r.update(p, flow, func(e *entry) error {
 		if e.mem.peek(RoleTarget, tgt).state == StateEvicted {
 			return fmt.Errorf("registry: target %d of flow %q was evicted; progress refused", tgt, flow)
 		}
@@ -62,11 +58,7 @@ func (r *Registry) RecordSeqProgress(p transport.Ctx, flow string, tgt int, high
 // per newly recorded sequence. Idempotent per sequence number, so every
 // participant of an agreement round may record the verdict.
 func (r *Registry) RecordSeqSkips(p transport.Ctx, flow string, epoch uint64, seqs ...uint64) error {
-	return r.invoke(p, flow, func() error {
-		e, ok := r.flows[flow]
-		if !ok {
-			return fmt.Errorf("registry: flow %q not published", flow)
-		}
+	return r.update(p, flow, func(e *entry) error {
 		s := e.seqEnsure()
 		for _, seq := range seqs {
 			if s.skips[seq] {

@@ -101,11 +101,6 @@ func (s *Sharded) TargetInfo(p transport.Ctx, flow string, idx int) (any, bool) 
 	return s.Shard(flow).TargetInfo(p, flow, idx)
 }
 
-// WaitTarget routes to the owning shard.
-func (s *Sharded) WaitTarget(p transport.Ctx, flow string, idx int) any {
-	return s.Shard(flow).WaitTarget(p, flow, idx)
-}
-
 // WaitTargetLive routes to the owning shard.
 func (s *Sharded) WaitTargetLive(p transport.Ctx, flow string, idx int) (any, bool) {
 	return s.Shard(flow).WaitTargetLive(p, flow, idx)
@@ -176,6 +171,16 @@ func (s *Sharded) Rejoin(p transport.Ctx, flow string, role Role, idx, newIdx in
 // SetWatermark routes to the owning shard.
 func (s *Sharded) SetWatermark(p transport.Ctx, flow string, role Role, idx int, watermark uint64) error {
 	return s.Shard(flow).SetWatermark(p, flow, role, idx, watermark)
+}
+
+// AttachSource routes to the owning shard.
+func (s *Sharded) AttachSource(p transport.Ctx, flow string, first, max int) (int, error) {
+	return s.Shard(flow).AttachSource(p, flow, first, max)
+}
+
+// Seal routes to the owning shard.
+func (s *Sharded) Seal(p transport.Ctx, flow string) error {
+	return s.Shard(flow).Seal(p, flow)
 }
 
 // RecordSeqProgress routes to the owning shard.

@@ -11,7 +11,8 @@ import (
 //
 // The replicated registry (replicated.go) periodically serializes the
 // whole state machine — flows, per-target connection info, membership
-// epochs, leases, incarnations and watermarks — and installs the result
+// epochs, leases, incarnations, watermarks and elastic attach counts and
+// seals — and installs the result
 // on its acceptors so the Multi-Paxos log and the applied-table can be
 // truncated below the snapshot index (log compaction; see
 // docs/PROTOCOL.md, "Replicated registry"). A lagging or recovering
@@ -23,8 +24,8 @@ import (
 // A snapshot therefore pins those references rather than their
 // contents: captureState carries them by reference, and encode writes a
 // deterministic reference index plus the dynamic type name. Everything
-// the registry itself owns — names, epochs, lease states, TTLs,
-// incarnations, watermarks — is encoded by value, which is what the
+// the registry itself owns — names, epochs, attach counts, seals, lease
+// states, TTLs, incarnations, watermarks — is encoded by value, which is what the
 // byte-for-byte round-trip property in snapshot_test.go pins down.
 
 // stateSnapshot is a deep copy of the registry state machine at one
@@ -36,11 +37,13 @@ type stateSnapshot struct {
 
 // flowSnap is one flow's slice of the snapshot.
 type flowSnap struct {
-	meta    any
-	targets map[int]any
-	epoch   uint64
-	leases  map[epKey]lease // value copies, gen zeroed
-	seq     *seqState       // sequencer recovery state, nil when absent
+	meta     any
+	targets  map[int]any
+	epoch    uint64
+	attached int64
+	sealed   bool
+	leases   map[epKey]lease // value copies, gen zeroed
+	seq      *seqState       // sequencer recovery state, nil when absent
 }
 
 // captureState deep-copies the registry state machine. Meta and target
@@ -58,6 +61,7 @@ func (r *Registry) captureState() *stateSnapshot {
 			fs.targets[idx] = info
 		}
 		fs.epoch = e.mem.epoch.Load()
+		fs.attached, fs.sealed = e.mem.attached.Load(), e.mem.sealed.Load()
 		for k, l := range e.mem.eps {
 			cp := *l
 			cp.gen = 0 // timer bookkeeping, not state
@@ -94,6 +98,8 @@ func (r *Registry) restoreState(s *stateSnapshot) {
 		}
 		m := newMembership(r, name)
 		m.epoch.Store(fs.epoch)
+		m.attached.Store(fs.attached)
+		m.sealed.Store(fs.sealed)
 		for k, cp := range fs.leases {
 			l := cp // fresh copy per slot
 			m.eps[k] = &l
@@ -152,11 +158,13 @@ func sortedKeys(m map[int]any) []int {
 }
 
 // snapMagic versions the snapshot encoding; bump on layout changes.
-// 2 added the per-flow sequencer record (ordered-multicast recovery).
-const snapMagic = "DFISNAP2"
+// 2 added the per-flow sequencer record (ordered-multicast recovery), 3
+// the elastic attach count and seal.
+const snapMagic = "DFISNAP3"
 
 // encode serializes the snapshot deterministically: sorted flows, each
-// with epoch, meta reference, sorted targets and sorted leases. The
+// with epoch, attach count, seal, meta reference, sorted targets and
+// sorted leases. The
 // bytes are what the acceptors store, what the install-snapshot
 // transfer is charged by, and what the round-trip property compares.
 //
@@ -196,6 +204,12 @@ func (s *stateSnapshot) encode() []byte {
 		fs := s.flows[name]
 		str(name)
 		u64(fs.epoch)
+		u64(uint64(fs.attached))
+		if fs.sealed {
+			u64(1)
+		} else {
+			u64(0)
+		}
 		ref(fs.meta)
 		u64(uint64(len(fs.targets)))
 		for _, idx := range sortedKeys(fs.targets) {

@@ -75,6 +75,16 @@ func TestSnapshotRoundTripByteForByte(t *testing.T) {
 						}
 					}
 				}
+				for i := rng.Intn(3); i > 0; i-- {
+					if _, err := r.AttachSource(p, name, 2, 8); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if rng.Intn(2) == 0 {
+					if err := r.Seal(p, name); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
 
 			snap := r.captureState()
@@ -92,7 +102,8 @@ func TestSnapshotRoundTripByteForByte(t *testing.T) {
 			}
 
 			// The restored machine answers like the original: same flows,
-			// same metadata references, same epochs, states and watermarks.
+			// same metadata references, same epochs, attach counts, seals,
+			// states and watermarks.
 			if r2.Flows() != r.Flows() {
 				t.Fatalf("restored flows = %d, want %d", r2.Flows(), r.Flows())
 			}
@@ -106,6 +117,10 @@ func TestSnapshotRoundTripByteForByte(t *testing.T) {
 				}
 				if e.mem.Epoch() != e2.mem.Epoch() {
 					t.Fatalf("flow %q: epoch %d restored as %d", name, e.mem.Epoch(), e2.mem.Epoch())
+				}
+				if e.mem.Attached() != e2.mem.Attached() || e.mem.Sealed() != e2.mem.Sealed() {
+					t.Fatalf("flow %q: attached %d sealed %v restored as %d, %v", name,
+						e.mem.Attached(), e.mem.Sealed(), e2.mem.Attached(), e2.mem.Sealed())
 				}
 				for key, l := range e.mem.eps {
 					l2 := e2.mem.eps[key]
