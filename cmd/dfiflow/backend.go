@@ -66,13 +66,16 @@ func newRegistry(mk func() *registry.Registry, shards int, rcfg registry.Replica
 // only it can honour (desOnlyFlags says why for each): a seeded kernel
 // and the calibrated fabric with its loss model and fault plan.
 func newFabricBackend(nodes int, seed int64, loss float64, faults string, shards int, rcfg registry.ReplicaConfig) (*backend, error) {
+	if loss < 0 || loss > 1 {
+		return nil, fmt.Errorf("-loss %v: want a probability in [0, 1]", loss)
+	}
 	k := sim.New(seed)
 	k.Deadline = time.Hour
 	fcfg := fabric.DefaultConfig()
 	fcfg.MulticastLoss = loss
 	if faults != "" {
 		var err error
-		if fcfg.Faults, rcfg.Faults, err = parseFaults(faults); err != nil {
+		if fcfg.Faults, rcfg.Faults, err = parseFaults(faults, nodes); err != nil {
 			return nil, fmt.Errorf("-faults: %v", err)
 		}
 	}
@@ -99,15 +102,30 @@ func newFabricBackend(nodes int, seed int64, loss float64, faults string, shards
 // knobs (the reg-* keys) from a comma-separated key=value spec.
 // Probabilities: drop-write, drop-read, drop-send, drop-atomic, dup,
 // reorder, reg-drop. Durations: delay, jitter, reg-delay, reg-jitter,
-// reg-crash-master. Crashes: crash=NODE@TIME (repeatable).
-func parseFaults(spec string) (*fabric.FaultPlan, *registry.Faults, error) {
+// reg-crash-master. Crashes: crash=NODE@TIME (repeatable), NODE below
+// nodes. A probability outside [0, 1], a negative duration or a node out
+// of range is an error naming the field.
+func parseFaults(spec string, nodes int) (*fabric.FaultPlan, *registry.Faults, error) {
 	fp, rf := &fabric.FaultPlan{}, &registry.Faults{}
 	for _, field := range strings.Split(spec, ",") {
 		key, val, ok := strings.Cut(strings.TrimSpace(field), "=")
 		if !ok {
 			return nil, nil, fmt.Errorf("%q: want key=value", field)
 		}
-		prob := func() (float64, error) { return strconv.ParseFloat(val, 64) }
+		prob := func() (float64, error) {
+			p, err := strconv.ParseFloat(val, 64)
+			if err == nil && !(p >= 0 && p <= 1) {
+				err = fmt.Errorf("probability %v outside [0, 1]", p)
+			}
+			return p, err
+		}
+		dur := func(s string) (time.Duration, error) {
+			d, err := time.ParseDuration(s)
+			if err == nil && d < 0 {
+				err = fmt.Errorf("negative duration %v", d)
+			}
+			return d, err
+		}
 		var err error
 		switch key {
 		case "drop-write":
@@ -123,17 +141,17 @@ func parseFaults(spec string) (*fabric.FaultPlan, *registry.Faults, error) {
 		case "reorder":
 			fp.Reorder, err = prob()
 		case "delay":
-			fp.Delay, err = time.ParseDuration(val)
+			fp.Delay, err = dur(val)
 		case "jitter":
-			fp.DelayJitter, err = time.ParseDuration(val)
+			fp.DelayJitter, err = dur(val)
 		case "reg-drop":
 			rf.Drop, err = prob()
 		case "reg-delay":
-			rf.Delay, err = time.ParseDuration(val)
+			rf.Delay, err = dur(val)
 		case "reg-jitter":
-			rf.Jitter, err = time.ParseDuration(val)
+			rf.Jitter, err = dur(val)
 		case "reg-crash-master":
-			rf.CrashMaster, err = time.ParseDuration(val)
+			rf.CrashMaster, err = dur(val)
 		case "crash":
 			node, at, ok := strings.Cut(val, "@")
 			if !ok {
@@ -143,8 +161,12 @@ func parseFaults(spec string) (*fabric.FaultPlan, *registry.Faults, error) {
 			if id, err = strconv.Atoi(node); err != nil {
 				break
 			}
+			if id < 0 || id >= nodes {
+				err = fmt.Errorf("node %d outside the %d-node cluster", id, nodes)
+				break
+			}
 			var t time.Duration
-			if t, err = time.ParseDuration(at); err != nil {
+			if t, err = dur(at); err != nil {
 				break
 			}
 			fp.CrashNode(id, t)

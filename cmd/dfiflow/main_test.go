@@ -66,6 +66,29 @@ func TestBadConfigExitsTwo(t *testing.T) {
 	}
 }
 
+// TestOutOfRangeFaultInputExitsTwo pins the range checks on fault input.
+// Unchecked, a negative delay panicked the kernel, a drop probability
+// above 1 ran into the virtual deadline, a crash of a node outside the
+// cluster injected nothing, and a multicast loss above 1 never ended.
+func TestOutOfRangeFaultInputExitsTwo(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"delay=", []string{"-faults", "delay=-5us"}},
+		{"drop-read=", []string{"-faults", "drop-read=7"}},
+		{"crash=", []string{"-faults", "crash=99@10us"}},
+		{"-loss", []string{"-type", "replicate", "-multicast", "-loss", "1.5"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out, code := runToString(t, append([]string{"-mb", "1"}, tc.args...)...)
+			if code != 2 || !strings.Contains(out, tc.name) {
+				t.Errorf("args %v: exit %d, want 2 naming %s:\n%s", tc.args, code, tc.name, out)
+			}
+		})
+	}
+}
+
 // TestSharedFlagAdmission pins what -shared composes with: the flags whose
 // machinery needs a private ring per pair are config errors naming the
 // flag, while combiner flows and -srctimeout run on the common engine.

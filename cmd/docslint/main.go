@@ -8,8 +8,9 @@
 //     to an existing file, and every fragment (#anchor, same-file or
 //     cross-file) matches a heading of the linked document, using
 //     GitHub's heading-to-anchor slug rules;
-//  3. the audited packages (internal/transport and its backends —
-//     the surface a future verbs backend must implement against)
+//  3. the audited packages (internal/transport and its backends,
+//     internal/fabric and chanloop — the surface a future verbs
+//     backend must implement against)
 //     carry a doc comment on every exported top-level declaration;
 //  4. docs/OPERATIONS.md mentions every flag the CLIs register
 //     (`cmd/dfiflow`, `cmd/dfibench`), and the flag tables under its
@@ -102,9 +103,11 @@ func checkPackageComments(root string) []string {
 
 // auditedPackages are the directories whose exported surface is a
 // contract (the transport layer a future verbs backend implements
-// against): every exported top-level declaration must carry a doc
-// comment, stating at minimum its concurrency contract.
+// against, and the two backends behind it): every exported top-level
+// declaration must carry a doc comment, stating at minimum its
+// concurrency contract.
 var auditedPackages = []string{
+	"internal/fabric",
 	"internal/transport",
 	"internal/transport/chanloop",
 	"internal/transport/sharedring",

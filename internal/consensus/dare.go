@@ -5,14 +5,14 @@ import (
 	"fmt"
 	"time"
 
-	"dfi/internal/fabric"
 	"dfi/internal/sim"
+	"dfi/internal/transport"
 	"dfi/internal/ycsb"
 )
 
 // RunDARE executes the DARE baseline (Poke & Hoefler, HPDC 2015): a
 // replicated key-value store over a hand-crafted RDMA consensus protocol.
-// It is implemented directly on the fabric's verbs — no DFI — and models
+// It is implemented directly on transport verbs — no DFI — and models
 // the two properties the paper identifies as DARE's bottlenecks (§6.3.2):
 //
 //  1. Clients are closed-loop: each submits its next request only after
@@ -35,18 +35,18 @@ func RunDARE(cfg Config) (Result, error) {
 	// Follower logs: one-sided write targets.
 	const entrySize = 64
 	logSize := (cfg.Requests + 16) * entrySize
-	followerLogs := make([]*fabric.MemoryRegion, followers)
-	logQPs := make([]*fabric.QP, followers)
+	followerLogs := make([]transport.Region, followers)
+	logQPs := make([]transport.Queue, followers)
 	for i := 0; i < followers; i++ {
-		followerLogs[i] = c.RegisterMemory(c.Node(i+1), logSize)
-		logQPs[i], _ = c.CreateQPPair(leaderNode, c.Node(i+1))
+		followerLogs[i] = c.OpenRegion(c.Node(i+1), logSize)
+		logQPs[i], _ = c.Dial(leaderNode, c.Node(i+1))
 	}
 
 	// Client connections to the leader.
-	clientQPs := make([]*fabric.QP, cfg.Clients) // client end
-	leaderQPs := make([]*fabric.QP, cfg.Clients) // leader end
+	clientQPs := make([]transport.Queue, cfg.Clients) // client end
+	leaderQPs := make([]transport.Queue, cfg.Clients) // leader end
 	for i := 0; i < cfg.Clients; i++ {
-		cq, lq := c.CreateQPPair(clientNode(c, cfg, i), leaderNode)
+		cq, lq := c.Dial(clientNode(c, cfg, i), leaderNode)
 		clientQPs[i], leaderQPs[i] = cq, lq
 	}
 
@@ -92,8 +92,8 @@ func RunDARE(cfg Config) (Result, error) {
 				binary.LittleEndian.PutUint64(blob[i*entrySize+8:], uint64(req.key))
 			}
 			for f := 0; f < followers; f++ {
-				logQPs[f].Write(p, blob, fabric.Addr{MR: followerLogs[f], Off: logTail},
-					fabric.WriteOptions{Signaled: true, ID: uint64(f)})
+				logQPs[f].Write(p, blob, transport.Addr{MR: followerLogs[f], Off: logTail},
+					transport.WriteOptions{Signaled: true, ID: uint64(f)})
 			}
 			// Majority commit: wait for the write completions of the first
 			// majority followers (completions on distinct QPs arrive
@@ -156,7 +156,7 @@ func RunDARE(cfg Config) (Result, error) {
 				// majority of follower states gate the whole read batch.
 				check := make([]byte, 8)
 				for f := 0; f < majority; f++ {
-					logQPs[f].Read(p, check, fabric.Addr{MR: followerLogs[f]}, true, 1<<40)
+					logQPs[f].Read(p, check, transport.Addr{MR: followerLogs[f]}, true, 1<<40)
 				}
 				for f := 0; f < majority; f++ {
 					logQPs[f].SendCQ().Wait(p)

@@ -8,6 +8,7 @@ import (
 
 	"dfi/internal/fabric"
 	"dfi/internal/sim"
+	"dfi/internal/transport"
 )
 
 // Chaos suite: every flow type must deliver its full, correct tuple stream
@@ -33,7 +34,7 @@ func withFaults(fp *fabric.FaultPlan) func(*fabric.Config) {
 func TestChaosShuffleBandwidthWriteLoss(t *testing.T) {
 	// The recorder proves faults actually fired (a chaos test that saw no
 	// faults proves nothing).
-	rec := fabric.NewRecorder(0)
+	rec := transport.NewRecorder(0)
 	e := newEnv(t, 4, withFaults(chaosPlan()))
 	e.c.SetTracer(rec)
 	spec := FlowSpec{
@@ -601,7 +602,7 @@ func TestChaosElasticAttachUnderFaults(t *testing.T) {
 	// jitter are active: retransmission must recover the late joiners'
 	// streams exactly like the initial source's, and the sealed flow ends
 	// with every tuple delivered exactly once.
-	rec := fabric.NewRecorder(0)
+	rec := transport.NewRecorder(0)
 	e := newEnv(t, 4, withFaults(&fabric.FaultPlan{
 		DropWrite:   0.05,
 		Delay:       time.Microsecond,

@@ -55,7 +55,7 @@ func TestScrapeRaceWhileMulticastRuns(t *testing.T) {
 // scrapeWhileFlowRuns runs spec as a 2:2 flow of key/value tuples under
 // the fault plan with the scraper beside it.
 func scrapeWhileFlowRuns(t *testing.T, plan *fabric.FaultPlan, spec FlowSpec) {
-	rec := fabric.NewRecorder(128)
+	rec := transport.NewRecorder(128)
 	rec.WireOverheadBytes = 42
 	e := newEnv(t, 4, withFaults(plan))
 	e.c.SetTracer(rec)

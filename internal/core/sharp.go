@@ -18,10 +18,10 @@ import (
 //	sources ──ingest flow──▶ switch reduction engine ──flush flow──▶ target
 //
 // The reduction engine runs on a switch-resident endpoint
-// (fabric.Cluster.NewSwitchNode): every sender is limited only by its own
-// link, and the engine forwards compact partial aggregates to the target
-// at a configurable interval, shrinking the target's ingress traffic from
-// O(tuples) to O(groups).
+// (transport.Transport.SwitchEndpoint): every sender is limited only by
+// its own link, and the engine forwards compact partial aggregates to the
+// target at a configurable interval, shrinking the target's ingress
+// traffic from O(tuples) to O(groups).
 //
 // This is an extension beyond the paper's implementation; Table/figure
 // reproductions never use it. The ablation experiment and

@@ -8,6 +8,7 @@ import (
 	"dfi/internal/fabric"
 	"dfi/internal/mpi"
 	"dfi/internal/sim"
+	"dfi/internal/transport"
 )
 
 // paperTableBytes is the fixed transfer the paper's Figure 10 reports:
@@ -186,7 +187,7 @@ func mpiP2PRuntime(seed int64, size, threads int, volume int64, multiProcess boo
 
 	if multiProcess {
 		// `threads` ranks on each node, paired sender→receiver.
-		nodes := make([]*fabric.Node, 0, 2*threads)
+		nodes := make([]transport.Endpoint, 0, 2*threads)
 		for i := 0; i < threads; i++ {
 			nodes = append(nodes, c.Node(0))
 		}
@@ -211,7 +212,7 @@ func mpiP2PRuntime(seed int64, size, threads int, volume int64, multiProcess boo
 			})
 		}
 	} else {
-		w := mpi.NewWorld(c, []*fabric.Node{c.Node(0), c.Node(1)}, mpi.DefaultConfig())
+		w := mpi.NewWorld(c, []transport.Endpoint{c.Node(0), c.Node(1)}, mpi.DefaultConfig())
 		w.Rank(0).SetThreads(threads)
 		w.Rank(1).SetThreads(threads)
 		for i := 0; i < threads; i++ {

@@ -8,6 +8,7 @@ import (
 	"dfi/internal/fabric"
 	"dfi/internal/mpi"
 	"dfi/internal/sim"
+	"dfi/internal/transport"
 )
 
 // fig11PaperVolume is the per-node table volume Figure 11's runtimes are
@@ -132,7 +133,7 @@ func mpiMiniBatchShuffle(seed int64, nodes, size int, volume int64) (time.Durati
 	k := sim.New(seed)
 	k.Deadline = 30 * time.Minute
 	c := fabric.NewCluster(k, nodes, fabric.DefaultConfig())
-	ns := make([]*fabric.Node, nodes)
+	ns := make([]transport.Endpoint, nodes)
 	for i := range ns {
 		ns[i] = c.Node(i)
 	}

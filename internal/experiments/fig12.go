@@ -7,6 +7,7 @@ import (
 	"dfi/internal/fabric"
 	"dfi/internal/mpi"
 	"dfi/internal/sim"
+	"dfi/internal/transport"
 )
 
 // RunFig12 reproduces Figure 12: an 8:8 collective shuffle of a table of
@@ -70,7 +71,7 @@ func mpiBatchedShuffle(seed int64, nodes, size int, perNode int64, s float64) (t
 	if s < 1 {
 		c.Node(0).CPUScale = s
 	}
-	ns := make([]*fabric.Node, nodes)
+	ns := make([]transport.Endpoint, nodes)
 	for i := range ns {
 		ns[i] = c.Node(i)
 	}

@@ -9,6 +9,7 @@ import (
 	"dfi/internal/registry"
 	"dfi/internal/schema"
 	"dfi/internal/sim"
+	"dfi/internal/transport"
 )
 
 // padSchema returns a tuple schema of exactly size bytes: an 8-byte key
@@ -182,9 +183,9 @@ func rawVerbPingPong(seed int64, size, iters int) (time.Duration, error) {
 	k.Deadline = time.Minute
 	cfg := fabric.DefaultConfig()
 	c := fabric.NewCluster(k, 2, cfg)
-	qab, qba := c.CreateQPPair(c.Node(0), c.Node(1))
-	mrA := c.RegisterMemory(c.Node(0), size)
-	mrB := c.RegisterMemory(c.Node(1), size)
+	qab, qba := c.Dial(c.Node(0), c.Node(1))
+	mrA := c.OpenRegion(c.Node(0), size)
+	mrB := c.OpenRegion(c.Node(1), size)
 	msg := make([]byte, size)
 	var rtts []time.Duration
 
@@ -192,7 +193,7 @@ func rawVerbPingPong(seed int64, size, iters int) (time.Duration, error) {
 		for i := 0; i < iters; i++ {
 			start := p.Now()
 			msg[size-1] = byte(i + 1)
-			qab.Write(p, msg, fabric.Addr{MR: mrB}, fabric.WriteOptions{CommitTail: 1})
+			qab.Write(p, msg, transport.Addr{MR: mrB}, transport.WriteOptions{CommitTail: 1})
 			for mrA.Bytes()[size-1] != byte(i+1) {
 				mrA.WaitChange(p, 10*time.Microsecond)
 			}
@@ -206,7 +207,7 @@ func rawVerbPingPong(seed int64, size, iters int) (time.Duration, error) {
 				mrB.WaitChange(p, 10*time.Microsecond)
 			}
 			reply[size-1] = byte(i + 1)
-			qba.Write(p, reply, fabric.Addr{MR: mrA}, fabric.WriteOptions{CommitTail: 1})
+			qba.Write(p, reply, transport.Addr{MR: mrA}, transport.WriteOptions{CommitTail: 1})
 		}
 	})
 	if err := k.Run(); err != nil {

@@ -1,11 +1,13 @@
 // Package fabric simulates an RDMA-capable network fabric (nodes, NICs,
 // links, one switch) on top of the dfi/internal/sim discrete-event kernel.
 //
-// It exposes the InfiniBand verb surface that the DFI implementation in the
-// paper is written against: registered memory regions, reliable-connection
-// queue pairs with one-sided WRITE/READ and remote atomics, two-sided
-// SEND/RECV, completion queues with signaled/unsignaled work requests, and
-// unreliable-datagram multicast with switch-side replication.
+// It is the reference backend of dfi/internal/transport and has no verb
+// surface of its own: *Cluster implements transport.Transport and *Node
+// transport.Endpoint, and its queue pairs, completion queues, memory
+// regions and multicast groups are reached only through the transport
+// interfaces. What it exports beyond them is what only a simulator has:
+// the calibrated cost model (Config), fault injection (FaultPlan), and
+// per-node knobs and accounting (CPUScale, RegisteredBytes, BytesTx).
 //
 // Timing follows an analytic FIFO-server link model: each NIC has a TX and
 // an RX queue with an availability time; a message reserves
@@ -28,6 +30,8 @@ import (
 	"dfi/internal/transport"
 )
 
+var _ transport.Transport = (*Cluster)(nil)
+
 // proc asserts the DES execution context. The fabric's blocking waits park
 // on sim conds, so only *sim.Proc contexts (which satisfy transport.Ctx
 // structurally) can drive them.
@@ -39,12 +43,23 @@ func proc(p transport.Ctx) *sim.Proc {
 	return sp
 }
 
-// Cluster is a set of simulated nodes connected through one switch.
+// node asserts a transport endpoint back to the fabric's concrete node.
+func node(ep transport.Endpoint) *Node {
+	n, ok := ep.(*Node)
+	if !ok {
+		panic("fabric: endpoint is not a fabric node")
+	}
+	return n
+}
+
+// Cluster is a set of simulated nodes connected through one switch. It
+// implements transport.Transport; the kernel runs one process at a time,
+// so nothing in it is locked.
 type Cluster struct {
 	K      *sim.Kernel
 	cfg    Config
 	nodes  []*Node
-	tracer Tracer
+	tracer transport.Tracer
 
 	// Freelists for the pooled op-events of the steady-state data path.
 	// They are plain slices, not sync.Pools: the kernel is single-threaded
@@ -73,26 +88,76 @@ func NewCluster(k *sim.Kernel, n int, cfg Config) *Cluster {
 // Config returns the cluster's cost model.
 func (c *Cluster) Config() Config { return c.cfg }
 
-// Nodes returns the number of nodes.
-func (c *Cluster) Nodes() int { return len(c.nodes) }
-
 // Node returns node i.
 func (c *Cluster) Node(i int) *Node { return c.nodes[i] }
 
-// NewSwitchNode adds an in-network-processing endpoint: a node that
+// SwitchEndpoint adds an in-network-processing endpoint: a node that
 // represents compute inside the switch (e.g. InfiniBand SHARP reduction
 // engines). Its ingress is unbounded — each sender is limited only by its
 // own link — which is exactly why in-network aggregation sidesteps the
 // incast cap of a combiner flow's target (paper §4.2.3/§5.4 future work).
-func (c *Cluster) NewSwitchNode() *Node {
-	n := &Node{cluster: c, id: len(c.nodes), CPUScale: 1.0, UnboundedRx: true}
+func (c *Cluster) SwitchEndpoint() transport.Endpoint {
+	n := &Node{cluster: c, id: len(c.nodes), CPUScale: 1.0, unboundedRx: true}
 	c.nodes = append(c.nodes, n)
 	return n
 }
 
+// NewCond returns a condition variable parked on the sim kernel.
+func (c *Cluster) NewCond() transport.Cond {
+	return &simCond{c: sim.NewCond(c.K)}
+}
+
+// Spawn starts fn as a new sim process named name.
+func (c *Cluster) Spawn(parent transport.Ctx, name string, fn func(transport.Ctx)) {
+	proc(parent).Spawn(name, func(sp *sim.Proc) { fn(sp) })
+}
+
+// SetTracer installs a tracer on the cluster (nil disables tracing).
+func (c *Cluster) SetTracer(t transport.Tracer) { c.tracer = t }
+
+// trace reports an op to the installed tracer, if any.
+func (c *Cluster) trace(kind transport.OpKind, from, to *Node, bytes int, posted, arrived time.Duration, disp transport.Disposition) {
+	if c.tracer == nil {
+		return
+	}
+	c.tracer.Trace(transport.TraceOp{
+		Kind: kind, From: from.id, To: to.id, Bytes: bytes,
+		Posted: posted, Arrived: arrived, Disposition: disp,
+	})
+}
+
+// simCond adapts *sim.Cond to transport.Cond by pairing it with a
+// broadcast counter (the kernel runs one process at a time, so the
+// counter needs no lock).
+type simCond struct {
+	c   *sim.Cond
+	seq uint64
+}
+
+func (s *simCond) Seq() uint64 { return s.seq }
+
+func (s *simCond) Wait(p transport.Ctx, since uint64, d time.Duration) bool {
+	sp := proc(p)
+	deadline := sp.Now() + d
+	for s.seq == since {
+		remain := deadline - sp.Now()
+		if remain <= 0 {
+			return false
+		}
+		s.c.WaitTimeout(sp, remain)
+	}
+	return true
+}
+
+func (s *simCond) Broadcast() {
+	s.seq++
+	s.c.Broadcast()
+}
+
 // Node is one simulated server: a CPU (with a speed scale for straggler
 // experiments), one NIC with full-duplex TX/RX link queues, and registered
-// memory.
+// memory. It implements transport.Endpoint and is driven only from
+// processes of its cluster's kernel.
 type Node struct {
 	cluster *Cluster
 	id      int
@@ -102,38 +167,27 @@ type Node struct {
 	// unaffected.
 	CPUScale float64
 
-	// UnboundedRx marks switch-resident endpoints (in-network processing à
+	// unboundedRx marks switch-resident endpoints (in-network processing à
 	// la SHARP): every ingress port absorbs at line rate, so arriving
 	// traffic is not serialized through a single receive link.
-	UnboundedRx bool
+	unboundedRx bool
 
 	txFreeAt sim.Time // next instant the TX link can start serializing
 	rxFreeAt sim.Time
 
 	atomicFreeAt sim.Time // responder-side serialization of remote atomics
 
-	memBytes  int64 // registered memory (accounting, §6.1.4)
-	bytesTx   int64
-	bytesRx   int64
-	msgsTx    int64
-	atomicsRx int64
+	memBytes int64 // registered memory (accounting, §6.1.4)
+	bytesTx  int64
 
-	txBusy time.Duration // cumulative serialization time reserved on TX
+	// Cumulative serialization time reserved on the links: busy/elapsed
+	// is the link utilization.
+	txBusy time.Duration
 	rxBusy time.Duration
 }
 
-// TxBusy and RxBusy return the cumulative serialization time reserved on
-// the node's links — busy/elapsed is the link utilization.
-func (n *Node) TxBusy() time.Duration { return n.txBusy }
-
-// RxBusy returns cumulative RX serialization time.
-func (n *Node) RxBusy() time.Duration { return n.rxBusy }
-
 // ID returns the node index within its cluster.
 func (n *Node) ID() int { return n.id }
-
-// Cluster returns the owning cluster.
-func (n *Node) Cluster() *Cluster { return n.cluster }
 
 // Compute advances p's virtual time by d scaled by the node's CPU speed.
 // All application CPU work in experiments must be charged through Compute
@@ -150,12 +204,6 @@ func (n *Node) RegisteredBytes() int64 { return n.memBytes }
 
 // BytesTx returns the total payload bytes transmitted by the node's NIC.
 func (n *Node) BytesTx() int64 { return n.bytesTx }
-
-// BytesRx returns the total payload bytes received by the node's NIC.
-func (n *Node) BytesRx() int64 { return n.bytesRx }
-
-// MessagesTx returns the number of messages transmitted.
-func (n *Node) MessagesTx() int64 { return n.msgsTx }
 
 // reserveTx reserves serialization time on the node's TX link starting no
 // earlier than `from`, returning the (start, end) of the reservation. Used
@@ -200,61 +248,59 @@ func (c *Cluster) reservePath(from, to *Node, earliest sim.Time, ser time.Durati
 	from.txBusy += ser
 	hop := c.cfg.Propagation + c.cfg.SwitchDelay
 	rxStart := txStart + hop
-	if !to.UnboundedRx && to.rxFreeAt > rxStart {
+	if !to.unboundedRx && to.rxFreeAt > rxStart {
 		rxStart = to.rxFreeAt
 	}
 	rxEnd = rxStart + ser
-	if !to.UnboundedRx {
+	if !to.unboundedRx {
 		to.rxFreeAt = rxEnd
 		to.rxBusy += ser
 	}
 	return txStart, txEnd, rxEnd
 }
 
-// MemoryRegion is a registered memory region on one node, remotely
+// memoryRegion is a registered memory region on one node, remotely
 // accessible through queue pairs. Commit notifications wake local pollers
 // (ConsumeWait-style loops) through the region's condition.
-type MemoryRegion struct {
+type memoryRegion struct {
 	node      *Node
 	buf       []byte
 	cond      *sim.Cond
 	commitSeq uint64
 }
 
-// RegisterMemory allocates and registers size bytes on the node. The
-// allocation is charged to the node's registered-memory accounting.
-func (c *Cluster) RegisterMemory(n *Node, size int) *MemoryRegion {
+// OpenRegion allocates and registers size bytes on ep. The allocation is
+// charged to the node's registered-memory accounting.
+func (c *Cluster) OpenRegion(ep transport.Endpoint, size int) transport.Region {
+	n := node(ep)
 	n.memBytes += int64(size)
-	return &MemoryRegion{node: n, buf: make([]byte, size), cond: sim.NewCond(c.K)}
+	return &memoryRegion{node: n, buf: make([]byte, size), cond: sim.NewCond(c.K)}
 }
 
 // Deregister releases the region's memory from the accounting.
-func (mr *MemoryRegion) Deregister() {
+func (mr *memoryRegion) Deregister() {
 	mr.node.memBytes -= int64(len(mr.buf))
 }
 
 // Bytes exposes the region's backing memory. Local reads/writes by the
 // owning node's processes are free (they model plain loads/stores).
-func (mr *MemoryRegion) Bytes() []byte { return mr.buf }
+func (mr *memoryRegion) Bytes() []byte { return mr.buf }
 
 // Len returns the region size.
-func (mr *MemoryRegion) Len() int { return len(mr.buf) }
+func (mr *memoryRegion) Len() int { return len(mr.buf) }
 
-// Node returns the owning node.
-func (mr *MemoryRegion) Node() *Node { return mr.node }
-
-// Owner returns the owning node as a transport endpoint.
-func (mr *MemoryRegion) Owner() transport.Endpoint { return mr.node }
+// Owner returns the owning node.
+func (mr *memoryRegion) Owner() transport.Endpoint { return mr.node }
 
 // Store copies src into the region at off. The DES kernel is
 // single-threaded, so a plain copy is already synchronized with remote
 // verbs; concurrent backends lock here.
-func (mr *MemoryRegion) Store(off int, src []byte) {
+func (mr *memoryRegion) Store(off int, src []byte) {
 	copy(mr.buf[off:off+len(src)], src)
 }
 
 // Load copies region bytes at off into dst (see Store).
-func (mr *MemoryRegion) Load(off int, dst []byte) {
+func (mr *memoryRegion) Load(off int, dst []byte) {
 	copy(dst, mr.buf[off:off+len(dst)])
 }
 
@@ -262,12 +308,12 @@ func (mr *MemoryRegion) Load(off int, dst []byte) {
 // remote commit and every Notify. Pollers snapshot it before scanning and
 // pass the snapshot to WaitCommit, which makes the scan-then-wait
 // sequence free of lost wake-ups.
-func (mr *MemoryRegion) CommitSeq() uint64 { return mr.commitSeq }
+func (mr *memoryRegion) CommitSeq() uint64 { return mr.commitSeq }
 
 // WaitCommit parks p until the commit counter passes `since` or until d
 // elapses, reporting whether new commits arrived. On wake-up it charges
 // the configured polling-detection granularity.
-func (mr *MemoryRegion) WaitCommit(p transport.Ctx, since uint64, d time.Duration) bool {
+func (mr *memoryRegion) WaitCommit(p transport.Ctx, since uint64, d time.Duration) bool {
 	sp := proc(p)
 	deadline := sp.Now() + d
 	for mr.commitSeq == since {
@@ -287,26 +333,21 @@ func (mr *MemoryRegion) WaitCommit(p transport.Ctx, since uint64, d time.Duratio
 // d elapses; it reports whether a commit occurred. A local memory poller
 // uses this as a simulation-efficient stand-in for spinning; prefer the
 // CommitSeq/WaitCommit pair when work happens between scan and wait.
-func (mr *MemoryRegion) WaitChange(p transport.Ctx, d time.Duration) bool {
+func (mr *memoryRegion) WaitChange(p transport.Ctx, d time.Duration) bool {
 	return mr.WaitCommit(p, mr.commitSeq, d)
 }
 
 // Notify records a commit and wakes pollers: called by the verbs when a
 // remote write lands, and by the owning node's processes for a local
 // store that pollers of this region must notice.
-func (mr *MemoryRegion) Notify() {
+func (mr *memoryRegion) Notify() {
 	mr.commitSeq++
 	mr.cond.Broadcast()
 }
 
-// Addr names a location inside a memory region for remote access. The
-// struct is shared with the transport layer; the fabric's verbs assert
-// the region back to its concrete type with mrOf.
-type Addr = transport.Addr
-
 // mrOf asserts an address's region to the fabric's concrete type.
-func mrOf(a Addr) *MemoryRegion {
-	mr, ok := a.MR.(*MemoryRegion)
+func mrOf(a transport.Addr) *memoryRegion {
+	mr, ok := a.MR.(*memoryRegion)
 	if !ok {
 		panic("fabric: Addr does not reference a fabric memory region")
 	}
@@ -314,7 +355,7 @@ func mrOf(a Addr) *MemoryRegion {
 }
 
 // sliceOf bounds-checks and returns the n-byte window at the address.
-func sliceOf(a Addr, n int) []byte {
+func sliceOf(a transport.Addr, n int) []byte {
 	mr := mrOf(a)
 	if a.Off < 0 || a.Off+n > len(mr.buf) {
 		panic(fmt.Sprintf("fabric: remote access [%d,%d) outside MR of %d bytes", a.Off, a.Off+n, len(mr.buf)))

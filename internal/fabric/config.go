@@ -57,9 +57,6 @@ type Config struct {
 	// member is dropped (unreliable transport).
 	MulticastLoss float64
 
-	// Seed seeds the loss-injection and backoff randomness via the kernel.
-	Seed int64
-
 	// Faults, when non-nil, makes the fabric misbehave according to the
 	// plan: probabilistic verb drops, extra delivery delay and jitter,
 	// duplication, reordering, link flaps, and whole-node crashes. See
@@ -83,13 +80,12 @@ func DefaultConfig() Config {
 		DetectDelay:       80 * time.Nanosecond,
 		AtomicRemoteCost:  150 * time.Nanosecond,
 		MulticastLoss:     0,
-		Seed:              1,
 	}
 }
 
-// ControlBytes is the largest payload that rides the control lane (high
+// controlBytes is the largest payload that rides the control lane (high
 // priority service level): small READs and atomics bypass the bulk FIFO.
-const ControlBytes = 256
+const controlBytes = 256
 
 // serialization returns the wire time for a message with the given payload
 // size.

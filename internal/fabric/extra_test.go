@@ -5,17 +5,18 @@ import (
 	"time"
 
 	"dfi/internal/sim"
+	"dfi/internal/transport"
 )
 
 func TestInlineThresholdReducesSmallWriteLatency(t *testing.T) {
 	oneWay := func(size int) time.Duration {
 		k, c := testCluster(t, 2)
-		qp, _ := c.CreateQPPair(c.Node(0), c.Node(1))
-		mr := c.RegisterMemory(c.Node(1), 64<<10)
+		qp, _ := c.Dial(c.Node(0), c.Node(1))
+		mr := c.OpenRegion(c.Node(1), 64<<10)
 		var d time.Duration
 		k.Spawn("w", func(p *sim.Proc) {
 			start := p.Now()
-			qp.Write(p, make([]byte, size), Addr{MR: mr}, WriteOptions{})
+			qp.Write(p, make([]byte, size), transport.Addr{MR: mr}, transport.WriteOptions{})
 			mr.WaitChange(p, time.Second)
 			d = p.Now() - start
 		})
@@ -39,16 +40,16 @@ func TestControlLaneBypassesBulkBacklog(t *testing.T) {
 	// Regression for the footer-probe pathology: a small READ issued
 	// behind megabytes of queued WRITEs must not wait for the backlog.
 	k, c := testCluster(t, 2)
-	qp, _ := c.CreateQPPair(c.Node(0), c.Node(1))
-	mr := c.RegisterMemory(c.Node(1), 1<<20)
+	qp, _ := c.Dial(c.Node(0), c.Node(1))
+	mr := c.OpenRegion(c.Node(1), 1<<20)
 	var rtt time.Duration
 	k.Spawn("w", func(p *sim.Proc) {
 		big := make([]byte, 1<<20)
 		for i := 0; i < 16; i++ { // ≈ 1.4ms of TX backlog
-			qp.Write(p, big, Addr{MR: mr}, WriteOptions{})
+			qp.Write(p, big, transport.Addr{MR: mr}, transport.WriteOptions{})
 		}
 		buf := make([]byte, 16)
-		rtt = qp.ReadSync(p, buf, Addr{MR: mr})
+		rtt = qp.ReadSync(p, buf, transport.Addr{MR: mr})
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -59,14 +60,14 @@ func TestControlLaneBypassesBulkBacklog(t *testing.T) {
 }
 
 func TestLargeReadUsesBulkLane(t *testing.T) {
-	// Reads above ControlBytes serialize on the links like any transfer.
+	// Reads above controlBytes serialize on the links like any transfer.
 	k, c := testCluster(t, 2)
-	qp, _ := c.CreateQPPair(c.Node(0), c.Node(1))
-	mr := c.RegisterMemory(c.Node(1), 1<<20)
+	qp, _ := c.Dial(c.Node(0), c.Node(1))
+	mr := c.OpenRegion(c.Node(1), 1<<20)
 	var rtt time.Duration
 	k.Spawn("r", func(p *sim.Proc) {
 		buf := make([]byte, 512<<10)
-		rtt = qp.ReadSync(p, buf, Addr{MR: mr})
+		rtt = qp.ReadSync(p, buf, transport.Addr{MR: mr})
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -80,8 +81,8 @@ func TestLargeReadUsesBulkLane(t *testing.T) {
 
 func TestCQWaitTimeout(t *testing.T) {
 	k, c := testCluster(t, 2)
-	qp, _ := c.CreateQPPair(c.Node(0), c.Node(1))
-	mr := c.RegisterMemory(c.Node(1), 64)
+	qp, _ := c.Dial(c.Node(0), c.Node(1))
+	mr := c.OpenRegion(c.Node(1), 64)
 	k.Spawn("p", func(p *sim.Proc) {
 		if _, ok := qp.SendCQ().WaitTimeout(p, 2*time.Microsecond); ok {
 			t.Error("completion from nowhere")
@@ -89,7 +90,7 @@ func TestCQWaitTimeout(t *testing.T) {
 		if p.Now() < 2*time.Microsecond {
 			t.Errorf("timed out early at %v", p.Now())
 		}
-		qp.Write(p, make([]byte, 8), Addr{MR: mr}, WriteOptions{Signaled: true, ID: 5})
+		qp.Write(p, make([]byte, 8), transport.Addr{MR: mr}, transport.WriteOptions{Signaled: true, ID: 5})
 		if comp, ok := qp.SendCQ().WaitTimeout(p, time.Second); !ok || comp.ID != 5 {
 			t.Errorf("comp = %+v ok=%v", comp, ok)
 		}
@@ -101,10 +102,10 @@ func TestCQWaitTimeout(t *testing.T) {
 
 func TestCQWaitNonEmptyDoesNotConsume(t *testing.T) {
 	k, c := testCluster(t, 2)
-	qp, _ := c.CreateQPPair(c.Node(0), c.Node(1))
-	mr := c.RegisterMemory(c.Node(1), 64)
+	qp, _ := c.Dial(c.Node(0), c.Node(1))
+	mr := c.OpenRegion(c.Node(1), 64)
 	k.Spawn("p", func(p *sim.Proc) {
-		qp.Write(p, make([]byte, 8), Addr{MR: mr}, WriteOptions{Signaled: true, ID: 9})
+		qp.Write(p, make([]byte, 8), transport.Addr{MR: mr}, transport.WriteOptions{Signaled: true, ID: 9})
 		if !qp.SendCQ().WaitNonEmpty(p, time.Second) {
 			t.Fatal("no completion")
 		}
@@ -122,7 +123,7 @@ func TestCQWaitNonEmptyDoesNotConsume(t *testing.T) {
 
 func TestPostedRecvsCount(t *testing.T) {
 	k, c := testCluster(t, 2)
-	qa, qb := c.CreateQPPair(c.Node(0), c.Node(1))
+	qa, qb := c.Dial(c.Node(0), c.Node(1))
 	qb.PostRecv(make([]byte, 8), 0)
 	qb.PostRecv(make([]byte, 8), 1)
 	if qb.PostedRecvs() != 2 {
@@ -146,19 +147,19 @@ func TestSwitchNodeUnboundedIngress(t *testing.T) {
 	// Many writers into a switch node: deliveries are not serialized at a
 	// single ingress link (unlike a regular node — the incast test).
 	k, c := testCluster(t, 5)
-	sw := c.NewSwitchNode()
+	sw := c.SwitchEndpoint()
 	const msg = 256 << 10
-	mrs := make([]*MemoryRegion, 4)
+	mrs := make([]transport.Region, 4)
 	var last time.Duration
 	done := sim.NewWaitGroup(k)
 	for s := 0; s < 4; s++ {
 		s := s
-		qp, _ := c.CreateQPPair(c.Node(s), sw)
-		mrs[s] = c.RegisterMemory(sw, msg)
+		qp, _ := c.Dial(c.Node(s), sw)
+		mrs[s] = c.OpenRegion(sw, msg)
 		done.Add(1)
 		k.Spawn("w", func(p *sim.Proc) {
 			for i := 0; i < 8; i++ {
-				qp.Write(p, make([]byte, msg), Addr{MR: mrs[s]}, WriteOptions{Signaled: i == 7})
+				qp.Write(p, make([]byte, msg), transport.Addr{MR: mrs[s]}, transport.WriteOptions{Signaled: i == 7})
 			}
 			// The ACK-based completion implies delivery already happened.
 			qp.SendCQ().Wait(p)
@@ -180,56 +181,42 @@ func TestSwitchNodeUnboundedIngress(t *testing.T) {
 	}
 }
 
-func TestMulticastEndpointFor(t *testing.T) {
-	_, c := testCluster(t, 3)
-	g := c.CreateMulticast(c.Node(1), c.Node(2))
-	if g.EndpointFor(c.Node(2)) != g.Member(1) {
-		t.Fatal("EndpointFor returned wrong endpoint")
-	}
-	if g.EndpointFor(c.Node(0)) != nil {
-		t.Fatal("EndpointFor for non-member should be nil")
-	}
-	if g.Members() != 2 {
-		t.Fatalf("Members = %d", g.Members())
-	}
-}
-
 func TestWriteBoundsPanics(t *testing.T) {
 	k, c := testCluster(t, 2)
-	qp, _ := c.CreateQPPair(c.Node(0), c.Node(1))
-	mr := c.RegisterMemory(c.Node(1), 16)
+	qp, _ := c.Dial(c.Node(0), c.Node(1))
+	mr := c.OpenRegion(c.Node(1), 16)
 	k.Spawn("p", func(p *sim.Proc) {
 		defer func() {
 			if recover() == nil {
 				t.Error("out-of-bounds write did not panic")
 			}
 		}()
-		qp.Write(p, make([]byte, 32), Addr{MR: mr}, WriteOptions{})
+		qp.Write(p, make([]byte, 32), transport.Addr{MR: mr}, transport.WriteOptions{})
 	})
 	_ = k.Run()
 }
 
 func TestWriteWrongPeerPanics(t *testing.T) {
 	k, c := testCluster(t, 3)
-	qp, _ := c.CreateQPPair(c.Node(0), c.Node(1))
-	mr := c.RegisterMemory(c.Node(2), 16) // not the peer
+	qp, _ := c.Dial(c.Node(0), c.Node(1))
+	mr := c.OpenRegion(c.Node(2), 16) // not the peer
 	k.Spawn("p", func(p *sim.Proc) {
 		defer func() {
 			if recover() == nil {
 				t.Error("write to non-peer MR did not panic")
 			}
 		}()
-		qp.Write(p, make([]byte, 8), Addr{MR: mr}, WriteOptions{})
+		qp.Write(p, make([]byte, 8), transport.Addr{MR: mr}, transport.WriteOptions{})
 	})
 	_ = k.Run()
 }
 
 func TestLinkUtilizationCounters(t *testing.T) {
 	k, c := testCluster(t, 2)
-	qp, _ := c.CreateQPPair(c.Node(0), c.Node(1))
-	mr := c.RegisterMemory(c.Node(1), 1<<20)
+	qp, _ := c.Dial(c.Node(0), c.Node(1))
+	mr := c.OpenRegion(c.Node(1), 1<<20)
 	k.Spawn("w", func(p *sim.Proc) {
-		qp.Write(p, make([]byte, 1<<20), Addr{MR: mr}, WriteOptions{Signaled: true})
+		qp.Write(p, make([]byte, 1<<20), transport.Addr{MR: mr}, transport.WriteOptions{Signaled: true})
 		qp.SendCQ().Wait(p)
 	})
 	if err := k.Run(); err != nil {
@@ -237,7 +224,7 @@ func TestLinkUtilizationCounters(t *testing.T) {
 	}
 	dcfg := DefaultConfig()
 	want := dcfg.serialization(1 << 20)
-	if c.Node(0).TxBusy() != want || c.Node(1).RxBusy() != want {
-		t.Fatalf("tx=%v rx=%v want %v", c.Node(0).TxBusy(), c.Node(1).RxBusy(), want)
+	if c.Node(0).txBusy != want || c.Node(1).rxBusy != want {
+		t.Fatalf("tx=%v rx=%v want %v", c.Node(0).txBusy, c.Node(1).rxBusy, want)
 	}
 }

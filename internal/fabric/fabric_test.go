@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"dfi/internal/sim"
+	"dfi/internal/transport"
 )
 
 func testCluster(t *testing.T, n int) (*sim.Kernel, *Cluster) {
@@ -17,14 +18,14 @@ func testCluster(t *testing.T, n int) (*sim.Kernel, *Cluster) {
 
 func TestWriteDeliversPayload(t *testing.T) {
 	k, c := testCluster(t, 2)
-	qp, _ := c.CreateQPPair(c.Node(0), c.Node(1))
-	mr := c.RegisterMemory(c.Node(1), 64)
+	qp, _ := c.Dial(c.Node(0), c.Node(1))
+	mr := c.OpenRegion(c.Node(1), 64)
 	src := []byte("hello, remote memory!")
 
 	k.Spawn("writer", func(p *sim.Proc) {
-		qp.Write(p, src, Addr{MR: mr, Off: 8}, WriteOptions{Signaled: true, ID: 42})
+		qp.Write(p, src, transport.Addr{MR: mr, Off: 8}, transport.WriteOptions{Signaled: true, ID: 42})
 		comp := qp.SendCQ().Wait(p)
-		if comp.ID != 42 || comp.Op != OpWrite {
+		if comp.ID != 42 || comp.Op != transport.OpWrite {
 			t.Errorf("completion = %+v", comp)
 		}
 	})
@@ -38,12 +39,12 @@ func TestWriteDeliversPayload(t *testing.T) {
 
 func TestWriteLatencyIsMicrosecondScale(t *testing.T) {
 	k, c := testCluster(t, 2)
-	qp, _ := c.CreateQPPair(c.Node(0), c.Node(1))
-	mr := c.RegisterMemory(c.Node(1), 64)
+	qp, _ := c.Dial(c.Node(0), c.Node(1))
+	mr := c.OpenRegion(c.Node(1), 64)
 	var elapsed time.Duration
 	k.Spawn("writer", func(p *sim.Proc) {
 		start := p.Now()
-		qp.Write(p, make([]byte, 16), Addr{MR: mr}, WriteOptions{})
+		qp.Write(p, make([]byte, 16), transport.Addr{MR: mr}, transport.WriteOptions{})
 		mr.WaitChange(p, time.Second)
 		elapsed = p.Now() - start
 	})
@@ -57,8 +58,8 @@ func TestWriteLatencyIsMicrosecondScale(t *testing.T) {
 
 func TestFooterCommitsAfterPayload(t *testing.T) {
 	k, c := testCluster(t, 2)
-	qp, _ := c.CreateQPPair(c.Node(0), c.Node(1))
-	mr := c.RegisterMemory(c.Node(1), 1<<14)
+	qp, _ := c.Dial(c.Node(0), c.Node(1))
+	mr := c.OpenRegion(c.Node(1), 1<<14)
 	seg := make([]byte, 8192)
 	for i := range seg {
 		seg[i] = 0xAB
@@ -67,7 +68,7 @@ func TestFooterCommitsAfterPayload(t *testing.T) {
 
 	var sawPayloadWithoutFooter, sawFooterWithoutPayload bool
 	k.Spawn("writer", func(p *sim.Proc) {
-		qp.Write(p, seg, Addr{MR: mr}, WriteOptions{CommitTail: 8})
+		qp.Write(p, seg, transport.Addr{MR: mr}, transport.WriteOptions{CommitTail: 8})
 	})
 	k.Spawn("observer", func(p *sim.Proc) {
 		for i := 0; i < 10000; i++ {
@@ -101,14 +102,14 @@ func TestUnsignaledReuseBeforeCompletionCorrupts(t *testing.T) {
 	// NIC DMA-read finishes) corrupts the delivered data. This is the
 	// hazard DFI's selective signaling exists to prevent.
 	k, c := testCluster(t, 2)
-	qp, _ := c.CreateQPPair(c.Node(0), c.Node(1))
-	mr := c.RegisterMemory(c.Node(1), 8192)
+	qp, _ := c.Dial(c.Node(0), c.Node(1))
+	mr := c.OpenRegion(c.Node(1), 8192)
 	src := make([]byte, 4096)
 	for i := range src {
 		src[i] = 1
 	}
 	k.Spawn("hasty-writer", func(p *sim.Proc) {
-		qp.Write(p, src, Addr{MR: mr}, WriteOptions{})
+		qp.Write(p, src, transport.Addr{MR: mr}, transport.WriteOptions{})
 		for i := range src {
 			src[i] = 2 // reuse immediately — no completion awaited
 		}
@@ -123,14 +124,14 @@ func TestUnsignaledReuseBeforeCompletionCorrupts(t *testing.T) {
 
 func TestSignaledCompletionMakesReuseSafe(t *testing.T) {
 	k, c := testCluster(t, 2)
-	qp, _ := c.CreateQPPair(c.Node(0), c.Node(1))
-	mr := c.RegisterMemory(c.Node(1), 8192)
+	qp, _ := c.Dial(c.Node(0), c.Node(1))
+	mr := c.OpenRegion(c.Node(1), 8192)
 	src := make([]byte, 4096)
 	for i := range src {
 		src[i] = 1
 	}
 	k.Spawn("careful-writer", func(p *sim.Proc) {
-		qp.Write(p, src, Addr{MR: mr}, WriteOptions{Signaled: true})
+		qp.Write(p, src, transport.Addr{MR: mr}, transport.WriteOptions{Signaled: true})
 		qp.SendCQ().Wait(p)
 		for i := range src {
 			src[i] = 2
@@ -146,17 +147,17 @@ func TestSignaledCompletionMakesReuseSafe(t *testing.T) {
 
 func TestSingleStreamReachesLinkBandwidth(t *testing.T) {
 	k, c := testCluster(t, 2)
-	qp, _ := c.CreateQPPair(c.Node(0), c.Node(1))
+	qp, _ := c.Dial(c.Node(0), c.Node(1))
 	const msg = 64 << 10
 	const n = 200
-	mr := c.RegisterMemory(c.Node(1), msg)
+	mr := c.OpenRegion(c.Node(1), msg)
 	src := make([]byte, msg)
 	var elapsed time.Duration
 	k.Spawn("stream", func(p *sim.Proc) {
 		start := p.Now()
 		for i := 0; i < n; i++ {
 			sig := i == n-1
-			qp.Write(p, src, Addr{MR: mr}, WriteOptions{Signaled: sig})
+			qp.Write(p, src, transport.Addr{MR: mr}, transport.WriteOptions{Signaled: sig})
 		}
 		qp.SendCQ().Wait(p)
 		elapsed = p.Now() - start
@@ -178,15 +179,15 @@ func TestIncastSharesReceiverLink(t *testing.T) {
 	k, c := testCluster(t, 5)
 	const msg = 64 << 10
 	const perSender = 50
-	mrs := make([]*MemoryRegion, 4)
+	mrs := make([]transport.Region, 4)
 	for s := 0; s < 4; s++ {
 		s := s
-		qp, _ := c.CreateQPPair(c.Node(1+s), c.Node(0))
-		mrs[s] = c.RegisterMemory(c.Node(0), msg)
+		qp, _ := c.Dial(c.Node(1+s), c.Node(0))
+		mrs[s] = c.OpenRegion(c.Node(0), msg)
 		k.Spawn("sender", func(p *sim.Proc) {
 			src := make([]byte, msg)
 			for i := 0; i < perSender; i++ {
-				qp.Write(p, src, Addr{MR: mrs[s]}, WriteOptions{Signaled: i == perSender-1})
+				qp.Write(p, src, transport.Addr{MR: mrs[s]}, transport.WriteOptions{Signaled: i == perSender-1})
 			}
 			qp.SendCQ().Wait(p)
 		})
@@ -225,12 +226,12 @@ func TestIncastSharesReceiverLink(t *testing.T) {
 
 func TestReadRoundTrip(t *testing.T) {
 	k, c := testCluster(t, 2)
-	qp, _ := c.CreateQPPair(c.Node(0), c.Node(1))
-	mr := c.RegisterMemory(c.Node(1), 64)
+	qp, _ := c.Dial(c.Node(0), c.Node(1))
+	mr := c.OpenRegion(c.Node(1), 64)
 	copy(mr.Bytes()[16:], "remote-data")
 	k.Spawn("reader", func(p *sim.Proc) {
 		dst := make([]byte, 11)
-		rtt := qp.ReadSync(p, dst, Addr{MR: mr, Off: 16})
+		rtt := qp.ReadSync(p, dst, transport.Addr{MR: mr, Off: 16})
 		if string(dst) != "remote-data" {
 			t.Errorf("read %q", dst)
 		}
@@ -245,15 +246,15 @@ func TestReadRoundTrip(t *testing.T) {
 
 func TestFetchAddReturnsOldAndSerializes(t *testing.T) {
 	k, c := testCluster(t, 3)
-	mr := c.RegisterMemory(c.Node(0), 8)
+	mr := c.OpenRegion(c.Node(0), 8)
 	seen := map[uint64]bool{}
 	done := sim.NewWaitGroup(k)
 	for s := 1; s <= 2; s++ {
-		qp, _ := c.CreateQPPair(c.Node(s), c.Node(0))
+		qp, _ := c.Dial(c.Node(s), c.Node(0))
 		done.Add(1)
 		k.Spawn("adder", func(p *sim.Proc) {
 			for i := 0; i < 10; i++ {
-				old := qp.FetchAdd(p, Addr{MR: mr}, 1)
+				old := qp.FetchAdd(p, transport.Addr{MR: mr}, 1)
 				if seen[old] {
 					t.Errorf("duplicate sequence number %d", old)
 				}
@@ -275,14 +276,14 @@ func TestFetchAddReturnsOldAndSerializes(t *testing.T) {
 
 func TestCompareSwap(t *testing.T) {
 	k, c := testCluster(t, 2)
-	mr := c.RegisterMemory(c.Node(1), 8)
+	mr := c.OpenRegion(c.Node(1), 8)
 	putLE64(mr.Bytes(), 5)
-	qp, _ := c.CreateQPPair(c.Node(0), c.Node(1))
+	qp, _ := c.Dial(c.Node(0), c.Node(1))
 	k.Spawn("cas", func(p *sim.Proc) {
-		if old := qp.CompareSwap(p, Addr{MR: mr}, 5, 9); old != 5 {
+		if old := qp.CompareSwap(p, transport.Addr{MR: mr}, 5, 9); old != 5 {
 			t.Errorf("first CAS old = %d", old)
 		}
-		if old := qp.CompareSwap(p, Addr{MR: mr}, 5, 11); old != 9 {
+		if old := qp.CompareSwap(p, transport.Addr{MR: mr}, 5, 11); old != 9 {
 			t.Errorf("failed CAS old = %d", old)
 		}
 		if got := le64(mr.Bytes()); got != 9 {
@@ -296,13 +297,13 @@ func TestCompareSwap(t *testing.T) {
 
 func TestSendRecvMatched(t *testing.T) {
 	k, c := testCluster(t, 2)
-	qa, qb := c.CreateQPPair(c.Node(0), c.Node(1))
+	qa, qb := c.Dial(c.Node(0), c.Node(1))
 	buf := make([]byte, 32)
 	qb.PostRecv(buf, 9)
 	k.Spawn("sender", func(p *sim.Proc) {
 		qa.Send(p, []byte("ping"), false, 0)
 	})
-	var comp Completion
+	var comp transport.Completion
 	k.Spawn("receiver", func(p *sim.Proc) {
 		comp = qb.RecvCQ().Wait(p)
 	})
@@ -316,7 +317,7 @@ func TestSendRecvMatched(t *testing.T) {
 
 func TestSendBeforeRecvIsQueuedOnRC(t *testing.T) {
 	k, c := testCluster(t, 2)
-	qa, qb := c.CreateQPPair(c.Node(0), c.Node(1))
+	qa, qb := c.Dial(c.Node(0), c.Node(1))
 	k.Spawn("sender", func(p *sim.Proc) {
 		qa.Send(p, []byte("early"), false, 0)
 	})
@@ -336,7 +337,7 @@ func TestSendBeforeRecvIsQueuedOnRC(t *testing.T) {
 
 func TestMulticastFanOut(t *testing.T) {
 	k, c := testCluster(t, 4)
-	g := c.CreateMulticast(c.Node(1), c.Node(2), c.Node(3))
+	g := c.Multicast(c.Node(1), c.Node(2), c.Node(3))
 	bufs := make([][]byte, 3)
 	for i := 0; i < 3; i++ {
 		bufs[i] = make([]byte, 16)
@@ -366,15 +367,15 @@ func TestMulticastFanOut(t *testing.T) {
 
 func TestMulticastDropsWithoutPostedRecv(t *testing.T) {
 	k, c := testCluster(t, 2)
-	g := c.CreateMulticast(c.Node(1))
+	g := c.Multicast(c.Node(1))
 	k.Spawn("mc-sender", func(p *sim.Proc) {
 		g.Send(p, c.Node(0), []byte("lost"), false)
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if g.Member(0).Drops != 1 {
-		t.Fatalf("drops = %d, want 1", g.Member(0).Drops)
+	if g.Member(0).DropCount() != 1 {
+		t.Fatalf("drops = %d, want 1", g.Member(0).DropCount())
 	}
 }
 
@@ -383,7 +384,7 @@ func TestMulticastLossInjection(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MulticastLoss = 0.5
 	c := NewCluster(k, 2, cfg)
-	g := c.CreateMulticast(c.Node(1))
+	g := c.Multicast(c.Node(1))
 	const n = 400
 	for i := 0; i < n; i++ {
 		g.Member(0).PostRecv(make([]byte, 8), uint64(i))
@@ -396,7 +397,7 @@ func TestMulticastLossInjection(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	drops := g.Member(0).Drops
+	drops := g.Member(0).DropCount()
 	if drops < n/4 || drops > 3*n/4 {
 		t.Fatalf("drops = %d of %d, want roughly half", drops, n)
 	}
@@ -406,11 +407,11 @@ func TestMulticastUsesSenderLinkOnce(t *testing.T) {
 	// Aggregate delivered bandwidth across 8 members should far exceed the
 	// sender's link speed (switch-side replication, Figure 8b).
 	k, c := testCluster(t, 9)
-	members := make([]*Node, 8)
+	members := make([]transport.Endpoint, 8)
 	for i := range members {
 		members[i] = c.Node(i + 1)
 	}
-	g := c.CreateMulticast(members...)
+	g := c.Multicast(members...)
 	const msg = 8 << 10
 	const n = 200
 	for i := 0; i < 8; i++ {
@@ -453,7 +454,7 @@ func TestMulticastUsesSenderLinkOnce(t *testing.T) {
 func TestMemoryAccounting(t *testing.T) {
 	k, c := testCluster(t, 1)
 	_ = k
-	mr := c.RegisterMemory(c.Node(0), 1<<20)
+	mr := c.OpenRegion(c.Node(0), 1<<20)
 	if c.Node(0).RegisteredBytes() != 1<<20 {
 		t.Fatalf("registered = %d", c.Node(0).RegisteredBytes())
 	}

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"dfi/internal/sim"
+	"dfi/internal/transport"
 )
 
 // Fault injection: a FaultPlan makes the simulated fabric misbehave so the
@@ -40,7 +41,8 @@ import (
 // is exactly as reproducible as a healthy one.
 
 // FaultPlan configures fault injection for a cluster. The zero value (and
-// a nil plan) injects nothing.
+// a nil plan) injects nothing. The cluster reads it from kernel context
+// without locks, so it must not change once the kernel runs.
 type FaultPlan struct {
 	// Per-verb probabilistic drop. DropWrite loses the remote effect
 	// while keeping the sender's completion; DropRead loses the response
@@ -140,15 +142,15 @@ type verdict struct {
 }
 
 // dropProb returns the plan's drop probability for the verb kind.
-func (fp *FaultPlan) dropProb(kind OpKind) float64 {
+func (fp *FaultPlan) dropProb(kind transport.OpKind) float64 {
 	switch kind {
-	case OpWrite:
+	case transport.OpWrite:
 		return fp.DropWrite
-	case OpRead:
+	case transport.OpRead:
 		return fp.DropRead
-	case OpSend, OpRecv:
+	case transport.OpSend, transport.OpRecv:
 		return fp.DropSend
-	case OpFetchAdd, OpCompareSwap:
+	case transport.OpFetchAdd, transport.OpCompareSwap:
 		return fp.DropAtomic
 	}
 	return 0
@@ -158,7 +160,7 @@ func (fp *FaultPlan) dropProb(kind OpKind) float64 {
 // now on the from→to link, delivered no earlier than deliverAt (used for
 // flap-window checks). Must run in process or scheduler context (it
 // consumes kernel randomness).
-func (c *Cluster) fault(kind OpKind, from, to *Node, deliverAt sim.Time) verdict {
+func (c *Cluster) fault(kind transport.OpKind, from, to *Node, deliverAt sim.Time) verdict {
 	fp := c.cfg.Faults
 	if fp == nil {
 		return verdict{}
@@ -204,7 +206,7 @@ func (c *Cluster) fault(kind OpKind, from, to *Node, deliverAt sim.Time) verdict
 		}
 		v.delay += d
 	}
-	if fp.Duplicate > 0 && (kind == OpWrite || kind == OpSend) && rng.Float64() < fp.Duplicate {
+	if fp.Duplicate > 0 && (kind == transport.OpWrite || kind == transport.OpSend) && rng.Float64() < fp.Duplicate {
 		v.duplicate = true
 	}
 	return v
@@ -217,10 +219,3 @@ func (fp *FaultPlan) dupDelay() time.Duration {
 	}
 	return fp.DuplicateDelay
 }
-
-// SetFaults installs (or clears, with nil) the cluster's fault plan at
-// runtime.
-func (c *Cluster) SetFaults(fp *FaultPlan) { c.cfg.Faults = fp }
-
-// Faults returns the cluster's fault plan (nil when fault-free).
-func (c *Cluster) Faults() *FaultPlan { return c.cfg.Faults }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"dfi/internal/sim"
+	"dfi/internal/transport"
 )
 
 func faultCluster(t *testing.T, n int, fp *FaultPlan) (*sim.Kernel, *Cluster) {
@@ -19,14 +20,14 @@ func faultCluster(t *testing.T, n int, fp *FaultPlan) (*sim.Kernel, *Cluster) {
 
 func TestFaultDropWrite(t *testing.T) {
 	k, c := faultCluster(t, 2, &FaultPlan{DropWrite: 1})
-	rec := NewRecorder(0)
+	rec := transport.NewRecorder(0)
 	c.SetTracer(rec)
-	qp, _ := c.CreateQPPair(c.Node(0), c.Node(1))
-	mr := c.RegisterMemory(c.Node(1), 64)
+	qp, _ := c.Dial(c.Node(0), c.Node(1))
+	mr := c.OpenRegion(c.Node(1), 64)
 	src := []byte("must not arrive")
 
 	k.Spawn("writer", func(p *sim.Proc) {
-		qp.Write(p, src, Addr{MR: mr}, WriteOptions{Signaled: true, ID: 1})
+		qp.Write(p, src, transport.Addr{MR: mr}, transport.WriteOptions{Signaled: true, ID: 1})
 		// UC-like loss semantics: the sender still sees its completion.
 		if _, ok := qp.SendCQ().WaitTimeout(p, time.Second); !ok {
 			t.Error("dropped WRITE should still complete locally")
@@ -45,11 +46,11 @@ func TestFaultDropWrite(t *testing.T) {
 
 func TestFaultDropReadLosesCompletion(t *testing.T) {
 	k, c := faultCluster(t, 2, &FaultPlan{DropRead: 1})
-	qp, _ := c.CreateQPPair(c.Node(0), c.Node(1))
-	mr := c.RegisterMemory(c.Node(1), 64)
+	qp, _ := c.Dial(c.Node(0), c.Node(1))
+	mr := c.OpenRegion(c.Node(1), 64)
 	k.Spawn("reader", func(p *sim.Proc) {
 		dst := make([]byte, 16)
-		qp.Read(p, dst, Addr{MR: mr}, true, 9)
+		qp.Read(p, dst, transport.Addr{MR: mr}, true, 9)
 		if _, ok := qp.SendCQ().WaitTimeout(p, time.Second); ok {
 			t.Error("dropped READ must not complete")
 		}
@@ -62,12 +63,12 @@ func TestFaultDropReadLosesCompletion(t *testing.T) {
 func TestFaultDelayShiftsDelivery(t *testing.T) {
 	const extra = 50 * time.Microsecond
 	k, c := faultCluster(t, 2, &FaultPlan{Delay: extra})
-	qp, _ := c.CreateQPPair(c.Node(0), c.Node(1))
-	mr := c.RegisterMemory(c.Node(1), 64)
+	qp, _ := c.Dial(c.Node(0), c.Node(1))
+	mr := c.OpenRegion(c.Node(1), 64)
 	var elapsed time.Duration
 	k.Spawn("writer", func(p *sim.Proc) {
 		start := p.Now()
-		qp.Write(p, make([]byte, 16), Addr{MR: mr}, WriteOptions{})
+		qp.Write(p, make([]byte, 16), transport.Addr{MR: mr}, transport.WriteOptions{})
 		mr.WaitChange(p, time.Second)
 		elapsed = p.Now() - start
 	})
@@ -81,16 +82,16 @@ func TestFaultDelayShiftsDelivery(t *testing.T) {
 
 func TestFaultDuplicateWritePreservesTailOrder(t *testing.T) {
 	k, c := faultCluster(t, 2, &FaultPlan{Duplicate: 1})
-	rec := NewRecorder(0)
+	rec := transport.NewRecorder(0)
 	c.SetTracer(rec)
-	qp, _ := c.CreateQPPair(c.Node(0), c.Node(1))
-	mr := c.RegisterMemory(c.Node(1), 128)
+	qp, _ := c.Dial(c.Node(0), c.Node(1))
+	mr := c.OpenRegion(c.Node(1), 128)
 	src := make([]byte, 64)
 	for i := range src {
 		src[i] = byte(i)
 	}
 	k.Spawn("writer", func(p *sim.Proc) {
-		qp.Write(p, src, Addr{MR: mr}, WriteOptions{CommitTail: 16})
+		qp.Write(p, src, transport.Addr{MR: mr}, transport.WriteOptions{CommitTail: 16})
 		p.Sleep(time.Millisecond)
 		if !bytes.Equal(mr.Bytes()[:64], src) {
 			t.Error("duplicated WRITE corrupted payload")
@@ -107,13 +108,13 @@ func TestFaultDuplicateWritePreservesTailOrder(t *testing.T) {
 func TestFaultLinkScopedDrop(t *testing.T) {
 	fp := &FaultPlan{Links: []LinkFault{{From: 0, To: 1, Drop: 1}}}
 	k, c := faultCluster(t, 3, fp)
-	q01, _ := c.CreateQPPair(c.Node(0), c.Node(1))
-	q02, _ := c.CreateQPPair(c.Node(0), c.Node(2))
-	mr1 := c.RegisterMemory(c.Node(1), 64)
-	mr2 := c.RegisterMemory(c.Node(2), 64)
+	q01, _ := c.Dial(c.Node(0), c.Node(1))
+	q02, _ := c.Dial(c.Node(0), c.Node(2))
+	mr1 := c.OpenRegion(c.Node(1), 64)
+	mr2 := c.OpenRegion(c.Node(2), 64)
 	k.Spawn("writer", func(p *sim.Proc) {
-		q01.Write(p, []byte("to-node1"), Addr{MR: mr1}, WriteOptions{})
-		q02.Write(p, []byte("to-node2"), Addr{MR: mr2}, WriteOptions{})
+		q01.Write(p, []byte("to-node1"), transport.Addr{MR: mr1}, transport.WriteOptions{})
+		q02.Write(p, []byte("to-node2"), transport.Addr{MR: mr2}, transport.WriteOptions{})
 		p.Sleep(time.Millisecond)
 	})
 	if err := k.Run(); err != nil {
@@ -133,14 +134,14 @@ func TestFaultLinkFlapWindow(t *testing.T) {
 		Flaps: []FlapWindow{{Start: 10 * time.Microsecond, End: 20 * time.Microsecond}},
 	}}}
 	k, c := faultCluster(t, 2, fp)
-	qp, _ := c.CreateQPPair(c.Node(0), c.Node(1))
-	mr := c.RegisterMemory(c.Node(1), 64)
+	qp, _ := c.Dial(c.Node(0), c.Node(1))
+	mr := c.OpenRegion(c.Node(1), 64)
 	k.Spawn("writer", func(p *sim.Proc) {
-		qp.Write(p, []byte{1}, Addr{MR: mr, Off: 0}, WriteOptions{}) // before flap
+		qp.Write(p, []byte{1}, transport.Addr{MR: mr, Off: 0}, transport.WriteOptions{}) // before flap
 		p.Sleep(12 * time.Microsecond)
-		qp.Write(p, []byte{2}, Addr{MR: mr, Off: 1}, WriteOptions{}) // inside flap
+		qp.Write(p, []byte{2}, transport.Addr{MR: mr, Off: 1}, transport.WriteOptions{}) // inside flap
 		p.Sleep(20 * time.Microsecond)
-		qp.Write(p, []byte{3}, Addr{MR: mr, Off: 2}, WriteOptions{}) // after flap
+		qp.Write(p, []byte{3}, transport.Addr{MR: mr, Off: 2}, transport.WriteOptions{}) // after flap
 		p.Sleep(time.Millisecond)
 	})
 	if err := k.Run(); err != nil {
@@ -155,23 +156,23 @@ func TestFaultLinkFlapWindow(t *testing.T) {
 func TestFaultNodeCrashSilencesBothDirections(t *testing.T) {
 	fp := (&FaultPlan{}).CrashNode(1, 5*time.Microsecond)
 	k, c := faultCluster(t, 2, fp)
-	qp, qpB := c.CreateQPPair(c.Node(0), c.Node(1))
-	mr := c.RegisterMemory(c.Node(1), 64)
-	mr0 := c.RegisterMemory(c.Node(0), 64)
+	qp, qpB := c.Dial(c.Node(0), c.Node(1))
+	mr := c.OpenRegion(c.Node(1), 64)
+	mr0 := c.OpenRegion(c.Node(0), 64)
 	k.Spawn("survivor", func(p *sim.Proc) {
 		p.Sleep(10 * time.Microsecond) // past the crash
-		qp.Write(p, []byte("late"), Addr{MR: mr}, WriteOptions{Signaled: true, ID: 7})
+		qp.Write(p, []byte("late"), transport.Addr{MR: mr}, transport.WriteOptions{Signaled: true, ID: 7})
 		if _, ok := qp.SendCQ().WaitTimeout(p, time.Second); ok {
 			t.Error("WRITE to crashed node must not complete")
 		}
-		if v := qp.FetchAdd(p, Addr{MR: mr}, 1); v != 0 {
+		if v := qp.FetchAdd(p, transport.Addr{MR: mr}, 1); v != 0 {
 			t.Errorf("atomic to crashed node returned %d, want 0", v)
 		}
 	})
 	k.Spawn("crashed", func(p *sim.Proc) {
 		p.Sleep(10 * time.Microsecond)
 		// Posts from a crashed node also go nowhere.
-		qpB.Write(p, []byte("ghost"), Addr{MR: mr0}, WriteOptions{Signaled: true, ID: 8})
+		qpB.Write(p, []byte("ghost"), transport.Addr{MR: mr0}, transport.WriteOptions{Signaled: true, ID: 8})
 		if _, ok := qpB.SendCQ().WaitTimeout(p, time.Second); ok {
 			t.Error("WRITE from crashed node must not complete")
 		}
@@ -186,11 +187,11 @@ func TestFaultNodeCrashSilencesBothDirections(t *testing.T) {
 
 func TestFaultAtomicDropIsRetryNotLoss(t *testing.T) {
 	k, c := faultCluster(t, 2, &FaultPlan{DropAtomic: 1})
-	qp, _ := c.CreateQPPair(c.Node(0), c.Node(1))
-	mr := c.RegisterMemory(c.Node(1), 64)
+	qp, _ := c.Dial(c.Node(0), c.Node(1))
+	mr := c.OpenRegion(c.Node(1), 64)
 	k.Spawn("adder", func(p *sim.Proc) {
 		for i := 0; i < 4; i++ {
-			qp.FetchAdd(p, Addr{MR: mr}, 1)
+			qp.FetchAdd(p, transport.Addr{MR: mr}, 1)
 		}
 		// Exactly-once execution despite 100% "drop": each op is a retry.
 		if v := le64(mr.Bytes()[:8]); v != 4 {
@@ -205,7 +206,7 @@ func TestFaultAtomicDropIsRetryNotLoss(t *testing.T) {
 func TestFaultMulticastPerMemberDrop(t *testing.T) {
 	fp := &FaultPlan{Links: []LinkFault{{From: -1, To: 2, Drop: 1}}}
 	k, c := faultCluster(t, 3, fp)
-	g := c.CreateMulticast(c.Node(0), c.Node(1), c.Node(2))
+	g := c.Multicast(c.Node(0), c.Node(1), c.Node(2))
 	for i := 1; i <= 2; i++ {
 		g.Member(i).PostRecv(make([]byte, 32), uint64(i))
 	}
@@ -219,8 +220,8 @@ func TestFaultMulticastPerMemberDrop(t *testing.T) {
 	if g.Member(1).RecvCQ().Len() != 1 {
 		t.Fatal("member 1 should have received the message")
 	}
-	if g.Member(2).RecvCQ().Len() != 0 || g.Member(2).Drops != 1 {
-		t.Fatalf("member 2 recv=%d drops=%d, want 0/1", g.Member(2).RecvCQ().Len(), g.Member(2).Drops)
+	if g.Member(2).RecvCQ().Len() != 0 || g.Member(2).DropCount() != 1 {
+		t.Fatalf("member 2 recv=%d drops=%d, want 0/1", g.Member(2).RecvCQ().Len(), g.Member(2).DropCount())
 	}
 }
 
@@ -231,13 +232,13 @@ func TestFaultsDeterministicUnderSeed(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Faults = &FaultPlan{DropWrite: 0.3, DelayJitter: 3 * time.Microsecond}
 		c := NewCluster(k, 2, cfg)
-		rec := NewRecorder(0)
+		rec := transport.NewRecorder(0)
 		c.SetTracer(rec)
-		qp, _ := c.CreateQPPair(c.Node(0), c.Node(1))
-		mr := c.RegisterMemory(c.Node(1), 256)
+		qp, _ := c.Dial(c.Node(0), c.Node(1))
+		mr := c.OpenRegion(c.Node(1), 256)
 		k.Spawn("writer", func(p *sim.Proc) {
 			for i := 0; i < 100; i++ {
-				qp.Write(p, []byte{byte(i)}, Addr{MR: mr, Off: i}, WriteOptions{})
+				qp.Write(p, []byte{byte(i)}, transport.Addr{MR: mr, Off: i}, transport.WriteOptions{})
 				p.Sleep(time.Microsecond)
 			}
 		})

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"dfi/internal/sim"
+	"dfi/internal/transport"
 )
 
 // TestPropertyWriteIntegrity: arbitrary sequences of WRITEs (random
@@ -31,13 +32,13 @@ func TestPropertyWriteIntegrity(t *testing.T) {
 		k.Deadline = time.Minute
 		c := NewCluster(k, senders+1, DefaultConfig())
 		dst := c.Node(senders)
-		mrs := make([]*MemoryRegion, senders)
+		mrs := make([]transport.Region, senders)
 		srcs := make([][]byte, senders)
 
 		for s := 0; s < senders; s++ {
 			s := s
-			mrs[s] = c.RegisterMemory(dst, size)
-			qp, _ := c.CreateQPPair(c.Node(s), dst)
+			mrs[s] = c.OpenRegion(dst, size)
+			qp, _ := c.Dial(c.Node(s), dst)
 			srcs[s] = make([]byte, size)
 			for i := range srcs[s] {
 				srcs[s][i] = byte(s*31 + i)
@@ -46,7 +47,7 @@ func TestPropertyWriteIntegrity(t *testing.T) {
 				buf := make([]byte, size)
 				for w := 0; w < writes; w++ {
 					copy(buf, srcs[s])
-					qp.Write(p, buf, Addr{MR: mrs[s]}, WriteOptions{
+					qp.Write(p, buf, transport.Addr{MR: mrs[s]}, transport.WriteOptions{
 						Signaled:   true,
 						CommitTail: tail,
 					})
@@ -82,13 +83,13 @@ func TestPropertyFetchAddLinearizable(t *testing.T) {
 		k := sim.New(3)
 		k.Deadline = time.Minute
 		c := NewCluster(k, n+1, DefaultConfig())
-		mr := c.RegisterMemory(c.Node(n), 8)
+		mr := c.OpenRegion(c.Node(n), 8)
 		seen := make(map[uint64]bool)
 		for i := 0; i < n; i++ {
-			qp, _ := c.CreateQPPair(c.Node(i), c.Node(n))
+			qp, _ := c.Dial(c.Node(i), c.Node(n))
 			k.Spawn(fmt.Sprintf("a%d", i), func(p *sim.Proc) {
 				for j := 0; j < ops; j++ {
-					old := qp.FetchAdd(p, Addr{MR: mr}, 1)
+					old := qp.FetchAdd(p, transport.Addr{MR: mr}, 1)
 					if seen[old] {
 						panic("duplicate")
 					}
@@ -127,7 +128,7 @@ func TestPropertySendRecvFIFO(t *testing.T) {
 		k := sim.New(9)
 		k.Deadline = time.Minute
 		c := NewCluster(k, 2, DefaultConfig())
-		qa, qb := c.CreateQPPair(c.Node(0), c.Node(1))
+		qa, qb := c.Dial(c.Node(0), c.Node(1))
 
 		k.Spawn("sender", func(p *sim.Proc) {
 			for i := 0; i < n; i++ {

@@ -7,51 +7,31 @@ import (
 	"dfi/internal/transport"
 )
 
-// The verb vocabulary (op kinds, completions, work requests) lives in
-// dfi/internal/transport so all backends share it; the fabric re-exports
-// the names for its callers and tests.
-
-// OpKind identifies the verb that produced a completion.
-type OpKind = transport.OpKind
-
-// Verb kinds reported in completions.
-const (
-	OpWrite       = transport.OpWrite
-	OpRead        = transport.OpRead
-	OpSend        = transport.OpSend
-	OpRecv        = transport.OpRecv
-	OpFetchAdd    = transport.OpFetchAdd
-	OpCompareSwap = transport.OpCompareSwap
-)
-
-// Completion is one completion-queue entry.
-type Completion = transport.Completion
-
-// CQ is a completion queue. Entries are appended by the fabric at
-// completion time; processes drain them with Poll or Wait. CQ implements
-// transport.CompletionQueue; its blocking waits park on sim conds, so
-// only *sim.Proc contexts can drive them.
+// completionQueue is a completion queue. Entries are appended by the
+// fabric at completion time; processes drain them with Poll or Wait. It
+// implements transport.CompletionQueue; its blocking waits park on sim
+// conds, so only *sim.Proc contexts can drive them.
 //
 // Entries live in a head-indexed slice reused ring-style: pops advance
 // head instead of reslicing, and a push into an empty or exhausted queue
 // rewinds to the front, so steady-state push/drain cycles never
 // reallocate.
-type CQ struct {
+type completionQueue struct {
 	cfg     *Config
-	entries []Completion
+	entries []transport.Completion
 	head    int
 	cond    *sim.Cond
 }
 
-// NewCQ creates a completion queue on the cluster.
-func (c *Cluster) NewCQ() *CQ {
-	return &CQ{cfg: &c.cfg, cond: sim.NewCond(c.K)}
+// newCQ creates a completion queue on the cluster.
+func (c *Cluster) newCQ() *completionQueue {
+	return &completionQueue{cfg: &c.cfg, cond: sim.NewCond(c.K)}
 }
 
 // push appends an entry and wakes waiters. Called from event context. It
 // reuses the slice's front whenever the queue is empty (and compacts
 // before a growing append would otherwise abandon the popped prefix).
-func (cq *CQ) push(e Completion) {
+func (cq *completionQueue) push(e transport.Completion) {
 	if cq.head == len(cq.entries) {
 		cq.head = 0
 		cq.entries = cq.entries[:0]
@@ -65,26 +45,26 @@ func (cq *CQ) push(e Completion) {
 	cq.cond.Broadcast()
 }
 
-func clearCompletions(cs []Completion) {
+func clearCompletions(cs []transport.Completion) {
 	for i := range cs {
-		cs[i] = Completion{}
+		cs[i] = transport.Completion{}
 	}
 }
 
 // pop removes the head entry; the caller must have checked Len() > 0.
 // The vacated slot is zeroed so it retains no Buf reference.
-func (cq *CQ) pop() Completion {
+func (cq *completionQueue) pop() transport.Completion {
 	e := cq.entries[cq.head]
-	cq.entries[cq.head] = Completion{}
+	cq.entries[cq.head] = transport.Completion{}
 	cq.head++
 	return e
 }
 
 // Poll drains one completion without blocking, charging one poll cost.
-func (cq *CQ) Poll(p transport.Ctx) (Completion, bool) {
+func (cq *completionQueue) Poll(p transport.Ctx) (transport.Completion, bool) {
 	p.Sleep(cq.cfg.PollCost)
 	if cq.Len() == 0 {
-		return Completion{}, false
+		return transport.Completion{}, false
 	}
 	return cq.pop(), true
 }
@@ -92,7 +72,7 @@ func (cq *CQ) Poll(p transport.Ctx) (Completion, bool) {
 // PollBatch drains up to len(out) completions into out, charging one poll
 // cost per drained entry — virtual-time-identical to a Poll loop — and
 // returns the count. An empty queue costs nothing.
-func (cq *CQ) PollBatch(p transport.Ctx, out []Completion) int {
+func (cq *completionQueue) PollBatch(p transport.Ctx, out []transport.Completion) int {
 	n := 0
 	for n < len(out) && cq.Len() > 0 {
 		p.Sleep(cq.cfg.PollCost)
@@ -103,7 +83,7 @@ func (cq *CQ) PollBatch(p transport.Ctx, out []Completion) int {
 }
 
 // Wait blocks until a completion is available and returns it.
-func (cq *CQ) Wait(p transport.Ctx) Completion {
+func (cq *completionQueue) Wait(p transport.Ctx) transport.Completion {
 	sp := proc(p)
 	sp.Sleep(cq.cfg.PollCost)
 	for cq.Len() == 0 {
@@ -115,17 +95,17 @@ func (cq *CQ) Wait(p transport.Ctx) Completion {
 
 // WaitTimeout blocks until a completion is available or d elapses,
 // reporting whether a completion was returned.
-func (cq *CQ) WaitTimeout(p transport.Ctx, d time.Duration) (Completion, bool) {
+func (cq *completionQueue) WaitTimeout(p transport.Ctx, d time.Duration) (transport.Completion, bool) {
 	sp := proc(p)
 	sp.Sleep(cq.cfg.PollCost)
 	deadline := sp.Now() + d
 	for cq.Len() == 0 {
 		remain := deadline - sp.Now()
 		if remain <= 0 {
-			return Completion{}, false
+			return transport.Completion{}, false
 		}
 		if !cq.cond.WaitTimeout(sp, remain) && cq.Len() == 0 {
-			return Completion{}, false
+			return transport.Completion{}, false
 		}
 		sp.Sleep(cq.cfg.PollCost)
 	}
@@ -135,7 +115,7 @@ func (cq *CQ) WaitTimeout(p transport.Ctx, d time.Duration) (Completion, bool) {
 // WaitNonEmpty blocks until the queue holds at least one completion or d
 // elapses, without consuming anything. It reports whether a completion is
 // available.
-func (cq *CQ) WaitNonEmpty(p transport.Ctx, d time.Duration) bool {
+func (cq *completionQueue) WaitNonEmpty(p transport.Ctx, d time.Duration) bool {
 	sp := proc(p)
 	sp.Sleep(cq.cfg.PollCost)
 	deadline := sp.Now() + d
@@ -153,10 +133,7 @@ func (cq *CQ) WaitNonEmpty(p transport.Ctx, d time.Duration) bool {
 }
 
 // Len returns the number of pending completions.
-func (cq *CQ) Len() int { return len(cq.entries) - cq.head }
-
-// RecvWR is a posted receive buffer.
-type RecvWR = transport.RecvWR
+func (cq *completionQueue) Len() int { return len(cq.entries) - cq.head }
 
 // arrival is a two-sided message that reached a QP before a receive was
 // posted (RC queues it rather than dropping).
@@ -165,18 +142,18 @@ type arrival struct {
 	id   uint64
 }
 
-// QP is one endpoint of a reliable connection between two nodes. Verbs are
-// issued by processes running on the owner node; Peer returns the other
-// endpoint. QP implements transport.Queue.
-type QP struct {
+// queuePair is one endpoint of a reliable connection between two nodes.
+// Verbs are issued by processes running on the owner node; peer is the
+// other endpoint. It implements transport.Queue.
+type queuePair struct {
 	c     *Cluster
 	owner *Node
-	peer  *QP
+	peer  *queuePair
 
-	scq *CQ // send-side completions (WRITE/READ/SEND/atomics)
-	rcq *CQ // receive-side completions (matched RECVs)
+	scq *completionQueue // send-side completions (WRITE/READ/SEND/atomics)
+	rcq *completionQueue // receive-side completions (matched RECVs)
 
-	recvq   []RecvWR
+	recvq   []transport.RecvWR
 	arrived []arrival
 
 	// RC connections never reorder: fault-injected delay and jitter shift
@@ -187,44 +164,32 @@ type QP struct {
 	lastArrive sim.Time
 }
 
-// CreateQPPair connects nodes a and b with a reliable connection and
-// returns the two endpoints.
-func (c *Cluster) CreateQPPair(a, b *Node) (*QP, *QP) {
-	qa := &QP{c: c, owner: a, scq: c.NewCQ(), rcq: c.NewCQ()}
-	qb := &QP{c: c, owner: b, scq: c.NewCQ(), rcq: c.NewCQ()}
+// Dial connects endpoints a and b with a reliable connection and returns
+// the two queue ends, a's first.
+func (c *Cluster) Dial(a, b transport.Endpoint) (transport.Queue, transport.Queue) {
+	qa := &queuePair{c: c, owner: node(a), scq: c.newCQ(), rcq: c.newCQ()}
+	qb := &queuePair{c: c, owner: node(b), scq: c.newCQ(), rcq: c.newCQ()}
 	qa.peer, qb.peer = qb, qa
 	return qa, qb
 }
 
-// Owner returns the node this endpoint belongs to.
-func (q *QP) Owner() *Node { return q.owner }
-
-// Peer returns the opposite endpoint.
-func (q *QP) Peer() *QP { return q.peer }
-
 // SendCQ returns the endpoint's send completion queue.
-func (q *QP) SendCQ() transport.CompletionQueue { return q.scq }
+func (q *queuePair) SendCQ() transport.CompletionQueue { return q.scq }
 
 // RecvCQ returns the endpoint's receive completion queue.
-func (q *QP) RecvCQ() transport.CompletionQueue { return q.rcq }
+func (q *queuePair) RecvCQ() transport.CompletionQueue { return q.rcq }
 
 // PostedRecvs returns the number of posted, unmatched receive buffers.
-func (q *QP) PostedRecvs() int { return len(q.recvq) }
-
-// WriteOptions controls an RDMA WRITE work request.
-type WriteOptions = transport.WriteOptions
+func (q *queuePair) PostedRecvs() int { return len(q.recvq) }
 
 // Write posts a one-sided RDMA WRITE of src into dst on the peer node. It
 // returns after the posting cost; the transfer proceeds asynchronously.
 // The source buffer must not be modified until a signaled completion for
 // this or a later WR on the same QP has been observed (exactly the
 // selective-signaling contract real verbs impose).
-func (q *QP) Write(p transport.Ctx, src []byte, dst Addr, opts WriteOptions) {
+func (q *queuePair) Write(p transport.Ctx, src []byte, dst transport.Addr, opts transport.WriteOptions) {
 	q.writeOne(p, src, dst, opts, nil, 0)
 }
-
-// WriteWR describes one work request in a doorbell-batched WriteBatch post.
-type WriteWR = transport.WriteWR
 
 // WriteBatch posts the given WRITEs back-to-back with a single doorbell
 // ring. Virtual timing, fault injection, RC ordering clamps and statistics
@@ -239,7 +204,7 @@ type WriteWR = transport.WriteWR
 // Per-WR CommitTail is honored: each WR's tail bytes still commit strictly
 // last within that WR's address range, so footer-after-payload ordering is
 // preserved across a coalesced run of ring-segment writes.
-func (q *QP) WriteBatch(p transport.Ctx, wrs []WriteWR) {
+func (q *queuePair) WriteBatch(p transport.Ctx, wrs []transport.WriteWR) {
 	if len(wrs) == 0 {
 		return
 	}
@@ -269,7 +234,7 @@ func (q *QP) WriteBatch(p transport.Ctx, wrs []WriteWR) {
 // it is the shared pre-staged buffer and off this WR's offset within it.
 // Each WR holds one reference on the batch, consumed by its final commit
 // event (or immediately if the WR is fault-dropped).
-func (q *QP) writeOne(p transport.Ctx, src []byte, dst Addr, opts WriteOptions, batch *stagedRef, off int) {
+func (q *queuePair) writeOne(p transport.Ctx, src []byte, dst transport.Addr, opts transport.WriteOptions, batch *stagedRef, off int) {
 	cfg := &q.c.cfg
 	mr := mrOf(dst)
 	if mr.node != q.peer.owner {
@@ -286,7 +251,7 @@ func (q *QP) writeOne(p transport.Ctx, src []byte, dst Addr, opts WriteOptions, 
 	}
 	_, txEnd, rxEnd := q.c.reservePath(q.owner, q.peer.owner, k.Now()+startup, ser)
 
-	fv := q.c.fault(OpWrite, q.owner, q.peer.owner, rxEnd)
+	fv := q.c.fault(transport.OpWrite, q.owner, q.peer.owner, rxEnd)
 	deliverAt := rxEnd + fv.delay
 
 	// Payload body commits just before the tail; tail commits last.
@@ -313,13 +278,11 @@ func (q *QP) writeOne(p transport.Ctx, src []byte, dst Addr, opts WriteOptions, 
 	}
 
 	q.owner.bytesTx += int64(len(src))
-	q.owner.msgsTx++
-	q.peer.owner.bytesRx += int64(len(src))
-	disp := Delivered
+	disp := transport.Delivered
 	if fv.drop {
-		disp = Dropped
+		disp = transport.Dropped
 	}
-	q.c.trace(OpWrite, q.owner, q.peer.owner, len(src), k.Now(), deliverAt, disp)
+	q.c.trace(transport.OpWrite, q.owner, q.peer.owner, len(src), k.Now(), deliverAt, disp)
 
 	n := len(src)
 	dstOff := dst.Off
@@ -417,7 +380,7 @@ func (q *QP) writeOne(p transport.Ctx, src []byte, dst Addr, opts WriteOptions, 
 			if tail > 0 && body > 0 && dupAt-cfg.serialization(tail) <= q.lastCommit {
 				dupAt = q.lastCommit + cfg.serialization(tail) + 1
 			}
-			q.c.trace(OpWrite, q.owner, q.peer.owner, len(src), k.Now(), dupAt, Injected)
+			q.c.trace(transport.OpWrite, q.owner, q.peer.owner, len(src), k.Now(), dupAt, transport.Injected)
 			commit(dupAt)
 			q.lastCommit = dupAt
 		}
@@ -430,7 +393,7 @@ func (q *QP) writeOne(p transport.Ctx, src []byte, dst Addr, opts WriteOptions, 
 		// endpoints suppress completions.)
 		ackAt := deliverAt + cfg.Propagation + cfg.SwitchDelay + cfg.CompletionDelay
 		k.At(ackAt, func() {
-			q.scq.push(Completion{ID: opts.ID, Op: OpWrite, Bytes: n})
+			q.scq.push(transport.Completion{ID: opts.ID, Op: transport.OpWrite, Bytes: n})
 		})
 	}
 }
@@ -438,8 +401,8 @@ func (q *QP) writeOne(p transport.Ctx, src []byte, dst Addr, opts WriteOptions, 
 // writeOp is the pooled event payload driving the steady-state WRITE
 // pipeline (see writeOne). Steps fire in scheduler context via sim.Op.
 type writeOp struct {
-	q   *QP
-	mr  *MemoryRegion
+	q   *queuePair
+	mr  *memoryRegion
 	st  *stagedRef
 	own stagedRef // standalone WRITEs point st here (one ref, no alloc)
 	src []byte    // standalone WRITEs: snapshot source, read at txEnd
@@ -477,7 +440,7 @@ func (w *writeOp) RunOp(step uint8) {
 			putWriteOp(w)
 		}
 	case wopAck:
-		w.q.scq.push(Completion{ID: w.id, Op: OpWrite, Bytes: w.n})
+		w.q.scq.push(transport.Completion{ID: w.id, Op: transport.OpWrite, Bytes: w.n})
 		putWriteOp(w)
 	}
 }
@@ -502,18 +465,18 @@ func putWriteOp(w *writeOp) {
 // node into dst, returning after the posting cost. A signaled completion
 // indicates dst holds the data.
 //
-// Small reads (≤ ControlBytes) travel on the control lane: like
+// Small reads (≤ controlBytes) travel on the control lane: like
 // InfiniBand's service levels, they bypass the bulk-data FIFO so a footer
 // probe or credit refresh is not queued behind megabytes of in-flight
 // segments. Their (negligible) bytes still count toward the statistics.
-func (q *QP) Read(p transport.Ctx, dst []byte, src Addr, signaled bool, id uint64) {
+func (q *queuePair) Read(p transport.Ctx, dst []byte, src transport.Addr, signaled bool, id uint64) {
 	q.read(p, dst, src, signaled, id, false)
 }
 
 // read implements Read. With sync set the response produces no completion:
 // it marks the returned op done and wakes the send CQ's waiters instead,
 // and the caller (ReadSync) recycles the op.
-func (q *QP) read(p transport.Ctx, dst []byte, src Addr, signaled bool, id uint64, sync bool) *readOp {
+func (q *queuePair) read(p transport.Ctx, dst []byte, src transport.Addr, signaled bool, id uint64, sync bool) *readOp {
 	cfg := &q.c.cfg
 	if mrOf(src).node != q.peer.owner {
 		panic("fabric: READ source MR not on peer node")
@@ -526,7 +489,7 @@ func (q *QP) read(p transport.Ctx, dst []byte, src Addr, signaled bool, id uint6
 	serReq := cfg.serialization(reqBytes)
 	serResp := cfg.serialization(len(dst))
 	var respStart, rxEnd sim.Time
-	if len(dst) <= ControlBytes {
+	if len(dst) <= controlBytes {
 		hop := cfg.Propagation + cfg.SwitchDelay
 		reqRxEnd := k.Now() + cfg.NICStartup + serReq + hop
 		respStart = reqRxEnd + cfg.NICStartup
@@ -538,17 +501,15 @@ func (q *QP) read(p transport.Ctx, dst []byte, src Addr, signaled bool, id uint6
 		respStart, _, rxEnd = q.c.reservePath(q.peer.owner, q.owner, reqRxEnd+cfg.NICStartup, serResp)
 	}
 
-	fv := q.c.fault(OpRead, q.owner, q.peer.owner, rxEnd)
+	fv := q.c.fault(transport.OpRead, q.owner, q.peer.owner, rxEnd)
 	deliverAt := rxEnd + fv.delay
 
-	q.owner.msgsTx++
-	q.owner.bytesRx += int64(len(dst))
 	q.peer.owner.bytesTx += int64(len(dst))
-	disp := Delivered
+	disp := transport.Delivered
 	if fv.drop {
-		disp = Dropped
+		disp = transport.Dropped
 	}
-	q.c.trace(OpRead, q.owner, q.peer.owner, len(dst), k.Now(), deliverAt, disp)
+	q.c.trace(transport.OpRead, q.owner, q.peer.owner, len(dst), k.Now(), deliverAt, disp)
 
 	r := q.c.getReadOp()
 	r.q, r.dst, r.src = q, dst, sliceOf(src, len(dst))
@@ -570,7 +531,7 @@ func (q *QP) read(p transport.Ctx, dst []byte, src Addr, signaled bool, id uint6
 // the remote NIC snapshots the source at respStart, and the response
 // lands (data copy, completion) at deliverAt.
 type readOp struct {
-	q        *QP
+	q        *queuePair
 	dst, src []byte
 	staged   *stagedBuf
 	id       uint64
@@ -598,7 +559,7 @@ func (r *readOp) RunOp(step uint8) {
 		return
 	}
 	if r.signaled {
-		r.q.scq.push(Completion{ID: r.id, Op: OpRead, Bytes: len(r.dst)})
+		r.q.scq.push(transport.Completion{ID: r.id, Op: transport.OpRead, Bytes: len(r.dst)})
 	}
 	putReadOp(r)
 }
@@ -624,7 +585,7 @@ func putReadOp(r *readOp) {
 // and takes none off the send CQ, so signaled WRs posted around it drain in
 // posting order. A fault-dropped response never arrives: like any lost
 // READ it needs a timeout, which this form does not have.
-func (q *QP) ReadSync(p transport.Ctx, dst []byte, src Addr) time.Duration {
+func (q *queuePair) ReadSync(p transport.Ctx, dst []byte, src transport.Addr) time.Duration {
 	sp := proc(p)
 	start := sp.Now()
 	r := q.read(p, dst, src, false, 0, true)
@@ -641,7 +602,7 @@ func (q *QP) ReadSync(p transport.Ctx, dst []byte, src Addr) time.Duration {
 // node and returns the previous value. It blocks the caller for the full
 // round trip (the paper's tuple sequencer uses it synchronously). Remote
 // atomics to the same NIC serialize, which models sequencer contention.
-func (q *QP) FetchAdd(p transport.Ctx, dst Addr, delta uint64) uint64 {
+func (q *queuePair) FetchAdd(p transport.Ctx, dst transport.Addr, delta uint64) uint64 {
 	v, _ := q.FetchAddChecked(p, dst, delta)
 	return v
 }
@@ -651,15 +612,15 @@ func (q *QP) FetchAdd(p transport.Ctx, dst Addr, delta uint64) uint64 {
 // (the QP would surface an error completion). Callers that must
 // distinguish "previous value was 0" from "sequencer node is dead" — the
 // ordered-multicast source fetching sequence numbers — use this form.
-func (q *QP) FetchAddChecked(p transport.Ctx, dst Addr, delta uint64) (uint64, bool) {
-	return q.atomic(p, OpFetchAdd, dst, delta, 0)
+func (q *queuePair) FetchAddChecked(p transport.Ctx, dst transport.Addr, delta uint64) (uint64, bool) {
+	return q.atomic(p, transport.OpFetchAdd, dst, delta, 0)
 }
 
 // CompareSwap atomically replaces the 8-byte value at dst with swap if it
 // equals expect, returning the previous value (zero when an endpoint is
 // crashed, see FetchAddChecked).
-func (q *QP) CompareSwap(p transport.Ctx, dst Addr, expect, swap uint64) uint64 {
-	old, _ := q.atomic(p, OpCompareSwap, dst, expect, swap)
+func (q *queuePair) CompareSwap(p transport.Ctx, dst transport.Addr, expect, swap uint64) uint64 {
+	old, _ := q.atomic(p, transport.OpCompareSwap, dst, expect, swap)
 	return old
 }
 
@@ -667,7 +628,7 @@ func (q *QP) CompareSwap(p transport.Ctx, dst Addr, expect, swap uint64) uint64 
 // the control lane to the responder NIC, which executes atomics one at a
 // time, and the response wakes the caller. a and b are the operands —
 // the delta of a fetch-add, expect and swap of a compare-and-swap.
-func (q *QP) atomic(p transport.Ctx, op OpKind, dst Addr, a, b uint64) (uint64, bool) {
+func (q *queuePair) atomic(p transport.Ctx, op transport.OpKind, dst transport.Addr, a, b uint64) (uint64, bool) {
 	cfg := &q.c.cfg
 	mr := mrOf(dst)
 	if mr.node != q.peer.owner {
@@ -686,7 +647,7 @@ func (q *QP) atomic(p transport.Ctx, op OpKind, dst Addr, a, b uint64) (uint64, 
 	if fv.dropCompletion {
 		// One endpoint is crashed: the atomic never executes. Model the
 		// QP error completion as a fixed stall returning zero.
-		q.c.trace(op, q.owner, q.peer.owner, 8, k.Now(), k.Now()+crashAtomicPenalty, Dropped)
+		q.c.trace(op, q.owner, q.peer.owner, 8, k.Now(), k.Now()+crashAtomicPenalty, transport.Dropped)
 		p.Sleep(crashAtomicPenalty)
 		return 0, false
 	}
@@ -699,7 +660,6 @@ func (q *QP) atomic(p transport.Ctx, op OpKind, dst Addr, a, b uint64) (uint64, 
 	}
 	execEnd := execStart + cfg.AtomicRemoteCost
 	q.peer.owner.atomicFreeAt = execEnd
-	q.peer.owner.atomicsRx++
 
 	arriveResp := execEnd + ser + hop // control lane
 	if fv.drop {
@@ -707,11 +667,10 @@ func (q *QP) atomic(p transport.Ctx, op OpKind, dst Addr, a, b uint64) (uint64, 
 		// once, the caller just pays an extra round trip for the redo.
 		arriveResp += ser + hop + ser + hop
 	}
-	q.owner.msgsTx++
 
-	q.c.trace(op, q.owner, q.peer.owner, 8, k.Now(), execEnd, Delivered)
+	q.c.trace(op, q.owner, q.peer.owner, 8, k.Now(), execEnd, transport.Delivered)
 	ao := q.c.getAtomicOp()
-	ao.mr, ao.word, ao.cas, ao.a, ao.b = mr, word, op == OpCompareSwap, a, b
+	ao.mr, ao.word, ao.cas, ao.a, ao.b = mr, word, op == transport.OpCompareSwap, a, b
 	k.AtOp(execEnd, ao, aopExec)
 	k.AtOp(arriveResp, ao, aopWake)
 	ao.done.Wait(proc(p))
@@ -724,7 +683,7 @@ func (q *QP) atomic(p transport.Ctx, op OpKind, dst Addr, a, b uint64) (uint64, 
 // responder executes it at execEnd, the response wakes the caller — the
 // only waiter done ever has — at arriveResp.
 type atomicOp struct {
-	mr   *MemoryRegion
+	mr   *memoryRegion
 	word []byte
 	cas  bool
 	a, b uint64
@@ -769,21 +728,21 @@ func (c *Cluster) putAtomicOp(ao *atomicOp) {
 // PostRecv posts a receive buffer for two-sided communication. If a
 // message already arrived unmatched (RC queues them), it is delivered
 // immediately.
-func (q *QP) PostRecv(buf []byte, id uint64) {
+func (q *queuePair) PostRecv(buf []byte, id uint64) {
 	if len(q.arrived) > 0 {
 		a := q.arrived[0]
 		q.arrived = q.arrived[1:]
 		n := copy(buf, a.data)
-		q.rcq.push(Completion{ID: id, Op: OpRecv, Bytes: n, Value: a.id, Buf: buf})
+		q.rcq.push(transport.Completion{ID: id, Op: transport.OpRecv, Bytes: n, Value: a.id, Buf: buf})
 		return
 	}
-	q.recvq = append(q.recvq, RecvWR{Buf: buf, ID: id})
+	q.recvq = append(q.recvq, transport.RecvWR{Buf: buf, ID: id})
 }
 
 // Send posts a two-sided SEND of src to the peer endpoint. The message is
 // delivered into the peer's next posted receive buffer; with reliable
 // connections an early message waits for a receive to be posted.
-func (q *QP) Send(p transport.Ctx, src []byte, signaled bool, id uint64) {
+func (q *queuePair) Send(p transport.Ctx, src []byte, signaled bool, id uint64) {
 	cfg := &q.c.cfg
 	q.owner.Compute(p, cfg.PostOverhead)
 
@@ -795,12 +754,12 @@ func (q *QP) Send(p transport.Ctx, src []byte, signaled bool, id uint64) {
 	}
 	_, txEnd, rxEnd := q.c.reservePath(q.owner, q.peer.owner, k.Now()+startup, ser)
 
-	fv := q.c.fault(OpSend, q.owner, q.peer.owner, rxEnd)
+	fv := q.c.fault(transport.OpSend, q.owner, q.peer.owner, rxEnd)
 	deliverAt := rxEnd + fv.delay
 	if fv.drop && !fv.dropCompletion {
 		// RC queue pairs are hardware-reliable: a lost SEND packet is
 		// retransmitted by the NIC and surfaces as extra latency, not as
-		// message loss. Only UD multicast (MulticastGroup.Send) and
+		// message loss. Only UD multicast (multicastGroup.Send) and
 		// crashed endpoints genuinely lose SENDs.
 		deliverAt += ser + 2*(cfg.Propagation+cfg.SwitchDelay)
 		fv.drop = false
@@ -811,13 +770,11 @@ func (q *QP) Send(p transport.Ctx, src []byte, signaled bool, id uint64) {
 	}
 
 	q.owner.bytesTx += int64(len(src))
-	q.owner.msgsTx++
-	q.peer.owner.bytesRx += int64(len(src))
-	disp := Delivered
+	disp := transport.Delivered
 	if fv.drop {
-		disp = Dropped
+		disp = transport.Dropped
 	}
-	q.c.trace(OpSend, q.owner, q.peer.owner, len(src), k.Now(), deliverAt, disp)
+	q.c.trace(transport.OpSend, q.owner, q.peer.owner, len(src), k.Now(), deliverAt, disp)
 
 	var staged []byte
 	k.At(txEnd, func() {
@@ -829,7 +786,7 @@ func (q *QP) Send(p transport.Ctx, src []byte, signaled bool, id uint64) {
 			wr := peer.recvq[0]
 			peer.recvq = peer.recvq[1:]
 			n := copy(wr.Buf, staged)
-			peer.rcq.push(Completion{ID: wr.ID, Op: OpRecv, Bytes: n, Value: id, Buf: wr.Buf})
+			peer.rcq.push(transport.Completion{ID: wr.ID, Op: transport.OpRecv, Bytes: n, Value: id, Buf: wr.Buf})
 		} else {
 			peer.arrived = append(peer.arrived, arrival{data: staged, id: id})
 		}
@@ -839,7 +796,7 @@ func (q *QP) Send(p transport.Ctx, src []byte, signaled bool, id uint64) {
 		q.lastArrive = deliverAt
 		if fv.duplicate {
 			dupAt := deliverAt + q.c.cfg.Faults.dupDelay()
-			q.c.trace(OpSend, q.owner, q.peer.owner, len(src), k.Now(), dupAt, Injected)
+			q.c.trace(transport.OpSend, q.owner, q.peer.owner, len(src), k.Now(), dupAt, transport.Injected)
 			k.At(dupAt, deliver)
 			q.lastArrive = dupAt
 		}
@@ -850,7 +807,7 @@ func (q *QP) Send(p transport.Ctx, src []byte, signaled bool, id uint64) {
 		n := len(src)
 		ackAt := deliverAt + cfg.Propagation + cfg.SwitchDelay + cfg.CompletionDelay
 		k.At(ackAt, func() {
-			q.scq.push(Completion{ID: id, Op: OpSend, Bytes: n})
+			q.scq.push(transport.Completion{ID: id, Op: transport.OpSend, Bytes: n})
 		})
 	}
 }

@@ -5,20 +5,21 @@ import (
 	"testing"
 
 	"dfi/internal/sim"
+	"dfi/internal/transport"
 )
 
 func TestRecorderAggregatesAndCaps(t *testing.T) {
 	k, c := testCluster(t, 3)
-	rec := NewRecorder(2)
+	rec := transport.NewRecorder(2)
 	c.SetTracer(rec)
-	qp, _ := c.CreateQPPair(c.Node(0), c.Node(1))
-	mr := c.RegisterMemory(c.Node(1), 1024)
+	qp, _ := c.Dial(c.Node(0), c.Node(1))
+	mr := c.OpenRegion(c.Node(1), 1024)
 	k.Spawn("p", func(p *sim.Proc) {
 		for i := 0; i < 5; i++ {
-			qp.Write(p, make([]byte, 100), Addr{MR: mr}, WriteOptions{})
+			qp.Write(p, make([]byte, 100), transport.Addr{MR: mr}, transport.WriteOptions{})
 		}
 		buf := make([]byte, 16)
-		qp.ReadSync(p, buf, Addr{MR: mr})
+		qp.ReadSync(p, buf, transport.Addr{MR: mr})
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -46,27 +47,27 @@ func TestRecorderAggregatesAndCaps(t *testing.T) {
 
 func TestTracerObservesAtomicsAndSends(t *testing.T) {
 	k, c := testCluster(t, 2)
-	rec := NewRecorder(0)
+	rec := transport.NewRecorder(0)
 	c.SetTracer(rec)
-	qa, qb := c.CreateQPPair(c.Node(0), c.Node(1))
-	mr := c.RegisterMemory(c.Node(1), 8)
+	qa, qb := c.Dial(c.Node(0), c.Node(1))
+	mr := c.OpenRegion(c.Node(1), 8)
 	qb.PostRecv(make([]byte, 8), 0)
 	k.Spawn("p", func(p *sim.Proc) {
-		qa.FetchAdd(p, Addr{MR: mr}, 1)
-		qa.CompareSwap(p, Addr{MR: mr}, 1, 2)
+		qa.FetchAdd(p, transport.Addr{MR: mr}, 1)
+		qa.CompareSwap(p, transport.Addr{MR: mr}, 1, 2)
 		qa.Send(p, []byte("hi"), false, 0)
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	kinds := map[OpKind]int{}
+	kinds := map[transport.OpKind]int{}
 	for _, op := range rec.Ops {
 		kinds[op.Kind]++
 		if op.Arrived < op.Posted {
 			t.Fatalf("op delivered before posted: %+v", op)
 		}
 	}
-	if kinds[OpFetchAdd] != 1 || kinds[OpCompareSwap] != 1 || kinds[OpSend] != 1 {
+	if kinds[transport.OpFetchAdd] != 1 || kinds[transport.OpCompareSwap] != 1 || kinds[transport.OpSend] != 1 {
 		t.Fatalf("kinds = %v", kinds)
 	}
 }
@@ -75,11 +76,11 @@ func TestRecorderSeparatesDroppedFromDelivered(t *testing.T) {
 	// Regression: dropped ops' bytes used to be folded into the delivered
 	// message-byte total and the per-pair traffic map, overstating what a
 	// flow actually moved under a fault plan.
-	rec := NewRecorder(0)
+	rec := transport.NewRecorder(0)
 	rec.WireOverheadBytes = 42
-	rec.Trace(TraceOp{Kind: OpWrite, From: 0, To: 1, Bytes: 100})
-	rec.Trace(TraceOp{Kind: OpWrite, From: 0, To: 1, Bytes: 40, Disposition: Dropped})
-	rec.Trace(TraceOp{Kind: OpWrite, From: 0, To: 1, Bytes: 25, Disposition: Injected})
+	rec.Trace(transport.TraceOp{Kind: transport.OpWrite, From: 0, To: 1, Bytes: 100})
+	rec.Trace(transport.TraceOp{Kind: transport.OpWrite, From: 0, To: 1, Bytes: 40, Disposition: transport.Dropped})
+	rec.Trace(transport.TraceOp{Kind: transport.OpWrite, From: 0, To: 1, Bytes: 25, Disposition: transport.Injected})
 	if got := rec.MessageBytes(); got != 125 {
 		t.Fatalf("MessageBytes = %d, want 125 (delivered 100 + injected 25)", got)
 	}
@@ -106,10 +107,10 @@ func TestRecorderSeparatesDroppedFromDelivered(t *testing.T) {
 func TestNoTracerNoOverheadPath(t *testing.T) {
 	// Without a tracer installed, verbs must work unchanged (nil hook).
 	k, c := testCluster(t, 2)
-	qp, _ := c.CreateQPPair(c.Node(0), c.Node(1))
-	mr := c.RegisterMemory(c.Node(1), 64)
+	qp, _ := c.Dial(c.Node(0), c.Node(1))
+	mr := c.OpenRegion(c.Node(1), 64)
 	k.Spawn("p", func(p *sim.Proc) {
-		qp.Write(p, make([]byte, 8), Addr{MR: mr}, WriteOptions{})
+		qp.Write(p, make([]byte, 8), transport.Addr{MR: mr}, transport.WriteOptions{})
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)

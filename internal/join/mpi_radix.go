@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"time"
 
-	"dfi/internal/fabric"
 	"dfi/internal/mpi"
 	"dfi/internal/sim"
+	"dfi/internal/transport"
 )
 
 // RunMPIRadix executes the MPI-based distributed radix hash join the
@@ -23,7 +23,7 @@ func RunMPIRadix(cfg Config) (PhaseTimes, error) {
 	w := generate(cfg, 1)
 	parts := cfg.partitions()
 
-	nodes := make([]*fabric.Node, parts)
+	nodes := make([]transport.Endpoint, parts)
 	for r := 0; r < parts; r++ {
 		nodes[r] = c.Node(r / cfg.WorkersPerNode)
 	}

@@ -1,9 +1,9 @@
 // Structured per-flow event tracing: typed events with flow/epoch
 // labels, ring-buffered per node, dumpable as JSONL. The EventLog sits
-// above the byte-level fabric trace (internal/fabric.Recorder) —
-// fabric records every verb on the wire, the event log records the
-// protocol-level transitions (segment commits, evictions, reroutes,
-// lease state changes) that explain them.
+// above the byte-level verb trace (transport.Recorder) — the recorder
+// sees every verb on the wire, the event log records the protocol-level
+// transitions (segment commits, evictions, reroutes, lease state
+// changes) that explain them.
 
 package metrics
 

@@ -25,6 +25,7 @@ import (
 
 	"dfi/internal/fabric"
 	"dfi/internal/sim"
+	"dfi/internal/transport"
 )
 
 // Config is the mini-MPI cost model.
@@ -81,14 +82,14 @@ type World struct {
 type Rank struct {
 	w    *World
 	id   int
-	node *fabric.Node
+	node transport.Endpoint
 
 	latch   *sim.Resource
 	threads int // threads attached to this rank (THREAD_MULTIPLE)
 
-	qps       []*fabric.QP // to every rank (nil for self)
-	unmatched [][]message  // arrived-but-unmatched messages, per source
-	window    *fabric.MemoryRegion
+	qps       []transport.Queue // to every rank (nil for self)
+	unmatched [][]message       // arrived-but-unmatched messages, per source
+	window    transport.Region
 }
 
 type message struct {
@@ -102,7 +103,7 @@ const msgHeader = 16
 // NewWorld creates one rank on each of the given nodes, fully meshed with
 // reliable queue pairs. Nodes may repeat (multiple ranks per node share
 // its NIC, as multi-process MPI deployments do).
-func NewWorld(c *fabric.Cluster, nodes []*fabric.Node, cfg Config) *World {
+func NewWorld(c *fabric.Cluster, nodes []transport.Endpoint, cfg Config) *World {
 	w := &World{c: c, cfg: cfg, barrier: sim.NewBarrier(c.K, len(nodes))}
 	for i, n := range nodes {
 		w.ranks = append(w.ranks, &Rank{
@@ -111,13 +112,13 @@ func NewWorld(c *fabric.Cluster, nodes []*fabric.Node, cfg Config) *World {
 			node:      n,
 			latch:     sim.NewResource(c.K, fmt.Sprintf("mpi-latch-%d", i), 1),
 			threads:   1,
-			qps:       make([]*fabric.QP, len(nodes)),
+			qps:       make([]transport.Queue, len(nodes)),
 			unmatched: make([][]message, len(nodes)),
 		})
 	}
 	for i := range w.ranks {
 		for j := i + 1; j < len(w.ranks); j++ {
-			qi, qj := c.CreateQPPair(w.ranks[i].node, w.ranks[j].node)
+			qi, qj := c.Dial(w.ranks[i].node, w.ranks[j].node)
 			w.ranks[i].qps[j] = qi
 			w.ranks[j].qps[i] = qj
 		}
@@ -135,7 +136,7 @@ func (w *World) Rank(i int) *Rank { return w.ranks[i] }
 func (r *Rank) ID() int { return r.id }
 
 // Node returns the node the rank runs on.
-func (r *Rank) Node() *fabric.Node { return r.node }
+func (r *Rank) Node() transport.Endpoint { return r.node }
 
 // SetThreads declares how many application threads issue MPI calls on
 // this rank concurrently (MPI_THREAD_MULTIPLE). Every call then funnels
@@ -185,7 +186,7 @@ func (r *Rank) Send(p *sim.Proc, dst int, tag uint64, buf []byte) {
 	// Rendezvous-style: wait until the NIC is done with the local buffer.
 	for {
 		c := qp.SendCQ().Wait(p)
-		if c.Op == fabric.OpSend {
+		if c.Op == transport.OpSend {
 			return
 		}
 	}
@@ -232,13 +233,13 @@ func (r *Rank) Recv(p *sim.Proc, src int, tag uint64) []byte {
 
 // ExposeWindow registers size bytes of one-sided-accessible memory on the
 // rank (MPI_Win_create).
-func (r *Rank) ExposeWindow(size int) *fabric.MemoryRegion {
-	r.window = r.w.c.RegisterMemory(r.node, size)
+func (r *Rank) ExposeWindow(size int) transport.Region {
+	r.window = r.w.c.OpenRegion(r.node, size)
 	return r.window
 }
 
 // Window returns the rank's exposed window.
-func (r *Rank) Window() *fabric.MemoryRegion { return r.window }
+func (r *Rank) Window() transport.Region { return r.window }
 
 // Put writes buf into dst's window at off (one-sided MPI_Put) and blocks
 // until the local buffer is reusable.
@@ -249,10 +250,10 @@ func (r *Rank) Put(p *sim.Proc, dst int, off int, buf []byte) {
 		panic("mpi: Put to rank without an exposed window")
 	}
 	qp := r.qps[dst]
-	qp.Write(p, buf, fabric.Addr{MR: target.window, Off: off}, fabric.WriteOptions{Signaled: true})
+	qp.Write(p, buf, transport.Addr{MR: target.window, Off: off}, transport.WriteOptions{Signaled: true})
 	for {
 		c := qp.SendCQ().Wait(p)
-		if c.Op == fabric.OpWrite {
+		if c.Op == transport.OpWrite {
 			return
 		}
 	}
@@ -314,7 +315,7 @@ func (r *Rank) PutAsync(p *sim.Proc, dst int, off int, buf []byte) {
 	if target.window == nil {
 		panic("mpi: PutAsync to rank without an exposed window")
 	}
-	r.qps[dst].Write(p, buf, fabric.Addr{MR: target.window, Off: off}, fabric.WriteOptions{})
+	r.qps[dst].Write(p, buf, transport.Addr{MR: target.window, Off: off}, transport.WriteOptions{})
 }
 
 // Fence blocks until all previously posted puts to dst are complete
@@ -326,10 +327,10 @@ func (r *Rank) Fence(p *sim.Proc, dst int) {
 		panic("mpi: Fence to rank without an exposed window")
 	}
 	qp := r.qps[dst]
-	qp.Write(p, nil, fabric.Addr{MR: target.window}, fabric.WriteOptions{Signaled: true})
+	qp.Write(p, nil, transport.Addr{MR: target.window}, transport.WriteOptions{Signaled: true})
 	for {
 		c := qp.SendCQ().Wait(p)
-		if c.Op == fabric.OpWrite {
+		if c.Op == transport.OpWrite {
 			return
 		}
 	}

@@ -8,6 +8,7 @@ import (
 
 	"dfi/internal/fabric"
 	"dfi/internal/sim"
+	"dfi/internal/transport"
 )
 
 func newWorld(t *testing.T, n int) (*sim.Kernel, *World) {
@@ -16,7 +17,7 @@ func newWorld(t *testing.T, n int) (*sim.Kernel, *World) {
 	k.Deadline = 30 * time.Second
 	k.MaxEvents = 50_000_000
 	c := fabric.NewCluster(k, n, fabric.DefaultConfig())
-	nodes := make([]*fabric.Node, n)
+	nodes := make([]transport.Endpoint, n)
 	for i := range nodes {
 		nodes[i] = c.Node(i)
 	}

@@ -94,24 +94,11 @@ func (g *Group) Members() int {
 	return len(g.members)
 }
 
-// Member returns member i.
+// Member returns slot i's current endpoint, detached or not.
 func (g *Group) Member(i int) transport.GroupEndpoint {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.members[i]
-}
-
-// EndpointFor returns the member receiving on ep, or nil.
-func (g *Group) EndpointFor(ep transport.Endpoint) transport.GroupEndpoint {
-	e := asEndpoint(ep)
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for _, m := range g.members {
-		if m.owner == e {
-			return m
-		}
-	}
-	return nil
 }
 
 // Detach removes member i from delivery.
@@ -119,13 +106,6 @@ func (g *Group) Detach(i int) {
 	g.mu.Lock()
 	g.detached[i] = true
 	g.mu.Unlock()
-}
-
-// Detached reports whether member i is detached.
-func (g *Group) Detached(i int) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.detached[i]
 }
 
 // Reattach re-adds slot i with a fresh receive queue on ep.

@@ -1030,10 +1030,3 @@ func (r *Receiver) Drop(tag uint32) {
 		l.pumpLocked(nil) // the ring may have stalled on this queue
 	}
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

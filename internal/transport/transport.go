@@ -249,14 +249,10 @@ type Group interface {
 	Send(p Ctx, from Endpoint, src []byte, excludeSelf bool)
 	// Members returns the member count (attached or not).
 	Members() int
-	// Member returns member i (nil when detached).
+	// Member returns slot i's current endpoint, detached or not.
 	Member(i int) GroupEndpoint
-	// EndpointFor returns the member receiving on ep, or nil.
-	EndpointFor(ep Endpoint) GroupEndpoint
 	// Detach removes member i from delivery.
 	Detach(i int)
-	// Detached reports whether member i is detached.
-	Detached(i int) bool
 	// Reattach re-adds slot i with a fresh receive queue on ep.
 	Reattach(i int, ep Endpoint) GroupEndpoint
 }

@@ -5,8 +5,9 @@
 // byte, CQ signaled-only completions, a ReadSync that leaves the CQ alone,
 // source buffers that are the caller's again after a completion, RC order
 // per poster on a shared queue end, multicast drop-without-posted-recv,
-// and the sequence-counted waits (Cond, Region.Notify) — executed against
-// a backend-supplied environment. The DES fabric and chanloop both run it
+// group detach and reattach, and the sequence-counted waits (Cond,
+// Region.Notify) — executed against a backend-supplied environment. The
+// DES fabric and chanloop both run it
 // (internal/fabric/conformance_test.go,
 // internal/transport/chanloop/conformance_test.go); a future socket
 // backend passes by wiring up NewEnv. Bench (bench.go) is the per-verb
@@ -62,6 +63,7 @@ func Run(t *testing.T, newEnv NewEnv) {
 		{"ReadBack", testReadBack},
 		{"ReadSyncLeavesCQAlone", testReadSyncLeavesCQ},
 		{"MulticastDropWithoutRecv", testMulticastDrop},
+		{"GroupDetachReattach", testGroupDetachReattach},
 		{"CondSequenceWait", testCondSeq},
 		{"RegionNotifyWakesPoller", testRegionNotify},
 	}
@@ -584,6 +586,58 @@ func testMulticastDrop(t *testing.T, env Env) {
 	if got := g.Member(1).RecvCQ().Len(); got != 0 {
 		t.Errorf("member 1 has %d completions, want 0", got)
 	}
+}
+
+// testGroupDetachReattach pins group membership changes: a detached
+// member gets nothing and counts no drop; Reattach gives the slot a
+// fresh endpoint that does not inherit the old one's posted receives;
+// the next send reaches the fresh endpoint.
+func testGroupDetachReattach(t *testing.T, env Env) {
+	g := env.T.Multicast(env.EP[0], env.EP[1])
+	stay, old := g.Member(0), g.Member(1)
+	old.PostRecv(make([]byte, 32), 1)
+
+	env.Go("sender", func(p transport.Ctx) {
+		// send delivers msg and returns once member 0 has it, plus a grace
+		// period for any delivery to member 1 to land.
+		send := func(msg string) {
+			stay.PostRecv(make([]byte, 32), 0)
+			g.Send(p, env.EP[2], []byte(msg), false)
+			if c, ok := stay.RecvCQ().WaitTimeout(p, waitFor); !ok || string(c.Buf[:c.Bytes]) != msg {
+				t.Errorf("member 0 delivery of %q: got (%+v,%v)", msg, c, ok)
+			}
+			p.Sleep(5 * time.Millisecond)
+		}
+
+		g.Detach(1)
+		send("detached")
+		if n, d := old.RecvCQ().Len(), old.DropCount(); n != 0 || d != 0 {
+			t.Errorf("detached member: %d completions, %d drops, want 0 and 0", n, d)
+		}
+
+		fresh := g.Reattach(1, env.EP[1])
+		if fresh.Owner() != env.EP[1] {
+			t.Errorf("reattached endpoint is owned by %v, want endpoint %d", fresh.Owner().ID(), env.EP[1].ID())
+		}
+		if g.Member(1) != fresh {
+			t.Errorf("Member(1) is not the endpoint Reattach returned")
+		}
+		send("no-recv")
+		if d := fresh.DropCount(); d != 1 {
+			t.Errorf("fresh endpoint without a posted receive: %d drops, want 1 (the old endpoint's receive is not its own)", d)
+		}
+		if n := old.RecvCQ().Len(); n != 0 {
+			t.Errorf("old endpoint got %d completions after Reattach, want 0", n)
+		}
+
+		fresh.PostRecv(make([]byte, 32), 2)
+		send("reattached")
+		c, ok := fresh.RecvCQ().WaitTimeout(p, waitFor)
+		if !ok || c.ID != 2 || string(c.Buf[:c.Bytes]) != "reattached" {
+			t.Errorf("reattached member delivery: got (%+v,%v)", c, ok)
+		}
+	})
+	env.Run()
 }
 
 // testCondSeq pins the sequence-counted Cond: a Broadcast that lands
