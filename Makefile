@@ -103,11 +103,12 @@ metrics-smoke:
 # reach goroutine targets through the membership record. The
 # steady-vs-general Push differential rides along once: its eviction leg
 # is the one place the per-tuple path hands a half-filled segment to the
-# harvest.
+# harvest. So do six independent clusters on six concurrent kernels,
+# which must share no package-level state.
 transport-race:
 	$(GO) test -race -count=1 ./internal/transport/...
 	$(GO) test -race -count=1 -run 'TestTransportConformance' ./internal/fabric/
-	$(GO) test -race -count=1 -run 'Chan.*(Lease|Evict)|TestSharedRingMatchesPrivate|TestPushSteadyMatchesGeneral|TestMulticastTargetEvictedBeforeOpen' ./internal/core/
+	$(GO) test -race -count=1 -run 'Chan.*(Lease|Evict)|TestSharedRingMatchesPrivate|TestPushSteadyMatchesGeneral|TestMulticastTargetEvictedBeforeOpen|TestIndependentClustersStayIndependent' ./internal/core/
 	$(GO) test -race -count=20 -run 'TestDESAndChanEvictSilentTarget|TestReplicateKindsMatch' ./internal/core/
 	$(GO) test -race -count=10 -run 'TestElasticAttachMidFlow' ./internal/core/
 	$(GO) test -race -count=1 -run 'TestLocalRegistryHammer|TestStatusSnapshotMatchesRebuild|TestRemoveRepublishWakesWaiters' ./internal/registry/
@@ -154,7 +155,7 @@ ledger:
 # Documentation hygiene: every package has a godoc package comment,
 # every relative Markdown link/anchor resolves (GitHub slug rules;
 # external URLs are not fetched, so the check is offline-deterministic),
-# the transport packages document every exported symbol, and
+# the kernel and transport packages document every exported symbol, and
 # docs/OPERATIONS.md covers every dfiflow/dfibench flag and documents
 # none that no longer exists.
 docs-lint:

@@ -36,9 +36,11 @@
 //
 // With -shared the flow multiplexes over the transport's shared
 // per-node-pair rings (connection scaling: memory and queue pairs per
-// node pair, not per flow), -flows N runs N such flows concurrently,
-// and -tenant/-tenant-weight feed the weighted credit scheduler that
-// keeps one hot flow from starving its ring neighbors.
+// node pair, not per flow), and -tenant/-tenant-weight feed the weighted
+// credit scheduler that keeps one hot flow from starving its ring
+// neighbors. -flows N runs N identical flows concurrently, on shared or
+// on private rings. Which flags combine is the library's admission
+// (core.FlowInit) to decide; a spec it rejects exits 2 with its message.
 //
 // The process exits non-zero when any endpoint reports ErrFlowBroken
 // (a flow that could not be completed or repaired) or when a scheduled
@@ -64,26 +66,6 @@ import (
 	"dfi/internal/transport"
 	"dfi/internal/transport/sharedring"
 )
-
-// sharedIncompatible lists flags that configure per-flow machinery the
-// shared-ring data path does not provide; the reasons mirror the core
-// admission checks (internal/core/flow.go) so the CLI fails fast with
-// the same story the library would tell.
-var sharedIncompatible = map[string]string{
-	"latency":    "shared rings batch slots for bandwidth; latency-optimized flows keep private rings",
-	"multicast":  "switch multicast addresses per-flow multicast groups, not shared rings",
-	"ordered":    "global ordering sequences a private multicast group",
-	"gap-nacks":  "gap recovery belongs to the ordered multicast path",
-	"retransmit": "loss recovery tracks private per-(source,target) rings",
-	"rejoin":     "evicted endpoints cannot re-attach to a shared ring (no private window to replay)",
-}
-
-// sharedOnly lists flags meaningless without -shared.
-var sharedOnly = map[string]string{
-	"flows":         "fleets multiplex over the shared rings",
-	"tenant":        "it names a tenant of the shared-ring credit scheduler",
-	"tenant-weight": "it weighs a tenant in the shared-ring credit scheduler",
-}
 
 // rejected cross-checks the flags set on the command line against a
 // table of flags the chosen mode cannot honour, before any machinery
@@ -142,7 +124,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		unlogRen  = fs.Bool("unlogged-renew", false, "replicated registry: serve lease renewals without a log round (explicit heartbeat relaxation)")
 
 		shared    = fs.Bool("shared", false, "multiplex the flow over shared per-node-pair rings instead of private per-(source,target) rings (connection scaling; see docs/OPERATIONS.md)")
-		nFlows    = fs.Int("flows", 1, "run this many identical concurrent flows (requires -shared; total -mb volume splits across them)")
+		nFlows    = fs.Int("flows", 1, "run this many identical concurrent flows (total -mb volume splits across them)")
 		tenant    = fs.String("tenant", "", "shared rings: attribute credit usage to this named tenant (default \"default\"; requires -shared)")
 		tenWeight = fs.Int("tenant-weight", 0, "shared rings: credit-scheduler weight, slots divide among streams in proportion (default 1; requires -shared)")
 		regShards = fs.Int("reg-shards", 0, "shard the registry's flow table over this many independent registries by flow-name hash (0/1 = unsharded)")
@@ -161,16 +143,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	// Bodies print while the flow runs, concurrently on the wall clock.
 	stdout = &lockedWriter{w: stdout}
-	var err error
-
-	if *shared {
-		err = rejected(fs, sharedIncompatible, "-shared does not support -%s: %s")
-	} else {
-		err = rejected(fs, sharedOnly, "-%s requires -shared (%s)")
-	}
-	if err != nil {
-		return usage("%v", err)
-	}
 	if *nFlows < 1 {
 		return usage("-flows %d: want at least 1", *nFlows)
 	}
@@ -201,6 +173,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		RetransmitTimeout: *retrans,
 		SourceTimeout:     *srcTime,
 		LeaseTTL:          *lease,
+		Multicast:         *multicast || *ordered,
+		GlobalOrdering:    *ordered,
 		GapNackLimit:      *gapNacks,
 		Partitioning:      scheme,
 		SharedRings:       *shared,
@@ -214,8 +188,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "shuffle":
 	case "replicate":
 		spec.Type = core.ReplicateFlow
-		spec.Options.Multicast = *multicast || *ordered
-		spec.Options.GlobalOrdering = *ordered
 	case "combiner":
 		spec.Type = core.CombinerFlow
 		spec.Options.Aggregation = core.AggSum

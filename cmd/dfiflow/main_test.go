@@ -89,26 +89,51 @@ func TestOutOfRangeFaultInputExitsTwo(t *testing.T) {
 	}
 }
 
-// TestSharedFlagAdmission pins what -shared composes with: the flags whose
-// machinery needs a private ring per pair are config errors naming the
-// flag, while combiner flows and -srctimeout run on the common engine.
+// TestSharedFlagAdmission pins what -shared composes with. The library's
+// admission decides: the flags whose machinery needs a private ring per
+// pair, and the tenant flags without -shared, are config errors carrying
+// its message; a rejoin is rejected when it is attempted, as on any flow
+// that cannot re-attach. Combiner flows and -srctimeout run on shared
+// rings, and -flows runs a fleet on either kind of ring.
 func TestSharedFlagAdmission(t *testing.T) {
-	for _, flag := range []string{"-latency", "-multicast", "-retransmit=50us", "-rejoin=1@300us"} {
-		out, code := runToString(t, "-shared", flag)
-		if name := strings.SplitN(flag, "=", 2)[0]; code != 2 || !strings.Contains(out, "-shared does not support "+name) {
-			t.Errorf("-shared %s: exit %d, want 2 naming the flag:\n%s", flag, code, out)
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-shared", "-latency"}, "dfiflow: dfi: SharedRings requires a bandwidth-optimized flow"},
+		{[]string{"-shared", "-multicast"}, "dfiflow: dfi: SharedRings cannot combine with multicast"},
+		{[]string{"-shared", "-ordered"}, "dfiflow: dfi: SharedRings cannot combine with multicast"},
+		{[]string{"-shared", "-retransmit=50us"}, "dfiflow: dfi: SharedRings has no per-flow retransmit window"},
+		{[]string{"-tenant", "batch"}, "dfiflow: dfi: Tenant/TenantWeight require Options.SharedRings"},
+		{[]string{"-tenant-weight", "4"}, "dfiflow: dfi: Tenant/TenantWeight require Options.SharedRings"},
+	} {
+		out, code := runToString(t, append(tc.args, "-mb", "1")...)
+		if code != 2 || !strings.Contains(out, tc.want) {
+			t.Errorf("args %v: exit %d, want 2 with %q:\n%s", tc.args, code, tc.want, out)
 		}
 	}
-	for _, args := range [][]string{
-		{"-shared", "-type", "combiner", "-sources", "3", "-mb", "1"},
-		{"-shared", "-srctimeout", "300us", "-mb", "1"},
+	out, code := runToString(t, "-shared", "-rejoin=1@300us", "-mb", "1")
+	if code != 1 || !strings.Contains(out, "target 1: rejoin rejected: ") || !strings.Contains(out, "shared-ring flows") {
+		t.Errorf("-shared -rejoin: exit %d, want 1 with the rejected rejoin:\n%s", code, out)
+	}
+	for _, tc := range []struct {
+		args    []string
+		shared  bool
+		counted bool // every pushed tuple is counted as consumed
+	}{
+		{[]string{"-shared", "-type", "combiner", "-sources", "3"}, true, false},
+		{[]string{"-shared", "-srctimeout", "300us"}, true, true},
+		{[]string{"-flows", "4"}, false, true},
 	} {
-		out, code := runToString(t, args...)
+		out, code := runToString(t, append(tc.args, "-mb", "1")...)
 		if code != 0 {
-			t.Errorf("args %v: exit %d, want 0:\n%s", args, code, out)
+			t.Errorf("args %v: exit %d, want 0:\n%s", tc.args, code, out)
 		}
-		if !strings.Contains(out, "credits conserved") {
-			t.Errorf("args %v: no shared-ring accounting in the summary:\n%s", args, out)
+		if got := strings.Contains(out, "credits conserved"); got != tc.shared {
+			t.Errorf("args %v: shared-ring accounting in the summary = %v, want %v:\n%s", tc.args, got, tc.shared, out)
+		}
+		if m := totalsRE.FindStringSubmatch(out); m == nil || (tc.counted && m[1] != m[2]) {
+			t.Errorf("args %v: want a totals line with pushed == consumed:\n%s", tc.args, out)
 		}
 	}
 }

@@ -102,12 +102,13 @@ func checkPackageComments(root string) []string {
 }
 
 // auditedPackages are the directories whose exported surface is a
-// contract (the transport layer a future verbs backend implements
-// against, and the two backends behind it): every exported top-level
-// declaration must carry a doc comment, stating at minimum its
-// concurrency contract.
+// contract (the simulation kernel, the transport layer a future verbs
+// backend implements against, and the two backends behind it): every
+// exported top-level declaration must carry a doc comment, stating at
+// minimum its concurrency contract.
 var auditedPackages = []string{
 	"internal/fabric",
+	"internal/sim",
 	"internal/transport",
 	"internal/transport/chanloop",
 	"internal/transport/sharedring",

@@ -7,7 +7,7 @@
 // regions and multicast groups are reached only through the transport
 // interfaces. What it exports beyond them is what only a simulator has:
 // the calibrated cost model (Config), fault injection (FaultPlan), and
-// per-node knobs and accounting (CPUScale, RegisteredBytes, BytesTx).
+// per-node knobs and accounting (CPUScale, RegisteredBytes).
 //
 // Timing follows an analytic FIFO-server link model: each NIC has a TX and
 // an RX queue with an availability time; a message reserves
@@ -178,7 +178,6 @@ type Node struct {
 	atomicFreeAt sim.Time // responder-side serialization of remote atomics
 
 	memBytes int64 // registered memory (accounting, §6.1.4)
-	bytesTx  int64
 
 	// Cumulative serialization time reserved on the links: busy/elapsed
 	// is the link utilization.
@@ -201,9 +200,6 @@ func (n *Node) Compute(p transport.Ctx, d time.Duration) {
 
 // RegisteredBytes returns the amount of memory registered on the node.
 func (n *Node) RegisteredBytes() int64 { return n.memBytes }
-
-// BytesTx returns the total payload bytes transmitted by the node's NIC.
-func (n *Node) BytesTx() int64 { return n.bytesTx }
 
 // reserveTx reserves serialization time on the node's TX link starting no
 // earlier than `from`, returning the (start, end) of the reservation. Used

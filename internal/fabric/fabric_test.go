@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"time"
 
@@ -269,7 +270,7 @@ func TestFetchAddReturnsOldAndSerializes(t *testing.T) {
 	if len(seen) != 20 {
 		t.Fatalf("got %d unique values, want 20", len(seen))
 	}
-	if got := le64(mr.Bytes()); got != 20 {
+	if got := binary.LittleEndian.Uint64(mr.Bytes()); got != 20 {
 		t.Fatalf("counter = %d, want 20", got)
 	}
 }
@@ -277,7 +278,7 @@ func TestFetchAddReturnsOldAndSerializes(t *testing.T) {
 func TestCompareSwap(t *testing.T) {
 	k, c := testCluster(t, 2)
 	mr := c.OpenRegion(c.Node(1), 8)
-	putLE64(mr.Bytes(), 5)
+	binary.LittleEndian.PutUint64(mr.Bytes(), 5)
 	qp, _ := c.Dial(c.Node(0), c.Node(1))
 	k.Spawn("cas", func(p *sim.Proc) {
 		if old := qp.CompareSwap(p, transport.Addr{MR: mr}, 5, 9); old != 5 {
@@ -286,7 +287,7 @@ func TestCompareSwap(t *testing.T) {
 		if old := qp.CompareSwap(p, transport.Addr{MR: mr}, 5, 11); old != 9 {
 			t.Errorf("failed CAS old = %d", old)
 		}
-		if got := le64(mr.Bytes()); got != 9 {
+		if got := binary.LittleEndian.Uint64(mr.Bytes()); got != 9 {
 			t.Errorf("value = %d, want 9", got)
 		}
 	})

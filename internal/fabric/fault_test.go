@@ -2,6 +2,8 @@ package fabric
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math/bits"
 	"testing"
 	"time"
 
@@ -105,6 +107,162 @@ func TestFaultDuplicateWritePreservesTailOrder(t *testing.T) {
 	}
 }
 
+// TestFaultBatchedWriteDropAndDuplicate posts doorbell batches of three
+// signaled WRs, each with a CommitTail, first under a plan that duplicates
+// every WRITE and then under one that drops every WRITE. A duplicated WR
+// re-applies its body strictly before its tail, DuplicateDelay after the
+// first commit; a dropped WR commits nothing and still completes. Either
+// way every batch staging buffer and reference holder ends up back in the
+// cluster's freelists, each exactly once.
+func TestFaultBatchedWriteDropAndDuplicate(t *testing.T) {
+	const (
+		batches = 4
+		perWR   = 256
+		tail    = 16
+		dupLag  = 3 * time.Microsecond
+	)
+	type wrLog struct{ firstTail, dupBody, dupTail sim.Time }
+	run := func(t *testing.T, fp *FaultPlan) (transport.Region, [][]byte, []wrLog) {
+		k, c := faultCluster(t, 2, fp)
+		rec := transport.NewRecorder(0)
+		c.SetTracer(rec)
+		qp, _ := c.Dial(c.Node(0), c.Node(1))
+		mr := c.OpenRegion(c.Node(1), batches*3*perWR)
+		srcs := make([][]byte, batches*3)
+		for i := range srcs {
+			srcs[i] = bytes.Repeat([]byte{byte(i + 1)}, perWR)
+		}
+
+		// Prime the freelists with one staging buffer and one reference
+		// holder per batch, so no batch needs a fresh one; afterwards the
+		// freelists must hold exactly these again.
+		class := bits.Len(uint(3*perWR - 1))
+		bufs := map[*stagedBuf]bool{}
+		refs := map[*stagedRef]bool{}
+		for b := 0; b < batches; b++ {
+			bufs[c.stagedGet(3*perWR)] = true
+			refs[c.stagedRefGet(1)] = true
+		}
+		for sb := range bufs {
+			c.stagedPut(sb)
+		}
+		for r := range refs {
+			r.release(c)
+		}
+
+		k.Spawn("writer", func(p *sim.Proc) {
+			for b := 0; b < batches; b++ {
+				wrs := make([]transport.WriteWR, 3)
+				for j := range wrs {
+					i := 3*b + j
+					wrs[j] = transport.WriteWR{Src: srcs[i], Dst: transport.Addr{MR: mr, Off: i * perWR},
+						Opts: transport.WriteOptions{Signaled: true, ID: uint64(i), CommitTail: tail}}
+				}
+				qp.WriteBatch(p, wrs)
+			}
+			seen := map[uint64]bool{}
+			for range srcs {
+				cqe, ok := qp.SendCQ().WaitTimeout(p, time.Second)
+				if !ok {
+					t.Errorf("completion %d of %d never arrived", len(seen)+1, len(srcs))
+					return
+				}
+				seen[cqe.ID] = true
+			}
+			if len(seen) != len(srcs) {
+				t.Errorf("completions carried %d distinct IDs, want %d", len(seen), len(srcs))
+			}
+		})
+
+		// The poller samples every WR's range once per nanosecond. It clears
+		// a range the instant its first tail lands, so a re-applied body or
+		// tail shows up again.
+		logs := make([]wrLog, len(srcs))
+		if fp.Duplicate > 0 {
+			k.Spawn("poller", func(p *sim.Proc) {
+				buf := mr.Bytes()
+				for left := len(srcs); left > 0 && p.Now() < time.Millisecond; p.Sleep(1) {
+					for i, src := range srcs {
+						r, l := buf[i*perWR:(i+1)*perWR], &logs[i]
+						body, tl := bytes.Equal(r[:perWR-tail], src[:perWR-tail]), bytes.Equal(r[perWR-tail:], src[perWR-tail:])
+						switch {
+						case l.firstTail == 0 && tl:
+							if !body {
+								t.Errorf("WR %d: tail committed before its body", i)
+							}
+							l.firstTail = p.Now()
+							mr.Store(i*perWR, make([]byte, perWR))
+						case l.firstTail != 0 && l.dupTail == 0:
+							if body && l.dupBody == 0 {
+								l.dupBody = p.Now()
+							}
+							if tl {
+								l.dupTail = p.Now()
+								left--
+							}
+						}
+					}
+				}
+			})
+		}
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+
+		if !holdsExactly(c.stagedFree[class], bufs) {
+			t.Errorf("staging-buffer freelist holds %d entries, not exactly the %d primed", len(c.stagedFree[class]), batches)
+		}
+		if !holdsExactly(c.srefFree, refs) {
+			t.Errorf("reference-holder freelist holds %d entries, not exactly the %d primed", len(c.srefFree), batches)
+		}
+		if fp.Duplicate > 0 && rec.Injected() != len(srcs) {
+			t.Errorf("recorder injected = %d, want %d", rec.Injected(), len(srcs))
+		}
+		if fp.DropWrite > 0 && rec.Dropped() != len(srcs) {
+			t.Errorf("recorder dropped = %d, want %d", rec.Dropped(), len(srcs))
+		}
+		return mr, srcs, logs
+	}
+
+	t.Run("duplicate", func(t *testing.T) {
+		mr, srcs, logs := run(t, &FaultPlan{Duplicate: 1, DuplicateDelay: dupLag})
+		for i, l := range logs {
+			switch {
+			case l.dupTail == 0:
+				t.Errorf("WR %d: no duplicate commit seen (first tail at %v)", i, l.firstTail)
+			case l.dupBody == 0 || l.dupBody >= l.dupTail:
+				t.Errorf("WR %d: duplicate body at %v, tail at %v: body must come strictly first", i, l.dupBody, l.dupTail)
+			case l.dupTail-l.firstTail != dupLag:
+				t.Errorf("WR %d: duplicate tail %v after the first, want %v", i, l.dupTail-l.firstTail, dupLag)
+			}
+		}
+		for i, src := range srcs {
+			if !bytes.Equal(mr.Bytes()[i*perWR:(i+1)*perWR], src) {
+				t.Errorf("WR %d: range does not hold its payload after the duplicate", i)
+			}
+		}
+	})
+	t.Run("drop", func(t *testing.T) {
+		mr, _, _ := run(t, &FaultPlan{DropWrite: 1})
+		if !bytes.Equal(mr.Bytes(), make([]byte, mr.Len())) {
+			t.Error("a dropped WRITE committed remote memory")
+		}
+	})
+}
+
+// holdsExactly reports whether list holds every member of set once and
+// nothing else.
+func holdsExactly[T comparable](list []T, set map[T]bool) bool {
+	seen := make(map[T]bool, len(list))
+	for _, x := range list {
+		if !set[x] || seen[x] {
+			return false
+		}
+		seen[x] = true
+	}
+	return len(seen) == len(set)
+}
+
 func TestFaultLinkScopedDrop(t *testing.T) {
 	fp := &FaultPlan{Links: []LinkFault{{From: 0, To: 1, Drop: 1}}}
 	k, c := faultCluster(t, 3, fp)
@@ -194,7 +352,7 @@ func TestFaultAtomicDropIsRetryNotLoss(t *testing.T) {
 			qp.FetchAdd(p, transport.Addr{MR: mr}, 1)
 		}
 		// Exactly-once execution despite 100% "drop": each op is a retry.
-		if v := le64(mr.Bytes()[:8]); v != 4 {
+		if v := binary.LittleEndian.Uint64(mr.Bytes()[:8]); v != 4 {
 			t.Errorf("counter = %d, want 4", v)
 		}
 	})

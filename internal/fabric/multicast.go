@@ -96,7 +96,6 @@ func (g *multicastGroup) Send(p transport.Ctx, sender transport.Endpoint, src []
 	k := g.c.K
 	ser := cfg.serialization(len(src))
 	txStart, txEnd := from.reserveTx(k.Now()+cfg.NICStartup, ser)
-	from.bytesTx += int64(len(src))
 
 	var staged []byte
 	k.At(txEnd, func() {

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -102,7 +103,7 @@ func TestPropertyFetchAddLinearizable(t *testing.T) {
 			return false
 		}
 		total := uint64(n * ops)
-		if le64(mr.Bytes()) != total || uint64(len(seen)) != total {
+		if binary.LittleEndian.Uint64(mr.Bytes()) != total || uint64(len(seen)) != total {
 			return false
 		}
 		for v := uint64(0); v < total; v++ {

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"encoding/binary"
 	"time"
 
 	"dfi/internal/sim"
@@ -232,8 +233,8 @@ func (q *queuePair) WriteBatch(p transport.Ctx, wrs []transport.WriteWR) {
 // writeOne implements Write. batch is nil for a standalone WRITE (the
 // snapshot is then taken at DMA time, txEnd); for a doorbell-batched WRITE
 // it is the shared pre-staged buffer and off this WR's offset within it.
-// Each WR holds one reference on the batch, consumed by its final commit
-// event (or immediately if the WR is fault-dropped).
+// Each WR holds one reference on the batch per commit it schedules (two
+// when duplicated), or releases it at once if the WR is fault-dropped.
 func (q *queuePair) writeOne(p transport.Ctx, src []byte, dst transport.Addr, opts transport.WriteOptions, batch *stagedRef, off int) {
 	cfg := &q.c.cfg
 	mr := mrOf(dst)
@@ -277,129 +278,74 @@ func (q *queuePair) writeOne(p transport.Ctx, src []byte, dst transport.Addr, op
 		}
 	}
 
-	q.owner.bytesTx += int64(len(src))
 	disp := transport.Delivered
 	if fv.drop {
 		disp = transport.Dropped
 	}
 	q.c.trace(transport.OpWrite, q.owner, q.peer.owner, len(src), k.Now(), deliverAt, disp)
 
-	n := len(src)
-	dstOff := dst.Off
-	if !fv.drop && !fv.duplicate {
-		// Steady-state path (no fault touches this WR): the whole stage/
-		// body/commit/ack pipeline rides one pooled op, so posting a WRITE
-		// allocates nothing. Event push order matches the closure path
-		// below exactly — stage, body, commit, ack — keeping (at, seq)
-		// dispatch order byte-identical.
-		w := q.c.getWriteOp()
-		w.q, w.mr = q, mr
-		w.off, w.dstOff = off, dstOff
-		w.n, w.body, w.tail = n, body, tail
-		w.id = opts.ID
-		if batch == nil {
-			// The NIC finishes DMA-reading the source at txEnd: snapshot
-			// then, into a pooled staging buffer. (Post-time snapshots are
-			// tempting but wrong in both directions: they erase the
-			// reuse-before-completion hazard real verbs have, and a commit
-			// delayed by receiver RX queueing may fire after the writer has
-			// lawfully restamped the slot for a later lap.)
-			w.src = src
-			w.own = stagedRef{refs: 1}
-			w.st = &w.own
-			k.AtOp(txEnd, w, wopStage)
-		} else {
-			w.st = batch
-		}
-		if tail > 0 && body > 0 {
-			// Body commits just before the tail, after staging completed.
-			bodyAt := deliverAt - cfg.serialization(tail)
-			if bodyAt <= txEnd {
-				bodyAt = txEnd + 1
-			}
-			k.AtOp(bodyAt, w, wopBody)
-		}
-		k.AtOp(deliverAt, w, wopCommit)
-		q.lastCommit = deliverAt
-		signaled := opts.Signaled && !fv.dropCompletion
-		w.freeAtCommit = !signaled
-		if signaled {
-			// RC semantics: the completion is generated once the responder's
-			// ACK returns, i.e. after remote delivery plus the return hop.
-			ackAt := deliverAt + cfg.Propagation + cfg.SwitchDelay + cfg.CompletionDelay
-			k.AtOp(ackAt, w, wopAck)
-		}
-		return
-	}
-	st := batch
+	// RC semantics: the completion is generated once the responder's ACK
+	// returns, i.e. after remote delivery plus the return hop. A
+	// probabilistically dropped WRITE still completes — the loss is
+	// modelled above the reliability layer (see fault.go); only crashed
+	// endpoints suppress completions.
+	signaled := opts.Signaled && !fv.dropCompletion
+	ackAt := deliverAt + cfg.Propagation + cfg.SwitchDelay + cfg.CompletionDelay
 	if fv.drop {
 		// No commit will read the staging buffer: drop this WR's reference.
-		if st != nil {
-			st.release(q.c)
+		if batch != nil {
+			batch.release(q.c)
 		}
-	} else {
-		if st == nil {
-			st = &stagedRef{refs: 1}
-			// The NIC finishes DMA-reading the source at txEnd: snapshot
-			// then, into a pooled staging buffer.
-			k.At(txEnd, func() {
-				st.buf = q.c.stagedGet(n)
-				copy(st.buf.b, src)
-			})
-		}
-		// commit schedules the remote memory commit of the staged bytes with
-		// delivery finishing at `at` (body strictly before tail, as the
-		// NIC's increasing-address DMA order demands — fault delay shifts
-		// both). The final event of the last commit recycles the staging
-		// buffer.
-		commit := func(at sim.Time) {
-			if tail > 0 && body > 0 {
-				bodyAt := at - cfg.serialization(tail)
-				if bodyAt <= txEnd {
-					bodyAt = txEnd + 1
-				}
-				k.At(bodyAt, func() {
-					copy(mr.buf[dstOff:dstOff+body], st.buf.b[off:off+body])
-				})
-			}
-			k.At(at, func() {
-				from := 0
-				if tail > 0 {
-					from = body // committed at bodyAt
-				}
-				copy(mr.buf[dstOff+from:dstOff+n], st.buf.b[off+from:off+n])
-				mr.Notify()
-				st.release(q.c)
-			})
-		}
-		commit(deliverAt)
-		q.lastCommit = deliverAt
-		if fv.duplicate {
-			st.refs++
-			dupAt := deliverAt + q.c.cfg.Faults.dupDelay()
-			if tail > 0 && body > 0 && dupAt-cfg.serialization(tail) <= q.lastCommit {
-				dupAt = q.lastCommit + cfg.serialization(tail) + 1
-			}
-			q.c.trace(transport.OpWrite, q.owner, q.peer.owner, len(src), k.Now(), dupAt, transport.Injected)
-			commit(dupAt)
-			q.lastCommit = dupAt
+		if !signaled {
+			return
 		}
 	}
-	if opts.Signaled && !fv.dropCompletion {
-		// RC semantics: the completion is generated once the responder's
-		// ACK returns, i.e. after remote delivery plus the return hop.
-		// (A probabilistically dropped WRITE still completes — the loss is
-		// modelled above the reliability layer; see fault.go. Only crashed
-		// endpoints suppress completions.)
-		ackAt := deliverAt + cfg.Propagation + cfg.SwitchDelay + cfg.CompletionDelay
-		k.At(ackAt, func() {
-			q.scq.push(transport.Completion{ID: opts.ID, Op: transport.OpWrite, Bytes: n})
-		})
+
+	// The whole stage/body/commit/ack pipeline — a duplicate's second
+	// body and commit included — rides one pooled op, so posting a WRITE
+	// allocates nothing.
+	w := q.c.getWriteOp()
+	w.q, w.mr = q, mr
+	w.off, w.dstOff = off, dst.Off
+	w.n, w.body, w.tail = len(src), body, tail
+	w.id = opts.ID
+	if fv.drop {
+		w.at(ackAt, wopAck)
+		return
+	}
+	if batch == nil {
+		// The NIC finishes DMA-reading the source at txEnd: snapshot then,
+		// into a pooled staging buffer. (Post-time snapshots are tempting
+		// but wrong in both directions: they erase the reuse-before-
+		// completion hazard real verbs have, and a commit delayed by
+		// receiver RX queueing may fire after the writer has lawfully
+		// restamped the slot for a later lap.)
+		w.src = src
+		w.own = stagedRef{refs: 1}
+		w.st = &w.own
+		w.at(txEnd, wopStage)
+	} else {
+		w.st = batch
+	}
+	w.commit(deliverAt, txEnd)
+	q.lastCommit = deliverAt
+	if fv.duplicate {
+		w.st.refs++
+		dupAt := deliverAt + cfg.Faults.dupDelay()
+		if tail > 0 && body > 0 && dupAt-cfg.serialization(tail) <= q.lastCommit {
+			dupAt = q.lastCommit + cfg.serialization(tail) + 1
+		}
+		q.c.trace(transport.OpWrite, q.owner, q.peer.owner, len(src), k.Now(), dupAt, transport.Injected)
+		w.commit(dupAt, txEnd)
+		q.lastCommit = dupAt
+	}
+	if signaled {
+		w.at(ackAt, wopAck)
 	}
 }
 
-// writeOp is the pooled event payload driving the steady-state WRITE
-// pipeline (see writeOne). Steps fire in scheduler context via sim.Op.
+// writeOp is the pooled event payload driving the WRITE pipeline (see
+// writeOne). Steps fire in scheduler context via sim.Op.
 type writeOp struct {
 	q   *queuePair
 	mr  *memoryRegion
@@ -410,7 +356,7 @@ type writeOp struct {
 	off, dstOff   int
 	n, body, tail int
 	id            uint64
-	freeAtCommit  bool // unsignaled: commit is the last step
+	pending       int // scheduled steps not yet run; the last one recycles w
 }
 
 // writeOp pipeline steps (scheduled through Kernel.AtOp).
@@ -420,6 +366,27 @@ const (
 	wopCommit              // commit tail/body, Notify, release staging (deliverAt)
 	wopAck                 // push the signaled completion (ackAt)
 )
+
+// at schedules step of w at t.
+func (w *writeOp) at(t sim.Time, step uint8) {
+	w.pending++
+	w.q.c.K.AtOp(t, w, step)
+}
+
+// commit schedules one remote commit of the staged bytes with delivery
+// finishing at t: the body strictly before the tail, as the NIC's
+// increasing-address DMA order demands (fault delay shifts both), and
+// never before staging completed at txEnd.
+func (w *writeOp) commit(t, txEnd sim.Time) {
+	if w.tail > 0 && w.body > 0 {
+		bodyAt := t - w.q.c.cfg.serialization(w.tail)
+		if bodyAt <= txEnd {
+			bodyAt = txEnd + 1
+		}
+		w.at(bodyAt, wopBody)
+	}
+	w.at(t, wopCommit)
+}
 
 func (w *writeOp) RunOp(step uint8) {
 	switch step {
@@ -436,11 +403,10 @@ func (w *writeOp) RunOp(step uint8) {
 		copy(w.mr.buf[w.dstOff+from:w.dstOff+w.n], w.st.buf.b[w.off+from:w.off+w.n])
 		w.mr.Notify()
 		w.st.release(w.q.c)
-		if w.freeAtCommit {
-			putWriteOp(w)
-		}
 	case wopAck:
 		w.q.scq.push(transport.Completion{ID: w.id, Op: transport.OpWrite, Bytes: w.n})
+	}
+	if w.pending--; w.pending == 0 {
 		putWriteOp(w)
 	}
 }
@@ -504,7 +470,6 @@ func (q *queuePair) read(p transport.Ctx, dst []byte, src transport.Addr, signal
 	fv := q.c.fault(transport.OpRead, q.owner, q.peer.owner, rxEnd)
 	deliverAt := rxEnd + fv.delay
 
-	q.peer.owner.bytesTx += int64(len(dst))
 	disp := transport.Delivered
 	if fv.drop {
 		disp = transport.Dropped
@@ -701,11 +666,11 @@ func (ao *atomicOp) RunOp(step uint8) {
 		ao.done.Broadcast()
 		return
 	}
-	ao.old = le64(ao.word)
+	ao.old = binary.LittleEndian.Uint64(ao.word)
 	if !ao.cas {
-		putLE64(ao.word, ao.old+ao.a)
+		binary.LittleEndian.PutUint64(ao.word, ao.old+ao.a)
 	} else if ao.old == ao.a {
-		putLE64(ao.word, ao.b)
+		binary.LittleEndian.PutUint64(ao.word, ao.b)
 	}
 	ao.mr.Notify()
 }
@@ -769,7 +734,6 @@ func (q *queuePair) Send(p transport.Ctx, src []byte, signaled bool, id uint64) 
 		deliverAt = q.lastArrive + 1
 	}
 
-	q.owner.bytesTx += int64(len(src))
 	disp := transport.Delivered
 	if fv.drop {
 		disp = transport.Dropped
@@ -810,24 +774,4 @@ func (q *queuePair) Send(p transport.Ctx, src []byte, signaled bool, id uint64) 
 			q.scq.push(transport.Completion{ID: id, Op: transport.OpSend, Bytes: n})
 		})
 	}
-}
-
-// le64 and putLE64 are little-endian 8-byte codecs used across the fabric
-// and the DFI ring protocol.
-func le64(b []byte) uint64 {
-	_ = b[7]
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-}
-
-func putLE64(b []byte, v uint64) {
-	_ = b[7]
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-	b[4] = byte(v >> 32)
-	b[5] = byte(v >> 40)
-	b[6] = byte(v >> 48)
-	b[7] = byte(v >> 56)
 }

@@ -61,16 +61,6 @@ func TestCallbackPanicIsReportedAsCallbackPanic(t *testing.T) {
 			}
 		})
 	}
-	t.Run("shard-window", func(t *testing.T) {
-		g := NewShardGroup(2, 1, la)
-		for s := 0; s < 2; s++ {
-			g.Shard(s).Spawn(fmt.Sprint("node", s), func(p *Proc) { p.Sleep(10 * us) })
-		}
-		g.Shard(1).After(us, boom)
-		if err := g.Run(); err == nil || err.Error() != want {
-			t.Fatalf("Run() = %v, want %q", err, want)
-		}
-	})
 }
 
 type panicOp struct{}
@@ -137,62 +127,6 @@ func TestDeadlockReportListsSortedParkedNames(t *testing.T) {
 	want := "sim: deadlock at t=1µs: 3 live processes, parked: [alpha mid zeta]"
 	if err := k.Run(); err == nil || err.Error() != want {
 		t.Fatalf("Run() = %v, want %q", err, want)
-	}
-}
-
-// TestParkedAcrossShardWindows: processes that stay parked over many window
-// boundaries are resumed by whichever worker goroutine runs a later window.
-// Each shard's state is written by its waker and read by its waiter on
-// different host goroutines in different windows, so -race checks that the
-// hand-offs order them. With every shard on the same period all are active
-// in every window and each window has fresh workers; with shard s on period
-// (s+1)·3·la a window has one active shard (it runs inline on Run's
-// goroutine) or two (each on a fresh worker), so one kernel's coroutines
-// are resumed now from Run's goroutine, now from a worker.
-func TestParkedAcrossShardWindows(t *testing.T) {
-	const rounds = 50
-	cases := []struct {
-		name   string
-		shards int
-		period func(s int) Time
-	}{
-		{"all-active", 3, func(s int) Time { return 3*la + Time(s) }},
-		{"two-active", 2, func(s int) Time { return Time(s+1) * 3 * la }},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			g := NewShardGroup(tc.shards, 5, la)
-			got := make([]int, tc.shards)
-			for s := 0; s < tc.shards; s++ {
-				s := s
-				k := g.Shard(s)
-				c := NewCond(k)
-				token := 0
-				k.Spawn(fmt.Sprint("waiter", s), func(p *Proc) {
-					for r := 1; r <= rounds; r++ {
-						for token < r {
-							c.Wait(p) // parked across window boundaries
-						}
-						got[s]++
-					}
-				})
-				k.Spawn(fmt.Sprint("waker", s), func(p *Proc) {
-					for r := 1; r <= rounds; r++ {
-						p.Sleep(tc.period(s))
-						token = r
-						c.Signal()
-					}
-				})
-			}
-			if err := g.Run(); err != nil {
-				t.Fatal(err)
-			}
-			for s, n := range got {
-				if n != rounds {
-					t.Errorf("shard %d: waiter completed %d of %d rounds", s, n, rounds)
-				}
-			}
-		})
 	}
 }
 

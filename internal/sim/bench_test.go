@@ -6,13 +6,13 @@ import (
 	"time"
 )
 
-// The sim line of the performance ledger (ROADMAP open item 1): what one
-// process switch, one parked sleep, one timed wait and one shard window
-// cost on the host. One op is one of those, so ns/op compares directly
-// across commits. Run with -cpu 1,2: a coroutine switch never wakes an idle
-// core, so the two readings agreeing is the check (the channel hand-off
-// this replaced cost more on two Ps than on one). `make bench-smoke` keeps
-// these running; TestSwitchesAllocateNothing gates their allocations.
+// The sim line of the performance ledger: what one process switch, one
+// parked sleep and one timed wait cost on the host. One op is one of
+// those, so ns/op compares directly across commits. Run with -cpu 1,2: a
+// coroutine switch never wakes an idle core, so the two readings agreeing
+// is the check (the channel hand-off this replaced cost more on two Ps
+// than on one). `make bench-smoke` keeps these running;
+// TestSwitchesAllocateNothing gates their allocations.
 
 // BenchmarkProcSwitch: two processes ping-pong through one Cond. Every
 // Signal+Wait is one wake event and one process switch, nothing else.
@@ -83,28 +83,6 @@ func BenchmarkWaitTimeoutWake(b *testing.B) {
 			})
 			b.ResetTimer()
 			if err := k.Run(); err != nil {
-				b.Fatal(err)
-			}
-		})
-	}
-}
-
-// BenchmarkShardWindow: one lookahead window per op with every shard active
-// in it (one process per shard sleeping exactly one lookahead), i.e. the
-// barrier, the worker goroutines and one park per shard.
-func BenchmarkShardWindow(b *testing.B) {
-	for _, shards := range []int{1, 2, 4} {
-		b.Run(fmt.Sprint(shards), func(b *testing.B) {
-			g := NewShardGroup(shards, 1, la)
-			for s := 0; s < shards; s++ {
-				g.Shard(s).Spawn(fmt.Sprint("node", s), func(p *Proc) {
-					for i := 0; i < b.N; i++ {
-						p.Sleep(la)
-					}
-				})
-			}
-			b.ResetTimer()
-			if err := g.Run(); err != nil {
 				b.Fatal(err)
 			}
 		})

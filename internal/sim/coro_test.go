@@ -73,8 +73,7 @@ func TestSwitchesAllocateNothing(t *testing.T) {
 
 // TestGoexitInProcessEndsRunsCaller pins the Goexit rule documented on
 // Spawn: the process's deferred calls run, the kernel's failure names it,
-// and the goroutine that called Run ends without Run returning. A
-// ShardGroup whose worker goroutine ended that way reports the failure.
+// and the goroutine that called Run ends without Run returning.
 func TestGoexitInProcessEndsRunsCaller(t *testing.T) {
 	const want = `sim: process "quitter" called runtime.Goexit`
 	quitter := func(deferred *bool) func(*Proc) {
@@ -104,23 +103,6 @@ func TestGoexitInProcessEndsRunsCaller(t *testing.T) {
 		}
 		if k.failure == nil || k.failure.Error() != want {
 			t.Errorf("kernel failure = %v, want %q", k.failure, want)
-		}
-	})
-	t.Run("shard-group", func(t *testing.T) {
-		g := NewShardGroup(2, 1, la)
-		deferred := false
-		g.Shard(0).Spawn("ticker", func(p *Proc) {
-			for i := 0; i < 10; i++ {
-				p.Sleep(us) // active in the quitter's window, so that one runs on a worker
-			}
-		})
-		g.Shard(1).Spawn("quitter", quitter(&deferred))
-		g.Shard(1).Spawn("bystander", func(p *Proc) { p.Sleep(10 * us) })
-		if err := g.Run(); err == nil || err.Error() != want {
-			t.Fatalf("Run() = %v, want %q", err, want)
-		}
-		if !deferred {
-			t.Error("the process's deferred call did not run")
 		}
 	})
 }

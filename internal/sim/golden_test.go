@@ -50,8 +50,9 @@ func (s *goldenSignal) RunOp(step uint8) {
 }
 
 // goldenProgram spawns the program on k. The program draws from its own
-// rng (not k.Rand(), whose seed differs inside a ShardGroup); that is safe
-// because exactly one process or callback runs at a time.
+// rng, not k.Rand(), so the pinned log does not depend on how the kernel
+// seeds its source; one rng is safe because exactly one process or
+// callback runs at a time.
 func goldenProgram(k *Kernel, seed int64) *goldenLog {
 	const (
 		workers  = 12
@@ -207,23 +208,14 @@ func goldenProgram(k *Kernel, seed int64) *goldenLog {
 
 func TestGoldenDispatchOrder(t *testing.T) {
 	for _, g := range goldenRuns {
-		check := func(mode string, k *Kernel, l *goldenLog, err error) {
-			t.Helper()
-			if err != nil {
-				t.Fatalf("seed %d %s: %v", g.seed, mode, err)
-			}
-			if l.steps != g.steps || k.Events() != g.events || l.h.Sum64() != g.hash {
-				t.Errorf("seed %d %s: steps %d events %d hash %#x, golden %d / %d / %#x",
-					g.seed, mode, l.steps, k.Events(), l.h.Sum64(), g.steps, g.events, g.hash)
-			}
-		}
 		k := New(g.seed)
 		l := goldenProgram(k, g.seed)
-		check("kernel", k, l, k.Run())
-
-		// Many short windows: processes stay parked across most boundaries.
-		sg := NewShardGroup(1, g.seed, 90*time.Nanosecond)
-		l = goldenProgram(sg.Shard(0), g.seed)
-		check("shard-group", sg.Shard(0), l, sg.Run())
+		if err := k.Run(); err != nil {
+			t.Fatalf("seed %d: %v", g.seed, err)
+		}
+		if l.steps != g.steps || k.Events() != g.events || l.h.Sum64() != g.hash {
+			t.Errorf("seed %d: steps %d events %d hash %#x, golden %d / %d / %#x",
+				g.seed, l.steps, k.Events(), l.h.Sum64(), g.steps, g.events, g.hash)
+		}
 	}
 }

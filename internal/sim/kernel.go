@@ -96,14 +96,17 @@ type timeout struct {
 }
 
 // Kernel is a discrete-event simulation instance. Create one with New, spawn
-// processes with Spawn, then call Run.
+// processes with Spawn, then call Run. Nothing in it is locked: the kernel,
+// its processes and every primitive bound to it are used only from its own
+// process or scheduler context, on the goroutine that called Run.
+// Independent kernels share no state and may run on concurrent goroutines.
 type Kernel struct {
 	now     Time
 	events  []event   // value-based binary min-heap ordered by (at, seq)
 	tmos    []timeout // indexed min-heap of pending WaitTimeout deadlines
 	seq     uint64
 	to      *Proc // the process await's trampoline resumes next; nil: the loop stopped
-	result  error // what a loop that stopped on a process stack leaves for runUntil
+	result  error // what a loop that stopped on a process stack leaves for Run
 	running *Proc // the process running its own code; nil while the loop runs
 	rng     *rand.Rand
 
@@ -119,17 +122,6 @@ type Kernel struct {
 	Deadline Time
 
 	nevents uint64
-
-	// horizon bounds how far this kernel may advance on its own when it is
-	// one shard of a ShardGroup: events at or past the horizon wait for the
-	// next window, and the Sleep fast path declines to cross it. Zero means
-	// unbounded (the classic single-kernel mode).
-	horizon Time
-
-	// group/shardID identify this kernel's place in a ShardGroup (group is
-	// nil for a classic standalone kernel).
-	group   *ShardGroup
-	shardID int
 }
 
 // New returns a kernel whose random source is seeded with seed. Two kernels
@@ -393,19 +385,19 @@ func (k *Kernel) peek() (at Time, tmo, ok bool) {
 }
 
 // drive is the event loop. Whoever holds the baton runs it on its own
-// stack: runUntil (self == nil), a parking process, or an exiting one. It
+// stack: Run (self == nil), a parking process, or an exiting one. It
 // pops events in (at, seq) order and fires callbacks, timers and timeouts
 // inline until one of three things happens:
 //
 //   - a valid start/wake for self pops: return, self runs on (no switch);
 //   - a valid start/wake for another process pops: name it in k.to and
 //     await the baton — the trampoline resumes it (two coroutine switches,
-//     one when the host is runUntil itself);
-//   - a stop condition holds (failure, heaps drained or at the horizon,
-//     MaxEvents, Deadline): runUntil's own drive returns the result, any
-//     other leaves it in k.result and awaits the baton with k.to nil.
+//     one when the host is Run itself);
+//   - a stop condition holds (failure, heaps drained, MaxEvents,
+//     Deadline): Run's own drive returns the result, any other leaves it
+//     in k.result and awaits the baton with k.to nil.
 //
-// The error result is meaningful to runUntil only.
+// The error result is meaningful to Run only.
 func (k *Kernel) drive(self *Proc) (err error) {
 	defer func() {
 		// Only a callback can panic in here; the stack that hosted it is not
@@ -420,7 +412,7 @@ func (k *Kernel) drive(self *Proc) (err error) {
 		switch {
 		case k.failure != nil:
 			return k.stopped(self, k.failure)
-		case !pending || (k.horizon > 0 && at >= k.horizon):
+		case !pending:
 			return k.stopped(self, nil)
 		case k.MaxEvents > 0 && k.nevents >= k.MaxEvents:
 			return k.stopped(self, fmt.Errorf("sim: exceeded MaxEvents=%d at t=%v (possible livelock)", k.MaxEvents, k.now))
@@ -481,10 +473,9 @@ func (k *Kernel) stopped(self *Proc, err error) error {
 }
 
 // await gives the baton away. A live process yields to the trampoline and
-// returns into its own code when a start/wake for it pops — in this run or
-// a later one (the next ShardGroup window, on any goroutine); an exited
-// process just returns and its coroutine ends. runUntil (self == nil) is
-// the trampoline: it resumes whichever process drive named until the loop
+// returns into its own code when a start/wake for it pops; an exited
+// process just returns and its coroutine ends. Run (self == nil) is the
+// trampoline: it resumes whichever process drive named until the loop
 // stops, and returns the stored result. It is the only caller of next: on a
 // process's stack next would nest the coroutines, and a park would return
 // to that process instead of to Run's goroutine.
@@ -503,26 +494,14 @@ func (k *Kernel) await(self *Proc) error {
 	return k.result
 }
 
-// runUntil processes events strictly before horizon w (0 means unbounded)
-// and returns nil when the heaps drain or every remaining entry is at or
-// past w. The loop starts on the caller's stack and moves from coroutine to
-// coroutine (see drive); runUntil returns once it has stopped, wherever that
-// was. Parked processes stay suspended in their yield, so the next call —
-// from any goroutine, one at a time — picks them up again. The horizon is
-// also installed for the Sleep fast path, so a shard's clock can never
-// overrun its window.
-func (k *Kernel) runUntil(w Time) error {
-	k.horizon = w
-	defer func() { k.horizon = 0 }()
-	return k.drive(nil)
-}
-
 // Run processes events until none remain, a process or event callback
 // panics, MaxEvents is exceeded, or the Deadline passes. It returns an error
 // describing abnormal termination; a deadlock (live processes parked with no
-// pending events) is reported with the parked process names.
+// pending events) is reported with the parked process names. The loop
+// starts on the caller's stack and moves from coroutine to coroutine (see
+// drive); Run returns once it has stopped, wherever that was.
 func (k *Kernel) Run() error {
-	if err := k.runUntil(0); err != nil {
+	if err := k.drive(nil); err != nil {
 		return err
 	}
 	if len(k.procs) > 0 {
@@ -621,15 +600,14 @@ func (p *Proc) Sleep(d Time) {
 	//     prior segments without a single process switch.
 	//
 	// Anything else — a process transition (start/timer/wake/timeout), a
-	// tie at exactly t, the deadline, the event budget, a shard horizon —
-	// parks, so drive keeps control of termination and (at, seq) dispatch
-	// order stays byte-identical.
+	// tie at exactly t, the deadline, the event budget — parks, so drive
+	// keeps control of termination and (at, seq) dispatch order stays
+	// byte-identical.
 	for {
 		if (len(k.events) == 0 || t < k.events[0].at) &&
 			(len(k.tmos) == 0 || t < k.tmos[0].at) &&
 			(k.Deadline <= 0 || t <= k.Deadline) &&
-			(k.MaxEvents <= 0 || k.nevents+2 < k.MaxEvents) &&
-			(k.horizon <= 0 || t < k.horizon) {
+			(k.MaxEvents <= 0 || k.nevents+2 < k.MaxEvents) {
 			k.now = t
 			k.nevents += 2 // the timer+wake pair this replaces
 			return
@@ -642,8 +620,7 @@ func (p *Proc) Sleep(d Time) {
 			break
 		}
 		if (k.Deadline > 0 && at > k.Deadline) ||
-			(k.MaxEvents > 0 && k.nevents >= k.MaxEvents) ||
-			(k.horizon > 0 && at >= k.horizon) {
+			(k.MaxEvents > 0 && k.nevents >= k.MaxEvents) {
 			break
 		}
 		ev := k.pop()

@@ -2,8 +2,8 @@ package sim
 
 // This file provides the blocking primitives simulated processes use to
 // coordinate: conditions, counting resources, wait groups, and barriers.
-// All of them are safe only within a single kernel (the simulation is
-// single-threaded by construction).
+// Each is bound to one kernel and used only from that kernel's process or
+// scheduler context; none is locked (one stack runs at a time, see Kernel).
 
 // Cond is a condition variable for simulated processes. Unlike sync.Cond it
 // needs no external mutex: the simulation is single-threaded, so check-then-
