@@ -104,7 +104,8 @@ metrics-smoke:
 # steady-vs-general Push differential rides along once: its eviction leg
 # is the one place the per-tuple path hands a half-filled segment to the
 # harvest. So do six independent clusters on six concurrent kernels,
-# which must share no package-level state.
+# which must share no package-level state. Last, the flow driver runs a
+# combiner flow on both backends and checks its SUMs against an oracle.
 transport-race:
 	$(GO) test -race -count=1 ./internal/transport/...
 	$(GO) test -race -count=1 -run 'TestTransportConformance' ./internal/fabric/
@@ -113,6 +114,7 @@ transport-race:
 	$(GO) test -race -count=10 -run 'TestElasticAttachMidFlow' ./internal/core/
 	$(GO) test -race -count=1 -run 'TestLocalRegistryHammer|TestStatusSnapshotMatchesRebuild|TestRemoveRepublishWakesWaiters' ./internal/registry/
 	$(GO) test -race -count=1 -run 'TestChanTransport|TestSameArgsOnBothTransports' ./cmd/dfiflow/
+	$(GO) test -race -count=1 -run 'TestCombinerSumOnBothBackends' ./internal/scenario/
 
 # Push and Consume pay per tuple only for the tuple, and a count says
 # so, not a timing: the steady path against the general path on one

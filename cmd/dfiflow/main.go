@@ -49,40 +49,21 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strconv"
-	"strings"
-	"sync"
 	"time"
 
 	"dfi/internal/core"
 	"dfi/internal/core/partition"
+	"dfi/internal/fabric"
 	"dfi/internal/registry"
+	"dfi/internal/scenario"
 	"dfi/internal/schema"
 	"dfi/internal/transport"
 	"dfi/internal/transport/sharedring"
 )
-
-// rejected cross-checks the flags set on the command line against a
-// table of flags the chosen mode cannot honour, before any machinery
-// spins up: one line per offender, naming it and the table's reason
-// (format takes the two).
-func rejected(fs *flag.FlagSet, table map[string]string, format string) error {
-	var bad []string
-	fs.Visit(func(f *flag.Flag) {
-		if why, ok := table[f.Name]; ok {
-			bad = append(bad, fmt.Sprintf(format, f.Name, why))
-		}
-	})
-	if len(bad) == 0 {
-		return nil
-	}
-	return errors.New(strings.Join(bad, "\n\t"))
-}
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
@@ -141,8 +122,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "dfiflow: "+format+"\n", a...)
 		return 2
 	}
-	// Bodies print while the flow runs, concurrently on the wall clock.
-	stdout = &lockedWriter{w: stdout}
 	if *nFlows < 1 {
 		return usage("-flows %d: want at least 1", *nFlows)
 	}
@@ -156,7 +135,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	rejoinAt := make(map[int]time.Duration)
 	for _, rj := range rejoins {
-		rejoinAt[rj.target] = rj.at
+		rejoinAt[rj.Target] = rj.At
 	}
 	scheme, err := partition.ParseScheme(*partMode)
 	if err != nil {
@@ -199,45 +178,58 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// The one per-backend step: a cluster and a registry on its clock.
-	var b *backend
-	rcfg := registry.ReplicaConfig{Replicas: *replicas, SnapshotEvery: *snapEvery, UnloggedRenew: *unlogRen}
+	var b *scenario.Backend
+	nodes := *nSources + *nTargets
+	rcfg := scenario.RegistryConfig{Shards: *regShards, ReplicaConfig: registry.ReplicaConfig{
+		Replicas: *replicas, SnapshotEvery: *snapEvery, UnloggedRenew: *unlogRen}}
 	switch *transportF {
 	case "fabric":
-		b, err = newFabricBackend(*nSources+*nTargets, *seed, *loss, *faults, *regShards, rcfg)
-	case "chan":
-		if err = rejected(fs, desOnlyFlags, "-transport=chan does not support -%s: %s (see docs/ARCHITECTURE.md, DES-only knobs)"); err == nil {
-			b, err = newChanBackend(*nSources+*nTargets, *regShards, rcfg)
+		if *loss < 0 || *loss > 1 {
+			return usage("-loss %v: want a probability in [0, 1]", *loss)
 		}
+		fcfg := fabric.DefaultConfig()
+		fcfg.MulticastLoss = *loss
+		if *faults != "" {
+			if fcfg.Faults, rcfg.Faults, err = parseFaults(*faults, nodes); err != nil {
+				return usage("-faults: %v", err)
+			}
+		}
+		b = scenario.Fabric(nodes, *seed, fcfg)
+	case "chan":
+		if err := rejected(fs, desOnlyFlags, "-transport=chan does not support -%s: %s (see docs/ARCHITECTURE.md, DES-only knobs)"); err != nil {
+			return usage("%v", err)
+		}
+		b = scenario.Chan(nodes)
 	default:
 		return usage("unknown transport %q (want fabric or chan)", *transportF)
 	}
-	if err != nil {
-		return usage("%v", err)
+	if err := b.UseRegistry(rcfg); err != nil {
+		return usage("-replicas: %v", err)
 	}
 	var rec *transport.Recorder
 	if *traceOps > 0 {
-		rec = transport.AttachRecorder(b.tpt, *traceOps)
+		rec = transport.AttachRecorder(b.Transport, *traceOps)
 		// The per-message framing overhead feeds the recorder's
 		// wire-volume estimate (its "wire bytes" line).
-		rec.WireOverheadBytes = b.wireOverhead
+		rec.WireOverheadBytes = b.WireOverhead
 	}
 	var pool *sharedring.Pool
 	if *shared {
-		pool = sharedring.PoolOf(b.tpt, sharedring.Config{})
+		pool = sharedring.PoolOf(b.Transport, sharedring.Config{})
 	}
 	plane, err := startOps(opsFlags{metricsAddr: *metricsAddr, linger: *linger, eventsCap: *eventsCap, eventsOut: *eventsOut},
-		b.reg, rec, pool, stdout)
+		b.Registry, rec, pool, stdout)
 	if err != nil {
 		return usage("-metrics-addr: %v", err)
 	}
 
 	for i := 0; i < *nSources; i++ {
-		spec.Sources = append(spec.Sources, core.Endpoint{Node: b.node(i)})
+		spec.Sources = append(spec.Sources, core.Endpoint{Node: b.Node(i)})
 	}
 	for i := 0; i < *nTargets; i++ {
-		node := b.node(*nSources + i)
+		node := b.Node(*nSources + i)
 		if spec.Type == core.CombinerFlow {
-			node = b.node(*nSources) // combiner: one target node
+			node = b.Node(*nSources) // combiner: one target node
 		}
 		spec.Targets = append(spec.Targets, core.Endpoint{Node: node, Thread: i})
 	}
@@ -245,158 +237,35 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// With -flows N the same topology runs N times concurrently (the
 	// shared rings multiplex all of them over one link per node pair);
 	// the -mb volume splits across the fleet so totals stay comparable.
-	flowNames := make([]string, *nFlows)
-	for f := range flowNames {
-		flowNames[f] = "dfiflow"
-		if *nFlows > 1 {
-			flowNames[f] = fmt.Sprintf("dfiflow-%d", f)
-		}
-	}
-
-	perSource := (*megabytes << 20) / sch.TupleSize() / *nFlows
-	srcStats := make([]core.SourceStats, *nFlows**nSources)
-	tgtStats := make([]core.TargetStats, *nFlows**nTargets)
-	// What the bodies report back; mu orders them on the wall clock.
-	var (
-		mu     sync.Mutex
-		end    time.Duration // when the last target finished
-		failed bool
-	)
-	// Endpoint errors are expected when faults or evictions were injected
-	// and fail the run only if they broke a flow; otherwise any does.
-	injected := *faults != "" || *evictSpec != ""
-	fail := func() {
-		mu.Lock()
-		failed = true
-		mu.Unlock()
-	}
-	epDied := func(kind string, idx int, err error) {
-		fmt.Fprintf(stdout, "%s %d: %v\n", kind, idx, err)
-		if !injected || errors.Is(err, core.ErrFlowBroken) {
-			fail()
-		}
-	}
-
-	var initErr error // the library rejected the spec: nothing will run
-	b.spawn("init", func(p transport.Ctx) {
-		for _, name := range flowNames {
-			spec := spec
-			spec.Name = name
-			if initErr = core.FlowInit(p, b.reg, b.tpt, spec); initErr != nil {
-				b.abort()
-				return
-			}
-		}
+	res := scenario.Run(b, scenario.Scenario{
+		Spec:      spec,
+		Flows:     *nFlows,
+		Tuples:    (*megabytes << 20) / sch.TupleSize() / *nFlows,
+		Evictions: evictions,
+		Rejoins:   rejoinAt,
+		Publish:   plane.publish,
+		Log:       stdout,
 	})
-	// With -flows an eviction strikes the slot in every flow.
-	for _, ev := range evictions {
-		b.spawn(fmt.Sprintf("evict%d", ev.target), func(p transport.Ctx) { strike(p, b.reg, ev, flowNames, stdout) })
+	if res.Init != nil {
+		return usage("%v", res.Init)
 	}
-	for fi, flow := range flowNames {
-		for si := 0; si < *nSources; si++ {
-			b.spawn(fmt.Sprintf("src%d.%d", fi, si), func(p transport.Ctx) {
-				src, err := core.SourceOpen(p, b.reg, flow, si)
-				if err != nil {
-					epDied("source", si, fmt.Errorf("open: %w", err))
-					return
-				}
-				plane.publish(src)
-				tup := sch.NewTuple()
-				rng := p.Rand()
-				for i := 0; i < perSource; i++ {
-					sch.PutInt64(tup, 0, rng.Int63())
-					if err := src.Push(p, tup); err != nil {
-						// Expected under an injected crash: report, stop pushing.
-						epDied("source", si, fmt.Errorf("push: %w", err))
-						break
-					}
-				}
-				if err := src.Close(p); err != nil {
-					epDied("source", si, fmt.Errorf("close: %w", err))
-				}
-				srcStats[fi**nSources+si] = src.Stats()
-			})
-		}
-		for ti := 0; ti < *nTargets; ti++ {
-			b.spawn(fmt.Sprintf("tgt%d.%d", fi, ti), func(p transport.Ctx) {
-				defer func() {
-					mu.Lock()
-					end = max(end, p.Now())
-					mu.Unlock()
-				}()
-				if spec.Type == core.CombinerFlow {
-					ct, err := core.CombinerTargetOpen(p, b.reg, flow, ti)
-					if err != nil {
-						epDied("target", ti, fmt.Errorf("open: %w", err))
-						return
-					}
-					ct.Run(p)
-					return
-				}
-				tgt, err := core.TargetOpen(p, b.reg, flow, ti)
-				if err != nil {
-					epDied("target", ti, fmt.Errorf("open: %w", err))
-					return
-				}
-				plane.publish(tgt)
-				consume := func(tgt *core.Target) {
-					for {
-						if _, _, ok := tgt.ConsumeSegment(p); !ok {
-							break
-						}
-					}
-				}
-				consume(tgt)
-				if tgt.Evicted() {
-					if *nFlows == 1 {
-						fmt.Fprintf(stdout, "target %d: evicted from the flow membership\n", ti)
-					} else {
-						fmt.Fprintf(stdout, "target %d (%s): evicted from the flow membership\n", ti, flow)
-					}
-				}
-				if at, ok := rejoinAt[ti]; ok {
-					if at > p.Now() {
-						p.Sleep(at - p.Now())
-					}
-					nt, err := tgt.Reattach(p)
-					if err != nil {
-						fmt.Fprintf(stdout, "target %d: rejoin rejected: %v\n", ti, err)
-						fail()
-					} else {
-						fmt.Fprintf(stdout, "target %d: rejoined at %v, resumed from %d consumed tuples\n", ti, p.Now(), nt.ResumedFrom())
-						consume(nt)
-						tgt = nt
-					}
-				}
-				if dead := tgt.FailedSources(); len(dead) > 0 {
-					fmt.Fprintf(stdout, "target %d: sources declared failed: %v\n", ti, dead)
-				}
-				tgtStats[fi**nTargets+ti] = tgt.Stats()
-			})
-		}
-	}
-	err = b.wait()
-	if initErr != nil {
-		return usage("%v", initErr)
-	}
-	if err != nil {
-		fmt.Fprintf(stderr, "dfiflow: %v\n", err)
-		failed = true
+	if res.Kernel != nil {
+		fmt.Fprintf(stderr, "dfiflow: %v\n", res.Kernel)
 	}
 
 	var pushed, consumed, payload uint64
-	for _, s := range srcStats {
+	for _, s := range res.Sources {
 		pushed += s.TuplesPushed
 		payload += s.PayloadBytes
 	}
-	for _, s := range tgtStats {
+	for _, s := range res.Targets {
 		consumed += s.TuplesConsumed
 	}
 	mode := ""
 	if *shared {
 		mode = " over shared rings"
 	}
-	mode += b.via
+	mode += b.Via
 	if *nFlows == 1 {
 		fmt.Fprintf(stdout, "flow: %s %s%s, %s partitioning, %d sources → %d targets, %s tuples, %d MiB/source\n",
 			*flowType, spec.Options.Optimization, mode, scheme, *nSources, *nTargets, fmtBytes(sch.TupleSize()), *megabytes)
@@ -404,15 +273,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "fleet: %d %s flows%s, %d sources → %d targets each, %s tuples, %d MiB total\n",
 			*nFlows, *flowType, mode, *nSources, *nTargets, fmtBytes(sch.TupleSize()), *megabytes)
 	}
-	fmt.Fprintf(stdout, "%s runtime: %v\n", b.clock, end)
+	fmt.Fprintf(stdout, "%s runtime: %v\n", b.Clock, res.End)
 	fmt.Fprintf(stdout, "tuples pushed:   %d  (consumed: %d)\n", pushed, consumed)
 	fmt.Fprintf(stdout, "aggregate sender bandwidth: %.2f GiB/s (%s)\n",
-		float64(payload)/end.Seconds()/(1<<30), b.rate)
+		float64(payload)/res.End.Seconds()/(1<<30), b.Rate)
 	if *nFlows == 1 {
-		for si, s := range srcStats {
+		for si, s := range res.Sources {
 			fmt.Fprintf(stdout, "  source %d: %s\n", si, s)
 		}
-		for ti, s := range tgtStats {
+		for ti, s := range res.Targets {
 			if spec.Type != core.CombinerFlow {
 				fmt.Fprintf(stdout, "  target %d: %s\n", ti, s)
 			}
@@ -444,9 +313,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			tname, tc.Acquired.Load(), tc.Refunded.Load())
 	}
 	if *lease > 0 {
-		fmt.Fprintf(stdout, "lease renewals: %d registry round trips\n", b.reg.LeaseRenewRPCs())
+		fmt.Fprintf(stdout, "lease renewals: %d registry round trips\n", b.Registry.LeaseRenewRPCs())
 	}
-	if r, ok := b.reg.(*registry.Registry); ok && r.Replicas() > 0 {
+	if r, ok := b.Registry.(*registry.Registry); ok && r.Replicas() > 0 {
 		fmt.Fprintf(stdout, "registry: %d replicas, master=%d ballot=%d elections=%d snapshots=%d snap-index=%d log-len=%d applied=%d\n",
 			r.Replicas(), r.Master(), r.Ballot(), r.Elections(),
 			r.Snapshots(), r.SnapshotIndex(), r.LogLen(), r.AppliedSize())
@@ -459,41 +328,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if code := plane.finish(stdout, stderr); code != 0 {
 		return code
 	}
-	if failed {
+	if res.Kernel != nil || res.Broken != nil {
 		return 1
 	}
 	return 0
-}
-
-// eviction is one parsed -evict entry: evict the target slot at the
-// virtual time.
-type eviction struct {
-	target int
-	at     time.Duration
-}
-
-// parseEvictions parses the -evict flag: comma-separated TARGET@TIME.
-func parseEvictions(spec string) ([]eviction, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	var out []eviction
-	for _, field := range strings.Split(spec, ",") {
-		idx, at, ok := strings.Cut(strings.TrimSpace(field), "@")
-		if !ok {
-			return nil, fmt.Errorf("%q: want TARGET@TIME", field)
-		}
-		target, err := strconv.Atoi(idx)
-		if err != nil {
-			return nil, fmt.Errorf("%q: %v", field, err)
-		}
-		t, err := time.ParseDuration(at)
-		if err != nil {
-			return nil, fmt.Errorf("%q: %v", field, err)
-		}
-		out = append(out, eviction{target: target, at: t})
-	}
-	return out, nil
 }
 
 func fmtBytes(n int) string {

@@ -7,25 +7,11 @@ import (
 	"os"
 	"time"
 
-	"dfi/internal/core"
 	"dfi/internal/metrics"
-	"dfi/internal/registry"
+	"dfi/internal/scenario"
 	"dfi/internal/transport"
 	"dfi/internal/transport/sharedring"
 )
-
-// flowRegistry is the slice of the registry surface dfiflow drives beyond
-// core.Registry: administrative eviction, ops-plane wiring, and the
-// lease-traffic counter. Satisfied by *registry.Registry (on either
-// clock, standalone or replicated) and *registry.Sharded.
-type flowRegistry interface {
-	core.Registry
-	Evict(p transport.Ctx, flow string, role registry.Role, idx int) error
-	SetEventSink(metrics.EventSink)
-	PublishMetrics(*metrics.Registry)
-	Status() *registry.ClusterStatus
-	LeaseRenewRPCs() uint64
-}
 
 // opsFlags are the ops-plane flags, the same on every transport.
 type opsFlags struct {
@@ -51,7 +37,7 @@ type opsPlane struct {
 // startOps wires the ops plane onto reg before any endpoint opens (so
 // endpoints inherit the event sink) and starts serving. pool is the
 // shared-ring pool of a -shared run, nil otherwise.
-func startOps(f opsFlags, reg flowRegistry, rec *transport.Recorder, pool *sharedring.Pool, stdout io.Writer) (*opsPlane, error) {
+func startOps(f opsFlags, reg scenario.Registry, rec *transport.Recorder, pool *sharedring.Pool, stdout io.Writer) (*opsPlane, error) {
 	o := &opsPlane{flags: f, pool: pool}
 	if f.metricsAddr == "" && f.eventsOut == "" {
 		return o, nil
@@ -74,13 +60,10 @@ func startOps(f opsFlags, reg flowRegistry, rec *transport.Recorder, pool *share
 	return o, nil
 }
 
-// publisher is an endpoint (or pool) that registers its series.
-type publisher interface{ PublishMetrics(*metrics.Registry) }
-
 // publish registers an opened endpoint's series; on -shared runs it
 // also re-registers the pool's, which is idempotent and picks up ring
 // and tenant series as links come into existence.
-func (o *opsPlane) publish(ep publisher) {
+func (o *opsPlane) publish(ep scenario.Publisher) {
 	if o.m == nil {
 		return
 	}
@@ -119,15 +102,4 @@ func (o *opsPlane) finish(stdout, stderr io.Writer) int {
 		time.Sleep(o.flags.linger)
 	}
 	return 0
-}
-
-// strike carries out one scheduled -evict entry: sleep until its time
-// on the caller's own context, then evict the slot in every flow.
-func strike(p transport.Ctx, reg flowRegistry, ev eviction, flows []string, stdout io.Writer) {
-	p.Sleep(ev.at)
-	for _, flow := range flows {
-		if err := reg.Evict(p, flow, registry.RoleTarget, ev.target); err != nil {
-			fmt.Fprintf(stdout, "evict target %d: %v\n", ev.target, err)
-		}
-	}
 }

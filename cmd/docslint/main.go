@@ -103,11 +103,13 @@ func checkPackageComments(root string) []string {
 
 // auditedPackages are the directories whose exported surface is a
 // contract (the simulation kernel, the transport layer a future verbs
-// backend implements against, and the two backends behind it): every
+// backend implements against, the two backends behind it, and the flow
+// driver cmd/dfiflow and internal/experiments run every flow through): every
 // exported top-level declaration must carry a doc comment, stating at
 // minimum its concurrency contract.
 var auditedPackages = []string{
 	"internal/fabric",
+	"internal/scenario",
 	"internal/sim",
 	"internal/transport",
 	"internal/transport/chanloop",

@@ -168,7 +168,7 @@ func (s *Source) PushBatch(p transport.Ctx, tuples []schema.Tuple) error {
 }
 
 // pushRouteAround re-pushes, per tuple in input order, every batch tuple
-// routed to the dead (or never-connected) target ti through PushTo, which
+// routed to the dead (or never-connected) target ti through pushTo, which
 // remaps each onto a live owner — the batched path's form of the
 // at-least-once eviction window.
 func (s *Source) pushRouteAround(p transport.Ctx, tuples []schema.Tuple, routes []int32, ti int) error {
@@ -176,7 +176,7 @@ func (s *Source) pushRouteAround(p transport.Ctx, tuples []schema.Tuple, routes 
 		if int(routes[i]) != ti {
 			continue
 		}
-		if err := s.PushTo(p, tuples[i], ti); err != nil {
+		if err := s.pushTo(p, tuples[i], ti); err != nil {
 			return err
 		}
 	}

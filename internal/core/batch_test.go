@@ -392,6 +392,11 @@ func testBatchDoubleEviction(t *testing.T, seed int64) {
 			if err := src.Close(p); err != nil {
 				t.Errorf("source %d close: %v", si, err)
 			}
+			// A dead target's share re-routes through pushTo, which must
+			// not count the tuples PushBatch already counted.
+			if got := src.Pushed(); got != perSource {
+				t.Errorf("seed %d: source %d counted %d pushed tuples, want %d", seed, si, got, perSource)
+			}
 		})
 	}
 	if err := k.Run(); err != nil {
@@ -488,5 +493,71 @@ func testConsumeBatchDelivery(t *testing.T, shared bool) {
 		if n != 1 {
 			t.Fatalf("tuple %d consumed %d times", id, n)
 		}
+	}
+}
+
+// TestPushToCounts: a source that only ever calls PushTo counts every
+// tuple it sent — in Pushed, in Stats, and in the watermark Checkpoint
+// records (which Reattach would resume from).
+func TestPushToCounts(t *testing.T) {
+	const n = 100
+	e := newEnv(t, 3)
+	spec := FlowSpec{
+		Name: "pushto", Schema: kvSchema,
+		Sources: []Endpoint{{Node: e.c.Node(0)}},
+		Targets: []Endpoint{{Node: e.c.Node(1)}, {Node: e.c.Node(2)}},
+		Options: Options{RetransmitTimeout: 50 * time.Microsecond},
+	}
+	var consumed [2]int
+	e.k.Spawn("init", func(p *sim.Proc) {
+		if err := FlowInit(p, e.reg, e.c, spec); err != nil {
+			t.Error(err)
+		}
+	})
+	e.k.Spawn("src", func(p *sim.Proc) {
+		src, err := SourceOpen(p, e.reg, spec.Name, 0)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for i := 0; i < n; i++ {
+			if err := src.PushTo(p, mkTuple(int64(i), 0), i%2); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		if err := src.PushTo(p, mkTuple(0, 0), 2); err == nil {
+			t.Error("PushTo accepted target 2 of 2")
+		}
+		wm, err := src.Checkpoint(p)
+		if err != nil {
+			t.Error(err)
+		}
+		if err := src.Close(p); err != nil {
+			t.Error(err)
+		}
+		if src.Pushed() != n || src.Stats().TuplesPushed != n || wm != n {
+			t.Errorf("Pushed=%d Stats().TuplesPushed=%d Checkpoint=%d, want %d each",
+				src.Pushed(), src.Stats().TuplesPushed, wm, n)
+		}
+	})
+	for ti := range spec.Targets {
+		e.k.Spawn(fmt.Sprintf("tgt%d", ti), func(p *sim.Proc) {
+			tgt, err := TargetOpen(p, e.reg, spec.Name, ti)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for {
+				if _, ok := tgt.Consume(p); !ok {
+					break
+				}
+				consumed[ti]++
+			}
+		})
+	}
+	e.run(t)
+	if consumed[0]+consumed[1] != n {
+		t.Fatalf("targets consumed %v, want %d in all", consumed, n)
 	}
 }

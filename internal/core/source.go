@@ -266,7 +266,7 @@ func (s *Source) Push(p transport.Ctx, t schema.Tuple) error {
 			// letting it reach routeIndex would panic on column -1.
 			return fmt.Errorf("dfi: flow %q declares no routing (ShuffleKey -1 and no RoutingFunc); use PushTo", s.spec.Name)
 		}
-		return s.PushTo(p, t, routeIndex(s.spec, t))
+		return s.pushTo(p, t, routeIndex(s.spec, t))
 	}
 }
 
@@ -312,6 +312,15 @@ func (s *Source) pushReplicate(p transport.Ctx, t schema.Tuple) error {
 // target has been evicted from the flow membership the tuple is remapped
 // onto a survivor (see lifecycle.go).
 func (s *Source) PushTo(p transport.Ctx, t schema.Tuple, target int) error {
+	if target >= 0 && target < len(s.legs) {
+		s.countPushed(1)
+	}
+	return s.pushTo(p, t, target)
+}
+
+// pushTo is PushTo for a tuple its caller has already counted (Push and
+// PushBatch count before they route).
+func (s *Source) pushTo(p transport.Ctx, t schema.Tuple, target int) error {
 	if target < 0 || target >= len(s.legs) {
 		return fmt.Errorf("dfi: target %d out of range (%d targets)", target, len(s.legs))
 	}

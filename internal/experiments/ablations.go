@@ -5,7 +5,10 @@ import (
 	"time"
 
 	"dfi/internal/core"
+	"dfi/internal/fabric"
 	"dfi/internal/join"
+	"dfi/internal/registry"
+	"dfi/internal/scenario"
 	"dfi/internal/sim"
 )
 
@@ -39,10 +42,19 @@ func RunAblationOrdering(opt Options) ([]Table, error) {
 	}
 	var base time.Duration
 	for _, ordered := range []bool{false, true} {
-		d, err := replicateOrderedRuntime(opt.Seed, n, ordered)
-		if err != nil {
+		b := scenario.Fabric(5, opt.Seed, fabric.DefaultConfig())
+		res := scenario.Run(b, scenario.Scenario{
+			Spec: core.FlowSpec{
+				Name: "abl-ord", Type: core.ReplicateFlow,
+				Sources: onNodes(b, 0, 2, 1), Targets: onNodes(b, 2, 3, 1), Schema: padSchema(64),
+				Options: core.Options{Optimization: core.OptimizeLatency, Multicast: true, GlobalOrdering: ordered},
+			},
+			Tuples: n,
+		})
+		if err := res.Err(); err != nil {
 			return nil, err
 		}
+		d := res.End
 		label := "unordered"
 		overhead := "-"
 		if ordered {
@@ -54,70 +66,6 @@ func RunAblationOrdering(opt Options) ([]Table, error) {
 		t.AddRow(label, fmtDur(d), overhead)
 	}
 	return []Table{t}, nil
-}
-
-func replicateOrderedRuntime(seed int64, perSource int, ordered bool) (time.Duration, error) {
-	k, c, reg := newBWEnv(seed, 5)
-	sch := padSchema(64)
-	spec := core.FlowSpec{
-		Name: "abl-ord",
-		Type: core.ReplicateFlow,
-		Sources: []core.Endpoint{
-			{Node: c.Node(0)}, {Node: c.Node(1)},
-		},
-		Targets: []core.Endpoint{
-			{Node: c.Node(2)}, {Node: c.Node(3)}, {Node: c.Node(4)},
-		},
-		Schema: sch,
-		Options: core.Options{
-			Optimization:   core.OptimizeLatency,
-			Multicast:      true,
-			GlobalOrdering: ordered,
-		},
-	}
-	var end sim.Time
-	k.Spawn("init", func(p *sim.Proc) {
-		if err := core.FlowInit(p, reg, c, spec); err != nil {
-			panic(err)
-		}
-	})
-	for si := 0; si < 2; si++ {
-		si := si
-		k.Spawn(fmt.Sprintf("s%d", si), func(p *sim.Proc) {
-			src, err := core.SourceOpen(p, reg, "abl-ord", si)
-			if err != nil {
-				panic(err)
-			}
-			tup := sch.NewTuple()
-			for i := 0; i < perSource; i++ {
-				if err := src.Push(p, tup); err != nil {
-					panic(err)
-				}
-			}
-			src.Close(p)
-		})
-	}
-	for ti := 0; ti < 3; ti++ {
-		ti := ti
-		k.Spawn(fmt.Sprintf("t%d", ti), func(p *sim.Proc) {
-			tgt, err := core.TargetOpen(p, reg, "abl-ord", ti)
-			if err != nil {
-				panic(err)
-			}
-			for {
-				if _, ok := tgt.Consume(p); !ok {
-					break
-				}
-			}
-			if p.Now() > end {
-				end = p.Now()
-			}
-		})
-	}
-	if err := k.Run(); err != nil {
-		return 0, err
-	}
-	return end, nil
 }
 
 // RunAblationCredit sweeps the latency-flow credit-refresh threshold: too
@@ -135,66 +83,24 @@ func RunAblationCredit(opt Options) ([]Table, error) {
 	}
 	var base time.Duration
 	for _, thr := range []int{1, 4, 8, 16, 24} {
-		d, err := creditThresholdRuntime(opt.Seed, n, thr)
-		if err != nil {
+		b := scenario.Fabric(2, opt.Seed, fabric.DefaultConfig())
+		res := scenario.Run(b, scenario.Scenario{
+			Spec: core.FlowSpec{
+				Name: "abl-credit", Sources: onNodes(b, 0, 1, 1), Targets: onNodes(b, 1, 1, 1), Schema: padSchema(64),
+				Options: core.Options{Optimization: core.OptimizeLatency, CreditThreshold: thr},
+			},
+			Tuples: n,
+		})
+		if err := res.Err(); err != nil {
 			return nil, err
 		}
+		d := res.End
 		if base == 0 {
 			base = d
 		}
 		t.AddRow(fmt.Sprintf("%d", thr), fmtDur(d), fmt.Sprintf("%+.1f%%", (float64(d)/float64(base)-1)*100))
 	}
 	return []Table{t}, nil
-}
-
-func creditThresholdRuntime(seed int64, n, threshold int) (time.Duration, error) {
-	k, c, reg := newBWEnv(seed, 2)
-	sch := padSchema(64)
-	spec := core.FlowSpec{
-		Name:    "abl-credit",
-		Sources: []core.Endpoint{{Node: c.Node(0)}},
-		Targets: []core.Endpoint{{Node: c.Node(1)}},
-		Schema:  sch,
-		Options: core.Options{
-			Optimization:    core.OptimizeLatency,
-			CreditThreshold: threshold,
-		},
-	}
-	var end sim.Time
-	k.Spawn("init", func(p *sim.Proc) {
-		if err := core.FlowInit(p, reg, c, spec); err != nil {
-			panic(err)
-		}
-	})
-	k.Spawn("src", func(p *sim.Proc) {
-		src, err := core.SourceOpen(p, reg, "abl-credit", 0)
-		if err != nil {
-			panic(err)
-		}
-		tup := sch.NewTuple()
-		for i := 0; i < n; i++ {
-			if err := src.Push(p, tup); err != nil {
-				panic(err)
-			}
-		}
-		src.Close(p)
-	})
-	k.Spawn("tgt", func(p *sim.Proc) {
-		tgt, err := core.TargetOpen(p, reg, "abl-credit", 0)
-		if err != nil {
-			panic(err)
-		}
-		for {
-			if _, ok := tgt.Consume(p); !ok {
-				break
-			}
-		}
-		end = p.Now()
-	})
-	if err := k.Run(); err != nil {
-		return 0, err
-	}
-	return end, nil
 }
 
 // RunAblationMulticast contrasts naive one-sided replication with switch
@@ -295,7 +201,10 @@ func RunAblationSkew(opt Options) ([]Table, error) {
 }
 
 func sharpSenderBW(seed int64, tupleSize int, volumePerSource int64) (float64, error) {
-	k, c, reg := newBWEnv(seed, 9)
+	k := sim.New(seed)
+	k.Deadline = scenario.Deadline
+	c := fabric.NewCluster(k, 9, fabric.DefaultConfig())
+	reg := registry.New(k)
 	sch := padSchema(tupleSize)
 	var sources []core.Endpoint
 	for n := 0; n < 8; n++ {

@@ -2,11 +2,13 @@ package experiments
 
 import (
 	"fmt"
+	"math/rand"
 	"time"
 
 	"dfi/internal/core"
 	"dfi/internal/fabric"
 	"dfi/internal/mpi"
+	"dfi/internal/scenario"
 	"dfi/internal/sim"
 	"dfi/internal/transport"
 )
@@ -109,67 +111,28 @@ func RunFig10b(opt Options) ([]Table, error) {
 }
 
 // dfiP2PRuntime transfers volume bytes of size-byte tuples from node 0 to
-// node 1 over a shuffle flow with the given thread count, returning the
-// virtual runtime until the last tuple was consumed.
+// node 1 over a shuffle flow with the given thread count, source thread i
+// pushing to target thread i, returning the virtual runtime until the
+// last tuple was consumed.
 func dfiP2PRuntime(seed int64, size, threads int, volume int64, mode core.Optimization) (time.Duration, error) {
-	k, c, reg := newBWEnv(seed, 2)
+	b := scenario.Fabric(2, seed, fabric.DefaultConfig())
 	sch := padSchema(size)
-	var sources, targets []core.Endpoint
-	for th := 0; th < threads; th++ {
-		sources = append(sources, core.Endpoint{Node: c.Node(0), Thread: th})
-		targets = append(targets, core.Endpoint{Node: c.Node(1), Thread: th})
-	}
 	spec := core.FlowSpec{
-		Name: "p2p", Sources: sources, Targets: targets, Schema: sch,
+		Name: "p2p", Sources: onNodes(b, 0, 1, threads), Targets: onNodes(b, 1, 1, threads), Schema: sch,
 		Options: core.Options{Optimization: mode},
 	}
 	if mode == core.OptimizeBandwidth {
 		spec.Options.SegmentSize = segFor(size)
 	}
-	perThread := int(volume) / sch.TupleSize() / threads
-	var end sim.Time
-	k.Spawn("init", func(p *sim.Proc) {
-		if err := core.FlowInit(p, reg, c, spec); err != nil {
-			panic(err)
-		}
+	// The tuples carry no key: a key drawn per tuple would shift the
+	// kernel's random stream, which the sources' backoff draws from.
+	res := scenario.Run(b, scenario.Scenario{
+		Spec:       spec,
+		Tuples:     int(volume) / sch.TupleSize() / threads,
+		Key:        func(*rand.Rand) int64 { return 0 },
+		PushToSelf: true,
 	})
-	for si := range sources {
-		si := si
-		k.Spawn(fmt.Sprintf("src%d", si), func(p *sim.Proc) {
-			src, err := core.SourceOpen(p, reg, "p2p", si)
-			if err != nil {
-				panic(err)
-			}
-			tup := sch.NewTuple()
-			for i := 0; i < perThread; i++ {
-				if err := src.PushTo(p, tup, si); err != nil {
-					panic(err)
-				}
-			}
-			src.Close(p)
-		})
-	}
-	for ti := range targets {
-		ti := ti
-		k.Spawn(fmt.Sprintf("tgt%d", ti), func(p *sim.Proc) {
-			tgt, err := core.TargetOpen(p, reg, "p2p", ti)
-			if err != nil {
-				panic(err)
-			}
-			for {
-				if _, _, ok := tgt.ConsumeSegment(p); !ok {
-					break
-				}
-			}
-			if p.Now() > end {
-				end = p.Now()
-			}
-		})
-	}
-	if err := k.Run(); err != nil {
-		return 0, err
-	}
-	return end, nil
+	return res.End, res.Err()
 }
 
 // mpiP2PRuntime transfers volume bytes of size-byte messages from node 0

@@ -7,6 +7,7 @@ import (
 	"dfi/internal/core"
 	"dfi/internal/fabric"
 	"dfi/internal/mpi"
+	"dfi/internal/scenario"
 	"dfi/internal/sim"
 	"dfi/internal/transport"
 )
@@ -55,75 +56,25 @@ func RunFig11(opt Options) ([]Table, error) {
 }
 
 // dfiStreamShuffle runs an N:N bandwidth-optimized shuffle where every
-// node scans volume bytes and pushes tuples keyed randomly; it returns the
-// runtime until the last node finished consuming. stragglerScale < 1
-// slows node 0's CPU (Figure 12).
+// node scans volume bytes (4 ns per tuple) and pushes tuples keyed
+// randomly; it returns the runtime until the last node finished
+// consuming. stragglerScale < 1 slows node 0's CPU (Figure 12).
 func dfiStreamShuffle(seed int64, nodes, size int, volume int64, stragglerScale float64) (time.Duration, error) {
-	k, c, reg := newBWEnv(seed, nodes)
+	b := scenario.Fabric(nodes, seed, fabric.DefaultConfig())
 	if stragglerScale < 1 {
-		c.Node(0).CPUScale = stragglerScale
+		b.Node(0).(*fabric.Node).CPUScale = stragglerScale
 	}
 	sch := padSchema(size)
-	var sources, targets []core.Endpoint
-	for n := 0; n < nodes; n++ {
-		sources = append(sources, core.Endpoint{Node: c.Node(n)})
-		targets = append(targets, core.Endpoint{Node: c.Node(n)})
-	}
-	spec := core.FlowSpec{
-		Name: "stream", Sources: sources, Targets: targets, Schema: sch,
-		Options: core.Options{SegmentSize: segFor(size)},
-	}
-	perNode := int(volume) / sch.TupleSize()
-	var end sim.Time
-	k.Spawn("init", func(p *sim.Proc) {
-		if err := core.FlowInit(p, reg, c, spec); err != nil {
-			panic(err)
-		}
+	eps := onNodes(b, 0, nodes, 1)
+	res := scenario.Run(b, scenario.Scenario{
+		Spec: core.FlowSpec{
+			Name: "stream", Sources: eps, Targets: eps, Schema: sch,
+			Options: core.Options{SegmentSize: segFor(size)},
+		},
+		Tuples:   int(volume) / sch.TupleSize(),
+		ScanCost: 4 * time.Nanosecond,
 	})
-	for si := range sources {
-		si := si
-		node := sources[si].Node
-		k.Spawn(fmt.Sprintf("scan%d", si), func(p *sim.Proc) {
-			src, err := core.SourceOpen(p, reg, "stream", si)
-			if err != nil {
-				panic(err)
-			}
-			tup := sch.NewTuple()
-			rng := p.Rand()
-			const scanCost = 4 * time.Nanosecond
-			for i := 0; i < perNode; i++ {
-				sch.PutInt64(tup, 0, rng.Int63())
-				if err := src.Push(p, tup); err != nil {
-					panic(err)
-				}
-				if i%1024 == 1023 {
-					node.Compute(p, 1024*scanCost)
-				}
-			}
-			src.Close(p)
-		})
-	}
-	for ti := range targets {
-		ti := ti
-		k.Spawn(fmt.Sprintf("sink%d", ti), func(p *sim.Proc) {
-			tgt, err := core.TargetOpen(p, reg, "stream", ti)
-			if err != nil {
-				panic(err)
-			}
-			for {
-				if _, _, ok := tgt.ConsumeSegment(p); !ok {
-					break
-				}
-			}
-			if p.Now() > end {
-				end = p.Now()
-			}
-		})
-	}
-	if err := k.Run(); err != nil {
-		return 0, err
-	}
-	return end, nil
+	return res.End, res.Err()
 }
 
 // mpiMiniBatchShuffle shuffles volume bytes per node through MPI_Alltoall

@@ -7,6 +7,7 @@ import (
 	"dfi/internal/core"
 	"dfi/internal/fabric"
 	"dfi/internal/registry"
+	"dfi/internal/scenario"
 	"dfi/internal/schema"
 	"dfi/internal/sim"
 	"dfi/internal/transport"
@@ -33,78 +34,33 @@ func segFor(tupleSize int) int {
 	return 8 << 10
 }
 
-// newBWEnv builds a kernel+cluster for bandwidth sweeps: the calibrated
-// cost model under a generous virtual deadline.
-func newBWEnv(seed int64, nodes int) (*sim.Kernel, *fabric.Cluster, *registry.Registry) {
-	k := sim.New(seed)
-	k.Deadline = 10 * time.Minute
-	c := fabric.NewCluster(k, nodes, fabric.DefaultConfig())
-	return k, c, registry.New(k)
+// onNodes places threads endpoints on each of count nodes of b, starting
+// at node first.
+func onNodes(b *scenario.Backend, first, count, threads int) []core.Endpoint {
+	var eps []core.Endpoint
+	for n := first; n < first+count; n++ {
+		for th := 0; th < threads; th++ {
+			eps = append(eps, core.Endpoint{Node: b.Node(n), Thread: th})
+		}
+	}
+	return eps
 }
 
-// shuffleSenderBW measures the aggregate sender bandwidth of a shuffle
-// flow with the given sources/targets pushing volumePerSource bytes each.
-func shuffleSenderBW(seed int64, c *fabric.Cluster, k *sim.Kernel, reg *registry.Registry,
-	sources, targets []core.Endpoint, tupleSize int, volumePerSource int64, segs int) (float64, error) {
-
+// shuffleSenderBW is the aggregate sender bandwidth of a bandwidth-mode
+// shuffle flow on b, every source pushing volumePerSource bytes of
+// random-key tuples: all pushed bytes over the instant the last target
+// drained them.
+func shuffleSenderBW(b *scenario.Backend, sources, targets []core.Endpoint, tupleSize int, volumePerSource int64, segs int) (float64, error) {
 	sch := padSchema(tupleSize)
-	spec := core.FlowSpec{
-		Name:    fmt.Sprintf("bw-%d-%d", tupleSize, seed),
-		Sources: sources,
-		Targets: targets,
-		Schema:  sch,
-		Options: core.Options{SegmentsPerRing: segs},
-	}
-	perSource := int(volumePerSource) / sch.TupleSize()
-	var drainEnd sim.Time
-
-	k.Spawn("init", func(p *sim.Proc) {
-		if err := core.FlowInit(p, reg, c, spec); err != nil {
-			panic(err)
-		}
+	n := int(volumePerSource) / sch.TupleSize()
+	res := scenario.Run(b, scenario.Scenario{
+		Spec: core.FlowSpec{
+			Name: "bw", Sources: sources, Targets: targets, Schema: sch,
+			Options: core.Options{SegmentsPerRing: segs},
+		},
+		Tuples: n,
 	})
-	for si := range sources {
-		si := si
-		k.Spawn(fmt.Sprintf("src%d", si), func(p *sim.Proc) {
-			src, err := core.SourceOpen(p, reg, spec.Name, si)
-			if err != nil {
-				panic(err)
-			}
-			rng := p.Rand()
-			tup := sch.NewTuple()
-			for i := 0; i < perSource; i++ {
-				sch.PutInt64(tup, 0, rng.Int63())
-				if err := src.Push(p, tup); err != nil {
-					panic(err)
-				}
-			}
-			src.Close(p)
-		})
-	}
-	for ti := range targets {
-		ti := ti
-		k.Spawn(fmt.Sprintf("tgt%d", ti), func(p *sim.Proc) {
-			tgt, err := core.TargetOpen(p, reg, spec.Name, ti)
-			if err != nil {
-				panic(err)
-			}
-			for {
-				if _, _, ok := tgt.ConsumeSegment(p); !ok {
-					break
-				}
-			}
-			// Steady-state bandwidth is measured once all pushed data has
-			// actually crossed the wire (buffered segments excluded).
-			if p.Now() > drainEnd {
-				drainEnd = p.Now()
-			}
-		})
-	}
-	if err := k.Run(); err != nil {
-		return 0, err
-	}
-	total := int64(len(sources)) * int64(perSource) * int64(sch.TupleSize())
-	return bw(total, drainEnd), nil
+	return bw(int64(len(sources)*n*sch.TupleSize()), res.End), res.Err()
 }
 
 // RunFig7a reproduces Figure 7a: sender bandwidth of a bandwidth-optimized
@@ -123,15 +79,8 @@ func RunFig7a(opt Options) ([]Table, error) {
 	for _, size := range []int{64, 256, 1024} {
 		row := []string{sizeLabel(size)}
 		for _, threads := range []int{1, 2, 4} {
-			k, c, reg := newBWEnv(opt.Seed, 9)
-			var sources, targets []core.Endpoint
-			for th := 0; th < threads; th++ {
-				sources = append(sources, core.Endpoint{Node: c.Node(0), Thread: th})
-			}
-			for n := 0; n < 8; n++ {
-				targets = append(targets, core.Endpoint{Node: c.Node(n + 1)})
-			}
-			v, err := shuffleSenderBW(opt.Seed, c, k, reg, sources, targets, size, volume/int64(threads), 32)
+			b := scenario.Fabric(9, opt.Seed, fabric.DefaultConfig())
+			v, err := shuffleSenderBW(b, onNodes(b, 0, 1, threads), onNodes(b, 1, 8, 1), size, volume/int64(threads), 32)
 			if err != nil {
 				return nil, fmt.Errorf("fig7a size=%d threads=%d: %w", size, threads, err)
 			}
@@ -325,15 +274,9 @@ func RunFig7c(opt Options) ([]Table, error) {
 			if threads == 14 {
 				segs = 8
 			}
-			k, c, reg := newBWEnv(opt.Seed, servers)
-			var sources, targets []core.Endpoint
-			for n := 0; n < servers; n++ {
-				for th := 0; th < threads; th++ {
-					sources = append(sources, core.Endpoint{Node: c.Node(n), Thread: th})
-					targets = append(targets, core.Endpoint{Node: c.Node(n), Thread: th})
-				}
-			}
-			v, err := shuffleSenderBW(opt.Seed, c, k, reg, sources, targets, 1024, volume, segs)
+			b := scenario.Fabric(servers, opt.Seed, fabric.DefaultConfig())
+			eps := onNodes(b, 0, servers, threads)
+			v, err := shuffleSenderBW(b, eps, eps, 1024, volume, segs)
 			if err != nil {
 				return nil, fmt.Errorf("fig7c servers=%d threads=%d: %w", servers, threads, err)
 			}
@@ -392,15 +335,9 @@ func RunMemory(opt Options) ([]Table, error) {
 	}
 	var base float64
 	for _, segs := range []int{32, 16, 8} {
-		k, c, reg := newBWEnv(opt.Seed, 8)
-		var sources, targets []core.Endpoint
-		for n := 0; n < 8; n++ {
-			for th := 0; th < 4; th++ {
-				sources = append(sources, core.Endpoint{Node: c.Node(n), Thread: th})
-				targets = append(targets, core.Endpoint{Node: c.Node(n), Thread: th})
-			}
-		}
-		v, err := shuffleSenderBW(opt.Seed, c, k, reg, sources, targets, 1024, volume, segs)
+		b := scenario.Fabric(8, opt.Seed, fabric.DefaultConfig())
+		eps := onNodes(b, 0, 8, 4)
+		v, err := shuffleSenderBW(b, eps, eps, 1024, volume, segs)
 		if err != nil {
 			return nil, err
 		}
@@ -415,7 +352,10 @@ func RunMemory(opt Options) ([]Table, error) {
 // measureFlowMemory opens an N:N shuffle flow and reports the maximum
 // per-node registered memory once every endpoint has allocated.
 func measureFlowMemory(seed int64, servers, threads, segs int) (int64, error) {
-	k, c, reg := newBWEnv(seed, servers)
+	k := sim.New(seed)
+	k.Deadline = scenario.Deadline
+	c := fabric.NewCluster(k, servers, fabric.DefaultConfig())
+	reg := registry.New(k)
 	var sources, targets []core.Endpoint
 	for n := 0; n < servers; n++ {
 		for th := 0; th < threads; th++ {

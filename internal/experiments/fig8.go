@@ -1,79 +1,35 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
+	"math/rand"
 	"time"
 
 	"dfi/internal/core"
 	"dfi/internal/fabric"
 	"dfi/internal/registry"
+	"dfi/internal/scenario"
 	"dfi/internal/sim"
 )
 
-// replicateReceiverBW measures the aggregated receiver bandwidth of a 1:8
-// replicate flow (naive one-sided or multicast) with the given number of
-// source threads.
+// replicateReceiverBW measures the aggregated receiver bandwidth of a
+// 1:targetsN replicate flow (naive one-sided or multicast) with the given
+// number of source threads: every byte delivered to every target over
+// the instant the last target drained.
 func replicateReceiverBW(seed int64, threads, targetsN, tupleSize int, volumePerThread int64, multicast bool) (float64, error) {
-	k, c, reg := newBWEnv(seed, targetsN+1)
+	b := scenario.Fabric(targetsN+1, seed, fabric.DefaultConfig())
 	sch := padSchema(tupleSize)
-	var sources, targets []core.Endpoint
-	for th := 0; th < threads; th++ {
-		sources = append(sources, core.Endpoint{Node: c.Node(0), Thread: th})
-	}
-	for n := 0; n < targetsN; n++ {
-		targets = append(targets, core.Endpoint{Node: c.Node(n + 1)})
-	}
-	spec := core.FlowSpec{
-		Name: "rep-bw", Type: core.ReplicateFlow,
-		Sources: sources, Targets: targets, Schema: sch,
-		Options: core.Options{Multicast: multicast},
-	}
-	perSource := int(volumePerThread) / sch.TupleSize()
-	var finish sim.Time
-
-	k.Spawn("init", func(p *sim.Proc) {
-		if err := core.FlowInit(p, reg, c, spec); err != nil {
-			panic(err)
-		}
+	n := int(volumePerThread) / sch.TupleSize()
+	res := scenario.Run(b, scenario.Scenario{
+		Spec: core.FlowSpec{
+			Name: "rep-bw", Type: core.ReplicateFlow,
+			Sources: onNodes(b, 0, 1, threads), Targets: onNodes(b, 1, targetsN, 1), Schema: sch,
+			Options: core.Options{Multicast: multicast},
+		},
+		Tuples: n,
 	})
-	for si := range sources {
-		si := si
-		k.Spawn(fmt.Sprintf("src%d", si), func(p *sim.Proc) {
-			src, err := core.SourceOpen(p, reg, "rep-bw", si)
-			if err != nil {
-				panic(err)
-			}
-			tup := sch.NewTuple()
-			for i := 0; i < perSource; i++ {
-				if err := src.Push(p, tup); err != nil {
-					panic(err)
-				}
-			}
-			src.Close(p)
-		})
-	}
-	for ti := range targets {
-		ti := ti
-		k.Spawn(fmt.Sprintf("tgt%d", ti), func(p *sim.Proc) {
-			tgt, err := core.TargetOpen(p, reg, "rep-bw", ti)
-			if err != nil {
-				panic(err)
-			}
-			for {
-				if _, _, ok := tgt.ConsumeSegment(p); !ok {
-					break
-				}
-			}
-			if p.Now() > finish {
-				finish = p.Now()
-			}
-		})
-	}
-	if err := k.Run(); err != nil {
-		return 0, err
-	}
-	delivered := int64(threads) * int64(perSource) * int64(sch.TupleSize()) * int64(targetsN)
-	return bw(delivered, finish), nil
+	return bw(int64(threads*n*sch.TupleSize()*targetsN), res.End), res.Err()
 }
 
 // RunFig8a reproduces Figure 8a: naive one-sided replication (1:8) is
@@ -307,70 +263,27 @@ func (o *aggOracle) check(name string, results ...[]core.AggResult) error {
 
 // combinerSenderBW drives 8 sender nodes into a combiner flow with the
 // given number of target threads and returns aggregated sender bandwidth.
+// Keys come from 4096 groups, and the targets' SUMs must match the oracle.
 func combinerSenderBW(seed int64, tupleSize, targetThreads int, volumePerSource int64) (float64, error) {
-	k, c, reg := newBWEnv(seed, 9)
+	b := scenario.Fabric(9, seed, fabric.DefaultConfig())
 	sch := padSchema(tupleSize)
-	var sources, targets []core.Endpoint
-	for n := 0; n < 8; n++ {
-		sources = append(sources, core.Endpoint{Node: c.Node(n)})
-	}
-	for th := 0; th < targetThreads; th++ {
-		targets = append(targets, core.Endpoint{Node: c.Node(8), Thread: th})
-	}
-	spec := core.FlowSpec{
-		Name: "comb-bw", Type: core.CombinerFlow,
-		Sources: sources, Targets: targets, Schema: sch,
-		Options: core.Options{Aggregation: core.AggSum, GroupCol: 0, ValueCol: 0},
-	}
-	perSource := int(volumePerSource) / sch.TupleSize()
-	var drainEnd sim.Time
 	var oracle aggOracle
-	results := make([][]core.AggResult, targetThreads)
-	k.Spawn("init", func(p *sim.Proc) {
-		if err := core.FlowInit(p, reg, c, spec); err != nil {
-			panic(err)
-		}
-	})
-	for si := range sources {
-		si := si
-		k.Spawn(fmt.Sprintf("src%d", si), func(p *sim.Proc) {
-			src, err := core.SourceOpen(p, reg, "comb-bw", si)
-			if err != nil {
-				panic(err)
-			}
-			tup := sch.NewTuple()
-			rng := p.Rand()
-			for i := 0; i < perSource; i++ {
-				key := rng.Int63n(4096)
-				sch.PutInt64(tup, 0, key)
-				oracle.pushed(key)
-				if err := src.Push(p, tup); err != nil {
-					panic(err)
-				}
-			}
-			src.Close(p)
-		})
+	sc := scenario.Scenario{
+		Spec: core.FlowSpec{
+			Name: "comb-bw", Type: core.CombinerFlow,
+			Sources: onNodes(b, 0, 8, 1), Targets: onNodes(b, 8, 1, targetThreads), Schema: sch,
+			Options: core.Options{Aggregation: core.AggSum, GroupCol: 0, ValueCol: 0},
+		},
+		Tuples: int(volumePerSource) / sch.TupleSize(),
+		Key: func(rng *rand.Rand) int64 {
+			key := rng.Int63n(4096)
+			oracle.pushed(key)
+			return key
+		},
 	}
-	for ti := range targets {
-		ti := ti
-		k.Spawn(fmt.Sprintf("comb%d", ti), func(p *sim.Proc) {
-			ct, err := core.CombinerTargetOpen(p, reg, "comb-bw", ti)
-			if err != nil {
-				panic(err)
-			}
-			ct.Run(p)
-			results[ti] = ct.Results()
-			if p.Now() > drainEnd {
-				drainEnd = p.Now()
-			}
-		})
-	}
-	if err := k.Run(); err != nil {
+	res := scenario.Run(b, sc)
+	if err := errors.Join(res.Err(), oracle.check("comb-bw", res.Aggregates...)); err != nil {
 		return 0, err
 	}
-	if err := oracle.check("comb-bw", results...); err != nil {
-		return 0, err
-	}
-	total := int64(len(sources)) * int64(perSource) * int64(sch.TupleSize())
-	return bw(total, drainEnd), nil
+	return bw(int64(len(sc.Spec.Sources)*sc.Tuples*sch.TupleSize()), res.End), nil
 }

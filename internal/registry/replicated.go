@@ -349,7 +349,8 @@ func (g *replGroup) invoke(p transport.Ctx, op func() error) error {
 		if err, done := g.applied[id]; done {
 			return err
 		}
-		if !g.commit(p, id) {
+		slot, ok := g.commit(p, id)
+		if !ok {
 			// No majority under our ballot: the master was deposed (or
 			// too many replicas are gone). Re-elect and retry.
 			g.elect(p)
@@ -357,7 +358,7 @@ func (g *replGroup) invoke(p transport.Ctx, op func() error) error {
 		}
 		err := op()
 		g.applied[id] = err
-		g.appliedSlot[id] = g.slot - 1
+		g.appliedSlot[id] = slot
 		g.maybeSnapshot(p)
 		return err
 	}
@@ -404,9 +405,13 @@ func (g *replGroup) maybeSnapshot(p transport.Ctx) {
 // commit runs one Accept round for the next log slot under the master's
 // ballot: all live replicas are asked in parallel (one round-trip
 // charge), and the slot commits when a majority of the full group —
-// master included — accepts.
-func (g *replGroup) commit(p transport.Ctx, cmd uint64) bool {
+// master included — accepts. The slot is reserved before the round trip,
+// so commands whose rounds overlap take distinct slots; a round that
+// fails ends in elect, which places the next slot past every accepted
+// entry.
+func (g *replGroup) commit(p transport.Ctx, cmd uint64) (int, bool) {
 	slot := g.slot
+	g.slot++
 	acks := 0
 	for i, a := range g.acceptors {
 		if g.crashed[i] {
@@ -420,11 +425,7 @@ func (g *replGroup) commit(p transport.Ctx, cmd uint64) bool {
 		}
 	}
 	g.r.sleep(p, 2*g.legDelay(p))
-	if 2*acks <= len(g.acceptors) {
-		return false
-	}
-	g.slot = slot + 1
-	return true
+	return slot, 2*acks > len(g.acceptors)
 }
 
 // elect promotes the lowest-index live replica: one Promise round on the

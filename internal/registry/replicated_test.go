@@ -251,3 +251,37 @@ func TestAttachRetryClaimsOneSlot(t *testing.T) {
 		}
 	}
 }
+
+// TestReplicatedConcurrentCommandsTakeDistinctSlots: commands whose
+// accept rounds overlap each get a log slot of their own. Eight
+// processes publish at the same instant on a group without snapshots;
+// the log must hold eight entries in eight distinct slots, not one
+// entry that every overlapping command overwrote.
+func TestReplicatedConcurrentCommandsTakeDistinctSlots(t *testing.T) {
+	const n = 8
+	k := sim.New(1)
+	r, err := New(k).Replicate(ReplicaConfig{RPCDelay: time.Microsecond, SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		k.Spawn(fmt.Sprintf("pub%d", i), func(p *sim.Proc) {
+			if err := r.Publish(p, fmt.Sprintf("f%d", i), nil); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if r.AppliedSize() != n || r.LogLen() != n {
+		t.Fatalf("applied=%d log-len=%d, want %d and %d", r.AppliedSize(), r.LogLen(), n, n)
+	}
+	slots := make(map[int]bool)
+	for _, s := range r.repl.appliedSlot {
+		slots[s] = true
+	}
+	if len(slots) != n {
+		t.Fatalf("%d commands committed in %d distinct slots", n, len(slots))
+	}
+}
