@@ -88,8 +88,10 @@ metrics-smoke:
 # e2e flow on real goroutines moving real bytes, the control plane on
 # both backends (lease keep-alive, silent-target and mid-push eviction,
 # the private-vs-shared differential with an evicted leg), the registry
-# monitor hammered from nine goroutines plus its status oracle on the
-# wall clock, and the dfiflow -transport=chan CLI coverage including the
+# monitor hammered from nine goroutines (one a Status scraper, which takes
+# the monitor when something is stale) plus its status tests on the wall
+# clock and the pinned lease-timer dispatch, and the dfiflow
+# -transport=chan CLI coverage including the
 # same argument lists run on both backends. This is the
 # backend-agnosticism gate: the same core data path and the same control
 # plane must behave identically without the sim kernel serializing
@@ -112,7 +114,7 @@ transport-race:
 	$(GO) test -race -count=1 -run 'Chan.*(Lease|Evict)|TestSharedRingMatchesPrivate|TestPushSteadyMatchesGeneral|TestMulticastTargetEvictedBeforeOpen|TestIndependentClustersStayIndependent' ./internal/core/
 	$(GO) test -race -count=20 -run 'TestDESAndChanEvictSilentTarget|TestReplicateKindsMatch' ./internal/core/
 	$(GO) test -race -count=10 -run 'TestElasticAttachMidFlow' ./internal/core/
-	$(GO) test -race -count=1 -run 'TestLocalRegistryHammer|TestStatusSnapshotMatchesRebuild|TestRemoveRepublishWakesWaiters' ./internal/registry/
+	$(GO) test -race -count=1 -run 'TestLocalRegistryHammer|TestStatus|TestRemoveRepublishWakesWaiters|TestLeaseTimerDispatchPinned|TestReplicateAfterPublishRenews' ./internal/registry/
 	$(GO) test -race -count=1 -run 'TestChanTransport|TestSameArgsOnBothTransports' ./cmd/dfiflow/
 	$(GO) test -race -count=1 -run 'TestCombinerSumOnBothBackends' ./internal/scenario/
 

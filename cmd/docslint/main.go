@@ -103,12 +103,14 @@ func checkPackageComments(root string) []string {
 
 // auditedPackages are the directories whose exported surface is a
 // contract (the simulation kernel, the transport layer a future verbs
-// backend implements against, the two backends behind it, and the flow
-// driver cmd/dfiflow and internal/experiments run every flow through): every
-// exported top-level declaration must carry a doc comment, stating at
-// minimum its concurrency contract.
+// backend implements against, the two backends behind it, the flow
+// driver cmd/dfiflow and internal/experiments run every flow through,
+// and the registry, whose Status may not be called inside its monitor):
+// every exported top-level declaration must carry a doc comment, stating
+// at minimum its concurrency contract.
 var auditedPackages = []string{
 	"internal/fabric",
+	"internal/registry",
 	"internal/scenario",
 	"internal/sim",
 	"internal/transport",

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 
 	"dfi/internal/schema"
 	"dfi/internal/sim"
@@ -48,6 +49,21 @@ func TestSharedRingSteadyStateZeroAlloc(t *testing.T) {
 	specs := make([]FlowSpec, 4)
 	for f := range specs {
 		specs[f] = sharedSpec(e, fmt.Sprintf("steady-shared%d", f), []int{0}, []int{1}, Options{SegmentSize: 256})
+	}
+	steadyStateAllocs(t, e, specs)
+}
+
+// TestLeasedSharedRingSteadyStateZeroAlloc is the shared-ring gate with
+// leases on: the node's lease agent renews every flow's slots in one
+// batch per tick, and each renewal re-arms a registry timer. A renewal
+// that changes no lease state publishes no status, and a re-armed timer
+// reuses its lease's op, so the heartbeat adds nothing to the window.
+func TestLeasedSharedRingSteadyStateZeroAlloc(t *testing.T) {
+	e := newEnv(t, 2)
+	specs := make([]FlowSpec, 4)
+	for f := range specs {
+		specs[f] = sharedSpec(e, fmt.Sprintf("steady-leased%d", f), []int{0}, []int{1},
+			Options{SegmentSize: 256, LeaseTTL: 30 * time.Microsecond})
 	}
 	steadyStateAllocs(t, e, specs)
 }

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -82,6 +84,10 @@ type leaseAgent struct {
 	mu      sync.Mutex
 	refs    map[registry.LeaseRef]leaseEnrollment
 	running bool
+
+	// renew and release are collect's buffers, reused tick after tick;
+	// only the agent process touches them.
+	renew, release []registry.LeaseRef
 }
 
 // leaseEnrollment is one endpoint's entry: the flow's membership record,
@@ -139,8 +145,10 @@ func enrollLease(p transport.Ctx, tpt transport.Transport, reg Registry, node tr
 // endpoints), in deterministic order — simulation timing must not
 // depend on map iteration. An entry whose slot incarnation has moved on
 // is dropped without renewing or releasing: a rejoined successor owns
-// the slot's lease now.
+// the slot's lease now. The slices are the agent's own buffers, valid
+// until the next collect.
 func (a *leaseAgent) collect() (renew, release []registry.LeaseRef) {
+	renew, release = a.renew[:0], a.release[:0]
 	a.mu.Lock()
 	for ref, e := range a.refs {
 		if e.mem.Incarnation(ref.Role, ref.Idx) != e.inc {
@@ -155,22 +163,21 @@ func (a *leaseAgent) collect() (renew, release []registry.LeaseRef) {
 		renew = append(renew, ref)
 	}
 	a.mu.Unlock()
-	sortRefs(renew)
-	sortRefs(release)
+	slices.SortFunc(renew, compareRefs)
+	slices.SortFunc(release, compareRefs)
+	a.renew, a.release = renew, release
 	return renew, release
 }
 
-func sortRefs(refs []registry.LeaseRef) {
-	sort.Slice(refs, func(i, j int) bool {
-		a, b := refs[i], refs[j]
-		if a.Flow != b.Flow {
-			return a.Flow < b.Flow
-		}
-		if a.Role != b.Role {
-			return a.Role < b.Role
-		}
-		return a.Idx < b.Idx
-	})
+// compareRefs orders refs by flow, then role, then slot.
+func compareRefs(a, b registry.LeaseRef) int {
+	if c := strings.Compare(a.Flow, b.Flow); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Role, b.Role); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Idx, b.Idx)
 }
 
 // prune drops refs the registry fenced (already evicted, or the flow is

@@ -78,6 +78,15 @@ func (r *stagedRef) release(c *Cluster) {
 	}
 }
 
+// bytes returns the staged bytes (nil for an empty message, which stages
+// no buffer).
+func (r *stagedRef) bytes() []byte {
+	if r.buf == nil {
+		return nil
+	}
+	return r.buf.b
+}
+
 // stagedRefGet returns a recycled reference holder initialized to refs
 // references; release recycles it when the count drains.
 func (c *Cluster) stagedRefGet(refs int) *stagedRef {

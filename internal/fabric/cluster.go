@@ -68,6 +68,7 @@ type Cluster struct {
 	wopFree    []*writeOp
 	ropFree    []*readOp
 	aopFree    []*atomicOp
+	sopFree    []*sendOp
 	srefFree   []*stagedRef
 	stagedFree [28][]*stagedBuf // staging buffers of capacity 1<<class
 }

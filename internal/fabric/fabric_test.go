@@ -3,6 +3,7 @@ package fabric
 import (
 	"bytes"
 	"encoding/binary"
+	"runtime"
 	"testing"
 	"time"
 
@@ -333,6 +334,97 @@ func TestSendBeforeRecvIsQueuedOnRC(t *testing.T) {
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSendRecvSteadyStateAllocs is the allocation gate for two-sided
+// verbs: a SEND rides a pooled op and a recycled staging buffer, and the
+// receive queues are rings, so a ping-pong in steady state — receives
+// posted before the SENDs they match, and SENDs that arrive before their
+// receive — allocates no more per round trip than chanloop does (2).
+func TestSendRecvSteadyStateAllocs(t *testing.T) {
+	const (
+		warmup   = 1_000
+		window   = 10_000
+		perRound = 2
+	)
+	for _, early := range []bool{false, true} {
+		k, c := testCluster(t, 2)
+		qa, qb := c.Dial(c.Node(0), c.Node(1))
+		var before, after runtime.MemStats
+		k.Spawn("pong", func(p *sim.Proc) {
+			msg := make([]byte, 64)
+			buf := make([]byte, 64)
+			for i := 0; i < warmup+window; i++ {
+				if early {
+					p.Sleep(5 * time.Microsecond) // the SEND is queued as an arrival by now
+				}
+				qb.PostRecv(buf, 0)
+				qb.RecvCQ().Wait(p)
+				qb.Send(p, msg, true, 0)
+				qb.SendCQ().Wait(p)
+			}
+		})
+		k.Spawn("ping", func(p *sim.Proc) {
+			msg := make([]byte, 64)
+			buf := make([]byte, 64)
+			for i := 0; i < warmup+window; i++ {
+				if i == warmup {
+					runtime.ReadMemStats(&before)
+				}
+				binary.LittleEndian.PutUint64(msg, uint64(i))
+				qa.PostRecv(buf, 0)
+				qa.Send(p, msg, false, uint64(i))
+				qa.RecvCQ().Wait(p)
+			}
+			runtime.ReadMemStats(&after)
+		})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		allocs := after.Mallocs - before.Mallocs
+		t.Logf("early=%v: %d allocations over %d round trips", early, allocs, window)
+		if allocs > perRound*window {
+			t.Errorf("early=%v: %d allocations over %d SEND/RECV round trips, want at most %d per round trip",
+				early, allocs, window, perRound)
+		}
+	}
+}
+
+// TestSendDuplicateOutlivesRecycling: an injected duplicate SEND holds its
+// own reference on the staging buffer, so both copies deliver the original
+// bytes even when the first was matched, and recycled, long before the
+// second arrives and later SENDs reuse the buffer in between.
+func TestSendDuplicateOutlivesRecycling(t *testing.T) {
+	k, c := faultCluster(t, 2, &FaultPlan{Duplicate: 1, DuplicateDelay: 50 * time.Microsecond})
+	qa, qb := c.Dial(c.Node(0), c.Node(1))
+	const n = 4
+	var got []string
+	k.Spawn("sender", func(p *sim.Proc) {
+		for i := 0; i < n; i++ {
+			qa.Send(p, []byte{'m', byte('0' + i)}, false, uint64(i))
+			p.Sleep(5 * time.Microsecond)
+		}
+	})
+	k.Spawn("receiver", func(p *sim.Proc) {
+		for i := 0; i < 2*n; i++ {
+			if i%2 == 1 {
+				p.Sleep(20 * time.Microsecond) // odd receives find queued arrivals
+			}
+			buf := make([]byte, 8)
+			qb.PostRecv(buf, uint64(i))
+			comp := qb.RecvCQ().Wait(p)
+			if want := []byte{'m', byte('0' + comp.Value)}; !bytes.Equal(buf[:comp.Bytes], want) {
+				t.Errorf("receive %d (message %d) = %q, want %q", i, comp.Value, buf[:comp.Bytes], want)
+			}
+			got = append(got, string(buf[:comp.Bytes]))
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2*n {
+		t.Fatalf("received %d messages, want %d (each SEND twice): %q", len(got), 2*n, got)
 	}
 }
 

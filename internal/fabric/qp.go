@@ -12,15 +12,9 @@ import (
 // fabric at completion time; processes drain them with Poll or Wait. It
 // implements transport.CompletionQueue; its blocking waits park on sim
 // conds, so only *sim.Proc contexts can drive them.
-//
-// Entries live in a head-indexed slice reused ring-style: pops advance
-// head instead of reslicing, and a push into an empty or exhausted queue
-// rewinds to the front, so steady-state push/drain cycles never
-// reallocate.
 type completionQueue struct {
 	cfg     *Config
-	entries []transport.Completion
-	head    int
+	entries fifo[transport.Completion]
 	cond    *sim.Cond
 }
 
@@ -29,36 +23,47 @@ func (c *Cluster) newCQ() *completionQueue {
 	return &completionQueue{cfg: &c.cfg, cond: sim.NewCond(c.K)}
 }
 
-// push appends an entry and wakes waiters. Called from event context. It
-// reuses the slice's front whenever the queue is empty (and compacts
-// before a growing append would otherwise abandon the popped prefix).
+// push appends an entry and wakes waiters. Called from event context.
 func (cq *completionQueue) push(e transport.Completion) {
-	if cq.head == len(cq.entries) {
-		cq.head = 0
-		cq.entries = cq.entries[:0]
-	} else if cq.head > 0 && len(cq.entries) == cap(cq.entries) {
-		n := copy(cq.entries, cq.entries[cq.head:])
-		clearCompletions(cq.entries[n:])
-		cq.entries = cq.entries[:n]
-		cq.head = 0
-	}
-	cq.entries = append(cq.entries, e)
+	cq.entries.push(e)
 	cq.cond.Broadcast()
 }
 
-func clearCompletions(cs []transport.Completion) {
-	for i := range cs {
-		cs[i] = transport.Completion{}
-	}
+// pop removes the head entry; the caller must have checked Len() > 0.
+func (cq *completionQueue) pop() transport.Completion { return cq.entries.pop() }
+
+// fifo is a head-indexed queue reused ring-style: pops advance head
+// instead of reslicing, and a push into an empty queue rewinds to the
+// front (a push into a full one compacts before it grows), so a
+// steady push/pop cycle never reallocates.
+type fifo[T any] struct {
+	items []T
+	head  int
 }
 
-// pop removes the head entry; the caller must have checked Len() > 0.
-// The vacated slot is zeroed so it retains no Buf reference.
-func (cq *completionQueue) pop() transport.Completion {
-	e := cq.entries[cq.head]
-	cq.entries[cq.head] = transport.Completion{}
-	cq.head++
-	return e
+func (f *fifo[T]) len() int { return len(f.items) - f.head }
+
+func (f *fifo[T]) push(v T) {
+	if f.head == len(f.items) {
+		f.head = 0
+		f.items = f.items[:0]
+	} else if f.head > 0 && len(f.items) == cap(f.items) {
+		n := copy(f.items, f.items[f.head:])
+		clear(f.items[n:])
+		f.items = f.items[:n]
+		f.head = 0
+	}
+	f.items = append(f.items, v)
+}
+
+// pop removes the head item; the caller must have checked len() > 0. The
+// vacated slot is zeroed so it retains no reference.
+func (f *fifo[T]) pop() T {
+	v := f.items[f.head]
+	var zero T
+	f.items[f.head] = zero
+	f.head++
+	return v
 }
 
 // Poll drains one completion without blocking, charging one poll cost.
@@ -134,13 +139,14 @@ func (cq *completionQueue) WaitNonEmpty(p transport.Ctx, d time.Duration) bool {
 }
 
 // Len returns the number of pending completions.
-func (cq *completionQueue) Len() int { return len(cq.entries) - cq.head }
+func (cq *completionQueue) Len() int { return cq.entries.len() }
 
 // arrival is a two-sided message that reached a QP before a receive was
-// posted (RC queues it rather than dropping).
+// posted (RC queues it rather than dropping). It holds a reference on the
+// SEND's staging buffer until PostRecv copies it out.
 type arrival struct {
-	data []byte
-	id   uint64
+	st *stagedRef
+	id uint64
 }
 
 // queuePair is one endpoint of a reliable connection between two nodes.
@@ -154,8 +160,8 @@ type queuePair struct {
 	scq *completionQueue // send-side completions (WRITE/READ/SEND/atomics)
 	rcq *completionQueue // receive-side completions (matched RECVs)
 
-	recvq   []transport.RecvWR
-	arrived []arrival
+	recvq   fifo[transport.RecvWR]
+	arrived fifo[arrival]
 
 	// RC connections never reorder: fault-injected delay and jitter shift
 	// deliveries but must preserve this QP's wire order. lastCommit is the
@@ -181,7 +187,7 @@ func (q *queuePair) SendCQ() transport.CompletionQueue { return q.scq }
 func (q *queuePair) RecvCQ() transport.CompletionQueue { return q.rcq }
 
 // PostedRecvs returns the number of posted, unmatched receive buffers.
-func (q *queuePair) PostedRecvs() int { return len(q.recvq) }
+func (q *queuePair) PostedRecvs() int { return q.recvq.len() }
 
 // Write posts a one-sided RDMA WRITE of src into dst on the peer node. It
 // returns after the posting cost; the transfer proceeds asynchronously.
@@ -361,14 +367,14 @@ type writeOp struct {
 
 // writeOp pipeline steps (scheduled through Kernel.AtOp).
 const (
-	wopStage  uint8 = iota // snapshot src into the staging buffer (txEnd)
-	wopBody                // commit the payload body (bodyAt, when a tail follows)
-	wopCommit              // commit tail/body, Notify, release staging (deliverAt)
-	wopAck                 // push the signaled completion (ackAt)
+	wopStage  uint64 = iota // snapshot src into the staging buffer (txEnd)
+	wopBody                 // commit the payload body (bodyAt, when a tail follows)
+	wopCommit               // commit tail/body, Notify, release staging (deliverAt)
+	wopAck                  // push the signaled completion (ackAt)
 )
 
 // at schedules step of w at t.
-func (w *writeOp) at(t sim.Time, step uint8) {
+func (w *writeOp) at(t sim.Time, step uint64) {
 	w.pending++
 	w.q.c.K.AtOp(t, w, step)
 }
@@ -388,7 +394,7 @@ func (w *writeOp) commit(t, txEnd sim.Time) {
 	w.at(t, wopCommit)
 }
 
-func (w *writeOp) RunOp(step uint8) {
+func (w *writeOp) RunOp(step uint64) {
 	switch step {
 	case wopStage:
 		w.st.buf = w.q.c.stagedGet(w.n)
@@ -506,11 +512,11 @@ type readOp struct {
 }
 
 const (
-	ropStage   uint8 = iota // snapshot the remote source (respStart)
-	ropDeliver              // deliver the response into dst (deliverAt)
+	ropStage   uint64 = iota // snapshot the remote source (respStart)
+	ropDeliver               // deliver the response into dst (deliverAt)
 )
 
-func (r *readOp) RunOp(step uint8) {
+func (r *readOp) RunOp(step uint64) {
 	if step == ropStage {
 		r.staged = r.q.c.stagedGet(len(r.dst))
 		copy(r.staged.b, r.src)
@@ -657,11 +663,11 @@ type atomicOp struct {
 }
 
 const (
-	aopExec uint8 = iota // read-modify-write at the responder (execEnd)
-	aopWake              // the response is back (arriveResp)
+	aopExec uint64 = iota // read-modify-write at the responder (execEnd)
+	aopWake               // the response is back (arriveResp)
 )
 
-func (ao *atomicOp) RunOp(step uint8) {
+func (ao *atomicOp) RunOp(step uint64) {
 	if step == aopWake {
 		ao.done.Broadcast()
 		return
@@ -694,14 +700,14 @@ func (c *Cluster) putAtomicOp(ao *atomicOp) {
 // message already arrived unmatched (RC queues them), it is delivered
 // immediately.
 func (q *queuePair) PostRecv(buf []byte, id uint64) {
-	if len(q.arrived) > 0 {
-		a := q.arrived[0]
-		q.arrived = q.arrived[1:]
-		n := copy(buf, a.data)
+	if q.arrived.len() > 0 {
+		a := q.arrived.pop()
+		n := copy(buf, a.st.bytes())
+		a.st.release(q.c)
 		q.rcq.push(transport.Completion{ID: id, Op: transport.OpRecv, Bytes: n, Value: a.id, Buf: buf})
 		return
 	}
-	q.recvq = append(q.recvq, transport.RecvWR{Buf: buf, ID: id})
+	q.recvq.push(transport.RecvWR{Buf: buf, ID: id})
 }
 
 // Send posts a two-sided SEND of src to the peer endpoint. The message is
@@ -740,38 +746,95 @@ func (q *queuePair) Send(p transport.Ctx, src []byte, signaled bool, id uint64) 
 	}
 	q.c.trace(transport.OpSend, q.owner, q.peer.owner, len(src), k.Now(), deliverAt, disp)
 
-	var staged []byte
-	k.At(txEnd, func() {
-		staged = append([]byte(nil), src...)
-	})
-	deliver := func() {
-		peer := q.peer
-		if len(peer.recvq) > 0 {
-			wr := peer.recvq[0]
-			peer.recvq = peer.recvq[1:]
-			n := copy(wr.Buf, staged)
-			peer.rcq.push(transport.Completion{ID: wr.ID, Op: transport.OpRecv, Bytes: n, Value: id, Buf: wr.Buf})
-		} else {
-			peer.arrived = append(peer.arrived, arrival{data: staged, id: id})
-		}
-	}
+	o := q.c.getSendOp()
+	o.q, o.src, o.id, o.n = q, src, id, len(src)
+	o.at(txEnd, sopStage)
 	if !fv.drop {
-		k.At(deliverAt, deliver)
+		o.deliveries++
+		o.at(deliverAt, sopDeliver)
 		q.lastArrive = deliverAt
 		if fv.duplicate {
 			dupAt := deliverAt + q.c.cfg.Faults.dupDelay()
 			q.c.trace(transport.OpSend, q.owner, q.peer.owner, len(src), k.Now(), dupAt, transport.Injected)
-			k.At(dupAt, deliver)
+			o.deliveries++
+			o.at(dupAt, sopDeliver)
 			q.lastArrive = dupAt
 		}
 	}
 	if signaled && !fv.dropCompletion {
 		// Like WRITE: a probabilistically dropped SEND still completes
 		// locally; only crashed endpoints go silent.
-		n := len(src)
 		ackAt := deliverAt + cfg.Propagation + cfg.SwitchDelay + cfg.CompletionDelay
-		k.At(ackAt, func() {
-			q.scq.push(transport.Completion{ID: id, Op: transport.OpSend, Bytes: n})
-		})
+		o.at(ackAt, sopAck)
 	}
+}
+
+// sendOp is the pooled event payload of one SEND: the NIC snapshots src
+// into a staging buffer at txEnd, the message lands in the peer's next
+// posted receive (or queues as an arrival) at each delivery — a second
+// one for an injected duplicate — and a signaled SEND completes at ackAt.
+// Each delivery holds one reference on the staging buffer; the posted
+// receive or PostRecv that copies it out releases it.
+type sendOp struct {
+	q          *queuePair
+	src        []byte
+	st         *stagedRef
+	id         uint64
+	n          int
+	deliveries int // scheduled deliveries, each one staging reference
+	pending    int // scheduled steps not yet run; the last one recycles o
+}
+
+// sendOp pipeline steps (scheduled through Kernel.AtOp).
+const (
+	sopStage   uint64 = iota // snapshot src into the staging buffer (txEnd)
+	sopDeliver               // match a posted receive or queue an arrival
+	sopAck                   // push the signaled completion (ackAt)
+)
+
+// at schedules step of o at t.
+func (o *sendOp) at(t sim.Time, step uint64) {
+	o.pending++
+	o.q.c.K.AtOp(t, o, step)
+}
+
+func (o *sendOp) RunOp(step uint64) {
+	c := o.q.c
+	switch step {
+	case sopStage:
+		if o.deliveries > 0 {
+			o.st = c.stagedRefGet(o.deliveries)
+			if len(o.src) > 0 {
+				o.st.buf = c.stagedGet(len(o.src))
+				copy(o.st.buf.b, o.src)
+			}
+		}
+		o.src = nil
+	case sopDeliver:
+		peer := o.q.peer
+		if peer.recvq.len() > 0 {
+			wr := peer.recvq.pop()
+			n := copy(wr.Buf, o.st.bytes())
+			o.st.release(c)
+			peer.rcq.push(transport.Completion{ID: wr.ID, Op: transport.OpRecv, Bytes: n, Value: o.id, Buf: wr.Buf})
+		} else {
+			peer.arrived.push(arrival{st: o.st, id: o.id})
+		}
+	case sopAck:
+		o.q.scq.push(transport.Completion{ID: o.id, Op: transport.OpSend, Bytes: o.n})
+	}
+	if o.pending--; o.pending == 0 {
+		*o = sendOp{}
+		c.sopFree = append(c.sopFree, o)
+	}
+}
+
+func (c *Cluster) getSendOp() *sendOp {
+	if n := len(c.sopFree); n > 0 {
+		o := c.sopFree[n-1]
+		c.sopFree[n-1] = nil
+		c.sopFree = c.sopFree[:n-1]
+		return o
+	}
+	return new(sendOp)
 }

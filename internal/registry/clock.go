@@ -16,14 +16,19 @@ import (
 type clock interface {
 	// now is the time since the start of the run.
 	now() time.Duration
-	// after runs fn once, d from now, on nobody's Ctx. fn takes the
-	// monitor itself.
-	after(d time.Duration, fn func())
+	// after runs op.RunOp(arg) once, d from now, on nobody's Ctx. The op
+	// takes the monitor itself.
+	after(d time.Duration, op timerOp, arg uint64)
 	// wait parks the caller until the next broadcast.
 	wait(p transport.Ctx)
 	// broadcast wakes every parked waiter.
 	broadcast()
 }
+
+// timerOp is a clock callback that one object serves for many arms: arg
+// tells the arms apart (see leaseTimer). Its method set is the kernel's
+// pooled-event interface, so desClock schedules it without a closure.
+type timerOp interface{ RunOp(arg uint64) }
 
 // wallClock is the clock of a registry shared by real goroutines.
 type wallClock struct {
@@ -31,10 +36,13 @@ type wallClock struct {
 	cond  *sync.Cond // on the monitor's mutex
 }
 
-func (c *wallClock) now() time.Duration               { return time.Since(c.start) }
-func (c *wallClock) after(d time.Duration, fn func()) { time.AfterFunc(d, fn) }
-func (c *wallClock) wait(transport.Ctx)               { c.cond.Wait() }
-func (c *wallClock) broadcast()                       { c.cond.Broadcast() }
+func (c *wallClock) now() time.Duration { return time.Since(c.start) }
+func (c *wallClock) wait(transport.Ctx) { c.cond.Wait() }
+func (c *wallClock) broadcast()         { c.cond.Broadcast() }
+
+func (c *wallClock) after(d time.Duration, op timerOp, arg uint64) {
+	time.AfterFunc(d, func() { op.RunOp(arg) })
+}
 
 // NewLocal creates an empty standalone registry on the wall clock, for
 // transports whose contexts are real goroutines

@@ -9,7 +9,7 @@ import (
 )
 
 // desClock is the clock of a registry on the discrete-event kernel:
-// virtual time, kernel callbacks for timers, a sim.Cond for waiters —
+// virtual time, pooled kernel ops for timers, a sim.Cond for waiters —
 // the kernel sees exactly the events it would see without the seam.
 type desClock struct {
 	k    *sim.Kernel
@@ -17,9 +17,12 @@ type desClock struct {
 	mu   *sync.Mutex // the monitor, released around a park
 }
 
-func (c *desClock) now() time.Duration               { return c.k.Now() }
-func (c *desClock) after(d time.Duration, fn func()) { c.k.After(d, fn) }
-func (c *desClock) broadcast()                       { c.cond.Broadcast() }
+func (c *desClock) now() time.Duration { return c.k.Now() }
+func (c *desClock) broadcast()         { c.cond.Broadcast() }
+
+func (c *desClock) after(d time.Duration, op timerOp, arg uint64) {
+	c.k.AtOp(c.k.Now()+d, op, arg)
+}
 
 // wait parks the calling sim process. A process parked holding the
 // monitor would hang the kernel on the next registry call, so it is let

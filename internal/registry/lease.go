@@ -28,7 +28,10 @@ import (
 // counter and schedules one expiry check that no-ops when the generation
 // moved on. A quiescent flow therefore leaves no pending events behind
 // once its endpoints release their leases, which is what keeps the
-// discrete-event kernel's run loop terminating.
+// discrete-event kernel's run loop terminating. Every check of a slot is
+// the same object, the lease's leaseTimer, scheduled with its generation
+// and step packed into the event's argument: on the DES a heartbeat's
+// re-arm pushes one kernel event and allocates nothing.
 
 // Role distinguishes the two endpoint kinds in a membership record.
 type Role uint8
@@ -83,7 +86,8 @@ type lease struct {
 	state EndpointState
 	ttl   time.Duration
 	grace time.Duration
-	gen   uint64 // bumped on every (re)arm/cancel; pending timers check it
+	gen   uint64     // bumped on every (re)arm/cancel; pending timers check it
+	timer leaseTimer // the op every check of this slot schedules
 
 	// inc is the slot's incarnation, bumped by every Rejoin: peers use it
 	// to tell a rejoined endpoint from the evicted one it replaces (stale
@@ -92,6 +96,31 @@ type lease struct {
 	// back by Rejoin so a re-attached endpoint knows where to resume.
 	inc       uint64
 	watermark uint64
+}
+
+// leaseTimer is a slot's expiry check: the one clock op every arm of
+// the slot's lease schedules. The argument carries the generation the
+// check was armed under and its step (timerExpire or timerGrace), so an
+// orphaned check — its lease re-armed, released or evicted since — finds
+// the generation moved on and does nothing.
+type leaseTimer struct {
+	m *Membership
+	k epKey
+}
+
+// leaseTimer steps, the low bit of the argument.
+const (
+	timerExpire = 0 // the TTL ran out: Active -> Suspect
+	timerGrace  = 1 // the grace period ran out: Suspect -> Evicted
+)
+
+// RunOp runs one check in clock context; it takes the monitor itself.
+func (t *leaseTimer) RunOp(arg uint64) {
+	if gen := arg >> 1; arg&1 == timerExpire {
+		t.m.expire(t.k, gen)
+	} else {
+		t.m.evictExpired(t.k, gen)
+	}
 }
 
 // Membership is the epoch-versioned membership record of one flow. The
@@ -182,12 +211,22 @@ func (m *Membership) EvictedTargets() []int {
 	return out
 }
 
+// leaseAt returns slot k's lease, creating an Active one — no TTL, its
+// timer bound to this record — when the slot never held one.
+func (m *Membership) leaseAt(k epKey) *lease {
+	l := m.eps[k]
+	if l == nil {
+		l = &lease{timer: leaseTimer{m: m, k: k}}
+		m.eps[k] = l
+	}
+	return l
+}
+
 // arm schedules the lease's expiry check. Renewals re-arm by bumping the
 // generation, which orphans the previously scheduled check.
-func (m *Membership) arm(k epKey, l *lease) {
+func (m *Membership) arm(l *lease) {
 	l.gen++
-	gen := l.gen
-	m.r.clk.after(l.ttl, func() { m.expire(k, gen) })
+	m.r.clk.after(l.ttl, &l.timer, l.gen<<1|timerExpire)
 }
 
 // expire moves an unrenewed Active lease to Suspect and starts the grace
@@ -204,12 +243,13 @@ func (m *Membership) expire(k epKey, gen uint64) {
 	m.r.emit(metrics.Event{Type: metrics.EvLease, Flow: m.flow, Epoch: m.epoch.Load(),
 		Role: k.role.String(), Slot: k.idx, Detail: "lease expired: active -> suspect"})
 	m.r.statusChanged(m.flow)
-	m.armGrace(k, l, gen)
+	m.armGrace(l)
 }
 
-// armGrace schedules the eviction check of a Suspect lease.
-func (m *Membership) armGrace(k epKey, l *lease, gen uint64) {
-	m.r.clk.after(l.grace, func() { m.evictExpired(k, gen) })
+// armGrace schedules the eviction check of a Suspect lease under its
+// current generation.
+func (m *Membership) armGrace(l *lease) {
+	m.r.clk.after(l.grace, &l.timer, l.gen<<1|timerGrace)
 }
 
 // evictExpired evicts a lease still Suspect when its grace period ends.
@@ -281,18 +321,13 @@ func (r *Registry) AcquireLease(p transport.Ctx, flow string, role Role, idx int
 	}
 	return r.update(p, flow, func(e *entry) error {
 		m := e.mem
-		k := epKey{role, idx}
-		l := m.eps[k]
-		if l == nil {
-			l = &lease{}
-			m.eps[k] = l
-		}
+		l := m.leaseAt(epKey{role, idx})
 		if l.state == StateEvicted {
 			return fmt.Errorf("registry: %s %d of flow %q was evicted (epoch %d)", role, idx, flow, m.epoch.Load())
 		}
 		l.state = StateActive
 		l.ttl, l.grace = ttl, grace
-		m.arm(k, l)
+		m.arm(l)
 		r.emit(metrics.Event{Type: metrics.EvLease, Flow: flow, Epoch: m.epoch.Load(),
 			Role: role.String(), Slot: idx, Detail: "lease acquired"})
 		return nil
@@ -314,27 +349,26 @@ func (r *Registry) RenewLease(p transport.Ctx, flow string, role Role, idx int) 
 		if !ok {
 			return fmt.Errorf("registry: flow %q not published", flow)
 		}
-		k := epKey{role, idx}
-		l := m.eps[k]
+		l := m.eps[epKey{role, idx}]
 		if l == nil || l.state == StateLeft {
 			return fmt.Errorf("registry: %s %d of flow %q holds no lease", role, idx, flow)
 		}
 		if l.state == StateEvicted {
 			return fmt.Errorf("registry: %s %d of flow %q was evicted (epoch %d)", role, idx, flow, m.epoch.Load())
 		}
-		m.renew(k, l)
+		m.renew(l)
 		return nil
 	})
 }
 
 // renew re-arms a live lease, rescuing a Suspect slot back to Active.
 // Only the rescue shows in the status snapshot.
-func (m *Membership) renew(k epKey, l *lease) {
+func (m *Membership) renew(l *lease) {
 	if l.state != StateActive {
 		l.state = StateActive
-		m.r.flowChanged(m.flow)
+		m.r.markStale(m.flow)
 	}
-	m.arm(k, l)
+	m.arm(l)
 }
 
 // invokeRenew routes a renewal through the log, or — under the
@@ -354,7 +388,7 @@ func (r *Registry) invokeRenew(p transport.Ctx, op func() error) error {
 	} else {
 		err = r.run(p, op)
 	}
-	r.publishStatus()
+	r.replChanged()
 	return err
 }
 
@@ -381,13 +415,12 @@ func (r *Registry) RenewLeaseBatch(p transport.Ctx, refs []LeaseRef) []LeaseRef 
 				failed = append(failed, ref)
 				continue
 			}
-			k := epKey{ref.Role, ref.Idx}
-			l := m.eps[k]
+			l := m.eps[epKey{ref.Role, ref.Idx}]
 			if l == nil || l.state == StateLeft || l.state == StateEvicted {
 				failed = append(failed, ref)
 				continue
 			}
-			m.renew(k, l)
+			m.renew(l)
 		}
 		return nil
 	})
@@ -425,11 +458,7 @@ func (r *Registry) Evict(p transport.Ctx, flow string, role Role, idx int) error
 	return r.update(p, flow, func(e *entry) error {
 		m := e.mem
 		k := epKey{role, idx}
-		l := m.eps[k]
-		if l == nil {
-			l = &lease{}
-			m.eps[k] = l
-		}
+		l := m.leaseAt(k)
 		if l.state == StateEvicted {
 			return nil
 		}
@@ -473,7 +502,7 @@ func (r *Registry) Rejoin(p transport.Ctx, flow string, role Role, idx, newIdx i
 			l.inc++
 			l.state = StateActive
 			if l.ttl > 0 {
-				m.arm(k, l)
+				m.arm(l)
 			}
 			r.emit(metrics.Event{Type: metrics.EvLease, Flow: flow, Epoch: m.epoch.Load() + 1,
 				Role: role.String(), Slot: idx, Seq: l.inc, Detail: "rejoined own slot"})
@@ -481,12 +510,7 @@ func (r *Registry) Rejoin(p transport.Ctx, flow string, role Role, idx, newIdx i
 			out = Rejoined{Incarnation: l.inc, Watermark: l.watermark}
 			return nil
 		}
-		nk := epKey{role, newIdx}
-		nl := m.eps[nk]
-		if nl == nil {
-			nl = &lease{}
-			m.eps[nk] = nl
-		}
+		nl := m.leaseAt(epKey{role, newIdx})
 		if nl.state == StateEvicted {
 			return fmt.Errorf("registry: cannot transfer %s %d of flow %q onto evicted slot %d",
 				role, idx, flow, newIdx)
@@ -512,13 +536,7 @@ func (r *Registry) Rejoin(p transport.Ctx, flow string, role Role, idx, newIdx i
 // endpoint's late writes.
 func (r *Registry) SetWatermark(p transport.Ctx, flow string, role Role, idx int, watermark uint64) error {
 	return r.update(p, flow, func(e *entry) error {
-		m := e.mem
-		k := epKey{role, idx}
-		l := m.eps[k]
-		if l == nil {
-			l = &lease{}
-			m.eps[k] = l
-		}
+		l := e.mem.leaseAt(epKey{role, idx})
 		if l.state == StateEvicted {
 			return fmt.Errorf("registry: %s %d of flow %q was evicted; watermark refused", role, idx, flow)
 		}

@@ -28,8 +28,10 @@
 // schedule unchanged (a process parked with the monitor held would hang
 // the kernel, not race). On the wall clock the same rule gives goroutines
 // the same atomic-between-sleeps semantics, which is all the replicated
-// log relies on. Status, LeaseRenewRPCs and Membership.Epoch are atomic
-// loads and take nothing.
+// log relies on. LeaseRenewRPCs and Membership.Epoch are atomic loads and
+// take nothing; Status is one too unless a mutation since the last call
+// left something to fold in, and then it takes the monitor — so it is
+// never called inside it.
 package registry
 
 import (
@@ -62,13 +64,17 @@ type Registry struct {
 
 	// events receives structured protocol events (nil when tracing is
 	// off); endpoints pick the sink up via EventSink() at open. status
-	// holds the latest immutable introspection snapshot; flowStatus is
-	// its name-sorted flow slice, edited copy-on-write by flowChanged,
-	// and statusDirty says an edit awaits publication (see status.go).
-	events      metrics.EventSink
-	status      atomic.Pointer[ClusterStatus]
-	flowStatus  []FlowStatus
-	statusDirty bool
+	// holds the latest immutable introspection snapshot, built on read
+	// (see status.go): staleFlows maps each flow a mutation touched since
+	// to the time of its latest mark, replSeen and replAt are the
+	// replication group's last counters and when they last moved, and
+	// stale says Status has something to fold in.
+	events     metrics.EventSink
+	status     atomic.Pointer[ClusterStatus]
+	staleFlows map[string]time.Duration
+	replSeen   *ReplStatus
+	replAt     time.Duration
+	stale      atomic.Bool
 
 	// renewRPCs counts lease-renewal round trips (batched renewals count
 	// once) — the lease-traffic measure the connection-scaling tests
@@ -106,7 +112,9 @@ func (f *Faults) dropLeg(p transport.Ctx) bool {
 	return f != nil && f.Drop > 0 && p.Rand().Float64() < f.Drop
 }
 
-func newRegistry() *Registry { return &Registry{flows: make(map[string]*entry)} }
+func newRegistry() *Registry {
+	return &Registry{flows: make(map[string]*entry), staleFlows: make(map[string]time.Duration)}
+}
 
 // LeaseRenewRPCs returns the number of lease-renewal round trips served
 // so far (a RenewLeaseBatch counts one whatever it carries).

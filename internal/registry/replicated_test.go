@@ -50,6 +50,39 @@ func TestReplicatedPublishLookup(t *testing.T) {
 	}
 }
 
+// TestReplicateAfterPublishRenews: a registry replicated after its first
+// publish serves the next renewal and then reports its replication group,
+// although the status it published before Replicate had none.
+func TestReplicateAfterPublishRenews(t *testing.T) {
+	k := sim.New(1)
+	r := New(k)
+	k.Spawn("p", func(p *sim.Proc) {
+		if err := r.Publish(p, "f", nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.AcquireLease(p, "f", RoleSource, 0, ttl, grace); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Replicate(ReplicaConfig{Replicas: 3}); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.RenewLease(p, "f", RoleSource, 0); err != nil {
+			t.Fatal(err)
+		}
+		st := r.Status()
+		if st.Replication == nil || st.Replication.Replicas != 3 {
+			t.Errorf("status replication = %+v, want a 3-replica group", st.Replication)
+		}
+		if len(st.Flows) != 1 || st.Flows[0].Endpoints[0].State != "active" {
+			t.Errorf("status flows = %+v", st.Flows)
+		}
+		r.ReleaseLease(p, "f", RoleSource, 0)
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestReplicatedMasterFailover(t *testing.T) {
 	k := sim.New(1)
 	r, err := New(k).Replicate(ReplicaConfig{RPCDelay: time.Microsecond})

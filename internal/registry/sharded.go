@@ -2,8 +2,8 @@ package registry
 
 import (
 	"fmt"
-	"hash/fnv"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"dfi/internal/metrics"
@@ -57,10 +57,15 @@ func (s *Sharded) Shard(flow string) *Registry { return s.shards[s.index(flow)] 
 // ShardAt returns shard i directly.
 func (s *Sharded) ShardAt(i int) *Registry { return s.shards[i] }
 
+// index is the FNV-1a hash of flow modulo the shard count, computed in
+// place: a batched renewal hashes every ref it carries.
 func (s *Sharded) index(flow string) int {
-	h := fnv.New32a()
-	h.Write([]byte(flow))
-	return int(h.Sum32() % uint32(len(s.shards)))
+	h := uint32(2166136261)
+	for i := 0; i < len(flow); i++ {
+		h ^= uint32(flow[i])
+		h *= 16777619
+	}
+	return int(h % uint32(len(s.shards)))
 }
 
 // UseFaults installs the fault knobs on every standalone shard
@@ -126,29 +131,27 @@ func (s *Sharded) RenewLease(p transport.Ctx, flow string, role Role, idx int) e
 	return s.Shard(flow).RenewLease(p, flow, role, idx)
 }
 
-// RenewLeaseBatch groups refs by owning shard and issues one batched
-// renewal RPC per shard touched — lease traffic stays O(shards) per
-// heartbeat tick, not O(flows). Failed refs from every shard are
-// concatenated.
+// RenewLeaseBatch issues one batched renewal RPC per shard that owns
+// any of refs, in ascending shard order — lease traffic stays O(shards)
+// per heartbeat tick, not O(flows). Each shard's batch keeps the order
+// refs had, and refs itself is left as it was. Failed refs from every
+// shard are concatenated.
 func (s *Sharded) RenewLeaseBatch(p transport.Ctx, refs []LeaseRef) []LeaseRef {
 	if len(s.shards) == 1 {
 		return s.shards[0].RenewLeaseBatch(p, refs)
 	}
-	groups := make(map[int][]LeaseRef)
-	for _, ref := range refs {
-		i := s.index(ref.Flow)
-		groups[i] = append(groups[i], ref)
-	}
-	// Deterministic shard order: sim timing must not depend on map
-	// iteration.
-	idxs := make([]int, 0, len(groups))
-	for i := range groups {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
 	var failed []LeaseRef
-	for _, i := range idxs {
-		failed = append(failed, s.shards[i].RenewLeaseBatch(p, groups[i])...)
+	batch := make([]LeaseRef, 0, len(refs))
+	for i, r := range s.shards {
+		batch = batch[:0]
+		for _, ref := range refs {
+			if s.index(ref.Flow) == i {
+				batch = append(batch, ref)
+			}
+		}
+		if len(batch) > 0 {
+			failed = append(failed, r.RenewLeaseBatch(p, batch)...)
+		}
 	}
 	return failed
 }
@@ -223,10 +226,13 @@ func (s *Sharded) LeaseRenewRPCs() uint64 {
 // re-sorted by name; the replication block is shard 0's, representative
 // because every shard runs an identical group configuration (per-shard
 // consensus detail is available via ShardAt(i).Status()).
-func (s *Sharded) Status() *ClusterStatus {
+func (s *Sharded) Status() *ClusterStatus { return mergeStatus(s.shards, (*Registry).Status) }
+
+// mergeStatus merges the snapshots status reads from each shard.
+func mergeStatus(shards []*Registry, status func(*Registry) *ClusterStatus) *ClusterStatus {
 	merged := &ClusterStatus{}
-	for _, r := range s.shards {
-		st := r.Status()
+	for _, r := range shards {
+		st := status(r)
 		merged.Flows = append(merged.Flows, st.Flows...)
 		if merged.Replication == nil {
 			merged.Replication = st.Replication
@@ -235,7 +241,7 @@ func (s *Sharded) Status() *ClusterStatus {
 			merged.T = st.T
 		}
 	}
-	sort.Slice(merged.Flows, func(i, j int) bool { return merged.Flows[i].Name < merged.Flows[j].Name })
+	slices.SortFunc(merged.Flows, func(a, b FlowStatus) int { return strings.Compare(a.Name, b.Name) })
 	return merged
 }
 

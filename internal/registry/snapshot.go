@@ -64,7 +64,7 @@ func (r *Registry) captureState() *stateSnapshot {
 		fs.attached, fs.sealed = e.mem.attached.Load(), e.mem.sealed.Load()
 		for k, l := range e.mem.eps {
 			cp := *l
-			cp.gen = 0 // timer bookkeeping, not state
+			cp.gen, cp.timer = 0, leaseTimer{} // timer bookkeeping, not state
 			fs.leases[k] = cp
 		}
 		if e.seq != nil {
@@ -101,17 +101,18 @@ func (r *Registry) restoreState(s *stateSnapshot) {
 		m.attached.Store(fs.attached)
 		m.sealed.Store(fs.sealed)
 		for k, cp := range fs.leases {
-			l := cp // fresh copy per slot
+			l := cp // fresh copy per slot, its timer bound to the new record
+			l.timer = leaseTimer{m: m, k: k}
 			m.eps[k] = &l
 			switch l.state {
 			case StateActive:
 				if l.ttl > 0 {
-					m.arm(k, &l)
+					m.arm(&l)
 				}
 			case StateSuspect:
 				if l.grace > 0 {
 					l.gen++
-					m.armGrace(k, &l, l.gen)
+					m.armGrace(&l)
 				}
 			}
 		}
@@ -128,12 +129,13 @@ func (r *Registry) restoreState(s *stateSnapshot) {
 		}
 		r.flows[name] = e
 	}
-	r.flowStatus = nil
-	for name := range r.flows {
-		r.flowChanged(name)
+	for _, f := range r.shownFlows() {
+		r.markStale(f.Name) // shown, perhaps gone now
 	}
-	r.statusDirty = true // an emptied registry is a change too
-	r.publishStatus()
+	for name := range r.flows {
+		r.markStale(name)
+	}
+	r.replChanged()
 	r.clk.broadcast()
 }
 

@@ -1,7 +1,8 @@
 package registry
 
 import (
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"dfi/internal/metrics"
@@ -9,18 +10,24 @@ import (
 
 // Live introspection: the registry is the control-plane hub, so it is
 // where a scraper can see the whole cluster — flows, leases, epochs,
-// watermarks, and the replication group. Because every mutation funnels
-// through invoke()/invokeRenew() or a lease timer callback (all inside
-// the monitor), the registry republishes an immutable ClusterStatus
-// snapshot after each mutation that shows in it; a concurrent HTTP scraper only ever loads the latest pointer. A
-// missed publish would mean staleness, never a torn read.
+// watermarks, and the replication group — as one immutable ClusterStatus
+// snapshot, built on read.
 //
-// The snapshot is maintained incrementally: a command names the flow it
-// touched, only that flow's FlowStatus is rebuilt, and a new snapshot —
-// one copy of the name-sorted flow slice with that element replaced,
-// inserted or removed — is published only when the rebuilt element
-// differs from the published one. Renewing an Active lease, the
-// steady-state command of a leased fleet, therefore costs nothing here.
+// A mutation does not touch the snapshot: every command, lease timer and
+// rescuing renewal (all inside the monitor) only marks the flow it
+// touched stale, with the clock time of the mark, and compares the
+// replication group's counters against the last ones seen — a value
+// comparison that allocates nothing. Status takes the monitor only when
+// something is stale, rebuilds just the stale flows' elements, and
+// publishes a new snapshot — one copy of the name-sorted flow slice with
+// those elements replaced, inserted or removed — only when an element
+// differs from the published one; the snapshot's T is the latest mark
+// among the elements that differ. Renewing an Active lease, the steady-
+// state command of a leased fleet, marks nothing and costs nothing here,
+// and a publish, acquire or release costs a map assignment instead of a
+// copy of every flow's status. Published snapshots are never edited, so
+// a scraper holding one only ever sees a consistent, possibly stale,
+// view.
 
 // EndpointStatus is one endpoint slot's lease view.
 type EndpointStatus struct {
@@ -92,13 +99,101 @@ func (r *Registry) emit(e metrics.Event) {
 	r.events.Emit(e)
 }
 
-// Status returns the latest published cluster snapshot (empty before
-// the first mutation). Safe to call from any goroutine.
+// Status returns a cluster snapshot current as of the call (empty before
+// the first mutation). Safe to call from any goroutine, but not inside
+// the registry's monitor: it takes the monitor to fold in stale flows, so
+// it must not be called from an event sink (sinks run inside the
+// monitor, and may not call back into the registry anyway).
 func (r *Registry) Status() *ClusterStatus {
+	if !r.stale.Load() {
+		return r.loadStatus()
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.statusLocked()
+}
+
+// loadStatus returns the latest published snapshot, or an empty one.
+func (r *Registry) loadStatus() *ClusterStatus {
 	if s := r.status.Load(); s != nil {
 		return s
 	}
 	return &ClusterStatus{}
+}
+
+// shownFlows returns the published snapshot's flows (nil before the
+// first).
+func (r *Registry) shownFlows() []FlowStatus {
+	if s := r.status.Load(); s != nil {
+		return s.Flows
+	}
+	return nil
+}
+
+// statusLocked is Status for callers inside the monitor: it rebuilds
+// the stale flows' elements and the replication block, and publishes a
+// new snapshot if any of them differs from the published one.
+func (r *Registry) statusLocked() *ClusterStatus {
+	if !r.stale.Load() {
+		return r.loadStatus()
+	}
+	r.stale.Store(false)
+	old := r.loadStatus()
+	var (
+		t       time.Duration
+		changed bool
+		flows   = old.Flows // copied before the first edit
+	)
+	for name, at := range r.staleFlows {
+		delete(r.staleFlows, name)
+		i, present := flowIndex(flows, name)
+		e, ok := r.flows[name]
+		var fs FlowStatus
+		switch {
+		case ok:
+			fs = buildFlowStatus(name, e)
+			if present && sameFlowStatus(flows[i], fs) {
+				continue
+			}
+		case !present:
+			continue
+		}
+		if !changed {
+			flows = slices.Clone(flows)
+			changed = true
+		}
+		t = max(t, at)
+		switch {
+		case !ok:
+			flows = slices.Delete(flows, i, i+1)
+		case present:
+			flows[i] = fs
+		default:
+			flows = slices.Insert(flows, i, fs)
+		}
+	}
+	repl := old.Replication
+	if r.replSeen != nil && (repl == nil || *repl != *r.replSeen) {
+		cp := *r.replSeen
+		repl = &cp
+		t = max(t, r.replAt)
+		changed = true
+	}
+	if !changed {
+		return old
+	}
+	if len(flows) == 0 {
+		flows = nil
+	}
+	st := &ClusterStatus{T: t, Flows: flows, Replication: repl}
+	r.status.Store(st)
+	return st
+}
+
+// flowIndex finds name in a name-sorted flow slice: its index, or where
+// it would be inserted.
+func flowIndex(flows []FlowStatus, name string) (int, bool) {
+	return slices.BinarySearchFunc(flows, name, func(f FlowStatus, n string) int { return strings.Compare(f.Name, n) })
 }
 
 // buildFlowStatus renders one flow's control-plane view, endpoints in
@@ -119,8 +214,7 @@ func buildFlowStatus(name string, e *entry) FlowStatus {
 			Incarnation: l.inc,
 			Watermark:   l.watermark,
 		}
-		// Insertion sort: a flow has a handful of endpoints, and this
-		// runs once per registry command.
+		// Insertion sort: a flow has a handful of endpoints.
 		i := len(eps)
 		eps = append(eps, ep)
 		for ; i > 0 && (eps[i-1].Role > ep.Role || eps[i-1].Role == ep.Role && eps[i-1].Slot > ep.Slot); i-- {
@@ -145,65 +239,54 @@ func sameFlowStatus(a, b FlowStatus) bool {
 	return true
 }
 
-// flowChanged brings name's element of the name-sorted flow slice up to
-// date after a mutation that may have touched it. Published snapshots
-// share the slice, so an edit replaces it with a copy; publishStatus
-// then makes the copy visible. Called inside the monitor.
-func (r *Registry) flowChanged(name string) {
-	cur := r.flowStatus
-	i := sort.Search(len(cur), func(i int) bool { return cur[i].Name >= name })
-	present := i < len(cur) && cur[i].Name == name
-	e, ok := r.flows[name]
-	if !ok {
-		if present {
-			r.flowStatus = append(append([]FlowStatus(nil), cur[:i]...), cur[i+1:]...)
-			r.statusDirty = true
-		}
-		return
-	}
-	fs := buildFlowStatus(name, e)
-	if present && sameFlowStatus(cur[i], fs) {
-		return
-	}
-	next := make([]FlowStatus, 0, len(cur)+1)
-	next = append(append(next, cur[:i]...), fs)
-	if present {
-		i++
-	}
-	r.flowStatus = append(next, cur[i:]...)
-	r.statusDirty = true
-}
-
-// statusChanged folds a mutation of the named flow into the snapshot.
-func (r *Registry) statusChanged(flow string) {
-	r.flowChanged(flow)
-	r.publishStatus()
-}
-
-// publishStatus publishes a new snapshot if a flow or the replication
-// group changed since the last one.
-func (r *Registry) publishStatus() {
-	var repl *ReplStatus
-	if g := r.repl; g != nil {
-		cur := ReplStatus{
-			Replicas:      len(g.acceptors),
-			Master:        g.master,
-			Ballot:        g.ballot,
-			Elections:     g.elections,
-			Snapshots:     g.snapCount,
-			SnapshotIndex: g.snap.Index,
-			LogLen:        g.logLen(),
-			AppliedSize:   len(g.applied),
-		}
-		if old := r.status.Load(); !r.statusDirty && old != nil && *old.Replication == cur {
+// markStale marks flow stale: its element of the snapshot may no
+// longer match the registry. Called inside the monitor after a mutation
+// that may have touched it; a flow neither published nor in the snapshot
+// needs no mark.
+func (r *Registry) markStale(flow string) {
+	if _, ok := r.flows[flow]; !ok {
+		if _, shown := flowIndex(r.shownFlows(), flow); !shown {
+			delete(r.staleFlows, flow)
 			return
 		}
-		repl = &cur
-	} else if !r.statusDirty {
+	}
+	r.staleFlows[flow] = r.clk.now()
+	r.stale.Store(true)
+}
+
+// statusChanged marks flow stale and takes in the replication group.
+func (r *Registry) statusChanged(flow string) {
+	r.markStale(flow)
+	r.replChanged()
+}
+
+// replChanged compares the replication group's counters, as a value,
+// against the last ones seen, and marks the replication block stale when
+// they moved. Called inside the monitor.
+func (r *Registry) replChanged() {
+	g := r.repl
+	if g == nil {
 		return
 	}
-	r.statusDirty = false
-	r.status.Store(&ClusterStatus{T: r.clk.now(), Flows: r.flowStatus, Replication: repl})
+	cur := ReplStatus{
+		Replicas:      len(g.acceptors),
+		Master:        g.master,
+		Ballot:        g.ballot,
+		Elections:     g.elections,
+		Snapshots:     g.snapCount,
+		SnapshotIndex: g.snap.Index,
+		LogLen:        g.logLen(),
+		AppliedSize:   len(g.applied),
+	}
+	if r.replSeen != nil && *r.replSeen == cur {
+		return
+	}
+	if r.replSeen == nil {
+		r.replSeen = new(ReplStatus)
+	}
+	*r.replSeen = cur
+	r.replAt = r.clk.now()
+	r.stale.Store(true)
 }
 
 // leaseCount sums endpoints in the given state across the snapshot.
@@ -219,8 +302,8 @@ func leaseCount(st *ClusterStatus, state string) (n int) {
 }
 
 // PublishMetrics registers the registry's control-plane gauges on m
-// under the dfi_registry_* namespace. All values come from the
-// published snapshot, so scraping is race-free by construction. Fixed
+// under the dfi_registry_* namespace. All values come from Status, so
+// scraping is race-free by construction. Fixed
 // cardinality: lease counts are aggregated per state, not per flow.
 func (r *Registry) PublishMetrics(m *metrics.Registry) {
 	r.PublishMetricsLabeled(m, nil)

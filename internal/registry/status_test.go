@@ -16,7 +16,7 @@ import (
 // rebuildStatus is the from-scratch snapshot builder the registry used
 // before the snapshot became incremental, kept as the oracle: it reads
 // nothing but the state machine, so it cannot share a bookkeeping bug
-// with flowChanged/publishStatus. Called inside the monitor.
+// with markStale/statusLocked. Called inside the monitor.
 func (r *Registry) rebuildStatus() *ClusterStatus {
 	st := &ClusterStatus{}
 	names := make([]string, 0, len(r.flows))
@@ -151,7 +151,7 @@ func TestStatusSnapshotMatchesRebuild(t *testing.T) {
 					}
 					var want []FlowStatus
 					for i, r := range shards {
-						got, oracle := r.Status(), r.rebuildStatus()
+						got, oracle := r.statusLocked(), r.rebuildStatus()
 						if !reflect.DeepEqual(got.Flows, oracle.Flows) {
 							t.Fatalf("after %s: shard %d flows diverged\nincremental: %+v\nrebuild:     %+v", op, i, got.Flows, oracle.Flows)
 						}
@@ -161,7 +161,7 @@ func TestStatusSnapshotMatchesRebuild(t *testing.T) {
 						want = append(want, oracle.Flows...)
 					}
 					sort.Slice(want, func(i, j int) bool { return want[i].Name < want[j].Name })
-					if got := reg.Status().Flows; !reflect.DeepEqual(got, want) {
+					if got := mergeStatus(shards, (*Registry).statusLocked).Flows; !reflect.DeepEqual(got, want) {
 						t.Fatalf("after %s: merged flows diverged\nincremental: %+v\nrebuild:     %+v", op, got, want)
 					}
 				}

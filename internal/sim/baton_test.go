@@ -65,7 +65,7 @@ func TestCallbackPanicIsReportedAsCallbackPanic(t *testing.T) {
 
 type panicOp struct{}
 
-func (panicOp) RunOp(uint8) { panic("boom") }
+func (panicOp) RunOp(uint64) { panic("boom") }
 
 // TestProcessPanicStillNamesTheProcess: the callback label must not leak
 // onto an ordinary process panic, even after callbacks ran on its stack.

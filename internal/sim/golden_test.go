@@ -44,8 +44,8 @@ type goldenSignal struct {
 	c *Cond
 }
 
-func (s *goldenSignal) RunOp(step uint8) {
-	s.l.add("op", fmt.Sprint("signal", step))
+func (s *goldenSignal) RunOp(arg uint64) {
+	s.l.add("op", fmt.Sprint("signal", arg))
 	s.c.Signal()
 }
 
@@ -129,7 +129,7 @@ func goldenProgram(k *Kernel, seed int64) *goldenLog {
 							c.Signal()
 						})
 					} else {
-						k.AtOp(k.Now()+sig, &goldenSignal{l: l, c: c}, uint8(id))
+						k.AtOp(k.Now()+sig, &goldenSignal{l: l, c: c}, uint64(id))
 					}
 					l.add(name, "wait-timeout")
 					ok := c.WaitTimeout(p, d)

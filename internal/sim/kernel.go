@@ -48,15 +48,17 @@ const (
 	evTimer                // park timer fired: request a wake at the current instant
 	evWake                 // resume p if still parked in generation gen
 	evTimeout              // WaitTimeout deadline: mark p timed out, then request a wake
-	evOp                   // run op.RunOp(step) in scheduler context (step rides in gen)
+	evOp                   // run op.RunOp(arg) in scheduler context (arg rides in gen)
 )
 
 // Op is a pooled event payload. RunOp fires in scheduler context with the
-// step the event was scheduled under (see Kernel.AtOp). Backends use one
-// Op value to drive a multi-step pipeline — stage, deliver, commit, ack —
-// without allocating a closure per step, which is what makes the
-// steady-state data path alloc-free.
-type Op interface{ RunOp(step uint8) }
+// 64-bit argument the event was scheduled under (see Kernel.AtOp). The
+// argument is the op's to interpret: backends use one Op value to drive a
+// multi-step pipeline — stage, deliver, commit, ack — with the step as the
+// argument, and a lease timer packs its generation and step into it. No
+// closure is allocated per event, which is what makes the steady-state
+// data path and a leased fleet's heartbeats alloc-free.
+type Op interface{ RunOp(arg uint64) }
 
 // event is a scheduled callback or process transition. Events with equal
 // timestamps fire in the order they were scheduled (seq breaks ties), which
@@ -289,11 +291,13 @@ func (k *Kernel) At(t Time, fn func()) {
 	k.at(t, fn)
 }
 
-// AtOp schedules op.RunOp(step) to run in scheduler context at absolute
-// virtual time t (clamped to the present). The step rides in the event's
-// gen field, so scheduling allocates nothing beyond heap growth.
-func (k *Kernel) AtOp(t Time, op Op, step uint8) {
-	k.push(event{at: t, kind: evOp, op: op, gen: uint64(step)})
+// AtOp schedules op.RunOp(arg) to run in scheduler context at absolute
+// virtual time t (clamped to the present). Like At, the callback must not
+// block. arg rides in the event's gen word, so scheduling allocates
+// nothing beyond heap growth; one op may have many events pending, each
+// with its own arg.
+func (k *Kernel) AtOp(t Time, op Op, arg uint64) {
+	k.push(event{at: t, kind: evOp, op: op, gen: arg})
 }
 
 // Spawn creates a new process executing fn and schedules it to start at the
@@ -365,7 +369,7 @@ func (k *Kernel) callback(e *event) {
 	if e.kind == evFn {
 		e.fn()
 	} else {
-		e.op.RunOp(uint8(e.gen))
+		e.op.RunOp(e.gen)
 	}
 	k.inCallback = false
 }
