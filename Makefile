@@ -25,7 +25,9 @@ race:
 # Fault-injection matrix: the chaos, crash, lifecycle/lease/eviction and
 # registry-failover suites under the race detector, swept over several
 # deterministic seeds (DFI_CHAOS_SEED is read by the core test env;
-# -count=1 defeats caching so every seed really runs).
+# -count=1 defeats caching so every seed really runs). The eviction
+# census of internal/scenario runs its -short rows at each seed too (the
+# full 180-row table runs in `go test ./...`).
 CHAOS_SEEDS ?= 11 1 7 42
 chaos:
 	@for seed in $(CHAOS_SEEDS); do \
@@ -33,6 +35,8 @@ chaos:
 		DFI_CHAOS_SEED=$$seed $(GO) test -race -count=1 \
 			-run 'Chaos|Crash|Lifecycle|Lease|Evict|Reattach|Rejoin|Replicated|Remove|Promise|Accept|Ballot' \
 			./internal/core/ ./internal/registry/ ./internal/consensus/... || exit 1; \
+		DFI_CHAOS_SEED=$$seed $(GO) test -race -count=1 -short \
+			-run 'Census' ./internal/scenario/ || exit 1; \
 	done
 
 # Ordered-multicast fault matrix: source crash under leases, gap

@@ -258,12 +258,16 @@ func TestSameArgsOnBothTransports(t *testing.T) {
 // TestBrokenFlowLeavesEvidence: a flow that breaks with nothing injected
 // (a recovery timeout no round trip can meet) still prints the summary
 // and writes the event trace before exiting 1 — the run an operator
-// wants the trace of.
+// wants the trace of. The targets are alive, so the sources' end markers
+// still reach them and the run ends long before the kernel's deadline.
 func TestBrokenFlowLeavesEvidence(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "events.jsonl")
 	out, code := runToString(t, "-mb", "1", "-retransmit", "1ns", "-events-out", path)
 	if code != 1 || !strings.Contains(out, "flow broken") {
 		t.Fatalf("exit %d, want 1 from a broken flow:\n%s", code, out)
+	}
+	if strings.Contains(out, "dfiflow: sim:") || strings.Contains(out, "done=false") {
+		t.Errorf("a target never saw its end markers:\n%s", out)
 	}
 	if !totalsRE.MatchString(out) {
 		t.Errorf("no summary after the broken flow:\n%s", out)

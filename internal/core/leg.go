@@ -66,8 +66,6 @@ type segmentTx interface {
 	finish(p transport.Ctx) error
 	// end is the second half: the end-of-flow marker.
 	end(p transport.Ctx) error
-	// close is finish and end in one pass, for a quiescent membership.
-	close(p transport.Ctx) error
 	// harvest gives up on the leg's target and returns the tuples
 	// shipped but not known consumed that are still resident locally (a
 	// shared ring keeps none: its in-flight window is lost).

@@ -55,17 +55,20 @@ type sharedTx struct {
 // ring between their nodes.
 func newSharedTx(s *Source, i int) (*sharedTx, error) {
 	o := &s.spec.Options
-	st, err := s.meta.pool.OpenStream(s.node, s.spec.Targets[i].Node,
-		streamKey(s.spec.Name, s.idx, i), o.Tenant, o.TenantWeight)
-	if err != nil {
-		return nil, err
-	}
 	x := &sharedTx{
 		leg:  leg{buf: make([]byte, o.SegmentSize), segSize: o.SegmentSize},
-		st:   st,
 		flow: s.spec.Name,
 	}
 	x.tx = x
+	// A send blocked on credits gives up once the target is evicted, and
+	// sendErr turns that into the engine's harvest-and-re-route cue.
+	st, err := s.meta.pool.OpenStream(s.node, s.spec.Targets[i].Node,
+		streamKey(s.spec.Name, s.idx, i), o.Tenant, o.TenantWeight,
+		func() bool { return x.checkAbort() != nil })
+	if err != nil {
+		return nil, err
+	}
+	x.st = st
 	return x, nil
 }
 
@@ -109,13 +112,6 @@ func (x *sharedTx) end(p transport.Ctx) error {
 	}
 	x.closed = true
 	return x.sendErr(x.st.Close(p))
-}
-
-func (x *sharedTx) close(p transport.Ctx) error {
-	if err := x.flush(p); err != nil {
-		return err
-	}
-	return x.end(p)
 }
 
 // harvest abandons the stream — its credits refund when the receiver

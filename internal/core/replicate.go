@@ -716,13 +716,6 @@ func (x *mcTx) end(p transport.Ctx) error {
 	return nil
 }
 
-func (x *mcTx) close(p transport.Ctx) error {
-	if err := x.flush(p); err != nil {
-		return err
-	}
-	return x.end(p)
-}
-
 // harvest keeps nothing: the engine never finds the group gone, and what
 // one evicted member missed every survivor received.
 func (x *mcTx) harvest(int) [][]byte { return nil }

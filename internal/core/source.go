@@ -410,31 +410,10 @@ func (s *Source) Close(p transport.Ctx) error {
 			firstErr = err
 		}
 	}
-	if s.epoch == 0 && s.mem.Epoch() == 0 && s.spec.Options.LeaseTTL == 0 {
-		// Quiescent control plane: the original per-leg close order,
-		// kept so flows without leases or evictions time exactly as
-		// before. An administrative eviction racing this close drops to
-		// the phased path below.
-		evictedMid := false
-		for _, l := range s.legs {
-			err := l.tx.close(p)
-			if errors.Is(err, errEvicted) {
-				evictedMid = true
-				break
-			}
-			// Close every leg even after an error: surviving targets
-			// still deserve their end-of-flow marker.
-			record(err)
-		}
-		if !evictedMid {
-			s.closed.Store(true)
-			return firstErr
-		}
-	}
-	// Phased close under a live membership. Phase 1 drains and confirms
-	// every live leg, folding in evictions (and re-routing their
-	// harvest) until a round completes with the membership unchanged —
-	// only then is no tuple left that an eviction could strand.
+	// Phase 1 drains and confirms every live leg, folding in evictions
+	// (and re-routing their harvest) until a round completes with the
+	// membership unchanged — only then is no tuple left that an eviction
+	// could strand.
 	maxRounds := len(s.legs) + 2
 	for round := 0; ; round++ {
 		if err := s.syncEpoch(p); err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -598,26 +599,11 @@ func (w *ringWriter) recover(p transport.Ctx) error {
 	return nil
 }
 
-// close flushes remaining tuples and writes the end-of-flow marker. With
-// RetransmitTimeout set it additionally confirms the whole stream was
-// consumed, retransmitting losses.
-func (w *ringWriter) close(p transport.Ctx) error {
-	if w.closed {
-		return nil
-	}
-	w.closed = true
-	if err := w.flush(p); err != nil { // remaining tuples
-		return err
-	}
-	return w.writeEnd(p)
-}
-
-// finish is the first half of a phased close (sources with a live
-// membership record use finish-all-then-end-all instead of per-leg
-// close): flush the remaining tuples and confirm delivery, but do not
-// write the end marker yet. Splitting matters under eviction — the
-// harvest of a leg that dies during phase 1 is re-pushed to survivors,
-// which must therefore not have sent FLOW_END yet.
+// finish is the first half of a phased close: flush the remaining
+// tuples and confirm delivery, but do not write the end marker yet.
+// Splitting matters under eviction — the harvest of a leg that dies
+// during phase 1 is re-pushed to survivors, which must therefore not
+// have sent FLOW_END yet.
 func (w *ringWriter) finish(p transport.Ctx) error {
 	if err := w.checkAbort(); err != nil {
 		return err
@@ -625,13 +611,22 @@ func (w *ringWriter) finish(p transport.Ctx) error {
 	if err := w.flush(p); err != nil {
 		return err
 	}
-	return w.confirmDelivered(p)
+	err := w.confirmDelivered(p)
+	if err != nil && !errors.Is(err, errEvicted) {
+		// The stream cannot be confirmed, so the source gives the leg up
+		// and routes nothing more to it: its end marker goes out now,
+		// unconfirmed, for a target that is alive but slow to answer. The
+		// confirm's error is the one to report.
+		_ = w.writeEnd(p)
+	}
+	return err
 }
 
 // end is the second half of a phased close: write the end-of-flow
-// marker and confirm it. Only called once no live leg has anything left
-// to drain (finish reached quiescence), so a late eviction here can no
-// longer lose tuples.
+// marker segment and confirm the whole stream including the marker.
+// Only called once no live leg has anything left to drain (finish
+// reached quiescence), so a late eviction here can no longer lose
+// tuples.
 func (w *ringWriter) end(p transport.Ctx) error {
 	if w.closed {
 		return nil
@@ -639,13 +634,15 @@ func (w *ringWriter) end(p transport.Ctx) error {
 	if err := w.checkAbort(); err != nil {
 		return err
 	}
-	w.closed = true
-	return w.writeEnd(p)
+	if err := w.writeEnd(p); err != nil {
+		return err
+	}
+	return w.confirmDelivered(p)
 }
 
-// writeEnd writes the end-of-flow marker segment and confirms the whole
-// stream including the marker.
+// writeEnd writes the end-of-flow marker segment once a slot is free.
 func (w *ringWriter) writeEnd(p transport.Ctx) error {
+	w.closed = true
 	if err := w.awaitSlot(p); err != nil {
 		return err
 	}
@@ -653,7 +650,7 @@ func (w *ringWriter) writeEnd(p transport.Ctx) error {
 		return err
 	}
 	w.writeSegment(p, 0, transport.SegCommitted|transport.SegEnd)
-	return w.confirmDelivered(p)
+	return nil
 }
 
 // confirmDelivered, with RetransmitTimeout set, blocks until the target

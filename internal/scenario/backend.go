@@ -103,6 +103,12 @@ func (b *Backend) UseRegistry(rc RegistryConfig) error {
 func Fabric(nodes int, seed int64, cfg fabric.Config) *Backend {
 	k := sim.New(seed)
 	k.Deadline = Deadline
+	return fabricOn(k, nodes, cfg)
+}
+
+// fabricOn builds the fabric backend on a kernel the caller configured
+// (seed, Deadline, MaxEvents).
+func fabricOn(k *sim.Kernel, nodes int, cfg fabric.Config) *Backend {
 	cluster := fabric.NewCluster(k, nodes, cfg)
 	standalone := func() *registry.Registry { return registry.New(k) }
 	return &Backend{

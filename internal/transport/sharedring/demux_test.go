@@ -26,7 +26,7 @@ func streamLoad(t testing.TB, e env, pool *sharedring.Pool, nStreams, segs, fill
 	for s := 0; s < nStreams; s++ {
 		key := fmt.Sprintf("load%d/0/0", s)
 		e.gof("send", func(p transport.Ctx) {
-			st, err := pool.OpenStream(e.ep[0], e.ep[1], key, "t", 1)
+			st, err := pool.OpenStream(e.ep[0], e.ep[1], key, "t", 1, nil)
 			if err != nil {
 				bad.Add(1)
 				return
@@ -127,7 +127,7 @@ func TestSharedRingLeaderHandoff(t *testing.T) {
 			pool := sharedring.PoolOf(e.t, sharedring.Config{SlotPayload: 64, Slots: 8})
 			var sent, got time.Duration
 			e.gof("send", func(p transport.Ctx) {
-				st, _ := pool.OpenStream(e.ep[0], e.ep[1], "lone/0/0", "t", 1)
+				st, _ := pool.OpenStream(e.ep[0], e.ep[1], "lone/0/0", "t", 1, nil)
 				p.Sleep(gap)
 				sent = p.Now()
 				st.Send(p, make([]byte, 64), false)
@@ -176,7 +176,7 @@ func TestSharedRingLeaderHandoff(t *testing.T) {
 				e.gof("send", func(p transport.Ctx) {
 					streams := make([]*sharedring.Stream, followers+1)
 					for i := range streams {
-						streams[i], _ = pool.OpenStream(e.ep[0], e.ep[1], key(i), "t", 1)
+						streams[i], _ = pool.OpenStream(e.ep[0], e.ep[1], key(i), "t", 1, nil)
 					}
 					for int(parked.Load()) <= followers {
 						p.Sleep(time.Microsecond)
@@ -243,7 +243,7 @@ func TestSharedRingNoLostWakeup(t *testing.T) {
 				s := s
 				key := fmt.Sprintf("w%d/0/0", s)
 				e.gof("send", func(p transport.Ctx) {
-					st, err := pool.OpenStream(e.ep[0], e.ep[1], key, "t", 1)
+					st, err := pool.OpenStream(e.ep[0], e.ep[1], key, "t", 1, nil)
 					if err != nil {
 						t.Error(err)
 						return

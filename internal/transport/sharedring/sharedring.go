@@ -268,9 +268,13 @@ func (p *Pool) Links() []*Link {
 // slot over the shared ring from src to dst. key names the stream
 // (conventionally "flow/srcSlot/tgtSlot"); tenant and weight feed the
 // weighted credit scheduler — the stream may hold at most
-// max(1, Slots*weight/totalWeight) slots in flight. Goroutine-safe; the
-// returned Stream must then be driven by a single context.
-func (p *Pool) OpenStream(src, dst transport.Endpoint, key, tenant string, weight int) (*Stream, error) {
+// max(1, Slots*weight/totalWeight) slots in flight. abort, when non-nil,
+// bounds Send's wait for credits: once it reports true a blocked Send
+// gives up with ErrStreamClosed (the caller's target went away, so the
+// ring may never drain). It is called from the sending context only.
+// Goroutine-safe; the returned Stream must then be driven by a single
+// context.
+func (p *Pool) OpenStream(src, dst transport.Endpoint, key, tenant string, weight int, abort func() bool) (*Stream, error) {
 	if weight <= 0 {
 		weight = 1
 	}
@@ -288,6 +292,7 @@ func (p *Pool) OpenStream(src, dst transport.Endpoint, key, tenant string, weigh
 		tag:    tag,
 		tenant: tc,
 		weight: weight,
+		abort:  abort,
 		open:   true,
 	}
 	l.streams = append(l.streams, st)
@@ -591,6 +596,7 @@ type Stream struct {
 	tag    uint32
 	tenant *TenantCounters
 	weight int
+	abort  func() bool // nil: wait for credits as long as the link lives
 
 	// Guarded by link.mu.
 	inflight uint64
@@ -622,7 +628,8 @@ func (st *Stream) Inflight() uint64 {
 
 // Send writes one segment (payload plus flow-tagged footer) into the
 // next granted ring slot, blocking while the ring is full or the
-// stream's credit bound is exhausted. end marks the stream's final
+// stream's credit bound is exhausted, until the stream's abort reports
+// true (ErrStreamClosed, no slot acquired). end marks the stream's final
 // segment (payload may be empty). The payload is staged into the
 // sender's slot mirror, so the caller may reuse its buffer immediately.
 func (st *Stream) Send(p transport.Ctx, payload []byte, end bool) error {
@@ -654,12 +661,17 @@ func (st *Stream) Send(p transport.Ctx, payload []byte, end bool) error {
 		l.mu.Unlock()
 		// Blocked on credits: a crashed peer will never release slots, so
 		// condemn the link rather than spin (the documented blast radius —
-		// every co-resident flow on this ring is down with the node).
-		// Otherwise refresh the release mirror (one READ in flight
-		// link-wide; everyone else naps until it lands).
+		// every co-resident flow on this ring is down with the node). A
+		// caller whose target left stops waiting: slots it would need can
+		// stay held by segments nobody consumes. Otherwise refresh the
+		// release mirror (one READ in flight link-wide; everyone else
+		// naps until it lands).
 		if l.dst.Crashed(p.Now()) {
 			l.Condemn()
 			return ErrLinkDown
+		}
+		if st.abort != nil && st.abort() {
+			return ErrStreamClosed
 		}
 		l.refreshCredits(p)
 	}

@@ -110,7 +110,7 @@ func TestSharedRingDelivery(t *testing.T) {
 				key := fmt.Sprintf("flow%d/0/0", s)
 				tenant := fmt.Sprintf("tenant%d", s%2)
 				e.gof(fmt.Sprintf("send%d", s), func(p transport.Ctx) {
-					st, err := pool.OpenStream(e.ep[0], e.ep[1], key, tenant, 1+s%3)
+					st, err := pool.OpenStream(e.ep[0], e.ep[1], key, tenant, 1+s%3, nil)
 					if err != nil {
 						results[s].sendErr = err.Error()
 						return
@@ -188,11 +188,11 @@ func TestSharedRingWeightedBounds(t *testing.T) {
 
 			var hot, cold *sharedring.Stream
 			var openErr error
-			hot, openErr = pool.OpenStream(e.ep[0], e.ep[1], "hot/0/0", "gold", 3)
+			hot, openErr = pool.OpenStream(e.ep[0], e.ep[1], "hot/0/0", "gold", 3, nil)
 			if openErr != nil {
 				t.Fatal(openErr)
 			}
-			cold, openErr = pool.OpenStream(e.ep[0], e.ep[1], "cold/0/0", "bronze", 1)
+			cold, openErr = pool.OpenStream(e.ep[0], e.ep[1], "cold/0/0", "bronze", 1, nil)
 			if openErr != nil {
 				t.Fatal(openErr)
 			}
@@ -305,7 +305,7 @@ func TestSharedRingCreditConservation(t *testing.T) {
 					key := fmt.Sprintf("f%d/0/0", s)
 					e.gof(fmt.Sprintf("send%d", s), func(p transport.Ctx) {
 						defer done.Add(1)
-						st, err := pool.OpenStream(e.ep[0], e.ep[1], key, pl.tenant, pl.weight)
+						st, err := pool.OpenStream(e.ep[0], e.ep[1], key, pl.tenant, pl.weight, nil)
 						if err != nil {
 							errs[s] = err
 							return
