@@ -136,19 +136,21 @@ core-path:
 	$(GO) test -run '^$$' -bench 'CoreDataPath/(private|shared)/^Push$$/^Consume$$' -benchtime 1x ./internal/core/
 
 # Per-layer benchmarks cannot rot: every benchmark of the sim kernel, the
-# core data path and the transport backends (the per-verb benchmark,
-# transporttest.Bench, on the DES fabric and on chanloop) compiles and
-# runs one iteration on one and on two Ps. Asserts no timings.
+# core data path, the transport backends (the per-verb benchmark,
+# transporttest.Bench, on the DES fabric and on chanloop) and the
+# registry's lease renewal (single vs batched, on both clocks) compiles
+# and runs one iteration on one and on two Ps. Asserts no timings.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x -cpu 1,2 ./internal/sim ./internal/fabric ./internal/core ./internal/transport/...
+	$(GO) test -run '^$$' -bench . -benchtime 1x -cpu 1,2 ./internal/sim ./internal/fabric ./internal/core ./internal/registry ./internal/transport/...
 
 # Every native fuzz target, five seconds each (go test -fuzz takes one
 # target and one package at a time): enough to replay the checked-in
-# corpus under testdata/fuzz and shake the decoder a little on every
-# change; a long budget belongs to a scheduled job.
+# corpus under testdata/fuzz and shake the decoders and the exposition
+# parser a little on every change; a long budget belongs to a scheduled job.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSegFooter$$' -fuzztime 5s ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzMcIngest$$' -fuzztime 5s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzParseText$$' -fuzztime 5s ./internal/metrics
 
 # The performance ledger (benchmark/README.md): every workload of
 # BENCHMARK.json, traced, seed 1 — the per-layer numbers a CHANGES.md
@@ -163,9 +165,9 @@ ledger:
 # Documentation hygiene: every package has a godoc package comment,
 # every relative Markdown link/anchor resolves (GitHub slug rules;
 # external URLs are not fetched, so the check is offline-deterministic),
-# the kernel and transport packages document every exported symbol, and
-# docs/OPERATIONS.md covers every dfiflow/dfibench flag and documents
-# none that no longer exists.
+# the DFI API (internal/core), kernel and transport packages document
+# every exported symbol, and docs/OPERATIONS.md covers every
+# dfiflow/dfibench flag and documents none that no longer exists.
 docs-lint:
 	$(GO) run ./cmd/docslint
 

@@ -102,13 +102,15 @@ func checkPackageComments(root string) []string {
 }
 
 // auditedPackages are the directories whose exported surface is a
-// contract (the simulation kernel, the transport layer a future verbs
-// backend implements against, the two backends behind it, the flow
-// driver cmd/dfiflow and internal/experiments run every flow through,
-// and the registry, whose Status may not be called inside its monitor):
+// contract (the DFI API itself, the simulation kernel, the transport
+// layer a future verbs backend implements against, the two backends
+// behind it, the flow driver cmd/dfiflow and internal/experiments run
+// every flow through, and the registry, whose Status may not be called
+// inside its monitor):
 // every exported top-level declaration must carry a doc comment, stating
 // at minimum its concurrency contract.
 var auditedPackages = []string{
+	"internal/core",
 	"internal/fabric",
 	"internal/registry",
 	"internal/scenario",

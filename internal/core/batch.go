@@ -11,12 +11,11 @@ import (
 
 // This file is the batched data path: PushBatch routes many tuples per
 // call with one vectorized partition pass and per-target grouped copies;
-// Reserve hands the caller a zero-copy writable view into a leg's local
-// segment; ConsumeBatch amortizes the receive side. All three are
-// semantics-preserving on every leg kind: the segments they produce or
-// drain are byte-identical to the equivalent sequence of Push/Consume
-// calls (see batch_test.go), and the virtual-time CPU cost is charged
-// through the same chargeBatch accounting.
+// ConsumeBatch amortizes the receive side. Both are semantics-preserving
+// on every leg kind: the segments they produce or drain are
+// byte-identical to the equivalent sequence of Push/Consume calls (see
+// batch_test.go), and the virtual-time CPU cost is charged through the
+// same chargeBatch accounting.
 
 // chargePushN accounts n tuples' CPU cost. The charge sequence is
 // identical to n single chargePush calls: latency mode charges every
@@ -212,120 +211,6 @@ func (s *Source) pushGrouped(p transport.Ctx, l *leg, tuples []schema.Tuple, rou
 		}
 		i = j
 	}
-	return nil
-}
-
-// Batch is a writable, zero-copy view into the segment a leg is filling,
-// obtained from Reserve/ReserveTo. Lifetime rules: the view is valid
-// until Commit, the source's Flush/Close, or an eviction of the leg's
-// target — whichever comes first — and a leg must not be pushed to
-// between Reserve and Commit (Commit detects and rejects it).
-type Batch struct {
-	s      *Source
-	l      *leg
-	buf    []byte
-	n      int
-	ts     int
-	fillAt int
-	done   bool
-}
-
-// Len returns the number of reserved tuple slots (possibly fewer than
-// requested: a reservation never spans a segment boundary).
-func (b *Batch) Len() int { return b.n }
-
-// Tuple returns the i-th reserved slot as a writable tuple view.
-func (b *Batch) Tuple(i int) schema.Tuple {
-	return schema.Tuple(b.buf[i*b.ts : (i+1)*b.ts])
-}
-
-// Bytes returns the whole reserved region.
-func (b *Batch) Bytes() []byte { return b.buf }
-
-// Reserve hands out up to n writable tuple slots directly inside the
-// segment the leg is filling (a private ring's registered local segment,
-// a shared ring's or a multicast group's staging segment): the caller
-// fills them in place (no copy into the flow) and makes them visible with
-// Commit. Reservations never span a segment boundary, so fewer than n
-// slots may be returned — loop until done, as with partial writes. Only
-// valid on bandwidth flows whose source has one leg — a single target, or
-// the group of a multicast flow; multi-target flows reserve per target
-// with ReserveTo.
-func (s *Source) Reserve(p transport.Ctx, n int) (*Batch, error) {
-	if len(s.legs) != 1 {
-		return nil, fmt.Errorf("dfi: Reserve on a %d-target flow; use ReserveTo", len(s.legs))
-	}
-	return s.reserve(p, 0, n)
-}
-
-// ReserveTo is Reserve against an explicit target index (paper §4.2.1
-// routing option 3, zero-copy form). A multicast group cannot address
-// one target.
-func (s *Source) ReserveTo(p transport.Ctx, target, n int) (*Batch, error) {
-	if s.spec.Options.Multicast {
-		return nil, fmt.Errorf("%w: ReserveTo (a multicast segment reaches every target; use Reserve)", ErrUnsupportedOnMulticast)
-	}
-	return s.reserve(p, target, n)
-}
-
-// reserve is Reserve against leg number target.
-func (s *Source) reserve(p transport.Ctx, target, n int) (*Batch, error) {
-	if s.closed.Load() {
-		return nil, fmt.Errorf("dfi: reserve on closed source of flow %q", s.spec.Name)
-	}
-	if s.spec.Options.Optimization != OptimizeBandwidth {
-		return nil, errors.New("dfi: Reserve requires a bandwidth-optimized flow (latency mode transfers per tuple)")
-	}
-	if target < 0 || target >= len(s.legs) {
-		return nil, fmt.Errorf("dfi: target %d out of range (%d targets)", target, len(s.legs))
-	}
-	if n <= 0 {
-		return nil, errors.New("dfi: reserve of zero tuples")
-	}
-	l := s.legs[target]
-	if l == nil || l.dead {
-		return nil, fmt.Errorf("dfi: target %d evicted; route around it with Push", target)
-	}
-	if err := l.checkAbort(); err != nil {
-		return nil, err
-	}
-	ts := s.spec.Schema.TupleSize()
-	// Same boundary rule as push: flush only when not even one tuple fits,
-	// so Reserve+Commit segments the stream exactly like sequential Push.
-	if l.room(ts) == 0 {
-		if err := l.tx.flush(p); err != nil {
-			return nil, err
-		}
-	}
-	if avail := l.room(ts); n > avail {
-		n = avail
-	}
-	return &Batch{s: s, l: l, buf: l.buf[l.fill : l.fill+n*ts], n: n, ts: ts, fillAt: l.fill}, nil
-}
-
-// Commit publishes the first used reserved tuples into the flow (they
-// become part of the segment exactly as if pushed) and invalidates the
-// batch. used may be less than Len; the unused tail is surrendered.
-func (b *Batch) Commit(p transport.Ctx, used int) error {
-	if b.done {
-		return errors.New("dfi: batch already committed")
-	}
-	b.done = true
-	if used < 0 || used > b.n {
-		return fmt.Errorf("dfi: commit of %d tuples from a %d-tuple batch", used, b.n)
-	}
-	if b.l.dead || b.l.closed {
-		return errors.New("dfi: batch invalidated (target evicted or source closed)")
-	}
-	if b.l.fill != b.fillAt {
-		return errors.New("dfi: batch invalidated by an interleaved push or flush")
-	}
-	if used == 0 {
-		return nil
-	}
-	b.l.fill += used * b.ts
-	b.s.countPushed(used)
-	b.s.chargePushN(p, used)
 	return nil
 }
 

@@ -17,21 +17,19 @@ import (
 
 // The batched data path must be invisible on the wire: for every flow
 // type and both optimization modes, pushing a tuple stream through
-// PushBatch (or Reserve/Commit) must leave every target ring
-// byte-identical to pushing the same stream through sequential Push.
-// These tests run the same deterministic workload through both paths
-// and compare raw ring memory.
+// PushBatch must leave every target ring byte-identical to pushing the
+// same stream through sequential Push. These tests run the same
+// deterministic workload through both paths and compare raw ring memory.
 
 type pushMode int
 
 const (
 	seqPush pushMode = iota
 	batchPush
-	reservePush
 )
 
 func (m pushMode) String() string {
-	return [...]string{"push", "pushbatch", "reserve"}[m]
+	return [...]string{"push", "pushbatch"}[m]
 }
 
 // genStream builds source si's deterministic tuple stream as one
@@ -183,20 +181,6 @@ func runBatchEquiv(t *testing.T, seed int64, ftype FlowType, opt Optimization, m
 					}
 					tuples = tuples[chunk:]
 				}
-			case reservePush:
-				for off := 0; off < len(tuples); {
-					b, err := src.Reserve(p, len(tuples)-off)
-					if err != nil {
-						panic(err)
-					}
-					for i := 0; i < b.Len(); i++ {
-						copy(b.Tuple(i), tuples[off+i])
-					}
-					if err := b.Commit(p, b.Len()); err != nil {
-						panic(err)
-					}
-					off += b.Len()
-				}
 			}
 			if err := src.Close(p); err != nil {
 				panic(err)
@@ -257,33 +241,6 @@ func TestBatchPushRingEquivalence(t *testing.T) {
 				if len(want[ti]) <= 2 || !bytes.Equal(want[ti], got[ti]) {
 					t.Fatalf("replicate/%s/multicast seed %d: target %d's segments diverge between Push and PushBatch", opt, seed, ti)
 				}
-			}
-		}
-	}
-}
-
-// TestReserveRingEquivalence: filling reserved segments in place and
-// committing them leaves rings byte-identical to pushing the same tuples,
-// on either ring kind.
-func TestReserveRingEquivalence(t *testing.T) {
-	for _, kind := range ringKinds {
-		for _, seed := range []int64{3, 11, 27} {
-			want := runBatchEquiv(t, seed, ShuffleFlow, OptimizeBandwidth, seqPush, ringKind(kind.shared), 2, 1, 40)
-			got := runBatchEquiv(t, seed, ShuffleFlow, OptimizeBandwidth, reservePush, ringKind(kind.shared), 2, 1, 40)
-			for ti := range want {
-				if len(want[ti]) == 0 || !bytes.Equal(want[ti], got[ti]) {
-					t.Fatalf("%s seed %d: target %d ring diverges between Push and Reserve/Commit", kind.name, seed, ti)
-				}
-			}
-		}
-	}
-	// A multicast source's one leg is the group, whatever the target count.
-	for _, seed := range []int64{3, 11, 27} {
-		want := runBatchEquiv(t, seed, ReplicateFlow, OptimizeBandwidth, seqPush, diffMulticast, 2, 3, 40)
-		got := runBatchEquiv(t, seed, ReplicateFlow, OptimizeBandwidth, reservePush, diffMulticast, 2, 3, 40)
-		for ti := range want {
-			if len(want[ti]) <= 2 || !bytes.Equal(want[ti], got[ti]) {
-				t.Fatalf("multicast seed %d: target %d's segments diverge between Push and Reserve/Commit", seed, ti)
 			}
 		}
 	}

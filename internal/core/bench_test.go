@@ -24,7 +24,7 @@ import (
 //	go test -run '^$' -bench CoreDataPath -benchtime 2000000x ./internal/core/
 func BenchmarkCoreDataPath(b *testing.B) {
 	for _, kind := range ringKinds {
-		for _, push := range []string{"Push", "PushBatch", "ReserveTo"} {
+		for _, push := range []string{"Push", "PushBatch"} {
 			for _, consume := range []string{"Consume", "ConsumeBatch", "ConsumeSegment"} {
 				kind, push, consume := kind, push, consume
 				b.Run(kind.name+"/"+push+"/"+consume, func(b *testing.B) {
@@ -71,12 +71,6 @@ func benchDataPath(b *testing.B, shared bool, push, consume string) {
 				m := min(batch, left)
 				err = src.PushBatch(p, tuples[:m])
 				left -= m
-			case "ReserveTo":
-				var r *Batch
-				if r, err = src.ReserveTo(p, 0, min(batch, left)); err == nil {
-					err = r.Commit(p, r.Len())
-					left -= r.Len()
-				}
 			}
 		}
 		if err == nil {

@@ -109,11 +109,11 @@ type diffAPI int
 const (
 	apiPushConsume diffAPI = iota
 	apiBatch
-	apiReserveSegment
+	apiPushSegment
 )
 
 func (a diffAPI) String() string {
-	return [...]string{"Push+Consume", "PushBatch+ConsumeBatch", "Reserve+ConsumeSegment"}[a]
+	return [...]string{"Push+Consume", "PushBatch+ConsumeBatch", "Push+ConsumeSegment"}[a]
 }
 
 // diffTrace is what one run leaves behind: seqs[target][source] is the
@@ -129,12 +129,10 @@ type diffTrace struct {
 
 const diffPerSource = 600
 
-// diffPush drives one source's stream through the API under test. dead
-// is the target slot evicted before the run (-1: none).
-func diffPush(p transport.Ctx, src *Source, api diffAPI, tuples []schema.Tuple, dead int) error {
-	spec := src.spec
+// diffPush drives one source's stream through the API under test.
+func diffPush(p transport.Ctx, src *Source, api diffAPI, tuples []schema.Tuple) error {
 	switch api {
-	case apiPushConsume:
+	case apiPushConsume, apiPushSegment:
 		for _, tup := range tuples {
 			if err := src.Push(p, tup); err != nil {
 				return err
@@ -147,39 +145,6 @@ func diffPush(p transport.Ctx, src *Source, api diffAPI, tuples []schema.Tuple, 
 				return err
 			}
 			tuples = tuples[n:]
-		}
-	case apiReserveSegment:
-		for _, tup := range tuples {
-			// The caller does the routing Push would: the key's home, or
-			// every leg of a replicate flow (a multicast group is one,
-			// which is what Reserve asks for).
-			lo, hi := 0, len(src.legs)
-			if spec.Type != ReplicateFlow {
-				lo = routeIndex(spec, tup)
-				hi = lo + 1
-			}
-			reserve := src.ReserveTo
-			if spec.Options.Multicast {
-				reserve = func(p transport.Ctx, _, n int) (*Batch, error) { return src.Reserve(p, n) }
-			}
-			for target := lo; target < hi; target++ {
-				if target == dead {
-					// No ring to reserve in: ReserveTo says to route around
-					// an evicted target with Push.
-					if err := src.Push(p, tup); err != nil {
-						return err
-					}
-					continue
-				}
-				b, err := reserve(p, target, 1)
-				if err != nil {
-					return err
-				}
-				copy(b.Tuple(0), tup)
-				if err := b.Commit(p, 1); err != nil {
-					return err
-				}
-			}
 		}
 	}
 	return src.Close(p)
@@ -206,7 +171,7 @@ func diffConsume(p transport.Ctx, tgt *Target, api diffAPI, visit func(schema.Tu
 			for _, tup := range views[:n] {
 				visit(tup)
 			}
-		case apiReserveSegment:
+		case apiPushSegment:
 			data, count, ok := tgt.ConsumeSegment(p)
 			if !ok {
 				return
@@ -265,7 +230,7 @@ func runDiff(t *testing.T, b *diffBackend, shape diffShape, api diffAPI, kind di
 			for i := range tuples {
 				tuples[i] = mkTuple(rng.Int63(), int64(si*diffPerSource+i))
 			}
-			if err := diffPush(p, src, api, tuples, shape.evict-1); err != nil {
+			if err := diffPush(p, src, api, tuples); err != nil {
 				t.Errorf("source %d: %v", si, err)
 			}
 			tr.src[si] = src.Stats()
@@ -306,7 +271,7 @@ func TestSharedRingMatchesPrivate(t *testing.T) {
 	}
 	backends := []func(int) *diffBackend{newDiffDES, newDiffChan}
 	for _, shape := range shapes {
-		for _, api := range []diffAPI{apiPushConsume, apiBatch, apiReserveSegment} {
+		for _, api := range []diffAPI{apiPushConsume, apiBatch, apiPushSegment} {
 			for _, mk := range backends {
 				nodes := shape.nSrc + shape.nTgt
 				private := runDiff(t, mk(nodes), shape, api, diffPrivate)
@@ -362,7 +327,7 @@ func TestReplicateKindsMatch(t *testing.T) {
 		{"2:3", ReplicateFlow, 2, 3, 0},
 	}
 	for _, shape := range shapes {
-		for _, api := range []diffAPI{apiPushConsume, apiBatch, apiReserveSegment} {
+		for _, api := range []diffAPI{apiPushConsume, apiBatch, apiPushSegment} {
 			for _, mk := range []func(int) *diffBackend{newDiffDES, newDiffChan} {
 				nodes := shape.nSrc + shape.nTgt
 				private := runDiff(t, mk(nodes), shape, api, diffPrivate)
@@ -376,15 +341,9 @@ func TestReplicateKindsMatch(t *testing.T) {
 					if !reflect.DeepEqual(private.seqs, got.seqs) {
 						t.Errorf("%s: per-(source,target) tuple sequences differ from private rings", name)
 					}
-					// Push and PushBatch count a tuple once; a caller that
-					// reserves does the replication, one commit per leg.
-					pushed := uint64(diffPerSource)
-					if api == apiReserveSegment && kind.name == diffShared.name {
-						pushed *= uint64(shape.nTgt)
-					}
 					for si, st := range got.src {
-						if st.TuplesPushed != pushed {
-							t.Errorf("%s: source %d pushed %d tuples, want %d", name, si, st.TuplesPushed, pushed)
+						if st.TuplesPushed != diffPerSource {
+							t.Errorf("%s: source %d pushed %d tuples, want %d", name, si, st.TuplesPushed, diffPerSource)
 						}
 					}
 					for ti := range private.tgt {

@@ -48,6 +48,8 @@ const (
 	CombinerFlow
 )
 
+// String names the flow type in lower case (shuffle, replicate,
+// combiner). A pure function of the value: safe from any goroutine.
 func (t FlowType) String() string {
 	switch t {
 	case ShuffleFlow:
@@ -73,6 +75,8 @@ const (
 	OptimizeLatency
 )
 
+// String names the optimization goal (bandwidth, latency). A pure
+// function of the value: safe from any goroutine.
 func (o Optimization) String() string {
 	if o == OptimizeLatency {
 		return "latency"
@@ -91,6 +95,8 @@ const (
 	AggMax
 )
 
+// String names the aggregation in SQL spelling (SUM, COUNT, MIN, MAX).
+// A pure function of the value: safe from any goroutine.
 func (a AggFunc) String() string {
 	switch a {
 	case AggSum:
@@ -112,6 +118,8 @@ type Endpoint struct {
 	Thread int
 }
 
+// String renders the endpoint in the paper's "node|thread" notation.
+// It reads only the immutable node ID: safe from any goroutine.
 func (e Endpoint) String() string {
 	return fmt.Sprintf("%d|%d", e.Node.ID(), e.Thread)
 }
@@ -296,10 +304,8 @@ var ErrFlowBroken = errors.New("dfi: flow broken")
 // ErrUnsupportedOnMulticast reports an operation that has no meaning on
 // a multicast replicate flow: Checkpoint and Source.Reattach (a
 // multicast source has no per-target resume cursor — recovery is the
-// gap/agreement protocol), ReserveTo (a multicast segment reaches every
-// target; Reserve reserves in the group's one leg), and Target.Reattach
-// on a flow that is not both ordered and leased (no sequencer snapshot
-// to resume from). Returned wrapped, so test with errors.Is.
+// gap/agreement protocol) and Target.Reattach on a flow that is not both
+// ordered and leased (no sequencer snapshot to resume from). Returned wrapped, so test with errors.Is.
 var ErrUnsupportedOnMulticast = errors.New("dfi: operation not supported on multicast replicate flows")
 
 // ErrUnsupportedOnShared reports an operation that has no meaning on a

@@ -18,10 +18,10 @@ var errEvicted = errors.New("dfi: target evicted")
 // leg is one source's path to one target — or, on a multicast flow, to
 // the whole group: the local segment being filled plus, behind the
 // segmentTx seam, the kind that ships filled segments. Everything the
-// endpoint engine does per tuple — push, pushRun, the Reserve boundary
-// rule — is written once against this struct; a private ring
-// (ringWriter), a shared ring (sharedTx) and a multicast group (mcTx)
-// embed it and differ only in what happens once per segment.
+// endpoint engine does per tuple — push and pushRun — is written once
+// against this struct; a private ring (ringWriter), a shared ring
+// (sharedTx) and a multicast group (mcTx) embed it and differ only in
+// what happens once per segment.
 type leg struct {
 	tx segmentTx
 
@@ -135,7 +135,8 @@ func (l *leg) pushRun(p transport.Ctx, data []byte, tupleSize int) error {
 		if err := l.checkAbort(); err != nil {
 			return err
 		}
-		fit := l.room(tupleSize) * tupleSize
+		// push's boundary rule: ship only when not even one tuple fits.
+		fit := (l.segSize - l.fill) / tupleSize * tupleSize
 		if fit == 0 {
 			if err := l.tx.flush(p); err != nil {
 				return err
@@ -151,11 +152,6 @@ func (l *leg) pushRun(p transport.Ctx, data []byte, tupleSize int) error {
 	}
 	return nil
 }
-
-// room is how many more tuples fit the segment being filled — the one
-// boundary rule push, pushRun and Reserve share: ship only when not even
-// one tuple fits.
-func (l *leg) room(tupleSize int) int { return (l.segSize - l.fill) / tupleSize }
 
 // abandon latches the leg dead (its target was evicted, or rejoined under
 // fresh rings) and harvests every tuple not yet known consumed: whatever

@@ -403,11 +403,8 @@ func TestChaosOrderedMulticastNotifyGapsAgreement(t *testing.T) {
 
 func TestMulticastUnsupportedOps(t *testing.T) {
 	// What cannot work on a multicast flow — a per-target cursor
-	// (Checkpoint, Source.Reattach) or a per-target segment (ReserveTo) —
-	// fails with the typed sentinel so applications can branch on
-	// errors.Is instead of string-matching. Reserve is not among them: the
-	// group is the source's one leg, and Reserve+Commit delivers what Push
-	// delivers, in the same order and the same segments.
+	// (Checkpoint, Source.Reattach) — fails with the typed sentinel so
+	// applications can branch on errors.Is instead of string-matching.
 	e := newEnv(t, 2)
 	spec := FlowSpec{
 		Name:    "mc-unsupported",
@@ -432,35 +429,14 @@ func TestMulticastUnsupportedOps(t *testing.T) {
 		if _, err := src.Checkpoint(p); !errors.Is(err, ErrUnsupportedOnMulticast) {
 			t.Errorf("Checkpoint error %v, want ErrUnsupportedOnMulticast", err)
 		}
-		if _, err := src.ReserveTo(p, 0, 4); !errors.Is(err, ErrUnsupportedOnMulticast) {
-			t.Errorf("ReserveTo error %v, want ErrUnsupportedOnMulticast", err)
-		}
 		if _, _, err := src.Reattach(p); !errors.Is(err, ErrUnsupportedOnMulticast) {
 			t.Errorf("Source.Reattach error %v, want ErrUnsupportedOnMulticast", err)
 		}
-		// First half pushed, second half reserved in place: three tuples
-		// at a time against four-tuple segments, so reservations come back
-		// short at every segment boundary.
-		for i := 0; i < n/2; i++ {
+		for i := 0; i < n; i++ {
 			if err := src.Push(p, mkTuple(int64(i), int64(2*i))); err != nil {
 				t.Error(err)
 				return
 			}
-		}
-		for i := n / 2; i < n; {
-			b, err := src.Reserve(p, min(3, n-i))
-			if err != nil {
-				t.Errorf("Reserve: %v", err)
-				return
-			}
-			for k := 0; k < b.Len(); k++ {
-				copy(b.Tuple(k), mkTuple(int64(i+k), int64(2*(i+k))))
-			}
-			if err := b.Commit(p, b.Len()); err != nil {
-				t.Errorf("Commit: %v", err)
-				return
-			}
-			i += b.Len()
 		}
 		if err := src.Close(p); err != nil {
 			t.Error(err)

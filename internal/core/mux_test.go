@@ -343,8 +343,7 @@ func TestSharedRingsAdmission(t *testing.T) {
 func TestSharedRingsUnsupportedOps(t *testing.T) {
 	// Checkpoint and Reattach have no meaning without delivery
 	// confirmation or a retransmit window; they must fail fast with the
-	// typed sentinel. Reserve is a view into the leg's staging segment and
-	// works like on a private ring.
+	// typed sentinel.
 	e := newEnv(t, 2)
 	spec := sharedSpec(e, "shared-unsup", []int{0}, []int{1}, Options{SegmentSize: 256})
 	const n = 100
@@ -365,20 +364,11 @@ func TestSharedRingsUnsupportedOps(t *testing.T) {
 		if _, _, err := src.Reattach(p); !errors.Is(err, ErrUnsupportedOnShared) {
 			t.Errorf("Source.Reattach error %v, want ErrUnsupportedOnShared", err)
 		}
-		for i := 0; i < n; {
-			b, err := src.Reserve(p, n-i)
-			if err != nil {
-				t.Errorf("Reserve: %v", err)
+		for i := 0; i < n; i++ {
+			if err := src.Push(p, mkTuple(int64(i), int64(2*i))); err != nil {
+				t.Error(err)
 				return
 			}
-			for j := 0; j < b.Len(); j++ {
-				copy(b.Tuple(j), mkTuple(int64(i+j), int64(2*(i+j))))
-			}
-			if err := b.Commit(p, b.Len()); err != nil {
-				t.Errorf("Commit: %v", err)
-				return
-			}
-			i += b.Len()
 		}
 		if err := src.Close(p); err != nil {
 			t.Error(err)

@@ -385,7 +385,7 @@ func (x *mcTx) flush(p transport.Ctx) error {
 		// (paper §5.4); with programmable switches this could move into
 		// the network. A crashed sequencer node surfaces as a broken
 		// flow, not as a silently repeated sequence number.
-		v, ok := x.seqQP.FetchAddChecked(p, transport.Addr{MR: s.meta.seqMR}, 1)
+		v, ok := x.seqQP.FetchAdd(p, transport.Addr{MR: s.meta.seqMR}, 1)
 		if !ok {
 			return fmt.Errorf("%w: sequencer node for flow %q is unreachable", ErrFlowBroken, s.spec.Name)
 		}
@@ -1271,7 +1271,7 @@ func (f *mcFeed) seqSpaceSize(p transport.Ctx) (uint64, bool) {
 	if f.seqQP == nil {
 		return 0, false
 	}
-	return f.seqQP.FetchAddChecked(p, transport.Addr{MR: f.t.meta.seqMR}, 0)
+	return f.seqQP.FetchAdd(p, transport.Addr{MR: f.t.meta.seqMR}, 0)
 }
 
 // deliver activates a pending segment for consumption and returns its

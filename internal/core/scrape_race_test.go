@@ -456,7 +456,6 @@ func TestScrapeRaceDuringEviction(t *testing.T) {
 			mu.Unlock()
 			if s != nil {
 				_ = s.Stats()
-				_, _ = s.Stalls()
 			}
 			if err := m.WritePrometheus(io.Discard); err != nil {
 				t.Error(err)

@@ -24,8 +24,8 @@ import (
 // traffic from O(tuples) to O(groups).
 //
 // This is an extension beyond the paper's implementation; Table/figure
-// reproductions never use it. The ablation experiment and
-// BenchmarkSharpCombiner quantify its headline effect.
+// reproductions never use it. The abl-sharp ablation experiment
+// quantifies its headline effect.
 
 // SharpOptions configures the in-network combiner.
 type SharpOptions struct {

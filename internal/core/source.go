@@ -482,20 +482,6 @@ func (s *Source) Close(p transport.Ctx) error {
 // accessor a concurrent observer uses.
 func (s *Source) Pushed() uint64 { return s.npushed }
 
-// Stalls reports total virtual time the source spent blocked on remote
-// ring space and on local segment reuse (diagnostics).
-func (s *Source) Stalls() (remote, local time.Duration) {
-	st := s.Stats()
-	return st.StallRemote, st.StallLocal
-}
-
-// ProbeStats reports footer-read diagnostics: reads issued, reads that
-// found the probed slot unconsumed, and total randomized backoff time.
-func (s *Source) ProbeStats() (probes, misses int, backoff time.Duration) {
-	st := s.Stats()
-	return st.FooterProbes, st.ProbeMisses, st.Backoff
-}
-
 // Free releases what the source's legs hold (after Close), including
 // legs retired when their target rejoined under fresh rings.
 func (s *Source) Free() {

@@ -50,6 +50,9 @@ type SourceStats struct {
 	McCreditStalls uint64
 }
 
+// String renders the counters as the one-line key=value summary
+// dfiflow prints per source; zero multicast and recovery counters are
+// left out. It formats a copy, so it is safe from any goroutine.
 func (s SourceStats) String() string {
 	out := fmt.Sprintf("pushed=%d segments=%d bytes=%d stallRemote=%v stallLocal=%v probes=%d misses=%d backoff=%v",
 		s.TuplesPushed, s.SegmentsWritten, s.PayloadBytes, s.StallRemote, s.StallLocal,
@@ -128,6 +131,9 @@ type TargetStats struct {
 	McGapsSkipped uint64
 }
 
+// String renders the counters as the one-line key=value summary
+// dfiflow prints per target; zero multicast counters are left out. It
+// formats a copy, so it is safe from any goroutine.
 func (s TargetStats) String() string {
 	out := fmt.Sprintf("consumed=%d segments=%d failed=%v done=%v",
 		s.TuplesConsumed, s.SegmentsConsumed, s.FailedSources, s.Done)

@@ -150,8 +150,7 @@ func TestWriterProbeAmortization(t *testing.T) {
 			_ = src.Push(p, mkTuple(int64(i), 0))
 		}
 		src.Close(p)
-		pr, _, _ := src.ProbeStats()
-		probes = pr
+		probes = src.Stats().FooterProbes
 		for _, l := range src.legs {
 			w := l.tx.(*ringWriter)
 			segments = int(w.written)

@@ -117,11 +117,11 @@ func RunAblationMulticast(opt Options) ([]Table, error) {
 		iters = 40
 	}
 	for _, n := range []int{1, 2, 4, 8, 12} {
-		naive, err := replicateRoundTrip(opt.Seed, 64, n, iters, false)
+		naive, err := roundTrip(opt.Seed, 64, n, iters, core.ReplicateFlow, false)
 		if err != nil {
 			return nil, err
 		}
-		mc, err := replicateRoundTrip(opt.Seed, 64, n, iters, true)
+		mc, err := roundTrip(opt.Seed, 64, n, iters, core.ReplicateFlow, true)
 		if err != nil {
 			return nil, err
 		}

@@ -113,7 +113,7 @@ func RunFig7b(opt Options) ([]Table, error) {
 		}
 		row = append(row, fmtDur(raw))
 		for _, n := range []int{1, 4, 8} {
-			m, err := shuffleRoundTrip(opt.Seed, size, n, iters)
+			m, err := roundTrip(opt.Seed, size, n, iters, core.ShuffleFlow, false)
 			if err != nil {
 				return nil, err
 			}
@@ -165,9 +165,13 @@ func rawVerbPingPong(seed int64, size, iters int) (time.Duration, error) {
 	return median(rtts), nil
 }
 
-// shuffleRoundTrip measures request/response RTT through two
-// latency-optimized shuffle flows, shuffling requests across n servers.
-func shuffleRoundTrip(seed int64, size, n, iters int) (time.Duration, error) {
+// roundTrip measures the median request/response RTT between one client
+// and n servers over two latency-optimized flows: the request flow of
+// type req and a shuffle flow carrying the replies back. A shuffle
+// request goes to server i%n and waits for its one reply; a replicate
+// request (over a multicast group when multicast is set) reaches every
+// server and waits for all n replies.
+func roundTrip(seed int64, size, n, iters int, req core.FlowType, multicast bool) (time.Duration, error) {
 	k := sim.New(seed)
 	k.Deadline = time.Minute
 	cfg := fabric.DefaultConfig()
@@ -181,8 +185,13 @@ func shuffleRoundTrip(seed int64, size, n, iters int) (time.Duration, error) {
 	}
 	client := []core.Endpoint{{Node: c.Node(0)}}
 	lat := core.Options{Optimization: core.OptimizeLatency}
-	ping := core.FlowSpec{Name: "ping", Sources: client, Targets: servers, Schema: sch, Options: lat}
+	ping := core.FlowSpec{Name: "ping", Type: req, Sources: client, Targets: servers, Schema: sch, Options: lat}
+	ping.Options.Multicast = multicast
 	pong := core.FlowSpec{Name: "pong", Sources: servers, Targets: client, Schema: sch, Options: lat}
+	replies := 1
+	if req == core.ReplicateFlow {
+		replies = n
+	}
 
 	var rtts []time.Duration
 	k.Spawn("init", func(p *sim.Proc) {
@@ -205,11 +214,18 @@ func shuffleRoundTrip(seed int64, size, n, iters int) (time.Duration, error) {
 		tup := sch.NewTuple()
 		for i := 0; i < iters; i++ {
 			start := p.Now()
-			if err := src.PushTo(p, tup, i%n); err != nil {
+			if req == core.ReplicateFlow {
+				err = src.Push(p, tup)
+			} else {
+				err = src.PushTo(p, tup, i%n)
+			}
+			if err != nil {
 				panic(err)
 			}
-			if _, ok := tgt.Consume(p); !ok {
-				panic("pong flow ended early")
+			for got := 0; got < replies; got++ {
+				if _, ok := tgt.Consume(p); !ok {
+					panic("pong flow ended early")
+				}
 			}
 			rtts = append(rtts, p.Now()-start)
 		}

@@ -4,13 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"time"
 
 	"dfi/internal/core"
 	"dfi/internal/fabric"
-	"dfi/internal/registry"
 	"dfi/internal/scenario"
-	"dfi/internal/sim"
 )
 
 // replicateReceiverBW measures the aggregated receiver bandwidth of a
@@ -93,7 +90,7 @@ func RunFig8c(opt Options) ([]Table, error) {
 		row := []string{sizeLabel(size)}
 		for _, mc := range []bool{false, true} {
 			for _, n := range []int{1, 8} {
-				m, err := replicateRoundTrip(opt.Seed, size, n, iters, mc)
+				m, err := roundTrip(opt.Seed, size, n, iters, core.ReplicateFlow, mc)
 				if err != nil {
 					return nil, err
 				}
@@ -103,97 +100,6 @@ func RunFig8c(opt Options) ([]Table, error) {
 		t.AddRow(row...)
 	}
 	return []Table{t}, nil
-}
-
-// replicateRoundTrip measures the median time from replicating one
-// request to N targets until replies from all N arrived.
-func replicateRoundTrip(seed int64, size, n, iters int, multicast bool) (time.Duration, error) {
-	k := sim.New(seed)
-	k.Deadline = time.Minute
-	cfg := fabric.DefaultConfig()
-	c := fabric.NewCluster(k, n+1, cfg)
-	reg := registry.New(k)
-	sch := padSchema(size)
-
-	servers := make([]core.Endpoint, n)
-	for i := range servers {
-		servers[i] = core.Endpoint{Node: c.Node(i + 1)}
-	}
-	client := []core.Endpoint{{Node: c.Node(0)}}
-	req := core.FlowSpec{
-		Name: "rep-req", Type: core.ReplicateFlow,
-		Sources: client, Targets: servers, Schema: sch,
-		Options: core.Options{Optimization: core.OptimizeLatency, Multicast: multicast},
-	}
-	ack := core.FlowSpec{
-		Name: "rep-ack", Sources: servers, Targets: client, Schema: sch,
-		Options: core.Options{Optimization: core.OptimizeLatency},
-	}
-	var rtts []time.Duration
-	k.Spawn("init", func(p *sim.Proc) {
-		if err := core.FlowInit(p, reg, c, req); err != nil {
-			panic(err)
-		}
-		if err := core.FlowInit(p, reg, c, ack); err != nil {
-			panic(err)
-		}
-	})
-	k.Spawn("client", func(p *sim.Proc) {
-		src, err := core.SourceOpen(p, reg, "rep-req", 0)
-		if err != nil {
-			panic(err)
-		}
-		tgt, err := core.TargetOpen(p, reg, "rep-ack", 0)
-		if err != nil {
-			panic(err)
-		}
-		tup := sch.NewTuple()
-		for i := 0; i < iters; i++ {
-			start := p.Now()
-			if err := src.Push(p, tup); err != nil {
-				panic(err)
-			}
-			for got := 0; got < n; got++ {
-				if _, ok := tgt.Consume(p); !ok {
-					panic("ack flow ended early")
-				}
-			}
-			rtts = append(rtts, p.Now()-start)
-		}
-		src.Close(p)
-		for {
-			if _, ok := tgt.Consume(p); !ok {
-				break
-			}
-		}
-	})
-	for i := 0; i < n; i++ {
-		i := i
-		k.Spawn(fmt.Sprintf("server%d", i), func(p *sim.Proc) {
-			tgt, err := core.TargetOpen(p, reg, "rep-req", i)
-			if err != nil {
-				panic(err)
-			}
-			src, err := core.SourceOpen(p, reg, "rep-ack", i)
-			if err != nil {
-				panic(err)
-			}
-			for {
-				tup, ok := tgt.Consume(p)
-				if !ok {
-					break
-				}
-				if err := src.Push(p, tup); err != nil {
-					panic(err)
-				}
-			}
-			src.Close(p)
-		})
-	}
-	if err := k.Run(); err != nil {
-		return 0, err
-	}
-	return median(rtts), nil
 }
 
 // RunFig9 reproduces Figure 9: a combiner flow (8 sender nodes into one

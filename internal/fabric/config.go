@@ -49,7 +49,7 @@ type Config struct {
 	DetectDelay time.Duration
 
 	// AtomicRemoteCost is the NIC-side cost to execute a remote atomic
-	// (fetch-and-add / CAS) at the responder, covering the PCIe round trip
+	// (fetch-and-add) at the responder, covering the PCIe round trip
 	// and serialization of concurrent atomics to the same NIC.
 	AtomicRemoteCost time.Duration
 

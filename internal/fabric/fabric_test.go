@@ -256,7 +256,10 @@ func TestFetchAddReturnsOldAndSerializes(t *testing.T) {
 		done.Add(1)
 		k.Spawn("adder", func(p *sim.Proc) {
 			for i := 0; i < 10; i++ {
-				old := qp.FetchAdd(p, transport.Addr{MR: mr}, 1)
+				old, ok := qp.FetchAdd(p, transport.Addr{MR: mr}, 1)
+				if !ok {
+					t.Errorf("fetch-add reported failure on a healthy node")
+				}
 				if seen[old] {
 					t.Errorf("duplicate sequence number %d", old)
 				}
@@ -273,27 +276,6 @@ func TestFetchAddReturnsOldAndSerializes(t *testing.T) {
 	}
 	if got := binary.LittleEndian.Uint64(mr.Bytes()); got != 20 {
 		t.Fatalf("counter = %d, want 20", got)
-	}
-}
-
-func TestCompareSwap(t *testing.T) {
-	k, c := testCluster(t, 2)
-	mr := c.OpenRegion(c.Node(1), 8)
-	binary.LittleEndian.PutUint64(mr.Bytes(), 5)
-	qp, _ := c.Dial(c.Node(0), c.Node(1))
-	k.Spawn("cas", func(p *sim.Proc) {
-		if old := qp.CompareSwap(p, transport.Addr{MR: mr}, 5, 9); old != 5 {
-			t.Errorf("first CAS old = %d", old)
-		}
-		if old := qp.CompareSwap(p, transport.Addr{MR: mr}, 5, 11); old != 9 {
-			t.Errorf("failed CAS old = %d", old)
-		}
-		if got := binary.LittleEndian.Uint64(mr.Bytes()); got != 9 {
-			t.Errorf("value = %d, want 9", got)
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
 	}
 }
 

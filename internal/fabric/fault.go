@@ -150,7 +150,7 @@ func (fp *FaultPlan) dropProb(kind transport.OpKind) float64 {
 		return fp.DropRead
 	case transport.OpSend, transport.OpRecv:
 		return fp.DropSend
-	case transport.OpFetchAdd, transport.OpCompareSwap:
+	case transport.OpFetchAdd:
 		return fp.DropAtomic
 	}
 	return 0

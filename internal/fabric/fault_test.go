@@ -323,8 +323,8 @@ func TestFaultNodeCrashSilencesBothDirections(t *testing.T) {
 		if _, ok := qp.SendCQ().WaitTimeout(p, time.Second); ok {
 			t.Error("WRITE to crashed node must not complete")
 		}
-		if v := qp.FetchAdd(p, transport.Addr{MR: mr}, 1); v != 0 {
-			t.Errorf("atomic to crashed node returned %d, want 0", v)
+		if v, ok := qp.FetchAdd(p, transport.Addr{MR: mr}, 1); v != 0 || ok {
+			t.Errorf("atomic to crashed node returned (%d, %v), want (0, false)", v, ok)
 		}
 	})
 	k.Spawn("crashed", func(p *sim.Proc) {
@@ -349,7 +349,9 @@ func TestFaultAtomicDropIsRetryNotLoss(t *testing.T) {
 	mr := c.OpenRegion(c.Node(1), 64)
 	k.Spawn("adder", func(p *sim.Proc) {
 		for i := 0; i < 4; i++ {
-			qp.FetchAdd(p, transport.Addr{MR: mr}, 1)
+			if _, ok := qp.FetchAdd(p, transport.Addr{MR: mr}, 1); !ok {
+				t.Errorf("dropped atomic %d reported failure; a drop is a retry", i)
+			}
 		}
 		// Exactly-once execution despite 100% "drop": each op is a retry.
 		if v := binary.LittleEndian.Uint64(mr.Bytes()[:8]); v != 4 {

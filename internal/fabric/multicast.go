@@ -64,9 +64,6 @@ func (g *multicastGroup) Reattach(i int, ep transport.Endpoint) transport.GroupE
 // Member returns the endpoint of member i.
 func (g *multicastGroup) Member(i int) transport.GroupEndpoint { return g.members[i] }
 
-// Members returns the number of group members.
-func (g *multicastGroup) Members() int { return len(g.members) }
-
 // PostRecv posts a receive buffer at the endpoint. Unlike RC queue pairs,
 // a UD message that finds no posted receive is dropped, so the layer above
 // must pre-populate the queue (DFI sizes it by its credit score).

@@ -90,7 +90,10 @@ func TestPropertyFetchAddLinearizable(t *testing.T) {
 			qp, _ := c.Dial(c.Node(i), c.Node(n))
 			k.Spawn(fmt.Sprintf("a%d", i), func(p *sim.Proc) {
 				for j := 0; j < ops; j++ {
-					old := qp.FetchAdd(p, transport.Addr{MR: mr}, 1)
+					old, ok := qp.FetchAdd(p, transport.Addr{MR: mr}, 1)
+					if !ok {
+						panic("fetch-add failed on a healthy node")
+					}
 					if seen[old] {
 						panic("duplicate")
 					}

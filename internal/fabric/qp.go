@@ -571,35 +571,14 @@ func (q *queuePair) ReadSync(p transport.Ctx, dst []byte, src transport.Addr) ti
 
 // FetchAdd atomically adds delta to the 8-byte counter at dst on the peer
 // node and returns the previous value. It blocks the caller for the full
-// round trip (the paper's tuple sequencer uses it synchronously). Remote
+// round trip (the paper's tuple sequencer uses it synchronously): the
+// request rides the control lane to the responder NIC, which executes
+// atomics one at a time, and the response wakes the caller. Remote
 // atomics to the same NIC serialize, which models sequencer contention.
-func (q *queuePair) FetchAdd(p transport.Ctx, dst transport.Addr, delta uint64) uint64 {
-	v, _ := q.FetchAddChecked(p, dst, delta)
-	return v
-}
-
-// FetchAddChecked is FetchAdd with an explicit success indicator: ok is
-// false when the atomic could not execute because an endpoint is crashed
-// (the QP would surface an error completion). Callers that must
-// distinguish "previous value was 0" from "sequencer node is dead" — the
-// ordered-multicast source fetching sequence numbers — use this form.
-func (q *queuePair) FetchAddChecked(p transport.Ctx, dst transport.Addr, delta uint64) (uint64, bool) {
-	return q.atomic(p, transport.OpFetchAdd, dst, delta, 0)
-}
-
-// CompareSwap atomically replaces the 8-byte value at dst with swap if it
-// equals expect, returning the previous value (zero when an endpoint is
-// crashed, see FetchAddChecked).
-func (q *queuePair) CompareSwap(p transport.Ctx, dst transport.Addr, expect, swap uint64) uint64 {
-	old, _ := q.atomic(p, transport.OpCompareSwap, dst, expect, swap)
-	return old
-}
-
-// atomic is the round trip both remote atomics make: the request rides
-// the control lane to the responder NIC, which executes atomics one at a
-// time, and the response wakes the caller. a and b are the operands —
-// the delta of a fetch-add, expect and swap of a compare-and-swap.
-func (q *queuePair) atomic(p transport.Ctx, op transport.OpKind, dst transport.Addr, a, b uint64) (uint64, bool) {
+// ok is false when the atomic could not execute because an endpoint is
+// crashed (the QP would surface an error completion), so a caller can
+// tell "previous value was 0" from "sequencer node is dead".
+func (q *queuePair) FetchAdd(p transport.Ctx, dst transport.Addr, delta uint64) (uint64, bool) {
 	cfg := &q.c.cfg
 	mr := mrOf(dst)
 	if mr.node != q.peer.owner {
@@ -614,11 +593,11 @@ func (q *queuePair) atomic(p transport.Ctx, op transport.OpKind, dst transport.A
 	hop := cfg.Propagation + cfg.SwitchDelay
 	arrive := k.Now() + cfg.NICStartup + ser + hop // control lane
 
-	fv := q.c.fault(op, q.owner, q.peer.owner, arrive)
+	fv := q.c.fault(transport.OpFetchAdd, q.owner, q.peer.owner, arrive)
 	if fv.dropCompletion {
 		// One endpoint is crashed: the atomic never executes. Model the
 		// QP error completion as a fixed stall returning zero.
-		q.c.trace(op, q.owner, q.peer.owner, 8, k.Now(), k.Now()+crashAtomicPenalty, transport.Dropped)
+		q.c.trace(transport.OpFetchAdd, q.owner, q.peer.owner, 8, k.Now(), k.Now()+crashAtomicPenalty, transport.Dropped)
 		p.Sleep(crashAtomicPenalty)
 		return 0, false
 	}
@@ -639,9 +618,9 @@ func (q *queuePair) atomic(p transport.Ctx, op transport.OpKind, dst transport.A
 		arriveResp += ser + hop + ser + hop
 	}
 
-	q.c.trace(op, q.owner, q.peer.owner, 8, k.Now(), execEnd, transport.Delivered)
+	q.c.trace(transport.OpFetchAdd, q.owner, q.peer.owner, 8, k.Now(), execEnd, transport.Delivered)
 	ao := q.c.getAtomicOp()
-	ao.mr, ao.word, ao.cas, ao.a, ao.b = mr, word, op == transport.OpCompareSwap, a, b
+	ao.mr, ao.word, ao.delta = mr, word, delta
 	k.AtOp(execEnd, ao, aopExec)
 	k.AtOp(arriveResp, ao, aopWake)
 	ao.done.Wait(proc(p))
@@ -650,16 +629,15 @@ func (q *queuePair) atomic(p transport.Ctx, op transport.OpKind, dst transport.A
 	return old, true
 }
 
-// atomicOp is the pooled event payload of one remote atomic: the
+// atomicOp is the pooled event payload of one remote fetch-and-add: the
 // responder executes it at execEnd, the response wakes the caller — the
 // only waiter done ever has — at arriveResp.
 type atomicOp struct {
-	mr   *memoryRegion
-	word []byte
-	cas  bool
-	a, b uint64
-	old  uint64
-	done *sim.Cond
+	mr    *memoryRegion
+	word  []byte
+	delta uint64
+	old   uint64
+	done  *sim.Cond
 }
 
 const (
@@ -673,11 +651,7 @@ func (ao *atomicOp) RunOp(step uint64) {
 		return
 	}
 	ao.old = binary.LittleEndian.Uint64(ao.word)
-	if !ao.cas {
-		binary.LittleEndian.PutUint64(ao.word, ao.old+ao.a)
-	} else if ao.old == ao.a {
-		binary.LittleEndian.PutUint64(ao.word, ao.b)
-	}
+	binary.LittleEndian.PutUint64(ao.word, ao.old+ao.delta)
 	ao.mr.Notify()
 }
 

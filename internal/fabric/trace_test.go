@@ -54,7 +54,6 @@ func TestTracerObservesAtomicsAndSends(t *testing.T) {
 	qb.PostRecv(make([]byte, 8), 0)
 	k.Spawn("p", func(p *sim.Proc) {
 		qa.FetchAdd(p, transport.Addr{MR: mr}, 1)
-		qa.CompareSwap(p, transport.Addr{MR: mr}, 1, 2)
 		qa.Send(p, []byte("hi"), false, 0)
 	})
 	if err := k.Run(); err != nil {
@@ -67,7 +66,7 @@ func TestTracerObservesAtomicsAndSends(t *testing.T) {
 			t.Fatalf("op delivered before posted: %+v", op)
 		}
 	}
-	if kinds[transport.OpFetchAdd] != 1 || kinds[transport.OpCompareSwap] != 1 || kinds[transport.OpSend] != 1 {
+	if kinds[transport.OpFetchAdd] != 1 || kinds[transport.OpSend] != 1 {
 		t.Fatalf("kinds = %v", kinds)
 	}
 }

@@ -317,3 +317,32 @@ func TestConcurrentScrape(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// FuzzParseText: arbitrary input never panics ParseText, and a gauge with
+// a valid name, one label and any non-NaN value survives WritePrometheus
+// → ParseText → SumSeries unchanged — whatever the label value holds
+// (quotes, backslashes, newlines, spaces, braces, invalid UTF-8).
+func FuzzParseText(f *testing.F) {
+	f.Add([]byte("dfi_source_tuples_pushed_total{slot=\"0\"} 42\n"), "dfi_source_tuples_pushed_total", "slot", "0", 42.0)
+	f.Add([]byte("# HELP x y\nx{a=\"b c\"} +Inf\n"), "dfi:ratio", "tenant", "a \"quoted\"\\ value\n} 1", math.Inf(-1))
+	f.Add([]byte("x{} 1e309\nx 2\n"), "_x9", "_", "", 0.1)
+	f.Fuzz(func(t *testing.T, text []byte, name, label, value string, v float64) {
+		_, _ = ParseText(bytes.NewReader(text))
+		if checkMetricName(name) != nil || checkLabelName(label) != nil || math.IsNaN(v) {
+			return
+		}
+		r := NewRegistry()
+		r.Gauge(name, "Fuzzed gauge.", Labels{label: value}).Set(v)
+		var buf bytes.Buffer
+		if err := r.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		parsed, err := ParseText(&buf)
+		if err != nil {
+			t.Fatalf("exposition does not parse: %v\n%s", err, buf.String())
+		}
+		if got := SumSeries(parsed, name); got != v {
+			t.Fatalf("SumSeries(%q) = %v, want %v\n%s", name, got, v, buf.String())
+		}
+	})
+}

@@ -87,13 +87,6 @@ func (ep *GroupEndpoint) Owner() transport.Endpoint { return ep.owner }
 // DropCount returns messages dropped for lack of a posted receive.
 func (ep *GroupEndpoint) DropCount() int64 { return ep.drops.Load() }
 
-// Members returns the member count.
-func (g *Group) Members() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.members)
-}
-
 // Member returns slot i's current endpoint, detached or not.
 func (g *Group) Member(i int) transport.GroupEndpoint {
 	g.mu.Lock()

@@ -136,45 +136,23 @@ func (q *Queue) ReadSync(p transport.Ctx, dst []byte, src transport.Addr) time.D
 	return p.Now() - start
 }
 
-// atomic replaces the 8-byte counter at dst with next(old) in one hold of
-// the region lock — which serializes atomics across queues — and returns
-// old. Ordering with earlier WRITEs on this queue comes from mu.
-func (q *Queue) atomic(op transport.OpKind, dst transport.Addr, next func(old uint64) uint64) uint64 {
+// FetchAdd atomically adds delta to the 8-byte counter at dst in one hold
+// of the region lock — which serializes atomics across queues — and
+// returns the previous value. Ordering with earlier WRITEs on this queue
+// comes from mu. chanloop endpoints never crash, so ok is always true.
+func (q *Queue) FetchAdd(p transport.Ctx, dst transport.Addr, delta uint64) (uint64, bool) {
 	r := q.remote(dst, "atomic destination")
 	q.mu.Lock()
 	posted := q.net.stamp()
 	r.mu.Lock()
 	word := r.buf[dst.Off : dst.Off+8]
 	old := binary.LittleEndian.Uint64(word)
-	binary.LittleEndian.PutUint64(word, next(old))
+	binary.LittleEndian.PutUint64(word, old+delta)
 	r.bumpLocked()
 	r.mu.Unlock()
-	q.done(op, 8, posted, false, 0)
+	q.done(transport.OpFetchAdd, 8, posted, false, 0)
 	q.mu.Unlock()
-	return old
-}
-
-// FetchAdd atomically adds delta to the 8-byte counter at dst and
-// returns the previous value.
-func (q *Queue) FetchAdd(p transport.Ctx, dst transport.Addr, delta uint64) uint64 {
-	return q.atomic(transport.OpFetchAdd, dst, func(old uint64) uint64 { return old + delta })
-}
-
-// FetchAddChecked is FetchAdd with an explicit success indicator; on
-// chanloop endpoints never crash, so ok is always true.
-func (q *Queue) FetchAddChecked(p transport.Ctx, dst transport.Addr, delta uint64) (uint64, bool) {
-	return q.FetchAdd(p, dst, delta), true
-}
-
-// CompareSwap atomically replaces the counter at dst with swap when it
-// equals expect, returning the previous value.
-func (q *Queue) CompareSwap(p transport.Ctx, dst transport.Addr, expect, swap uint64) uint64 {
-	return q.atomic(transport.OpCompareSwap, dst, func(old uint64) uint64 {
-		if old == expect {
-			return swap
-		}
-		return old
-	})
+	return old, true
 }
 
 // Send executes a two-sided SEND of src to the peer: the bytes are in a

@@ -255,7 +255,7 @@ func (r *Recorder) PublishMetrics(m *metrics.Registry) {
 			return f()
 		}
 	}
-	for _, k := range []OpKind{OpWrite, OpRead, OpSend, OpRecv, OpFetchAdd, OpCompareSwap} {
+	for _, k := range []OpKind{OpWrite, OpRead, OpSend, OpRecv, OpFetchAdd} {
 		k := k
 		m.RegisterCounterFunc("dfi_fabric_ops_total", "Traced fabric operations by verb (all dispositions).",
 			metrics.Labels{"kind": k.String()},

@@ -107,6 +107,7 @@ const (
 	OpSend
 	OpRecv
 	OpFetchAdd
+	// OpCompareSwap is issued by no backend; the ledger's atomic counter still names it.
 	OpCompareSwap
 )
 
@@ -205,14 +206,9 @@ type Queue interface {
 	// the elapsed time.
 	ReadSync(p Ctx, dst []byte, src Addr) time.Duration
 	// FetchAdd atomically adds delta to the 8-byte counter at dst and
-	// returns the previous value.
-	FetchAdd(p Ctx, dst Addr, delta uint64) uint64
-	// FetchAddChecked is FetchAdd reporting ok=false when the remote
-	// endpoint is unreachable (crashed) instead of blocking forever.
-	FetchAddChecked(p Ctx, dst Addr, delta uint64) (uint64, bool)
-	// CompareSwap atomically replaces the counter at dst with swap when
-	// it equals expect, returning the previous value.
-	CompareSwap(p Ctx, dst Addr, expect, swap uint64) uint64
+	// returns the previous value; ok is false when the remote endpoint is
+	// unreachable (crashed), so the caller does not block forever.
+	FetchAdd(p Ctx, dst Addr, delta uint64) (old uint64, ok bool)
 	// Send posts a two-sided SEND consumed by a posted receive at the
 	// peer; unmatched sends are queued (reliable delivery).
 	Send(p Ctx, src []byte, signaled bool, id uint64)
@@ -247,8 +243,6 @@ type Group interface {
 	// Send multicasts src from the given endpoint to all attached
 	// members; excludeSelf skips the sender's own membership.
 	Send(p Ctx, from Endpoint, src []byte, excludeSelf bool)
-	// Members returns the member count (attached or not).
-	Members() int
 	// Member returns slot i's current endpoint, detached or not.
 	Member(i int) GroupEndpoint
 	// Detach removes member i from delivery.

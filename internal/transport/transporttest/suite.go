@@ -53,7 +53,6 @@ func Run(t *testing.T, newEnv NewEnv) {
 		{"WriteCommitTailLast", testCommitTail},
 		{"PayloadArrivesWhole", testPayloadWhole},
 		{"FetchAddSerialization", testFetchAdd},
-		{"CompareSwap", testCompareSwap},
 		{"SendRecvReliable", testSendRecv},
 		{"EarlySendKeepsItsBytes", testEarlySend},
 		{"WriteSourceReusableAfterCompletion", testWriteSourceReuse},
@@ -222,7 +221,7 @@ func testFetchAdd(t *testing.T, env Env) {
 	actor := func(q transport.Queue) func(transport.Ctx) {
 		return func(p transport.Ctx) {
 			for i := 0; i < perActor; i++ {
-				old, ok := q.FetchAddChecked(p, transport.Addr{MR: mr, Off: 0}, 1)
+				old, ok := q.FetchAdd(p, transport.Addr{MR: mr, Off: 0}, 1)
 				if !ok {
 					t.Errorf("fetch-add reported failure on a healthy endpoint")
 					return
@@ -251,29 +250,6 @@ func testFetchAdd(t *testing.T, env Env) {
 	if got := binary.LittleEndian.Uint64(final); got != 2*perActor {
 		t.Errorf("final counter %d, want %d", got, 2*perActor)
 	}
-}
-
-// testCompareSwap pins compare-and-swap: exactly one of two racing CAS
-// attempts from the same queue wins, and a CAS with a stale expect
-// fails without writing.
-func testCompareSwap(t *testing.T, env Env) {
-	mr := env.T.OpenRegion(env.EP[1], 8)
-	qa, _ := env.T.Dial(env.EP[0], env.EP[1])
-
-	env.Go("cas", func(p transport.Ctx) {
-		if old := qa.CompareSwap(p, transport.Addr{MR: mr, Off: 0}, 0, 42); old != 0 {
-			t.Errorf("first CAS old=%d, want 0", old)
-		}
-		if old := qa.CompareSwap(p, transport.Addr{MR: mr, Off: 0}, 0, 99); old != 42 {
-			t.Errorf("stale CAS old=%d, want 42", old)
-		}
-		buf := make([]byte, 8)
-		mr.Load(0, buf)
-		if got := binary.LittleEndian.Uint64(buf); got != 42 {
-			t.Errorf("counter=%d after failed CAS, want 42", got)
-		}
-	})
-	env.Run()
 }
 
 // testSendRecv pins reliable two-sided semantics: a posted receive gets
