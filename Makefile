@@ -118,7 +118,7 @@ transport-race:
 	$(GO) test -race -count=1 -run 'Chan.*(Lease|Evict)|TestSharedRingMatchesPrivate|TestPushSteadyMatchesGeneral|TestMulticastTargetEvictedBeforeOpen|TestIndependentClustersStayIndependent' ./internal/core/
 	$(GO) test -race -count=20 -run 'TestDESAndChanEvictSilentTarget|TestReplicateKindsMatch' ./internal/core/
 	$(GO) test -race -count=10 -run 'TestElasticAttachMidFlow' ./internal/core/
-	$(GO) test -race -count=1 -run 'TestLocalRegistryHammer|TestStatus|TestRemoveRepublishWakesWaiters|TestLeaseTimerDispatchPinned|TestReplicateAfterPublishRenews' ./internal/registry/
+	$(GO) test -race -count=1 -run 'TestLocalRegistryHammer|TestStatus|TestRemoveRepublishWakesWaiters|TestLeaseTimerDispatchPinned|TestReplicateAfterPublishRenews|TestWallLeaseTimer' ./internal/registry/
 	$(GO) test -race -count=1 -run 'TestChanTransport|TestSameArgsOnBothTransports' ./cmd/dfiflow/
 	$(GO) test -race -count=1 -run 'TestCombinerSumOnBothBackends' ./internal/scenario/
 

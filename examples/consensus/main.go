@@ -20,8 +20,8 @@ func main() {
 	cfg.Requests = 6000
 	cfg.Rate = 600_000
 
-	fmt.Printf("replicated KV store: %d replicas, %d clients on %d nodes, YCSB %.0f/%.0f\n\n",
-		cfg.Replicas, cfg.Clients, cfg.ClientNodes, cfg.ReadFraction*100, (1-cfg.ReadFraction)*100)
+	fmt.Printf("replicated KV store: %d replicas, %d clients, YCSB %.0f/%.0f\n\n",
+		cfg.Replicas, cfg.Clients, cfg.ReadFraction*100, (1-cfg.ReadFraction)*100)
 
 	paxos, err := consensus.RunMultiPaxos(cfg)
 	if err != nil {

@@ -34,8 +34,7 @@ func main() {
 		Targets: []core.Endpoint{{Node: cluster.Node(4)}},
 		Schema:  sch,
 		Options: core.Options{
-			Elastic:       true,
-			MaxSources:    4,
+			MaxSources:    4, // elastic: up to four sources over the flow's life
 			SourceTimeout: 300 * time.Microsecond,
 		},
 	}

@@ -31,24 +31,17 @@ import (
 
 // Config describes one load point of the consensus experiment.
 type Config struct {
-	Replicas    int // leader + followers (paper: 5)
-	Clients     int // paper: 6
-	ClientNodes int // paper: 3
+	Replicas int // leader + followers (paper: 5)
+	Clients  int // paper: 6, spread over clientNodes nodes
 
 	// Rate is the aggregate offered load in requests/second for the
 	// open-loop DFI systems (ignored by closed-loop DARE).
 	Rate float64
 
-	// Requests is the total number of requests to issue across clients.
-	Requests int
-	// WarmupFraction of early completions is excluded from latency stats.
-	WarmupFraction float64
-
+	// Requests is the total number of requests to issue across clients,
+	// ReadFraction of them YCSB reads.
+	Requests     int
 	ReadFraction float64
-	KeySpace     uint64
-
-	// ExecCost is the state-machine execution cost per operation.
-	ExecCost time.Duration
 
 	// MulticastLoss injects loss into the OUM flow (NOPaxos gap handling).
 	MulticastLoss float64
@@ -79,18 +72,25 @@ type Config struct {
 // DefaultConfig mirrors the paper's setup at laptop scale.
 func DefaultConfig() Config {
 	return Config{
-		Replicas:       5,
-		Clients:        6,
-		ClientNodes:    3,
-		Rate:           500_000,
-		Requests:       6_000,
-		WarmupFraction: 0.1,
-		ReadFraction:   0.95,
-		KeySpace:       100_000,
-		ExecCost:       150 * time.Nanosecond,
-		Seed:           7,
+		Replicas:     5,
+		Clients:      6,
+		Rate:         500_000,
+		Requests:     6_000,
+		ReadFraction: 0.95,
+		Seed:         7,
 	}
 }
+
+// The parts of the paper's setup no load point varies: the number of
+// client nodes (paper: 3), the share of early completions excluded from
+// latency stats, the YCSB key space, and the state-machine execution
+// cost per operation.
+const (
+	clientNodes    = 3
+	warmupFraction = 0.1
+	keySpace       = 100_000
+	execCost       = 150 * time.Nanosecond
+)
 
 // Result summarizes one load point.
 type Result struct {
@@ -218,11 +218,10 @@ func (lr *latencyRecorder) result(warmupFraction float64) Result {
 	return res
 }
 
-// clientPlacement maps client i to its node (clients spread over the last
-// ClientNodes nodes of the cluster).
+// clientNode maps client i to its node (clients spread over the last
+// clientNodes nodes of the cluster).
 func clientNode(c *fabric.Cluster, cfg Config, client int) *fabric.Node {
-	base := cfg.Replicas
-	return c.Node(base + client%cfg.ClientNodes)
+	return c.Node(cfg.Replicas + client%clientNodes)
 }
 
 // interArrival returns the per-client gap between request submissions for
@@ -239,7 +238,7 @@ func buildEnv(cfg Config) (*sim.Kernel, *fabric.Cluster) {
 	k.Deadline = 10 * time.Minute
 	fcfg := fabric.DefaultConfig()
 	fcfg.MulticastLoss = cfg.MulticastLoss
-	c := fabric.NewCluster(k, cfg.Replicas+cfg.ClientNodes, fcfg)
+	c := fabric.NewCluster(k, cfg.Replicas+clientNodes, fcfg)
 	return k, c
 }
 

@@ -125,7 +125,7 @@ func TestDFISystemsOutperformDARE(t *testing.T) {
 func TestKVStoreSemantics(t *testing.T) {
 	cfg := testCfg()
 	k, c := buildEnv(cfg)
-	kv := NewKVStore(c.Node(0), cfg.ExecCost)
+	kv := NewKVStore(c.Node(0), execCost)
 	k.Spawn("p", func(p *sim.Proc) {
 		if got := kv.Apply(p, 0 /* read */, 42, 0); got != 0 {
 			t.Errorf("read of missing key = %d", got)

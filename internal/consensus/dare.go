@@ -51,7 +51,7 @@ func RunDARE(cfg Config) (Result, error) {
 	}
 
 	rec := newRecorder(cfg.Requests)
-	kv := NewKVStore(leaderNode, cfg.ExecCost)
+	kv := NewKVStore(leaderNode, execCost)
 	majority := followers/2 + 1
 
 	// Message layout: reqid(8) op(8) key(8) value(8), zero-padded to 64B.
@@ -176,7 +176,7 @@ func RunDARE(cfg Config) (Result, error) {
 		ci := ci
 		k.Spawn(fmt.Sprintf("dare-client-%d", ci), func(p *sim.Proc) {
 			qp := clientQPs[ci]
-			gen := ycsb.New(cfg.ReadFraction, cfg.KeySpace, cfg.Seed+int64(ci))
+			gen := ycsb.New(cfg.ReadFraction, keySpace, cfg.Seed+int64(ci))
 			for i := 0; i < perClient; i++ {
 				op, key := gen.Next()
 				id := reqKey(ci, i)
@@ -201,5 +201,5 @@ func RunDARE(cfg Config) (Result, error) {
 	if err := k.Run(); err != nil {
 		return Result{}, err
 	}
-	return rec.result(cfg.WarmupFraction), nil
+	return rec.result(warmupFraction), nil
 }

@@ -84,7 +84,7 @@ func RunMultiPaxos(cfg Config) (Result, error) {
 	}
 
 	rec := newRecorder(cfg.Requests)
-	kv := NewKVStore(leaderNode, cfg.ExecCost)
+	kv := NewKVStore(leaderNode, execCost)
 	majority := followers/2 + 1 // follower votes needed (leader self-vote implied)
 
 	// Leader-local request side table shared by the proposer and committer
@@ -115,7 +115,7 @@ func RunMultiPaxos(cfg Config) (Result, error) {
 				break
 			}
 			// Ordering + log append on the leader.
-			leaderNode.Compute(p, cfg.ExecCost/2)
+			leaderNode.Compute(p, execCost/2)
 			requestLog[RequestSchema.Uint64(tup, 0)] = [4]int64{
 				RequestSchema.Int64(tup, 2), // op
 				RequestSchema.Int64(tup, 3), // key
@@ -149,7 +149,7 @@ func RunMultiPaxos(cfg Config) (Result, error) {
 				if !ok {
 					break
 				}
-				node.Compute(p, cfg.ExecCost/2) // append to log
+				node.Compute(p, execCost/2) // append to log
 				VoteSchema.PutUint64(vote, 0, RequestSchema.Uint64(tup, 0))
 				VoteSchema.PutInt64(vote, 1, int64(fi))
 				if err := out.Push(p, vote); err != nil {
@@ -224,7 +224,7 @@ func RunMultiPaxos(cfg Config) (Result, error) {
 			if err != nil {
 				panic(err)
 			}
-			gen := ycsb.New(cfg.ReadFraction, cfg.KeySpace, cfg.Seed+int64(ci))
+			gen := ycsb.New(cfg.ReadFraction, keySpace, cfg.Seed+int64(ci))
 			tup := RequestSchema.NewTuple()
 			for i := 0; i < perClient; i++ {
 				op, key := gen.Next()
@@ -261,5 +261,5 @@ func RunMultiPaxos(cfg Config) (Result, error) {
 	if err := k.Run(); err != nil {
 		return Result{}, err
 	}
-	return rec.result(cfg.WarmupFraction), nil
+	return rec.result(warmupFraction), nil
 }

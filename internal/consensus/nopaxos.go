@@ -87,7 +87,7 @@ func RunNOPaxos(cfg Config) (Result, error) {
 			if err != nil {
 				panic(err)
 			}
-			kv := NewKVStore(node, cfg.ExecCost)
+			kv := NewKVStore(node, execCost)
 			reply := ResponseSchema.NewTuple()
 			for {
 				tup, ok := in.Consume(p)
@@ -104,7 +104,7 @@ func RunNOPaxos(cfg Config) (Result, error) {
 					result = kv.Apply(p, ycsb.Op(RequestSchema.Int64(tup, 2)),
 						RequestSchema.Int64(tup, 3), RequestSchema.Int64(tup, 4))
 				} else {
-					node.Compute(p, cfg.ExecCost/2) // log append only
+					node.Compute(p, execCost/2) // log append only
 				}
 				ResponseSchema.PutUint64(reply, 0, RequestSchema.Uint64(tup, 0))
 				ResponseSchema.PutInt64(reply, 1, RequestSchema.Int64(tup, 1))
@@ -132,7 +132,7 @@ func RunNOPaxos(cfg Config) (Result, error) {
 			if err != nil {
 				panic(err)
 			}
-			gen := ycsb.New(cfg.ReadFraction, cfg.KeySpace, cfg.Seed+int64(ci))
+			gen := ycsb.New(cfg.ReadFraction, keySpace, cfg.Seed+int64(ci))
 			tup := RequestSchema.NewTuple()
 			for i := 0; i < perClient; i++ {
 				op, key := gen.Next()
@@ -184,7 +184,7 @@ func RunNOPaxos(cfg Config) (Result, error) {
 	if err := k.Run(); err != nil {
 		return Result{}, err
 	}
-	res := rec.result(cfg.WarmupFraction)
+	res := rec.result(warmupFraction)
 	res.Gaps = gaps
 	return res, nil
 }

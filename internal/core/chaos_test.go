@@ -411,6 +411,102 @@ func TestChaosShuffleTargetNodeCrash(t *testing.T) {
 	}
 }
 
+// TestChaosOrderedSequencerNodeCrash crashes the node that hosts an
+// ordered replicate flow's sequencer and its first target (dfiflow -type
+// replicate -ordered -mb 1 -faults crash=2@100us -retransmit 40us). Both
+// sources lose the sequencer and break; they still end their streams at
+// the surviving target, and the target on the crashed node stops, so the
+// run ends — within four times the events of the same row without the
+// crash — instead of polling until MaxEvents.
+func TestChaosOrderedSequencerNodeCrash(t *testing.T) {
+	const perSource = 1 << 16 // 1 MiB of 16-byte tuples
+	run := func(plan *fabric.FaultPlan, maxEvents uint64) (*env, [2]error, [][]int64, error) {
+		e := newEnv(t, 4, withFaults(plan))
+		if maxEvents > 0 {
+			e.k.MaxEvents = maxEvents
+		}
+		spec := FlowSpec{
+			Name:    "seq-crash",
+			Type:    ReplicateFlow,
+			Sources: []Endpoint{{Node: e.c.Node(0)}, {Node: e.c.Node(1)}},
+			Targets: []Endpoint{{Node: e.c.Node(2)}, {Node: e.c.Node(3)}},
+			Schema:  kvSchema,
+			Options: Options{
+				Multicast:         true,
+				GlobalOrdering:    true,
+				RetransmitTimeout: 40 * time.Microsecond,
+			},
+		}
+		var errs [2]error
+		orders := make([][]int64, len(spec.Targets))
+		e.k.Spawn("init", func(p *sim.Proc) {
+			if err := FlowInit(p, e.reg, e.c, spec); err != nil {
+				t.Error(err)
+			}
+		})
+		for si := range spec.Sources {
+			e.k.Spawn(fmt.Sprintf("src%d", si), func(p *sim.Proc) {
+				src, err := SourceOpen(p, e.reg, spec.Name, si)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for i := 0; i < perSource && errs[si] == nil; i++ {
+					key := int64(si*perSource + i)
+					errs[si] = src.Push(p, mkTuple(key, 2*key))
+				}
+				if err := src.Close(p); errs[si] == nil {
+					errs[si] = err
+				}
+			})
+		}
+		for ti := range spec.Targets {
+			e.k.Spawn(fmt.Sprintf("tgt%d", ti), func(p *sim.Proc) {
+				tgt, err := TargetOpen(p, e.reg, spec.Name, ti)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for {
+					tup, ok := tgt.Consume(p)
+					if !ok {
+						return
+					}
+					orders[ti] = append(orders[ti], kvSchema.Int64(tup, 0))
+				}
+			})
+		}
+		return e, errs, orders, e.k.Run()
+	}
+	clean, errs, orders, err := run(nil, 0)
+	if err != nil || errs != [2]error{} || len(orders[1]) != 2*perSource {
+		t.Fatalf("clean run: %v, sources %v, survivor consumed %d", err, errs, len(orders[1]))
+	}
+	budget := 4 * clean.k.Events()
+	_, errs, orders, err = run((&fabric.FaultPlan{}).CrashNode(2, 100*time.Microsecond), budget)
+	if err != nil {
+		t.Fatalf("crash run did not end within %d events: %v", budget, err)
+	}
+	for si, err := range errs {
+		if !errors.Is(err, ErrFlowBroken) {
+			t.Errorf("source %d: %v, want ErrFlowBroken", si, err)
+		}
+	}
+	// The survivor delivered what was sequenced, each source's tuples in
+	// push order.
+	if len(orders[1]) == 0 {
+		t.Fatal("surviving target consumed nothing")
+	}
+	last := [2]int64{-1, perSource - 1}
+	for _, k := range orders[1] {
+		si := k / perSource
+		if k <= last[si] {
+			t.Fatalf("surviving target: source %d out of order (%d after %d)", si, k, last[si])
+		}
+		last[si] = k
+	}
+}
+
 func TestChaosOrderedMulticastSourceCrash(t *testing.T) {
 	// One of two ordered-multicast sources goes silent mid-flow while UD
 	// loss is also in play. Targets must declare it failed, skip its
@@ -615,7 +711,6 @@ func TestChaosElasticAttachUnderFaults(t *testing.T) {
 		Targets: []Endpoint{{Node: e.c.Node(3)}},
 		Schema:  kvSchema,
 		Options: Options{
-			Elastic:           true,
 			MaxSources:        3,
 			SegmentSize:       512,
 			SegmentsPerRing:   8,
@@ -706,7 +801,6 @@ func TestChaosElasticSealRacesSourceCrash(t *testing.T) {
 		Targets: []Endpoint{{Node: e.c.Node(2)}},
 		Schema:  kvSchema,
 		Options: Options{
-			Elastic:           true,
 			MaxSources:        2,
 			SegmentSize:       256,
 			SegmentsPerRing:   8,

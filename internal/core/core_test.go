@@ -347,7 +347,7 @@ func TestSlowConsumerBackpressureNoLoss(t *testing.T) {
 		Sources: []Endpoint{{Node: e.c.Node(0)}},
 		Targets: []Endpoint{{Node: e.c.Node(1)}},
 		Schema:  kvSchema,
-		Options: Options{SegmentsPerRing: 4, SourceSegments: 2, SegmentSize: 64},
+		Options: Options{SegmentsPerRing: 4, SegmentSize: 64},
 	}
 	const n = 800
 	got := make(map[int64]bool)

@@ -396,7 +396,7 @@ func runElasticAttach(t *testing.T, b *diffBackend) []map[int64]int {
 		Sources: []Endpoint{{Node: b.node(0)}},
 		Targets: []Endpoint{{Node: b.node(2)}, {Node: b.node(3)}},
 		Schema:  kvSchema,
-		Options: Options{Elastic: true, MaxSources: 2, SegmentSize: 16 * kvSchema.TupleSize()},
+		Options: Options{MaxSources: 2, SegmentSize: 16 * kvSchema.TupleSize()},
 	}
 	got := []map[int64]int{{}, {}}
 	var half, attached atomic.Bool

@@ -9,8 +9,8 @@ import (
 // Elastic flows implement the paper's second stated avenue of future work
 // (§7): "elasticity of flows to add/remove nodes at runtime".
 //
-// A flow initialized with Options.Elastic pre-provisions ring buffers for
-// up to Options.MaxSources source threads; sources then join a *running*
+// A flow initialized with a positive Options.MaxSources pre-provisions
+// ring buffers for that many source threads; sources then join a *running*
 // flow with AttachSource and leave it with the ordinary Close. As on every
 // flow, membership is the registry record: an attach claims its next
 // source slot, Seal sets its flag, each bumps the epoch, and targets fold
@@ -23,7 +23,7 @@ import (
 // elasticFlow looks the named flow up and checks that it is elastic.
 func elasticFlow(p transport.Ctx, reg Registry, name string) (*flowMeta, error) {
 	meta := lookupFlow(p, reg, name)
-	if !meta.spec.Options.Elastic {
+	if !meta.spec.Options.elastic() {
 		return nil, fmt.Errorf("dfi: flow %q is not elastic", name)
 	}
 	return meta, nil

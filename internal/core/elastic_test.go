@@ -17,7 +17,7 @@ func TestElasticFlowAttachAndSeal(t *testing.T) {
 		Sources: []Endpoint{{Node: e.c.Node(0)}},
 		Targets: []Endpoint{{Node: e.c.Node(4)}},
 		Schema:  kvSchema,
-		Options: Options{Elastic: true, MaxSources: 4},
+		Options: Options{MaxSources: 4},
 	}
 	const perSource = 1500
 	got := make(map[int64]bool)
@@ -93,7 +93,7 @@ func TestElasticFlowValidation(t *testing.T) {
 			Sources: []Endpoint{{Node: e.c.Node(0)}},
 			Targets: []Endpoint{{Node: e.c.Node(1)}},
 			Schema:  kvSchema,
-			Options: Options{Elastic: true, Multicast: true},
+			Options: Options{MaxSources: 2, Multicast: true},
 		}
 		if err := FlowInit(p, e.reg, e.c, bad); err == nil {
 			t.Error("elastic multicast accepted")
@@ -104,7 +104,7 @@ func TestElasticFlowValidation(t *testing.T) {
 			Sources: []Endpoint{{Node: e.c.Node(0)}, {Node: e.c.Node(0), Thread: 1}},
 			Targets: []Endpoint{{Node: e.c.Node(1)}},
 			Schema:  kvSchema,
-			Options: Options{Elastic: true, MaxSources: 1},
+			Options: Options{MaxSources: 1},
 		}
 		if err := FlowInit(p, e.reg, e.c, bad2); err == nil {
 			t.Error("MaxSources < initial sources accepted")
@@ -114,7 +114,7 @@ func TestElasticFlowValidation(t *testing.T) {
 			Name:    "zero-src",
 			Targets: []Endpoint{{Node: e.c.Node(1)}},
 			Schema:  kvSchema,
-			Options: Options{Elastic: true, MaxSources: 2},
+			Options: Options{MaxSources: 2},
 		}
 		if err := FlowInit(p, e.reg, e.c, ok); err != nil {
 			t.Errorf("zero-source elastic flow rejected: %v", err)
@@ -145,7 +145,7 @@ func TestElasticAttachLimits(t *testing.T) {
 		Sources: []Endpoint{{Node: e.c.Node(0)}},
 		Targets: []Endpoint{{Node: e.c.Node(2)}},
 		Schema:  kvSchema,
-		Options: Options{Elastic: true, MaxSources: 2},
+		Options: Options{MaxSources: 2},
 	}
 	e.k.Spawn("init", func(p *sim.Proc) { _ = FlowInit(p, e.reg, e.c, spec) })
 	e.k.Spawn("tgt", func(p *sim.Proc) {
@@ -190,7 +190,7 @@ func TestElasticFlowZeroSourcesEndsAfterSeal(t *testing.T) {
 		Name:    "empty-elastic",
 		Targets: []Endpoint{{Node: e.c.Node(1)}},
 		Schema:  kvSchema,
-		Options: Options{Elastic: true, MaxSources: 2},
+		Options: Options{MaxSources: 2},
 	}
 	var consumed uint64
 	e.k.Spawn("init", func(p *sim.Proc) { _ = FlowInit(p, e.reg, e.c, spec) })

@@ -140,13 +140,9 @@ type Options struct {
 	SegmentSize int
 
 	// SegmentsPerRing is the number of segments in each target-side ring
-	// (default 32, the paper's default configuration).
+	// (default 32, the paper's default configuration) and in each
+	// source-side ring, plus one when RetransmitTimeout is set.
 	SegmentsPerRing int
-
-	// SourceSegments is the number of segments in each source-side ring
-	// (default: same as SegmentsPerRing, matching the paper's memory
-	// accounting).
-	SourceSegments int
 
 	// Multicast enables switch-side replication for replicate flows: a
 	// source's legs, one ring per target, become one leg to a multicast
@@ -189,13 +185,11 @@ type Options struct {
 	// of need (default SegmentsPerRing/4).
 	CreditThreshold int
 
-	// Elastic allows sources to join a running flow with AttachSource and
-	// leave with Close; the flow ends once Sealed and all attached
-	// sources closed (extension beyond the paper, see elastic.go).
-	Elastic bool
-
-	// MaxSources bounds the total attachments of an elastic flow (rings
-	// are pre-provisioned per slot; default 2 × initial sources).
+	// MaxSources, when positive, makes the flow elastic: sources join
+	// the running flow with AttachSource and leave with Close, and the
+	// flow ends once Sealed and all attached sources closed (extension
+	// beyond the paper, see elastic.go). It bounds the total attachments,
+	// initial sources included; rings are pre-provisioned per slot.
 	MaxSources int
 
 	// Partitioning selects how key-routed tuples map onto targets (see
@@ -223,10 +217,10 @@ type Options struct {
 	// ring-header consumed counter and retransmits every written but
 	// unconsumed segment still resident in its local ring. Zero (the
 	// default) keeps the writer's waits unbounded, which is correct on a
-	// fault-free fabric. When set, SourceSegments is raised to at least
-	// SegmentsPerRing+1 so the retransmit window never leaves the local
-	// ring, and Close only returns once every segment was confirmed
-	// consumed (or the flow is declared broken).
+	// fault-free fabric. When set, a source-side ring holds
+	// SegmentsPerRing+1 segments so the retransmit window never leaves
+	// the local ring, and Close only returns once every segment was
+	// confirmed consumed (or the flow is declared broken).
 	RetransmitTimeout time.Duration
 
 	// MaxRetransmits bounds consecutive recovery rounds that make no
@@ -252,10 +246,6 @@ type Options struct {
 	// rerouting drains the dead writer's unconsumed window from its
 	// local ring, so the resident retransmit window is required.
 	LeaseTTL time.Duration
-
-	// ConsumeCost is the per-tuple CPU cost charged at the target
-	// (default 10ns; see DESIGN.md §6).
-	ConsumeCost time.Duration
 
 	// SharedRings multiplexes the flow over the cluster's shared
 	// per-node-pair rings (dfi/internal/transport/sharedring) instead of
@@ -283,6 +273,10 @@ type Options struct {
 	// proportion to weight, so one hot flow cannot starve its neighbors
 	// below their share. Requires SharedRings.
 	TenantWeight int
+
+	// consumeCost is the per-tuple CPU cost charged at the target (default
+	// 10ns, DESIGN.md §6); only the SHARP ingest flow sets it.
+	consumeCost time.Duration
 }
 
 // Settings no caller has ever set differently, hence not Options: the
@@ -409,13 +403,19 @@ func (o *Options) ringGeometry() ringGeom {
 	return ringGeom{segSize: o.SegmentSize, nSegs: o.SegmentsPerRing}
 }
 
-// signalCadence returns the selective-signaling interval for a source ring
-// of srcSegs segments: quarter-ring steps, never less than one.
-func signalCadence(srcSegs int) int {
-	if s := srcSegs / 4; s >= 1 {
-		return s
+// elastic reports whether sources may attach to the running flow.
+func (o *Options) elastic() bool { return o.MaxSources > 0 }
+
+// sourceSegments is the number of segments in each source-side ring. With
+// recovery on, every unconsumed remote slot must still be resident
+// locally, and the +1 keeps the segment being filled out of that window:
+// the flush-time guard only proves acked ≥ written − SegmentsPerRing, so
+// with equal rings the next fill could overwrite an unacked segment.
+func (o *Options) sourceSegments() int {
+	if o.RetransmitTimeout > 0 {
+		return o.SegmentsPerRing + 1
 	}
-	return 1
+	return o.SegmentsPerRing
 }
 
 // normalize validates the spec and fills defaulted options in place.
@@ -429,11 +429,11 @@ func (s *FlowSpec) normalize() error {
 	if len(s.Targets) == 0 {
 		return errors.New("dfi: flow needs at least one target")
 	}
-	if len(s.Sources) == 0 && !s.Options.Elastic {
+	if len(s.Sources) == 0 && !s.Options.elastic() {
 		return errors.New("dfi: flow needs at least one source")
 	}
 	o := &s.Options
-	switch s.Options.Optimization {
+	switch o.Optimization {
 	case OptimizeBandwidth:
 		if o.SegmentSize == 0 {
 			o.SegmentSize = 8 << 10
@@ -442,6 +442,8 @@ func (s *FlowSpec) normalize() error {
 		if o.SegmentSize == 0 {
 			o.SegmentSize = s.Schema.TupleSize()
 		}
+	default:
+		return fmt.Errorf("dfi: unknown optimization %d", o.Optimization)
 	}
 	if o.SegmentSize < s.Schema.TupleSize() {
 		return fmt.Errorf("dfi: segment size %d smaller than tuple size %d", o.SegmentSize, s.Schema.TupleSize())
@@ -451,12 +453,6 @@ func (s *FlowSpec) normalize() error {
 	}
 	if o.SegmentsPerRing < 2 {
 		return errors.New("dfi: at least 2 segments per ring required for pipelining")
-	}
-	if o.SourceSegments == 0 {
-		o.SourceSegments = o.SegmentsPerRing
-	}
-	if o.SourceSegments < 2 {
-		return errors.New("dfi: at least 2 source segments required")
 	}
 	if o.CreditThreshold == 0 {
 		o.CreditThreshold = o.SegmentsPerRing / 4
@@ -482,8 +478,8 @@ func (s *FlowSpec) normalize() error {
 		if o.Multicast || o.GlobalOrdering {
 			return errors.New("dfi: SharedRings cannot combine with multicast/global ordering")
 		}
-		if o.Elastic {
-			return errors.New("dfi: SharedRings cannot combine with Elastic membership")
+		if o.elastic() {
+			return errors.New("dfi: SharedRings cannot combine with elastic membership")
 		}
 		if o.RetransmitTimeout > 0 {
 			return errors.New("dfi: SharedRings has no per-flow retransmit window")
@@ -512,38 +508,22 @@ func (s *FlowSpec) normalize() error {
 		if o.MaxRetransmits == 0 {
 			o.MaxRetransmits = 8
 		}
-		if o.SourceSegments < o.SegmentsPerRing+1 {
-			// The retransmit window spans every unconsumed remote slot;
-			// those segments must still be resident locally. The +1 keeps
-			// the segment currently being filled out of that window: the
-			// flush-time guard only proves acked ≥ written − SegmentsPerRing,
-			// so with equal ring sizes the next fill could overwrite an
-			// unacked segment and a later retransmission would resend new
-			// tuples under the old sequence number.
-			o.SourceSegments = o.SegmentsPerRing + 1
-		}
 	}
 	if o.GapTimeout == 0 {
 		o.GapTimeout = 20 * time.Microsecond
 	}
-	if o.ConsumeCost == 0 {
-		o.ConsumeCost = 10 * time.Nanosecond
-	}
-	switch s.Options.Optimization {
-	case OptimizeBandwidth, OptimizeLatency:
-	default:
-		return fmt.Errorf("dfi: unknown optimization %d", s.Options.Optimization)
+	if o.consumeCost == 0 {
+		o.consumeCost = 10 * time.Nanosecond
 	}
 	if s.ShuffleKey >= s.Schema.Columns() {
 		return fmt.Errorf("dfi: shuffle key column %d out of range", s.ShuffleKey)
 	}
 	switch s.Type {
 	case ShuffleFlow:
+		// A negative ShuffleKey without Routing is allowed: pushes must
+		// then use PushTo with explicit targets.
 		if o.Multicast || o.GlobalOrdering {
 			return errors.New("dfi: multicast/ordering are replicate-flow options")
-		}
-		if s.ShuffleKey < 0 && s.Routing == nil {
-			// Allowed: pushes must use PushTo with explicit targets.
 		}
 	case ReplicateFlow:
 		if o.GlobalOrdering && !o.Multicast {
@@ -573,12 +553,9 @@ func (s *FlowSpec) normalize() error {
 	if o.Multicast && len(s.Sources) > maxMcSources {
 		return fmt.Errorf("dfi: a multicast flow carries its source index in one byte: %d sources exceed the limit of %d", len(s.Sources), maxMcSources)
 	}
-	if o.Elastic {
+	if o.elastic() {
 		if o.Multicast {
 			return errors.New("dfi: elastic flows do not support multicast replicate transport")
-		}
-		if o.MaxSources == 0 {
-			o.MaxSources = 2 * len(s.Sources)
 		}
 		if o.MaxSources < len(s.Sources) {
 			return fmt.Errorf("dfi: MaxSources %d below initial source count %d", o.MaxSources, len(s.Sources))

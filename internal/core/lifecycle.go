@@ -493,7 +493,7 @@ func (t *Target) syncMembership() bool {
 // attach follows it, so a count read after a seal is final.
 func (t *Target) foldSources() {
 	t.live, t.sealed = len(t.readers), true
-	if t.spec.Options.Elastic {
+	if t.spec.Options.elastic() {
 		t.sealed = t.mem.Sealed()
 		t.live = len(t.spec.Sources) + t.mem.Attached()
 	}

@@ -312,7 +312,7 @@ func TestSharedRingsAdmission(t *testing.T) {
 			s.Type = ReplicateFlow
 			s.Options.Multicast = true
 		}},
-		{name: "elastic", mut: func(s *FlowSpec) { s.Options.SharedRings = true; s.Options.Elastic = true }},
+		{name: "elastic", mut: func(s *FlowSpec) { s.Options.SharedRings = true; s.Options.MaxSources = 2 }},
 		{name: "retransmit window", mut: func(s *FlowSpec) { s.Options.SharedRings = true; s.Options.RetransmitTimeout = time.Millisecond }},
 		{name: "negative weight", mut: func(s *FlowSpec) { s.Options.SharedRings = true; s.Options.TenantWeight = -1 }},
 		{name: "combiner", ok: true, mut: func(s *FlowSpec) {

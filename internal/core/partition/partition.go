@@ -49,6 +49,8 @@ const (
 	Ring
 )
 
+// String returns the scheme's name as cmd/dfiflow's -partition flag
+// spells it. A pure function of the value: safe from any goroutine.
 func (s Scheme) String() string {
 	switch s {
 	case Modulo:

@@ -19,7 +19,6 @@ func TestPropertyShuffleExactDelivery(t *testing.T) {
 		Sources     uint8
 		Targets     uint8
 		SegsPerRing uint8
-		SrcSegs     uint8
 		SegTuples   uint8
 		PerSource   uint16
 		ConsumerLag uint8 // microseconds of sleep every 16 tuples
@@ -29,7 +28,6 @@ func TestPropertyShuffleExactDelivery(t *testing.T) {
 		nSrc := int(ps.Sources%3) + 1
 		nTgt := int(ps.Targets%3) + 1
 		segs := int(ps.SegsPerRing%15) + 2
-		srcSegs := int(ps.SrcSegs%15) + 2
 		segSize := (int(ps.SegTuples%8) + 1) * kvSchema.TupleSize()
 		perSource := int(ps.PerSource%700) + 1
 		lag := time.Duration(ps.ConsumerLag%5) * time.Microsecond
@@ -45,7 +43,6 @@ func TestPropertyShuffleExactDelivery(t *testing.T) {
 			Schema: kvSchema,
 			Options: Options{
 				SegmentsPerRing: segs,
-				SourceSegments:  srcSegs,
 				SegmentSize:     segSize,
 			},
 		}

@@ -559,7 +559,6 @@ func TestElasticSourceReattachFreshSlot(t *testing.T) {
 		Schema:     kvSchema,
 		ShuffleKey: 0,
 		Options: Options{
-			Elastic:           true,
 			MaxSources:        4,
 			SegmentSize:       256,
 			SegmentsPerRing:   8,

@@ -157,6 +157,7 @@ type mcTx struct {
 	history   map[uint64][]byte
 	histOrder []uint64
 	seqQP     transport.Queue // to the sequencer node (ordered flows)
+	seqLost   bool            // the sequencer's node crashed: nothing more can be ordered
 
 	// folded is the membership epoch at which the group's targets were
 	// last folded (stamped on outgoing segment headers), tinc the target
@@ -387,6 +388,7 @@ func (x *mcTx) flush(p transport.Ctx) error {
 		// flow, not as a silently repeated sequence number.
 		v, ok := x.seqQP.FetchAdd(p, transport.Addr{MR: s.meta.seqMR}, 1)
 		if !ok {
+			x.seqLost = true
 			return fmt.Errorf("%w: sequencer node for flow %q is unreachable", ErrFlowBroken, s.spec.Name)
 		}
 		seq = v
@@ -644,8 +646,16 @@ func (x *mcTx) noteAdvance(p transport.Ctx, target int) {
 }
 
 // finish is flush: delivery is confirmed by the linger that follows the
-// end markers.
-func (x *mcTx) finish(p transport.Ctx) error { return x.flush(p) }
+// end markers. A lost sequencer ends the stream where it stands, so the
+// end markers go out at once, or every target would wait on this source
+// forever; the flush's error is the one to report.
+func (x *mcTx) finish(p transport.Ctx) error {
+	err := x.flush(p)
+	if x.seqLost {
+		x.end(p)
+	}
+	return err
+}
 
 // end sends reliable end markers carrying the per-source segment count
 // and lingers until every live target has consumed everything — serving
@@ -1275,7 +1285,7 @@ func (f *mcFeed) seqSpaceSize(p transport.Ctx) (uint64, bool) {
 }
 
 // deliver activates a pending segment for consumption and returns its
-// tuple payload. The tuples' ConsumeCost is charged before the credit
+// tuple payload. The tuples' consume cost is charged before the credit
 // goes back: a source is told of room only once the target has paid for
 // what took it.
 func (f *mcFeed) deliver(p transport.Ctx, buf []byte, src int) []byte {

@@ -20,7 +20,7 @@ import (
 // The reduction engine runs on a switch-resident endpoint
 // (transport.Transport.SwitchEndpoint): every sender is limited only by
 // its own link, and the engine forwards compact partial aggregates to the
-// target at a configurable interval, shrinking the target's ingress
+// target whenever its table fills, shrinking the target's ingress
 // traffic from O(tuples) to O(groups).
 //
 // This is an extension beyond the paper's implementation; Table/figure
@@ -33,22 +33,14 @@ type SharpOptions struct {
 	Aggregation AggFunc
 	GroupCol    int
 	ValueCol    int
-
-	// FlushGroups bounds the reduction engine's table; reaching it (or
-	// flow end) flushes partial aggregates to the target.
-	FlushGroups int
-
-	// SwitchTupleCost models the reduction-engine processing rate per
-	// tuple and port (SHARP ASICs reduce at line rate; default 1ns).
-	SwitchTupleCost time.Duration
-
-	// Ports is the number of parallel reduction engines (SHARP reduces
-	// per ingress port; default: one per source).
-	Ports int
-
-	// SegmentsPerRing sizes the underlying flows' rings.
-	SegmentsPerRing int
 }
+
+// The reduction engine's table bound, reaching which (or flow end) flushes
+// the partial aggregates, and its cost per tuple and port (line rate).
+const (
+	sharpFlushGroups = 4096
+	sharpTupleCost   = time.Nanosecond
+)
 
 // SharpCombiner is an N:1 aggregation whose reduction happens inside the
 // switch. Construct with NewSharpCombiner, attach sources with
@@ -74,20 +66,11 @@ var aggTupleSchema = schema.MustNew(
 func NewSharpCombiner(p transport.Ctx, reg Registry, cluster transport.Transport,
 	name string, sources []Endpoint, target Endpoint, sch *schema.Schema, opt SharpOptions) (*SharpCombiner, error) {
 
-	if opt.FlushGroups == 0 {
-		opt.FlushGroups = 4096
-	}
-	if opt.SwitchTupleCost == 0 {
-		opt.SwitchTupleCost = time.Nanosecond
-	}
-	if opt.Ports == 0 {
-		opt.Ports = len(sources)
-	}
 	sc := &SharpCombiner{name: name, spec: opt, sch: sch, engine: cluster.SwitchEndpoint()}
 
-	// One reduction engine per ingress port: SHARP reduces in parallel at
-	// line rate on every port of the switch.
-	engineEPs := make([]Endpoint, opt.Ports)
+	// One reduction engine per ingress port, one port per source: SHARP
+	// reduces in parallel at line rate on every port of the switch.
+	engineEPs := make([]Endpoint, len(sources))
 	for i := range engineEPs {
 		engineEPs[i] = Endpoint{Node: sc.engine, Thread: i}
 	}
@@ -96,17 +79,13 @@ func NewSharpCombiner(p transport.Ctx, reg Registry, cluster transport.Transport
 		Sources: sources,
 		Targets: engineEPs,
 		Schema:  sch,
-		Options: Options{
-			SegmentsPerRing: opt.SegmentsPerRing,
-			ConsumeCost:     opt.SwitchTupleCost, // ASIC-rate ingest
-		},
+		Options: Options{consumeCost: sharpTupleCost}, // ASIC-rate ingest
 	}
 	flush := FlowSpec{
 		Name:    sc.flushFlow(),
 		Sources: engineEPs,
 		Targets: []Endpoint{target},
 		Schema:  aggTupleSchema,
-		Options: Options{SegmentsPerRing: opt.SegmentsPerRing},
 	}
 	if err := FlowInit(p, reg, cluster, ingest); err != nil {
 		return nil, err
@@ -114,8 +93,7 @@ func NewSharpCombiner(p transport.Ctx, reg Registry, cluster transport.Transport
 	if err := FlowInit(p, reg, cluster, flush); err != nil {
 		return nil, err
 	}
-	for port := 0; port < opt.Ports; port++ {
-		port := port
+	for port := range engineEPs {
 		cluster.Spawn(p, fmt.Sprintf("sharp-engine-%s-%d", name, port), func(ep transport.Ctx) {
 			sc.runEngine(ep, reg, port)
 		})
@@ -140,7 +118,7 @@ func (sc *SharpCombiner) runEngine(p transport.Ctx, reg Registry, port int) {
 	if err != nil {
 		panic(err)
 	}
-	groups := make(aggGroups, sc.spec.FlushGroups)
+	groups := make(aggGroups, sharpFlushGroups)
 	ts := sc.sch.TupleSize()
 
 	flushAll := func() {
@@ -160,12 +138,12 @@ func (sc *SharpCombiner) runEngine(p transport.Ctx, reg Registry, port int) {
 		if !ok {
 			break
 		}
-		sc.engine.Compute(p, time.Duration(count)*sc.spec.SwitchTupleCost)
+		sc.engine.Compute(p, time.Duration(count)*sharpTupleCost)
 		for i := 0; i < count; i++ {
 			tup := schema.Tuple(data[i*ts : (i+1)*ts])
 			groups.fold(sc.spec.Aggregation, sc.sch.KeyUint64(tup, sc.spec.GroupCol), sc.sch.Int64(tup, sc.spec.ValueCol), 1)
 		}
-		if len(groups) >= sc.spec.FlushGroups {
+		if len(groups) >= sharpFlushGroups {
 			flushAll()
 		}
 	}

@@ -573,7 +573,7 @@ func (s *Source) Reattach(p transport.Ctx) (*Source, uint64, error) {
 		return nil, 0, errors.New("dfi: Reattach requires Options.RetransmitTimeout")
 	}
 	name := s.spec.Name
-	if s.spec.Options.Elastic {
+	if s.spec.Options.elastic() {
 		ns, err := AttachSource(p, s.reg, name, Endpoint{Node: s.node})
 		if err != nil {
 			return nil, 0, err

@@ -130,7 +130,7 @@ type segmentFeed interface {
 	// target evicted. Otherwise it recycles the segment handed out last,
 	// makes one pass over the open sources among readers[:live] — round-robin
 	// over rings, in sequence order over a multicast group — and returns
-	// the first consumable segment's payload, its tuples' ConsumeCost
+	// the first consumable segment's payload, its tuples' consume cost
 	// charged. It closes a reader on its end marker and stamps activity on
 	// everything it receives, and on a source whose next segment it holds
 	// but has not got to yet. A pass that finds nothing parks until
@@ -214,10 +214,7 @@ func TargetOpen(p transport.Ctx, reg Registry, name string, targetIdx int) (*Tar
 // source slot (every possible slot on elastic flows) — and returns the
 // connection info to publish.
 func (t *Target) allocRings() *targetInfo {
-	nSources := len(t.spec.Sources)
-	if t.spec.Options.Elastic {
-		nSources = t.spec.Options.MaxSources
-	}
+	nSources := max(len(t.spec.Sources), t.spec.Options.MaxSources)
 	f := &privateFeed{t: t}
 	f.geom = t.spec.Options.ringGeometry()
 	f.mr = t.meta.cluster.OpenRegion(t.node, nSources*f.geom.ringLen())
@@ -421,10 +418,10 @@ func (f *privateFeed) drop(int) {}
 
 func (f *privateFeed) free() { f.mr.Deregister() }
 
-// charge accounts the ConsumeCost of a segment's tuples as a feed hands
+// charge accounts the consume cost of a segment's tuples as a feed hands
 // the segment out.
 func (t *Target) charge(p transport.Ctx, data []byte) {
-	t.node.Compute(p, time.Duration(len(data)/t.tupleSize)*t.spec.Options.ConsumeCost)
+	t.node.Compute(p, time.Duration(len(data)/t.tupleSize)*t.spec.Options.consumeCost)
 }
 
 // nextSegment loads the next consumable segment into the iterator,
@@ -438,11 +435,12 @@ func (t *Target) nextSegment(p transport.Ctx) bool {
 			t.segData, t.segOff, t.remaining = data, 0, len(data)/t.tupleSize
 			return true
 		}
-		if t.evicted.Load() {
-			// Evicted from the membership: the survivors have taken over
-			// this target's key range; stop consuming, and let go of every
-			// source so a shared ring is not head-of-line-blocked by tags
-			// nobody will drain.
+		if t.evicted.Load() || t.spec.Options.LeaseTTL == 0 && t.node.Crashed(p.Now()) {
+			// Evicted from the membership (the survivors have taken over
+			// this target's key range), or crashed with no lease to get it
+			// evicted: stop consuming, and let go of every source so a
+			// shared ring is not head-of-line-blocked by tags nobody will
+			// drain.
 			for i := range t.readers {
 				t.feed.drop(i)
 			}

@@ -71,7 +71,7 @@ type ringWriter struct {
 	footerPending bool
 	probeWrite    uint64 // ring-write number the in-flight footer read probes
 	completedW    uint64 // writes known complete (from signaled completions)
-	sigEvery      int    // signal every sigEvery-th write
+	sigEvery      int    // signal every sigEvery-th write: quarter-ring steps
 
 	// READs of the ring header's consumed counter: latency mode's probe
 	// and, in both modes, recovery's resync.
@@ -101,6 +101,7 @@ type ringWriter struct {
 // inside the target's memory region.
 func newRingWriter(cluster transport.Transport, node transport.Endpoint, ti *targetInfo, ringOff int, opts *Options) *ringWriter {
 	qp, _ := cluster.Dial(node, ti.mr.Owner())
+	srcSegs := opts.sourceSegments()
 	w := &ringWriter{
 		leg:        leg{segSize: ti.geom.segSize},
 		qp:         qp,
@@ -110,8 +111,8 @@ func newRingWriter(cluster transport.Transport, node transport.Endpoint, ti *tar
 		opts:       opts,
 		latency:    opts.Optimization == OptimizeLatency,
 		lowWater:   2,
-		srcSegs:    opts.SourceSegments,
-		sigEvery:   signalCadence(opts.SourceSegments),
+		srcSegs:    srcSegs,
+		sigEvery:   max(srcSegs/4, 1),
 		footerBuf:  make([]byte, transport.SegDescBytes),
 		counterBuf: make([]byte, 8),
 	}
@@ -140,7 +141,7 @@ func (w *ringWriter) harvest(tupleSize int) [][]byte {
 	lo := w.acked
 	if w.written-lo > uint64(w.srcSegs) {
 		// Should be unreachable when the resident-window invariant holds
-		// (normalize forces SourceSegments ≥ SegmentsPerRing+1 whenever
+		// (a source ring holds SegmentsPerRing+1 segments whenever
 		// recovery is on); harvest what is still resident.
 		lo = w.written - uint64(w.srcSegs)
 	}

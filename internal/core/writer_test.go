@@ -25,7 +25,7 @@ func TestDeepBacklogExactDelivery(t *testing.T) {
 		Schema:  kvSchema,
 		Options: Options{
 			// Slow consumption guarantees full rings and deep backlogs.
-			ConsumeCost: 120 * time.Nanosecond,
+			consumeCost: 120 * time.Nanosecond,
 		},
 	}
 	const perSource = 30_000

@@ -108,6 +108,8 @@ type PhaseTimes struct {
 	Matches          uint64
 }
 
+// String renders every phase time and the match count on one line. A
+// pure function of the value: safe from any goroutine.
 func (pt PhaseTimes) String() string {
 	return fmt.Sprintf("hist=%v netpart=%v barrier=%v replicate=%v localpart=%v join=%v total=%v matches=%d",
 		pt.Histogram, pt.NetworkPartition, pt.SyncBarrier, pt.NetworkReplicate,

@@ -33,6 +33,8 @@ const (
 	TypeHistogram
 )
 
+// String returns the type's name as the # TYPE exposition line spells
+// it. A pure function of the value: safe from any goroutine.
 func (t Type) String() string {
 	switch t {
 	case TypeCounter:

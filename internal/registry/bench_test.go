@@ -50,11 +50,11 @@ func BenchmarkLeaseRenew(b *testing.B) {
 
 // benchRenew renews for one TTL at a time, then stops the benchmark
 // clock for two more so the timers those renewals armed fall due, and
-// their callbacks finish, outside the measurement: left queued they
-// would pile up by the million, and on the wall clock each one that
-// fires queues a goroutine on the monitor. A slot left unrenewed through a pause goes Suspect and
-// its next renewal rescues it; the grace period outlasts the run, so no
-// slot is evicted.
+// their callbacks finish, outside the measurement: on the kernel every
+// renewal queues one event, and left queued they would pile up by the
+// million (the wall clock keeps one timer per slot). A slot left
+// unrenewed through a pause goes Suspect and its next renewal rescues
+// it; the grace period outlasts the run, so no slot is evicted.
 func benchRenew(b *testing.B, p transport.Ctx, r *Registry, batched bool) {
 	const slots, ttl, grace = 64, 5 * time.Millisecond, time.Hour
 	if err := r.Publish(p, "f", nil); err != nil {

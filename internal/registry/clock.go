@@ -26,9 +26,22 @@ type clock interface {
 }
 
 // timerOp is a clock callback that one object serves for many arms: arg
-// tells the arms apart (see leaseTimer). Its method set is the kernel's
+// tells the arms apart (see leaseTimer). RunOp is the kernel's
 // pooled-event interface, so desClock schedules it without a closure.
-type timerOp interface{ RunOp(arg uint64) }
+// wallClock re-arms the op's one wallTimer.
+type timerOp interface {
+	RunOp(arg uint64)
+	wallTimer() *wallTimer
+}
+
+// wallTimer is a timerOp's host timer, made on its first arm and reset
+// by every later one; arg and deadline, under the monitor, are the
+// latest arm's.
+type wallTimer struct {
+	t        *time.Timer
+	arg      uint64
+	deadline time.Duration
+}
 
 // wallClock is the clock of a registry shared by real goroutines.
 type wallClock struct {
@@ -41,7 +54,25 @@ func (c *wallClock) wait(transport.Ctx) { c.cond.Wait() }
 func (c *wallClock) broadcast()         { c.cond.Broadcast() }
 
 func (c *wallClock) after(d time.Duration, op timerOp, arg uint64) {
-	time.AfterFunc(d, func() { op.RunOp(arg) })
+	w := op.wallTimer()
+	w.arg, w.deadline = arg, c.now()+d
+	if w.t == nil {
+		w.t = time.AfterFunc(d, func() { c.fire(w, op) })
+		return
+	}
+	w.t.Reset(d)
+}
+
+// fire runs w's latest arm. A fire meant for an earlier arm, racing the
+// re-arm that reset the timer, finds the deadline still ahead and leaves
+// the run to the timer's next fire.
+func (c *wallClock) fire(w *wallTimer, op timerOp) {
+	c.cond.L.Lock()
+	arg, due := w.arg, c.now() >= w.deadline
+	c.cond.L.Unlock()
+	if due {
+		op.RunOp(arg)
+	}
 }
 
 // NewLocal creates an empty standalone registry on the wall clock, for

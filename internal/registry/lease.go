@@ -23,15 +23,16 @@ import (
 // evicted sources). Endpoints may also be evicted administratively with
 // Evict, which takes effect at the next epoch immediately.
 //
-// Timers are clock callbacks (kernel events on the DES, time.AfterFunc
-// on the wall clock), not processes: each (re)arm bumps a generation
-// counter and schedules one expiry check that no-ops when the generation
-// moved on. A quiescent flow therefore leaves no pending events behind
-// once its endpoints release their leases, which is what keeps the
-// discrete-event kernel's run loop terminating. Every check of a slot is
-// the same object, the lease's leaseTimer, scheduled with its generation
-// and step packed into the event's argument: on the DES a heartbeat's
-// re-arm pushes one kernel event and allocates nothing.
+// Timers are clock callbacks (kernel events on the DES, one re-armed
+// time.Timer per slot on the wall clock), not processes: each (re)arm
+// bumps a generation counter and schedules one expiry check that no-ops
+// when the generation moved on. A quiescent flow therefore leaves no
+// pending events behind once its endpoints release their leases, which
+// is what keeps the discrete-event kernel's run loop terminating. Every
+// check of a slot is the same object, the lease's leaseTimer, scheduled
+// with its generation and step packed into the event's argument: a
+// heartbeat's re-arm pushes one kernel event on the DES, resets the
+// slot's timer on the wall clock, and allocates nothing on either.
 
 // Role distinguishes the two endpoint kinds in a membership record.
 type Role uint8
@@ -104,9 +105,12 @@ type lease struct {
 // orphaned check — its lease re-armed, released or evicted since — finds
 // the generation moved on and does nothing.
 type leaseTimer struct {
-	m *Membership
-	k epKey
+	m    *Membership
+	k    epKey
+	wall wallTimer // the slot's host timer on the wall clock
 }
+
+func (t *leaseTimer) wallTimer() *wallTimer { return &t.wall }
 
 // leaseTimer steps, the low bit of the argument.
 const (

@@ -54,11 +54,6 @@ type Registry struct {
 	flows    map[string]*entry
 	RPCDelay time.Duration // charged to every remote lookup/publish
 
-	// RetryTimeout is how long a client waits before retrying a registry
-	// RPC whose reply was lost (fault injection / replica crash).
-	// Defaults to max(4·RPCDelay, 2µs).
-	RetryTimeout time.Duration
-
 	faults *Faults
 	repl   *replGroup // nil for a standalone registry
 
@@ -141,14 +136,11 @@ func (r *Registry) UseFaults(f *Faults) {
 	r.mu.Unlock()
 }
 
+// retryTimeout is how long a client waits before retrying a registry
+// RPC whose reply was lost (fault injection / replica crash):
+// max(4·RPCDelay, 2µs).
 func (r *Registry) retryTimeout() time.Duration {
-	if r.RetryTimeout > 0 {
-		return r.RetryTimeout
-	}
-	if d := 4 * r.RPCDelay; d > 2*time.Microsecond {
-		return d
-	}
-	return 2 * time.Microsecond
+	return max(4*r.RPCDelay, 2*time.Microsecond)
 }
 
 // rpc charges one client↔registry round trip, honoring the fault knobs:

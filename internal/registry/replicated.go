@@ -68,10 +68,6 @@ type ReplicaConfig struct {
 	// replicas (also installed as the handle's RPCDelay).
 	RPCDelay time.Duration
 
-	// RetryTimeout overrides the client's retry timeout (see
-	// Registry.RetryTimeout).
-	RetryTimeout time.Duration
-
 	// Faults subjects registry RPCs to the fault knobs, including
 	// CrashMaster.
 	Faults *Faults
@@ -144,7 +140,6 @@ func (r *Registry) Replicate(cfg ReplicaConfig) (*Registry, error) {
 		return nil, fmt.Errorf("registry: replica count %d must be odd and ≥ 3", cfg.Replicas)
 	}
 	r.RPCDelay = cfg.RPCDelay
-	r.RetryTimeout = cfg.RetryTimeout
 	r.faults = cfg.Faults
 	snapEvery := cfg.SnapshotEvery
 	if snapEvery == 0 {

@@ -58,6 +58,8 @@ func (t Type) Size() int {
 	panic(fmt.Sprintf("schema: unknown kind %d", t.Kind))
 }
 
+// String returns the column type's name ("int64", "char(16)", ...). A
+// pure function of the value: safe from any goroutine.
 func (t Type) String() string {
 	switch t.Kind {
 	case KindInt32:
@@ -147,6 +149,8 @@ func (s *Schema) ColumnIndex(name string) int {
 	return -1
 }
 
+// String renders the schema as {name type, ...}. A schema is immutable
+// once built: safe from any goroutine.
 func (s *Schema) String() string {
 	var b strings.Builder
 	b.WriteByte('{')

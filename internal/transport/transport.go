@@ -1,5 +1,5 @@
 // Package transport defines the verb surface the DFI data path runs on:
-// one-sided WRITE/WRITE-batch/READ, FETCH-ADD/COMPARE-SWAP, two-sided
+// one-sided WRITE/WRITE-batch/READ, FETCH-ADD, two-sided
 // SEND/RECV with completion-queue polling, unreliable multicast, and
 // memory-region registration — the RDMA-shaped operations of the paper,
 // abstracted so backends are interchangeable.
