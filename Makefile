@@ -92,9 +92,9 @@ metrics-smoke:
 # e2e flow on real goroutines moving real bytes, the control plane on
 # both backends (lease keep-alive, silent-target and mid-push eviction,
 # the private-vs-shared differential with an evicted leg), the registry
-# monitor hammered from nine goroutines (one a Status scraper, which takes
-# the monitor when something is stale) plus its status tests on the wall
-# clock and the pinned lease-timer dispatch, and the dfiflow
+# monitor hammered from nine goroutines (one a Status scraper, which
+# takes the monitor to build the status on each read) plus its status
+# tests on the wall clock and the pinned lease-timer dispatch, and the dfiflow
 # -transport=chan CLI coverage including the
 # same argument lists run on both backends. This is the
 # backend-agnosticism gate: the same core data path and the same control

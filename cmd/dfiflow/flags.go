@@ -43,8 +43,8 @@ func rejected(fs *flag.FlagSet, table map[string]string, format string) error {
 }
 
 // parseEvictions parses the -evict and -rejoin flags: comma-separated
-// TARGET@TIME.
-func parseEvictions(spec string) ([]scenario.Eviction, error) {
+// TARGET@TIME, TARGET below targets.
+func parseEvictions(spec string, targets int) ([]scenario.Eviction, error) {
 	if spec == "" {
 		return nil, nil
 	}
@@ -57,6 +57,9 @@ func parseEvictions(spec string) ([]scenario.Eviction, error) {
 		target, err := strconv.Atoi(idx)
 		if err != nil {
 			return nil, fmt.Errorf("%q: %v", field, err)
+		}
+		if target < 0 || target >= targets {
+			return nil, fmt.Errorf("%q: target %d outside the %d-target flow", field, target, targets)
 		}
 		t, err := time.ParseDuration(at)
 		if err != nil {

@@ -125,11 +125,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *nFlows < 1 {
 		return usage("-flows %d: want at least 1", *nFlows)
 	}
-	evictions, err := parseEvictions(*evictSpec)
+	evictions, err := parseEvictions(*evictSpec, *nTargets)
 	if err != nil {
 		return usage("-evict: %v", err)
 	}
-	rejoins, err := parseEvictions(*rejoin) // same TARGET@TIME grammar
+	rejoins, err := parseEvictions(*rejoin, *nTargets) // same TARGET@TIME grammar
 	if err != nil {
 		return usage("-rejoin: %v", err)
 	}

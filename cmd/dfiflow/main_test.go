@@ -69,7 +69,9 @@ func TestBadConfigExitsTwo(t *testing.T) {
 // TestOutOfRangeFaultInputExitsTwo pins the range checks on fault input.
 // Unchecked, a negative delay panicked the kernel, a drop probability
 // above 1 ran into the virtual deadline, a crash of a node outside the
-// cluster injected nothing, and a multicast loss above 1 never ended.
+// cluster injected nothing, a multicast loss above 1 never ended, and an
+// eviction of a target the flow does not have created its slot in the
+// membership and bumped the epoch.
 func TestOutOfRangeFaultInputExitsTwo(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -79,6 +81,8 @@ func TestOutOfRangeFaultInputExitsTwo(t *testing.T) {
 		{"drop-read=", []string{"-faults", "drop-read=7"}},
 		{"crash=", []string{"-faults", "crash=99@10us"}},
 		{"-loss", []string{"-type", "replicate", "-multicast", "-loss", "1.5"}},
+		{"-evict", []string{"-lease", "20us", "-evict", "7@10us"}},
+		{"-rejoin", []string{"-lease", "20us", "-evict", "1@10us", "-rejoin", "-1@30us"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			out, code := runToString(t, append([]string{"-mb", "1"}, tc.args...)...)

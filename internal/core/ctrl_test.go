@@ -205,7 +205,7 @@ func TestDESAndChanEvictSilentTarget(t *testing.T) {
 			if err := src.Close(p); err != nil {
 				t.Errorf("%s: close: %v", b.name, err)
 			}
-			rerouted = src.Rerouted()
+			rerouted = src.Stats().Rerouted
 		}}
 		for ti := 0; ti < 3; ti++ {
 			ti := ti

@@ -426,15 +426,6 @@ func (s *Source) repush(p transport.Ctx, t schema.Tuple, from int) error {
 	return s.pushLeg(p, l, t)
 }
 
-// Rerouted returns the number of tuples re-pushed to surviving targets
-// after evictions.
-func (s *Source) Rerouted() uint64 { return s.rerouted.Load() }
-
-// Moved returns the number of tuples pushed directly to a live owner
-// other than their declared home (steady-state rebalance traffic while
-// the home slot is down; harvested re-pushes count under Rerouted).
-func (s *Source) Moved() uint64 { return s.moved.Load() }
-
 // Epoch returns the last membership epoch the source has folded in.
 func (s *Source) Epoch() uint64 { return s.epoch }
 

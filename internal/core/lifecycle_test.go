@@ -110,7 +110,7 @@ func TestLifecycleShuffleTargetEviction(t *testing.T) {
 		if src.Epoch() == 0 {
 			t.Errorf("source %d never observed the eviction epoch", si)
 		}
-		rerouted += src.Rerouted()
+		rerouted += src.Stats().Rerouted
 	}
 	if rerouted == 0 {
 		t.Error("no tuples were rerouted; the dead writer's window was not recovered")

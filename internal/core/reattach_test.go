@@ -219,8 +219,9 @@ func TestChaosTargetEvictReattachResume(t *testing.T) {
 	}
 	var moved, rerouted uint64
 	for _, src := range srcs {
-		moved += src.Moved()
-		rerouted += src.Rerouted()
+		st := src.Stats()
+		moved += st.Moved
+		rerouted += st.Rerouted
 	}
 	if moved == 0 {
 		t.Error("no tuple was routed to a live owner while the slot was down")

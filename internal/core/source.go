@@ -202,9 +202,6 @@ func (s *Source) connectLeg(info any, i int, inc uint64) (*leg, error) {
 // Schema returns the flow's tuple schema.
 func (s *Source) Schema() *schema.Schema { return s.spec.Schema }
 
-// Targets returns the number of flow targets.
-func (s *Source) Targets() int { return len(s.spec.Targets) }
-
 // chargePush accounts one tuple's CPU cost, batched for simulation
 // efficiency in bandwidth mode.
 func (s *Source) chargePush(p transport.Ctx) {

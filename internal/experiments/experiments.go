@@ -26,9 +26,6 @@ type Options struct {
 	Seed int64
 }
 
-// DefaultOptions returns full-scale settings.
-func DefaultOptions() Options { return Options{Seed: 1} }
-
 // Table is one rendered result: a titled grid of rows matching a figure's
 // series.
 type Table struct {

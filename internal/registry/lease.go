@@ -246,7 +246,7 @@ func (m *Membership) expire(k epKey, gen uint64) {
 	m.r.clk.broadcast()
 	m.r.emit(metrics.Event{Type: metrics.EvLease, Flow: m.flow, Epoch: m.epoch.Load(),
 		Role: k.role.String(), Slot: k.idx, Detail: "lease expired: active -> suspect"})
-	m.r.statusChanged(m.flow)
+	m.r.changed = m.r.clk.now()
 	m.armGrace(l)
 }
 
@@ -276,7 +276,7 @@ func (m *Membership) evict(k epKey, l *lease) {
 	m.r.emit(metrics.Event{Type: metrics.EvEviction, Flow: m.flow, Epoch: m.epoch.Load() + 1,
 		Role: k.role.String(), Slot: k.idx, Detail: "evicted from membership"})
 	m.bump("epoch bumped by eviction")
-	m.r.statusChanged(m.flow)
+	m.r.changed = m.r.clk.now()
 }
 
 // bump moves the record to its next epoch — the one signal every
@@ -366,11 +366,11 @@ func (r *Registry) RenewLease(p transport.Ctx, flow string, role Role, idx int) 
 }
 
 // renew re-arms a live lease, rescuing a Suspect slot back to Active.
-// Only the rescue shows in the status snapshot.
+// Only the rescue is a change Status shows.
 func (m *Membership) renew(l *lease) {
 	if l.state != StateActive {
 		l.state = StateActive
-		m.r.markStale(m.flow)
+		m.r.changed = m.r.clk.now()
 	}
 	m.arm(l)
 }
@@ -392,7 +392,6 @@ func (r *Registry) invokeRenew(p transport.Ctx, op func() error) error {
 	} else {
 		err = r.run(p, op)
 	}
-	r.replChanged()
 	return err
 }
 
@@ -437,7 +436,7 @@ func (r *Registry) RenewLeaseBatch(p transport.Ctx, refs []LeaseRef) []LeaseRef 
 // replicated registry (a Left slot that flipped back to Active on
 // failover would stall target re-attach, which closes Left readers).
 func (r *Registry) ReleaseLease(p transport.Ctx, flow string, role Role, idx int) {
-	_ = r.invoke(p, flow, func() error {
+	_ = r.invoke(p, func() error {
 		m, ok := r.membership(flow)
 		if !ok {
 			return nil

@@ -29,9 +29,8 @@
 // the kernel, not race). On the wall clock the same rule gives goroutines
 // the same atomic-between-sleeps semantics, which is all the replicated
 // log relies on. LeaseRenewRPCs and Membership.Epoch are atomic loads and
-// take nothing; Status is one too unless a mutation since the last call
-// left something to fold in, and then it takes the monitor — so it is
-// never called inside it.
+// take nothing; Status always takes the monitor, so it must never be
+// called inside it.
 package registry
 
 import (
@@ -58,18 +57,11 @@ type Registry struct {
 	repl   *replGroup // nil for a standalone registry
 
 	// events receives structured protocol events (nil when tracing is
-	// off); endpoints pick the sink up via EventSink() at open. status
-	// holds the latest immutable introspection snapshot, built on read
-	// (see status.go): staleFlows maps each flow a mutation touched since
-	// to the time of its latest mark, replSeen and replAt are the
-	// replication group's last counters and when they last moved, and
-	// stale says Status has something to fold in.
-	events     metrics.EventSink
-	status     atomic.Pointer[ClusterStatus]
-	staleFlows map[string]time.Duration
-	replSeen   *ReplStatus
-	replAt     time.Duration
-	stale      atomic.Bool
+	// off); endpoints pick the sink up via EventSink() at open. changed
+	// is the clock time of the last change the registry applied, the T
+	// of every Status (see status.go).
+	events  metrics.EventSink
+	changed time.Duration
 
 	// renewRPCs counts lease-renewal round trips (batched renewals count
 	// once) — the lease-traffic measure the connection-scaling tests
@@ -108,7 +100,7 @@ func (f *Faults) dropLeg(p transport.Ctx) bool {
 }
 
 func newRegistry() *Registry {
-	return &Registry{flows: make(map[string]*entry), staleFlows: make(map[string]time.Duration)}
+	return &Registry{flows: make(map[string]*entry)}
 }
 
 // LeaseRenewRPCs returns the number of lease-renewal round trips served
@@ -165,13 +157,12 @@ func (r *Registry) rpc(p transport.Ctx) {
 	}
 }
 
-// invoke runs one mutating registry command on the named flow and
-// folds its effect into the status snapshot.
-func (r *Registry) invoke(p transport.Ctx, flow string, op func() error) error {
+// invoke runs one mutating registry command and stamps the change.
+func (r *Registry) invoke(p transport.Ctx, op func() error) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	err := r.run(p, op)
-	r.statusChanged(flow)
+	r.changed = r.clk.now()
 	return err
 }
 
@@ -189,7 +180,7 @@ func (r *Registry) run(p transport.Ctx, op func() error) error {
 
 // update runs one mutating command against the named flow's entry.
 func (r *Registry) update(p transport.Ctx, flow string, op func(e *entry) error) error {
-	return r.invoke(p, flow, func() error {
+	return r.invoke(p, func() error {
 		e, ok := r.flows[flow]
 		if !ok {
 			return fmt.Errorf("registry: flow %q not published", flow)
@@ -202,7 +193,7 @@ func (r *Registry) update(p transport.Ctx, flow string, op func(e *entry) error)
 // twice is an error (flow names identify flows cluster-wide). The flow's
 // membership record (see lease.go) is created here, at epoch 0.
 func (r *Registry) Publish(p transport.Ctx, name string, meta any) error {
-	return r.invoke(p, name, func() error {
+	return r.invoke(p, func() error {
 		if _, dup := r.flows[name]; dup {
 			return fmt.Errorf("registry: flow %q already published", name)
 		}
@@ -309,7 +300,7 @@ func (r *Registry) WaitTargetLive(p transport.Ctx, name string, idx int) (info a
 // the RPC cost and wakes waiters, so a WaitFlow racing a remove-then-
 // republish observes the republished flow rather than blocking forever.
 func (r *Registry) Remove(p transport.Ctx, name string) {
-	_ = r.invoke(p, name, func() error {
+	_ = r.invoke(p, func() error {
 		delete(r.flows, name)
 		r.clk.broadcast()
 		return nil

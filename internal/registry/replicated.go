@@ -470,7 +470,7 @@ func (g *replGroup) elect(p transport.Ctx) {
 			g.elections++
 			g.r.emit(metrics.Event{Type: metrics.EvElection, Seq: b,
 				Detail: fmt.Sprintf("replica %d elected master at ballot %d", cand, b)})
-			g.r.replChanged()
+			g.r.changed = g.r.clk.now()
 			return
 		}
 		if g.crashed[cand] { // crashed mid-election (fault plan time passed)

@@ -226,13 +226,10 @@ func (s *Sharded) LeaseRenewRPCs() uint64 {
 // re-sorted by name; the replication block is shard 0's, representative
 // because every shard runs an identical group configuration (per-shard
 // consensus detail is available via ShardAt(i).Status()).
-func (s *Sharded) Status() *ClusterStatus { return mergeStatus(s.shards, (*Registry).Status) }
-
-// mergeStatus merges the snapshots status reads from each shard.
-func mergeStatus(shards []*Registry, status func(*Registry) *ClusterStatus) *ClusterStatus {
+func (s *Sharded) Status() *ClusterStatus {
 	merged := &ClusterStatus{}
-	for _, r := range shards {
-		st := status(r)
+	for _, r := range s.shards {
+		st := r.Status()
 		merged.Flows = append(merged.Flows, st.Flows...)
 		if merged.Replication == nil {
 			merged.Replication = st.Replication

@@ -129,13 +129,7 @@ func (r *Registry) restoreState(s *stateSnapshot) {
 		}
 		r.flows[name] = e
 	}
-	for _, f := range r.shownFlows() {
-		r.markStale(f.Name) // shown, perhaps gone now
-	}
-	for name := range r.flows {
-		r.markStale(name)
-	}
-	r.replChanged()
+	r.changed = r.clk.now()
 	r.clk.broadcast()
 }
 

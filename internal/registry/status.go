@@ -1,6 +1,8 @@
 package registry
 
 import (
+	"cmp"
+	"maps"
 	"slices"
 	"strings"
 	"time"
@@ -10,24 +12,10 @@ import (
 
 // Live introspection: the registry is the control-plane hub, so it is
 // where a scraper can see the whole cluster — flows, leases, epochs,
-// watermarks, and the replication group — as one immutable ClusterStatus
-// snapshot, built on read.
-//
-// A mutation does not touch the snapshot: every command, lease timer and
-// rescuing renewal (all inside the monitor) only marks the flow it
-// touched stale, with the clock time of the mark, and compares the
-// replication group's counters against the last ones seen — a value
-// comparison that allocates nothing. Status takes the monitor only when
-// something is stale, rebuilds just the stale flows' elements, and
-// publishes a new snapshot — one copy of the name-sorted flow slice with
-// those elements replaced, inserted or removed — only when an element
-// differs from the published one; the snapshot's T is the latest mark
-// among the elements that differ. Renewing an Active lease, the steady-
-// state command of a leased fleet, marks nothing and costs nothing here,
-// and a publish, acquire or release costs a map assignment instead of a
-// copy of every flow's status. Published snapshots are never edited, so
-// a scraper holding one only ever sees a consistent, possibly stale,
-// view.
+// watermarks, and the replication group — as one ClusterStatus built
+// from the state machine on each read. Mutations do no status work
+// beyond stamping the registry's changed time, so a scrape costs one
+// pass over the flows under the monitor and the data path nothing.
 
 // EndpointStatus is one endpoint slot's lease view.
 type EndpointStatus struct {
@@ -58,9 +46,10 @@ type ReplStatus struct {
 	AppliedSize   int    `json:"applied_entries"`
 }
 
-// ClusterStatus is one immutable point-in-time view of the registry:
-// every flow with its membership, plus the replication group. T is the
-// registry clock's time of the last change visible in it.
+// ClusterStatus is one point-in-time view of the registry: every flow
+// with its membership, plus the replication group. T is the registry
+// clock's time of the last change the registry applied — a command, a
+// lease-timer transition or a renewal that rescued a Suspect lease.
 type ClusterStatus struct {
 	T           time.Duration `json:"t"`
 	Flows       []FlowStatus  `json:"flows"`
@@ -99,194 +88,52 @@ func (r *Registry) emit(e metrics.Event) {
 	r.events.Emit(e)
 }
 
-// Status returns a cluster snapshot current as of the call (empty before
-// the first mutation). Safe to call from any goroutine, but not inside
-// the registry's monitor: it takes the monitor to fold in stale flows, so
-// it must not be called from an event sink (sinks run inside the
-// monitor, and may not call back into the registry anyway).
+// Status builds a cluster view from the state machine: flows sorted by
+// name, each flow's endpoints by (role, slot). Safe to call from any
+// goroutine, but not inside the registry's monitor, which it takes — so
+// never from an event sink (sinks run inside the monitor, and may not
+// call back into the registry anyway). It reads no clock: on the
+// discrete-event kernel a scraper is a foreign goroutine.
 func (r *Registry) Status() *ClusterStatus {
-	if !r.stale.Load() {
-		return r.loadStatus()
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.statusLocked()
-}
-
-// loadStatus returns the latest published snapshot, or an empty one.
-func (r *Registry) loadStatus() *ClusterStatus {
-	if s := r.status.Load(); s != nil {
-		return s
+	st := &ClusterStatus{T: r.changed}
+	for _, name := range slices.Sorted(maps.Keys(r.flows)) {
+		st.Flows = append(st.Flows, buildFlowStatus(name, r.flows[name]))
 	}
-	return &ClusterStatus{}
-}
-
-// shownFlows returns the published snapshot's flows (nil before the
-// first).
-func (r *Registry) shownFlows() []FlowStatus {
-	if s := r.status.Load(); s != nil {
-		return s.Flows
-	}
-	return nil
-}
-
-// statusLocked is Status for callers inside the monitor: it rebuilds
-// the stale flows' elements and the replication block, and publishes a
-// new snapshot if any of them differs from the published one.
-func (r *Registry) statusLocked() *ClusterStatus {
-	if !r.stale.Load() {
-		return r.loadStatus()
-	}
-	r.stale.Store(false)
-	old := r.loadStatus()
-	var (
-		t       time.Duration
-		changed bool
-		flows   = old.Flows // copied before the first edit
-	)
-	for name, at := range r.staleFlows {
-		delete(r.staleFlows, name)
-		i, present := flowIndex(flows, name)
-		e, ok := r.flows[name]
-		var fs FlowStatus
-		switch {
-		case ok:
-			fs = buildFlowStatus(name, e)
-			if present && sameFlowStatus(flows[i], fs) {
-				continue
-			}
-		case !present:
-			continue
-		}
-		if !changed {
-			flows = slices.Clone(flows)
-			changed = true
-		}
-		t = max(t, at)
-		switch {
-		case !ok:
-			flows = slices.Delete(flows, i, i+1)
-		case present:
-			flows[i] = fs
-		default:
-			flows = slices.Insert(flows, i, fs)
+	if g := r.repl; g != nil {
+		st.Replication = &ReplStatus{
+			Replicas:      len(g.acceptors),
+			Master:        g.master,
+			Ballot:        g.ballot,
+			Elections:     g.elections,
+			Snapshots:     g.snapCount,
+			SnapshotIndex: g.snap.Index,
+			LogLen:        g.logLen(),
+			AppliedSize:   len(g.applied),
 		}
 	}
-	repl := old.Replication
-	if r.replSeen != nil && (repl == nil || *repl != *r.replSeen) {
-		cp := *r.replSeen
-		repl = &cp
-		t = max(t, r.replAt)
-		changed = true
-	}
-	if !changed {
-		return old
-	}
-	if len(flows) == 0 {
-		flows = nil
-	}
-	st := &ClusterStatus{T: t, Flows: flows, Replication: repl}
-	r.status.Store(st)
 	return st
-}
-
-// flowIndex finds name in a name-sorted flow slice: its index, or where
-// it would be inserted.
-func flowIndex(flows []FlowStatus, name string) (int, bool) {
-	return slices.BinarySearchFunc(flows, name, func(f FlowStatus, n string) int { return strings.Compare(f.Name, n) })
 }
 
 // buildFlowStatus renders one flow's control-plane view, endpoints in
 // (role, slot) order.
 func buildFlowStatus(name string, e *entry) FlowStatus {
-	fs := FlowStatus{Name: name, TargetsPublished: len(e.targets)}
 	m := e.mem
-	fs.Epoch = m.epoch.Load()
-	if len(m.eps) == 0 {
-		return fs // Endpoints stays nil and out of the JSON
-	}
-	eps := make([]EndpointStatus, 0, len(m.eps))
+	fs := FlowStatus{Name: name, Epoch: m.epoch.Load(), TargetsPublished: len(e.targets)}
 	for k, l := range m.eps {
-		ep := EndpointStatus{
+		fs.Endpoints = append(fs.Endpoints, EndpointStatus{
 			Role:        k.role.String(),
 			Slot:        k.idx,
 			State:       l.state.String(),
 			Incarnation: l.inc,
 			Watermark:   l.watermark,
-		}
-		// Insertion sort: a flow has a handful of endpoints.
-		i := len(eps)
-		eps = append(eps, ep)
-		for ; i > 0 && (eps[i-1].Role > ep.Role || eps[i-1].Role == ep.Role && eps[i-1].Slot > ep.Slot); i-- {
-			eps[i] = eps[i-1]
-		}
-		eps[i] = ep
+		})
 	}
-	fs.Endpoints = eps
+	slices.SortFunc(fs.Endpoints, func(a, b EndpointStatus) int {
+		return cmp.Or(strings.Compare(a.Role, b.Role), cmp.Compare(a.Slot, b.Slot))
+	})
 	return fs
-}
-
-func sameFlowStatus(a, b FlowStatus) bool {
-	if a.Name != b.Name || a.Epoch != b.Epoch || a.TargetsPublished != b.TargetsPublished ||
-		len(a.Endpoints) != len(b.Endpoints) {
-		return false
-	}
-	for i := range a.Endpoints {
-		if a.Endpoints[i] != b.Endpoints[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// markStale marks flow stale: its element of the snapshot may no
-// longer match the registry. Called inside the monitor after a mutation
-// that may have touched it; a flow neither published nor in the snapshot
-// needs no mark.
-func (r *Registry) markStale(flow string) {
-	if _, ok := r.flows[flow]; !ok {
-		if _, shown := flowIndex(r.shownFlows(), flow); !shown {
-			delete(r.staleFlows, flow)
-			return
-		}
-	}
-	r.staleFlows[flow] = r.clk.now()
-	r.stale.Store(true)
-}
-
-// statusChanged marks flow stale and takes in the replication group.
-func (r *Registry) statusChanged(flow string) {
-	r.markStale(flow)
-	r.replChanged()
-}
-
-// replChanged compares the replication group's counters, as a value,
-// against the last ones seen, and marks the replication block stale when
-// they moved. Called inside the monitor.
-func (r *Registry) replChanged() {
-	g := r.repl
-	if g == nil {
-		return
-	}
-	cur := ReplStatus{
-		Replicas:      len(g.acceptors),
-		Master:        g.master,
-		Ballot:        g.ballot,
-		Elections:     g.elections,
-		Snapshots:     g.snapCount,
-		SnapshotIndex: g.snap.Index,
-		LogLen:        g.logLen(),
-		AppliedSize:   len(g.applied),
-	}
-	if r.replSeen != nil && *r.replSeen == cur {
-		return
-	}
-	if r.replSeen == nil {
-		r.replSeen = new(ReplStatus)
-	}
-	*r.replSeen = cur
-	r.replAt = r.clk.now()
-	r.stale.Store(true)
 }
 
 // leaseCount sums endpoints in the given state across the snapshot.

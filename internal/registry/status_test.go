@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sort"
+	"strconv"
 	"testing"
 	"time"
 
@@ -12,56 +12,6 @@ import (
 	"dfi/internal/transport"
 	"dfi/internal/transport/chanloop"
 )
-
-// rebuildStatus is the from-scratch snapshot builder the registry used
-// before the snapshot became incremental, kept as the oracle: it reads
-// nothing but the state machine, so it cannot share a bookkeeping bug
-// with markStale/statusLocked. Called inside the monitor.
-func (r *Registry) rebuildStatus() *ClusterStatus {
-	st := &ClusterStatus{}
-	names := make([]string, 0, len(r.flows))
-	for n := range r.flows {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		e := r.flows[n]
-		fs := FlowStatus{Name: n, TargetsPublished: len(e.targets)}
-		if m := e.mem; m != nil {
-			fs.Epoch = m.epoch.Load()
-			for k, l := range m.eps {
-				fs.Endpoints = append(fs.Endpoints, EndpointStatus{
-					Role:        k.role.String(),
-					Slot:        k.idx,
-					State:       l.state.String(),
-					Incarnation: l.inc,
-					Watermark:   l.watermark,
-				})
-			}
-			sort.Slice(fs.Endpoints, func(i, j int) bool {
-				a, b := fs.Endpoints[i], fs.Endpoints[j]
-				if a.Role != b.Role {
-					return a.Role < b.Role
-				}
-				return a.Slot < b.Slot
-			})
-		}
-		st.Flows = append(st.Flows, fs)
-	}
-	if g := r.repl; g != nil {
-		st.Replication = &ReplStatus{
-			Replicas:      len(g.acceptors),
-			Master:        g.master,
-			Ballot:        g.ballot,
-			Elections:     g.elections,
-			Snapshots:     g.snapCount,
-			SnapshotIndex: g.snap.Index,
-			LogLen:        g.logLen(),
-			AppliedSize:   len(g.applied),
-		}
-	}
-	return st
-}
 
 // statusControl is the command surface the equivalence test drives; the
 // plain Registry and Sharded both provide it.
@@ -78,51 +28,106 @@ type statusControl interface {
 	Rejoin(p transport.Ctx, flow string, role Role, idx, newIdx int) (Rejoined, error)
 	SetWatermark(p transport.Ctx, flow string, role Role, idx int, watermark uint64) error
 	RecordSeqSkips(p transport.Ctx, flow string, epoch uint64, seqs ...uint64) error
+	MembershipOf(name string) *Membership
 	Status() *ClusterStatus
+}
+
+// statusMismatch compares one Status against the membership records it
+// was built from: the published flows are exactly the ones listed, in
+// name order, each with its record's epoch; the endpoints are in (role,
+// slot) order, and every slot of [0, nSlots) — listed or not, an unlisted
+// slot reading as the zero lease — shows its record's state, incarnation
+// and watermark. It returns "" when they agree.
+func statusMismatch(st *ClusterStatus, reg statusControl, nFlows, nSlots int) string {
+	listed := make(map[string]FlowStatus, len(st.Flows))
+	for i, f := range st.Flows {
+		if i > 0 && st.Flows[i-1].Name >= f.Name {
+			return fmt.Sprintf("flows out of order: %q before %q", st.Flows[i-1].Name, f.Name)
+		}
+		listed[f.Name] = f
+	}
+	for i := 0; i < nFlows; i++ {
+		name := fmt.Sprintf("flow%02d", i)
+		m := reg.MembershipOf(name)
+		f, shown := listed[name]
+		if (m != nil) != shown {
+			return fmt.Sprintf("flow %s: published=%v, listed=%v", name, m != nil, shown)
+		}
+		if m == nil {
+			continue
+		}
+		if f.Epoch != m.Epoch() {
+			return fmt.Sprintf("flow %s: epoch %d, record %d", name, f.Epoch, m.Epoch())
+		}
+		eps := make(map[string]EndpointStatus, len(f.Endpoints))
+		for j, ep := range f.Endpoints {
+			if j > 0 {
+				prev := f.Endpoints[j-1]
+				if prev.Role > ep.Role || prev.Role == ep.Role && prev.Slot >= ep.Slot {
+					return fmt.Sprintf("flow %s: endpoint %s %d listed before %s %d", name, prev.Role, prev.Slot, ep.Role, ep.Slot)
+				}
+			}
+			if ep.Slot < 0 || ep.Slot >= nSlots {
+				return fmt.Sprintf("flow %s: endpoint %s %d outside the driven slots", name, ep.Role, ep.Slot)
+			}
+			eps[ep.Role+strconv.Itoa(ep.Slot)] = ep
+		}
+		for _, role := range []Role{RoleSource, RoleTarget} {
+			for idx := 0; idx < nSlots; idx++ {
+				ep, ok := eps[role.String()+strconv.Itoa(idx)]
+				if !ok {
+					ep.State = StateActive.String() // the zero lease
+				}
+				want := EndpointStatus{Role: role.String(), Slot: idx, State: m.State(role, idx).String(),
+					Incarnation: m.Incarnation(role, idx), Watermark: m.Watermark(role, idx)}
+				if ep.State != want.State || ep.Incarnation != want.Incarnation || ep.Watermark != want.Watermark {
+					return fmt.Sprintf("flow %s: %s %d shows %+v, record %+v", name, role, idx, ep, want)
+				}
+			}
+		}
+	}
+	return ""
 }
 
 // TestStatusSnapshotMatchesRebuild drives a seeded random command
 // sequence — publishes, target rendezvous, lease acquire / renew /
 // batched renew / release, expiry by letting time pass, eviction,
 // rejoin, watermarks, removal, and commands on flows that do not exist —
-// through a plain, a sharded, a replicated and a wall-clock registry, and
-// after every command requires the incrementally maintained snapshot to
-// deep-equal a from-scratch rebuild. T is excluded: it is the time of
-// the last visible change, which a rebuild cannot know.
+// through a wall-clock, a plain, a sharded and two replicated
+// registries, and after every command requires the snapshot Status
+// rebuilds to agree with the membership records themselves
+// (statusMismatch), and its T never to go back.
 func TestStatusSnapshotMatchesRebuild(t *testing.T) {
 	type variant struct {
 		name string
 		// build is handed a kernel; a variant that ignores it (and sets
 		// wall) is driven by the test goroutine on the host clock.
-		build func(k *sim.Kernel) (statusControl, []*Registry)
+		build func(k *sim.Kernel) statusControl
 		wall  bool
 	}
 	variants := []variant{
-		{name: "local", wall: true, build: func(*sim.Kernel) (statusControl, []*Registry) {
-			r := NewLocal()
-			return r, []*Registry{r}
+		{name: "local", wall: true, build: func(*sim.Kernel) statusControl {
+			return NewLocal()
 		}},
-		{name: "plain", build: func(k *sim.Kernel) (statusControl, []*Registry) {
-			r := New(k)
-			return r, []*Registry{r}
+		{name: "plain", build: func(k *sim.Kernel) statusControl {
+			return New(k)
 		}},
-		{name: "sharded", build: func(k *sim.Kernel) (statusControl, []*Registry) {
-			s := NewSharded(k, 3)
-			return s, s.shards
+		{name: "sharded", build: func(k *sim.Kernel) statusControl {
+			return NewSharded(k, 3)
 		}},
-		{name: "replicated", build: func(k *sim.Kernel) (statusControl, []*Registry) {
+		{name: "replicated", build: func(k *sim.Kernel) statusControl {
 			r, err := New(k).Replicate(ReplicaConfig{RPCDelay: 100 * time.Nanosecond, SnapshotEvery: 8})
 			if err != nil {
 				t.Fatal(err)
 			}
-			return r, []*Registry{r}
+			return r
 		}},
-		{name: "replicated-unlogged-renew", build: func(k *sim.Kernel) (statusControl, []*Registry) {
+		{name: "replicated-unlogged-renew", build: func(k *sim.Kernel) statusControl {
 			r, err := New(k).Replicate(ReplicaConfig{RPCDelay: 100 * time.Nanosecond, UnloggedRenew: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			return r, []*Registry{r}
+			return r
 		}},
 	}
 	for _, v := range variants {
@@ -130,7 +135,7 @@ func TestStatusSnapshotMatchesRebuild(t *testing.T) {
 			v, seed := v, seed
 			t.Run(fmt.Sprintf("%s/seed%d", v.name, seed), func(t *testing.T) {
 				k := sim.New(seed)
-				reg, shards := v.build(k)
+				reg := v.build(k)
 				rnd := rand.New(rand.NewSource(seed))
 				const nFlows, nSlots, nOps = 9, 3, 600
 				flow := func() string { return fmt.Sprintf("flow%02d", rnd.Intn(nFlows)) }
@@ -140,29 +145,25 @@ func TestStatusSnapshotMatchesRebuild(t *testing.T) {
 					ttl = 2 * time.Millisecond
 				}
 
-				// The comparison runs inside every shard's monitor: on the
-				// wall clock a lease timer may fire at any moment, and it
-				// publishes under the same lock.
+				// On the wall clock a lease timer may fire between Status
+				// and the record reads; a T that moved across them says so,
+				// and the comparison is taken again.
+				var lastT time.Duration
 				check := func(op string) {
 					t.Helper()
-					for _, r := range shards {
-						r.mu.Lock()
-						defer r.mu.Unlock()
-					}
-					var want []FlowStatus
-					for i, r := range shards {
-						got, oracle := r.statusLocked(), r.rebuildStatus()
-						if !reflect.DeepEqual(got.Flows, oracle.Flows) {
-							t.Fatalf("after %s: shard %d flows diverged\nincremental: %+v\nrebuild:     %+v", op, i, got.Flows, oracle.Flows)
+					for {
+						st := reg.Status()
+						if st.T < lastT {
+							t.Fatalf("after %s: T went back from %v to %v", op, lastT, st.T)
 						}
-						if !reflect.DeepEqual(got.Replication, oracle.Replication) {
-							t.Fatalf("after %s: shard %d replication diverged\nincremental: %+v\nrebuild:     %+v", op, i, got.Replication, oracle.Replication)
+						lastT = st.T
+						diff := statusMismatch(st, reg, nFlows, nSlots)
+						if diff == "" {
+							return
 						}
-						want = append(want, oracle.Flows...)
-					}
-					sort.Slice(want, func(i, j int) bool { return want[i].Name < want[j].Name })
-					if got := mergeStatus(shards, (*Registry).statusLocked).Flows; !reflect.DeepEqual(got, want) {
-						t.Fatalf("after %s: merged flows diverged\nincremental: %+v\nrebuild:     %+v", op, got, want)
+						if reg.Status().T == st.T {
+							t.Fatalf("after %s: %s\nstatus: %+v", op, diff, st.Flows)
+						}
 					}
 				}
 
@@ -233,13 +234,16 @@ func TestStatusSnapshotMatchesRebuild(t *testing.T) {
 	}
 }
 
-// TestStatusSkipsUnchangedRenewal pins the steady-state cost: renewing
-// Active leases, singly or batched, publishes no new snapshot, while a
-// renewal that rescues a Suspect lease does.
+// TestStatusSkipsUnchangedRenewal pins what a renewal changes: renewing
+// an Active lease, singly or batched, leaves Flows and T as they were;
+// the expiry shows the slot Suspect at the expiry's time, and a renewal
+// that rescues it shows it Active again at the rescue's time.
 func TestStatusSkipsUnchangedRenewal(t *testing.T) {
 	k := sim.New(1)
 	r := New(k)
 	const ttl = 10 * time.Microsecond
+	ref := []LeaseRef{{Flow: "f", Role: RoleSource, Idx: 0}}
+	state := func(st *ClusterStatus) string { return st.Flows[0].Endpoints[0].State }
 	k.Spawn("driver", func(p *sim.Proc) {
 		if err := r.Publish(p, "f", nil); err != nil {
 			t.Fatal(err)
@@ -248,30 +252,30 @@ func TestStatusSkipsUnchangedRenewal(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := r.Status()
+		if before.T != p.Now() || state(before) != "active" {
+			t.Fatalf("after acquire: T=%v (now %v), flows %+v", before.T, p.Now(), before.Flows)
+		}
 		p.Sleep(ttl / 2)
 		if err := r.RenewLease(p, "f", RoleSource, 0); err != nil {
 			t.Fatal(err)
 		}
-		if failed := r.RenewLeaseBatch(p, []LeaseRef{{Flow: "f", Role: RoleSource, Idx: 0}}); len(failed) != 0 {
+		if failed := r.RenewLeaseBatch(p, ref); len(failed) != 0 {
 			t.Fatalf("batched renewal failed: %v", failed)
 		}
-		if r.Status() != before {
-			t.Errorf("renewing an Active lease published a new snapshot")
+		expiry := p.Now() + ttl
+		if st := r.Status(); st.T != before.T || !reflect.DeepEqual(st.Flows, before.Flows) {
+			t.Errorf("renewing an Active lease changed the status: T %v -> %v, flows %+v -> %+v",
+				before.T, st.T, before.Flows, st.Flows)
 		}
 		p.Sleep(ttl + ttl/2) // active -> suspect
-		suspect := r.Status()
-		if suspect == before || suspect.Flows[0].Endpoints[0].State != "suspect" {
-			t.Fatalf("expiry not published: %+v", suspect.Flows)
+		if st := r.Status(); state(st) != "suspect" || st.T != expiry {
+			t.Fatalf("after expiry: T=%v (want %v), flows %+v", st.T, expiry, st.Flows)
 		}
-		if failed := r.RenewLeaseBatch(p, []LeaseRef{{Flow: "f", Role: RoleSource, Idx: 0}}); len(failed) != 0 {
+		if failed := r.RenewLeaseBatch(p, ref); len(failed) != 0 {
 			t.Fatalf("rescue failed: %v", failed)
 		}
-		rescued := r.Status()
-		if rescued == suspect || rescued.Flows[0].Endpoints[0].State != "active" {
-			t.Errorf("rescue of a Suspect lease not published: %+v", rescued.Flows)
-		}
-		if rescued.T != p.Now() {
-			t.Errorf("snapshot T = %v, want the time of the rescue %v", rescued.T, p.Now())
+		if st := r.Status(); state(st) != "active" || st.T != p.Now() {
+			t.Errorf("after the rescue at %v: T=%v, flows %+v", p.Now(), st.T, st.Flows)
 		}
 		r.ReleaseLease(p, "f", RoleSource, 0)
 	})

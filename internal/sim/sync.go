@@ -152,9 +152,6 @@ func (r *Resource) Use(p *Proc, d Time) {
 // InUse returns the number of currently held units.
 func (r *Resource) InUse() int { return r.inUse }
 
-// QueueLen returns the number of processes waiting to acquire.
-func (r *Resource) QueueLen() int { return r.queue.Waiters() }
-
 // WaitGroup mirrors sync.WaitGroup for simulated processes.
 type WaitGroup struct {
 	k     *Kernel

@@ -313,9 +313,10 @@ func (p *Pool) Receiver(src, dst transport.Endpoint) *Receiver {
 // link), dfi_shared_ring_slots{src,dst}, and the per-tenant credit
 // counters dfi_tenant_credits_acquired_total{tenant} /
 // dfi_tenant_credits_refunded_total{tenant}. Links and tenants that
-// exist at publish time get series; call again after opening more
-// (re-registration of an existing series is idempotent in the metrics
-// package). Goroutine-safe.
+// exist at publish time get series; call again after opening more. The
+// metrics package panics on a series registered twice, so claimSeries
+// skips every series an earlier call on m already registered, which
+// makes republishing them a no-op. Goroutine-safe.
 func (p *Pool) PublishMetrics(m *metrics.Registry) {
 	for _, l := range p.Links() {
 		l := l
