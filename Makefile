@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check test race check chaos chaos-mc chaos-scale partition-race metrics-smoke transport-race core-path bench-smoke fuzz-smoke ledger docs-lint
+.PHONY: all build vet fmt-check test race check chaos chaos-mc chaos-scale partition-race metrics-smoke transport-race core-path bench-smoke fuzz-smoke ledger docs-lint examples
 
 all: check
 
@@ -162,6 +162,15 @@ fuzz-smoke:
 ledger:
 	bash benchmark/run.sh --seed 1 --trace 1
 
+# Every program under examples/ runs to completion and exits 0; one that
+# fails (a flow error, or results that disagree with its own oracle)
+# exits non-zero and stops the target.
+examples:
+	@for ex in $(notdir $(wildcard examples/*)); do \
+		echo "== examples/$$ex =="; \
+		$(GO) run ./examples/$$ex || exit 1; \
+	done
+
 # Documentation hygiene: every package has a godoc package comment,
 # every relative Markdown link/anchor resolves (GitHub slug rules;
 # external URLs are not fetched, so the check is offline-deterministic),
@@ -171,4 +180,4 @@ ledger:
 docs-lint:
 	$(GO) run ./cmd/docslint
 
-check: build vet fmt-check race chaos chaos-mc chaos-scale metrics-smoke transport-race core-path bench-smoke fuzz-smoke docs-lint
+check: build vet fmt-check race chaos chaos-mc chaos-scale metrics-smoke transport-race core-path bench-smoke fuzz-smoke docs-lint examples

@@ -122,8 +122,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "dfiflow: "+format+"\n", a...)
 		return 2
 	}
-	if *nFlows < 1 {
+	switch {
+	case *nFlows < 1:
 		return usage("-flows %d: want at least 1", *nFlows)
+	case *tupleSize < 16:
+		return usage("-tuple %d: want at least 16", *tupleSize)
+	case *megabytes < 0:
+		return usage("-mb %d: want at least 0", *megabytes)
+	case *traceOps < 0:
+		return usage("-trace %d: want at least 0", *traceOps)
+	case *eventsCap < 0:
+		return usage("-events %d: want at least 0", *eventsCap)
+	case *linger != 0 && *metricsAddr == "":
+		return usage("-linger requires -metrics-addr")
 	}
 	evictions, err := parseEvictions(*evictSpec, *nTargets)
 	if err != nil {

@@ -52,16 +52,24 @@ func TestTraceSummaryReportsDroppedSeparately(t *testing.T) {
 }
 
 func TestBadConfigExitsTwo(t *testing.T) {
-	for _, args := range [][]string{
-		{"-type", "bogus"},
-		{"-faults", "no-such-key=1"},
-		{"-partition", "bogus"},
-		{"-evict", "notaspec"},
-		{"-metrics-addr", "256.0.0.1:bad"},
-		{"-transport", "bogus"},
+	for _, tc := range []struct {
+		args []string
+		flag string // named in the message, when set
+	}{
+		{[]string{"-type", "bogus"}, ""},
+		{[]string{"-faults", "no-such-key=1"}, "-faults"},
+		{[]string{"-partition", "bogus"}, "-partition"},
+		{[]string{"-evict", "notaspec"}, "-evict"},
+		{[]string{"-metrics-addr", "256.0.0.1:bad"}, "-metrics-addr"},
+		{[]string{"-transport", "bogus"}, ""},
+		{[]string{"-tuple", "8"}, "-tuple"},
+		{[]string{"-mb", "-1"}, "-mb"},
+		{[]string{"-linger", "1s"}, "-linger"},
+		{[]string{"-trace", "-1"}, "-trace"},
+		{[]string{"-events", "-5"}, "-events"},
 	} {
-		if _, code := runToString(t, args...); code != 2 {
-			t.Errorf("args %v: exit %d, want 2", args, code)
+		if out, code := runToString(t, tc.args...); code != 2 || !strings.Contains(out, tc.flag) {
+			t.Errorf("args %v: exit %d, want 2 naming %q:\n%s", tc.args, code, tc.flag, out)
 		}
 	}
 }

@@ -1,8 +1,7 @@
-// Aggregation example: a distributed SQL-style GROUP BY executed once
-// with a standard combiner flow (aggregation at the target node, paper
-// §4.2.3) and once with the in-network reduction extension (the SHARP
-// avenue the paper sketches), showing the identical results and the
-// bandwidth difference.
+// Aggregation example: a distributed SQL-style GROUP BY executed with a
+// combiner flow (aggregation at the target node, paper §4.2.3). The
+// example checks the target's per-region sums against what the senders
+// pushed and exits 1 on a mismatch.
 //
 //	go run ./examples/aggregation
 package main
@@ -10,6 +9,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
 
 	"dfi/internal/core"
 	"dfi/internal/fabric"
@@ -30,12 +30,20 @@ const (
 	regions   = 12
 )
 
+// pushed is the oracle: per region, the SUM and COUNT of what the
+// senders pushed. The senders run as processes of one simulation kernel,
+// one at a time, so they share it without a lock.
+var pushed [regions]core.AggResult
+
 func pushSales(p *sim.Proc, src *core.Source, seed int64) {
 	tup := salesSchema.NewTuple()
 	for i := 0; i < perSender; i++ {
 		region := (seed + int64(i)) % regions
+		amount := int64(i % 97)
 		salesSchema.PutInt64(tup, 0, region)
-		salesSchema.PutInt64(tup, 1, int64(i%100))
+		salesSchema.PutInt64(tup, 1, amount)
+		pushed[region].Value += amount
+		pushed[region].Count++
 		if err := src.Push(p, tup); err != nil {
 			log.Fatal(err)
 		}
@@ -43,7 +51,7 @@ func pushSales(p *sim.Proc, src *core.Source, seed int64) {
 	src.Close(p)
 }
 
-func runHostCombiner() ([]core.AggResult, sim.Time) {
+func runCombiner() ([]core.AggResult, sim.Time) {
 	k := sim.New(1)
 	cluster := fabric.NewCluster(k, senders+1, fabric.DefaultConfig())
 	reg := registry.New(k)
@@ -90,72 +98,27 @@ func runHostCombiner() ([]core.AggResult, sim.Time) {
 	return results, end
 }
 
-func runSharpCombiner() ([]core.AggResult, sim.Time) {
-	k := sim.New(1)
-	cluster := fabric.NewCluster(k, senders+1, fabric.DefaultConfig())
-	reg := registry.New(k)
-	var sources []core.Endpoint
-	for i := 0; i < senders; i++ {
-		sources = append(sources, core.Endpoint{Node: cluster.Node(i)})
-	}
-	target := core.Endpoint{Node: cluster.Node(senders)}
-	var results []core.AggResult
-	var end sim.Time
-	var sc *core.SharpCombiner
-	k.Spawn("init", func(p *sim.Proc) {
-		var err error
-		sc, err = core.NewSharpCombiner(p, reg, cluster, "groupby-sharp", sources, target, salesSchema,
-			core.SharpOptions{Aggregation: core.AggSum, GroupCol: 0, ValueCol: 1})
-		if err != nil {
-			log.Fatal(err)
-		}
-	})
-	for i := 0; i < senders; i++ {
-		i := i
-		k.Spawn(fmt.Sprintf("scan%d", i), func(p *sim.Proc) {
-			for sc == nil {
-				p.Yield()
-			}
-			src, err := core.SourceOpen(p, reg, sc.IngestFlow(), i)
-			if err != nil {
-				log.Fatal(err)
-			}
-			pushSales(p, src, int64(i))
-		})
-	}
-	k.Spawn("agg", func(p *sim.Proc) {
-		for sc == nil {
-			p.Yield()
-		}
-		st, err := sc.TargetOpenSharp(p, reg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		st.Run(p)
-		results = st.Results()
-		end = p.Now()
-	})
-	if err := k.Run(); err != nil {
-		log.Fatal(err)
-	}
-	return results, end
-}
-
 func main() {
-	host, hostEnd := runHostCombiner()
-	sharp, sharpEnd := runSharpCombiner()
+	results, end := runCombiner()
 
 	fmt.Printf("GROUP BY region, SUM(amount): %d senders × %d tuples, %d regions\n\n", senders, perSender, regions)
-	fmt.Printf("%-8s %-14s %-14s\n", "region", "SUM (host)", "SUM (in-net)")
-	same := len(host) == len(sharp)
-	for i := range host {
-		fmt.Printf("%-8d %-14d %-14d\n", host[i].Key, host[i].Value, sharp[i].Value)
-		if sharp[i] != host[i] {
-			same = false
+	fmt.Printf("%-8s %-14s %-14s\n", "region", "SUM", "expected")
+	ok := len(results) == regions
+	for i := range pushed {
+		pushed[i].Key = uint64(i)
+		var got core.AggResult
+		if i < len(results) {
+			got = results[i]
+		}
+		fmt.Printf("%-8d %-14d %-14d\n", i, got.Value, pushed[i].Value)
+		if got != pushed[i] {
+			ok = false
 		}
 	}
 	bytes := float64(senders * perSender * salesSchema.TupleSize())
-	fmt.Printf("\nidentical results: %v\n", same)
-	fmt.Printf("end-host combiner:    %v  (%.1f GiB/s aggregated)\n", hostEnd, bytes/hostEnd.Seconds()/(1<<30))
-	fmt.Printf("in-network reduction: %v  (%.1f GiB/s aggregated)\n", sharpEnd, bytes/sharpEnd.Seconds()/(1<<30))
+	fmt.Printf("\ncombiner: %v  (%.1f GiB/s aggregated)\n", end, bytes/end.Seconds()/(1<<30))
+	if !ok {
+		fmt.Println("results differ from the pushed tuples")
+		os.Exit(1)
+	}
 }

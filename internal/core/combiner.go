@@ -11,10 +11,9 @@ import (
 
 // CombinerTarget is the exit point of a combiner flow (paper §4.2.3): an
 // N:1 shuffle whose target aggregates tuples into groups as they arrive,
-// instead of handing each tuple to the application. The paper notes that
-// with in-network aggregation hardware (e.g. InfiniBand SHARP) the
-// reduction could move into the switch; here it executes on the target
-// thread, whose in-going link therefore caps the flow (Figure 9).
+// instead of handing each tuple to the application. The reduction executes
+// on the target thread, whose in-going link therefore caps the flow
+// (Figure 9); the paper leaves moving it into the switch to future work.
 type CombinerTarget struct {
 	t    *Target
 	agg  AggFunc
@@ -36,19 +35,17 @@ type aggState struct {
 	init  bool
 }
 
-// aggGroups is the aggregation state every combiner stage keeps: the
-// end-host target, the in-network engine and the target merging the
-// engine's partial aggregates.
+// aggGroups is a combiner target's aggregation state, one entry per group.
 type aggGroups map[uint64]*aggState
 
-// fold aggregates val, standing for cnt tuples, into key's group.
-func (gs aggGroups) fold(agg AggFunc, key uint64, val, cnt int64) {
+// fold aggregates one tuple's val into key's group.
+func (gs aggGroups) fold(agg AggFunc, key uint64, val int64) {
 	g := gs[key]
 	if g == nil {
 		g = &aggState{key: key}
 		gs[key] = g
 	}
-	g.count += cnt
+	g.count++
 	switch agg {
 	case AggSum, AggCount:
 		g.value += val
@@ -127,7 +124,7 @@ func (c *CombinerTarget) Run(p transport.Ctx) {
 }
 
 func (c *CombinerTarget) ingest(sch *schema.Schema, tup schema.Tuple) {
-	c.groups.fold(c.agg, sch.KeyUint64(tup, c.gcol), sch.Int64(tup, c.vcol), 1)
+	c.groups.fold(c.agg, sch.KeyUint64(tup, c.gcol), sch.Int64(tup, c.vcol))
 }
 
 // Results returns the aggregated groups in ascending key order. For

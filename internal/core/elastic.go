@@ -17,8 +17,8 @@ import (
 // both in (Target.syncMembership) — a claimed slot starts being polled,
 // and the flow ends once sealed and every claimed slot has closed.
 //
-// Like the SHARP combiner, this is an extension beyond the paper's
-// implementation; none of the figure reproductions use it.
+// This is an extension beyond the paper's implementation; none of the
+// figure reproductions use it.
 
 // elasticFlow looks the named flow up and checks that it is elastic.
 func elasticFlow(p transport.Ctx, reg Registry, name string) (*flowMeta, error) {

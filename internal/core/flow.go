@@ -273,20 +273,18 @@ type Options struct {
 	// proportion to weight, so one hot flow cannot starve its neighbors
 	// below their share. Requires SharedRings.
 	TenantWeight int
-
-	// consumeCost is the per-tuple CPU cost charged at the target (default
-	// 10ns, DESIGN.md §6); only the SHARP ingest flow sets it.
-	consumeCost time.Duration
 }
 
 // Settings no caller has ever set differently, hence not Options: the
-// per-tuple CPU cost charged at the source, the additional per-tuple
+// per-tuple CPU cost charged at the source, the per-tuple cost charged at
+// a target as a segment is handed out, the additional per-tuple
 // aggregation cost at a combiner target (DESIGN.md §6), and — in
 // enrollLease — a Suspect endpoint's grace before eviction, one more
 // LeaseTTL.
 const (
-	pushCost = 12 * time.Nanosecond
-	aggCost  = 10 * time.Nanosecond
+	pushCost    = 12 * time.Nanosecond
+	consumeCost = 10 * time.Nanosecond
+	aggCost     = 10 * time.Nanosecond
 )
 
 // ErrFlowBroken reports that a flow endpoint gave up after bounded
@@ -511,9 +509,6 @@ func (s *FlowSpec) normalize() error {
 	}
 	if o.GapTimeout == 0 {
 		o.GapTimeout = 20 * time.Microsecond
-	}
-	if o.consumeCost == 0 {
-		o.consumeCost = 10 * time.Nanosecond
 	}
 	if s.ShuffleKey >= s.Schema.Columns() {
 		return fmt.Errorf("dfi: shuffle key column %d out of range", s.ShuffleKey)

@@ -421,7 +421,7 @@ func (f *privateFeed) free() { f.mr.Deregister() }
 // charge accounts the consume cost of a segment's tuples as a feed hands
 // the segment out.
 func (t *Target) charge(p transport.Ctx, data []byte) {
-	t.node.Compute(p, time.Duration(len(data)/t.tupleSize)*t.spec.Options.consumeCost)
+	t.node.Compute(p, time.Duration(len(data)/t.tupleSize)*consumeCost)
 }
 
 // nextSegment loads the next consumable segment into the iterator,

@@ -15,7 +15,8 @@ import (
 // Without the footer sequence check the probe then reads the previous
 // lap's cleared footer, falsely reclaims unconsumed slots, and segments
 // get overwritten (lost tuples) — or the ring state desynchronizes into a
-// livelock.
+// livelock. Short rings and slow consumers make every source stall on
+// full rings and miss probes; the test asserts that it did.
 func TestDeepBacklogExactDelivery(t *testing.T) {
 	e := newEnv(t, 5)
 	spec := FlowSpec{
@@ -23,14 +24,14 @@ func TestDeepBacklogExactDelivery(t *testing.T) {
 		Sources: []Endpoint{{Node: e.c.Node(0)}, {Node: e.c.Node(1)}, {Node: e.c.Node(2)}, {Node: e.c.Node(3)}},
 		Targets: []Endpoint{{Node: e.c.Node(4), Thread: 0}, {Node: e.c.Node(4), Thread: 1}},
 		Schema:  kvSchema,
-		Options: Options{
-			// Slow consumption guarantees full rings and deep backlogs.
-			consumeCost: 120 * time.Nanosecond,
-		},
+		Options: Options{SegmentsPerRing: 4},
 	}
-	const perSource = 30_000
+	// Consumption costs tupleCost in total per tuple, the flow's own
+	// consumeCost included, so the targets fall behind.
+	const perSource, tupleCost = 30_000, 120 * time.Nanosecond
 	got := make(map[int64]bool)
 	dups := 0
+	stats := make([]SourceStats, 4)
 	e.k.Spawn("init", func(p *sim.Proc) {
 		if err := FlowInit(p, e.reg, e.c, spec); err != nil {
 			t.Error(err)
@@ -52,8 +53,10 @@ func TestDeepBacklogExactDelivery(t *testing.T) {
 				}
 			}
 			src.Close(p)
+			stats[si] = src.Stats()
 		})
 	}
+	ts := kvSchema.TupleSize()
 	for ti := 0; ti < 2; ti++ {
 		ti := ti
 		e.k.Spawn(fmt.Sprintf("tgt%d", ti), func(p *sim.Proc) {
@@ -63,15 +66,18 @@ func TestDeepBacklogExactDelivery(t *testing.T) {
 				return
 			}
 			for {
-				tup, ok := tgt.Consume(p)
+				data, n, ok := tgt.ConsumeSegment(p)
 				if !ok {
 					return
 				}
-				k := kvSchema.Int64(tup, 0)
-				if got[k] {
-					dups++
+				e.c.Node(4).Compute(p, time.Duration(n)*(tupleCost-consumeCost))
+				for i := 0; i < n; i++ {
+					k := kvSchema.Int64(data[i*ts:(i+1)*ts], 0)
+					if got[k] {
+						dups++
+					}
+					got[k] = true
 				}
-				got[k] = true
 			}
 		})
 	}
@@ -81,6 +87,11 @@ func TestDeepBacklogExactDelivery(t *testing.T) {
 	}
 	if len(got) != 4*perSource {
 		t.Fatalf("delivered %d unique tuples, want %d (segments lost to premature reclaim)", len(got), 4*perSource)
+	}
+	for si, st := range stats {
+		if st.StallRemote == 0 || st.ProbeMisses == 0 {
+			t.Errorf("source %d never reached the backlog: StallRemote=%v ProbeMisses=%d", si, st.StallRemote, st.ProbeMisses)
+		}
 	}
 }
 

@@ -7,9 +7,7 @@ import (
 	"dfi/internal/core"
 	"dfi/internal/fabric"
 	"dfi/internal/join"
-	"dfi/internal/registry"
 	"dfi/internal/scenario"
-	"dfi/internal/sim"
 )
 
 // Ablation experiments for the design choices DESIGN.md calls out. These
@@ -21,7 +19,6 @@ func init() {
 		Experiment{"abl-ordering", "Ablation: ordering-guarantee overhead of replicate flows", RunAblationOrdering},
 		Experiment{"abl-credit", "Ablation: latency-flow credit threshold", RunAblationCredit},
 		Experiment{"abl-multicast", "Ablation: multicast vs naive replication latency by fan-out", RunAblationMulticast},
-		Experiment{"abl-sharp", "Extension: in-network (SHARP-style) combiner aggregation", RunAblationSharp},
 		Experiment{"abl-skew", "Ablation: key skew sensitivity of the distributed joins", RunAblationSkew},
 	)
 }
@@ -131,37 +128,6 @@ func RunAblationMulticast(opt Options) ([]Table, error) {
 	return []Table{t}, nil
 }
 
-// RunAblationSharp quantifies the in-network aggregation extension: the
-// end-host combiner is capped at the target's in-going link, while the
-// switch-resident reduction engine is bounded only by the senders' links
-// (§4.2.3's SHARP discussion, implemented here as an extension).
-func RunAblationSharp(opt Options) ([]Table, error) {
-	t := Table{
-		ID:      "abl-sharp",
-		Title:   "Combiner (8:1, SUM, 64 B tuples): end-host vs in-network reduction",
-		Columns: []string{"variant", "aggregated sender BW"},
-		Notes: []string{
-			"extension beyond the paper: §4.2.3 names SHARP-style in-network aggregation as future work",
-		},
-	}
-	volume := int64(8 << 20)
-	if opt.Quick {
-		volume = 2 << 20
-	}
-	host, err := combinerSenderBW(opt.Seed, 64, 4, volume)
-	if err != nil {
-		return nil, err
-	}
-	sharp, err := sharpSenderBW(opt.Seed, 64, volume)
-	if err != nil {
-		return nil, err
-	}
-	t.AddRow("end-host combiner (4 target threads)", gibps(host))
-	t.AddRow("in-network reduction engine", gibps(sharp))
-	t.Notes = append(t.Notes, fmt.Sprintf("in-network speedup: %.2fx", sharp/host))
-	return []Table{t}, nil
-}
-
 // RunAblationSkew measures how zipfian foreign-key skew (a hot partition)
 // degrades the DFI and MPI radix joins — the skew sensitivity the paper's
 // §2.3 attributes to bulk-synchronous shuffles. DFI's streaming shuffle
@@ -198,74 +164,4 @@ func RunAblationSkew(opt Options) ([]Table, error) {
 			fmt.Sprintf("%.2fx", float64(mpiPT.Total)/float64(dfi.Total)))
 	}
 	return []Table{t}, nil
-}
-
-func sharpSenderBW(seed int64, tupleSize int, volumePerSource int64) (float64, error) {
-	k := sim.New(seed)
-	k.Deadline = scenario.Deadline
-	c := fabric.NewCluster(k, 9, fabric.DefaultConfig())
-	reg := registry.New(k)
-	sch := padSchema(tupleSize)
-	var sources []core.Endpoint
-	for n := 0; n < 8; n++ {
-		sources = append(sources, core.Endpoint{Node: c.Node(n)})
-	}
-	target := core.Endpoint{Node: c.Node(8)}
-	perSource := int(volumePerSource) / sch.TupleSize()
-	var end sim.Time
-	var sc *core.SharpCombiner
-	var oracle aggOracle
-	var merged []core.AggResult
-	k.Spawn("init", func(p *sim.Proc) {
-		var err error
-		sc, err = core.NewSharpCombiner(p, reg, c, "abl-sharp", sources, target, sch, core.SharpOptions{
-			Aggregation: core.AggSum, GroupCol: 0, ValueCol: 0,
-		})
-		if err != nil {
-			panic(err)
-		}
-	})
-	for si := range sources {
-		si := si
-		k.Spawn(fmt.Sprintf("s%d", si), func(p *sim.Proc) {
-			for sc == nil {
-				p.Yield()
-			}
-			src, err := core.SourceOpen(p, reg, sc.IngestFlow(), si)
-			if err != nil {
-				panic(err)
-			}
-			tup := sch.NewTuple()
-			rng := p.Rand()
-			for i := 0; i < perSource; i++ {
-				key := rng.Int63n(4096)
-				sch.PutInt64(tup, 0, key)
-				oracle.pushed(key)
-				if err := src.Push(p, tup); err != nil {
-					panic(err)
-				}
-			}
-			src.Close(p)
-		})
-	}
-	k.Spawn("tgt", func(p *sim.Proc) {
-		for sc == nil {
-			p.Yield()
-		}
-		st, err := sc.TargetOpenSharp(p, reg)
-		if err != nil {
-			panic(err)
-		}
-		st.Run(p)
-		merged = st.Results()
-		end = p.Now()
-	})
-	if err := k.Run(); err != nil {
-		return 0, err
-	}
-	if err := oracle.check("abl-sharp", merged); err != nil {
-		return 0, err
-	}
-	total := int64(len(sources)) * int64(perSource) * int64(sch.TupleSize())
-	return bw(total, end), nil
 }

@@ -92,17 +92,6 @@ func (c *Cluster) Config() Config { return c.cfg }
 // Node returns node i.
 func (c *Cluster) Node(i int) *Node { return c.nodes[i] }
 
-// SwitchEndpoint adds an in-network-processing endpoint: a node that
-// represents compute inside the switch (e.g. InfiniBand SHARP reduction
-// engines). Its ingress is unbounded — each sender is limited only by its
-// own link — which is exactly why in-network aggregation sidesteps the
-// incast cap of a combiner flow's target (paper §4.2.3/§5.4 future work).
-func (c *Cluster) SwitchEndpoint() transport.Endpoint {
-	n := &Node{cluster: c, id: len(c.nodes), CPUScale: 1.0, unboundedRx: true}
-	c.nodes = append(c.nodes, n)
-	return n
-}
-
 // NewCond returns a condition variable parked on the sim kernel.
 func (c *Cluster) NewCond() transport.Cond {
 	return &simCond{c: sim.NewCond(c.K)}
@@ -167,11 +156,6 @@ type Node struct {
 	// frequency (the paper's straggler setup). Network costs are
 	// unaffected.
 	CPUScale float64
-
-	// unboundedRx marks switch-resident endpoints (in-network processing à
-	// la SHARP): every ingress port absorbs at line rate, so arriving
-	// traffic is not serialized through a single receive link.
-	unboundedRx bool
 
 	txFreeAt sim.Time // next instant the TX link can start serializing
 	rxFreeAt sim.Time
@@ -245,14 +229,12 @@ func (c *Cluster) reservePath(from, to *Node, earliest sim.Time, ser time.Durati
 	from.txBusy += ser
 	hop := c.cfg.Propagation + c.cfg.SwitchDelay
 	rxStart := txStart + hop
-	if !to.unboundedRx && to.rxFreeAt > rxStart {
+	if to.rxFreeAt > rxStart {
 		rxStart = to.rxFreeAt
 	}
 	rxEnd = rxStart + ser
-	if !to.unboundedRx {
-		to.rxFreeAt = rxEnd
-		to.rxBusy += ser
-	}
+	to.rxFreeAt = rxEnd
+	to.rxBusy += ser
 	return txStart, txEnd, rxEnd
 }
 

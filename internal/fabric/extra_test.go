@@ -143,44 +143,6 @@ func TestPostedRecvsCount(t *testing.T) {
 	}
 }
 
-func TestSwitchNodeUnboundedIngress(t *testing.T) {
-	// Many writers into a switch node: deliveries are not serialized at a
-	// single ingress link (unlike a regular node — the incast test).
-	k, c := testCluster(t, 5)
-	sw := c.SwitchEndpoint()
-	const msg = 256 << 10
-	mrs := make([]transport.Region, 4)
-	var last time.Duration
-	done := sim.NewWaitGroup(k)
-	for s := 0; s < 4; s++ {
-		s := s
-		qp, _ := c.Dial(c.Node(s), sw)
-		mrs[s] = c.OpenRegion(sw, msg)
-		done.Add(1)
-		k.Spawn("w", func(p *sim.Proc) {
-			for i := 0; i < 8; i++ {
-				qp.Write(p, make([]byte, msg), transport.Addr{MR: mrs[s]}, transport.WriteOptions{Signaled: i == 7})
-			}
-			// The ACK-based completion implies delivery already happened.
-			qp.SendCQ().Wait(p)
-			if p.Now() > last {
-				last = p.Now()
-			}
-			done.Done()
-		})
-	}
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// 4 × 8 × 256 KiB = 8 MiB; per-sender link time is 8 × 256 KiB ≈ 176 µs.
-	// A bounded ingress would serialize to ≈ 4×; unbounded stays near 1×.
-	dcfg := DefaultConfig()
-	perSender := dcfg.serialization(msg) * 8
-	if last > 2*perSender {
-		t.Fatalf("switch ingress appears serialized: %v for per-sender %v", last, perSender)
-	}
-}
-
 func TestWriteBoundsPanics(t *testing.T) {
 	k, c := testCluster(t, 2)
 	qp, _ := c.Dial(c.Node(0), c.Node(1))

@@ -123,9 +123,6 @@ func (n *Net) Spawn(parent transport.Ctx, name string, fn func(transport.Ctx)) {
 	go fn(c)
 }
 
-// SwitchEndpoint returns an auxiliary endpoint for in-network compute.
-func (n *Net) SwitchEndpoint() transport.Endpoint { return n.NewEndpoint() }
-
 // NewCond returns a condition variable for goroutine contexts.
 func (n *Net) NewCond() transport.Cond { return &cond{} }
 

@@ -269,7 +269,7 @@ type Cond interface {
 	Broadcast()
 }
 
-// Transport is a backend: a factory for endposts' queues, regions and
+// Transport is a backend: a factory for endpoints' queues, regions and
 // groups plus the execution-context services flow code needs.
 type Transport interface {
 	// Dial connects endpoints a and b with a reliable queue pair,
@@ -284,10 +284,6 @@ type Transport interface {
 	// Spawn starts fn on a new execution context named name (a sim
 	// process or a goroutine). parent is the spawning context.
 	Spawn(parent Ctx, name string, fn func(Ctx))
-	// SwitchEndpoint returns an auxiliary endpoint representing
-	// in-network compute (a switch); it sinks traffic without the
-	// receive-bandwidth limits of a normal endpoint.
-	SwitchEndpoint() Endpoint
 	// SetTracer installs t to observe every verb (nil disables).
 	SetTracer(t Tracer)
 }
