@@ -2,7 +2,9 @@
 // injected packet loss. Two source threads replicate a stream to three
 // targets; DFI's tuple sequencer plus target-side reordering (paper §5.4,
 // Figure 6) guarantee every target consumes the SAME global order even
-// though the transport drops packets.
+// though the transport drops packets. The example checks that every
+// replica holds the same order of all the pushed operations and exits 1
+// when one does not.
 //
 //	go run ./examples/replication
 package main
@@ -10,6 +12,8 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
+	"slices"
 	"time"
 
 	"dfi/internal/core"
@@ -96,15 +100,18 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("each replica consumed %d operations despite 5%% multicast loss\n", len(orders[0]))
-	same := true
-	for ti := 1; ti < 3; ti++ {
-		for i := range orders[0] {
-			if orders[ti][i] != orders[0][i] {
-				same = false
-			}
-		}
+	// No source fails, so loss is recovered, never skipped: every replica
+	// must hold all the pushed operations, in one order.
+	counts := make([]int, len(orders))
+	ok := true
+	for ti, order := range orders {
+		counts[ti] = len(order)
+		ok = ok && len(order) == 2*perSource && slices.Equal(order, orders[0])
 	}
-	fmt.Printf("identical global order on all replicas: %v\n", same)
+	fmt.Printf("replicas consumed %v operations despite 5%% multicast loss (pushed %d)\n", counts, 2*perSource)
+	fmt.Printf("identical global order on all replicas: %v\n", ok)
+	if !ok {
+		os.Exit(1)
+	}
 	fmt.Printf("first ten operations on every replica: %v\n", orders[0][:10])
 }

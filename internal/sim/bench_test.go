@@ -7,8 +7,9 @@ import (
 )
 
 // The sim line of the performance ledger: what one process switch, one
-// parked sleep and one timed wait cost on the host. One op is one of
-// those, so ns/op compares directly across commits. Run with -cpu 1,2: a
+// parked sleep and one timed wait cost on the host, alone and behind a
+// deep heap of far-future events. One op is one of those, so ns/op
+// compares directly across commits. Run with -cpu 1,2: a
 // coroutine switch never wakes an idle core, so the two readings agreeing
 // is the check (the channel hand-off this replaced cost more on two Ps
 // than on one). `make bench-smoke` keeps these running;
@@ -86,5 +87,78 @@ func BenchmarkWaitTimeoutWake(b *testing.B) {
 				b.Fatal(err)
 			}
 		})
+	}
+}
+
+// farOp stands in for a fabric op step: each firing reschedules it one
+// horizon ahead, so the heap keeps its depth for as long as the load runs.
+type farOp struct {
+	k       *Kernel
+	horizon Time
+	stop    *bool
+}
+
+func (f *farOp) RunOp(arg uint64) {
+	if !*f.stop {
+		f.k.AtOp(f.k.Now()+f.horizon, f, arg)
+	}
+}
+
+// BenchmarkSwitchBehindDeepHeap: the shape of a 256-flow fleet's kernel,
+// where about 16 k far-future fabric op steps sit in the heap while
+// processes wake each other at the present instant. A Cond ping-pong
+// (one side sleeping between rounds) and eight staggered sleepers run
+// under 16 384 pending AtOp events spread over a 16 ms horizon, so one
+// of them fires and reschedules itself every microsecond of virtual
+// time. One op is one blocking call — a Wait or a Sleep — and each one
+// pushes the wake or timer of a present or near instant; the heap's
+// depth is what it costs to reach.
+func BenchmarkSwitchBehindDeepHeap(b *testing.B) {
+	const (
+		pending  = 16384
+		spacing  = time.Microsecond
+		sleepers = 8
+	)
+	k := New(1)
+	stop := false
+	op := &farOp{k: k, horizon: pending * spacing, stop: &stop}
+	for i := 0; i < pending; i++ {
+		k.AtOp(Time(i+1)*spacing, op, uint64(i))
+	}
+	live := 2 + sleepers
+	exit := func() {
+		if live--; live == 0 {
+			b.StopTimer() // the far-future events drain untimed
+			stop = true
+		}
+	}
+	c := NewCond(k)
+	rounds := (b.N + 3) / 4
+	for i, name := range []string{"ping", "pong"} {
+		k.Spawn(name, func(p *Proc) {
+			defer exit()
+			for r := 0; r < rounds; r++ {
+				if i == 0 {
+					p.Sleep(50 * time.Nanosecond)
+				}
+				c.Signal()
+				c.Wait(p)
+			}
+			c.Signal() // release the peer's last Wait
+		})
+	}
+	each := (rounds + sleepers - 1) / sleepers
+	for i := 0; i < sleepers; i++ {
+		d := Time(100+7*i) * time.Nanosecond
+		k.Spawn(fmt.Sprint("s", i), func(p *Proc) {
+			defer exit()
+			for n := 0; n < each; n++ {
+				p.Sleep(d)
+			}
+		})
+	}
+	b.ResetTimer()
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
 	}
 }

@@ -11,10 +11,15 @@ import (
 // allocates nothing, runtime.Goexit in a process ends Run's caller, and an
 // exited process hosting the loop can hand on to a process it never met.
 
-// switchLoad spawns three independent groups on k, each doing n blocking
+// switchLoad spawns five independent groups on k, each doing n blocking
 // operations: a Cond ping-pong (n process switches), a pair of sleepers
-// whose timers interleave so every Sleep parks, and a waiter whose timed
-// waits end alternately by a scheduled Signal and by the deadline.
+// whose timers interleave so every Sleep parks and mostly pops on an
+// otherwise quiet instant (the wake is dispatched directly), a waiter
+// whose timed waits end alternately by a scheduled Signal and by the
+// deadline, a burst that wakes three waiters and schedules two ops at one
+// instant (five entries through the current-instant FIFO at once), and
+// two processes yielding to each other, so that the FIFO never drains
+// while they run.
 func switchLoad(k *Kernel, n int) {
 	pp := NewCond(k)
 	for _, name := range []string{"ping", "pong"} {
@@ -44,12 +49,45 @@ func switchLoad(k *Kernel, n int) {
 			tc.WaitTimeout(p, 70*time.Nanosecond)
 		}
 	})
+	bc, done := NewCond(k), false
+	op := nopOp{}
+	k.Spawn("burst", func(p *Proc) {
+		for i := 0; i < n/2; i++ {
+			k.AtOp(k.Now(), op, 0)
+			bc.Broadcast()
+			k.AtOp(k.Now(), op, 1)
+			p.Sleep(103 * time.Nanosecond)
+		}
+		done = true
+		bc.Broadcast()
+	})
+	for _, name := range []string{"b0", "b1", "b2"} {
+		k.Spawn(name, func(p *Proc) {
+			for !done {
+				bc.Wait(p)
+			}
+		})
+	}
+	for _, name := range []string{"y0", "y1"} {
+		k.Spawn(name, func(p *Proc) {
+			for i := 0; i < n/2; i++ {
+				p.Yield()
+			}
+		})
+	}
 }
 
+// nopOp is a pooled-op callback that does nothing.
+type nopOp struct{}
+
+func (nopOp) RunOp(uint64) {}
+
 // TestSwitchesAllocateNothing is the allocation gate for what
-// BenchmarkProcSwitch, SleepPark and WaitTimeoutWake time: once the heaps
-// and waiter lists have grown, a Run of 30 000 blocking operations mallocs
-// no more than a Run of 300 — a constant that does not depend on the count.
+// BenchmarkProcSwitch, SleepPark, WaitTimeoutWake and SwitchBehindDeepHeap
+// time: once the queues and waiter lists have grown, a Run of 50 000
+// blocking operations mallocs no more than a Run of 500 — a constant that
+// does not depend on the count — and the current-instant FIFO keeps the
+// backing array the small Run left it.
 func TestSwitchesAllocateNothing(t *testing.T) {
 	k := New(1)
 	mallocs := func(n int) uint64 {
@@ -63,11 +101,16 @@ func TestSwitchesAllocateNothing(t *testing.T) {
 		return after.Mallocs - before.Mallocs
 	}
 	mallocs(100) // warm-up
-	small, large := mallocs(100), mallocs(10_000)
-	t.Logf("mallocs during Run: %d for 3×100 operations, %d for 3×10 000", small, large)
+	small := mallocs(100)
+	fifo := cap(k.cur)
+	large := mallocs(10_000)
+	t.Logf("mallocs during Run: %d for 5×100 operations, %d for 5×10 000", small, large)
 	const slack = 32 // the test binary's other goroutines
 	if large > small+slack {
-		t.Errorf("Run of 3×10 000 blocking operations did %d mallocs (3×100: %d): a switch allocates", large, small)
+		t.Errorf("Run of 5×10 000 blocking operations did %d mallocs (5×100: %d): a switch allocates", large, small)
+	}
+	if c := cap(k.cur); c != fifo {
+		t.Errorf("current-instant FIFO grew from %d to %d slots: it must be rewound or compacted, not re-grown", fifo, c)
 	}
 }
 

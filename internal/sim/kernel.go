@@ -1,7 +1,10 @@
 // Package sim implements a deterministic discrete-event simulation (DES)
 // kernel with cooperatively scheduled processes.
 //
-// The kernel maintains a virtual clock and an event heap. Every process is
+// The kernel maintains a virtual clock and three queues of pending entries
+// under one (at, seq) order: a FIFO of events due at the present instant,
+// a binary min-heap of events scheduled for a later instant, and an
+// indexed heap of WaitTimeout deadlines. Every process is
 // a coroutine (iter.Pull) of the goroutine that called Run, so exactly one
 // stack at a time holds the baton: it runs either process code or the event
 // loop (Kernel.drive). There is no scheduler goroutine. A process that parks
@@ -41,14 +44,14 @@ type Time = time.Duration
 
 // Event kinds. The hot kinds (timers, wake-ups, process starts) carry their
 // target process and park generation in the event itself, so scheduling a
-// sleep or a wake allocates nothing; only evFn events carry a closure.
+// sleep or a wake allocates nothing; only a callback scheduled by After or
+// At carries a closure.
 const (
-	evFn      uint8 = iota // run fn in scheduler context
+	evOp      uint8 = iota // run op.RunOp(arg) in scheduler context (arg rides in gen)
 	evStart                // first scheduling of p
 	evTimer                // park timer fired: request a wake at the current instant
 	evWake                 // resume p if still parked in generation gen
 	evTimeout              // WaitTimeout deadline: mark p timed out, then request a wake
-	evOp                   // run op.RunOp(arg) in scheduler context (arg rides in gen)
 )
 
 // Op is a pooled event payload. RunOp fires in scheduler context with the
@@ -60,16 +63,22 @@ const (
 // data path and a leased fleet's heartbeats alloc-free.
 type Op interface{ RunOp(arg uint64) }
 
+// fnOp carries an After or At callback as an evOp event. A func value is
+// one pointer, so the conversion to Op allocates nothing and the event
+// needs no field of its own for it.
+type fnOp func()
+
+func (f fnOp) RunOp(uint64) { f() }
+
 // event is a scheduled callback or process transition. Events with equal
 // timestamps fire in the order they were scheduled (seq breaks ties), which
-// keeps runs reproducible. Events are stored by value in the heap slice so
-// the event loop allocates nothing in steady state.
+// keeps runs reproducible. Events are stored by value in the FIFO and heap
+// slices so the event loop allocates nothing in steady state.
 type event struct {
 	at   Time
 	seq  uint64
 	gen  uint64
 	p    *Proc
-	fn   func()
 	op   Op
 	kind uint8
 }
@@ -104,7 +113,9 @@ type timeout struct {
 // Independent kernels share no state and may run on concurrent goroutines.
 type Kernel struct {
 	now     Time
-	events  []event   // value-based binary min-heap ordered by (at, seq)
+	cur     []event   // FIFO of events due at now, in seq order; cur[head:] are pending
+	head    int       // index of the FIFO's front
+	events  []event   // binary min-heap, ordered by (at, seq), of events scheduled for a later instant
 	tmos    []timeout // indexed min-heap of pending WaitTimeout deadlines
 	seq     uint64
 	to      *Proc // the process await's trampoline resumes next; nil: the loop stopped
@@ -146,17 +157,23 @@ func (k *Kernel) Events() uint64 { return k.nevents }
 // used from scheduler or process context (never from other goroutines).
 func (k *Kernel) Rand() *rand.Rand { return k.rng }
 
-// push assigns the next sequence number and inserts e into the heap
-// (timestamps are clamped to now).
+// push assigns the next sequence number and queues e (timestamps are
+// clamped to now). An event due now joins the tail of the current-instant
+// FIFO: every entry there has the same at and a smaller seq, so the FIFO
+// stays in (at, seq) order without a comparison, and the wakes, starts and
+// yields that make up most of a run never sift through a heap whose depth
+// is set by far-future events. Anything later goes into the heap.
 func (k *Kernel) push(e event) {
-	if e.at < k.now {
-		e.at = k.now
-	}
 	k.seq++
 	e.seq = k.seq
+	if e.at <= k.now {
+		e.at = k.now
+		k.pushNow(e)
+		return
+	}
 	h := append(k.events, e)
 	// Bubble a hole from the tail toward the root: parents shift down and
-	// e is written once at its final slot. Events are 64 bytes, so doing
+	// e is written once at its final slot. Events are 56 bytes, so doing
 	// one copy per level instead of a swap halves the memory traffic of
 	// the hottest function in the scheduler.
 	i := len(h) - 1
@@ -172,8 +189,37 @@ func (k *Kernel) push(e event) {
 	k.events = h
 }
 
-// pop removes and returns the earliest event. The vacated slot is zeroed so
-// it retains no closure or process reference while it waits for reuse.
+// pushNow appends e, due at the present instant, to the FIFO. The FIFO
+// drains before the clock moves, and popNow rewinds it to the start of its
+// backing array whenever it drains, so a run reuses one array sized by its
+// largest same-instant burst. A burst that never drains (processes that
+// keep yielding to each other at one instant) is compacted instead of
+// re-grown once the consumed prefix is more than half of the array.
+func (k *Kernel) pushNow(e event) {
+	if len(k.cur) == cap(k.cur) && k.head > len(k.cur)/2 {
+		n := copy(k.cur, k.cur[k.head:])
+		clear(k.cur[n:])
+		k.cur = k.cur[:n]
+		k.head = 0
+	}
+	k.cur = append(k.cur, e)
+}
+
+// popNow removes and returns the FIFO's front, zeroing its slot like pop.
+func (k *Kernel) popNow() event {
+	e := k.cur[k.head]
+	k.cur[k.head] = event{}
+	k.head++
+	if k.head == len(k.cur) {
+		k.cur = k.cur[:0]
+		k.head = 0
+	}
+	return e
+}
+
+// pop removes and returns the heap's earliest event. The vacated slot is
+// zeroed so it retains no closure or process reference while it waits for
+// reuse.
 func (k *Kernel) pop() event {
 	h := k.events
 	top := h[0]
@@ -185,9 +231,11 @@ func (k *Kernel) pop() event {
 	if n == 0 {
 		return top
 	}
-	// Sift a hole down from the root: the smaller child shifts up and the
-	// displaced tail element is written once at its final slot (same
-	// one-copy-per-level trick as push).
+	// Walk a hole from the root down to a leaf, shifting the smaller child
+	// up at each level, then sift the displaced tail element up from there
+	// (one copy per level, the same trick as push). The tail element came
+	// from the bottom, so it rarely climbs more than a level or two, and
+	// the walk down needs one comparison per level instead of two.
 	i := 0
 	for {
 		l := 2*i + 1
@@ -197,11 +245,16 @@ func (k *Kernel) pop() event {
 		if r := l + 1; r < n && h[r].before(&h[l]) {
 			l = r
 		}
-		if !h[l].before(&last) {
-			break
-		}
 		h[i] = h[l]
 		i = l
+	}
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !last.before(&h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
 	}
 	h[i] = last
 	return top
@@ -275,7 +328,7 @@ func (k *Kernel) tmoRemove(i int) {
 
 // at schedules fn to run in scheduler context at time t (clamped to now).
 func (k *Kernel) at(t Time, fn func()) {
-	k.push(event{at: t, kind: evFn, fn: fn})
+	k.push(event{at: t, kind: evOp, op: fnOp(fn)})
 }
 
 // After schedules fn to run in scheduler context after d has elapsed on the
@@ -360,32 +413,78 @@ func (k *Kernel) ready(p *Proc, gen uint64) {
 	k.push(event{at: k.now, kind: evWake, p: p, gen: gen})
 }
 
-// callback fires a popped evFn/evOp event in scheduler context. inCallback
+// callback fires a popped evOp event in scheduler context. inCallback
 // is a plain flag rather than a deferred recover per event: a panic leaves
 // it set, and the recover that catches it (drive's, or Spawn's when Sleep
 // dispatched inline) reads it to report a callback panic.
 func (k *Kernel) callback(e *event) {
 	k.inCallback = true
-	if e.kind == evFn {
-		e.fn()
-	} else {
-		e.op.RunOp(e.gen)
-	}
+	e.op.RunOp(e.gen)
 	k.inCallback = false
 }
 
-// peek finds the earliest pending (at, seq) entry across the event and
-// timeout heaps without popping it: its instant, and whether it is the
-// timeout heap's top. ok is false when both heaps are empty.
-func (k *Kernel) peek() (at Time, tmo, ok bool) {
-	switch ne, nt := len(k.events), len(k.tmos); {
-	case nt > 0 && (ne == 0 || k.tmos[0].at < k.events[0].at ||
-		(k.tmos[0].at == k.events[0].at && k.tmos[0].seq < k.events[0].seq)):
-		return k.tmos[0].at, true, true
-	case ne > 0:
-		return k.events[0].at, false, true
+// The queues a pending entry can wait in; peek names the one whose front
+// is earliest.
+const (
+	qNone uint8 = iota // nothing is pending
+	qNow               // the current-instant FIFO, Kernel.cur
+	qHeap              // the event heap, Kernel.events
+	qTmo               // the timeout heap, Kernel.tmos
+)
+
+// peek finds the earliest pending (at, seq) entry across the three queues
+// without removing it: its instant and its queue (qNone when all are
+// empty). An entry of the heap due now was scheduled before the clock
+// reached now, so it precedes the whole FIFO; a zero-length timeout can
+// fall between two FIFO entries.
+func (k *Kernel) peek() (at Time, q uint8) {
+	var seq uint64
+	if k.head < len(k.cur) {
+		e := &k.cur[k.head]
+		at, seq, q = e.at, e.seq, qNow
 	}
-	return 0, false, false
+	if len(k.events) > 0 {
+		if e := &k.events[0]; q == qNone || e.at < at || (e.at == at && e.seq < seq) {
+			at, seq, q = e.at, e.seq, qHeap
+		}
+	}
+	if len(k.tmos) > 0 {
+		if t := &k.tmos[0]; q == qNone || t.at < at || (t.at == at && t.seq < seq) {
+			at, q = t.at, qTmo
+		}
+	}
+	return at, q
+}
+
+// front returns the front entry of q, which is qNow or qHeap and not empty.
+func (k *Kernel) front(q uint8) *event {
+	if q == qNow {
+		return &k.cur[k.head]
+	}
+	return &k.events[0]
+}
+
+// take removes the front entry of q, which peek named. A timeout becomes an
+// evTimeout event, exactly as if it had lived in the event heap.
+func (k *Kernel) take(q uint8) event {
+	switch q {
+	case qNow:
+		return k.popNow()
+	case qHeap:
+		return k.pop()
+	}
+	t := &k.tmos[0]
+	e := event{at: t.at, seq: t.seq, gen: t.gen, p: t.p, kind: evTimeout}
+	k.tmoRemove(0)
+	return e
+}
+
+// quietNow reports whether nothing is pending at the present instant in any
+// of the three queues: an event scheduled now would be the next to pop.
+func (k *Kernel) quietNow() bool {
+	return k.head == len(k.cur) &&
+		(len(k.events) == 0 || k.events[0].at > k.now) &&
+		(len(k.tmos) == 0 || k.tmos[0].at > k.now)
 }
 
 // drive is the event loop. Whoever holds the baton runs it on its own
@@ -397,7 +496,7 @@ func (k *Kernel) peek() (at Time, tmo, ok bool) {
 //   - a valid start/wake for another process pops: name it in k.to and
 //     await the baton — the trampoline resumes it (two coroutine switches,
 //     one when the host is Run itself);
-//   - a stop condition holds (failure, heaps drained, MaxEvents,
+//   - a stop condition holds (failure, queues drained, MaxEvents,
 //     Deadline): Run's own drive returns the result, any other leaves it
 //     in k.result and awaits the baton with k.to nil.
 //
@@ -412,57 +511,58 @@ func (k *Kernel) drive(self *Proc) (err error) {
 		}
 	}()
 	for {
-		at, tmo, pending := k.peek()
+		at, q := k.peek()
 		switch {
 		case k.failure != nil:
 			return k.stopped(self, k.failure)
-		case !pending:
+		case q == qNone:
 			return k.stopped(self, nil)
 		case k.MaxEvents > 0 && k.nevents >= k.MaxEvents:
 			return k.stopped(self, fmt.Errorf("sim: exceeded MaxEvents=%d at t=%v (possible livelock)", k.MaxEvents, k.now))
 		case k.Deadline > 0 && at > k.Deadline:
 			return k.stopped(self, fmt.Errorf("sim: deadline %v exceeded (t=%v)", k.Deadline, at))
 		}
-		// Pop it. A timeout becomes an evTimeout event, exactly as if it had
-		// lived in the main heap.
-		var e event
-		if tmo {
-			t := &k.tmos[0]
-			e = event{at: t.at, seq: t.seq, gen: t.gen, p: t.p, kind: evTimeout}
-			k.tmoRemove(0)
-		} else {
-			e = k.pop()
-		}
+		e := k.take(q)
 		k.now = e.at
 		k.nevents++
 		switch e.kind {
-		case evFn, evOp:
+		case evOp:
 			k.callback(&e)
-		case evTimer:
-			// Double-hop on purpose: the timer requests a wake, and the wake
-			// event (with a fresh sequence number) performs the switch after
-			// everything already scheduled for this instant.
-			k.ready(e.p, e.gen)
+			continue
 		case evTimeout:
-			if p := e.p; p.parkedFlag && p.parkGen == e.gen {
-				p.timedOut = true
-				k.ready(p, e.gen)
+			if !e.p.parkedFlag || e.p.parkGen != e.gen {
+				continue
 			}
-		case evStart, evWake:
-			p := e.p
-			if e.kind == evWake {
-				if p.exited || !p.parkedFlag || p.parkGen != e.gen {
-					continue // stale: p was woken (or exited) since this was scheduled
-				}
-				p.parkedFlag = false
+			e.p.timedOut = true
+			fallthrough
+		case evTimer:
+			// A timer (or a deadline that fired) requests a wake with a fresh
+			// sequence number, so the switch happens after everything already
+			// due at this instant. When nothing is, that wake would be the
+			// very next event: count it and dispatch it here, unless the
+			// budget check the loop would make before popping it stops the
+			// run. Either way the (at, seq) order and Events() are those of
+			// the two-event path.
+			if !k.quietNow() || (k.MaxEvents > 0 && k.nevents >= k.MaxEvents) {
+				k.ready(e.p, e.gen)
+				continue
 			}
-			k.running = p
-			if p == self {
-				return nil
-			}
-			k.to = p
-			return k.await(self)
+			k.nevents++
+			e.kind = evWake
 		}
+		p := e.p
+		if e.kind == evWake {
+			if p.exited || !p.parkedFlag || p.parkGen != e.gen {
+				continue // stale: p was woken (or exited) since this was scheduled
+			}
+			p.parkedFlag = false
+		}
+		k.running = p
+		if p == self {
+			return nil
+		}
+		k.to = p
+		return k.await(self)
 	}
 }
 
@@ -514,7 +614,7 @@ func (k *Kernel) Run() error {
 	return nil
 }
 
-// deadlockErr describes live-but-parked processes once the heaps drained.
+// deadlockErr describes live-but-parked processes once the queues drained.
 func (k *Kernel) deadlockErr() error {
 	names := make([]string, 0, len(k.procs))
 	for _, p := range k.procs {
@@ -590,15 +690,18 @@ func (p *Proc) Sleep(d Time) {
 	}
 	k := p.k
 	t := k.now + d
-	// Run-to-completion fast paths. Parking costs two events and usually a
+	// Run-to-completion fast paths. Parking counts two events (the timer,
+	// and the wake it requests, which drive dispatches directly when
+	// nothing else is due at the timer's instant) and usually costs a
 	// process switch, so avoid it whenever doing so is observably
 	// identical to the park/dispatch/resume dance:
 	//
 	//  1. If nothing can run before the wake-up time, advance the clock in
 	//     place (the timer and wake would have been the next two events in
-	//     (at, seq) order anyway).
-	//  2. If the globally next pending item is a scheduler callback (evFn
-	//     or evOp — code that never blocks and has no process identity),
+	//     (at, seq) order anyway). The current-instant FIFO must be empty:
+	//     its entries are due now, before t.
+	//  2. If the globally next pending item is a scheduler callback (an
+	//     evOp — code that never blocks and has no process identity),
 	//     dispatch it inline on this process's stack and loop. This is
 	//     what lets a writer's flush absorb the commit/ack pipeline of
 	//     prior segments without a single process switch.
@@ -608,7 +711,8 @@ func (p *Proc) Sleep(d Time) {
 	// keeps control of termination and (at, seq) dispatch order stays
 	// byte-identical.
 	for {
-		if (len(k.events) == 0 || t < k.events[0].at) &&
+		if k.head == len(k.cur) &&
+			(len(k.events) == 0 || t < k.events[0].at) &&
 			(len(k.tmos) == 0 || t < k.tmos[0].at) &&
 			(k.Deadline <= 0 || t <= k.Deadline) &&
 			(k.MaxEvents <= 0 || k.nevents+2 < k.MaxEvents) {
@@ -616,18 +720,18 @@ func (p *Proc) Sleep(d Time) {
 			k.nevents += 2 // the timer+wake pair this replaces
 			return
 		}
-		at, tmo, ok := k.peek()
-		if !ok || tmo || at > t {
+		at, q := k.peek()
+		if q == qNone || q == qTmo || at > t {
 			break
 		}
-		if e := &k.events[0]; e.kind != evFn && e.kind != evOp {
+		if k.front(q).kind != evOp {
 			break
 		}
 		if (k.Deadline > 0 && at > k.Deadline) ||
 			(k.MaxEvents > 0 && k.nevents >= k.MaxEvents) {
 			break
 		}
-		ev := k.pop()
+		ev := k.take(q)
 		k.now = ev.at
 		k.nevents++
 		k.callback(&ev)

@@ -80,7 +80,7 @@ func (c *Cond) Signal() {
 
 // Broadcast wakes all waiting processes. The waiter slice is truncated in
 // place, keeping its capacity for the next wait cycle. Safe to iterate
-// while waking: ready only pushes a heap event, it cannot re-enter the
+// while waking: ready only queues an event, it cannot re-enter the
 // condition.
 func (c *Cond) Broadcast() {
 	ws := c.waiters
