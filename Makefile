@@ -39,19 +39,24 @@ chaos:
 			-run 'Census' ./internal/scenario/ || exit 1; \
 	done
 
-# Ordered-multicast fault matrix: source crash under leases, gap
-# agreement between survivors, target eviction + sequencer-snapshot
-# rejoin, forged messages, the source that is pending but not silent,
-# and the unsupported-operation surface, swept over the chaos
-# seeds (each seed changes which UD sends are lost and therefore which
-# sequences need agreement).
+# Ordered-multicast fault matrix: every ordered-multicast crash test —
+# a source silenced with and without leases, its sequencer's node
+# crashed, heavy loss with agreed skips recorded in the registry — with
+# the survivors' delivered sequences and skip counts compared, plus
+# target eviction + sequencer-snapshot rejoin, forged messages, the
+# source that is pending but not silent, and the unsupported-operation
+# surface, swept over the chaos seeds (each seed changes which UD sends
+# are lost and therefore which sequences need agreement). Last, NOPaxos,
+# the one non-test user of the gap ladder under loss, runs once under
+# the race detector (its tests do not read DFI_CHAOS_SEED).
 chaos-mc:
 	@for seed in $(CHAOS_SEEDS); do \
 		echo "== chaos-mc seed $$seed =="; \
 		DFI_CHAOS_SEED=$$seed $(GO) test -race -count=1 \
-			-run 'TestChaosOrderedMulticast|TestOrderedReplicate|TestReplicateMulticast|TestMulticast|TestGapNackLimitValidation' \
+			-run 'TestChaosOrderedMulticast|TestChaosOrderedSequencerNodeCrash|TestOrderedReplicate|TestReplicateMulticast|TestMulticast|TestGapNackLimitValidation' \
 			./internal/core/ || exit 1; \
 	done
+	$(GO) test -race -count=1 -run NOPaxos ./internal/consensus/
 
 # Connection-scaling matrix: the shared-ring suites — core mux
 # (shuffle over shared rings, many flows on one node pair, eviction

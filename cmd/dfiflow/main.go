@@ -88,7 +88,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		multicast = fs.Bool("multicast", false, "replicate flow: use switch multicast")
 		ordered   = fs.Bool("ordered", false, "replicate flow: global ordering (implies -multicast)")
 		loss      = fs.Float64("loss", 0, "multicast loss probability")
-		gapNacks  = fs.Int("gap-nacks", 0, "ordered replicate: unanswered NACK rounds before a gap is skipped or escalated (0 = default 3)")
+		gapNacks  = fs.Int("gap-nacks", 0, "ordered replicate: unanswered NACK rounds before a gap is escalated to gap agreement (0 = default 3)")
 		segments  = fs.Int("segments", 32, "segments per ring")
 		segSize   = fs.Int("segsize", 0, "segment payload size (0 = default)")
 		seed      = fs.Int64("seed", 1, "deterministic seed")

@@ -46,12 +46,6 @@ type Config struct {
 	// MulticastLoss injects loss into the OUM flow (NOPaxos gap handling).
 	MulticastLoss float64
 
-	// GapAgreement makes NOPaxos replicas handle OUM sequence gaps
-	// explicitly (the paper's gap agreement protocol): gaps surface to the
-	// replica, which requests retransmission and counts the episode.
-	// Without it, DFI's replicate flow recovers losses transparently.
-	GapAgreement bool
-
 	// CrashFollower / CrashAfterProposals emulate a follower replica
 	// crashing mid-run (Multi-Paxos only): follower CrashFollower stops
 	// participating — no more votes, no more consumption — after handling
@@ -98,7 +92,7 @@ type Result struct {
 	Median     time.Duration
 	P95        time.Duration
 	Completed  int
-	Gaps       int // OUM gaps handled (NOPaxos)
+	Gaps       int // OUM gap NACKs the replicas sent (NOPaxos)
 
 	// Latencies is every measured latency (warmup excluded), ascending:
 	// the distribution behind the two percentiles above.

@@ -120,14 +120,13 @@ func TestNOPaxosLatencyIncludesSequencerRoundTrip(t *testing.T) {
 }
 
 func TestNOPaxosGapAgreementUnderLoss(t *testing.T) {
-	// With explicit gap agreement, lost OUM packets surface to the
-	// replicas, which recover them via retransmission requests; every
-	// request still completes and at least one gap episode is observed.
+	// Lost OUM packets leave sequence gaps at the replicas, which recover
+	// them through DFI's gap ladder (NACK, retransmission); every request
+	// still completes and at least one gap NACK is counted.
 	cfg := testCfg()
 	cfg.Requests = 600
 	cfg.Rate = 150_000
 	cfg.MulticastLoss = 0.02
-	cfg.GapAgreement = true
 	res, err := RunNOPaxos(cfg)
 	if err != nil {
 		t.Fatal(err)

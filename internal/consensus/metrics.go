@@ -27,7 +27,7 @@ func (r Result) PublishMetrics(m *metrics.Registry, system string) {
 		metrics.Labels{"system": system, "quantile": "0.95"}).Set(r.P95.Seconds())
 	m.Counter("dfi_consensus_requests_completed_total", "Requests completed by the run.", lbl).
 		Add(uint64(r.Completed))
-	m.Counter("dfi_consensus_oum_gaps_total", "OUM sequence gaps handled (NOPaxos gap agreement).", lbl).
+	m.Counter("dfi_consensus_oum_gaps_total", "OUM gap NACKs the NOPaxos replicas sent.", lbl).
 		Add(uint64(r.Gaps))
 	h := m.Histogram("dfi_consensus_request_latency_seconds",
 		"Measured request latency distribution (warmup excluded).", latencyBounds(), lbl)

@@ -19,9 +19,11 @@ import (
 // Multi-Paxos (the paper's explanation for NOPaxos' higher saturation
 // point in Figure 15).
 //
-// Lost multicasts surface as sequence gaps; the gap agreement protocol is
-// realized with DFI's gap recovery (NACK-based sender retransmission), so
-// all replicas deterministically converge on the same log.
+// Lost multicasts show as sequence gaps at the replicas, and NOPaxos' gap
+// agreement is DFI's gap ladder: a replica NACKs the gap and the owning
+// client retransmits it, and a gap whose owner failed is settled by
+// DFI's gap agreement, so all replicas converge on the same log.
+// Result.Gaps counts the replicas' NACKs.
 func RunNOPaxos(cfg Config) (Result, error) {
 	k, c := buildEnv(cfg)
 	reg := registry.New(k)
@@ -44,7 +46,6 @@ func RunNOPaxos(cfg Config) (Result, error) {
 			Optimization:   core.OptimizeLatency,
 			Multicast:      true,
 			GlobalOrdering: true,
-			NotifyGaps:     cfg.GapAgreement,
 		},
 	}
 	resp := core.FlowSpec{
@@ -92,11 +93,6 @@ func RunNOPaxos(cfg Config) (Result, error) {
 			for {
 				tup, ok := in.Consume(p)
 				if !ok {
-					if _, gap := in.PendingGap(); gap {
-						gaps++
-						in.RequestGapRetransmit(p)
-						continue
-					}
 					break
 				}
 				var result int64
@@ -119,6 +115,7 @@ func RunNOPaxos(cfg Config) (Result, error) {
 				}
 			}
 			out.Close(p)
+			gaps += int(in.Stats().McNacksSent)
 		})
 	}
 

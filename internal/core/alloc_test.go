@@ -215,3 +215,79 @@ func TestChanloopSteadyStateAllocs(t *testing.T) {
 			allocs, window, perKTuples)
 	}
 }
+
+// TestOrderedMulticastDeliveryHistoryAllocs is the allocation gate for
+// what a globally ordered multicast target keeps per delivered segment:
+// the copy gap agreement answers probes from. The copies live in a fixed
+// ring that reuses each evicted entry's buffer, so on a lossless flow an
+// ordered target allocates per segment what an unordered one does — the
+// multicast path's own allocations, the same in both — and that rate
+// holds however many segments go by.
+func TestOrderedMulticastDeliveryHistoryAllocs(t *testing.T) {
+	const slack = 0.05 // allocations per segment
+	unordered := multicastAllocsPerSegment(t, false, 8_000)
+	short := multicastAllocsPerSegment(t, true, 2_000)
+	long := multicastAllocsPerSegment(t, true, 8_000)
+	t.Logf("allocations per segment: unordered %.3f, ordered %.3f over 2000 and %.3f over 8000 segments",
+		unordered, short, long)
+	if long > unordered+slack {
+		t.Fatalf("an ordered target allocates %.3f per delivered segment, an unordered one %.3f", long, unordered)
+	}
+	if long > short+slack {
+		t.Fatalf("ordered allocations per segment grow with the segment count: %.3f over 2000, %.3f over 8000", short, long)
+	}
+}
+
+// multicastAllocsPerSegment runs a lossless multicast replicate flow, one
+// source to two targets with 256-byte segments, and returns the
+// allocations per segment over window segments of the first target's
+// consumption, after a warm-up longer than the delivery history.
+func multicastAllocsPerSegment(t *testing.T, ordered bool, window int) float64 {
+	t.Helper()
+	const warmup = 2_000
+	e := newEnv(t, 3)
+	spec := FlowSpec{
+		Name:    "history-allocs",
+		Type:    ReplicateFlow,
+		Sources: []Endpoint{{Node: e.c.Node(0)}},
+		Targets: []Endpoint{{Node: e.c.Node(1)}, {Node: e.c.Node(2)}},
+		Schema:  kvSchema,
+		Options: Options{Multicast: true, GlobalOrdering: ordered, SegmentSize: 256},
+	}
+	perSeg := spec.Options.SegmentSize / kvSchema.TupleSize()
+	total := (warmup + 2*window) * perSeg
+	tup := mkTuple(7, 11)
+	var before, after runtime.MemStats
+	e.k.Spawn("init", func(p *sim.Proc) {
+		if err := FlowInit(p, e.reg, e.c, spec); err != nil {
+			t.Error(err)
+		}
+	})
+	e.k.Spawn("src", func(p *sim.Proc) {
+		src, _ := SourceOpen(p, e.reg, spec.Name, 0)
+		for i := 0; i < total; i++ {
+			_ = src.Push(p, tup)
+		}
+		src.Close(p)
+	})
+	for ti := range spec.Targets {
+		e.k.Spawn("tgt", func(p *sim.Proc) {
+			tgt, _ := TargetOpen(p, e.reg, spec.Name, ti)
+			consumed := 0
+			for {
+				if ti == 0 && consumed == warmup*perSeg {
+					runtime.ReadMemStats(&before)
+				}
+				if ti == 0 && consumed == (warmup+window)*perSeg {
+					runtime.ReadMemStats(&after)
+				}
+				if _, ok := tgt.Consume(p); !ok {
+					return
+				}
+				consumed++
+			}
+		})
+	}
+	e.run(t)
+	return float64(after.Mallocs-before.Mallocs) / float64(window)
+}

@@ -158,17 +158,15 @@ func TestChaosOrderedMulticastSendLoss(t *testing.T) {
 		Options: Options{Multicast: true, GlobalOrdering: true, SegmentSize: 512},
 	}
 	const n = 800
-	orders := runReplicate(t, e, spec, n)
+	orders, stats := runReplicateStats(t, e, spec, n)
+	skipped := make([]uint64, len(stats))
 	for ti, ord := range orders {
 		if len(ord) != 2*n {
 			t.Fatalf("target %d got %d tuples, want %d", ti, len(ord), 2*n)
 		}
-		for i, k := range ord {
-			if k != orders[0][i] {
-				t.Fatalf("targets 0 and %d disagree at %d: %d vs %d", ti, i, orders[0][i], k)
-			}
-		}
+		skipped[ti] = stats[ti].McGapsSkipped
 	}
+	survivorsAgree(t, orders, skipped, []int{0, 1, 2})
 }
 
 func TestChaosCombinerWriteLoss(t *testing.T) {
@@ -413,15 +411,16 @@ func TestChaosShuffleTargetNodeCrash(t *testing.T) {
 
 // TestChaosOrderedSequencerNodeCrash crashes the node that hosts an
 // ordered replicate flow's sequencer and its first target (dfiflow -type
-// replicate -ordered -mb 1 -faults crash=2@100us -retransmit 40us). Both
-// sources lose the sequencer and break; they still end their streams at
-// the surviving target, and the target on the crashed node stops, so the
-// run ends — within four times the events of the same row without the
-// crash — instead of polling until MaxEvents.
+// replicate -ordered -mb 1 -faults crash=2@100us -retransmit 40us, with
+// a third target). Both sources lose the sequencer and break; they still
+// end their streams at the surviving targets, which agree on what they
+// delivered, and the target on the crashed node stops, so the run ends —
+// within four times the events of the same run without the crash —
+// instead of polling until MaxEvents.
 func TestChaosOrderedSequencerNodeCrash(t *testing.T) {
 	const perSource = 1 << 16 // 1 MiB of 16-byte tuples
-	run := func(plan *fabric.FaultPlan, maxEvents uint64) (*env, [2]error, [][]int64, error) {
-		e := newEnv(t, 4, withFaults(plan))
+	run := func(plan *fabric.FaultPlan, maxEvents uint64) (*env, [2]error, [][]int64, []uint64, error) {
+		e := newEnv(t, 5, withFaults(plan))
 		if maxEvents > 0 {
 			e.k.MaxEvents = maxEvents
 		}
@@ -429,7 +428,7 @@ func TestChaosOrderedSequencerNodeCrash(t *testing.T) {
 			Name:    "seq-crash",
 			Type:    ReplicateFlow,
 			Sources: []Endpoint{{Node: e.c.Node(0)}, {Node: e.c.Node(1)}},
-			Targets: []Endpoint{{Node: e.c.Node(2)}, {Node: e.c.Node(3)}},
+			Targets: []Endpoint{{Node: e.c.Node(2)}, {Node: e.c.Node(3)}, {Node: e.c.Node(4)}},
 			Schema:  kvSchema,
 			Options: Options{
 				Multicast:         true,
@@ -439,6 +438,7 @@ func TestChaosOrderedSequencerNodeCrash(t *testing.T) {
 		}
 		var errs [2]error
 		orders := make([][]int64, len(spec.Targets))
+		skipped := make([]uint64, len(spec.Targets))
 		e.k.Spawn("init", func(p *sim.Proc) {
 			if err := FlowInit(p, e.reg, e.c, spec); err != nil {
 				t.Error(err)
@@ -470,20 +470,21 @@ func TestChaosOrderedSequencerNodeCrash(t *testing.T) {
 				for {
 					tup, ok := tgt.Consume(p)
 					if !ok {
-						return
+						break
 					}
 					orders[ti] = append(orders[ti], kvSchema.Int64(tup, 0))
 				}
+				skipped[ti] = tgt.Stats().McGapsSkipped
 			})
 		}
-		return e, errs, orders, e.k.Run()
+		return e, errs, orders, skipped, e.k.Run()
 	}
-	clean, errs, orders, err := run(nil, 0)
+	clean, errs, orders, _, err := run(nil, 0)
 	if err != nil || errs != [2]error{} || len(orders[1]) != 2*perSource {
 		t.Fatalf("clean run: %v, sources %v, survivor consumed %d", err, errs, len(orders[1]))
 	}
 	budget := 4 * clean.k.Events()
-	_, errs, orders, err = run((&fabric.FaultPlan{}).CrashNode(2, 100*time.Microsecond), budget)
+	_, errs, orders, skipped, err := run((&fabric.FaultPlan{}).CrashNode(2, 100*time.Microsecond), budget)
 	if err != nil {
 		t.Fatalf("crash run did not end within %d events: %v", budget, err)
 	}
@@ -492,8 +493,8 @@ func TestChaosOrderedSequencerNodeCrash(t *testing.T) {
 			t.Errorf("source %d: %v, want ErrFlowBroken", si, err)
 		}
 	}
-	// The survivor delivered what was sequenced, each source's tuples in
-	// push order.
+	// The survivors delivered what was sequenced, each source's tuples in
+	// push order, and the same sequence.
 	if len(orders[1]) == 0 {
 		t.Fatal("surviving target consumed nothing")
 	}
@@ -505,14 +506,24 @@ func TestChaosOrderedSequencerNodeCrash(t *testing.T) {
 		}
 		last[si] = k
 	}
+	survivorsAgree(t, orders, skipped, []int{1, 2})
 }
 
 func TestChaosOrderedMulticastSourceCrash(t *testing.T) {
 	// One of two ordered-multicast sources goes silent mid-flow while UD
-	// loss is also in play. Targets must declare it failed, skip its
-	// unanswerable gaps (its retransmission history died with it), and
-	// still deliver the surviving source's complete stream in order.
-	e := newEnv(t, 5, withFaults(&fabric.FaultPlan{DropSend: 0.05}))
+	// loss is also in play, with no leases. Targets must declare it
+	// failed, settle its unanswerable gaps by gap agreement (its
+	// retransmission history died with it), deliver the identical
+	// sequence everywhere, and still deliver the surviving source's
+	// complete stream in order. Swept over kernel seeds: each one loses
+	// different UD sends, so different sequences need agreement.
+	for _, seed := range chaosSeeds(1, 24) {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { orderedSourceCrash(t, seed) })
+	}
+}
+
+func orderedSourceCrash(t *testing.T, seed int64) {
+	e := newSeededEnv(t, seed, 5, withFaults(&fabric.FaultPlan{DropSend: 0.05}))
 	spec := FlowSpec{
 		Name:    "omc-crash",
 		Type:    ReplicateFlow,
@@ -529,6 +540,7 @@ func TestChaosOrderedMulticastSourceCrash(t *testing.T) {
 	const n = 1000
 	orders := make([][]int64, len(spec.Targets))
 	failed := make([][]int, len(spec.Targets))
+	skipped := make([]uint64, len(spec.Targets))
 	e.k.Spawn("init", func(p *sim.Proc) {
 		if err := FlowInit(p, e.reg, e.c, spec); err != nil {
 			t.Error(err)
@@ -578,6 +590,7 @@ func TestChaosOrderedMulticastSourceCrash(t *testing.T) {
 				orders[ti] = append(orders[ti], kvSchema.Int64(tup, 0))
 			}
 			failed[ti] = tgt.FailedSources()
+			skipped[ti] = tgt.Stats().McGapsSkipped
 		})
 	}
 	e.run(t)
@@ -602,6 +615,7 @@ func TestChaosOrderedMulticastSourceCrash(t *testing.T) {
 			t.Fatalf("target %d delivered %d of %d healthy-source tuples", ti, seen, n)
 		}
 	}
+	survivorsAgree(t, orders, skipped, []int{0, 1, 2})
 }
 
 func TestChaosWriterAckNeverPassesConsumption(t *testing.T) {

@@ -47,9 +47,28 @@ func testSeed() int64 {
 	return 11
 }
 
+// chaosSeeds returns the kernel seeds a seed-swept test runs: the one
+// DFI_CHAOS_SEED names, or lo through hi.
+func chaosSeeds(lo, hi int64) []int64 {
+	if os.Getenv("DFI_CHAOS_SEED") != "" {
+		return []int64{testSeed()}
+	}
+	var seeds []int64
+	for s := lo; s <= hi; s++ {
+		seeds = append(seeds, s)
+	}
+	return seeds
+}
+
 func newEnv(t *testing.T, nodes int, mut ...func(*fabric.Config)) *env {
 	t.Helper()
-	k := sim.New(testSeed())
+	return newSeededEnv(t, testSeed(), nodes, mut...)
+}
+
+// newSeededEnv is newEnv on the kernel seed given.
+func newSeededEnv(t *testing.T, seed int64, nodes int, mut ...func(*fabric.Config)) *env {
+	t.Helper()
+	k := sim.New(seed)
 	k.Deadline = 30 * time.Second
 	k.MaxEvents = 50_000_000
 	cfg := fabric.DefaultConfig()

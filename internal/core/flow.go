@@ -157,20 +157,14 @@ type Options struct {
 	// tuple sequencer.
 	GlobalOrdering bool
 
-	// NotifyGaps, for globally ordered replicate flows, reports sequence
-	// gaps to the application on Consume instead of requesting
-	// retransmission internally (used by the NOPaxos use case).
-	NotifyGaps bool
-
 	// GapTimeout is how long a target waits on a missing multicast segment
-	// before recovering (NACK or gap notification). Default 20µs.
+	// before it NACKs (and between NACK rounds). Default 20µs.
 	GapTimeout time.Duration
 
-	// GapNackLimit is how many unanswered NACK rounds a multicast target
-	// sends for one missing segment before escalating: with leases
-	// enabled it opens a gap-agreement round with the live peers; without
-	// leases it may skip the segment unilaterally once a source is
-	// already declared failed. Default 3; negative is invalid.
+	// GapNackLimit is how many unanswered NACK rounds a target of a
+	// globally ordered flow sends for one missing segment before it
+	// escalates to gap agreement, once a source is declared failed.
+	// Default 3; negative is invalid.
 	GapNackLimit int
 
 	// Aggregation configures a combiner flow: AggFunc applied to ValueCol,
@@ -235,10 +229,9 @@ type Options struct {
 	// further LeaseTTL to Evicted, bumping the flow epoch. Sources
 	// re-route an evicted target's key range over the survivors (shuffle/
 	// combiner) or drop the dead leg (replicate); targets close the rings
-	// of evicted sources. On multicast replicate flows, leases
-	// additionally arm the ordered-recovery protocol: segment headers
-	// carry the membership epoch, a source eviction triggers gap
-	// agreement among the live targets, a target eviction detaches the
+	// of evicted sources. On multicast replicate flows, segment headers
+	// carry the membership epoch, an evicted source fails for gap
+	// agreement as a silent one does, a target eviction detaches the
 	// dead leg from the multicast group, and an evicted target may
 	// rejoin via a sequencer snapshot (see docs/PROTOCOL.md, "Ordered
 	// replicate failure model"). Zero (the default) disables leases.

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -18,6 +19,31 @@ import (
 // agreement between the survivors, target eviction with snapshot-based
 // rejoin, and the explicit unsupported-operation surface. All of these
 // sweep seeds via DFI_CHAOS_SEED (`make chaos-mc`).
+
+// survivorsAgree asserts what ordered multicast promises between the
+// surviving targets listed (two or more; one has nobody to agree with):
+// each delivered the sequence the first did, and skipped as many
+// sequence numbers — the agreed-skip set is one set across survivors.
+func survivorsAgree(t *testing.T, orders [][]int64, skipped []uint64, survivors []int) {
+	t.Helper()
+	if len(survivors) < 2 {
+		return
+	}
+	ref := survivors[0]
+	for _, ti := range survivors[1:] {
+		if !slices.Equal(orders[ti], orders[ref]) {
+			i := 0
+			for i < len(orders[ti]) && i < len(orders[ref]) && orders[ti][i] == orders[ref][i] {
+				i++
+			}
+			t.Fatalf("targets %d and %d diverge at tuple %d (they delivered %d and %d tuples)",
+				ref, ti, i, len(orders[ref]), len(orders[ti]))
+		}
+		if skipped[ti] != skipped[ref] {
+			t.Fatalf("targets %d and %d skipped %d and %d sequence numbers", ref, ti, skipped[ref], skipped[ti])
+		}
+	}
+}
 
 func TestChaosOrderedMulticastLeaseSourceCrash(t *testing.T) {
 	// One of two ordered-multicast sources' NODE crashes mid-flow while
@@ -273,12 +299,12 @@ func TestChaosOrderedMulticastTargetEvictRejoin(t *testing.T) {
 	}
 }
 
-func TestChaosOrderedMulticastNotifyGapsAgreement(t *testing.T) {
-	// NotifyGaps under the lease control plane: a surfaced Gap must be a
-	// sequence number ALL live targets agreed is unfillable (recorded in
-	// the registry before any target acts on it) — never a local
-	// timeout's guess. Both targets must surface the identical gap list
-	// and deliver the identical tuple order around it.
+func TestChaosOrderedMulticastAgreedSkips(t *testing.T) {
+	// Gap agreement under the lease control plane, with heavy UD loss: a
+	// sequence a target skips must be one ALL live targets agreed is
+	// unfillable (recorded in the registry before any target acts on
+	// it) — never a local timeout's guess. Both targets must skip the
+	// same sequences and deliver the identical tuple order around them.
 	plan := (&fabric.FaultPlan{DropSend: 0.15}).CrashNode(1, 300*time.Microsecond)
 	e := newEnv(t, 4, withFaults(plan))
 	spec := FlowSpec{
@@ -290,7 +316,6 @@ func TestChaosOrderedMulticastNotifyGapsAgreement(t *testing.T) {
 		Options: Options{
 			Multicast:      true,
 			GlobalOrdering: true,
-			NotifyGaps:     true,
 			SegmentSize:    256,
 			LeaseTTL:       100 * time.Microsecond,
 			GapNackLimit:   2, // escalate to agreement a little sooner
@@ -298,7 +323,7 @@ func TestChaosOrderedMulticastNotifyGapsAgreement(t *testing.T) {
 	}
 	const n = 1000
 	orders := make([][]int64, len(spec.Targets))
-	gaps := make([][]uint64, len(spec.Targets))
+	skipped := make([]uint64, len(spec.Targets))
 	snaps := make([]registry.SeqSnapshot, len(spec.Targets))
 	e.k.Spawn("init", func(p *sim.Proc) {
 		if err := FlowInit(p, e.reg, e.c, spec); err != nil {
@@ -339,57 +364,31 @@ func TestChaosOrderedMulticastNotifyGapsAgreement(t *testing.T) {
 			}
 			for {
 				tup, ok := tgt.Consume(p)
-				if ok {
-					orders[ti] = append(orders[ti], kvSchema.Int64(tup, 0))
-					continue
+				if !ok {
+					break
 				}
-				if g, pending := tgt.PendingGap(); pending {
-					gaps[ti] = append(gaps[ti], g.Seq)
-					tgt.ResolveGap(p)
-					continue
-				}
-				break
+				orders[ti] = append(orders[ti], kvSchema.Int64(tup, 0))
 			}
 			if !tgt.Done() {
 				t.Errorf("target %d stopped without reaching flow end", ti)
 			}
+			skipped[ti] = tgt.Stats().McGapsSkipped
 			// Read the sequencer record AFTER this target finished: every
-			// gap it surfaced must already be on file (the arbiter records
+			// skip it made must already be on file (the arbiter records
 			// the verdict before announcing it).
 			snaps[ti], _ = e.reg.SeqSnapshot(p, spec.Name)
 		})
 	}
 	e.run(t)
-	if len(gaps[1]) != len(gaps[0]) {
-		t.Fatalf("targets surfaced different gap counts: %v vs %v", gaps[0], gaps[1])
-	}
-	for i := range gaps[0] {
-		if gaps[0][i] != gaps[1][i] {
-			t.Fatalf("targets surfaced different gaps at %d: %v vs %v", i, gaps[0], gaps[1])
-		}
-	}
+	survivorsAgree(t, orders, skipped, []int{0, 1})
 	for ti := range spec.Targets {
-		agreed := make(map[uint64]bool, len(snaps[ti].Skips))
-		for _, s := range snaps[ti].Skips {
-			agreed[s] = true
-		}
-		for _, seq := range gaps[ti] {
-			if !agreed[seq] {
-				t.Fatalf("target %d surfaced gap %d that was never agreed in the registry (skips %v)",
-					ti, seq, snaps[ti].Skips)
-			}
+		if skipped[ti] != uint64(len(snaps[ti].Skips)) {
+			t.Fatalf("target %d skipped %d sequences, the registry records %d agreed skips %v",
+				ti, skipped[ti], len(snaps[ti].Skips), snaps[ti].Skips)
 		}
 	}
-	if len(orders[0]) != len(orders[1]) {
-		t.Fatalf("targets delivered different counts: %d vs %d", len(orders[0]), len(orders[1]))
-	}
-	for i := range orders[0] {
-		if orders[0][i] != orders[1][i] {
-			t.Fatalf("targets diverge at %d: %d vs %d", i, orders[0][i], orders[1][i])
-		}
-	}
-	// Healthy stream complete: no surfaced gap may have cost a tuple
-	// whose retransmission history was still alive.
+	// Healthy stream complete: no skip may have cost a tuple whose
+	// retransmission history was still alive.
 	seen := 0
 	for _, k := range orders[0] {
 		if k < int64(n) {

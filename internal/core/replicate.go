@@ -25,11 +25,14 @@ import (
 //     coordination.
 //   - Segments carry sequence numbers; targets detect losses as gaps and,
 //     after a configurable timeout, request retransmission with a NACK on
-//     a reliable reverse queue pair (or surface the gap to the
-//     application when Options.NotifyGaps is set — the NOPaxos use case).
+//     a reliable reverse queue pair.
 //   - Globally ordered flows draw sequence numbers from a tuple sequencer
 //     (an RDMA fetch-and-add counter) and reorder out-of-order arrivals at
-//     the target with a receive list / next list (paper Figure 6).
+//     the target with a receive list / next list (paper Figure 6). A gap
+//     whose NACKs go unanswered once a source has failed is settled by gap
+//     agreement: the lowest live source asks every live target for a copy
+//     and either re-broadcasts one or declares the sequence skipped for
+//     all, so every target consumes the same sequence.
 //
 // End-of-flow markers and retransmissions travel on the reliable per-pair
 // queue pairs so termination does not depend on lossy multicast. Each
@@ -40,10 +43,9 @@ import (
 // With Options.LeaseTTL set, the members of the group follow the flow's
 // lease/epoch control plane (see docs/PROTOCOL.md, "Ordered replicate
 // failure model"): segment headers carry the membership epoch, an
-// evicted source triggers a bounded gap-agreement round over the
-// survivors instead of a heuristic skip, an evicted target is detached
-// from the group and the credit accounting, and a rejoining target
-// resumes from an installable sequencer snapshot.
+// evicted source fails like one SourceTimeout declared silent, an
+// evicted target is detached from the group and the credit accounting,
+// and a rejoining target resumes from an installable sequencer snapshot.
 
 // A multicast message leads with the segment descriptor every ring kind
 // uses (transport.SegDesc); its tag is mcTag: the source index and the
@@ -67,8 +69,8 @@ const (
 	ctrlCredit = 1
 	ctrlNack   = 2
 
-	// Gap agreement (ordered flows under leases): when NACK rounds for a
-	// head gap go unanswered and a source has failed, the stuck target
+	// Gap agreement (ordered flows): when NACK rounds for a head gap go
+	// unanswered and a source has failed, the stuck target
 	// asks the lowest live source to arbitrate. The arbiter probes every
 	// live target; a surviving copy is re-broadcast (Have -> data + Fill),
 	// and a unanimous NoHave makes the sequence an agreed skip, recorded
@@ -110,18 +112,6 @@ func (c ctrlMsg) encode(payload []byte) []byte {
 	copy(msg[ctrlBytes:], payload)
 	return msg
 }
-
-// Gap describes a missing global sequence number surfaced to the
-// application of an ordered replicate flow with NotifyGaps.
-type Gap struct {
-	Seq uint64
-}
-
-// gapAgreement reports whether the flow runs the gap-agreement protocol:
-// global ordering plus the lease/epoch control plane. Without leases the
-// legacy heuristic paths (unilateral skip, immediate NotifyGaps
-// surfacing) are kept timing-identical.
-func (o *Options) gapAgreement() bool { return o.GlobalOrdering && o.LeaseTTL > 0 }
 
 // mcTargetInfo is what a multicast target publishes: the source end of
 // the reliable queue pair it dialed to each source, by source slot.
@@ -222,11 +212,9 @@ func newMcTx(s *Source) *mcTx {
 		ownIdx:      make([]int, nTgt),
 	}
 	x.leg = leg{tx: x, buf: x.msg[transport.SegDescBytes:], segSize: o.SegmentSize, mem: s.mem, slot: -1}
-	if o.gapAgreement() {
+	if o.GlobalOrdering {
 		x.rounds = make(map[uint64]*gapRound)
 		x.agreedSkips = make(map[uint64]bool)
-	}
-	if o.GlobalOrdering {
 		x.seqQP, _ = s.meta.cluster.Dial(s.node, s.meta.seqMR.Owner())
 	}
 	return x
@@ -248,11 +236,11 @@ func (x *mcTx) connect(j int, info any, inc uint64) {
 }
 
 // postCtrlRecvs posts the control-message receive window on one reliable
-// QP. Agreement flows must fit a ctrlGapHave answer carrying a full
+// QP. Ordered flows must fit a ctrlGapHave answer carrying a full
 // segment copy.
 func (x *mcTx) postCtrlRecvs(qp transport.Queue) {
 	size := ctrlBytes
-	if x.s.spec.Options.gapAgreement() {
+	if x.s.spec.Options.GlobalOrdering {
 		size += len(x.msg)
 	}
 	for r := 0; r < 4; r++ {
@@ -539,8 +527,8 @@ func (x *mcTx) sendGapCtrl(p transport.Ctx, j int, kind byte, seq uint64) {
 // stuck, so a probe outstanding toward a target that dies mid-round is
 // retried against the post-eviction membership.
 func (x *mcTx) handleGapQuery(p transport.Ctx, from int, seq uint64) {
-	if !x.s.spec.Options.gapAgreement() {
-		return
+	if x.rounds == nil {
+		return // unordered: no sequence space to agree on
 	}
 	if msg, ok := x.history[seq]; ok {
 		x.fqps[from].Send(p, msg, false, 0)
@@ -765,23 +753,22 @@ type mcFeed struct {
 
 	gapSince time.Duration // when the current head gap was first observed
 	gapNacks int           // unanswered NACK rounds for the current head gap
+	arbiter  int           // source whose verdict the head gap awaits (-1: none)
 
-	// Gap-agreement state (agreement flows only): copies of recently
+	// Gap-agreement state (ordered flows only): copies of recently
 	// delivered segments so probes for a live head can be answered after
 	// delivery, the agreed-skip set, and sequences frozen by a NoHave
 	// answer (they must not be delivered until the round's verdict — a
 	// late arrival overtaking the verdict would diverge from peers that
-	// skipped). dhist is bounded by credit gating: a target stuck at S
-	// stalls every source within one credit window, so live heads stay
-	// within ~nSrc·R of S.
-	dhist       map[uint64][]byte
-	dhistOrder  []uint64
+	// skipped). dhist is a ring over sequence numbers (see
+	// retainDelivered).
+	dhist       []heldSeg
 	skips       map[uint64]bool
 	frozen      map[uint64]int // seq -> probing source slot
 	responderUp bool
 
-	// Progress reporting (agreement flows): total segments delivered and
-	// the next checkpoint at which RecordSeqProgress is called.
+	// Progress reporting (leased ordered flows): total segments delivered
+	// and the next checkpoint at which RecordSeqProgress is called.
 	totalDelivered uint64
 	progressAt     uint64
 
@@ -800,6 +787,13 @@ type mcFeed struct {
 	active []byte // buffer backing the segment handed out last
 }
 
+// heldSeg is one delivered segment kept for gap probes: its sequence
+// number and a copy whose buffer the ring reuses (nil until first used).
+type heldSeg struct {
+	seq uint64
+	seg []byte
+}
+
 // newMcFeed builds the feed and the target's readers — buffers and
 // per-source state — and dials a reliable queue pair to every source
 // (retransmissions, end markers, control messages), receives posted on
@@ -814,13 +808,14 @@ func (t *Target) newMcFeed() *mcTargetInfo {
 		end:       make([]uint64, nSrc),
 		creditAcc: make([]uint64, nSrc),
 		pending:   make(map[uint64][]byte),
+		arbiter:   -1,
 	}
 	for i := range f.end {
 		f.end[i] = noEnd
 		t.readers = append(t.readers, &ringReader{})
 	}
-	if o.gapAgreement() {
-		f.dhist = make(map[uint64][]byte)
+	if o.GlobalOrdering {
+		f.dhist = make([]heldSeg, 2*nSrc*R+16)
 		f.skips = make(map[uint64]bool)
 		f.frozen = make(map[uint64]int)
 		f.seqQP, _ = t.meta.cluster.Dial(t.node, t.meta.seqMR.Owner())
@@ -964,7 +959,7 @@ func (f *mcFeed) ingest(p transport.Ctx, buf []byte, bytes int, origin recvOrigi
 	origin.PostRecv(f.takeBuf(), 0)
 	t := f.t
 	ordered := t.spec.Options.GlobalOrdering
-	if f.frozen != nil && isGapCtrl(buf, bytes) {
+	if ordered && isGapCtrl(buf, bytes) {
 		f.handleGapCtrl(p, parseCtrl(buf))
 		f.recycle(buf)
 		return
@@ -1033,7 +1028,7 @@ func (f *mcFeed) answerProbe(p transport.Ctx, src int, seq uint64) {
 		return
 	}
 	if f.skips[seq] || seq < f.nextGlobal {
-		if b, ok := f.dhist[seq]; ok {
+		if b := f.held(seq); b != nil {
 			f.sendGapAnswer(p, src, ctrlGapHave, seq, b)
 			return
 		}
@@ -1047,6 +1042,9 @@ func (f *mcFeed) answerProbe(p transport.Ctx, src int, seq uint64) {
 		return
 	}
 	f.frozen[seq] = src
+	if seq == f.nextGlobal {
+		f.arbiter = src
+	}
 	f.sendGapAnswer(p, src, ctrlGapNoHave, seq, nil)
 }
 
@@ -1059,8 +1057,7 @@ func (f *mcFeed) sendGapAnswer(p transport.Ctx, src int, kind byte, seq uint64, 
 // applySkip records an agreed-unfillable sequence. A pending copy is
 // discarded — the verdict is final, and delivering a segment the peers
 // skipped would break the identical-order guarantee. The head loop
-// advances past the skip (or surfaces it under NotifyGaps) on its next
-// pass.
+// advances past the skip on its next pass.
 func (f *mcFeed) applySkip(seq uint64) {
 	delete(f.frozen, seq)
 	if seq < f.nextGlobal {
@@ -1074,11 +1071,12 @@ func (f *mcFeed) applySkip(seq uint64) {
 }
 
 // sendGapQuery escalates a stuck head gap to the arbiter — the lowest
-// live source slot — which runs the agreement round.
+// source slot not declared failed — which runs the agreement round.
 func (f *mcFeed) sendGapQuery(p transport.Ctx, seq uint64) {
 	for s, r := range f.t.readers {
 		if !r.failed.Load() {
 			f.tqps[s].Send(p, ctrlMsg{ctrlGapQuery, byte(f.t.idx), seq}.encode(nil), false, 0)
+			f.arbiter = s
 			return
 		}
 	}
@@ -1129,12 +1127,11 @@ func (f *mcFeed) broadcastProgress(p transport.Ctx) {
 }
 
 // sendFinalCredit fully acknowledges a source at flow end. For ordered
-// flows with application-level gap handling, skipped sequence numbers are
-// acknowledged as consumed so the source's termination handshake
-// completes.
+// flows, agreed skips count as consumed so the source's termination
+// handshake completes.
 func (f *mcFeed) sendFinalCredit(p transport.Ctx, src int) {
 	if f.t.spec.Options.GlobalOrdering {
-		// Global progress (including ResolveGap skips) already covers the
+		// Global progress (agreed skips included) already covers the
 		// whole sequence space by the time the flow finishes; just
 		// broadcast it. Forcing nextGlobal forward here would silently
 		// drop other sources' undelivered segments.
@@ -1199,10 +1196,12 @@ func (f *mcFeed) headDeliverable() (buf []byte, src int, ok bool) {
 // segment is here. A source with segments held behind a gap is not kept
 // waiting: if nobody refills the gap (the source died with its
 // retransmission history) it has to go silent, so that SourceTimeout can
-// declare it failed and the gap ladder let go of what it held.
+// declare it failed and the gap ladder let go of what it held. Nor is
+// the arbiter whose verdict the head gap awaits: one that finished and
+// left answers no more, and SourceTimeout lets the ladder move on.
 func (f *mcFeed) keptWaiting(s int) bool {
 	if f.end[s] != noEnd {
-		return true
+		return s != f.arbiter
 	}
 	if f.t.spec.Options.GlobalOrdering {
 		return false
@@ -1225,8 +1224,7 @@ func (f *mcFeed) countsKnown() bool {
 
 // finished reports whether every source's count is known and all of it
 // was delivered. Ordered flows track progress in global sequence space,
-// so sequence numbers skipped via agreement or ResolveGap count as
-// handled.
+// so agreed skips count as handled.
 func (f *mcFeed) finished() bool {
 	if !f.countsKnown() {
 		return false
@@ -1255,7 +1253,7 @@ func (f *mcFeed) sourceFailed() bool {
 // totalExpected is the global sequence-space size; valid once every
 // source's count is known. The sum of the counts is only a floor when a
 // source failed without an end marker — its fold used this target's
-// local delivered count, which can differ between targets. On agreement
+// local delivered count, which can differ between targets. On ordered
 // flows the sequencer read (seqSpace) replaces that target-local guess
 // with the authoritative draw count, so all survivors reconcile the same
 // extent.
@@ -1278,9 +1276,6 @@ func (f *mcFeed) totalExpected() uint64 {
 // Returns false when the sequencer node itself is unreachable; callers
 // fall back to the folded per-source counts.
 func (f *mcFeed) seqSpaceSize(p transport.Ctx) (uint64, bool) {
-	if f.seqQP == nil {
-		return 0, false
-	}
 	return f.seqQP.FetchAdd(p, transport.Addr{MR: f.t.meta.seqMR}, 0)
 }
 
@@ -1299,12 +1294,13 @@ func (f *mcFeed) deliver(p transport.Ctx, buf []byte, src int) []byte {
 	}
 	t.readers[src].consumed.Add(1)
 	f.creditAcc[src]++
-	f.gapSince = 0
-	f.gapNacks = 0
+	f.gapSince, f.gapNacks, f.arbiter = 0, 0, -1
 
-	if t.spec.Options.gapAgreement() {
+	if t.spec.Options.GlobalOrdering {
 		f.retainDelivered(seq, buf)
-		f.reportProgress(p)
+		if t.spec.Options.LeaseTTL > 0 {
+			f.reportProgress(p)
+		}
 	}
 	data := buf[transport.SegDescBytes:]
 	data = data[:len(data)/t.tupleSize*t.tupleSize]
@@ -1318,23 +1314,30 @@ func (f *mcFeed) deliver(p transport.Ctx, buf []byte, src int) []byte {
 	return data
 }
 
-// retainDelivered keeps a copy of a delivered segment for gap probes.
-// The window is bounded by credit gating: a peer stuck at sequence S
-// stalls every source within one credit window of S, so any sequence a
-// live round can probe lies within ~nSrc·R of this target's head.
+// retainDelivered keeps a copy of a delivered segment for gap probes in
+// the ring slot of its sequence number, reusing the buffer of the copy it
+// evicts. The window is bounded by credit gating: a peer stuck at
+// sequence S stalls every source within one credit window of S, so any
+// sequence a live round can probe lies within ~nSrc·R of this target's
+// head, and the ring spans 2·nSrc·R+16 sequence numbers.
 func (f *mcFeed) retainDelivered(seq uint64, seg []byte) {
-	f.dhist[seq] = append([]byte(nil), seg...)
-	f.dhistOrder = append(f.dhistOrder, seq)
-	if max := 2*len(f.end)*f.t.spec.Options.SegmentsPerRing + 16; len(f.dhistOrder) > max {
-		old := f.dhistOrder[0]
-		f.dhistOrder = f.dhistOrder[1:]
-		delete(f.dhist, old)
+	h := &f.dhist[seq%uint64(len(f.dhist))]
+	h.seq, h.seg = seq, append(h.seg[:0], seg...)
+}
+
+// held returns the retained copy of delivered sequence seq, or nil once
+// the ring has moved past it.
+func (f *mcFeed) held(seq uint64) []byte {
+	if h := &f.dhist[seq%uint64(len(f.dhist))]; h.seg != nil && h.seq == seq {
+		return h.seg
 	}
+	return nil
 }
 
 // reportProgress periodically merges this target's delivery progress
 // into the registry's sequencer record (every R segments): the raw
-// material of the snapshot a rejoining target installs.
+// material of the snapshot a rejoining target installs. Only leased flows
+// report: nothing else can rejoin, and the call is a registry RPC.
 func (f *mcFeed) reportProgress(p transport.Ctx) {
 	t := f.t
 	f.totalDelivered++
@@ -1375,21 +1378,34 @@ func (f *mcFeed) drop(s int) {
 	f.t.readers[s].closed = false
 }
 
+// departed reports whether source s can arbitrate no more: it was
+// declared failed (lease eviction or SourceTimeout), or it released its
+// lease after its close linger. A lease-less source says nothing when it
+// leaves, so a finished target, which no longer runs the failure
+// detector, counts it gone once it has been silent past SourceTimeout —
+// the silence that would have failed it while the target consumed.
+func (f *mcFeed) departed(s int, now time.Duration) bool {
+	r := f.t.readers[s]
+	if r.failed.Load() {
+		return true
+	}
+	o := &f.t.spec.Options
+	if o.LeaseTTL <= 0 {
+		return r.closed && now-r.lastActivity > o.SourceTimeout
+	}
+	st := f.t.mem.State(registry.RoleSource, s)
+	return st == registry.StateLeft || st == registry.StateEvicted
+}
+
 // noLiveArbiter reports whether no source remains to arbitrate a gap
-// round: every slot either was declared failed (lease eviction or
-// timeout) or released its lease after finishing its close linger.
-// While any source is Active — even one whose stream has ended, since
-// close lingers until all targets drain — queries must go to it instead
-// of skipping unilaterally.
-func (f *mcFeed) noLiveArbiter() bool {
-	for s, r := range f.t.readers {
-		if r.failed.Load() {
-			continue
+// round. While any source is live — even one whose stream has ended,
+// since close lingers until all targets drain — queries must go to it
+// instead of skipping unilaterally.
+func (f *mcFeed) noLiveArbiter(now time.Duration) bool {
+	for s := range f.t.readers {
+		if !f.departed(s, now) {
+			return false
 		}
-		if st := f.t.mem.State(registry.RoleSource, s); st == registry.StateLeft || st == registry.StateEvicted {
-			continue
-		}
-		return false
 	}
 	return true
 }
@@ -1401,32 +1417,21 @@ func (f *mcFeed) skipTo(p transport.Ctx, next uint64) {
 	f.nextGlobal = next
 	f.totalDelivered += n
 	f.gapsSkipped.Add(n)
-	f.gapNacks = 0
-	f.gapSince = 0
+	f.gapSince, f.gapNacks, f.arbiter = 0, 0, -1
 	f.broadcastProgress(p)
-}
-
-// surface hands a gap to the application (NotifyGaps): consumption stops
-// until ResolveGap or RequestGapRetransmit.
-func (f *mcFeed) surface(seq uint64) {
-	f.t.gap, f.t.gapPending = Gap{Seq: seq}, true
-	f.gapSince = 0
 }
 
 // scan obtains the next in-order segment's payload, recycling the one
 // handed out before and handling gap timeouts: poll, deliver the head if
 // it is here, otherwise climb the gap ladder and wait for an arrival.
 //
-// Gap handling depends on the flow's failure model. Without leases the
-// legacy heuristics apply: NACK rounds, immediate NotifyGaps surfacing,
-// and — once Options.GapNackLimit rounds go unanswered with a source
-// declared failed — a unilateral skip. Under leases (agreement flows)
-// nothing is ever skipped unilaterally while an arbiter is reachable:
-// the stuck target escalates to a gap-agreement round, delivers a
-// refilled copy, or skips exactly the sequences the live membership
-// agreed are unfillable — the same verdict every peer applies, which is
-// what keeps the global order identical across targets. NotifyGaps then
-// surfaces only agreed-unfillable sequences.
+// The ladder is NACK rounds, and on an ordered flow, once
+// Options.GapNackLimit rounds go unanswered with a source declared
+// failed, gap agreement: nothing is skipped unilaterally while an
+// arbiter is reachable. The stuck target delivers a refilled copy or
+// skips exactly the sequences the live membership agreed are unfillable
+// — the same verdict every peer applies, which is what keeps the global
+// order identical across targets.
 func (f *mcFeed) scan(p transport.Ctx) ([]byte, bool) {
 	t := f.t
 	o := &t.spec.Options
@@ -1434,7 +1439,6 @@ func (f *mcFeed) scan(p transport.Ctx) ([]byte, bool) {
 		f.recycle(f.active)
 		f.active = nil
 	}
-	agree := o.gapAgreement()
 	f.poll(p)
 	if t.syncMembership() {
 		return nil, false
@@ -1447,7 +1451,7 @@ func (f *mcFeed) scan(p transport.Ctx) ([]byte, bool) {
 			r.heard(now)
 		}
 	}
-	if agree && !f.seqSpaceKnown && f.sourceFailed() && f.countsKnown() {
+	if o.GlobalOrdering && !f.seqSpaceKnown && f.sourceFailed() && f.countsKnown() {
 		// A source died without an end marker and nothing more can be
 		// drawn: consult the sequencer for the true stream extent so
 		// every survivor reconciles the same sequence space instead of
@@ -1458,12 +1462,7 @@ func (f *mcFeed) scan(p transport.Ctx) ([]byte, bool) {
 		}
 		f.seqSpaceKnown = true
 	}
-	if agree && f.skips[f.nextGlobal] {
-		if o.NotifyGaps {
-			f.surface(f.nextGlobal)
-			f.gapNacks = 0
-			return nil, false
-		}
+	if f.skips[f.nextGlobal] {
 		next := f.nextGlobal
 		for f.skips[next] {
 			next++
@@ -1479,7 +1478,7 @@ func (f *mcFeed) scan(p transport.Ctx) ([]byte, bool) {
 			f.sendFinalCredit(p, s)
 			r.closed = true
 		}
-		if agree {
+		if o.GlobalOrdering && (o.LeaseTTL > 0 || f.sourceFailed()) {
 			f.spawnGapResponder(p)
 		}
 		return nil, false
@@ -1498,30 +1497,30 @@ func (f *mcFeed) scan(p transport.Ctx) ([]byte, bool) {
 }
 
 // gapTimedOut takes the next step up the gap ladder for the head gap,
-// which has stood for a GapTimeout. It reports whether the head moved or
-// the gap was surfaced, so that the pass ends without waiting.
+// which has stood for a GapTimeout. It reports whether the head moved,
+// so that the pass ends without waiting.
 func (f *mcFeed) gapTimedOut(p transport.Ctx) bool {
 	o := &f.t.spec.Options
-	agree, limit := o.gapAgreement(), o.GapNackLimit
+	ordered, limit := o.GlobalOrdering, o.GapNackLimit
 	seq, src := f.headMissing()
 	switch {
-	case agree && f.frozenSeq(seq):
+	case f.frozenSeq(seq):
 		// A round's verdict is pending for the head; the arbiter will
 		// fill or skip it. Keep waiting — unless the arbiter died
 		// mid-round, taking the verdict with it: thaw and let the ladder
 		// decide next timeout.
-		if f.noLiveArbiter() {
+		if f.noLiveArbiter(p.Now()) {
 			delete(f.frozen, seq)
 		}
 		f.gapSince = p.Now()
-	case agree && f.gapNacks >= 2*limit && f.countsKnown() && f.sourceFailed() && f.noLiveArbiter():
+	case ordered && f.gapNacks >= 2*limit && f.countsKnown() && f.sourceFailed() && f.noLiveArbiter(p.Now()):
 		// Tail fallback: every source has ended, queries go unanswered,
-		// and NO live arbiter remains (each slot failed or released its
-		// lease after close). Only then may a target skip unilaterally,
-		// as the lease-less path would; nobody is left to disagree.
+		// and NO live arbiter remains (each slot failed, or left after
+		// its close linger). Only then may a target skip unilaterally;
+		// nobody is left to disagree.
 		f.skipTo(p, seq+1)
 		return true
-	case agree && f.gapNacks >= limit && f.sourceFailed():
+	case ordered && f.gapNacks >= limit && f.sourceFailed():
 		// NACKs went unanswered and a source is gone: its retransmission
 		// history died with it. Escalate to the agreement round
 		// (re-queried every timeout while stuck; the arbiter resends
@@ -1529,15 +1528,6 @@ func (f *mcFeed) gapTimedOut(p transport.Ctx) bool {
 		f.sendGapQuery(p, seq)
 		f.gapNacks++
 		f.gapSince = p.Now()
-	case !agree && o.NotifyGaps:
-		f.surface(seq)
-		return true
-	case !agree && o.GlobalOrdering && f.gapNacks >= limit && f.sourceFailed():
-		// The gap's owner crashed: no NACK will ever be answered. Skip
-		// the sequence number and record the skip as progress so credit
-		// keeps flowing.
-		f.skipTo(p, seq+1)
-		return true
 	default:
 		f.sendNack(p, seq, src)
 		f.gapNacks++
@@ -1555,11 +1545,13 @@ func (f *mcFeed) frozenSeq(seq uint64) bool {
 // spawnGapResponder keeps a finished target answering agreement probes:
 // a peer may still be stuck in a round that needs this target's
 // delivered history, and the main consume loop has returned. The
-// responder polls the reliable QPs and exits once every source slot has
-// left the flow or been evicted (membership reads are free) — the
-// termination chain is: stuck requester keeps its arbiter's close
-// lingering, the responder serves the round, the requester finishes,
-// close returns, the sources release their leases, the responder exits.
+// responder polls the reliable QPs and exits once every source has
+// departed (membership reads are free) — the termination chain is: stuck
+// requester keeps its arbiter's close lingering, the responder serves the
+// round, the requester finishes, close returns, the sources leave, the
+// responder exits. A lease-less flow runs one only after a source failed:
+// without a failure no round can open, and no lease tells it when to
+// stop.
 func (f *mcFeed) spawnGapResponder(p transport.Ctx) {
 	if f.responderUp {
 		return
@@ -1572,18 +1564,7 @@ func (f *mcFeed) spawnGapResponder(p transport.Ctx) {
 			iv = 5 * time.Microsecond
 		}
 		for {
-			if t.node.Crashed(rp.Now()) || t.evicted.Load() {
-				return
-			}
-			alive := false
-			for s := range t.readers {
-				st := t.mem.State(registry.RoleSource, s)
-				if st != registry.StateLeft && st != registry.StateEvicted {
-					alive = true
-					break
-				}
-			}
-			if !alive {
+			if t.node.Crashed(rp.Now()) || t.evicted.Load() || f.noLiveArbiter(rp.Now()) {
 				return
 			}
 			f.pollReliable(rp)
@@ -1634,35 +1615,6 @@ func (f *mcFeed) waitArrival(p transport.Ctx) {
 		d = 5 * time.Microsecond
 	}
 	f.ep.RecvCQ().WaitNonEmpty(p, d)
-}
-
-// resolveGap skips past a surfaced gap: the application has agreed (e.g.
-// via NOPaxos gap agreement) to treat the sequence number as a no-op. The
-// skip counts as global progress so source credit keeps flowing.
-func (f *mcFeed) resolveGap(p transport.Ctx) {
-	t := f.t
-	if !t.gapPending {
-		return
-	}
-	if t.spec.Options.GlobalOrdering {
-		f.nextGlobal = t.gap.Seq + 1
-		f.totalDelivered++
-		f.gapsSkipped.Add(1)
-		f.creditAcc[0]++
-		f.sendCredit(p, 0, true)
-	}
-	t.gapPending = false
-}
-
-// requestGapRetransmit asks the sources to resend a surfaced gap instead
-// of skipping it.
-func (f *mcFeed) requestGapRetransmit(p transport.Ctx) {
-	if !f.t.gapPending {
-		return
-	}
-	f.sendNack(p, f.t.gap.Seq, 0)
-	f.t.gapPending = false
-	f.gapSince = p.Now()
 }
 
 func (f *mcFeed) free() { f.poolMR.Deregister() }

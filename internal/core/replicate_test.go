@@ -27,7 +27,16 @@ var lineSchema = schema.MustNew(
 // returns, per target, the ordered list of (key) values consumed.
 func runReplicate(t *testing.T, e *env, spec FlowSpec, perSource int) [][]int64 {
 	t.Helper()
+	orders, _ := runReplicateStats(t, e, spec, perSource)
+	return orders
+}
+
+// runReplicateStats is runReplicate that also returns each target's
+// counters at flow end.
+func runReplicateStats(t *testing.T, e *env, spec FlowSpec, perSource int) ([][]int64, []TargetStats) {
+	t.Helper()
 	orders := make([][]int64, len(spec.Targets))
+	stats := make([]TargetStats, len(spec.Targets))
 	e.k.Spawn("init", func(p *sim.Proc) {
 		if err := FlowInit(p, e.reg, e.c, spec); err != nil {
 			t.Error(err)
@@ -62,14 +71,15 @@ func runReplicate(t *testing.T, e *env, spec FlowSpec, perSource int) [][]int64 
 			for {
 				tup, ok := tgt.Consume(p)
 				if !ok {
-					return
+					break
 				}
 				orders[ti] = append(orders[ti], kvSchema.Int64(tup, 0))
 			}
+			stats[ti] = tgt.Stats()
 		})
 	}
 	e.run(t)
-	return orders
+	return orders, stats
 }
 
 func TestReplicateNaiveDeliversToAllTargets(t *testing.T) {
@@ -238,57 +248,6 @@ func TestOrderedReplicateWithLossRecovers(t *testing.T) {
 		if orders[0][i] != orders[1][i] {
 			t.Fatalf("order diverges at %d", i)
 		}
-	}
-}
-
-func TestOrderedReplicateGapNotification(t *testing.T) {
-	// With NotifyGaps, a lost segment surfaces as a Gap instead of being
-	// retransparently retransmitted; ResolveGap skips it (NOPaxos-style).
-	e := newEnv(t, 2, func(c *fabric.Config) { c.MulticastLoss = 0.05 })
-	spec := FlowSpec{
-		Name:    "gap-notify",
-		Type:    ReplicateFlow,
-		Sources: []Endpoint{{Node: e.c.Node(0)}},
-		Targets: []Endpoint{{Node: e.c.Node(1)}},
-		Schema:  kvSchema,
-		Options: Options{
-			Multicast: true, GlobalOrdering: true, NotifyGaps: true,
-			SegmentSize: 16, GapTimeout: 10 * time.Microsecond,
-		},
-	}
-	const n = 600
-	var got, gaps int
-	e.k.Spawn("init", func(p *sim.Proc) { _ = FlowInit(p, e.reg, e.c, spec) })
-	e.k.Spawn("src", func(p *sim.Proc) {
-		src, _ := SourceOpen(p, e.reg, "gap-notify", 0)
-		for i := 0; i < n; i++ {
-			_ = src.Push(p, mkTuple(int64(i), 0))
-		}
-		src.Close(p)
-	})
-	e.k.Spawn("tgt", func(p *sim.Proc) {
-		tgt, _ := TargetOpen(p, e.reg, "gap-notify", 0)
-		for {
-			_, ok := tgt.Consume(p)
-			if ok {
-				got++
-				continue
-			}
-			if g, isGap := tgt.PendingGap(); isGap {
-				gaps++
-				_ = g
-				tgt.ResolveGap(p) // gap agreement: skip as no-op
-				continue
-			}
-			return
-		}
-	})
-	e.run(t)
-	if gaps == 0 {
-		t.Fatal("expected at least one surfaced gap at 5% loss")
-	}
-	if got+gaps < n {
-		t.Fatalf("tuples %d + gaps %d < pushed %d", got, gaps, n)
 	}
 }
 

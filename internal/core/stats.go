@@ -126,8 +126,8 @@ type TargetStats struct {
 	// sequence gaps.
 	McNacksSent uint64
 	// McGapsSkipped counts sequence numbers skipped past: agreed
-	// unfillable (gap agreement), resolved by the application
-	// (ResolveGap), or skipped heuristically on lease-less flows.
+	// unfillable by gap agreement, or — with no source left to
+	// arbitrate — the tail a target skips alone.
 	McGapsSkipped uint64
 }
 

@@ -46,12 +46,6 @@ type Target struct {
 	remaining int
 	tupleSize int
 
-	// gap is the sequence gap an ordered multicast feed surfaced to the
-	// application (Options.NotifyGaps); while gapPending, consume calls
-	// report ok=false until ResolveGap or RequestGapRetransmit.
-	gap        Gap
-	gapPending bool
-
 	// Control-plane membership (see lifecycle.go): the flow's record,
 	// the last epoch folded in, the incarnation of the slot this target
 	// attached under, and whether it was evicted (atomic: the node's
@@ -426,11 +420,10 @@ func (t *Target) charge(p transport.Ctx, data []byte) {
 
 // nextSegment loads the next consumable segment into the iterator,
 // blocking while none is available. It returns false when all sources
-// have closed (flow end), when this target was evicted, or while a gap
-// an ordered multicast flow surfaced awaits the application.
+// have closed (flow end) or when this target was evicted.
 func (t *Target) nextSegment(p transport.Ctx) bool {
 	t.publish()
-	for !t.gapPending {
+	for {
 		if data, ok := t.feed.scan(p); ok {
 			t.segData, t.segOff, t.remaining = data, 0, len(data)/t.tupleSize
 			return true
@@ -457,7 +450,6 @@ func (t *Target) nextSegment(p transport.Ctx) bool {
 			return false
 		}
 	}
-	return false
 }
 
 // flowEnded reports whether nothing more can arrive: no further source
@@ -510,16 +502,6 @@ func (t *Target) ConsumeSegment(p transport.Ctx) (data []byte, count int, ok boo
 	t.remaining = 0
 	t.nconsumed += uint64(count)
 	return data, count, true
-}
-
-// PendingGap reports a sequence gap detected by an ordered replicate flow
-// with NotifyGaps set; Consume returns ok=false and the application checks
-// PendingGap.
-func (t *Target) PendingGap() (Gap, bool) {
-	if !t.gapPending {
-		return Gap{}, false
-	}
-	return t.gap, true
 }
 
 // detectFailures closes the slots of sources that have been silent
@@ -652,19 +634,3 @@ func (t *Target) Done() bool { return t.done.Load() }
 
 // Free releases the target's receive buffers (after flow end).
 func (t *Target) Free() { t.feed.free() }
-
-// ResolveGap skips a surfaced gap (the application agreed to treat the
-// missing sequence number as a no-op, e.g. after NOPaxos gap agreement).
-func (t *Target) ResolveGap(p transport.Ctx) {
-	if f, ok := t.feed.(*mcFeed); ok {
-		f.resolveGap(p)
-	}
-}
-
-// RequestGapRetransmit asks the sources to resend a surfaced gap instead
-// of skipping it; consumption resumes once the segment arrives.
-func (t *Target) RequestGapRetransmit(p transport.Ctx) {
-	if f, ok := t.feed.(*mcFeed); ok {
-		f.requestGapRetransmit(p)
-	}
-}
