@@ -26,8 +26,9 @@ race:
 # registry-failover suites under the race detector, swept over several
 # deterministic seeds (DFI_CHAOS_SEED is read by the core test env;
 # -count=1 defeats caching so every seed really runs). The eviction
-# census of internal/scenario runs its -short rows at each seed too (the
-# full 180-row table runs in `go test ./...`).
+# census of internal/scenario runs its -short rows at each seed too: 24
+# eviction rows and 4 rows whose evicted target rejoins (the full table,
+# 180 eviction and 30 rejoin rows, runs in `go test ./...`).
 CHAOS_SEEDS ?= 11 1 7 42
 chaos:
 	@for seed in $(CHAOS_SEEDS); do \
@@ -46,9 +47,12 @@ chaos:
 # target eviction + sequencer-snapshot rejoin, forged messages, the
 # source that is pending but not silent, and the unsupported-operation
 # surface, swept over the chaos seeds (each seed changes which UD sends
-# are lost and therefore which sequences need agreement). Last, NOPaxos,
-# the one non-test user of the gap ladder under loss, runs once under
-# the race detector (its tests do not read DFI_CHAOS_SEED).
+# are lost and therefore which sequences need agreement). Then the
+# target evict + rejoin test runs once with DFI_CHAOS_SEED empty, which
+# sweeps its own seeds 1–60 (its receive-pool panic showed on none of
+# CHAOS_SEEDS). Last, NOPaxos, the one non-test user of the gap ladder
+# under loss, runs once under the race detector (its tests do not read
+# DFI_CHAOS_SEED).
 chaos-mc:
 	@for seed in $(CHAOS_SEEDS); do \
 		echo "== chaos-mc seed $$seed =="; \
@@ -56,6 +60,7 @@ chaos-mc:
 			-run 'TestChaosOrderedMulticast|TestChaosOrderedSequencerNodeCrash|TestOrderedReplicate|TestReplicateMulticast|TestMulticast|TestGapNackLimitValidation' \
 			./internal/core/ || exit 1; \
 	done
+	DFI_CHAOS_SEED= $(GO) test -race -count=1 -run TestChaosOrderedMulticastTargetEvictRejoin ./internal/core/
 	$(GO) test -race -count=1 -run NOPaxos ./internal/consensus/
 
 # Connection-scaling matrix: the shared-ring suites — core mux

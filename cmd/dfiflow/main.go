@@ -30,7 +30,7 @@
 // With -metrics-addr the process serves live introspection over HTTP
 // while the flow runs: /metrics (Prometheus text exposition of the
 // same counters the final summary prints), /status (JSON cluster
-// snapshot: flows, leases, epochs, watermarks, replication), /events
+// snapshot: flows, leases, epochs, incarnations, replication), /events
 // (JSONL dump of the structured event trace). -linger keeps the
 // endpoint up after the run so the final counters can be scraped.
 //
@@ -99,7 +99,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		lease     = fs.Duration("lease", 0, "lease-based membership: endpoint lease TTL (0 = disabled)")
 		partMode  = fs.String("partition", "modulo", "key partitioning scheme: modulo | ring (bounded rebalance on eviction)")
 		evictSpec = fs.String("evict", "", "administratively evict targets, e.g. 1@300us,2@400us")
-		rejoin    = fs.String("rejoin", "", "re-attach evicted targets, e.g. 1@600us (requires -retransmit or -lease)")
+		rejoin    = fs.String("rejoin", "", "re-attach evicted targets, e.g. 1@600us (requires -lease)")
 		replicas  = fs.Int("replicas", 0, "replicate the registry over this many consensus replicas (odd, ≥3; 0 = standalone)")
 		snapEvery = fs.Int("snapshot-every", 0, "replicated registry: snapshot+compact the log every N committed commands (0 = default cadence, <0 = never)")
 		unlogRen  = fs.Bool("unlogged-renew", false, "replicated registry: serve lease renewals without a log round (explicit heartbeat relaxation)")

@@ -104,8 +104,8 @@ func TestOutOfRangeFaultInputExitsTwo(t *testing.T) {
 // TestSharedFlagAdmission pins what -shared composes with. The library's
 // admission decides: the flags whose machinery needs a private ring per
 // pair, and the tenant flags without -shared, are config errors carrying
-// its message; a rejoin is rejected when it is attempted, as on any flow
-// that cannot re-attach. Combiner flows and -srctimeout run on shared
+// its message (a rejoin is rejected when it is attempted, see
+// TestRejoinRejected). Combiner flows and -srctimeout run on shared
 // rings, and -flows runs a fleet on either kind of ring.
 func TestSharedFlagAdmission(t *testing.T) {
 	for _, tc := range []struct {
@@ -124,10 +124,6 @@ func TestSharedFlagAdmission(t *testing.T) {
 			t.Errorf("args %v: exit %d, want 2 with %q:\n%s", tc.args, code, tc.want, out)
 		}
 	}
-	out, code := runToString(t, "-shared", "-rejoin=1@300us", "-mb", "1")
-	if code != 1 || !strings.Contains(out, "target 1: rejoin rejected: ") || !strings.Contains(out, "shared-ring flows") {
-		t.Errorf("-shared -rejoin: exit %d, want 1 with the rejected rejoin:\n%s", code, out)
-	}
 	for _, tc := range []struct {
 		args    []string
 		shared  bool
@@ -136,6 +132,9 @@ func TestSharedFlagAdmission(t *testing.T) {
 		{[]string{"-shared", "-type", "combiner", "-sources", "3"}, true, false},
 		{[]string{"-shared", "-srctimeout", "300us"}, true, true},
 		{[]string{"-flows", "4"}, false, true},
+		// A leased shared fleet: a finished source's Left state must not
+		// close a shared ring that still holds its segments.
+		{[]string{"-shared", "-flows", "64", "-lease", "100us", "-reg-shards", "4"}, true, true},
 	} {
 		out, code := runToString(t, append(tc.args, "-mb", "1")...)
 		if code != 0 {
@@ -264,6 +263,30 @@ func TestSameArgsOnBothTransports(t *testing.T) {
 				t.Errorf("fabric pushed %s tuples, chan %s", pushed[0], pushed[1])
 			}
 		})
+	}
+}
+
+// TestRejoinRejected: a rejoin the library refuses exits 1 with the
+// refusal, at once. Only a leased private-ring or ordered-multicast
+// target re-attaches; a lease-less private-ring rejoin used to wait on
+// sources that had long closed and run into the kernel's deadline
+// (seconds of host time), so each row is bounded in host time as well.
+func TestRejoinRejected(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-retransmit", "20us", "-evict", "1@40us", "-rejoin", "1@400us"}, "LeaseTTL"},
+		{[]string{"-shared", "-rejoin=1@300us"}, "shared-ring flows"},
+	} {
+		start := time.Now()
+		out, code := runToString(t, append([]string{"-mb", "1"}, tc.args...)...)
+		if code != 1 || !strings.Contains(out, "target 1: rejoin rejected: ") || !strings.Contains(out, tc.want) {
+			t.Errorf("args %v: exit %d, want 1 with a rejected rejoin naming %q:\n%s", tc.args, code, tc.want, out)
+		}
+		if took := time.Since(start); took > 2*time.Second {
+			t.Errorf("args %v: took %v of host time; a refused rejoin must not wait for the deadline", tc.args, took)
+		}
 	}
 }
 

@@ -454,8 +454,7 @@ func testConsumeBatchDelivery(t *testing.T, shared bool) {
 }
 
 // TestPushToCounts: a source that only ever calls PushTo counts every
-// tuple it sent — in Pushed, in Stats, and in the watermark Checkpoint
-// records (which Reattach would resume from).
+// tuple it sent, in Pushed and in Stats.
 func TestPushToCounts(t *testing.T) {
 	const n = 100
 	e := newEnv(t, 3)
@@ -486,16 +485,12 @@ func TestPushToCounts(t *testing.T) {
 		if err := src.PushTo(p, mkTuple(0, 0), 2); err == nil {
 			t.Error("PushTo accepted target 2 of 2")
 		}
-		wm, err := src.Checkpoint(p)
-		if err != nil {
-			t.Error(err)
-		}
 		if err := src.Close(p); err != nil {
 			t.Error(err)
 		}
-		if src.Pushed() != n || src.Stats().TuplesPushed != n || wm != n {
-			t.Errorf("Pushed=%d Stats().TuplesPushed=%d Checkpoint=%d, want %d each",
-				src.Pushed(), src.Stats().TuplesPushed, wm, n)
+		if src.Pushed() != n || src.Stats().TuplesPushed != n {
+			t.Errorf("Pushed=%d Stats().TuplesPushed=%d, want %d each",
+				src.Pushed(), src.Stats().TuplesPushed, n)
 		}
 	})
 	for ti := range spec.Targets {

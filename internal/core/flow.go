@@ -148,8 +148,8 @@ type Options struct {
 	// source's legs, one ring per target, become one leg to a multicast
 	// group, and a target consumes in sequence order instead of ring by
 	// ring. It is a kind of leg, not another endpoint: every Source and
-	// Target operation runs on it except the per-target ones (see
-	// ErrUnsupportedOnMulticast). At most 256 sources.
+	// Target operation runs on it, Target.Reattach only on an ordered,
+	// leased flow (see ErrUnsupportedOnMulticast). At most 256 sources.
 	Multicast bool
 
 	// GlobalOrdering makes all targets of a replicate flow consume tuples
@@ -234,7 +234,8 @@ type Options struct {
 	// agreement as a silent one does, a target eviction detaches the
 	// dead leg from the multicast group, and an evicted target may
 	// rejoin via a sequencer snapshot (see docs/PROTOCOL.md, "Ordered
-	// replicate failure model"). Zero (the default) disables leases.
+	// replicate failure model"). Target.Reattach, the one way back into
+	// a flow, requires it. Zero (the default) disables leases.
 	// Setting LeaseTTL defaults RetransmitTimeout to LeaseTTL/2 —
 	// rerouting drains the dead writer's unconsumed window from its
 	// local ring, so the resident retransmit window is required.
@@ -287,18 +288,16 @@ const (
 var ErrFlowBroken = errors.New("dfi: flow broken")
 
 // ErrUnsupportedOnMulticast reports an operation that has no meaning on
-// a multicast replicate flow: Checkpoint and Source.Reattach (a
-// multicast source has no per-target resume cursor — recovery is the
-// gap/agreement protocol) and Target.Reattach on a flow that is not both
-// ordered and leased (no sequencer snapshot to resume from). Returned wrapped, so test with errors.Is.
+// a multicast replicate flow: Target.Reattach on a flow that is not both
+// ordered and leased (no sequencer snapshot to resume from). Returned
+// wrapped, so test with errors.Is.
 var ErrUnsupportedOnMulticast = errors.New("dfi: operation not supported on multicast replicate flows")
 
 // ErrUnsupportedOnShared reports an operation that has no meaning on a
-// shared-ring flow (Options.SharedRings): Checkpoint (a shared ring
-// carries no delivery confirmation to certify a watermark with),
-// Source.Reattach and Target.Reattach (no per-flow window to replay —
-// an evicted endpoint's in-flight segments are gone). Returned wrapped,
-// so test with errors.Is.
+// shared-ring flow (Options.SharedRings): Target.Reattach (no per-flow
+// window to replay — an evicted target's in-flight segments are gone;
+// evictions re-route over the survivors instead). Returned wrapped, so
+// test with errors.Is.
 var ErrUnsupportedOnShared = errors.New("dfi: operation not supported on shared-ring flows")
 
 // FlowSpec declares a flow: its unique name, participating source and

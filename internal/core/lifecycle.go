@@ -35,8 +35,7 @@ import (
 //     flight to the previous incarnation's rings is gone — and a fresh
 //     leg attaches to the republished rings;
 //   - targets close the rings of evicted sources (so flow end does not
-//     wait on a corpse), reset the ring of a source that rejoined, and
-//     stop consuming when evicted themselves.
+//     wait on a corpse) and stop consuming when evicted themselves.
 //
 // Epoch checks are one atomic load on paths the endpoints poll anyway,
 // so a flow whose membership never changes behaves — event for event —
@@ -439,10 +438,9 @@ func (t *Target) acquireTargetLease(p transport.Ctx, reg Registry, name string) 
 
 // syncMembership folds membership changes into the target's ring state:
 // rings of evicted sources are closed (reported like SourceTimeout
-// failures, so FailedSources covers both detectors), rings of sources
-// that rejoined under a fresh incarnation are reset for the new stream,
-// and a target that was itself evicted — or whose slot a successor took
-// under a fresh incarnation while it was not looking — stops consuming.
+// failures, so FailedSources covers both detectors), and a target that
+// was itself evicted — or whose slot a successor took under a fresh
+// incarnation while it was not looking — stops consuming.
 // On an elastic flow it also picks up attached sources and the seal.
 // Reports whether the target is evicted. A no-op (one integer compare)
 // while the epoch is unchanged. Every feed's scan calls it once per pass
@@ -459,18 +457,6 @@ func (t *Target) syncMembership() bool {
 	}
 	t.foldSources()
 	for i, r := range t.readers {
-		if inc := t.mem.Incarnation(registry.RoleSource, i); inc != r.inc {
-			// The source rejoined: its new writer streams from sequence 0
-			// into this ring. Clear the corpse's state — failure detection
-			// starts over — so the new stream is consumable and its stale
-			// footers cannot replay. Only private rings admit a rejoin.
-			r.closed = false
-			r.failed.Store(false)
-			r.hasActivity = false
-			t.feed.(*privateFeed).reset(r)
-			r.inc = inc
-			continue
-		}
 		if !r.closed && t.mem.SourceEvicted(i) {
 			t.failSource(i)
 		}

@@ -378,9 +378,8 @@ func TestLeaseAgentFencesStaleIncarnation(t *testing.T) {
 		if err := src.Close(p); !errors.Is(err, ErrFlowBroken) {
 			t.Errorf("evicted predecessor's close returned %v, want ErrFlowBroken", err)
 		}
-		rj, err := e.reg.Rejoin(p, spec.Name, registry.RoleSource, 0, 0)
-		if err != nil || rj.Incarnation == 0 {
-			t.Errorf("rejoin: incarnation %d, err %v", rj.Incarnation, err)
+		if err := e.reg.Rejoin(p, spec.Name, registry.RoleSource, 0); err != nil || src.mem.Incarnation(registry.RoleSource, 0) == 0 {
+			t.Errorf("rejoin: incarnation %d, err %v", src.mem.Incarnation(registry.RoleSource, 0), err)
 		}
 		// One agent tick later the stale entry has been visited.
 		p.Sleep(ttl/heartbeatDivisor + time.Microsecond)

@@ -341,9 +341,8 @@ func TestSharedRingsAdmission(t *testing.T) {
 }
 
 func TestSharedRingsUnsupportedOps(t *testing.T) {
-	// Checkpoint and Reattach have no meaning without delivery
-	// confirmation or a retransmit window; they must fail fast with the
-	// typed sentinel.
+	// Target.Reattach has no meaning without a per-flow retransmit
+	// window; it must fail fast with the typed sentinel.
 	e := newEnv(t, 2)
 	spec := sharedSpec(e, "shared-unsup", []int{0}, []int{1}, Options{SegmentSize: 256})
 	const n = 100
@@ -357,12 +356,6 @@ func TestSharedRingsUnsupportedOps(t *testing.T) {
 		if err != nil {
 			t.Error(err)
 			return
-		}
-		if _, err := src.Checkpoint(p); !errors.Is(err, ErrUnsupportedOnShared) {
-			t.Errorf("Checkpoint error %v, want ErrUnsupportedOnShared", err)
-		}
-		if _, _, err := src.Reattach(p); !errors.Is(err, ErrUnsupportedOnShared) {
-			t.Errorf("Source.Reattach error %v, want ErrUnsupportedOnShared", err)
 		}
 		for i := 0; i < n; i++ {
 			if err := src.Push(p, mkTuple(int64(i), int64(2*i))); err != nil {

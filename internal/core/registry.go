@@ -35,8 +35,7 @@ type Registry interface {
 	// heartbeat path); it returns the refs that could not be renewed.
 	RenewLeaseBatch(p transport.Ctx, refs []registry.LeaseRef) []registry.LeaseRef
 	ReleaseLease(p transport.Ctx, flow string, role registry.Role, idx int)
-	Rejoin(p transport.Ctx, flow string, role registry.Role, idx, newIdx int) (registry.Rejoined, error)
-	SetWatermark(p transport.Ctx, flow string, role registry.Role, idx int, watermark uint64) error
+	Rejoin(p transport.Ctx, flow string, role registry.Role, idx int) error
 	// Elastic membership (see elastic.go).
 	AttachSource(p transport.Ctx, flow string, first, max int) (int, error)
 	Seal(p transport.Ctx, flow string) error

@@ -114,9 +114,12 @@ func (c ctrlMsg) encode(payload []byte) []byte {
 }
 
 // mcTargetInfo is what a multicast target publishes: the source end of
-// the reliable queue pair it dialed to each source, by source slot.
+// the reliable queue pair it dialed to each source, by source slot, and
+// — for a rejoining target — the high-water of the sequencer snapshot it
+// installed, from which the sources restart its credit.
 type mcTargetInfo struct {
-	qps []transport.Queue
+	qps      []transport.Queue
+	resumeAt uint64
 }
 
 // gapRound is one gap-agreement round this source arbitrates: which
@@ -309,8 +312,13 @@ func (x *mcTx) foldTargets(p transport.Ctx) error {
 // reconnectTarget folds a target rejoin: the rejoiner dialed fresh queue
 // pairs and republished their source ends as its info *before* its
 // Rejoin bumped the epoch, so the info read here is the new incarnation's.
-// The slot's credit restarts from the sequencer snapshot the rejoiner
-// installed.
+// The slot's credit restarts from the high-water the rejoiner installed,
+// which it published with its queues. The registry's snapshot is no
+// measure of the rejoiner: the survivors keep reporting progress into
+// it, so a read here can be newer than the one the rejoiner installed,
+// and a slot credited from it would count the rejoiner's catch-up as no
+// progress — past failAfter the rejoiner is declared failed, stops
+// gating the sources, and drowns in the multicasts it still receives.
 func (x *mcTx) reconnectTarget(p transport.Ctx, j int, inc uint64) {
 	s := x.s
 	info, ok := s.reg.TargetInfo(p, s.spec.Name, j)
@@ -318,17 +326,12 @@ func (x *mcTx) reconnectTarget(p transport.Ctx, j int, inc uint64) {
 		return // never published: evicted before it opened, and stays excluded
 	}
 	x.connect(j, info, inc)
-	if s.spec.Options.GlobalOrdering {
-		snap, _ := s.reg.SeqSnapshot(p, s.spec.Name)
-		i := 0
-		for i < len(x.ownSeqs) && x.ownSeqs[i] < snap.HighWater {
-			i++
-		}
-		x.ownIdx[j] = i
-		x.consumedBy[j] = uint64(i)
-	} else {
-		x.consumedBy[j] = x.segsWritten.Load()
+	resumeAt := info.(*mcTargetInfo).resumeAt
+	i := 0
+	for i < len(x.ownSeqs) && x.ownSeqs[i] < resumeAt {
+		i++
 	}
+	x.ownIdx[j], x.consumedBy[j] = i, uint64(i)
 	x.failedTgt[j] = false
 	x.evictedTgt[j] = false
 	x.gating[j] = false
@@ -855,23 +858,22 @@ func (f *mcFeed) join(ep transport.GroupEndpoint) {
 
 // rejoinGroup rebuilds the receiving half of an ordered multicast flow
 // for a target re-attaching after eviction, once Target.Reattach has
-// republished the fresh queues' source ends (newMcFeed). The rejoiner
-// cannot replay the stream (multicast history is bounded); instead it
-// installs the registry's sequencer snapshot — high-water, per-source
-// delivered counts, agreed skips — and resumes delivery at the
-// high-water, filling the short tail between the last progress report and
-// the live stream through the ordinary NACK/agreement machinery. Sources
-// that were evicted or already left the flow are folded as ended at
-// their snapshot counts: their tail segments have no retransmission
-// history and are not replayed (rejoin is meant for flows still
-// streaming).
-func (t *Target) rejoinGroup(p transport.Ctx, mem *registry.Membership) error {
+// republished the fresh queues' source ends (newMcFeed) together with
+// snap's high-water. The rejoiner cannot replay the stream (multicast
+// history is bounded); instead it installs the registry's sequencer
+// snapshot — high-water, per-source delivered counts, agreed skips — and
+// resumes delivery at the high-water, filling the short tail between the
+// last progress report and the live stream through the ordinary
+// NACK/agreement machinery. Sources that were evicted or already left
+// the flow are folded as ended at their snapshot counts: their tail
+// segments have no retransmission history and are not replayed (rejoin
+// is meant for flows still streaming).
+func (t *Target) rejoinGroup(p transport.Ctx, mem *registry.Membership, snap registry.SeqSnapshot) error {
 	name := t.spec.Name
 	f := t.feed.(*mcFeed)
 	// Re-attach to the multicast group: the eviction detached this slot's
 	// endpoint; a fresh one takes its place.
 	f.join(t.meta.group.Reattach(t.idx, t.node))
-	snap, _ := t.reg.SeqSnapshot(p, name)
 	f.nextGlobal = snap.HighWater
 	for _, seq := range snap.Skips {
 		if seq >= snap.HighWater {
@@ -885,7 +887,7 @@ func (t *Target) rejoinGroup(p transport.Ctx, mem *registry.Membership) error {
 	}
 	f.totalDelivered = f.nextGlobal
 	f.progressAt = f.totalDelivered + uint64(t.spec.Options.SegmentsPerRing)
-	if _, err := t.reg.Rejoin(p, name, registry.RoleTarget, t.idx, t.idx); err != nil {
+	if err := t.reg.Rejoin(p, name, registry.RoleTarget, t.idx); err != nil {
 		return fmt.Errorf("dfi: rejoin of target %d rejected: %w", t.idx, err)
 	}
 	t.initTargetMembership(mem)

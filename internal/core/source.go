@@ -66,17 +66,16 @@ type Source struct {
 	// npushed is the push count, owned by the pushing process. pushed is
 	// its scrape-visible copy, stored on every general-path push (so at
 	// every segment flush and charge batch), PushBatch and Commit, and by
-	// Flush, Close, Checkpoint and syncEpoch: exact after any of those,
+	// Flush, Close and syncEpoch: exact after any of those,
 	// and in between behind by the tuples staged since — fewer than
 	// chargeBatch.
 	npushed uint64
 
 	// Scrape-visible counters (atomic so a metrics endpoint can read
 	// them mid-run).
-	rerouted  atomic.Uint64
-	moved     atomic.Uint64
-	pushed    atomic.Uint64
-	watermark atomic.Uint64
+	rerouted atomic.Uint64
+	moved    atomic.Uint64
+	pushed   atomic.Uint64
 
 	pendingCharge int
 	// closed is read by the node's lease agent (another goroutine on a
@@ -108,7 +107,7 @@ func SourceOpen(p transport.Ctx, reg Registry, name string, sourceIdx int) (*Sou
 // connectAll waits for every target to publish its info or be evicted
 // and connects to it — a leg per target, or its queue on a multicast
 // flow's one group leg — then initializes the membership view: the shared
-// tail of SourceOpen, AttachSource, and Reattach.
+// tail of SourceOpen and AttachSource.
 func (s *Source) connectAll(p transport.Ctx, name string) error {
 	var err error
 	if s.mem, err = membershipOf(s.reg, name); err != nil {
@@ -492,110 +491,8 @@ func (s *Source) Free() {
 	}
 }
 
-// Checkpoint flushes the source, waits until every tuple pushed so far
-// is confirmed consumed by its target, and records the pushed count as
-// the source's confirmed watermark in the registry. Should this source
-// later be evicted, Reattach resumes from the last checkpointed
-// watermark, and no tuple below it is ever re-pushed — Checkpoint is
-// the boundary that turns the eviction's at-least-once window into
-// exactly-once for everything behind it. Requires delivery confirmation
-// (Options.RetransmitTimeout; set implicitly by LeaseTTL).
-func (s *Source) Checkpoint(p transport.Ctx) (uint64, error) {
-	if s.spec.Options.Multicast {
-		return 0, fmt.Errorf("%w: Checkpoint (multicast targets recover from sequencer snapshots instead)", ErrUnsupportedOnMulticast)
-	}
-	if s.spec.Options.SharedRings {
-		return 0, fmt.Errorf("%w: Checkpoint (shared rings carry no delivery confirmation)", ErrUnsupportedOnShared)
-	}
-	if s.spec.Options.RetransmitTimeout <= 0 {
-		return 0, errors.New("dfi: Checkpoint requires Options.RetransmitTimeout for delivery confirmation")
-	}
-	s.publish()
-	s.settleCharge(p)
-	for {
-		if err := s.syncEpoch(p); err != nil {
-			return 0, err
-		}
-		again := false
-		for _, l := range s.legs {
-			if l == nil || l.dead || l.closed {
-				continue
-			}
-			err := l.tx.finish(p)
-			if errors.Is(err, errEvicted) {
-				again = true
-				break
-			}
-			if err != nil {
-				return 0, err
-			}
-		}
-		if !again && s.mem.Epoch() == s.epoch {
-			break
-		}
-	}
-	if err := s.reg.SetWatermark(p, s.spec.Name, registry.RoleSource, s.idx, s.npushed); err != nil {
-		return 0, err
-	}
-	s.watermark.Store(s.npushed)
-	return s.npushed, nil
-}
-
-// Watermark returns the last watermark this source checkpointed (0
-// before the first Checkpoint).
-func (s *Source) Watermark() uint64 { return s.watermark.Load() }
-
 // Slot returns the source's slot index within the flow.
 func (s *Source) Slot() int { return s.idx }
-
-// Reattach rejoins a flow from which this source was evicted and
-// returns a fresh Source plus the confirmed watermark to resume from:
-// the application re-pushes its input from that point (tuples between
-// the watermark and the eviction may reach targets twice — the
-// at-least-once boundary documented in docs/PROTOCOL.md). On a
-// non-elastic flow the source reclaims its old slot under a fresh
-// incarnation; targets observe the incarnation bump and reset the
-// slot's rings for the new stream. On an elastic flow the identity
-// transfers to a fresh slot through the ordinary attach machinery
-// (slots are never recycled there). Requires Options.RetransmitTimeout:
-// a ring reset racing the new stream is healed by retransmission.
-func (s *Source) Reattach(p transport.Ctx) (*Source, uint64, error) {
-	if s.spec.Options.Multicast {
-		return nil, 0, fmt.Errorf("%w: Source.Reattach (an evicted multicast source's history dies with it; gap agreement reconciles the survivors)", ErrUnsupportedOnMulticast)
-	}
-	if s.spec.Options.SharedRings {
-		return nil, 0, fmt.Errorf("%w: Source.Reattach (an evicted shared-ring source's in-flight window dies with it)", ErrUnsupportedOnShared)
-	}
-	if s.spec.Options.RetransmitTimeout <= 0 {
-		return nil, 0, errors.New("dfi: Reattach requires Options.RetransmitTimeout")
-	}
-	name := s.spec.Name
-	if s.spec.Options.elastic() {
-		ns, err := AttachSource(p, s.reg, name, Endpoint{Node: s.node})
-		if err != nil {
-			return nil, 0, err
-		}
-		rj, err := s.reg.Rejoin(p, name, registry.RoleSource, s.idx, ns.idx)
-		if err != nil {
-			return nil, 0, err
-		}
-		ns.watermark.Store(rj.Watermark)
-		return ns, rj.Watermark, nil
-	}
-	rj, err := s.reg.Rejoin(p, name, registry.RoleSource, s.idx, s.idx)
-	if err != nil {
-		return nil, 0, err
-	}
-	ns := &Source{meta: s.meta, spec: s.spec, idx: s.idx, node: s.node, reg: s.reg}
-	ns.watermark.Store(rj.Watermark)
-	if err := ns.acquireSourceLease(p, s.reg, name); err != nil {
-		return nil, 0, err
-	}
-	if err := ns.connectAll(p, name); err != nil {
-		return nil, 0, err
-	}
-	return ns, rj.Watermark, nil
-}
 
 // FlowType returns the flow type declared in the spec's Type field.
 func (s *FlowSpec) FlowType() FlowType { return s.Type }

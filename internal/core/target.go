@@ -93,11 +93,6 @@ type ringReader struct {
 	consumed atomic.Uint64 // segments consumed (private rings mirror it into the ring header)
 	closed   bool
 
-	// inc is the source incarnation this state belongs to; a membership
-	// bump means the source rejoined and the ring is reset for its new
-	// stream (see privateFeed.reset).
-	inc uint64
-
 	// Failure detection (Options.SourceTimeout). hasActivity
 	// distinguishes "never heard from" (grace period pending) from a ring
 	// legitimately active at virtual time zero — time.Duration starts at 0, so
@@ -233,16 +228,15 @@ func (t *Target) failSource(i int) {
 
 // initTargetMembership snapshots the membership the fresh rings attach
 // under: the current epoch, the slot's own incarnation, the source slots
-// in play, per-reader source incarnations, and the slots of sources
-// already evicted or gone closed up front, the kind told (a re-attaching
-// target missed those epochs while it was down).
+// in play, and the slots of sources already evicted or gone closed up
+// front, the kind told (a re-attaching target missed those epochs while
+// it was down).
 func (t *Target) initTargetMembership(mem *registry.Membership) {
 	t.mem = mem
 	t.epoch = mem.Epoch()
 	t.inc = mem.Incarnation(registry.RoleTarget, t.idx)
 	t.foldSources()
 	for i, r := range t.readers {
-		r.inc = mem.Incarnation(registry.RoleSource, i)
 		if mem.SourceEvicted(i) {
 			t.failSource(i)
 		} else if mem.State(registry.RoleSource, i) == registry.StateLeft {
@@ -260,17 +254,18 @@ func (t *Target) initTargetMembership(mem *registry.Membership) {
 // end-of-flow marker in the ring itself; a re-attached target may have
 // missed it — the marker went to the previous incarnation's rings — and
 // would otherwise wait forever on a source that no longer exists. Only
-// sound where Close confirms delivery before the marker goes out
-// (RetransmitTimeout, which every leased private-ring flow has): a Left
-// source has then had every data segment consumed, so only the marker
-// can be skipped here. A shared ring confirms nothing — its Left sources
-// may still have segments in flight — and never needs this: its targets
-// cannot re-attach. Nor does a multicast source's Close confirm every
-// target: it gives up on one it found stale and leaves, and that target
-// still delivers what it holds, gaps settled by its ladder (NACK, then a
-// skip once no arbiter is left), instead of being cut off here.
+// leased flows have Left sources, and only a private ring's Close
+// confirms delivery before the marker goes out (its retransmit window,
+// which LeaseTTL implies): a Left source has then had every data segment
+// consumed, so only the marker can be skipped here. A shared ring
+// confirms nothing — its Left sources may still have segments in flight
+// — and never needs this: its targets cannot re-attach. Nor does a
+// multicast source's Close confirm every target: it gives up on one it
+// found stale and leaves, and that target still delivers what it holds,
+// gaps settled by its ladder (NACK, then a skip once no arbiter is
+// left), instead of being cut off here.
 func (t *Target) closeLeftRings(n int) {
-	if o := &t.spec.Options; o.RetransmitTimeout <= 0 || o.Multicast {
+	if o := &t.spec.Options; o.LeaseTTL <= 0 || o.Multicast || o.SharedRings {
 		return
 	}
 	for i, r := range t.readers[:n] {
@@ -286,29 +281,6 @@ func (t *Target) Schema() *schema.Schema { return t.spec.Schema }
 // footerOff returns the region offset of reader r's current slot footer.
 func (f *privateFeed) footerOff(r *ringReader) int {
 	return r.ringOff + f.geom.segOff(r.rslot) + f.geom.segSize
-}
-
-// reset restarts reader r for a rejoined source's new incarnation: the
-// ring cursor returns to slot 0 / sequence 0 and every footer plus the
-// header counter is zeroed with local stores (free on the owning node)
-// so stale segments from the previous incarnation can never satisfy the
-// consumable check. A WRITE from the new writer racing the reset is
-// healed by the writer's retransmission machinery (Reattach requires
-// RetransmitTimeout). A segment of the previous incarnation still held
-// from r is let go unreleased: its slot is wiped with the rest, and a
-// release after the reset would recycle the new stream's slot 0.
-func (f *privateFeed) reset(r *ringReader) {
-	if f.active == r {
-		f.active = nil
-	}
-	r.consumed.Store(0)
-	r.rslot = 0
-	var zero [transport.SegDescBytes]byte
-	for i := 0; i < f.geom.nSegs; i++ {
-		off := r.ringOff + f.geom.segOff(i) + f.geom.segSize
-		f.mr.Store(off, zero[:])
-	}
-	f.mr.Store(r.ringOff, zero[:8])
 }
 
 // release marks reader r's current slot writable again and advances the
@@ -566,7 +538,9 @@ func (t *Target) Slot() int { return t.idx }
 // takes back exactly the arcs it lost, under modulo its keys rehash
 // home; tuples in flight to the dead incarnation were harvested and
 // re-pushed by the sources, so the stream is complete across the gap at
-// least-once (exactly-once behind the sources' checkpointed watermarks).
+// least-once. A private-ring rejoin requires LeaseTTL: only a leased
+// flow records the Left state that tells the fresh incarnation which
+// sources finished while it was away (see closeLeftRings).
 // An ordered multicast stream cannot be replayed: the fresh incarnation
 // installs the registry's sequencer snapshot (high-water, per-source
 // counts, agreed skips) and resumes delivery from the high-water (see
@@ -583,8 +557,8 @@ func (t *Target) Reattach(p transport.Ctx) (*Target, error) {
 		return nil, fmt.Errorf("%w: Reattach requires GlobalOrdering and LeaseTTL (no sequencer snapshot to rejoin from)", ErrUnsupportedOnMulticast)
 	case o.SharedRings:
 		return nil, fmt.Errorf("%w: Target.Reattach (shared-ring evictions re-route over the survivors instead)", ErrUnsupportedOnShared)
-	case !o.Multicast && o.RetransmitTimeout <= 0:
-		return nil, errors.New("dfi: Reattach requires Options.RetransmitTimeout")
+	case o.LeaseTTL <= 0:
+		return nil, errors.New("dfi: Target.Reattach requires Options.LeaseTTL (without leases a rejoined target cannot learn which sources finished while it was away)")
 	}
 	if t.node.Crashed(p.Now()) {
 		return nil, fmt.Errorf("dfi: target %d of flow %q cannot re-attach from crashed node %d", t.idx, t.spec.Name, t.node.ID())
@@ -602,10 +576,15 @@ func (t *Target) Reattach(p transport.Ctx) (*Target, error) {
 	// Fresh rings or queues first, then the epoch bump: sources folding the
 	// rejoin epoch must find the republished info. RepublishTarget is fenced
 	// to evicted slots, so a rejoin of a live slot is rejected here before
-	// any membership change.
+	// any membership change. A multicast rejoiner's info carries the
+	// high-water it will install, from which sources restart its credit.
 	var info any
+	var snap registry.SeqSnapshot
 	if o.Multicast {
-		info = nt.newMcFeed()
+		mi := nt.newMcFeed()
+		snap, _ = t.reg.SeqSnapshot(p, name)
+		mi.resumeAt = snap.HighWater
+		info = mi
 	} else {
 		info = nt.allocRings()
 	}
@@ -614,11 +593,11 @@ func (t *Target) Reattach(p transport.Ctx) (*Target, error) {
 		return nil, fmt.Errorf("dfi: rejoin of target %d rejected: %w", t.idx, err)
 	}
 	if o.Multicast {
-		if err := nt.rejoinGroup(p, t.mem); err != nil {
+		if err := nt.rejoinGroup(p, t.mem, snap); err != nil {
 			return nil, err
 		}
 	} else {
-		if _, err := t.reg.Rejoin(p, name, registry.RoleTarget, t.idx, t.idx); err != nil {
+		if err := t.reg.Rejoin(p, name, registry.RoleTarget, t.idx); err != nil {
 			return nil, fmt.Errorf("dfi: rejoin of target %d rejected: %w", t.idx, err)
 		}
 		nt.initTargetMembership(t.mem)

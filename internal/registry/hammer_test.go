@@ -57,8 +57,7 @@ func TestLocalRegistryHammer(t *testing.T) {
 				case 7:
 					_ = r.Evict(p, flow(), role(), rnd.Intn(nSlots))
 				case 8:
-					idx := rnd.Intn(nSlots)
-					_, _ = r.Rejoin(p, flow(), role(), idx, idx)
+					_ = r.Rejoin(p, flow(), role(), rnd.Intn(nSlots))
 				case 9:
 					// A wait nothing has satisfied yet: a flow of this
 					// worker's own, published by a helper goroutine.
@@ -109,7 +108,6 @@ func TestLocalRegistryHammer(t *testing.T) {
 					_ = m.TargetEvicted(idx)
 					_ = m.SourceEvicted(idx)
 					_ = m.Incarnation(RoleTarget, idx)
-					_ = m.Watermark(RoleSource, idx)
 				}
 				_ = m.EvictedTargets()
 			}

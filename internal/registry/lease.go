@@ -92,11 +92,8 @@ type lease struct {
 
 	// inc is the slot's incarnation, bumped by every Rejoin: peers use it
 	// to tell a rejoined endpoint from the evicted one it replaces (stale
-	// heartbeats and writers fence themselves on a mismatch). watermark
-	// is the endpoint's last confirmed progress (SetWatermark), handed
-	// back by Rejoin so a re-attached endpoint knows where to resume.
-	inc       uint64
-	watermark uint64
+	// heartbeats and writers fence themselves on a mismatch).
+	inc uint64
 }
 
 // leaseTimer is a slot's expiry check: the one clock op every arm of
@@ -196,10 +193,6 @@ func (m *Membership) SourceEvicted(idx int) bool { return m.Evicted(RoleSource, 
 // first rejoins after an eviction, bumped by every Rejoin. Like Epoch it
 // is a local cache read.
 func (m *Membership) Incarnation(role Role, idx int) uint64 { return m.slot(role, idx).inc }
-
-// Watermark returns the endpoint slot's last recorded confirmed
-// watermark (see Registry.SetWatermark).
-func (m *Membership) Watermark(role Role, idx int) uint64 { return m.slot(role, idx).watermark }
 
 // EvictedTargets returns the evicted target slots in ascending order.
 func (m *Membership) EvictedTargets() []int {
@@ -471,79 +464,32 @@ func (r *Registry) Evict(p transport.Ctx, flow string, role Role, idx int) error
 	})
 }
 
-// Rejoined is Rejoin's result: the slot's fresh incarnation and the
-// confirmed watermark recorded before the eviction, from which the
-// re-attached endpoint resumes.
-type Rejoined struct {
-	Incarnation uint64
-	Watermark   uint64
-}
-
 // Rejoin re-admits an evicted endpoint to the flow — the sanctioned way
-// back through the epoch fence. With newIdx == idx the endpoint
-// reclaims its old slot under a fresh incarnation: the slot turns
-// Active, its lease timer is re-armed (when it ever held one), and the
-// flow epoch is bumped so peers reconnect — under ring partitioning the
-// slot takes back exactly the arcs it lost. With newIdx != idx the
-// identity transfers to a fresh slot instead (elastic flows, where
-// slots are never recycled): the old slot stays fenced and the new slot
-// inherits the watermark. Rejoining a slot that is not evicted is an
-// error — there is nothing to re-admit, and callers (cmd/dfiflow) treat
-// it as a rejected rejoin.
-func (r *Registry) Rejoin(p transport.Ctx, flow string, role Role, idx, newIdx int) (Rejoined, error) {
-	var out Rejoined
-	err := r.update(p, flow, func(e *entry) error {
+// back through the epoch fence. The endpoint reclaims its old slot under
+// a fresh incarnation: the slot turns Active, its lease timer is
+// re-armed (when it ever held one), and the flow epoch is bumped so
+// peers reconnect — under ring partitioning the slot takes back exactly
+// the arcs it lost. The one caller in the data plane is a re-attaching
+// target (core's Target.Reattach, which requires a lease). Rejoining a
+// slot that is not evicted is an error — there is nothing to re-admit,
+// and callers (cmd/dfiflow) treat it as a rejected rejoin.
+func (r *Registry) Rejoin(p transport.Ctx, flow string, role Role, idx int) error {
+	return r.update(p, flow, func(e *entry) error {
 		m := e.mem
-		k := epKey{role, idx}
-		l := m.eps[k]
+		l := m.eps[epKey{role, idx}]
 		if l == nil || l.state != StateEvicted {
 			return fmt.Errorf("registry: %s %d of flow %q is not evicted (state %v); rejoin rejected",
 				role, idx, flow, m.peek(role, idx).state)
 		}
-		if newIdx == idx {
-			l.gen++ // orphan pre-eviction timers
-			l.inc++
-			l.state = StateActive
-			if l.ttl > 0 {
-				m.arm(l)
-			}
-			r.emit(metrics.Event{Type: metrics.EvLease, Flow: flow, Epoch: m.epoch.Load() + 1,
-				Role: role.String(), Slot: idx, Seq: l.inc, Detail: "rejoined own slot"})
-			m.bump("epoch bumped by rejoin")
-			out = Rejoined{Incarnation: l.inc, Watermark: l.watermark}
-			return nil
+		l.gen++ // orphan pre-eviction timers
+		l.inc++
+		l.state = StateActive
+		if l.ttl > 0 {
+			m.arm(l)
 		}
-		nl := m.leaseAt(epKey{role, newIdx})
-		if nl.state == StateEvicted {
-			return fmt.Errorf("registry: cannot transfer %s %d of flow %q onto evicted slot %d",
-				role, idx, flow, newIdx)
-		}
-		// No epoch bump: the fresh slot announces itself through the
-		// normal attach path; the old slot's eviction epoch already
-		// rerouted its work.
-		nl.watermark = l.watermark
-		r.emit(metrics.Event{Type: metrics.EvLease, Flow: flow, Epoch: m.epoch.Load(),
-			Role: role.String(), Slot: newIdx, Seq: nl.inc,
-			Detail: fmt.Sprintf("identity transferred from slot %d", idx)})
-		out = Rejoined{Incarnation: nl.inc, Watermark: nl.watermark}
-		return nil
-	})
-	return out, err
-}
-
-// SetWatermark durably records an endpoint's confirmed progress (e.g. a
-// source's count of tuples confirmed consumed by their targets). After
-// an eviction, Rejoin returns the last recorded value so the endpoint
-// resumes there instead of from zero. Recording on an evicted slot is
-// refused: the fence also protects the watermark from a wedged
-// endpoint's late writes.
-func (r *Registry) SetWatermark(p transport.Ctx, flow string, role Role, idx int, watermark uint64) error {
-	return r.update(p, flow, func(e *entry) error {
-		l := e.mem.leaseAt(epKey{role, idx})
-		if l.state == StateEvicted {
-			return fmt.Errorf("registry: %s %d of flow %q was evicted; watermark refused", role, idx, flow)
-		}
-		l.watermark = watermark
+		r.emit(metrics.Event{Type: metrics.EvLease, Flow: flow, Epoch: m.epoch.Load() + 1,
+			Role: role.String(), Slot: idx, Seq: l.inc, Detail: "rejoined own slot"})
+		m.bump("epoch bumped by rejoin")
 		return nil
 	})
 }

@@ -105,7 +105,7 @@ func TestLeaseTimerDispatchPinned(t *testing.T) {
 		if !s.MembershipOf("f2").SourceEvicted(0) {
 			t.Fatal("f2 source not evicted after ttl+grace")
 		}
-		if _, err := s.Rejoin(p, "f2", RoleSource, 0, 0); err != nil {
+		if err := s.Rejoin(p, "f2", RoleSource, 0); err != nil {
 			t.Fatal(err)
 		}
 		p.Sleep(ttl / 3)

@@ -12,9 +12,6 @@ func TestRejoinReclaimsSlot(t *testing.T) {
 		if err := r.AcquireLease(p, "f", RoleTarget, 1, ttl, grace); err != nil {
 			t.Fatal(err)
 		}
-		if err := r.SetWatermark(p, "f", RoleTarget, 1, 77); err != nil {
-			t.Fatal(err)
-		}
 		if err := r.Evict(p, "f", RoleTarget, 1); err != nil {
 			t.Fatal(err)
 		}
@@ -22,12 +19,8 @@ func TestRejoinReclaimsSlot(t *testing.T) {
 		if m.Epoch() != 1 {
 			t.Fatalf("epoch = %d after evict, want 1", m.Epoch())
 		}
-		rj, err := r.Rejoin(p, "f", RoleTarget, 1, 1)
-		if err != nil {
+		if err := r.Rejoin(p, "f", RoleTarget, 1); err != nil {
 			t.Fatal(err)
-		}
-		if rj.Incarnation != 1 || rj.Watermark != 77 {
-			t.Fatalf("rejoin = %+v, want incarnation 1 watermark 77", rj)
 		}
 		if st := m.State(RoleTarget, 1); st != StateActive {
 			t.Fatalf("state = %v after rejoin, want active", st)
@@ -59,7 +52,7 @@ func TestRejoinRearmsLeaseTimers(t *testing.T) {
 		if !m.SourceEvicted(0) {
 			t.Fatal("lease did not expire to eviction")
 		}
-		if _, err := r.Rejoin(p, "f", RoleSource, 0, 0); err != nil {
+		if err := r.Rejoin(p, "f", RoleSource, 0); err != nil {
 			t.Fatal(err)
 		}
 		// The rejoined slot holds a live lease again: left unrenewed it
@@ -80,85 +73,21 @@ func TestRejoinRearmsLeaseTimers(t *testing.T) {
 func TestRejoinRejectedWhenNotEvicted(t *testing.T) {
 	k, r := leaseEnv(t)
 	k.Spawn("p", func(p *sim.Proc) {
-		if _, err := r.Rejoin(p, "f", RoleTarget, 0, 0); err == nil {
+		if err := r.Rejoin(p, "f", RoleTarget, 0); err == nil {
 			t.Error("rejoin of a never-evicted slot accepted")
 		}
 		if err := r.AcquireLease(p, "f", RoleTarget, 0, ttl, grace); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := r.Rejoin(p, "f", RoleTarget, 0, 0); err == nil {
+		if err := r.Rejoin(p, "f", RoleTarget, 0); err == nil {
 			t.Error("rejoin of an active slot accepted")
 		}
-		if _, err := r.Rejoin(p, "missing", RoleTarget, 0, 0); err == nil {
+		if err := r.Rejoin(p, "missing", RoleTarget, 0); err == nil {
 			t.Error("rejoin on unpublished flow accepted")
 		}
 		m := r.MembershipOf("f")
 		if m.Epoch() != 0 {
 			t.Fatalf("rejected rejoins bumped the epoch to %d", m.Epoch())
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRejoinTransfersToFreshSlot(t *testing.T) {
-	k, r := leaseEnv(t)
-	k.Spawn("p", func(p *sim.Proc) {
-		if err := r.AcquireLease(p, "f", RoleSource, 0, ttl, grace); err != nil {
-			t.Fatal(err)
-		}
-		if err := r.SetWatermark(p, "f", RoleSource, 0, 123); err != nil {
-			t.Fatal(err)
-		}
-		if err := r.Evict(p, "f", RoleSource, 0); err != nil {
-			t.Fatal(err)
-		}
-		rj, err := r.Rejoin(p, "f", RoleSource, 0, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rj.Watermark != 123 {
-			t.Fatalf("transferred watermark = %d, want 123", rj.Watermark)
-		}
-		m := r.MembershipOf("f")
-		if !m.SourceEvicted(0) {
-			t.Error("old slot un-fenced by a fresh-slot transfer")
-		}
-		if m.Watermark(RoleSource, 3) != 123 {
-			t.Errorf("fresh slot watermark = %d, want 123", m.Watermark(RoleSource, 3))
-		}
-		if st := m.State(RoleSource, 3); st != StateActive {
-			t.Errorf("fresh slot state = %v, want active", st)
-		}
-		// Transferring onto an evicted slot is refused.
-		if err := r.Evict(p, "f", RoleSource, 5); err != nil {
-			t.Fatal(err)
-		}
-		if err := r.Evict(p, "f", RoleSource, 6); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := r.Rejoin(p, "f", RoleSource, 5, 6); err == nil {
-			t.Error("transfer onto an evicted slot accepted")
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWatermarkFencedAfterEviction(t *testing.T) {
-	k, r := leaseEnv(t)
-	k.Spawn("p", func(p *sim.Proc) {
-		if err := r.Evict(p, "f", RoleSource, 2); err != nil {
-			t.Fatal(err)
-		}
-		if err := r.SetWatermark(p, "f", RoleSource, 2, 9); err == nil {
-			t.Error("watermark write on an evicted slot accepted")
-		}
-		m := r.MembershipOf("f")
-		if m.Watermark(RoleSource, 2) != 0 {
-			t.Errorf("fenced watermark = %d, want 0", m.Watermark(RoleSource, 2))
 		}
 	})
 	if err := k.Run(); err != nil {

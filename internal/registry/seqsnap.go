@@ -37,8 +37,8 @@ type SeqSnapshot struct {
 // sequencer record: the high-water only moves forward, and the
 // per-source counts follow the report that owns the highest water (they
 // must stay mutually consistent, so they are not merged element-wise).
-// Reports from an evicted target slot are refused — the same fence that
-// protects watermarks from a wedged endpoint's late writes.
+// Reports from an evicted target slot are refused: a wedged endpoint's
+// late writes must not move the record.
 func (r *Registry) RecordSeqProgress(p transport.Ctx, flow string, tgt int, highWater uint64, perSource []uint64) error {
 	return r.update(p, flow, func(e *entry) error {
 		if e.mem.peek(RoleTarget, tgt).state == StateEvicted {

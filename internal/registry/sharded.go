@@ -167,13 +167,8 @@ func (s *Sharded) Evict(p transport.Ctx, flow string, role Role, idx int) error 
 }
 
 // Rejoin routes to the owning shard.
-func (s *Sharded) Rejoin(p transport.Ctx, flow string, role Role, idx, newIdx int) (Rejoined, error) {
-	return s.Shard(flow).Rejoin(p, flow, role, idx, newIdx)
-}
-
-// SetWatermark routes to the owning shard.
-func (s *Sharded) SetWatermark(p transport.Ctx, flow string, role Role, idx int, watermark uint64) error {
-	return s.Shard(flow).SetWatermark(p, flow, role, idx, watermark)
+func (s *Sharded) Rejoin(p transport.Ctx, flow string, role Role, idx int) error {
+	return s.Shard(flow).Rejoin(p, flow, role, idx)
 }
 
 // AttachSource routes to the owning shard.

@@ -11,8 +11,8 @@ import (
 //
 // The replicated registry (replicated.go) periodically serializes the
 // whole state machine — flows, per-target connection info, membership
-// epochs, leases, incarnations, watermarks and elastic attach counts and
-// seals — and installs the result
+// epochs, leases, incarnations and elastic attach counts and seals —
+// and installs the result
 // on its acceptors so the Multi-Paxos log and the applied-table can be
 // truncated below the snapshot index (log compaction; see
 // docs/PROTOCOL.md, "Replicated registry"). A lagging or recovering
@@ -25,7 +25,7 @@ import (
 // contents: captureState carries them by reference, and encode writes a
 // deterministic reference index plus the dynamic type name. Everything
 // the registry itself owns — names, epochs, attach counts, seals, lease
-// states, TTLs, incarnations, watermarks — is encoded by value, which is what the
+// states, TTLs, incarnations — is encoded by value, which is what the
 // byte-for-byte round-trip property in snapshot_test.go pins down.
 
 // stateSnapshot is a deep copy of the registry state machine at one
@@ -155,8 +155,8 @@ func sortedKeys(m map[int]any) []int {
 
 // snapMagic versions the snapshot encoding; bump on layout changes.
 // 2 added the per-flow sequencer record (ordered-multicast recovery), 3
-// the elastic attach count and seal.
-const snapMagic = "DFISNAP3"
+// the elastic attach count and seal, 4 dropped the per-lease watermark.
+const snapMagic = "DFISNAP4"
 
 // encode serializes the snapshot deterministically: sorted flows, each
 // with epoch, attach count, seal, meta reference, sorted targets and
@@ -231,7 +231,6 @@ func (s *stateSnapshot) encode() []byte {
 			u64(uint64(l.ttl))
 			u64(uint64(l.grace))
 			u64(l.inc)
-			u64(l.watermark)
 		}
 		if fs.seq == nil {
 			u64(0)

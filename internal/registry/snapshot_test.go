@@ -63,16 +63,12 @@ func TestSnapshotRoundTripByteForByte(t *testing.T) {
 							t.Fatal(err)
 						}
 						if rng.Intn(2) == 0 {
-							if _, err := r.Rejoin(p, name, role, idx, idx); err != nil {
+							if err := r.Rejoin(p, name, role, idx); err != nil {
 								t.Fatal(err)
 							}
 						}
 					case 1:
 						r.ReleaseLease(p, name, role, idx)
-					case 2:
-						if err := r.SetWatermark(p, name, role, idx, rng.Uint64()); err != nil {
-							t.Fatal(err)
-						}
 					}
 				}
 				for i := rng.Intn(3); i > 0; i-- {
@@ -124,7 +120,7 @@ func TestSnapshotRoundTripByteForByte(t *testing.T) {
 				}
 				for key, l := range e.mem.eps {
 					l2 := e2.mem.eps[key]
-					if l2 == nil || l2.state != l.state || l2.inc != l.inc || l2.watermark != l.watermark {
+					if l2 == nil || l2.state != l.state || l2.inc != l.inc {
 						t.Fatalf("flow %q %v %d: lease %+v restored as %+v", name, key.role, key.idx, l, l2)
 					}
 				}
@@ -157,13 +153,10 @@ func TestReplicatedLogCompactionBounded(t *testing.T) {
 			if err := r.AcquireLease(p, name, RoleSource, 0, 50*time.Millisecond, 0); err != nil {
 				t.Fatal(err)
 			}
-			for j := 0; j < 3; j++ {
+			for j := 0; j < 4; j++ {
 				if err := r.RenewLease(p, name, RoleSource, 0); err != nil {
 					t.Fatal(err)
 				}
-			}
-			if err := r.SetWatermark(p, name, RoleSource, 0, uint64(i)); err != nil {
-				t.Fatal(err)
 			}
 			r.ReleaseLease(p, name, RoleSource, 0)
 			r.Remove(p, name)
@@ -220,7 +213,7 @@ func TestReplicatedCompactionDisabled(t *testing.T) {
 // tentpole's chaos test (seed-swept via DFI_CHAOS_SEED): lease state
 // built up before a snapshot-compacted log loses its entries must be
 // served correctly by the new master after the old one crashes —
-// leases, epoch fences, and watermarks all intact — and fresh commands
+// leases, epoch fences, and incarnations all intact — and fresh commands
 // must commit above the snapshot index.
 func TestReplicatedLeaseSurvivesPostCompactionFailover(t *testing.T) {
 	k := sim.New(testSeed())
@@ -245,7 +238,11 @@ func TestReplicatedLeaseSurvivesPostCompactionFailover(t *testing.T) {
 		if err := r.AcquireLease(p, "f", RoleSource, 0, ttl, 0); err != nil {
 			t.Fatal(err)
 		}
-		if err := r.SetWatermark(p, "f", RoleSource, 0, 7777); err != nil {
+		// Source 0 comes back once (incarnation 1) before target 1 goes.
+		if err := r.Evict(p, "f", RoleSource, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Rejoin(p, "f", RoleSource, 0); err != nil {
 			t.Fatal(err)
 		}
 		if err := r.Evict(p, "f", RoleTarget, 1); err != nil {
@@ -278,18 +275,20 @@ func TestReplicatedLeaseSurvivesPostCompactionFailover(t *testing.T) {
 			t.Fatalf("fresh acquire after failover: %v", err)
 		}
 		m := r.MembershipOf("f")
-		if m == nil || m.Epoch() != 1 {
-			t.Fatalf("epoch = %v, want 1 (the pre-crash eviction)", m.Epoch())
+		if m == nil || m.Epoch() != 3 {
+			t.Fatalf("epoch = %v, want 3 (the pre-crash evictions and rejoin)", m.Epoch())
 		}
-		if got := m.Watermark(RoleSource, 0); got != 7777 {
-			t.Fatalf("watermark = %d after failover, want 7777", got)
+		if got := m.Incarnation(RoleSource, 0); got != 1 {
+			t.Fatalf("source incarnation = %d after failover, want 1", got)
 		}
-		got, err := r.Rejoin(p, "f", RoleTarget, 1, 1)
-		if err != nil {
+		if err := r.RenewLease(p, "f", RoleSource, 0); err != nil {
+			t.Fatalf("rejoined source lease lost across failover: %v", err)
+		}
+		if err := r.Rejoin(p, "f", RoleTarget, 1); err != nil {
 			t.Fatalf("rejoin of the pre-crash eviction after failover: %v", err)
 		}
-		if got.Incarnation != 1 {
-			t.Fatalf("rejoin incarnation = %d, want 1", got.Incarnation)
+		if got := m.Incarnation(RoleTarget, 1); got != 1 {
+			t.Fatalf("rejoin incarnation = %d, want 1", got)
 		}
 		if r.Master() == oldMaster || r.Elections() == 0 {
 			t.Fatalf("master = %d elections = %d; failover did not happen", r.Master(), r.Elections())

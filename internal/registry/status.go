@@ -12,7 +12,7 @@ import (
 
 // Live introspection: the registry is the control-plane hub, so it is
 // where a scraper can see the whole cluster — flows, leases, epochs,
-// watermarks, and the replication group — as one ClusterStatus built
+// incarnations, and the replication group — as one ClusterStatus built
 // from the state machine on each read. Mutations do no status work
 // beyond stamping the registry's changed time, so a scrape costs one
 // pass over the flows under the monitor and the data path nothing.
@@ -23,7 +23,6 @@ type EndpointStatus struct {
 	Slot        int    `json:"slot"`
 	State       string `json:"state"`
 	Incarnation uint64 `json:"incarnation,omitempty"`
-	Watermark   uint64 `json:"watermark,omitempty"`
 }
 
 // FlowStatus is one flow's control-plane view.
@@ -127,7 +126,6 @@ func buildFlowStatus(name string, e *entry) FlowStatus {
 			Slot:        k.idx,
 			State:       l.state.String(),
 			Incarnation: l.inc,
-			Watermark:   l.watermark,
 		})
 	}
 	slices.SortFunc(fs.Endpoints, func(a, b EndpointStatus) int {

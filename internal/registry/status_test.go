@@ -25,8 +25,7 @@ type statusControl interface {
 	RenewLeaseBatch(p transport.Ctx, refs []LeaseRef) []LeaseRef
 	ReleaseLease(p transport.Ctx, flow string, role Role, idx int)
 	Evict(p transport.Ctx, flow string, role Role, idx int) error
-	Rejoin(p transport.Ctx, flow string, role Role, idx, newIdx int) (Rejoined, error)
-	SetWatermark(p transport.Ctx, flow string, role Role, idx int, watermark uint64) error
+	Rejoin(p transport.Ctx, flow string, role Role, idx int) error
 	RecordSeqSkips(p transport.Ctx, flow string, epoch uint64, seqs ...uint64) error
 	MembershipOf(name string) *Membership
 	Status() *ClusterStatus
@@ -79,8 +78,8 @@ func statusMismatch(st *ClusterStatus, reg statusControl, nFlows, nSlots int) st
 					ep.State = StateActive.String() // the zero lease
 				}
 				want := EndpointStatus{Role: role.String(), Slot: idx, State: m.State(role, idx).String(),
-					Incarnation: m.Incarnation(role, idx), Watermark: m.Watermark(role, idx)}
-				if ep.State != want.State || ep.Incarnation != want.Incarnation || ep.Watermark != want.Watermark {
+					Incarnation: m.Incarnation(role, idx)}
+				if ep.State != want.State || ep.Incarnation != want.Incarnation {
 					return fmt.Sprintf("flow %s: %s %d shows %+v, record %+v", name, role, idx, ep, want)
 				}
 			}
@@ -204,12 +203,11 @@ func TestStatusSnapshotMatchesRebuild(t *testing.T) {
 						case 12:
 							op = "Rejoin"
 							f, ro, idx := flow(), role(), rnd.Intn(nSlots)
-							if _, err := reg.Rejoin(p, f, ro, idx, idx); err == nil && ro == RoleTarget {
+							if err := reg.Rejoin(p, f, ro, idx); err == nil && ro == RoleTarget {
 								_ = reg.RepublishTarget(p, f, idx, i)
 							}
 						case 13:
-							op = "SetWatermark"
-							_ = reg.SetWatermark(p, flow(), role(), rnd.Intn(nSlots), uint64(i))
+							op = "RecordSeqSkips"
 							_ = reg.RecordSeqSkips(p, flow(), 0, uint64(i))
 						case 14:
 							op = "Remove"

@@ -25,13 +25,15 @@ import (
 const censusMaxEvents = 4_000_000
 
 // censusRow is one eviction scenario: the dfiflow run `-mb 1` with 2
-// sources and 2 targets, target 1 evicted once.
+// sources and 2 targets, target 1 evicted once and, when rejoin is set,
+// re-attached rejoin after the eviction.
 type censusRow struct {
 	shared bool
 	lease  bool
 	typ    string // shuffle | replicate | combiner
 	flows  int
 	evict  time.Duration
+	rejoin time.Duration
 }
 
 func (r censusRow) String() string {
@@ -42,7 +44,11 @@ func (r censusRow) String() string {
 	if r.lease {
 		lease = "lease"
 	}
-	return fmt.Sprintf("%s/%s/%s/flows=%d/evict=%dus", ring, lease, r.typ, r.flows, r.evict.Microseconds())
+	name := fmt.Sprintf("%s/%s/%s/flows=%d/evict=%dus", ring, lease, r.typ, r.flows, r.evict.Microseconds())
+	if r.rejoin > 0 {
+		name += fmt.Sprintf("/rejoin=%dus", (r.evict + r.rejoin).Microseconds())
+	}
+	return name
 }
 
 // command is the dfiflow command line that runs the same scenario.
@@ -54,31 +60,47 @@ func (r censusRow) command(seed int64) string {
 	if r.lease {
 		cmd += " -lease 100us"
 	}
-	return cmd + fmt.Sprintf(" -type %s -flows %d -evict 1@%dus -seed %d", r.typ, r.flows, r.evict.Microseconds(), seed)
+	cmd += fmt.Sprintf(" -type %s -flows %d -evict 1@%dus", r.typ, r.flows, r.evict.Microseconds())
+	if r.rejoin > 0 {
+		cmd += fmt.Sprintf(" -rejoin 1@%dus", (r.evict + r.rejoin).Microseconds())
+	}
+	return cmd + fmt.Sprintf(" -seed %d", seed)
 }
 
 // censusRows is the full table: {private, shared} × {no lease, 100 µs
 // lease} × {shuffle, replicate, combiner} × flows {1, 4, 16, 20, 64} ×
-// an eviction of target 1 at {20, 40, 80} µs. short keeps the 24 rows
-// with 4 or 20 flows evicted at 40 µs; four of them, the shared 20-flow
+// an eviction of target 1 at {20, 40, 80} µs, then the rejoin rows:
+// private rings, 100 µs lease, {shuffle, replicate} × the same flows and
+// evictions, target 1 re-attached 60 µs after its eviction (only a
+// leased target rejoins; shared rings and combiners cannot, and ordered
+// multicast is left out). short keeps the rows with 4 or 20 flows
+// evicted at 40 µs: 24 eviction rows — four of them, the shared 20-flow
 // shuffle and replicate rows, stopped making progress while a
-// shared-ring send could not give up.
+// shared-ring send could not give up — and 4 rejoin rows.
 func censusRows(short bool) []censusRow {
 	var rows []censusRow
-	for _, shared := range []bool{false, true} {
-		for _, lease := range []bool{false, true} {
-			for _, typ := range []string{"shuffle", "replicate", "combiner"} {
-				for _, flows := range []int{1, 4, 16, 20, 64} {
-					for _, at := range []time.Duration{20 * time.Microsecond, 40 * time.Microsecond, 80 * time.Microsecond} {
-						if short && (at != 40*time.Microsecond || (flows != 4 && flows != 20)) {
-							continue
-						}
-						rows = append(rows, censusRow{shared, lease, typ, flows, at})
+	each := func(types []string, row func(typ string, flows int, at time.Duration)) {
+		for _, typ := range types {
+			for _, flows := range []int{1, 4, 16, 20, 64} {
+				for _, at := range []time.Duration{20 * time.Microsecond, 40 * time.Microsecond, 80 * time.Microsecond} {
+					if short && (at != 40*time.Microsecond || (flows != 4 && flows != 20)) {
+						continue
 					}
+					row(typ, flows, at)
 				}
 			}
 		}
 	}
+	for _, shared := range []bool{false, true} {
+		for _, lease := range []bool{false, true} {
+			each([]string{"shuffle", "replicate", "combiner"}, func(typ string, flows int, at time.Duration) {
+				rows = append(rows, censusRow{shared: shared, lease: lease, typ: typ, flows: flows, evict: at})
+			})
+		}
+	}
+	each([]string{"shuffle", "replicate"}, func(typ string, flows int, at time.Duration) {
+		rows = append(rows, censusRow{lease: true, typ: typ, flows: flows, evict: at, rejoin: 60 * time.Microsecond})
+	})
 	return rows
 }
 
@@ -94,8 +116,9 @@ func censusSeed() int64 {
 // TestEvictionCensus runs every census row to completion under the event
 // budget. Each must end cleanly, every target evicted or drained and
 // every source closed; on shared rings, once the rings are settled,
-// every credit acquired must have come back. Delivery counts are not
-// asserted: no reference semantics for them exists yet.
+// every credit acquired must have come back; on a rejoin row, every
+// flow's target 1 must have rejoined. Delivery counts are not asserted:
+// no reference semantics for them exists yet.
 func TestEvictionCensus(t *testing.T) {
 	seed := censusSeed()
 	for _, r := range censusRows(testing.Short()) {
@@ -151,15 +174,22 @@ func runCensusRow(r censusRow, seed int64, log *bytes.Buffer) (uint64, error) {
 		}
 		spec.Targets = append(spec.Targets, core.Endpoint{Node: node, Thread: i})
 	}
-	res := Run(b, Scenario{
+	sc := Scenario{
 		Spec:      spec,
 		Flows:     r.flows,
 		Tuples:    (1 << 20) / sch.TupleSize() / r.flows,
 		Evictions: []Eviction{{Target: 1, At: r.evict}},
 		Log:       log,
-	})
+	}
+	if r.rejoin > 0 {
+		sc.Rejoins = map[int]time.Duration{1: r.evict + r.rejoin}
+	}
+	res := Run(b, sc)
 	if err := res.Err(); err != nil {
 		return k.Events(), err
+	}
+	if n := bytes.Count(log.Bytes(), []byte("target 1: rejoined at ")); r.rejoin > 0 && n != r.flows {
+		return k.Events(), fmt.Errorf("target 1 rejoined in %d of %d flows", n, r.flows)
 	}
 	if !r.shared {
 		return k.Events(), nil
