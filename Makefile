@@ -28,7 +28,8 @@ race:
 # -count=1 defeats caching so every seed really runs). The eviction
 # census of internal/scenario runs its -short rows at each seed too: 24
 # eviction rows and 4 rows whose evicted target rejoins (the full table,
-# 180 eviction and 30 rejoin rows, runs in `go test ./...`).
+# 180 eviction and 30 rejoin rows, runs in `go test ./...`), and so do
+# the 9 rows of the lossy-multicast census (see chaos-mc).
 CHAOS_SEEDS ?= 11 1 7 42
 chaos:
 	@for seed in $(CHAOS_SEEDS); do \
@@ -40,25 +41,32 @@ chaos:
 			-run 'Census' ./internal/scenario/ || exit 1; \
 	done
 
-# Ordered-multicast fault matrix: every ordered-multicast crash test —
-# a source silenced with and without leases, its sequencer's node
-# crashed, heavy loss with agreed skips recorded in the registry — with
-# the survivors' delivered sequences and skip counts compared, plus
-# target eviction + sequencer-snapshot rejoin, forged messages, the
-# source that is pending but not silent, and the unsupported-operation
-# surface, swept over the chaos seeds (each seed changes which UD sends
-# are lost and therefore which sequences need agreement). Then the
-# target evict + rejoin test runs once with DFI_CHAOS_SEED empty, which
-# sweeps its own seeds 1–60 (its receive-pool panic showed on none of
-# CHAOS_SEEDS). Last, NOPaxos, the one non-test user of the gap ladder
-# under loss, runs once under the race detector (its tests do not read
-# DFI_CHAOS_SEED).
+# Multicast fault matrix: every ordered-multicast crash test — a source
+# silenced with and without leases, its sequencer's node crashed, heavy
+# loss with agreed skips recorded in the registry — with the survivors'
+# delivered sequences and skip counts compared, plus target eviction +
+# sequencer-snapshot rejoin, forged messages, the source that is pending
+# but not silent, a straggler target its sources declare failed (its
+# receive streams must stay inside their windows, unordered and
+# ordered), and the unsupported-operation surface, swept over the chaos
+# seeds (each seed changes which UD sends are lost and therefore which
+# sequences need recovery or agreement). At each seed the lossy-multicast
+# census of internal/scenario runs too: {unordered, ordered} × loss
+# {1, 2} % × -retransmit {20, 200} µs and one wider unordered row, each
+# under four times its lossless run's events (`chaos`, whose -run
+# 'Census' matches it, runs it as well). Then the target evict + rejoin
+# test runs once with DFI_CHAOS_SEED empty, which sweeps its own seeds
+# 1–60 (its receive-pool panic showed on none of CHAOS_SEEDS). Last,
+# NOPaxos, the one non-test user of the gap ladder under loss, runs once
+# under the race detector (its tests do not read DFI_CHAOS_SEED).
 chaos-mc:
 	@for seed in $(CHAOS_SEEDS); do \
 		echo "== chaos-mc seed $$seed =="; \
 		DFI_CHAOS_SEED=$$seed $(GO) test -race -count=1 \
 			-run 'TestChaosOrderedMulticast|TestChaosOrderedSequencerNodeCrash|TestOrderedReplicate|TestReplicateMulticast|TestMulticast|TestGapNackLimitValidation' \
 			./internal/core/ || exit 1; \
+		DFI_CHAOS_SEED=$$seed $(GO) test -race -count=1 \
+			-run 'TestLossyMulticastCensus' ./internal/scenario/ || exit 1; \
 	done
 	DFI_CHAOS_SEED= $(GO) test -race -count=1 -run TestChaosOrderedMulticastTargetEvictRejoin ./internal/core/
 	$(GO) test -race -count=1 -run NOPaxos ./internal/consensus/

@@ -290,6 +290,28 @@ func TestRejoinRejected(t *testing.T) {
 	}
 }
 
+// TestLossyMulticastEnds: an unordered multicast flow losing 2 % of its
+// multicast deliveries, whose sources declare a target failed once its
+// credit stalls for 20 µs times the retransmission budget, recovers every
+// loss by NACK before that bound and ends cleanly: exit 0, every target
+// consumed every tuple, none declared failed, in milliseconds of host
+// time.
+func TestLossyMulticastEnds(t *testing.T) {
+	start := time.Now()
+	out, code := runToString(t, "-type", "replicate", "-multicast", "-loss", "0.02", "-mb", "1", "-retransmit", "20us")
+	if code != 0 || strings.Contains(out, "stopped responding") {
+		t.Fatalf("exit %d, want 0 with no target declared failed:\n%s", code, out)
+	}
+	if m := totalsRE.FindStringSubmatch(out); m == nil {
+		t.Errorf("no totals line:\n%s", out)
+	} else if n, _ := strconv.Atoi(m[1]); m[2] != strconv.Itoa(2*n) {
+		t.Errorf("pushed %s, consumed %s: want both targets to consume every tuple:\n%s", m[1], m[2], out)
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Errorf("took %v of host time", took)
+	}
+}
+
 // TestBrokenFlowLeavesEvidence: a flow that breaks with nothing injected
 // (a recovery timeout no round trip can meet) still prints the summary
 // and writes the event trace before exiting 1 — the run an operator

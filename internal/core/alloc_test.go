@@ -238,6 +238,75 @@ func TestOrderedMulticastDeliveryHistoryAllocs(t *testing.T) {
 	}
 }
 
+// TestMulticastRetransmitHistoryAllocs is the allocation gate for what a
+// multicast source keeps per flushed segment: the copy a NACK is answered
+// from. The copies live in a ring of 4R entries in insertion order that
+// reuse their buffers, so once the ring has gone round, retaining a
+// segment allocates nothing — on an ordered source too, whose sequence
+// numbers are sparse — and the ring holds exactly the last 4R segments.
+func TestMulticastRetransmitHistoryAllocs(t *testing.T) {
+	for _, ordered := range []bool{false, true} {
+		t.Run(fmt.Sprintf("ordered=%v", ordered), func(t *testing.T) {
+			e := newEnv(t, 2)
+			spec := FlowSpec{
+				Name:    "history-allocs",
+				Type:    ReplicateFlow,
+				Sources: []Endpoint{{Node: e.c.Node(0)}},
+				Targets: []Endpoint{{Node: e.c.Node(1)}},
+				Schema:  kvSchema,
+				Options: Options{Multicast: true, GlobalOrdering: ordered, SegmentSize: 256},
+			}
+			var x *mcTx
+			e.k.Spawn("init", func(p *sim.Proc) {
+				if err := FlowInit(p, e.reg, e.c, spec); err != nil {
+					t.Error(err)
+				}
+			})
+			e.k.Spawn("src", func(p *sim.Proc) {
+				src, _ := SourceOpen(p, e.reg, spec.Name, 0)
+				for i := 0; i < 1_000; i++ {
+					_ = src.Push(p, mkTuple(int64(i), 0))
+				}
+				src.Close(p)
+				x = src.legs[0].tx.(*mcTx)
+			})
+			e.k.Spawn("tgt", func(p *sim.Proc) {
+				tgt, _ := TargetOpen(p, e.reg, spec.Name, 0)
+				for {
+					if _, ok := tgt.Consume(p); !ok {
+						return
+					}
+				}
+			})
+			e.run(t)
+
+			seg := make([]byte, len(x.msg))
+			seq := uint64(1 << 40)
+			retain := func() {
+				x.retain(seq, seg)
+				seq += 3 // sparse, like an ordered source's own sequence numbers
+			}
+			for range x.sent {
+				retain() // every entry full-sized once
+			}
+			if allocs := testing.AllocsPerRun(4*len(x.sent), retain); allocs != 0 {
+				t.Errorf("retaining a flushed segment allocates %.2f times", allocs)
+			}
+			if len(x.sent) != 4*x.credit {
+				t.Fatalf("the history holds %d segments, want 4R = %d", len(x.sent), 4*x.credit)
+			}
+			for i := 1; i <= len(x.sent); i++ {
+				if x.retained(seq-uint64(3*i)) == nil {
+					t.Fatalf("segment %d of the last %d is not retained", i, len(x.sent))
+				}
+			}
+			if x.retained(seq-uint64(3*(len(x.sent)+1))) != nil {
+				t.Errorf("a segment older than the last %d is still retained", len(x.sent))
+			}
+		})
+	}
+}
+
 // multicastAllocsPerSegment runs a lossless multicast replicate flow, one
 // source to two targets with 256-byte segments, and returns the
 // allocations per segment over window segments of the first target's

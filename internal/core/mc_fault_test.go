@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -692,6 +693,83 @@ func TestMulticastSourceHeldBehindGapFails(t *testing.T) {
 					}
 					if !tgt.Done() {
 						t.Errorf("target %d stopped without reaching flow end", ti)
+					}
+				})
+			}
+			e.run(t)
+		})
+	}
+}
+
+// TestMulticastStragglerTargetEnds: a target too slow for its sources —
+// its node computes at a twentieth of the speed — is declared failed by
+// their staleness detector and stops gating them, yet stays in the group
+// and keeps receiving every multicast with no credit behind it. Its
+// streams admit only their window past the head and recycle the rest, so
+// it neither exhausts its receive pool nor stops the flow: the healthy
+// targets consume everything, the source's close names the straggler,
+// and the straggler, which gets no end marker, ends once its source has
+// been silent past SourceTimeout.
+func TestMulticastStragglerTargetEnds(t *testing.T) {
+	const n = 200_000
+	for _, ordered := range []bool{false, true} {
+		t.Run(fmt.Sprintf("ordered=%v", ordered), func(t *testing.T) {
+			e := newEnv(t, 4)
+			e.k.MaxEvents = 20_000_000
+			e.c.Node(3).CPUScale = 0.05
+			spec := FlowSpec{
+				Name:    "mc-straggler",
+				Type:    ReplicateFlow,
+				Sources: []Endpoint{{Node: e.c.Node(0)}},
+				Targets: []Endpoint{{Node: e.c.Node(1)}, {Node: e.c.Node(2)}, {Node: e.c.Node(3)}},
+				Schema:  kvSchema,
+				Options: Options{
+					Multicast: true, GlobalOrdering: ordered,
+					RetransmitTimeout: 20 * time.Microsecond, SourceTimeout: 300 * time.Microsecond,
+				},
+			}
+			e.k.Spawn("init", func(p *sim.Proc) {
+				if err := FlowInit(p, e.reg, e.c, spec); err != nil {
+					t.Error(err)
+				}
+			})
+			e.k.Spawn("src", func(p *sim.Proc) {
+				src, err := SourceOpen(p, e.reg, spec.Name, 0)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for i := 0; i < n; i++ {
+					if err := src.Push(p, mkTuple(int64(i), int64(i))); err != nil {
+						t.Errorf("push: %v", err)
+						return
+					}
+				}
+				err = src.Close(p)
+				if err == nil || !errors.Is(err, ErrFlowBroken) || !strings.Contains(err.Error(), "replicate targets [2] stopped responding") {
+					t.Errorf("close: %v, want the straggler, target 2, reported", err)
+				}
+			})
+			for ti := range spec.Targets {
+				e.k.Spawn(fmt.Sprintf("tgt%d", ti), func(p *sim.Proc) {
+					tgt, err := TargetOpen(p, e.reg, spec.Name, ti)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					got := 0
+					for {
+						if _, ok := tgt.Consume(p); !ok {
+							break
+						}
+						got++
+					}
+					failed := tgt.FailedSources()
+					if ti < 2 && (got != n || len(failed) != 0) {
+						t.Errorf("healthy target %d consumed %d of %d tuples, failed sources %v", ti, got, n, failed)
+					}
+					if ti == 2 && !slices.Equal(failed, []int{0}) {
+						t.Errorf("straggler consumed %d tuples and failed sources %v, want [0]", got, failed)
 					}
 				})
 			}

@@ -65,9 +65,11 @@ func FuzzMcIngest(f *testing.F) {
 			}
 			bytes := min(int(n), copy(buf, msg))
 			feed.ingest(p, buf, bytes, feed.ep)
-			for _, held := range feed.pending {
-				if len(held) != bytes || &held[0] != &buf[0] {
-					t.Errorf("a %d-byte message is held as %d bytes", bytes, len(held))
+			for _, st := range feed.streams {
+				for _, held := range st.pending {
+					if len(held) != bytes || &held[0] != &buf[0] {
+						t.Errorf("a %d-byte message is held as %d bytes", bytes, len(held))
+					}
 				}
 			}
 			if data, ok := feed.scan(p); ok && len(data) > 0 {

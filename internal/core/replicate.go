@@ -23,9 +23,12 @@ import (
 //     the credit score allows; sources track per-target credit from a
 //     back-flow of credit messages, so ordinary sends need no
 //     coordination.
-//   - Segments carry sequence numbers; targets detect losses as gaps and,
-//     after a configurable timeout, request retransmission with a NACK on
-//     a reliable reverse queue pair.
+//   - Segments carry sequence numbers. A target receives them as streams,
+//     one per sequence space: one per source on an unordered flow (each
+//     source's segments in its order), served round-robin, and one over
+//     the global sequence on an ordered flow. Each stream detects losses
+//     as gaps at its own head and, after a configurable timeout, requests
+//     retransmission with a NACK on a reliable reverse queue pair.
 //   - Globally ordered flows draw sequence numbers from a tuple sequencer
 //     (an RDMA fetch-and-add counter) and reorder out-of-order arrivals at
 //     the target with a receive list / next list (paper Figure 6). A gap
@@ -147,10 +150,14 @@ type mcTx struct {
 	credit     int      // ring size R
 	consumedBy []uint64 // cumulative segments consumed, per target
 
-	history   map[uint64][]byte
-	histOrder []uint64
-	seqQP     transport.Queue // to the sequencer node (ordered flows)
-	seqLost   bool            // the sequencer's node crashed: nothing more can be ordered
+	// sent is the retransmission history, the last 4R segments flushed or
+	// refilled, in a ring in insertion order (sentAt is overwritten next)
+	// whose entries reuse their buffers. It is not indexed by sequence
+	// (an ordered source's are sparse): a NACK or a query scans it.
+	sent    []heldSeg
+	sentAt  int
+	seqQP   transport.Queue // to the sequencer node (ordered flows)
+	seqLost bool            // the sequencer's node crashed: nothing more can be ordered
 
 	// folded is the membership epoch at which the group's targets were
 	// last folded (stamped on outgoing segment headers), tinc the target
@@ -204,7 +211,7 @@ func newMcTx(s *Source) *mcTx {
 		msg:         make([]byte, transport.SegDescBytes+o.SegmentSize),
 		credit:      o.SegmentsPerRing,
 		consumedBy:  make([]uint64, nTgt),
-		history:     make(map[uint64][]byte),
+		sent:        make([]heldSeg, 4*o.SegmentsPerRing),
 		folded:      s.epoch,
 		fqps:        make([]transport.Queue, nTgt),
 		tinc:        make([]uint64, nTgt),
@@ -387,19 +394,34 @@ func (x *mcTx) flush(p transport.Ctx) error {
 	}
 	transport.SegDesc{Fill: uint32(x.fill), Flags: transport.SegCommitted, Tag: mcTag(s.idx, x.folded), Seq: seq}.Put(x.msg)
 
-	msg := append([]byte(nil), x.msg[:transport.SegDescBytes+x.fill]...)
-	x.history[seq] = msg
-	x.histOrder = append(x.histOrder, seq)
-	if len(x.histOrder) > 4*x.credit {
-		old := x.histOrder[0]
-		x.histOrder = x.histOrder[1:]
-		delete(x.history, old)
-	}
-
+	// The retained copy is what goes out: the staging message is refilled
+	// at once, while the copy stays put until 4R more segments went out,
+	// and by then credit gating has every live target holding it.
+	msg := x.retain(seq, x.msg[:transport.SegDescBytes+x.fill])
 	x.group.Send(p, s.node, msg, false)
 	x.segsWritten.Add(1)
 	x.payloadBytes.Add(uint64(x.fill))
 	x.fill = 0
+	return nil
+}
+
+// retain keeps a copy of segment seq in the history ring, in the place of
+// the oldest entry and in its buffer, and returns the copy.
+func (x *mcTx) retain(seq uint64, seg []byte) []byte {
+	h := &x.sent[x.sentAt]
+	x.sentAt = (x.sentAt + 1) % len(x.sent)
+	h.keep(seq, seg)
+	return h.seg
+}
+
+// retained returns the history's copy of segment seq, or nil once the
+// ring has moved past it.
+func (x *mcTx) retained(seq uint64) []byte {
+	for i := range x.sent {
+		if x.sent[i].holds(seq) {
+			return x.sent[i].seg
+		}
+	}
 	return nil
 }
 
@@ -496,7 +518,7 @@ func (x *mcTx) handleControl(p transport.Ctx, target int, c transport.Completion
 			x.noteAdvance(p, target)
 		}
 	case ctrlNack:
-		if msg, ok := x.history[m.value]; ok {
+		if msg := x.retained(m.value); msg != nil {
 			// Reliable unicast retransmission to the requesting target.
 			x.fqps[target].Send(p, msg, false, 0)
 			x.retransmits.Add(1)
@@ -533,7 +555,7 @@ func (x *mcTx) handleGapQuery(p transport.Ctx, from int, seq uint64) {
 	if x.rounds == nil {
 		return // unordered: no sequence space to agree on
 	}
-	if msg, ok := x.history[seq]; ok {
+	if msg := x.retained(seq); msg != nil {
 		x.fqps[from].Send(p, msg, false, 0)
 		x.retransmits.Add(1)
 		return
@@ -575,11 +597,10 @@ func (x *mcTx) handleGapHave(p transport.Ctx, seq uint64, payload []byte) {
 	}
 	delete(x.rounds, seq)
 	if len(payload) > 0 {
-		x.history[seq] = payload
-		x.histOrder = append(x.histOrder, seq)
+		x.retain(seq, payload)
 	}
-	msg, ok := x.history[seq]
-	if !ok {
+	msg := x.retained(seq)
+	if msg == nil {
 		return
 	}
 	for j := range x.fqps {
@@ -728,13 +749,17 @@ const noEnd = ^uint64(0)
 
 // mcFeed is the multicast kind on the consuming side: it receives off
 // the group endpoint and the reliable queues, reorders, recovers losses,
-// and hands out segments in sequence order. The per-source state the
-// engine keeps in Target.readers serves it too — consumed is the count
-// of segments delivered from the source, and a source is heard whenever
-// anything of its arrives or sits in pending; the readers close together,
-// when the whole flow is delivered.
+// and hands out segments in sequence order. It keeps one receive stream
+// per sequence space (rxStream): an ordered flow has one, over the global
+// sequence; an unordered flow has one per source, served round-robin.
+// The per-source state the engine keeps in Target.readers serves it too —
+// consumed is the count of segments delivered from the source, and a
+// source is heard whenever anything of its arrives or its stream's head
+// waits here; the readers close together, when the whole flow is
+// delivered.
 type mcFeed struct {
-	t *Target
+	t       *Target
+	ordered bool
 
 	ep   transport.GroupEndpoint
 	tqps []transport.Queue // reliable QP from each source (target end)
@@ -742,21 +767,20 @@ type mcFeed struct {
 	pool   [][]byte // recycled receive buffers
 	poolMR transport.Region
 
+	// The receive streams; window is how far past its head a stream
+	// admits a segment (see newMcFeed), served the stream delivered from
+	// last.
+	streams []rxStream
+	window  uint64
+	served  int
+
 	// Per-source protocol state. end is the source's segment count, from
 	// its end marker or — for a source that failed without one — what was
 	// delivered from it (noEnd until either).
-	nextSeq   []uint64 // next expected per-source seq (unordered)
 	end       []uint64
 	creditAcc []uint64 // segments consumed since last credit msg
 
-	// Ordered-flow state: the "next list" of Figure 6 is the pending map
-	// keyed by global seq; the receive list is the fabric receive queue.
-	nextGlobal uint64
-	pending    map[uint64][]byte
-
-	gapSince time.Duration // when the current head gap was first observed
-	gapNacks int           // unanswered NACK rounds for the current head gap
-	arbiter  int           // source whose verdict the head gap awaits (-1: none)
+	arbiter int // source whose verdict the ordered head gap awaits (-1: none)
 
 	// Gap-agreement state (ordered flows only): copies of recently
 	// delivered segments so probes for a live head can be answered after
@@ -770,15 +794,14 @@ type mcFeed struct {
 	frozen      map[uint64]int // seq -> probing source slot
 	responderUp bool
 
-	// Progress reporting (leased ordered flows): total segments delivered
-	// and the next checkpoint at which RecordSeqProgress is called.
-	totalDelivered uint64
-	progressAt     uint64
+	// Progress reporting (leased ordered flows): the head at which
+	// RecordSeqProgress is called next.
+	progressAt uint64
 
 	// Sequencer access (ordered flows): once every source has ended or
 	// failed, the counter's value is the exact global sequence-space
 	// size — the authoritative stream extent even when a source crashed
-	// mid-stream without an end marker (see seqSpaceSize).
+	// mid-stream without an end marker (see scan).
 	seqQP         transport.Queue
 	seqSpace      uint64
 	seqSpaceKnown bool
@@ -790,12 +813,35 @@ type mcFeed struct {
 	active []byte // buffer backing the segment handed out last
 }
 
-// heldSeg is one delivered segment kept for gap probes: its sequence
-// number and a copy whose buffer the ring reuses (nil until first used).
+// rxStream is one sequence space's receive state, the next list of paper
+// Figure 6 (the receive list is the fabric's receive queue). Segments are
+// delivered from it in sequence order, and one that arrives ahead of the
+// head waits in pending. The stream has a gap when its head is missing
+// while something newer was seen or its extent reaches past the head;
+// the gap clock and the NACK count belong to the head and restart when it
+// moves.
+type rxStream struct {
+	next     uint64            // the head: sequence number delivered next
+	top      uint64            // one past the highest sequence number seen
+	pending  map[uint64][]byte // arrived ahead of delivery, by sequence number
+	gapSince time.Duration     // when the head gap was first observed (0: none)
+	nacks    int               // NACK rounds sent for the head gap
+}
+
+// heldSeg is one retained segment — delivered and kept for gap probes on
+// the target, sent and kept for retransmission on the source: its
+// sequence number and a copy whose buffer the ring reuses (nil until
+// first used).
 type heldSeg struct {
 	seq uint64
 	seg []byte
 }
+
+// keep overwrites the entry with a copy of segment seq, in its buffer.
+func (h *heldSeg) keep(seq uint64, seg []byte) { h.seq, h.seg = seq, append(h.seg[:0], seg...) }
+
+// holds reports whether the entry holds a copy of segment seq.
+func (h *heldSeg) holds(seq uint64) bool { return h.seg != nil && h.seq == seq }
 
 // newMcFeed builds the feed and the target's readers — buffers and
 // per-source state — and dials a reliable queue pair to every source
@@ -807,28 +853,40 @@ func (t *Target) newMcFeed() *mcTargetInfo {
 	nSrc, R := len(t.spec.Sources), o.SegmentsPerRing
 	f := &mcFeed{
 		t:         t,
-		nextSeq:   make([]uint64, nSrc),
+		ordered:   o.GlobalOrdering,
+		streams:   make([]rxStream, nSrc),
+		window:    uint64(R),
 		end:       make([]uint64, nSrc),
 		creditAcc: make([]uint64, nSrc),
-		pending:   make(map[uint64][]byte),
 		arbiter:   -1,
 	}
 	for i := range f.end {
 		f.end[i] = noEnd
 		t.readers = append(t.readers, &ringReader{})
 	}
-	if o.GlobalOrdering {
+	if f.ordered {
+		f.streams, f.window = make([]rxStream, 1), uint64(2*nSrc*R)
 		f.dhist = make([]heldSeg, 2*nSrc*R+16)
 		f.skips = make(map[uint64]bool)
 		f.frozen = make(map[uint64]int)
 		f.seqQP, _ = t.meta.cluster.Dial(t.node, t.meta.seqMR.Owner())
 	}
+	for i := range f.streams {
+		f.streams[i].pending = make(map[uint64][]byte)
+	}
 	stride := transport.SegDescBytes + o.SegmentSize
 	// One slab backs all receive buffers (registered for accounting). The
-	// posted queues hold nSrc*R (multicast) + nSrc*(R+2) (reliable path)
-	// buffers at all times; pending reordering and the active segment hold
-	// at most as many again.
-	nBufs := 2*(nSrc*R+nSrc*(R+2)) + 8
+	// queues hold the posted ones at all times (nSrc*R on the group
+	// endpoint, R+2 on each reliable queue); the other posted+8 hold the
+	// active segment, the arrival ingest replaced, and what the streams
+	// admit: each only inside its window past its head, R unordered (a
+	// source's credit keeps it within R of this target's consumption),
+	// 2*nSrc*R ordered (twice what credit lets all sources have past the
+	// head). A member its sources declared failed and stopped gating gets
+	// no more: what lands past the window is recycled, for a NACK to
+	// recover once the head gets there.
+	posted := nSrc*R + nSrc*(R+2)
+	nBufs := 2*posted + 8
 	f.poolMR = t.meta.cluster.OpenRegion(t.node, nBufs*stride)
 	slab := f.poolMR.Bytes()
 	for i := 0; i < nBufs; i++ {
@@ -874,7 +932,8 @@ func (t *Target) rejoinGroup(p transport.Ctx, mem *registry.Membership, snap reg
 	// Re-attach to the multicast group: the eviction detached this slot's
 	// endpoint; a fresh one takes its place.
 	f.join(t.meta.group.Reattach(t.idx, t.node))
-	f.nextGlobal = snap.HighWater
+	g := &f.streams[0]
+	g.next = snap.HighWater
 	for _, seq := range snap.Skips {
 		if seq >= snap.HighWater {
 			f.skips[seq] = true
@@ -885,8 +944,7 @@ func (t *Target) rejoinGroup(p transport.Ctx, mem *registry.Membership, snap reg
 			r.consumed.Store(snap.PerSource[i])
 		}
 	}
-	f.totalDelivered = f.nextGlobal
-	f.progressAt = f.totalDelivered + uint64(t.spec.Options.SegmentsPerRing)
+	f.progressAt = g.next + uint64(t.spec.Options.SegmentsPerRing)
 	if err := t.reg.Rejoin(p, name, registry.RoleTarget, t.idx); err != nil {
 		return fmt.Errorf("dfi: rejoin of target %d rejected: %w", t.idx, err)
 	}
@@ -894,7 +952,7 @@ func (t *Target) rejoinGroup(p transport.Ctx, mem *registry.Membership, snap reg
 	// Announce the resumed progress so reconnecting sources restart their
 	// credit from the high-water (RC queues the message until the source
 	// posts its receives).
-	f.broadcastProgress(p)
+	f.credit(p, 0)
 	if sink := t.reg.EventSink(); sink != nil {
 		sink.Emit(metrics.Event{
 			T: p.Now(), Node: fmt.Sprintf("node%d", t.node.ID()),
@@ -908,7 +966,7 @@ func (t *Target) rejoinGroup(p transport.Ctx, mem *registry.Membership, snap reg
 
 func (f *mcFeed) takeBuf() []byte {
 	if len(f.pool) == 0 {
-		// Pool exhaustion cannot happen within the credit window; guard
+		// Pool exhaustion cannot happen within the streams' windows; guard
 		// against protocol bugs.
 		panic("dfi: multicast receive buffer pool exhausted")
 	}
@@ -919,15 +977,6 @@ func (f *mcFeed) takeBuf() []byte {
 
 func (f *mcFeed) recycle(buf []byte) {
 	f.pool = append(f.pool, buf[:cap(buf)])
-}
-
-// key computes the pending-map key for a segment: the global sequence for
-// ordered flows, or (source, per-source seq) packed otherwise.
-func (f *mcFeed) key(src int, seq uint64) uint64 {
-	if f.t.spec.Options.GlobalOrdering {
-		return seq
-	}
-	return uint64(src)<<48 | seq
 }
 
 // recvOrigin is a receive queue a buffer can be (re)posted to: either the
@@ -956,12 +1005,12 @@ func isGapCtrl(buf []byte, bytes int) bool {
 // windows never shrink (losing posted receives would starve the flow).
 // What a peer wrote is not trusted: a message whose source index is not a
 // declared slot, or whose descriptor claims a fill other than the bytes
-// that followed it (so never more than a segment), is dropped.
+// that followed it (so never more than a segment), is dropped. A segment
+// is admitted into its stream once, and only inside the stream's window.
 func (f *mcFeed) ingest(p transport.Ctx, buf []byte, bytes int, origin recvOrigin) {
 	origin.PostRecv(f.takeBuf(), 0)
 	t := f.t
-	ordered := t.spec.Options.GlobalOrdering
-	if ordered && isGapCtrl(buf, bytes) {
+	if f.ordered && isGapCtrl(buf, bytes) {
 		f.handleGapCtrl(p, parseCtrl(buf))
 		f.recycle(buf)
 		return
@@ -981,23 +1030,24 @@ func (f *mcFeed) ingest(p transport.Ctx, buf []byte, bytes int, origin recvOrigi
 		f.recycle(buf)
 		return
 	}
+	st := &f.streams[f.streamOf(src)]
 	// Duplicate filtering: already delivered, already pending, or agreed
 	// skipped (a late copy of a sequence the flow has moved past).
-	dup := seq < f.nextSeq[src]
-	if ordered {
-		dup = seq < f.nextGlobal || f.skips[seq]
-	}
-	k := f.key(src, seq)
-	if _, held := f.pending[k]; dup || held {
+	if _, held := st.pending[seq]; seq < st.next || held || f.skips[seq] {
 		f.recycle(buf)
 		return
 	}
-	f.pending[k] = buf[:bytes]
-	if prober, fr := f.frozen[seq]; fr && ordered {
+	st.top = max(st.top, seq+1)
+	if seq-st.next >= f.window {
+		f.recycle(buf) // seen, so the head has a gap to recover
+		return
+	}
+	st.pending[seq] = buf[:bytes]
+	if prober, fr := f.frozen[seq]; fr {
 		// A copy arrived after this target answered NoHave: hand it to
 		// the arbiter proactively so the round resolves as a fill. The
 		// sequence stays frozen until the verdict arrives.
-		f.sendGapAnswer(p, prober, ctrlGapHave, seq, f.pending[k])
+		f.sendGapAnswer(p, prober, ctrlGapHave, seq, st.pending[seq])
 	}
 }
 
@@ -1029,7 +1079,8 @@ func (f *mcFeed) answerProbe(p transport.Ctx, src int, seq uint64) {
 	if src >= len(f.tqps) {
 		return
 	}
-	if f.skips[seq] || seq < f.nextGlobal {
+	g := &f.streams[0]
+	if f.skips[seq] || seq < g.next {
 		if b := f.held(seq); b != nil {
 			f.sendGapAnswer(p, src, ctrlGapHave, seq, b)
 			return
@@ -1039,12 +1090,12 @@ func (f *mcFeed) answerProbe(p transport.Ctx, src int, seq uint64) {
 		f.sendGapAnswer(p, src, ctrlGapNoHave, seq, nil)
 		return
 	}
-	if b, ok := f.pending[seq]; ok {
+	if b, ok := g.pending[seq]; ok {
 		f.sendGapAnswer(p, src, ctrlGapHave, seq, b)
 		return
 	}
 	f.frozen[seq] = src
-	if seq == f.nextGlobal {
+	if seq == g.next {
 		f.arbiter = src
 	}
 	f.sendGapAnswer(p, src, ctrlGapNoHave, seq, nil)
@@ -1058,16 +1109,25 @@ func (f *mcFeed) sendGapAnswer(p transport.Ctx, src int, kind byte, seq uint64, 
 
 // applySkip records an agreed-unfillable sequence. A pending copy is
 // discarded — the verdict is final, and delivering a segment the peers
-// skipped would break the identical-order guarantee. The head loop
+// skipped would break the identical-order guarantee — and when it was the
+// newest the stream had seen, the stream's top falls back to the newest
+// it still holds: what nobody will deliver is no gap. The head loop
 // advances past the skip on its next pass.
 func (f *mcFeed) applySkip(seq uint64) {
 	delete(f.frozen, seq)
-	if seq < f.nextGlobal {
+	g := &f.streams[0]
+	if seq < g.next {
 		return
 	}
-	if b, ok := f.pending[seq]; ok {
-		delete(f.pending, seq)
+	if b, ok := g.pending[seq]; ok {
+		delete(g.pending, seq)
 		f.recycle(b)
+		if seq+1 == g.top {
+			g.top = g.next
+			for k := range g.pending {
+				g.top = max(g.top, k+1)
+			}
+		}
 	}
 	f.skips[seq] = true
 }
@@ -1101,115 +1161,98 @@ func (f *mcFeed) pollReliable(p transport.Ctx) {
 	}
 }
 
-// sendCredit reports cumulative consumption from src back to it, both as
-// flow-control credit and as the termination handshake.
-func (f *mcFeed) sendCredit(p transport.Ctx, src int, force bool) {
-	batch := uint64(f.t.spec.Options.SegmentsPerRing / 4)
-	if batch == 0 {
-		batch = 1
+// streamOf returns the index of the stream source src's segments go to.
+func (f *mcFeed) streamOf(src int) int {
+	if f.ordered {
+		return 0
 	}
-	if !force && f.creditAcc[src] < batch {
-		return
-	}
-	f.creditAcc[src] = 0
-	if f.t.spec.Options.GlobalOrdering {
-		f.broadcastProgress(p)
-		return
-	}
-	f.tqps[src].Send(p, ctrlMsg{kind: ctrlCredit, value: f.t.readers[src].consumed.Load()}.encode(nil), false, 0)
+	return src
 }
 
-// broadcastProgress tells every source how far the target's global
-// sequence progressed (ordered flows): sources translate this into their
-// own credit, and skipped gaps count as progress.
-func (f *mcFeed) broadcastProgress(p transport.Ctx) {
-	for _, qp := range f.tqps {
-		qp.Send(p, ctrlMsg{kind: ctrlCredit, value: f.nextGlobal}.encode(nil), false, 0)
+// tell sends m to the sources of stream i: its own source on an
+// unordered flow, every source on an ordered flow, which cannot tell
+// which source owns a global sequence number (only the owner finds a
+// NACKed one in its history).
+func (f *mcFeed) tell(p transport.Ctx, i int, m ctrlMsg) {
+	qps := f.tqps
+	if !f.ordered {
+		qps = qps[i : i+1]
+	}
+	for _, qp := range qps {
+		qp.Send(p, m.encode(nil), false, 0)
 	}
 }
 
-// sendFinalCredit fully acknowledges a source at flow end. For ordered
-// flows, agreed skips count as consumed so the source's termination
-// handshake completes.
-func (f *mcFeed) sendFinalCredit(p transport.Ctx, src int) {
-	if f.t.spec.Options.GlobalOrdering {
-		// Global progress (agreed skips included) already covers the
-		// whole sequence space by the time the flow finishes; just
-		// broadcast it. Forcing nextGlobal forward here would silently
-		// drop other sources' undelivered segments.
-		f.broadcastProgress(p)
-		return
-	}
-	v := f.t.readers[src].consumed.Load()
-	if f.end[src] != noEnd && f.end[src] > v {
-		v = f.end[src]
-	}
-	f.tqps[src].Send(p, ctrlMsg{kind: ctrlCredit, value: v}.encode(nil), false, 0)
+// credit reports stream i's head to its sources, as flow-control credit
+// and as the termination handshake. An unordered stream's head is the
+// count of segments delivered from its source; the ordered stream's is
+// the global progress, agreed skips included, which each source
+// translates into its own credit.
+func (f *mcFeed) credit(p transport.Ctx, i int) {
+	f.tell(p, i, ctrlMsg{kind: ctrlCredit, value: f.streams[i].next})
 }
 
-// sendNack requests retransmission of a missing sequence number. Ordered
-// flows cannot tell which source owns a global sequence number, so the
-// NACK goes to every source; only the owner finds it in its history.
-func (f *mcFeed) sendNack(p transport.Ctx, seq uint64, src int) {
-	f.nacksSent.Add(1)
-	nack := ctrlMsg{kind: ctrlNack, value: seq}
-	if f.t.spec.Options.GlobalOrdering {
-		for _, qp := range f.tqps {
-			qp.Send(p, nack.encode(nil), false, 0)
-		}
-		return
-	}
-	f.tqps[src].Send(p, nack.encode(nil), false, 0)
-}
-
-// delivered reports whether every segment of source s was delivered:
-// never before its count is known (noEnd is the largest count).
-func (f *mcFeed) delivered(s int) bool { return f.t.readers[s].consumed.Load() >= f.end[s] }
-
-// headDeliverable returns the pending segment that must be delivered next:
-// the next global sequence number for ordered flows, or the next
-// per-source sequence of the lowest source slot that has one otherwise. A
+// deliverable reports whether st's head is here and may be delivered: a
 // frozen head (this target answered NoHave for it) is withheld until the
 // agreement verdict resolves it as a fill or a skip.
-func (f *mcFeed) headDeliverable() (buf []byte, src int, ok bool) {
-	if f.t.spec.Options.GlobalOrdering {
-		if f.frozenSeq(f.nextGlobal) {
-			return nil, 0, false
-		}
-		if b, exists := f.pending[f.nextGlobal]; exists {
-			return b, mcSrc(transport.ParseSegDesc(b).Tag), true
-		}
-		return nil, 0, false
-	}
-	for s := range f.nextSeq {
-		if f.delivered(s) {
-			continue
-		}
-		if b, exists := f.pending[f.key(s, f.nextSeq[s])]; exists {
-			return b, s, true
+func (f *mcFeed) deliverable(st *rxStream) bool {
+	_, here := st.pending[st.next]
+	return here && !f.frozenSeq(st.next)
+}
+
+// ready returns the stream to deliver from next, or -1 when no stream's
+// head may be delivered. Streams are served round-robin, starting after
+// the one served last, so no source's stream waits on another's running
+// dry.
+func (f *mcFeed) ready() int {
+	n := len(f.streams)
+	for k := 1; k <= n; k++ {
+		if i := (f.served + k) % n; f.deliverable(&f.streams[i]) {
+			return i
 		}
 	}
-	return nil, 0, false
+	return -1
+}
+
+// extent returns stream i's length once it is known, and noEnd before:
+// an unordered stream's is its source's segment count, the ordered
+// stream's the global sequence space once every source's count is known.
+func (f *mcFeed) extent(i int) uint64 {
+	switch {
+	case !f.ordered:
+		return f.end[i]
+	case f.countsKnown():
+		return f.totalExpected()
+	}
+	return noEnd
+}
+
+// stalled reports whether stream i has a gap at its head: the head may
+// not be delivered while something newer was seen or the stream's extent
+// reaches past it.
+func (f *mcFeed) stalled(i int) bool {
+	st := &f.streams[i]
+	if f.deliverable(st) {
+		return false
+	}
+	e := f.extent(i)
+	return st.top > st.next || e != noEnd && st.next < e
 }
 
 // keptWaiting reports whether it is this target, not source s, that the
 // rest of s's stream waits on: its whole extent is known, or — unordered,
-// where the lowest slot with a head pending is served first — its next
-// segment is here. A source with segments held behind a gap is not kept
-// waiting: if nobody refills the gap (the source died with its
-// retransmission history) it has to go silent, so that SourceTimeout can
-// declare it failed and the gap ladder let go of what it held. Nor is
-// the arbiter whose verdict the head gap awaits: one that finished and
-// left answers no more, and SourceTimeout lets the ladder move on.
+// where the streams are served in turn — its stream's head is here. A
+// source with segments held behind a gap is not kept waiting: if nobody
+// refills the gap (the source died with its retransmission history) it
+// has to go silent, so that SourceTimeout can declare it failed and the
+// gap ladder let go of what it held. Nor is the arbiter whose verdict the
+// head gap awaits: one that finished and left answers no more, and
+// SourceTimeout lets the ladder move on.
 func (f *mcFeed) keptWaiting(s int) bool {
 	if f.end[s] != noEnd {
 		return s != f.arbiter
 	}
-	if f.t.spec.Options.GlobalOrdering {
-		return false
-	}
-	_, here := f.pending[f.key(s, f.nextSeq[s])]
-	return here
+	return !f.ordered && f.deliverable(&f.streams[s])
 }
 
 // countsKnown reports whether every source's segment count is known: its
@@ -1224,18 +1267,12 @@ func (f *mcFeed) countsKnown() bool {
 	return true
 }
 
-// finished reports whether every source's count is known and all of it
-// was delivered. Ordered flows track progress in global sequence space,
-// so agreed skips count as handled.
+// finished reports whether every stream was delivered to its extent. The
+// ordered stream tracks progress in global sequence space, so agreed
+// skips count as handled.
 func (f *mcFeed) finished() bool {
-	if !f.countsKnown() {
-		return false
-	}
-	if f.t.spec.Options.GlobalOrdering {
-		return f.nextGlobal >= f.totalExpected()
-	}
-	for s := range f.end {
-		if !f.delivered(s) {
+	for i := range f.streams {
+		if f.streams[i].next < f.extent(i) {
 			return false
 		}
 	}
@@ -1270,35 +1307,23 @@ func (f *mcFeed) totalExpected() uint64 {
 	return sum
 }
 
-// seqSpaceSize reads the flow's sequencer counter (a 0-delta fetch-add):
-// the number of global sequence numbers ever drawn. Once every source
-// has ended or failed no further draws can happen, so the value is the
-// exact stream extent — including sequences a crashed source drew but
-// never multicast, which the agreement rounds then resolve to skips.
-// Returns false when the sequencer node itself is unreachable; callers
-// fall back to the folded per-source counts.
-func (f *mcFeed) seqSpaceSize(p transport.Ctx) (uint64, bool) {
-	return f.seqQP.FetchAdd(p, transport.Addr{MR: f.t.meta.seqMR}, 0)
-}
-
-// deliver activates a pending segment for consumption and returns its
-// tuple payload. The tuples' consume cost is charged before the credit
-// goes back: a source is told of room only once the target has paid for
-// what took it.
-func (f *mcFeed) deliver(p transport.Ctx, buf []byte, src int) []byte {
-	t := f.t
-	seq := transport.ParseSegDesc(buf).Seq
-	delete(f.pending, f.key(src, seq))
-	if t.spec.Options.GlobalOrdering {
-		f.nextGlobal = seq + 1
-	} else {
-		f.nextSeq[src] = seq + 1
-	}
+// deliver hands out stream i's head for consumption and returns its
+// tuple payload. The head moves, so its gap clock restarts. The tuples'
+// consume cost is charged before the credit goes back: a source is told
+// of room only once the target has paid for what took it.
+func (f *mcFeed) deliver(p transport.Ctx, i int) []byte {
+	t, st := f.t, &f.streams[i]
+	seq := st.next
+	buf := st.pending[seq]
+	delete(st.pending, seq)
+	st.next++
+	st.gapSince, st.nacks = 0, 0
+	f.served, f.arbiter = i, -1
+	src := mcSrc(transport.ParseSegDesc(buf).Tag)
 	t.readers[src].consumed.Add(1)
 	f.creditAcc[src]++
-	f.gapSince, f.gapNacks, f.arbiter = 0, 0, -1
 
-	if t.spec.Options.GlobalOrdering {
+	if f.ordered {
 		f.retainDelivered(seq, buf)
 		if t.spec.Options.LeaseTTL > 0 {
 			f.reportProgress(p)
@@ -1309,9 +1334,12 @@ func (f *mcFeed) deliver(p transport.Ctx, buf []byte, src int) []byte {
 	t.charge(p, data)
 	f.active = buf
 
-	f.sendCredit(p, src, false)
-	if f.delivered(src) {
-		f.sendFinalCredit(p, src) // termination handshake
+	if f.creditAcc[src] >= max(uint64(t.spec.Options.SegmentsPerRing/4), 1) {
+		f.creditAcc[src] = 0
+		f.credit(p, i)
+	}
+	if t.readers[src].consumed.Load() >= f.end[src] {
+		f.credit(p, i) // all of src delivered: the termination handshake
 	}
 	return data
 }
@@ -1323,14 +1351,13 @@ func (f *mcFeed) deliver(p transport.Ctx, buf []byte, src int) []byte {
 // sequence a live round can probe lies within ~nSrc·R of this target's
 // head, and the ring spans 2·nSrc·R+16 sequence numbers.
 func (f *mcFeed) retainDelivered(seq uint64, seg []byte) {
-	h := &f.dhist[seq%uint64(len(f.dhist))]
-	h.seq, h.seg = seq, append(h.seg[:0], seg...)
+	f.dhist[seq%uint64(len(f.dhist))].keep(seq, seg)
 }
 
 // held returns the retained copy of delivered sequence seq, or nil once
 // the ring has moved past it.
 func (f *mcFeed) held(seq uint64) []byte {
-	if h := &f.dhist[seq%uint64(len(f.dhist))]; h.seg != nil && h.seq == seq {
+	if h := &f.dhist[seq%uint64(len(f.dhist))]; h.holds(seq) {
 		return h.seg
 	}
 	return nil
@@ -1341,41 +1368,41 @@ func (f *mcFeed) held(seq uint64) []byte {
 // material of the snapshot a rejoining target installs. Only leased flows
 // report: nothing else can rejoin, and the call is a registry RPC.
 func (f *mcFeed) reportProgress(p transport.Ctx) {
-	t := f.t
-	f.totalDelivered++
-	if f.totalDelivered < f.progressAt {
+	t, head := f.t, f.streams[0].next
+	if head < f.progressAt {
 		return
 	}
-	f.progressAt = f.totalDelivered + uint64(t.spec.Options.SegmentsPerRing)
+	f.progressAt = head + uint64(t.spec.Options.SegmentsPerRing)
 	per := make([]uint64, len(t.readers))
 	for i, r := range t.readers {
 		per[i] = r.consumed.Load()
 	}
-	_ = t.reg.RecordSeqProgress(p, t.spec.Name, t.idx, f.nextGlobal, per)
+	_ = t.reg.RecordSeqProgress(p, t.spec.Name, t.idx, head, per)
 }
 
 // drop ends source s's slot — the engine declared it failed (evicted, or
 // silent past SourceTimeout), or this target is going away: the slot
-// ends at its delivered count, and undeliverable unordered pendings are
-// discarded (their predecessors died with the source's retransmission
-// history). A source that died after its end marker arrived keeps its
-// true stream length: overwriting it with this target's delivered count
-// would shrink totalExpected by a target-local amount and make the
-// survivors finish at divergent points. The reader the engine closed is
-// opened again: an ordered flow may still hold segments of the source
-// that are due, and scan closes every reader together once the flow's
-// extent is delivered — so that the engine's flow end is finished().
+// ends at its delivered count, and on an unordered flow its stream lets
+// go of what it held behind its head (the predecessors died with the
+// source's retransmission history). A source that died after its end
+// marker arrived keeps its true stream length: overwriting it with this
+// target's delivered count would shrink totalExpected by a target-local
+// amount and make the survivors finish at divergent points. The reader
+// the engine closed is opened again: an ordered flow may still hold
+// segments of the source that are due, and scan closes every reader
+// together once the flow's extent is delivered — so that the engine's
+// flow end is finished().
 func (f *mcFeed) drop(s int) {
 	if f.end[s] == noEnd {
 		f.end[s] = f.t.readers[s].consumed.Load()
 	}
-	if !f.t.spec.Options.GlobalOrdering {
-		for k, b := range f.pending {
-			if int(k>>48) == s {
-				delete(f.pending, k)
-				f.recycle(b)
-			}
+	if !f.ordered {
+		st := &f.streams[s]
+		for _, b := range st.pending {
+			f.recycle(b)
 		}
+		clear(st.pending)
+		st.top = st.next
 	}
 	f.t.readers[s].closed = false
 }
@@ -1412,20 +1439,22 @@ func (f *mcFeed) noLiveArbiter(now time.Duration) bool {
 	return true
 }
 
-// skipTo moves the head past the sequence numbers below next, counting
-// them as progress so source credit keeps flowing.
+// skipTo moves the ordered head past the sequence numbers below next,
+// counting them as progress so source credit keeps flowing.
 func (f *mcFeed) skipTo(p transport.Ctx, next uint64) {
-	n := next - f.nextGlobal
-	f.nextGlobal = next
-	f.totalDelivered += n
-	f.gapsSkipped.Add(n)
-	f.gapSince, f.gapNacks, f.arbiter = 0, 0, -1
-	f.broadcastProgress(p)
+	g := &f.streams[0]
+	f.gapsSkipped.Add(next - g.next)
+	g.next = next
+	g.gapSince, g.nacks, f.arbiter = 0, 0, -1
+	f.credit(p, 0)
 }
 
 // scan obtains the next in-order segment's payload, recycling the one
-// handed out before and handling gap timeouts: poll, deliver the head if
-// it is here, otherwise climb the gap ladder and wait for an arrival.
+// handed out before and handling gap timeouts: poll, let every stream
+// with a gap at its head climb its gap ladder, deliver the next stream's
+// head if it is here, otherwise wait for an arrival. Every stream keeps
+// its own gap clock, checked on every pass, so one stream's deliveries
+// hold up no other's recovery.
 //
 // The ladder is NACK rounds, and on an ordered flow, once
 // Options.GapNackLimit rounds go unanswered with a source declared
@@ -1453,58 +1482,61 @@ func (f *mcFeed) scan(p transport.Ctx) ([]byte, bool) {
 			r.heard(now)
 		}
 	}
-	if o.GlobalOrdering && !f.seqSpaceKnown && f.sourceFailed() && f.countsKnown() {
+	if f.ordered && !f.seqSpaceKnown && f.sourceFailed() && f.countsKnown() {
 		// A source died without an end marker and nothing more can be
-		// drawn: consult the sequencer for the true stream extent so
-		// every survivor reconciles the same sequence space instead of
-		// its own delivered count. Marked known even on failure — an
-		// unreachable sequencer leaves the folded floor in place.
-		if v, ok := f.seqSpaceSize(p); ok {
+		// drawn: the sequencer's counter (a 0-delta fetch-add) is the
+		// exact stream extent, sequences a crashed source drew but never
+		// multicast included, so every survivor reconciles the same
+		// sequence space instead of its own delivered count. Marked known
+		// even on failure — an unreachable sequencer leaves the folded
+		// floor in place.
+		if v, ok := f.seqQP.FetchAdd(p, transport.Addr{MR: t.meta.seqMR}, 0); ok {
 			f.seqSpace = v
 		}
 		f.seqSpaceKnown = true
 	}
-	if f.skips[f.nextGlobal] {
-		next := f.nextGlobal
+	if g := &f.streams[0]; f.skips[g.next] {
+		next := g.next
 		for f.skips[next] {
 			next++
 		}
 		f.skipTo(p, next)
 		return nil, false
 	}
-	if buf, src, ok := f.headDeliverable(); ok {
-		return f.deliver(p, buf, src), true
-	}
-	if f.finished() {
+	i := f.ready()
+	if i < 0 && f.finished() {
 		for s, r := range t.readers {
-			f.sendFinalCredit(p, s)
+			f.credit(p, f.streamOf(s))
 			r.closed = true
 		}
-		if o.GlobalOrdering && (o.LeaseTTL > 0 || f.sourceFailed()) {
+		if f.ordered && (o.LeaseTTL > 0 || f.sourceFailed()) {
 			f.spawnGapResponder(p)
 		}
 		return nil, false
 	}
-	// Head segment missing: a gap if anything newer already arrived or
-	// the owning source has ended.
-	if len(f.pending) > 0 || f.anyEndedWithMissing() {
-		if f.gapSince == 0 {
-			f.gapSince = p.Now()
-		} else if p.Now()-f.gapSince >= o.GapTimeout && f.gapTimedOut(p) {
+	for j := range f.streams {
+		if !f.stalled(j) {
+			continue
+		}
+		if st := &f.streams[j]; st.gapSince == 0 {
+			st.gapSince = p.Now()
+		} else if p.Now()-st.gapSince >= o.GapTimeout && f.gapTimedOut(p, j) {
 			return nil, false
 		}
+	}
+	if i >= 0 {
+		return f.deliver(p, i), true
 	}
 	f.waitArrival(p)
 	return nil, false
 }
 
-// gapTimedOut takes the next step up the gap ladder for the head gap,
-// which has stood for a GapTimeout. It reports whether the head moved,
-// so that the pass ends without waiting.
-func (f *mcFeed) gapTimedOut(p transport.Ctx) bool {
-	o := &f.t.spec.Options
-	ordered, limit := o.GlobalOrdering, o.GapNackLimit
-	seq, src := f.headMissing()
+// gapTimedOut takes the next step up stream i's gap ladder, its head gap
+// having stood for a GapTimeout. It reports whether the head moved, so
+// that the pass ends without waiting.
+func (f *mcFeed) gapTimedOut(p transport.Ctx, i int) bool {
+	st, limit := &f.streams[i], f.t.spec.Options.GapNackLimit
+	seq := st.next
 	switch {
 	case f.frozenSeq(seq):
 		// A round's verdict is pending for the head; the arbiter will
@@ -1514,26 +1546,27 @@ func (f *mcFeed) gapTimedOut(p transport.Ctx) bool {
 		if f.noLiveArbiter(p.Now()) {
 			delete(f.frozen, seq)
 		}
-		f.gapSince = p.Now()
-	case ordered && f.gapNacks >= 2*limit && f.countsKnown() && f.sourceFailed() && f.noLiveArbiter(p.Now()):
+		st.gapSince = p.Now()
+	case f.ordered && st.nacks >= 2*limit && f.countsKnown() && f.sourceFailed() && f.noLiveArbiter(p.Now()):
 		// Tail fallback: every source has ended, queries go unanswered,
 		// and NO live arbiter remains (each slot failed, or left after
 		// its close linger). Only then may a target skip unilaterally;
 		// nobody is left to disagree.
 		f.skipTo(p, seq+1)
 		return true
-	case ordered && f.gapNacks >= limit && f.sourceFailed():
+	case f.ordered && st.nacks >= limit && f.sourceFailed():
 		// NACKs went unanswered and a source is gone: its retransmission
 		// history died with it. Escalate to the agreement round
 		// (re-queried every timeout while stuck; the arbiter resends
 		// probes idempotently).
 		f.sendGapQuery(p, seq)
-		f.gapNacks++
-		f.gapSince = p.Now()
+		st.nacks++
+		st.gapSince = p.Now()
 	default:
-		f.sendNack(p, seq, src)
-		f.gapNacks++
-		f.gapSince = p.Now() // restart the timeout for the NACK
+		f.nacksSent.Add(1)
+		f.tell(p, i, ctrlMsg{kind: ctrlNack, value: seq})
+		st.nacks++
+		st.gapSince = p.Now() // restart the timeout for the NACK
 	}
 	return false
 }
@@ -1573,41 +1606,6 @@ func (f *mcFeed) spawnGapResponder(p transport.Ctx) {
 			rp.Sleep(iv)
 		}
 	})
-}
-
-// anyEndedWithMissing reports whether ended sources leave undelivered
-// segments (a tail loss that produces no newer arrivals). For ordered
-// flows the check runs in global sequence space once all sources ended.
-func (f *mcFeed) anyEndedWithMissing() bool {
-	if f.t.spec.Options.GlobalOrdering {
-		return f.countsKnown() && f.nextGlobal < f.totalExpected()
-	}
-	for s, e := range f.end {
-		if e != noEnd && !f.delivered(s) {
-			return true
-		}
-	}
-	return false
-}
-
-// headMissing identifies the missing sequence number blocking delivery.
-func (f *mcFeed) headMissing() (seq uint64, src int) {
-	if f.t.spec.Options.GlobalOrdering {
-		return f.nextGlobal, 0
-	}
-	for s, e := range f.end {
-		if e != noEnd && !f.delivered(s) {
-			return f.nextSeq[s], s
-		}
-	}
-	for s, e := range f.end {
-		if e == noEnd {
-			if _, ok := f.pending[f.key(s, f.nextSeq[s])]; !ok {
-				return f.nextSeq[s], s
-			}
-		}
-	}
-	return 0, 0
 }
 
 // waitArrival blocks briefly for the next message on any receive queue.

@@ -492,12 +492,12 @@ func TestOrderedReplicateMultiSourceWithLoss(t *testing.T) {
 }
 
 // TestMulticastPendingSourceIsNotSilent: an unordered multicast target
-// serves the lowest source slot that has a head pending, so with three
-// sources the third's first window sits in pending — and the source
-// credit-gated by the very targets that are not reading it — for as long
-// as the other two take. That is not silence: a SourceTimeout shorter
-// than the wait must not declare the source failed (which left it polling
-// for credit for ever; the low MaxEvents is the oracle for that).
+// serves its sources' streams in turn, so with three sources a source's
+// window can sit in pending — and the source credit-gated by the very
+// targets that have not got to it — while the others' are served. That
+// is not silence: a SourceTimeout shorter than the wait must not declare
+// the source failed (which left it polling for credit for ever; the low
+// MaxEvents is the oracle for that).
 func TestMulticastPendingSourceIsNotSilent(t *testing.T) {
 	e := newEnv(t, 7)
 	e.k.MaxEvents = 5_000_000

@@ -21,7 +21,7 @@ import (
 
 // seqState is the per-flow sequencer record held on the registry entry.
 type seqState struct {
-	highWater uint64          // max nextGlobal any live target reported
+	highWater uint64          // max ordered head any live target reported
 	perSource []uint64        // delivered-count per source at highWater
 	skips     map[uint64]bool // agreed-unfillable sequence numbers
 }
