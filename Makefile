@@ -148,9 +148,14 @@ transport-race:
 # Home against Hash % n, the private ring's one window (a latency writer
 # never has more than a ring outstanding, and confirms its Close in
 # round trips, not in a timeout), and the two ledger rows the path
-# moves, run once.
+# moves, run once. The kernel under the path rides along: a post-wake
+# sleep run by the kernel (Cond.WaitThen) against Wait plus Sleep, the
+# process-switch counter and its allocation gate, and a fabric ping-pong
+# through WaitCommit whose events, final instant and switches are pinned.
 core-path:
 	$(GO) test -count=1 -run 'TestPushSteadyMatchesGeneral|TestSteadyPushShape|Alloc|TestHomeMatchesModulo|TestLatencyCloseConfirmsWithoutWaitingOutTimeout|TestLatencyModeCreditBound' ./internal/core/...
+	$(GO) test -count=1 -run 'WaitThen|Switches' ./internal/sim/
+	$(GO) test -count=1 -run 'TestWaitCommitPingPongPinned' ./internal/fabric/
 	$(GO) test -run '^$$' -bench 'CoreDataPath/(private|shared)/^Push$$/^Consume$$' -benchtime 1x ./internal/core/
 
 # Per-layer benchmarks cannot rot: every benchmark of the sim kernel, the

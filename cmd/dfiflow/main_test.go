@@ -312,6 +312,26 @@ func TestLossyMulticastEnds(t *testing.T) {
 	}
 }
 
+// TestDroppedReadSyncEnds: a shared-ring fleet whose credit reads
+// (ReadSync, which waits without a timeout) lose a fifth of their
+// responses ends like a fault-free one — exit 0, every tuple consumed —
+// because the transport retries a dropped ReadSync. A lost response used
+// to leave its reader parked forever and every other stream on the link
+// polling for the credit it was reading, until the kernel's deadline.
+func TestDroppedReadSyncEnds(t *testing.T) {
+	start := time.Now()
+	out, code := runToString(t, "-shared", "-flows", "4", "-mb", "4", "-faults", "drop-read=0.2", "-seed", "3")
+	if code != 0 {
+		t.Fatalf("exit %d, want 0:\n%s", code, out)
+	}
+	if m := totalsRE.FindStringSubmatch(out); m == nil || m[1] != m[2] || m[1] != "131072" {
+		t.Errorf("want 131072 tuples pushed and consumed:\n%s", out)
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Errorf("took %v of host time", took)
+	}
+}
+
 // TestBrokenFlowLeavesEvidence: a flow that breaks with nothing injected
 // (a recovery timeout no round trip can meet) still prints the summary
 // and writes the event trace before exiting 1 — the run an operator

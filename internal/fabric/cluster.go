@@ -291,20 +291,26 @@ func (mr *memoryRegion) CommitSeq() uint64 { return mr.commitSeq }
 
 // WaitCommit parks p until the commit counter passes `since` or until d
 // elapses, reporting whether new commits arrived. On wake-up it charges
-// the configured polling-detection granularity.
+// the configured polling-detection granularity. Only Notify wakes the
+// region's waiters, and only after counting a commit, so a woken waiter
+// always returns true: the kernel runs its detection delay on the wake
+// (Cond.WaitTimeoutThen) instead of resuming it just to sleep. A timeout
+// that meets a commit counted at the same instant still charges the delay.
 func (mr *memoryRegion) WaitCommit(p transport.Ctx, since uint64, d time.Duration) bool {
 	sp := proc(p)
-	deadline := sp.Now() + d
-	for mr.commitSeq == since {
-		remain := deadline - sp.Now()
-		if remain <= 0 {
+	detect := mr.node.cluster.cfg.DetectDelay
+	if mr.commitSeq == since {
+		if d <= 0 {
 			return false
 		}
-		if !mr.cond.WaitTimeout(sp, remain) && mr.commitSeq == since {
+		if mr.cond.WaitTimeoutThen(sp, d, detect) {
+			return true
+		}
+		if mr.commitSeq == since {
 			return false
 		}
 	}
-	sp.Sleep(mr.node.cluster.cfg.DetectDelay)
+	sp.Sleep(detect)
 	return true
 }
 

@@ -21,7 +21,9 @@ import (
 //     the verb is lost, but the sender's signaled completion still fires
 //     for WRITE/SEND — like an unreliable-connection QP, the completion
 //     only proves the message left the NIC. A dropped READ produces no
-//     completion at all (the completion *is* the response).
+//     completion at all (the completion *is* the response); a dropped
+//     ReadSync, which waits without a timeout, is retried like an RC
+//     SEND and only pays an extra round trip.
 //   - Dropped atomics are modelled as transport-level retries: the atomic
 //     executes exactly once but the caller pays an extra retry penalty.
 //     (Duplicating an atomic would silently corrupt sequencers.)
@@ -45,11 +47,12 @@ import (
 // without locks, so it must not change once the kernel runs.
 type FaultPlan struct {
 	// Per-verb probabilistic drop. DropWrite loses the remote effect
-	// while keeping the sender's completion; DropRead loses the response
-	// (and with it the completion); DropSend loses UD multicast
-	// deliveries outright but only delays RC SENDs (the NIC
-	// retransmits); DropAtomic charges a transport-retry penalty instead
-	// of losing the op.
+	// while keeping the sender's completion; DropRead loses an async
+	// READ's response (and with it the completion) but only delays a
+	// ReadSync, which has no timeout to recover with (the NIC retries:
+	// one extra round trip); DropSend loses UD multicast deliveries
+	// outright but only delays RC SENDs (the NIC retransmits); DropAtomic
+	// charges a transport-retry penalty instead of losing the op.
 	DropWrite  float64
 	DropRead   float64
 	DropSend   float64

@@ -62,6 +62,39 @@ func TestFaultDropReadLosesCompletion(t *testing.T) {
 	}
 }
 
+// TestFaultDropReadSyncRetries: ReadSync has no timeout, so a dropped
+// response must not strand its caller. The transport retries the READ:
+// the data arrives, one round trip (request and response serialization,
+// two hops) later than on a clean fabric.
+func TestFaultDropReadSyncRetries(t *testing.T) {
+	const credit = "credit=42"
+	readSync := func(fp *FaultPlan) (time.Duration, string) {
+		k, c := faultCluster(t, 2, fp)
+		qp, _ := c.Dial(c.Node(0), c.Node(1))
+		mr := c.OpenRegion(c.Node(1), 64)
+		mr.Store(0, []byte(credit))
+		dst := make([]byte, len(credit))
+		var rtt time.Duration
+		k.Spawn("reader", func(p *sim.Proc) {
+			rtt = qp.ReadSync(p, dst, transport.Addr{MR: mr})
+		})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return rtt, string(dst)
+	}
+	clean, _ := readSync(nil)
+	lossy, got := readSync(&FaultPlan{DropRead: 1})
+	cfg := DefaultConfig()
+	retry := cfg.serialization(16) + cfg.serialization(len(credit)) + 2*(cfg.Propagation+cfg.SwitchDelay)
+	if got != credit {
+		t.Errorf("retried ReadSync read %q, want %q", got, credit)
+	}
+	if lossy != clean+retry {
+		t.Errorf("retried ReadSync took %v, want %v (clean %v + one round trip %v)", lossy, clean+retry, clean, retry)
+	}
+}
+
 func TestFaultDelayShiftsDelivery(t *testing.T) {
 	const extra = 50 * time.Microsecond
 	k, c := faultCluster(t, 2, &FaultPlan{Delay: extra})

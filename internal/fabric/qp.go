@@ -88,19 +88,21 @@ func (cq *completionQueue) PollBatch(p transport.Ctx, out []transport.Completion
 	return n
 }
 
-// Wait blocks until a completion is available and returns it.
+// Wait blocks until a completion is available and returns it. It charges
+// one poll on entry and one after every wake; the kernel runs the latter
+// on the wake (Cond.WaitThen) instead of resuming the waiter just to sleep.
 func (cq *completionQueue) Wait(p transport.Ctx) transport.Completion {
 	sp := proc(p)
 	sp.Sleep(cq.cfg.PollCost)
 	for cq.Len() == 0 {
-		cq.cond.Wait(sp)
-		sp.Sleep(cq.cfg.PollCost)
+		cq.cond.WaitThen(sp, cq.cfg.PollCost)
 	}
 	return cq.pop()
 }
 
 // WaitTimeout blocks until a completion is available or d elapses,
-// reporting whether a completion was returned.
+// reporting whether a completion was returned. Polls are charged as in
+// Wait; a timed-out wait that finds a completion charges its poll itself.
 func (cq *completionQueue) WaitTimeout(p transport.Ctx, d time.Duration) (transport.Completion, bool) {
 	sp := proc(p)
 	sp.Sleep(cq.cfg.PollCost)
@@ -110,17 +112,19 @@ func (cq *completionQueue) WaitTimeout(p transport.Ctx, d time.Duration) (transp
 		if remain <= 0 {
 			return transport.Completion{}, false
 		}
-		if !cq.cond.WaitTimeout(sp, remain) && cq.Len() == 0 {
-			return transport.Completion{}, false
+		if !cq.cond.WaitTimeoutThen(sp, remain, cq.cfg.PollCost) {
+			if cq.Len() == 0 {
+				return transport.Completion{}, false
+			}
+			sp.Sleep(cq.cfg.PollCost)
 		}
-		sp.Sleep(cq.cfg.PollCost)
 	}
 	return cq.pop(), true
 }
 
 // WaitNonEmpty blocks until the queue holds at least one completion or d
 // elapses, without consuming anything. It reports whether a completion is
-// available.
+// available. Polls are charged as in WaitTimeout.
 func (cq *completionQueue) WaitNonEmpty(p transport.Ctx, d time.Duration) bool {
 	sp := proc(p)
 	sp.Sleep(cq.cfg.PollCost)
@@ -130,10 +134,12 @@ func (cq *completionQueue) WaitNonEmpty(p transport.Ctx, d time.Duration) bool {
 		if remain <= 0 {
 			return false
 		}
-		if !cq.cond.WaitTimeout(sp, remain) && cq.Len() == 0 {
-			return false
+		if !cq.cond.WaitTimeoutThen(sp, remain, cq.cfg.PollCost) {
+			if cq.Len() == 0 {
+				return false
+			}
+			sp.Sleep(cq.cfg.PollCost)
 		}
-		sp.Sleep(cq.cfg.PollCost)
 	}
 	return true
 }
@@ -474,6 +480,15 @@ func (q *queuePair) read(p transport.Ctx, dst []byte, src transport.Addr, signal
 	}
 
 	fv := q.c.fault(transport.OpRead, q.owner, q.peer.owner, rxEnd)
+	if sync && fv.drop && !fv.dropCompletion {
+		// ReadSync has no timeout to recover a lost response with: like an
+		// RC SEND or an atomic, the NIC retries the READ, and the loss
+		// surfaces as one extra round trip. Only a crashed endpoint loses it.
+		retry := serReq + serResp + 2*(cfg.Propagation+cfg.SwitchDelay)
+		respStart += retry
+		rxEnd += retry
+		fv.drop = false
+	}
 	deliverAt := rxEnd + fv.delay
 
 	disp := transport.Delivered
@@ -485,8 +500,8 @@ func (q *queuePair) read(p transport.Ctx, dst []byte, src transport.Addr, signal
 	r := q.c.getReadOp()
 	r.q, r.dst, r.src = q, dst, sliceOf(src, len(dst))
 	r.id, r.signaled, r.sync = id, signaled, sync
-	// A dropped READ loses the response, and with it the completion: the
-	// caller must recover with a timed wait and reissue.
+	// A dropped async READ loses the response, and with it the
+	// completion: the caller must recover with a timed wait and reissue.
 	if fv.drop {
 		if !sync {
 			putReadOp(r)
@@ -554,16 +569,18 @@ func putReadOp(r *readOp) {
 // ReadSync performs a READ and blocks until the response has landed in
 // dst, returning the round-trip time. It produces no completion of its own
 // and takes none off the send CQ, so signaled WRs posted around it drain in
-// posting order. A fault-dropped response never arrives: like any lost
-// READ it needs a timeout, which this form does not have.
+// posting order. A probabilistically dropped response is retried by the
+// transport and costs one extra round trip (this form has no timeout to
+// recover a lost one with); the response from a crashed endpoint never
+// arrives. Every wake charges a poll, run by the kernel on the wake
+// (Cond.WaitThen).
 func (q *queuePair) ReadSync(p transport.Ctx, dst []byte, src transport.Addr) time.Duration {
 	sp := proc(p)
 	start := sp.Now()
 	r := q.read(p, dst, src, false, 0, true)
 	sp.Sleep(q.c.cfg.PollCost)
 	for !r.done {
-		q.scq.cond.Wait(sp)
-		sp.Sleep(q.c.cfg.PollCost)
+		q.scq.cond.WaitThen(sp, q.c.cfg.PollCost)
 	}
 	putReadOp(r)
 	return sp.Now() - start

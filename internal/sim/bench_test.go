@@ -7,12 +7,12 @@ import (
 )
 
 // The sim line of the performance ledger: what one process switch, one
-// parked sleep and one timed wait cost on the host, alone and behind a
-// deep heap of far-future events. One op is one of those, so ns/op
-// compares directly across commits. Run with -cpu 1,2: a
-// coroutine switch never wakes an idle core, so the two readings agreeing
-// is the check (the channel hand-off this replaced cost more on two Ps
-// than on one). `make bench-smoke` keeps these running;
+// parked sleep, one timed wait and one wake with a post-wake sleep cost on
+// the host, alone and behind a deep heap of far-future events. One op is
+// one of those, so ns/op compares directly across commits. Run with
+// -cpu 1,2: a coroutine switch never wakes an idle core, so the two
+// readings agreeing is the check (the channel hand-off this replaced cost
+// more on two Ps than on one). `make bench-smoke` keeps these running;
 // TestSwitchesAllocateNothing gates their allocations.
 
 // BenchmarkProcSwitch: two processes ping-pong through one Cond. Every
@@ -86,6 +86,55 @@ func BenchmarkWaitTimeoutWake(b *testing.B) {
 			if err := k.Run(); err != nil {
 				b.Fatal(err)
 			}
+		})
+	}
+}
+
+// BenchmarkWaitThenWake: a Cond ping-pong in which each side sleeps 40 ns
+// after its wake — a fabric poller's detection or poll cost — beside a
+// ticker whose 30 ns timer is always pending ahead of that sleep, so the
+// sleep cannot advance the clock in place. "wait+sleep" resumes the woken
+// side and parks it again on its timer (Wait, then Sleep); "waitthen"
+// leaves the sleep to the kernel (WaitThen), which queues the timer when
+// the wake pops. One op is one wake and its sleep; switches/op reads
+// Kernel.Switches per op (ticker hand-offs included).
+func BenchmarkWaitThenWake(b *testing.B) {
+	for _, kernelThen := range []bool{false, true} {
+		name := "wait+sleep"
+		if kernelThen {
+			name = "waitthen"
+		}
+		b.Run(name, func(b *testing.B) {
+			const d = 40 * time.Nanosecond
+			k := New(1)
+			c := NewCond(k)
+			rounds := (b.N + 1) / 2
+			live := 2
+			for _, name := range []string{"ping", "pong"} {
+				k.Spawn(name, func(p *Proc) {
+					defer func() { live-- }()
+					for i := 0; i < rounds; i++ {
+						c.Signal()
+						if kernelThen {
+							c.WaitThen(p, d)
+						} else {
+							c.Wait(p)
+							p.Sleep(d)
+						}
+					}
+					c.Signal() // release the peer's last Wait
+				})
+			}
+			k.Spawn("ticker", func(p *Proc) {
+				for live > 0 {
+					p.Sleep(30 * time.Nanosecond)
+				}
+			})
+			b.ResetTimer()
+			if err := k.Run(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(k.Switches())/float64(2*rounds), "switches/op")
 		})
 	}
 }

@@ -11,15 +11,16 @@ import (
 // allocates nothing, runtime.Goexit in a process ends Run's caller, and an
 // exited process hosting the loop can hand on to a process it never met.
 
-// switchLoad spawns five independent groups on k, each doing n blocking
+// switchLoad spawns seven independent groups on k, each doing n blocking
 // operations: a Cond ping-pong (n process switches), a pair of sleepers
 // whose timers interleave so every Sleep parks and mostly pops on an
 // otherwise quiet instant (the wake is dispatched directly), a waiter
 // whose timed waits end alternately by a scheduled Signal and by the
 // deadline, a burst that wakes three waiters and schedules two ops at one
-// instant (five entries through the current-instant FIFO at once), and
-// two processes yielding to each other, so that the FIFO never drains
-// while they run.
+// instant (five entries through the current-instant FIFO at once), two
+// processes yielding to each other, so that the FIFO never drains while
+// they run, and the same ping-pong and timed waiter with a post-wake
+// sleep run by the kernel (WaitThen, WaitTimeoutThen).
 func switchLoad(k *Kernel, n int) {
 	pp := NewCond(k)
 	for _, name := range []string{"ping", "pong"} {
@@ -75,6 +76,26 @@ func switchLoad(k *Kernel, n int) {
 			}
 		})
 	}
+	tp := NewCond(k)
+	for _, name := range []string{"then-ping", "then-pong"} {
+		k.Spawn(name, func(p *Proc) {
+			for i := 0; i < n/2; i++ {
+				tp.Signal()
+				tp.WaitThen(p, 20*time.Nanosecond)
+			}
+			tp.Signal() // release the peer's last Wait
+		})
+	}
+	ttc := NewCond(k)
+	tsignal := ttc.Signal
+	k.Spawn("timed-then", func(p *Proc) {
+		for i := 0; i < n; i++ {
+			if i%2 == 0 {
+				k.After(50*time.Nanosecond, tsignal)
+			}
+			ttc.WaitTimeoutThen(p, 70*time.Nanosecond, 30*time.Nanosecond)
+		}
+	})
 }
 
 // nopOp is a pooled-op callback that does nothing.
@@ -83,11 +104,11 @@ type nopOp struct{}
 func (nopOp) RunOp(uint64) {}
 
 // TestSwitchesAllocateNothing is the allocation gate for what
-// BenchmarkProcSwitch, SleepPark, WaitTimeoutWake and SwitchBehindDeepHeap
-// time: once the queues and waiter lists have grown, a Run of 50 000
-// blocking operations mallocs no more than a Run of 500 — a constant that
-// does not depend on the count — and the current-instant FIFO keeps the
-// backing array the small Run left it.
+// BenchmarkProcSwitch, SleepPark, WaitTimeoutWake, WaitThenWake and
+// SwitchBehindDeepHeap time: once the queues and waiter lists have grown,
+// a Run of 70 000 blocking operations mallocs no more than a Run of 700 —
+// a constant that does not depend on the count — and the current-instant
+// FIFO keeps the backing array the small Run left it.
 func TestSwitchesAllocateNothing(t *testing.T) {
 	k := New(1)
 	mallocs := func(n int) uint64 {
@@ -104,10 +125,10 @@ func TestSwitchesAllocateNothing(t *testing.T) {
 	small := mallocs(100)
 	fifo := cap(k.cur)
 	large := mallocs(10_000)
-	t.Logf("mallocs during Run: %d for 5×100 operations, %d for 5×10 000", small, large)
+	t.Logf("mallocs during Run: %d for 7×100 operations, %d for 7×10 000", small, large)
 	const slack = 32 // the test binary's other goroutines
 	if large > small+slack {
-		t.Errorf("Run of 5×10 000 blocking operations did %d mallocs (5×100: %d): a switch allocates", large, small)
+		t.Errorf("Run of 7×10 000 blocking operations did %d mallocs (7×100: %d): a switch allocates", large, small)
 	}
 	if c := cap(k.cur); c != fifo {
 		t.Errorf("current-instant FIFO grew from %d to %d slots: it must be rewound or compacted, not re-grown", fifo, c)

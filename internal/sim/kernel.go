@@ -14,10 +14,14 @@
 // goroutine, whose trampoline (Kernel.await) resumes it. A simulated process
 // switch is therefore two coroutine switches — the thread is handed over
 // directly, the Go scheduler is never entered — and costs the same whether
-// the host has one core or many. Because one stack runs at a time, the
-// simulation is deterministic for a given seed and spawn order, and event
-// callbacks can mutate shared simulation state (e.g. simulated RDMA memory
-// regions) without locks.
+// the host has one core or many; Kernel.Switches counts them. A wake that
+// the woken process would only follow with a fixed Sleep (Cond.WaitThen,
+// WaitTimeoutThen) is not resumed at all: the loop runs that sleep in its
+// place and resumes the process once, when the sleep ends, in exactly the
+// (at, seq) order and event count of the wait-then-Sleep it replaces.
+// Because one stack runs at a time, the simulation is deterministic for a
+// given seed and spawn order, and event callbacks can mutate shared
+// simulation state (e.g. simulated RDMA memory regions) without locks.
 //
 // Processes are ordinary functions of the form func(*Proc). Inside a
 // process, blocking operations (Sleep, resource acquisition, condition
@@ -134,7 +138,8 @@ type Kernel struct {
 	// limit.
 	Deadline Time
 
-	nevents uint64
+	nevents  uint64
+	switches uint64
 }
 
 // New returns a kernel whose random source is seeded with seed. Two kernels
@@ -152,6 +157,11 @@ func (k *Kernel) Now() Time { return k.now }
 
 // Events returns the number of events processed so far.
 func (k *Kernel) Events() uint64 { return k.nevents }
+
+// Switches returns the number of process switches so far: each time the
+// event loop handed the baton to a process other than the one hosting it.
+// Resuming the process that hosts the loop is not a switch.
+func (k *Kernel) Switches() uint64 { return k.switches }
 
 // Rand returns the kernel's deterministic random source. It must only be
 // used from scheduler or process context (never from other goroutines).
@@ -492,6 +502,9 @@ func (k *Kernel) quietNow() bool {
 // pops events in (at, seq) order and fires callbacks, timers and timeouts
 // inline until one of three things happens:
 //
+//   - a signalled wake for a process with a post-wake sleep (Proc.then)
+//     pops: run that sleep here (sleepAfterWake) and go on, unless its
+//     fast paths reach the wake-up time, which resumes it as below;
 //   - a valid start/wake for self pops: return, self runs on (no switch);
 //   - a valid start/wake for another process pops: name it in k.to and
 //     await the baton — the trampoline resumes it (two coroutine switches,
@@ -555,6 +568,9 @@ func (k *Kernel) drive(self *Proc) (err error) {
 			if p.exited || !p.parkedFlag || p.parkGen != e.gen {
 				continue // stale: p was woken (or exited) since this was scheduled
 			}
+			if p.then > 0 && k.sleepAfterWake(p) {
+				continue // p sleeps on, parked on its post-wake timer
+			}
 			p.parkedFlag = false
 		}
 		k.running = p
@@ -562,6 +578,7 @@ func (k *Kernel) drive(self *Proc) (err error) {
 			return nil
 		}
 		k.to = p
+		k.switches++
 		return k.await(self)
 	}
 }
@@ -639,6 +656,7 @@ type Proc struct {
 	parkGen    uint64
 	exited     bool
 	timedOut   bool // set by an evTimeout event matching the current park
+	then       Time // post-wake sleep of the current Cond.WaitThen park; run by the kernel
 	tmoIdx     int  // index of the pending timeout in Kernel.tmos, -1 if none
 	idx        int  // index in Kernel.procs while live
 }
@@ -690,26 +708,37 @@ func (p *Proc) Sleep(d Time) {
 	}
 	k := p.k
 	t := k.now + d
-	// Run-to-completion fast paths. Parking counts two events (the timer,
-	// and the wake it requests, which drive dispatches directly when
-	// nothing else is due at the timer's instant) and usually costs a
-	// process switch, so avoid it whenever doing so is observably
-	// identical to the park/dispatch/resume dance:
-	//
-	//  1. If nothing can run before the wake-up time, advance the clock in
-	//     place (the timer and wake would have been the next two events in
-	//     (at, seq) order anyway). The current-instant FIFO must be empty:
-	//     its entries are due now, before t.
-	//  2. If the globally next pending item is a scheduler callback (an
-	//     evOp — code that never blocks and has no process identity),
-	//     dispatch it inline on this process's stack and loop. This is
-	//     what lets a writer's flush absorb the commit/ack pipeline of
-	//     prior segments without a single process switch.
-	//
-	// Anything else — a process transition (start/timer/wake/timeout), a
-	// tie at exactly t, the deadline, the event budget — parks, so drive
-	// keeps control of termination and (at, seq) dispatch order stays
-	// byte-identical.
+	if k.advance(t) {
+		return
+	}
+	k.push(event{at: t, kind: evTimer, p: p, gen: p.nextGen()})
+	p.park()
+}
+
+// advance runs the run-to-completion fast paths of a sleep until t on
+// whichever stack holds the baton, and reports whether the clock reached t
+// in place (the sleeper runs on) rather than the sleeper having to park on
+// a timer at t. Parking counts two events (the timer, and the wake it
+// requests, which drive dispatches directly when nothing else is due at the
+// timer's instant) and usually costs a process switch, so it is avoided
+// whenever doing so is observably identical to the park/dispatch/resume
+// dance:
+//
+//  1. If nothing can run before the wake-up time, advance the clock in
+//     place (the timer and wake would have been the next two events in
+//     (at, seq) order anyway). The current-instant FIFO must be empty:
+//     its entries are due now, before t.
+//  2. If the globally next pending item is a scheduler callback (an
+//     evOp — code that never blocks and has no process identity),
+//     dispatch it inline and loop. This is what lets a writer's flush
+//     absorb the commit/ack pipeline of prior segments without a single
+//     process switch.
+//
+// Anything else — a process transition (start/timer/wake/timeout), a
+// tie at exactly t, the deadline, the event budget — parks, so drive
+// keeps control of termination and (at, seq) dispatch order stays
+// byte-identical.
+func (k *Kernel) advance(t Time) bool {
 	for {
 		if k.head == len(k.cur) &&
 			(len(k.events) == 0 || t < k.events[0].at) &&
@@ -718,26 +747,50 @@ func (p *Proc) Sleep(d Time) {
 			(k.MaxEvents <= 0 || k.nevents+2 < k.MaxEvents) {
 			k.now = t
 			k.nevents += 2 // the timer+wake pair this replaces
-			return
+			return true
 		}
 		at, q := k.peek()
 		if q == qNone || q == qTmo || at > t {
-			break
+			return false
 		}
 		if k.front(q).kind != evOp {
-			break
+			return false
 		}
 		if (k.Deadline > 0 && at > k.Deadline) ||
 			(k.MaxEvents > 0 && k.nevents >= k.MaxEvents) {
-			break
+			return false
 		}
 		ev := k.take(q)
 		k.now = ev.at
 		k.nevents++
 		k.callback(&ev)
 	}
-	k.push(event{at: t, kind: evTimer, p: p, gen: p.nextGen()})
-	p.park()
+}
+
+// sleepAfterWake runs, in the kernel, the Sleep(p.then) that a process
+// woken out of Cond.WaitThen or WaitTimeoutThen would run the moment it
+// resumed, and reports whether p stays parked. A signalled wake cancels
+// the pending deadline, takes Sleep's fast paths (advance) and, when they
+// do not reach the wake-up time, starts a fresh park generation on a timer
+// at now+then: exactly the kernel state a resumed process would leave, in
+// the same order, without the two process switches that resuming it
+// would cost. A timed-out wait resumes at once with no sleep.
+func (k *Kernel) sleepAfterWake(p *Proc) bool {
+	d := p.then
+	p.then = 0
+	if p.timedOut {
+		return false
+	}
+	if p.tmoIdx >= 0 {
+		k.tmoRemove(p.tmoIdx)
+	}
+	t := k.now + d
+	if k.advance(t) {
+		return false
+	}
+	p.parkGen++
+	k.push(event{at: t, kind: evTimer, p: p, gen: p.parkGen})
+	return true
 }
 
 // Yield reschedules the process at the current time, letting other events

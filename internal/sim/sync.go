@@ -26,21 +26,37 @@ func NewCond(k *Kernel) *Cond { return &Cond{k: k} }
 
 // Wait parks p until Signal or Broadcast wakes it. As with any condition
 // variable, callers must re-check their predicate after waking.
-func (c *Cond) Wait(p *Proc) {
+func (c *Cond) Wait(p *Proc) { c.WaitThen(p, 0) }
+
+// WaitThen is Wait followed by p.Sleep(d): p resumes d after the wake
+// pops. The kernel runs that sleep when the wake pops, without resuming
+// p in between, so a wake-then-delay costs one process switch instead of
+// two; the dispatch order, Events() and the clock are those of Wait and
+// Sleep. It fits a caller whose code between the wake and the sleep reads
+// nothing that the sleep could change the outcome of — a fixed detection
+// or poll cost charged on every wake.
+func (c *Cond) WaitThen(p *Proc, d Time) {
 	p.checkRunning()
 	c.waiters = append(c.waiters, condWaiter{p: p, gen: p.nextGen()})
+	p.then = d
 	p.park()
 }
 
 // WaitTimeout parks p until a wake-up or until d elapses, whichever comes
 // first. It reports whether the process was woken by Signal/Broadcast
 // (true) rather than by the timeout (false).
-func (c *Cond) WaitTimeout(p *Proc, d Time) bool {
+func (c *Cond) WaitTimeout(p *Proc, d Time) bool { return c.WaitTimeoutThen(p, d, 0) }
+
+// WaitTimeoutThen is WaitTimeout whose signalled wake is followed by
+// p.Sleep(then), run by the kernel as in WaitThen. A wait that times out
+// returns false at once, with no sleep.
+func (c *Cond) WaitTimeoutThen(p *Proc, d, then Time) bool {
 	p.checkRunning()
 	gen := p.nextGen()
 	c.waiters = append(c.waiters, condWaiter{p: p, gen: gen})
 	p.k.tmoPush(timeout{at: p.k.now + d, gen: gen, p: p})
 	p.timedOut = false
+	p.then = then
 	p.park()
 	if p.timedOut {
 		p.timedOut = false
@@ -49,7 +65,8 @@ func (c *Cond) WaitTimeout(p *Proc, d Time) bool {
 	}
 	if p.tmoIdx >= 0 {
 		// Signal won the race: cancel the pending deadline so it does not
-		// linger in the heap until it would have expired.
+		// linger in the heap until it would have expired. (A post-wake
+		// sleep already cancelled it when the wake popped.)
 		p.k.tmoRemove(p.tmoIdx)
 	}
 	return true
