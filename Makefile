@@ -27,9 +27,10 @@ race:
 # deterministic seeds (DFI_CHAOS_SEED is read by the core test env;
 # -count=1 defeats caching so every seed really runs). The eviction
 # census of internal/scenario runs its -short rows at each seed too: 24
-# eviction rows and 4 rows whose evicted target rejoins (the full table,
-# 180 eviction and 30 rejoin rows, runs in `go test ./...`), and so do
-# the 9 rows of the lossy-multicast census (see chaos-mc).
+# eviction rows and 6 rows whose evicted target rejoins, 2 of them over
+# ordered multicast (the full table, 180 eviction and 42 rejoin rows, 12
+# of them ordered, runs in `go test ./...`), and so do the 9 rows of the
+# lossy-multicast census (see chaos-mc).
 CHAOS_SEEDS ?= 11 1 7 42
 chaos:
 	@for seed in $(CHAOS_SEEDS); do \
@@ -41,13 +42,14 @@ chaos:
 			-run 'Census' ./internal/scenario/ || exit 1; \
 	done
 
-# Multicast fault matrix: every ordered-multicast crash test — a source
-# silenced with and without leases, its sequencer's node crashed, heavy
-# loss with agreed skips recorded in the registry — with the survivors'
-# delivered sequences and skip counts compared, plus target eviction +
-# sequencer-snapshot rejoin, forged messages, the source that is pending
-# but not silent, a straggler target its sources declare failed (its
-# receive streams must stay inside their windows, unordered and
+# Multicast fault matrix: every ordered-multicast crash test — a
+# source's node crashed under leases (at a fixed instant, and right
+# after it pushed a quarter of its stream), its sequencer's node crashed,
+# heavy loss with agreed skips recorded in the registry — with the
+# survivors' delivered sequences and skip counts compared, plus target
+# eviction + sequencer-snapshot rejoin, forged messages, a crashed
+# source held behind a gap until its eviction, a straggler target its
+# leased sources wait for instead of declaring it failed (unordered and
 # ordered), and the unsupported-operation surface, swept over the chaos
 # seeds (each seed changes which UD sends are lost and therefore which
 # sequences need recovery or agreement). At each seed the lossy-multicast

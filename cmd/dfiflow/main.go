@@ -10,7 +10,6 @@
 //	dfiflow -type combiner -sources 8 -tuple 64 -mb 32
 //	dfiflow -type shuffle -latency -tuple 64 -mb 1
 //	dfiflow -faults drop-write=0.01,delay=1us,jitter=3us -retransmit 50us -mb 4
-//	dfiflow -faults crash=1@500us -retransmit 40us -srctimeout 300us -mb 1
 //	dfiflow -lease 100us -faults crash=5@500us -sources 4 -targets 4 -mb 2
 //	dfiflow -lease 100us -evict 1@300us -targets 4 -mb 2
 //	dfiflow -partition ring -sources 4 -targets 8 -mb 16
@@ -44,8 +43,10 @@
 //
 // The process exits non-zero when any endpoint reports ErrFlowBroken
 // (a flow that could not be completed or repaired) or when a scheduled
-// -rejoin is rejected, so fault scenarios are scriptable. Flag and
-// configuration errors exit 2.
+// -rejoin is rejected, so fault scenarios are scriptable. A node crash
+// without -lease exits 1 before anything runs: a flow learns that a peer
+// is gone only from the peer's lapsed lease. Flag and configuration
+// errors exit 2.
 package main
 
 import (
@@ -95,7 +96,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		traceOps  = fs.Int("trace", 0, "record fabric operations; print the first N and a summary")
 		faults    = fs.String("faults", "", "fault plan, e.g. drop-write=0.01,delay=1us,jitter=3us,dup=0.05,reorder=0.1,crash=1@500us")
 		retrans   = fs.Duration("retransmit", 0, "enable source-side loss recovery with this stall timeout")
-		srcTime   = fs.Duration("srctimeout", 0, "target-side failure detection: declare a source failed after this silence")
 		lease     = fs.Duration("lease", 0, "lease-based membership: endpoint lease TTL (0 = disabled)")
 		partMode  = fs.String("partition", "modulo", "key partitioning scheme: modulo | ring (bounded rebalance on eviction)")
 		evictSpec = fs.String("evict", "", "administratively evict targets, e.g. 1@300us,2@400us")
@@ -161,7 +161,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		SegmentsPerRing:   *segments,
 		SegmentSize:       *segSize,
 		RetransmitTimeout: *retrans,
-		SourceTimeout:     *srcTime,
 		LeaseTTL:          *lease,
 		Multicast:         *multicast || *ordered,
 		GlobalOrdering:    *ordered,
@@ -203,6 +202,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *faults != "" {
 			if fcfg.Faults, rcfg.Faults, err = parseFaults(*faults, nodes); err != nil {
 				return usage("-faults: %v", err)
+			}
+			if len(fcfg.Faults.Crashes) > 0 && *lease <= 0 {
+				// Only a lapsed lease takes a crashed node's endpoints out
+				// of their flows; without one their peers wait for ever.
+				fmt.Fprintln(stderr, "dfiflow: -faults crash= needs -lease: a crashed node leaves its flow only when its lease lapses")
+				return 1
 			}
 		}
 		b = scenario.Fabric(nodes, *seed, fcfg)

@@ -105,8 +105,8 @@ func TestOutOfRangeFaultInputExitsTwo(t *testing.T) {
 // admission decides: the flags whose machinery needs a private ring per
 // pair, and the tenant flags without -shared, are config errors carrying
 // its message (a rejoin is rejected when it is attempted, see
-// TestRejoinRejected). Combiner flows and -srctimeout run on shared
-// rings, and -flows runs a fleet on either kind of ring.
+// TestRejoinRejected). Combiner flows and leases run on shared rings, and
+// -flows runs a fleet on either kind of ring.
 func TestSharedFlagAdmission(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -130,7 +130,7 @@ func TestSharedFlagAdmission(t *testing.T) {
 		counted bool // every pushed tuple is counted as consumed
 	}{
 		{[]string{"-shared", "-type", "combiner", "-sources", "3"}, true, false},
-		{[]string{"-shared", "-srctimeout", "300us"}, true, true},
+		{[]string{"-shared", "-lease", "100us"}, true, true},
 		{[]string{"-flows", "4"}, false, true},
 		// A leased shared fleet: a finished source's Left state must not
 		// close a shared ring that still holds its segments.
@@ -188,7 +188,7 @@ func TestChanTransportRejectsDESOnlyFlags(t *testing.T) {
 		t.Errorf("desOnlyFlags has %d entries, want at most 3", len(desOnlyFlags))
 	}
 	for _, name := range []string{"lease", "evict", "metrics-addr", "linger", "events", "events-out",
-		"type", "flows", "partition", "retransmit", "srctimeout", "rejoin",
+		"type", "flows", "partition", "retransmit", "rejoin",
 		"replicas", "snapshot-every", "unlogged-renew", "reg-shards",
 		"multicast", "ordered", "gap-nacks"} {
 		if why, ok := desOnlyFlags[name]; ok {
@@ -232,7 +232,7 @@ func TestSameArgsOnBothTransports(t *testing.T) {
 		{"fleet", []string{"-shared", "-flows", "4"}, 1},
 		{"ring-evict", []string{"-partition", "ring", "-lease", "1s", "-evict", "1@500us", "-targets", "3", "-mb", "8"}, 0},
 		{"retransmit", []string{"-retransmit", "100ms"}, 1},
-		{"srctimeout", []string{"-srctimeout", "1s"}, 1},
+		{"lease", []string{"-lease", "1s"}, 1},
 		{"combiner", []string{"-type", "combiner", "-sources", "3"}, 0},
 		{"rejoin", []string{"-lease", "1s", "-evict", "1@500us", "-rejoin", "1@1ms", "-targets", "3", "-mb", "8"}, 0},
 		{"replicas", []string{"-replicas", "3", "-lease", "1s"}, 1},
@@ -287,6 +287,30 @@ func TestRejoinRejected(t *testing.T) {
 		if took := time.Since(start); took > 2*time.Second {
 			t.Errorf("args %v: took %v of host time; a refused rejoin must not wait for the deadline", tc.args, took)
 		}
+	}
+}
+
+// TestLeaselessCrashRefused: a node crash without -lease exits 1 at flag
+// parsing, naming -lease. A flow learns that a peer is gone only from the
+// peer's lapsed lease, so each row would otherwise wait on the dead node
+// until the kernel's deadline (before the refusal both ran into it). A
+// registry master crash is no node crash: it needs no lease and runs.
+func TestLeaselessCrashRefused(t *testing.T) {
+	for _, args := range [][]string{
+		{"-faults", "crash=1@200us", "-retransmit", "40us"},
+		{"-type", "replicate", "-ordered", "-faults", "crash=0@200us", "-retransmit", "40us"},
+	} {
+		start := time.Now()
+		out, code := runToString(t, append([]string{"-mb", "1"}, args...)...)
+		if code != 1 || !strings.Contains(out, "-faults crash= needs -lease") {
+			t.Errorf("args %v: exit %d, want 1 with a refusal naming -lease:\n%s", args, code, out)
+		}
+		if took := time.Since(start); took > 2*time.Second {
+			t.Errorf("args %v: took %v of host time; a refused crash must not run", args, took)
+		}
+	}
+	if out, code := runToString(t, "-mb", "1", "-replicas", "3", "-faults", "reg-crash-master=5us"); code != 0 {
+		t.Errorf("reg-crash-master without -lease: exit %d, want 0:\n%s", code, out)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Elastic flow example: the paper's future-work item "elasticity of
 // flows to add/remove nodes at runtime" (§7), implemented as an
 // extension. A shuffle flow starts with one producer; two more join
-// mid-flight, one leaves, and a straggling producer is declared failed by
-// the target's failure detector.
+// mid-flight, one leaves, and one's node crashes: its lease lapses, and
+// the flow membership evicts it.
 //
 //	go run ./examples/elastic
 package main
@@ -21,7 +21,9 @@ import (
 
 func main() {
 	k := sim.New(3)
-	cluster := fabric.NewCluster(k, 5, fabric.DefaultConfig())
+	cfg := fabric.DefaultConfig()
+	cfg.Faults = &fabric.FaultPlan{} // producer 2 schedules its node's crash here
+	cluster := fabric.NewCluster(k, 5, cfg)
 	reg := registry.New(k)
 
 	sch := schema.MustNew(
@@ -34,8 +36,8 @@ func main() {
 		Targets: []core.Endpoint{{Node: cluster.Node(4)}},
 		Schema:  sch,
 		Options: core.Options{
-			MaxSources:    4, // elastic: up to four sources over the flow's life
-			SourceTimeout: 300 * time.Microsecond,
+			MaxSources: 4, // elastic: up to four sources over the flow's life
+			LeaseTTL:   100 * time.Microsecond,
 		},
 	}
 	k.Spawn("init", func(p *sim.Proc) {
@@ -55,7 +57,8 @@ func main() {
 		}
 		if crash {
 			src.Flush(p)
-			fmt.Printf("t=%v  producer %d CRASHES without closing\n", p.Now(), id)
+			cfg.Faults.CrashNode(int(id), p.Now()) // producer id runs on node id
+			fmt.Printf("t=%v  producer %d's node CRASHES before it closes\n", p.Now(), id)
 			return
 		}
 		src.Close(p)
@@ -110,7 +113,7 @@ func main() {
 			perProducer[sch.Int64(tup, 1)]++
 		}
 		fmt.Printf("t=%v  flow ended; tuples per producer: %v\n", p.Now(), perProducer)
-		fmt.Printf("        failed producers detected: %v\n", tgt.FailedSources())
+		fmt.Printf("        producers evicted: %v\n", tgt.FailedSources())
 	})
 
 	if err := k.Run(); err != nil {

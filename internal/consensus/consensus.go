@@ -46,18 +46,19 @@ type Config struct {
 	// MulticastLoss injects loss into the OUM flow (NOPaxos gap handling).
 	MulticastLoss float64
 
-	// CrashFollower / CrashAfterProposals emulate a follower replica
-	// crashing mid-run (Multi-Paxos only): follower CrashFollower stops
-	// participating — no more votes, no more consumption — after handling
-	// CrashAfterProposals proposals. Zero CrashAfterProposals disables the
-	// crash. Commits proceed on the surviving majority.
+	// CrashFollower / CrashAfterProposals crash a follower replica's node
+	// mid-run (Multi-Paxos only): follower CrashFollower's node goes down
+	// — no more votes, no more consumption, no more lease renewals —
+	// after it handled CrashAfterProposals proposals. Zero
+	// CrashAfterProposals disables the crash. Commits proceed on the
+	// surviving majority.
 	CrashFollower       int
 	CrashAfterProposals int
 
-	// FailureTimeout bounds how long the protocol flows wait on a silent
-	// peer before declaring it failed (plumbed into the flows'
-	// SourceTimeout/RetransmitTimeout). Required when a crash is
-	// configured; zero keeps all waits unbounded (failure-free operation).
+	// FailureTimeout is the lease TTL of the flows a crashed follower
+	// stalls (Options.LeaseTTL): a replica whose lease goes unrenewed is
+	// evicted within about twice that. Required when a crash is
+	// configured; zero runs without leases (failure-free operation).
 	FailureTimeout time.Duration
 
 	Seed int64
@@ -226,12 +227,16 @@ func (cfg *Config) interArrival() time.Duration {
 }
 
 // buildEnv creates the kernel and cluster for a consensus run: replicas
-// first, then client nodes.
+// first, then client nodes. A run with a follower crash gets an empty
+// fault plan, which the crashing follower schedules its node's crash in.
 func buildEnv(cfg Config) (*sim.Kernel, *fabric.Cluster) {
 	k := sim.New(cfg.Seed)
 	k.Deadline = 10 * time.Minute
 	fcfg := fabric.DefaultConfig()
 	fcfg.MulticastLoss = cfg.MulticastLoss
+	if cfg.CrashAfterProposals > 0 {
+		fcfg.Faults = &fabric.FaultPlan{}
+	}
 	c := fabric.NewCluster(k, cfg.Replicas+clientNodes, fcfg)
 	return k, c
 }

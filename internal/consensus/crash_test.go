@@ -5,11 +5,12 @@ import (
 	"time"
 )
 
-// TestMultiPaxosToleratesFollowerCrash crashes one of four followers a
-// quarter of the way through the run. The leader must detect the silent
-// replica via FailureTimeout on both the propose and vote flows and keep
-// committing on the surviving majority (leader + 2 of 3 live followers),
-// so every client request still completes.
+// TestMultiPaxosToleratesFollowerCrash crashes the node of one of four
+// followers a quarter of the way through the run. Its lease
+// (FailureTimeout) lapses, the registry evicts it from the propose and
+// vote flows, and the leader keeps committing on the surviving majority
+// (leader + 2 of 3 live followers), so every client request still
+// completes.
 func TestMultiPaxosToleratesFollowerCrash(t *testing.T) {
 	cfg := testCfg()
 	cfg.Requests = 1200
@@ -29,8 +30,8 @@ func TestMultiPaxosToleratesFollowerCrash(t *testing.T) {
 	}
 }
 
-// TestMultiPaxosFailureTimeoutHarmless checks that merely arming the
-// failure detector (without any crash) does not disturb a healthy run.
+// TestMultiPaxosFailureTimeoutHarmless checks that leasing the flows
+// (without any crash) does not disturb a healthy run.
 func TestMultiPaxosFailureTimeoutHarmless(t *testing.T) {
 	cfg := testCfg()
 	cfg.Requests = 600
@@ -41,6 +42,6 @@ func TestMultiPaxosFailureTimeoutHarmless(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Completed != cfg.Requests {
-		t.Fatalf("completed %d of %d with failure detection armed", res.Completed, cfg.Requests)
+		t.Fatalf("completed %d of %d with leased flows", res.Completed, cfg.Requests)
 	}
 }

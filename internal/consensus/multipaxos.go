@@ -22,9 +22,10 @@ import (
 // The leader executes a request once a majority of replicas (itself plus
 // two of four followers) has voted for it.
 //
-// With CrashAfterProposals set, follower CrashFollower falls silent after
-// that many proposals; FailureTimeout-bounded flow waits let the leader
-// declare it failed and commit on the surviving majority.
+// With CrashAfterProposals set, follower CrashFollower's node crashes
+// after that many proposals; its lease (FailureTimeout) lapses, the
+// registry evicts it from the propose and vote flows, and the leader
+// commits on the surviving majority.
 func RunMultiPaxos(cfg Config) (Result, error) {
 	k, c := buildEnv(cfg)
 	reg := registry.New(k)
@@ -46,19 +47,15 @@ func RunMultiPaxos(cfg Config) (Result, error) {
 		Targets: []core.Endpoint{{Node: leaderNode, Thread: 0}},
 		Schema:  RequestSchema, Options: lat,
 	}
-	// FailureTimeout bounds the waits on the two flows a crashed follower
+	// FailureTimeout is the lease TTL of the two flows a crashed follower
 	// can stall: the leader's propose stream (per-target credit) and the
-	// leader-side vote collection (a silent voter must not hold the flow
-	// open forever). The two detectors are coupled: while the propose flow
-	// waits out a dead target (up to RetransmitTimeout·(MaxRetransmits+1)),
-	// no proposals reach the healthy followers, so their vote rings fall
-	// silent through no fault of their own. The vote-side timeout must
-	// out-wait the propose-side declaration or the leader would declare
-	// every starved voter failed.
-	proposeOpts := core.Options{Optimization: core.OptimizeLatency, Multicast: true,
-		RetransmitTimeout: cfg.FailureTimeout, MaxRetransmits: 2}
+	// leader-side vote collection. The registry evicts the crashed
+	// follower from both once its lease lapses, and that is the only
+	// verdict: while the propose stream waits on the dead target, the
+	// healthy followers' votes stall too, but their leases keep them in.
+	proposeOpts := core.Options{Optimization: core.OptimizeLatency, Multicast: true, LeaseTTL: cfg.FailureTimeout}
 	voteOpts := lat
-	voteOpts.SourceTimeout = 6 * cfg.FailureTimeout
+	voteOpts.LeaseTTL = cfg.FailureTimeout
 	f2 := core.FlowSpec{
 		Name: "paxos-propose", Type: core.ReplicateFlow,
 		Sources: []core.Endpoint{{Node: leaderNode, Thread: 0}},
@@ -158,9 +155,11 @@ func RunMultiPaxos(cfg Config) (Result, error) {
 				handled++
 				if cfg.CrashAfterProposals > 0 && fi == cfg.CrashFollower &&
 					handled >= cfg.CrashAfterProposals {
-					// Crash: fall silent without closing either flow. The
-					// leader must detect the silence via FailureTimeout on
-					// both the propose and vote sides.
+					// Crash the follower's node: its lease stops being
+					// renewed, and the registry evicts it from both flows.
+					// A process that merely returned would keep its lease
+					// alive — slow is not dead.
+					c.Config().Faults.CrashNode(node.ID(), p.Now())
 					return
 				}
 			}

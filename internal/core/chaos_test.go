@@ -244,8 +244,9 @@ func TestChaosCombinerWriteLoss(t *testing.T) {
 func TestChaosShuffleSourceNodeCrash(t *testing.T) {
 	// Whole-node crash of one source, injected at the fabric level. The
 	// crashed source's own Push/Close surfaces ErrFlowBroken (its verbs go
-	// silent); the target detects the dead ring via SourceTimeout, reports
-	// the slot, and finishes with the surviving source's full stream.
+	// silent); its lease lapses, the registry evicts it, and the target
+	// closes the dead ring, reports the slot, and finishes with the
+	// surviving source's full stream.
 	plan := (&fabric.FaultPlan{}).CrashNode(1, 400*time.Microsecond)
 	e := newEnv(t, 3, withFaults(plan))
 	spec := FlowSpec{
@@ -256,7 +257,7 @@ func TestChaosShuffleSourceNodeCrash(t *testing.T) {
 		Options: Options{
 			SegmentSize:       256,
 			SegmentsPerRing:   8,
-			SourceTimeout:     300 * time.Microsecond,
+			LeaseTTL:          100 * time.Microsecond,
 			RetransmitTimeout: 40 * time.Microsecond,
 		},
 	}
@@ -334,9 +335,12 @@ func TestChaosShuffleSourceNodeCrash(t *testing.T) {
 }
 
 func TestChaosShuffleTargetNodeCrash(t *testing.T) {
-	// Whole-node crash of one target: the source's writer to it must fail
-	// with ErrFlowBroken instead of hanging; the crashed target's consumer
-	// unblocks via SourceTimeout; the healthy target still terminates.
+	// Whole-node crash of one target on a lease-less flow: the source's
+	// writer to it must fail with ErrFlowBroken instead of hanging (its
+	// retransmission budget runs out); the crashed target's consumer stops
+	// on its own node's crash; the healthy target still terminates. (With
+	// a lease the source re-routes around the evicted target instead — see
+	// TestLifecycleShuffleTargetEviction.)
 	plan := (&fabric.FaultPlan{}).CrashNode(2, 300*time.Microsecond)
 	e := newEnv(t, 3, withFaults(plan))
 	spec := FlowSpec{
@@ -347,7 +351,6 @@ func TestChaosShuffleTargetNodeCrash(t *testing.T) {
 		Options: Options{
 			SegmentSize:       256,
 			SegmentsPerRing:   8,
-			SourceTimeout:     200 * time.Microsecond,
 			RetransmitTimeout: 40 * time.Microsecond,
 		},
 	}
@@ -507,115 +510,6 @@ func TestChaosOrderedSequencerNodeCrash(t *testing.T) {
 		last[si] = k
 	}
 	survivorsAgree(t, orders, skipped, []int{1, 2})
-}
-
-func TestChaosOrderedMulticastSourceCrash(t *testing.T) {
-	// One of two ordered-multicast sources goes silent mid-flow while UD
-	// loss is also in play, with no leases. Targets must declare it
-	// failed, settle its unanswerable gaps by gap agreement (its
-	// retransmission history died with it), deliver the identical
-	// sequence everywhere, and still deliver the surviving source's
-	// complete stream in order. Swept over kernel seeds: each one loses
-	// different UD sends, so different sequences need agreement.
-	for _, seed := range chaosSeeds(1, 24) {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { orderedSourceCrash(t, seed) })
-	}
-}
-
-func orderedSourceCrash(t *testing.T, seed int64) {
-	e := newSeededEnv(t, seed, 5, withFaults(&fabric.FaultPlan{DropSend: 0.05}))
-	spec := FlowSpec{
-		Name:    "omc-crash",
-		Type:    ReplicateFlow,
-		Sources: []Endpoint{{Node: e.c.Node(0)}, {Node: e.c.Node(1)}},
-		Targets: []Endpoint{{Node: e.c.Node(2)}, {Node: e.c.Node(3)}, {Node: e.c.Node(4)}},
-		Schema:  kvSchema,
-		Options: Options{
-			Multicast:      true,
-			GlobalOrdering: true,
-			SegmentSize:    256,
-			SourceTimeout:  300 * time.Microsecond,
-		},
-	}
-	const n = 1000
-	orders := make([][]int64, len(spec.Targets))
-	failed := make([][]int, len(spec.Targets))
-	skipped := make([]uint64, len(spec.Targets))
-	e.k.Spawn("init", func(p *sim.Proc) {
-		if err := FlowInit(p, e.reg, e.c, spec); err != nil {
-			t.Error(err)
-		}
-	})
-	for si := 0; si < 2; si++ {
-		si := si
-		e.k.Spawn(fmt.Sprintf("src%d", si), func(p *sim.Proc) {
-			src, err := SourceOpen(p, e.reg, spec.Name, si)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			count := n
-			if si == 1 {
-				count = n / 4 // crashes: stops mid-flow, never closes
-			}
-			for i := 0; i < count; i++ {
-				key := int64(si*n + i)
-				if err := src.Push(p, mkTuple(key, 2*key)); err != nil {
-					t.Errorf("source %d push: %v", si, err)
-					return
-				}
-				p.Sleep(500 * time.Nanosecond)
-			}
-			if si == 1 {
-				return // crash: no flush, no close, no end marker
-			}
-			if err := src.Close(p); err != nil {
-				t.Errorf("healthy source close: %v", err)
-			}
-		})
-	}
-	for ti := range spec.Targets {
-		ti := ti
-		e.k.Spawn(fmt.Sprintf("tgt%d", ti), func(p *sim.Proc) {
-			tgt, err := TargetOpen(p, e.reg, spec.Name, ti)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			for {
-				tup, ok := tgt.Consume(p)
-				if !ok {
-					break
-				}
-				orders[ti] = append(orders[ti], kvSchema.Int64(tup, 0))
-			}
-			failed[ti] = tgt.FailedSources()
-			skipped[ti] = tgt.Stats().McGapsSkipped
-		})
-	}
-	e.run(t)
-	for ti := range spec.Targets {
-		if len(failed[ti]) != 1 || failed[ti][0] != 1 {
-			t.Fatalf("target %d failed sources %v, want [1]", ti, failed[ti])
-		}
-		// The healthy source's keys [0,n) must all arrive, in push order.
-		last := int64(-1)
-		seen := 0
-		for _, k := range orders[ti] {
-			if k >= int64(n) {
-				continue // crashed source's partial prefix
-			}
-			if k <= last {
-				t.Fatalf("target %d: healthy source out of order (%d after %d)", ti, k, last)
-			}
-			last = k
-			seen++
-		}
-		if seen != n {
-			t.Fatalf("target %d delivered %d of %d healthy-source tuples", ti, seen, n)
-		}
-	}
-	survivorsAgree(t, orders, skipped, []int{0, 1, 2})
 }
 
 func TestChaosWriterAckNeverPassesConsumption(t *testing.T) {
@@ -804,9 +698,9 @@ func TestChaosElasticAttachUnderFaults(t *testing.T) {
 
 func TestChaosElasticSealRacesSourceCrash(t *testing.T) {
 	// A late-attached source's node crashes right around the Seal. The
-	// sealed flow must not hang waiting on the corpse: SourceTimeout
-	// closes its ring, the slot is reported failed, and the initial
-	// source's complete stream still arrives exactly once.
+	// sealed flow must not hang waiting on the corpse: its lease lapses,
+	// the eviction closes its ring, the slot is reported failed, and the
+	// initial source's complete stream still arrives exactly once.
 	plan := (&fabric.FaultPlan{}).CrashNode(1, 250*time.Microsecond)
 	e := newEnv(t, 3, withFaults(plan))
 	spec := FlowSpec{
@@ -818,7 +712,7 @@ func TestChaosElasticSealRacesSourceCrash(t *testing.T) {
 			MaxSources:        2,
 			SegmentSize:       256,
 			SegmentsPerRing:   8,
-			SourceTimeout:     200 * time.Microsecond,
+			LeaseTTL:          100 * time.Microsecond,
 			RetransmitTimeout: 40 * time.Microsecond,
 		},
 	}
@@ -953,35 +847,4 @@ func TestPushWithoutRoutingReturnsError(t *testing.T) {
 	if count != 1 {
 		t.Fatalf("delivered %d tuples, want 1", count)
 	}
-}
-
-func TestFailureDetectionActivityAtTimeZero(t *testing.T) {
-	// Regression for the lastActivity==0 sentinel bug: virtual time starts
-	// at 0, so a ring genuinely active at t=0 must not be treated as
-	// "never heard from" and granted endless grace periods.
-	e := newEnv(t, 1)
-	e.k.Spawn("probe", func(p *sim.Proc) {
-		tgt := &Target{
-			spec: &FlowSpec{Options: Options{SourceTimeout: 100 * time.Microsecond}},
-			feed: &privateFeed{},
-			readers: []*ringReader{
-				{hasActivity: true, lastActivity: 0}, // heard exactly at t=0
-				{},                                   // never heard
-			},
-		}
-		p.Sleep(150 * time.Microsecond)
-		tgt.detectFailures(p, 2)
-		if !tgt.readers[0].failed.Load() {
-			t.Error("ring active at t=0 then silent past the timeout was not declared failed")
-		}
-		if tgt.readers[1].failed.Load() {
-			t.Error("never-heard ring was failed without a grace period")
-		}
-		p.Sleep(150 * time.Microsecond)
-		tgt.detectFailures(p, 2)
-		if !tgt.readers[1].failed.Load() {
-			t.Error("ring silent through its whole grace period was not declared failed")
-		}
-	})
-	e.run(t)
 }

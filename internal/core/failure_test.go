@@ -5,20 +5,23 @@ import (
 	"testing"
 	"time"
 
+	"dfi/internal/fabric"
 	"dfi/internal/sim"
 )
 
 func TestSourceFailureDetection(t *testing.T) {
-	// One of three sources crashes (stops pushing without Close). With
-	// SourceTimeout the target declares it failed, reports the slot, and
-	// the flow still terminates with the healthy sources' data intact.
-	e := newEnv(t, 4)
+	// One of three sources' node crashes a quarter of the way in, without
+	// Close. Its lease lapses, the registry evicts it, and the target
+	// reports the slot and still terminates with the healthy sources'
+	// data intact.
+	plan := &fabric.FaultPlan{}
+	e := newEnv(t, 4, withFaults(plan))
 	spec := FlowSpec{
 		Name:    "failing",
 		Sources: []Endpoint{{Node: e.c.Node(0)}, {Node: e.c.Node(1)}, {Node: e.c.Node(2)}},
 		Targets: []Endpoint{{Node: e.c.Node(3)}},
 		Schema:  kvSchema,
-		Options: Options{SourceTimeout: 300 * time.Microsecond},
+		Options: Options{LeaseTTL: 100 * time.Microsecond},
 	}
 	const perSource = 2000
 	got := make(map[int64]bool)
@@ -48,7 +51,10 @@ func TestSourceFailureDetection(t *testing.T) {
 			}
 			if si == 1 {
 				src.Flush(p)
-				return // crash: no Close, no end marker
+				// Crash once the flushed segments have landed: no Close,
+				// no end marker, no more lease renewals.
+				plan.CrashNode(1, p.Now()+20*time.Microsecond)
+				return
 			}
 			src.Close(p)
 		})
@@ -81,15 +87,16 @@ func TestSourceFailureDetection(t *testing.T) {
 }
 
 func TestNoFalseFailuresWithSlowButLiveSources(t *testing.T) {
-	// A source that pushes slowly but within the timeout must not be
-	// declared failed.
+	// A source that pushes slowly — silent for twice its lease TTL
+	// between segments — is not declared failed: its lease is renewed
+	// whatever its pace, and only a lapsed lease removes it.
 	e := newEnv(t, 2)
 	spec := FlowSpec{
 		Name:    "slow-live",
 		Sources: []Endpoint{{Node: e.c.Node(0)}},
 		Targets: []Endpoint{{Node: e.c.Node(1)}},
 		Schema:  kvSchema,
-		Options: Options{SourceTimeout: 500 * time.Microsecond},
+		Options: Options{LeaseTTL: 100 * time.Microsecond},
 	}
 	e.k.Spawn("init", func(p *sim.Proc) { _ = FlowInit(p, e.reg, e.c, spec) })
 	e.k.Spawn("src", func(p *sim.Proc) {
@@ -97,7 +104,7 @@ func TestNoFalseFailuresWithSlowButLiveSources(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			_ = src.Push(p, mkTuple(int64(i), 0))
 			src.Flush(p)
-			p.Sleep(200 * time.Microsecond) // slow, but under the timeout
+			p.Sleep(200 * time.Microsecond) // slow, but alive
 		}
 		src.Close(p)
 	})

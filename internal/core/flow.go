@@ -197,14 +197,6 @@ type Options struct {
 	// copy to every live target regardless of scheme.
 	Partitioning partition.Scheme
 
-	// SourceTimeout enables failure detection at targets (extension
-	// beyond the paper, which names fault tolerance as future work): a
-	// source whose ring shows no new segments for this long while other
-	// rings make progress is declared failed and its ring closed (on a
-	// shared ring, its tag dropped); failed slots are reported by
-	// Target.FailedSources. Zero disables detection.
-	SourceTimeout time.Duration
-
 	// RetransmitTimeout enables source-side loss recovery (extension
 	// beyond the paper): a writer blocked for this long on remote ring
 	// space or delivery confirmation resynchronizes against the
@@ -229,13 +221,17 @@ type Options struct {
 	// further LeaseTTL to Evicted, bumping the flow epoch. Sources
 	// re-route an evicted target's key range over the survivors (shuffle/
 	// combiner) or drop the dead leg (replicate); targets close the rings
-	// of evicted sources. On multicast replicate flows, segment headers
-	// carry the membership epoch, an evicted source fails for gap
-	// agreement as a silent one does, a target eviction detaches the
-	// dead leg from the multicast group, and an evicted target may
-	// rejoin via a sequencer snapshot (see docs/PROTOCOL.md, "Ordered
-	// replicate failure model"). Target.Reattach, the one way back into
-	// a flow, requires it. Zero (the default) disables leases.
+	// of evicted sources and report them in Target.FailedSources. On
+	// multicast replicate flows, segment headers carry the membership
+	// epoch, an evicted source's gaps go to gap agreement, a target
+	// eviction detaches the dead leg from the multicast group, and an
+	// evicted target may rejoin via a sequencer snapshot (see
+	// docs/PROTOCOL.md, "Ordered replicate failure model"). The lease is
+	// the one failure verdict (extension beyond the paper, which names
+	// fault tolerance as future work): no endpoint declares a peer dead
+	// on its own, so a slow peer is not a failed one, and a flow survives
+	// a crashed peer only with it. Target.Reattach, the one way back into
+	// a flow, requires it too. Zero (the default) disables leases.
 	// Setting LeaseTTL defaults RetransmitTimeout to LeaseTTL/2 —
 	// rerouting drains the dead writer's unconsumed window from its
 	// local ring, so the resident retransmit window is required.

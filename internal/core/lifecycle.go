@@ -437,10 +437,9 @@ func (t *Target) acquireTargetLease(p transport.Ctx, reg Registry, name string) 
 }
 
 // syncMembership folds membership changes into the target's ring state:
-// rings of evicted sources are closed (reported like SourceTimeout
-// failures, so FailedSources covers both detectors), and a target that
-// was itself evicted — or whose slot a successor took under a fresh
-// incarnation while it was not looking — stops consuming.
+// rings of evicted sources are closed (and reported in FailedSources),
+// and a target that was itself evicted — or whose slot a successor took
+// under a fresh incarnation while it was not looking — stops consuming.
 // On an elastic flow it also picks up attached sources and the seal.
 // Reports whether the target is evicted. A no-op (one integer compare)
 // while the epoch is unchanged. Every feed's scan calls it once per pass

@@ -13,8 +13,8 @@ import (
 
 // Lifecycle suite: the control-plane failure model end to end. A crashed
 // endpoint's lease expires, the flow epoch moves, and the data plane
-// reroutes around the eviction — without the data-plane failure detectors
-// (SourceTimeout) and without losing surviving tuples.
+// reroutes around the eviction — the lease is the only failure verdict —
+// without losing surviving tuples.
 
 func TestLifecycleShuffleTargetEviction(t *testing.T) {
 	// Acceptance: N:M bandwidth shuffle, one target's node crashes
@@ -243,11 +243,10 @@ func TestLifecycleReplicateAdminEvict(t *testing.T) {
 }
 
 func TestLifecycleSourceCrashLeaseEviction(t *testing.T) {
-	// A source's node crashes mid-flow on a spec WITHOUT SourceTimeout:
-	// before leases this flow could only hang (the dead ring never
-	// closes). The lease expiry must evict the source, the target closes
-	// its ring (reported like a detector failure), and the flow ends with
-	// the healthy source's complete stream.
+	// A source's node crashes mid-flow: without a lease this flow could
+	// only hang (the dead ring never closes). The lease expiry must evict
+	// the source, the target closes its ring (reported in FailedSources),
+	// and the flow ends with the healthy source's complete stream.
 	const (
 		crashAt   = 300 * time.Microsecond
 		perSource = 2000

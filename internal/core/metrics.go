@@ -64,7 +64,7 @@ func (t *Target) PublishMetrics(m *metrics.Registry) {
 		func() float64 { return float64(t.Stats().TuplesConsumed) })
 	m.RegisterCounterFunc("dfi_target_segments_consumed_total", "Ring segments recycled.", lbl,
 		func() float64 { return float64(t.Stats().SegmentsConsumed) })
-	m.RegisterGaugeFunc("dfi_target_failed_sources", "Source slots declared failed via SourceTimeout.", lbl,
+	m.RegisterGaugeFunc("dfi_target_failed_sources", "Source slots the flow membership evicted.", lbl,
 		func() float64 { return float64(len(t.FailedSources())) })
 	m.RegisterGaugeFunc("dfi_target_done", "1 once FLOW_END was reached.", lbl,
 		func() float64 {

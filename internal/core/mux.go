@@ -183,7 +183,6 @@ func (f *sharedFeed) scan(p transport.Ctx) ([]byte, bool) {
 		seg, status := f.rcv[i].Recv(p, f.tags[i], budget)
 		switch status {
 		case sharedring.RecvSeg:
-			r.heard(p.Now())
 			if seg.Fill == 0 {
 				continue // bare end marker rides a zero-fill segment
 			}

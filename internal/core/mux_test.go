@@ -289,8 +289,8 @@ func TestSharedRingsLeaseAgentKeepsFlowsAlive(t *testing.T) {
 
 func TestSharedRingsAdmission(t *testing.T) {
 	// normalize rejects what genuinely needs a private ring per pair, and
-	// tenant attribution requires shared mode. Combiner flows and
-	// SourceTimeout run on the common engine and are admitted.
+	// tenant attribution requires shared mode. Combiner flows run on the
+	// common engine and are admitted.
 	base := func() FlowSpec {
 		return FlowSpec{
 			Name:    "adm",
@@ -320,7 +320,6 @@ func TestSharedRingsAdmission(t *testing.T) {
 			s.Type = CombinerFlow
 			s.ShuffleKey = 0
 		}},
-		{name: "source timeout", ok: true, mut: func(s *FlowSpec) { s.Options.SharedRings = true; s.Options.SourceTimeout = time.Millisecond }},
 	}
 	for _, tc := range cases {
 		spec := base()
@@ -390,16 +389,18 @@ func TestSharedRingsUnsupportedOps(t *testing.T) {
 	}
 }
 
-func TestSharedRingsSourceTimeout(t *testing.T) {
-	// A source that goes silent without closing is declared failed by the
-	// common SourceTimeout detector, and its tag is dropped: when the
-	// zombie later floods the link, its segments are discarded at the
-	// receiver instead of piling up in staging, so a co-resident flow on
-	// the same node-pair ring keeps making progress.
+func TestSharedRingsEvictedSourceTagDropped(t *testing.T) {
+	// A source that goes silent without closing keeps its slot while its
+	// lease is renewed — three TTLs of silence are not a failure. Evicted,
+	// it is reported failed and its tag is dropped, and the epoch fence
+	// refuses the zombie's later flood, so nothing of it piles up in
+	// staging and a co-resident flow on the same node-pair ring keeps
+	// making progress.
+	const ttl, evictAt = 100 * time.Microsecond, 300 * time.Microsecond
 	e := newEnv(t, 2)
 	victim := sharedSpec(e, "shared-silent", []int{0, 0}, []int{1}, Options{
-		SegmentSize:   128,
-		SourceTimeout: 200 * time.Microsecond,
+		SegmentSize: 128,
+		LeaseTTL:    ttl,
 	})
 	neighbor := sharedSpec(e, "shared-neighbor", []int{0}, []int{1}, Options{SegmentSize: 128})
 	const n = 400
@@ -426,7 +427,15 @@ func TestSharedRingsSourceTimeout(t *testing.T) {
 			t.Error(err)
 		}
 	})
+	e.k.Spawn("evictor", func(p *sim.Proc) {
+		p.Sleep(evictAt)
+		if err := e.reg.Evict(p, victim.Name, registry.RoleSource, 1); err != nil {
+			t.Error(err)
+		}
+	})
 	var failed []int
+	var floodErr error
+	var victimEnd time.Duration
 	victimDone, floodDone := false, false
 	e.k.Spawn("zombie", func(p *sim.Proc) {
 		src, _ := SourceOpen(p, e.reg, victim.Name, 1)
@@ -434,11 +443,11 @@ func TestSharedRingsSourceTimeout(t *testing.T) {
 			push(p, src, int64(n+i))
 		}
 		_ = src.Flush(p)
-		for !victimDone { // silent until the target has given up on it
+		for !victimDone { // silent until the target has let go of it
 			p.Sleep(10 * time.Microsecond)
 		}
-		for i := 0; i < flood; i++ { // nobody drains this tag anymore
-			push(p, src, int64(2*n+i))
+		for i := 0; i < flood && floodErr == nil; i++ { // nobody drains this tag anymore
+			floodErr = src.Push(p, mkTuple(int64(2*n+i), 0))
 		}
 		_ = src.Close(p)
 		floodDone = true
@@ -454,8 +463,9 @@ func TestSharedRingsSourceTimeout(t *testing.T) {
 		}
 		failed = tgt.FailedSources()
 		if !tgt.Done() {
-			t.Error("target did not reach flow end after failing the silent source")
+			t.Error("target did not reach flow end after the silent source's eviction")
 		}
+		victimEnd = p.Now()
 		victimDone = true
 	})
 	neighborPushed, neighborGot := 0, 0
@@ -485,6 +495,12 @@ func TestSharedRingsSourceTimeout(t *testing.T) {
 	}
 	if got != n+10 {
 		t.Errorf("victim flow delivered %d tuples, want the healthy source's %d plus the zombie's flushed 10", got, n)
+	}
+	if victimEnd < evictAt {
+		t.Errorf("victim flow ended at %v, before the eviction at %v: a silent but leased source was let go", victimEnd, evictAt)
+	}
+	if !errors.Is(floodErr, ErrFlowBroken) {
+		t.Errorf("evicted zombie's flood: %v, want ErrFlowBroken (epoch fence)", floodErr)
 	}
 	if neighborGot != neighborPushed || neighborGot == 0 {
 		t.Errorf("co-resident flow delivered %d of %d tuples", neighborGot, neighborPushed)

@@ -15,7 +15,7 @@ import (
 // feed behind the endpoint engine's seams (leg.go, target.go): a source
 // has one leg, the group (mcTx), and a target's feed (mcFeed) hands out
 // segments in sequence order. Push, Flush, Close, the tuple iterator, the
-// SourceTimeout detector, the membership fold and Stats are the engine's;
+// membership fold and Stats are the engine's;
 // this file is what rides on two-sided unreliable multicast instead of
 // one-sided ring writes:
 //
@@ -46,9 +46,11 @@ import (
 // With Options.LeaseTTL set, the members of the group follow the flow's
 // lease/epoch control plane (see docs/PROTOCOL.md, "Ordered replicate
 // failure model"): segment headers carry the membership epoch, an
-// evicted source fails like one SourceTimeout declared silent, an
-// evicted target is detached from the group and the credit accounting,
-// and a rejoining target resumes from an installable sequencer snapshot.
+// evicted source's slot ends at what was delivered from it, an evicted
+// target is detached from the group and the credit accounting — the
+// registry's verdict is the only one, no staleness bound runs beside it
+// — and a rejoining target resumes from an installable sequencer
+// snapshot.
 
 // A multicast message leads with the segment descriptor every ring kind
 // uses (transport.SegDesc); its tag is mcTag: the source index and the
@@ -171,13 +173,14 @@ type mcTx struct {
 	rounds      map[uint64]*gapRound
 	agreedSkips map[uint64]bool
 
-	// Target-failure detection (enabled by Options.RetransmitTimeout): a
-	// target whose credit stream stalls past failAfter while it gates the
-	// source is declared failed and excluded from flow control and the
-	// termination handshake. The staleness clock starts when the target
-	// begins gating (gating flips on, lastAdvance resets): a caught-up
-	// target sends no credit while the source is idle, so time since its
-	// last advance says nothing about its health.
+	// Target-failure detection (lease-less flows with
+	// Options.RetransmitTimeout, see failAfter): a target whose credit
+	// stream stalls past failAfter while it gates the source is declared
+	// failed and excluded from flow control and the termination
+	// handshake. The staleness clock starts when the target begins gating
+	// (gating flips on, lastAdvance resets): a caught-up target sends no
+	// credit while the source is idle, so time since its last advance
+	// says nothing about its health.
 	failedTgt   []bool
 	lastAdvance []time.Duration
 	gating      []bool
@@ -261,11 +264,13 @@ func (x *mcTx) postCtrlRecvs(qp transport.Queue) {
 }
 
 // failAfter returns how long a target's credit stream may gate the source
-// before the target is declared failed (0 disables, keeping the legacy
-// unbounded waits).
+// before the target is declared failed (0 disables, keeping the waits
+// unbounded). A leased flow has no such bound: only the registry
+// detaches a target (foldTargets), so a slow member is never declared
+// dead while its lease says it is alive.
 func (x *mcTx) failAfter() time.Duration {
 	o := &x.s.spec.Options
-	if o.RetransmitTimeout <= 0 {
+	if o.LeaseTTL > 0 || o.RetransmitTimeout <= 0 {
 		return 0
 	}
 	return o.RetransmitTimeout * time.Duration(o.MaxRetransmits+1)
@@ -324,8 +329,7 @@ func (x *mcTx) foldTargets(p transport.Ctx) error {
 // measure of the rejoiner: the survivors keep reporting progress into
 // it, so a read here can be newer than the one the rejoiner installed,
 // and a slot credited from it would count the rejoiner's catch-up as no
-// progress — past failAfter the rejoiner is declared failed, stops
-// gating the sources, and drowns in the multicasts it still receives.
+// progress.
 func (x *mcTx) reconnectTarget(p transport.Ctx, j int, inc uint64) {
 	s := x.s
 	info, ok := s.reg.TargetInfo(p, s.spec.Name, j)
@@ -426,10 +430,11 @@ func (x *mcTx) retained(seq uint64) []byte {
 }
 
 // awaitCredit blocks while any live target's outstanding window is full.
-// With RetransmitTimeout set, a target whose credit gates the source past
-// failAfter is declared failed and excluded — a crashed target must not
-// wedge the surviving replicas. Membership changes are folded while
-// gated, so a lease eviction releases the gate ahead of the timeout.
+// On a lease-less flow with RetransmitTimeout set, a target whose credit
+// gates the source past failAfter is declared failed and excluded — a
+// crashed target must not wedge the surviving replicas. Membership
+// changes are folded while gated: on a leased flow the eviction of a
+// crashed target is what releases the gate.
 func (x *mcTx) awaitCredit(p transport.Ctx) error {
 	failAfter := x.failAfter()
 	for {
@@ -671,11 +676,11 @@ func (x *mcTx) finish(p transport.Ctx) error {
 
 // end sends reliable end markers carrying the per-source segment count
 // and lingers until every live target has consumed everything — serving
-// retransmission requests and arbitrating gap rounds meanwhile. With
-// RetransmitTimeout set the linger is bounded per target: one that stops
-// acknowledging is declared failed, and end reports it with an
-// ErrFlowBroken-wrapped error instead of hanging. Lease evictions folded
-// mid-linger release their targets immediately.
+// retransmission requests and arbitrating gap rounds meanwhile. On a
+// lease-less flow with RetransmitTimeout set the linger is bounded per
+// target: one that stops acknowledging is declared failed, and end
+// reports it with an ErrFlowBroken-wrapped error instead of hanging.
+// Lease evictions folded mid-linger release their targets immediately.
 func (x *mcTx) end(p transport.Ctx) error {
 	if x.closed {
 		return nil
@@ -753,10 +758,8 @@ const noEnd = ^uint64(0)
 // per sequence space (rxStream): an ordered flow has one, over the global
 // sequence; an unordered flow has one per source, served round-robin.
 // The per-source state the engine keeps in Target.readers serves it too —
-// consumed is the count of segments delivered from the source, and a
-// source is heard whenever anything of its arrives or its stream's head
-// waits here; the readers close together, when the whole flow is
-// delivered.
+// consumed is the count of segments delivered from the source, and the
+// readers close together, when the whole flow is delivered.
 type mcFeed struct {
 	t       *Target
 	ordered bool
@@ -779,8 +782,6 @@ type mcFeed struct {
 	// delivered from it (noEnd until either).
 	end       []uint64
 	creditAcc []uint64 // segments consumed since last credit msg
-
-	arbiter int // source whose verdict the ordered head gap awaits (-1: none)
 
 	// Gap-agreement state (ordered flows only): copies of recently
 	// delivered segments so probes for a live head can be answered after
@@ -858,7 +859,6 @@ func (t *Target) newMcFeed() *mcTargetInfo {
 		window:    uint64(R),
 		end:       make([]uint64, nSrc),
 		creditAcc: make([]uint64, nSrc),
-		arbiter:   -1,
 	}
 	for i := range f.end {
 		f.end[i] = noEnd
@@ -1021,7 +1021,6 @@ func (f *mcFeed) ingest(p transport.Ctx, buf []byte, bytes int, origin recvOrigi
 		f.recycle(buf)
 		return
 	}
-	t.readers[src].heard(p.Now())
 	if d.Flags&transport.SegEnd != 0 && d.Fill == 0 {
 		// End marker: seq carries the source's total segment count.
 		if f.end[src] == noEnd {
@@ -1054,9 +1053,6 @@ func (f *mcFeed) ingest(p transport.Ctx, buf []byte, bytes int, origin recvOrigi
 // handleGapCtrl processes one agreement control message from a source.
 func (f *mcFeed) handleGapCtrl(p transport.Ctx, m ctrlMsg) {
 	src, seq := int(m.slot), m.value
-	if src < len(f.t.readers) {
-		f.t.readers[src].heard(p.Now())
-	}
 	switch m.kind {
 	case ctrlGapProbe:
 		f.answerProbe(p, src, seq)
@@ -1095,9 +1091,6 @@ func (f *mcFeed) answerProbe(p transport.Ctx, src int, seq uint64) {
 		return
 	}
 	f.frozen[seq] = src
-	if seq == g.next {
-		f.arbiter = src
-	}
 	f.sendGapAnswer(p, src, ctrlGapNoHave, seq, nil)
 }
 
@@ -1138,7 +1131,6 @@ func (f *mcFeed) sendGapQuery(p transport.Ctx, seq uint64) {
 	for s, r := range f.t.readers {
 		if !r.failed.Load() {
 			f.tqps[s].Send(p, ctrlMsg{ctrlGapQuery, byte(f.t.idx), seq}.encode(nil), false, 0)
-			f.arbiter = s
 			return
 		}
 	}
@@ -1239,22 +1231,6 @@ func (f *mcFeed) stalled(i int) bool {
 	return st.top > st.next || e != noEnd && st.next < e
 }
 
-// keptWaiting reports whether it is this target, not source s, that the
-// rest of s's stream waits on: its whole extent is known, or — unordered,
-// where the streams are served in turn — its stream's head is here. A
-// source with segments held behind a gap is not kept waiting: if nobody
-// refills the gap (the source died with its retransmission history) it
-// has to go silent, so that SourceTimeout can declare it failed and the
-// gap ladder let go of what it held. Nor is the arbiter whose verdict the
-// head gap awaits: one that finished and left answers no more, and
-// SourceTimeout lets the ladder move on.
-func (f *mcFeed) keptWaiting(s int) bool {
-	if f.end[s] != noEnd {
-		return s != f.arbiter
-	}
-	return !f.ordered && f.deliverable(&f.streams[s])
-}
-
 // countsKnown reports whether every source's segment count is known: its
 // end marker arrived, or it was declared failed and ends at what was
 // delivered.
@@ -1318,7 +1294,7 @@ func (f *mcFeed) deliver(p transport.Ctx, i int) []byte {
 	delete(st.pending, seq)
 	st.next++
 	st.gapSince, st.nacks = 0, 0
-	f.served, f.arbiter = i, -1
+	f.served = i
 	src := mcSrc(transport.ParseSegDesc(buf).Tag)
 	t.readers[src].consumed.Add(1)
 	f.creditAcc[src]++
@@ -1380,11 +1356,10 @@ func (f *mcFeed) reportProgress(p transport.Ctx) {
 	_ = t.reg.RecordSeqProgress(p, t.spec.Name, t.idx, head, per)
 }
 
-// drop ends source s's slot — the engine declared it failed (evicted, or
-// silent past SourceTimeout), or this target is going away: the slot
-// ends at its delivered count, and on an unordered flow its stream lets
-// go of what it held behind its head (the predecessors died with the
-// source's retransmission history). A source that died after its end
+// drop ends source s's slot — the membership evicted it, or this target
+// is going away: the slot ends at its delivered count, and on an
+// unordered flow its stream lets go of what it held behind its head (the
+// predecessors died with the source's retransmission history). A source that died after its end
 // marker arrived keeps its true stream length: overwriting it with this
 // target's delivered count would shrink totalExpected by a target-local
 // amount and make the survivors finish at divergent points. The reader
@@ -1407,20 +1382,17 @@ func (f *mcFeed) drop(s int) {
 	f.t.readers[s].closed = false
 }
 
-// departed reports whether source s can arbitrate no more: it was
-// declared failed (lease eviction or SourceTimeout), or it released its
-// lease after its close linger. A lease-less source says nothing when it
-// leaves, so a finished target, which no longer runs the failure
-// detector, counts it gone once it has been silent past SourceTimeout —
-// the silence that would have failed it while the target consumed.
-func (f *mcFeed) departed(s int, now time.Duration) bool {
+// departed reports whether source s can arbitrate no more: the
+// membership evicted it, or it released its lease after its close
+// linger. A lease-less source says nothing when it leaves, so it counts
+// as gone once its reader closed.
+func (f *mcFeed) departed(s int) bool {
 	r := f.t.readers[s]
 	if r.failed.Load() {
 		return true
 	}
-	o := &f.t.spec.Options
-	if o.LeaseTTL <= 0 {
-		return r.closed && now-r.lastActivity > o.SourceTimeout
+	if f.t.spec.Options.LeaseTTL <= 0 {
+		return r.closed
 	}
 	st := f.t.mem.State(registry.RoleSource, s)
 	return st == registry.StateLeft || st == registry.StateEvicted
@@ -1430,9 +1402,9 @@ func (f *mcFeed) departed(s int, now time.Duration) bool {
 // round. While any source is live — even one whose stream has ended,
 // since close lingers until all targets drain — queries must go to it
 // instead of skipping unilaterally.
-func (f *mcFeed) noLiveArbiter(now time.Duration) bool {
+func (f *mcFeed) noLiveArbiter() bool {
 	for s := range f.t.readers {
-		if !f.departed(s, now) {
+		if !f.departed(s) {
 			return false
 		}
 	}
@@ -1445,7 +1417,7 @@ func (f *mcFeed) skipTo(p transport.Ctx, next uint64) {
 	g := &f.streams[0]
 	f.gapsSkipped.Add(next - g.next)
 	g.next = next
-	g.gapSince, g.nacks, f.arbiter = 0, 0, -1
+	g.gapSince, g.nacks = 0, 0
 	f.credit(p, 0)
 }
 
@@ -1473,14 +1445,6 @@ func (f *mcFeed) scan(p transport.Ctx) ([]byte, bool) {
 	f.poll(p)
 	if t.syncMembership() {
 		return nil, false
-	}
-	// A source this target keeps waiting is not silent, however long its
-	// turn takes to come.
-	now := p.Now()
-	for s, r := range t.readers {
-		if !r.closed && f.keptWaiting(s) {
-			r.heard(now)
-		}
 	}
 	if f.ordered && !f.seqSpaceKnown && f.sourceFailed() && f.countsKnown() {
 		// A source died without an end marker and nothing more can be
@@ -1543,11 +1507,11 @@ func (f *mcFeed) gapTimedOut(p transport.Ctx, i int) bool {
 		// fill or skip it. Keep waiting — unless the arbiter died
 		// mid-round, taking the verdict with it: thaw and let the ladder
 		// decide next timeout.
-		if f.noLiveArbiter(p.Now()) {
+		if f.noLiveArbiter() {
 			delete(f.frozen, seq)
 		}
 		st.gapSince = p.Now()
-	case f.ordered && st.nacks >= 2*limit && f.countsKnown() && f.sourceFailed() && f.noLiveArbiter(p.Now()):
+	case f.ordered && st.nacks >= 2*limit && f.countsKnown() && f.sourceFailed() && f.noLiveArbiter():
 		// Tail fallback: every source has ended, queries go unanswered,
 		// and NO live arbiter remains (each slot failed, or left after
 		// its close linger). Only then may a target skip unilaterally;
@@ -1599,7 +1563,7 @@ func (f *mcFeed) spawnGapResponder(p transport.Ctx) {
 			iv = 5 * time.Microsecond
 		}
 		for {
-			if t.node.Crashed(rp.Now()) || t.evicted.Load() || f.noLiveArbiter(rp.Now()) {
+			if t.node.Crashed(rp.Now()) || t.evicted.Load() || f.noLiveArbiter() {
 				return
 			}
 			f.pollReliable(rp)

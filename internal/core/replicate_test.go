@@ -490,85 +490,3 @@ func TestOrderedReplicateMultiSourceWithLoss(t *testing.T) {
 		}
 	}
 }
-
-// TestMulticastPendingSourceIsNotSilent: an unordered multicast target
-// serves its sources' streams in turn, so with three sources a source's
-// window can sit in pending — and the source credit-gated by the very
-// targets that have not got to it — while the others' are served. That
-// is not silence: a SourceTimeout shorter than the wait must not declare
-// the source failed (which left it polling for credit for ever; the low
-// MaxEvents is the oracle for that).
-func TestMulticastPendingSourceIsNotSilent(t *testing.T) {
-	e := newEnv(t, 7)
-	e.k.MaxEvents = 5_000_000
-	spec := FlowSpec{
-		Name:    "mc-not-silent",
-		Type:    ReplicateFlow,
-		Schema:  lineSchema,
-		Options: Options{Multicast: true, SourceTimeout: 300 * time.Microsecond},
-	}
-	for i := 0; i < 3; i++ {
-		spec.Sources = append(spec.Sources, Endpoint{Node: e.c.Node(i)})
-	}
-	for i := 3; i < 7; i++ {
-		spec.Targets = append(spec.Targets, Endpoint{Node: e.c.Node(i)})
-	}
-	const perSource = 32768 // 2 MiB: 256 segments, eight rings' worth
-	e.k.Spawn("init", func(p *sim.Proc) {
-		if err := FlowInit(p, e.reg, e.c, spec); err != nil {
-			t.Error(err)
-		}
-	})
-	for si := range spec.Sources {
-		e.k.Spawn(fmt.Sprintf("src%d", si), func(p *sim.Proc) {
-			src, err := SourceOpen(p, e.reg, spec.Name, si)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			tup := lineSchema.NewTuple()
-			for i := 0; i < perSource; i++ {
-				lineSchema.PutInt64(tup, 0, int64(si*perSource+i))
-				if err := src.Push(p, tup); err != nil {
-					t.Errorf("source %d push %d: %v", si, i, err)
-					return
-				}
-			}
-			if err := src.Close(p); err != nil {
-				t.Errorf("source %d close: %v", si, err)
-			}
-		})
-	}
-	for ti := range spec.Targets {
-		e.k.Spawn(fmt.Sprintf("tgt%d", ti), func(p *sim.Proc) {
-			tgt, err := TargetOpen(p, e.reg, spec.Name, ti)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			next := make([]int64, len(spec.Sources))
-			for {
-				tup, ok := tgt.Consume(p)
-				if !ok {
-					break
-				}
-				key := lineSchema.Int64(tup, 0)
-				si := key / perSource
-				if key%perSource != next[si] {
-					t.Errorf("target %d: source %d delivered tuple %d, want %d", ti, si, key%perSource, next[si])
-					return
-				}
-				next[si]++
-			}
-			for si, n := range next {
-				if n != perSource {
-					t.Errorf("target %d consumed %d of source %d's %d tuples", ti, n, si, perSource)
-				}
-			}
-			if failed := tgt.FailedSources(); len(failed) != 0 {
-				t.Errorf("target %d declared %v failed in a fault-free run", ti, failed)
-			}
-		})
-	}
-	e.run(t)
-}

@@ -118,7 +118,7 @@ type TargetStats struct {
 	TuplesConsumed uint64
 	// SegmentsConsumed counts ring segments recycled.
 	SegmentsConsumed uint64
-	// FailedSources lists slots declared failed via SourceTimeout.
+	// FailedSources lists the source slots the membership evicted.
 	FailedSources []int
 	// Done reports whether FLOW_END was reached.
 	Done bool

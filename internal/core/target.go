@@ -86,26 +86,13 @@ type Target struct {
 // ringReader is the target's state for one source slot, common to every
 // kind, plus the private-ring cursor (ringOff, rslot). closed means the
 // slot will yield nothing more: its end marker was consumed, or the
-// source was declared failed.
+// membership evicted the source.
 type ringReader struct {
 	ringOff  int
 	rslot    int
 	consumed atomic.Uint64 // segments consumed (private rings mirror it into the ring header)
 	closed   bool
-
-	// Failure detection (Options.SourceTimeout). hasActivity
-	// distinguishes "never heard from" (grace period pending) from a ring
-	// legitimately active at virtual time zero — time.Duration starts at 0, so
-	// lastActivity alone cannot encode "unset".
-	hasActivity  bool
-	lastActivity time.Duration
-	failed       atomic.Bool
-}
-
-// heard stamps source activity for the SourceTimeout detector.
-func (r *ringReader) heard(now time.Duration) {
-	r.hasActivity = true
-	r.lastActivity = now
+	failed   atomic.Bool // the membership evicted the source (see failSource)
 }
 
 // segmentFeed is the seam between the consuming engine and a kind: it
@@ -120,17 +107,16 @@ type segmentFeed interface {
 	// makes one pass over the open sources among readers[:live] — round-robin
 	// over rings, in sequence order over a multicast group — and returns
 	// the first consumable segment's payload, its tuples' consume cost
-	// charged. It closes a reader on its end marker and stamps activity on
-	// everything it receives, and on a source whose next segment it holds
-	// but has not got to yet. A pass that finds nothing parks until
-	// something may have arrived, at most pollTimeout, before it reports
-	// ok=false — unless it closed a reader, skipped a gap or surfaced one,
-	// which the engine gets to see at once.
+	// charged. It closes a reader on its end marker. A pass that finds
+	// nothing parks until something may have arrived, at most
+	// pollTimeout, before it reports ok=false — unless it closed a
+	// reader, skipped a gap or surfaced one, which the engine gets to see
+	// at once.
 	scan(p transport.Ctx) (data []byte, ok bool)
 	// drop tells the kind source i will not be consumed from again
-	// (evicted, declared failed, or this target is going away): a shared
-	// ring stops staging its tag, a multicast feed ends the slot at what
-	// it delivered.
+	// (evicted, or this target is going away): a shared ring stops
+	// staging its tag, a multicast feed ends the slot at what it
+	// delivered.
 	drop(i int)
 	// free releases the kind's receive buffers.
 	free()
@@ -217,8 +203,8 @@ func (t *Target) allocRings() *targetInfo {
 }
 
 // failSource closes source i's slot for good and reports it through
-// FailedSources: the membership evicted it, or SourceTimeout declared it
-// silent. The kind is told (see segmentFeed.drop).
+// FailedSources: the membership evicted it. The kind is told (see
+// segmentFeed.drop).
 func (t *Target) failSource(i int) {
 	r := t.readers[i]
 	r.closed = true
@@ -332,7 +318,6 @@ func (f *privateFeed) loadSegment(p transport.Ctx, r *ringReader) ([]byte, bool)
 			Slot: t.idx, Seq: seq, Bytes: uint64(fill),
 		})
 	}
-	r.heard(p.Now())
 	if fill == 0 {
 		f.release(r)
 		return nil, false
@@ -412,10 +397,9 @@ func (t *Target) nextSegment(p transport.Ctx) bool {
 			t.done.Store(true)
 			return false
 		}
-		// Nothing consumable, and the scan has parked for it: look for
-		// sources that will never send again before scanning once more —
-		// among the slots of the membership the scan folded in.
-		t.detectFailures(p, t.live)
+		// Nothing consumable, and the scan has parked for it: close the
+		// rings of sources that left before scanning once more — among
+		// the slots of the membership the scan folded in.
 		t.closeLeftRings(t.live)
 		if t.flowEnded(t.live) {
 			t.done.Store(true)
@@ -476,34 +460,8 @@ func (t *Target) ConsumeSegment(p transport.Ctx) (data []byte, count int, ok boo
 	return data, count, true
 }
 
-// detectFailures closes the slots of sources that have been silent
-// beyond the configured SourceTimeout (failure detection; see
-// Options.SourceTimeout).
-func (t *Target) detectFailures(p transport.Ctx, n int) {
-	timeout := t.spec.Options.SourceTimeout
-	if timeout <= 0 {
-		return
-	}
-	for i, r := range t.readers[:n] {
-		if r.closed {
-			continue
-		}
-		if !r.hasActivity {
-			// Grace period starts at the first check. (Checked with an
-			// explicit flag: virtual time starts at 0, so a ring that was
-			// genuinely active at t=0 would otherwise restart its grace
-			// period here and escape detection.)
-			r.heard(p.Now())
-			continue
-		}
-		if p.Now()-r.lastActivity > timeout {
-			t.failSource(i)
-		}
-	}
-}
-
-// FailedSources returns the source slots the target declared failed
-// (SourceTimeout or eviction), in slot order.
+// FailedSources returns the source slots the membership evicted (a
+// lapsed lease or an administrative eviction), in slot order.
 func (t *Target) FailedSources() []int {
 	var out []int
 	for i, r := range t.readers {

@@ -9,9 +9,9 @@ import (
 
 // Fault injection: a FaultPlan makes the simulated fabric misbehave so the
 // recovery machinery of the layers above (DFI ring retransmission, NACK
-// recovery, SourceTimeout failure detection) is actually exercised. The
-// paper names fault tolerance as future work (§8); this file is the
-// substrate for this repo's implementation of it.
+// recovery, lease eviction of a crashed node's endpoints) is actually
+// exercised. The paper names fault tolerance as future work (§8); this
+// file is the substrate for this repo's implementation of it.
 //
 // Semantics, chosen to mirror what each layer of a real deployment can and
 // cannot observe:
@@ -44,7 +44,9 @@ import (
 
 // FaultPlan configures fault injection for a cluster. The zero value (and
 // a nil plan) injects nothing. The cluster reads it from kernel context
-// without locks, so it must not change once the kernel runs.
+// without locks, so it must not change once the kernel runs — except
+// that a simulated process may schedule a crash through CrashNode (at
+// its own instant or later: a node that crashes "now").
 type FaultPlan struct {
 	// Per-verb probabilistic drop. DropWrite loses the remote effect
 	// while keeping the sender's completion; DropRead loses an async

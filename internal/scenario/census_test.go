@@ -28,12 +28,13 @@ const censusMaxEvents = 4_000_000
 // sources and 2 targets, target 1 evicted once and, when rejoin is set,
 // re-attached rejoin after the eviction.
 type censusRow struct {
-	shared bool
-	lease  bool
-	typ    string // shuffle | replicate | combiner
-	flows  int
-	evict  time.Duration
-	rejoin time.Duration
+	shared  bool
+	lease   bool
+	typ     string // shuffle | replicate | combiner
+	ordered bool   // replicate over ordered multicast
+	flows   int
+	evict   time.Duration
+	rejoin  time.Duration
 }
 
 func (r censusRow) String() string {
@@ -44,7 +45,11 @@ func (r censusRow) String() string {
 	if r.lease {
 		lease = "lease"
 	}
-	name := fmt.Sprintf("%s/%s/%s/flows=%d/evict=%dus", ring, lease, r.typ, r.flows, r.evict.Microseconds())
+	typ := r.typ
+	if r.ordered {
+		typ += "-ordered"
+	}
+	name := fmt.Sprintf("%s/%s/%s/flows=%d/evict=%dus", ring, lease, typ, r.flows, r.evict.Microseconds())
 	if r.rejoin > 0 {
 		name += fmt.Sprintf("/rejoin=%dus", (r.evict + r.rejoin).Microseconds())
 	}
@@ -60,7 +65,11 @@ func (r censusRow) command(seed int64) string {
 	if r.lease {
 		cmd += " -lease 100us"
 	}
-	cmd += fmt.Sprintf(" -type %s -flows %d -evict 1@%dus", r.typ, r.flows, r.evict.Microseconds())
+	cmd += " -type " + r.typ
+	if r.ordered {
+		cmd += " -ordered"
+	}
+	cmd += fmt.Sprintf(" -flows %d -evict 1@%dus", r.flows, r.evict.Microseconds())
 	if r.rejoin > 0 {
 		cmd += fmt.Sprintf(" -rejoin 1@%dus", (r.evict + r.rejoin).Microseconds())
 	}
@@ -72,16 +81,21 @@ func (r censusRow) command(seed int64) string {
 // an eviction of target 1 at {20, 40, 80} µs, then the rejoin rows:
 // private rings, 100 µs lease, {shuffle, replicate} × the same flows and
 // evictions, target 1 re-attached 60 µs after its eviction (only a
-// leased target rejoins; shared rings and combiners cannot, and ordered
-// multicast is left out). short keeps the rows with 4 or 20 flows
-// evicted at 40 µs: 24 eviction rows — four of them, the shared 20-flow
-// shuffle and replicate rows, stopped making progress while a
-// shared-ring send could not give up — and 4 rejoin rows.
+// leased target rejoins; shared rings and combiners cannot), and the same
+// rejoin over ordered multicast with flows {1, 4, 16, 20} (its 64-flow
+// rows still stop making progress, and are left out). short keeps the
+// rows with 4 or 20 flows evicted at 40 µs: 24 eviction rows — four of
+// them, the shared 20-flow shuffle and replicate rows, stopped making
+// progress while a shared-ring send could not give up — and 6 rejoin
+// rows, two of them ordered — the 20-flow one stopped making progress
+// while a multicast source could declare a leased rejoiner that was
+// still catching up dead.
 func censusRows(short bool) []censusRow {
 	var rows []censusRow
+	flowCounts := []int{1, 4, 16, 20, 64}
 	each := func(types []string, row func(typ string, flows int, at time.Duration)) {
 		for _, typ := range types {
-			for _, flows := range []int{1, 4, 16, 20, 64} {
+			for _, flows := range flowCounts {
 				for _, at := range []time.Duration{20 * time.Microsecond, 40 * time.Microsecond, 80 * time.Microsecond} {
 					if short && (at != 40*time.Microsecond || (flows != 4 && flows != 20)) {
 						continue
@@ -100,6 +114,10 @@ func censusRows(short bool) []censusRow {
 	}
 	each([]string{"shuffle", "replicate"}, func(typ string, flows int, at time.Duration) {
 		rows = append(rows, censusRow{lease: true, typ: typ, flows: flows, evict: at, rejoin: 60 * time.Microsecond})
+	})
+	flowCounts = flowCounts[:4]
+	each([]string{"replicate"}, func(typ string, flows int, at time.Duration) {
+		rows = append(rows, censusRow{lease: true, typ: typ, ordered: true, flows: flows, evict: at, rejoin: 60 * time.Microsecond})
 	})
 	return rows
 }
@@ -153,6 +171,8 @@ func runCensusRow(r censusRow, seed int64, log *bytes.Buffer) (uint64, error) {
 	spec := core.FlowSpec{Name: "dfiflow", Schema: sch, Options: core.Options{
 		SegmentsPerRing: 32,
 		SharedRings:     r.shared,
+		Multicast:       r.ordered,
+		GlobalOrdering:  r.ordered,
 	}}
 	if r.lease {
 		spec.Options.LeaseTTL = 100 * time.Microsecond
