@@ -29,8 +29,8 @@ race:
 # census of internal/scenario runs its -short rows at each seed too: 24
 # eviction rows and 6 rows whose evicted target rejoins, 2 of them over
 # ordered multicast (the full table, 180 eviction and 42 rejoin rows, 12
-# of them ordered, runs in `go test ./...`), and so do the 9 rows of the
-# lossy-multicast census (see chaos-mc).
+# of them ordered, runs in `go test ./...`), and so do the 17 rows of
+# the lossy-multicast census (see chaos-mc).
 CHAOS_SEEDS ?= 11 1 7 42
 chaos:
 	@for seed in $(CHAOS_SEEDS); do \
@@ -49,12 +49,14 @@ chaos:
 # survivors' delivered sequences and skip counts compared, plus target
 # eviction + sequencer-snapshot rejoin, forged messages, a crashed
 # source held behind a gap until its eviction, a straggler target its
-# leased sources wait for instead of declaring it failed (unordered and
-# ordered), and the unsupported-operation surface, swept over the chaos
+# leased sources wait for and a straggler or crashed target that breaks
+# a lease-less flow (unordered and ordered), and the
+# unsupported-operation surface, swept over the chaos
 # seeds (each seed changes which UD sends are lost and therefore which
 # sequences need recovery or agreement). At each seed the lossy-multicast
-# census of internal/scenario runs too: {unordered, ordered} × loss
-# {1, 2} % × -retransmit {20, 200} µs and one wider unordered row, each
+# census of internal/scenario runs too: {unordered, ordered} × (loss
+# {1, 2} % × -retransmit {20, 200} µs and loss {5, 10} % × -retransmit
+# {5, 10} µs) and one wider unordered row, each
 # under four times its lossless run's events (`chaos`, whose -run
 # 'Census' matches it, runs it as well). Then the target evict + rejoin
 # test runs once with DFI_CHAOS_SEED empty, which sweeps its own seeds

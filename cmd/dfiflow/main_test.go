@@ -315,24 +315,31 @@ func TestLeaselessCrashRefused(t *testing.T) {
 }
 
 // TestLossyMulticastEnds: an unordered multicast flow losing 2 % of its
-// multicast deliveries, whose sources declare a target failed once its
-// credit stalls for 20 µs times the retransmission budget, recovers every
-// loss by NACK before that bound and ends cleanly: exit 0, every target
-// consumed every tuple, none declared failed, in milliseconds of host
-// time.
+// multicast deliveries, whose sources break the flow once a target they
+// wait on sends nothing for 20 µs times the retransmission budget,
+// recovers every loss by NACK before that bound and ends cleanly: exit 0,
+// every target consumed every tuple, none declared failed, in
+// milliseconds of host time. So does one losing 10 % under a 10 µs
+// bound, where a target spends longer NACKing than the bound without a
+// credit to send: its NACKs are proof of life.
 func TestLossyMulticastEnds(t *testing.T) {
-	start := time.Now()
-	out, code := runToString(t, "-type", "replicate", "-multicast", "-loss", "0.02", "-mb", "1", "-retransmit", "20us")
-	if code != 0 || strings.Contains(out, "stopped responding") {
-		t.Fatalf("exit %d, want 0 with no target declared failed:\n%s", code, out)
-	}
-	if m := totalsRE.FindStringSubmatch(out); m == nil {
-		t.Errorf("no totals line:\n%s", out)
-	} else if n, _ := strconv.Atoi(m[1]); m[2] != strconv.Itoa(2*n) {
-		t.Errorf("pushed %s, consumed %s: want both targets to consume every tuple:\n%s", m[1], m[2], out)
-	}
-	if took := time.Since(start); took > 2*time.Second {
-		t.Errorf("took %v of host time", took)
+	for _, args := range [][]string{
+		{"-loss", "0.02", "-retransmit", "20us"},
+		{"-loss", "0.1", "-retransmit", "10us", "-seed", "1"},
+	} {
+		start := time.Now()
+		out, code := runToString(t, append([]string{"-type", "replicate", "-multicast", "-mb", "1"}, args...)...)
+		if code != 0 || strings.Contains(out, "stopped responding") {
+			t.Fatalf("args %v: exit %d, want 0 with no target declared failed:\n%s", args, code, out)
+		}
+		if m := totalsRE.FindStringSubmatch(out); m == nil {
+			t.Errorf("args %v: no totals line:\n%s", args, out)
+		} else if n, _ := strconv.Atoi(m[1]); m[2] != strconv.Itoa(2*n) {
+			t.Errorf("args %v: pushed %s, consumed %s: want both targets to consume every tuple:\n%s", args, m[1], m[2], out)
+		}
+		if took := time.Since(start); took > 2*time.Second {
+			t.Errorf("args %v: took %v of host time", args, took)
+		}
 	}
 }
 

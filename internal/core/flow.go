@@ -206,12 +206,19 @@ type Options struct {
 	// fault-free fabric. When set, a source-side ring holds
 	// SegmentsPerRing+1 segments so the retransmit window never leaves
 	// the local ring, and Close only returns once every segment was
-	// confirmed consumed (or the flow is declared broken).
+	// confirmed consumed (or the flow is declared broken). On a
+	// lease-less multicast flow it also sets the silence bound,
+	// RetransmitTimeout·(MaxRetransmits+1): a source waiting on a target
+	// it has heard nothing from (no credit, NACK or agreement message) for
+	// that long breaks the flow with ErrFlowBroken naming the target, and
+	// ends its stream at every target where it stands.
 	RetransmitTimeout time.Duration
 
 	// MaxRetransmits bounds consecutive recovery rounds that make no
 	// progress before the writer gives up with ErrFlowBroken (default 8
-	// when RetransmitTimeout is set).
+	// when RetransmitTimeout is set), and with RetransmitTimeout the
+	// silence bound after which a lease-less multicast source breaks the
+	// flow.
 	MaxRetransmits int
 
 	// LeaseTTL enables lease-based membership (control-plane failure

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -718,73 +719,149 @@ func TestMulticastSourceHeldBehindGapFails(t *testing.T) {
 
 // TestMulticastStragglerTargetEnds: a target too slow for its sources —
 // its node computes at a twentieth of the speed — gates them with its
-// credit for the whole run. On a leased flow slow is not dead: its lease
-// is renewed, so no source declares it failed, however long its credit
-// stalls past the retransmission budget that would bound the wait on a
-// lease-less flow. Every target, the straggler included, consumes the
-// whole stream with no source declared failed, and the source's Close
-// returns nil.
+// credit for the whole run, and a target whose node crashes mid-stream
+// gates them for good. On a leased flow slow is not dead: its lease is
+// renewed, so no source gives up on it, however long its credit stalls
+// past the retransmission budget; every target, the straggler included,
+// consumes the whole stream with no source declared failed, and the
+// source's Close returns nil. A lease-less flow bounds the wait instead,
+// fail-stop: a target silent for the retransmission budget breaks the
+// flow with an error naming it, and the stream ends where it stands at
+// every member, the silent one included — nobody is dropped while the
+// others carry on. The crashed target stays silent, so the source's Push
+// or Close names it and both survivors end with the same count; the
+// straggler does talk, only rarely, so it too is named, and every target
+// ends with the count the source sent before the break.
 func TestMulticastStragglerTargetEnds(t *testing.T) {
 	const n = 200_000
 	for _, ordered := range []bool{false, true} {
-		t.Run(fmt.Sprintf("ordered=%v", ordered), func(t *testing.T) {
-			e := newEnv(t, 4)
-			e.k.MaxEvents = 20_000_000
-			e.c.Node(3).CPUScale = 0.05
-			spec := FlowSpec{
-				Name:    "mc-straggler",
-				Type:    ReplicateFlow,
-				Sources: []Endpoint{{Node: e.c.Node(0)}},
-				Targets: []Endpoint{{Node: e.c.Node(1)}, {Node: e.c.Node(2)}, {Node: e.c.Node(3)}},
-				Schema:  kvSchema,
-				Options: Options{
-					Multicast: true, GlobalOrdering: ordered,
-					RetransmitTimeout: 20 * time.Microsecond, LeaseTTL: 100 * time.Microsecond,
-				},
+		t.Run(fmt.Sprintf("ordered=%v", ordered), func(t *testing.T) { stragglerCases(t, ordered, n) })
+	}
+}
+
+// stragglerCases runs TestMulticastStragglerTargetEnds's three cases on
+// one multicast kind.
+func stragglerCases(t *testing.T, ordered bool, n int) {
+	t.Run("leased", func(t *testing.T) {
+		r := runSilentTarget(t, ordered, 100*time.Microsecond, 0, n)
+		if r.srcErr != nil {
+			t.Errorf("source: %v, want nil: the straggler is slow, not dead", r.srcErr)
+		}
+		for ti, got := range r.got {
+			if got != n || len(r.failed[ti]) != 0 || !r.done[ti] {
+				t.Errorf("target %d consumed %d of %d tuples, failed sources %v, done %v", ti, got, n, r.failed[ti], r.done[ti])
 			}
-			e.k.Spawn("init", func(p *sim.Proc) {
-				if err := FlowInit(p, e.reg, e.c, spec); err != nil {
-					t.Error(err)
-				}
-			})
-			e.k.Spawn("src", func(p *sim.Proc) {
-				src, err := SourceOpen(p, e.reg, spec.Name, 0)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				for i := 0; i < n; i++ {
-					if err := src.Push(p, mkTuple(int64(i), int64(i))); err != nil {
-						t.Errorf("push: %v", err)
-						return
-					}
-				}
-				if err := src.Close(p); err != nil {
-					t.Errorf("close: %v, want nil: the straggler is slow, not dead", err)
-				}
-			})
-			for ti := range spec.Targets {
-				e.k.Spawn(fmt.Sprintf("tgt%d", ti), func(p *sim.Proc) {
-					tgt, err := TargetOpen(p, e.reg, spec.Name, ti)
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					got := 0
-					for {
-						if _, ok := tgt.Consume(p); !ok {
-							break
-						}
-						got++
-					}
-					if failed := tgt.FailedSources(); got != n || len(failed) != 0 {
-						t.Errorf("target %d consumed %d of %d tuples, failed sources %v", ti, got, n, failed)
-					}
-				})
+		}
+	})
+	t.Run("lease-less", func(t *testing.T) {
+		r := runSilentTarget(t, ordered, 0, 0, n)
+		r.brokenBy(t, 2)
+		if !r.pushFailed {
+			t.Error("the source's Close broke the flow, want its Push: the straggler sends no credit within the bound once the first window is full")
+		}
+		for ti, got := range r.got {
+			if got != r.got[0] || got == 0 || got >= n || len(r.failed[ti]) != 0 || !r.done[ti] {
+				t.Errorf("target %d consumed %d tuples (target 0: %d, pushed %d), failed sources %v, done %v",
+					ti, got, r.got[0], n, r.failed[ti], r.done[ti])
 			}
-			e.run(t)
+		}
+	})
+	t.Run("lease-less-crash", func(t *testing.T) {
+		r := runSilentTarget(t, ordered, 0, 100*time.Microsecond, n)
+		r.brokenBy(t, 2)
+		for ti := range 2 {
+			if got := r.got[ti]; got != r.got[0] || got == 0 || got >= n || !r.done[ti] {
+				t.Errorf("survivor %d consumed %d tuples (survivor 0: %d, pushed %d), done %v", ti, got, r.got[0], n, r.done[ti])
+			}
+		}
+	})
+}
+
+// silentTargetRun is what runSilentTarget saw: the source's first error
+// (Push's, else Close's) and whether Push returned it, and per target the
+// tuples consumed, the sources it reports failed and whether it reached
+// flow end.
+type silentTargetRun struct {
+	srcErr     error
+	pushFailed bool
+	got        []int
+	failed     [][]int
+	done       []bool
+}
+
+// brokenBy asserts that the source broke the flow naming target j.
+func (r silentTargetRun) brokenBy(t *testing.T, j int) {
+	t.Helper()
+	want := fmt.Sprintf("replicate target %d stopped responding", j)
+	if !errors.Is(r.srcErr, ErrFlowBroken) || !strings.Contains(r.srcErr.Error(), want) {
+		t.Errorf("source: %v, want ErrFlowBroken naming target %d", r.srcErr, j)
+	}
+}
+
+// runSilentTarget runs one source multicasting n tuples to three targets
+// with RetransmitTimeout 20 µs and the lease given (0: none). Target 2's
+// node crashes at crashAt, or with crashAt 0 computes at a twentieth of
+// its peers' speed. The run must end under the kernel's MaxEvents.
+func runSilentTarget(t *testing.T, ordered bool, lease, crashAt time.Duration, n int) silentTargetRun {
+	t.Helper()
+	var faults []func(*fabric.Config)
+	if crashAt > 0 {
+		faults = append(faults, withFaults((&fabric.FaultPlan{}).CrashNode(3, crashAt)))
+	}
+	e := newEnv(t, 4, faults...)
+	e.k.MaxEvents = 20_000_000
+	if crashAt == 0 {
+		e.c.Node(3).CPUScale = 0.05
+	}
+	spec := FlowSpec{
+		Name:    "mc-straggler",
+		Type:    ReplicateFlow,
+		Sources: []Endpoint{{Node: e.c.Node(0)}},
+		Targets: []Endpoint{{Node: e.c.Node(1)}, {Node: e.c.Node(2)}, {Node: e.c.Node(3)}},
+		Schema:  kvSchema,
+		Options: Options{
+			Multicast: true, GlobalOrdering: ordered,
+			RetransmitTimeout: 20 * time.Microsecond, LeaseTTL: lease,
+		},
+	}
+	r := silentTargetRun{got: make([]int, 3), failed: make([][]int, 3), done: make([]bool, 3)}
+	e.k.Spawn("init", func(p *sim.Proc) {
+		if err := FlowInit(p, e.reg, e.c, spec); err != nil {
+			t.Error(err)
+		}
+	})
+	e.k.Spawn("src", func(p *sim.Proc) {
+		src, err := SourceOpen(p, e.reg, spec.Name, 0)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for i := 0; i < n && r.srcErr == nil; i++ {
+			r.srcErr = src.Push(p, mkTuple(int64(i), int64(i)))
+		}
+		r.pushFailed = r.srcErr != nil
+		if err := src.Close(p); r.srcErr == nil {
+			r.srcErr = err
+		}
+	})
+	for ti := range spec.Targets {
+		e.k.Spawn(fmt.Sprintf("tgt%d", ti), func(p *sim.Proc) {
+			tgt, err := TargetOpen(p, e.reg, spec.Name, ti)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for {
+				if _, ok := tgt.Consume(p); !ok {
+					break
+				}
+				r.got[ti]++
+			}
+			r.failed[ti], r.done[ti] = tgt.FailedSources(), tgt.Done()
 		})
 	}
+	e.run(t)
+	return r
 }
 
 // TestMulticastFlowIsOneRegistryEntry: a multicast flow's endpoints meet

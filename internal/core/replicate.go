@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -48,9 +49,11 @@ import (
 // failure model"): segment headers carry the membership epoch, an
 // evicted source's slot ends at what was delivered from it, an evicted
 // target is detached from the group and the credit accounting — the
-// registry's verdict is the only one, no staleness bound runs beside it
+// registry's verdict is the only one, no silence bound runs beside it
 // — and a rejoining target resumes from an installable sequencer
-// snapshot.
+// snapshot. Without a lease nothing changes membership: a source that
+// hears nothing from a target it waits on for the retransmission budget
+// breaks the flow (mcTx.silenceBound).
 
 // A multicast message leads with the segment descriptor every ring kind
 // uses (transport.SegDesc); its tag is mcTag: the source index and the
@@ -128,8 +131,8 @@ type mcTargetInfo struct {
 }
 
 // gapRound is one gap-agreement round this source arbitrates: which
-// targets have answered the probe for the sequence number. Failed
-// targets are pre-answered — the dead cannot vote.
+// targets have answered the probe for the sequence number. Excluded
+// targets are pre-answered — the evicted cannot vote.
 type gapRound struct {
 	answered []bool
 }
@@ -156,10 +159,14 @@ type mcTx struct {
 	// refilled, in a ring in insertion order (sentAt is overwritten next)
 	// whose entries reuse their buffers. It is not indexed by sequence
 	// (an ordered source's are sparse): a NACK or a query scans it.
-	sent    []heldSeg
-	sentAt  int
-	seqQP   transport.Queue // to the sequencer node (ordered flows)
-	seqLost bool            // the sequencer's node crashed: nothing more can be ordered
+	sent   []heldSeg
+	sentAt int
+	seqQP  transport.Queue // to the sequencer node (ordered flows)
+
+	// broken ends the stream where it stands: the sequencer's node
+	// crashed, so nothing more can be ordered, or a target stayed silent
+	// past silenceBound. Every later flush returns it.
+	broken error
 
 	// folded is the membership epoch at which the group's targets were
 	// last folded (stamped on outgoing segment headers), tinc the target
@@ -173,23 +180,13 @@ type mcTx struct {
 	rounds      map[uint64]*gapRound
 	agreedSkips map[uint64]bool
 
-	// Target-failure detection (lease-less flows with
-	// Options.RetransmitTimeout, see failAfter): a target whose credit
-	// stream stalls past failAfter while it gates the source is declared
-	// failed and excluded from flow control and the termination
-	// handshake. The staleness clock starts when the target begins gating
-	// (gating flips on, lastAdvance resets): a caught-up target sends no
-	// credit while the source is idle, so time since its last advance
-	// says nothing about its health.
-	failedTgt   []bool
-	lastAdvance []time.Duration
-	gating      []bool
-	// evictedTgt marks slots whose failedTgt entry came from a lease
-	// eviction rather than the staleness detector: the member was detached
-	// cleanly by the control plane, so close excludes it from the
-	// "stopped responding" error — a ring replicate flow likewise drops
-	// an evicted leg without failing the source.
-	evictedTgt []bool
+	// excluded marks the targets the membership fold took out of the
+	// group (evicted, or evicted before they opened): no credit gating,
+	// no end marker, no vote. heard is when each target last sent any
+	// control message — credit, NACK or agreement traffic — the proof of
+	// life silenceBound is measured against.
+	excluded []bool
+	heard    []time.Duration
 
 	// Ordered flows: globally drawn sequence numbers owned by this source
 	// (monotonic), and how many of them each target has processed. Credit
@@ -209,20 +206,18 @@ func newMcTx(s *Source) *mcTx {
 	spec, o := s.spec, &s.spec.Options
 	nTgt := len(spec.Targets)
 	x := &mcTx{
-		s:           s,
-		group:       s.meta.group,
-		msg:         make([]byte, transport.SegDescBytes+o.SegmentSize),
-		credit:      o.SegmentsPerRing,
-		consumedBy:  make([]uint64, nTgt),
-		sent:        make([]heldSeg, 4*o.SegmentsPerRing),
-		folded:      s.epoch,
-		fqps:        make([]transport.Queue, nTgt),
-		tinc:        make([]uint64, nTgt),
-		failedTgt:   make([]bool, nTgt),
-		lastAdvance: make([]time.Duration, nTgt),
-		gating:      make([]bool, nTgt),
-		evictedTgt:  make([]bool, nTgt),
-		ownIdx:      make([]int, nTgt),
+		s:          s,
+		group:      s.meta.group,
+		msg:        make([]byte, transport.SegDescBytes+o.SegmentSize),
+		credit:     o.SegmentsPerRing,
+		consumedBy: make([]uint64, nTgt),
+		sent:       make([]heldSeg, 4*o.SegmentsPerRing),
+		folded:     s.epoch,
+		fqps:       make([]transport.Queue, nTgt),
+		tinc:       make([]uint64, nTgt),
+		excluded:   make([]bool, nTgt),
+		heard:      make([]time.Duration, nTgt),
+		ownIdx:     make([]int, nTgt),
 	}
 	x.leg = leg{tx: x, buf: x.msg[transport.SegDescBytes:], segSize: o.SegmentSize, mem: s.mem, slot: -1}
 	if o.GlobalOrdering {
@@ -239,7 +234,7 @@ func newMcTx(s *Source) *mcTx {
 // from the start, as foldTargets excludes one evicted later.
 func (x *mcTx) connect(j int, info any, inc uint64) {
 	if info == nil {
-		x.failedTgt[j], x.evictedTgt[j] = true, true
+		x.excluded[j] = true
 		x.group.Detach(j)
 		return
 	}
@@ -263,12 +258,14 @@ func (x *mcTx) postCtrlRecvs(qp transport.Queue) {
 	}
 }
 
-// failAfter returns how long a target's credit stream may gate the source
-// before the target is declared failed (0 disables, keeping the waits
-// unbounded). A leased flow has no such bound: only the registry
-// detaches a target (foldTargets), so a slow member is never declared
-// dead while its lease says it is alive.
-func (x *mcTx) failAfter() time.Duration {
+// silenceBound returns how long a lease-less source waits on a target it
+// hears nothing from before it breaks the flow (0 disables, keeping the
+// waits unbounded). The verdict is fail-stop: the flow breaks and the
+// target stays a member, so no live target is ever left attached without
+// credit. A leased flow has no such bound: only the registry detaches a
+// target (foldTargets), so a slow member is never given up on while its
+// lease says it is alive.
+func (x *mcTx) silenceBound() time.Duration {
 	o := &x.s.spec.Options
 	if o.LeaseTTL > 0 || o.RetransmitTimeout <= 0 {
 		return 0
@@ -276,14 +273,10 @@ func (x *mcTx) failAfter() time.Duration {
 	return o.RetransmitTimeout * time.Duration(o.MaxRetransmits+1)
 }
 
-// allTargetsFailed reports whether no live target remains.
-func (x *mcTx) allTargetsFailed() bool {
-	for _, f := range x.failedTgt {
-		if !f {
-			return false
-		}
-	}
-	return true
+// silent reports whether target j has been heard from neither since the
+// wait began at since nor in the bound before now.
+func (x *mcTx) silent(j int, since, now, bound time.Duration) bool {
+	return bound > 0 && now-max(since, x.heard[j]) > bound
 }
 
 // foldTargets folds membership changes among the group's members — the
@@ -307,11 +300,10 @@ func (x *mcTx) foldTargets(p transport.Ctx) error {
 	}
 	for j := range x.fqps {
 		if x.mem.TargetEvicted(j) {
-			if !x.failedTgt[j] {
-				x.failedTgt[j] = true
+			if !x.excluded[j] {
+				x.excluded[j] = true
 				x.group.Detach(j)
 			}
-			x.evictedTgt[j] = true
 			continue
 		}
 		if inc := x.mem.Incarnation(registry.RoleTarget, j); inc != x.tinc[j] {
@@ -343,10 +335,7 @@ func (x *mcTx) reconnectTarget(p transport.Ctx, j int, inc uint64) {
 		i++
 	}
 	x.ownIdx[j], x.consumedBy[j] = i, uint64(i)
-	x.failedTgt[j] = false
-	x.evictedTgt[j] = false
-	x.gating[j] = false
-	x.lastAdvance[j] = p.Now()
+	x.excluded[j] = false
 	if x.closed {
 		// The stream already closed: the end marker went to the previous
 		// incarnation. Resend it on the fresh QP.
@@ -370,6 +359,9 @@ func (x *mcTx) endMarker() []byte {
 // (global for ordered flows, per-source otherwise), retains the segment
 // for retransmission, and multicasts it.
 func (x *mcTx) flush(p transport.Ctx) error {
+	if x.broken != nil {
+		return x.broken
+	}
 	if x.fill == 0 {
 		return nil
 	}
@@ -377,8 +369,8 @@ func (x *mcTx) flush(p transport.Ctx) error {
 		return err
 	}
 	x.drainControl(p)
-	if x.allTargetsFailed() {
-		return fmt.Errorf("%w: every replicate target stopped responding", ErrFlowBroken)
+	if !slices.Contains(x.excluded, false) {
+		return fmt.Errorf("%w: every replicate target was evicted", ErrFlowBroken)
 	}
 
 	s := x.s
@@ -390,8 +382,8 @@ func (x *mcTx) flush(p transport.Ctx) error {
 		// flow, not as a silently repeated sequence number.
 		v, ok := x.seqQP.FetchAdd(p, transport.Addr{MR: s.meta.seqMR}, 1)
 		if !ok {
-			x.seqLost = true
-			return fmt.Errorf("%w: sequencer node for flow %q is unreachable", ErrFlowBroken, s.spec.Name)
+			x.broken = fmt.Errorf("%w: sequencer node for flow %q is unreachable", ErrFlowBroken, s.spec.Name)
+			return x.broken
 		}
 		seq = v
 		x.ownSeqs = append(x.ownSeqs, seq)
@@ -429,40 +421,39 @@ func (x *mcTx) retained(seq uint64) []byte {
 	return nil
 }
 
-// awaitCredit blocks while any live target's outstanding window is full.
-// On a lease-less flow with RetransmitTimeout set, a target whose credit
-// gates the source past failAfter is declared failed and excluded — a
-// crashed target must not wedge the surviving replicas. Membership
-// changes are folded while gated: on a leased flow the eviction of a
-// crashed target is what releases the gate.
+// awaitCredit blocks while any member's outstanding window is full,
+// waiting on the first such laggard. On a lease-less flow with
+// RetransmitTimeout set, a gating target heard nothing from for
+// silenceBound since the wait began breaks the flow — a crashed target
+// must not wedge the surviving replicas, and a live one must not be cut
+// off from its NACKs and its end marker. Membership changes are folded
+// while gated: on a leased flow the eviction of a crashed target is what
+// releases the gate.
 func (x *mcTx) awaitCredit(p transport.Ctx) error {
-	failAfter := x.failAfter()
+	bound, since, stalled := x.silenceBound(), p.Now(), -1
 	for {
 		if err := x.foldTargets(p); err != nil {
 			return err
 		}
-		lag := -1
+		lag, now := -1, p.Now()
 		for j := range x.consumedBy {
-			if x.failedTgt[j] {
+			if x.excluded[j] || int(x.segsWritten.Load()-x.consumedBy[j]) < x.credit {
 				continue
 			}
-			if int(x.segsWritten.Load()-x.consumedBy[j]) >= x.credit {
+			if x.silent(j, since, now, bound) {
+				x.broken = fmt.Errorf("%w: replicate target %d stopped responding", ErrFlowBroken, j)
+				return x.broken
+			}
+			if lag < 0 {
 				lag = j
-				break
 			}
 		}
 		if lag < 0 {
 			return nil
 		}
-		now := p.Now()
-		if !x.gating[lag] {
-			x.gating[lag] = true
-			x.lastAdvance[lag] = now
+		if lag != stalled {
+			stalled = lag
 			x.creditStalls.Add(1)
-		}
-		if failAfter > 0 && now-x.lastAdvance[lag] > failAfter {
-			x.failedTgt[lag] = true
-			continue
 		}
 		if c, ok := x.fqps[lag].RecvCQ().WaitTimeout(p, 5*time.Microsecond); ok {
 			x.handleControl(p, lag, c)
@@ -504,6 +495,7 @@ func (x *mcTx) handleControl(p transport.Ctx, target int, c transport.Completion
 		payload = append(payload, buf[ctrlBytes:c.Bytes]...)
 	}
 	x.fqps[target].PostRecv(buf, c.ID) // recycle the buffer
+	x.heard[target] = p.Now()
 	switch m.kind {
 	case ctrlCredit:
 		if x.s.spec.Options.GlobalOrdering {
@@ -514,13 +506,9 @@ func (x *mcTx) handleControl(p transport.Ctx, target int, c transport.Completion
 				i++
 			}
 			x.ownIdx[target] = i
-			if uint64(i) > x.consumedBy[target] {
-				x.consumedBy[target] = uint64(i)
-				x.noteAdvance(p, target)
-			}
-		} else if m.value > x.consumedBy[target] {
-			x.consumedBy[target] = m.value
-			x.noteAdvance(p, target)
+			x.consumedBy[target] = max(x.consumedBy[target], uint64(i))
+		} else {
+			x.consumedBy[target] = max(x.consumedBy[target], m.value)
 		}
 	case ctrlNack:
 		if msg := x.retained(m.value); msg != nil {
@@ -529,18 +517,10 @@ func (x *mcTx) handleControl(p transport.Ctx, target int, c transport.Completion
 			x.retransmits.Add(1)
 		}
 	case ctrlGapQuery:
-		// Agreement traffic is proof of life: a target stuck behind a
-		// crashed source's gaps sends no credit while rounds resolve one
-		// sequence at a time, and that backlog must not read as a dead
-		// target to the staleness detector. Only the clock resets — the
-		// target keeps gating until real credit advances it.
-		x.lastAdvance[target] = p.Now()
 		x.handleGapQuery(p, target, m.value)
 	case ctrlGapHave:
-		x.lastAdvance[target] = p.Now()
 		x.handleGapHave(p, m.value, payload)
 	case ctrlGapNoHave:
-		x.lastAdvance[target] = p.Now()
 		x.handleGapNoHave(p, target, m.value)
 	}
 }
@@ -577,7 +557,7 @@ func (x *mcTx) handleGapQuery(p transport.Ctx, from int, seq uint64) {
 	}
 	open := false
 	for j := range r.answered {
-		if x.failedTgt[j] {
+		if x.excluded[j] {
 			r.answered[j] = true
 			continue
 		}
@@ -609,7 +589,7 @@ func (x *mcTx) handleGapHave(p transport.Ctx, seq uint64, payload []byte) {
 		return
 	}
 	for j := range x.fqps {
-		if x.failedTgt[j] {
+		if x.excluded[j] {
 			continue
 		}
 		x.fqps[j].Send(p, msg, false, 0)
@@ -627,7 +607,7 @@ func (x *mcTx) handleGapNoHave(p transport.Ctx, from int, seq uint64) {
 	}
 	r.answered[from] = true
 	for j := range r.answered {
-		if x.failedTgt[j] {
+		if x.excluded[j] {
 			r.answered[j] = true
 		}
 		if !r.answered[j] {
@@ -647,39 +627,33 @@ func (x *mcTx) closeRound(p transport.Ctx, seq uint64) {
 	x.agreedSkips[seq] = true
 	_ = x.s.reg.RecordSeqSkips(p, x.s.spec.Name, x.folded, seq)
 	for j := range x.fqps {
-		if x.failedTgt[j] {
+		if x.excluded[j] {
 			continue
 		}
 		x.sendGapCtrl(p, j, ctrlGapSkip, seq)
 	}
 }
 
-// noteAdvance records consumption progress by a target (failure-detection
-// bookkeeping): the staleness clock resets and any future gate episode
-// restarts its grace period.
-func (x *mcTx) noteAdvance(p transport.Ctx, target int) {
-	x.gating[target] = false
-	x.lastAdvance[target] = p.Now()
-}
-
 // finish is flush: delivery is confirmed by the linger that follows the
-// end markers. A lost sequencer ends the stream where it stands, so the
-// end markers go out at once, or every target would wait on this source
-// forever; the flush's error is the one to report.
+// end markers. A broken stream ends where it stands, so the end markers
+// go out at once — to every member, a silent one included — or the
+// targets would wait on this source forever; the flush's error is the one
+// to report.
 func (x *mcTx) finish(p transport.Ctx) error {
 	err := x.flush(p)
-	if x.seqLost {
+	if x.broken != nil {
 		x.end(p)
 	}
 	return err
 }
 
 // end sends reliable end markers carrying the per-source segment count
-// and lingers until every live target has consumed everything — serving
+// and lingers until every member has consumed everything — serving
 // retransmission requests and arbitrating gap rounds meanwhile. On a
-// lease-less flow with RetransmitTimeout set the linger is bounded per
-// target: one that stops acknowledging is declared failed, and end
-// reports it with an ErrFlowBroken-wrapped error instead of hanging.
+// lease-less flow with RetransmitTimeout set the linger is bounded like
+// awaitCredit: it keeps serving every target that still talks, stops
+// waiting on one silent for silenceBound since the linger began, and
+// names those in an ErrFlowBroken-wrapped error instead of hanging.
 // Lease evictions folded mid-linger release their targets immediately.
 func (x *mcTx) end(p transport.Ctx) error {
 	if x.closed {
@@ -691,38 +665,34 @@ func (x *mcTx) end(p transport.Ctx) error {
 	}
 	end := x.endMarker()
 	for j, qp := range x.fqps {
-		if x.failedTgt[j] {
+		if x.excluded[j] {
 			continue
 		}
 		qp.Send(p, end, false, 0)
 	}
-	failAfter := x.failAfter()
-	for j := range x.lastAdvance {
-		x.gating[j] = true
-		x.lastAdvance[j] = p.Now() // grace restarts at close
-	}
+	bound, since := x.silenceBound(), p.Now()
+	var silent []int
+	waiting := func(j int) bool { return !x.excluded[j] && !slices.Contains(silent, j) }
 	for {
 		if err := x.foldTargets(p); err != nil {
 			return err
 		}
 		pending := false
 		for j, v := range x.consumedBy {
-			if x.failedTgt[j] {
+			if !waiting(j) || v >= x.segsWritten.Load() {
 				continue
 			}
-			if v < x.segsWritten.Load() {
-				if failAfter > 0 && p.Now()-x.lastAdvance[j] > failAfter {
-					x.failedTgt[j] = true
-					continue
-				}
-				pending = true
+			if x.silent(j, since, p.Now(), bound) {
+				silent = append(silent, j)
+				continue
 			}
+			pending = true
 		}
 		if !pending {
 			break
 		}
 		for j, qp := range x.fqps {
-			if x.failedTgt[j] {
+			if !waiting(j) {
 				continue
 			}
 			if c, ok := qp.RecvCQ().WaitTimeout(p, x.s.spec.Options.GapTimeout); ok {
@@ -731,14 +701,8 @@ func (x *mcTx) end(p transport.Ctx) error {
 		}
 		x.drainControl(p)
 	}
-	var failed []int
-	for j, f := range x.failedTgt {
-		if f && !x.evictedTgt[j] {
-			failed = append(failed, j)
-		}
-	}
-	if len(failed) > 0 {
-		return fmt.Errorf("%w: replicate targets %v stopped responding", ErrFlowBroken, failed)
+	if len(silent) > 0 {
+		return fmt.Errorf("%w: replicate targets %v stopped responding", ErrFlowBroken, silent)
 	}
 	return nil
 }
@@ -882,9 +846,11 @@ func (t *Target) newMcFeed() *mcTargetInfo {
 	// admit: each only inside its window past its head, R unordered (a
 	// source's credit keeps it within R of this target's consumption),
 	// 2*nSrc*R ordered (twice what credit lets all sources have past the
-	// head). A member its sources declared failed and stopped gating gets
-	// no more: what lands past the window is recycled, for a NACK to
-	// recover once the head gets there.
+	// head). Every member the group still sends to holds its sources to
+	// its credit — an evicted one is detached, and a lease-less source
+	// breaks the flow rather than stop waiting on a silent one — so
+	// nothing outruns the windows; should a segment land past one anyway,
+	// it is recycled, for a NACK to recover once the head gets there.
 	posted := nSrc*R + nSrc*(R+2)
 	nBufs := 2*posted + 8
 	f.poolMR = t.meta.cluster.OpenRegion(t.node, nBufs*stride)

@@ -15,8 +15,8 @@ import (
 // lossRow is one lossy-multicast scenario: the dfiflow run `-type
 // replicate -multicast` (with -ordered when ordered) losing each
 // multicast delivery with probability loss, recovered by NACKs, with
-// sources declaring a target failed once its credit stalls past
-// retransmit times the retransmission budget.
+// sources breaking the flow once a target they wait on has sent nothing
+// — no credit, no NACK — for retransmit times the retransmission budget.
 type lossRow struct {
 	ordered              bool
 	loss                 float64
@@ -43,17 +43,23 @@ func (r lossRow) command(seed int64) string {
 }
 
 // lossRows is the table: {unordered, ordered} × loss {0.01, 0.02} ×
-// retransmit {20, 200} µs at 1 MiB per source, 2 sources and 2 targets,
-// and one wider unordered row at 5 % loss.
+// retransmit {20, 200} µs and, with bounds tight enough that a target
+// busy NACKing sends no credit for longer than one, × loss {0.05, 0.1} ×
+// retransmit {5, 10} µs, all at 1 MiB per source, 2 sources and 2
+// targets; and one wider unordered row at 5 % loss.
 func lossRows() []lossRow {
 	var rows []lossRow
-	for _, ordered := range []bool{false, true} {
-		for _, loss := range []float64{0.01, 0.02} {
-			for _, rt := range []time.Duration{20 * time.Microsecond, 200 * time.Microsecond} {
-				rows = append(rows, lossRow{ordered: ordered, loss: loss, retransmit: rt, mb: 1, sources: 2, targets: 2})
+	grid := func(losses []float64, rts ...time.Duration) {
+		for _, ordered := range []bool{false, true} {
+			for _, loss := range losses {
+				for _, rt := range rts {
+					rows = append(rows, lossRow{ordered: ordered, loss: loss, retransmit: rt, mb: 1, sources: 2, targets: 2})
+				}
 			}
 		}
 	}
+	grid([]float64{0.01, 0.02}, 20*time.Microsecond, 200*time.Microsecond)
+	grid([]float64{0.05, 0.1}, 5*time.Microsecond, 10*time.Microsecond)
 	return append(rows, lossRow{loss: 0.05, retransmit: 20 * time.Microsecond, mb: 4, sources: 4, targets: 3})
 }
 
