@@ -18,9 +18,11 @@ fmt-check:
 test:
 	$(GO) test -short ./...
 
-# Full suite under the race detector (CI entry point).
+# Full suite under the race detector (CI entry point), with the dfidebug
+# invariant checkers on: a WRITE whose source changes between post and
+# commit panics, naming the call site that posted it.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -tags dfidebug ./...
 
 # Fault-injection matrix: the chaos, crash, lifecycle/lease/eviction and
 # registry-failover suites under the race detector, swept over several

@@ -53,6 +53,11 @@ type ringWriter struct {
 
 	local   transport.Region
 	srcSegs int
+	// spare is filled in place of the next local slot while the WRITE
+	// that last read that slot is still in flight (see fillBuf); spared
+	// says the leg's buf is the spare.
+	spare  []byte
+	spared bool
 
 	// written is mirrored into leg.segsWritten for concurrent scrape: the
 	// ring arithmetic needs the plain field, so writeSegment republishes
@@ -112,6 +117,7 @@ func newRingWriter(cluster transport.Transport, node transport.Endpoint, ti *tar
 		latency:    opts.Optimization == OptimizeLatency,
 		lowWater:   2,
 		srcSegs:    srcSegs,
+		spare:      make([]byte, ti.geom.segSize),
 		sigEvery:   max(srcSegs/4, 1),
 		footerBuf:  make([]byte, transport.SegDescBytes),
 		counterBuf: make([]byte, 8),
@@ -185,7 +191,7 @@ func (w *ringWriter) pushImmediate(p transport.Ctx, tuple []byte) error {
 	if err := w.waitLocalSlot(p); err != nil {
 		return err
 	}
-	copy(w.buf, tuple)
+	copy(w.localSeg(w.written), tuple)
 	w.writeSegment(p, len(tuple), transport.SegCommitted)
 	w.probeAhead(p)
 	return nil
@@ -218,9 +224,13 @@ func (w *ringWriter) probeAhead(p transport.Ctx) {
 
 // writeSegment stamps the footer of the current local segment and issues
 // the RDMA WRITE(s) to the next remote slot, advancing ring positions.
-// fill is the valid payload size.
+// fill is the valid payload size. Its caller has waited for the local
+// slot (waitLocalSlot), so a segment filled in the spare moves in now.
 func (w *ringWriter) writeSegment(p transport.Ctx, fill int, flags byte) {
 	seg := w.localSeg(w.written)
+	if w.spared {
+		copy(seg, w.buf[:w.fill])
+	}
 	footer := seg[w.geom.segSize:]
 	transport.SegDesc{Fill: uint32(fill), Flags: flags, Seq: w.written}.Put(footer)
 
@@ -244,22 +254,20 @@ func (w *ringWriter) writeSegment(p transport.Ctx, fill int, flags byte) {
 		})
 	} else {
 		// Sparse final segment: write the payload, then the footer as a
-		// separate (ordered) WRITE so only fill+16 bytes cross the wire.
-		// Both WRs post with one doorbell; RC ordering still lands the
-		// footer strictly after the payload.
+		// separate WRITE so only fill+16 bytes cross the wire; RC ordering
+		// lands the footer strictly after the payload.
 		fAddr := w.remoteSlotAddr(slot)
 		fAddr.Off += w.geom.segSize
-		w.qp.WriteBatch(p, []transport.WriteWR{
-			{Src: seg[:fill], Dst: w.remoteSlotAddr(slot)},
-			{Src: footer, Dst: fAddr, Opts: transport.WriteOptions{
-				Signaled: signaled, ID: id, CommitTail: transport.SegDescBytes,
-			}},
+		w.qp.Write(p, seg[:fill], w.remoteSlotAddr(slot), transport.WriteOptions{})
+		w.qp.Write(p, footer, fAddr, transport.WriteOptions{
+			Signaled: signaled, ID: id, CommitTail: transport.SegDescBytes,
 		})
 	}
 	w.written++
 	w.segsWritten.Store(w.written)
 	w.payloadBytes.Add(uint64(fill))
-	w.buf, w.fill = w.localSeg(w.written), 0
+	w.buf, w.spared = w.fillBuf()
+	w.fill = 0
 	if w.events != nil {
 		w.events.Emit(metrics.Event{
 			T: p.Now(), Node: w.evNode, Type: metrics.EvSegmentWrite,
@@ -383,24 +391,37 @@ func (w *ringWriter) postProbe(p transport.Ctx) {
 	w.Probes.Add(1)
 }
 
-// waitLocalSlot blocks until the local segment about to be filled is no
-// longer referenced by an in-flight WRITE: write number `written` reuses
-// the slot of write `written − srcSegs`, which must have completed. The
+// localSlotFree reports whether the local segment of write number
+// `written` is no longer referenced by an in-flight WRITE: it reuses the
+// slot of write `written − srcSegs`, which must have completed. The
 // watermark advances through the periodic signaled completions (QP
 // completions are ordered, so completion of write k proves all writes
 // ≤ k are done).
-func (w *ringWriter) waitLocalSlot(p transport.Ctx) error {
-	if w.written < uint64(w.srcSegs) {
-		return nil
+func (w *ringWriter) localSlotFree() bool {
+	return w.written < uint64(w.srcSegs) || w.completedW > w.written-uint64(w.srcSegs)
+}
+
+// fillBuf returns the buffer the next segment is filled in, and whether
+// it is the spare: its local slot when that is free, else the spare, for
+// a WRITE reads its source until it completes (the verbs contract).
+// Filling does not wait: the slot is waited for when the segment ships.
+func (w *ringWriter) fillBuf() ([]byte, bool) {
+	if w.localSlotFree() {
+		return w.localSeg(w.written), false
 	}
-	needed := w.written - uint64(w.srcSegs) + 1
-	if w.completedW >= needed {
+	return w.spare, true
+}
+
+// waitLocalSlot blocks until the local segment about to be written is
+// free (localSlotFree).
+func (w *ringWriter) waitLocalSlot(p transport.Ctx) error {
+	if w.localSlotFree() {
 		return nil
 	}
 	start := p.Now()
 	defer func() { w.StallLocal.Add(int64(p.Now() - start)) }()
 	rounds := 0
-	for w.completedW < needed {
+	for !w.localSlotFree() {
 		if err := w.checkAbort(); err != nil {
 			return err
 		}

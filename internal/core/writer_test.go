@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"dfi/internal/schema"
 	"dfi/internal/sim"
 )
 
@@ -311,5 +312,80 @@ func TestLatencyCloseConfirmsWithoutWaitingOutTimeout(t *testing.T) {
 	if extra := confirmed - plain; extra < 0 || extra > 10*time.Microsecond {
 		t.Errorf("Close with RetransmitTimeout 1ms ended at %v, without at %v: confirming delivery cost %v, want under 10µs",
 			confirmed, plain, extra)
+	}
+}
+
+// TestRefillWaitsForInFlightWrite is the regression test for a writer
+// that filled a local segment while the WRITE that last read it was still
+// in flight: with one 16 KiB tuple per 16 KiB segment, an 8:8 shuffle
+// reuses source slots at wire rate, and the in-flight WRITE delivered the
+// refilled bytes — one key twice and one never (19 199 of 19 200 distinct
+// keys). The writer now fills a spare segment until the slot's WRITE has
+// completed; every key must arrive exactly once.
+func TestRefillWaitsForInFlightWrite(t *testing.T) {
+	const (
+		nodes     = 8
+		size      = 16 << 10
+		perSource = 2400
+	)
+	sch := schema.MustNew(
+		schema.Column{Name: "key", Type: schema.Int64},
+		schema.Column{Name: "pad", Type: schema.Char(size - 8)},
+	)
+	e := newEnv(t, nodes)
+	spec := FlowSpec{Name: "refill", Schema: sch, Options: Options{SegmentSize: size}}
+	for i := 0; i < nodes; i++ {
+		spec.Sources = append(spec.Sources, Endpoint{Node: e.c.Node(i)})
+		spec.Targets = append(spec.Targets, Endpoint{Node: e.c.Node(i)})
+	}
+	got := make(map[int64]int)
+	e.k.Spawn("init", func(p *sim.Proc) {
+		if err := FlowInit(p, e.reg, e.c, spec); err != nil {
+			t.Error(err)
+		}
+	})
+	for si := 0; si < nodes; si++ {
+		e.k.Spawn(fmt.Sprintf("src%d", si), func(p *sim.Proc) {
+			src, err := SourceOpen(p, e.reg, spec.Name, si)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			tup := sch.NewTuple()
+			for i := 0; i < perSource; i++ {
+				sch.PutInt64(tup, 0, int64(si*perSource+i))
+				if err := src.Push(p, tup); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			if err := src.Close(p); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	for ti := 0; ti < nodes; ti++ {
+		e.k.Spawn(fmt.Sprintf("tgt%d", ti), func(p *sim.Proc) {
+			tgt, err := TargetOpen(p, e.reg, spec.Name, ti)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for {
+				tup, ok := tgt.Consume(p)
+				if !ok {
+					return
+				}
+				got[sch.Int64(tup, 0)]++
+			}
+		})
+	}
+	e.run(t)
+	dups := 0
+	for _, n := range got {
+		dups += n - 1
+	}
+	if len(got) != nodes*perSource || dups != 0 {
+		t.Fatalf("delivered %d distinct keys of %d, %d duplicates", len(got), nodes*perSource, dups)
 	}
 }

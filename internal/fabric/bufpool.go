@@ -4,14 +4,14 @@ import (
 	"math/bits"
 )
 
-// The fabric snapshots ("stages") the bytes a NIC would DMA-read for every
-// WRITE/READ in flight. Staging buffers are recycled through size-classed
-// per-cluster freelists instead of allocating per operation: a bandwidth
-// flow stages one 8 KiB segment per WRITE, so the data path would otherwise
-// allocate at wire rate. The freelists are plain slices, not sync.Pools:
-// the kernel serializes all access, and — unlike sync.Pool — a GC cycle
-// cannot empty them, which would silently reintroduce per-WRITE
-// allocations into the steady state.
+// The fabric snapshots ("stages") the bytes a READ response or a SEND
+// carries, and a WRITE's only when it is doorbell-batched or a fault
+// delays or duplicates its commit; a plain WRITE commits straight from its
+// source. Staging buffers are recycled through size-classed per-cluster
+// freelists instead of allocating per operation. The freelists are plain
+// slices, not sync.Pools: the kernel serializes all access, and — unlike
+// sync.Pool — a GC cycle cannot empty them, which would silently
+// reintroduce per-operation allocations into the steady state.
 
 // stagedBuf boxes a recycled staging buffer; passing the box (rather than
 // the slice) around avoids re-boxing on every recycle.
@@ -59,9 +59,8 @@ func (c *Cluster) stagedPut(sb *stagedBuf) {
 // accesses happen in scheduler or process context of one kernel, which the
 // baton-passing handoff serializes.
 type stagedRef struct {
-	buf    *stagedBuf
-	refs   int
-	pooled bool // obtained from the cluster freelist (vs embedded in a writeOp)
+	buf  *stagedBuf
+	refs int
 }
 
 func (r *stagedRef) release(c *Cluster) {
@@ -71,10 +70,7 @@ func (r *stagedRef) release(c *Cluster) {
 			c.stagedPut(r.buf)
 			r.buf = nil
 		}
-		if r.pooled {
-			r.pooled = false
-			c.srefFree = append(c.srefFree, r)
-		}
+		c.srefFree = append(c.srefFree, r)
 	}
 }
 
@@ -99,6 +95,5 @@ func (c *Cluster) stagedRefGet(refs int) *stagedRef {
 		r = new(stagedRef)
 	}
 	r.refs = refs
-	r.pooled = true
 	return r
 }

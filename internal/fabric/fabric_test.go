@@ -554,3 +554,34 @@ func TestComputeScalesWithCPU(t *testing.T) {
 		t.Fatalf("elapsed = %v, want 2ms at half speed", elapsed)
 	}
 }
+
+// TestWriteEventsPerWR: a fault-free WRITE with a CommitTail costs the
+// kernel exactly two events once posted — the body commit and the tail
+// commit, which copy straight from the source — and three when signaled,
+// the completion being the third. No step snapshots the source.
+func TestWriteEventsPerWR(t *testing.T) {
+	for _, signaled := range []bool{false, true} {
+		k, c := testCluster(t, 2)
+		qp, _ := c.Dial(c.Node(0), c.Node(1))
+		mr := c.OpenRegion(c.Node(1), 8192)
+		src := bytes.Repeat([]byte{7}, 8192)
+		var posted uint64
+		k.Spawn("writer", func(p *sim.Proc) {
+			qp.Write(p, src, transport.Addr{MR: mr}, transport.WriteOptions{Signaled: signaled, CommitTail: 16})
+			posted = k.Events()
+		})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		want := uint64(2)
+		if signaled {
+			want = 3
+		}
+		if got := k.Events() - posted; got != want {
+			t.Errorf("signaled=%v: %d events after the post, want %d", signaled, got, want)
+		}
+		if !bytes.Equal(mr.Bytes(), src) {
+			t.Errorf("signaled=%v: payload not delivered", signaled)
+		}
+	}
+}

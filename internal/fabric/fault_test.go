@@ -449,3 +449,34 @@ func TestFaultsDeterministicUnderSeed(t *testing.T) {
 		t.Fatalf("expected partial loss, got %d/%d", d1, t1)
 	}
 }
+
+// TestFaultDuplicateWriteKeepsPostTimeBytes: an injected duplicate
+// commits after the WRITE completed, when the caller may lawfully reuse
+// its buffer; the duplicate must carry the bytes the WRITE was posted
+// with, not the caller's new ones.
+func TestFaultDuplicateWriteKeepsPostTimeBytes(t *testing.T) {
+	k, c := faultCluster(t, 2, &FaultPlan{Duplicate: 1, DuplicateDelay: 5 * time.Microsecond})
+	qp, _ := c.Dial(c.Node(0), c.Node(1))
+	mr := c.OpenRegion(c.Node(1), 4096)
+	src := bytes.Repeat([]byte{1}, 4096)
+	var rewritten, dupSeen bool
+	k.Spawn("writer", func(p *sim.Proc) {
+		qp.Write(p, src, transport.Addr{MR: mr}, transport.WriteOptions{Signaled: true, CommitTail: 16})
+		qp.SendCQ().Wait(p)
+		for i := range src {
+			src[i] = 2 // lawful: the WRITE has completed
+		}
+		rewritten = true
+		mr.Store(0, make([]byte, 4096)) // clear, so the duplicate shows
+		dupSeen = mr.WaitChange(p, 10*time.Microsecond)
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !rewritten || !dupSeen {
+		t.Fatalf("rewritten=%v, duplicate seen=%v: the duplicate must commit after the completion", rewritten, dupSeen)
+	}
+	if !bytes.Equal(mr.Bytes(), bytes.Repeat([]byte{1}, 4096)) {
+		t.Fatalf("duplicate delivered %d..., want the post-time bytes (1)", mr.Bytes()[0])
+	}
+}

@@ -56,16 +56,18 @@ func pingPong(t *testing.T, rounds int) *sim.Kernel {
 }
 
 // TestWaitCommitPingPongPinned pins what the kernel-run detection delay
-// (Cond.WaitTimeoutThen in WaitCommit) may and may not move. The event
-// count and the final instant are the ones the build that resumed each
-// woken poller only to Sleep(DetectDelay) produced, and must not move.
-// The process switches fall from that build's 1203 to 803, two fewer per
-// wake: the woken side is no longer resumed to park on its timer, so
-// neither that hand-off nor the one away from it happens.
+// (Cond.WaitTimeoutThen in WaitCommit) may and may not move. The final
+// instant is the one the build that resumed each woken poller only to
+// Sleep(DetectDelay) produced, and must not move. The process switches
+// fall from that build's 1203 to 803, two fewer per wake: the woken side
+// is no longer resumed to park on its timer, so neither that hand-off nor
+// the one away from it happens. The events fall from that build's 5795
+// to 5595, one fewer per WRITE: its commit copies straight from the
+// source, so the stage step that snapshotted it at txEnd is gone.
 func TestWaitCommitPingPongPinned(t *testing.T) {
 	const (
 		rounds   = 100
-		events   = 5795
+		events   = 5595
 		now      = 109800 * time.Nanosecond
 		switches = 803
 	)

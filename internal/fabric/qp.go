@@ -1,7 +1,10 @@
 package fabric
 
 import (
+	"bytes"
 	"encoding/binary"
+	"fmt"
+	"runtime"
 	"time"
 
 	"dfi/internal/sim"
@@ -199,30 +202,25 @@ func (q *queuePair) PostedRecvs() int { return q.recvq.len() }
 // returns after the posting cost; the transfer proceeds asynchronously.
 // The source buffer must not be modified until a signaled completion for
 // this or a later WR on the same QP has been observed (exactly the
-// selective-signaling contract real verbs impose).
+// selective-signaling contract real verbs impose): the commit copies the
+// bytes straight out of src, so a caller that reuses it early delivers
+// what it wrote there, as a real NIC still DMA-reading the buffer would.
 func (q *queuePair) Write(p transport.Ctx, src []byte, dst transport.Addr, opts transport.WriteOptions) {
-	q.writeOne(p, src, dst, opts, nil, 0)
+	q.writeOne(p, src, dst, opts, nil)
 }
 
 // WriteBatch posts the given WRITEs back-to-back with a single doorbell
 // ring. Virtual timing, fault injection, RC ordering clamps and statistics
-// are identical to posting each WR with Write in order — the saving is
-// real-world cost only: the NIC staging snapshots of all WRs share one
-// pooled buffer taken at post time instead of one allocation and one
-// DMA-read event each. Callers must keep every source buffer unmodified
-// until a signaled completion covering it is observed (the same
-// selective-signaling contract Write imposes); that stability is what makes
-// the post-time snapshot equal the per-WR DMA-time snapshot.
+// are identical to posting each WR with Write in order. Unlike Write, the
+// sources are snapshotted into one pooled buffer at post time, so a batch
+// never reads its callers' buffers again: a retransmission may rewrite
+// segments whose local slot is refilled before the batch completes.
 //
 // Per-WR CommitTail is honored: each WR's tail bytes still commit strictly
 // last within that WR's address range, so footer-after-payload ordering is
 // preserved across a coalesced run of ring-segment writes.
 func (q *queuePair) WriteBatch(p transport.Ctx, wrs []transport.WriteWR) {
 	if len(wrs) == 0 {
-		return
-	}
-	if len(wrs) == 1 {
-		q.Write(p, wrs[0].Src, wrs[0].Dst, wrs[0].Opts)
 		return
 	}
 	total := 0
@@ -233,21 +231,21 @@ func (q *queuePair) WriteBatch(p transport.Ctx, wrs []transport.WriteWR) {
 	st.buf = q.c.stagedGet(total)
 	off := 0
 	for i := range wrs {
-		off += copy(st.buf.b[off:], wrs[i].Src)
-	}
-	off = 0
-	for i := range wrs {
-		q.writeOne(p, wrs[i].Src, wrs[i].Dst, wrs[i].Opts, st, off)
-		off += len(wrs[i].Src)
+		n := copy(st.buf.b[off:], wrs[i].Src)
+		q.writeOne(p, st.buf.b[off:off+n], wrs[i].Dst, wrs[i].Opts, st)
+		off += n
 	}
 }
 
-// writeOne implements Write. batch is nil for a standalone WRITE (the
-// snapshot is then taken at DMA time, txEnd); for a doorbell-batched WRITE
-// it is the shared pre-staged buffer and off this WR's offset within it.
-// Each WR holds one reference on the batch per commit it schedules (two
-// when duplicated), or releases it at once if the WR is fault-dropped.
-func (q *queuePair) writeOne(p transport.Ctx, src []byte, dst transport.Addr, opts transport.WriteOptions, batch *stagedRef, off int) {
+// writeOne implements Write and WriteBatch. A Write's commits copy
+// straight from src, except that one whose commit a fault delays or
+// duplicates snapshots src at post into a staging buffer of its own (a
+// duplicate commits after the WR completed, when the caller may lawfully
+// have reused src). A WriteBatch WR's src is its part of the batch's
+// post-time snapshot, which batch holds. Each WR holds one reference on
+// its staging buffer per commit it schedules (two when duplicated), or
+// releases it at once if the WR is fault-dropped.
+func (q *queuePair) writeOne(p transport.Ctx, src []byte, dst transport.Addr, opts transport.WriteOptions, batch *stagedRef) {
 	cfg := &q.c.cfg
 	mr := mrOf(dst)
 	if mr.node != q.peer.owner {
@@ -313,31 +311,26 @@ func (q *queuePair) writeOne(p transport.Ctx, src []byte, dst transport.Addr, op
 		}
 	}
 
-	// The whole stage/body/commit/ack pipeline — a duplicate's second
-	// body and commit included — rides one pooled op, so posting a WRITE
-	// allocates nothing.
+	// The whole body/commit/ack pipeline — a duplicate's second body and
+	// commit included — rides one pooled op, so posting a WRITE allocates
+	// nothing.
 	w := q.c.getWriteOp()
 	w.q, w.mr = q, mr
-	w.off, w.dstOff = off, dst.Off
+	w.dstOff = dst.Off
 	w.n, w.body, w.tail = len(src), body, tail
 	w.id = opts.ID
 	if fv.drop {
 		w.at(ackAt, wopAck)
 		return
 	}
-	if batch == nil {
-		// The NIC finishes DMA-reading the source at txEnd: snapshot then,
-		// into a pooled staging buffer. (Post-time snapshots are tempting
-		// but wrong in both directions: they erase the reuse-before-
-		// completion hazard real verbs have, and a commit delayed by
-		// receiver RX queueing may fire after the writer has lawfully
-		// restamped the slot for a later lap.)
-		w.src = src
-		w.own = stagedRef{refs: 1}
-		w.st = &w.own
-		w.at(txEnd, wopStage)
-	} else {
-		w.st = batch
+	w.src, w.st = src, batch
+	if batch == nil && (fv.duplicate || deliverAt > rxEnd) {
+		w.st = q.c.stagedRefGet(1)
+		w.st.buf = q.c.stagedGet(len(src))
+		w.src = w.st.buf.b[:copy(w.st.buf.b, src)]
+	} else if batch == nil && dfidebug {
+		w.want = append(w.want[:0], src...)
+		runtime.Callers(3, w.site[:])
 	}
 	w.commit(deliverAt, txEnd)
 	q.lastCommit = deliverAt
@@ -361,11 +354,14 @@ func (q *queuePair) writeOne(p transport.Ctx, src []byte, dst transport.Addr, op
 type writeOp struct {
 	q   *queuePair
 	mr  *memoryRegion
-	st  *stagedRef
-	own stagedRef // standalone WRITEs point st here (one ref, no alloc)
-	src []byte    // standalone WRITEs: snapshot source, read at txEnd
+	src []byte     // the bytes each commit copies
+	st  *stagedRef // holds src when it is a snapshot; nil when it is the caller's
 
-	off, dstOff   int
+	// dfidebug: a caller's src as it was at post, and who posted it.
+	want []byte
+	site [1]uintptr
+
+	dstOff        int
 	n, body, tail int
 	id            uint64
 	pending       int // scheduled steps not yet run; the last one recycles w
@@ -373,8 +369,7 @@ type writeOp struct {
 
 // writeOp pipeline steps (scheduled through Kernel.AtOp).
 const (
-	wopStage  uint64 = iota // snapshot src into the staging buffer (txEnd)
-	wopBody                 // commit the payload body (bodyAt, when a tail follows)
+	wopBody   uint64 = iota // commit the payload body (bodyAt, when a tail follows)
 	wopCommit               // commit tail/body, Notify, release staging (deliverAt)
 	wopAck                  // push the signaled completion (ackAt)
 )
@@ -385,10 +380,10 @@ func (w *writeOp) at(t sim.Time, step uint64) {
 	w.q.c.K.AtOp(t, w, step)
 }
 
-// commit schedules one remote commit of the staged bytes with delivery
-// finishing at t: the body strictly before the tail, as the NIC's
-// increasing-address DMA order demands (fault delay shifts both), and
-// never before staging completed at txEnd.
+// commit schedules one remote commit of src with delivery finishing at t:
+// the body strictly before the tail, as the NIC's increasing-address DMA
+// order demands (fault delay shifts both), and never before the NIC
+// finished reading the source at txEnd.
 func (w *writeOp) commit(t, txEnd sim.Time) {
 	if w.tail > 0 && w.body > 0 {
 		bodyAt := t - w.q.c.cfg.serialization(w.tail)
@@ -402,24 +397,44 @@ func (w *writeOp) commit(t, txEnd sim.Time) {
 
 func (w *writeOp) RunOp(step uint64) {
 	switch step {
-	case wopStage:
-		w.st.buf = w.q.c.stagedGet(w.n)
-		copy(w.st.buf.b, w.src)
 	case wopBody:
-		copy(w.mr.buf[w.dstOff:w.dstOff+w.body], w.st.buf.b[w.off:w.off+w.body])
+		w.checkSource(0, w.body)
+		copy(w.mr.buf[w.dstOff:w.dstOff+w.body], w.src[:w.body])
 	case wopCommit:
 		from := 0
 		if w.tail > 0 {
 			from = w.body // committed by wopBody
 		}
-		copy(w.mr.buf[w.dstOff+from:w.dstOff+w.n], w.st.buf.b[w.off+from:w.off+w.n])
+		w.checkSource(from, w.n)
+		copy(w.mr.buf[w.dstOff+from:w.dstOff+w.n], w.src[from:w.n])
 		w.mr.Notify()
-		w.st.release(w.q.c)
+		if w.st != nil {
+			w.st.release(w.q.c)
+		}
 	case wopAck:
 		w.q.scq.push(transport.Completion{ID: w.id, Op: transport.OpWrite, Bytes: w.n})
 	}
 	if w.pending--; w.pending == 0 {
 		putWriteOp(w)
+	}
+}
+
+// reuseAllowed names the posting functions that reuse a WRITE source
+// early on purpose, to show the hazard.
+var reuseAllowed = map[string]bool{}
+
+// checkSource is the dfidebug invariant of the verbs contract a Write's
+// commit relies on: a caller's source must hold its post-time bytes until
+// a signaled completion covers the WR. It panics, naming the call site
+// that posted the WR, when src[from:to] has changed; a snapshot (want
+// empty) cannot change.
+func (w *writeOp) checkSource(from, to int) {
+	if !dfidebug || len(w.want) == 0 || bytes.Equal(w.src[from:to], w.want[from:to]) {
+		return
+	}
+	if f, _ := runtime.CallersFrames(w.site[:]).Next(); !reuseAllowed[f.Function] {
+		panic(fmt.Sprintf("fabric: WRITE posted by %s (%s:%d) changed bytes %d–%d of its source before they committed: reused before a signaled completion covered it",
+			f.Function, f.File, f.Line, from, to))
 	}
 }
 
@@ -435,7 +450,7 @@ func (c *Cluster) getWriteOp() *writeOp {
 
 func putWriteOp(w *writeOp) {
 	c := w.q.c
-	*w = writeOp{}
+	*w = writeOp{want: w.want[:0]}
 	c.wopFree = append(c.wopFree, w)
 }
 
